@@ -183,7 +183,7 @@ class Hypercohomology:
     """Mapping-cone computation shared by the complexes of one model."""
 
     def __init__(self, model: FramedHiggsModel, kind: str,
-                 window: Window | None = None, check_containment: bool = True):
+                 window: Window | None = None):
         self.model = model
         self.kind = kind
         f0, f1 = model.complex_specs(kind)
@@ -206,19 +206,7 @@ class Hypercohomology:
                                     self.u_layout.dim)
         self._u1_solver = LinSolver([self.u_layout.to_coords(s) for s in self.f1_u1],
                                     self.u_layout.dim)
-
-        if check_containment:
-            self._check_bracket_containment()
-
         self._assemble()
-
-    def _check_bracket_containment(self):
-        """The bracket with theta must map F0-chart sections into F1 ones."""
-        for s in self.f0_u0:
-            img = self.model.f_theta(s)
-            if self._u0_solver.coords(self.u_layout.to_coords(img)) is None:
-                raise AssertionError(
-                    f"[theta, .] does not preserve the {self.kind} subsheaf structure")
 
     def _assemble(self):
         model = self.model
@@ -239,20 +227,24 @@ class Hypercohomology:
             cols.append([-x for x in self.t2_layout.to_coords(model.f_theta(sec))])
         d1_rows = [[cols[j][i] for j in range(len(cols))] for i in range(self.t2_layout.dim)]
 
-        # d0(s0, s1) = (s1 - s0, [theta, s0], [theta, s1]) in T^1 parameters
+        # d0(s0, s1) = (s1 - s0, [theta, s0], [theta, s1]) in T^1 parameters;
+        # [theta, .] must map F0 chart sections into F1 ones.
         d0_cols: list[Vec] = []
         for s in self.f0_u0:
             img = self.model.f_theta(s)
             u0c = self._u0_solver.coords(self.u_layout.to_coords(img))
             if u0c is None:
-                raise AssertionError("bracket image leaves the F1 affine-chart sections")
+                raise AssertionError(
+                    f"[theta, .] does not preserve the {self.kind} subsheaf structure")
             vec = list(u0c) + zeros(n_u1) + [-x for x in self.c_layout.to_coords(s)]
             d0_cols.append(vec)
         for s in self.f0_u1:
             img = self.model.f_theta(s)
             u1c = self._u1_solver.coords(self.u_layout.to_coords(img))
             if u1c is None:
-                raise AssertionError("bracket image leaves the F1 off-divisor sections")
+                raise AssertionError(
+                    f"[theta, .] does not preserve the {self.kind} subsheaf structure "
+                    "off the divisor")
             vec = zeros(n_u0) + list(u1c) + self.c_layout.to_coords(s)
             d0_cols.append(vec)
 
@@ -342,7 +334,7 @@ def build_complexes(model: FramedHiggsModel) -> tuple[ComplexModel, ComplexModel
     out = []
     for kind in (TWISTED, FRAMED):
         f0, f1 = model.complex_specs(kind)
-        Hypercohomology(model, kind, window)  # containment check runs here
+        Hypercohomology(model, kind, window)  # d0 assembly checks containment
         out.append(ComplexModel(kind, f0, f1, window, containment_checked=True))
     return out[0], out[1]
 
@@ -371,6 +363,8 @@ class DeformationTheory:
         self.model = model
         self.window = default_window(model.all_specs())
         self._cones: dict[str, Hypercohomology] = {}
+        self._phi: Mat | None = None
+        self._anchor: Mat | None = None
 
     def cone(self, kind: str) -> Hypercohomology:
         if kind not in self._cones:
@@ -383,15 +377,20 @@ class DeformationTheory:
     # -- matrices -------------------------------------------------------------
 
     def symplectic_matrix(self) -> Mat:
-        """Gram matrix of the pairing on the framed first hypercohomology."""
-        reps = self.cone(FRAMED).basis_reps()
-        phi = [[hyper_pair(self.model, a, b) for b in reps] for a in reps]
-        for i in range(len(phi)):
-            for j in range(len(phi)):
-                if phi[i][j] != -phi[j][i]:
-                    raise AssertionError("symplectic pairing is not exactly skew "
-                                         "(assembly bug)")
-        return phi
+        """Gram matrix of the pairing on the framed first hypercohomology.
+
+        Computed once per theory; each call returns a fresh copy.
+        """
+        if self._phi is None:
+            reps = self.cone(FRAMED).basis_reps()
+            phi = [[hyper_pair(self.model, a, b) for b in reps] for a in reps]
+            for i in range(len(phi)):
+                for j in range(len(phi)):
+                    if phi[i][j] != -phi[j][i]:
+                        raise AssertionError("symplectic pairing is not exactly skew "
+                                             "(assembly bug)")
+            self._phi = phi
+        return [list(row) for row in self._phi]
 
     def forgetful_matrix(self) -> Mat:
         """Classes of framed cocycles inside the twisted hypercohomology."""
@@ -402,11 +401,17 @@ class DeformationTheory:
 
     def poisson_matrix(self) -> Mat:
         """Map induced by inclusion from the dual twisted complex to the
-        twisted one; realizes the Poisson anchor in these bases."""
-        tw = self.cone(TWISTED)
-        cols = [tw.project_cocycle(*rep) for rep in self.cone(TWISTED_DUAL).basis_reps()]
-        return [[cols[j][i] for j in range(len(cols))]
-                for i in range(tw.h1)] if cols else [[] for _ in range(tw.h1)]
+        twisted one; realizes the Poisson anchor in these bases.
+
+        Computed once per theory; each call returns a fresh copy.
+        """
+        if self._anchor is None:
+            tw = self.cone(TWISTED)
+            cols = [tw.project_cocycle(*rep)
+                    for rep in self.cone(TWISTED_DUAL).basis_reps()]
+            self._anchor = [[cols[j][i] for j in range(len(cols))]
+                            for i in range(tw.h1)] if cols else [[] for _ in range(tw.h1)]
+        return [list(row) for row in self._anchor]
 
     def forgetful_adjoint_matrix(self) -> Mat:
         """Covector matrix of the adjoint of the forgetful map.

@@ -286,31 +286,72 @@ class LinSolver:
 
 
 class Quotient:
-    """Quotient of a subspace ker ⊇ sub by the subspace, with projection.
+    """Quotient ker / sub of subspaces sub ⊆ ker of Q^n, with projection.
 
-    `kernel_vectors` spans the ambient space of interest (e.g. cocycles) and
-    `sub_vectors` the part to quotient out (e.g. coboundaries).  The quotient
-    basis is chosen greedily from `kernel_vectors` in the order given.
+    `kernel_vectors` is a basis of ker in staircase form: each vector has
+    entry 1 at its own free column, which is its last nonzero entry, and
+    entry 0 at the free columns of the others.  `nullspace_sparse` returns
+    such a basis, and so does any list of distinct unit vectors; any other
+    input raises ValueError.  A vector v of ker is then fixed by its entries
+    at the free columns, v = sum_j v[free_j] K_j, so the quotient is one
+    elimination of the `sub_vectors` (which must lie in ker) restricted to
+    those columns.
+
+    The quotient basis is chosen greedily from `kernel_vectors` in the order
+    given: K_j is kept when it is independent of sub and of K_0..K_{j-1}.
+    Restricted column j is keyed k-1-j, so the smallest-key pivots of the
+    elimination are exactly the columns the greedy choice drops.
     """
 
     def __init__(self, n: int, sub_vectors: Sequence[Sequence[Fraction]],
                  kernel_vectors: Sequence[Sequence[Fraction]]):
         self.n = n
-        ech = Echelon(n)
-        self._sub_basis: list[Vec] = []
+        k = len(kernel_vectors)
+        kernel = [Echelon._sparse(v) for v in kernel_vectors]
+        free = [max(v) if v else None for v in kernel]
+        self._key = {c: k - 1 - j for j, c in enumerate(free)}
+        for j, (v, c) in enumerate(zip(kernel, free)):
+            key = k - 1 - j
+            if (c is None or v[c] != 1 or self._key[c] != key
+                    or any(self._key.get(col, key) != key for col in v)):
+                raise ValueError(f"kernel vector {j} is not in staircase form")
+        # Entries off the free columns, by key.
+        self._tails = [{col: x for col, x in v.items() if col != c}
+                       for v, c in zip(reversed(kernel), reversed(free))]
+        self._ech = Echelon(k)
         for v in sub_vectors:
-            if ech.insert(v):
-                self._sub_basis.append(list(v))
-        self.basis: list[Vec] = []
-        for v in kernel_vectors:
-            if ech.insert(v):
-                self.basis.append(list(v))
+            r = self._restrict(v)
+            if r is None:
+                raise ValueError("sub vector does not lie in the span of the kernel vectors")
+            self._ech.insert(r)
+        pivots = set(self._ech.pivots)
+        self._kept = [k - 1 - j for j in range(k) if k - 1 - j not in pivots]
+        self.basis: list[Vec] = [list(kernel_vectors[k - 1 - key]) for key in self._kept]
         self.dim = len(self.basis)
-        self._solver = LinSolver(self._sub_basis + self.basis, n)
+
+    def _restrict(self, v) -> dict[int, Fraction] | None:
+        """Free-column entries of v by key, or None if v is not in ker."""
+        rest = {}
+        r = {}
+        for c, x in Echelon._sparse(v).items():
+            key = self._key.get(c)
+            if key is None:
+                rest[c] = x
+            else:
+                r[key] = x
+        for key, x in r.items():
+            for c, y in self._tails[key].items():
+                nv = rest.get(c, ZERO) - x * y
+                if nv:
+                    rest[c] = nv
+                else:
+                    rest.pop(c, None)
+        return None if rest else r
 
     def project(self, v: Sequence[Fraction]) -> Vec:
         """Class coordinates of v in the quotient basis."""
-        x = self._solver.coords(v)
-        if x is None:
+        r = self._restrict(v)
+        if r is None:
             raise ValueError("vector does not lie in the span of the quotient presentation")
-        return x[len(self._sub_basis):]
+        w = self._ech.reduce_sparse(r)
+        return [w.get(key, ZERO) for key in self._kept]

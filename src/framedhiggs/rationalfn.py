@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable, Sequence
 
 from .exactlinalg import Vec, ZERO, ONE, frac, vec_add, vec_is_zero, vec_scale, zeros
@@ -370,43 +370,20 @@ class Poly:
         return self.degree < 1 or self.gcd(self.derivative()).degree == 0
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
-        """All rational roots with multiplicities."""
+        """All rational roots with multiplicities, in increasing order.
+
+        They are read off the linear factors of the integer polynomial
+        (sympy's factorization over Z), which takes no divisor enumeration
+        of the constant term.
+        """
         if self.is_zero():
             raise ValueError("zero polynomial")
-        from math import gcd as igcd
-        den = 1
-        for x in self.c:
-            den = den * x.denominator // igcd(den, x.denominator)
-        ic = [int(x * den) for x in self.c]
-        shift = 0
-        while ic and ic[0] == 0:
-            ic.pop(0)
-            shift += 1
-        roots: list[tuple[Fraction, int]] = []
-        if shift:
-            roots.append((ZERO, shift))
-        if len(ic) <= 1:
-            return roots
-
-        def divisors(n: int) -> list[int]:
-            n = abs(n)
-            out = []
-            d = 1
-            while d * d <= n:
-                if n % d == 0:
-                    out.append(d)
-                    out.append(n // d)
-                d += 1
-            return sorted(set(out))
-
-        candidates = sorted({Fraction(s * p, q) for p in divisors(ic[0])
-                             for q in divisors(ic[-1]) for s in (1, -1)})
-        poly = Poly([frac(x) for x in ic])
-        for cand in candidates:
-            mult = 0
-            while poly.degree >= 1 and poly(cand) == 0:
-                poly = poly.divmod(Poly.x_minus(cand))[0]
-                mult += 1
-            if mult:
-                roots.append((cand, mult))
+        import sympy
+        den = lcm(*(x.denominator for x in self.c))
+        ic = [int(x * den) for x in reversed(self.c)]
+        roots = []
+        for factor, mult in sympy.Poly(ic, sympy.Symbol("z")).factor_list()[1]:
+            if factor.degree() == 1:
+                a, b = factor.all_coeffs()
+                roots.append((Fraction(-int(b), int(a)), mult))
         return sorted(roots)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 from .exactlinalg import ZERO, ONE, frac, inverse, mat_vec
 from .liealg import AlgebraElement, AlgebraModel, char_poly_elementary
 from .dimensions import hitchin_base_dim, hitchin_fiber_dim, torsor_dims
@@ -165,6 +163,9 @@ def _isolate_irrational_roots(p: Poly, rational: list[tuple[Fraction, int]],
     reduced = reduced.squarefree_part()
     if reduced.degree < 1:
         return []
+    # Imported here: sympy is most of the package's import time, and only
+    # root finding needs it.
+    import sympy
     x = sympy.Symbol("z")
     expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
                for i, c in enumerate(reduced.c))
@@ -172,7 +173,10 @@ def _isolate_irrational_roots(p: Poly, rational: list[tuple[Fraction, int]],
     tol = sympy.Rational(eps.numerator, eps.denominator)
     out: list[tuple] = []
     for rt in sp.all_roots(radicals=False):
-        approx = rt.eval_rational(dx=tol, dy=tol)
+        # sympy may rescale the variable and return c*CRootOf(...); isolate
+        # the CRootOf to tol/|c| and scale back, so the box still has width tol.
+        c, root = rt.as_coeff_Mul()
+        approx = c * root.eval_rational(dx=tol / abs(c), dy=tol / abs(c))
         re = Fraction(int(sympy.re(approx).p), int(sympy.re(approx).q))
         im = Fraction(int(sympy.im(approx).p), int(sympy.im(approx).q))
         if rt.is_real:

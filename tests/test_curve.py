@@ -222,6 +222,9 @@ def test_poly_helpers():
     assert sf.degree == 2
     assert p.divmod(sf)[1].is_zero() and sf.divmod(p)[1].is_zero()
     assert Poly([F(-6), F(1), F(1)]).rational_roots() == [(F(-3), 1), (F(2), 1)]
+    third = Poly.x_minus(F(-1, 3))
+    mixed = third * third * Poly.x_minus(F(0)) * Poly([F(2), F(0), F(1)])
+    assert mixed.rational_roots() == [(F(-1, 3), 2), (F(0), 1)]
     q, r = sq.divmod(p)
     assert q == p and r.is_zero()
 

@@ -1,8 +1,14 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from framedhiggs.cli import main
 from framedhiggs.dimensions import hitchin_base_dim, hitchin_fiber_dim
 from framedhiggs.liealg import AlgebraModel
 from framedhiggs.sampling import random_algebra_element
@@ -174,3 +180,37 @@ def test_torsor_report_outside_locus_emits_flags_only():
     assert not tr.in_nonramified_smooth_locus
     assert tr.framed_fiber_dim is None and tr.base_dim is None
     assert tr.notes
+
+
+# ---------------------------------------------------------------------------
+# regressions on seeded CLI jobs
+# ---------------------------------------------------------------------------
+
+def _spectral_job(tmp_path, group, points, seed):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"group": group, "points": points,
+                               "residues": {"type": "random", "seed": seed,
+                                            "height": 10}}))
+    return ["spectral", "--config", str(cfg)]
+
+
+def test_scaled_root_of_reduced_discriminant_is_isolated(tmp_path, capsys):
+    # sympy returns 2*CRootOf(118681*x**4 - ..., k) here: a Mul, not a CRootOf.
+    assert main(_spectral_job(tmp_path, "gl(2)", ["1", "2", "3", "4"], 341483)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"]
+    boxes = report["results"]["spectral"]["isolated_branch_boxes"]
+    assert boxes and all(b[0] in ("real", "complex") for b in boxes)
+
+
+def test_large_constant_term_rational_roots_finish(tmp_path):
+    # The discriminant has degree 6 and a 67-bit constant term; enumerating
+    # its divisors by trial division did not finish in minutes.
+    args = _spectral_job(tmp_path, "sl(3)", ["1", "2", "3"], 7)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "framedhiggs.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_passed"]
