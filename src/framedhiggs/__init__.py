@@ -19,14 +19,13 @@ from .curve import (H1Presentation, INFINITY, MarkedCurve, SheafSpec, Window,
                     make_spec, residue, serre_dual_spec, serre_pairing)
 from .deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
                           FramedHiggsModel, HypercohResult, Hypercohomology,
-                          build_complexes, framed_higgs_model, hyper_pair,
-                          verify_poisson_map)
+                          framed_higgs_model, hyper_pair, verify_poisson_map)
 from .dimensions import (DimReport, consistency_audit, audit_grid,
                          dim_moduli_framed, dim_moduli_higgs, hitchin_base_dim,
                          hitchin_fiber_dim, torsor_dims)
 from .gaudin import (FlowToleranceError, GaudinSystem, HitchinPoint,
                      PolyObservable, commutativity_check, hamiltonian_flow,
-                     hitchin_map, lie_poisson_bracket)
+                     hitchin_map)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, GroupData,
                      InvariantForm, UnsupportedGroupError, bracket,
                      check_invariance, group_data, invariant_polynomials,

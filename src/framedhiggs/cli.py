@@ -19,14 +19,14 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .dimensions import audit_grid, consistency_audit
+from .dimensions import audit_grid, consistency_audit, hitchin_fiber_dim
 from .deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
                           framed_higgs_model, verify_poisson_map)
 from .exactlinalg import rank
 from .gaudin import GaudinSystem
 from .liealg import AlgebraModel, UnsupportedGroupError, group_data
 from .sampling import random_residue_tuple, seeded_model
-from .spectral import spectral_data, spectral_genus, torsor_fiber_report
+from .spectral import riemann_hurwitz_genus, spectral_data, torsor_fiber_report
 
 
 class ConfigError(ValueError):
@@ -38,6 +38,17 @@ def _fr(value, where: str) -> Fraction:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{where}: not a rational number: {value!r}") from exc
+
+
+def _int(value, where: str, lo: int, hi: int | None = None) -> int:
+    try:
+        v = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: not an integer: {value!r}") from exc
+    if v < lo or hi is not None and v > hi:
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{where}: must be an integer {bound}, got {value!r}")
+    return v
 
 
 def _jsonable(x):
@@ -82,7 +93,7 @@ def _residues(cfg: dict, algebra: AlgebraModel, framing: str, pts, seed_override
         raise ConfigError("config.residues: expected an object with a 'type' field")
     if spec["type"] == "random":
         seed = seed_override if seed_override is not None else spec.get("seed", 0)
-        height = int(spec.get("height", 10))
+        height = _int(spec.get("height", 10), "config.residues.height", 1)
         model = seeded_model(algebra.group.group_id, pts, framing, seed, height)
         return model, seed
     if spec["type"] == "explicit":
@@ -114,11 +125,22 @@ def _check(name: str, passed: bool, value, expected, provenance: str) -> dict:
 
 def run_dims(cfg: dict, seed) -> dict:
     gd = _group(cfg)
-    g = int(_need(cfg, "genus"))
-    n = int(_need(cfg, "n"))
+    g = _int(_need(cfg, "genus"), "config.genus", 1)
+    n = _int(_need(cfg, "n"), "config.n", 1)
     framing_dims = cfg.get("framing_dims")
+    if framing_dims is not None:
+        if not isinstance(framing_dims, list) or len(framing_dims) != n:
+            raise ConfigError(f"config.framing_dims: expected a list of n = {n} "
+                              "dimensions, one per marked point")
+        framing_dims = [_int(d, f"config.framing_dims[{i}]", 0, gd.dim - 1)
+                        for i, d in enumerate(framing_dims)]
     dim_z_h = cfg.get("dim_z_h")
-    report = consistency_audit(gd, g, n, framing_dims, dim_z_h)
+    if dim_z_h is not None:
+        dim_z_h = _int(dim_z_h, "config.dim_z_h", 0)
+    try:
+        report = consistency_audit(gd, g, n, framing_dims, dim_z_h)
+    except ValueError as exc:  # the center cap is the one input left unchecked
+        raise ConfigError(f"config.dim_z_h: {exc}") from exc
     checks = [_check(c.name, c.passed, c.lhs, c.rhs, c.provenance) for c in report.checks]
     results = {
         "dim_moduli_higgs": report.dim_moduli_higgs,
@@ -213,8 +235,8 @@ def run_gaudin(cfg: dict, seed) -> dict:
     system = GaudinSystem(algebra, pts)
     checks = []
     hp = system.hitchin_point(model.residues)
-    n_random = int(cfg.get("random_points", 5))
-    height = int(cfg.get("height", 10))
+    n_random = _int(cfg.get("random_points", 5), "config.random_points", 0)
+    height = _int(cfg.get("height", 10), "config.height", 1)
     rng = random.Random(used_seed if used_seed is not None else 0)
     tuples = [list(model.residues)]
     for _ in range(n_random):
@@ -236,16 +258,17 @@ def run_gaudin(cfg: dict, seed) -> dict:
     }
     flow_cfg = cfg.get("flow")
     if flow_cfg:
-        k = int(flow_cfg.get("degree_index", 0))
-        i = int(flow_cfg.get("site", 0))
-        j = int(flow_cfg.get("order", 1))
+        k = _int(flow_cfg.get("degree_index", 0), "config.flow.degree_index", 0)
+        i = _int(flow_cfg.get("site", 0), "config.flow.site", 0)
+        j = _int(flow_cfg.get("order", 1), "config.flow.order", 1)
+        steps = _int(flow_cfg.get("steps", 10000), "config.flow.steps", 1)
         fns = system.coefficient_functions()
         if k not in fns or (i, j) not in fns[k]:
             raise ConfigError(f"config.flow: no coefficient ({k},{i},{j})")
         tol = flow_cfg.get("drift_tolerance", 1e-8)
         _, drift = system.integrate_flow(
             model.residues, fns[k][(i, j)],
-            float(flow_cfg.get("t_end", 1.0)), int(flow_cfg.get("steps", 10000)))
+            float(flow_cfg.get("t_end", 1.0)), steps)
         worst_drift = max((r["relative_drift"] for r in drift), default=0.0)
         checks.append(_check(
             "conserved quantities along the flow", worst_drift < tol,
@@ -260,18 +283,25 @@ def run_spectral(cfg: dict, seed) -> dict:
     results: dict = {}
     if "genus_identity_grid" in cfg:
         grid = cfg["genus_identity_grid"]
-        r_lo, r_hi = grid.get("r", [2, 5])
-        g_lo, g_hi = grid.get("g", [0, 4])
-        n_lo, n_hi = grid.get("n", [1, 5])
+        if not isinstance(grid, dict):
+            raise ConfigError("config.genus_identity_grid: expected an object")
+        ranges = {}
+        for key, default, lo in (("r", [2, 5], 2), ("g", [0, 4], 0), ("n", [1, 5], 1)):
+            where = f"config.genus_identity_grid.{key}"
+            bounds = grid.get(key, default)
+            if not isinstance(bounds, list) or len(bounds) != 2:
+                raise ConfigError(f"{where}: expected a [low, high] pair")
+            ranges[key] = range(_int(bounds[0], where, lo), _int(bounds[1], where, lo) + 1)
         rows = []
-        ok = True
-        for r in range(r_lo, r_hi + 1):
-            for g in range(g_lo, g_hi + 1):
-                for n in range(n_lo, n_hi + 1):
-                    gs = spectral_genus(r, g, n)
+        matched = 0
+        for r in ranges["r"]:
+            for g in ranges["g"]:
+                for n in ranges["n"]:
+                    gs = riemann_hurwitz_genus(r, g, n)
+                    matched += gs == hitchin_fiber_dim(f"gl({r})", g, n, allow_genus_zero=True)
                     rows.append({"r": r, "g": g, "n": n, "genus": gs})
-        checks.append(_check("spectral genus matches fiber dimension", ok,
-                             f"{len(rows)} cases", f"{len(rows)} cases",
+        checks.append(_check("spectral genus matches fiber dimension", matched == len(rows),
+                             f"{matched} cases", f"{len(rows)} cases",
                              "Riemann-Hurwitz count vs fiber dimension formula"))
         results["genus_grid"] = rows
     if "group" in cfg:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlinalg import (Quotient, Vec, ZERO, ONE, frac, nullspace, vec_is_zero, zeros)
+from .exactlinalg import (Quotient, Vec, ZERO, ONE, frac, identity, nullspace,
+                          vec_is_zero, zeros)
 from .rationalfn import (RatContext, VSection, pairing_residue_at_infinity,
                          pairing_residue_at_point)
 
@@ -232,7 +233,7 @@ def _point_condition_rows(candidates: list[VSection], spec: SheafSpec,
             conds.append([sum((p * v[a] for a, p in enumerate(phi) if p), ZERO)
                           for v in values_per_candidate])
 
-    unit = [[ONE if a == b else ZERO for b in range(m)] for a in range(m)]
+    unit = identity(m)
     for i in range(spec.n):
         k = spec.pole_orders[i]
         cons = spec.constraints[i]
@@ -246,74 +247,36 @@ def _point_condition_rows(candidates: list[VSection], spec: SheafSpec,
     return conds
 
 
+def _sections(ctx: RatContext, spec: SheafSpec, poles: Sequence[int], degree: int,
+              at_points: bool) -> list[VSection]:
+    """Basis of the sections with poles[i] poles at x_i and a polynomial tail of
+    degree <= degree, subject to the D-point conditions of spec when at_points,
+    and to vanishing to order -degree at infinity when degree < 0."""
+    _check_ctx(ctx, spec)
+    units = identity(spec.m)
+    candidates = [VSection.principal(ctx, i, j, v)
+                  for i, p in enumerate(poles) for j in range(1, p + 1) for v in units]
+    candidates += [VSection.monomial(ctx, l, v) for l in range(degree + 1) for v in units]
+    rows = _point_condition_rows(candidates, spec, ctx) if at_points else []
+    for order in range(1, -degree):
+        vals = [c.infinity_coeff(order) for c in candidates]
+        rows += [[v[a] for v in vals] for a in range(spec.m)]
+    return _solve_conditions(candidates, rows, ctx)
+
+
 def sections_on_affine_chart(ctx: RatContext, spec: SheafSpec, window: Window) -> list[VSection]:
     """Basis of F(U0): regular away from D, window-truncated polynomial tail."""
-    _check_ctx(ctx, spec)
-    m = spec.m
-    candidates: list[VSection] = []
-    for i in range(spec.n):
-        for j in range(1, spec.pole_orders[i] + 1):
-            for a in range(m):
-                v = zeros(m)
-                v[a] = ONE
-                candidates.append(VSection.principal(ctx, i, j, v))
-    for l in range(window.degree + 1):
-        for a in range(m):
-            v = zeros(m)
-            v[a] = ONE
-            candidates.append(VSection.monomial(ctx, l, v))
-    return _solve_conditions(candidates, _point_condition_rows(candidates, spec, ctx), ctx)
+    return _sections(ctx, spec, spec.pole_orders, window.degree, True)
 
 
 def sections_off_divisor(ctx: RatContext, spec: SheafSpec, window: Window) -> list[VSection]:
     """Basis of F(U1): arbitrary window poles along D, twist condition at infinity."""
-    _check_ctx(ctx, spec)
-    m = spec.m
-    t = spec.inf_order
-    candidates: list[VSection] = []
-    for i in range(spec.n):
-        for j in range(1, window.pole + 1):
-            for a in range(m):
-                v = zeros(m)
-                v[a] = ONE
-                candidates.append(VSection.principal(ctx, i, j, v))
-    for l in range(0, max(t, 0) + 1 if t >= 0 else 0):
-        for a in range(m):
-            v = zeros(m)
-            v[a] = ONE
-            candidates.append(VSection.monomial(ctx, l, v))
-    rows: list[list[Fraction]] = []
-    if t < 0:
-        for order in range(1, -t):
-            vals = [c.infinity_coeff(order) for c in candidates]
-            for a in range(m):
-                rows.append([v[a] for v in vals])
-    return _solve_conditions(candidates, rows, ctx)
+    return _sections(ctx, spec, [window.pole] * spec.n, spec.inf_order, False)
 
 
 def global_sections(ctx: RatContext, spec: SheafSpec) -> list[VSection]:
     """Exact basis of H^0."""
-    _check_ctx(ctx, spec)
-    m, t = spec.m, spec.inf_order
-    candidates: list[VSection] = []
-    for i in range(spec.n):
-        for j in range(1, spec.pole_orders[i] + 1):
-            for a in range(m):
-                v = zeros(m)
-                v[a] = ONE
-                candidates.append(VSection.principal(ctx, i, j, v))
-    for l in range(0, t + 1):
-        for a in range(m):
-            v = zeros(m)
-            v[a] = ONE
-            candidates.append(VSection.monomial(ctx, l, v))
-    rows = _point_condition_rows(candidates, spec, ctx)
-    if t < 0:
-        for order in range(1, -t):
-            vals = [c.infinity_coeff(order) for c in candidates]
-            for a in range(m):
-                rows.append([v[a] for v in vals])
-    return _solve_conditions(candidates, rows, ctx)
+    return _sections(ctx, spec, spec.pole_orders, spec.inf_order, True)
 
 
 class H1Presentation:

@@ -35,7 +35,7 @@ from .curve import (Layout, MarkedCurve, SheafSpec, Window, default_window,
                     make_spec, sections_off_divisor, sections_on_affine_chart)
 from .exactlinalg import (Echelon, LinSolver, Mat, Quotient, Vec, ZERO, ONE,
                           inverse, mat_vec, mat_is_zero, mat_mul, nullspace,
-                          nullspace_sparse, zeros)
+                          nullspace_sparse, transpose, zeros)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
                      bracket, trace_form)
 from .rationalfn import RatContext, VSection, pairing_residue_at_point
@@ -91,11 +91,8 @@ class FramedHiggsModel:
         self.context = RatContext(self.curve.points, dim)
 
     def _ad_matrix(self, el: AlgebraElement) -> Mat:
-        cols = []
-        for b in self.algebra.basis:
-            img = bracket(el, AlgebraElement(b, el.group_id))
-            cols.append(self.algebra.coords(img))
-        return [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
+        return transpose([self.algebra.coords(bracket(el, AlgebraElement(b, el.group_id)))
+                          for b in self.algebra.basis])
 
     @property
     def dim(self) -> int:
@@ -169,16 +166,6 @@ def framed_higgs_model(group_id: str, points: Sequence, residues: Sequence,
     return FramedHiggsModel(algebra, form, curve, frs, res)
 
 
-@dataclass
-class ComplexModel:
-    """Assembled two-term complex with its Cech windows."""
-    kind: str
-    f0: SheafSpec
-    f1: SheafSpec
-    window0: Window   # pole window for C^1(F0); F1 uses window0.pole + 1
-    containment_checked: bool = False
-
-
 class Hypercohomology:
     """Mapping-cone computation shared by the complexes of one model."""
 
@@ -225,7 +212,7 @@ class Hypercohomology:
             unit[idx] = ONE
             sec = self.c_layout.from_coords(unit)
             cols.append([-x for x in self.t2_layout.to_coords(model.f_theta(sec))])
-        d1_rows = [[cols[j][i] for j in range(len(cols))] for i in range(self.t2_layout.dim)]
+        d1_rows = transpose(cols)
 
         # d0(s0, s1) = (s1 - s0, [theta, s0], [theta, s1]) in T^1 parameters;
         # [theta, .] must map F0 chart sections into F1 ones.
@@ -253,9 +240,7 @@ class Hypercohomology:
         self.h1 = self.quotient.dim
 
         # H^0 = ker d0
-        d0_rows = [[d0_cols[j][i] for j in range(len(d0_cols))]
-                   for i in range(self.t1_params)]
-        self.h0 = len(nullspace_sparse(d0_rows, ncols=len(d0_cols)))
+        self.h0 = len(nullspace_sparse(transpose(d0_cols), ncols=len(d0_cols)))
 
         # H^2 = T^2 / im d1; rank d1 = t1 - dim ker d1
         self.h2 = self.t2_layout.dim - (self.t1_params - len(kernel))
@@ -321,22 +306,6 @@ class HypercohResult:
     @property
     def euler_identity(self) -> bool:
         return self.h0 - self.h1 + self.h2 == self.chi0 - self.chi1
-
-
-def build_complexes(model: FramedHiggsModel) -> tuple[ComplexModel, ComplexModel]:
-    """The twisted and framed complexes, with the subsheaf mapping check.
-
-    The constructive check that [theta, .] maps framing-valued sections into
-    annihilator-valued one-forms happens at each marked point on a spanning
-    set; failures indicate residues incompatible with the framing.
-    """
-    window = default_window(model.all_specs())
-    out = []
-    for kind in (TWISTED, FRAMED):
-        f0, f1 = model.complex_specs(kind)
-        Hypercohomology(model, kind, window)  # d0 assembly checks containment
-        out.append(ComplexModel(kind, f0, f1, window, containment_checked=True))
-    return out[0], out[1]
 
 
 def hyper_pair(model: FramedHiggsModel,

@@ -3,6 +3,11 @@
 Vectors are lists/tuples of Fraction, matrices are lists of rows.  Everything
 here is deterministic: pivots are always chosen as the first nonzero entry in
 column order, so bases produced from the same input are reproducible.
+
+`mat_mul`, `mat_vec` and `mat_comb` only add, multiply and test entries for
+zero, so they serve any entries with those operations: the symbolic
+`gaudin.PolyObservable` matrices as well as Fractions.  A sum all of whose
+terms vanish is the Fraction ZERO.
 """
 
 from __future__ import annotations
@@ -28,9 +33,6 @@ def zeros(n: int) -> Vec:
 def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return [x + y for x, y in zip(a, b)]
 
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return [x - y for x, y in zip(a, b)]
-
 def vec_scale(a: Sequence[Fraction], c: Fraction) -> Vec:
     return [c * x for x in a]
 
@@ -39,17 +41,15 @@ def vec_is_zero(a: Sequence[Fraction]) -> bool:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    nb = len(b)
-    cols = len(b[0]) if nb else 0
+    cols = len(b[0]) if b else 0
     out = []
     for row in a:
         acc = [ZERO] * cols
-        for k, rk in enumerate(row):
+        for rk, brow in zip(row, b):
             if rk:
-                brow = b[k]
-                for j in range(cols):
-                    if brow[j]:
-                        acc[j] += rk * brow[j]
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] = acc[j] + rk * y
         out.append(acc)
     return out
 
@@ -58,16 +58,24 @@ def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
     return [sum((rk * vk for rk, vk in zip(row, v) if rk and vk), ZERO) for row in a]
 
 
+def mat_comb(weights: Sequence, mats: Sequence[Mat]) -> Mat:
+    """sum_j weights[j] mats[j]; zero weights and entries are skipped."""
+    out = [[ZERO] * len(row) for row in mats[0]]
+    for w, m in zip(weights, mats):
+        if w:
+            for orow, mrow in zip(out, m):
+                for j, x in enumerate(mrow):
+                    if x:
+                        orow[j] = orow[j] + w * x
+    return out
+
+
 def transpose(a: Mat) -> Mat:
     return [list(col) for col in zip(*a)] if a else []
 
 
 def identity(n: int) -> Mat:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [vec_sub(ra, rb) for ra, rb in zip(a, b)]
 
 
 def mat_is_zero(a: Mat) -> bool:
@@ -127,24 +135,6 @@ def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int | None = None) -> l
     return basis
 
 
-def solve(a: Mat, b: Sequence[Fraction]) -> Vec | None:
-    """One solution of A x = b, or None if inconsistent."""
-    if not a:
-        return [] if vec_is_zero(b) else None
-    n = len(a[0])
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:n]) and row[n] != 0:
-            return None
-    x = zeros(n)
-    for i, p in enumerate(pivots):
-        if p == n:
-            return None
-        x[p] = red[i][n]
-    return x
-
-
 def inverse(a: Mat) -> Mat:
     n = len(a)
     aug = [list(row) + list(idr) for row, idr in zip(a, identity(n))]
@@ -152,6 +142,13 @@ def inverse(a: Mat) -> Mat:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red[:n]]
+
+
+def sample_inverse(points: Sequence[Fraction], size: int, row) -> tuple[Vec, Mat]:
+    """Sample points t_l = max(points) + l, l = 1..size, which avoid every
+    point, and the inverse of the matrix whose rows are row(t_l)."""
+    ts = [max(points) + l for l in range(1, size + 1)]
+    return ts, inverse([row(t) for t in ts])
 
 
 class Echelon:

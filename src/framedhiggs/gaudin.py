@@ -13,13 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
-from .exactlinalg import Mat, ZERO, ONE, frac, inverse, mat_vec, vec_is_zero
-from .liealg import AlgebraElement, AlgebraModel, flatten, mat_trace
+from .exactlinalg import (ZERO, ONE, frac, identity, inverse, mat_comb, mat_mul,
+                          mat_vec, sample_inverse, transpose, vec_is_zero)
+from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, antidiagonal, flatten,
+                     generator_indices, invariant_polynomials, mat_commutator,
+                     mat_trace, matrix_invariants, newton_elementary, pfaffian,
+                     theta_at)
 from .rationalfn import RatContext, VSection
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Monomial = tuple[tuple[int, int], ...]   # sorted ((var, exp), ...)
 
@@ -28,7 +33,9 @@ class PolyObservable:
     """Sparse multivariate polynomial with exact rational coefficients.
 
     Variables index the entries of the residue matrices; the site layout is
-    owned by the ambient GaudinSystem.
+    owned by the ambient GaudinSystem.  A rational scalar acts as a constant
+    polynomial in +, - and *, so that the matrix routines of `exactlinalg`
+    and `liealg` serve observables as well as Fractions.
     """
 
     __slots__ = ("terms",)
@@ -45,26 +52,42 @@ class PolyObservable:
     def variable(cls, idx: int) -> "PolyObservable":
         return cls({((idx, 1),): ONE})
 
+    @classmethod
+    def lift(cls, x) -> "PolyObservable":
+        """x itself, or the constant polynomial of a scalar x."""
+        return x if isinstance(x, PolyObservable) else cls.constant(x)
+
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
-    def __add__(self, o: "PolyObservable") -> "PolyObservable":
+    def __add__(self, o) -> "PolyObservable":
         out = dict(self.terms)
-        for m, c in o.terms.items():
+        for m, c in PolyObservable.lift(o).terms.items():
             out[m] = out.get(m, ZERO) + c
         return PolyObservable(out)
 
-    def __sub__(self, o: "PolyObservable") -> "PolyObservable":
-        return self + o.scale(-ONE)
+    def __radd__(self, o) -> "PolyObservable":
+        return PolyObservable.lift(o) + self
+
+    def __neg__(self) -> "PolyObservable":
+        return self.scale(-ONE)
+
+    def __sub__(self, o) -> "PolyObservable":
+        return self + -o
+
+    def __rsub__(self, o) -> "PolyObservable":
+        return o + -self
 
     def scale(self, c) -> "PolyObservable":
         c = frac(c)
         return PolyObservable({m: c * x for m, x in self.terms.items()})
 
-    def __mul__(self, o: "PolyObservable") -> "PolyObservable":
+    def __mul__(self, o) -> "PolyObservable":
+        if not isinstance(o, PolyObservable):
+            return self.scale(o)
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in o.terms.items():
@@ -74,6 +97,8 @@ class PolyObservable:
                 key = tuple(sorted(vars_.items()))
                 out[key] = out.get(key, ZERO) + c1 * c2
         return PolyObservable(out)
+
+    __rmul__ = __mul__
 
     def diff(self, var: int) -> "PolyObservable":
         out: dict[Monomial, Fraction] = {}
@@ -108,31 +133,6 @@ class PolyObservable:
         return run
 
 
-def _newton_elementary(power_traces: list, k_max: int, const: Callable) -> list:
-    """Elementary symmetric functions from power traces over any Q-algebra."""
-    e = [const(1)]
-    for k in range(1, k_max + 1):
-        acc = const(0)
-        for i in range(1, k + 1):
-            term = e[k - i] * power_traces[i - 1]
-            acc = acc + (term if i % 2 else term.scale(-1))
-        e.append(acc.scale(Fraction(1, k)))
-    return e[1:]
-
-
-def _pfaffian_generic(m: list, const: Callable):
-    n = len(m)
-    if n == 0:
-        return const(1)
-    acc = const(0)
-    for j in range(1, n):
-        keep = [i for i in range(1, n) if i != j]
-        sub = [[m[a][b] for b in keep] for a in keep]
-        term = m[0][j] * _pfaffian_generic(sub, const)
-        acc = acc + (term if j % 2 else term.scale(-1))
-    return acc
-
-
 @dataclass(frozen=True)
 class HitchinPoint:
     """Partial-fraction coefficients of the invariant polynomials of theta.
@@ -145,15 +145,6 @@ class HitchinPoint:
     group_id: str
     degrees: tuple[int, ...]
     coeffs: tuple[dict[tuple[int, int], Fraction], ...]
-
-    def flat(self) -> list[Fraction]:
-        out = []
-        for k, d in enumerate(self.degrees):
-            n = max((i for i, _ in self.coeffs[k]), default=-1) + 1
-            for i in range(n):
-                for j in range(1, d + 1):
-                    out.append(self.coeffs[k].get((i, j), ZERO))
-        return out
 
     def is_zero(self) -> bool:
         return all(v == 0 for c in self.coeffs for v in c.values())
@@ -173,18 +164,15 @@ class GaudinSystem:
         # trace-orthogonal projection onto the algebra, as a map of basis
         # coordinates: coords(pi(Y)) = R @ flatten(Y^T)' with rows tr(B_j Y).
         basis = model.basis
-        gram = [[mat_trace(_mat_mul(a, b)) for b in basis] for a in basis]
-        tmat = [flatten(_transpose(b)) for b in basis]
-        self._grad_rows = _mat_mul_rect(inverse(gram), tmat)   # dim x s^2
-        self._coeff_functions: dict[int, dict[tuple[int, int], PolyObservable]] | None = None
+        gram = [[mat_trace(mat_mul(a, b)) for b in basis] for a in basis]
+        tmat = [flatten(transpose(b)) for b in basis]
+        self._grad_rows = mat_mul(inverse(gram), tmat)   # dim x s^2
+        self._indices = generator_indices(self.group)
+        self._coeff_functions: dict[int, dict[tuple[int, int], PolyObservable]] = {}
         self._interp_cache: dict[int, tuple] = {}
-        self._pf_functions: dict[tuple[int, int], PolyObservable] | None = None
+        self._symbolic_invariants: dict[Fraction, list[PolyObservable]] = {}
 
     # -- variable layout ------------------------------------------------------
-
-    @property
-    def nvars(self) -> int:
-        return self.n * self.s * self.s
 
     def var(self, site: int, a: int, b: int) -> int:
         return site * self.s * self.s + a * self.s + b
@@ -207,50 +195,10 @@ class GaudinSystem:
             vals.extend(flatten(el.matrix))
         return vals
 
-    # -- symbolic residue matrices --------------------------------------------
+    # -- the Hitchin coefficient functions --------------------------------------
 
     def site_matrix(self, site: int) -> list[list[PolyObservable]]:
         return [[self.coordinate(site, a, b) for b in range(self.s)] for a in range(self.s)]
-
-    def theta_matrix_at(self, t: Fraction) -> list[list[PolyObservable]]:
-        """Entries of theta(t) = sum_i A_i / (t - x_i) as polynomials."""
-        t = frac(t)
-        out = [[PolyObservable() for _ in range(self.s)] for _ in range(self.s)]
-        for i, x in enumerate(self.points):
-            w = ONE / (t - x)
-            for a in range(self.s):
-                for b in range(self.s):
-                    out[a][b] = out[a][b] + self.coordinate(i, a, b).scale(w)
-        return out
-
-    def invariant_values(self, mat: list[list[PolyObservable]]) -> list[PolyObservable]:
-        """p_1..p_r of a symbolic matrix, following the group's conventions."""
-        g = self.group
-        s = len(mat)
-        traces = []
-        power = mat
-        for _ in range(s):
-            traces.append(_sum_obs(power[i][i] for i in range(s)))
-            power = _obs_mat_mul(power, mat)
-        e = _newton_elementary(traces, s, PolyObservable.constant)
-        if g.family == "gl":
-            return e
-        if g.family == "sl":
-            return e[1:]
-        if g.family == "sp":
-            return [e[2 * i - 1] for i in range(1, g.rank + 1)]
-        r = g.matrix_size
-        k = r // 2
-        if r % 2:
-            return [e[2 * i - 1] for i in range(1, k + 1)]
-        vals = [e[2 * i - 1] for i in range(1, k)]
-        q = [[ONE if i + j == r - 1 else ZERO for j in range(r)] for i in range(r)]
-        qm = [[_sum_obs(mat[l][b].scale(q[a][l]) for l in range(r) if q[a][l])
-               for b in range(r)] for a in range(r)]
-        vals.append(_pfaffian_generic(qm, PolyObservable.constant))
-        return vals
-
-    # -- the Hitchin coefficient functions --------------------------------------
 
     def _interp_data(self, k: int):
         """Sample points and the inverse interpolation matrix for degree index k.
@@ -262,50 +210,38 @@ class GaudinSystem:
         if k not in self._interp_cache:
             d = self.group.degrees[k]
             cols = [(i, j) for i in range(self.n) for j in range(1, d + 1)]
-            ts = []
-            t = max(self.points) + 1
-            while len(ts) < len(cols):
-                if t not in self.points:
-                    ts.append(t)
-                t += 1
-            vmat = [[ONE / (t - self.points[i]) ** j for (i, j) in cols] for t in ts]
-            self._interp_cache[k] = (cols, ts, inverse(vmat))
+            ts, vinv = sample_inverse(
+                self.points, len(cols),
+                lambda t: [ONE / (t - self.points[i]) ** j for (i, j) in cols])
+            self._interp_cache[k] = (cols, ts, vinv)
         return self._interp_cache[k]
 
-    def theta_value_at(self, t: Fraction, residues: Sequence[AlgebraElement]):
-        acc = None
-        for x, el in zip(self.points, residues):
-            w = ONE / (t - x)
-            term = tuple(tuple(w * v for v in row) for row in el.matrix)
-            acc = term if acc is None else tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(acc, term))
-        return acc
+    def _symbolic_invariant(self, k: int, t: Fraction) -> PolyObservable:
+        """p_k(theta(t)) as a polynomial in the residue entries.
+
+        The Pfaffian of so(2r) is built on its own unless every generator at
+        t is already known: it costs a small fraction of the characteristic
+        polynomial that the other generators share.
+        """
+        if t not in self._symbolic_invariants:
+            theta = theta_at(self.points, [self.site_matrix(i) for i in range(self.n)], t)
+            if self._indices[k] == PFAFFIAN:
+                return pfaffian(mat_mul(antidiagonal(self.s), theta))
+            self._symbolic_invariants[t] = matrix_invariants(self.group, theta)
+        return self._symbolic_invariants[t][k]
+
+    def _coefficient_functions_of(self, k: int) -> dict[tuple[int, int], PolyObservable]:
+        if k not in self._coeff_functions:
+            cols, ts, vinv = self._interp_data(k)
+            values = [self._symbolic_invariant(k, t) for t in ts]
+            self._coeff_functions[k] = {col: PolyObservable.lift(c)
+                                        for col, c in zip(cols, mat_vec(vinv, values))}
+        return self._coeff_functions[k]
 
     def coefficient_functions(self) -> dict[int, dict[tuple[int, int], PolyObservable]]:
-        """Symbolic partial-fraction coefficient functions of p_k(theta(z))."""
-        if self._coeff_functions is not None:
-            return self._coeff_functions
-        out: dict[int, dict[tuple[int, int], PolyObservable]] = {}
-        invariant_cache: dict[Fraction, list[PolyObservable]] = {}
-
-        def invariants_at(t: Fraction) -> list[PolyObservable]:
-            if t not in invariant_cache:
-                invariant_cache[t] = self.invariant_values(self.theta_matrix_at(t))
-            return invariant_cache[t]
-
-        for k in range(len(self.group.degrees)):
-            cols, ts, vinv = self._interp_data(k)
-            sym_values = [invariants_at(t)[k] for t in ts]
-            coeffs: dict[tuple[int, int], PolyObservable] = {}
-            for row, col in zip(vinv, cols):
-                acc = PolyObservable()
-                for w, val in zip(row, sym_values):
-                    if w:
-                        acc = acc + val.scale(w)
-                coeffs[col] = acc
-            out[k] = coeffs
-        self._coeff_functions = out
-        return out
+        """Symbolic partial-fraction coefficient functions of p_k(theta(z)),
+        built and cached one degree index k at a time."""
+        return {k: self._coefficient_functions_of(k) for k in range(len(self._indices))}
 
     def coefficient_function_list(self) -> list[tuple[int, int, int, PolyObservable]]:
         fns = self.coefficient_functions()
@@ -327,21 +263,17 @@ class GaudinSystem:
         if not total.is_zero():
             raise ValueError("sum of residues must vanish (holomorphy at infinity)")
         gid = self.group.group_id
-        from .liealg import invariant_polynomials
+        mats = [el.matrix for el in residues]
         value_cache: dict[Fraction, tuple] = {}
-
-        def invariants_at(t):
-            if t not in value_cache:
-                el = AlgebraElement(self.theta_value_at(t, residues), gid)
-                value_cache[t] = invariant_polynomials(gid, el)
-            return value_cache[t]
-
         coeffs = []
         ctx = RatContext(self.points, 1)
         for k, d in enumerate(self.group.degrees):
             cols, ts, vinv = self._interp_data(k)
-            values = [invariants_at(t)[k] for t in ts]
-            solved = mat_vec(vinv, values)
+            for t in ts:
+                if t not in value_cache:
+                    value_cache[t] = invariant_polynomials(
+                        gid, AlgebraElement(theta_at(self.points, mats, t), gid))
+            solved = mat_vec(vinv, [value_cache[t][k] for t in ts])
             ck = dict(zip(cols, solved))
             coeffs.append({key: v for key, v in ck.items() if v != 0})
             pp: dict[int, dict[int, list[Fraction]]] = {}
@@ -375,17 +307,14 @@ class GaudinSystem:
         for i, el in enumerate(residues):
             df = self.sigma_gradient_at(f, i, values)
             dg = self.sigma_gradient_at(g, i, values)
-            comm = _mat_commutator(df.matrix, dg.matrix)
-            acc += mat_trace(_mat_mul(el.matrix, comm))
+            acc += mat_trace(mat_mul(el.matrix, mat_commutator(df.matrix, dg.matrix)))
         return acc
 
     def bracket_symbolic(self, f: PolyObservable, g: PolyObservable) -> PolyObservable:
         """{f, g} as an exact polynomial observable."""
         acc = PolyObservable()
         for i in range(self.n):
-            df = self._symbolic_gradient(f, i)
-            dg = self._symbolic_gradient(g, i)
-            comm = _obs_mat_sub(_obs_mat_mul(df, dg), _obs_mat_mul(dg, df))
+            comm = mat_commutator(self._symbolic_gradient(f, i), self._symbolic_gradient(g, i))
             for a in range(self.s):
                 for b in range(self.s):
                     acc = acc + (self.coordinate(i, a, b) * comm[b][a])
@@ -396,88 +325,21 @@ class GaudinSystem:
         for b in range(self.s):
             for a in range(self.s):
                 partials.append(fn.diff(self.var(site, a, b)))
-        coords = []
-        for row in self._grad_rows:
-            acc = PolyObservable()
-            for w, p in zip(row, partials):
-                if w:
-                    acc = acc + p.scale(w)
-            coords.append(acc)
-        out = [[PolyObservable() for _ in range(self.s)] for _ in range(self.s)]
-        for c, bmat in zip(coords, self.model.basis):
-            for a in range(self.s):
-                for b in range(self.s):
-                    if bmat[a][b]:
-                        out[a][b] = out[a][b] + c.scale(bmat[a][b])
-        return out
-
-    def _elementary_index(self, k: int) -> int | None:
-        """The subscript of the elementary symmetric function realizing the
-        k-th invariant degree, or None for the Pfaffian of so(2r)."""
-        g = self.group
-        if g.family == "gl":
-            return k + 1
-        if g.family == "sl":
-            return k + 2
-        if g.family in ("sp", "so"):
-            r = g.matrix_size
-            if g.family == "so" and r % 2 == 0 and k == g.rank - 1:
-                return None
-            return 2 * (k + 1)
-        raise ValueError(g.family)
+        coords = mat_vec(self._grad_rows, partials)
+        return [[PolyObservable.lift(x) for x in row]
+                for row in mat_comb(coords, self.model.basis)]
 
     @staticmethod
     def _char_gradient_matrices(x) -> list:
         """P_m(X) = sum_{j<=m} (-1)^j e_{m-j}(X) X^j, so that the directional
         derivative of e_{m+1} at X along V is tr(P_m(X) V)."""
         s = len(x)
-        powers = [tuple(tuple(ONE if i == j else ZERO for j in range(s))
-                        for i in range(s))]
-        for _ in range(s - 1):
-            powers.append(_mat_mul(powers[-1], x))
-        traces = [mat_trace(_mat_mul(p, x)) for p in powers]
-        e = [ONE]
-        for k in range(1, s + 1):
-            acc = ZERO
-            for i in range(1, k + 1):
-                acc += (-1) ** (i - 1) * e[k - i] * traces[i - 1]
-            e.append(acc / k)
-        out = []
-        for m in range(s):
-            acc = [[ZERO] * s for _ in range(s)]
-            for j in range(m + 1):
-                coeff = (-1) ** j * e[m - j]
-                if coeff:
-                    pj = powers[j]
-                    for a in range(s):
-                        for b in range(s):
-                            acc[a][b] += coeff * pj[a][b]
-            out.append(acc)
-        return out
-
-    def _pfaffian_functions(self) -> dict[tuple[int, int], PolyObservable]:
-        """Symbolic coefficient functions of the Pfaffian component (so(2r))."""
-        if self._pf_functions is not None:
-            return self._pf_functions
-        k = self.group.rank - 1
-        cols, ts, vinv = self._interp_data(k)
-        r = self.group.matrix_size
-        q = [[ONE if i + j == r - 1 else ZERO for j in range(r)] for i in range(r)]
-        values = []
-        for t in ts:
-            mat = self.theta_matrix_at(t)
-            qm = [[_sum_obs(mat[l][b].scale(q[a][l]) for l in range(r) if q[a][l])
-                   for b in range(r)] for a in range(r)]
-            values.append(_pfaffian_generic(qm, PolyObservable.constant))
-        out = {}
-        for row, col in zip(vinv, cols):
-            acc = PolyObservable()
-            for w, val in zip(row, values):
-                if w:
-                    acc = acc + val.scale(w)
-            out[col] = acc
-        self._pf_functions = out
-        return out
+        powers = [identity(s)]
+        for _ in range(s):
+            powers.append(mat_mul(powers[-1], x))
+        e = [ONE] + newton_elementary([mat_trace(p) for p in powers[1:]])
+        return [mat_comb([(-1) ** j * e[m - j] for j in range(m + 1)], powers)
+                for m in range(s)]
 
     def coefficient_gradients_at(self, residues: Sequence[AlgebraElement]):
         """Site sigma-gradients of every invariant coefficient at a point.
@@ -485,42 +347,30 @@ class GaudinSystem:
         Returns a list of ((degree_index, site, order), [gradient matrix per
         site]) using the exact derivative of the elementary symmetric
         functions; the Pfaffian component of so(2r) falls back to symbolic
-        differentiation.
+        differentiation of its coefficient functions alone.
         """
         out = []
+        mats = [el.matrix for el in residues]
         grad_cache: dict[Fraction, list] = {}
-        values = None
-        for k in range(len(self.group.degrees)):
+        for k, index in enumerate(self._indices):
             cols, ts, vinv = self._interp_data(k)
-            ke = self._elementary_index(k)
-            if ke is None:
-                vals = values if values is not None else self.flatten_point(residues)
-                values = vals
-                for col, fn in sorted(self._pfaffian_functions().items()):
-                    grads = []
-                    for l in range(self.n):
-                        mat = self._symbolic_gradient(fn, l)
-                        grads.append(tuple(tuple(entry(vals) for entry in row)
-                                           for row in mat))
+            if index == PFAFFIAN:
+                values = self.flatten_point(residues)
+                for col, fn in sorted(self._coefficient_functions_of(k).items()):
+                    grads = [[[entry(values) for entry in row]
+                              for row in self._symbolic_gradient(fn, l)]
+                             for l in range(self.n)]
                     out.append(((k, col[0], col[1]), grads))
                 continue
             for t in ts:
                 if t not in grad_cache:
-                    grad_cache[t] = self._char_gradient_matrices(
-                        self.theta_value_at(t, residues))
+                    grad_cache[t] = self._char_gradient_matrices(theta_at(self.points, mats, t))
             for row, col in zip(vinv, cols):
                 grads = []
-                for l in range(self.n):
-                    combo = [[ZERO] * self.s for _ in range(self.s)]
-                    for w, t in zip(row, ts):
-                        if w:
-                            factor = w / (t - self.points[l])
-                            p = grad_cache[t][ke - 1]
-                            for a in range(self.s):
-                                for b in range(self.s):
-                                    combo[a][b] += factor * p[a][b]
-                    flat = [combo[a][b] for a in range(self.s) for b in range(self.s)]
-                    coords = mat_vec(self._grad_rows, flat)
+                for x in self.points:
+                    combo = mat_comb([w / (t - x) for w, t in zip(row, ts)],
+                                     [grad_cache[t][index - 1] for t in ts])
+                    coords = mat_vec(self._grad_rows, flatten(combo))
                     grads.append(self.model.from_coords(coords).matrix)
                 out.append(((k, col[0], col[1]), grads))
         return out
@@ -535,8 +385,8 @@ class GaudinSystem:
                 for ib in range(ia + 1, len(data)):
                     val = ZERO
                     for i, el in enumerate(residues):
-                        comm = _mat_commutator(data[ia][1][i], data[ib][1][i])
-                        val += mat_trace(_mat_mul(el.matrix, comm))
+                        comm = mat_commutator(data[ia][1][i], data[ib][1][i])
+                        val += mat_trace(mat_mul(el.matrix, comm))
                     if abs(val) > abs(worst):
                         worst = val
                         worst_pair = (data[ia][0], data[ib][0])
@@ -552,6 +402,9 @@ class GaudinSystem:
         the relative drift of every Hitchin coefficient along the trajectory;
         if drift_tolerance is given, exceeding it raises FlowToleranceError.
         """
+        # Imported here: numpy is most of the package's import time, and only
+        # the flow needs it.
+        import numpy as np
         s = self.s
         grad_polys = []
         for i in range(self.n):
@@ -602,49 +455,6 @@ class FlowToleranceError(RuntimeError):
     pass
 
 
-# -- small matrix helpers over plain lists / observables ----------------------
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), ZERO)
-                       for j in range(n)) for i in range(n))
-
-def _mat_commutator(a, b):
-    n = len(a)
-    ab = _mat_mul(a, b)
-    ba = _mat_mul(b, a)
-    return tuple(tuple(ab[i][j] - ba[i][j] for j in range(n)) for i in range(n))
-
-def _transpose(a):
-    return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a)))
-
-def _mat_mul_rect(a: Mat, b: Mat) -> Mat:
-    cols = len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b)) if a[i][k]), ZERO)
-             for j in range(cols)] for i in range(len(a))]
-
-def _sum_obs(items) -> PolyObservable:
-    acc = PolyObservable()
-    for it in items:
-        acc = acc + it
-    return acc
-
-def _obs_mat_mul(a, b):
-    n = len(a)
-    out = [[PolyObservable() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = PolyObservable()
-            for k in range(n):
-                acc = acc + (a[i][k] * b[k][j])
-            out[i][j] = acc
-    return out
-
-def _obs_mat_sub(a, b):
-    n = len(a)
-    return [[a[i][j] - b[i][j] for j in range(n)] for i in range(n)]
-
-
 # -- model-level convenience wrappers -----------------------------------------
 
 def system_for_model(model) -> GaudinSystem:
@@ -655,14 +465,6 @@ def system_for_model(model) -> GaudinSystem:
 def hitchin_map(model) -> HitchinPoint:
     """Invariant-coefficient point of a framed model's Higgs field."""
     return system_for_model(model).hitchin_point(model.residues)
-
-
-def lie_poisson_bracket(system: GaudinSystem, f: PolyObservable, g: PolyObservable,
-                        residues: Sequence[AlgebraElement] | None = None):
-    """{f, g}: exact scalar at a residue tuple, symbolic observable otherwise."""
-    if residues is None:
-        return system.bracket_symbolic(f, g)
-    return system.bracket_at(f, g, residues)
 
 
 def commutativity_check(model, random_points: int = 5, seed: int = 0,

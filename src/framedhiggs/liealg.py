@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactlinalg import (Echelon, LinSolver, Mat, Vec, ZERO, ONE, frac,
-                          nullspace, rank, span_dim)
+                          mat_comb, mat_mul, nullspace, rank, span_dim)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -129,11 +129,6 @@ def _msub(a: Matrix, b: Matrix) -> Matrix:
 def _mscale(a: Matrix, c: Fraction) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
-def _mmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), ZERO)
-                       for j in range(n)) for i in range(n))
-
 def _mzero(n: int) -> Matrix:
     return tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
 
@@ -141,17 +136,18 @@ def mat_trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), ZERO)
 
 def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    return _msub(_mmul(a, b), _mmul(b, a))
+    return _msub(mat_mul(a, b), mat_mul(b, a))
 
 def flatten(a: Matrix) -> Vec:
     return [x for row in a for x in row]
 
-def unflatten(v: Sequence[Fraction], n: int) -> Matrix:
-    return tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n))
-
-
 def to_matrix(entries) -> Matrix:
     return tuple(tuple(frac(x) for x in row) for row in entries)
+
+
+def antidiagonal(n: int) -> Matrix:
+    """Q = antidiag(1, ..., 1), the symmetric form of the so(n) model."""
+    return tuple(tuple(ONE if i + j == n - 1 else ZERO for j in range(n)) for i in range(n))
 
 
 def algebra_basis(group: GroupData) -> list[Matrix]:
@@ -173,10 +169,10 @@ def algebra_basis(group: GroupData) -> list[Matrix]:
             basis.append(_msub(_unit(n, i, i), _unit(n, i + 1, i + 1)))
     elif group.family == "so":
         # so(Q) = Q * (skew matrices) for Q = antidiag(1..1), since Q^2 = I.
-        q = tuple(tuple(ONE if i + j == n - 1 else ZERO for j in range(n)) for i in range(n))
+        q = antidiagonal(n)
         for a in range(n):
             for b in range(a + 1, n):
-                basis.append(_mmul(q, _msub(_unit(n, a, b), _unit(n, b, a))))
+                basis.append(to_matrix(mat_mul(q, _msub(_unit(n, a, b), _unit(n, b, a)))))
     else:  # sp
         k = n // 2
         jm = [[ZERO] * n for _ in range(n)]
@@ -188,7 +184,7 @@ def algebra_basis(group: GroupData) -> list[Matrix]:
         for a in range(n):
             for b in range(a, n):
                 sym = _madd(_unit(n, a, b), _unit(n, b, a))
-                basis.append(_mmul(minus_j, sym))
+                basis.append(to_matrix(mat_mul(minus_j, sym)))
     assert len(basis) == group.dim
     return basis
 
@@ -278,11 +274,7 @@ class AlgebraModel:
         return c
 
     def from_coords(self, coords: Sequence[Fraction]) -> AlgebraElement:
-        m = _mzero(self.n)
-        for c, b in zip(coords, self.basis):
-            if c:
-                m = _madd(m, _mscale(b, frac(c)))
-        return AlgebraElement(m, self.group.group_id)
+        return AlgebraElement(to_matrix(mat_comb(coords, self.basis)), self.group.group_id)
 
 
 def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -312,7 +304,7 @@ class InvariantForm:
         _check_same(a, b)
         if a.group_id != self.group_id:
             raise ValueError(f"form for {self.group_id} applied to {a.group_id} elements")
-        val = mat_trace(_mmul(a.matrix, b.matrix))
+        val = mat_trace(mat_mul(a.matrix, b.matrix))
         if self.center_scale != 1:
             val += (self.center_scale - 1) * mat_trace(a.matrix) * mat_trace(b.matrix) \
                 / len(a.matrix)
@@ -350,76 +342,108 @@ def perp_subspace(form: InvariantForm, subspace: Sequence[AlgebraElement],
 # invariant polynomials
 # ---------------------------------------------------------------------------
 
-def char_poly_elementary(m: Matrix) -> list[Fraction]:
-    """Elementary symmetric functions e_1..e_n of the eigenvalues of m.
+# Entries of the table `generator_indices`: the subscript m of e_m, or this
+# marker for the Pfaffian.
+PFAFFIAN = 0
 
-    det(tI - m) = sum_k (-1)^k e_k t^(n-k); computed by Newton's identities
-    from exact power traces.
+
+def generator_indices(group: GroupData) -> tuple[int, ...]:
+    """How each generator p_1, ..., p_r of degrees d_1 < ... < d_r is realized.
+
+    Entry k is the subscript m of the elementary symmetric function e_m of the
+    eigenvalues that gives p_k, or PFAFFIAN.  gl(r): e_1..e_r; sl(r): the
+    trace is dropped; sp and so: the even ones, with the Pfaffian replacing
+    e_2k for so(2k).
     """
-    n = len(m)
-    power = m
-    psums = []
-    for _ in range(n):
-        psums.append(mat_trace(power))
-        power = _mmul(power, m)
+    r = group.matrix_size
+    if group.family == "gl":
+        return tuple(range(1, r + 1))
+    if group.family == "sl":
+        return tuple(range(2, r + 1))
+    if group.family not in ("sp", "so"):
+        raise UnsupportedGroupError(f"{group.group_id} is not supported for evaluation")
+    even = tuple(range(2, r + 1, 2))
+    return even[:-1] + (PFAFFIAN,) if group.family == "so" and r % 2 == 0 else even
+
+
+def newton_elementary(power_sums: Sequence) -> list:
+    """e_1..e_n from the power sums p_1..p_n by Newton's identities."""
     e = [ONE]
-    for k in range(1, n + 1):
+    for k in range(1, len(power_sums) + 1):
         acc = ZERO
         for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * psums[i - 1]
-        e.append(acc / k)
+            term = e[k - i] * power_sums[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc * Fraction(1, k))
     return e[1:]
 
 
-def pfaffian(m: Matrix) -> Fraction:
-    """Pfaffian of a skew-symmetric matrix (recursive first-row expansion)."""
+def char_poly_elementary(m: Matrix) -> list:
+    """Elementary symmetric functions e_1..e_n of the eigenvalues of m.
+
+    det(tI - m) = sum_k (-1)^k e_k t^(n-k); computed by Newton's identities
+    from exact power traces.  The entries may be Fractions or polynomial
+    observables.
+    """
+    power = m
+    psums = [mat_trace(m)]
+    for _ in range(len(m) - 1):
+        power = mat_mul(power, m)
+        psums.append(mat_trace(power))
+    return newton_elementary(psums)
+
+
+def pfaffian(m: Matrix):
+    """Pfaffian of the skew matrix with the strict upper triangle of m
+    (recursive first-row expansion; the other entries are not read)."""
     n = len(m)
     if n % 2:
         return ZERO
     if n == 0:
         return ONE
-    if any(m[i][j] != -m[j][i] for i in range(n) for j in range(i, n)):
-        raise ValueError("pfaffian of a non-skew matrix")
     if n == 2:
         return m[0][1]
     total = ZERO
     for j in range(1, n):
-        if m[0][j] == 0:
-            continue
-        keep = [i for i in range(1, n) if i != j]
-        sub = tuple(tuple(m[a][b] for b in keep) for a in keep)
-        total += (-1) ** (j - 1) * m[0][j] * pfaffian(sub)
+        if m[0][j]:
+            keep = [i for i in range(1, n) if i != j]
+            term = m[0][j] * pfaffian([[m[a][b] for b in keep] for a in keep])
+            total = total + term if j % 2 else total - term
     return total
 
 
-def invariant_polynomials(group_id: str, el: AlgebraElement) -> tuple[Fraction, ...]:
-    """Values p_1(m), ..., p_r(m) of the generators of degrees d_1 < ... < d_r.
+def matrix_invariants(group: GroupData, m: Matrix) -> list:
+    """p_1(m), ..., p_r(m) as listed by `generator_indices`, for a matrix of
+    Fractions or of polynomial observables.
 
-    gl(r): all elementary symmetric functions of the eigenvalues; sl(r): the
-    trace is dropped; so/sp: the even ones, with the Pfaffian replacing e_2k
-    for so(2k).
+    The Pfaffian of so(2k) is that of Q m (Q = `antidiagonal`), which is skew
+    for m in so(2k); for a symbolic m with independent entries it is the
+    polynomial in the strict upper triangle of Q m.
     """
+    indices = generator_indices(group)
+    e = char_poly_elementary(m)
+    return [e[i - 1] if i != PFAFFIAN else pfaffian(mat_mul(antidiagonal(len(m)), m))
+            for i in indices]
+
+
+def invariant_polynomials(group_id: str, el: AlgebraElement) -> tuple[Fraction, ...]:
+    """Values p_1(m), ..., p_r(m) of the generators of degrees d_1 < ... < d_r."""
     g = group_data(group_id)
     if g.family == "exceptional":
         raise UnsupportedGroupError(f"{g.group_id} is not supported for evaluation")
     if el.group_id != g.group_id:
         raise ValueError(f"element tagged {el.group_id} passed to {g.group_id}")
-    e = char_poly_elementary(el.matrix)
-    if g.family == "gl":
-        return tuple(e)
-    if g.family == "sl":
-        return tuple(e[1:])
-    if g.family == "sp":
-        return tuple(e[2 * i - 1] for i in range(1, g.rank + 1))
-    # so(r)
-    r = g.matrix_size
-    k = r // 2
-    if r % 2:
-        return tuple(e[2 * i - 1] for i in range(1, k + 1))
-    vals = [e[2 * i - 1] for i in range(1, k)]
-    q = tuple(tuple(ONE if i + j == r - 1 else ZERO for j in range(r)) for i in range(r))
-    vals.append(pfaffian(_mmul(q, el.matrix)))
-    return tuple(vals)
+    if PFAFFIAN in generator_indices(g):
+        qm = mat_mul(antidiagonal(g.matrix_size), el.matrix)
+        if any(qm[i][j] + qm[j][i] for i in range(len(qm)) for j in range(i, len(qm))):
+            raise ValueError("pfaffian of a non-skew matrix")
+    return tuple(matrix_invariants(g, el.matrix))
+
+
+def theta_at(points: Sequence[Fraction], matrices: Sequence[Matrix], t: Fraction) -> Mat:
+    """theta(t) = sum_i M_i / (t - x_i) for residue matrices M_i at points x_i,
+    of Fractions or of polynomial observables."""
+    return mat_comb([ONE / (t - x) for x in points], matrices)
 
 
 # ---------------------------------------------------------------------------

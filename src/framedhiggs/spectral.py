@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlinalg import ZERO, ONE, frac, inverse, mat_vec
-from .liealg import AlgebraElement, AlgebraModel, char_poly_elementary
+from .exactlinalg import ZERO, ONE, frac, mat_vec, sample_inverse
+from .liealg import AlgebraElement, AlgebraModel, char_poly_elementary, theta_at
 from .dimensions import hitchin_base_dim, hitchin_fiber_dim, torsor_dims
 from .rationalfn import Poly
 
@@ -29,31 +29,19 @@ def elementary_numerators(model: AlgebraModel, points: Sequence[Fraction],
     """
     pts = [frac(p) for p in points]
     n = len(pts)
-    s = model.n
+    mats = [el.matrix for el in residues]
     q = Poly([ONE])
     for x in pts:
         q = q * Poly.x_minus(x)
+    e_at: dict[Fraction, list[Fraction]] = {}
     out = []
-    for k in range(1, s + 1):
+    for k in range(1, model.n + 1):
         deg = k * n
-        ts: list[Fraction] = []
-        t = max(pts) + 1
-        while len(ts) < deg + 1:
-            if t not in pts:
-                ts.append(t)
-            t += 1
-        rows = [[tv ** e for e in range(deg + 1)] for tv in ts]
-        values = []
-        for tv in ts:
-            theta = None
-            for x, el in zip(pts, residues):
-                term = tuple(tuple(v / (tv - x) for v in row) for row in el.matrix)
-                theta = term if theta is None else tuple(
-                    tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(theta, term))
-            ek = char_poly_elementary(theta)[k - 1]
-            values.append(ek * q(tv) ** k)
-        coeffs = mat_vec(inverse(rows), values)
-        out.append(Poly(coeffs))
+        ts, vinv = sample_inverse(pts, deg + 1, lambda t: [t ** e for e in range(deg + 1)])
+        for t in ts:
+            if t not in e_at:
+                e_at[t] = char_poly_elementary(theta_at(pts, mats, t))
+        out.append(Poly(mat_vec(vinv, [e_at[t][k - 1] * q(t) ** k for t in ts])))
     return out
 
 
@@ -186,19 +174,21 @@ def _isolate_irrational_roots(p: Poly, rational: list[tuple[Fraction, int]],
     return out
 
 
-def spectral_genus(r: int, g: int, n: int) -> int:
-    """Genus of the smooth rank-r spectral curve, with the fiber identity check.
-
-    Riemann-Hurwitz with simple ramification gives
-        2 g_s - 2 = r (2g - 2) + r(r-1)(2g - 2 + n),
-    and g_s must agree exactly with the gl(r) fiber dimension formula.
-    """
+def riemann_hurwitz_genus(r: int, g: int, n: int) -> int:
+    """Genus g_s of the smooth rank-r spectral curve by Riemann-Hurwitz with
+    simple ramification: 2 g_s - 2 = r (2g - 2) + r(r-1)(2g - 2 + n)."""
     if r < 2 or g < 0 or n < 1:
         raise ValueError("need r >= 2, g >= 0, n >= 1")
     rh_edges = r * (2 * g - 2) + r * (r - 1) * (2 * g - 2 + n)
     if rh_edges % 2:
         raise RuntimeError("Riemann-Hurwitz parity failure (formula bug)")
-    gs = rh_edges // 2 + 1
+    return rh_edges // 2 + 1
+
+
+def spectral_genus(r: int, g: int, n: int) -> int:
+    """Riemann-Hurwitz genus of the smooth rank-r spectral curve, which must
+    agree exactly with its closed form and the gl(r) fiber dimension formula."""
+    gs = riemann_hurwitz_genus(r, g, n)
     closed = r * (g - 1) + 1 + (r * (r - 1) // 2) * (2 * g - 2 + n)
     fiber = hitchin_fiber_dim(f"gl({r})", g, n, allow_genus_zero=True)
     if not (gs == closed == fiber):

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from framedhiggs import cli
 from framedhiggs.cli import main
 
 
@@ -117,3 +120,43 @@ def test_spectral_job(tmp_path, capsys):
     assert report["all_passed"]
     assert len(report["results"]["genus_grid"]) == 2 * 3 * 3
     assert "spectral" in report["results"]
+
+
+GAUDIN_SL2 = {"group": "sl(2)", "points": ["1", "2", "3"],
+              "residues": {"type": "random", "seed": 7, "height": 5}, "random_points": 1}
+
+
+@pytest.mark.parametrize("subcommand, config, field", [
+    ("dims", {"group": "sl(2)", "genus": 0, "n": 2}, "config.genus"),
+    ("dims", {"group": "sl(2)", "genus": "x", "n": 2}, "config.genus"),
+    ("dims", {"group": "sl(2)", "genus": 2, "n": 0}, "config.n"),
+    ("dims", {"group": "sl(2)", "genus": 2, "n": 2, "framing_dims": [1]},
+     "config.framing_dims"),
+    ("gaudin", {**GAUDIN_SL2, "residues": {"type": "random", "seed": 7, "height": 0}},
+     "config.residues.height"),
+    ("gaudin", {**GAUDIN_SL2, "flow": {"steps": 0}}, "config.flow.steps"),
+    ("gaudin", {**GAUDIN_SL2, "random_points": -1}, "config.random_points"),
+    ("spectral", {"genus_identity_grid": {"r": [1, 3]}}, "config.genus_identity_grid.r"),
+], ids=["genus-0", "genus-x", "n-0", "framing-length", "height-0", "steps-0",
+        "random-points-negative", "grid-r-1"])
+def test_invalid_input_is_exit_2_with_the_field_named(tmp_path, capsys, subcommand,
+                                                      config, field):
+    cfg = write_config(tmp_path, "bad.json", config)
+    assert main([subcommand, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+
+def test_genus_grid_mismatch_fails_the_check_with_a_report(tmp_path, capsys, monkeypatch):
+    fiber = cli.hitchin_fiber_dim
+    monkeypatch.setattr(cli, "hitchin_fiber_dim", lambda *a, **kw: fiber(*a, **kw) + 1)
+    cfg = write_config(tmp_path, "grid.json",
+                       {"genus_identity_grid": {"r": [2, 3], "g": [0, 1], "n": [1, 2]}})
+    out = tmp_path / "report.json"
+    assert main(["spectral", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    check = report["checks"][0]
+    assert check["name"] == "spectral genus matches fiber dimension"
+    assert not check["passed"] and not report["all_passed"]
+    assert (check["value"], check["expected"]) == ("0 cases", "8 cases")
+    assert "spectral genus matches fiber dimension" in capsys.readouterr().err

@@ -6,8 +6,8 @@ import pytest
 from framedhiggs.curve import global_sections, h1_presentation, make_spec
 from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL,
                                      DeformationTheory, ModelError,
-                                     build_complexes, framed_higgs_model,
-                                     hyper_pair, verify_poisson_map)
+                                     framed_higgs_model, hyper_pair,
+                                     verify_poisson_map)
 from framedhiggs.exactlinalg import mat_is_zero, rank
 from framedhiggs.liealg import AlgebraModel, trace_form
 from framedhiggs.sampling import random_algebra_element, seeded_model
@@ -46,12 +46,15 @@ def test_trivial_framing_complexes_are_vanishing_twists():
     m = AlgebraModel("sl(2)")
     els = balanced(m, rng, 2)
     model = framed_higgs_model("sl(2)", [1, 2], els, "trivial")
-    tw, fr = build_complexes(model)
+    tw, fr = model.complex_specs(TWISTED), model.complex_specs(FRAMED)
     # with trivial framing the framed complex is ad(-D) -> ad ⊗ K(D)
-    assert fr.f0 == make_spec(3, [-1, -1], None, 0)
-    assert fr.f1 == make_spec(3, [1, 1], None, -2, is_form=True)
-    assert tw.f0 == make_spec(3, [0, 0], None, 0)
-    assert fr.containment_checked
+    assert fr[0] == make_spec(3, [-1, -1], None, 0)
+    assert fr[1] == make_spec(3, [1, 1], None, -2, is_form=True)
+    assert tw[0] == make_spec(3, [0, 0], None, 0)
+    # cone assembly raises unless [theta, .] maps F0 chart sections into F1 ones
+    theory = DeformationTheory(model)
+    assert (theory.cone(TWISTED).f0, theory.cone(TWISTED).f1) == tw
+    assert (theory.cone(FRAMED).f0, theory.cone(FRAMED).f1) == fr
 
 
 def test_torus_framing_complexes_carry_constraints():
@@ -60,9 +63,13 @@ def test_torus_framing_complexes_carry_constraints():
     f = m.element([[0, 0], [1, 0]])
     A = e + f.scale(2)
     model = framed_higgs_model("sl(2)", [1, 2], [A, A.scale(-1)], "torus")
-    _, fr = build_complexes(model)
-    assert fr.f0.constraints[0] is not None and len(fr.f0.constraints[0]) == 1
-    assert fr.f1.constraints[0] is not None and len(fr.f1.constraints[0]) == 2
+    f0, f1 = model.complex_specs(FRAMED)
+    assert f0.constraints[0] is not None and len(f0.constraints[0]) == 1
+    assert f1.constraints[0] is not None and len(f1.constraints[0]) == 2
+    # cone assembly raises unless [theta, .] maps F0 chart sections into F1 ones
+    theory = DeformationTheory(model)
+    assert (theory.cone(TWISTED).f0, theory.cone(TWISTED).f1) == model.complex_specs(TWISTED)
+    assert (theory.cone(FRAMED).f0, theory.cone(FRAMED).f1) == (f0, f1)
 
 
 def test_zero_higgs_field_splits():

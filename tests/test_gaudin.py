@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from framedhiggs.gaudin import FlowToleranceError, GaudinSystem, PolyObservable
-from framedhiggs.liealg import AlgebraModel, mat_trace
+from framedhiggs.liealg import AlgebraModel, mat_trace, matrix_invariants
 from framedhiggs.sampling import random_algebra_element, random_residue_tuple
 
 PTS3 = (F(1), F(2), F(3))
@@ -181,6 +181,30 @@ def test_commutativity_so5_spot():
     tuples = [random_residue_tuple(model, rng, 2, 2, zero_sum=False)]
     worst, _ = system.commutativity_check(tuples)
     assert worst == 0
+
+
+def test_commutativity_so4_spot():
+    # so(4) is the one family whose last generator is a Pfaffian; its gradients
+    # come from the symbolic Pfaffian coefficient functions alone.
+    rng = random.Random(41)
+    model = AlgebraModel("so(4)")
+    system = GaudinSystem(model, PTS3)
+    tuples = [random_residue_tuple(model, rng, 3, 3, zero_sum=False)]
+    worst, _ = system.commutativity_check(tuples)
+    assert worst == 0
+    assert list(system._coeff_functions) == [1]
+
+
+@pytest.mark.parametrize("gid", ["gl(3)", "sl(3)", "sp(4)", "so(5)", "so(4)"])
+def test_invariants_agree_on_symbolic_and_numeric_matrices(gid):
+    model = AlgebraModel(gid)
+    system = GaudinSystem(model, (F(1),))
+    el = random_algebra_element(model, random.Random(43), 4)
+    values = system.flatten_point([el])
+    symbolic = matrix_invariants(model.group, system.site_matrix(0))
+    numeric = matrix_invariants(model.group, el.matrix)
+    assert len(symbolic) == len(numeric) == model.group.rank
+    assert [p(values) for p in symbolic] == numeric
 
 
 # ---------------------------------------------------------------------------
