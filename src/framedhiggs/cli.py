@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -51,6 +52,24 @@ def _int(value, where: str, lo: int, hi: int | None = None) -> int:
     return v
 
 
+def _real(value, where: str) -> float:
+    try:
+        v = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: not a number: {value!r}") from exc
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
+    return v
+
+
+def _int_range(bounds, where: str, lo: int) -> range:
+    """A [low, high] pair of integers lo <= low <= high, as an inclusive range."""
+    if not isinstance(bounds, list) or len(bounds) != 2:
+        raise ConfigError(f"{where}: expected a [low, high] pair")
+    low = _int(bounds[0], where, lo)
+    return range(low, _int(bounds[1], where, low) + 1)
+
+
 def _jsonable(x):
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
@@ -69,12 +88,17 @@ def _need(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
-def _group(cfg: dict):
-    gid = _need(cfg, "group")
+def _group_data(gid, where: str):
+    if not isinstance(gid, str):
+        raise ConfigError(f"{where}: expected a group id string, got {gid!r}")
     try:
         return group_data(gid)
     except UnsupportedGroupError as exc:
-        raise ConfigError(f"config.group: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _group(cfg: dict):
+    return _group_data(_need(cfg, "group"), "config.group")
 
 
 def _points(cfg: dict) -> tuple[Fraction, ...]:
@@ -165,9 +189,13 @@ def run_dims(cfg: dict, seed) -> dict:
 
 def run_audit(cfg: dict, seed) -> dict:
     groups = cfg.get("groups", ["sl(2)", "sl(3)", "gl(2)", "gl(3)", "sp(4)", "so(5)"])
-    g_lo, g_hi = cfg.get("genus_range", [1, 4])
-    n_lo, n_hi = cfg.get("n_range", [1, 4])
-    reports = audit_grid(groups, range(g_lo, g_hi + 1), range(n_lo, n_hi + 1))
+    if not isinstance(groups, list):
+        raise ConfigError("config.groups: expected a list of group ids")
+    for k, gid in enumerate(groups):
+        _group_data(gid, f"config.groups[{k}]")
+    genera = _int_range(cfg.get("genus_range", [1, 4]), "config.genus_range", 1)
+    ns = _int_range(cfg.get("n_range", [1, 4]), "config.n_range", 1)
+    reports = audit_grid(groups, genera, ns)
     checks = []
     rows = []
     for r in reports:
@@ -265,10 +293,9 @@ def run_gaudin(cfg: dict, seed) -> dict:
         fns = system.coefficient_functions()
         if k not in fns or (i, j) not in fns[k]:
             raise ConfigError(f"config.flow: no coefficient ({k},{i},{j})")
-        tol = flow_cfg.get("drift_tolerance", 1e-8)
-        _, drift = system.integrate_flow(
-            model.residues, fns[k][(i, j)],
-            float(flow_cfg.get("t_end", 1.0)), steps)
+        tol = _real(flow_cfg.get("drift_tolerance", 1e-8), "config.flow.drift_tolerance")
+        t_end = _real(flow_cfg.get("t_end", 1.0), "config.flow.t_end")
+        _, drift = system.integrate_flow(model.residues, fns[k][(i, j)], t_end, steps)
         worst_drift = max((r["relative_drift"] for r in drift), default=0.0)
         checks.append(_check(
             "conserved quantities along the flow", worst_drift < tol,
@@ -285,13 +312,10 @@ def run_spectral(cfg: dict, seed) -> dict:
         grid = cfg["genus_identity_grid"]
         if not isinstance(grid, dict):
             raise ConfigError("config.genus_identity_grid: expected an object")
-        ranges = {}
-        for key, default, lo in (("r", [2, 5], 2), ("g", [0, 4], 0), ("n", [1, 5], 1)):
-            where = f"config.genus_identity_grid.{key}"
-            bounds = grid.get(key, default)
-            if not isinstance(bounds, list) or len(bounds) != 2:
-                raise ConfigError(f"{where}: expected a [low, high] pair")
-            ranges[key] = range(_int(bounds[0], where, lo), _int(bounds[1], where, lo) + 1)
+        ranges = {key: _int_range(grid.get(key, default),
+                                  f"config.genus_identity_grid.{key}", lo)
+                  for key, default, lo in (("r", [2, 5], 2), ("g", [0, 4], 0),
+                                           ("n", [1, 5], 1))}
         rows = []
         matched = 0
         for r in ranges["r"]:

@@ -158,20 +158,129 @@ def _isolate_irrational_roots(p: Poly, rational: list[tuple[Fraction, int]],
     expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
                for i, c in enumerate(reduced.c))
     sp = sympy.Poly(expr, x)
-    tol = sympy.Rational(eps.numerator, eps.denominator)
+    starts = _float_roots(reduced)
     out: list[tuple] = []
     for rt in sp.all_roots(radicals=False):
         # sympy may rescale the variable and return c*CRootOf(...); isolate
-        # the CRootOf to tol/|c| and scale back, so the box still has width tol.
+        # the CRootOf to eps/|c| and scale back, so the box still has width eps.
         c, root = rt.as_coeff_Mul()
-        approx = c * root.eval_rational(dx=tol / abs(c), dy=tol / abs(c))
-        re = Fraction(int(sympy.re(approx).p), int(sympy.re(approx).q))
-        im = Fraction(int(sympy.im(approx).p), int(sympy.im(approx).q))
-        if rt.is_real:
+        c = _fraction(c)
+        tol = eps / abs(c)
+        # root.is_real reads sympy's root count; on the Mul rt it would
+        # evaluate the root numerically and refine its cached interval.
+        centre = None if root.is_real else _certified_centre(
+            root, tol, [w / float(c) for w in starts])
+        if centre is None:
+            stol = sympy.Rational(tol.numerator, tol.denominator)
+            approx = root.eval_rational(dx=stol, dy=stol)
+            centre = (_fraction(sympy.re(approx)), _fraction(sympy.im(approx)))
+        re, im = c * centre[0], c * centre[1]
+        if root.is_real:
             out.append(("real", re - eps, re + eps))
         else:
             out.append(("complex", (re - eps, im - eps), (re + eps, im + eps)))
     return out
+
+
+def _fraction(q) -> Fraction:
+    """A sympy Rational or a polys-domain rational as a Fraction."""
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def _float_roots(p: Poly) -> list[complex]:
+    """Float approximations of the roots of p, or [] if mpmath's
+    Durand-Kerner iteration does not converge."""
+    import mpmath
+    from mpmath.libmp import NoConvergence
+
+    try:
+        roots = mpmath.polyroots([mpmath.mpf(a.numerator) / a.denominator
+                                  for a in reversed(p.c)], extraprec=60)
+    except NoConvergence:
+        return []
+    return [complex(w) for w in roots]
+
+
+def _certified_centre(root, tol: Fraction,
+                      starts: list[complex]) -> tuple[Fraction, Fraction] | None:
+    """The centre that ``root.eval_rational(dx=tol, dy=tol)`` returns for a
+    non-real CRootOf, found without sympy's Collins-Krandick steps.
+
+    sympy keeps the upper-half-plane rectangle [u, s] x [v, t], which holds
+    exactly one root of ``root.poly`` (the conjugate one when ``conj``), and
+    while not (s - u < tol and t - v < tol) it cuts the longer side at its
+    midpoint and keeps the half that holds the root.  The side it cuts is
+    always at least tol long, so each side is halved exactly while it is at
+    least tol, whatever the order: the two axes are replayed one after the
+    other.  The float start nearest the rectangle's centre, polished by exact
+    Newton steps, gives a disk D(z, rho) with
+    rho^2 = n^2 |P(z)|^2 / |P'(z)|^2, which holds a root of the degree-n P
+    (Henrici, Applied and Computational Complex Analysis I, 1974).  If D lies
+    strictly inside the rectangle it holds the isolated root, and each
+    midpoint line that misses D fixes the half sympy's exact count keeps.
+    Floats only choose where Newton starts; every decision is exact.  Returns
+    None when a step cannot be certified (D not inside the rectangle, D
+    meeting a midpoint line, no start, P'(z) = 0) and for a purely imaginary
+    root, whose real part sympy reports as exactly 0: the caller then runs
+    sympy's refinement.
+    """
+    if not starts or root.is_imaginary:
+        return None
+    ivl = root._get_interval()
+    u, v = map(_fraction, ivl.a)
+    s, t = map(_fraction, ivl.b)
+    coeffs = [_fraction(a) for a in root.poly.all_coeffs()]
+    n = len(coeffs) - 1
+    mid = complex((u + s) / 2, (v + t) / 2)
+    z0 = min(starts, key=lambda w: abs(w - mid))
+    x, y = Fraction(z0.real), Fraction(z0.imag)
+    # rho < 2^-50 tol keeps D far narrower than any box the bisection visits.
+    target2 = (tol / 2 ** 50) ** 2
+    k = 64
+    while True:
+        pr, pi, dr, di = _value_and_derivative(coeffs, x, y)
+        norm2 = dr * dr + di * di
+        if not norm2:
+            return None
+        rho2 = n * n * (pr * pr + pi * pi) / norm2
+        if rho2 < target2:
+            break
+        if k > 4096:  # Newton is not converging to a simple root
+            return None
+        scale = 2 ** k
+        x -= (pr * dr + pi * di) / norm2
+        y -= (pi * dr - pr * di) / norm2
+        x, y = Fraction(round(x * scale), scale), Fraction(round(y * scale), scale)
+        k *= 2
+
+    def misses(d: Fraction) -> bool:
+        """D lies strictly on the far side of a line at signed distance d."""
+        return d > 0 and d * d > rho2
+
+    centre = []
+    for lo, hi, c in ((u, s, x), (v, t, y)):
+        if not (misses(c - lo) and misses(hi - c)):
+            return None
+        while hi - lo >= tol:
+            m = (lo + hi) / 2
+            if misses(m - c):
+                hi = m
+            elif misses(c - m):
+                lo = m
+            else:
+                return None
+        centre.append((lo + hi) / 2)
+    re, im = centre
+    return re, -im if ivl.conj else im
+
+
+def _value_and_derivative(coeffs: list[Fraction], x: Fraction, y: Fraction):
+    """Re and Im of P(x + iy) and of P'(x + iy), coefficients highest first."""
+    pr = pi = dr = di = ZERO
+    for a in coeffs:
+        dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+        pr, pi = pr * x - pi * y + a, pr * y + pi * x
+    return pr, pi, dr, di
 
 
 def riemann_hurwitz_genus(r: int, g: int, n: int) -> int:

@@ -137,8 +137,16 @@ GAUDIN_SL2 = {"group": "sl(2)", "points": ["1", "2", "3"],
     ("gaudin", {**GAUDIN_SL2, "flow": {"steps": 0}}, "config.flow.steps"),
     ("gaudin", {**GAUDIN_SL2, "random_points": -1}, "config.random_points"),
     ("spectral", {"genus_identity_grid": {"r": [1, 3]}}, "config.genus_identity_grid.r"),
+    ("audit", {"groups": ["sl(2)"], "genus_range": [0, 1]}, "config.genus_range"),
+    ("gaudin", {**GAUDIN_SL2, "flow": {"t_end": "x", "steps": 10}}, "config.flow.t_end"),
+    ("audit", {"groups": ["sl(2)", "xx(2)"]}, "config.groups[1]"),
+    ("audit", {"groups": "sl(2)"}, "config.groups"),
+    ("dims", {"group": 5, "genus": 2, "n": 2}, "config.group"),
+    ("audit", {"groups": ["sl(2)"], "n_range": [3, 1]}, "config.n_range"),
 ], ids=["genus-0", "genus-x", "n-0", "framing-length", "height-0", "steps-0",
-        "random-points-negative", "grid-r-1"])
+        "random-points-negative", "grid-r-1", "audit-genus-0", "flow-t-end-x",
+        "audit-unknown-group", "audit-groups-string", "group-not-a-string",
+        "audit-empty-n-range"])
 def test_invalid_input_is_exit_2_with_the_field_named(tmp_path, capsys, subcommand,
                                                       config, field):
     cfg = write_config(tmp_path, "bad.json", config)

@@ -5,15 +5,21 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+import sympy
+from sympy import CRootOf
 
 from framedhiggs.cli import main
 from framedhiggs.dimensions import hitchin_base_dim, hitchin_fiber_dim
 from framedhiggs.liealg import AlgebraModel
-from framedhiggs.sampling import random_algebra_element
-from framedhiggs.spectral import (spectral_data, spectral_genus,
-                                  torsor_fiber_report)
+from framedhiggs.rationalfn import Poly
+from framedhiggs.sampling import random_algebra_element, seeded_model
+from framedhiggs.spectral import (_certified_centre, _disc_numerator,
+                                  _isolate_irrational_roots,
+                                  elementary_numerators, spectral_data,
+                                  spectral_genus, torsor_fiber_report)
 
 PTS3 = (F(1), F(2), F(3))
 
@@ -214,3 +220,157 @@ def test_large_constant_term_rational_roots_finish(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_passed"]
+
+
+# ---------------------------------------------------------------------------
+# certified refinement of non-real branch points
+# ---------------------------------------------------------------------------
+
+EPS = F(1, 10 ** 9)
+
+
+def _reference_boxes(p, rational, eps):
+    """Reference: every root, real or not, refined by sympy's
+    CRootOf.eval_rational."""
+    reduced = p
+    for root, mult in rational:
+        for _ in range(mult):
+            reduced = reduced.divmod(Poly.x_minus(root))[0]
+    reduced = reduced.squarefree_part()
+    if reduced.degree < 1:
+        return []
+    z = sympy.Symbol("z")
+    sp = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * z ** i
+                        for i, c in enumerate(reduced.c)), z)
+    tol = sympy.Rational(eps.numerator, eps.denominator)
+    out = []
+    for rt in sp.all_roots(radicals=False):
+        c, root = rt.as_coeff_Mul()
+        approx = c * root.eval_rational(dx=tol / abs(c), dy=tol / abs(c))
+        re = F(int(sympy.re(approx).p), int(sympy.re(approx).q))
+        im = F(int(sympy.im(approx).p), int(sympy.im(approx).q))
+        if rt.is_real:
+            out.append(("real", re - eps, re + eps))
+        else:
+            out.append(("complex", (re - eps, im - eps), (re + eps, im + eps)))
+    return out
+
+
+def _discriminant(group, n, seed):
+    pts = [F(i) for i in range(1, n + 1)]
+    model = seeded_model(group, pts, "trivial", seed)
+    algebra = AlgebraModel(group)
+    disc = _disc_numerator(elementary_numerators(algebra, pts, model.residues),
+                           algebra.group.matrix_size)
+    return disc, disc.rational_roots()
+
+
+def _both_ways(p, rational, eps=EPS):
+    # sympy caches isolating intervals per polynomial and eval_rational
+    # stores its refined one; each side starts from sympy's own isolation.
+    CRootOf.clear_cache()
+    new = _isolate_irrational_roots(p, rational, eps)
+    CRootOf.clear_cache()
+    return new, _reference_boxes(p, rational, eps)
+
+
+MODELS = ([("gl(2)", 3, s) for s in range(1000, 1026)]
+          + [("sl(2)", 4, s) for s in range(1000, 1015)]
+          + [("gl(2)", 4, s) for s in range(1000, 1014)] + [("gl(2)", 4, 341483)]
+          + [("sl(2)", 5, s) for s in range(1000, 1002)]
+          + [("sl(3)", 3, s) for s in range(1000, 1002)])
+
+
+@pytest.mark.parametrize("group, n, seed", MODELS,
+                         ids=[f"{g}-{n}pts-seed{s}" for g, n, s in MODELS])
+def test_certified_boxes_match_sympy_refinement(group, n, seed):
+    disc, rational = _discriminant(group, n, seed)
+    new, ref = _both_ways(disc, rational)
+    assert new == ref
+
+
+@pytest.mark.parametrize("coeffs, eps", [
+    ([2, 0, 1], EPS),               # +-i sqrt(2): purely imaginary
+    ([7, 5, 0, -2, 3], EPS),        # two conjugate pairs
+    ([7, 5, 0, -2, 3], F(1, 3 * 10 ** 5)),
+], ids=["imaginary", "quartic", "quartic-coarse"])
+def test_certified_boxes_match_on_explicit_polynomials(coeffs, eps):
+    p = Poly([F(c) for c in coeffs])
+    new, ref = _both_ways(p, p.rational_roots(), eps)
+    assert new == ref
+
+
+def _stand_in_root(a, b, conj=False, imaginary=False):
+    """A root of 5 z^2 - 2 z + 2, at (1 +- 3i)/5, with a chosen rectangle
+    [a] x [b] in the upper half-plane."""
+    ivl = SimpleNamespace(a=(a[0], b[0]), b=(a[1], b[1]), conj=conj)
+    return SimpleNamespace(_get_interval=lambda: ivl, is_imaginary=imaginary,
+                           poly=SimpleNamespace(all_coeffs=lambda: [5, -2, 2]))
+
+
+STARTS = [complex(0.2, 0.6), complex(0.2, -0.6)]
+
+
+@pytest.mark.parametrize("conj, tol, width", [
+    (False, F(1, 10 ** 6), F(1, 2 ** 20)),
+    (True, F(1, 10 ** 6), F(1, 2 ** 20)),
+    # sympy cuts a side while it is not shorter than tol, so a side of
+    # exactly tol is cut once more.
+    (False, F(1, 2 ** 20), F(1, 2 ** 21)),
+], ids=["upper", "conjugate", "side-equal-to-tol"])
+def test_certified_centre_of_a_stand_in_rectangle(conj, tol, width):
+    root = _stand_in_root((F(0), F(1, 2)), (F(1, 2), F(1)), conj)
+    re, im = _certified_centre(root, tol, STARTS)
+    # No midpoint of [0, 1/2] or [1/2, 1] is 1/5 or 3/5, so the centre is the
+    # middle of the dyadic cell that holds the root.
+    assert re == (F(1, 5) // width + F(1, 2)) * width
+    assert im == (1 if not conj else -1) * (F(3, 5) // width + F(1, 2)) * width
+
+
+def test_root_on_a_midpoint_line_is_not_certified():
+    # The first vertical cut of [1/5 - 1/3, 1/5 + 1/3] passes through 1/5.
+    root = _stand_in_root((F(1, 5) - F(1, 3), F(1, 5) + F(1, 3)), (F(1, 2), F(1)))
+    assert _certified_centre(root, EPS, STARTS) is None
+
+
+def test_root_on_the_edge_of_its_rectangle_is_not_certified():
+    root = _stand_in_root((F(1, 5), F(1, 2)), (F(1, 2), F(1)))
+    assert _certified_centre(root, EPS, STARTS) is None
+
+
+def test_purely_imaginary_root_is_left_to_sympy():
+    # sympy reports the real part of a root it calls imaginary as exactly 0,
+    # not as the centre of the rectangle.
+    root = _stand_in_root((F(0), F(1, 2)), (F(1, 2), F(1)), imaginary=True)
+    assert _certified_centre(root, EPS, STARTS) is None
+
+
+def _eval_rational_calls(monkeypatch, group, n, seed):
+    """(is_real) of every root sympy's eval_rational refines in the job."""
+    calls = []
+    refine = CRootOf.eval_rational
+
+    def counting(self, *args, **kwargs):
+        calls.append(bool(self.is_real))
+        return refine(self, *args, **kwargs)
+
+    monkeypatch.setattr(CRootOf, "eval_rational", counting)
+    disc, rational = _discriminant(group, n, seed)
+    CRootOf.clear_cache()
+    boxes = _isolate_irrational_roots(disc, rational, EPS)
+    return calls, boxes
+
+
+@pytest.mark.parametrize("group, n, seed", [("sl(2)", 4, 9), ("gl(2)", 3, 1001)])
+def test_eval_rational_refines_only_real_roots(monkeypatch, group, n, seed):
+    calls, boxes = _eval_rational_calls(monkeypatch, group, n, seed)
+    assert any(b[0] == "complex" for b in boxes)
+    assert calls == [True] * sum(b[0] == "real" for b in boxes)
+
+
+def test_root_on_the_edge_of_its_rectangle_falls_back_to_sympy(monkeypatch):
+    # The quadratic's real part is rational and lies on the left edge of
+    # sympy's isolating rectangle: no disk around it fits inside.
+    calls, boxes = _eval_rational_calls(monkeypatch, "gl(2)", 3, 1003)
+    assert [b[0] for b in boxes] == ["complex", "complex"]
+    assert calls == [False, False]
