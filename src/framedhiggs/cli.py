@@ -24,7 +24,7 @@ from .dimensions import audit_grid, consistency_audit, hitchin_fiber_dim
 from .deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
                           framed_higgs_model, verify_poisson_map)
 from .exactlinalg import rank
-from .gaudin import GaudinSystem
+from .gaudin import GaudinSystem, worst_drift
 from .liealg import AlgebraModel, UnsupportedGroupError, group_data
 from .sampling import random_residue_tuple, seeded_model
 from .spectral import riemann_hurwitz_genus, spectral_data, torsor_fiber_report
@@ -42,6 +42,10 @@ def _fr(value, where: str) -> Fraction:
 
 
 def _int(value, where: str, lo: int, hi: int | None = None) -> int:
+    """An integer, or a string or float holding one; a bool or a fraction is
+    refused rather than read as 0, 1 or its integer part."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where}: not an integer: {value!r}")
     try:
         v = int(value)
     except (TypeError, ValueError) as exc:
@@ -78,7 +82,9 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, float):
-        return float(f"{x:.17g}")
+        # JSON has no NaN or infinity: a non-finite value is written as the
+        # string "nan", "inf" or "-inf".
+        return float(f"{x:.17g}") if math.isfinite(x) else str(float(x))
     return x
 
 
@@ -285,6 +291,8 @@ def run_gaudin(cfg: dict, seed) -> dict:
                        "invariant polynomials of theta(z)"},
     }
     flow_cfg = cfg.get("flow")
+    if flow_cfg is not None and not isinstance(flow_cfg, dict):
+        raise ConfigError("config.flow: expected an object")
     if flow_cfg:
         k = _int(flow_cfg.get("degree_index", 0), "config.flow.degree_index", 0)
         i = _int(flow_cfg.get("site", 0), "config.flow.site", 0)
@@ -296,12 +304,12 @@ def run_gaudin(cfg: dict, seed) -> dict:
         tol = _real(flow_cfg.get("drift_tolerance", 1e-8), "config.flow.drift_tolerance")
         t_end = _real(flow_cfg.get("t_end", 1.0), "config.flow.t_end")
         _, drift = system.integrate_flow(model.residues, fns[k][(i, j)], t_end, steps)
-        worst_drift = max((r["relative_drift"] for r in drift), default=0.0)
+        worst = worst_drift(drift)
         checks.append(_check(
-            "conserved quantities along the flow", worst_drift < tol,
-            worst_drift, f"< {tol}",
+            "conserved quantities along the flow", worst < tol,
+            worst, f"< {tol}",
             "fixed-step fourth-order integration of the coefficient flow"))
-        results["flow_worst_drift"] = worst_drift
+        results["flow_worst_drift"] = worst
     return {"checks": checks, "results": _jsonable(results)}
 
 
@@ -349,7 +357,8 @@ def run_spectral(cfg: dict, seed) -> dict:
             "provenance": "exact discriminant numerator; square-free and rational "
                           "root tests; isolating boxes for irrational roots",
         }
-        torsor = torsor_fiber_report(rep, genus=int(cfg.get("genus", 0)))
+        genus = _int(cfg.get("genus", 0), "config.genus", 0)
+        torsor = torsor_fiber_report(rep, genus=genus)
         results["torsor_fibers"] = _jsonable({
             "in_nonramified_smooth_locus": torsor.in_nonramified_smooth_locus,
             "base_dim": torsor.base_dim, "fiber_dim": torsor.fiber_dim,
@@ -426,7 +435,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(_jsonable(report), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -13,6 +13,7 @@ terms vanish is the Fraction ZERO.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Vec = list[Fraction]
@@ -68,6 +69,13 @@ def mat_comb(weights: Sequence, mats: Sequence[Mat]) -> Mat:
                     if x:
                         orow[j] = orow[j] + w * x
     return out
+
+
+def over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(d, [v d for v in values]) with d the least common denominator."""
+    values = list(values)
+    den = lcm(*{v.denominator for v in values})
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def transpose(a: Mat) -> Mat:

@@ -11,20 +11,20 @@ integrator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from operator import mul
+from typing import Sequence
 
 from .exactlinalg import (ZERO, ONE, frac, identity, inverse, mat_comb, mat_mul,
-                          mat_vec, sample_inverse, transpose, vec_is_zero)
+                          mat_vec, over_common_denominator, sample_inverse,
+                          transpose, vec_is_zero)
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, antidiagonal, flatten,
                      generator_indices, invariant_polynomials, mat_commutator,
                      mat_trace, matrix_invariants, newton_elementary, pfaffian,
                      theta_at)
 from .rationalfn import RatContext, VSection
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Monomial = tuple[tuple[int, int], ...]   # sorted ((var, exp), ...)
 
@@ -119,18 +119,72 @@ class PolyObservable:
             acc += term
         return acc
 
-    def compiled(self) -> Callable[[np.ndarray], float]:
-        data = [(float(c), [(v, e) for v, e in m]) for m, c in self.terms.items()]
 
-        def run(values: np.ndarray) -> float:
-            acc = 0.0
-            for c, mono in data:
-                t = c
-                for v, e in mono:
-                    t *= values[v] ** e
-                acc += t
-            return acc
-        return run
+def _term_table(polys: Sequence[PolyObservable], nvars: int):
+    """Float evaluation of polys at a point of R^nvars, from one term table.
+
+    Term t of polynomial p sits in row t + 1 of a numpy table: its
+    coefficient, and per factor the slot of the value it multiplies in the
+    point extended by 1.0 and by the powers x_v ** e, e > 1, that the terms
+    use.  Short terms are padded with the slot of 1.0, short polynomials
+    with coefficient 0, and row 0 is the 0.0 the sum starts from.  Factors
+    are multiplied and terms added in the order of the terms dict, so each
+    value is the same float as the loop sum(c * x_v1 ** e1 * ...) from 0.0.
+    The powers are numpy scalar powers: the array power may round
+    differently.
+    """
+    import numpy as np
+    powers: dict[tuple[int, int], int] = {}
+    rows = [[(float(c), [v if e == 1 else nvars + 1 + powers.setdefault((v, e), len(powers))
+                         for v, e in m])
+             for m, c in p.terms.items()] for p in polys]
+    nterms = 1 + max(map(len, rows), default=0)
+    nfactors = max((len(f) for terms in rows for _, f in terms), default=0)
+    coef = np.zeros((nterms, len(polys)))
+    slots = np.full((max(nfactors, 1), nterms, len(polys)), nvars)
+    for p, terms in enumerate(rows):
+        for t, (c, factors) in enumerate(terms, start=1):
+            coef[t, p] = c
+            slots[:len(factors), t, p] = factors
+    power_vars = np.array([v for v, _ in powers], dtype=np.intp)
+    power_exps = [e for _, e in powers]
+    ext = np.ones(nvars + 1 + len(powers))
+
+    def evaluate(values: np.ndarray) -> np.ndarray:
+        ext[:nvars] = values
+        if powers:
+            ext[nvars + 1:] = [x ** e for x, e in zip(values[power_vars], power_exps)]
+        terms = coef
+        for factor in slots:
+            terms = terms * ext[factor]
+        return np.add.accumulate(terms)[-1]
+    return evaluate
+
+
+def _common_scale(blocks: Sequence[tuple[int, list[int]]]) -> tuple[int, list[list[int]]]:
+    """Integer blocks (d, m), each standing for m / d, over their least common d."""
+    den = math.lcm(*(d for d, _ in blocks))
+    return den, [m if d == den else [x * (den // d) for x in m] for d, m in blocks]
+
+
+def _flat_commutator(a: list[int], b: list[int], s: int) -> list[int]:
+    """[a, b] of two row-major flattened s x s matrices, flattened."""
+    rows_a = [a[i * s:(i + 1) * s] for i in range(s)]
+    rows_b = [b[i * s:(i + 1) * s] for i in range(s)]
+    cols_a = [a[j::s] for j in range(s)]
+    cols_b = [b[j::s] for j in range(s)]
+    return [sum(map(mul, ra, cb)) - sum(map(mul, rb, ca))
+            for ra, rb in zip(rows_a, rows_b) for cb, ca in zip(cols_b, cols_a)]
+
+
+def _drift_key(d: float) -> tuple[bool, float]:
+    """Orders drifts with NaN above every number."""
+    return math.isnan(d), d
+
+
+def worst_drift(report: Sequence[dict]) -> float:
+    """The largest relative drift of a flow report; NaN if any drift is NaN."""
+    return max((r["relative_drift"] for r in report), key=_drift_key, default=0.0)
 
 
 @dataclass(frozen=True)
@@ -167,9 +221,16 @@ class GaudinSystem:
         gram = [[mat_trace(mat_mul(a, b)) for b in basis] for a in basis]
         tmat = [flatten(transpose(b)) for b in basis]
         self._grad_rows = mat_mul(inverse(gram), tmat)   # dim x s^2
+        # The projection on flattened matrices, flatten(pi(Y)) = P flatten(Y),
+        # as (d, integer rows of d P).
+        proj = mat_mul(transpose([flatten(b) for b in basis]), self._grad_rows)
+        pden, pflat = over_common_denominator(flatten(proj))
+        self._projection = (pden, [pflat[r * len(proj):(r + 1) * len(proj)]
+                                   for r in range(len(proj))])
         self._indices = generator_indices(self.group)
         self._coeff_functions: dict[int, dict[tuple[int, int], PolyObservable]] = {}
         self._interp_cache: dict[int, tuple] = {}
+        self._weight_cache: dict[int, list[tuple[int, list[list[int]]]]] = {}
         self._symbolic_invariants: dict[Fraction, list[PolyObservable]] = {}
 
     # -- variable layout ------------------------------------------------------
@@ -341,55 +402,100 @@ class GaudinSystem:
         return [mat_comb([(-1) ** j * e[m - j] for j in range(m + 1)], powers)
                 for m in range(s)]
 
+    def _site_weights(self, k: int) -> list[tuple[int, list[list[int]]]]:
+        """Per site x, the matrix vinv[row][t] / (t - x) of degree index k
+        as (d, integer rows of its d multiple)."""
+        if k not in self._weight_cache:
+            cols, ts, vinv = self._interp_data(k)
+            size = len(ts)
+            out = []
+            for x in self.points:
+                den, flat = over_common_denominator(
+                    w / (t - x) for row in vinv for w, t in zip(row, ts))
+                out.append((den, [flat[r * size:(r + 1) * size] for r in range(len(vinv))]))
+            self._weight_cache[k] = out
+        return self._weight_cache[k]
+
     def coefficient_gradients_at(self, residues: Sequence[AlgebraElement]):
         """Site sigma-gradients of every invariant coefficient at a point.
 
-        Returns a list of ((degree_index, site, order), [gradient matrix per
-        site]) using the exact derivative of the elementary symmetric
-        functions; the Pfaffian component of so(2r) falls back to symbolic
-        differentiation of its coefficient functions alone.
+        Returns a list of ((degree_index, site, order), grads), where
+        grads[l] = (d, m) gives the gradient at site l as m / d, m the
+        row-major list of its integer numerators.  The derivative of e_m at
+        theta(t) is P_{m-1}(theta(t)) (`_char_gradient_matrices`).  The
+        projection onto the algebra is linear, so it is applied once per
+        sample point t; the gradients of degree index k at site x are then
+        one integer product of the weights vinv[row][t] / (t - x) with the
+        stacked projected matrices.  The Pfaffian component of so(2r) falls
+        back to symbolic differentiation of its coefficient functions alone.
         """
         out = []
         mats = [el.matrix for el in residues]
         grad_cache: dict[Fraction, list] = {}
+        projected: dict[tuple[Fraction, int], tuple[int, list[int]]] = {}
+        pden, prows = self._projection
         for k, index in enumerate(self._indices):
             cols, ts, vinv = self._interp_data(k)
             if index == PFAFFIAN:
                 values = self.flatten_point(residues)
                 for col, fn in sorted(self._coefficient_functions_of(k).items()):
-                    grads = [[[entry(values) for entry in row]
-                              for row in self._symbolic_gradient(fn, l)]
+                    grads = [over_common_denominator(
+                                 entry(values) for row in self._symbolic_gradient(fn, l)
+                                 for entry in row)
                              for l in range(self.n)]
                     out.append(((k, col[0], col[1]), grads))
                 continue
             for t in ts:
-                if t not in grad_cache:
-                    grad_cache[t] = self._char_gradient_matrices(theta_at(self.points, mats, t))
-            for row, col in zip(vinv, cols):
-                grads = []
-                for x in self.points:
-                    combo = mat_comb([w / (t - x) for w, t in zip(row, ts)],
-                                     [grad_cache[t][index - 1] for t in ts])
-                    coords = mat_vec(self._grad_rows, flatten(combo))
-                    grads.append(self.model.from_coords(coords).matrix)
-                out.append(((k, col[0], col[1]), grads))
+                if (t, index) not in projected:
+                    if t not in grad_cache:
+                        grad_cache[t] = self._char_gradient_matrices(
+                            theta_at(self.points, mats, t))
+                    den, y = over_common_denominator(flatten(grad_cache[t][index - 1]))
+                    projected[(t, index)] = (den * pden, [sum(map(mul, r, y)) for r in prows])
+            qden, stacked = _common_scale([projected[(t, index)] for t in ts])
+            columns = list(zip(*stacked))
+            blocks = [(wden * qden, [[sum(map(mul, w, c)) for c in columns] for w in weights])
+                      for wden, weights in self._site_weights(k)]
+            for r, col in enumerate(cols):
+                out.append(((k, col[0], col[1]), [(den, rows[r]) for den, rows in blocks]))
         return out
 
     def commutativity_check(self, residue_tuples: Sequence[Sequence[AlgebraElement]]):
-        """Max |{H_a, H_b}| over all pairs of coefficient functions and points."""
+        """Max |{H_a, H_b}| over all pairs of coefficient functions and points.
+
+        {H_a, H_b} = sum_i tr(A_i [X_a, X_b]) = sum_i tr([A_i, X_a] X_b) for
+        the site gradients X_a, X_b.  Per tuple, every flattened [A_i, X_a]
+        and every flattened transpose of X_b is put over one common
+        denominator, so each pair costs one integer dot product, and a
+        Fraction is built only for a nonzero one.  Pairs are scanned in
+        order, so the first of equally large brackets is the one reported.
+        """
         worst = ZERO
         worst_pair = None
+        s, n = self.s, self.n
         for residues in residue_tuples:
             data = self.coefficient_gradients_at(residues)
+            aden, a_flat = over_common_denominator(
+                x for el in residues for x in flatten(el.matrix))
+            sites = [a_flat[i * s * s:(i + 1) * s * s] for i in range(n)]
+            gden, grads = _common_scale([g for _, site_grads in data for g in site_grads])
+            left, right = [], []
+            for a in range(len(data)):
+                commuted, transposed = [], []
+                for site, g in zip(sites, grads[a * n:(a + 1) * n]):
+                    commuted.extend(_flat_commutator(site, g, s))
+                    transposed.extend(x for c in range(s) for x in g[c::s])
+                left.append(commuted)
+                right.append(transposed)
+            den = aden * gden * gden
             for ia in range(len(data)):
                 for ib in range(ia + 1, len(data)):
-                    val = ZERO
-                    for i, el in enumerate(residues):
-                        comm = mat_commutator(data[ia][1][i], data[ib][1][i])
-                        val += mat_trace(mat_mul(el.matrix, comm))
-                    if abs(val) > abs(worst):
-                        worst = val
-                        worst_pair = (data[ia][0], data[ib][0])
+                    num = sum(map(mul, left[ia], right[ib]))
+                    if num:
+                        val = Fraction(num, den)
+                        if abs(val) > abs(worst):
+                            worst = val
+                            worst_pair = (data[ia][0], data[ib][0])
         return worst, worst_pair
 
     # -- Hamiltonian flow (floating point) ----------------------------------------
@@ -405,45 +511,42 @@ class GaudinSystem:
         # Imported here: numpy is most of the package's import time, and only
         # the flow needs it.
         import numpy as np
-        s = self.s
-        grad_polys = []
-        for i in range(self.n):
-            mat = self._symbolic_gradient(hamiltonian, i)
-            grad_polys.append([[mat[a][b].compiled() for b in range(s)] for a in range(s)])
+        nvars = self.n * self.s * self.s
+        gradient = _term_table([x for i in range(self.n)
+                                for row in self._symbolic_gradient(hamiltonian, i)
+                                for x in row], nvars)
         fns = self.coefficient_function_list()
-        compiled_fns = [(k, i, j, fn.compiled()) for (k, i, j, fn) in fns]
+        coefficients = _term_table([fn for (_, _, _, fn) in fns], nvars)
 
         state = np.array([[ [float(x) for x in row] for row in el.matrix]
                           for el in residues])  # (n, s, s)
 
         def rhs(st: np.ndarray) -> np.ndarray:
-            flat = st.reshape(-1)
-            out = np.empty_like(st)
-            for i in range(self.n):
-                g = np.array([[grad_polys[i][a][b](flat) for b in range(s)] for a in range(s)])
-                out[i] = st[i] @ g - g @ st[i]
-            return out
+            g = gradient(st.reshape(-1)).reshape(st.shape)
+            return st @ g - g @ st
 
-        h = t_end / steps
-        start_vals = [fn(state.reshape(-1)) for (_, _, _, fn) in compiled_fns]
-        scale = max(1.0, max(abs(v) for v in start_vals)) if start_vals else 1.0
-        traj = [state.copy()]
-        for _ in range(steps):
-            k1 = rhs(state)
-            k2 = rhs(state + 0.5 * h * k1)
-            k3 = rhs(state + 0.5 * h * k2)
-            k4 = rhs(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        traj.append(state.copy())
-        end_vals = [fn(state.reshape(-1)) for (_, _, _, fn) in compiled_fns]
-        report = []
-        for (k, i, j, _), v0, v1 in zip(compiled_fns, start_vals, end_vals):
-            rel = abs(v1 - v0) / max(abs(v0), 1e-3 * scale)
-            report.append({"degree_index": k, "site": i, "order": j,
-                           "start": v0, "end": v1, "relative_drift": rel})
-        worst = max((r["relative_drift"] for r in report), default=0.0)
-        if drift_tolerance is not None and worst > drift_tolerance:
-            bad = max(report, key=lambda r: r["relative_drift"])
+        # A flow that overflows is reported through its non-finite drift.
+        with np.errstate(all="ignore"):
+            h = t_end / steps
+            start_vals = list(coefficients(state.reshape(-1)))
+            scale = max(1.0, max(abs(v) for v in start_vals)) if start_vals else 1.0
+            traj = [state.copy()]
+            for _ in range(steps):
+                k1 = rhs(state)
+                k2 = rhs(state + 0.5 * h * k1)
+                k3 = rhs(state + 0.5 * h * k2)
+                k4 = rhs(state + h * k3)
+                state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            traj.append(state.copy())
+            end_vals = list(coefficients(state.reshape(-1)))
+            report = []
+            for (k, i, j, _), v0, v1 in zip(fns, start_vals, end_vals):
+                rel = abs(v1 - v0) / max(abs(v0), 1e-3 * scale)
+                report.append({"degree_index": k, "site": i, "order": j,
+                               "start": v0, "end": v1, "relative_drift": rel})
+        worst = worst_drift(report)
+        if drift_tolerance is not None and not worst <= drift_tolerance:
+            bad = max(report, key=lambda r: _drift_key(r["relative_drift"]))
             raise FlowToleranceError(
                 f"conserved-quantity drift {worst:.3e} exceeds tolerance "
                 f"{drift_tolerance:.3e} (coefficient {bad['degree_index']},"

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Callable, Sequence
 
-from .exactlinalg import Vec, ZERO, ONE, frac, vec_add, vec_is_zero, vec_scale, zeros
+from .exactlinalg import (Vec, ZERO, ONE, frac, over_common_denominator, vec_add,
+                          vec_is_zero, vec_scale, zeros)
 
 
 @dataclass(frozen=True)
@@ -379,8 +380,7 @@ class Poly:
         if self.is_zero():
             raise ValueError("zero polynomial")
         import sympy
-        den = lcm(*(x.denominator for x in self.c))
-        ic = [int(x * den) for x in reversed(self.c)]
+        ic = over_common_denominator(reversed(self.c))[1]
         roots = []
         for factor, mult in sympy.Poly(ic, sympy.Symbol("z")).factor_list()[1]:
             if factor.degree() == 1:

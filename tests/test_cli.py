@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,10 +147,22 @@ GAUDIN_SL2 = {"group": "sl(2)", "points": ["1", "2", "3"],
     ("audit", {"groups": "sl(2)"}, "config.groups"),
     ("dims", {"group": 5, "genus": 2, "n": 2}, "config.group"),
     ("audit", {"groups": ["sl(2)"], "n_range": [3, 1]}, "config.n_range"),
+    ("dims", {"group": "sl(2)", "genus": 2.5, "n": 2}, "config.genus"),
+    ("gaudin", {**GAUDIN_SL2, "random_points": True}, "config.random_points"),
+    ("gaudin", {**GAUDIN_SL2, "random_points": 2.5}, "config.random_points"),
+    ("gaudin", {**GAUDIN_SL2, "residues": {"type": "random", "seed": 7, "height": 1.5}},
+     "config.residues.height"),
+    ("gaudin", {**GAUDIN_SL2, "flow": {"steps": 10.9}}, "config.flow.steps"),
+    ("gaudin", {**GAUDIN_SL2, "flow": 5}, "config.flow"),
+    ("spectral", {"group": "sl(2)", "points": ["1", "2", "3"],
+                  "residues": {"type": "random", "seed": 9, "height": 5}, "genus": 1.5},
+     "config.genus"),
 ], ids=["genus-0", "genus-x", "n-0", "framing-length", "height-0", "steps-0",
         "random-points-negative", "grid-r-1", "audit-genus-0", "flow-t-end-x",
         "audit-unknown-group", "audit-groups-string", "group-not-a-string",
-        "audit-empty-n-range"])
+        "audit-empty-n-range", "genus-fraction", "random-points-bool",
+        "random-points-fraction", "height-fraction", "steps-fraction", "flow-not-an-object",
+        "spectral-genus-fraction"])
 def test_invalid_input_is_exit_2_with_the_field_named(tmp_path, capsys, subcommand,
                                                       config, field):
     cfg = write_config(tmp_path, "bad.json", config)
@@ -168,3 +184,27 @@ def test_genus_grid_mismatch_fails_the_check_with_a_report(tmp_path, capsys, mon
     assert not check["passed"] and not report["all_passed"]
     assert (check["value"], check["expected"]) == ("0 cases", "8 cases")
     assert "spectral genus matches fiber dimension" in capsys.readouterr().err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_non_finite_flow_drift_fails_the_check_with_a_parseable_report(tmp_path):
+    # A step of 1e300 overflows: the drift is NaN, written as a string, and
+    # numpy's overflow warnings stay off stderr.
+    cfg = write_config(tmp_path, "flow.json",
+                       {**GAUDIN_SL2, "flow": {"steps": 1, "t_end": 1e300}})
+    out = tmp_path / "report.json"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "framedhiggs.cli", "gaudin",
+                           "--config", cfg, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    report = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    check = [c for c in report["checks"] if c["name"] == "conserved quantities along the flow"][0]
+    assert not check["passed"] and not report["all_passed"]
+    assert check["value"] == report["results"]["flow_worst_drift"] == "nan"

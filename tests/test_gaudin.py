@@ -4,8 +4,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from framedhiggs.gaudin import FlowToleranceError, GaudinSystem, PolyObservable
-from framedhiggs.liealg import AlgebraModel, mat_trace, matrix_invariants
+from framedhiggs.exactlinalg import mat_comb, mat_mul, mat_vec, over_common_denominator
+from framedhiggs.gaudin import (FlowToleranceError, GaudinSystem, PolyObservable, _term_table,
+                                worst_drift)
+from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, flatten, mat_commutator, mat_trace,
+                                matrix_invariants, theta_at)
 from framedhiggs.sampling import random_algebra_element, random_residue_tuple
 
 PTS3 = (F(1), F(2), F(3))
@@ -195,6 +198,112 @@ def test_commutativity_so4_spot():
     assert list(system._coeff_functions) == [1]
 
 
+# Reference bracket table: every coefficient's site gradient combined and
+# projected on its own in Fractions, and every pair's bracket as two full
+# matrix products per site, O(K^2 n s^3) for K coefficient functions.
+
+def _reference_gradients(system, residues):
+    out = []
+    mats = [el.matrix for el in residues]
+    grad_cache = {}
+    for k, index in enumerate(system._indices):
+        cols, ts, vinv = system._interp_data(k)
+        if index == PFAFFIAN:
+            values = system.flatten_point(residues)
+            for col, fn in sorted(system._coefficient_functions_of(k).items()):
+                grads = [[[entry(values) for entry in row]
+                          for row in system._symbolic_gradient(fn, l)]
+                         for l in range(system.n)]
+                out.append(((k, col[0], col[1]), grads))
+            continue
+        for t in ts:
+            if t not in grad_cache:
+                grad_cache[t] = system._char_gradient_matrices(
+                    theta_at(system.points, mats, t))
+        for row, col in zip(vinv, cols):
+            grads = []
+            for x in system.points:
+                combo = mat_comb([w / (t - x) for w, t in zip(row, ts)],
+                                 [grad_cache[t][index - 1] for t in ts])
+                coords = mat_vec(system._grad_rows, flatten(combo))
+                grads.append([list(r) for r in system.model.from_coords(coords).matrix])
+            out.append(((k, col[0], col[1]), grads))
+    return out
+
+
+def _reference_check(residue_tuples, gradients_at):
+    worst, worst_pair = F(0), None
+    for residues in residue_tuples:
+        data = gradients_at(residues)
+        for ia in range(len(data)):
+            for ib in range(ia + 1, len(data)):
+                val = F(0)
+                for i, el in enumerate(residues):
+                    comm = mat_commutator(data[ia][1][i], data[ib][1][i])
+                    val += mat_trace(mat_mul(el.matrix, comm))
+                if abs(val) > abs(worst):
+                    worst, worst_pair = val, (data[ia][0], data[ib][0])
+    return worst, worst_pair
+
+
+def _as_matrices(system, data):
+    s = system.s
+    return [(key, [[[F(x, d) for x in m[r * s:(r + 1) * s]] for r in range(s)]
+                   for d, m in grads])
+            for key, grads in data]
+
+
+BRACKET_CASES = [("sl(3)", PTS3, 2), ("gl(2)", PTS3, 3), ("sp(4)", (F(1), F(2)), 2),
+                 ("so(5)", (F(1), F(2)), 1), ("so(4)", PTS3, 1)]
+
+
+@pytest.mark.parametrize("gid, points, count", BRACKET_CASES,
+                         ids=[case[0] for case in BRACKET_CASES])
+def test_bracket_table_matches_reference(gid, points, count):
+    model = AlgebraModel(gid)
+    system = GaudinSystem(model, points)
+    rng = random.Random(53)
+    tuples = [random_residue_tuple(model, rng, len(points), 4, zero_sum=False)
+              for _ in range(count)]
+    for residues in tuples:
+        assert (_as_matrices(system, system.coefficient_gradients_at(residues))
+                == _reference_gradients(system, residues))
+    expected = _reference_check(tuples, lambda r: _reference_gradients(system, r))
+    assert system.commutativity_check(tuples) == expected == (0, None)
+
+
+@pytest.mark.parametrize("gid, points, count", BRACKET_CASES,
+                         ids=[case[0] for case in BRACKET_CASES])
+def test_bracket_table_negative_control(monkeypatch, gid, points, count):
+    # A_0[0][1] A_0[1][0] is not invariant: with its gradient appended, the
+    # exact-zero gate must fail, and both tables must name the same bracket.
+    model = AlgebraModel(gid)
+    system = GaudinSystem(model, points)
+    noninv = system.coordinate(0, 0, 1) * system.coordinate(0, 1, 0)
+    key = ("non-invariant",)
+
+    def noninv_gradients(residues):
+        values = system.flatten_point(residues)
+        return [[list(r) for r in system.sigma_gradient_at(noninv, l, values).matrix]
+                for l in range(system.n)]
+
+    original = GaudinSystem.coefficient_gradients_at
+
+    def with_noninv(self, residues):
+        extra = [over_common_denominator(flatten(m)) for m in noninv_gradients(residues)]
+        return original(self, residues) + [(key, extra)]
+
+    monkeypatch.setattr(GaudinSystem, "coefficient_gradients_at", with_noninv)
+    rng = random.Random(59)
+    tuples = [random_residue_tuple(model, rng, len(points), 4, zero_sum=False)
+              for _ in range(count)]
+    worst, pair = system.commutativity_check(tuples)
+    expected = _reference_check(
+        tuples, lambda r: _reference_gradients(system, r) + [(key, noninv_gradients(r))])
+    assert (worst, pair) == expected
+    assert worst != 0 and pair[1] == key
+
+
 @pytest.mark.parametrize("gid", ["gl(3)", "sl(3)", "sp(4)", "so(5)", "so(4)"])
 def test_invariants_agree_on_symbolic_and_numeric_matrices(gid):
     model = AlgebraModel(gid)
@@ -220,6 +329,93 @@ def test_flow_conserves_invariant_coefficients():
     traj, report = system.integrate_flow(els, ham, 1.0, 2000)
     assert max(r["relative_drift"] for r in report) < 1e-8
     assert not np.allclose(traj[0], traj[-1])  # genuine motion
+
+
+# Reference flow: one closure per polynomial, summing c * x_v ** e * ... term
+# by term, and the commutator taken one site at a time.
+
+def _compiled(poly):
+    data = [(float(c), list(m)) for m, c in poly.terms.items()]
+
+    def run(values):
+        acc = 0.0
+        for c, mono in data:
+            t = c
+            for v, e in mono:
+                t *= values[v] ** e
+            acc += t
+        return acc
+    return run
+
+
+def _reference_flow(system, residues, hamiltonian, t_end, steps):
+    s = system.s
+    grad = [[[_compiled(x) for x in row] for row in system._symbolic_gradient(hamiltonian, i)]
+            for i in range(system.n)]
+    fns = [(k, i, j, _compiled(fn)) for k, i, j, fn in system.coefficient_function_list()]
+    state = np.array([[[float(x) for x in row] for row in el.matrix] for el in residues])
+
+    def rhs(st):
+        flat = st.reshape(-1)
+        out = np.empty_like(st)
+        for i in range(system.n):
+            g = np.array([[grad[i][a][b](flat) for b in range(s)] for a in range(s)])
+            out[i] = st[i] @ g - g @ st[i]
+        return out
+
+    h = t_end / steps
+    start = [fn(state.reshape(-1)) for *_, fn in fns]
+    scale = max(1.0, max(abs(v) for v in start))
+    for _ in range(steps):
+        k1 = rhs(state)
+        k2 = rhs(state + 0.5 * h * k1)
+        k3 = rhs(state + 0.5 * h * k2)
+        k4 = rhs(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    end = [fn(state.reshape(-1)) for *_, fn in fns]
+    report = [{"degree_index": k, "site": i, "order": j, "start": v0, "end": v1,
+               "relative_drift": abs(v1 - v0) / max(abs(v0), 1e-3 * scale)}
+              for (k, i, j, _), v0, v1 in zip(fns, start, end)]
+    return state, report
+
+
+# The coefficient functions are multilinear in the entries; the squared
+# Hamiltonian's gradient has squared entries, which take the power path.
+FLOW_CASES = [("sl(2)", 3, 0, (0, 1), 1, 1.0, 300), ("sl(2)", 3, 0, (1, 1), 2, 0.05, 100),
+              ("sl(3)", 3, 1, (1, 2), 1, 0.02, 40), ("so(4)", 2, 1, (1, 2), 1, 0.02, 20)]
+
+
+@pytest.mark.parametrize("gid, n, k, col, power, t_end, steps", FLOW_CASES,
+                         ids=["sl(2)", "sl(2)-squared", "sl(3)", "so(4)"])
+def test_flow_matches_term_by_term_reference(gid, n, k, col, power, t_end, steps):
+    model = AlgebraModel(gid)
+    system = GaudinSystem(model, PTS3[:n])
+    els = balanced_tuple(model, random.Random(61), n, 3)
+    ham = system.coefficient_functions()[k][col]
+    if power == 2:
+        ham = ham * ham
+        assert any(e > 1 for m in ham.diff(0).terms for _, e in m)
+    traj, report = system.integrate_flow(els, ham, t_end, steps)
+    state, expected = _reference_flow(system, els, ham, t_end, steps)
+    assert np.isfinite(state).all()
+    assert np.array_equal(traj[-1], state)
+    assert report == expected
+
+
+def test_term_table_matches_term_by_term_loop():
+    # Squares and cubes included: the numpy array power rounds some of them
+    # differently from the scalar power the loop uses.
+    rng = random.Random(67)
+    polys = [PolyObservable({tuple(sorted({rng.randrange(6): rng.randint(1, 3)
+                                           for _ in range(rng.randint(0, 3))}.items())):
+                             F(rng.randint(-9, 9), rng.randint(1, 4))
+                             for _ in range(rng.randint(0, 6))})
+             for _ in range(12)]
+    evaluate = _term_table(polys, 6)
+    loops = [_compiled(p) for p in polys]
+    for point in np.random.default_rng(67).standard_normal((2000, 6)) * 7.0:
+        values = evaluate(point)
+        assert all(v == loop(point) for v, loop in zip(values, loops))
 
 
 def test_flow_zero_time_is_identity():
@@ -251,6 +447,18 @@ def test_flow_tolerance_error():
     ham = system.coefficient_function_list()[0][3]
     with pytest.raises(FlowToleranceError, match="drift"):
         system.integrate_flow(els, ham, 20.0, 3, drift_tolerance=1e-12)
+
+
+def test_non_finite_drift_exceeds_every_tolerance():
+    model = AlgebraModel("sl(2)")
+    system = GaudinSystem(model, PTS3)
+    els = balanced_tuple(model, random.Random(3), 3, 3)
+    ham = system.coefficient_function_list()[0][3]
+    _, report = system.integrate_flow(els, ham, 1e300, 1)
+    assert np.isnan(worst_drift(report))
+    assert np.isnan(worst_drift([{"relative_drift": 0.5}, {"relative_drift": float("nan")}]))
+    with pytest.raises(FlowToleranceError, match="drift nan"):
+        system.integrate_flow(els, ham, 1e300, 1, drift_tolerance=1e-8)
 
 
 def test_commutativity_sp4_spot():
