@@ -27,7 +27,8 @@ from .exactlinalg import rank
 from .gaudin import GaudinSystem, worst_drift
 from .liealg import AlgebraModel, UnsupportedGroupError, group_data
 from .sampling import random_residue_tuple, seeded_model
-from .spectral import riemann_hurwitz_genus, spectral_data, torsor_fiber_report
+from .spectral import (riemann_hurwitz_genus, spectral_data, spectral_supported,
+                       torsor_fiber_report)
 
 
 class ConfigError(ValueError):
@@ -107,6 +108,20 @@ def _group(cfg: dict):
     return _group_data(_need(cfg, "group"), "config.group")
 
 
+def _algebra(cfg: dict) -> AlgebraModel:
+    """The matrix model of config.group; groups with dimension data only are refused."""
+    try:
+        return AlgebraModel(_group(cfg).group_id)
+    except UnsupportedGroupError as exc:
+        raise ConfigError(f"config.group: {exc}") from exc
+
+
+def _matrix(rows, where: str) -> list[list[Fraction]]:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ConfigError(f"{where}: expected a matrix as a list of rows, got {rows!r}")
+    return [[_fr(x, where) for x in row] for row in rows]
+
+
 def _points(cfg: dict) -> tuple[Fraction, ...]:
     raw = _need(cfg, "points")
     if not isinstance(raw, list) or not raw:
@@ -117,25 +132,55 @@ def _points(cfg: dict) -> tuple[Fraction, ...]:
     return pts
 
 
-def _residues(cfg: dict, algebra: AlgebraModel, framing: str, pts, seed_override):
+def _framing(framing, algebra: AlgebraModel, pts, explicit: bool):
+    """'trivial', 'torus', or (with explicit residues only) a per-point list of
+    subalgebra bases, each a list of matrices."""
+    if framing in ("trivial", "torus"):
+        return framing
+    if not explicit or not isinstance(framing, list) or len(framing) != len(pts) or \
+            not all(isinstance(basis, list) for basis in framing):
+        raise ConfigError("config.framing: expected 'trivial', 'torus' or, with explicit "
+                          f"residues, one list of basis matrices per point; got {framing!r}")
+    out = []
+    for k, basis in enumerate(framing):
+        mats = [_matrix(b, f"config.framing[{k}]") for b in basis]
+        try:
+            for mat in mats:
+                algebra.element(mat)
+        except ValueError as exc:
+            raise ConfigError(f"config.framing[{k}]: {exc}") from exc
+        out.append(mats)
+    return out
+
+
+def _residues(cfg: dict, algebra: AlgebraModel, framing, pts, seed_override):
     spec = _need(cfg, "residues")
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("config.residues: expected an object with a 'type' field")
     if spec["type"] == "random":
-        seed = seed_override if seed_override is not None else spec.get("seed", 0)
+        framing = _framing(framing, algebra, pts, explicit=False)
+        seed = spec.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigError(f"config.residues.seed: expected an integer, got {seed!r}")
+        if seed_override is not None:
+            seed = seed_override
         height = _int(spec.get("height", 10), "config.residues.height", 1)
         model = seeded_model(algebra.group.group_id, pts, framing, seed, height)
         return model, seed
     if spec["type"] == "explicit":
+        framing = _framing(framing, algebra, pts, explicit=True)
         mats = _need(spec, "matrices", "config.residues")
+        if not isinstance(mats, list):
+            raise ConfigError(f"config.residues.matrices: expected a list of matrices, "
+                              f"got {mats!r}")
         residues = []
         for k, rows in enumerate(mats):
+            where = f"config.residues.matrices[{k}]"
+            mat = _matrix(rows, where)
             try:
-                residues.append(algebra.element(
-                    [[_fr(x, f"config.residues.matrices[{k}]") for x in row]
-                     for row in rows]))
+                residues.append(algebra.element(mat))
             except ValueError as exc:
-                raise ConfigError(f"config.residues.matrices[{k}]: {exc}") from exc
+                raise ConfigError(f"{where}: {exc}") from exc
         try:
             model = framed_higgs_model(algebra.group.group_id, pts, residues, framing)
         except ValueError as exc:
@@ -222,11 +267,12 @@ def run_audit(cfg: dict, seed) -> dict:
 
 
 def run_defo(cfg: dict, seed) -> dict:
-    gd = _group(cfg)
-    algebra = AlgebraModel(gd.group_id)
+    algebra = _algebra(cfg)
     pts = _points(cfg)
-    framing = cfg.get("framing", "trivial")
-    model, used_seed = _residues(cfg, algebra, framing, pts, seed)
+    verify = cfg.get("verify_poisson_map", True)
+    if not isinstance(verify, bool):
+        raise ConfigError(f"config.verify_poisson_map: expected true or false, got {verify!r}")
+    model, used_seed = _residues(cfg, algebra, cfg.get("framing", "trivial"), pts, seed)
     theory = DeformationTheory(model)
     checks = []
     dims = {}
@@ -251,7 +297,7 @@ def run_defo(cfg: dict, seed) -> dict:
                "seed": used_seed,
                "provenance": {"dims": "mapping-cone linear algebra over the "
                               "two-chart Laurent presentation"}}
-    if cfg.get("verify_poisson_map", True) and fr.h0 == 0 and fr.h2 == 0:
+    if verify and fr.h0 == 0 and fr.h2 == 0:
         check = verify_poisson_map(theory)
         checks.append(_check(
             "forgetful map intertwines pairing inverse and anchor", check.ok,
@@ -262,15 +308,28 @@ def run_defo(cfg: dict, seed) -> dict:
 
 
 def run_gaudin(cfg: dict, seed) -> dict:
-    gd = _group(cfg)
-    algebra = AlgebraModel(gd.group_id)
+    algebra = _algebra(cfg)
     pts = _points(cfg)
     model, used_seed = _residues(cfg, algebra, "trivial", pts, seed)
+    n_random = _int(cfg.get("random_points", 5), "config.random_points", 0)
+    height = _int(cfg.get("height", 10), "config.height", 1)
+    flow_cfg = cfg.get("flow")
+    if flow_cfg is not None and not isinstance(flow_cfg, dict):
+        raise ConfigError("config.flow: expected an object")
+    if flow_cfg:
+        k = _int(flow_cfg.get("degree_index", 0), "config.flow.degree_index", 0)
+        i = _int(flow_cfg.get("site", 0), "config.flow.site", 0)
+        j = _int(flow_cfg.get("order", 1), "config.flow.order", 1)
+        steps = _int(flow_cfg.get("steps", 10000), "config.flow.steps", 1)
+        # coefficient (k, i, j) of the Hitchin map exists exactly for these
+        degrees = algebra.group.degrees
+        if k >= len(degrees) or i >= len(pts) or j > degrees[k]:
+            raise ConfigError(f"config.flow: no coefficient ({k},{i},{j})")
+        tol = _real(flow_cfg.get("drift_tolerance", 1e-8), "config.flow.drift_tolerance")
+        t_end = _real(flow_cfg.get("t_end", 1.0), "config.flow.t_end")
     system = GaudinSystem(algebra, pts)
     checks = []
     hp = system.hitchin_point(model.residues)
-    n_random = _int(cfg.get("random_points", 5), "config.random_points", 0)
-    height = _int(cfg.get("height", 10), "config.height", 1)
     rng = random.Random(used_seed if used_seed is not None else 0)
     tuples = [list(model.residues)]
     for _ in range(n_random):
@@ -290,19 +349,8 @@ def run_gaudin(cfg: dict, seed) -> dict:
         "provenance": {"hitchin_point": "exact partial-fraction expansion of the "
                        "invariant polynomials of theta(z)"},
     }
-    flow_cfg = cfg.get("flow")
-    if flow_cfg is not None and not isinstance(flow_cfg, dict):
-        raise ConfigError("config.flow: expected an object")
     if flow_cfg:
-        k = _int(flow_cfg.get("degree_index", 0), "config.flow.degree_index", 0)
-        i = _int(flow_cfg.get("site", 0), "config.flow.site", 0)
-        j = _int(flow_cfg.get("order", 1), "config.flow.order", 1)
-        steps = _int(flow_cfg.get("steps", 10000), "config.flow.steps", 1)
         fns = system.coefficient_functions()
-        if k not in fns or (i, j) not in fns[k]:
-            raise ConfigError(f"config.flow: no coefficient ({k},{i},{j})")
-        tol = _real(flow_cfg.get("drift_tolerance", 1e-8), "config.flow.drift_tolerance")
-        t_end = _real(flow_cfg.get("t_end", 1.0), "config.flow.t_end")
         _, drift = system.integrate_flow(model.residues, fns[k][(i, j)], t_end, steps)
         worst = worst_drift(drift)
         checks.append(_check(
@@ -337,8 +385,10 @@ def run_spectral(cfg: dict, seed) -> dict:
                              "Riemann-Hurwitz count vs fiber dimension formula"))
         results["genus_grid"] = rows
     if "group" in cfg:
-        gd = _group(cfg)
-        algebra = AlgebraModel(gd.group_id)
+        algebra = _algebra(cfg)
+        if not spectral_supported(algebra.group):
+            raise ConfigError(f"config.group: spectral data requires gl(r) or sl(r) "
+                              f"with r in {{2, 3}}, got {algebra.group.group_id}")
         pts = _points(cfg)
         model, used_seed = _residues(cfg, algebra, cfg.get("framing", "trivial"), pts, seed)
         rep = spectral_data(algebra, pts, model.residues)

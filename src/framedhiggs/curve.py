@@ -309,9 +309,6 @@ class H1Presentation:
     def class_coords(self, s: VSection) -> Vec:
         return self.quotient.project(self.layout.to_coords(s))
 
-    def is_coboundary(self, s: VSection) -> bool:
-        return vec_is_zero(self.class_coords(s))
-
 
 def h1_presentation(ctx: RatContext, spec: SheafSpec,
                     window: Window | None = None) -> H1Presentation:

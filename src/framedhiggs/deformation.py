@@ -13,6 +13,10 @@ marked point and ad_fr^perp of one-forms with residues in the annihilator
 h_x^perp.  Hypercohomology is the cohomology of the mapping cone over the
 two-chart Cech presentation; everything is exact rational linear algebra.
 
+[theta, .] acts on window coordinates (position-major, fiber-minor) as the
+layout operator Theta = sum_i S_i ⊗ ad(A_i), where S_i is the scalar layout
+matrix of multiplication by 1/(z - x_i).  Each cone builds Theta once.
+
 The cup-product pairing on first hypercohomology contracts the mixed
 components with the invariant form and evaluates the class in H^1(K) by the
 sum of residues over the marked points:
@@ -87,7 +91,7 @@ class FramedHiggsModel:
         basis_els = [AlgebraElement(b, self.algebra.group.group_id)
                      for b in self.algebra.basis]
         self._gram = [[self.form(a, b) for b in basis_els] for a in basis_els]
-        self._ad = [self._ad_matrix(el) for el in self.residues]
+        self.ad = [self._ad_matrix(el) for el in self.residues]
         self.context = RatContext(self.curve.points, dim)
 
     def _ad_matrix(self, el: AlgebraElement) -> Mat:
@@ -101,20 +105,6 @@ class FramedHiggsModel:
     def gram_apply(self, a: Vec, b: Vec) -> Fraction:
         gb = mat_vec(self._gram, b)
         return sum((x * y for x, y in zip(a, gb) if x and y), ZERO)
-
-    def f_theta(self, s: VSection) -> VSection:
-        """[theta, s]: multiply by each residue adjoint over its pole."""
-        out = VSection.zero(self.context)
-        for i, ad in enumerate(self._ad):
-            out = out + s.mul_pole(i).map_fiber(lambda v, a=ad: mat_vec(a, v))
-        return out
-
-    def higgs_field(self) -> VSection:
-        """theta as a coordinate-valued section (the coefficient of dz)."""
-        out = VSection.zero(self.context)
-        for i, el in enumerate(self.residues):
-            out = out + VSection.principal(self.context, i, 1, self.algebra.coords(el))
-        return out
 
     def complex_specs(self, kind: str) -> tuple[SheafSpec, SheafSpec]:
         m = self.dim
@@ -187,54 +177,78 @@ class Hypercohomology:
         self.f1_u1 = sections_off_divisor(ctx, f1, self.window1)
         self.c_layout = Layout(ctx, self.window0)
         self.t2_layout = Layout(ctx, self.window1)
-        self.u_layout = Layout(ctx, self.window1)
-
-        self._u0_solver = LinSolver([self.u_layout.to_coords(s) for s in self.f1_u0],
-                                    self.u_layout.dim)
-        self._u1_solver = LinSolver([self.u_layout.to_coords(s) for s in self.f1_u1],
-                                    self.u_layout.dim)
+        self._theta_cols = self._theta_columns()
         self._assemble()
 
-    def _assemble(self):
-        model = self.model
+    def _theta_columns(self) -> list[Vec]:
+        """Columns of Theta, c_layout -> t2_layout; S_i is read off `mul_pole`
+        on the scalar unit sections of the window."""
+        m, ads = self.model.dim, self.model.ad
+        scalar = RatContext(self.ctx.points, 1)
+        lay0, lay1 = Layout(scalar, self.window0), Layout(scalar, self.window1)
+        cols = []
+        for p in range(lay0.dim):
+            unit = zeros(lay0.dim)
+            unit[p] = ONE
+            sec = lay0.from_coords(unit)
+            s_cols = [[(q, x) for q, x in enumerate(lay1.to_coords(sec.mul_pole(i))) if x]
+                      for i in range(self.ctx.n)]
+            for a in range(m):
+                col = zeros(self.t2_layout.dim)
+                for s_col, ad in zip(s_cols, ads):
+                    for q, x in s_col:
+                        for b in range(m):
+                            if ad[b][a]:
+                                col[q * m + b] += x * ad[b][a]
+                cols.append(col)
+        return cols
+
+    def theta(self, coords: Sequence[Fraction]) -> Vec:
+        """[theta, .] from c_layout to t2_layout coordinates."""
+        out = zeros(self.t2_layout.dim)
+        for x, col in zip(coords, self._theta_cols):
+            if x:
+                for r, y in enumerate(col):
+                    if y:
+                        out[r] += x * y
+        return out
+
+    def _d0_columns(self) -> list[Vec]:
+        """d0(s0, s1) = (s1 - s0, [theta, s0], [theta, s1]) in T^1 parameters,
+        one column per F0 chart section; [theta, .] must map F0 chart sections
+        into F1 ones."""
         n_u0, n_u1 = len(self.f1_u0), len(self.f1_u1)
-        c_dim = self.c_layout.dim
-        self.t1_params = n_u0 + n_u1 + c_dim
-
-        # d1(c, u0, u1) = (u1 - u0) - [theta, c] in T^2 coordinates
-        cols: list[Vec] = []
-        for s in self.f1_u0:
-            cols.append([-x for x in self.t2_layout.to_coords(s)])
-        for s in self.f1_u1:
-            cols.append(self.t2_layout.to_coords(s))
-        for idx in range(c_dim):
-            unit = zeros(c_dim)
-            unit[idx] = ONE
-            sec = self.c_layout.from_coords(unit)
-            cols.append([-x for x in self.t2_layout.to_coords(model.f_theta(sec))])
-        d1_rows = transpose(cols)
-
-        # d0(s0, s1) = (s1 - s0, [theta, s0], [theta, s1]) in T^1 parameters;
-        # [theta, .] must map F0 chart sections into F1 ones.
         d0_cols: list[Vec] = []
         for s in self.f0_u0:
-            img = self.model.f_theta(s)
-            u0c = self._u0_solver.coords(self.u_layout.to_coords(img))
+            c = self.c_layout.to_coords(s)
+            u0c = self._u0_solver.coords(self.theta(c))
             if u0c is None:
                 raise AssertionError(
                     f"[theta, .] does not preserve the {self.kind} subsheaf structure")
-            vec = list(u0c) + zeros(n_u1) + [-x for x in self.c_layout.to_coords(s)]
-            d0_cols.append(vec)
+            d0_cols.append(list(u0c) + zeros(n_u1) + [-x for x in c])
         for s in self.f0_u1:
-            img = self.model.f_theta(s)
-            u1c = self._u1_solver.coords(self.u_layout.to_coords(img))
+            c = self.c_layout.to_coords(s)
+            u1c = self._u1_solver.coords(self.theta(c))
             if u1c is None:
                 raise AssertionError(
                     f"[theta, .] does not preserve the {self.kind} subsheaf structure "
                     "off the divisor")
-            vec = zeros(n_u0) + list(u1c) + self.c_layout.to_coords(s)
-            d0_cols.append(vec)
+            d0_cols.append(zeros(n_u0) + list(u1c) + c)
+        return d0_cols
 
+    def _assemble(self):
+        t2 = self.t2_layout
+        u0_coords = [t2.to_coords(s) for s in self.f1_u0]
+        u1_coords = [t2.to_coords(s) for s in self.f1_u1]
+        self._u0_solver = LinSolver(u0_coords, t2.dim)
+        self._u1_solver = LinSolver(u1_coords, t2.dim)
+        self.t1_params = len(u0_coords) + len(u1_coords) + self.c_layout.dim
+
+        # d1(c, u0, u1) = (u1 - u0) - [theta, c] in T^2 coordinates
+        neg_theta = [[-x for x in col] for col in self._theta_cols]
+        d1_rows = transpose([[-x for x in v] for v in u0_coords] + u1_coords + neg_theta)
+
+        d0_cols = self._d0_columns()
         kernel = nullspace_sparse(d1_rows, ncols=self.t1_params)
         self.quotient = Quotient(self.t1_params, d0_cols, kernel)
         self.h1 = self.quotient.dim
@@ -243,7 +257,7 @@ class Hypercohomology:
         self.h0 = len(nullspace_sparse(transpose(d0_cols), ncols=len(d0_cols)))
 
         # H^2 = T^2 / im d1; rank d1 = t1 - dim ker d1
-        self.h2 = self.t2_layout.dim - (self.t1_params - len(kernel))
+        self.h2 = t2.dim - (self.t1_params - len(kernel))
 
         self.chi0 = self.f0.euler_char()
         self.chi1 = self.f1.euler_char()
@@ -272,8 +286,8 @@ class Hypercohomology:
         return [self.rep_of_params(p) for p in self.quotient.basis]
 
     def project_cocycle(self, c: VSection, u0: VSection, u1: VSection) -> Vec:
-        x0 = self._u0_solver.coords(self.u_layout.to_coords(u0))
-        x1 = self._u1_solver.coords(self.u_layout.to_coords(u1))
+        x0 = self._u0_solver.coords(self.t2_layout.to_coords(u0))
+        x1 = self._u1_solver.coords(self.t2_layout.to_coords(u1))
         if x0 is None or x1 is None:
             raise ValueError("cochain components do not satisfy the sheaf conditions")
         params = list(x0) + list(x1) + self.c_layout.to_coords(c)
@@ -281,13 +295,9 @@ class Hypercohomology:
 
     def random_coboundary(self, rng) -> tuple[VSection, VSection, VSection]:
         """d0 of a random 0-cochain, for representative-independence tests."""
-        s0 = VSection.zero(self.ctx)
-        for s in self.f0_u0:
-            s0 = s0 + s.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        s1 = VSection.zero(self.ctx)
-        for s in self.f0_u1:
-            s1 = s1 + s.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        return (s1 - s0, self.model.f_theta(s0), self.model.f_theta(s1))
+        d0_cols = self._d0_columns()
+        weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in d0_cols]
+        return self.rep_of_params(mat_vec(transpose(d0_cols), weights))
 
     def result(self) -> "HypercohResult":
         return HypercohResult(self.kind, self.h0, self.h1, self.h2,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exactlinalg import (Vec, ZERO, ONE, frac, over_common_denominator, vec_add,
                           vec_is_zero, vec_scale, zeros)
@@ -103,14 +103,6 @@ class VSection:
                         [vec_scale(v, c) for v in self.poly],
                         {i: {j: vec_scale(v, c) for j, v in parts.items()}
                          for i, parts in self.pp.items()})
-
-    def map_fiber(self, f: Callable[[Vec], Vec], m_out: int | None = None) -> "VSection":
-        """Apply a linear map to every coefficient vector."""
-        ctx = self.ctx if m_out is None or m_out == self.ctx.m else \
-            RatContext(self.ctx.points, m_out)
-        return VSection(ctx,
-                        [f(v) for v in self.poly],
-                        {i: {j: f(v) for j, v in parts.items()} for i, parts in self.pp.items()})
 
     def is_zero(self) -> bool:
         return not self.poly and not self.pp
@@ -274,10 +266,6 @@ class Poly:
         while c and c[-1] == 0:
             c.pop()
         self.c = c
-
-    @classmethod
-    def const(cls, x) -> "Poly":
-        return cls([frac(x)])
 
     @classmethod
     def x_minus(cls, a) -> "Poly":

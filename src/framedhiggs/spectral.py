@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactlinalg import ZERO, ONE, frac, mat_vec, sample_inverse
-from .liealg import AlgebraElement, AlgebraModel, char_poly_elementary, theta_at
+from .liealg import (AlgebraElement, AlgebraModel, GroupData, char_poly_elementary,
+                     theta_at)
 from .dimensions import hitchin_base_dim, hitchin_fiber_dim, torsor_dims
 from .rationalfn import Poly
 
@@ -87,12 +88,17 @@ class SpectralCurveReport:
         return self.smooth and self.unramified_over_marked and not self.degenerate
 
 
+def spectral_supported(group: GroupData) -> bool:
+    """Whether `spectral_data` handles the group: gl(r) or sl(r), r in {2, 3}."""
+    return group.family in ("gl", "sl") and group.matrix_size in (2, 3)
+
+
 def spectral_data(model: AlgebraModel, points: Sequence[Fraction],
                   residues: Sequence[AlgebraElement],
                   isolation_eps: Fraction = Fraction(1, 10 ** 9)) -> SpectralCurveReport:
     """Spectral-curve analysis for gl(r)/sl(r), r in {2, 3}."""
     g = model.group
-    if g.family not in ("gl", "sl") or g.matrix_size not in (2, 3):
+    if not spectral_supported(g):
         raise ValueError("spectral data requires gl(r) or sl(r) with r in {2, 3}")
     r = g.matrix_size
     pts = [frac(p) for p in points]

@@ -128,6 +128,11 @@ def test_spectral_job(tmp_path, capsys):
 
 GAUDIN_SL2 = {"group": "sl(2)", "points": ["1", "2", "3"],
               "residues": {"type": "random", "seed": 7, "height": 5}, "random_points": 1}
+DEFO_SL2 = {"group": "sl(2)", "points": ["1", "2"],
+            "residues": {"type": "random", "seed": 5, "height": 4}}
+EXPLICIT_SL2 = {"group": "sl(2)", "points": ["1", "2"],
+                "residues": {"type": "explicit",
+                             "matrices": [[["0", "1"], ["0", "0"]], [["0", "-1"], ["0", "0"]]]}}
 
 
 @pytest.mark.parametrize("subcommand, config, field", [
@@ -157,12 +162,35 @@ GAUDIN_SL2 = {"group": "sl(2)", "points": ["1", "2", "3"],
     ("spectral", {"group": "sl(2)", "points": ["1", "2", "3"],
                   "residues": {"type": "random", "seed": 9, "height": 5}, "genus": 1.5},
      "config.genus"),
+    ("defo", {**DEFO_SL2, "framing": "weird"}, "config.framing"),
+    ("spectral", {**DEFO_SL2, "framing": 5}, "config.framing"),
+    ("defo", {**DEFO_SL2, "framing": [[], []]}, "config.framing"),
+    ("defo", {**EXPLICIT_SL2, "framing": [[], [5]]}, "config.framing[1]"),
+    ("defo", {**EXPLICIT_SL2, "framing": [[], [[["1", "0"], ["0", "1"]]]]},
+     "config.framing[1]"),
+    ("defo", {**DEFO_SL2, "group": "g2"}, "config.group"),
+    ("gaudin", {**GAUDIN_SL2, "group": "g2"}, "config.group"),
+    ("spectral", {**DEFO_SL2, "group": "g2"}, "config.group"),
+    ("spectral", {**DEFO_SL2, "group": "sl(4)"}, "config.group"),
+    ("gaudin", {**GAUDIN_SL2, "residues": {"type": "explicit", "matrices": 5}},
+     "config.residues.matrices"),
+    ("defo", {**EXPLICIT_SL2, "residues": {"type": "explicit", "matrices": [7, 7]}},
+     "config.residues.matrices[0]"),
+    ("gaudin", {**GAUDIN_SL2, "residues": {"type": "random", "seed": [1]}},
+     "config.residues.seed"),
+    ("gaudin", {**GAUDIN_SL2, "residues": {"type": "random", "seed": True}},
+     "config.residues.seed"),
+    ("defo", {**DEFO_SL2, "verify_poisson_map": "no"}, "config.verify_poisson_map"),
 ], ids=["genus-0", "genus-x", "n-0", "framing-length", "height-0", "steps-0",
         "random-points-negative", "grid-r-1", "audit-genus-0", "flow-t-end-x",
         "audit-unknown-group", "audit-groups-string", "group-not-a-string",
         "audit-empty-n-range", "genus-fraction", "random-points-bool",
         "random-points-fraction", "height-fraction", "steps-fraction", "flow-not-an-object",
-        "spectral-genus-fraction"])
+        "spectral-genus-fraction", "framing-unknown", "framing-number",
+        "framing-list-with-random-residues", "framing-basis-not-a-matrix",
+        "framing-basis-not-in-algebra", "defo-group-g2", "gaudin-group-g2",
+        "spectral-group-g2", "spectral-group-sl4", "matrices-number",
+        "matrices-entry-number", "seed-list", "seed-bool", "verify-poisson-map-string"])
 def test_invalid_input_is_exit_2_with_the_field_named(tmp_path, capsys, subcommand,
                                                       config, field):
     cfg = write_config(tmp_path, "bad.json", config)
@@ -208,3 +236,38 @@ def test_non_finite_flow_drift_fails_the_check_with_a_parseable_report(tmp_path)
     check = [c for c in report["checks"] if c["name"] == "conserved quantities along the flow"][0]
     assert not check["passed"] and not report["all_passed"]
     assert check["value"] == report["results"]["flow_worst_drift"] == "nan"
+
+
+@pytest.mark.parametrize("flow, field", [
+    ({"steps": 0}, "config.flow.steps"),
+    ({"degree_index": 2}, "config.flow"),
+    ({"site": 3}, "config.flow"),
+    ({"degree_index": 1, "order": 4}, "config.flow"),
+    ({"t_end": "x"}, "config.flow.t_end"),
+])
+def test_flow_fields_are_checked_before_the_bracket_table(tmp_path, capsys, monkeypatch,
+                                                           flow, field):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bracket table ran before the flow fields were checked")
+    monkeypatch.setattr(cli.GaudinSystem, "commutativity_check", refuse)
+    monkeypatch.setattr(cli.GaudinSystem, "hitchin_point", refuse)
+    cfg = write_config(tmp_path, "flow.json", {**GAUDIN_SL2, "group": "sl(3)", "flow": flow})
+    assert main(["gaudin", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    if field == "config.flow":
+        assert "no coefficient" in err
+
+
+def test_importing_the_cli_loads_no_numeric_library():
+    # numpy, sympy and mpmath are imported lazily by the layers that need them,
+    # so `hfb dims` and config errors never pay for them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, framedhiggs.cli; "
+            "print(sorted(m for m in ('numpy', 'sympy', 'mpmath') if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

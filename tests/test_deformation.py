@@ -8,8 +8,9 @@ from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL,
                                      DeformationTheory, ModelError,
                                      framed_higgs_model, hyper_pair,
                                      verify_poisson_map)
-from framedhiggs.exactlinalg import mat_is_zero, rank
-from framedhiggs.liealg import AlgebraModel, trace_form
+from framedhiggs.exactlinalg import ZERO, mat_is_zero, rank, vec_add, vec_is_zero, vec_scale
+from framedhiggs.liealg import AlgebraModel, bracket, trace_form
+from framedhiggs.rationalfn import VSection
 from framedhiggs.sampling import random_algebra_element, seeded_model
 
 
@@ -72,14 +73,52 @@ def test_torus_framing_complexes_carry_constraints():
     assert (theory.cone(FRAMED).f0, theory.cone(FRAMED).f1) == (f0, f1)
 
 
+def higgs_field_coords(cone):
+    """theta = sum_i A_i / (z - x_i) in the cone's c_layout coordinates."""
+    theta = VSection.zero(cone.ctx)
+    for i, el in enumerate(cone.model.residues):
+        theta = theta + VSection.principal(cone.ctx, i, 1, cone.model.algebra.coords(el))
+    return cone.c_layout.to_coords(theta)
+
+
 def test_zero_higgs_field_splits():
     m = AlgebraModel("sl(2)")
     z = m.zero()
     model = framed_higgs_model("sl(2)", [1, 2], [z, z], "trivial")
-    assert model.f_theta(model.higgs_field()).is_zero()
+    # [theta, theta] = 0, on the zero model and on a nonzero one
+    for mdl in (model, seeded_model("sl(2)", [1, 2, 3], "trivial", 11, 4)):
+        cone = DeformationTheory(mdl).cone(TWISTED)
+        theta = higgs_field_coords(cone)
+        assert vec_is_zero(theta) == (mdl is model)
+        assert vec_is_zero(cone.theta(theta))
     th = DeformationTheory(model)
     d = th.dims(FRAMED)
     assert (d.h0, d.h1, d.h2) == (0, 6, 0)
+
+
+@pytest.mark.parametrize("gid, pts, framing, seed", [
+    ("sl(2)", [1, 2, 3, -1], "torus", 3),
+    ("gl(2)", [1, 2, 3], "trivial", 7),
+    ("sl(3)", [1, 2, 3], "trivial", 4),
+])
+def test_theta_operator_matches_pointwise_bracket(gid, pts, framing, seed):
+    # oracle: [theta, s](t) = sum_i [A_i, s(t)] / (t - x_i), evaluated pointwise
+    # through matrix brackets, without mul_pole or the ad matrices
+    model = seeded_model(gid, pts, framing, seed, 4)
+    cone = DeformationTheory(model).cone(FRAMED)
+    algebra = model.algebra
+    rng = random.Random(seed)
+    for _ in range(3):
+        coords = [F(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.3 else ZERO
+                  for _ in range(cone.c_layout.dim)]
+        s = cone.c_layout.from_coords(coords)
+        image = cone.t2_layout.from_coords(cone.theta(coords))
+        for t in (F(1, 2), F(-7, 3), F(5)):
+            expected = [ZERO] * model.dim
+            for x, el in zip(model.curve.points, model.residues):
+                br = bracket(el, algebra.from_coords(s.evaluate(t)))
+                expected = vec_add(expected, vec_scale(algebra.coords(br), 1 / (t - x)))
+            assert image.evaluate(t) == expected
 
 
 # ---------------------------------------------------------------------------
