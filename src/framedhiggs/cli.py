@@ -25,7 +25,8 @@ from .deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
                           framed_higgs_model, verify_poisson_map)
 from .exactlinalg import rank
 from .gaudin import GaudinSystem, worst_drift
-from .liealg import AlgebraModel, UnsupportedGroupError, group_data
+from .liealg import (AlgebraModel, FramingSpec, UnsupportedGroupError, group_data,
+                     trace_form)
 from .sampling import random_residue_tuple, seeded_model
 from .spectral import (riemann_hurwitz_genus, spectral_data, spectral_supported,
                        torsor_fiber_report)
@@ -142,11 +143,11 @@ def _framing(framing, algebra: AlgebraModel, pts, explicit: bool):
         raise ConfigError("config.framing: expected 'trivial', 'torus' or, with explicit "
                           f"residues, one list of basis matrices per point; got {framing!r}")
     out = []
+    form = trace_form(algebra.group.group_id)
     for k, basis in enumerate(framing):
         mats = [_matrix(b, f"config.framing[{k}]") for b in basis]
         try:
-            for mat in mats:
-                algebra.element(mat)
+            FramingSpec(algebra, form, [algebra.element(mat) for mat in mats])
         except ValueError as exc:
             raise ConfigError(f"config.framing[{k}]: {exc}") from exc
         out.append(mats)

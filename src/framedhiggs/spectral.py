@@ -6,15 +6,24 @@ polynomial whose roots are the finite branch points.  Flags (globally
 degenerate, unramified over the marked points, smooth) are decided exactly;
 branch-point locations are exact where rational and isolated to a
 configurable width otherwise.
+
+The isolating boxes are the ones sympy's ``all_roots`` and ``eval_rational``
+give.  sympy factors and isolates the real roots; the non-real rectangles are
+sympy's Collins-Krandick quadtree and refinement replayed on certified
+Henrici disks, each root count an exact comparison with the disks
+(`_replay_rectangles`).  A step the disks cannot decide sends the polynomial
+back to sympy's own complex isolation.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlinalg import ZERO, ONE, frac, mat_vec, sample_inverse
+from .exactlinalg import ZERO, ONE, frac
 from .liealg import (AlgebraElement, AlgebraModel, GroupData, char_poly_elementary,
                      theta_at)
 from .dimensions import hitchin_base_dim, hitchin_fiber_dim, torsor_dims
@@ -25,8 +34,9 @@ def elementary_numerators(model: AlgebraModel, points: Sequence[Fraction],
                           residues: Sequence[AlgebraElement]) -> list[Poly]:
     """Numerators E_k(z) with e_k(theta(z)) = E_k(z) / prod(z - x_i)^k.
 
-    Recovered by exact polynomial interpolation from values of e_k on the
-    matrix theta(t) at fresh rational sample points.
+    E_k has degree at most k n.  It is recovered by exact interpolation
+    (`Poly.interpolate`) from the values of e_k on the matrix theta(t) at the
+    rational sample points t = max(x_i) + 1, ..., max(x_i) + k n + 1.
     """
     pts = [frac(p) for p in points]
     n = len(pts)
@@ -34,16 +44,11 @@ def elementary_numerators(model: AlgebraModel, points: Sequence[Fraction],
     q = Poly([ONE])
     for x in pts:
         q = q * Poly.x_minus(x)
-    e_at: dict[Fraction, list[Fraction]] = {}
-    out = []
-    for k in range(1, model.n + 1):
-        deg = k * n
-        ts, vinv = sample_inverse(pts, deg + 1, lambda t: [t ** e for e in range(deg + 1)])
-        for t in ts:
-            if t not in e_at:
-                e_at[t] = char_poly_elementary(theta_at(pts, mats, t))
-        out.append(Poly(mat_vec(vinv, [e_at[t][k - 1] * q(t) ** k for t in ts])))
-    return out
+    ts = [max(pts) + l for l in range(1, model.n * n + 2)]
+    samples = [(char_poly_elementary(theta_at(pts, mats, t)), q(t)) for t in ts]
+    return [Poly.interpolate(ts[:k * n + 1],
+                             [e[k - 1] * qt ** k for e, qt in samples[:k * n + 1]])
+            for k in range(1, model.n + 1)]
 
 
 def _disc_numerator(e_nums: list[Poly], r: int) -> Poly:
@@ -148,7 +153,12 @@ def _isolate_irrational_roots(p: Poly, rational: list[tuple[Fraction, int]],
 
     Returns ("real", lo, hi) intervals and ("complex", (re_lo, im_lo),
     (re_hi, im_hi)) rectangles with exact rational endpoints; the rational
-    roots are divided out first and the remainder made square-free.
+    roots are divided out first and the remainder made square-free.  The
+    boxes are the ones ``Poly.all_roots`` followed by ``eval_rational`` gives,
+    in its order.  sympy factors the remainder and isolates and refines its
+    real roots; the non-real rectangles are replayed on certified disks
+    (`_replay_complexes`).  When the replay cannot decide a step, sympy's own
+    complex isolation runs for the whole polynomial.
     """
     reduced = p
     for root, mult in rational:
@@ -160,31 +170,53 @@ def _isolate_irrational_roots(p: Poly, rational: list[tuple[Fraction, int]],
     # Imported here: sympy is most of the package's import time, and only
     # root finding needs it.
     import sympy
+    from sympy.polys.polyroots import preprocess_roots
+    from sympy.polys.rootoftools import _pure_factors
+
     x = sympy.Symbol("z")
     expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
                for i, c in enumerate(reduced.c))
     sp = sympy.Poly(expr, x)
-    starts = _float_roots(reduced)
+    reals = sp.real_roots(radicals=False)
+    # sympy returns each root as scale * CRootOf(f, k), f an irreducible
+    # factor of an integer polynomial whose roots are those of sp / scale;
+    # isolating the CRootOf to eps / scale keeps each box of width eps.
+    scale, primitive = preprocess_roots(sp)
+    scale = _fraction(scale)
+    tol = eps / scale
+    factors = [f for f, _ in sympy.ordered(_pure_factors(primitive))]
+    centres = _replay_complexes(
+        [[int(a) for a in f.all_coeffs()] for f in factors],
+        [sum(rt.as_coeff_Mul()[1].poly == f for rt in reals) for f in factors], tol)
+    if centres is None:
+        centres = _sympy_centres(sp.all_roots(radicals=False)[len(reals):], tol,
+                                 _float_roots([int(a) for a in primitive.all_coeffs()]))
     out: list[tuple] = []
-    for rt in sp.all_roots(radicals=False):
-        # sympy may rescale the variable and return c*CRootOf(...); isolate
-        # the CRootOf to eps/|c| and scale back, so the box still has width eps.
-        c, root = rt.as_coeff_Mul()
-        c = _fraction(c)
-        tol = eps / abs(c)
-        # root.is_real reads sympy's root count; on the Mul rt it would
-        # evaluate the root numerically and refine its cached interval.
-        centre = None if root.is_real else _certified_centre(
-            root, tol, [w / float(c) for w in starts])
+    stol = sympy.Rational(tol.numerator, tol.denominator)
+    for rt in reals:
+        re = scale * _fraction(rt.as_coeff_Mul()[1].eval_rational(dx=stol, dy=stol))
+        out.append(("real", re - eps, re + eps))
+    for re, im in centres:
+        re, im = scale * re, scale * im
+        out.append(("complex", (re - eps, im - eps), (re + eps, im + eps)))
+    return out
+
+
+def _sympy_centres(roots, tol: Fraction,
+                   starts: list[complex]) -> list[tuple[Fraction, Fraction]]:
+    """The centres ``eval_rational(dx=tol, dy=tol)`` gives for sympy's non-real
+    CRootOf roots, each taken by `_certified_centre` where it can be."""
+    import sympy
+
+    stol = sympy.Rational(tol.numerator, tol.denominator)
+    out = []
+    for rt in roots:
+        root = rt.as_coeff_Mul()[1]
+        centre = _certified_centre(root, tol, starts)
         if centre is None:
-            stol = sympy.Rational(tol.numerator, tol.denominator)
             approx = root.eval_rational(dx=stol, dy=stol)
             centre = (_fraction(sympy.re(approx)), _fraction(sympy.im(approx)))
-        re, im = c * centre[0], c * centre[1]
-        if root.is_real:
-            out.append(("real", re - eps, re + eps))
-        else:
-            out.append(("complex", (re - eps, im - eps), (re + eps, im + eps)))
+        out.append(centre)
     return out
 
 
@@ -193,18 +225,263 @@ def _fraction(q) -> Fraction:
     return Fraction(int(q.numerator), int(q.denominator))
 
 
-def _float_roots(p: Poly) -> list[complex]:
-    """Float approximations of the roots of p, or [] if mpmath's
-    Durand-Kerner iteration does not converge."""
-    import mpmath
-    from mpmath.libmp import NoConvergence
+def _float_roots(coeffs: list[int]) -> list[complex]:
+    """Float approximations of the roots of the polynomial with the given
+    integer coefficients (highest first), or [] if they do not settle.
 
+    Durand-Kerner iteration on complex floats from a circle of radius
+    2 max |a_i / a_0|^(1/i), which holds every root.  It stops once every
+    correction is below 2^-40 of its root, and at most after 100 sweeps;
+    clustered roots can leave float noise above that, so the roots count as
+    settled once every correction is below 2^-20.
+    """
+    n = len(coeffs) - 1
     try:
-        roots = mpmath.polyroots([mpmath.mpf(a.numerator) / a.denominator
-                                  for a in reversed(p.c)], extraprec=60)
-    except NoConvergence:
+        a = [c / coeffs[0] for c in coeffs]
+        radius = 2 * max(abs(a[i]) ** (1 / i) for i in range(1, n + 1))
+        roots = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+        for _ in range(100):
+            worst = 0.0
+            for i, z in enumerate(roots):
+                w = 0j
+                for c in a:
+                    w = w * z + c
+                for j, other in enumerate(roots):
+                    if j != i:
+                        w /= z - other
+                roots[i] = z - w
+                worst = max(worst, abs(w) / max(1.0, abs(z)))
+            if worst < 2.0 ** -40:
+                break
+    except (OverflowError, ZeroDivisionError):
         return []
-    return [complex(w) for w in roots]
+    settled = worst < 2.0 ** -20 and all(map(cmath.isfinite, roots))
+    return roots if settled else []
+
+
+# A rectangle (u, v, s, t) is [u, s] x [v, t], as sympy's (a, b) corners.
+# A box is the rectangle of a square about a certified disk.
+
+def _henrici_box(coeffs: list[int], z0: complex, r: Fraction) -> tuple | None:
+    """The square of half-side r about z0 polished by exact Newton steps, or
+    None if Newton does not converge to a simple root.
+
+    Newton stops once the disk D(z, rho) with rho = n |P(z)| / |P'(z)| has
+    rho < r.  D holds a root of the degree-n P (Henrici, Applied and
+    Computational Complex Analysis I, 1974), and the square holds D.  Floats
+    only choose where Newton starts: z = (X + iY) / 2^k with integers X, Y.
+    """
+    n = len(coeffs) - 1
+    k = 64
+    X, Y = round(Fraction(z0.real) * 2 ** k), round(Fraction(z0.imag) * 2 ** k)
+    while True:
+        # 2^(kn) P(z) and 2^(k(n-1)) P'(z) by Horner's rule on integers.
+        pr = pi = dr = di = 0
+        for j, a in enumerate(coeffs):
+            dr, di = dr * X - di * Y + pr, dr * Y + di * X + pi
+            pr, pi = pr * X - pi * Y + (a << (k * j)), pr * Y + pi * X
+        norm2 = dr * dr + di * di
+        if not norm2:
+            return None
+        # rho^2 = n^2 |P|^2 / |P'|^2 < r^2
+        if n * n * (pr * pr + pi * pi) * r.denominator ** 2 < \
+                (r.numerator ** 2 * norm2) << (2 * k):
+            break
+        if k > 4096:
+            return None
+        # z - P/P' = (Z P' - P) / (2^k P') in the scaled values, rounded
+        # to the grid 2^-2k.
+        nr, ni = X * dr - Y * di - pr, X * di + Y * dr - pi
+        X = ((nr * dr + ni * di) << (k + 1)) // norm2 + 1 >> 1
+        Y = ((ni * dr - nr * di) << (k + 1)) // norm2 + 1 >> 1
+        k *= 2
+    x, y = Fraction(X, 1 << k), Fraction(Y, 1 << k)
+    return x - r, y - r, x + r, y + r
+
+
+def _holds(rect, box) -> bool:
+    """The box lies strictly inside the rectangle."""
+    return rect[0] < box[0] and box[2] < rect[2] and rect[1] < box[1] and box[3] < rect[3]
+
+
+def _apart(a, b) -> bool:
+    """The closed rectangles are disjoint (``ComplexInterval.is_disjoint``)."""
+    return a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1]
+
+
+def _halves(rect) -> tuple:
+    """sympy's bisection of a rectangle at the midpoint of its wider side,
+    of its height on a tie."""
+    u, v, s, t = rect
+    if s - u > t - v:
+        m = (u + s) / 2
+        return (u, v, m, t), (m, v, s, t)
+    m = (v + t) / 2
+    return (u, v, s, m), (u, m, s, t)
+
+
+def _refine(rect, box):
+    """``ComplexInterval._inner_refine`` of a rectangle that isolates the root
+    in box: the half that holds the box, or None if the box meets the cut."""
+    for half in _halves(rect):
+        if _holds(half, box):
+            return half
+    return None
+
+
+def _certified_boxes(coeffs: list[int], nreal: int, r: Fraction) -> list[tuple] | None:
+    """One box about each root of the square-free integer polynomial, or None.
+
+    Each box holds a root (`_henrici_box`).  When there are as many boxes as
+    the degree and they are pairwise disjoint, each holds exactly one root.
+    Each real root's box then meets the real axis; when exactly nreal boxes
+    do (sympy's count of real roots), no box of a non-real root does.
+    """
+    boxes = []
+    for z0 in _float_roots(coeffs):
+        box = _henrici_box(coeffs, z0, r)
+        if box is None:
+            return None
+        boxes.append(box)
+    if len(boxes) != len(coeffs) - 1:
+        return None
+    if not all(_apart(a, b) for i, a in enumerate(boxes) for b in boxes[:i]):
+        return None
+    if sum(box[1] <= 0 <= box[3] for box in boxes) != nreal:
+        return None
+    return boxes
+
+
+def _quadtree(coeffs: list[int], boxes: list[tuple]) -> list[tuple] | None:
+    """``dup_isolate_complex_roots_sqf(coeffs, blackbox=True)`` replayed on the
+    boxes of the upper-half-plane roots: the (rectangle, box) pairs in its
+    order, or None when a count cannot be decided.
+
+    sympy starts from [-B, B] x [0, B], B = 2 max |a / lc|, bisects it and
+    keeps each half by its root count N: dropped at 0, accepted at 1,
+    bisected again above; it then sorts the accepted rectangles by their
+    south-west corner.  Its count leaves out roots on the south edge, so the
+    real roots never count; every other root counts where its box lies
+    strictly inside the half and not where it lies strictly outside.  Which
+    rectangle sympy bisects next (the least in area) does not matter: each
+    rectangle's fate depends on itself alone.  The first cut is Re = 0, so a
+    replayed factor has no purely imaginary root.
+    """
+    if not boxes:
+        return []
+    lc = abs(coeffs[0])
+    bound = 2 * max(Fraction(abs(a), lc) for a in coeffs)
+    todo = [(-bound, ZERO, bound, bound)]
+    held = _held(todo[0], boxes)
+    if held is None or len(held) != len(boxes):
+        return None
+    found = []
+    while todo:
+        for half in _halves(todo.pop()):
+            held = _held(half, boxes)
+            if held is None:
+                return None
+            if len(held) == 1:
+                found.append((half, held[0]))
+            elif held:
+                todo.append(half)
+    found.sort(key=lambda f: (f[0][0], f[0][1]))
+    return found
+
+
+def _held(rect, boxes) -> list[tuple] | None:
+    """The boxes strictly inside the rectangle, or None if one meets its
+    boundary."""
+    held = []
+    for box in boxes:
+        if _holds(rect, box):
+            held.append(box)
+        elif not _apart(rect, box):
+            return None
+    return held
+
+
+def _replay_rectangles(factors: list[list[int]], nreal: list[int],
+                       r: Fraction) -> list[list] | None:
+    """sympy's complex isolating rectangles after ``_complexes_sorted``, as
+    [rectangle, conj, box] in its order, or None when a step is undecided.
+
+    factors are sympy's irreducible factors in its order, nreal their real
+    root counts, and r the half-side of the certified boxes.  Each factor
+    gives [conjugate, root] per upper root (`_quadtree`).  Then
+    ``_refine_complexes`` is replayed: rectangles of the same half-plane
+    are refined in pairs until disjoint, each rectangle until its x-range
+    misses 0 (sympy's count of purely imaginary roots is 0, as no box meets
+    Re = 0) and until its y-range misses 0.
+    """
+    states: list[list] = []
+    for coeffs, count in zip(factors, nreal):
+        boxes = _certified_boxes(coeffs, count, r)
+        if boxes is None:
+            return None
+        found = _quadtree(coeffs, [box for box in boxes if box[1] > 0])
+        if found is None:
+            return None
+        for rect, box in found:
+            states += [[rect, True, box], [rect, False, box]]
+
+    def step(state) -> bool:
+        state[0] = _refine(state[0], state[2])
+        return state[0] is not None
+
+    for i, a in enumerate(states):
+        for b in states[i + 1:]:
+            while a[1] == b[1] and not _apart(a[0], b[0]):
+                if not (step(a) and step(b)):
+                    return None
+    for state in states:
+        while state[0][0] * state[0][2] <= 0:
+            if not step(state):
+                return None
+    for state in states:
+        while state[0][1] * state[0][3] <= 0:
+            if not step(state):
+                return None
+    return states
+
+
+def _replay_complexes(factors: list[list[int]], nreal: list[int],
+                      tol: Fraction) -> list[tuple[Fraction, Fraction]] | None:
+    """The centres ``eval_rational(dx=tol, dy=tol)`` gives for the non-real
+    roots, in sympy's order, from `_replay_rectangles` with boxes of half-side
+    tol / 2^50; None when a step is undecided."""
+    states = _replay_rectangles(factors, nreal, tol / 2 ** 50)
+    if states is None:
+        return None
+    out = []
+    for rect, conj, box in states:
+        centre = _centre(rect, box, tol)
+        if centre is None:
+            return None
+        re, im = centre
+        out.append((re, -im if conj else im))
+    return out
+
+
+def _centre(rect, box, tol: Fraction) -> tuple[Fraction, Fraction] | None:
+    """The centre of ``ComplexInterval.refine_size(tol, tol)`` of a rectangle
+    that isolates the root in box, or None if the box meets a cut.
+
+    sympy cuts the longer side at its midpoint while not (both sides < tol).
+    The side it cuts is always at least tol long, so each side is halved
+    exactly while it is at least tol, whatever the order: on each axis the
+    final side is the cell of a dyadic grid that holds the box, and every
+    cut on the way is a line of that grid.
+    """
+    centre = []
+    for lo, hi, b0, b1 in ((rect[0], rect[2], box[0], box[2]),
+                           (rect[1], rect[3], box[1], box[3])):
+        cell = (hi - lo) / (1 << int((hi - lo) / tol).bit_length())
+        j = (b0 - lo) // cell
+        if not (lo + j * cell < b0 and b1 < lo + (j + 1) * cell):
+            return None
+        centre.append(lo + (j + Fraction(1, 2)) * cell)
+    return centre[0], centre[1]
 
 
 def _certified_centre(root, tol: Fraction,
@@ -214,79 +491,26 @@ def _certified_centre(root, tol: Fraction,
 
     sympy keeps the upper-half-plane rectangle [u, s] x [v, t], which holds
     exactly one root of ``root.poly`` (the conjugate one when ``conj``), and
-    while not (s - u < tol and t - v < tol) it cuts the longer side at its
-    midpoint and keeps the half that holds the root.  The side it cuts is
-    always at least tol long, so each side is halved exactly while it is at
-    least tol, whatever the order: the two axes are replayed one after the
-    other.  The float start nearest the rectangle's centre, polished by exact
-    Newton steps, gives a disk D(z, rho) with
-    rho^2 = n^2 |P(z)|^2 / |P'(z)|^2, which holds a root of the degree-n P
-    (Henrici, Applied and Computational Complex Analysis I, 1974).  If D lies
-    strictly inside the rectangle it holds the isolated root, and each
-    midpoint line that misses D fixes the half sympy's exact count keeps.
-    Floats only choose where Newton starts; every decision is exact.  Returns
-    None when a step cannot be certified (D not inside the rectangle, D
-    meeting a midpoint line, no start, P'(z) = 0) and for a purely imaginary
-    root, whose real part sympy reports as exactly 0: the caller then runs
-    sympy's refinement.
+    refines it (`_centre`).  The float start nearest the rectangle's centre
+    gives a certified box (`_henrici_box`); if it lies strictly inside the
+    rectangle it holds the isolated root, and each cut that misses it fixes
+    the half sympy's exact count keeps.  Returns None when a step cannot be
+    certified (box not inside the rectangle, box meeting a cut, no start, no
+    Newton convergence) and for a purely imaginary root, whose real part
+    sympy reports as exactly 0: the caller then runs sympy's refinement.
     """
     if not starts or root.is_imaginary:
         return None
     ivl = root._get_interval()
-    u, v = map(_fraction, ivl.a)
-    s, t = map(_fraction, ivl.b)
-    coeffs = [_fraction(a) for a in root.poly.all_coeffs()]
-    n = len(coeffs) - 1
-    mid = complex((u + s) / 2, (v + t) / 2)
-    z0 = min(starts, key=lambda w: abs(w - mid))
-    x, y = Fraction(z0.real), Fraction(z0.imag)
-    # rho < 2^-50 tol keeps D far narrower than any box the bisection visits.
-    target2 = (tol / 2 ** 50) ** 2
-    k = 64
-    while True:
-        pr, pi, dr, di = _value_and_derivative(coeffs, x, y)
-        norm2 = dr * dr + di * di
-        if not norm2:
-            return None
-        rho2 = n * n * (pr * pr + pi * pi) / norm2
-        if rho2 < target2:
-            break
-        if k > 4096:  # Newton is not converging to a simple root
-            return None
-        scale = 2 ** k
-        x -= (pr * dr + pi * di) / norm2
-        y -= (pi * dr - pr * di) / norm2
-        x, y = Fraction(round(x * scale), scale), Fraction(round(y * scale), scale)
-        k *= 2
-
-    def misses(d: Fraction) -> bool:
-        """D lies strictly on the far side of a line at signed distance d."""
-        return d > 0 and d * d > rho2
-
-    centre = []
-    for lo, hi, c in ((u, s, x), (v, t, y)):
-        if not (misses(c - lo) and misses(hi - c)):
-            return None
-        while hi - lo >= tol:
-            m = (lo + hi) / 2
-            if misses(m - c):
-                hi = m
-            elif misses(c - m):
-                lo = m
-            else:
-                return None
-        centre.append((lo + hi) / 2)
+    rect = (*map(_fraction, ivl.a), *map(_fraction, ivl.b))
+    mid = complex((rect[0] + rect[2]) / 2, (rect[1] + rect[3]) / 2)
+    box = _henrici_box([int(a) for a in root.poly.all_coeffs()],
+                       min(starts, key=lambda w: abs(w - mid)), tol / 2 ** 50)
+    centre = _centre(rect, box, tol) if box and _holds(rect, box) else None
+    if centre is None:
+        return None
     re, im = centre
     return re, -im if ivl.conj else im
-
-
-def _value_and_derivative(coeffs: list[Fraction], x: Fraction, y: Fraction):
-    """Re and Im of P(x + iy) and of P'(x + iy), coefficients highest first."""
-    pr = pi = dr = di = ZERO
-    for a in coeffs:
-        dr, di = dr * x - di * y + pr, dr * y + di * x + pi
-        pr, pi = pr * x - pi * y + a, pr * y + pi * x
-    return pr, pi, dr, di
 
 
 def riemann_hurwitz_genus(r: int, g: int, n: int) -> int:

@@ -168,6 +168,15 @@ EXPLICIT_SL2 = {"group": "sl(2)", "points": ["1", "2"],
     ("defo", {**EXPLICIT_SL2, "framing": [[], [5]]}, "config.framing[1]"),
     ("defo", {**EXPLICIT_SL2, "framing": [[], [[["1", "0"], ["0", "1"]]]]},
      "config.framing[1]"),
+    ("defo", {**EXPLICIT_SL2, "framing": [[[["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
+                                          []]},
+     "config.framing[0]"),
+    ("defo", {**EXPLICIT_SL2, "framing": [[], [[["0", "1"], ["0", "0"]],
+                                               [["0", "2"], ["0", "0"]]]]},
+     "config.framing[1]"),
+    ("defo", {**EXPLICIT_SL2, "framing": [[], [[["1", "0"], ["0", "-1"]], [["0", "1"], ["0", "0"]],
+                                               [["0", "0"], ["1", "0"]]]]},
+     "config.framing[1]"),
     ("defo", {**DEFO_SL2, "group": "g2"}, "config.group"),
     ("gaudin", {**GAUDIN_SL2, "group": "g2"}, "config.group"),
     ("spectral", {**DEFO_SL2, "group": "g2"}, "config.group"),
@@ -188,7 +197,8 @@ EXPLICIT_SL2 = {"group": "sl(2)", "points": ["1", "2"],
         "random-points-fraction", "height-fraction", "steps-fraction", "flow-not-an-object",
         "spectral-genus-fraction", "framing-unknown", "framing-number",
         "framing-list-with-random-residues", "framing-basis-not-a-matrix",
-        "framing-basis-not-in-algebra", "defo-group-g2", "gaudin-group-g2",
+        "framing-basis-not-in-algebra", "framing-basis-not-closed",
+        "framing-basis-dependent", "framing-basis-full", "defo-group-g2", "gaudin-group-g2",
         "spectral-group-g2", "spectral-group-sl4", "matrices-number",
         "matrices-entry-number", "seed-list", "seed-bool", "verify-poisson-map-string"])
 def test_invalid_input_is_exit_2_with_the_field_named(tmp_path, capsys, subcommand,

@@ -11,6 +11,7 @@ import pytest
 import sympy
 from sympy import CRootOf
 
+from framedhiggs import spectral
 from framedhiggs.cli import main
 from framedhiggs.dimensions import hitchin_base_dim, hitchin_fiber_dim
 from framedhiggs.liealg import AlgebraModel
@@ -374,3 +375,195 @@ def test_root_on_the_edge_of_its_rectangle_falls_back_to_sympy(monkeypatch):
     calls, boxes = _eval_rational_calls(monkeypatch, "gl(2)", 3, 1003)
     assert [b[0] for b in boxes] == ["complex", "complex"]
     assert calls == [False, False]
+
+
+# ---------------------------------------------------------------------------
+# the complex isolation replayed on certified disks
+# ---------------------------------------------------------------------------
+
+# gl(2) on 3 points, where the reduced discriminant is a z^2 + b z + c with
+# |b| its largest coefficient: the real part -b/2a of its roots is +-B/4 for
+# sympy's bound B = 2|b|/a, a cut of the quadtree, so the replay declines.
+DECLINED = [("gl(2)", 3, s) for s in (1003, 1004, 1005, 1006, 1014, 1015)]
+
+
+def _sympy_rectangles(p, rational):
+    """sympy's isolating rectangle and conj flag of every non-real root of
+    the reduced polynomial, as ``all_roots`` leaves them."""
+    reduced = p
+    for root, mult in rational:
+        for _ in range(mult):
+            reduced = reduced.divmod(Poly.x_minus(root))[0]
+    reduced = reduced.squarefree_part()
+    z = sympy.Symbol("z")
+    sp = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * z ** i
+                        for i, c in enumerate(reduced.c)), z)
+    CRootOf.clear_cache()
+    out = []
+    for rt in sp.all_roots(radicals=False):
+        root = rt.as_coeff_Mul()[1]
+        if not root.is_real:
+            ivl = root._get_interval()
+            corners = [F(int(q.numerator), int(q.denominator)) for q in (*ivl.a, *ivl.b)]
+            out.append((tuple(corners), ivl.conj))
+    return out
+
+
+def _replayed(monkeypatch, p, rational):
+    """The replayed (rectangle, conj) list of `_isolate_irrational_roots` on p
+    (None when it declines) and the boxes it returns."""
+    seen = []
+    replay = spectral._replay_rectangles
+
+    def spy(*args):
+        seen.append(replay(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(spectral, "_replay_rectangles", spy)
+    CRootOf.clear_cache()
+    boxes = _isolate_irrational_roots(p, rational, EPS)
+    states = seen[0] if seen else []
+    return (None if states is None else [(rect, conj) for rect, conj, _ in states]), boxes
+
+
+def _poly(*coeffs):
+    """The polynomial with the given coefficients, highest first."""
+    return Poly([F(c) for c in reversed(coeffs)])
+
+
+@pytest.mark.parametrize("group, n, seed", MODELS,
+                         ids=[f"{g}-{n}pts-seed{s}" for g, n, s in MODELS])
+def test_replayed_rectangles_match_sympy(monkeypatch, group, n, seed):
+    disc, rational = _discriminant(group, n, seed)
+    replayed, _ = _replayed(monkeypatch, disc, rational)
+    if (group, n, seed) in DECLINED:
+        assert replayed is None
+    else:
+        assert replayed == _sympy_rectangles(disc, rational)
+
+
+@pytest.mark.parametrize("p, declines", [
+    (_poly(1, 0, 2), True),                                # +-i sqrt(2) on the cut Re = 0
+    (_poly(3, -2, 0, 5, 7), False),                        # two conjugate pairs
+    # three upper roots; the rectangle [0, B] x [0, B] comes after two whose
+    # south-west corner is further west but not further south
+    (_poly(1, 0, 21, 116, 532, 1400, 1701), False),
+    (_poly(1, 1, 3) * _poly(1, 0, -2, 5), False),          # two factors, one real root
+    # two factors whose roots 1 +- i and -2 +- 3i lie on sympy's cuts
+    (_poly(1, -2, 2) * _poly(1, 4, 13), True),
+], ids=["imaginary", "quartic", "three-upper-roots", "two-factors",
+        "two-factors-on-cuts"])
+def test_replayed_rectangles_match_sympy_on_explicit_polynomials(monkeypatch, p, declines):
+    rational = p.rational_roots()
+    replayed, boxes = _replayed(monkeypatch, p, rational)
+    assert (replayed is None) == declines
+    if not declines:
+        assert replayed == _sympy_rectangles(p, rational)
+    CRootOf.clear_cache()
+    assert boxes == _reference_boxes(p, rational, EPS)
+
+
+def _sympy_calls(monkeypatch):
+    """Counts of the sympy steps the replay stands in for."""
+    from sympy.polys import rootisolation, rootoftools
+    calls = {"isolate": 0, "refine": 0}
+    isolate = rootoftools.dup_isolate_complex_roots_sqf
+    refine = rootisolation.ComplexInterval._inner_refine
+
+    def counting_isolate(*args, **kwargs):
+        calls["isolate"] += 1
+        return isolate(*args, **kwargs)
+
+    def counting_refine(self):
+        calls["refine"] += 1
+        return refine(self)
+
+    monkeypatch.setattr(rootoftools, "dup_isolate_complex_roots_sqf", counting_isolate)
+    monkeypatch.setattr(rootisolation.ComplexInterval, "_inner_refine", counting_refine)
+    return calls
+
+
+@pytest.mark.parametrize("group, n, seed, replayed", [
+    ("gl(2)", 3, 1001, True), ("sl(2)", 4, 1001, True), ("gl(2)", 3, 1003, False)])
+def test_sympy_complex_isolation_runs_only_when_the_replay_declines(
+        monkeypatch, group, n, seed, replayed):
+    calls = _sympy_calls(monkeypatch)
+    disc, rational = _discriminant(group, n, seed)
+    CRootOf.clear_cache()
+    boxes = _isolate_irrational_roots(disc, rational, EPS)
+    assert any(b[0] == "complex" for b in boxes)
+    if replayed:
+        assert calls == {"isolate": 0, "refine": 0}
+    else:
+        assert calls["isolate"] > 0 and calls["refine"] > 0
+
+
+def _declines(monkeypatch, group, n, seed):
+    """Whether `_isolate_irrational_roots` fell back to sympy, and whether its
+    boxes still equal sympy's own."""
+    fallback = spectral._sympy_centres
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return fallback(*args)
+
+    monkeypatch.setattr(spectral, "_sympy_centres", spy)
+    disc, rational = _discriminant(group, n, seed)
+    new, ref = _both_ways(disc, rational)
+    return bool(calls), new == ref
+
+
+NEGATIVE_CONTROL = ("sl(2)", 4, 1001)   # replayed unchanged: 2 non-real and 2 real roots
+
+
+def test_negative_control_model_is_replayed(monkeypatch):
+    assert _declines(monkeypatch, *NEGATIVE_CONTROL) == (False, True)
+
+
+# 500 ((z - 3/10)^2 + 100)((z + 2/5)^2 + 2601/25) + 500, irreducible: its upper
+# roots -0.403 + 10.199i and 0.303 + 10.001i are 0.73 apart.
+CLUSTER = [500, 100, 101905, 8776, 5215189]
+
+
+def test_overlapping_disks_make_the_replay_decline():
+    boxes = spectral._certified_boxes(CLUSTER, 0, F(1, 8))
+    assert boxes is not None and not any(b[1] <= 0 <= b[3] for b in boxes)
+    # rho inflated to 1/2: the squares of the two upper roots overlap, and
+    # none meets the real axis.
+    assert spectral._certified_boxes(CLUSTER, 0, F(1, 2)) is None
+
+
+def test_a_dropped_newton_start_makes_the_replay_decline(monkeypatch):
+    roots = spectral._float_roots
+    # The start of the highest root goes: the replay would never count it.
+    monkeypatch.setattr(spectral, "_float_roots",
+                        lambda coeffs: sorted(roots(coeffs), key=lambda w: w.imag)[:-1])
+    assert _declines(monkeypatch, *NEGATIVE_CONTROL) == (True, True)
+
+
+def test_two_disks_about_one_root_make_the_replay_decline(monkeypatch):
+    roots = spectral._float_roots
+    # Newton starts from conj(w) for every upper root w: each lower root gets
+    # two disks and the upper roots none, with the degree and the real-root
+    # count both right.
+    monkeypatch.setattr(spectral, "_float_roots", lambda coeffs: [
+        w.conjugate() if w.imag > 0 else w for w in roots(coeffs)])
+    assert _declines(monkeypatch, *NEGATIVE_CONTROL) == (True, True)
+
+
+def test_a_wrong_real_root_count_makes_the_replay_decline(monkeypatch):
+    replay = spectral._replay_rectangles
+    monkeypatch.setattr(spectral, "_replay_rectangles",
+                        lambda factors, nreal, r: replay(factors, [k + 1 for k in nreal], r))
+    assert _declines(monkeypatch, *NEGATIVE_CONTROL) == (True, True)
+
+
+def test_a_box_on_a_quadtree_cut_is_not_counted():
+    # The first cut of [-B, B] x [0, B] is Re = 0; a box across it is neither
+    # inside nor outside either half.
+    across = (F(-1, 10 ** 6), F(3), F(1, 10 ** 6), F(3) + F(1, 10 ** 6))
+    beside = (F(1), F(3), F(1) + F(1, 10 ** 6), F(3) + F(1, 10 ** 6))
+    bound = 2 * F(5215189, 500)
+    assert spectral._quadtree(CLUSTER, [beside]) == [((0, 0, bound, bound), beside)]
+    assert spectral._quadtree(CLUSTER, [across]) is None
