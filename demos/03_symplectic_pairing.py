@@ -31,7 +31,6 @@ print(f"  exactly skew: {all(phi[i][j] == -phi[j][i] for i in range(len(phi)) fo
 p = theory.poisson_matrix()
 print()
 print(f"anchor matrix on the twisted classes: {len(p)} x {len(p)}, rank {rank(p)}")
-print(f"  skew against the duality pairing: residual = {theory.poisson_skew_residual()}")
 
 check = verify_poisson_map(theory)
 print()

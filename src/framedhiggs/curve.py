@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlinalg import (Quotient, Vec, ZERO, ONE, frac, identity, nullspace,
-                          vec_is_zero, zeros)
+from .exactlinalg import (Quotient, Vec, ZERO, ONE, frac, identity,
+                          nullspace_sparse, vec_is_zero, zeros)
 from .rationalfn import (RatContext, VSection, pairing_residue_at_infinity,
                          pairing_residue_at_point)
 
@@ -115,7 +115,7 @@ def serre_dual_spec(spec: SheafSpec) -> SheafSpec:
         if c is None:
             cons.append([])          # annihilator of the full fiber
         else:
-            cons.append(nullspace([list(v) for v in c], ncols=spec.m))
+            cons.append(nullspace_sparse(c, ncols=spec.m))
     return make_spec(spec.m, orders, cons, -spec.inf_order - 2, not spec.is_form)
 
 
@@ -194,7 +194,7 @@ class Layout:
 
 def _subspace_conditions(basis: Sequence[Sequence[Fraction]], m: int) -> list[Vec]:
     """Functionals cutting out the span of `basis` inside Q^m."""
-    return nullspace([list(v) for v in basis], ncols=m)
+    return nullspace_sparse(basis, ncols=m)
 
 
 def _solve_conditions(candidates: list[VSection], rows: list[list[Fraction]],
@@ -204,7 +204,7 @@ def _solve_conditions(candidates: list[VSection], rows: list[list[Fraction]],
         return []
     if not rows:
         return candidates
-    kernel = nullspace(rows, ncols=len(candidates))
+    kernel = nullspace_sparse(rows, ncols=len(candidates))
     out = []
     for combo in kernel:
         s = VSection.zero(ctx)

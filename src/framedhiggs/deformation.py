@@ -15,7 +15,16 @@ two-chart Cech presentation; everything is exact rational linear algebra.
 
 [theta, .] acts on window coordinates (position-major, fiber-minor) as the
 layout operator Theta = sum_i S_i ⊗ ad(A_i), where S_i is the scalar layout
-matrix of multiplication by 1/(z - x_i).  Each cone builds Theta once.
+matrix of multiplication by 1/(z - x_i).  Theta depends on the model and the
+window only, not on the complex kind, so the model builds it once per window
+and the three cones of a `DeformationTheory` share it.
+
+Chart sections are kernel combinations of candidate sections, each candidate
+one unit layout coordinate, in increasing order.  So the chart-section
+coordinates are a staircase basis, and writing a vector in them is reading
+it off the free columns plus an exact membership check (`Quotient.coords`),
+with no elimination.  ker d1 and ker d0 come from `nullspace_sparse`, mod P
+with an exact certificate.
 
 The cup-product pairing on first hypercohomology contracts the mixed
 components with the invariant form and evaluates the class in H^1(K) by the
@@ -37,9 +46,9 @@ from typing import Sequence
 
 from .curve import (Layout, MarkedCurve, SheafSpec, Window, default_window,
                     make_spec, sections_off_divisor, sections_on_affine_chart)
-from .exactlinalg import (Echelon, LinSolver, Mat, Quotient, Vec, ZERO, ONE,
-                          inverse, mat_vec, mat_is_zero, mat_mul, nullspace,
-                          nullspace_sparse, transpose, zeros)
+from .exactlinalg import (Echelon, Mat, Quotient, Vec, ZERO, ONE, inverse,
+                          mat_vec, mat_is_zero, mat_mul, nullspace_sparse,
+                          sparse, sparse_rows, transpose, zeros)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
                      bracket, trace_form)
 from .rationalfn import RatContext, VSection, pairing_residue_at_point
@@ -93,6 +102,7 @@ class FramedHiggsModel:
         self._gram = [[self.form(a, b) for b in basis_els] for a in basis_els]
         self.ad = [self._ad_matrix(el) for el in self.residues]
         self.context = RatContext(self.curve.points, dim)
+        self._theta: dict[Window, list[dict[int, Fraction]]] = {}
 
     def _ad_matrix(self, el: AlgebraElement) -> Mat:
         return transpose([self.algebra.coords(bracket(el, AlgebraElement(b, el.group_id)))
@@ -101,6 +111,36 @@ class FramedHiggsModel:
     @property
     def dim(self) -> int:
         return self.algebra.group.dim
+
+    def theta_columns(self, window: Window) -> list[dict[int, Fraction]]:
+        """Sparse columns of Theta from the layout of `window` to that of its
+        pole-bumped window; every complex kind shares them."""
+        if window not in self._theta:
+            self._theta[window] = self._theta_columns(window)
+        return self._theta[window]
+
+    def _theta_columns(self, window: Window) -> list[dict[int, Fraction]]:
+        """S_i is read off `mul_pole` on the scalar unit sections."""
+        m, ads = self.dim, self.ad
+        bumped = Window(window.pole + 1, window.degree)
+        scalar = RatContext(self.curve.points, 1)
+        lay0, lay1 = Layout(scalar, window), Layout(scalar, bumped)
+        cols = []
+        for p in range(lay0.dim):
+            unit = zeros(lay0.dim)
+            unit[p] = ONE
+            sec = lay0.from_coords(unit)
+            s_cols = [[(q, x) for q, x in enumerate(lay1.to_coords(sec.mul_pole(i))) if x]
+                      for i in range(self.curve.n)]
+            for a in range(m):
+                col: dict[int, Fraction] = {}
+                for s_col, ad in zip(s_cols, ads):
+                    for q, x in s_col:
+                        for b in range(m):
+                            if ad[b][a]:
+                                col[q * m + b] = col.get(q * m + b, ZERO) + x * ad[b][a]
+                cols.append(sparse(col))
+        return cols
 
     def gram_apply(self, a: Vec, b: Vec) -> Fraction:
         gb = mat_vec(self._gram, b)
@@ -177,40 +217,16 @@ class Hypercohomology:
         self.f1_u1 = sections_off_divisor(ctx, f1, self.window1)
         self.c_layout = Layout(ctx, self.window0)
         self.t2_layout = Layout(ctx, self.window1)
-        self._theta_cols = self._theta_columns()
+        self._theta_cols = model.theta_columns(self.window0)
         self._assemble()
-
-    def _theta_columns(self) -> list[Vec]:
-        """Columns of Theta, c_layout -> t2_layout; S_i is read off `mul_pole`
-        on the scalar unit sections of the window."""
-        m, ads = self.model.dim, self.model.ad
-        scalar = RatContext(self.ctx.points, 1)
-        lay0, lay1 = Layout(scalar, self.window0), Layout(scalar, self.window1)
-        cols = []
-        for p in range(lay0.dim):
-            unit = zeros(lay0.dim)
-            unit[p] = ONE
-            sec = lay0.from_coords(unit)
-            s_cols = [[(q, x) for q, x in enumerate(lay1.to_coords(sec.mul_pole(i))) if x]
-                      for i in range(self.ctx.n)]
-            for a in range(m):
-                col = zeros(self.t2_layout.dim)
-                for s_col, ad in zip(s_cols, ads):
-                    for q, x in s_col:
-                        for b in range(m):
-                            if ad[b][a]:
-                                col[q * m + b] += x * ad[b][a]
-                cols.append(col)
-        return cols
 
     def theta(self, coords: Sequence[Fraction]) -> Vec:
         """[theta, .] from c_layout to t2_layout coordinates."""
         out = zeros(self.t2_layout.dim)
         for x, col in zip(coords, self._theta_cols):
             if x:
-                for r, y in enumerate(col):
-                    if y:
-                        out[r] += x * y
+                for r, y in col.items():
+                    out[r] += x * y
         return out
 
     def _d0_columns(self) -> list[Vec]:
@@ -221,40 +237,42 @@ class Hypercohomology:
         d0_cols: list[Vec] = []
         for s in self.f0_u0:
             c = self.c_layout.to_coords(s)
-            u0c = self._u0_solver.coords(self.theta(c))
+            u0c = self._u0.coords(self.theta(c))
             if u0c is None:
                 raise AssertionError(
                     f"[theta, .] does not preserve the {self.kind} subsheaf structure")
-            d0_cols.append(list(u0c) + zeros(n_u1) + [-x for x in c])
+            d0_cols.append(u0c + zeros(n_u1) + [-x for x in c])
         for s in self.f0_u1:
             c = self.c_layout.to_coords(s)
-            u1c = self._u1_solver.coords(self.theta(c))
+            u1c = self._u1.coords(self.theta(c))
             if u1c is None:
                 raise AssertionError(
                     f"[theta, .] does not preserve the {self.kind} subsheaf structure "
                     "off the divisor")
-            d0_cols.append(zeros(n_u0) + list(u1c) + c)
+            d0_cols.append(zeros(n_u0) + u1c + c)
         return d0_cols
 
     def _assemble(self):
         t2 = self.t2_layout
         u0_coords = [t2.to_coords(s) for s in self.f1_u0]
         u1_coords = [t2.to_coords(s) for s in self.f1_u1]
-        self._u0_solver = LinSolver(u0_coords, t2.dim)
-        self._u1_solver = LinSolver(u1_coords, t2.dim)
+        # staircase bases (module docstring): a solve reads off free columns
+        self._u0 = Quotient(t2.dim, [], u0_coords)
+        self._u1 = Quotient(t2.dim, [], u1_coords)
         self.t1_params = len(u0_coords) + len(u1_coords) + self.c_layout.dim
 
         # d1(c, u0, u1) = (u1 - u0) - [theta, c] in T^2 coordinates
-        neg_theta = [[-x for x in col] for col in self._theta_cols]
-        d1_rows = transpose([[-x for x in v] for v in u0_coords] + u1_coords + neg_theta)
-
-        d0_cols = self._d0_columns()
-        kernel = nullspace_sparse(d1_rows, ncols=self.t1_params)
-        self.quotient = Quotient(self.t1_params, d0_cols, kernel)
+        d1_cols = ([{r: -x for r, x in sparse(v).items()} for v in u0_coords]
+                   + u1_coords
+                   + [{r: -x for r, x in col.items()} for col in self._theta_cols])
+        kernel = nullspace_sparse(sparse_rows(d1_cols, t2.dim), ncols=self.t1_params)
+        self._d0_cols = self._d0_columns()
+        self.quotient = Quotient(self.t1_params, self._d0_cols, kernel)
         self.h1 = self.quotient.dim
 
         # H^0 = ker d0
-        self.h0 = len(nullspace_sparse(transpose(d0_cols), ncols=len(d0_cols)))
+        self.h0 = len(nullspace_sparse(sparse_rows(self._d0_cols, self.t1_params),
+                                       ncols=len(self._d0_cols)))
 
         # H^2 = T^2 / im d1; rank d1 = t1 - dim ker d1
         self.h2 = t2.dim - (self.t1_params - len(kernel))
@@ -286,18 +304,17 @@ class Hypercohomology:
         return [self.rep_of_params(p) for p in self.quotient.basis]
 
     def project_cocycle(self, c: VSection, u0: VSection, u1: VSection) -> Vec:
-        x0 = self._u0_solver.coords(self.t2_layout.to_coords(u0))
-        x1 = self._u1_solver.coords(self.t2_layout.to_coords(u1))
+        x0 = self._u0.coords(self.t2_layout.to_coords(u0))
+        x1 = self._u1.coords(self.t2_layout.to_coords(u1))
         if x0 is None or x1 is None:
             raise ValueError("cochain components do not satisfy the sheaf conditions")
-        params = list(x0) + list(x1) + self.c_layout.to_coords(c)
+        params = x0 + x1 + self.c_layout.to_coords(c)
         return self.quotient.project(params)
 
     def random_coboundary(self, rng) -> tuple[VSection, VSection, VSection]:
         """d0 of a random 0-cochain, for representative-independence tests."""
-        d0_cols = self._d0_columns()
-        weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in d0_cols]
-        return self.rep_of_params(mat_vec(transpose(d0_cols), weights))
+        weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in self._d0_cols]
+        return self.rep_of_params(mat_vec(transpose(self._d0_cols), weights))
 
     def result(self) -> "HypercohResult":
         return HypercohResult(self.kind, self.h0, self.h1, self.h2,
@@ -403,35 +420,6 @@ class DeformationTheory:
         return [[hyper_pair(self.model, fa, wb) for wb in dual_reps]
                 for fa in framed_reps]
 
-    def serre_pairing_matrix(self) -> Mat:
-        """Pairing between the twisted hypercohomology and its Serre dual."""
-        tw_reps = self.cone(TWISTED).basis_reps()
-        dual_reps = self.cone(TWISTED_DUAL).basis_reps()
-        return [[hyper_pair(self.model, t, w) for w in dual_reps] for t in tw_reps]
-
-    def poisson_skew_residual(self) -> Fraction:
-        """max |<P a, b> + <P b, a>| over dual-basis classes a, b."""
-        tw = self.cone(TWISTED)
-        dual_reps = self.cone(TWISTED_DUAL).basis_reps()
-        p_cols = [tw.project_cocycle(*rep) for rep in dual_reps]
-        tw_reps = tw.basis_reps()
-
-        def pair_class_with_dual(coords: Vec, dual_rep) -> Fraction:
-            acc = ZERO
-            for x, rep in zip(coords, tw_reps):
-                if x:
-                    acc += x * hyper_pair(self.model, rep, dual_rep)
-            return acc
-
-        worst = ZERO
-        for a in range(len(dual_reps)):
-            for b in range(len(dual_reps)):
-                val = pair_class_with_dual(p_cols[a], dual_reps[b]) + \
-                    pair_class_with_dual(p_cols[b], dual_reps[a])
-                if abs(val) > abs(worst):
-                    worst = val
-        return worst
-
 
 @dataclass
 class PoissonMapCheck:
@@ -456,7 +444,7 @@ def verify_poisson_map(theory: DeformationTheory, corrupt_sign: bool = False) ->
     twisted = theory.dims(TWISTED)
     dual = theory.dims(TWISTED_DUAL)
     phi = theory.symplectic_matrix()
-    degenerate = nullspace(phi, ncols=len(phi)) if phi else []
+    degenerate = nullspace_sparse(phi, ncols=len(phi))
     if framed.h0 != 0 or framed.h2 != 0 or degenerate:
         return PoissonMapCheck(False, [], len(phi) - len(degenerate),
                                framed, twisted, dual, degenerate)

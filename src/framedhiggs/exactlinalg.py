@@ -8,12 +8,33 @@ column order, so bases produced from the same input are reproducible.
 zero, so they serve any entries with those operations: the symbolic
 `gaudin.PolyObservable` matrices as well as Fractions.  A sum all of whose
 terms vanish is the Fraction ZERO.
+
+Kernels are found modulo the prime P = 2^61 - 1 and accepted only after an
+exact check over Z.  `nullspace_sparse` scales each row to integers, takes
+the RREF mod P with machine-size ints, and lifts each kernel entry by
+rational reconstruction (Wang, Guy and Davenport, SIGSAM Bull. 1982) with
+numerator and denominator bounded by 2^30.  The lift K has one vector per
+column that is free mod P, with entry 1 there, 0 at the other free columns
+and nonzero entries only further left: the staircase form.  It is returned
+only if A K = 0 holds exactly over Z (Dixon, Numer. Math. 40, 1982), and then
+it is exactly the basis the Fraction elimination gives:
+
+* rank_P(A) <= rank_Q(A), since every minor of the integer rows reduces mod
+  P.  K is independent (staircase) and lies in ker_Q, so ncols - rank_P <=
+  dim ker_Q = ncols - rank_Q <= ncols - rank_P: K spans ker_Q.
+* A subspace has exactly one staircase basis: its free columns are the
+  positions where the dimension of ker ∩ span(e_0..e_j) grows, and a vector
+  of it is fixed by its entries there.  So K equals the exact answer.
+
+A rank mod P equal to the column count certifies an empty kernel with no
+lift.  When a lift or the check fails, the kernel comes from the exact
+Fraction elimination instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = list[Fraction]
@@ -21,6 +42,9 @@ Mat = list[list[Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+P = 2 ** 61 - 1         # the prime of modular elimination
+LIFT_BOUND = 2 ** 30    # numerator and denominator bound of a lifted entry
 
 
 def frac(x) -> Fraction:
@@ -121,28 +145,6 @@ def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: Iterable[Sequence[Fraction]], ncols: int | None = None) -> list[Vec]:
-    """Basis of the right kernel {v : A v = 0}, ordered by free column."""
-    m = [list(r) for r in rows]
-    if not m:
-        if ncols is None:
-            return []
-        return [[ONE if i == j else ZERO for j in range(ncols)] for i in range(ncols)]
-    n = len(m[0])
-    red, pivots = rref(m)
-    pivset = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = zeros(n)
-        v[free] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][free]
-        basis.append(v)
-    return basis
-
-
 def inverse(a: Mat) -> Mat:
     n = len(a)
     aug = [list(row) + list(idr) for row, idr in zip(a, identity(n))]
@@ -157,6 +159,22 @@ def sample_inverse(points: Sequence[Fraction], size: int, row) -> tuple[Vec, Mat
     point, and the inverse of the matrix whose rows are row(t_l)."""
     ts = [max(points) + l for l in range(1, size + 1)]
     return ts, inverse([row(t) for t in ts])
+
+
+def sparse(v) -> dict[int, Fraction]:
+    """The nonzero entries {column: value} of a dense or sparse vector."""
+    if isinstance(v, dict):
+        return {c: x for c, x in v.items() if x}
+    return {c: x for c, x in enumerate(v) if x}
+
+
+def sparse_rows(columns: Iterable, nrows: int) -> list[dict[int, Fraction]]:
+    """The rows, as {column: value} dicts, of the matrix with these columns."""
+    rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in sparse(col).items():
+            rows[i][j] = x
+    return rows
 
 
 class Echelon:
@@ -176,14 +194,8 @@ class Echelon:
     def dim(self) -> int:
         return len(self.rows)
 
-    @staticmethod
-    def _sparse(v) -> dict[int, Fraction]:
-        if isinstance(v, dict):
-            return {c: x for c, x in v.items() if x}
-        return {c: x for c, x in enumerate(v) if x}
-
     def reduce_sparse(self, v) -> dict[int, Fraction]:
-        w = self._sparse(v)
+        w = sparse(v)
         for row, p in zip(self.rows, self.pivots):
             f = w.get(p)
             if f:
@@ -236,11 +248,20 @@ def span_dim(vectors: Iterable[Sequence[Fraction]], n: int) -> int:
 
 
 def nullspace_sparse(rows: Iterable, ncols: int) -> list[Vec]:
-    """Basis of the right kernel via sparse elimination and back-substitution.
-
-    Agrees with `nullspace` up to the choice of basis: one vector per free
+    """Staircase basis of the right kernel {v : A v = 0}: one vector per free
     column, with unit entry at the free column, in column order.
+
+    Rows are dense sequences or sparse {column: value} dicts.  The kernel is
+    found mod P and lifted; it is returned only after A K = 0 is checked over
+    Z, and the exact elimination answers whenever the lift or the check fails.
     """
+    rows = [sparse(r) for r in rows]
+    basis = _modular_kernel(rows, ncols)
+    return _nullspace_exact(rows, ncols) if basis is None else basis
+
+
+def _nullspace_exact(rows: Iterable, ncols: int) -> list[Vec]:
+    """`nullspace_sparse` by sparse Fraction elimination and back-substitution."""
     ech = Echelon(ncols)
     for r in rows:
         ech.insert(r)
@@ -262,6 +283,88 @@ def nullspace_sparse(rows: Iterable, ncols: int) -> list[Vec]:
                         s += y * xv
             if s:
                 v[p] = -s / row[p]
+        dense = zeros(ncols)
+        for c, x in v.items():
+            dense[c] = x
+        basis.append(dense)
+    return basis
+
+
+def _rational_lift(x: int) -> Fraction | None:
+    """n/d with n = d x mod P and |n|, d <= LIFT_BOUND, read off Euclid's
+    remainder sequence of (P, x); None when the sequence offers none."""
+    r0, r1, t0, t1 = P, x, 0, 1
+    while r1 > LIFT_BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > LIFT_BOUND or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _modular_kernel(rows: list[dict[int, Fraction]], ncols: int) -> list[Vec] | None:
+    """The staircase kernel from the RREF of A mod P, lifted entrywise and
+    checked against A over Z; None when a lift or the check fails."""
+    int_rows = []
+    for r in rows:
+        if r:
+            int_rows.append(dict(zip(r, over_common_denominator(r.values())[1])))
+    # RREF mod P, rows kept reduced: a pivot row is 1 at its pivot and
+    # nonzero only there and at non-pivot columns to its right.
+    red: dict[int, dict[int, int]] = {}
+    for r in int_rows:
+        w = {c: x % P for c, x in r.items() if x % P}
+        for p in [c for c in w if c in red]:
+            f = w.pop(p)
+            for c, y in red[p].items():
+                if c != p:
+                    nv = (w.get(c, 0) - f * y) % P
+                    if nv:
+                        w[c] = nv
+                    else:
+                        w.pop(c, None)
+        if not w:
+            continue
+        q = min(w)
+        inv = pow(w[q], -1, P)
+        w = {c: x * inv % P for c, x in w.items()}
+        for row in red.values():
+            f = row.pop(q, 0)
+            if f:
+                for c, y in w.items():
+                    if c != q:
+                        nv = (row.get(c, 0) - f * y) % P
+                        if nv:
+                            row[c] = nv
+                        else:
+                            row.pop(c, None)
+        red[q] = w
+    # K[free] = e_free - sum_p R[p][free] e_p, lifted entrywise; with no
+    # free column, rank_P = ncols certifies the empty kernel.
+    kernel = {c: {c: ONE} for c in range(ncols) if c not in red}
+    if not kernel:
+        return []
+    for p, row in red.items():
+        for c, y in row.items():
+            if c != p:
+                x = _rational_lift(P - y)
+                if x is None:
+                    return None
+                kernel[c][p] = x
+    # A K = 0 over Z, walking the columns of A that each kernel vector meets.
+    a_cols: dict[int, list[tuple[int, int]]] = {}
+    for i, r in enumerate(int_rows):
+        for c, x in r.items():
+            a_cols.setdefault(c, []).append((i, x))
+    basis = []
+    for v in kernel.values():
+        nums = over_common_denominator(v.values())[1]
+        acc: dict[int, int] = {}
+        for c, x in zip(v, nums):
+            for i, a in a_cols.get(c, ()):
+                acc[i] = acc.get(i, 0) + a * x
+        if any(acc.values()):
+            return None
         dense = zeros(ncols)
         for c, x in v.items():
             dense[c] = x
@@ -312,7 +415,7 @@ class Quotient:
                  kernel_vectors: Sequence[Sequence[Fraction]]):
         self.n = n
         k = len(kernel_vectors)
-        kernel = [Echelon._sparse(v) for v in kernel_vectors]
+        kernel = [sparse(v) for v in kernel_vectors]
         free = [max(v) if v else None for v in kernel]
         self._key = {c: k - 1 - j for j, c in enumerate(free)}
         for j, (v, c) in enumerate(zip(kernel, free)):
@@ -338,7 +441,7 @@ class Quotient:
         """Free-column entries of v by key, or None if v is not in ker."""
         rest = {}
         r = {}
-        for c, x in Echelon._sparse(v).items():
+        for c, x in sparse(v).items():
             key = self._key.get(c)
             if key is None:
                 rest[c] = x
@@ -352,6 +455,14 @@ class Quotient:
                 else:
                     rest.pop(c, None)
         return None if rest else r
+
+    def coords(self, v) -> Vec | None:
+        """Coefficients x with sum_j x_j kernel_vectors[j] = v, or None if v
+        is not in their span: read off the free columns, checked exactly."""
+        r = self._restrict(v)
+        if r is None:
+            return None
+        return [r.get(key, ZERO) for key in range(len(self._tails) - 1, -1, -1)]
 
     def project(self, v: Sequence[Fraction]) -> Vec:
         """Class coordinates of v in the quotient basis."""

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactlinalg import (Echelon, LinSolver, Mat, Vec, ZERO, ONE, frac,
-                          mat_comb, mat_mul, nullspace, rank, span_dim)
+                          mat_comb, mat_mul, nullspace_sparse, rank, span_dim)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -334,7 +334,7 @@ def perp_subspace(form: InvariantForm, subspace: Sequence[AlgebraElement],
     for h in subspace:
         gram_rows.append([form(h, bi) for bi in
                           (AlgebraElement(b, model.group.group_id) for b in model.basis)])
-    kernel = nullspace(gram_rows, ncols=model.group.dim)
+    kernel = nullspace_sparse(gram_rows, ncols=model.group.dim)
     return [model.from_coords(v) for v in kernel]
 
 

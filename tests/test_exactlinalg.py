@@ -3,9 +3,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from framedhiggs.exactlinalg import (Echelon, LinSolver, Quotient, inverse,
-                                     mat_mul, nullspace, nullspace_sparse,
-                                     rank, rref)
+from framedhiggs import exactlinalg
+from framedhiggs.exactlinalg import (ONE, P, Echelon, LinSolver, Quotient, inverse,
+                                     mat_mul, nullspace_sparse, rank, rref, zeros)
+
+
+def nullspace(rows, ncols):
+    """Oracle: the kernel basis from the dense `rref`, ordered by free column."""
+    red, pivots = rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = zeros(ncols)
+        v[free] = ONE
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][free]
+        basis.append(v)
+    return basis
 
 
 def test_rref_and_rank():
@@ -138,3 +153,96 @@ def test_quotient_rejects_vectors_outside_the_kernel():
 def test_quotient_rejects_non_staircase_kernels(kernel):
     with pytest.raises(ValueError, match="staircase"):
         Quotient(2, [], kernel)
+
+
+# ---------------------------------------------------------------------------
+# the certified modular kernel
+# ---------------------------------------------------------------------------
+
+EXACT = exactlinalg._nullspace_exact
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Counts the calls of the exact Fraction elimination behind `nullspace_sparse`."""
+    calls = []
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return EXACT(rows, ncols)
+
+    monkeypatch.setattr(exactlinalg, "_nullspace_exact", counting)
+    return calls
+
+
+def _random_sparse_matrix(rng, nrows, ncols, density):
+    rows = [[F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < density else F(0)
+             for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randint(0, 2)):                    # zero rows
+        rows.insert(rng.randint(0, len(rows)), [F(0)] * ncols)
+    if len(rows) >= 2 and rng.random() < 0.5:            # a dependent row
+        a, b = rng.sample(range(len(rows)), 2)
+        c = F(rng.randint(-5, 5), rng.randint(1, 4))
+        rows.append([x + c * y for x, y in zip(rows[a], rows[b])])
+    return rows
+
+
+def test_modular_kernel_equals_the_exact_elimination(exact_calls):
+    rng = random.Random(808)
+    cases = [([], 4), ([[F(0)] * 3] * 2, 3), ([[F(2), F(1, 3)], [F(-1), F(5)]], 2)]
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
+        cases.append((_random_sparse_matrix(rng, nrows, ncols, rng.choice([0.2, 0.5, 0.9])),
+                      ncols))
+    lifted_kinds, declined = set(), 0
+    for rows, ncols in cases:
+        expected = EXACT(rows, ncols)
+        sparse_rows = [exactlinalg.sparse(r) for r in rows]
+        assert nullspace_sparse(rows, ncols) == expected
+        assert nullspace_sparse(sparse_rows, ncols) == expected
+        lifted = exactlinalg._modular_kernel(sparse_rows, ncols)
+        if lifted is None:
+            declined += 1
+            continue
+        assert lifted == expected
+        rank_ = ncols - len(expected)
+        lifted_kinds.add("zero" if rank_ == 0 else "full" if rank_ == ncols else "deficient")
+    # the lift answered every kind of case, and the exact path ran exactly
+    # when it declined (entries beyond the bound, from large minors)
+    assert lifted_kinds == {"zero", "full", "deficient"}
+    assert len(exact_calls) == 2 * declined < len(cases) // 10
+
+
+def test_entries_beyond_the_lift_bound_take_the_exact_path(exact_calls):
+    big = F(2) ** 40
+    # kernel (2^40, 1): 2^40 = 1/2^21 mod P lifts inside the bound, wrongly
+    assert nullspace_sparse([[F(1), -big]], 2) == [[big, F(1)]]
+    # kernel (-1/2^35, 1): a denominator beyond the bound
+    assert nullspace_sparse([[F(2) ** 35, F(1)]], 2) == [[F(-1, 2 ** 35), F(1)]]
+    assert len(exact_calls) == 2
+
+
+def test_a_rank_drop_mod_p_is_rejected_by_the_check_over_z(exact_calls):
+    # the first row vanishes mod P, so e_0 is in the kernel mod P only
+    rows = [[F(P), F(0), F(0)], [F(0), F(1), F(1)], [F(3 * P), F(2), F(1)]]
+    assert exactlinalg._modular_kernel([exactlinalg.sparse(r) for r in rows], 3) is None
+    assert nullspace_sparse(rows, 3) == nullspace(rows, 3) == []
+    assert exact_calls == [3]
+
+
+def test_a_wrong_lift_is_caught_and_never_returned(monkeypatch, exact_calls):
+    rows = [[F(1), F(2), F(0), F(-3)], [F(0), F(1), F(1, 2), F(4)]]
+    expected = nullspace(rows, 4)
+    honest = exactlinalg._rational_lift
+    monkeypatch.setattr(exactlinalg, "_rational_lift", lambda x: honest(x) + F(1, 7))
+    assert exactlinalg._modular_kernel([exactlinalg.sparse(r) for r in rows], 4) is None
+    assert nullspace_sparse(rows, 4) == expected
+    assert exact_calls == [4]
+
+
+def test_quotient_coords_read_off_a_staircase_basis():
+    kernel = nullspace_sparse([[F(1), F(1), F(0), F(2)]], ncols=4)
+    q = Quotient(4, [], kernel)
+    v = [F(-2) - F(6), F(2), F(5), F(3)]
+    assert q.coords(v) == [F(2), F(5), F(3)]
+    assert q.coords([F(1), F(0), F(0), F(0)]) is None
