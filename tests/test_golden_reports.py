@@ -29,8 +29,14 @@ def _digest(tmp_path, subcommand, config):
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("entry", GOLDEN["reports"],
-                         ids=lambda e: f"{e['config']['group']}-{e['config']['framing']}")
+def _defo_id(entry):
+    """group-framing, with the number of points when it is not 3."""
+    cfg = entry["config"]
+    n = len(cfg["points"])
+    return f"{cfg['group']}-{cfg['framing']}" + ("" if n == 3 else f"-{n}pt")
+
+
+@pytest.mark.parametrize("entry", GOLDEN["reports"], ids=_defo_id)
 def test_defo_report_matches_golden_digest(tmp_path, entry):
     assert _digest(tmp_path, "defo", entry["config"]) == entry["sha256"]
 
