@@ -10,18 +10,28 @@ so H^0(F) = F(U0) ∩ F(U1) and H^1(F) = F(U0 ∩ U1) / (F(U0) + F(U1)), with
 all spaces truncated to a finite Laurent window.  The quotient presentation
 is normalized by Gaussian elimination in a fixed point-then-pole-order
 coordinate ordering, so bases are reproducible.
+
+A window's layout has one coordinate per scalar basis function, (z - x_i)^-j
+for j <= pole at each point, then z^l for l <= degree, tensored with the
+fiber (position-major, fiber-minor).  The coefficient of (z - x_i)^k in the
+Laurent expansion at x_i of each scalar basis function is the closed-form
+row lambda_{i,k} (`laurent_row`); `infinity_row` gives the expansion in
+u = 1/z.  Chart sections are the kernel of the condition rows lambda ⊗ phi,
+for the fiber functionals phi a sheaf imposes, on the candidate coordinates
+the chart allows; each kernel vector is scattered back to layout indices, so
+a chart basis is a list of sparse layout vectors and no section is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
-from .exactlinalg import (Quotient, Vec, ZERO, ONE, frac, identity,
-                          nullspace_sparse, vec_is_zero, zeros)
-from .rationalfn import (RatContext, VSection, pairing_residue_at_infinity,
-                         pairing_residue_at_point)
+from .exactlinalg import (Quotient, Vec, ZERO, ONE, dense, frac, nullspace_sparse,
+                          sparse)
+from .rationalfn import RatContext, VSection, pairing_residue_at_point
 
 INFINITY = "infinity"
 
@@ -106,17 +116,11 @@ def make_spec(m: int, pole_orders: Sequence[int],
 
 def serre_dual_spec(spec: SheafSpec) -> SheafSpec:
     """The Serre dual F^vee ⊗ K in the same encoding (dot-product fiber pairing)."""
-    cons = []
-    orders = []
-    for i in range(spec.n):
-        k = spec.pole_orders[i]
-        c = spec.constraints[i]
-        orders.append(1 - k)
-        if c is None:
-            cons.append([])          # annihilator of the full fiber
-        else:
-            cons.append(nullspace_sparse(c, ncols=spec.m))
-    return make_spec(spec.m, orders, cons, -spec.inf_order - 2, not spec.is_form)
+    # [] is the annihilator of the full fiber
+    cons = [[] if c is None else [dense(v, spec.m) for v in nullspace_sparse(c, ncols=spec.m)]
+            for c in spec.constraints]
+    return make_spec(spec.m, [1 - k for k in spec.pole_orders], cons,
+                     -spec.inf_order - 2, not spec.is_form)
 
 
 # ---------------------------------------------------------------------------
@@ -155,149 +159,132 @@ class Layout:
     def __init__(self, ctx: RatContext, window: Window):
         self.ctx = ctx
         self.window = window
-        self.block = ctx.m
         self.n_points = ctx.n
         self.dim = ctx.m * (ctx.n * window.pole + window.degree + 1)
 
-    def to_coords(self, s: VSection) -> Vec:
+    def to_coords(self, s: VSection) -> dict[int, Fraction]:
+        """The sparse layout coordinates of s."""
         w, m = self.window, self.ctx.m
         if s.poly_degree() > w.degree:
             raise ValueError("section exceeds the polynomial window")
-        out = zeros(self.dim)
+        out = {}
         for i, parts in s.pp.items():
             for j, v in parts.items():
                 if j > w.pole:
                     raise ValueError("section exceeds the pole window")
-                base = (i * w.pole + (j - 1)) * m
-                for a in range(m):
-                    out[base + a] = v[a]
-        poly_base = self.n_points * w.pole * m
+                out.update(((i * w.pole + j - 1) * m + a, x) for a, x in enumerate(v) if x)
+        poly_base = self.n_points * w.pole
         for l, v in enumerate(s.poly):
-            for a in range(m):
-                out[poly_base + l * m + a] = v[a]
+            out.update(((poly_base + l) * m + a, x) for a, x in enumerate(v) if x)
         return out
 
-    def from_coords(self, coords: Sequence[Fraction]) -> VSection:
+    def from_coords(self, coords) -> VSection:
+        """The section with these dense or sparse layout coordinates."""
         w, m = self.window, self.ctx.m
-        pp: dict[int, dict[int, Vec]] = {}
-        for i in range(self.n_points):
-            for j in range(1, w.pole + 1):
-                base = (i * w.pole + (j - 1)) * m
-                v = [frac(coords[base + a]) for a in range(m)]
-                if not vec_is_zero(v):
-                    pp.setdefault(i, {})[j] = v
-        poly_base = self.n_points * w.pole * m
-        poly = [[frac(coords[poly_base + l * m + a]) for a in range(m)]
-                for l in range(w.degree + 1)]
+        coords = sparse(coords)
+
+        def get(k):
+            return [coords.get(k * m + a, ZERO) for a in range(m)]
+        pp = {i: {j: get(i * w.pole + j - 1) for j in range(1, w.pole + 1)}
+              for i in range(self.n_points)}
+        poly = [get(self.n_points * w.pole + l) for l in range(w.degree + 1)]
         return VSection(self.ctx, poly=poly, pp=pp)
 
 
-def _subspace_conditions(basis: Sequence[Sequence[Fraction]], m: int) -> list[Vec]:
-    """Functionals cutting out the span of `basis` inside Q^m."""
-    return nullspace_sparse(basis, ncols=m)
+def laurent_row(points: Sequence[Fraction], window: Window, i: int,
+                order: int) -> dict[int, Fraction]:
+    """lambda_{i,order}: the coefficient of (z - x_i)^order in the Laurent
+    expansion at x_i of each scalar basis function of the window's layout,
+    as {scalar index: value}; the closed forms of `VSection.laurent_coeff`."""
+    n, pole, x = len(points), window.pole, points[i]
+    if order < 0:
+        return {i * pole - order - 1: ONE} if -order <= pole else {}
+    row = {}
+    for k, xk in enumerate(points):
+        if k != i:
+            d = x - xk
+            for j in range(1, pole + 1):
+                row[k * pole + j - 1] = \
+                    (-1) ** order * comb(j - 1 + order, order) / d ** (j + order)
+    for l in range(order, window.degree + 1):
+        row[n * pole + l] = comb(l, order) * x ** (l - order)
+    return row
 
 
-def _solve_conditions(candidates: list[VSection], rows: list[list[Fraction]],
-                      ctx: RatContext) -> list[VSection]:
-    """Combinations of candidates killed by all condition rows."""
-    if not candidates:
-        return []
-    if not rows:
-        return candidates
-    kernel = nullspace_sparse(rows, ncols=len(candidates))
-    out = []
-    for combo in kernel:
-        s = VSection.zero(ctx)
-        for c, cand in zip(combo, candidates):
-            if c:
-                s = s + cand.scale(c)
-        out.append(s)
-    return out
-
-
-def _check_ctx(ctx: RatContext, spec: SheafSpec):
-    if ctx.m != spec.m or ctx.n != spec.n:
-        raise ValueError(
-            f"context ({ctx.n} points, fiber {ctx.m}) does not match the sheaf "
-            f"({spec.n} points, fiber {spec.m})")
-
-
-def _point_condition_rows(candidates: list[VSection], spec: SheafSpec,
-                          ctx: RatContext) -> list[list[Fraction]]:
-    """Rows expressing the D-point constraints on the given candidates."""
-    m = spec.m
-    conds: list[list[Fraction]] = []
-
-    def add_rows(values_per_candidate: list[Vec], functionals: list[Vec]):
-        for phi in functionals:
-            conds.append([sum((p * v[a] for a, p in enumerate(phi) if p), ZERO)
-                          for v in values_per_candidate])
-
-    unit = identity(m)
-    for i in range(spec.n):
-        k = spec.pole_orders[i]
-        cons = spec.constraints[i]
-        if k < 0:
-            for order in range(0, -k):
-                vals = [c.laurent_coeff(i, order) for c in candidates]
-                add_rows(vals, unit)
-        if cons is not None:
-            vals = [c.laurent_coeff(i, -k) for c in candidates]
-            add_rows(vals, _subspace_conditions(cons, m))
-    return conds
+def infinity_row(points: Sequence[Fraction], window: Window, order: int) -> dict[int, Fraction]:
+    """The coefficient of u^order (u = 1/z) in each scalar basis function of
+    the window's layout; the closed forms of `VSection.infinity_coeff`."""
+    n, pole = len(points), window.pole
+    if order <= 0:
+        return {n * pole - order: ONE} if -order <= window.degree else {}
+    return {i * pole + j - 1: comb(order - 1, j - 1) * x ** (order - j)
+            for i, x in enumerate(points) for j in range(1, min(pole, order) + 1)}
 
 
 def _sections(ctx: RatContext, spec: SheafSpec, poles: Sequence[int], degree: int,
-              at_points: bool) -> list[VSection]:
-    """Basis of the sections with poles[i] poles at x_i and a polynomial tail of
-    degree <= degree, subject to the D-point conditions of spec when at_points,
-    and to vanishing to order -degree at infinity when degree < 0."""
-    _check_ctx(ctx, spec)
-    units = identity(spec.m)
-    candidates = [VSection.principal(ctx, i, j, v)
-                  for i, p in enumerate(poles) for j in range(1, p + 1) for v in units]
-    candidates += [VSection.monomial(ctx, l, v) for l in range(degree + 1) for v in units]
-    rows = _point_condition_rows(candidates, spec, ctx) if at_points else []
-    for order in range(1, -degree):
-        vals = [c.infinity_coeff(order) for c in candidates]
-        rows += [[v[a] for v in vals] for a in range(spec.m)]
-    return _solve_conditions(candidates, rows, ctx)
+              window: Window, at_points: bool) -> list[dict[int, Fraction]]:
+    """Basis, in sparse layout coordinates of `window`, of the sections with
+    poles[i] poles at x_i and a polynomial tail of degree <= degree, subject
+    to the D-point conditions of spec when at_points, and to vanishing to
+    order -degree at infinity when degree < 0."""
+    if ctx.m != spec.m or ctx.n != spec.n:
+        raise ValueError(f"context ({ctx.n} points, fiber {ctx.m}) does not match the "
+                         f"sheaf ({spec.n} points, fiber {spec.m})")
+    m, pole = spec.m, window.pole
+    if max(poles, default=0) > pole or degree > window.degree:
+        raise ValueError("sections exceed the Laurent window")
+    # candidate scalar basis functions, in increasing layout order
+    ks = [i * pole + j - 1 for i, p in enumerate(poles) for j in range(1, p + 1)]
+    ks += [ctx.n * pole + l for l in range(degree + 1)]
+    pos = {k: c for c, k in enumerate(ks)}
+    units = [{a: ONE} for a in range(m)]
+    conditions = []          # (lambda row, fiber functionals)
+    for i, k in enumerate(spec.pole_orders if at_points else ()):
+        conditions += [(laurent_row(ctx.points, window, i, order), units)
+                       for order in range(0, -k)]
+        if spec.constraints[i] is not None:
+            conditions.append((laurent_row(ctx.points, window, i, -k),
+                               nullspace_sparse(spec.constraints[i], ncols=m)))
+    conditions += [(infinity_row(ctx.points, window, order), units)
+                   for order in range(1, -degree)]
+    rows = [{pos[k] * m + a: lam * y for k, lam in row.items() if k in pos
+             for a, y in phi.items()}
+            for row, functionals in conditions for phi in functionals]
+    return [{ks[c // m] * m + c % m: x for c, x in v.items()}
+            for v in nullspace_sparse(rows, ncols=len(ks) * m)]
 
 
-def sections_on_affine_chart(ctx: RatContext, spec: SheafSpec, window: Window) -> list[VSection]:
+def sections_on_affine_chart(ctx: RatContext, spec: SheafSpec,
+                             window: Window) -> list[dict[int, Fraction]]:
     """Basis of F(U0): regular away from D, window-truncated polynomial tail."""
-    return _sections(ctx, spec, spec.pole_orders, window.degree, True)
+    return _sections(ctx, spec, spec.pole_orders, window.degree, window, True)
 
 
-def sections_off_divisor(ctx: RatContext, spec: SheafSpec, window: Window) -> list[VSection]:
+def sections_off_divisor(ctx: RatContext, spec: SheafSpec,
+                         window: Window) -> list[dict[int, Fraction]]:
     """Basis of F(U1): arbitrary window poles along D, twist condition at infinity."""
-    return _sections(ctx, spec, [window.pole] * spec.n, spec.inf_order, False)
+    return _sections(ctx, spec, [window.pole] * spec.n, spec.inf_order, window, False)
 
 
 def global_sections(ctx: RatContext, spec: SheafSpec) -> list[VSection]:
     """Exact basis of H^0."""
-    return _sections(ctx, spec, spec.pole_orders, spec.inf_order, True)
+    window = Window(max(0, *spec.pole_orders), max(spec.inf_order, 0))
+    return [Layout(ctx, window).from_coords(v)
+            for v in _sections(ctx, spec, spec.pole_orders, spec.inf_order, window, True)]
 
 
 class H1Presentation:
     """H^1 as window Laurent data modulo chart-section tails."""
 
     def __init__(self, ctx: RatContext, spec: SheafSpec, window: Window | None = None):
-        _check_ctx(ctx, spec)
         self.ctx = ctx
         self.spec = spec
         self.window = window or default_window([spec])
         self.layout = Layout(ctx, self.window)
-        reducers = [self.layout.to_coords(s)
-                    for s in sections_on_affine_chart(ctx, spec, self.window)]
-        reducers += [self.layout.to_coords(s)
-                     for s in sections_off_divisor(ctx, spec, self.window.bumped(0))]
-        units = []
-        for idx in range(self.layout.dim):
-            v = zeros(self.layout.dim)
-            v[idx] = ONE
-            units.append(v)
-        self.quotient = Quotient(self.layout.dim, reducers, units)
+        reducers = (sections_on_affine_chart(ctx, spec, self.window)
+                    + sections_off_divisor(ctx, spec, self.window))
+        self.quotient = Quotient(self.layout.dim, reducers,
+                                 [{idx: ONE} for idx in range(self.layout.dim)])
 
     @property
     def dim(self) -> int:
@@ -305,9 +292,6 @@ class H1Presentation:
 
     def representatives(self) -> list[VSection]:
         return [self.layout.from_coords(v) for v in self.quotient.basis]
-
-    def class_coords(self, s: VSection) -> Vec:
-        return self.quotient.project(self.layout.to_coords(s))
 
 
 def h1_presentation(ctx: RatContext, spec: SheafSpec,
@@ -328,19 +312,6 @@ def residue(section: VSection, point, is_form: bool = True):
     else:
         v = section.laurent_coeff(point, -1)
     return v[0] if section.ctx.m == 1 else v
-
-
-def total_residue_pairing(f: VSection, g: VSection, gram_apply) -> Fraction:
-    """Sum of residues of <f, g> dz over D and infinity.
-
-    For a product with poles only along D and at infinity this vanishes by
-    the residue theorem; it is the cross-check functional, not the pairing.
-    """
-    acc = ZERO
-    for i in range(f.ctx.n):
-        acc += pairing_residue_at_point(f, g, gram_apply, i)
-    acc += pairing_residue_at_infinity(f, g, gram_apply)
-    return acc
 
 
 def marked_residue_pairing(f: VSection, g: VSection, gram_apply) -> Fraction:

@@ -13,29 +13,32 @@ marked point and ad_fr^perp of one-forms with residues in the annihilator
 h_x^perp.  Hypercohomology is the cohomology of the mapping cone over the
 two-chart Cech presentation; everything is exact rational linear algebra.
 
-[theta, .] acts on window coordinates (position-major, fiber-minor) as the
-layout operator Theta = sum_i S_i ⊗ ad(A_i), where S_i is the scalar layout
-matrix of multiplication by 1/(z - x_i).  Theta depends on the model and the
-window only, not on the complex kind, so the model builds it once per window
-and the three cones of a `DeformationTheory` share it.
-
-Chart sections are kernel combinations of candidate sections, each candidate
-one unit layout coordinate, in increasing order.  So the chart-section
-coordinates are a staircase basis, and writing a vector in them is reading
-it off the free columns plus an exact membership check (`Quotient.coords`),
-with no elimination.  ker d1 and ker d0 come from `nullspace_sparse`, mod P
-with an exact certificate.
+[theta, .] acts on layout coordinates (position-major, fiber-minor) as
+Theta = sum_i S_i ⊗ ad(A_i), with S_i the closed-form scalar layout matrix of
+multiplication by 1/(z - x_i).  The model builds Theta once per window and
+each chart basis once per (spec, window, chart), so the three cones of a
+`DeformationTheory` share them; with trivial framing two chart bases serve
+two complexes each.  Chart bases are staircase (`curve`), so writing a vector
+in them is reading off free columns with an exact membership check
+(`Quotient.coords`).  ker d1 and ker d0 come from `nullspace_sparse`.
+Cochains, Theta images, d0 columns and kernels are sparse layout vectors.
 
 The cup-product pairing on first hypercohomology contracts the mixed
-components with the invariant form and evaluates the class in H^1(K) by the
-sum of residues over the marked points:
+components with the invariant form and sums residues over the marked points:
 
     <a, b> = sum_i Res_{x_i} [ sigma(u0_a, c_b) - sigma(c_a, u1_b) ]
 
-for cocycles a = (c_a, u0_a, u1_a).  Skew-symmetry and representative
-independence are exact consequences of the invariance identity and the
-annihilator pairing conditions, and both are asserted in the test suite
-rather than assumed.
+for cocycles a = (c_a, u0_a, u1_a).  In layout coordinates this is
+<a, b> = B(u0_a, c_b) - B(u1_b, c_a) for one form per model and window,
+
+    B = sum_i sum_{a+b=-1} lambda_{i,a} ⊗ lambda_{i,b} ⊗ Gram,
+
+from the pole-bumped layout of u0 and u1 to the layout of c, with lambda the
+Laurent rows of `curve.laurent_row`.  B and each cone's basis classes are
+kept as integers over one denominator, so a pairing matrix is integer dot
+products and one division per entry.  Skew-symmetry and representative
+independence follow from the invariance identity and the annihilator
+conditions; the report checks the first and the test suite both.
 """
 
 from __future__ import annotations
@@ -45,13 +48,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .curve import (Layout, MarkedCurve, SheafSpec, Window, default_window,
-                    make_spec, sections_off_divisor, sections_on_affine_chart)
-from .exactlinalg import (Echelon, Mat, Quotient, Vec, ZERO, ONE, inverse,
-                          mat_vec, mat_is_zero, mat_mul, nullspace_sparse,
-                          sparse, sparse_rows, transpose, zeros)
+                    laurent_row, make_spec, sections_off_divisor,
+                    sections_on_affine_chart)
+from .exactlinalg import (Echelon, Mat, Quotient, Vec, ZERO, ONE, add_scaled, dense,
+                          inverse, mat_is_zero, mat_mul, nullspace_sparse,
+                          over_common_denominator, sparse, sparse_rows, transpose)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
                      bracket, trace_form)
-from .rationalfn import RatContext, VSection, pairing_residue_at_point
+from .rationalfn import RatContext, VSection
 
 TWISTED = "twisted"            # deformations of the underlying twisted pair
 FRAMED = "framed"              # deformations of the framed triple
@@ -78,11 +82,9 @@ class FramedHiggsModel:
         if len(self.framings) != n or len(self.residues) != n:
             raise ModelError("one framing and one residue matrix per marked point")
         dim = self.algebra.group.dim
-        self._h_coords = []
-        self._perp_coords = []
-        for fr in self.framings:
-            self._h_coords.append([self.algebra.coords(h) for h in fr.subalgebra])
-            self._perp_coords.append([self.algebra.coords(p) for p in fr.perp])
+        self._h_coords = [[self.algebra.coords(h) for h in fr.subalgebra]
+                          for fr in self.framings]
+        self._perp_coords = [[self.algebra.coords(p) for p in fr.perp] for fr in self.framings]
         for i, (el, fr) in enumerate(zip(self.residues, self.framings)):
             ech = Echelon(dim)
             for v in self._perp_coords[i]:
@@ -91,10 +93,7 @@ class FramedHiggsModel:
                 raise ModelError(
                     f"residue matrix at point {i} is not compatible with the framing "
                     "(it must lie in the annihilator of the framing subalgebra)")
-        total = self.residues[0]
-        for el in self.residues[1:]:
-            total = total + el
-        if not total.is_zero():
+        if not sum(self.residues[1:], self.residues[0]).is_zero():
             raise ModelError("residue matrices must sum to zero "
                              "(holomorphy of the Higgs field at infinity)")
         basis_els = [AlgebraElement(b, self.algebra.group.group_id)
@@ -102,7 +101,7 @@ class FramedHiggsModel:
         self._gram = [[self.form(a, b) for b in basis_els] for a in basis_els]
         self.ad = [self._ad_matrix(el) for el in self.residues]
         self.context = RatContext(self.curve.points, dim)
-        self._theta: dict[Window, list[dict[int, Fraction]]] = {}
+        self._cache: dict[tuple, object] = {}
 
     def _ad_matrix(self, el: AlgebraElement) -> Mat:
         return transpose([self.algebra.coords(bracket(el, AlgebraElement(b, el.group_id)))
@@ -112,43 +111,83 @@ class FramedHiggsModel:
     def dim(self) -> int:
         return self.algebra.group.dim
 
+    def _cached(self, key: tuple, compute):     # compute(), once per model and key
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
+
     def theta_columns(self, window: Window) -> list[dict[int, Fraction]]:
         """Sparse columns of Theta from the layout of `window` to that of its
         pole-bumped window; every complex kind shares them."""
-        if window not in self._theta:
-            self._theta[window] = self._theta_columns(window)
-        return self._theta[window]
+        return self._cached(("theta", window), lambda: self._theta_columns(window))
 
     def _theta_columns(self, window: Window) -> list[dict[int, Fraction]]:
-        """S_i is read off `mul_pole` on the scalar unit sections."""
-        m, ads = self.dim, self.ad
-        bumped = Window(window.pole + 1, window.degree)
-        scalar = RatContext(self.curve.points, 1)
-        lay0, lay1 = Layout(scalar, window), Layout(scalar, bumped)
+        """S_i in closed form on the scalar basis functions, d = x_i - x_k:
+        (z-x_i)^-j -> (z-x_i)^-(j+1);
+        (z-x_k)^-j -> d^-j (z-x_i)^-1 - sum_{t<j} d^-(t+1) (z-x_k)^(t-j);
+        z^l -> x_i^l (z-x_i)^-1 + sum_{t<l} x_i^(l-1-t) z^t."""
+        m, ads, pts = self.dim, self.ad, self.curve.points
+        n, pole = len(pts), window.pole
         cols = []
-        for p in range(lay0.dim):
-            unit = zeros(lay0.dim)
-            unit[p] = ONE
-            sec = lay0.from_coords(unit)
-            s_cols = [[(q, x) for q, x in enumerate(lay1.to_coords(sec.mul_pole(i))) if x]
-                      for i in range(self.curve.n)]
+        for k in range(n * pole + window.degree + 1):
+            kp, j = divmod(k, pole)     # (z - x_kp)^-(j+1) when kp < n
+            s_cols = []                 # column k of S_1, ..., S_n
+            for i, x in enumerate(pts):
+                if kp >= n:
+                    l = k - n * pole
+                    s_col = {n * (pole + 1) + t: x ** (l - 1 - t) for t in range(l)}
+                    s_col[i * (pole + 1)] = x ** l
+                elif kp == i:
+                    s_col = {k + i + 1: ONE}
+                else:
+                    d = x - pts[kp]
+                    s_col = {kp * (pole + 1) + j - t: -1 / d ** (t + 1) for t in range(j + 1)}
+                    s_col[i * (pole + 1)] = 1 / d ** (j + 1)
+                s_cols.append(s_col)
             for a in range(m):
                 col: dict[int, Fraction] = {}
                 for s_col, ad in zip(s_cols, ads):
-                    for q, x in s_col:
+                    for q, x in s_col.items():
                         for b in range(m):
                             if ad[b][a]:
                                 col[q * m + b] = col.get(q * m + b, ZERO) + x * ad[b][a]
                 cols.append(sparse(col))
         return cols
 
-    def gram_apply(self, a: Vec, b: Vec) -> Fraction:
-        gb = mat_vec(self._gram, b)
-        return sum((x * y for x, y in zip(a, gb) if x and y), ZERO)
+    def chart_sections(self, spec: SheafSpec, window: Window,
+                       chart: int) -> list[dict[int, Fraction]]:
+        """Basis of F(U0) (chart 0) or F(U1) (chart 1) for F = spec, in the
+        layout of `window`; computed once per model and shared by the cones."""
+        sections = sections_on_affine_chart if chart == 0 else sections_off_divisor
+        return self._cached((spec, window, chart),
+                            lambda: sections(self.context, spec, window))
+
+    def pairing_form(self, window: Window) -> tuple[int, dict[int, dict[int, int]]]:
+        """B from the layout of the pole-bumped window to that of `window`, as
+        (d, {c index: {u index: d B[u][c]}}) with integer entries."""
+        return self._cached(("form", window), lambda: self._pairing_form(window))
+
+    def _pairing_form(self, window: Window) -> tuple[int, dict[int, dict[int, int]]]:
+        m, pts = self.dim, self.curve.points
+        bumped = Window(window.pole + 1, window.degree)
+        scalar: dict[tuple[int, int], Fraction] = {}    # (k0, k1) -> scalar B
+        for i in range(len(pts)):
+            for a in range(-window.pole - 1, window.pole):
+                r0 = laurent_row(pts, window, i, -1 - a)
+                for k1, x in laurent_row(pts, bumped, i, a).items():
+                    for k0, y in r0.items():
+                        scalar[k0, k1] = scalar.get((k0, k1), 0) + x * y
+        gram = [(a, b, g) for a, row in enumerate(self._gram) for b, g in enumerate(row) if g]
+        entries = [(k0 * m + b, k1 * m + a, x * g)
+                   for (k0, k1), x in scalar.items() if x for a, b, g in gram]
+        den, nums = over_common_denominator([e for _, _, e in entries] or [ONE])
+        table: dict[int, dict[int, int]] = {}
+        for (c, u, _), x in zip(entries, nums):
+            table.setdefault(c, {})[u] = x
+        return den, table
 
     def complex_specs(self, kind: str) -> tuple[SheafSpec, SheafSpec]:
-        m = self.dim
-        n = self.curve.n
+        m, n = self.dim, self.curve.n
         if kind == TWISTED:
             return (make_spec(m, [0] * n, None, 0),
                     make_spec(m, [1] * n, None, -2, is_form=True))
@@ -161,10 +200,7 @@ class FramedHiggsModel:
         raise ValueError(f"unknown complex kind {kind!r}")
 
     def all_specs(self) -> list[SheafSpec]:
-        out = []
-        for kind in (TWISTED, FRAMED, TWISTED_DUAL):
-            out.extend(self.complex_specs(kind))
-        return out
+        return [s for kind in (TWISTED, FRAMED, TWISTED_DUAL) for s in self.complex_specs(kind)]
 
 
 def framed_higgs_model(group_id: str, points: Sequence, residues: Sequence,
@@ -203,67 +239,59 @@ class Hypercohomology:
                  window: Window | None = None):
         self.model = model
         self.kind = kind
-        f0, f1 = model.complex_specs(kind)
-        self.f0, self.f1 = f0, f1
-        base = window or default_window(model.all_specs())
-        self.window0 = base
+        self.f0, self.f1 = f0, f1 = model.complex_specs(kind)
+        self.window0 = base = window or default_window(model.all_specs())
         self.window1 = Window(base.pole + 1, base.degree)
-        ctx = model.context
-        self.ctx = ctx
+        self.ctx = ctx = model.context
 
-        self.f0_u0 = sections_on_affine_chart(ctx, f0, self.window0)
-        self.f0_u1 = sections_off_divisor(ctx, f0, self.window0)
-        self.f1_u0 = sections_on_affine_chart(ctx, f1, self.window1)
-        self.f1_u1 = sections_off_divisor(ctx, f1, self.window1)
+        self.f0_u0 = model.chart_sections(f0, self.window0, 0)
+        self.f0_u1 = model.chart_sections(f0, self.window0, 1)
+        self.f1_u0 = model.chart_sections(f1, self.window1, 0)
+        self.f1_u1 = model.chart_sections(f1, self.window1, 1)
         self.c_layout = Layout(ctx, self.window0)
         self.t2_layout = Layout(ctx, self.window1)
         self._theta_cols = model.theta_columns(self.window0)
+        self._classes: tuple | None = None
         self._assemble()
 
-    def theta(self, coords: Sequence[Fraction]) -> Vec:
-        """[theta, .] from c_layout to t2_layout coordinates."""
-        out = zeros(self.t2_layout.dim)
-        for x, col in zip(coords, self._theta_cols):
-            if x:
-                for r, y in col.items():
-                    out[r] += x * y
+    def theta(self, coords) -> dict[int, Fraction]:
+        """[theta, .] from c_layout to t2_layout coordinates, sparse."""
+        out: dict[int, Fraction] = {}
+        for k, x in sparse(coords).items():
+            add_scaled(out, x, self._theta_cols[k])
         return out
 
-    def _d0_columns(self) -> list[Vec]:
+    def _d0_columns(self) -> list[dict[int, Fraction]]:
         """d0(s0, s1) = (s1 - s0, [theta, s0], [theta, s1]) in T^1 parameters,
         one column per F0 chart section; [theta, .] must map F0 chart sections
         into F1 ones."""
-        n_u0, n_u1 = len(self.f1_u0), len(self.f1_u1)
-        d0_cols: list[Vec] = []
-        for s in self.f0_u0:
-            c = self.c_layout.to_coords(s)
-            u0c = self._u0.coords(self.theta(c))
-            if u0c is None:
-                raise AssertionError(
-                    f"[theta, .] does not preserve the {self.kind} subsheaf structure")
-            d0_cols.append(u0c + zeros(n_u1) + [-x for x in c])
-        for s in self.f0_u1:
-            c = self.c_layout.to_coords(s)
-            u1c = self._u1.coords(self.theta(c))
-            if u1c is None:
-                raise AssertionError(
-                    f"[theta, .] does not preserve the {self.kind} subsheaf structure "
-                    "off the divisor")
-            d0_cols.append(zeros(n_u0) + u1c + c)
+        base = self._base
+        d0_cols = []
+        for sections, chart, offset, sign, where in (
+                (self.f0_u0, self._u0, 0, -1, ""),
+                (self.f0_u1, self._u1, self._n_u0, 1, " off the divisor")):
+            for s in sections:
+                coords = chart.coords(self.theta(s))
+                if coords is None:
+                    raise AssertionError(f"[theta, .] does not preserve the {self.kind} "
+                                         f"subsheaf structure{where}")
+                d0_cols.append({**{offset + j: x for j, x in coords.items()},
+                                **{base + k: sign * x for k, x in s.items()}})
         return d0_cols
 
     def _assemble(self):
         t2 = self.t2_layout
-        u0_coords = [t2.to_coords(s) for s in self.f1_u0]
-        u1_coords = [t2.to_coords(s) for s in self.f1_u1]
         # staircase bases (module docstring): a solve reads off free columns
-        self._u0 = Quotient(t2.dim, [], u0_coords)
-        self._u1 = Quotient(t2.dim, [], u1_coords)
-        self.t1_params = len(u0_coords) + len(u1_coords) + self.c_layout.dim
+        self._u0 = Quotient(t2.dim, [], self.f1_u0)
+        self._u1 = Quotient(t2.dim, [], self.f1_u1)
+        # T^1 parameters: u0 chart coordinates, then u1's from _n_u0, then c's from _base
+        self._n_u0 = len(self.f1_u0)
+        self._base = self._n_u0 + len(self.f1_u1)
+        self.t1_params = self._base + self.c_layout.dim
 
         # d1(c, u0, u1) = (u1 - u0) - [theta, c] in T^2 coordinates
-        d1_cols = ([{r: -x for r, x in sparse(v).items()} for v in u0_coords]
-                   + u1_coords
+        d1_cols = ([{r: -x for r, x in v.items()} for v in self.f1_u0]
+                   + self.f1_u1
                    + [{r: -x for r, x in col.items()} for col in self._theta_cols])
         kernel = nullspace_sparse(sparse_rows(d1_cols, t2.dim), ncols=self.t1_params)
         self._d0_cols = self._d0_columns()
@@ -274,51 +302,54 @@ class Hypercohomology:
         self.h0 = len(nullspace_sparse(sparse_rows(self._d0_cols, self.t1_params),
                                        ncols=len(self._d0_cols)))
 
-        # H^2 = T^2 / im d1; rank d1 = t1 - dim ker d1
+        # H^2 = T^2 / im d1; rank d1 = t1 - dim ker d1.  Whether the Euler
+        # identity holds is the caller's check (`HypercohResult`).
         self.h2 = t2.dim - (self.t1_params - len(kernel))
-
         self.chi0 = self.f0.euler_char()
         self.chi1 = self.f1.euler_char()
-        if self.h0 - self.h1 + self.h2 != self.chi0 - self.chi1:
-            raise AssertionError(
-                f"Euler characteristic identity fails for the {self.kind} complex: "
-                f"{self.h0} - {self.h1} + {self.h2} != {self.chi0} - {self.chi1} "
-                "(Laurent window too small?)")
 
     # -- cocycles ---------------------------------------------------------------
 
-    def rep_of_params(self, params: Sequence[Fraction]) -> tuple[VSection, VSection, VSection]:
-        n_u0, n_u1 = len(self.f1_u0), len(self.f1_u1)
-        u0 = VSection.zero(self.ctx)
-        for x, s in zip(params[:n_u0], self.f1_u0):
-            if x:
-                u0 = u0 + s.scale(x)
-        u1 = VSection.zero(self.ctx)
-        for x, s in zip(params[n_u0:n_u0 + n_u1], self.f1_u1):
-            if x:
-                u1 = u1 + s.scale(x)
-        c = self.c_layout.from_coords(list(params[n_u0 + n_u1:]))
-        return (c, u0, u1)
+    def layout_cocycle(self, params: dict[int, Fraction]) -> tuple[dict, dict, dict]:
+        """The cochain with sparse T^1 parameters as sparse layout vectors
+        (c, u0, u1)."""
+        n_u0, base = self._n_u0, self._base
+        c, u0, u1 = {}, {}, {}
+        for j, x in params.items():
+            if j >= base:
+                c[j - base] = x
+            elif j >= n_u0:
+                add_scaled(u1, x, self.f1_u1[j - n_u0])
+            else:
+                add_scaled(u0, x, self.f1_u0[j])
+        return c, u0, u1
 
-    def basis_reps(self) -> list[tuple[VSection, VSection, VSection]]:
-        return [self.rep_of_params(p) for p in self.quotient.basis]
+    def classes(self) -> tuple[int, list[tuple[dict, dict, dict]]]:
+        """(d, cocycles): the quotient basis classes as layout cocycles
+        (c, u0, u1) with integer entries over the one denominator d."""
+        if self._classes is None:
+            self._classes = _integral([self.layout_cocycle(x) for x in self.quotient.basis])
+        return self._classes
 
-    def project_cocycle(self, c: VSection, u0: VSection, u1: VSection) -> Vec:
-        x0 = self._u0.coords(self.t2_layout.to_coords(u0))
-        x1 = self._u1.coords(self.t2_layout.to_coords(u1))
+    def class_of(self, c: dict, u0: dict, u1: dict) -> Vec:
+        """Class coordinates of a cocycle given as sparse layout vectors."""
+        x0, x1 = self._u0.coords(u0), self._u1.coords(u1)
         if x0 is None or x1 is None:
             raise ValueError("cochain components do not satisfy the sheaf conditions")
-        params = x0 + x1 + self.c_layout.to_coords(c)
-        return self.quotient.project(params)
-
-    def random_coboundary(self, rng) -> tuple[VSection, VSection, VSection]:
-        """d0 of a random 0-cochain, for representative-independence tests."""
-        weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in self._d0_cols]
-        return self.rep_of_params(mat_vec(transpose(self._d0_cols), weights))
+        return self.quotient.project({**x0, **{self._n_u0 + j: x for j, x in x1.items()},
+                                      **{self._base + k: x for k, x in c.items()}})
 
     def result(self) -> "HypercohResult":
         return HypercohResult(self.kind, self.h0, self.h1, self.h2,
                               self.chi0, self.chi1)
+
+
+def _integral(cocycles: list[tuple]) -> tuple[int, list[tuple]]:
+    """(d, the cocycles times d), with d the least common denominator."""
+    den, nums = over_common_denominator(
+        [x for cocycle in cocycles for v in cocycle for x in v.values()] or [ONE])
+    it = iter(nums)
+    return den, [tuple({k: next(it) for k in v} for v in cocycle) for cocycle in cocycles]
 
 
 @dataclass(frozen=True)
@@ -335,21 +366,48 @@ class HypercohResult:
         return self.h0 - self.h1 + self.h2 == self.chi0 - self.chi1
 
 
+def _apply(table: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for c, x in v.items():
+        add_scaled(out, x, table.get(c, {}))
+    return out
+
+
+def _dot(u: dict[int, int], w: dict[int, int]) -> int:
+    return sum(x * w[k] for k, x in u.items() if k in w)
+
+
+def cup_matrix(model: FramedHiggsModel, window: Window, left, right) -> Mat:
+    """[<a, b>] for the layout cocycles a of `left` and b of `right`, each a
+    (d, integer cocycles) pair as `Hypercohomology.classes` returns:
+    <a, b> = B(u0_a, c_b) - B(u1_b, c_a) for the model's pairing form B."""
+    fden, table = model.pairing_form(window)
+    (lden, lefts), (rden, rights) = left, right
+    b_left = [_apply(table, c) for c, _, _ in lefts]
+    b_right = [_apply(table, c) for c, _, _ in rights]
+    den = fden * lden * rden
+    return [[Fraction(_dot(u0_a, bc_b) - _dot(u1_b, bc_a), den)
+             for (_, _, u1_b), bc_b in zip(rights, b_right)]
+            for (_, u0_a, _), bc_a in zip(lefts, b_left)]
+
+
 def hyper_pair(model: FramedHiggsModel,
                rep_a: tuple[VSection, VSection, VSection],
                rep_b: tuple[VSection, VSection, VSection]) -> Fraction:
-    """Cup-product pairing of two first-hypercohomology cocycles.
+    """Cup-product pairing of two first-hypercohomology cocycles (c, u0, u1).
 
-    sum over marked points of Res [ sigma(u0_a, c_b) - sigma(c_a, u1_b) ];
-    the value depends only on the classes.
+    sum over marked points of Res [ sigma(u0_a, c_b) - sigma(c_a, u1_b) ],
+    by the pairing form of a window that holds all six sections; the value
+    depends only on the classes.
     """
-    c_a, u0_a, _ = rep_a
-    c_b, _, u1_b = rep_b
-    acc = ZERO
-    for i in range(model.curve.n):
-        acc += pairing_residue_at_point(u0_a, c_b, model.gram_apply, i)
-        acc -= pairing_residue_at_point(c_a, u1_b, model.gram_apply, i)
-    return acc
+    sections = rep_a + rep_b
+    window = Window(max([1] + [s.pole_order(i) for s in sections for i in range(model.curve.n)]),
+                    max([0] + [s.poly_degree() for s in sections]))
+    lay0 = Layout(model.context, window)
+    lay1 = Layout(model.context, Window(window.pole + 1, window.degree))
+    den, (a, b) = _integral([(lay0.to_coords(c), lay1.to_coords(u0), lay1.to_coords(u1))
+                             for c, u0, u1 in (rep_a, rep_b)])
+    return cup_matrix(model, window, (den, [a]), (den, [b]))[0][0]
 
 
 class DeformationTheory:
@@ -372,28 +430,30 @@ class DeformationTheory:
 
     # -- matrices -------------------------------------------------------------
 
+    def _pairing(self, left: str, right: str) -> Mat:
+        return cup_matrix(self.model, self.window, self.cone(left).classes(),
+                          self.cone(right).classes())
+
+    def _inclusion(self, kind: str) -> Mat:
+        """Classes in the twisted hypercohomology of the basis classes of the
+        `kind` complex, whose cochains include into the twisted ones."""
+        tw, src = self.cone(TWISTED), self.cone(kind)
+        cols = [tw.class_of(*src.layout_cocycle(x)) for x in src.quotient.basis]
+        return [[col[i] for col in cols] for i in range(tw.h1)]
+
     def symplectic_matrix(self) -> Mat:
-        """Gram matrix of the pairing on the framed first hypercohomology.
+        """Gram matrix of the pairing on the framed first hypercohomology;
+        whether it is skew is the caller's check.
 
         Computed once per theory; each call returns a fresh copy.
         """
         if self._phi is None:
-            reps = self.cone(FRAMED).basis_reps()
-            phi = [[hyper_pair(self.model, a, b) for b in reps] for a in reps]
-            for i in range(len(phi)):
-                for j in range(len(phi)):
-                    if phi[i][j] != -phi[j][i]:
-                        raise AssertionError("symplectic pairing is not exactly skew "
-                                             "(assembly bug)")
-            self._phi = phi
+            self._phi = self._pairing(FRAMED, FRAMED)
         return [list(row) for row in self._phi]
 
     def forgetful_matrix(self) -> Mat:
         """Classes of framed cocycles inside the twisted hypercohomology."""
-        tw = self.cone(TWISTED)
-        cols = [tw.project_cocycle(*rep) for rep in self.cone(FRAMED).basis_reps()]
-        return [[cols[j][i] for j in range(len(cols))]
-                for i in range(tw.h1)] if cols else [[] for _ in range(tw.h1)]
+        return self._inclusion(FRAMED)
 
     def poisson_matrix(self) -> Mat:
         """Map induced by inclusion from the dual twisted complex to the
@@ -402,23 +462,16 @@ class DeformationTheory:
         Computed once per theory; each call returns a fresh copy.
         """
         if self._anchor is None:
-            tw = self.cone(TWISTED)
-            cols = [tw.project_cocycle(*rep)
-                    for rep in self.cone(TWISTED_DUAL).basis_reps()]
-            self._anchor = [[cols[j][i] for j in range(len(cols))]
-                            for i in range(tw.h1)] if cols else [[] for _ in range(tw.h1)]
+            self._anchor = self._inclusion(TWISTED_DUAL)
         return [list(row) for row in self._anchor]
 
     def forgetful_adjoint_matrix(self) -> Mat:
         """Covector matrix of the adjoint of the forgetful map.
 
         Entry (i, j) pairs the i-th framed basis class against the j-th dual
-        twisted basis class under the cup pairing; reps include directly.
+        twisted basis class under the cup pairing; cochains include directly.
         """
-        framed_reps = self.cone(FRAMED).basis_reps()
-        dual_reps = self.cone(TWISTED_DUAL).basis_reps()
-        return [[hyper_pair(self.model, fa, wb) for wb in dual_reps]
-                for fa in framed_reps]
+        return self._pairing(FRAMED, TWISTED_DUAL)
 
 
 @dataclass
@@ -444,7 +497,7 @@ def verify_poisson_map(theory: DeformationTheory, corrupt_sign: bool = False) ->
     twisted = theory.dims(TWISTED)
     dual = theory.dims(TWISTED_DUAL)
     phi = theory.symplectic_matrix()
-    degenerate = nullspace_sparse(phi, ncols=len(phi))
+    degenerate = [dense(v, len(phi)) for v in nullspace_sparse(phi, ncols=len(phi))]
     if framed.h0 != 0 or framed.h2 != 0 or degenerate:
         return PoissonMapCheck(False, [], len(phi) - len(degenerate),
                                framed, twisted, dual, degenerate)

@@ -9,15 +9,16 @@ zero, so they serve any entries with those operations: the symbolic
 `gaudin.PolyObservable` matrices as well as Fractions.  A sum all of whose
 terms vanish is the Fraction ZERO.
 
-Kernels are found modulo the prime P = 2^61 - 1 and accepted only after an
-exact check over Z.  `nullspace_sparse` scales each row to integers, takes
-the RREF mod P with machine-size ints, and lifts each kernel entry by
-rational reconstruction (Wang, Guy and Davenport, SIGSAM Bull. 1982) with
-numerator and denominator bounded by 2^30.  The lift K has one vector per
-column that is free mod P, with entry 1 there, 0 at the other free columns
-and nonzero entries only further left: the staircase form.  It is returned
-only if A K = 0 holds exactly over Z (Dixon, Numer. Math. 40, 1982), and then
-it is exactly the basis the Fraction elimination gives:
+A sparse vector is a dict {column: value} of the nonzero entries (`sparse`
+and `dense` convert); kernels are sparse.  `nullspace_sparse` scales each row
+to integers, takes the RREF mod P = 2^61 - 1 with machine-size ints and lifts
+each kernel entry by rational reconstruction (Wang, Guy and Davenport, SIGSAM
+Bull. 1982) with numerator and denominator at most floor(sqrt(M / 2)), for
+the modulus M = P.  The lift K has one vector per column that is free mod P,
+with entry 1 there, 0 at the other free columns and nonzero entries only
+further left: the staircase form.  It is returned only if A K = 0 holds
+exactly over Z (Dixon, Numer. Math. 40, 1982), and then it is exactly the
+basis the Fraction elimination gives:
 
 * rank_P(A) <= rank_Q(A), since every minor of the integer rows reduces mod
   P.  K is independent (staircase) and lies in ker_Q, so ncols - rank_P <=
@@ -27,14 +28,17 @@ it is exactly the basis the Fraction elimination gives:
   of it is fixed by its entries there.  So K equals the exact answer.
 
 A rank mod P equal to the column count certifies an empty kernel with no
-lift.  When a lift or the check fails, the kernel comes from the exact
-Fraction elimination instead.
+lift.  When a lift or the check fails, the RREF is repeated mod the next of
+PRIMES, combined by the Chinese remainder theorem, and lifted and checked
+again with M the product of the primes so far.  Pivots that differ from
+those mod P, or the end of PRIMES, leave the kernel to the exact Fraction
+elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 Vec = list[Fraction]
@@ -43,8 +47,9 @@ Mat = list[list[Fraction]]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-P = 2 ** 61 - 1         # the prime of modular elimination
-LIFT_BOUND = 2 ** 30    # numerator and denominator bound of a lifted entry
+# The primes of modular elimination, tried in this order.
+PRIMES = (2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45, 2 ** 61 - 229)
+P = PRIMES[0]
 
 
 def frac(x) -> Fraction:
@@ -55,14 +60,34 @@ def zeros(n: int) -> Vec:
     return [ZERO] * n
 
 
+def dense(v: dict[int, Fraction], n: int) -> Vec:
+    """The dense vector of length n with the entries of the sparse vector v."""
+    out = zeros(n)
+    for c, x in v.items():
+        out[c] = x
+    return out
+
+
+def add_scaled(acc: dict[int, Fraction], f, v: dict) -> None:
+    """acc += f v for sparse vectors, in place; entries that cancel are dropped."""
+    for c, y in v.items():
+        x = acc.get(c)
+        nv = f * y if x is None else x + f * y
+        if nv:
+            acc[c] = nv
+        else:
+            acc.pop(c, None)
+
+
 def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return [x + y for x, y in zip(a, b)]
 
 def vec_scale(a: Sequence[Fraction], c: Fraction) -> Vec:
     return [c * x for x in a]
 
-def vec_is_zero(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
+def vec_is_zero(a) -> bool:
+    """True for a dense vector of zeros and for the empty sparse vector."""
+    return all(x == 0 for x in (a.values() if isinstance(a, dict) else a))
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -199,20 +224,8 @@ class Echelon:
         for row, p in zip(self.rows, self.pivots):
             f = w.get(p)
             if f:
-                for c, y in row.items():
-                    nv = w.get(c, ZERO) - f * y
-                    if nv:
-                        w[c] = nv
-                    else:
-                        w.pop(c, None)
+                add_scaled(w, -f, row)
         return w
-
-    def reduce(self, v: Sequence[Fraction]) -> Vec:
-        w = self.reduce_sparse(v)
-        out = zeros(self.n)
-        for c, x in w.items():
-            out[c] = x
-        return out
 
     def contains(self, v) -> bool:
         return not self.reduce_sparse(v)
@@ -229,12 +242,7 @@ class Echelon:
         for row in self.rows:
             f = row.get(p)
             if f:
-                for c, y in w.items():
-                    nv = row.get(c, ZERO) - f * y
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
+                add_scaled(row, -f, w)
         self.rows.append(w)
         self.pivots.append(p)
         return True
@@ -247,129 +255,130 @@ def span_dim(vectors: Iterable[Sequence[Fraction]], n: int) -> int:
     return ech.dim
 
 
-def nullspace_sparse(rows: Iterable, ncols: int) -> list[Vec]:
-    """Staircase basis of the right kernel {v : A v = 0}: one vector per free
-    column, with unit entry at the free column, in column order.
+def nullspace_sparse(rows: Iterable, ncols: int) -> list[dict[int, Fraction]]:
+    """Staircase basis of the right kernel {v : A v = 0}, as sparse vectors:
+    one per free column, with unit entry at the free column, in column order.
 
     Rows are dense sequences or sparse {column: value} dicts.  The kernel is
-    found mod P and lifted; it is returned only after A K = 0 is checked over
-    Z, and the exact elimination answers whenever the lift or the check fails.
+    found mod PRIMES and lifted; it is returned only after A K = 0 is checked
+    over Z, and the exact elimination answers whenever that fails.
     """
     rows = [sparse(r) for r in rows]
     basis = _modular_kernel(rows, ncols)
     return _nullspace_exact(rows, ncols) if basis is None else basis
 
 
-def _nullspace_exact(rows: Iterable, ncols: int) -> list[Vec]:
-    """`nullspace_sparse` by sparse Fraction elimination and back-substitution."""
+def _nullspace_exact(rows: Iterable, ncols: int) -> list[dict[int, Fraction]]:
+    """`nullspace_sparse` by sparse Fraction elimination.  `Echelon` keeps its
+    rows reduced (1 at the pivot, 0 at every other pivot), so the kernel
+    vector of a free column c is e_c - sum_p row_p[c] e_p."""
     ech = Echelon(ncols)
     for r in rows:
         ech.insert(r)
-    pivset = set(ech.pivots)
-    basis = []
-    order = list(range(len(ech.rows)))
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        v: dict[int, Fraction] = {free: ONE}
-        for i in reversed(order):
-            row = ech.rows[i]
-            p = ech.pivots[i]
-            s = ZERO
-            for c, y in row.items():
-                if c != p:
-                    xv = v.get(c)
-                    if xv:
-                        s += y * xv
-            if s:
-                v[p] = -s / row[p]
-        dense = zeros(ncols)
-        for c, x in v.items():
-            dense[c] = x
-        basis.append(dense)
-    return basis
+    pivots = set(ech.pivots)
+    basis = {c: {c: ONE} for c in range(ncols) if c not in pivots}
+    for row, p in zip(ech.rows, ech.pivots):
+        for c, y in row.items():
+            if c != p:
+                basis[c][p] = -y
+    return list(basis.values())
 
 
-def _rational_lift(x: int) -> Fraction | None:
-    """n/d with n = d x mod P and |n|, d <= LIFT_BOUND, read off Euclid's
-    remainder sequence of (P, x); None when the sequence offers none."""
-    r0, r1, t0, t1 = P, x, 0, 1
-    while r1 > LIFT_BOUND:
+def _rational_lift(x: int, m: int = P) -> Fraction | None:
+    """n/d with n = d x mod m and |n|, d <= floor(sqrt(m / 2)), read off
+    Euclid's remainder sequence of (m, x); None when the sequence offers none."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, x, 0, 1
+    while r1 > bound:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > LIFT_BOUND or gcd(r1, t1) != 1:
+    if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
     return Fraction(r1, t1)
 
 
-def _modular_kernel(rows: list[dict[int, Fraction]], ncols: int) -> list[Vec] | None:
-    """The staircase kernel from the RREF of A mod P, lifted entrywise and
-    checked against A over Z; None when a lift or the check fails."""
-    int_rows = []
-    for r in rows:
-        if r:
-            int_rows.append(dict(zip(r, over_common_denominator(r.values())[1])))
-    # RREF mod P, rows kept reduced: a pivot row is 1 at its pivot and
-    # nonzero only there and at non-pivot columns to its right.
+def _rref_mod(int_rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """RREF mod p, by pivot column: a pivot row is 1 at its pivot and nonzero
+    only there and at non-pivot columns to its right."""
     red: dict[int, dict[int, int]] = {}
     for r in int_rows:
-        w = {c: x % P for c, x in r.items() if x % P}
-        for p in [c for c in w if c in red]:
-            f = w.pop(p)
-            for c, y in red[p].items():
-                if c != p:
-                    nv = (w.get(c, 0) - f * y) % P
-                    if nv:
-                        w[c] = nv
-                    else:
-                        w.pop(c, None)
+        w = {c: x % p for c, x in r.items() if x % p}
+        for q in [c for c in w if c in red]:
+            _sub_mod(w, w.pop(q), red[q], q, p)
         if not w:
             continue
         q = min(w)
-        inv = pow(w[q], -1, P)
-        w = {c: x * inv % P for c, x in w.items()}
+        inv = pow(w[q], -1, p)
+        w = {c: x * inv % p for c, x in w.items()}
         for row in red.values():
             f = row.pop(q, 0)
             if f:
-                for c, y in w.items():
-                    if c != q:
-                        nv = (row.get(c, 0) - f * y) % P
-                        if nv:
-                            row[c] = nv
-                        else:
-                            row.pop(c, None)
+                _sub_mod(row, f, w, q, p)
         red[q] = w
-    # K[free] = e_free - sum_p R[p][free] e_p, lifted entrywise; with no
-    # free column, rank_P = ncols certifies the empty kernel.
-    kernel = {c: {c: ONE} for c in range(ncols) if c not in red}
-    if not kernel:
-        return []
-    for p, row in red.items():
-        for c, y in row.items():
-            if c != p:
-                x = _rational_lift(P - y)
-                if x is None:
-                    return None
-                kernel[c][p] = x
-    # A K = 0 over Z, walking the columns of A that each kernel vector meets.
+    return red
+
+
+def _sub_mod(acc: dict[int, int], f: int, row: dict[int, int], skip: int, p: int) -> None:
+    """acc -= f row mod p in place, leaving out the column `skip`."""
+    for c, y in row.items():
+        if c != skip:
+            nv = (acc.get(c, 0) - f * y) % p
+            if nv:
+                acc[c] = nv
+            else:
+                acc.pop(c, None)
+
+
+def _modular_kernel(rows: list[dict[int, Fraction]],
+                    ncols: int) -> list[dict[int, Fraction]] | None:
+    """The staircase kernel from the RREF of A mod PRIMES, combined by CRT,
+    lifted entrywise and checked against A over Z; None when the pivots of
+    two primes differ or no number of PRIMES gives a checked lift."""
+    int_rows = [dict(zip(r, over_common_denominator(r.values())[1])) for r in rows if r]
     a_cols: dict[int, list[tuple[int, int]]] = {}
     for i, r in enumerate(int_rows):
         for c, x in r.items():
             a_cols.setdefault(c, []).append((i, x))
-    basis = []
-    for v in kernel.values():
-        nums = over_common_denominator(v.values())[1]
-        acc: dict[int, int] = {}
-        for c, x in zip(v, nums):
-            for i, a in a_cols.get(c, ()):
-                acc[i] = acc.get(i, 0) + a * x
-        if any(acc.values()):
+    modulus, pivots, residues = 1, None, {}
+    for p in PRIMES:
+        red = _rref_mod(int_rows, p)
+        if pivots is None:
+            pivots = set(red)
+            # K[free] = e_free - sum_q R[q][free] e_q; with no free column,
+            # rank_P = ncols certifies the empty kernel.
+            if len(pivots) == ncols:
+                return []
+        elif set(red) != pivots:
             return None
-        dense = zeros(ncols)
-        for c, x in v.items():
-            dense[c] = x
-        basis.append(dense)
-    return basis
+        # residues of -R[q][free] mod the primes so far, combined by CRT
+        new = {(q, c): -y % p for q, row in red.items() for c, y in row.items() if c != q}
+        if modulus == 1:
+            residues = new
+        else:
+            inv = pow(modulus, -1, p)
+            for key in residues.keys() | new.keys():
+                x = residues.get(key, 0)
+                residues[key] = x + modulus * ((new.get(key, 0) - x) * inv % p)
+        modulus *= p
+        kernel = {c: {c: ONE} for c in range(ncols) if c not in pivots}
+        for (q, c), x in residues.items():
+            y = _rational_lift(x, modulus)
+            if y is None:
+                break
+            if y:
+                kernel[c][q] = y
+        else:
+            # A K = 0 over Z, walking the columns of A that each vector meets
+            for v in kernel.values():
+                acc: dict[int, int] = {}
+                for c, x in zip(v, over_common_denominator(v.values())[1]):
+                    for i, a in a_cols.get(c, ()):
+                        acc[i] = acc.get(i, 0) + a * x
+                if any(acc.values()):
+                    break
+            else:
+                return list(kernel.values())
+    return None
 
 
 class LinSolver:
@@ -387,23 +396,24 @@ class LinSolver:
 
     def coords(self, v: Sequence[Fraction]) -> Vec | None:
         """Coefficients x with sum_j x_j C_j = v, or None if v not in span."""
-        w = self._ech.reduce(list(v) + [ZERO] * self.k)
-        if not vec_is_zero(w[: self.n]):
+        w = self._ech.reduce_sparse(list(v) + [ZERO] * self.k)
+        if any(c < self.n for c in w):
             return None
-        return [-c for c in w[self.n:]]
+        return [-w.get(self.n + j, ZERO) for j in range(self.k)]
 
 
 class Quotient:
     """Quotient ker / sub of subspaces sub ⊆ ker of Q^n, with projection.
 
-    `kernel_vectors` is a basis of ker in staircase form: each vector has
-    entry 1 at its own free column, which is its last nonzero entry, and
-    entry 0 at the free columns of the others.  `nullspace_sparse` returns
-    such a basis, and so does any list of distinct unit vectors; any other
-    input raises ValueError.  A vector v of ker is then fixed by its entries
-    at the free columns, v = sum_j v[free_j] K_j, so the quotient is one
-    elimination of the `sub_vectors` (which must lie in ker) restricted to
-    those columns.
+    `kernel_vectors` (dense or sparse) is a basis of ker in staircase form:
+    each vector has entry 1 at its own free column, which is its last
+    nonzero entry, and entry 0 at the free columns of the others.
+    `nullspace_sparse` returns such a basis, and so does any list of
+    distinct unit vectors; any other input raises ValueError.  A vector v of
+    ker is then fixed by its entries at the free columns, v = sum_j v[free_j]
+    K_j, so the quotient is one elimination of the `sub_vectors` (which must
+    lie in ker) restricted to those columns.  `basis` holds kernel vectors
+    as given.
 
     The quotient basis is chosen greedily from `kernel_vectors` in the order
     given: K_j is kept when it is independent of sub and of K_0..K_{j-1}.
@@ -434,13 +444,12 @@ class Quotient:
             self._ech.insert(r)
         pivots = set(self._ech.pivots)
         self._kept = [k - 1 - j for j in range(k) if k - 1 - j not in pivots]
-        self.basis: list[Vec] = [list(kernel_vectors[k - 1 - key]) for key in self._kept]
+        self.basis = [kernel_vectors[k - 1 - key] for key in self._kept]
         self.dim = len(self.basis)
 
     def _restrict(self, v) -> dict[int, Fraction] | None:
         """Free-column entries of v by key, or None if v is not in ker."""
-        rest = {}
-        r = {}
+        rest, r = {}, {}
         for c, x in sparse(v).items():
             key = self._key.get(c)
             if key is None:
@@ -448,21 +457,18 @@ class Quotient:
             else:
                 r[key] = x
         for key, x in r.items():
-            for c, y in self._tails[key].items():
-                nv = rest.get(c, ZERO) - x * y
-                if nv:
-                    rest[c] = nv
-                else:
-                    rest.pop(c, None)
+            add_scaled(rest, -x, self._tails[key])
         return None if rest else r
 
-    def coords(self, v) -> Vec | None:
-        """Coefficients x with sum_j x_j kernel_vectors[j] = v, or None if v
-        is not in their span: read off the free columns, checked exactly."""
+    def coords(self, v) -> dict[int, Fraction] | None:
+        """Coefficients x with sum_j x_j kernel_vectors[j] = v, as a sparse
+        vector {j: x_j}, or None if v is not in their span: read off the free
+        columns, checked exactly."""
         r = self._restrict(v)
         if r is None:
             return None
-        return [r.get(key, ZERO) for key in range(len(self._tails) - 1, -1, -1)]
+        k = len(self._tails)
+        return {k - 1 - key: x for key, x in r.items()}
 
     def project(self, v: Sequence[Fraction]) -> Vec:
         """Class coordinates of v in the quotient basis."""

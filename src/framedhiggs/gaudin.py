@@ -241,15 +241,6 @@ class GaudinSystem:
     def coordinate(self, site: int, a: int, b: int) -> PolyObservable:
         return PolyObservable.variable(self.var(site, a, b))
 
-    def pairing_observable(self, site: int, el: AlgebraElement) -> PolyObservable:
-        """The linear observable A_site |-> tr(A_site el)."""
-        obs = PolyObservable()
-        for a in range(self.s):
-            for b in range(self.s):
-                if el.matrix[b][a]:
-                    obs = obs + self.coordinate(site, a, b).scale(el.matrix[b][a])
-        return obs
-
     def flatten_point(self, residues: Sequence[AlgebraElement]) -> list[Fraction]:
         vals: list[Fraction] = []
         for el in residues:
@@ -369,16 +360,6 @@ class GaudinSystem:
             df = self.sigma_gradient_at(f, i, values)
             dg = self.sigma_gradient_at(g, i, values)
             acc += mat_trace(mat_mul(el.matrix, mat_commutator(df.matrix, dg.matrix)))
-        return acc
-
-    def bracket_symbolic(self, f: PolyObservable, g: PolyObservable) -> PolyObservable:
-        """{f, g} as an exact polynomial observable."""
-        acc = PolyObservable()
-        for i in range(self.n):
-            comm = mat_commutator(self._symbolic_gradient(f, i), self._symbolic_gradient(g, i))
-            for a in range(self.s):
-                for b in range(self.s):
-                    acc = acc + (self.coordinate(i, a, b) * comm[b][a])
         return acc
 
     def _symbolic_gradient(self, fn: PolyObservable, site: int) -> list[list[PolyObservable]]:

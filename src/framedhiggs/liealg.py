@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactlinalg import (Echelon, LinSolver, Mat, Vec, ZERO, ONE, frac,
+from .exactlinalg import (Echelon, LinSolver, Mat, Vec, ZERO, ONE, dense, frac,
                           mat_comb, mat_mul, nullspace_sparse, rank, span_dim)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -120,14 +120,9 @@ def _unit(n: int, a: int, b: int) -> Matrix:
     return tuple(tuple(ONE if (i, j) == (a, b) else ZERO for j in range(n)) for i in range(n))
 
 
-def _madd(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-def _msub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-def _mscale(a: Matrix, c: Fraction) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+def _cartan(n: int, i: int, j: int) -> Matrix:
+    """E_ii - E_jj."""
+    return to_matrix(mat_comb([ONE, -ONE], [_unit(n, i, i), _unit(n, j, j)]))
 
 def _mzero(n: int) -> Matrix:
     return tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
@@ -135,8 +130,8 @@ def _mzero(n: int) -> Matrix:
 def mat_trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), ZERO)
 
-def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    return _msub(mat_mul(a, b), mat_mul(b, a))
+def mat_commutator(a, b) -> Mat:
+    return mat_comb([ONE, -ONE], [mat_mul(a, b), mat_mul(b, a)])
 
 def flatten(a: Matrix) -> Vec:
     return [x for row in a for x in row]
@@ -166,24 +161,23 @@ def algebra_basis(group: GroupData) -> list[Matrix]:
                 if a != b:
                     basis.append(_unit(n, a, b))
         for i in range(n - 1):
-            basis.append(_msub(_unit(n, i, i), _unit(n, i + 1, i + 1)))
+            basis.append(_cartan(n, i, i + 1))
     elif group.family == "so":
         # so(Q) = Q * (skew matrices) for Q = antidiag(1..1), since Q^2 = I.
         q = antidiagonal(n)
         for a in range(n):
             for b in range(a + 1, n):
-                basis.append(to_matrix(mat_mul(q, _msub(_unit(n, a, b), _unit(n, b, a)))))
+                skew = mat_comb([ONE, -ONE], [_unit(n, a, b), _unit(n, b, a)])
+                basis.append(to_matrix(mat_mul(q, skew)))
     else:  # sp
         k = n // 2
-        jm = [[ZERO] * n for _ in range(n)]
+        minus_j = [[ZERO] * n for _ in range(n)]     # -J, J = [[0, I], [-I, 0]]
         for i in range(k):
-            jm[i][k + i] = ONE
-            jm[k + i][i] = -ONE
-        j = tuple(tuple(row) for row in jm)
-        minus_j = _mscale(j, -ONE)
+            minus_j[i][k + i] = -ONE
+            minus_j[k + i][i] = ONE
         for a in range(n):
             for b in range(a, n):
-                sym = _madd(_unit(n, a, b), _unit(n, b, a))
+                sym = mat_comb([ONE, ONE], [_unit(n, a, b), _unit(n, b, a)])
                 basis.append(to_matrix(mat_mul(minus_j, sym)))
     assert len(basis) == group.dim
     return basis
@@ -195,12 +189,12 @@ def torus_basis(group: GroupData) -> list[Matrix]:
     if group.family == "gl":
         return [_unit(n, i, i) for i in range(n)]
     if group.family == "sl":
-        return [_msub(_unit(n, i, i), _unit(n, i + 1, i + 1)) for i in range(n - 1)]
+        return [_cartan(n, i, i + 1) for i in range(n - 1)]
     if group.family == "so":
-        return [_msub(_unit(n, i, i), _unit(n, n - 1 - i, n - 1 - i)) for i in range(n // 2)]
+        return [_cartan(n, i, n - 1 - i) for i in range(n // 2)]
     if group.family == "sp":
         k = n // 2
-        return [_msub(_unit(n, i, i), _unit(n, k + i, k + i)) for i in range(k)]
+        return [_cartan(n, i, k + i) for i in range(k)]
     raise UnsupportedGroupError(group.group_id)
 
 
@@ -216,17 +210,19 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same(self, other)
-        return AlgebraElement(_madd(self.matrix, other.matrix), self.group_id)
+        return AlgebraElement(to_matrix(mat_comb([ONE, ONE], [self.matrix, other.matrix])),
+                              self.group_id)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same(self, other)
-        return AlgebraElement(_msub(self.matrix, other.matrix), self.group_id)
+        return AlgebraElement(to_matrix(mat_comb([ONE, -ONE], [self.matrix, other.matrix])),
+                              self.group_id)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(_mscale(self.matrix, -ONE), self.group_id)
+        return self.scale(-ONE)
 
     def scale(self, c) -> "AlgebraElement":
-        return AlgebraElement(_mscale(self.matrix, frac(c)), self.group_id)
+        return AlgebraElement(to_matrix(mat_comb([frac(c)], [self.matrix])), self.group_id)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.matrix for x in row)
@@ -280,7 +276,7 @@ class AlgebraModel:
 def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Commutator ab - ba."""
     _check_same(a, b)
-    return AlgebraElement(mat_commutator(a.matrix, b.matrix), a.group_id)
+    return AlgebraElement(to_matrix(mat_commutator(a.matrix, b.matrix)), a.group_id)
 
 
 @dataclass(frozen=True)
@@ -335,7 +331,7 @@ def perp_subspace(form: InvariantForm, subspace: Sequence[AlgebraElement],
         gram_rows.append([form(h, bi) for bi in
                           (AlgebraElement(b, model.group.group_id) for b in model.basis)])
     kernel = nullspace_sparse(gram_rows, ncols=model.group.dim)
-    return [model.from_coords(v) for v in kernel]
+    return [model.from_coords(dense(v, model.group.dim)) for v in kernel]
 
 
 # ---------------------------------------------------------------------------

@@ -180,39 +180,31 @@ class VSection:
     # -- multiplication by 1/(z - x_i) ----------------------------------------
 
     def mul_pole(self, i: int) -> "VSection":
-        """Multiply by (z - x_i)^(-1), keeping the canonical form."""
-        ctx = self.ctx
-        x = ctx.points[i]
-        out = VSection.zero(ctx)
-        # polynomial part: P(z)/(z-x) = Q(z) + P(x)/(z-x)
-        if self.poly:
-            rem = zeros(ctx.m)
-            quot: list[Vec] = [zeros(ctx.m) for _ in range(len(self.poly) - 1)]
-            # synthetic division by (z - x), highest degree first
-            carry = zeros(ctx.m)
-            for l in range(len(self.poly) - 1, -1, -1):
-                coeff = vec_add(self.poly[l], vec_scale(carry, x))
-                if l > 0:
-                    quot[l - 1] = coeff
-                    carry = coeff
-                else:
-                    rem = coeff
-            out = out + VSection(ctx, poly=quot)
-            if not vec_is_zero(rem):
-                out = out + VSection.principal(ctx, i, 1, rem)
+        """Multiply by (z - x_i)^(-1), keeping the canonical form; with
+        d = x_i - x_k for k != i,
+            z^l        -> x_i^l (z-x_i)^-1 + sum_{t<l} x_i^(l-1-t) z^t,
+            (z-x_i)^-j -> (z-x_i)^-(j+1),
+            (z-x_k)^-j -> d^-j (z-x_i)^-1 - sum_{s<j} d^-(s+1) (z-x_k)^(s-j)."""
+        ctx, x = self.ctx, self.ctx.points[i]
+        poly = [zeros(ctx.m) for _ in self.poly[1:]]
+        pp: dict[int, dict[int, Vec]] = {k: {} for k in range(ctx.n)}
+
+        def add(part, key, v, c):
+            part[key] = vec_add(part.get(key, zeros(ctx.m)), vec_scale(v, c))
+        for l, v in enumerate(self.poly):
+            add(pp[i], 1, v, x ** l)
+            for t in range(l):
+                poly[t] = vec_add(poly[t], vec_scale(v, x ** (l - 1 - t)))
         for k, parts in self.pp.items():
-            if k == i:
-                out = out + VSection(ctx, pp={i: {j + 1: v for j, v in parts.items()}})
-                continue
-            d = self.ctx.points[i] - self.ctx.points[k]
+            d = x - ctx.points[k]
             for j, v in parts.items():
-                # (z-x_k)^(-j)/(z-x_i) = (x_i-x_k)^(-j) (z-x_i)^(-1)
-                #   - sum_{s=0}^{j-1} (x_i-x_k)^(-s-1) (z-x_k)^(s-j)
-                out = out + VSection.principal(ctx, i, 1, vec_scale(v, ONE / d ** j))
+                if k == i:
+                    add(pp[i], j + 1, v, ONE)
+                    continue
+                add(pp[i], 1, v, ONE / d ** j)
                 for s in range(j):
-                    out = out + VSection.principal(ctx, k, j - s,
-                                                   vec_scale(v, -ONE / d ** (s + 1)))
-        return out
+                    add(pp[k], j - s, v, -ONE / d ** (s + 1))
+        return VSection(ctx, poly, pp)
 
 
 def pairing_residue_at_point(f: VSection, g: VSection, gram_apply, i: int) -> Fraction:

@@ -248,6 +248,48 @@ def test_non_finite_flow_drift_fails_the_check_with_a_parseable_report(tmp_path)
     assert check["value"] == report["results"]["flow_worst_drift"] == "nan"
 
 
+DEFO_SL2 = {"group": "sl(2)", "points": ["1", "2", "3"], "framing": "trivial",
+            "residues": {"type": "random", "seed": 11, "height": 5}}
+
+
+def _failing_defo_report(tmp_path, capsys):
+    cfg = write_config(tmp_path, "defo.json", DEFO_SL2)
+    out = tmp_path / "report.json"
+    assert main(["defo", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    report = json.loads(out.read_text())
+    assert not report["all_passed"]
+    return report, err
+
+
+def test_an_euler_mismatch_fails_the_check_with_a_report(tmp_path, capsys, monkeypatch):
+    from framedhiggs.curve import SheafSpec
+    chi = SheafSpec.euler_char
+    monkeypatch.setattr(SheafSpec, "euler_char", lambda spec: chi(spec) + spec.is_form)
+    report, err = _failing_defo_report(tmp_path, capsys)
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == [
+        f"euler characteristic identity ({kind})"
+        for kind in ("twisted", "framed", "twisted_dual")]
+    assert all(c["value"] == c["expected"] + 1 for c in failed)
+    assert "euler characteristic identity (twisted)" in err
+
+
+def test_a_non_skew_pairing_fails_the_check_with_a_report(tmp_path, capsys, monkeypatch):
+    from framedhiggs.deformation import FramedHiggsModel
+    setup = FramedHiggsModel.__post_init__
+
+    def non_invariant_form(model):
+        setup(model)
+        model._gram[0][1] += 1
+    monkeypatch.setattr(FramedHiggsModel, "__post_init__", non_invariant_form)
+    report, err = _failing_defo_report(tmp_path, capsys)
+    check = [c for c in report["checks"] if c["name"] == "pairing skew-symmetry"][0]
+    assert not check["passed"] and check["value"] == "not skew"
+    assert "pairing skew-symmetry" in err
+
+
 @pytest.mark.parametrize("flow, field", [
     ({"steps": 0}, "config.flow.steps"),
     ({"degree_index": 2}, "config.flow"),

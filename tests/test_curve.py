@@ -4,14 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from framedhiggs.curve import (H1Presentation, INFINITY, MarkedCurve,
+from framedhiggs import curve
+from framedhiggs.curve import (H1Presentation, INFINITY, Layout, MarkedCurve, Window,
                                dot_gram, global_sections,
                                h1_presentation, make_spec, residue,
                                sections_off_divisor, sections_on_affine_chart,
-                               serre_dual_spec, serre_pairing,
-                               total_residue_pairing)
-from framedhiggs.exactlinalg import Echelon, rank
-from framedhiggs.rationalfn import Poly, RatContext, VSection
+                               serre_dual_spec, serre_pairing)
+from framedhiggs.exactlinalg import ZERO, Echelon, dense, identity, nullspace_sparse, rank
+from framedhiggs.rationalfn import (Poly, RatContext, VSection, pairing_residue_at_infinity,
+                                    pairing_residue_at_point)
 
 PTS3 = (F(1), F(2), F(3))
 PTS2 = (F(1), F(2))
@@ -62,6 +63,102 @@ def test_value_constraint_kills_constants():
     ctx = RatContext(PTS3, 1)
     spec = make_spec(1, [0, 0, 0], [[], None, None], 0)
     assert global_sections(ctx, spec) == []
+
+
+# ---------------------------------------------------------------------------
+# chart sections against the VSection-built oracle
+# ---------------------------------------------------------------------------
+
+def vsection_sections(ctx, spec, poles, degree, at_points):
+    """Oracle: the chart basis as combinations of candidate VSections, with
+    condition rows read off `laurent_coeff` and `infinity_coeff`."""
+    m = spec.m
+    units = identity(m)
+    candidates = [VSection.principal(ctx, i, j, v)
+                  for i, p in enumerate(poles) for j in range(1, p + 1) for v in units]
+    candidates += [VSection.monomial(ctx, l, v) for l in range(degree + 1) for v in units]
+
+    def rows_for(values, functionals):
+        return [[sum((p * v[a] for a, p in enumerate(phi) if p), ZERO) for v in values]
+                for phi in functionals]
+
+    rows = []
+    for i in range(spec.n if at_points else 0):
+        k, cons = spec.pole_orders[i], spec.constraints[i]
+        for order in range(0, -k):
+            rows += rows_for([c.laurent_coeff(i, order) for c in candidates], units)
+        if cons is not None:
+            functionals = [dense(v, m) for v in nullspace_sparse(cons, ncols=m)]
+            rows += rows_for([c.laurent_coeff(i, -k) for c in candidates], functionals)
+    for order in range(1, -degree):
+        rows += rows_for([c.infinity_coeff(order) for c in candidates], units)
+    out = []
+    for combo in nullspace_sparse(rows, ncols=len(candidates)):
+        s = VSection.zero(ctx)
+        for c, x in combo.items():
+            s = s + candidates[c].scale(x)
+        out.append(s)
+    return out
+
+
+def _random_spec(rng):
+    m, n = rng.randint(1, 3), rng.randint(1, 3)
+    pts = tuple(F(x) for x in rng.sample([1, 2, 3, -1, F(1, 2), F(-5, 3)], n))
+    orders, cons = [], []
+    for _ in range(n):
+        orders.append(rng.randint(-2, 2))
+        kind = rng.random()
+        if kind < 0.4 or m == 1:
+            cons.append(None)
+        else:
+            dim = rng.randint(1, m - 1)
+            cons.append([[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)]
+                         for _ in range(dim)])
+    spec = make_spec(m, orders, cons, rng.randint(-4, 1), is_form=rng.random() < 0.5)
+    return RatContext(pts, m), spec
+
+
+def test_layout_chart_sections_equal_the_vsection_oracle():
+    rng = random.Random(909)
+    kinds = set()
+    for _ in range(220):
+        ctx, spec = _random_spec(rng)
+        window = curve.default_window([spec]).bumped(rng.randint(0, 1))
+        layout = Layout(ctx, window)
+        for chart, poles, degree, at_points in (
+                (sections_on_affine_chart, spec.pole_orders, window.degree, True),
+                (sections_off_divisor, [window.pole] * spec.n, spec.inf_order, False)):
+            expected = [layout.to_coords(s)
+                        for s in vsection_sections(ctx, spec, poles, degree, at_points)]
+            assert chart(ctx, spec, window) == expected
+        glob = global_sections(ctx, spec)
+        expected = vsection_sections(ctx, spec, spec.pole_orders, spec.inf_order, True)
+        assert [layout.to_coords(s) for s in glob] == [layout.to_coords(s) for s in expected]
+        kinds.update(k for k, on in (("constraint", any(c is not None for c in spec.constraints)),
+                                     ("negative pole order", min(spec.pole_orders) < 0),
+                                     ("vanishing at infinity", spec.inf_order < -1),
+                                     ("global sections", bool(glob))) if on)
+    assert kinds == {"constraint", "negative pole order", "vanishing at infinity",
+                     "global sections"}
+
+
+def test_a_perturbed_laurent_row_breaks_the_chart_sections(monkeypatch):
+    honest = curve.laurent_row
+
+    def perturbed(points, window, i, order):
+        row = honest(points, window, i, order)
+        if order == 0 and row:
+            row[max(row)] += 1          # the top polynomial coefficient
+        return row
+
+    monkeypatch.setattr(curve, "laurent_row", perturbed)
+    ctx = RatContext(PTS3, 2)
+    spec = make_spec(2, [-1, 0, 1], [None, [(F(1), F(2))], None], -1)
+    window = curve.default_window([spec])
+    layout = Layout(ctx, window)
+    expected = [layout.to_coords(s)
+                for s in vsection_sections(ctx, spec, spec.pole_orders, window.degree, True)]
+    assert sections_on_affine_chart(ctx, spec, window) != expected
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +242,19 @@ def test_residue_theorem_on_stored_forms():
 # Serre pairing
 # ---------------------------------------------------------------------------
 
+def total_residue_pairing(f, g, gram_apply):
+    """Sum of residues of <f, g> dz over D and infinity.
+
+    For a product with poles only along D and at infinity this vanishes by
+    the residue theorem; it is the cross-check functional, not the pairing.
+    """
+    acc = ZERO
+    for i in range(f.ctx.n):
+        acc += pairing_residue_at_point(f, g, gram_apply, i)
+    acc += pairing_residue_at_infinity(f, g, gram_apply)
+    return acc
+
+
 def test_serre_pairing_zero_class():
     ctx = RatContext(PTS3, 1)
     spec = make_spec(1, [-1, -1, -1], None, 0)
@@ -165,6 +275,7 @@ def test_serre_pairing_full_rank_and_coboundary():
     assert rank(mat) == 2
     for cob in (sections_on_affine_chart(ctx, spec, pres.window)
                 + sections_off_divisor(ctx, spec, pres.window)):
+        cob = pres.layout.from_coords(cob)
         for d in dual_secs:
             assert serre_pairing(cob, d) == 0
     # the total-residue functional annihilates everything global

@@ -8,9 +8,10 @@ from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL,
                                      DeformationTheory, ModelError,
                                      framed_higgs_model, hyper_pair,
                                      verify_poisson_map)
-from framedhiggs.exactlinalg import ZERO, mat_is_zero, rank, vec_add, vec_is_zero, vec_scale
+from framedhiggs.exactlinalg import (ZERO, add_scaled, dense, mat_is_zero, mat_vec, rank,
+                                     sparse, vec_add, vec_is_zero, vec_scale)
 from framedhiggs.liealg import AlgebraModel, bracket, trace_form
-from framedhiggs.rationalfn import VSection
+from framedhiggs.rationalfn import VSection, pairing_residue_at_point
 from framedhiggs.sampling import random_algebra_element, seeded_model
 
 
@@ -21,6 +22,66 @@ def balanced(model, rng, n, h=4):
         total = total + e
     els.append(total.scale(-1))
     return els
+
+
+# ---------------------------------------------------------------------------
+# cocycles as VSections: the oracles of the layout-native pairing
+# ---------------------------------------------------------------------------
+
+def rep_of_params(cone, params):
+    """The cochain with T^1 parameters `params` as VSections (c, u0, u1),
+    summed over the chart sections."""
+    params = dense(sparse(params), cone.t1_params)
+    n_u0, n_u1 = len(cone.f1_u0), len(cone.f1_u1)
+    parts = []
+    for coeffs, sections in ((params[:n_u0], cone.f1_u0),
+                             (params[n_u0:n_u0 + n_u1], cone.f1_u1)):
+        s = VSection.zero(cone.ctx)
+        for x, sec in zip(coeffs, sections):
+            if x:
+                s = s + cone.t2_layout.from_coords(sec).scale(x)
+        parts.append(s)
+    return (cone.c_layout.from_coords(params[n_u0 + n_u1:]), *parts)
+
+
+def basis_reps(cone):
+    return [rep_of_params(cone, p) for p in cone.quotient.basis]
+
+
+def project_cocycle(cone, c, u0, u1):
+    """Class coordinates of a VSection cocycle, through the chart coordinates."""
+    x0 = cone._u0.coords(cone.t2_layout.to_coords(u0))
+    x1 = cone._u1.coords(cone.t2_layout.to_coords(u1))
+    if x0 is None or x1 is None:
+        raise ValueError("cochain components do not satisfy the sheaf conditions")
+    params = (dense(x0, len(cone.f1_u0)) + dense(x1, len(cone.f1_u1))
+              + dense(cone.c_layout.to_coords(c), cone.c_layout.dim))
+    return cone.quotient.project(params)
+
+
+def random_coboundary(cone, rng):
+    """d0 of a random 0-cochain, for representative-independence tests."""
+    weights = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in cone._d0_cols]
+    params = {}
+    for w, col in zip(weights, cone._d0_cols):
+        if w:
+            add_scaled(params, w, col)
+    return rep_of_params(cone, params)
+
+
+def residue_pair(model, rep_a, rep_b):
+    """Oracle: sum over marked points of Res [ sigma(u0_a, c_b) - sigma(c_a, u1_b) ],
+    one Laurent coefficient pair at a time."""
+    def gram_apply(a, b):
+        return sum((x * y for x, y in zip(a, mat_vec(model._gram, b)) if x and y), ZERO)
+
+    c_a, u0_a, _ = rep_a
+    c_b, _, u1_b = rep_b
+    acc = ZERO
+    for i in range(model.curve.n):
+        acc += pairing_residue_at_point(u0_a, c_b, gram_apply, i)
+        acc -= pairing_residue_at_point(c_a, u1_b, gram_apply, i)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +247,9 @@ def test_pairing_representative_independence():
     model = seeded_model("sl(2)", [1, 2, 3], "trivial", 13, 4)
     th = DeformationTheory(model)
     cone = th.cone(FRAMED)
-    reps = cone.basis_reps()
+    reps = basis_reps(cone)
     for _ in range(3):
-        cob = cone.random_coboundary(rng)
+        cob = random_coboundary(cone, rng)
         shifted = tuple(x + y for x, y in zip(reps[0], cob))
         for other in reps[:5]:
             assert hyper_pair(model, shifted, other) == hyper_pair(model, reps[0], other)
@@ -201,7 +262,7 @@ def test_split_pairing_block_structure():
     model = framed_higgs_model("sl(2)", [1, 2], [z, z], "trivial")
     th = DeformationTheory(model)
     phi = th.symplectic_matrix()
-    reps = th.cone(FRAMED).basis_reps()
+    reps = basis_reps(th.cone(FRAMED))
     flags = [c.is_zero() for (c, _, _) in reps]
     assert flags == [True] * 3 + [False] * 3  # global-section block first
     for i in range(3):
@@ -213,17 +274,17 @@ def test_split_pairing_block_structure():
 
 def serre_pairing_matrix(theory):
     """Oracle: the pairing between the twisted hypercohomology and its Serre dual."""
-    tw_reps = theory.cone(TWISTED).basis_reps()
-    dual_reps = theory.cone(TWISTED_DUAL).basis_reps()
+    tw_reps = basis_reps(theory.cone(TWISTED))
+    dual_reps = basis_reps(theory.cone(TWISTED_DUAL))
     return [[hyper_pair(theory.model, t, w) for w in dual_reps] for t in tw_reps]
 
 
 def poisson_skew_residual(theory):
     """Oracle: max |<P a, b> + <P b, a>| over dual-basis classes a, b."""
     tw = theory.cone(TWISTED)
-    dual_reps = theory.cone(TWISTED_DUAL).basis_reps()
-    p_cols = [tw.project_cocycle(*rep) for rep in dual_reps]
-    tw_reps = tw.basis_reps()
+    dual_reps = basis_reps(theory.cone(TWISTED_DUAL))
+    p_cols = [project_cocycle(tw, *rep) for rep in dual_reps]
+    tw_reps = basis_reps(tw)
 
     def pair_class_with_dual(coords, dual_rep):
         acc = ZERO
@@ -358,7 +419,8 @@ def test_cone_dimensions_stable_under_window_bump():
 # ---------------------------------------------------------------------------
 
 # The first cycle of the bench `defo` workload at its default seed (height 10
-# residues), then the models of acceptance criterion 6 (height 4).
+# residues), then the models of acceptance criterion 6 (height 4), then sl(3)
+# on three points at seed 7, whose twisted_dual ker d1 needs three primes.
 CONE_COUNT_MODELS = [
     ("sl(2)", [1, 2, 3, 4], "torus", 535564, 10),
     ("sl(2)", [1, 2, 3], "trivial", 309651, 10),
@@ -369,6 +431,7 @@ CONE_COUNT_MODELS = [
     ("sl(2)", [1, 2, 3], "trivial", 43, 4),
     ("sl(2)", [1, 2, 3, -1], "trivial", 44, 4),
     ("sl(3)", [1, 2], "trivial", 45, 4),
+    ("sl(3)", [1, 2, 3], "trivial", 7, 10),
 ]
 
 
@@ -396,3 +459,80 @@ def test_cone_call_counts(monkeypatch, gid, pts, framing, seed, height):
         assert verify_poisson_map(theory).ok
     # no exact fallback, no LinSolver, one Theta for the three cones
     assert calls == ["_theta_columns"]
+
+
+# ---------------------------------------------------------------------------
+# the layout form against the per-residue VSection oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_MODELS = [
+    ("sl(2)", [1, 2, 3], "trivial", 71), ("sl(2)", [1, 2, 3], "torus", 72),
+    ("sl(2)", [1, 2, 3, 4], "trivial", 73), ("sl(2)", [1, 2, 3, 4], "torus", 74),
+    ("gl(2)", [1, 2, 3], "trivial", 75), ("gl(2)", [1, 2, 3], "torus", 76),
+    ("sl(3)", [1, 2, 3], "trivial", 77), ("sp(4)", [1, 2, 3], "trivial", 78),
+]
+
+
+def oracle_matrices(theory):
+    """phi, the forgetful adjoint, the forgetful map and the anchor, pair by pair
+    on VSection cocycles."""
+    model = theory.model
+    tw = theory.cone(TWISTED)
+    framed = basis_reps(theory.cone(FRAMED))
+    dual = basis_reps(theory.cone(TWISTED_DUAL))
+
+    def columns(reps):
+        cols = [project_cocycle(tw, *rep) for rep in reps]
+        return [[col[i] for col in cols] for i in range(tw.h1)]
+
+    return ([[residue_pair(model, a, b) for b in framed] for a in framed],
+            [[residue_pair(model, a, w) for w in dual] for a in framed],
+            columns(framed), columns(dual))
+
+
+def layout_matrices(theory):
+    return (theory.symplectic_matrix(), theory.forgetful_adjoint_matrix(),
+            theory.forgetful_matrix(), theory.poisson_matrix())
+
+
+@pytest.mark.parametrize("gid, pts, framing, seed", ORACLE_MODELS)
+def test_layout_form_matrices_equal_the_residue_oracle(gid, pts, framing, seed):
+    theory = DeformationTheory(seeded_model(gid, pts, framing, seed, 4))
+    layout = layout_matrices(theory)
+    assert layout == oracle_matrices(theory)
+    assert all(len(m) > 0 for m in layout) and any(x for row in layout[0] for x in row)
+
+
+def test_a_perturbed_laurent_row_breaks_the_pairing(monkeypatch):
+    from framedhiggs import deformation
+    honest = deformation.laurent_row
+
+    def perturbed(points, window, i, order):
+        row = honest(points, window, i, order)
+        if i == 0 and order == 0:
+            row[len(points) * window.pole + 1] += 1     # the value of z at x_0
+        return row
+
+    theory = DeformationTheory(seeded_model("sl(2)", [1, 2, 3], "trivial", 71, 4))
+    phi, adjoint, _, _ = oracle_matrices(theory)
+    monkeypatch.setattr(deformation, "laurent_row", perturbed)
+    assert theory.symplectic_matrix() != phi
+    assert theory.forgetful_adjoint_matrix() != adjoint
+
+
+@pytest.mark.parametrize("framing, computed", [("trivial", 4), ("torus", 6)])
+def test_chart_bases_are_computed_once_per_spec_and_window(monkeypatch, framing, computed):
+    # with trivial framing the framed F1 is the twisted F1 and the framed F0
+    # the twisted_dual F0, so 4 of the 6 (spec, window) pairs are distinct
+    from framedhiggs import deformation
+    calls = []
+    for name in ("sections_on_affine_chart", "sections_off_divisor"):
+        def counted(ctx, spec, window, _original=getattr(deformation, name), _name=name):
+            calls.append((_name, spec, window))
+            return _original(ctx, spec, window)
+        monkeypatch.setattr(deformation, name, counted)
+    theory = DeformationTheory(seeded_model("sl(2)", [1, 2, 3], framing, 5, 4))
+    for kind in (TWISTED, FRAMED, TWISTED_DUAL):
+        theory.dims(kind)
+    assert len(calls) == len(set(calls)) == 2 * computed
+    assert len({(spec, window) for _, spec, window in calls}) == computed

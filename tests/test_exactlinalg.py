@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from framedhiggs import exactlinalg
-from framedhiggs.exactlinalg import (ONE, P, Echelon, LinSolver, Quotient, inverse,
-                                     mat_mul, nullspace_sparse, rank, rref, zeros)
+from framedhiggs.exactlinalg import (ONE, P, PRIMES, Echelon, LinSolver, Quotient, dense,
+                                     inverse, mat_mul, nullspace_sparse, rank, rref, zeros)
 
 
 def nullspace(rows, ncols):
@@ -36,13 +36,14 @@ def test_nullspace_matches_sparse_on_random():
         n, m = rng.randint(1, 7), rng.randint(1, 7)
         rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
                 for _ in range(n)]
-        assert nullspace(rows, ncols=m) == nullspace_sparse(rows, ncols=m)
+        assert nullspace(rows, ncols=m) == [dense(v, m) for v in nullspace_sparse(rows, ncols=m)]
 
 
 def test_nullspace_vectors_are_kernel():
     rng = random.Random(3)
     rows = [[F(rng.randint(-5, 5)) for _ in range(6)] for _ in range(3)]
     for v in nullspace_sparse(rows, ncols=6):
+        v = dense(v, 6)
         assert all(sum(r * x for r, x in zip(row, v)) == 0 for row in rows)
 
 
@@ -106,7 +107,7 @@ def _random_nullspace_case(rng):
     n = rng.randint(1, 9)
     rows = [[F(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.6 else F(0)
              for _ in range(n)] for _ in range(rng.randint(0, n))]
-    kernel = nullspace_sparse(rows, ncols=n)
+    kernel = [dense(v, n) for v in nullspace_sparse(rows, ncols=n)]
     sub = [_combination(rng, kernel, n, rng.randint(1, 3))
            for _ in range(rng.randint(0, len(kernel) + 1))] if kernel else []
     return n, sub, kernel
@@ -214,12 +215,38 @@ def test_modular_kernel_equals_the_exact_elimination(exact_calls):
 
 
 def test_entries_beyond_the_lift_bound_take_the_exact_path(exact_calls):
-    big = F(2) ** 40
-    # kernel (2^40, 1): 2^40 = 1/2^21 mod P lifts inside the bound, wrongly
-    assert nullspace_sparse([[F(1), -big]], 2) == [[big, F(1)]]
-    # kernel (-1/2^35, 1): a denominator beyond the bound
-    assert nullspace_sparse([[F(2) ** 35, F(1)]], 2) == [[F(-1, 2 ** 35), F(1)]]
+    # the lift bound with every prime of PRIMES is floor(sqrt(M / 2)) < 2^122
+    big = F(2) ** 200
+    # kernel (2^200, 1): the lifts are wrong or missing, and the Z check rejects them
+    assert [dense(v, 2) for v in nullspace_sparse([[F(1), -big]], 2)] == [[big, F(1)]]
+    # kernel (-1/2^150, 1): a denominator beyond the bound
+    assert [dense(v, 2) for v in nullspace_sparse([[F(2) ** 150, F(1)]], 2)] == \
+        [[F(-1, 2 ** 150), F(1)]]
     assert len(exact_calls) == 2
+
+
+@pytest.mark.parametrize("row, kernel, primes", [
+    # 2^40 = 1/2^21 mod P lifts inside the one-prime bound, wrongly; two primes lift it
+    ([F(1), -F(2) ** 40], [F(2) ** 40, F(1)], 2),
+    # a 2^35 denominator is beyond the one-prime bound
+    ([F(2) ** 35, F(1)], [F(-1, 2 ** 35), F(1)], 2),
+    # 76-bit numerator over a 69-bit denominator: beyond two primes' bound 2^60.5
+    ([F(2 ** 68 + 1), F(-3 ** 48)], [F(3 ** 48, 2 ** 68 + 1), F(1)], 3),
+])
+def test_entries_beyond_one_prime_are_lifted_by_crt(monkeypatch, exact_calls, row, kernel,
+                                                    primes):
+    used = []
+    honest = exactlinalg._rref_mod
+    monkeypatch.setattr(exactlinalg, "_rref_mod", lambda rows, p: used.append(p) or honest(rows, p))
+    assert [dense(v, 2) for v in nullspace_sparse([row], 2)] == [kernel]
+    assert used == list(PRIMES[:primes]) and exact_calls == []
+
+
+def test_primes_with_different_pivots_take_the_exact_path(exact_calls):
+    # the first column vanishes mod P only: the pivots mod P and mod PRIMES[1] differ
+    rows = [[F(P) * 2 ** 40, F(1), F(2) ** 40]]
+    assert [dense(v, 3) for v in nullspace_sparse(rows, 3)] == nullspace(rows, 3)
+    assert exact_calls == [3]
 
 
 def test_a_rank_drop_mod_p_is_rejected_by_the_check_over_z(exact_calls):
@@ -234,9 +261,9 @@ def test_a_wrong_lift_is_caught_and_never_returned(monkeypatch, exact_calls):
     rows = [[F(1), F(2), F(0), F(-3)], [F(0), F(1), F(1, 2), F(4)]]
     expected = nullspace(rows, 4)
     honest = exactlinalg._rational_lift
-    monkeypatch.setattr(exactlinalg, "_rational_lift", lambda x: honest(x) + F(1, 7))
+    monkeypatch.setattr(exactlinalg, "_rational_lift", lambda x, m: honest(x, m) + F(1, 7))
     assert exactlinalg._modular_kernel([exactlinalg.sparse(r) for r in rows], 4) is None
-    assert nullspace_sparse(rows, 4) == expected
+    assert [dense(v, 4) for v in nullspace_sparse(rows, 4)] == expected
     assert exact_calls == [4]
 
 
@@ -244,5 +271,5 @@ def test_quotient_coords_read_off_a_staircase_basis():
     kernel = nullspace_sparse([[F(1), F(1), F(0), F(2)]], ncols=4)
     q = Quotient(4, [], kernel)
     v = [F(-2) - F(6), F(2), F(5), F(3)]
-    assert q.coords(v) == [F(2), F(5), F(3)]
+    assert q.coords(v) == {0: F(2), 1: F(5), 2: F(3)}
     assert q.coords([F(1), F(0), F(0), F(0)]) is None

@@ -106,11 +106,32 @@ def test_agreement_of_symbolic_and_numeric_expansion():
 # Lie-Poisson bracket
 # ---------------------------------------------------------------------------
 
+def pairing_observable(system, site, el):
+    """The linear observable A_site |-> tr(A_site el)."""
+    obs = PolyObservable()
+    for a in range(system.s):
+        for b in range(system.s):
+            if el.matrix[b][a]:
+                obs = obs + system.coordinate(site, a, b).scale(el.matrix[b][a])
+    return obs
+
+
+def bracket_symbolic(system, f, g):
+    """Oracle: {f, g} as an exact polynomial observable."""
+    acc = PolyObservable()
+    for i in range(system.n):
+        comm = mat_commutator(system._symbolic_gradient(f, i), system._symbolic_gradient(g, i))
+        for a in range(system.s):
+            for b in range(system.s):
+                acc = acc + (system.coordinate(i, a, b) * comm[b][a])
+    return acc
+
+
 def test_bracket_antisymmetry():
     model = AlgebraModel("sl(2)")
     system = GaudinSystem(model, PTS3)
     f = system.coordinate(0, 0, 1) * system.coordinate(1, 1, 0)
-    assert system.bracket_symbolic(f, f).is_zero()
+    assert bracket_symbolic(system, f, f).is_zero()
 
 
 def test_single_site_structure_constants():
@@ -120,10 +141,10 @@ def test_single_site_structure_constants():
     e = model.element([[0, 1], [0, 0]])
     f = model.element([[0, 0], [1, 0]])
     h = model.element([[1, 0], [0, -1]])
-    obs_e = system.pairing_observable(0, e)
-    obs_f = system.pairing_observable(0, f)
-    obs_h = system.pairing_observable(0, h)
-    assert (system.bracket_symbolic(obs_e, obs_f) - obs_h).is_zero()
+    obs_e = pairing_observable(system, 0, e)
+    obs_f = pairing_observable(system, 0, f)
+    obs_h = pairing_observable(system, 0, h)
+    assert (bracket_symbolic(system, obs_e, obs_f) - obs_h).is_zero()
 
 
 def test_bracket_leibniz_rule():
@@ -132,8 +153,8 @@ def test_bracket_leibniz_rule():
     x = system.coordinate(0, 0, 1)
     y = system.coordinate(1, 1, 0)
     w = system.coordinate(0, 0, 0)
-    lhs = system.bracket_symbolic(x, y * w)
-    rhs = system.bracket_symbolic(x, y) * w + y * system.bracket_symbolic(x, w)
+    lhs = bracket_symbolic(system, x, y * w)
+    rhs = bracket_symbolic(system, x, y) * w + y * bracket_symbolic(system, x, w)
     assert (lhs - rhs).is_zero()
 
 
@@ -154,9 +175,9 @@ def test_bracket_jacobi_identity():
 
     for _ in range(3):
         x, y, w = random_obs(), random_obs(), random_obs()
-        jac = (system.bracket_symbolic(system.bracket_symbolic(x, y), w)
-               + system.bracket_symbolic(system.bracket_symbolic(y, w), x)
-               + system.bracket_symbolic(system.bracket_symbolic(w, x), y))
+        jac = (bracket_symbolic(system, bracket_symbolic(system, x, y), w)
+               + bracket_symbolic(system, bracket_symbolic(system, y, w), x)
+               + bracket_symbolic(system, bracket_symbolic(system, w, x), y))
         assert jac.is_zero()
 
 
