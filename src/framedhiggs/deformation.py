@@ -377,7 +377,7 @@ def _dot(u: dict[int, int], w: dict[int, int]) -> int:
     return sum(x * w[k] for k, x in u.items() if k in w)
 
 
-def cup_matrix(model: FramedHiggsModel, window: Window, left, right) -> Mat:
+def _cup_matrix(model: FramedHiggsModel, window: Window, left, right) -> Mat:
     """[<a, b>] for the layout cocycles a of `left` and b of `right`, each a
     (d, integer cocycles) pair as `Hypercohomology.classes` returns:
     <a, b> = B(u0_a, c_b) - B(u1_b, c_a) for the model's pairing form B."""
@@ -407,7 +407,7 @@ def hyper_pair(model: FramedHiggsModel,
     lay1 = Layout(model.context, Window(window.pole + 1, window.degree))
     den, (a, b) = _integral([(lay0.to_coords(c), lay1.to_coords(u0), lay1.to_coords(u1))
                              for c, u0, u1 in (rep_a, rep_b)])
-    return cup_matrix(model, window, (den, [a]), (den, [b]))[0][0]
+    return _cup_matrix(model, window, (den, [a]), (den, [b]))[0][0]
 
 
 class DeformationTheory:
@@ -431,7 +431,7 @@ class DeformationTheory:
     # -- matrices -------------------------------------------------------------
 
     def _pairing(self, left: str, right: str) -> Mat:
-        return cup_matrix(self.model, self.window, self.cone(left).classes(),
+        return _cup_matrix(self.model, self.window, self.cone(left).classes(),
                           self.cone(right).classes())
 
     def _inclusion(self, kind: str) -> Mat:

@@ -85,9 +85,8 @@ def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
 def vec_scale(a: Sequence[Fraction], c: Fraction) -> Vec:
     return [c * x for x in a]
 
-def vec_is_zero(a) -> bool:
-    """True for a dense vector of zeros and for the empty sparse vector."""
-    return all(x == 0 for x in (a.values() if isinstance(a, dict) else a))
+def vec_is_zero(a: Sequence[Fraction]) -> bool:
+    return all(x == 0 for x in a)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:

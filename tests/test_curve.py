@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from framedhiggs import curve
-from framedhiggs.curve import (H1Presentation, INFINITY, Layout, MarkedCurve, Window,
+from framedhiggs.curve import (H1Presentation, INFINITY, Layout, MarkedCurve,
                                dot_gram, global_sections,
                                h1_presentation, make_spec, residue,
                                sections_off_divisor, sections_on_affine_chart,
