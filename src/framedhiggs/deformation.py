@@ -130,7 +130,7 @@ class FramedHiggsModel:
         n, pole = len(pts), window.pole
         cols = []
         for k in range(n * pole + window.degree + 1):
-            kp, j = divmod(k, pole)     # (z - x_kp)^-(j+1) when kp < n
+            kp, j = divmod(k, pole) if k < n * pole else (n, 0)   # (z - x_kp)^-(j+1)
             s_cols = []                 # column k of S_1, ..., S_n
             for i, x in enumerate(pts):
                 if kp >= n:
