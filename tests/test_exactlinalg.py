@@ -230,7 +230,7 @@ def test_entries_beyond_the_lift_bound_take_the_exact_path(exact_calls):
     ([F(1), -F(2) ** 40], [F(2) ** 40, F(1)], 2),
     # a 2^35 denominator is beyond the one-prime bound
     ([F(2) ** 35, F(1)], [F(-1, 2 ** 35), F(1)], 2),
-    # 76-bit numerator over a 69-bit denominator: beyond two primes' bound 2^60.5
+    # a 77-bit numerator over a 69-bit denominator: beyond two primes' bound 2^60.5
     ([F(2 ** 68 + 1), F(-3 ** 48)], [F(3 ** 48, 2 ** 68 + 1), F(1)], 3),
 ])
 def test_entries_beyond_one_prime_are_lifted_by_crt(monkeypatch, exact_calls, row, kernel,
