@@ -23,9 +23,8 @@ from .deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
 from .dimensions import (DimReport, consistency_audit, audit_grid,
                          dim_moduli_framed, dim_moduli_higgs, hitchin_base_dim,
                          hitchin_fiber_dim, torsor_dims)
-from .gaudin import (FlowToleranceError, GaudinSystem, HitchinPoint,
-                     PolyObservable, commutativity_check, hamiltonian_flow,
-                     hitchin_map)
+from .gaudin import (GaudinSystem, HitchinPoint, PolyObservable,
+                     commutativity_check, hamiltonian_flow, hitchin_map)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, GroupData,
                      InvariantForm, UnsupportedGroupError, bracket,
                      check_invariance, group_data, invariant_polynomials,

@@ -241,8 +241,8 @@ def run_dims(cfg: dict, seed) -> dict:
 
 def run_audit(cfg: dict, seed) -> dict:
     groups = cfg.get("groups", ["sl(2)", "sl(3)", "gl(2)", "gl(3)", "sp(4)", "so(5)"])
-    if not isinstance(groups, list):
-        raise ConfigError("config.groups: expected a list of group ids")
+    if not isinstance(groups, list) or not groups:
+        raise ConfigError("config.groups: expected a nonempty list of group ids")
     for k, gid in enumerate(groups):
         _group_data(gid, f"config.groups[{k}]")
     genera = _int_range(cfg.get("genus_range", [1, 4]), "config.genus_range", 1)
@@ -457,12 +457,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as fh:
-            try:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
                 cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"{args.config}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        except OSError as exc:
+            raise ConfigError(f"{args.config}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 text (byte {exc.start})")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"{args.config}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: top-level config must be an object")
         body = RUNNERS[args.subcommand](cfg, args.seed)
@@ -489,8 +493,12 @@ def main(argv: list[str] | None = None) -> int:
         text = json.dumps(_jsonable(report), indent=2, sort_keys=True,
                           allow_nan=False) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     failed = [c["name"] for c in body["checks"] if not c["passed"]]

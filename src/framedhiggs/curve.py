@@ -56,9 +56,6 @@ class MarkedCurve:
     def n(self) -> int:
         return len(self.points)
 
-    def context(self, m: int) -> RatContext:
-        return RatContext(self.points, m)
-
 
 @dataclass(frozen=True)
 class SheafSpec:

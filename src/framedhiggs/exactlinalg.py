@@ -247,13 +247,6 @@ class Echelon:
         return True
 
 
-def span_dim(vectors: Iterable[Sequence[Fraction]], n: int) -> int:
-    ech = Echelon(n)
-    for v in vectors:
-        ech.insert(v)
-    return ech.dim
-
-
 def nullspace_sparse(rows: Iterable, ncols: int) -> list[dict[int, Fraction]]:
     """Staircase basis of the right kernel {v : A v = 0}, as sparse vectors:
     one per free column, with unit entry at the free column, in column order.

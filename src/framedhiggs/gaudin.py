@@ -482,12 +482,11 @@ class GaudinSystem:
     # -- Hamiltonian flow (floating point) ----------------------------------------
 
     def integrate_flow(self, residues: Sequence[AlgebraElement], hamiltonian: PolyObservable,
-                       t_end: float, steps: int, drift_tolerance: float | None = None):
+                       t_end: float, steps: int):
         """Fixed-step RK4 integration of dA_i/dt = [A_i, nabla_i H].
 
         Returns (trajectory endpoints, drift report).  The drift report lists
-        the relative drift of every Hitchin coefficient along the trajectory;
-        if drift_tolerance is given, exceeding it raises FlowToleranceError.
+        the relative drift of every Hitchin coefficient along the trajectory.
         """
         # Imported here: numpy is most of the package's import time, and only
         # the flow needs it.
@@ -525,18 +524,7 @@ class GaudinSystem:
                 rel = abs(v1 - v0) / max(abs(v0), 1e-3 * scale)
                 report.append({"degree_index": k, "site": i, "order": j,
                                "start": v0, "end": v1, "relative_drift": rel})
-        worst = worst_drift(report)
-        if drift_tolerance is not None and not worst <= drift_tolerance:
-            bad = max(report, key=lambda r: _drift_key(r["relative_drift"]))
-            raise FlowToleranceError(
-                f"conserved-quantity drift {worst:.3e} exceeds tolerance "
-                f"{drift_tolerance:.3e} (coefficient {bad['degree_index']},"
-                f"{bad['site']},{bad['order']}); reduce the step size")
         return traj, report
-
-
-class FlowToleranceError(RuntimeError):
-    pass
 
 
 # -- model-level convenience wrappers -----------------------------------------
@@ -566,7 +554,6 @@ def commutativity_check(model, random_points: int = 5, seed: int = 0,
 
 
 def hamiltonian_flow(model, hamiltonian: PolyObservable, t_end: float,
-                     steps: int, drift_tolerance: float | None = None):
+                     steps: int):
     """Fixed-step flow of a polynomial Hamiltonian from the model's residues."""
-    return system_for_model(model).integrate_flow(
-        model.residues, hamiltonian, t_end, steps, drift_tolerance)
+    return system_for_model(model).integrate_flow(model.residues, hamiltonian, t_end, steps)

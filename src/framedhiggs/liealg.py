@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactlinalg import (Echelon, LinSolver, Mat, Vec, ZERO, ONE, dense, frac,
-                          mat_comb, mat_mul, nullspace_sparse, rank, span_dim)
+                          mat_comb, mat_mul, nullspace_sparse, rank)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -203,10 +203,6 @@ class AlgebraElement:
     """A matrix in the defining representation with its algebra tag."""
     matrix: Matrix
     group_id: str
-
-    @property
-    def size(self) -> int:
-        return len(self.matrix)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same(self, other)
@@ -481,7 +477,7 @@ class FramingSpec:
                 if not pech.contains(self.model.coords(bracket(a, p))):
                     raise ValueError("bracket stability [h, h_perp] ⊆ h_perp failed")
         tor = [self.model.coords(AlgebraElement(t, g.group_id)) for t in self.model.torus]
-        both = span_dim(coords + tor, g.dim)
+        both = rank(coords + tor)
         self.dim_torus_cap = len(coords) + len(tor) - both
 
     @property

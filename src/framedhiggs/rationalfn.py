@@ -306,16 +306,6 @@ class Poly:
                         out[i + j] += a * b
         return Poly(out)
 
-    def __pow__(self, k: int) -> "Poly":
-        out = Poly([ONE])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def scale(self, a) -> "Poly":
         a = frac(a)
         return Poly([a * x for x in self.c])

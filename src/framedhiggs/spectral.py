@@ -12,7 +12,7 @@ give.  sympy factors and isolates the real roots; the non-real rectangles are
 sympy's Collins-Krandick quadtree and refinement replayed on certified
 Henrici disks, each root count an exact comparison with the disks
 (`_replay_rectangles`).  A step the disks cannot decide sends the polynomial
-back to sympy's own complex isolation.
+back to sympy end to end: its own complex isolation and refinement.
 """
 
 from __future__ import annotations
@@ -158,7 +158,8 @@ def _isolate_irrational_roots(p: Poly, rational: list[tuple[Fraction, int]],
     in its order.  sympy factors the remainder and isolates and refines its
     real roots; the non-real rectangles are replayed on certified disks
     (`_replay_complexes`).  When the replay cannot decide a step, sympy's own
-    complex isolation runs for the whole polynomial.
+    complex isolation (``all_roots``) and refinement (``eval_rational``) run
+    for the whole polynomial.
     """
     reduced = p
     for root, mult in rational:
@@ -188,35 +189,19 @@ def _isolate_irrational_roots(p: Poly, rational: list[tuple[Fraction, int]],
     centres = _replay_complexes(
         [[int(a) for a in f.all_coeffs()] for f in factors],
         [sum(rt.as_coeff_Mul()[1].poly == f for rt in reals) for f in factors], tol)
-    if centres is None:
-        centres = _sympy_centres(sp.all_roots(radicals=False)[len(reals):], tol,
-                                 _float_roots([int(a) for a in primitive.all_coeffs()]))
-    out: list[tuple] = []
     stol = sympy.Rational(tol.numerator, tol.denominator)
+    if centres is None:
+        centres = []
+        for rt in sp.all_roots(radicals=False)[len(reals):]:
+            approx = rt.as_coeff_Mul()[1].eval_rational(dx=stol, dy=stol)
+            centres.append((_fraction(sympy.re(approx)), _fraction(sympy.im(approx))))
+    out: list[tuple] = []
     for rt in reals:
         re = scale * _fraction(rt.as_coeff_Mul()[1].eval_rational(dx=stol, dy=stol))
         out.append(("real", re - eps, re + eps))
     for re, im in centres:
         re, im = scale * re, scale * im
         out.append(("complex", (re - eps, im - eps), (re + eps, im + eps)))
-    return out
-
-
-def _sympy_centres(roots, tol: Fraction,
-                   starts: list[complex]) -> list[tuple[Fraction, Fraction]]:
-    """The centres ``eval_rational(dx=tol, dy=tol)`` gives for sympy's non-real
-    CRootOf roots, each taken by `_certified_centre` where it can be."""
-    import sympy
-
-    stol = sympy.Rational(tol.numerator, tol.denominator)
-    out = []
-    for rt in roots:
-        root = rt.as_coeff_Mul()[1]
-        centre = _certified_centre(root, tol, starts)
-        if centre is None:
-            approx = root.eval_rational(dx=stol, dy=stol)
-            centre = (_fraction(sympy.re(approx)), _fraction(sympy.im(approx)))
-        out.append(centre)
     return out
 
 
@@ -482,35 +467,6 @@ def _centre(rect, box, tol: Fraction) -> tuple[Fraction, Fraction] | None:
             return None
         centre.append(lo + (j + Fraction(1, 2)) * cell)
     return centre[0], centre[1]
-
-
-def _certified_centre(root, tol: Fraction,
-                      starts: list[complex]) -> tuple[Fraction, Fraction] | None:
-    """The centre that ``root.eval_rational(dx=tol, dy=tol)`` returns for a
-    non-real CRootOf, found without sympy's Collins-Krandick steps.
-
-    sympy keeps the upper-half-plane rectangle [u, s] x [v, t], which holds
-    exactly one root of ``root.poly`` (the conjugate one when ``conj``), and
-    refines it (`_centre`).  The float start nearest the rectangle's centre
-    gives a certified box (`_henrici_box`); if it lies strictly inside the
-    rectangle it holds the isolated root, and each cut that misses it fixes
-    the half sympy's exact count keeps.  Returns None when a step cannot be
-    certified (box not inside the rectangle, box meeting a cut, no start, no
-    Newton convergence) and for a purely imaginary root, whose real part
-    sympy reports as exactly 0: the caller then runs sympy's refinement.
-    """
-    if not starts or root.is_imaginary:
-        return None
-    ivl = root._get_interval()
-    rect = (*map(_fraction, ivl.a), *map(_fraction, ivl.b))
-    mid = complex((rect[0] + rect[2]) / 2, (rect[1] + rect[3]) / 2)
-    box = _henrici_box([int(a) for a in root.poly.all_coeffs()],
-                       min(starts, key=lambda w: abs(w - mid)), tol / 2 ** 50)
-    centre = _centre(rect, box, tol) if box and _holds(rect, box) else None
-    if centre is None:
-        return None
-    re, im = centre
-    return re, -im if ivl.conj else im
 
 
 def riemann_hurwitz_genus(r: int, g: int, n: int) -> int:

@@ -150,6 +150,7 @@ EXPLICIT_SL2 = {"group": "sl(2)", "points": ["1", "2"],
     ("gaudin", {**GAUDIN_SL2, "flow": {"t_end": "x", "steps": 10}}, "config.flow.t_end"),
     ("audit", {"groups": ["sl(2)", "xx(2)"]}, "config.groups[1]"),
     ("audit", {"groups": "sl(2)"}, "config.groups"),
+    ("audit", {"groups": []}, "config.groups"),
     ("dims", {"group": 5, "genus": 2, "n": 2}, "config.group"),
     ("audit", {"groups": ["sl(2)"], "n_range": [3, 1]}, "config.n_range"),
     ("dims", {"group": "sl(2)", "genus": 2.5, "n": 2}, "config.genus"),
@@ -192,8 +193,8 @@ EXPLICIT_SL2 = {"group": "sl(2)", "points": ["1", "2"],
     ("defo", {**DEFO_SL2, "verify_poisson_map": "no"}, "config.verify_poisson_map"),
 ], ids=["genus-0", "genus-x", "n-0", "framing-length", "height-0", "steps-0",
         "random-points-negative", "grid-r-1", "audit-genus-0", "flow-t-end-x",
-        "audit-unknown-group", "audit-groups-string", "group-not-a-string",
-        "audit-empty-n-range", "genus-fraction", "random-points-bool",
+        "audit-unknown-group", "audit-groups-string", "audit-groups-empty",
+        "group-not-a-string", "audit-empty-n-range", "genus-fraction", "random-points-bool",
         "random-points-fraction", "height-fraction", "steps-fraction", "flow-not-an-object",
         "spectral-genus-fraction", "framing-unknown", "framing-number",
         "framing-list-with-random-residues", "framing-basis-not-a-matrix",
@@ -207,6 +208,23 @@ def test_invalid_input_is_exit_2_with_the_field_named(tmp_path, capsys, subcomma
     assert main([subcommand, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["missing-config", "config-not-utf8", "out-unwritable"])
+def test_unusable_files_are_exit_2_with_the_path_named(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, "dims.json", {"group": "sl(2)", "genus": 2, "n": 1})
+    argv = ["dims", "--config", cfg]
+    if case == "missing-config":
+        path = argv[2] = str(tmp_path / "absent.json")
+    elif case == "config-not-utf8":
+        path = cfg
+        Path(cfg).write_bytes(b'{"group": "sl(2)\xff", "genus": 2, "n": 1}')
+    else:
+        path = str(tmp_path / "no-such-dir" / "out.json")
+        argv += ["--out", path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 def test_genus_grid_mismatch_fails_the_check_with_a_report(tmp_path, capsys, monkeypatch):

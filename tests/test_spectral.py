@@ -5,7 +5,6 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -17,8 +16,7 @@ from framedhiggs.dimensions import hitchin_base_dim, hitchin_fiber_dim
 from framedhiggs.liealg import AlgebraModel
 from framedhiggs.rationalfn import Poly
 from framedhiggs.sampling import random_algebra_element, seeded_model
-from framedhiggs.spectral import (_certified_centre, _disc_numerator,
-                                  _isolate_irrational_roots,
+from framedhiggs.spectral import (_disc_numerator, _isolate_irrational_roots,
                                   elementary_numerators, spectral_data,
                                   spectral_genus, torsor_fiber_report)
 
@@ -301,53 +299,8 @@ def test_certified_boxes_match_on_explicit_polynomials(coeffs, eps):
     assert new == ref
 
 
-def _stand_in_root(a, b, conj=False, imaginary=False):
-    """A root of 5 z^2 - 2 z + 2, at (1 +- 3i)/5, with a chosen rectangle
-    [a] x [b] in the upper half-plane."""
-    ivl = SimpleNamespace(a=(a[0], b[0]), b=(a[1], b[1]), conj=conj)
-    return SimpleNamespace(_get_interval=lambda: ivl, is_imaginary=imaginary,
-                           poly=SimpleNamespace(all_coeffs=lambda: [5, -2, 2]))
-
-
-STARTS = [complex(0.2, 0.6), complex(0.2, -0.6)]
-
-
-@pytest.mark.parametrize("conj, tol, width", [
-    (False, F(1, 10 ** 6), F(1, 2 ** 20)),
-    (True, F(1, 10 ** 6), F(1, 2 ** 20)),
-    # sympy cuts a side while it is not shorter than tol, so a side of
-    # exactly tol is cut once more.
-    (False, F(1, 2 ** 20), F(1, 2 ** 21)),
-], ids=["upper", "conjugate", "side-equal-to-tol"])
-def test_certified_centre_of_a_stand_in_rectangle(conj, tol, width):
-    root = _stand_in_root((F(0), F(1, 2)), (F(1, 2), F(1)), conj)
-    re, im = _certified_centre(root, tol, STARTS)
-    # No midpoint of [0, 1/2] or [1/2, 1] is 1/5 or 3/5, so the centre is the
-    # middle of the dyadic cell that holds the root.
-    assert re == (F(1, 5) // width + F(1, 2)) * width
-    assert im == (1 if not conj else -1) * (F(3, 5) // width + F(1, 2)) * width
-
-
-def test_root_on_a_midpoint_line_is_not_certified():
-    # The first vertical cut of [1/5 - 1/3, 1/5 + 1/3] passes through 1/5.
-    root = _stand_in_root((F(1, 5) - F(1, 3), F(1, 5) + F(1, 3)), (F(1, 2), F(1)))
-    assert _certified_centre(root, EPS, STARTS) is None
-
-
-def test_root_on_the_edge_of_its_rectangle_is_not_certified():
-    root = _stand_in_root((F(1, 5), F(1, 2)), (F(1, 2), F(1)))
-    assert _certified_centre(root, EPS, STARTS) is None
-
-
-def test_purely_imaginary_root_is_left_to_sympy():
-    # sympy reports the real part of a root it calls imaginary as exactly 0,
-    # not as the centre of the rectangle.
-    root = _stand_in_root((F(0), F(1, 2)), (F(1, 2), F(1)), imaginary=True)
-    assert _certified_centre(root, EPS, STARTS) is None
-
-
-def _eval_rational_calls(monkeypatch, group, n, seed):
-    """(is_real) of every root sympy's eval_rational refines in the job."""
+def _eval_rational_calls(monkeypatch, p, rational):
+    """(is_real) of every root sympy's eval_rational refines for p."""
     calls = []
     refine = CRootOf.eval_rational
 
@@ -356,25 +309,32 @@ def _eval_rational_calls(monkeypatch, group, n, seed):
         return refine(self, *args, **kwargs)
 
     monkeypatch.setattr(CRootOf, "eval_rational", counting)
-    disc, rational = _discriminant(group, n, seed)
     CRootOf.clear_cache()
-    boxes = _isolate_irrational_roots(disc, rational, EPS)
+    boxes = _isolate_irrational_roots(p, rational, EPS)
     return calls, boxes
 
 
 @pytest.mark.parametrize("group, n, seed", [("sl(2)", 4, 9), ("gl(2)", 3, 1001)])
 def test_eval_rational_refines_only_real_roots(monkeypatch, group, n, seed):
-    calls, boxes = _eval_rational_calls(monkeypatch, group, n, seed)
+    calls, boxes = _eval_rational_calls(monkeypatch, *_discriminant(group, n, seed))
     assert any(b[0] == "complex" for b in boxes)
     assert calls == [True] * sum(b[0] == "real" for b in boxes)
 
 
 def test_root_on_the_edge_of_its_rectangle_falls_back_to_sympy(monkeypatch):
-    # The quadratic's real part is rational and lies on the left edge of
-    # sympy's isolating rectangle: no disk around it fits inside.
-    calls, boxes = _eval_rational_calls(monkeypatch, "gl(2)", 3, 1003)
+    # The quadratic's real part is rational and lies on a cut of sympy's
+    # quadtree: the replay declines and sympy refines every non-real root.
+    calls, boxes = _eval_rational_calls(monkeypatch, *_discriminant("gl(2)", 3, 1003))
     assert [b[0] for b in boxes] == ["complex", "complex"]
     assert calls == [False, False]
+
+
+def test_a_declined_replay_refines_each_non_real_root_once(monkeypatch):
+    # two-factors-on-cuts: 1 +- i and -2 +- 3i lie on sympy's cuts.
+    p = _poly(1, -2, 2) * _poly(1, 4, 13)
+    calls, boxes = _eval_rational_calls(monkeypatch, p, p.rational_roots())
+    assert [b[0] for b in boxes] == ["complex"] * 4
+    assert calls == [False] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -501,17 +461,18 @@ def test_sympy_complex_isolation_runs_only_when_the_replay_declines(
 def _declines(monkeypatch, group, n, seed):
     """Whether `_isolate_irrational_roots` fell back to sympy, and whether its
     boxes still equal sympy's own."""
-    fallback = spectral._sympy_centres
+    replay = spectral._replay_complexes
     calls = []
 
     def spy(*args):
-        calls.append(1)
-        return fallback(*args)
+        centres = replay(*args)
+        calls.append(centres is None)
+        return centres
 
-    monkeypatch.setattr(spectral, "_sympy_centres", spy)
+    monkeypatch.setattr(spectral, "_replay_complexes", spy)
     disc, rational = _discriminant(group, n, seed)
     new, ref = _both_ways(disc, rational)
-    return bool(calls), new == ref
+    return any(calls), new == ref
 
 
 NEGATIVE_CONTROL = ("sl(2)", 4, 1001)   # replayed unchanged: 2 non-real and 2 real roots
