@@ -23,12 +23,12 @@ from .deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
 from .dimensions import (DimReport, consistency_audit, audit_grid,
                          dim_moduli_framed, dim_moduli_higgs, hitchin_base_dim,
                          hitchin_fiber_dim, torsor_dims)
-from .gaudin import (GaudinSystem, HitchinPoint, PolyObservable,
-                     commutativity_check, hamiltonian_flow, hitchin_map)
+from .gaudin import GaudinSystem, HitchinPoint, PolyObservable
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, GroupData,
                      InvariantForm, UnsupportedGroupError, bracket,
-                     check_invariance, group_data, invariant_polynomials,
-                     perp_subspace, torus_framing, trace_form, trivial_framing)
+                     check_invariance, framing_specs, group_data,
+                     invariant_polynomials, perp_subspace, torus_framing, trace_form,
+                     trivial_framing)
 from .rationalfn import Poly, RatContext, VSection
 from .sampling import random_algebra_element, random_residue_tuple, seeded_model
 from .spectral import (SpectralCurveReport, spectral_data, spectral_genus,

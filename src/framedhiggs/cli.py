@@ -15,18 +15,20 @@ import argparse
 import io
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .dimensions import audit_grid, consistency_audit, hitchin_fiber_dim
+from .curve import MarkedCurve
 from .deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
-                          framed_higgs_model, verify_poisson_map)
+                          FramedHiggsModel, verify_poisson_map)
 from .exactlinalg import rank
 from .gaudin import GaudinSystem, worst_drift
-from .liealg import (AlgebraModel, FramingSpec, UnsupportedGroupError, group_data,
-                     trace_form)
+from .liealg import (AlgebraModel, FramingSpec, UnsupportedGroupError, framing_specs,
+                     group_data, trace_form)
 from .sampling import random_residue_tuple, seeded_model
 from .spectral import (riemann_hurwitz_genus, spectral_data, spectral_supported,
                        torsor_fiber_report)
@@ -133,24 +135,28 @@ def _points(cfg: dict) -> tuple[Fraction, ...]:
     return pts
 
 
-def _framing(framing, algebra: AlgebraModel, pts, explicit: bool):
-    """'trivial', 'torus', or (with explicit residues only) a per-point list of
-    subalgebra bases, each a list of matrices."""
-    if framing in ("trivial", "torus"):
-        return framing
-    if not explicit or not isinstance(framing, list) or len(framing) != len(pts) or \
+_FRAMING_EXPECTED = ("config.framing: expected 'trivial', 'torus' or, with explicit residues, "
+                     "one list of basis matrices per point; got {!r}")
+
+
+def _framing(framing, algebra: AlgebraModel, form, pts) -> tuple[FramingSpec, ...]:
+    """The FramingSpecs of config.framing with explicit residues: a selector of
+    `framing_specs`, or one list of basis matrices per point."""
+    if isinstance(framing, str):
+        try:
+            return framing_specs(algebra, form, framing, len(pts))
+        except ValueError as exc:
+            raise ConfigError(_FRAMING_EXPECTED.format(framing)) from exc
+    if not isinstance(framing, list) or len(framing) != len(pts) or \
             not all(isinstance(basis, list) for basis in framing):
-        raise ConfigError("config.framing: expected 'trivial', 'torus' or, with explicit "
-                          f"residues, one list of basis matrices per point; got {framing!r}")
-    out = []
-    form = trace_form(algebra.group.group_id)
+        raise ConfigError(_FRAMING_EXPECTED.format(framing))
+    out = ()
     for k, basis in enumerate(framing):
         mats = [_matrix(b, f"config.framing[{k}]") for b in basis]
         try:
-            FramingSpec(algebra, form, [algebra.element(mat) for mat in mats])
+            out += framing_specs(algebra, form, [mats], 1)
         except ValueError as exc:
             raise ConfigError(f"config.framing[{k}]: {exc}") from exc
-        out.append(mats)
     return out
 
 
@@ -159,17 +165,21 @@ def _residues(cfg: dict, algebra: AlgebraModel, framing, pts, seed_override):
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("config.residues: expected an object with a 'type' field")
     if spec["type"] == "random":
-        framing = _framing(framing, algebra, pts, explicit=False)
+        if not isinstance(framing, str):
+            raise ConfigError(_FRAMING_EXPECTED.format(framing))
         seed = spec.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError(f"config.residues.seed: expected an integer, got {seed!r}")
         if seed_override is not None:
             seed = seed_override
         height = _int(spec.get("height", 10), "config.residues.height", 1)
-        model = seeded_model(algebra.group.group_id, pts, framing, seed, height)
-        return model, seed
+        try:
+            return seeded_model(algebra, pts, framing, seed, height), seed
+        except ValueError as exc:   # the one ValueError here: an unknown selector
+            raise ConfigError(_FRAMING_EXPECTED.format(framing)) from exc
     if spec["type"] == "explicit":
-        framing = _framing(framing, algebra, pts, explicit=True)
+        form = trace_form(algebra.group.group_id)
+        framings = _framing(framing, algebra, form, pts)
         mats = _need(spec, "matrices", "config.residues")
         if not isinstance(mats, list):
             raise ConfigError(f"config.residues.matrices: expected a list of matrices, "
@@ -183,7 +193,8 @@ def _residues(cfg: dict, algebra: AlgebraModel, framing, pts, seed_override):
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
         try:
-            model = framed_higgs_model(algebra.group.group_id, pts, residues, framing)
+            model = FramedHiggsModel(algebra, form, MarkedCurve(0, pts), framings,
+                                     tuple(residues))
         except ValueError as exc:
             raise ConfigError(f"config.residues: {exc}") from exc
         return model, seed_override
@@ -456,6 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     args = parser.parse_args(argv)
 
+    new_out = False
     try:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -469,29 +481,33 @@ def main(argv: list[str] | None = None) -> int:
                 f"{args.config}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: top-level config must be an object")
+        if args.out:    # an unusable output path fails before the job, not after it
+            existed = os.path.exists(args.out)
+            try:
+                os.close(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666))
+            except OSError as exc:
+                raise ConfigError(f"{args.out}: {exc.strerror}")
+            new_out = not existed
         body = RUNNERS[args.subcommand](cfg, args.seed)
-    except ConfigError as exc:
+        report = {
+            "tool": {"name": "hfb", "version": __version__},
+            "subcommand": args.subcommand,
+            "seed": args.seed,
+            "config": cfg,
+            "checks": body["checks"],
+            "all_passed": all(c["passed"] for c in body["checks"]),
+            "results": body["results"],
+        }
+        text = _to_csv(report) if args.format == "csv" else json.dumps(
+            _jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except BaseException as exc:
+        if new_out:     # a job that writes no report leaves no file behind
+            os.remove(args.out)
+        if not isinstance(exc, ConfigError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = {
-        "tool": {"name": "hfb", "version": __version__},
-        "subcommand": args.subcommand,
-        "seed": args.seed,
-        "config": cfg,
-        "checks": body["checks"],
-        "all_passed": all(c["passed"] for c in body["checks"]),
-        "results": body["results"],
-    }
-    if args.format == "csv":
-        try:
-            text = _to_csv(report)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        text = json.dumps(_jsonable(report), indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
     if args.out:
         try:
             with open(args.out, "w") as fh:

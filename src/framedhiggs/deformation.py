@@ -50,11 +50,11 @@ from typing import Sequence
 from .curve import (Layout, MarkedCurve, SheafSpec, Window, default_window,
                     laurent_row, make_spec, sections_off_divisor,
                     sections_on_affine_chart)
-from .exactlinalg import (Echelon, Mat, Quotient, Vec, ZERO, ONE, add_scaled, dense,
+from .exactlinalg import (Echelon, Mat, Quotient, Vec, ZERO, ONE, add_scaled, dense, frac,
                           inverse, mat_is_zero, mat_mul, nullspace_sparse,
                           over_common_denominator, sparse, sparse_rows, transpose)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
-                     bracket, trace_form)
+                     bracket, framing_specs, trace_form)
 from .rationalfn import RatContext, VSection
 
 TWISTED = "twisted"            # deformations of the underlying twisted pair
@@ -203,33 +203,22 @@ class FramedHiggsModel:
         return [s for kind in (TWISTED, FRAMED, TWISTED_DUAL) for s in self.complex_specs(kind)]
 
 
-def framed_higgs_model(group_id: str, points: Sequence, residues: Sequence,
+def framed_higgs_model(group: str | AlgebraModel, points: Sequence, residues: Sequence,
                        framing: str | Sequence = "trivial") -> FramedHiggsModel:
     """Convenience constructor from matrix entries and a framing selector.
 
-    framing: 'trivial', 'torus', or a per-point list of subalgebra bases
-    (each a list of matrices; an empty list is a trivial framing).
+    group: a group id, or the AlgebraModel of one.  framing: a selector,
+    read by `liealg.framing_specs`: 'trivial', 'torus', or a per-point list
+    of subalgebra bases (each a list of matrices; an empty list is a trivial
+    framing).
     """
-    from .liealg import torus_framing, trivial_framing
-    algebra = AlgebraModel(group_id)
-    form = trace_form(group_id)
-    pts = tuple(Fraction(p) if not isinstance(p, Fraction) else p for p in points)
-    curve = MarkedCurve(0, pts)
-    if isinstance(framing, str):
-        if framing == "trivial":
-            frs = tuple(trivial_framing(algebra, form) for _ in pts)
-        elif framing == "torus":
-            frs = tuple(torus_framing(algebra, form) for _ in pts)
-        else:
-            raise ValueError(f"unknown framing selector {framing!r}")
-    else:
-        frs = tuple(
-            FramingSpec(algebra, form,
-                        [algebra.element(b) for b in per_point])
-            for per_point in framing)
+    algebra = group if isinstance(group, AlgebraModel) else AlgebraModel(group)
+    form = trace_form(algebra.group.group_id)
+    pts = tuple(map(frac, points))
+    frs = framing_specs(algebra, form, framing, len(pts))
     res = tuple(el if isinstance(el, AlgebraElement) else algebra.element(el)
                 for el in residues)
-    return FramedHiggsModel(algebra, form, curve, frs, res)
+    return FramedHiggsModel(algebra, form, MarkedCurve(0, pts), frs, res)
 
 
 class Hypercohomology:

@@ -17,14 +17,14 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
+from .curve import Window, infinity_row
 from .exactlinalg import (ZERO, ONE, frac, identity, inverse, mat_comb, mat_mul,
                           mat_vec, over_common_denominator, sample_inverse,
-                          transpose, vec_is_zero)
+                          transpose)
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, antidiagonal, flatten,
                      generator_indices, invariant_polynomials, mat_commutator,
                      mat_trace, matrix_invariants, newton_elementary, pfaffian,
                      theta_at)
-from .rationalfn import RatContext, VSection
 
 Monomial = tuple[tuple[int, int], ...]   # sorted ((var, exp), ...)
 
@@ -318,7 +318,6 @@ class GaudinSystem:
         mats = [el.matrix for el in residues]
         value_cache: dict[Fraction, tuple] = {}
         coeffs = []
-        ctx = RatContext(self.points, 1)
         for k, d in enumerate(self.group.degrees):
             cols, ts, vinv = self._interp_data(k)
             for t in ts:
@@ -326,15 +325,13 @@ class GaudinSystem:
                     value_cache[t] = invariant_polynomials(
                         gid, AlgebraElement(theta_at(self.points, mats, t), gid))
             solved = mat_vec(vinv, [value_cache[t][k] for t in ts])
-            ck = dict(zip(cols, solved))
-            coeffs.append({key: v for key, v in ck.items() if v != 0})
-            pp: dict[int, dict[int, list[Fraction]]] = {}
-            for (i, j), v in ck.items():
-                if v:
-                    pp.setdefault(i, {})[j] = [v]
-            expansion = VSection(ctx, pp=pp)
+            coeffs.append({key: v for key, v in zip(cols, solved) if v != 0})
+            # the coefficient of u^order at infinity (u = 1/z) is a dot product
+            # with the layout of Window(d, 0), where (z - x_i)^-j sits at i d + j - 1
+            layout = {i * d + j - 1: v for (i, j), v in coeffs[-1].items()}
             for order in range(1, 2 * d):
-                if not vec_is_zero(expansion.infinity_coeff(order)):
+                row = infinity_row(self.points, Window(d, 0), order)
+                if sum(x * layout.get(q, ZERO) for q, x in row.items()):
                     raise AssertionError(
                         f"holomorphy at infinity fails at order {order} for degree {d}")
         return HitchinPoint(self.group.group_id, self.group.degrees, tuple(coeffs))
@@ -526,34 +523,3 @@ class GaudinSystem:
                                "start": v0, "end": v1, "relative_drift": rel})
         return traj, report
 
-
-# -- model-level convenience wrappers -----------------------------------------
-
-def system_for_model(model) -> GaudinSystem:
-    """GaudinSystem on the marked points of a framed model."""
-    return GaudinSystem(model.algebra, model.curve.points)
-
-
-def hitchin_map(model) -> HitchinPoint:
-    """Invariant-coefficient point of a framed model's Higgs field."""
-    return system_for_model(model).hitchin_point(model.residues)
-
-
-def commutativity_check(model, random_points: int = 5, seed: int = 0,
-                        height: int = 10):
-    """Max |{H_a, H_b}| at the model point and seeded random residue tuples."""
-    import random as _random
-    from .sampling import random_residue_tuple
-    system = system_for_model(model)
-    rng = _random.Random(seed)
-    tuples = [list(model.residues)]
-    for _ in range(random_points):
-        tuples.append(random_residue_tuple(model.algebra, rng, system.n, height,
-                                           zero_sum=False))
-    return system.commutativity_check(tuples)
-
-
-def hamiltonian_flow(model, hamiltonian: PolyObservable, t_end: float,
-                     steps: int):
-    """Fixed-step flow of a polynomial Hamiltonian from the model's residues."""
-    return system_for_model(model).integrate_flow(model.residues, hamiltonian, t_end, steps)

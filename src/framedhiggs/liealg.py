@@ -492,3 +492,22 @@ def trivial_framing(model: AlgebraModel, form: InvariantForm) -> FramingSpec:
 def torus_framing(model: AlgebraModel, form: InvariantForm) -> FramingSpec:
     gid = model.group.group_id
     return FramingSpec(model, form, [AlgebraElement(t, gid) for t in model.torus])
+
+
+def framing_specs(model: AlgebraModel, form: InvariantForm, framing,
+                  n: int) -> tuple[FramingSpec, ...]:
+    """The framings of n marked points from a selector; the one place a
+    selector is read.
+
+    framing: 'trivial' or 'torus' (one FramingSpec shared by every point), or
+    a per-point list of subalgebra bases, each a list of matrices (one
+    FramingSpec per point; an empty basis is a trivial framing).
+    """
+    if framing == "trivial":
+        return (trivial_framing(model, form),) * n
+    if framing == "torus":
+        return (torus_framing(model, form),) * n
+    if isinstance(framing, str):
+        raise ValueError(f"unknown framing selector {framing!r}")
+    return tuple(FramingSpec(model, form, [model.element(b) for b in basis])
+                 for basis in framing)

@@ -10,8 +10,10 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .deformation import FramedHiggsModel, framed_higgs_model
-from .liealg import AlgebraElement, AlgebraModel
+from .curve import MarkedCurve
+from .deformation import FramedHiggsModel
+from .exactlinalg import frac
+from .liealg import AlgebraElement, AlgebraModel, framing_specs, trace_form
 
 
 def random_fraction(rng: random.Random, height: int = 10) -> Fraction:
@@ -48,22 +50,20 @@ def random_residue_tuple(model: AlgebraModel, rng: random.Random, n: int,
     return out
 
 
-def seeded_model(group_id: str, points: Sequence, framing: str, seed: int,
+def seeded_model(group: str | AlgebraModel, points: Sequence, framing, seed: int,
                  height: int = 10) -> FramedHiggsModel:
-    """Reproducible random framed model; the balancing residue must itself be
-    framing-compatible, which holds whenever the framing type is uniform."""
+    """Reproducible random framed model: residues drawn from each point's
+    h_x^perp, the last one balancing the sum to zero.
+
+    group: a group id, or the AlgebraModel of one.  framing: a selector, read
+    by `liealg.framing_specs`; the balancing residue must itself be
+    framing-compatible, which holds whenever the framing type is uniform.
+    """
     rng = random.Random(seed)
-    algebra = AlgebraModel(group_id)
-    from .liealg import torus_framing, trivial_framing, trace_form
-    form = trace_form(group_id)
-    if framing == "trivial":
-        fr = trivial_framing(algebra, form)
-    elif framing == "torus":
-        fr = torus_framing(algebra, form)
-    else:
-        raise ValueError(f"unknown framing selector {framing!r}")
-    perp_coords = [algebra.coords(p) for p in fr.perp]
-    n = len(points)
-    residues = random_residue_tuple(algebra, rng, n, height,
-                                    [perp_coords] * n)
-    return framed_higgs_model(group_id, points, residues, framing)
+    algebra = group if isinstance(group, AlgebraModel) else AlgebraModel(group)
+    form = trace_form(algebra.group.group_id)
+    pts = tuple(map(frac, points))
+    framings = framing_specs(algebra, form, framing, len(pts))
+    residues = random_residue_tuple(algebra, rng, len(pts), height,
+                                    [[algebra.coords(p) for p in fr.perp] for fr in framings])
+    return FramedHiggsModel(algebra, form, MarkedCurve(0, pts), framings, tuple(residues))

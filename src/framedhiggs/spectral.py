@@ -122,11 +122,7 @@ def spectral_data(model: AlgebraModel, points: Sequence[Fraction],
     disc_at = []
     for i, (x, el) in enumerate(zip(pts, residues)):
         e = char_poly_elementary(el.matrix)
-        if r == 2:
-            direct = e[0] * e[0] - 4 * e[1]
-        else:
-            b, c, d = -e[0], e[1], -e[2]
-            direct = 18 * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * c ** 3 - 27 * d * d
+        direct = _disc_numerator([Poly([c]) for c in e], r)(ZERO)
         factor = ONE
         for j, y in enumerate(pts):
             if j != i:

@@ -227,6 +227,53 @@ def test_unusable_files_are_exit_2_with_the_path_named(tmp_path, capsys, case):
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
+def test_out_is_checked_before_the_job(tmp_path, capsys, monkeypatch):
+    def refuse(cfg, seed):
+        raise AssertionError("the job ran before --out was checked")
+    monkeypatch.setattr(cli, "RUNNERS", {name: refuse for name in cli.RUNNERS})
+    cfg = write_config(tmp_path, "defo.json", DEFO_SL2)
+    path = str(tmp_path / "no-such-dir" / "out.json")
+    assert main(["defo", "--config", cfg, "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+def test_a_job_that_exits_2_writes_no_report(tmp_path, capsys):
+    bad = write_config(tmp_path, "bad.json", {**DEFO_SL2, "verify_poisson_map": "no"})
+    dims = write_config(tmp_path, "dims.json", {"group": "sl(2)", "genus": 2, "n": 1})
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept")
+    for argv in (["defo", "--config", bad], ["dims", "--config", dims, "--format", "csv"]):
+        for out in (new, old):
+            assert main(argv + ["--out", str(out)]) == 2
+    assert not new.exists() and old.read_text() == "kept"
+
+
+SPECTRAL_SL2 = {"group": "sl(2)", "points": ["1", "2", "3"],
+                "residues": {"type": "random", "seed": 9, "height": 5}}
+
+
+@pytest.mark.parametrize("subcommand, config, built", [
+    ("defo", {"group": "gl(2)", "points": ["1", "2", "3", "4"], "framing": "torus",
+              "residues": {"type": "random", "seed": 3, "height": 5}}, (1, 1)),
+    ("gaudin", GAUDIN_SL2, (1, 1)),
+    ("spectral", SPECTRAL_SL2, (1, 1)),
+    ("defo", {**EXPLICIT_SL2, "framing": [[], [[["1", "0"], ["0", "-1"]]]]}, (1, 2)),
+], ids=["defo-random-torus", "gaudin-random", "spectral-random", "defo-explicit-bases"])
+def test_a_job_builds_one_algebra_model_and_each_framing_once(tmp_path, monkeypatch,
+                                                              subcommand, config, built):
+    from framedhiggs.liealg import AlgebraModel, FramingSpec
+    counts = {AlgebraModel: 0, FramingSpec: 0}
+    for cls, name in ((AlgebraModel, "__init__"), (FramingSpec, "__post_init__")):
+        def counted(self, *args, _cls=cls, _original=getattr(cls, name), **kwargs):
+            counts[_cls] += 1
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    cfg = write_config(tmp_path, "job.json", config)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out.json")]) == 0
+    assert (counts[AlgebraModel], counts[FramingSpec]) == built
+
+
 def test_genus_grid_mismatch_fails_the_check_with_a_report(tmp_path, capsys, monkeypatch):
     fiber = cli.hitchin_fiber_dim
     monkeypatch.setattr(cli, "hitchin_fiber_dim", lambda *a, **kw: fiber(*a, **kw) + 1)

@@ -479,15 +479,29 @@ def test_commutativity_sp4_spot():
     assert worst == 0
 
 
-def test_model_level_wrappers():
-    from framedhiggs.gaudin import commutativity_check, hamiltonian_flow, hitchin_map
+def test_seeded_model_point_brackets_and_flow():
     from framedhiggs.sampling import seeded_model
     model = seeded_model("sl(2)", (F(1), F(2), F(3)), "trivial", 7, 5)
-    hp = hitchin_map(model)
-    assert not hp.is_zero()
-    worst, _ = commutativity_check(model, random_points=2, seed=1)
-    assert worst == 0
     system = GaudinSystem(model.algebra, model.curve.points)
+    assert not system.hitchin_point(model.residues).is_zero()
+    rng = random.Random(1)
+    tuples = [list(model.residues)] + [
+        random_residue_tuple(model.algebra, rng, 3, 10, zero_sum=False) for _ in range(2)]
+    worst, _ = system.commutativity_check(tuples)
+    assert worst == 0
     ham = system.coefficient_functions()[0][(0, 1)]
-    _, drift = hamiltonian_flow(model, ham, 0.5, 500)
+    _, drift = system.integrate_flow(model.residues, ham, 0.5, 500)
     assert max(r["relative_drift"] for r in drift) < 1e-8
+
+
+def test_hitchin_point_refuses_a_pole_at_infinity(monkeypatch):
+    """A coefficient of 1/(z - x_0) moved by one leaves a 1/z term at infinity."""
+    import framedhiggs.gaudin as gaudin
+    model = AlgebraModel("sl(2)")
+    residues = balanced_tuple(model, random.Random(3), 3)
+    solve = gaudin.mat_vec
+    monkeypatch.setattr(gaudin, "mat_vec", lambda m, v: [x + (k == 0) for k, x in
+                                                         enumerate(solve(m, v))])
+    with pytest.raises(AssertionError,
+                       match="holomorphy at infinity fails at order 1 for degree 2"):
+        GaudinSystem(model, PTS3).hitchin_point(residues)

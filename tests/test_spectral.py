@@ -109,6 +109,25 @@ def test_regular_semisimple_iff_nonzero_marked_discriminant():
     assert rep2.disc_at_marked[0] == 0
 
 
+@pytest.mark.parametrize("group, seed", [("sl(2)", 1), ("gl(2)", 2), ("sl(3)", 3),
+                                         ("gl(3)", 4)])
+def test_disc_numerator_matches_the_sympy_discriminant(group, seed):
+    """N(z) = disc_lambda det(lambda - sum A_i prod_{j != i}(z - x_j)), the
+    characteristic polynomial of q(z) theta(z), from sympy's own discriminant."""
+    model = seeded_model(group, PTS3, "trivial", seed, 5)
+    z, lam = sympy.symbols("z lam")
+    size = model.algebra.n
+    m = sympy.zeros(size, size)
+    for i, el in enumerate(model.residues):
+        weight = sympy.Mul(*[z - sympy.Rational(str(x)) for j, x in enumerate(PTS3) if j != i])
+        m += sympy.Matrix([[sympy.Rational(str(v)) for v in row] for row in el.matrix]) * weight
+    oracle = sympy.Poly(sympy.discriminant(sympy.expand((lam * sympy.eye(size) - m).det()),
+                                           lam), z)
+    disc = _disc_numerator(elementary_numerators(model.algebra, PTS3, model.residues), size)
+    assert not disc.is_zero()
+    assert disc.c == [F(int(c.p), int(c.q)) for c in reversed(oracle.all_coeffs())]
+
+
 def test_branch_count_matches_disc_degree_squarefree():
     rng = random.Random(11)
     m = AlgebraModel("sl(3)")
