@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .curve import (Layout, MarkedCurve, SheafSpec, Window, default_window,
@@ -99,9 +100,14 @@ class FramedHiggsModel:
         basis_els = [AlgebraElement(b, self.algebra.group.group_id)
                      for b in self.algebra.basis]
         self._gram = [[self.form(a, b) for b in basis_els] for a in basis_els]
-        self.ad = [self._ad_matrix(el) for el in self.residues]
         self.context = RatContext(self.curve.points, dim)
         self._cache: dict[tuple, object] = {}
+
+    @cached_property
+    def ad(self) -> list[Mat]:
+        """ad(A_i) on basis coordinates, one per residue; built on first use,
+        since only the Theta columns read them."""
+        return [self._ad_matrix(el) for el in self.residues]
 
     def _ad_matrix(self, el: AlgebraElement) -> Mat:
         return transpose([self.algebra.coords(bracket(el, AlgebraElement(b, el.group_id)))

@@ -170,12 +170,37 @@ def rank(rows: Iterable[Sequence[Fraction]]) -> int:
 
 
 def inverse(a: Mat) -> Mat:
+    """The inverse of a square matrix, by fraction-free Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968) in integers.
+
+    Row i of a is scaled to integers, r_i = d_i a_i, so a^-1 = r^-1 diag(d).
+    Step k takes the first row at or below k with a nonzero entry p_k in
+    column k as pivot row and replaces every other row of [r | I] by
+    (p_k row - row[k] pivot_row) / p_(k-1), an exact division (p_(-1) = 1).
+    At the end the left block is p I and the right block p r^-1, for the
+    last pivot p; only the n^2 entries of the result are Fractions.  Raises
+    ValueError if a is singular.
+    """
     n = len(a)
-    aug = [list(row) + list(idr) for row, idr in zip(a, identity(n))]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red[:n]]
+    dens, rows = [], []
+    for i, row in enumerate(a):
+        d, ints = over_common_denominator(row)
+        dens.append(d)
+        rows.append(ints + [int(i == j) for j in range(n)])
+    prev = 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if rows[i][k]), None)
+        if pr is None:
+            raise ValueError("matrix is singular")
+        rows[k], rows[pr] = rows[pr], rows[k]
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+        prev = p
+    return [[Fraction(x * d, prev) for x, d in zip(row[n:], dens)] for row in rows]
 
 
 def sample_inverse(points: Sequence[Fraction], size: int, row) -> tuple[Vec, Mat]:

@@ -5,7 +5,12 @@ theta(z) = sum_i A_i dz/(z - x_i) on the trivialized rational curve.  The
 invariant-polynomial coefficients of theta are exact polynomial functions of
 the matrix entries; the chart Poisson structure is the product Lie-Poisson
 bracket transported by the trace form, with gradients projected into the
-algebra.  Brackets are exact; floating point appears only in the flow
+algebra.  At each interpolation sample point t, the invariants of
+theta(t) = M / D and their gradients come from one integer
+Faddeev-LeVerrier run on M (`theta_char_polys`), so the Hitchin point and
+the bracket table are computed in integers over one denominator per point;
+the symbolic coefficient functions and the Pfaffian of so(2r) stay in exact
+Fractions.  Brackets are exact; floating point appears only in the flow
 integrator.
 """
 
@@ -18,13 +23,11 @@ from operator import mul
 from typing import Sequence
 
 from .curve import Window, infinity_row
-from .exactlinalg import (ZERO, ONE, frac, identity, inverse, mat_comb, mat_mul,
-                          mat_vec, over_common_denominator, sample_inverse,
-                          transpose)
+from .exactlinalg import (ZERO, ONE, frac, inverse, mat_comb, mat_mul, mat_vec,
+                          over_common_denominator, sample_inverse, transpose)
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, antidiagonal, flatten,
-                     generator_indices, invariant_polynomials, mat_commutator,
-                     mat_trace, matrix_invariants, newton_elementary, pfaffian,
-                     theta_at)
+                     generator_indices, mat_commutator, mat_trace, matrix_invariants,
+                     pfaffian, theta_at, theta_char_polys)
 
 Monomial = tuple[tuple[int, int], ...]   # sorted ((var, exp), ...)
 
@@ -303,28 +306,39 @@ class GaudinSystem:
                 out.append((k, i, j, fns[k][(i, j)]))
         return out
 
+    def _char_polys_at(self, residues: Sequence[AlgebraElement]) -> dict[Fraction, tuple]:
+        """`theta_char_polys` of a residue tuple by sample point.  The sample
+        points of a degree index are the first ones of the longest list
+        (`sample_inverse`), so that list covers every degree index."""
+        ts = max((self._interp_data(k)[1] for k in range(len(self._indices))), key=len)
+        return dict(zip(ts, theta_char_polys(self.points, [el.matrix for el in residues], ts)))
+
     def hitchin_point(self, residues: Sequence[AlgebraElement]) -> HitchinPoint:
         """Evaluate the map at a residue tuple; requires sum A_i = 0.
 
-        Verifies holomorphy at infinity: p_k(theta) must vanish to order 2 d_k,
-        which is checked exactly on the partial-fraction expansion.
+        At each sample point t, e_m(theta(t)) = e_m(M) / D^m is read off the
+        integer characteristic polynomial of theta(t) = M / D
+        (`theta_char_polys`); the Pfaffian of so(2r) is taken of theta(t)
+        in Fractions.  Verifies holomorphy at infinity: p_k(theta) must
+        vanish to order 2 d_k, which is checked exactly on the
+        partial-fraction expansion.
         """
         total = residues[0]
         for el in residues[1:]:
             total = total + el
         if not total.is_zero():
             raise ValueError("sum of residues must vanish (holomorphy at infinity)")
-        gid = self.group.group_id
-        mats = [el.matrix for el in residues]
-        value_cache: dict[Fraction, tuple] = {}
+        chars = self._char_polys_at(residues)
         coeffs = []
-        for k, d in enumerate(self.group.degrees):
+        for k, (d, index) in enumerate(zip(self.group.degrees, self._indices)):
             cols, ts, vinv = self._interp_data(k)
-            for t in ts:
-                if t not in value_cache:
-                    value_cache[t] = invariant_polynomials(
-                        gid, AlgebraElement(theta_at(self.points, mats, t), gid))
-            solved = mat_vec(vinv, [value_cache[t][k] for t in ts])
+            if index == PFAFFIAN:
+                q = antidiagonal(self.s)
+                mats = [el.matrix for el in residues]
+                values = [pfaffian(mat_mul(q, theta_at(self.points, mats, t))) for t in ts]
+            else:
+                values = [Fraction(chars[t][1][index - 1], chars[t][0] ** index) for t in ts]
+            solved = mat_vec(vinv, values)
             coeffs.append({key: v for key, v in zip(cols, solved) if v != 0})
             # the coefficient of u^order at infinity (u = 1/z) is a dot product
             # with the layout of Window(d, 0), where (z - x_i)^-j sits at i d + j - 1
@@ -368,18 +382,6 @@ class GaudinSystem:
         return [[PolyObservable.lift(x) for x in row]
                 for row in mat_comb(coords, self.model.basis)]
 
-    @staticmethod
-    def _char_gradient_matrices(x) -> list:
-        """P_m(X) = sum_{j<=m} (-1)^j e_{m-j}(X) X^j, so that the directional
-        derivative of e_{m+1} at X along V is tr(P_m(X) V)."""
-        s = len(x)
-        powers = [identity(s)]
-        for _ in range(s):
-            powers.append(mat_mul(powers[-1], x))
-        e = [ONE] + newton_elementary([mat_trace(p) for p in powers[1:]])
-        return [mat_comb([(-1) ** j * e[m - j] for j in range(m + 1)], powers)
-                for m in range(s)]
-
     def _site_weights(self, k: int) -> list[tuple[int, list[list[int]]]]:
         """Per site x, the matrix vinv[row][t] / (t - x) of degree index k
         as (d, integer rows of its d multiple)."""
@@ -399,18 +401,19 @@ class GaudinSystem:
 
         Returns a list of ((degree_index, site, order), grads), where
         grads[l] = (d, m) gives the gradient at site l as m / d, m the
-        row-major list of its integer numerators.  The derivative of e_m at
-        theta(t) is P_{m-1}(theta(t)) (`_char_gradient_matrices`).  The
-        projection onto the algebra is linear, so it is applied once per
-        sample point t; the gradients of degree index k at site x are then
-        one integer product of the weights vinv[row][t] / (t - x) with the
-        stacked projected matrices.  The Pfaffian component of so(2r) falls
-        back to symbolic differentiation of its coefficient functions alone.
+        row-major list of its integer numerators.  Everything is computed in
+        integers: the derivative of e_m at theta(t) = M / D is
+        P_(m-1)(theta(t)) = Q_(m-1) / D^(m-1), with Q_(m-1) an integer
+        Faddeev-LeVerrier matrix of M (`theta_char_polys`), and the
+        projection onto the algebra, an integer matrix over pden, is applied
+        to it once per sample point t.  The gradients of degree index k at
+        site x are then one integer product of the weights vinv[row][t] /
+        (t - x) with the stacked projected matrices.  The Pfaffian component
+        of so(2r) falls back to symbolic differentiation of its coefficient
+        functions alone.
         """
         out = []
-        mats = [el.matrix for el in residues]
-        grad_cache: dict[Fraction, list] = {}
-        projected: dict[tuple[Fraction, int], tuple[int, list[int]]] = {}
+        chars = self._char_polys_at(residues)
         pden, prows = self._projection
         for k, index in enumerate(self._indices):
             cols, ts, vinv = self._interp_data(k)
@@ -423,14 +426,12 @@ class GaudinSystem:
                              for l in range(self.n)]
                     out.append(((k, col[0], col[1]), grads))
                 continue
+            projected = []
             for t in ts:
-                if (t, index) not in projected:
-                    if t not in grad_cache:
-                        grad_cache[t] = self._char_gradient_matrices(
-                            theta_at(self.points, mats, t))
-                    den, y = over_common_denominator(flatten(grad_cache[t][index - 1]))
-                    projected[(t, index)] = (den * pden, [sum(map(mul, r, y)) for r in prows])
-            qden, stacked = _common_scale([projected[(t, index)] for t in ts])
+                den, _, qs = chars[t]
+                projected.append((den ** (index - 1) * pden,
+                                  [sum(map(mul, r, qs[index - 1])) for r in prows]))
+            qden, stacked = _common_scale(projected)
             columns = list(zip(*stacked))
             blocks = [(wden * qden, [[sum(map(mul, w, c)) for c in columns] for w in weights])
                       for wden, weights in self._site_weights(k)]

@@ -19,10 +19,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .exactlinalg import (Echelon, LinSolver, Mat, Vec, ZERO, ONE, dense, frac,
-                          mat_comb, mat_mul, nullspace_sparse, rank)
+                          mat_comb, mat_mul, nullspace_sparse, over_common_denominator,
+                          rank)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -436,6 +439,56 @@ def theta_at(points: Sequence[Fraction], matrices: Sequence[Matrix], t: Fraction
     """theta(t) = sum_i M_i / (t - x_i) for residue matrices M_i at points x_i,
     of Fractions or of polynomial observables."""
     return mat_comb([ONE / (t - x) for x in points], matrices)
+
+
+def theta_char_polys(points: Sequence[Fraction], matrices: Sequence[Matrix],
+                     ts: Sequence[Fraction]) -> list[tuple[int, list[int], list[list[int]]]]:
+    """The characteristic polynomial of theta(t) = sum_i M_i / (t - x_i) in
+    integers, at each sample point t of ts, for Fraction residue matrices M_i.
+
+    theta(t) = M / D with M an integer matrix and D the least common
+    denominator of the entries.  Faddeev-LeVerrier on M (Faddeev 1963):
+    Q_0 = I, e_m = tr(M Q_(m-1)) / m and Q_m = e_m I - M Q_(m-1), where each
+    division by m is exact, e_m = e_m(M) and Q_m = sum_(j<=m) (-1)^j
+    e_(m-j)(M) M^j.  Per t the result is (D, [e_1, ..., e_s], [Q_0, ...,
+    Q_(s-1)] flattened row-major), so that e_m(theta(t)) = e_m / D^m and
+    P_m(theta(t)) = Q_m / D^m, the matrix whose trace against V is the
+    derivative of e_(m+1) at theta(t) along V.
+    """
+    s = len(matrices[0])
+    sites = [(x.numerator, x.denominator) + over_common_denominator(flatten(m))
+             for x, m in zip(points, matrices)]
+    ident = [int(a == b) for a in range(s) for b in range(s)]
+    out = []
+    for t in ts:
+        # 1 / (t - x_i) over the denominator d_i of M_i is u_i / v_i below
+        tn, td = t.numerator, t.denominator
+        weights = [(td * xd, d * (tn * xd - xn * td)) for xn, xd, d, _ in sites]
+        den = lcm(*(v for _, v in weights))
+        m = [0] * (s * s)
+        for (u, v), (_, _, _, a) in zip(weights, sites):
+            c = u * (den // v)
+            m = [x + c * y for x, y in zip(m, a)]
+        g = gcd(den, *m)
+        if g > 1:
+            den //= g
+            m = [x // g for x in m]
+        rows = [m[a * s:(a + 1) * s] for a in range(s)]
+        q, qs, es = ident, [ident], []
+        for k in range(1, s + 1):
+            cols = [q[b::s] for b in range(s)]
+            if k == s:      # only the trace of M Q_(s-1) is needed
+                es.append(sum(map(mul, m, [x for col in cols for x in col])) // k)
+                break
+            mq = m if k == 1 else [sum(map(mul, r, col)) for r in rows for col in cols]
+            e = sum(mq[::s + 1]) // k
+            q = [-x for x in mq]
+            for a in range(0, s * s, s + 1):
+                q[a] += e
+            es.append(e)
+            qs.append(q)
+        out.append((den, es, qs))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .exactlinalg import ZERO, ONE, frac
 from .liealg import (AlgebraElement, AlgebraModel, GroupData, char_poly_elementary,
-                     theta_at)
+                     theta_char_polys)
 from .dimensions import hitchin_base_dim, hitchin_fiber_dim, torsor_dims
 from .rationalfn import Poly
 
@@ -36,18 +36,20 @@ def elementary_numerators(model: AlgebraModel, points: Sequence[Fraction],
 
     E_k has degree at most k n.  It is recovered by exact interpolation
     (`Poly.interpolate`) from the values of e_k on the matrix theta(t) at the
-    rational sample points t = max(x_i) + 1, ..., max(x_i) + k n + 1.
+    rational sample points t = max(x_i) + 1, ..., max(x_i) + k n + 1, where
+    theta(t) = M / D and e_k(theta(t)) q(t)^k = e_k(M) (q(t) / D)^k, with
+    e_k(M) from the integer characteristic polynomial (`theta_char_polys`).
     """
     pts = [frac(p) for p in points]
     n = len(pts)
-    mats = [el.matrix for el in residues]
     q = Poly([ONE])
     for x in pts:
         q = q * Poly.x_minus(x)
     ts = [max(pts) + l for l in range(1, model.n * n + 2)]
-    samples = [(char_poly_elementary(theta_at(pts, mats, t)), q(t)) for t in ts]
+    samples = [(e, q(t) / den) for t, (den, e, _) in
+               zip(ts, theta_char_polys(pts, [el.matrix for el in residues], ts))]
     return [Poly.interpolate(ts[:k * n + 1],
-                             [e[k - 1] * qt ** k for e, qt in samples[:k * n + 1]])
+                             [e[k - 1] * qd ** k for e, qd in samples[:k * n + 1]])
             for k in range(1, model.n + 1)]
 
 

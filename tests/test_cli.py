@@ -274,6 +274,24 @@ def test_a_job_builds_one_algebra_model_and_each_framing_once(tmp_path, monkeypa
     assert (counts[AlgebraModel], counts[FramingSpec]) == built
 
 
+@pytest.mark.parametrize("subcommand, config, built", [
+    ("gaudin", GAUDIN_SL2, 0),
+    ("defo", DEFO_SL2, 2),
+], ids=["gaudin", "defo"])
+def test_only_defo_builds_the_ad_matrices(tmp_path, monkeypatch, subcommand, config, built):
+    from framedhiggs.deformation import FramedHiggsModel
+    calls = []
+    original = FramedHiggsModel._ad_matrix
+
+    def counted(self, el):
+        calls.append(el)
+        return original(self, el)
+    monkeypatch.setattr(FramedHiggsModel, "_ad_matrix", counted)
+    cfg = write_config(tmp_path, "job.json", config)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == built
+
+
 def test_genus_grid_mismatch_fails_the_check_with_a_report(tmp_path, capsys, monkeypatch):
     fiber = cli.hitchin_fiber_dim
     monkeypatch.setattr(cli, "hitchin_fiber_dim", lambda *a, **kw: fiber(*a, **kw) + 1)
@@ -313,12 +331,12 @@ def test_non_finite_flow_drift_fails_the_check_with_a_parseable_report(tmp_path)
     assert check["value"] == report["results"]["flow_worst_drift"] == "nan"
 
 
-DEFO_SL2 = {"group": "sl(2)", "points": ["1", "2", "3"], "framing": "trivial",
-            "residues": {"type": "random", "seed": 11, "height": 5}}
+DEFO_SL2_3PT = {"group": "sl(2)", "points": ["1", "2", "3"], "framing": "trivial",
+                "residues": {"type": "random", "seed": 11, "height": 5}}
 
 
 def _failing_defo_report(tmp_path, capsys):
-    cfg = write_config(tmp_path, "defo.json", DEFO_SL2)
+    cfg = write_config(tmp_path, "defo.json", DEFO_SL2_3PT)
     out = tmp_path / "report.json"
     assert main(["defo", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err

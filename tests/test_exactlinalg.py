@@ -53,6 +53,47 @@ def test_solve_and_inverse():
     assert mat_mul(a, ainv) == [[F(1), F(0)], [F(0), F(1)]]
 
 
+def fraction_inverse(a):
+    """Oracle: Gauss-Jordan in Fractions, the `rref` of [a | I]."""
+    n = len(a)
+    red, pivots = rref([list(row) + [F(int(i == j)) for j in range(n)]
+                        for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red[:n]]
+
+
+def test_inverse_matches_fraction_gauss_jordan():
+    rng = random.Random(31)
+    singular = 0
+    for trial in range(150):
+        n = rng.randint(0, 7)
+        a = [[F(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.7 else F(0)
+              for _ in range(n)] for _ in range(n)]
+        if trial % 4 == 0 and n > 1:       # a dependent row
+            a[-1] = [F(-3, 2) * x + y for x, y in zip(a[0], a[1])]
+        try:
+            expected = fraction_inverse(a)
+        except ValueError:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                inverse(a)
+            continue
+        got = inverse(a)
+        assert got == expected
+        assert all(type(x) is F for row in got for x in row)
+    assert singular >= 30
+
+
+def test_inverse_needs_row_swaps_and_refuses_singular_matrices():
+    a = [[F(0), F(1, 3), F(0)], [F(2, 5), F(0), F(0)], [F(0), F(0), F(-7, 2)]]
+    assert inverse(a) == [[F(0), F(5, 2), F(0)], [F(3), F(0), F(0)], [F(0), F(0), F(-2, 7)]]
+    for bad in ([[F(0)]], [[F(1), F(2)], [F(1, 2), F(1)]],
+                [[F(1), F(0), F(0)], [F(0), F(0), F(0)], [F(0), F(0), F(1)]]):
+        with pytest.raises(ValueError, match="singular"):
+            inverse(bad)
+
+
 def test_echelon_membership_and_insert():
     ech = Echelon(3)
     assert ech.insert([F(1), F(1), F(0)])

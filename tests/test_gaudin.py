@@ -4,10 +4,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from framedhiggs.exactlinalg import mat_comb, mat_mul, mat_vec, over_common_denominator
+from framedhiggs.exactlinalg import (identity, mat_comb, mat_mul, mat_vec,
+                                     over_common_denominator)
+from framedhiggs import gaudin
 from framedhiggs.gaudin import GaudinSystem, PolyObservable, _term_table, worst_drift
-from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, flatten, mat_commutator, mat_trace,
-                                matrix_invariants, theta_at)
+from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, char_poly_elementary, flatten,
+                                mat_commutator, mat_trace, matrix_invariants,
+                                newton_elementary, theta_at, theta_char_polys)
 from framedhiggs.sampling import random_algebra_element, random_residue_tuple
 
 PTS3 = (F(1), F(2), F(3))
@@ -222,6 +225,19 @@ def test_commutativity_so4_spot():
 # projected on its own in Fractions, and every pair's bracket as two full
 # matrix products per site, O(K^2 n s^3) for K coefficient functions.
 
+def _char_gradient_matrices(x):
+    """P_m(X) = sum_{j<=m} (-1)^j e_{m-j}(X) X^j in Fractions, from the
+    powers of X and Newton's identities, so that the directional derivative
+    of e_{m+1} at X along V is tr(P_m(X) V)."""
+    s = len(x)
+    powers = [identity(s)]
+    for _ in range(s):
+        powers.append(mat_mul(powers[-1], x))
+    e = [F(1)] + newton_elementary([mat_trace(p) for p in powers[1:]])
+    return [mat_comb([(-1) ** j * e[m - j] for j in range(m + 1)], powers)
+            for m in range(s)]
+
+
 def _reference_gradients(system, residues):
     out = []
     mats = [el.matrix for el in residues]
@@ -238,8 +254,7 @@ def _reference_gradients(system, residues):
             continue
         for t in ts:
             if t not in grad_cache:
-                grad_cache[t] = system._char_gradient_matrices(
-                    theta_at(system.points, mats, t))
+                grad_cache[t] = _char_gradient_matrices(theta_at(system.points, mats, t))
         for row, col in zip(vinv, cols):
             grads = []
             for x in system.points:
@@ -273,6 +288,59 @@ def _as_matrices(system, data):
             for key, grads in data]
 
 
+def _random_matrix(rng, s, kind):
+    """A seeded s x s rational matrix: zero, nilpotent (strictly upper
+    triangular), singular (last row a combination of the others) or general,
+    with mixed denominators."""
+    def entry():
+        return F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7, 12]))
+    if kind == "zero":
+        return [[F(0)] * s for _ in range(s)]
+    if kind == "nilpotent":
+        return [[entry() if b > a else F(0) for b in range(s)] for a in range(s)]
+    m = [[entry() for _ in range(s)] for _ in range(s)]
+    if kind == "singular":
+        m[-1] = [F(0)] * s if s == 1 else [2 * x - y for x, y in zip(m[0], m[-2])]
+    return m
+
+
+KERNEL_KINDS = ["zero", "nilpotent", "singular", "general"]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_char_poly_kernel_matches_the_fraction_oracle(s, kind):
+    # theta(1) = X for the single residue X at 0, so the kernel's e_m / D^m and
+    # Q_m / D^m must be char_poly_elementary(X) and P_m(X).
+    rng = random.Random(61 + 7 * s + KERNEL_KINDS.index(kind))
+    for _ in range(4):
+        x = _random_matrix(rng, s, kind)
+        [(den, e, qs)] = theta_char_polys([F(0)], [x], [F(1)])
+        assert all(isinstance(v, int) for v in [den, *e] + [y for q in qs for y in q])
+        assert [F(v, den ** m) for m, v in enumerate(e, start=1)] == char_poly_elementary(x)
+        assert ([[F(v, den ** m) for v in q] for m, q in enumerate(qs)]
+                == [flatten(p) for p in _char_gradient_matrices(x)])
+        if kind == "zero":
+            assert (den, e) == (1, [0] * s)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_char_poly_kernel_on_residue_tuples_with_mixed_denominators(s):
+    rng = random.Random(67 + s)
+    points = [F(1, 2), F(-3), F(7, 3)]
+    ts = [F(4), F(9, 2), F(-5, 7)]
+    for kinds in (["general", "singular", "nilpotent"], ["zero", "general", "zero"],
+                  ["nilpotent"] * 3):
+        mats = [_random_matrix(rng, s, kind) for kind in kinds]
+        for t, (den, e, qs) in zip(ts, theta_char_polys(points, mats, ts)):
+            theta = theta_at(points, mats, t)
+            assert den == over_common_denominator(flatten(theta))[0]
+            assert [F(v, den ** m) for m, v in enumerate(e, start=1)] \
+                == char_poly_elementary(theta)
+            assert ([[F(v, den ** m) for v in q] for m, q in enumerate(qs)]
+                    == [flatten(p) for p in _char_gradient_matrices(theta)])
+
+
 BRACKET_CASES = [("sl(3)", PTS3, 2), ("gl(2)", PTS3, 3), ("sp(4)", (F(1), F(2)), 2),
                  ("so(5)", (F(1), F(2)), 1), ("so(4)", PTS3, 1)]
 
@@ -290,6 +358,20 @@ def test_bracket_table_matches_reference(gid, points, count):
                 == _reference_gradients(system, residues))
     expected = _reference_check(tuples, lambda r: _reference_gradients(system, r))
     assert system.commutativity_check(tuples) == expected == (0, None)
+
+
+@pytest.mark.parametrize("gid, points, count", BRACKET_CASES,
+                         ids=[case[0] for case in BRACKET_CASES])
+def test_bracket_table_reference_catches_an_off_by_one_gradient(monkeypatch, gid, points,
+                                                                count):
+    # Reading Q_(m-1) where Q_m belongs gives every gradient of e_m, m >= 2,
+    # the wrong matrix; the reference comparison must see it.
+    def shifted(points, matrices, ts):
+        return [(den, e, [qs[0]] + qs[:-1])
+                for den, e, qs in theta_char_polys(points, matrices, ts)]
+    monkeypatch.setattr(gaudin, "theta_char_polys", shifted)
+    with pytest.raises(AssertionError):
+        test_bracket_table_matches_reference(gid, points, count)
 
 
 @pytest.mark.parametrize("gid, points, count", BRACKET_CASES,
