@@ -18,10 +18,21 @@ Theta = sum_i S_i ⊗ ad(A_i), with S_i the closed-form scalar layout matrix of
 multiplication by 1/(z - x_i).  The model builds Theta once per window and
 each chart basis once per (spec, window, chart), so the three cones of a
 `DeformationTheory` share them; with trivial framing two chart bases serve
-two complexes each.  Chart bases are staircase (`curve`), so writing a vector
-in them is reading off free columns with an exact membership check
-(`Quotient.coords`).  ker d1 and ker d0 come from `nullspace_sparse`.
-Cochains, Theta images, d0 columns and kernels are sparse layout vectors.
+two complexes each.  Cochains, Theta images, d0 columns and kernels are
+sparse layout vectors.
+
+The cone's linear algebra runs in Python integers over one denominator.
+Theta is built as integer columns over one denominator and applied by integer
+multiply-adds.  Chart bases are staircase (`curve`), so writing a vector in
+them is reading off free columns with an exact integer membership check
+(`Quotient.int_coords`).  The d0 columns are integer vectors, each a positive
+multiple of the true column, which changes neither im d0 nor rank d0; the d1
+rows are d1 times one common denominator.  ker d1 comes from
+`nullspace_sparse`.  h0 = dim ker d0 needs no second elimination: the
+quotient ker d1 / im d0 has checked every d0 column against ker d1, on which
+restriction to the free columns is injective, so rank d0 is the rank of its
+own elimination and h0 = #d0 columns - rank.  Fractions are made only where
+classes, pairings and report values leave the cone.
 
 The cup-product pairing on first hypercohomology contracts the mixed
 components with the invariant form and sums residues over the marked points:
@@ -46,14 +57,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence
 
 from .curve import (Layout, MarkedCurve, SheafSpec, Window, default_window,
                     laurent_row, make_spec, sections_off_divisor,
                     sections_on_affine_chart)
-from .exactlinalg import (Echelon, Mat, Quotient, Vec, ZERO, ONE, add_scaled, dense, frac,
-                          inverse, mat_is_zero, mat_mul, nullspace_sparse,
-                          over_common_denominator, sparse, sparse_rows, transpose)
+from .exactlinalg import (Echelon, Mat, Quotient, Vec, ONE, add_scaled, dense, frac,
+                          integer_vectors, inverse, mat_is_zero, mat_mul, nullspace_sparse,
+                          over_common_denominator, transpose)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
                      bracket, framing_specs, trace_form)
 from .rationalfn import RatContext, VSection
@@ -82,14 +94,19 @@ class FramedHiggsModel:
         n = self.curve.n
         if len(self.framings) != n or len(self.residues) != n:
             raise ModelError("one framing and one residue matrix per marked point")
-        dim = self.algebra.group.dim
-        self._h_coords = [[self.algebra.coords(h) for h in fr.subalgebra]
-                          for fr in self.framings]
-        self._perp_coords = [[self.algebra.coords(p) for p in fr.perp] for fr in self.framings]
+        # coordinates of h_x and h_x^perp, solved once per distinct FramingSpec
+        by_spec: dict[int, tuple[list[Vec], list[Vec], Echelon]] = {}
+        self._h_coords, self._perp_coords = [], []
         for i, (el, fr) in enumerate(zip(self.residues, self.framings)):
-            ech = Echelon(dim)
-            for v in self._perp_coords[i]:
-                ech.insert(v)
+            if id(fr) not in by_spec:
+                perp = [self.algebra.coords(p) for p in fr.perp]
+                ech = Echelon(self.dim)
+                for v in perp:
+                    ech.insert(v)
+                by_spec[id(fr)] = ([self.algebra.coords(h) for h in fr.subalgebra], perp, ech)
+            h_coords, perp_coords, ech = by_spec[id(fr)]
+            self._h_coords.append(h_coords)
+            self._perp_coords.append(perp_coords)
             if not ech.contains(self.algebra.coords(el)):
                 raise ModelError(
                     f"residue matrix at point {i} is not compatible with the framing "
@@ -97,11 +114,17 @@ class FramedHiggsModel:
         if not sum(self.residues[1:], self.residues[0]).is_zero():
             raise ModelError("residue matrices must sum to zero "
                              "(holomorphy of the Higgs field at infinity)")
-        basis_els = [AlgebraElement(b, self.algebra.group.group_id)
-                     for b in self.algebra.basis]
-        self._gram = [[self.form(a, b) for b in basis_els] for a in basis_els]
-        self.context = RatContext(self.curve.points, dim)
         self._cache: dict[tuple, object] = {}
+
+    @cached_property
+    def _gram(self) -> Mat:
+        """The invariant form on the basis; only the pairing form reads it."""
+        basis_els = [AlgebraElement(b, self.algebra.group.group_id) for b in self.algebra.basis]
+        return [[self.form(a, b) for b in basis_els] for a in basis_els]
+
+    @cached_property
+    def context(self) -> RatContext:
+        return RatContext(self.curve.points, self.dim)
 
     @cached_property
     def ad(self) -> list[Mat]:
@@ -122,22 +145,31 @@ class FramedHiggsModel:
             self._cache[key] = compute()
         return self._cache[key]
 
-    def theta_columns(self, window: Window) -> list[dict[int, Fraction]]:
-        """Sparse columns of Theta from the layout of `window` to that of its
-        pole-bumped window; every complex kind shares them."""
+    def theta_columns(self, window: Window) -> tuple[int, list[dict[int, int]]]:
+        """Theta from the layout of `window` to that of its pole-bumped
+        window, as (d, the sparse columns of d Theta) with integer entries;
+        every complex kind shares them."""
         return self._cached(("theta", window), lambda: self._theta_columns(window))
 
-    def _theta_columns(self, window: Window) -> list[dict[int, Fraction]]:
+    def _theta_columns(self, window: Window) -> tuple[int, list[dict[int, int]]]:
         """S_i in closed form on the scalar basis functions, d = x_i - x_k:
         (z-x_i)^-j -> (z-x_i)^-(j+1);
         (z-x_k)^-j -> d^-j (z-x_i)^-1 - sum_{t<j} d^-(t+1) (z-x_k)^(t-j);
-        z^l -> x_i^l (z-x_i)^-1 + sum_{t<l} x_i^(l-1-t) z^t."""
-        m, ads, pts = self.dim, self.ad, self.curve.points
+        z^l -> x_i^l (z-x_i)^-1 + sum_{t<l} x_i^(l-1-t) z^t.
+        Each column of S_i and each ad(A_i) is an integer vector or matrix
+        over its own least common denominator, so the tensor products are
+        integer products, summed over the lcm d of all their denominators."""
+        m, pts = self.dim, self.curve.points
         n, pole = len(pts), window.pole
-        cols = []
+        ads = []                        # (e_i, column a -> [(b, e_i ad(A_i)[b][a])])
+        for ad in self.ad:
+            e, flat = over_common_denominator([x for row in ad for x in row])
+            ads.append((e, [[(b, flat[b * m + a]) for b in range(m) if flat[b * m + a]]
+                            for a in range(m)]))
+        s_cols = []                     # column k of S_1, ..., S_n, each (sigma, sigma S_i e_k)
         for k in range(n * pole + window.degree + 1):
             kp, j = divmod(k, pole) if k < n * pole else (n, 0)   # (z - x_kp)^-(j+1)
-            s_cols = []                 # column k of S_1, ..., S_n
+            cols_k = []
             for i, x in enumerate(pts):
                 if kp >= n:
                     l = k - n * pole
@@ -149,16 +181,23 @@ class FramedHiggsModel:
                     d = x - pts[kp]
                     s_col = {kp * (pole + 1) + j - t: -1 / d ** (t + 1) for t in range(j + 1)}
                     s_col[i * (pole + 1)] = 1 / d ** (j + 1)
-                s_cols.append(s_col)
+                sigma, nums = over_common_denominator(s_col.values())
+                cols_k.append((sigma, dict(zip(s_col, nums))))
+            s_cols.append(cols_k)
+        den = lcm(*{sigma * e for cols_k in s_cols
+                    for (sigma, _), (e, _) in zip(cols_k, ads)})
+        cols = []
+        for cols_k in s_cols:
             for a in range(m):
-                col: dict[int, Fraction] = {}
-                for s_col, ad in zip(s_cols, ads):
-                    for q, x in s_col.items():
-                        for b in range(m):
-                            if ad[b][a]:
-                                col[q * m + b] = col.get(q * m + b, ZERO) + x * ad[b][a]
-                cols.append(sparse(col))
-        return cols
+                col: dict[int, int] = {}
+                for (sigma, s_col), (e, ad_cols) in zip(cols_k, ads):
+                    f = den // (sigma * e)
+                    for b, y in ad_cols[a]:
+                        fy = f * y
+                        for q, x in s_col.items():
+                            col[q * m + b] = col.get(q * m + b, 0) + x * fy
+                cols.append({r: x for r, x in col.items() if x})
+        return den, cols
 
     def chart_sections(self, spec: SheafSpec, window: Window,
                        chart: int) -> list[dict[int, Fraction]]:
@@ -174,23 +213,35 @@ class FramedHiggsModel:
         return self._cached(("form", window), lambda: self._pairing_form(window))
 
     def _pairing_form(self, window: Window) -> tuple[int, dict[int, dict[int, int]]]:
+        """The Laurent rows and the Gram matrix are integers over their own
+        least common denominators, so B is summed in integers over one
+        denominator and reduced to the least one at the end."""
         m, pts = self.dim, self.curve.points
         bumped = Window(window.pole + 1, window.degree)
-        scalar: dict[tuple[int, int], Fraction] = {}    # (k0, k1) -> scalar B
+        pairs = []                      # (d, d0 lambda_{i,-1-a}, d1 lambda_{i,a}), d = d0 d1
         for i in range(len(pts)):
             for a in range(-window.pole - 1, window.pole):
-                r0 = laurent_row(pts, window, i, -1 - a)
-                for k1, x in laurent_row(pts, bumped, i, a).items():
-                    for k0, y in r0.items():
-                        scalar[k0, k1] = scalar.get((k0, k1), 0) + x * y
-        gram = [(a, b, g) for a, row in enumerate(self._gram) for b, g in enumerate(row) if g]
-        entries = [(k0 * m + b, k1 * m + a, x * g)
-                   for (k0, k1), x in scalar.items() if x for a, b, g in gram]
-        den, nums = over_common_denominator([e for _, _, e in entries] or [ONE])
+                (d0, [r0]), (d1, [r1]) = (integer_vectors([laurent_row(pts, window, i, -1 - a)]),
+                                          integer_vectors([laurent_row(pts, bumped, i, a)]))
+                pairs.append((d0 * d1, r0, r1))
+        gden, [gram] = integer_vectors([{(a, b): g for a, row in enumerate(self._gram)
+                                         for b, g in enumerate(row)}])
+        sden = lcm(*{d for d, _, _ in pairs})
+        scalar: dict[tuple[int, int], int] = {}     # (k0, k1) -> sden scalar B
+        for d, r0, r1 in pairs:
+            f = sden // d
+            for k1, x in r1.items():
+                fx = f * x
+                for k0, y in r0.items():
+                    scalar[k0, k1] = scalar.get((k0, k1), 0) + fx * y
         table: dict[int, dict[int, int]] = {}
-        for (c, u, _), x in zip(entries, nums):
-            table.setdefault(c, {})[u] = x
-        return den, table
+        for (k0, k1), x in scalar.items():
+            if x:
+                for (a, b), g in gram.items():
+                    table.setdefault(k0 * m + b, {})[k1 * m + a] = x * g
+        den = sden * gden
+        g = gcd(den, *(x for row in table.values() for x in row.values()))
+        return den // g, {c: {u: x // g for u, x in row.items()} for c, row in table.items()}
 
     def complex_specs(self, kind: str) -> tuple[SheafSpec, SheafSpec]:
         m, n = self.dim, self.curve.n
@@ -245,33 +296,43 @@ class Hypercohomology:
         self.f1_u1 = model.chart_sections(f1, self.window1, 1)
         self.c_layout = Layout(ctx, self.window0)
         self.t2_layout = Layout(ctx, self.window1)
-        self._theta_cols = model.theta_columns(self.window0)
+        self._theta_den, self._theta_cols = model.theta_columns(self.window0)
         self._classes: tuple | None = None
         self._assemble()
 
     def theta(self, coords) -> dict[int, Fraction]:
         """[theta, .] from c_layout to t2_layout coordinates, sparse."""
-        out: dict[int, Fraction] = {}
-        for k, x in sparse(coords).items():
-            add_scaled(out, x, self._theta_cols[k])
-        return out
+        den, [v] = integer_vectors([coords])
+        return {r: Fraction(x, den * self._theta_den) for r, x in self._theta_int(v).items()}
 
-    def _d0_columns(self) -> list[dict[int, Fraction]]:
+    def _theta_int(self, v: dict[int, int]) -> dict[int, int]:
+        """d Theta v for an integer vector v, with d = `_theta_den`: integer
+        multiply-adds, with cancelled entries dropped."""
+        out: dict[int, int] = {}
+        cols = self._theta_cols
+        for k, x in v.items():
+            for r, y in cols[k].items():
+                out[r] = out.get(r, 0) + x * y
+        return {r: x for r, x in out.items() if x}
+
+    def _d0_columns(self) -> list[dict[int, int]]:
         """d0(s0, s1) = (s1 - s0, [theta, s0], [theta, s1]) in T^1 parameters,
-        one column per F0 chart section; [theta, .] must map F0 chart sections
-        into F1 ones."""
-        base = self._base
+        one column per F0 chart section s, times d_s d for d_s the least
+        common denominator of s and d that of Theta; [theta, .] must map F0
+        chart sections into F1 ones."""
+        base, den = self._base, self._theta_den
         d0_cols = []
         for sections, chart, offset, sign, where in (
                 (self.f0_u0, self._u0, 0, -1, ""),
                 (self.f0_u1, self._u1, self._n_u0, 1, " off the divisor")):
             for s in sections:
-                coords = chart.coords(self.theta(s))
+                _, [v] = integer_vectors([s])
+                coords = chart.int_coords(self._theta_int(v))
                 if coords is None:
                     raise AssertionError(f"[theta, .] does not preserve the {self.kind} "
                                          f"subsheaf structure{where}")
                 d0_cols.append({**{offset + j: x for j, x in coords.items()},
-                                **{base + k: sign * x for k, x in s.items()}})
+                                **{base + k: sign * den * x for k, x in v.items()}})
         return d0_cols
 
     def _assemble(self):
@@ -284,18 +345,26 @@ class Hypercohomology:
         self._base = self._n_u0 + len(self.f1_u1)
         self.t1_params = self._base + self.c_layout.dim
 
-        # d1(c, u0, u1) = (u1 - u0) - [theta, c] in T^2 coordinates
-        d1_cols = ([{r: -x for r, x in v.items()} for v in self.f1_u0]
-                   + self.f1_u1
-                   + [{r: -x for r, x in col.items()} for col in self._theta_cols])
-        kernel = nullspace_sparse(sparse_rows(d1_cols, t2.dim), ncols=self.t1_params)
+        # d1(c, u0, u1) = (u1 - u0) - [theta, c] in T^2 coordinates, as rows
+        # over the one denominator of the three blocks
+        (d_u0, u0), (d_u1, u1) = integer_vectors(self.f1_u0), integer_vectors(self.f1_u1)
+        den = lcm(d_u0, d_u1, self._theta_den)
+        rows: list[dict[int, int]] = [{} for _ in range(t2.dim)]
+        j = 0
+        for f, cols in ((-den // d_u0, u0), (den // d_u1, u1),
+                        (-den // self._theta_den, self._theta_cols)):
+            for col in cols:
+                for r, x in col.items():
+                    rows[r][j] = f * x
+                j += 1
+        kernel = nullspace_sparse(rows, ncols=self.t1_params)
         self._d0_cols = self._d0_columns()
         self.quotient = Quotient(self.t1_params, self._d0_cols, kernel)
         self.h1 = self.quotient.dim
-
-        # H^0 = ker d0
-        self.h0 = len(nullspace_sparse(sparse_rows(self._d0_cols, self.t1_params),
-                                       ncols=len(self._d0_cols)))
+        # H^0 = ker d0.  `Quotient` has checked every d0 column against ker d1,
+        # on which restriction to the free columns is injective, so rank d0 is
+        # the rank of its own elimination and needs no second one.
+        self.h0 = len(self._d0_cols) - self.quotient.rank
 
         # H^2 = T^2 / im d1; rank d1 = t1 - dim ker d1.  Whether the Euler
         # identity holds is the caller's check (`HypercohResult`).
@@ -341,10 +410,8 @@ class Hypercohomology:
 
 def _integral(cocycles: list[tuple]) -> tuple[int, list[tuple]]:
     """(d, the cocycles times d), with d the least common denominator."""
-    den, nums = over_common_denominator(
-        [x for cocycle in cocycles for v in cocycle for x in v.values()] or [ONE])
-    it = iter(nums)
-    return den, [tuple({k: next(it) for k in v} for v in cocycle) for cocycle in cocycles]
+    den, vectors = integer_vectors(v for cocycle in cocycles for v in cocycle)
+    return den, [tuple(vectors[3 * i:3 * i + 3]) for i in range(len(cocycles))]
 
 
 @dataclass(frozen=True)

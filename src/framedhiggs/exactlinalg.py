@@ -32,7 +32,12 @@ lift.  When a lift or the check fails, the RREF is repeated mod the next of
 PRIMES, combined by the Chinese remainder theorem, and lifted and checked
 again with M the product of the primes so far.  Pivots that differ from
 those mod P, or the end of PRIMES, leave the kernel to the exact Fraction
-elimination.
+elimination.  `rank` is the column count less the dimension of this kernel,
+and `Quotient` takes its elimination from it too.
+
+Rows and vectors may hold ints where Fractions would be: an integer sparse
+vector times a denominator is how the hot paths (`Quotient`, the
+deformation cone) keep their arithmetic out of `Fraction`.
 """
 
 from __future__ import annotations
@@ -126,6 +131,15 @@ def over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
+def integer_vectors(vectors: Iterable) -> tuple[int, list[dict[int, int]]]:
+    """(d, [d v for v in vectors]) for dense or sparse vectors v, as sparse
+    integer vectors, with d the least common denominator of all entries."""
+    vectors = [sparse(v) for v in vectors]
+    den = lcm(*{x.denominator for v in vectors for x in v.values()})
+    return den, [{c: x.numerator * (den // x.denominator) for c, x in v.items()}
+                 for v in vectors]
+
+
 def transpose(a: Mat) -> Mat:
     return [list(col) for col in zip(*a)] if a else []
 
@@ -138,35 +152,13 @@ def mat_is_zero(a: Mat) -> bool:
     return all(vec_is_zero(r) for r in a)
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [row for row in m[:r]], pivots
-
-
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    """Rank of a matrix given by dense rows: the column count less the
+    dimension of the kernel from `nullspace_sparse`, which is exact because
+    that kernel is checked over Z."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    return ncols - len(nullspace_sparse(rows, ncols))
 
 
 def inverse(a: Mat) -> Mat:
@@ -215,15 +207,6 @@ def sparse(v) -> dict[int, Fraction]:
     if isinstance(v, dict):
         return {c: x for c, x in v.items() if x}
     return {c: x for c, x in enumerate(v) if x}
-
-
-def sparse_rows(columns: Iterable, nrows: int) -> list[dict[int, Fraction]]:
-    """The rows, as {column: value} dicts, of the matrix with these columns."""
-    rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, x in sparse(col).items():
-            rows[i][j] = x
-    return rows
 
 
 class Echelon:
@@ -276,8 +259,9 @@ def nullspace_sparse(rows: Iterable, ncols: int) -> list[dict[int, Fraction]]:
     """Staircase basis of the right kernel {v : A v = 0}, as sparse vectors:
     one per free column, with unit entry at the free column, in column order.
 
-    Rows are dense sequences or sparse {column: value} dicts.  The kernel is
-    found mod PRIMES and lifted; it is returned only after A K = 0 is checked
+    Rows are dense sequences or sparse {column: value} dicts, with Fraction
+    or int entries; each row is scaled to integers.  The kernel is found mod
+    PRIMES and lifted; it is returned only after A K = 0 is checked
     over Z, and the exact elimination answers whenever that fails.
     """
     rows = [sparse(r) for r in rows]
@@ -291,7 +275,7 @@ def _nullspace_exact(rows: Iterable, ncols: int) -> list[dict[int, Fraction]]:
     vector of a free column c is e_c - sum_p row_p[c] e_p."""
     ech = Echelon(ncols)
     for r in rows:
-        ech.insert(r)
+        ech.insert({c: frac(x) for c, x in sparse(r).items()})      # int rows too
     pivots = set(ech.pivots)
     basis = {c: {c: ONE} for c in range(ncols) if c not in pivots}
     for row, p in zip(ech.rows, ech.pivots):
@@ -299,6 +283,15 @@ def _nullspace_exact(rows: Iterable, ncols: int) -> list[dict[int, Fraction]]:
             if c != p:
                 basis[c][p] = -y
     return list(basis.values())
+
+
+def _integer_row(r: dict) -> dict[int, int]:
+    """The sparse vector r times the least common denominator of its entries;
+    a row of ints as it is."""
+    if all(type(x) is int for x in r.values()):
+        return r
+    den = lcm(*{x.denominator for x in r.values()})
+    return {c: x.numerator * (den // x.denominator) for c, x in r.items()}
 
 
 def _rational_lift(x: int, m: int = P) -> Fraction | None:
@@ -351,7 +344,7 @@ def _modular_kernel(rows: list[dict[int, Fraction]],
     """The staircase kernel from the RREF of A mod PRIMES, combined by CRT,
     lifted entrywise and checked against A over Z; None when the pivots of
     two primes differ or no number of PRIMES gives a checked lift."""
-    int_rows = [dict(zip(r, over_common_denominator(r.values())[1])) for r in rows if r]
+    int_rows = [_integer_row(r) for r in rows if r]
     a_cols: dict[int, list[tuple[int, int]]] = {}
     for i, r in enumerate(int_rows):
         for c, x in r.items():
@@ -428,14 +421,26 @@ class Quotient:
     `nullspace_sparse` returns such a basis, and so does any list of
     distinct unit vectors; any other input raises ValueError.  A vector v of
     ker is then fixed by its entries at the free columns, v = sum_j v[free_j]
-    K_j, so the quotient is one elimination of the `sub_vectors` (which must
-    lie in ker) restricted to those columns.  `basis` holds kernel vectors
-    as given.
+    K_j.  `basis` holds kernel vectors as given.
 
-    The quotient basis is chosen greedily from `kernel_vectors` in the order
-    given: K_j is kept when it is independent of sub and of K_0..K_{j-1}.
-    Restricted column j is keyed k-1-j, so the smallest-key pivots of the
-    elimination are exactly the columns the greedy choice drops.
+    Everything past the input is held in integers.  The entries of the K_j
+    off their free columns, the tails, are kept over one common denominator
+    L, as integer tails T_j.  A vector v, scaled to integers, lies in ker
+    exactly when L (v off the free columns) = sum_j v[free_j] T_j holds over
+    Z, with no modulus and no tolerance; its coordinates are then its
+    free-column entries (`int_coords`, `coords`).
+
+    The `sub_vectors` (which must lie in ker) restricted to the free columns
+    are the rows of one elimination, `nullspace_sparse` on k columns.
+    Restriction is injective on ker, so `rank` is the dimension of sub: when
+    the sub vectors are the columns of a map into ker, its kernel has
+    dimension len(sub_vectors) - rank with no second elimination.
+    Restricted column j is keyed k-1-j.  The kernel of those rows has one
+    staircase vector R_f per non-pivot key f, and the pivots are the
+    smallest keys of the row space, which are exactly the columns the greedy
+    choice below drops: K_j is kept when it is independent of sub and of
+    K_0..K_{j-1}.  The class coordinate of v at a kept key f is the dot
+    product of v's restricted entries with R_f.
     """
 
     def __init__(self, n: int, sub_vectors: Sequence[Sequence[Fraction]],
@@ -444,53 +449,58 @@ class Quotient:
         k = len(kernel_vectors)
         kernel = [sparse(v) for v in kernel_vectors]
         free = [max(v) if v else None for v in kernel]
-        self._key = {c: k - 1 - j for j, c in enumerate(free)}
+        self._index = {c: j for j, c in enumerate(free)}
         for j, (v, c) in enumerate(zip(kernel, free)):
-            key = k - 1 - j
-            if (c is None or v[c] != 1 or self._key[c] != key
-                    or any(self._key.get(col, key) != key for col in v)):
+            if (c is None or v[c] != 1 or self._index[c] != j
+                    or any(self._index.get(col, j) != j for col in v)):
                 raise ValueError(f"kernel vector {j} is not in staircase form")
-        # Entries off the free columns, by key.
-        self._tails = [{col: x for col, x in v.items() if col != c}
-                       for v, c in zip(reversed(kernel), reversed(free))]
-        self._ech = Echelon(k)
-        for v in sub_vectors:
-            r = self._restrict(v)
-            if r is None:
+        # L and the integer tails T_j
+        den = self._den = lcm(*{x.denominator for v in kernel for x in v.values()})
+        self._tails = [{col: x.numerator * (den // x.denominator)
+                        for col, x in v.items() if col != c} for v, c in zip(kernel, free)]
+        rows = []
+        for v in sub_vectors:       # each scaled to integers: only their span counts
+            x = self.int_coords(_integer_row(sparse(v)))
+            if x is None:
                 raise ValueError("sub vector does not lie in the span of the kernel vectors")
-            self._ech.insert(r)
-        pivots = set(self._ech.pivots)
-        self._kept = [k - 1 - j for j in range(k) if k - 1 - j not in pivots]
-        self.basis = [kernel_vectors[k - 1 - key] for key in self._kept]
+            rows.append({k - 1 - j: y for j, y in x.items()})
+        reducers = nullspace_sparse(rows, k)
+        self.rank = k - len(reducers)
+        # (d, d R_f) for the kept keys f, largest key first, indexed like the kernel
+        self._reducers = [integer_vectors([{k - 1 - key: y for key, y in v.items()}])
+                          for v in reversed(reducers)]
+        self.basis = [kernel_vectors[k - 1 - max(v)] for v in reversed(reducers)]
         self.dim = len(self.basis)
 
-    def _restrict(self, v) -> dict[int, Fraction] | None:
-        """Free-column entries of v by key, or None if v is not in ker."""
-        rest, r = {}, {}
-        for c, x in sparse(v).items():
-            key = self._key.get(c)
-            if key is None:
-                rest[c] = x
-            else:
-                r[key] = x
-        for key, x in r.items():
-            add_scaled(rest, -x, self._tails[key])
-        return None if rest else r
+    def int_coords(self, v: dict[int, int]) -> dict[int, int] | None:
+        """Coefficients x with sum_j x_j kernel_vectors[j] = v for an integer
+        sparse vector v, as the sparse integer vector {j: x_j} of v's
+        free-column entries, or None if v is not in the span."""
+        den, index, tails = self._den, self._index, self._tails
+        rest, x = {}, {}
+        for c, y in v.items():
+            if y:
+                j = index.get(c)
+                if j is None:
+                    rest[c] = den * y
+                else:
+                    x[j] = y
+        for j, y in x.items():
+            for c, t in tails[j].items():
+                rest[c] = rest.get(c, 0) - y * t
+        return None if any(rest.values()) else x
 
     def coords(self, v) -> dict[int, Fraction] | None:
-        """Coefficients x with sum_j x_j kernel_vectors[j] = v, as a sparse
-        vector {j: x_j}, or None if v is not in their span: read off the free
-        columns, checked exactly."""
-        r = self._restrict(v)
-        if r is None:
-            return None
-        k = len(self._tails)
-        return {k - 1 - key: x for key, x in r.items()}
+        """`int_coords` of a dense or sparse rational vector v, as Fractions."""
+        d, [w] = integer_vectors([v])
+        x = self.int_coords(w)
+        return None if x is None else {j: Fraction(y, d) for j, y in x.items()}
 
     def project(self, v: Sequence[Fraction]) -> Vec:
         """Class coordinates of v in the quotient basis."""
-        r = self._restrict(v)
-        if r is None:
+        d, [w] = integer_vectors([v])
+        x = self.int_coords(w)
+        if x is None:
             raise ValueError("vector does not lie in the span of the quotient presentation")
-        w = self._ech.reduce_sparse(r)
-        return [w.get(key, ZERO) for key in self._kept]
+        return [Fraction(sum(y * x.get(j, 0) for j, y in red.items()), d * rden)
+                for rden, [red] in self._reducers]

@@ -8,7 +8,8 @@ from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL,
                                      DeformationTheory, ModelError,
                                      framed_higgs_model, hyper_pair,
                                      verify_poisson_map)
-from framedhiggs.exactlinalg import (ZERO, add_scaled, dense, mat_is_zero, mat_vec, rank,
+from framedhiggs.exactlinalg import (ZERO, add_scaled, dense, mat_is_zero, mat_vec,
+                                     nullspace_sparse, rank,
                                      sparse, vec_add, vec_scale)
 from framedhiggs.liealg import AlgebraModel, bracket, trace_form
 from framedhiggs.rationalfn import VSection, pairing_residue_at_point
@@ -560,3 +561,178 @@ def test_chart_bases_are_computed_once_per_spec_and_window(monkeypatch, framing,
         theory.dims(kind)
     assert len(calls) == len(set(calls)) == 2 * computed
     assert len({(spec, window) for _, spec, window in calls}) == computed
+
+
+# ---------------------------------------------------------------------------
+# the integer cone against its Fraction oracles
+# ---------------------------------------------------------------------------
+
+def fraction_theta_columns(model, window):
+    """Oracle: the columns of Theta = sum_i S_i ⊗ ad(A_i) built in Fractions,
+    S_i in the closed form of `FramedHiggsModel._theta_columns`."""
+    m, ads, pts = model.dim, model.ad, model.curve.points
+    n, pole = len(pts), window.pole
+    cols = []
+    for k in range(n * pole + window.degree + 1):
+        kp, j = divmod(k, pole) if k < n * pole else (n, 0)
+        s_cols = []
+        for i, x in enumerate(pts):
+            if kp >= n:
+                l = k - n * pole
+                s_col = {n * (pole + 1) + t: x ** (l - 1 - t) for t in range(l)}
+                s_col[i * (pole + 1)] = x ** l
+            elif kp == i:
+                s_col = {k + i + 1: F(1)}
+            else:
+                d = x - pts[kp]
+                s_col = {kp * (pole + 1) + j - t: -1 / d ** (t + 1) for t in range(j + 1)}
+                s_col[i * (pole + 1)] = 1 / d ** (j + 1)
+            s_cols.append(s_col)
+        for a in range(m):
+            col = {}
+            for s_col, ad in zip(s_cols, ads):
+                for q, x in s_col.items():
+                    for b in range(m):
+                        if ad[b][a]:
+                            col[q * m + b] = col.get(q * m + b, ZERO) + x * ad[b][a]
+            cols.append(sparse(col))
+    return cols
+
+
+def fraction_h0(cone):
+    """Oracle: h0 = dim ker d0 by a second elimination, of the d0 columns."""
+    rows = [{} for _ in range(cone.t1_params)]
+    for j, col in enumerate(cone._d0_cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return len(nullspace_sparse(rows, ncols=len(cone._d0_cols)))
+
+
+@pytest.mark.parametrize("gid, pts, framing, seed", [
+    ("sl(2)", [1, 2, 3, 4], "torus", 535564), ("gl(2)", [1, 2, 3], "trivial", 664365),
+    ("sl(3)", [1, 2, 3], "trivial", 7), ("gl(2)", [F(1, 2), -3, F(7, 5)], "torus", 9),
+])
+def test_integer_theta_equals_the_fraction_oracle(gid, pts, framing, seed):
+    model = seeded_model(gid, pts, framing, seed, 10)
+    window = DeformationTheory(model).window
+    for w in (window, window.bumped(1)):
+        den, cols = model.theta_columns(w)
+        assert all(type(x) is int for col in cols for x in col.values())
+        assert [{r: F(x, den) for r, x in col.items()} for col in cols] == \
+            fraction_theta_columns(model, w)
+
+
+H0_MODELS = [(gid, framing) for gid in ("sl(2)", "gl(2)", "sl(3)", "sp(4)")
+             for framing in ("trivial", "torus")]
+
+
+@pytest.mark.parametrize("gid, framing", H0_MODELS)
+def test_h0_from_the_quotient_rank_equals_a_second_elimination(gid, framing):
+    algebra = AlgebraModel(gid)
+    model = seeded_model(algebra, [1, 2, 3], framing, 17, 4)
+    theory = DeformationTheory(model)
+    h0 = {}
+    for kind in (TWISTED, FRAMED, TWISTED_DUAL):
+        cone = theory.cone(kind)
+        assert cone.h0 == fraction_h0(cone)
+        assert cone.h1 == cone.quotient.dim
+        assert cone.result().euler_identity
+        h0[kind] = cone.h0
+    # the twisted h0 is the center, and gl(2) with torus framing keeps it framed
+    assert h0[TWISTED] == algebra.group.dim_center_alg
+    if (gid, framing) == ("gl(2)", "torus"):
+        assert h0[FRAMED] == 1
+
+
+def _recording_quotients(monkeypatch):
+    from framedhiggs import deformation
+    from framedhiggs.exactlinalg import Quotient
+    made = []
+
+    class Recorded(Quotient):
+        def __init__(self, n, sub_vectors, kernel_vectors):
+            made.append((n, list(sub_vectors), list(kernel_vectors)))
+            super().__init__(n, sub_vectors, kernel_vectors)
+    monkeypatch.setattr(deformation, "Quotient", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("gid, pts, framing, seed", [
+    ("sl(2)", [1, 2, 3], "trivial", 11), ("gl(2)", [1, 2, 3], "torus", 720705),
+])
+def test_a_perturbed_d0_column_fails_the_integer_membership_check(monkeypatch, gid, pts,
+                                                                  framing, seed):
+    from math import lcm
+    from framedhiggs.exactlinalg import Quotient
+    made = _recording_quotients(monkeypatch)
+    cone = DeformationTheory(seeded_model(gid, pts, framing, seed, 10)).cone(FRAMED)
+    n, d0_cols, kernel = made[-1]
+    assert n == cone.t1_params and d0_cols == cone._d0_cols
+    free = {max(v) for v in kernel}
+    for col in d0_cols[:3] + d0_cols[-3:]:
+        assert cone.quotient.coords(col) is not None
+        den = lcm(*(F(x).denominator for x in col.values()))
+        # an entry off the free columns of ker d1 (in the support when it
+        # meets one), moved by half a unit of the column's denominator
+        c = next((c for c in sorted(col) if c not in free), min(set(range(n)) - free))
+        bad = dict(col)
+        bad[c] = bad.get(c, 0) + F(1, 2 * den)
+        assert cone.quotient.coords(bad) is None
+        with pytest.raises(ValueError, match="sub vector"):
+            Quotient(n, d0_cols + [bad], kernel)
+        with pytest.raises(ValueError, match="does not lie in the span"):
+            cone.quotient.project(bad)
+
+
+def test_a_flipped_theta_entry_breaks_the_subsheaf_check(monkeypatch):
+    from framedhiggs.deformation import FramedHiggsModel, Hypercohomology
+    honest = FramedHiggsModel._theta_columns
+
+    def flipped(model, window):
+        den, cols = honest(model, window)
+        cols = [dict(col) for col in cols]
+        r = min(cols[0])
+        cols[0][r] = -cols[0][r]
+        return den, cols
+
+    model = seeded_model("sl(2)", [1, 2, 3], "torus", 5, 4)
+    window = DeformationTheory(model).window
+    for kind in (TWISTED, FRAMED):
+        Hypercohomology(model, kind, window)
+    monkeypatch.setattr(FramedHiggsModel, "_theta_columns", flipped)
+    for kind in (TWISTED, FRAMED):
+        with pytest.raises(AssertionError, match=f"does not preserve the {kind} subsheaf"):
+            Hypercohomology(seeded_model("sl(2)", [1, 2, 3], "torus", 5, 4), kind, window)
+
+
+@pytest.mark.parametrize("framing", ["trivial", "torus"])
+def test_framing_coordinates_are_solved_once_per_framing_spec(monkeypatch, framing):
+    from framedhiggs.curve import MarkedCurve
+    from framedhiggs.deformation import FramedHiggsModel
+    from framedhiggs.liealg import framing_specs
+    algebra = AlgebraModel("sl(2)")
+    form = trace_form("sl(2)")
+    rng = random.Random(5)
+    calls = []
+    honest = AlgebraModel.coords
+
+    def counted(self, el):
+        calls.append(el)
+        return honest(self, el)
+
+    counts = {}
+    for n in (2, 4, 6):
+        specs = framing_specs(algebra, form, framing, n)
+        perp = [algebra.coords(p) for p in specs[0].perp]
+        residues = [random_algebra_element(algebra, rng, 3, perp) for _ in range(n - 1)]
+        residues.append(sum(residues[1:], residues[0]).scale(-1))
+        monkeypatch.setattr(AlgebraModel, "coords", counted)
+        calls.clear()
+        curve = MarkedCurve(0, tuple(F(x) for x in range(1, n + 1)))
+        model = FramedHiggsModel(algebra, form, curve, specs, tuple(residues))
+        counts[n] = len(calls) - n          # less the n residue checks
+        monkeypatch.setattr(AlgebraModel, "coords", honest)
+        assert model.context.points == model.curve.points
+        assert len(model._gram) == algebra.group.dim
+    spec = specs[0]
+    assert counts == {n: len(spec.subalgebra) + len(spec.perp) for n in (2, 4, 6)}

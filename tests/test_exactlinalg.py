@@ -5,7 +5,35 @@ import pytest
 
 from framedhiggs import exactlinalg
 from framedhiggs.exactlinalg import (ONE, P, PRIMES, Echelon, LinSolver, Quotient, dense,
-                                     inverse, mat_mul, nullspace_sparse, rank, rref, zeros)
+                                     inverse, mat_mul, nullspace_sparse, rank, zeros)
+
+
+def rref(rows):
+    """Oracle: reduced row echelon form in Fractions; returns (matrix, pivot
+    columns)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        if pv != 1:
+            m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [row for row in m[:r]], pivots
 
 
 def nullspace(rows, ncols):
@@ -28,6 +56,24 @@ def test_rref_and_rank():
     red, pivots = rref(m)
     assert pivots == [0, 1]
     assert rank(m) == 2
+
+
+def test_rank_from_the_certified_kernel_matches_the_rref_oracle(exact_calls):
+    rng = random.Random(29)
+    ranks = set()
+    for trial in range(200):
+        n, m = rng.randint(0, 7), rng.randint(1, 7)
+        rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else F(0)
+                 for _ in range(m)] for _ in range(n)]
+        if trial % 3 == 0 and n > 1:        # a dependent row
+            rows[-1] = [F(2, 3) * x - y for x, y in zip(rows[0], rows[1])]
+        expected = len(rref(rows)[1])
+        assert rank(rows) == expected
+        assert rank([[int(x * 18) for x in row] for row in rows]) == expected   # rows of ints
+        ranks.add((expected, n, m))
+    assert rank([]) == 0 and rank([[]]) == 0
+    assert any(r < min(n, m) for r, n, m in ranks) and any(r == min(n, m) > 0 for r, n, m in ranks)
+    assert exact_calls == []
 
 
 def test_nullspace_matches_sparse_on_random():
@@ -253,6 +299,15 @@ def test_modular_kernel_equals_the_exact_elimination(exact_calls):
     # when it declined (entries beyond the bound, from large minors)
     assert lifted_kinds == {"zero", "full", "deficient"}
     assert len(exact_calls) == 2 * declined < len(cases) // 10
+
+
+def test_the_exact_path_takes_integer_rows():
+    rows = [[F(2, 3), F(1), F(0), F(-5, 2)], [F(0), F(4), F(1, 3), F(1)]]
+    int_rows = [{0: 4, 1: 6, 3: -15}, {1: 12, 2: 1, 3: 3}]     # each row times its lcm
+    expected = EXACT(rows, 4)
+    assert EXACT(int_rows, 4) == expected and len(expected) == 2
+    assert [dense(v, 4) for v in expected] == nullspace(rows, 4)
+    assert all(type(x) is F for v in EXACT(int_rows, 4) for x in v.values())
 
 
 def test_entries_beyond_the_lift_bound_take_the_exact_path(exact_calls):
