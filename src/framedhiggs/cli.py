@@ -46,14 +46,12 @@ def _fr(value, where: str) -> Fraction:
 
 
 def _int(value, where: str, lo: int, hi: int | None = None) -> int:
-    """An integer, or a string or float holding one; a bool or a fraction is
-    refused rather than read as 0, 1 or its integer part."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """An integer, or a float holding one; a bool, a string, a fraction or
+    any other value is refused rather than read as 0, 1, the number it spells
+    or its integer part."""
+    if not (type(value) is int or isinstance(value, float) and value.is_integer()):
         raise ConfigError(f"{where}: not an integer: {value!r}")
-    try:
-        v = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: not an integer: {value!r}") from exc
+    v = int(value)
     if v < lo or hi is not None and v > hi:
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigError(f"{where}: must be an integer {bound}, got {value!r}")
@@ -300,8 +298,9 @@ def run_defo(cfg: dict, seed) -> dict:
     skew = all(phi[i][j] == -phi[j][i] for i in range(len(phi)) for j in range(len(phi)))
     checks.append(_check("pairing skew-symmetry", skew, "skew" if skew else "not skew",
                          "skew", "invariance identity applied to the cup product"))
-    phi_rank = rank(phi)
     fr = theory.dims(FRAMED)
+    check = verify_poisson_map(theory) if verify and fr.h0 == 0 and fr.h2 == 0 else None
+    phi_rank = rank(phi) if check is None else check.phi_rank
     if fr.h0 == 0 and fr.h2 == 0:
         checks.append(_check("pairing nondegeneracy", phi_rank == fr.h1, phi_rank, fr.h1,
                              "perfectness of the duality pairing when h0 = h2 = 0"))
@@ -309,8 +308,7 @@ def run_defo(cfg: dict, seed) -> dict:
                "seed": used_seed,
                "provenance": {"dims": "mapping-cone linear algebra over the "
                               "two-chart Laurent presentation"}}
-    if verify and fr.h0 == 0 and fr.h2 == 0:
-        check = verify_poisson_map(theory)
+    if check is not None:
         checks.append(_check(
             "forgetful map intertwines pairing inverse and anchor", check.ok,
             "zero residual" if check.ok else "nonzero residual", "zero residual",

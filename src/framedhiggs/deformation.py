@@ -27,11 +27,12 @@ multiply-adds.  Chart bases are staircase (`curve`), so writing a vector in
 them is reading off free columns with an exact integer membership check
 (`Quotient.int_coords`).  The d0 columns are integer vectors, each a positive
 multiple of the true column, which changes neither im d0 nor rank d0; the d1
-rows are d1 times one common denominator.  ker d1 comes from
-`nullspace_sparse`.  h0 = dim ker d0 needs no second elimination: the
-quotient ker d1 / im d0 has checked every d0 column against ker d1, on which
-restriction to the free columns is injective, so rank d0 is the rank of its
-own elimination and h0 = #d0 columns - rank.  Fractions are made only where
+rows are d1 times one common denominator.  ker d1 is read off the integer
+echelon form of d1 (`nullspace_sparse`), with no modulus and no certificate.
+h0 = dim ker d0 needs no second elimination: the quotient ker d1 / im d0 has
+checked every d0 column against ker d1, on which restriction to the free
+columns is injective, so rank d0 is the rank of its own integer elimination
+and h0 = #d0 columns - rank.  Fractions are made only where
 classes, pairings and report values leave the cone.
 
 The cup-product pairing on first hypercohomology contracts the mixed

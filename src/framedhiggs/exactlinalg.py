@@ -10,30 +10,21 @@ zero, so they serve any entries with those operations: the symbolic
 terms vanish is the Fraction ZERO.
 
 A sparse vector is a dict {column: value} of the nonzero entries (`sparse`
-and `dense` convert); kernels are sparse.  `nullspace_sparse` scales each row
-to integers, takes the RREF mod P = 2^61 - 1 with machine-size ints and lifts
-each kernel entry by rational reconstruction (Wang, Guy and Davenport, SIGSAM
-Bull. 1982) with numerator and denominator at most floor(sqrt(M / 2)), for
-the modulus M = P.  The lift K has one vector per column that is free mod P,
-with entry 1 there, 0 at the other free columns and nonzero entries only
-further left: the staircase form.  It is returned only if A K = 0 holds
-exactly over Z (Dixon, Numer. Math. 40, 1982), and then it is exactly the
-basis the Fraction elimination gives:
-
-* rank_P(A) <= rank_Q(A), since every minor of the integer rows reduces mod
-  P.  K is independent (staircase) and lies in ker_Q, so ncols - rank_P <=
-  dim ker_Q = ncols - rank_Q <= ncols - rank_P: K spans ker_Q.
-* A subspace has exactly one staircase basis: its free columns are the
-  positions where the dimension of ker ∩ span(e_0..e_j) grows, and a vector
-  of it is fixed by its entries there.  So K equals the exact answer.
-
-A rank mod P equal to the column count certifies an empty kernel with no
-lift.  When a lift or the check fails, the RREF is repeated mod the next of
-PRIMES, combined by the Chinese remainder theorem, and lifted and checked
-again with M the product of the primes so far.  Pivots that differ from
-those mod P, or the end of PRIMES, leave the kernel to the exact Fraction
-elimination.  `rank` is the column count less the dimension of this kernel,
-and `Quotient` takes its elimination from it too.
+and `dense` convert); kernels are sparse.  `nullspace_sparse`, `rank`,
+`Quotient` and `inverse` share one elimination, `_eliminate`: sparse
+fraction-free Gauss-Jordan in Python integers, with each row's content
+divided out where Bareiss (Math. Comp. 22, 1968) divides by the previous
+pivot.  Each row is scaled to integers and reduced by the pivot rows so far:
+w <- (p / g) w - (w[q] / g) R_q, for the pivot p = R_q[q] and g = gcd(p,
+w[q]), clears column q.  What is left of w is divided by its content (the gcd
+of its entries, signed so that its first nonzero entry is positive), takes
+that first nonzero column as its pivot and is cleared from every other pivot
+row the same way, each of which is then divided by its content again.  The
+rows are the reduced row echelon form, each scaled to a primitive integer
+vector.  Nothing is rounded or taken modulo anything, so no certificate is
+needed, and the reduced echelon form of a matrix is unique, so the staircase
+kernel read off it (one vector per free column c, e_c - sum_q (R_q[c] /
+R_q[q]) e_q) is the one every exact method gives.
 
 Rows and vectors may hold ints where Fractions would be: an integer sparse
 vector times a denominator is how the hot paths (`Quotient`, the
@@ -43,7 +34,7 @@ deformation cone) keep their arithmetic out of `Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = list[Fraction]
@@ -51,10 +42,6 @@ Mat = list[list[Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-# The primes of modular elimination, tried in this order.
-PRIMES = (2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45, 2 ** 61 - 229)
-P = PRIMES[0]
 
 
 def frac(x) -> Fraction:
@@ -152,47 +139,29 @@ def mat_is_zero(a: Mat) -> bool:
     return all(vec_is_zero(r) for r in a)
 
 
-def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    """Rank of a matrix given by dense rows: the column count less the
-    dimension of the kernel from `nullspace_sparse`, which is exact because
-    that kernel is checked over Z."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    return ncols - len(nullspace_sparse(rows, ncols))
+def rank(rows: Iterable) -> int:
+    """Rank of a matrix given by dense or sparse rows: its number of pivots."""
+    return len(_eliminate(rows))
 
 
 def inverse(a: Mat) -> Mat:
-    """The inverse of a square matrix, by fraction-free Gauss-Jordan
-    elimination (Bareiss, Math. Comp. 22, 1968) in integers.
-
-    Row i of a is scaled to integers, r_i = d_i a_i, so a^-1 = r^-1 diag(d).
-    Step k takes the first row at or below k with a nonzero entry p_k in
-    column k as pivot row and replaces every other row of [r | I] by
-    (p_k row - row[k] pivot_row) / p_(k-1), an exact division (p_(-1) = 1).
-    At the end the left block is p I and the right block p r^-1, for the
-    last pivot p; only the n^2 entries of the result are Fractions.  Raises
-    ValueError if a is singular.
+    """The inverse of a square matrix: `_eliminate` on [r | I], with row i of
+    r the row a_i scaled to integers, r_i = d_i a_i, so a^-1 = r^-1 diag(d).
+    The pivot row of column q is p (e_q | row q of r^-1) for its pivot p, so
+    only the n^2 entries of the result are Fractions.  Raises ValueError if a
+    is singular.
     """
     n = len(a)
     dens, rows = [], []
     for i, row in enumerate(a):
         d, ints = over_common_denominator(row)
         dens.append(d)
-        rows.append(ints + [int(i == j) for j in range(n)])
-    prev = 1
-    for k in range(n):
-        pr = next((i for i in range(k, n) if rows[i][k]), None)
-        if pr is None:
-            raise ValueError("matrix is singular")
-        rows[k], rows[pr] = rows[pr], rows[k]
-        pivot_row = rows[k]
-        p = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
-        prev = p
-    return [[Fraction(x * d, prev) for x, d in zip(row[n:], dens)] for row in rows]
+        rows.append({**{c: x for c, x in enumerate(ints) if x}, n + i: 1})
+    red = _eliminate(rows)
+    if any(q not in red for q in range(n)):
+        raise ValueError("matrix is singular")
+    return [[Fraction(red[q].get(n + j, 0) * d, red[q][q]) for j, d in enumerate(dens)]
+            for q in range(n)]
 
 
 def sample_inverse(points: Sequence[Fraction], size: int, row) -> tuple[Vec, Mat]:
@@ -257,31 +226,19 @@ class Echelon:
 
 def nullspace_sparse(rows: Iterable, ncols: int) -> list[dict[int, Fraction]]:
     """Staircase basis of the right kernel {v : A v = 0}, as sparse vectors:
-    one per free column, with unit entry at the free column, in column order.
+    one per free column c, e_c - sum_q (R_q[c] / R_q[q]) e_q over the pivot
+    rows R_q of `_eliminate`, in column order.
 
     Rows are dense sequences or sparse {column: value} dicts, with Fraction
-    or int entries; each row is scaled to integers.  The kernel is found mod
-    PRIMES and lifted; it is returned only after A K = 0 is checked
-    over Z, and the exact elimination answers whenever that fails.
+    or int entries.
     """
-    rows = [sparse(r) for r in rows]
-    basis = _modular_kernel(rows, ncols)
-    return _nullspace_exact(rows, ncols) if basis is None else basis
-
-
-def _nullspace_exact(rows: Iterable, ncols: int) -> list[dict[int, Fraction]]:
-    """`nullspace_sparse` by sparse Fraction elimination.  `Echelon` keeps its
-    rows reduced (1 at the pivot, 0 at every other pivot), so the kernel
-    vector of a free column c is e_c - sum_p row_p[c] e_p."""
-    ech = Echelon(ncols)
-    for r in rows:
-        ech.insert({c: frac(x) for c, x in sparse(r).items()})      # int rows too
-    pivots = set(ech.pivots)
-    basis = {c: {c: ONE} for c in range(ncols) if c not in pivots}
-    for row, p in zip(ech.rows, ech.pivots):
+    red = _eliminate(rows)
+    basis = {c: {c: ONE} for c in range(ncols) if c not in red}
+    for q, row in red.items():
+        p = row[q]
         for c, y in row.items():
-            if c != p:
-                basis[c][p] = -y
+            if c != q:
+                basis[c][q] = Fraction(-y, p)
     return list(basis.values())
 
 
@@ -294,101 +251,55 @@ def _integer_row(r: dict) -> dict[int, int]:
     return {c: x.numerator * (den // x.denominator) for c, x in r.items()}
 
 
-def _rational_lift(x: int, m: int = P) -> Fraction | None:
-    """n/d with n = d x mod m and |n|, d <= floor(sqrt(m / 2)), read off
-    Euclid's remainder sequence of (m, x); None when the sequence offers none."""
-    bound = isqrt(m // 2)
-    r0, r1, t0, t1 = m, x, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
-def _rref_mod(int_rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
-    """RREF mod p, by pivot column: a pivot row is 1 at its pivot and nonzero
-    only there and at non-pivot columns to its right."""
+def _eliminate(rows: Iterable) -> dict[int, dict[int, int]]:
+    """The reduced row echelon form of the matrix with the given dense or
+    sparse rows, in integers, as {pivot column q: R_q}: each R_q is primitive
+    with R_q[q] > 0, zero at every other pivot column and nonzero only at q
+    and at free columns to its right."""
     red: dict[int, dict[int, int]] = {}
-    for r in int_rows:
-        w = {c: x % p for c, x in r.items() if x % p}
+    for r in rows:
+        w = _integer_row(sparse(r))
         for q in [c for c in w if c in red]:
-            _sub_mod(w, w.pop(q), red[q], q, p)
+            _clear(w, w.pop(q), red[q], q)
         if not w:
             continue
         q = min(w)
-        inv = pow(w[q], -1, p)
-        w = {c: x * inv % p for c, x in w.items()}
-        for row in red.values():
+        _divide_content(w, q)
+        for q0, row in red.items():
             f = row.pop(q, 0)
             if f:
-                _sub_mod(row, f, w, q, p)
+                _clear(row, f, w, q)
+                _divide_content(row, q0)
         red[q] = w
     return red
 
 
-def _sub_mod(acc: dict[int, int], f: int, row: dict[int, int], skip: int, p: int) -> None:
-    """acc -= f row mod p in place, leaving out the column `skip`."""
+def _clear(w: dict[int, int], f: int, row: dict[int, int], q: int) -> None:
+    """w <- (p / g) w - (f / g) row in place, for the pivot p = row[q] and
+    g = gcd(p, f), where f is the entry of w at q, already taken out of w."""
+    p = row[q]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        for c in w:
+            w[c] *= a
     for c, y in row.items():
-        if c != skip:
-            nv = (acc.get(c, 0) - f * y) % p
+        if c != q:
+            nv = w.get(c, 0) - b * y
             if nv:
-                acc[c] = nv
+                w[c] = nv
             else:
-                acc.pop(c, None)
+                del w[c]
 
 
-def _modular_kernel(rows: list[dict[int, Fraction]],
-                    ncols: int) -> list[dict[int, Fraction]] | None:
-    """The staircase kernel from the RREF of A mod PRIMES, combined by CRT,
-    lifted entrywise and checked against A over Z; None when the pivots of
-    two primes differ or no number of PRIMES gives a checked lift."""
-    int_rows = [_integer_row(r) for r in rows if r]
-    a_cols: dict[int, list[tuple[int, int]]] = {}
-    for i, r in enumerate(int_rows):
-        for c, x in r.items():
-            a_cols.setdefault(c, []).append((i, x))
-    modulus, pivots, residues = 1, None, {}
-    for p in PRIMES:
-        red = _rref_mod(int_rows, p)
-        if pivots is None:
-            pivots = set(red)
-            # K[free] = e_free - sum_q R[q][free] e_q; with no free column,
-            # rank_P = ncols certifies the empty kernel.
-            if len(pivots) == ncols:
-                return []
-        elif set(red) != pivots:
-            return None
-        # residues of -R[q][free] mod the primes so far, combined by CRT
-        new = {(q, c): -y % p for q, row in red.items() for c, y in row.items() if c != q}
-        if modulus == 1:
-            residues = new
-        else:
-            inv = pow(modulus, -1, p)
-            for key in residues.keys() | new.keys():
-                x = residues.get(key, 0)
-                residues[key] = x + modulus * ((new.get(key, 0) - x) * inv % p)
-        modulus *= p
-        kernel = {c: {c: ONE} for c in range(ncols) if c not in pivots}
-        for (q, c), x in residues.items():
-            y = _rational_lift(x, modulus)
-            if y is None:
-                break
-            if y:
-                kernel[c][q] = y
-        else:
-            # A K = 0 over Z, walking the columns of A that each vector meets
-            for v in kernel.values():
-                acc: dict[int, int] = {}
-                for c, x in zip(v, over_common_denominator(v.values())[1]):
-                    for i, a in a_cols.get(c, ()):
-                        acc[i] = acc.get(i, 0) + a * x
-                if any(acc.values()):
-                    break
-            else:
-                return list(kernel.values())
-    return None
+def _divide_content(w: dict[int, int], q: int) -> None:
+    """Divide w in place by the gcd of its entries, signed like w[q]."""
+    g = gcd(*w.values())
+    if w[q] < 0:
+        g = -g
+    if g != 1:
+        for c in w:
+            w[c] //= g
 
 
 class LinSolver:
@@ -431,16 +342,17 @@ class Quotient:
     free-column entries (`int_coords`, `coords`).
 
     The `sub_vectors` (which must lie in ker) restricted to the free columns
-    are the rows of one elimination, `nullspace_sparse` on k columns.
-    Restriction is injective on ker, so `rank` is the dimension of sub: when
-    the sub vectors are the columns of a map into ker, its kernel has
-    dimension len(sub_vectors) - rank with no second elimination.
-    Restricted column j is keyed k-1-j.  The kernel of those rows has one
-    staircase vector R_f per non-pivot key f, and the pivots are the
-    smallest keys of the row space, which are exactly the columns the greedy
-    choice below drops: K_j is kept when it is independent of sub and of
-    K_0..K_{j-1}.  The class coordinate of v at a kept key f is the dot
-    product of v's restricted entries with R_f.
+    are the integer rows of one `_eliminate` on k columns.  Restriction is
+    injective on ker, so `rank`, the number of pivots, is the dimension of
+    sub: when the sub vectors are the columns of a map into ker, its kernel
+    has dimension len(sub_vectors) - rank with no second elimination.
+    Restricted column j is keyed k-1-j.  The pivots are the smallest keys of
+    the row space, which are exactly the columns the greedy choice below
+    drops: K_j is kept when it is independent of sub and of K_0..K_{j-1}.
+    Each kept key f has the staircase kernel vector R_f of those rows, read
+    off the pivot rows and held as an integer vector over its own
+    denominator, and the class coordinate of v at f is the dot product of
+    v's restricted entries with R_f.
     """
 
     def __init__(self, n: int, sub_vectors: Sequence[Sequence[Fraction]],
@@ -464,12 +376,22 @@ class Quotient:
             if x is None:
                 raise ValueError("sub vector does not lie in the span of the kernel vectors")
             rows.append({k - 1 - j: y for j, y in x.items()})
-        reducers = nullspace_sparse(rows, k)
-        self.rank = k - len(reducers)
-        # (d, d R_f) for the kept keys f, largest key first, indexed like the kernel
-        self._reducers = [integer_vectors([{k - 1 - key: y for key, y in v.items()}])
-                          for v in reversed(reducers)]
-        self.basis = [kernel_vectors[k - 1 - max(v)] for v in reversed(reducers)]
+        red = _eliminate(rows)
+        self.rank = len(red)
+        # (d, d R_f) for the kept keys f, largest key first, indexed like the
+        # kernel: d R_f = d e_f - sum_q (d / P_q[q]) P_q[f] e_q over the pivot
+        # rows P_q, with d the lcm of their pivots P_q[q]
+        tails = {f: [] for f in reversed(range(k)) if f not in red}
+        for q, row in red.items():
+            for f, y in row.items():
+                if f != q:
+                    tails[f].append((q, y, row[q]))
+        self._reducers = []
+        for f, tail in tails.items():
+            d = lcm(*(p for _, _, p in tail))
+            self._reducers.append(
+                (d, {k - 1 - f: d, **{k - 1 - q: -y * (d // p) for q, y, p in tail}}))
+        self.basis = [kernel_vectors[k - 1 - f] for f in tails]
         self.dim = len(self.basis)
 
     def int_coords(self, v: dict[int, int]) -> dict[int, int] | None:
@@ -503,4 +425,4 @@ class Quotient:
         if x is None:
             raise ValueError("vector does not lie in the span of the quotient presentation")
         return [Fraction(sum(y * x.get(j, 0) for j, y in red.items()), d * rden)
-                for rden, [red] in self._reducers]
+                for rden, red in self._reducers]

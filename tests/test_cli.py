@@ -158,6 +158,8 @@ EXPLICIT_SL2 = {"group": "sl(2)", "points": ["1", "2"],
     ("gaudin", {**GAUDIN_SL2, "random_points": 2.5}, "config.random_points"),
     ("gaudin", {**GAUDIN_SL2, "residues": {"type": "random", "seed": 7, "height": 1.5}},
      "config.residues.height"),
+    ("defo", {**DEFO_SL2, "residues": {"type": "random", "seed": 5, "height": "4"}},
+     "config.residues.height"),
     ("gaudin", {**GAUDIN_SL2, "flow": {"steps": 10.9}}, "config.flow.steps"),
     ("gaudin", {**GAUDIN_SL2, "flow": 5}, "config.flow"),
     ("spectral", {"group": "sl(2)", "points": ["1", "2", "3"],
@@ -195,7 +197,8 @@ EXPLICIT_SL2 = {"group": "sl(2)", "points": ["1", "2"],
         "random-points-negative", "grid-r-1", "audit-genus-0", "flow-t-end-x",
         "audit-unknown-group", "audit-groups-string", "audit-groups-empty",
         "group-not-a-string", "audit-empty-n-range", "genus-fraction", "random-points-bool",
-        "random-points-fraction", "height-fraction", "steps-fraction", "flow-not-an-object",
+        "random-points-fraction", "height-fraction", "height-string", "steps-fraction",
+        "flow-not-an-object",
         "spectral-genus-fraction", "framing-unknown", "framing-number",
         "framing-list-with-random-residues", "framing-basis-not-a-matrix",
         "framing-basis-not-in-algebra", "framing-basis-not-closed",
@@ -371,6 +374,27 @@ def test_a_non_skew_pairing_fails_the_check_with_a_report(tmp_path, capsys, monk
     check = [c for c in report["checks"] if c["name"] == "pairing skew-symmetry"][0]
     assert not check["passed"] and check["value"] == "not skew"
     assert "pairing skew-symmetry" in err
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_defo_eliminates_the_pairing_matrix_once(tmp_path, monkeypatch, verify):
+    from framedhiggs import exactlinalg
+    from framedhiggs.deformation import DeformationTheory
+    phis, eliminated = [], []
+    pairing, eliminate = DeformationTheory.symplectic_matrix, exactlinalg._eliminate
+    monkeypatch.setattr(DeformationTheory, "symplectic_matrix",
+                        lambda theory: phis.append(pairing(theory)) or phis[-1])
+
+    def recording(rows):
+        eliminated.append(rows := list(rows))
+        return eliminate(rows)
+    monkeypatch.setattr(exactlinalg, "_eliminate", recording)
+    cfg = write_config(tmp_path, "defo.json", {**DEFO_SL2_3PT, "verify_poisson_map": verify})
+    out = tmp_path / "report.json"
+    assert main(["defo", "--config", cfg, "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert ("anchor_rank" in results) == verify and results["pairing_rank"] == len(phis[0])
+    assert sum(rows == phis[0] for rows in eliminated) == 1
 
 
 @pytest.mark.parametrize("flow, field", [

@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from framedhiggs import exactlinalg
-from framedhiggs.exactlinalg import (ONE, P, PRIMES, Echelon, LinSolver, Quotient, dense,
-                                     inverse, mat_mul, nullspace_sparse, rank, zeros)
+from framedhiggs.exactlinalg import (ONE, Echelon, LinSolver, Quotient, dense, inverse,
+                                     mat_mul, nullspace_sparse, rank, sparse, zeros)
+
+# Inputs below that vanish modulo this prime, or whose kernel entries do not
+# lift from it, show that `nullspace_sparse` and `rank` work over Z, not mod P
+P = 2 ** 61 - 1
 
 
 def rref(rows):
@@ -58,7 +63,7 @@ def test_rref_and_rank():
     assert rank(m) == 2
 
 
-def test_rank_from_the_certified_kernel_matches_the_rref_oracle(exact_calls):
+def test_rank_from_the_certified_kernel_matches_the_rref_oracle():
     rng = random.Random(29)
     ranks = set()
     for trial in range(200):
@@ -73,7 +78,6 @@ def test_rank_from_the_certified_kernel_matches_the_rref_oracle(exact_calls):
         ranks.add((expected, n, m))
     assert rank([]) == 0 and rank([[]]) == 0
     assert any(r < min(n, m) for r, n, m in ranks) and any(r == min(n, m) > 0 for r, n, m in ranks)
-    assert exact_calls == []
 
 
 def test_nullspace_matches_sparse_on_random():
@@ -244,24 +248,8 @@ def test_quotient_rejects_non_staircase_kernels(kernel):
 
 
 # ---------------------------------------------------------------------------
-# the certified modular kernel
+# the integer elimination against the Fraction oracles
 # ---------------------------------------------------------------------------
-
-EXACT = exactlinalg._nullspace_exact
-
-
-@pytest.fixture
-def exact_calls(monkeypatch):
-    """Counts the calls of the exact Fraction elimination behind `nullspace_sparse`."""
-    calls = []
-
-    def counting(rows, ncols):
-        calls.append(ncols)
-        return EXACT(rows, ncols)
-
-    monkeypatch.setattr(exactlinalg, "_nullspace_exact", counting)
-    return calls
-
 
 def _random_sparse_matrix(rng, nrows, ncols, density):
     rows = [[F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < density else F(0)
@@ -275,92 +263,136 @@ def _random_sparse_matrix(rng, nrows, ncols, density):
     return rows
 
 
-def test_modular_kernel_equals_the_exact_elimination(exact_calls):
+def _assert_matches_the_oracle(rows, ncols):
+    """`nullspace_sparse` on dense and sparse rows, and `rank`, against `rref`."""
+    expected = nullspace(rows, ncols)
+    for given_rows in (rows, [sparse(r) for r in rows]):
+        got = nullspace_sparse(given_rows, ncols)
+        assert [dense(v, ncols) for v in got] == expected
+        assert all(type(x) is F for v in got for x in v.values())
+    assert rank(rows) == ncols - len(expected)
+    return expected
+
+
+def test_nullspace_sparse_matches_the_rref_oracle_on_random_sparse_matrices():
     rng = random.Random(808)
-    cases = [([], 4), ([[F(0)] * 3] * 2, 3), ([[F(2), F(1, 3)], [F(-1), F(5)]], 2)]
+    cases = [([], 4), ([[F(0)] * 3] * 2, 3), ([[F(2), F(1, 3)], [F(-1), F(5)]], 2),
+             ([[F(1), F(2), F(0), F(-3)], [F(0), F(1), F(1, 2), F(4)]], 4)]
     for _ in range(300):
         nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
         cases.append((_random_sparse_matrix(rng, nrows, ncols, rng.choice([0.2, 0.5, 0.9])),
                       ncols))
-    lifted_kinds, declined = set(), 0
+    assert _assert_matches_the_oracle(*cases[3]) == [
+        [F(1), F(-1, 2), F(1), F(0)], [F(11), F(-4), F(0), F(1)]]
+    kinds = set()
     for rows, ncols in cases:
-        expected = EXACT(rows, ncols)
-        sparse_rows = [exactlinalg.sparse(r) for r in rows]
-        assert nullspace_sparse(rows, ncols) == expected
-        assert nullspace_sparse(sparse_rows, ncols) == expected
-        lifted = exactlinalg._modular_kernel(sparse_rows, ncols)
-        if lifted is None:
-            declined += 1
-            continue
-        assert lifted == expected
-        rank_ = ncols - len(expected)
-        lifted_kinds.add("zero" if rank_ == 0 else "full" if rank_ == ncols else "deficient")
-    # the lift answered every kind of case, and the exact path ran exactly
-    # when it declined (entries beyond the bound, from large minors)
-    assert lifted_kinds == {"zero", "full", "deficient"}
-    assert len(exact_calls) == 2 * declined < len(cases) // 10
+        rank_ = ncols - len(_assert_matches_the_oracle(rows, ncols))
+        kinds.add("zero" if rank_ == 0 else "full" if rank_ == ncols else "deficient")
+    assert kinds == {"zero", "full", "deficient"}
 
 
 def test_the_exact_path_takes_integer_rows():
     rows = [[F(2, 3), F(1), F(0), F(-5, 2)], [F(0), F(4), F(1, 3), F(1)]]
     int_rows = [{0: 4, 1: 6, 3: -15}, {1: 12, 2: 1, 3: 3}]     # each row times its lcm
-    expected = EXACT(rows, 4)
-    assert EXACT(int_rows, 4) == expected and len(expected) == 2
+    expected = nullspace_sparse(rows, 4)
+    assert nullspace_sparse(int_rows, 4) == expected and len(expected) == 2
     assert [dense(v, 4) for v in expected] == nullspace(rows, 4)
-    assert all(type(x) is F for v in EXACT(int_rows, 4) for x in v.values())
+    assert all(type(x) is F for v in nullspace_sparse(int_rows, 4) for x in v.values())
+    assert rank(int_rows) == 2
+    assert int_rows == [{0: 4, 1: 6, 3: -15}, {1: 12, 2: 1, 3: 3}]      # left as given
 
 
-def test_entries_beyond_the_lift_bound_take_the_exact_path(exact_calls):
-    # the lift bound with every prime of PRIMES is floor(sqrt(M / 2)) < 2^122
+def test_entries_beyond_the_lift_bound_take_the_exact_path():
+    # entries that rational reconstruction modulo four 61-bit primes cannot
+    # recover: it bounds numerators and denominators by 2^122
     big = F(2) ** 200
-    # kernel (2^200, 1): the lifts are wrong or missing, and the Z check rejects them
     assert [dense(v, 2) for v in nullspace_sparse([[F(1), -big]], 2)] == [[big, F(1)]]
-    # kernel (-1/2^150, 1): a denominator beyond the bound
     assert [dense(v, 2) for v in nullspace_sparse([[F(2) ** 150, F(1)]], 2)] == \
         [[F(-1, 2 ** 150), F(1)]]
-    assert len(exact_calls) == 2
+    _assert_matches_the_oracle([[F(1), -big], [F(3), F(0)]], 2)
+    _assert_matches_the_oracle([[F(2) ** 150, F(1), big], [F(1, 2) ** 200, F(0), F(7)]], 3)
 
 
-@pytest.mark.parametrize("row, kernel, primes", [
-    # 2^40 = 1/2^21 mod P lifts inside the one-prime bound, wrongly; two primes lift it
-    ([F(1), -F(2) ** 40], [F(2) ** 40, F(1)], 2),
-    # a 2^35 denominator is beyond the one-prime bound
-    ([F(2) ** 35, F(1)], [F(-1, 2 ** 35), F(1)], 2),
-    # a 77-bit numerator over a 69-bit denominator: beyond two primes' bound 2^60.5
-    ([F(2 ** 68 + 1), F(-3 ** 48)], [F(3 ** 48, 2 ** 68 + 1), F(1)], 3),
+@pytest.mark.parametrize("row, kernel", [
+    # 2^40 = 1/2^21 mod P: one prime's reconstruction gives the wrong entry
+    ([F(1), -F(2) ** 40], [F(2) ** 40, F(1)]),
+    # a 2^35 denominator, beyond one prime's reconstruction bound
+    ([F(2) ** 35, F(1)], [F(-1, 2 ** 35), F(1)]),
+    # a 77-bit numerator over a 69-bit denominator, beyond two primes' bound
+    ([F(2 ** 68 + 1), F(-3 ** 48)], [F(3 ** 48, 2 ** 68 + 1), F(1)]),
 ])
-def test_entries_beyond_one_prime_are_lifted_by_crt(monkeypatch, exact_calls, row, kernel,
-                                                    primes):
-    used = []
-    honest = exactlinalg._rref_mod
-    monkeypatch.setattr(exactlinalg, "_rref_mod", lambda rows, p: used.append(p) or honest(rows, p))
-    assert [dense(v, 2) for v in nullspace_sparse([row], 2)] == [kernel]
-    assert used == list(PRIMES[:primes]) and exact_calls == []
+def test_entries_beyond_one_prime_match_the_rref_oracle(row, kernel):
+    assert _assert_matches_the_oracle([row], 2) == [kernel]
 
 
-def test_primes_with_different_pivots_take_the_exact_path(exact_calls):
-    # the first column vanishes mod P only: the pivots mod P and mod PRIMES[1] differ
+def test_primes_with_different_pivots_take_the_exact_path():
+    # the first column vanishes mod P only: its pivots mod P and mod any
+    # other prime differ
     rows = [[F(P) * 2 ** 40, F(1), F(2) ** 40]]
     assert [dense(v, 3) for v in nullspace_sparse(rows, 3)] == nullspace(rows, 3)
-    assert exact_calls == [3]
+    assert [dense(v, 3) for v in nullspace_sparse(rows, 3)][0][0] == F(-1, P * 2 ** 40)
+    _assert_matches_the_oracle(rows, 3)
 
 
-def test_a_rank_drop_mod_p_is_rejected_by_the_check_over_z(exact_calls):
+def test_a_rank_drop_mod_p_is_rejected_by_the_check_over_z():
     # the first row vanishes mod P, so e_0 is in the kernel mod P only
     rows = [[F(P), F(0), F(0)], [F(0), F(1), F(1)], [F(3 * P), F(2), F(1)]]
-    assert exactlinalg._modular_kernel([exactlinalg.sparse(r) for r in rows], 3) is None
     assert nullspace_sparse(rows, 3) == nullspace(rows, 3) == []
-    assert exact_calls == [3]
+    assert rank(rows) == 3 and rank([[P, 0], [0, 0]]) == 1
+    assert inverse(rows) == fraction_inverse(rows)
 
 
-def test_a_wrong_lift_is_caught_and_never_returned(monkeypatch, exact_calls):
-    rows = [[F(1), F(2), F(0), F(-3)], [F(0), F(1), F(1, 2), F(4)]]
-    expected = nullspace(rows, 4)
-    honest = exactlinalg._rational_lift
-    monkeypatch.setattr(exactlinalg, "_rational_lift", lambda x, m: honest(x, m) + F(1, 7))
-    assert exactlinalg._modular_kernel([exactlinalg.sparse(r) for r in rows], 4) is None
-    assert [dense(v, 4) for v in nullspace_sparse(rows, 4)] == expected
-    assert exact_calls == [4]
+
+# entries are small or up to 2^200, as Fractions or, for whole rows, ints
+_ENTRY = st.one_of(st.integers(-3, 3), st.integers(-2 ** 200, 2 ** 200),
+                   st.builds(F, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200)))
+
+
+@st.composite
+def _matrices(draw, square=False):
+    nrows = draw(st.integers(0, 6))
+    ncols = nrows if square else draw(st.integers(1, 7))
+    dense_rows = [[F(x) for x in draw(st.lists(st.one_of(st.just(0), _ENTRY),
+                                               min_size=ncols, max_size=ncols))]
+                  for _ in range(nrows)]
+    # a dependent row makes the matrix singular
+    if nrows >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        c = F(draw(_ENTRY))
+        dense_rows[-1] = [x + c * y for x, y in zip(dense_rows[a], dense_rows[b])]
+    return dense_rows, ncols
+
+
+def _as_ints(rows):
+    """Each row times the lcm of its denominators, as a row of ints."""
+    return [[int(x * lcm(*(y.denominator for y in r))) for x in r] for r in rows]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_matrices(), st.booleans())
+def test_nullspace_and_rank_match_the_rref_oracle(matrix, sparse_rows):
+    rows, ncols = matrix
+    expected = nullspace(rows, ncols)
+    for given_rows in (rows, _as_ints(rows)):
+        if sparse_rows:
+            given_rows = [sparse(r) for r in given_rows]
+        got = nullspace_sparse(given_rows, ncols)
+        assert [dense(v, ncols) for v in got] == expected
+        assert rank(given_rows) == ncols - len(expected)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_matrices(square=True))
+def test_inverse_matches_the_fraction_oracle(matrix):
+    a, _ = matrix
+    try:
+        expected = fraction_inverse(a)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(a)
+        return
+    got = inverse(a)
+    assert got == expected and all(type(x) is F for row in got for x in row)
 
 
 def test_quotient_coords_read_off_a_staircase_basis():
