@@ -156,7 +156,7 @@ def inverse(a: Mat) -> Mat:
     for i, row in enumerate(a):
         d, ints = over_common_denominator(row)
         dens.append(d)
-        rows.append({**{c: x for c, x in enumerate(ints) if x}, n + i: 1})
+        rows.append({**dict(enumerate(ints)), n + i: 1})
     red = _eliminate(rows)
     if any(q not in red for q in range(n)):
         raise ValueError("matrix is singular")
