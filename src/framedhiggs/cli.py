@@ -59,10 +59,14 @@ def _int(value, where: str, lo: int, hi: int | None = None) -> int:
 
 
 def _real(value, where: str) -> float:
+    """A JSON number; a bool or a string is refused rather than read as 0.0,
+    1.0 or the number it spells."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{where}: not a number: {value!r}")
     try:
         v = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: not a number: {value!r}") from exc
+    except OverflowError:   # an int beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(f"{where}: must be finite, got {value!r}")
     return v
@@ -477,6 +481,8 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"{args.config}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        except ValueError as exc:   # an integer beyond int's string-conversion limit
+            raise ConfigError(f"{args.config}: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: top-level config must be an object")
         if args.out:    # an unusable output path fails before the job, not after it

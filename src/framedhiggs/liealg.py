@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 from .exactlinalg import (Echelon, LinSolver, Mat, Vec, ZERO, ONE, dense, frac,
@@ -209,22 +209,27 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same(self, other)
-        return AlgebraElement(to_matrix(mat_comb([ONE, ONE], [self.matrix, other.matrix])),
-                              self.group_id)
+        return AlgebraElement(_entrywise(add, self.matrix, other.matrix), self.group_id)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same(self, other)
-        return AlgebraElement(to_matrix(mat_comb([ONE, -ONE], [self.matrix, other.matrix])),
-                              self.group_id)
+        return AlgebraElement(_entrywise(sub, self.matrix, other.matrix), self.group_id)
 
     def __neg__(self) -> "AlgebraElement":
         return self.scale(-ONE)
 
     def scale(self, c) -> "AlgebraElement":
-        return AlgebraElement(to_matrix(mat_comb([frac(c)], [self.matrix])), self.group_id)
+        c = frac(c)
+        return AlgebraElement(tuple(tuple(c * x for x in row) for row in self.matrix),
+                              self.group_id)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.matrix for x in row)
+
+
+def _entrywise(op, a, b) -> Matrix:
+    """op applied entry by entry to two Fraction matrices of one size."""
+    return tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a, b))
 
 
 def _check_same(a: AlgebraElement, b: AlgebraElement):
@@ -246,6 +251,8 @@ class AlgebraModel:
         self.basis = algebra_basis(self.group)
         self.torus = torus_basis(self.group)
         self._coord_solver = LinSolver([flatten(m) for m in self.basis], self.n * self.n)
+        # the nonzero entries of each basis matrix, by flat index
+        self._support = [[(q, x) for q, x in enumerate(flatten(m)) if x] for m in self.basis]
 
     def element(self, entries, validate: bool = True) -> AlgebraElement:
         m = to_matrix(entries)
@@ -269,13 +276,23 @@ class AlgebraModel:
         return c
 
     def from_coords(self, coords: Sequence[Fraction]) -> AlgebraElement:
-        return AlgebraElement(to_matrix(mat_comb(coords, self.basis)), self.group.group_id)
+        """sum_j coords[j] basis[j], over the nonzero entries of the basis."""
+        flat = [ZERO] * (self.n * self.n)
+        for w, support in zip(coords, self._support):
+            if w:
+                for q, x in support:
+                    y = w if x == 1 else w * x
+                    flat[q] = flat[q] + y if flat[q] else y
+        return AlgebraElement(to_matrix(flat[r:r + self.n]
+                                        for r in range(0, len(flat), self.n)),
+                              self.group.group_id)
 
 
 def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Commutator ab - ba."""
     _check_same(a, b)
-    return AlgebraElement(to_matrix(mat_commutator(a.matrix, b.matrix)), a.group_id)
+    ab, ba = mat_mul(a.matrix, b.matrix), mat_mul(b.matrix, a.matrix)
+    return AlgebraElement(_entrywise(sub, ab, ba), a.group_id)
 
 
 @dataclass(frozen=True)

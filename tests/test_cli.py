@@ -148,6 +148,10 @@ EXPLICIT_SL2 = {"group": "sl(2)", "points": ["1", "2"],
     ("spectral", {"genus_identity_grid": {"r": [1, 3]}}, "config.genus_identity_grid.r"),
     ("audit", {"groups": ["sl(2)"], "genus_range": [0, 1]}, "config.genus_range"),
     ("gaudin", {**GAUDIN_SL2, "flow": {"t_end": "x", "steps": 10}}, "config.flow.t_end"),
+    ("gaudin", {**GAUDIN_SL2, "flow": {"t_end": "0.5", "steps": 10}}, "config.flow.t_end"),
+    ("gaudin", {**GAUDIN_SL2, "flow": {"drift_tolerance": True, "steps": 10}},
+     "config.flow.drift_tolerance"),
+    ("gaudin", {**GAUDIN_SL2, "flow": {"t_end": 10 ** 400, "steps": 10}}, "config.flow.t_end"),
     ("audit", {"groups": ["sl(2)", "xx(2)"]}, "config.groups[1]"),
     ("audit", {"groups": "sl(2)"}, "config.groups"),
     ("audit", {"groups": []}, "config.groups"),
@@ -195,6 +199,7 @@ EXPLICIT_SL2 = {"group": "sl(2)", "points": ["1", "2"],
     ("defo", {**DEFO_SL2, "verify_poisson_map": "no"}, "config.verify_poisson_map"),
 ], ids=["genus-0", "genus-x", "n-0", "framing-length", "height-0", "steps-0",
         "random-points-negative", "grid-r-1", "audit-genus-0", "flow-t-end-x",
+        "flow-t-end-string", "flow-drift-tolerance-bool", "flow-t-end-beyond-floats",
         "audit-unknown-group", "audit-groups-string", "audit-groups-empty",
         "group-not-a-string", "audit-empty-n-range", "genus-fraction", "random-points-bool",
         "random-points-fraction", "height-fraction", "height-string", "steps-fraction",
@@ -213,7 +218,8 @@ def test_invalid_input_is_exit_2_with_the_field_named(tmp_path, capsys, subcomma
     assert err.startswith(f"error: {field}: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("case", ["missing-config", "config-not-utf8", "out-unwritable"])
+@pytest.mark.parametrize("case", ["missing-config", "config-not-utf8", "config-integer-too-long",
+                                  "out-unwritable"])
 def test_unusable_files_are_exit_2_with_the_path_named(tmp_path, capsys, case):
     cfg = write_config(tmp_path, "dims.json", {"group": "sl(2)", "genus": 2, "n": 1})
     argv = ["dims", "--config", cfg]
@@ -222,6 +228,9 @@ def test_unusable_files_are_exit_2_with_the_path_named(tmp_path, capsys, case):
     elif case == "config-not-utf8":
         path = cfg
         Path(cfg).write_bytes(b'{"group": "sl(2)\xff", "genus": 2, "n": 1}')
+    elif case == "config-integer-too-long":
+        path = cfg
+        Path(cfg).write_text('{"group": "sl(2)", "genus": ' + "9" * 5000 + ', "n": 1}')
     else:
         path = str(tmp_path / "no-such-dir" / "out.json")
         argv += ["--out", path]

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction as F
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framedhiggs.exactlinalg import (identity, mat_comb, mat_mul, mat_vec,
                                      over_common_denominator)
 from framedhiggs import gaudin
-from framedhiggs.gaudin import GaudinSystem, PolyObservable, _term_table, worst_drift
+from framedhiggs.gaudin import (GaudinSystem, PolyObservable, _term_table, _term_values,
+                               worst_drift)
 from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, char_poly_elementary, flatten,
                                 mat_commutator, mat_trace, matrix_invariants,
                                 newton_elementary, theta_at, theta_char_polys)
@@ -513,11 +516,67 @@ def test_term_table_matches_term_by_term_loop():
                              F(rng.randint(-9, 9), rng.randint(1, 4))
                              for _ in range(rng.randint(0, 6))})
              for _ in range(12)]
-    evaluate = _term_table(polys, 6)
     loops = [_compiled(p) for p in polys]
-    for point in np.random.default_rng(67).standard_normal((2000, 6)) * 7.0:
-        values = evaluate(point)
+    points = np.random.default_rng(67).standard_normal((2000, 6)) * 7.0
+    # one batch member per point
+    for point, values in zip(points, _term_values(_term_table([polys] * len(points), 6), points)):
         assert all(v == loop(point) for v, loop in zip(values, loops))
+
+
+@cache
+def _flow_system(gid, n):
+    return GaudinSystem(AlgebraModel(gid), PTS3[:n])
+
+
+@st.composite
+def _hamiltonians(draw, nvars):
+    """A sparse polynomial of degree <= 2, or the product of two: products
+    put several factors and powers x ** e into the gradient's terms."""
+    def poly():
+        return PolyObservable({
+            tuple(sorted(draw(st.dictionaries(st.integers(0, nvars - 1), st.integers(1, 2),
+                                              max_size=2)).items())):
+            F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(1, 3)))})
+    ham = poly()
+    return ham * poly() if draw(st.booleans()) else ham
+
+
+@st.composite
+def _flow_batches(draw):
+    gid, n = draw(st.sampled_from([("sl(2)", 3), ("sl(3)", 2)]))
+    system = _flow_system(gid, n)
+    flows = [(balanced_tuple(system.model, random.Random(draw(st.integers(0, 99))), n, 3),
+              draw(_hamiltonians(n * system.s * system.s)))
+             for _ in range(draw(st.integers(1, 3)))]
+    return system, flows, draw(st.sampled_from([0.001, 0.005])), draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_flow_batches())
+def test_a_batch_of_flows_is_bit_for_bit_each_flow_alone(batch):
+    system, flows, t_end, steps = batch
+    for (residues, ham), (traj, report) in zip(flows, system.integrate_flows(flows, t_end,
+                                                                             steps)):
+        state, expected = _reference_flow(system, residues, ham, t_end, steps)
+        solo_traj, solo_report = system.integrate_flow(residues, ham, t_end, steps)
+        assert np.isfinite(state).all()
+        assert np.array_equal(traj[-1], state) and report == expected
+        assert traj[-1].tobytes() == solo_traj[-1].tobytes() and report == solo_report
+
+
+def test_an_overflowing_member_leaves_the_other_members_bits():
+    model = AlgebraModel("sl(2)")
+    system = GaudinSystem(model, PTS3)
+    els = balanced_tuple(model, random.Random(3), 3, 3)
+    ham = system.coefficient_function_list()[0][3]
+    flows = [(els, PolyObservable()), (els, ham), ([model.zero()] * 3, ham * ham)]
+    batch = system.integrate_flows(flows, 1e300, 1)
+    assert np.isnan(worst_drift(batch[1][1]))
+    for (residues, h), (traj, report) in zip(flows[::2], batch[::2]):
+        solo_traj, solo_report = system.integrate_flow(residues, h, 1e300, 1)
+        assert np.isfinite(traj[-1]).all() and report == solo_report
+        assert traj[-1].tobytes() == solo_traj[-1].tobytes()
 
 
 def test_flow_zero_time_is_identity():
@@ -539,6 +598,14 @@ def test_casimir_flow_is_stationary():
     cas = system.coefficient_function_list()[0][3]
     traj, _ = system.integrate_flow([el], cas, 1.0, 50)
     assert np.allclose(traj[0], traj[-1])
+    # its gradient has no term, so its term table is the zero row alone,
+    # alone or padded next to a member with terms
+    other = system.coefficient_function_list()[1][3]
+    assert not cas and other
+    batch = system.integrate_flows([([el], cas), ([el], other)], 0.01, 20)
+    for (traj, report), ham in zip(batch, (cas, other)):
+        state, expected = _reference_flow(system, [el], ham, 0.01, 20)
+        assert np.array_equal(traj[-1], state) and report == expected
 
 
 def test_non_finite_drift_exceeds_every_tolerance():
