@@ -64,7 +64,7 @@ from typing import Sequence
 from .curve import (Layout, MarkedCurve, SheafSpec, Window, default_window,
                     laurent_row, make_spec, sections_off_divisor,
                     sections_on_affine_chart)
-from .exactlinalg import (Echelon, Mat, Quotient, Vec, ONE, add_scaled, dense, frac,
+from .exactlinalg import (Mat, Quotient, Vec, ONE, add_scaled, dense, frac,
                           integer_vectors, inverse, mat_is_zero, mat_mul, nullspace_sparse,
                           over_common_denominator, transpose)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
@@ -96,19 +96,20 @@ class FramedHiggsModel:
         if len(self.framings) != n or len(self.residues) != n:
             raise ModelError("one framing and one residue matrix per marked point")
         # coordinates of h_x and h_x^perp, solved once per distinct FramingSpec
-        by_spec: dict[int, tuple[list[Vec], list[Vec], Echelon]] = {}
+        by_spec: dict[int, tuple[list[Vec], list[Vec]]] = {}
         self._h_coords, self._perp_coords = [], []
         for i, (el, fr) in enumerate(zip(self.residues, self.framings)):
             if id(fr) not in by_spec:
-                perp = [self.algebra.coords(p) for p in fr.perp]
-                ech = Echelon(self.dim)
-                for v in perp:
-                    ech.insert(v)
-                by_spec[id(fr)] = ([self.algebra.coords(h) for h in fr.subalgebra], perp, ech)
-            h_coords, perp_coords, ech = by_spec[id(fr)]
+                by_spec[id(fr)] = ([self.algebra.coords(h) for h in fr.subalgebra],
+                                   [self.algebra.coords(p) for p in fr.perp])
+            h_coords, perp_coords = by_spec[id(fr)]
             self._h_coords.append(h_coords)
             self._perp_coords.append(perp_coords)
-            if not ech.contains(self.algebra.coords(el)):
+            if not self.algebra.contains(el):
+                raise ModelError(f"residue matrix at point {i} is not an element of "
+                                 f"{self.algebra.group.group_id}")
+            # h_x^perp is {v : sigma(h, v) = 0 for every h in h_x}
+            if any(fr.form(h, el) for h in fr.subalgebra):
                 raise ModelError(
                     f"residue matrix at point {i} is not compatible with the framing "
                     "(it must lie in the annihilator of the framing subalgebra)")

@@ -10,21 +10,13 @@ zero, so they serve any entries with those operations: the symbolic
 terms vanish is the Fraction ZERO.
 
 A sparse vector is a dict {column: value} of the nonzero entries (`sparse`
-and `dense` convert); kernels are sparse.  `nullspace_sparse`, `rank`,
-`Quotient` and `inverse` share one elimination, `_eliminate`: sparse
-fraction-free Gauss-Jordan in Python integers, with each row's content
-divided out where Bareiss (Math. Comp. 22, 1968) divides by the previous
-pivot.  Each row is scaled to integers and reduced by the pivot rows so far:
-w <- (p / g) w - (w[q] / g) R_q, for the pivot p = R_q[q] and g = gcd(p,
-w[q]), clears column q.  What is left of w is divided by its content (the gcd
-of its entries, signed so that its first nonzero entry is positive), takes
-that first nonzero column as its pivot and is cleared from every other pivot
-row the same way, each of which is then divided by its content again.  The
-rows are the reduced row echelon form, each scaled to a primitive integer
-vector.  Nothing is rounded or taken modulo anything, so no certificate is
-needed, and the reduced echelon form of a matrix is unique, so the staircase
-kernel read off it (one vector per free column c, e_c - sum_q (R_q[c] /
-R_q[q]) e_q) is the one every exact method gives.
+and `dense` convert); kernels are sparse.  There is one elimination,
+`_eliminate`: fraction-free Gauss-Jordan in Python integers, with each row's
+content divided out where Bareiss (Math. Comp. 22, 1968) divides by the
+previous pivot.  `nullspace_sparse`, `rank`, `Quotient` and `inverse` run it
+on a matrix, `Echelon` row by row, and `LinSolver` solves against its rows.
+Nothing is rounded or taken modulo a prime, so no certificate is needed, and
+the reduced echelon form is unique, so any exact method gives the same kernels.
 
 Rows and vectors may hold ints where Fractions would be: an integer sparse
 vector times a denominator is how the hot paths (`Quotient`, the
@@ -145,23 +137,14 @@ def rank(rows: Iterable) -> int:
 
 
 def inverse(a: Mat) -> Mat:
-    """The inverse of a square matrix: `_eliminate` on [r | I], with row i of
-    r the row a_i scaled to integers, r_i = d_i a_i, so a^-1 = r^-1 diag(d).
-    The pivot row of column q is p (e_q | row q of r^-1) for its pivot p, so
-    only the n^2 entries of the result are Fractions.  Raises ValueError if a
-    is singular.
-    """
+    """The inverse of a square matrix: the right half of the reduced row
+    echelon form of [a | I], read off the integer pivot rows of `_eliminate`.
+    Raises ValueError if a is singular."""
     n = len(a)
-    dens, rows = [], []
-    for i, row in enumerate(a):
-        d, ints = over_common_denominator(row)
-        dens.append(d)
-        rows.append({**dict(enumerate(ints)), n + i: 1})
-    red = _eliminate(rows)
+    red = _eliminate({**sparse(row), n + i: 1} for i, row in enumerate(a))
     if any(q not in red for q in range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(red[q].get(n + j, 0) * d, red[q][q]) for j, d in enumerate(dens)]
-            for q in range(n)]
+    return [[Fraction(red[q].get(n + j, 0), red[q][q]) for j in range(n)] for q in range(n)]
 
 
 def sample_inverse(points: Sequence[Fraction], size: int, row) -> tuple[Vec, Mat]:
@@ -179,58 +162,25 @@ def sparse(v) -> dict[int, Fraction]:
 
 
 class Echelon:
-    """Incrementally maintained echelon basis of a subspace of Q^n.
-
-    Rows are stored sparsely (column -> value).  Supports reduction of
-    vectors modulo the subspace and membership tests; insertion order plus
-    smallest-column pivoting keeps results deterministic.
-    """
+    """A subspace of Q^n built one vector at a time by `_eliminate`'s step."""
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[dict[int, Fraction]] = []
-        self.pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce_sparse(self, v) -> dict[int, Fraction]:
-        w = sparse(v)
-        for row, p in zip(self.rows, self.pivots):
-            f = w.get(p)
-            if f:
-                add_scaled(w, -f, row)
-        return w
+        self._red: dict[int, dict[int, int]] = {}
 
     def contains(self, v) -> bool:
-        return not self.reduce_sparse(v)
+        return not _reduce(self._red, _integer_row(v))
 
     def insert(self, v) -> bool:
         """Add v to the span; returns True if the dimension grew."""
-        w = self.reduce_sparse(v)
-        if not w:
-            return False
-        p = min(w)
-        pv = w[p]
-        if pv != 1:
-            w = {c: x / pv for c, x in w.items()}
-        for row in self.rows:
-            f = row.get(p)
-            if f:
-                add_scaled(row, -f, w)
-        self.rows.append(w)
-        self.pivots.append(p)
-        return True
+        return _insert(self._red, _integer_row(v))
 
 
 def nullspace_sparse(rows: Iterable, ncols: int) -> list[dict[int, Fraction]]:
     """Staircase basis of the right kernel {v : A v = 0}, as sparse vectors:
     one per free column c, e_c - sum_q (R_q[c] / R_q[q]) e_q over the pivot
-    rows R_q of `_eliminate`, in column order.
-
-    Rows are dense sequences or sparse {column: value} dicts, with Fraction
-    or int entries.
+    rows R_q of `_eliminate`, in column order.  Rows are dense sequences or
+    sparse {column: value} dicts, with Fraction or int entries.
     """
     red = _eliminate(rows)
     basis = {c: {c: ONE} for c in range(ncols) if c not in red}
@@ -242,13 +192,10 @@ def nullspace_sparse(rows: Iterable, ncols: int) -> list[dict[int, Fraction]]:
     return list(basis.values())
 
 
-def _integer_row(r: dict) -> dict[int, int]:
-    """The sparse vector r times the least common denominator of its entries;
-    a row of ints as it is."""
-    if all(type(x) is int for x in r.values()):
-        return r
-    den = lcm(*{x.denominator for x in r.values()})
-    return {c: x.numerator * (den // x.denominator) for c, x in r.items()}
+def _integer_row(v) -> dict[int, int]:
+    """`integer_vectors` of the one vector v, taking a row of ints as it is."""
+    w = sparse(v)
+    return w if all(type(x) is int for x in w.values()) else integer_vectors([w])[1][0]
 
 
 def _eliminate(rows: Iterable) -> dict[int, dict[int, int]]:
@@ -258,20 +205,34 @@ def _eliminate(rows: Iterable) -> dict[int, dict[int, int]]:
     and at free columns to its right."""
     red: dict[int, dict[int, int]] = {}
     for r in rows:
-        w = _integer_row(sparse(r))
-        for q in [c for c in w if c in red]:
-            _clear(w, w.pop(q), red[q], q)
-        if not w:
-            continue
-        q = min(w)
-        _divide_content(w, q)
-        for q0, row in red.items():
-            f = row.pop(q, 0)
-            if f:
-                _clear(row, f, w, q)
-                _divide_content(row, q0)
-        red[q] = w
+        _insert(red, _integer_row(r))
     return red
+
+
+def _insert(red: dict[int, dict[int, int]], w: dict[int, int]) -> bool:
+    """One step of `_eliminate`: add the integer sparse row w (used up) to its
+    pivot rows red in place; returns True if the rank grew.  w is cleared at
+    every pivot column, divided by its content (the gcd of its entries, signed
+    so that its first nonzero entry is positive) and takes that column q as
+    its pivot; q is cleared from the other pivot rows, as is their content."""
+    if not _reduce(red, w):
+        return False
+    q = min(w)
+    _divide_content(w, q)
+    for q0, row in red.items():
+        f = row.pop(q, 0)
+        if f:
+            _clear(row, f, w, q)
+            _divide_content(row, q0)
+    red[q] = w
+    return True
+
+
+def _reduce(red: dict[int, dict[int, int]], w: dict[int, int]) -> dict[int, int]:
+    """w cleared in place at every pivot column of red; empty iff in their span."""
+    for q in [c for c in w if c in red]:
+        _clear(w, w.pop(q), red[q], q)
+    return w
 
 
 def _clear(w: dict[int, int], f: int, row: dict[int, int], q: int) -> None:
@@ -303,24 +264,35 @@ def _divide_content(w: dict[int, int], q: int) -> None:
 
 
 class LinSolver:
-    """Repeated exact solves of C x = v for a fixed column collection C."""
+    """Repeated exact solves of C x = v for a fixed column collection C.
+
+    `_eliminate` reduces the rows [C_j | e_j] once.  A solve reads its pivot
+    rows R_q, q < n, as S_q = (L / R_q[q]) R_q for the lcm L of their pivots;
+    each is zero at every other pivot column, so acc = L d v - sum_q (d v)[q]
+    S_q for v scaled to integers d v is zero below n exactly when v is in the
+    span, and then x_j = -acc[n + j] / (L d)."""
 
     def __init__(self, columns: Sequence[Sequence[Fraction]], n: int):
         self.n = n
         self.k = len(columns)
-        # Row-reduce [C | I_k-tracking] once; each solve is a reduction pass.
-        self._ech = Echelon(n + self.k)
-        for j, col in enumerate(columns):
-            ext = list(col) + [ZERO] * self.k
-            ext[n + j] = ONE
-            self._ech.insert(ext)
+        red = _eliminate({**sparse(col), n + j: 1} for j, col in enumerate(columns))
+        den = self._den = lcm(*(row[q] for q, row in red.items() if q < n))
+        self._rows = [(q, {c: den // row[q] * y for c, y in row.items()})
+                      for q, row in red.items() if q < n]
 
     def coords(self, v: Sequence[Fraction]) -> Vec | None:
         """Coefficients x with sum_j x_j C_j = v, or None if v not in span."""
-        w = self._ech.reduce_sparse(list(v) + [ZERO] * self.k)
-        if any(c < self.n for c in w):
+        d, [w] = integer_vectors([v])
+        n, den = self.n, self._den
+        acc = {c: den * y for c, y in w.items()}
+        for q, row in self._rows:
+            f = w.get(q)
+            if f:
+                for c, y in row.items():
+                    acc[c] = acc.get(c, 0) - f * y
+        if any(y for c, y in acc.items() if c < n):
             return None
-        return [-w.get(self.n + j, ZERO) for j in range(self.k)]
+        return [Fraction(-acc.get(n + j, 0), den * d) for j in range(self.k)]
 
 
 class Quotient:
@@ -372,7 +344,7 @@ class Quotient:
                         for col, x in v.items() if col != c} for v, c in zip(kernel, free)]
         rows = []
         for v in sub_vectors:       # each scaled to integers: only their span counts
-            x = self.int_coords(_integer_row(sparse(v)))
+            x = self.int_coords(_integer_row(v))
             if x is None:
                 raise ValueError("sub vector does not lie in the span of the kernel vectors")
             rows.append({k - 1 - j: y for j, y in x.items()})

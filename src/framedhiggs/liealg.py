@@ -526,12 +526,9 @@ class FramingSpec:
         g = self.model.group
         if len(self.subalgebra) >= g.dim:
             raise ValueError("framing subgroup must be a proper subgroup (dim h_x < dim g)")
-        coords = [self.model.coords(h) for h in self.subalgebra]
-        if coords and rank(coords) < len(coords):
-            raise ValueError("framing subalgebra basis is linearly dependent")
         ech = Echelon(g.dim)
-        for c in coords:
-            ech.insert(c)
+        if not all(ech.insert(self.model.coords(h)) for h in self.subalgebra):
+            raise ValueError("framing subalgebra basis is linearly dependent")
         for a in self.subalgebra:
             for b in self.subalgebra:
                 if not ech.contains(self.model.coords(bracket(a, b))):
@@ -546,9 +543,9 @@ class FramingSpec:
             for p in self.perp:
                 if not pech.contains(self.model.coords(bracket(a, p))):
                     raise ValueError("bracket stability [h, h_perp] ⊆ h_perp failed")
-        tor = [self.model.coords(AlgebraElement(t, g.group_id)) for t in self.model.torus]
-        both = rank(coords + tor)
-        self.dim_torus_cap = len(coords) + len(tor) - both
+        # dim(h ∩ t) = dim t - dim((h + t) / h): the torus vectors that grow h
+        self.dim_torus_cap = len(self.model.torus) - sum(
+            ech.insert(self.model.coords(AlgebraElement(t, g.group_id))) for t in self.model.torus)
 
     @property
     def dim(self) -> int:

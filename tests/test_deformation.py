@@ -11,7 +11,7 @@ from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL,
 from framedhiggs.exactlinalg import (ZERO, add_scaled, dense, mat_is_zero, mat_vec,
                                      nullspace_sparse, rank,
                                      sparse, vec_add, vec_scale)
-from framedhiggs.liealg import AlgebraModel, bracket, trace_form
+from framedhiggs.liealg import AlgebraElement, AlgebraModel, bracket, trace_form
 from framedhiggs.rationalfn import VSection, pairing_residue_at_point
 from framedhiggs.sampling import random_algebra_element, seeded_model
 
@@ -95,6 +95,12 @@ def test_model_rejects_incompatible_residue():
     # torus framing: residues must be annihilator-valued (off-diagonal)
     with pytest.raises(ModelError, match="annihilator"):
         framed_higgs_model("sl(2)", [1, 2], [h, h.scale(-1)], "torus")
+
+
+def test_model_rejects_a_residue_outside_the_algebra():
+    identity = AlgebraElement([[F(1), F(0)], [F(0), F(1)]], "sl(2)")
+    with pytest.raises(ModelError, match="point 0 is not an element of sl\\(2\\)"):
+        framed_higgs_model("sl(2)", [1, 2], [identity, identity.scale(-1)], "trivial")
 
 
 def test_model_rejects_nonzero_sum():
@@ -729,7 +735,7 @@ def test_framing_coordinates_are_solved_once_per_framing_spec(monkeypatch, frami
         calls.clear()
         curve = MarkedCurve(0, tuple(F(x) for x in range(1, n + 1)))
         model = FramedHiggsModel(algebra, form, curve, specs, tuple(residues))
-        counts[n] = len(calls) - n          # less the n residue checks
+        counts[n] = len(calls)              # the residue checks call no coords
         monkeypatch.setattr(AlgebraModel, "coords", honest)
         assert model.context.points == model.curve.points
         assert len(model._gram) == algebra.group.dim

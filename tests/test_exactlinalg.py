@@ -169,21 +169,45 @@ def test_quotient_projection():
     assert q.project([F(7), F(2), F(3)]) == [F(2), F(3)]
 
 
+def _oracle_rank(rows):
+    return len(rref(rows)[1])
+
+
+def solve(columns, v):
+    """Oracle: x with sum_j x_j columns[j] = v, zero at every free column,
+    or None if v is not in their span; the `rref` of [C | v]."""
+    k = len(columns)
+    red, pivots = rref([[c[i] for c in columns] + [v[i]] for i in range(len(v))])
+    if k in pivots:
+        return None
+    x = [F(0)] * k
+    for row, p in zip(red, pivots):
+        x[p] = row[k]
+    return x
+
+
 class ReferenceQuotient:
-    """The three-elimination quotient: sub, then kernel, then a LinSolver."""
+    """The quotient by the Fraction `rref` oracle: each sub vector, then each
+    kernel vector, is kept when it raises the rank of those kept before it,
+    and a class is read off the coordinates over the kept vectors."""
 
     def __init__(self, n, sub_vectors, kernel_vectors):
-        ech = Echelon(n)
-        self._sub_basis = [list(v) for v in sub_vectors if ech.insert(v)]
-        self.basis = [list(v) for v in kernel_vectors if ech.insert(v)]
+        self._kept = []
+        self._n_sub = sum(self._keep(v) for v in sub_vectors)
+        self.basis = [list(v) for v in kernel_vectors if self._keep(v)]
         self.dim = len(self.basis)
-        self._solver = LinSolver(self._sub_basis + self.basis, n)
+
+    def _keep(self, v):
+        grew = _oracle_rank(self._kept + [list(v)]) > len(self._kept)
+        if grew:
+            self._kept.append(list(v))
+        return grew
 
     def project(self, v):
-        x = self._solver.coords(v)
+        x = solve(self._kept, v)
         if x is None:
             raise ValueError("vector does not lie in the span of the quotient presentation")
-        return x[len(self._sub_basis):]
+        return x[self._n_sub:]
 
 
 def _combination(rng, vectors, n, terms):
@@ -212,7 +236,7 @@ def _random_unit_case(rng):
     return n, sub, kernel
 
 
-def test_quotient_matches_three_elimination_reference():
+def test_quotient_matches_the_rref_reference():
     rng = random.Random(2024)
     for case in range(400):
         make = _random_nullspace_case if case % 2 else _random_unit_case
@@ -393,6 +417,50 @@ def test_inverse_matches_the_fraction_oracle(matrix):
         return
     got = inverse(a)
     assert got == expected and all(type(x) is F for row in got for x in row)
+
+
+@st.composite
+def _spans(draw):
+    """(n, vectors, probes): vectors in Q^n, some of them zero or dependent,
+    and probes both in and out of their span."""
+    n = draw(st.integers(1, 6))
+    vector = st.lists(st.one_of(st.just(0), _ENTRY).map(F), min_size=n, max_size=n)
+    vectors = draw(st.lists(vector, max_size=5))
+
+    def combination():
+        out = [F(0)] * n
+        for v in vectors:
+            c = F(draw(_ENTRY))
+            out = [a + c * b for a, b in zip(out, v)]
+        return out
+
+    if vectors and draw(st.booleans()):
+        vectors.append(combination())
+    member = combination()
+    return n, vectors, [member, [member[0] + 1] + member[1:], draw(vector)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_spans(), st.booleans())
+def test_echelon_and_linsolver_match_the_rref_oracle(span, sparse_rows):
+    n, vectors, probes = span
+    ech = Echelon(n)
+    for i, v in enumerate(vectors):
+        grew = _oracle_rank(vectors[:i + 1]) > _oracle_rank(vectors[:i])
+        assert ech.insert(sparse(v) if sparse_rows else v) is grew
+    solver = LinSolver(vectors, n)
+    independent = _oracle_rank(vectors) == len(vectors)
+    for v in vectors + probes:
+        member = _oracle_rank(vectors + [v]) == _oracle_rank(vectors)
+        assert ech.contains(sparse(v) if sparse_rows else v) is member
+        x = solver.coords(v)
+        if not member:
+            assert x is None
+            continue
+        assert [sum((xj * c[i] for xj, c in zip(x, vectors)), F(0)) for i in range(n)] == v
+        assert all(type(xj) is F for xj in x)
+        if independent:                 # the solution is unique
+            assert x == solve(vectors, v)
 
 
 def test_quotient_coords_read_off_a_staircase_basis():

@@ -347,6 +347,18 @@ def test_framing_rejects_non_subalgebra():
         FramingSpec(m, form, [e, f])
 
 
+@pytest.mark.parametrize("gid, diagonals", [
+    ("sl(2)", [[1, -1], [2, -2]]),
+    ("sl(3)", [[1, -1, 0], [0, 1, -1], [1, 0, -1]]),
+])
+def test_framing_rejects_dependent_basis(gid, diagonals):
+    m = AlgebraModel(gid)
+    basis = [m.element([[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))])
+             for d in diagonals]
+    with pytest.raises(ValueError, match="^framing subalgebra basis is linearly dependent$"):
+        FramingSpec(m, trace_form(gid), basis)
+
+
 def test_framing_rejects_full_algebra():
     m = AlgebraModel("sl(2)")
     form = trace_form("sl(2)")
@@ -363,3 +375,9 @@ def test_torus_cap_dimension():
     e = m.element([[0, 1], [0, 0]])
     borel = FramingSpec(m, form, [m.element([[1, 0], [0, -1]]), e])
     assert borel.dim_torus_cap == 1
+    # sl(3): h = span(diag(1, -1, 0), E_13) meets the 2-dimensional torus in a line
+    m3 = AlgebraModel("sl(3)")
+    h = [m3.element([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
+         m3.element([[0, 0, 1], [0, 0, 0], [0, 0, 0]])]
+    assert FramingSpec(m3, trace_form("sl(3)"), h).dim_torus_cap == 1
+    assert torus_framing(m3, trace_form("sl(3)")).dim_torus_cap == 2
