@@ -354,20 +354,34 @@ class Poly:
     def is_squarefree(self) -> bool:
         return self.degree < 1 or self.gcd(self.derivative()).degree == 0
 
-    def rational_roots(self) -> list[tuple[Fraction, int]]:
-        """All rational roots with multiplicities, in increasing order.
+    def integer_factors(self) -> tuple[int, list[tuple[list[int], int]]]:
+        """sympy's factorization over Z of the integer polynomial d p, d the
+        least common denominator of the coefficients.
 
-        They are read off the linear factors of the integer polynomial
-        (sympy's factorization over Z), which takes no divisor enumeration
-        of the constant term.
+        Returns the sign of the leading coefficient and the irreducible
+        factors with their multiplicities, each factor as its integer
+        coefficients (highest first), primitive with a positive leading
+        coefficient, in sympy's order.  One ``factor_list`` call.
         """
         if self.is_zero():
             raise ValueError("zero polynomial")
         import sympy
         ic = over_common_denominator(reversed(self.c))[1]
-        roots = []
-        for factor, mult in sympy.Poly(ic, sympy.Symbol("z")).factor_list()[1]:
-            if factor.degree() == 1:
-                a, b = factor.all_coeffs()
-                roots.append((Fraction(-int(b), int(a)), mult))
-        return sorted(roots)
+        content, factors = sympy.Poly(ic, sympy.Symbol("z")).factor_list()
+        return (1 if content > 0 else -1,
+                [([int(a) for a in f.rep.to_list()], m) for f, m in factors])
+
+    def rational_roots(self) -> list[tuple[Fraction, int]]:
+        """All rational roots with multiplicities, in increasing order.
+
+        They are read off the linear factors of the integer polynomial
+        (`integer_factors`), which takes no divisor enumeration of the
+        constant term.
+        """
+        return linear_roots(self.integer_factors()[1])
+
+
+def linear_roots(factors: list[tuple[list[int], int]]) -> list[tuple[Fraction, int]]:
+    """The roots of the linear factors among (coefficients, multiplicity)
+    pairs (`Poly.integer_factors`), with multiplicities, in increasing order."""
+    return sorted((Fraction(-f[1], f[0]), m) for f, m in factors if len(f) == 2)

@@ -7,12 +7,19 @@ degenerate, unramified over the marked points, smooth) are decided exactly;
 branch-point locations are exact where rational and isolated to a
 configurable width otherwise.
 
+One sympy factorization of the discriminant numerator over Z
+(`Poly.integer_factors`) serves the whole analysis: its linear factors are
+the rational branch points, its multiplicities decide square-freeness, and
+its other factors are the irreducible factors sympy's root isolation would
+find again by factoring, so they go to it directly.
+
 The isolating boxes are the ones sympy's ``all_roots`` and ``eval_rational``
-give.  sympy factors and isolates the real roots; the non-real rectangles are
-sympy's Collins-Krandick quadtree and refinement replayed on certified
-Henrici disks, each root count an exact comparison with the disks
-(`_replay_rectangles`).  A step the disks cannot decide sends the polynomial
-back to sympy end to end: its own complex isolation and refinement.
+give.  sympy isolates and refines the real roots of those factors; the
+non-real rectangles are sympy's Collins-Krandick quadtree and refinement
+replayed on certified Henrici disks, each root count an exact comparison with
+the disks (`_replay_rectangles`).  A step the disks cannot decide sends the
+polynomial back to sympy end to end: its own complex isolation and
+refinement.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .exactlinalg import ZERO, ONE, frac
 from .liealg import (AlgebraElement, AlgebraModel, GroupData, char_poly_elementary,
                      theta_char_polys)
 from .dimensions import hitchin_base_dim, hitchin_fiber_dim, torsor_dims
-from .rationalfn import Poly
+from .rationalfn import Poly, linear_roots
 
 
 def elementary_numerators(model: AlgebraModel, points: Sequence[Fraction],
@@ -134,73 +141,98 @@ def spectral_data(model: AlgebraModel, points: Sequence[Fraction],
                                  "pointwise residue discriminant")
         disc_at.append(direct)
     unramified = all(v != 0 for v in disc_at)
-    squarefree = disc.is_squarefree()
+    sign, factors = disc.integer_factors()
+    squarefree = all(m == 1 for _, m in factors)
     inf_mult = branch_degree - disc.degree
     smooth = squarefree and inf_mult <= 1 and inf_mult >= 0
-    rational = disc.rational_roots()
-    boxes = _isolate_irrational_roots(disc, rational, isolation_eps)
+    rational = linear_roots(factors)
+    boxes = _isolate_irrational_roots(sign, [f for f, _ in factors if len(f) > 2],
+                                      isolation_eps)
     genus = spectral_genus(r, 0, n) if smooth else None
     return SpectralCurveReport(g.group_id, r, n, e_nums, disc, False, disc_at,
                                unramified, squarefree, branch_degree, inf_mult,
                                smooth, rational, boxes, genus)
 
 
-def _isolate_irrational_roots(p: Poly, rational: list[tuple[Fraction, int]],
+def _isolate_irrational_roots(sign: int, factors: list[list[int]],
                               eps: Fraction) -> list[tuple]:
-    """Isolating boxes of width 2*eps for the non-rational roots.
+    """Isolating boxes of width 2*eps for the roots of sign * prod(factors).
 
-    Returns ("real", lo, hi) intervals and ("complex", (re_lo, im_lo),
-    (re_hi, im_hi)) rectangles with exact rational endpoints; the rational
-    roots are divided out first and the remainder made square-free.  The
-    boxes are the ones ``Poly.all_roots`` followed by ``eval_rational`` gives,
-    in its order.  sympy factors the remainder and isolates and refines its
-    real roots; the non-real rectangles are replayed on certified disks
+    factors are the non-linear irreducible factors of the discriminant
+    numerator, each taken once, from the one factorization that also gave
+    the rational roots and the squarefree flag (`Poly.integer_factors`):
+    their product is the square-free part of the numerator with the rational
+    roots divided out, and its roots are the irrational branch points.  The
+    real isolation and the replay both work on these factors.  Returns ("real", lo, hi) intervals and ("complex", (re_lo,
+    im_lo), (re_hi, im_hi)) rectangles with exact rational endpoints: the
+    boxes ``Poly.all_roots`` followed by ``eval_rational`` gives, in its
+    order.  sympy's factors are derived from the known ones, not factored
+    again (`_sympy_factors`); sympy isolates and refines their real roots
+    (``ComplexRootOf._get_reals``, ``RealInterval.refine_size``), and the
+    non-real rectangles are replayed on certified disks
     (`_replay_complexes`).  When the replay cannot decide a step, sympy's own
     complex isolation (``all_roots``) and refinement (``eval_rational``) run
     for the whole polynomial.
     """
-    reduced = p
-    for root, mult in rational:
-        for _ in range(mult):
-            reduced = reduced.divmod(Poly.x_minus(root))[0]
-    reduced = reduced.squarefree_part()
-    if reduced.degree < 1:
+    if not factors:
         return []
     # Imported here: sympy is most of the package's import time, and only
     # root finding needs it.
     import sympy
-    from sympy.polys.polyroots import preprocess_roots
-    from sympy.polys.rootoftools import _pure_factors
+    from sympy.polys.domains import QQ
+    from sympy.polys.rootoftools import ComplexRootOf
 
-    x = sympy.Symbol("z")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-               for i, c in enumerate(reduced.c))
-    sp = sympy.Poly(expr, x)
-    reals = sp.real_roots(radicals=False)
-    # sympy returns each root as scale * CRootOf(f, k), f an irreducible
-    # factor of an integer polynomial whose roots are those of sp / scale;
-    # isolating the CRootOf to eps / scale keeps each box of width eps.
-    scale, primitive = preprocess_roots(sp)
-    scale = _fraction(scale)
+    scale, sp, pure = _sympy_factors(sign, factors)
+    reals = ComplexRootOf._get_reals(pure)
+    # sympy returns each root as scale * CRootOf(f, k), f one of the pure
+    # factors; isolating the CRootOf to eps / scale keeps each box of width eps.
     tol = eps / scale
-    factors = [f for f, _ in sympy.ordered(_pure_factors(primitive))]
+    ordered = [f for f, _ in sympy.ordered(pure)]
     centres = _replay_complexes(
-        [[int(a) for a in f.all_coeffs()] for f in factors],
-        [sum(rt.as_coeff_Mul()[1].poly == f for rt in reals) for f in factors], tol)
-    stol = sympy.Rational(tol.numerator, tol.denominator)
+        [[int(a) for a in f.rep.to_list()] for f in ordered],
+        [sum(g == f for _, g, _ in reals) for f in ordered], tol)
     if centres is None:
+        stol = sympy.Rational(tol.numerator, tol.denominator)
         centres = []
         for rt in sp.all_roots(radicals=False)[len(reals):]:
             approx = rt.as_coeff_Mul()[1].eval_rational(dx=stol, dy=stol)
             centres.append((_fraction(sympy.re(approx)), _fraction(sympy.im(approx))))
     out: list[tuple] = []
-    for rt in reals:
-        re = scale * _fraction(rt.as_coeff_Mul()[1].eval_rational(dx=stol, dy=stol))
+    qtol = QQ(tol.numerator, tol.denominator)
+    for interval, _, _ in reals:
+        re = scale * _fraction(interval.refine_size(qtol).center)
         out.append(("real", re - eps, re + eps))
     for re, im in centres:
         re, im = scale * re, scale * im
         out.append(("complex", (re - eps, im - eps), (re + eps, im + eps)))
     return out
+
+
+def _sympy_factors(sign: int, factors: list[list[int]]) -> tuple:
+    """(b, P, pure) for P = sign * prod(factors) as a sympy Poly.
+
+    sympy's ``preprocess_roots`` writes P(z) as a multiple of Q(z / b) with
+    Q an integer polynomial; its root isolation then factors Q
+    (``_pure_factors``).  Here b comes from ``preprocess_roots``, which does
+    no factoring, and the factors of Q from the known ones: the primitive
+    part of f(b w) for each f, as PurePolys in ``_sort_factors`` order.
+    """
+    import sympy
+    from sympy.polys.polyroots import preprocess_roots
+    from sympy.polys.polyutils import _sort_factors
+
+    x = sympy.Symbol("x")
+    sp = sympy.Poly(sign, x)
+    for f in factors:
+        sp *= sympy.Poly(f, x)
+    b = int(preprocess_roots(sp)[0])
+    scaled = []
+    for f in factors:
+        g = [a * b ** k for k, a in enumerate(reversed(f))][::-1]
+        content = math.gcd(*g)
+        scaled.append(([a // content for a in g], 1))
+    return (Fraction(b), sp,
+            [(sympy.PurePoly(g, x), m) for g, m in _sort_factors(scaled)])
 
 
 def _fraction(q) -> Fraction:
@@ -210,17 +242,23 @@ def _fraction(q) -> Fraction:
 
 def _float_roots(coeffs: list[int]) -> list[complex]:
     """Float approximations of the roots of the polynomial with the given
-    integer coefficients (highest first), or [] if they do not settle.
+    integer coefficients (highest first), or [] if floats cannot hold them.
 
     Durand-Kerner iteration on complex floats from a circle of radius
     2 max |a_i / a_0|^(1/i), which holds every root.  It stops once every
     correction is below 2^-40 of its root, and at most after 100 sweeps;
     clustered roots can leave float noise above that, so the roots count as
-    settled once every correction is below 2^-20.
+    settled once every correction is below 2^-20.  When they do not settle,
+    the approximations are the eigenvalues of the companion matrix
+    (``numpy.roots``).  Either way they only choose where `_henrici_box`
+    starts.
     """
     n = len(coeffs) - 1
     try:
         a = [c / coeffs[0] for c in coeffs]
+    except OverflowError:
+        return []
+    try:
         radius = 2 * max(abs(a[i]) ** (1 / i) for i in range(1, n + 1))
         roots = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
         for _ in range(100):
@@ -236,10 +274,18 @@ def _float_roots(coeffs: list[int]) -> list[complex]:
                 worst = max(worst, abs(w) / max(1.0, abs(z)))
             if worst < 2.0 ** -40:
                 break
+        if worst < 2.0 ** -20 and all(map(cmath.isfinite, roots)):
+            return roots
     except (OverflowError, ZeroDivisionError):
+        pass
+    # Imported here: only a stalled iteration needs numpy, and importing the
+    # CLI loads no numeric library.
+    import numpy
+    try:
+        roots = [complex(w) for w in numpy.roots(a)]
+    except numpy.linalg.LinAlgError:
         return []
-    settled = worst < 2.0 ** -20 and all(map(cmath.isfinite, roots))
-    return roots if settled else []
+    return roots if all(map(cmath.isfinite, roots)) else []
 
 
 # A rectangle (u, v, s, t) is [u, s] x [v, t], as sympy's (a, b) corners.

@@ -152,6 +152,20 @@ def test_isolating_boxes_contain_roots():
             assert rep.disc_numerator(lo) * rep.disc_numerator(hi) <= 0
 
 
+def test_a_square_discriminant_is_not_squarefree(tmp_path, capsys):
+    # Residues c_i diag(1, -1) give N = 4 (sum_i c_i prod_{j != i}(z - x_j))^2,
+    # a nonzero square: every factor of N has multiplicity 2.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "group": "sl(2)", "points": ["1", "2", "3", "4"],
+        "residues": {"type": "explicit",
+                     "matrices": [[[c, 0], [0, -c]] for c in (1, 2, 4, -7)]}}))
+    assert main(["spectral", "--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)["results"]["spectral"]
+    assert not report["degenerate"]
+    assert not report["squarefree"] and not report["smooth"]
+
+
 def test_rank_restriction():
     m = AlgebraModel("sp(4)")
     with pytest.raises(ValueError, match="gl\\(r\\) or sl\\(r\\)"):
@@ -247,19 +261,27 @@ def test_large_constant_term_rational_roots_finish(tmp_path):
 EPS = F(1, 10 ** 9)
 
 
-def _reference_boxes(p, rational, eps):
-    """Reference: every root, real or not, refined by sympy's
-    CRootOf.eval_rational."""
+def _reduced(p):
+    """p with its rational roots divided out and made square-free by Fraction
+    division and gcd, as a sympy Poly over QQ; None if that is constant."""
     reduced = p
-    for root, mult in rational:
+    for root, mult in p.rational_roots():
         for _ in range(mult):
             reduced = reduced.divmod(Poly.x_minus(root))[0]
     reduced = reduced.squarefree_part()
     if reduced.degree < 1:
-        return []
+        return None
     z = sympy.Symbol("z")
-    sp = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * z ** i
-                        for i, c in enumerate(reduced.c)), z)
+    return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * z ** i
+                          for i, c in enumerate(reduced.c)), z)
+
+
+def _reference_boxes(p, eps):
+    """Reference: every root, real or not, refined by sympy's
+    CRootOf.eval_rational."""
+    sp = _reduced(p)
+    if sp is None:
+        return []
     tol = sympy.Rational(eps.numerator, eps.denominator)
     out = []
     for rt in sp.all_roots(radicals=False):
@@ -278,18 +300,23 @@ def _discriminant(group, n, seed):
     pts = [F(i) for i in range(1, n + 1)]
     model = seeded_model(group, pts, "trivial", seed)
     algebra = AlgebraModel(group)
-    disc = _disc_numerator(elementary_numerators(algebra, pts, model.residues),
+    return _disc_numerator(elementary_numerators(algebra, pts, model.residues),
                            algebra.group.matrix_size)
-    return disc, disc.rational_roots()
 
 
-def _both_ways(p, rational, eps=EPS):
+def _isolate(p, eps=EPS):
+    """`_isolate_irrational_roots` on the non-linear factors of p."""
+    sign, factors = p.integer_factors()
+    return _isolate_irrational_roots(sign, [f for f, _ in factors if len(f) > 2], eps)
+
+
+def _both_ways(p, eps=EPS):
     # sympy caches isolating intervals per polynomial and eval_rational
     # stores its refined one; each side starts from sympy's own isolation.
     CRootOf.clear_cache()
-    new = _isolate_irrational_roots(p, rational, eps)
+    new = _isolate(p, eps)
     CRootOf.clear_cache()
-    return new, _reference_boxes(p, rational, eps)
+    return new, _reference_boxes(p, eps)
 
 
 MODELS = ([("gl(2)", 3, s) for s in range(1000, 1026)]
@@ -302,8 +329,7 @@ MODELS = ([("gl(2)", 3, s) for s in range(1000, 1026)]
 @pytest.mark.parametrize("group, n, seed", MODELS,
                          ids=[f"{g}-{n}pts-seed{s}" for g, n, s in MODELS])
 def test_certified_boxes_match_sympy_refinement(group, n, seed):
-    disc, rational = _discriminant(group, n, seed)
-    new, ref = _both_ways(disc, rational)
+    new, ref = _both_ways(_discriminant(group, n, seed))
     assert new == ref
 
 
@@ -314,11 +340,11 @@ def test_certified_boxes_match_sympy_refinement(group, n, seed):
 ], ids=["imaginary", "quartic", "quartic-coarse"])
 def test_certified_boxes_match_on_explicit_polynomials(coeffs, eps):
     p = Poly([F(c) for c in coeffs])
-    new, ref = _both_ways(p, p.rational_roots(), eps)
+    new, ref = _both_ways(p, eps)
     assert new == ref
 
 
-def _eval_rational_calls(monkeypatch, p, rational):
+def _eval_rational_calls(monkeypatch, p):
     """(is_real) of every root sympy's eval_rational refines for p."""
     calls = []
     refine = CRootOf.eval_rational
@@ -329,21 +355,31 @@ def _eval_rational_calls(monkeypatch, p, rational):
 
     monkeypatch.setattr(CRootOf, "eval_rational", counting)
     CRootOf.clear_cache()
-    boxes = _isolate_irrational_roots(p, rational, EPS)
+    boxes = _isolate(p)
     return calls, boxes
 
 
 @pytest.mark.parametrize("group, n, seed", [("sl(2)", 4, 9), ("gl(2)", 3, 1001)])
-def test_eval_rational_refines_only_real_roots(monkeypatch, group, n, seed):
-    calls, boxes = _eval_rational_calls(monkeypatch, *_discriminant(group, n, seed))
+def test_refine_size_refines_only_real_roots(monkeypatch, group, n, seed):
+    from sympy.polys.rootisolation import RealInterval
+    refined = []
+    refine_size = RealInterval.refine_size
+
+    def counting(self, dx):
+        refined.append(self)
+        return refine_size(self, dx)
+
+    monkeypatch.setattr(RealInterval, "refine_size", counting)
+    calls, boxes = _eval_rational_calls(monkeypatch, _discriminant(group, n, seed))
     assert any(b[0] == "complex" for b in boxes)
-    assert calls == [True] * sum(b[0] == "real" for b in boxes)
+    assert len(refined) == sum(b[0] == "real" for b in boxes)
+    assert calls == []
 
 
 def test_root_on_the_edge_of_its_rectangle_falls_back_to_sympy(monkeypatch):
     # The quadratic's real part is rational and lies on a cut of sympy's
     # quadtree: the replay declines and sympy refines every non-real root.
-    calls, boxes = _eval_rational_calls(monkeypatch, *_discriminant("gl(2)", 3, 1003))
+    calls, boxes = _eval_rational_calls(monkeypatch, _discriminant("gl(2)", 3, 1003))
     assert [b[0] for b in boxes] == ["complex", "complex"]
     assert calls == [False, False]
 
@@ -351,7 +387,7 @@ def test_root_on_the_edge_of_its_rectangle_falls_back_to_sympy(monkeypatch):
 def test_a_declined_replay_refines_each_non_real_root_once(monkeypatch):
     # two-factors-on-cuts: 1 +- i and -2 +- 3i lie on sympy's cuts.
     p = _poly(1, -2, 2) * _poly(1, 4, 13)
-    calls, boxes = _eval_rational_calls(monkeypatch, p, p.rational_roots())
+    calls, boxes = _eval_rational_calls(monkeypatch, p)
     assert [b[0] for b in boxes] == ["complex"] * 4
     assert calls == [False] * 4
 
@@ -366,20 +402,12 @@ def test_a_declined_replay_refines_each_non_real_root_once(monkeypatch):
 DECLINED = [("gl(2)", 3, s) for s in (1003, 1004, 1005, 1006, 1014, 1015)]
 
 
-def _sympy_rectangles(p, rational):
+def _sympy_rectangles(p):
     """sympy's isolating rectangle and conj flag of every non-real root of
     the reduced polynomial, as ``all_roots`` leaves them."""
-    reduced = p
-    for root, mult in rational:
-        for _ in range(mult):
-            reduced = reduced.divmod(Poly.x_minus(root))[0]
-    reduced = reduced.squarefree_part()
-    z = sympy.Symbol("z")
-    sp = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * z ** i
-                        for i, c in enumerate(reduced.c)), z)
     CRootOf.clear_cache()
     out = []
-    for rt in sp.all_roots(radicals=False):
+    for rt in _reduced(p).all_roots(radicals=False):
         root = rt.as_coeff_Mul()[1]
         if not root.is_real:
             ivl = root._get_interval()
@@ -388,7 +416,7 @@ def _sympy_rectangles(p, rational):
     return out
 
 
-def _replayed(monkeypatch, p, rational):
+def _replayed(monkeypatch, p):
     """The replayed (rectangle, conj) list of `_isolate_irrational_roots` on p
     (None when it declines) and the boxes it returns."""
     seen = []
@@ -400,7 +428,7 @@ def _replayed(monkeypatch, p, rational):
 
     monkeypatch.setattr(spectral, "_replay_rectangles", spy)
     CRootOf.clear_cache()
-    boxes = _isolate_irrational_roots(p, rational, EPS)
+    boxes = _isolate(p)
     states = seen[0] if seen else []
     return (None if states is None else [(rect, conj) for rect, conj, _ in states]), boxes
 
@@ -413,12 +441,12 @@ def _poly(*coeffs):
 @pytest.mark.parametrize("group, n, seed", MODELS,
                          ids=[f"{g}-{n}pts-seed{s}" for g, n, s in MODELS])
 def test_replayed_rectangles_match_sympy(monkeypatch, group, n, seed):
-    disc, rational = _discriminant(group, n, seed)
-    replayed, _ = _replayed(monkeypatch, disc, rational)
+    disc = _discriminant(group, n, seed)
+    replayed, _ = _replayed(monkeypatch, disc)
     if (group, n, seed) in DECLINED:
         assert replayed is None
     else:
-        assert replayed == _sympy_rectangles(disc, rational)
+        assert replayed == _sympy_rectangles(disc)
 
 
 @pytest.mark.parametrize("p, declines", [
@@ -433,13 +461,74 @@ def test_replayed_rectangles_match_sympy(monkeypatch, group, n, seed):
 ], ids=["imaginary", "quartic", "three-upper-roots", "two-factors",
         "two-factors-on-cuts"])
 def test_replayed_rectangles_match_sympy_on_explicit_polynomials(monkeypatch, p, declines):
-    rational = p.rational_roots()
-    replayed, boxes = _replayed(monkeypatch, p, rational)
+    replayed, boxes = _replayed(monkeypatch, p)
     assert (replayed is None) == declines
     if not declines:
-        assert replayed == _sympy_rectangles(p, rational)
+        assert replayed == _sympy_rectangles(p)
     CRootOf.clear_cache()
-    assert boxes == _reference_boxes(p, rational, EPS)
+    assert boxes == _reference_boxes(p, EPS)
+
+
+def _derived_factors(p):
+    """`spectral._sympy_factors` on the non-linear factors of p."""
+    sign, factors = p.integer_factors()
+    return spectral._sympy_factors(sign, [f for f, _ in factors if len(f) > 2])
+
+
+def _check_derived_factors(p):
+    """The scale and factors derived from p's one factorization are those
+    sympy's root isolation finds by factoring the reduced polynomial."""
+    from sympy.polys.polyroots import preprocess_roots
+    from sympy.polys.rootoftools import _pure_factors
+    scale, _, pure = _derived_factors(p)
+    b, primitive = preprocess_roots(_reduced(p))
+    assert (scale, pure) == (b, _pure_factors(primitive))
+    return scale
+
+
+@pytest.mark.parametrize("group, n, seed", MODELS,
+                         ids=[f"{g}-{n}pts-seed{s}" for g, n, s in MODELS])
+def test_derived_factors_match_sympy_factoring(group, n, seed):
+    scale = _check_derived_factors(_discriminant(group, n, seed))
+    if (group, n, seed) == ("gl(2)", 4, 341483):
+        assert scale == 2      # sympy's roots are 2*CRootOf(...)
+
+
+@pytest.mark.parametrize("p, scale", [
+    (_poly(1, 0, 2), 1),
+    (_poly(3, -2, 0, 5, 7), 1),
+    (_poly(1, 0, 21, 116, 532, 1400, 1701), 1),
+    (_poly(1, 1, 3) * _poly(1, 0, -2, 5), 1),
+    (_poly(1, -2, 2) * _poly(1, 4, 13), 1),
+    (_poly(1, 0, 0, 0, 512, 1024), 4),                      # z = 4 w
+    (_poly(1, 0, 2) * _poly(1, 0, 2) * _poly(2, -1), 1),    # a square factor
+], ids=["imaginary", "quartic", "three-upper-roots", "two-factors",
+        "two-factors-on-cuts", "scaled", "square-factor"])
+def test_derived_factors_match_sympy_factoring_on_explicit_polynomials(p, scale):
+    assert _check_derived_factors(p) == scale
+
+
+def test_one_factorization_per_spectral_job(monkeypatch):
+    calls = {"factor_list": 0, "real_roots": 0, "eval_rational": 0}
+
+    def counting(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(sympy.Poly, "factor_list")
+    counting(sympy.Poly, "real_roots")
+    counting(CRootOf, "eval_rational")
+    group, n, seed = NEGATIVE_CONTROL
+    pts = [F(i) for i in range(1, n + 1)]
+    model = seeded_model(group, pts, "trivial", seed)
+    CRootOf.clear_cache()
+    report = spectral_data(model.algebra, pts, model.residues)
+    assert {b[0] for b in report.isolated_branch_boxes} == {"real", "complex"}
+    assert calls == {"factor_list": 1, "real_roots": 0, "eval_rational": 0}
 
 
 def _sympy_calls(monkeypatch):
@@ -467,9 +556,9 @@ def _sympy_calls(monkeypatch):
 def test_sympy_complex_isolation_runs_only_when_the_replay_declines(
         monkeypatch, group, n, seed, replayed):
     calls = _sympy_calls(monkeypatch)
-    disc, rational = _discriminant(group, n, seed)
+    disc = _discriminant(group, n, seed)
     CRootOf.clear_cache()
-    boxes = _isolate_irrational_roots(disc, rational, EPS)
+    boxes = _isolate(disc)
     assert any(b[0] == "complex" for b in boxes)
     if replayed:
         assert calls == {"isolate": 0, "refine": 0}
@@ -489,8 +578,7 @@ def _declines(monkeypatch, group, n, seed):
         return centres
 
     monkeypatch.setattr(spectral, "_replay_complexes", spy)
-    disc, rational = _discriminant(group, n, seed)
-    new, ref = _both_ways(disc, rational)
+    new, ref = _both_ways(_discriminant(group, n, seed))
     return any(calls), new == ref
 
 
@@ -499,6 +587,26 @@ NEGATIVE_CONTROL = ("sl(2)", 4, 1001)   # replayed unchanged: 2 non-real and 2 r
 
 def test_negative_control_model_is_replayed(monkeypatch):
     assert _declines(monkeypatch, *NEGATIVE_CONTROL) == (False, True)
+
+
+def test_a_stalled_durand_kerner_iteration_restarts_from_numpy(monkeypatch):
+    # gl(3) on points 1-4 with seed 9: Durand-Kerner does not settle on the
+    # degree-12 discriminant; from numpy's starts every root gets its disk.
+    replay = spectral._replay_complexes
+    declined = []
+
+    def spy(*args):
+        centres = replay(*args)
+        declined.append(centres is None)
+        return centres
+
+    monkeypatch.setattr(spectral, "_replay_complexes", spy)
+    pts = [F(i) for i in range(1, 5)]
+    model = seeded_model("gl(3)", pts, "trivial", 9)
+    CRootOf.clear_cache()
+    report = spectral_data(model.algebra, pts, model.residues)
+    assert declined == [False]
+    assert any(b[0] == "complex" for b in report.isolated_branch_boxes)
 
 
 # 500 ((z - 3/10)^2 + 100)((z + 2/5)^2 + 2601/25) + 500, irreducible: its upper
