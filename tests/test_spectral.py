@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 import sympy
 from sympy import CRootOf
+from sympy.polys.polyroots import preprocess_roots
+from sympy.polys.rootisolation import RealInterval
+from sympy.polys.rootoftools import _pure_factors
 
 from framedhiggs import spectral
 from framedhiggs.cli import main
@@ -361,7 +364,6 @@ def _eval_rational_calls(monkeypatch, p):
 
 @pytest.mark.parametrize("group, n, seed", [("sl(2)", 4, 9), ("gl(2)", 3, 1001)])
 def test_refine_size_refines_only_real_roots(monkeypatch, group, n, seed):
-    from sympy.polys.rootisolation import RealInterval
     refined = []
     refine_size = RealInterval.refine_size
 
@@ -478,8 +480,6 @@ def _derived_factors(p):
 def _check_derived_factors(p):
     """The scale and factors derived from p's one factorization are those
     sympy's root isolation finds by factoring the reduced polynomial."""
-    from sympy.polys.polyroots import preprocess_roots
-    from sympy.polys.rootoftools import _pure_factors
     scale, _, pure = _derived_factors(p)
     b, primitive = preprocess_roots(_reduced(p))
     assert (scale, pure) == (b, _pure_factors(primitive))
