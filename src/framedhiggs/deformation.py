@@ -32,8 +32,11 @@ echelon form of d1 (`nullspace_sparse`), with no modulus and no certificate.
 h0 = dim ker d0 needs no second elimination: the quotient ker d1 / im d0 has
 checked every d0 column against ker d1, on which restriction to the free
 columns is injective, so rank d0 is the rank of its own integer elimination
-and h0 = #d0 columns - rank.  Fractions are made only where
-classes, pairings and report values leave the cone.
+and h0 = #d0 columns - rank.  Fractions are made where results leave the
+cone: each basis class is summed over the chart sections once (`classes`)
+and kept as integers over one denominator, and the forgetful and anchor
+columns write those integer classes in the twisted quotient
+(`Quotient.int_coords`, then `project`) before dividing by its denominator.
 
 The cup-product pairing on first hypercohomology contracts the mixed
 components with the invariant form and sums residues over the marked points:
@@ -51,6 +54,10 @@ kept as integers over one denominator, so a pairing matrix is integer dot
 products and one division per entry.  Skew-symmetry and representative
 independence follow from the invariance identity and the annihilator
 conditions; the report checks the first and the test suite both.
+
+The Poisson identity forgetful ∘ φ^{-1} ∘ adjoint = anchor is checked as
+F Y = P, where Y solves φ Y = A in one elimination of [φ | A]
+(`exactlinalg.solve`), so the pairing matrix φ is never inverted.
 """
 
 from __future__ import annotations
@@ -64,9 +71,9 @@ from typing import Sequence
 from .curve import (Layout, MarkedCurve, SheafSpec, Window, default_window,
                     laurent_row, make_spec, sections_off_divisor,
                     sections_on_affine_chart)
-from .exactlinalg import (Mat, Quotient, Vec, ONE, add_scaled, dense, frac,
-                          integer_vectors, inverse, mat_is_zero, mat_mul, nullspace_sparse,
-                          over_common_denominator, transpose)
+from .exactlinalg import (Mat, Quotient, Vec, ONE, ZERO, add_scaled, dense, frac,
+                          integer_vectors, mat_is_zero, nullspace_sparse,
+                          over_common_denominator, solve, transpose)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
                      bracket, framing_specs, trace_form)
 from .rationalfn import RatContext, VSection
@@ -95,16 +102,7 @@ class FramedHiggsModel:
         n = self.curve.n
         if len(self.framings) != n or len(self.residues) != n:
             raise ModelError("one framing and one residue matrix per marked point")
-        # coordinates of h_x and h_x^perp, solved once per distinct FramingSpec
-        by_spec: dict[int, tuple[list[Vec], list[Vec]]] = {}
-        self._h_coords, self._perp_coords = [], []
         for i, (el, fr) in enumerate(zip(self.residues, self.framings)):
-            if id(fr) not in by_spec:
-                by_spec[id(fr)] = ([self.algebra.coords(h) for h in fr.subalgebra],
-                                   [self.algebra.coords(p) for p in fr.perp])
-            h_coords, perp_coords = by_spec[id(fr)]
-            self._h_coords.append(h_coords)
-            self._perp_coords.append(perp_coords)
             if not self.algebra.contains(el):
                 raise ModelError(f"residue matrix at point {i} is not an element of "
                                  f"{self.algebra.group.group_id}")
@@ -121,8 +119,8 @@ class FramedHiggsModel:
     @cached_property
     def _gram(self) -> Mat:
         """The invariant form on the basis; only the pairing form reads it."""
-        basis_els = [AlgebraElement(b, self.algebra.group.group_id) for b in self.algebra.basis]
-        return [[self.form(a, b) for b in basis_els] for a in basis_els]
+        return self.form.gram([AlgebraElement(b, self.algebra.group.group_id)
+                               for b in self.algebra.basis])
 
     @cached_property
     def context(self) -> RatContext:
@@ -251,8 +249,9 @@ class FramedHiggsModel:
             return (make_spec(m, [0] * n, None, 0),
                     make_spec(m, [1] * n, None, -2, is_form=True))
         if kind == FRAMED:
-            return (make_spec(m, [0] * n, self._h_coords, 0),
-                    make_spec(m, [1] * n, self._perp_coords, -2, is_form=True))
+            return (make_spec(m, [0] * n, [fr.coords for fr in self.framings], 0),
+                    make_spec(m, [1] * n, [fr.perp_coords for fr in self.framings], -2,
+                              is_form=True))
         if kind == TWISTED_DUAL:
             return (make_spec(m, [-1] * n, None, 0),
                     make_spec(m, [0] * n, None, -2, is_form=True))
@@ -376,30 +375,28 @@ class Hypercohomology:
 
     # -- cocycles ---------------------------------------------------------------
 
-    def layout_cocycle(self, params: dict[int, Fraction]) -> tuple[dict, dict, dict]:
-        """The cochain with sparse T^1 parameters as sparse layout vectors
-        (c, u0, u1)."""
-        n_u0, base = self._n_u0, self._base
-        c, u0, u1 = {}, {}, {}
-        for j, x in params.items():
-            if j >= base:
-                c[j - base] = x
-            elif j >= n_u0:
-                add_scaled(u1, x, self.f1_u1[j - n_u0])
-            else:
-                add_scaled(u0, x, self.f1_u0[j])
-        return c, u0, u1
-
     def classes(self) -> tuple[int, list[tuple[dict, dict, dict]]]:
         """(d, cocycles): the quotient basis classes as layout cocycles
-        (c, u0, u1) with integer entries over the one denominator d."""
+        (c, u0, u1), summed in Fractions once and kept as integers over d."""
         if self._classes is None:
-            self._classes = _integral([self.layout_cocycle(x) for x in self.quotient.basis])
+            n_u0, base = self._n_u0, self._base
+            cocycles = []
+            for params in self.quotient.basis:
+                c, u0, u1 = {}, {}, {}
+                for j, x in params.items():
+                    if j >= base:
+                        c[j - base] = x
+                    elif j >= n_u0:
+                        add_scaled(u1, x, self.f1_u1[j - n_u0])
+                    else:
+                        add_scaled(u0, x, self.f1_u0[j])
+                cocycles.append((c, u0, u1))
+            self._classes = _integral(cocycles)
         return self._classes
 
     def class_of(self, c: dict, u0: dict, u1: dict) -> Vec:
-        """Class coordinates of a cocycle given as sparse layout vectors."""
-        x0, x1 = self._u0.coords(u0), self._u1.coords(u1)
+        """Class coordinates of a cocycle given as sparse integer layout vectors."""
+        x0, x1 = self._u0.int_coords(u0), self._u1.int_coords(u1)
         if x0 is None or x1 is None:
             raise ValueError("cochain components do not satisfy the sheaf conditions")
         return self.quotient.project({**x0, **{self._n_u0 + j: x for j, x in x1.items()},
@@ -501,9 +498,10 @@ class DeformationTheory:
     def _inclusion(self, kind: str) -> Mat:
         """Classes in the twisted hypercohomology of the basis classes of the
         `kind` complex, whose cochains include into the twisted ones."""
-        tw, src = self.cone(TWISTED), self.cone(kind)
-        cols = [tw.class_of(*src.layout_cocycle(x)) for x in src.quotient.basis]
-        return [[col[i] for col in cols] for i in range(tw.h1)]
+        tw = self.cone(TWISTED)
+        den, cocycles = self.cone(kind).classes()
+        cols = [tw.class_of(*cocycle) for cocycle in cocycles]
+        return [[col[i] / den for col in cols] for i in range(tw.h1)]
 
     def symplectic_matrix(self) -> Mat:
         """Gram matrix of the pairing on the framed first hypercohomology;
@@ -550,27 +548,29 @@ class PoissonMapCheck:
 
 
 def verify_poisson_map(theory: DeformationTheory, corrupt_sign: bool = False) -> PoissonMapCheck:
-    """Exact matrix identity: forgetful ∘ pairing^{-1} ∘ forgetful-adjoint
-    equals the inclusion-induced map on the twisted hypercohomology.
+    """Exact matrix identity F φ^{-1} A = P for the framed pairing φ, the
+    forgetful adjoint A, the forgetful map F and the anchor P, checked as
+    F Y = P with φ Y = A solved by one elimination of [φ | A].  The residual
+    F Y - P takes P's shape, so P is compared even when F and Y are empty.
 
     Requires the framed pairing to be invertible (vanishing h^0 and h^2 of the
-    framed complex); otherwise the degenerate directions are reported.
-    corrupt_sign flips the adjoint for negative-control testing.
+    framed complex); otherwise the degenerate directions, the kernel of φ, are
+    reported.  corrupt_sign flips the adjoint for negative-control testing.
     """
-    framed = theory.dims(FRAMED)
-    twisted = theory.dims(TWISTED)
-    dual = theory.dims(TWISTED_DUAL)
+    framed, twisted, dual = (theory.dims(kind) for kind in (FRAMED, TWISTED, TWISTED_DUAL))
     phi = theory.symplectic_matrix()
+    if framed.h0 == 0 and framed.h2 == 0:
+        adj = theory.forgetful_adjoint_matrix()
+        try:
+            y = solve(phi, [[-x for x in row] for row in adj] if corrupt_sign else adj)
+        except ValueError:      # φ is singular
+            pass
+        else:
+            residual = [[sum((f * row[j] for f, row in zip(frow, y) if f and row[j]), ZERO) - x
+                         for j, x in enumerate(prow)]
+                        for frow, prow in zip(theory.forgetful_matrix(), theory.poisson_matrix())]
+            return PoissonMapCheck(mat_is_zero(residual), residual, len(phi),
+                                   framed, twisted, dual, [])
     degenerate = [dense(v, len(phi)) for v in nullspace_sparse(phi, ncols=len(phi))]
-    if framed.h0 != 0 or framed.h2 != 0 or degenerate:
-        return PoissonMapCheck(False, [], len(phi) - len(degenerate),
-                               framed, twisted, dual, degenerate)
-    dphi = theory.forgetful_matrix()
-    p = theory.poisson_matrix()
-    adj = theory.forgetful_adjoint_matrix()
-    if corrupt_sign:
-        adj = [[-x for x in row] for row in adj]
-    lhs = mat_mul(mat_mul(dphi, inverse(phi)), adj)
-    residual = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, p)]
-    return PoissonMapCheck(mat_is_zero(residual), residual, len(phi),
-                           framed, twisted, dual, [])
+    return PoissonMapCheck(False, [], len(phi) - len(degenerate),
+                           framed, twisted, dual, degenerate)

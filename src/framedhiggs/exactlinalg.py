@@ -13,8 +13,9 @@ A sparse vector is a dict {column: value} of the nonzero entries (`sparse`
 and `dense` convert); kernels are sparse.  There is one elimination,
 `_eliminate`: fraction-free Gauss-Jordan in Python integers, with each row's
 content divided out where Bareiss (Math. Comp. 22, 1968) divides by the
-previous pivot.  `nullspace_sparse`, `rank`, `Quotient` and `inverse` run it
-on a matrix, `Echelon` row by row, and `LinSolver` solves against its rows.
+previous pivot.  `nullspace_sparse`, `rank`, `Quotient` and `solve` (which
+`inverse` calls as `solve(a, I)`) run it on a matrix, `Echelon` row by row,
+and `LinSolver` solves against its rows.
 Nothing is rounded or taken modulo a prime, so no certificate is needed, and
 the reduced echelon form is unique, so any exact method gives the same kernels.
 
@@ -136,15 +137,20 @@ def rank(rows: Iterable) -> int:
     return len(_eliminate(rows))
 
 
-def inverse(a: Mat) -> Mat:
-    """The inverse of a square matrix: the right half of the reduced row
-    echelon form of [a | I], read off the integer pivot rows of `_eliminate`.
-    Raises ValueError if a is singular."""
-    n = len(a)
-    red = _eliminate({**sparse(row), n + i: 1} for i, row in enumerate(a))
+def solve(a: Mat, b: Mat) -> Mat:
+    """X with a X = b for square a: the right block of the reduced row echelon
+    form of [a | b], from one `_eliminate`.  ValueError if a is singular."""
+    n, k = len(a), len(b[0]) if b else 0
+    red = _eliminate({**sparse(row), **{n + j: x for j, x in enumerate(brow) if x}}
+                     for row, brow in zip(a, b))
     if any(q not in red for q in range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(red[q].get(n + j, 0), red[q][q]) for j in range(n)] for q in range(n)]
+    return [[Fraction(red[q].get(n + j, 0), red[q][q]) for j in range(k)] for q in range(n)]
+
+
+def inverse(a: Mat) -> Mat:
+    """The inverse of a square matrix, `solve(a, I)`; ValueError if singular."""
+    return solve(a, identity(len(a)))
 
 
 def sample_inverse(points: Sequence[Fraction], size: int, row) -> tuple[Vec, Mat]:

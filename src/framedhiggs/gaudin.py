@@ -23,8 +23,8 @@ from operator import mul
 from typing import Sequence
 
 from .curve import Window, infinity_row
-from .exactlinalg import (ZERO, ONE, frac, inverse, mat_comb, mat_mul, mat_vec,
-                          over_common_denominator, sample_inverse, transpose)
+from .exactlinalg import (ZERO, ONE, frac, mat_comb, mat_mul, mat_vec,
+                          over_common_denominator, sample_inverse, solve, transpose)
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, antidiagonal, flatten,
                      generator_indices, mat_commutator, mat_trace, matrix_invariants,
                      pfaffian, theta_at, theta_char_polys)
@@ -252,7 +252,7 @@ class GaudinSystem:
         basis = model.basis
         gram = [[mat_trace(mat_mul(a, b)) for b in basis] for a in basis]
         tmat = [flatten(transpose(b)) for b in basis]
-        self._grad_rows = mat_mul(inverse(gram), tmat)   # dim x s^2
+        self._grad_rows = solve(gram, tmat)   # dim x s^2
         # The projection on flattened matrices, flatten(pi(Y)) = P flatten(Y),
         # as (d, integer rows of d P).
         proj = mat_mul(transpose([flatten(b) for b in basis]), self._grad_rows)

@@ -24,8 +24,7 @@ from operator import add, mul, sub
 from typing import Sequence
 
 from .exactlinalg import (Echelon, LinSolver, Mat, Vec, ZERO, ONE, dense, frac,
-                          mat_comb, mat_mul, nullspace_sparse, over_common_denominator,
-                          rank)
+                          mat_comb, mat_mul, nullspace_sparse, over_common_denominator)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -338,15 +337,14 @@ def check_invariance(form: InvariantForm, a: AlgebraElement, b: AlgebraElement,
 
 def perp_subspace(form: InvariantForm, subspace: Sequence[AlgebraElement],
                   model: AlgebraModel) -> list[AlgebraElement]:
-    """Basis of the annihilator {v : sigma(v, h) = 0 for all h in the span}."""
-    coords = [model.coords(h) for h in subspace]
-    if coords and rank(coords) < len(coords):
+    """Basis of the annihilator {v : sigma(v, h) = 0 for all h in the span}.
+    sigma is nondegenerate, so the basis is independent exactly when the
+    kernel of its rows sigma(h, .) has dimension dim g - len(subspace)."""
+    basis = [AlgebraElement(b, model.group.group_id) for b in model.basis]
+    kernel = nullspace_sparse([[form(h, b) for b in basis] for h in subspace],
+                              ncols=model.group.dim)
+    if len(subspace) + len(kernel) != model.group.dim:
         raise ValueError("subspace basis is linearly dependent")
-    gram_rows = []
-    for h in subspace:
-        gram_rows.append([form(h, bi) for bi in
-                          (AlgebraElement(b, model.group.group_id) for b in model.basis)])
-    kernel = nullspace_sparse(gram_rows, ncols=model.group.dim)
     return [model.from_coords(dense(v, model.group.dim)) for v in kernel]
 
 
@@ -519,6 +517,8 @@ class FramingSpec:
     form: InvariantForm
     subalgebra: list[AlgebraElement]        # basis of h_x; empty for a trivial framing
     perp: list[AlgebraElement] = field(init=False)
+    coords: list[Vec] = field(init=False)       # coordinates of subalgebra and perp,
+    perp_coords: list[Vec] = field(init=False)  # each element solved once
     dim_torus_cap: int = field(init=False)  # dim(h_x ∩ fixed torus)
     center_stab_dim: int | None = None      # dim Z_{H_x}(G), user supplied
 
@@ -526,23 +526,17 @@ class FramingSpec:
         g = self.model.group
         if len(self.subalgebra) >= g.dim:
             raise ValueError("framing subgroup must be a proper subgroup (dim h_x < dim g)")
+        self.coords = [self.model.coords(h) for h in self.subalgebra]
         ech = Echelon(g.dim)
-        if not all(ech.insert(self.model.coords(h)) for h in self.subalgebra):
+        if not all(ech.insert(c) for c in self.coords):
             raise ValueError("framing subalgebra basis is linearly dependent")
         for a in self.subalgebra:
             for b in self.subalgebra:
                 if not ech.contains(self.model.coords(bracket(a, b))):
                     raise ValueError("framing subspace is not closed under the bracket")
         self.perp = perp_subspace(self.form, self.subalgebra, self.model)
-        if len(self.subalgebra) + len(self.perp) != g.dim:
-            raise ValueError("annihilator dimension check failed")
-        pech = Echelon(g.dim)
-        for p in self.perp:
-            pech.insert(self.model.coords(p))
-        for a in self.subalgebra:
-            for p in self.perp:
-                if not pech.contains(self.model.coords(bracket(a, p))):
-                    raise ValueError("bracket stability [h, h_perp] ⊆ h_perp failed")
+        self.perp_coords = [self.model.coords(p) for p in self.perp]
+        # [h, h^perp] ⊆ h^perp by invariance: sigma([a, p], b) = -sigma(p, [a, b]) = 0
         # dim(h ∩ t) = dim t - dim((h + t) / h): the torus vectors that grow h
         self.dim_torus_cap = len(self.model.torus) - sum(
             ech.insert(self.model.coords(AlgebraElement(t, g.group_id))) for t in self.model.torus)

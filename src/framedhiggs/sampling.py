@@ -65,5 +65,5 @@ def seeded_model(group: str | AlgebraModel, points: Sequence, framing, seed: int
     pts = tuple(map(frac, points))
     framings = framing_specs(algebra, form, framing, len(pts))
     residues = random_residue_tuple(algebra, rng, len(pts), height,
-                                    [[algebra.coords(p) for p in fr.perp] for fr in framings])
+                                    [fr.perp_coords for fr in framings])
     return FramedHiggsModel(algebra, form, MarkedCurve(0, pts), framings, tuple(residues))

@@ -387,6 +387,9 @@ def test_a_non_skew_pairing_fails_the_check_with_a_report(tmp_path, capsys, monk
 
 @pytest.mark.parametrize("verify", [True, False])
 def test_defo_eliminates_the_pairing_matrix_once(tmp_path, monkeypatch, verify):
+    # with verify, phi is eliminated once as the left block of [phi | adjoint]
+    # (`solve`), and neither `inverse` nor `nullspace_sparse` eliminates it
+    # again; without, once by `rank`
     from framedhiggs import exactlinalg
     from framedhiggs.deformation import DeformationTheory
     phis, eliminated = [], []
@@ -402,8 +405,39 @@ def test_defo_eliminates_the_pairing_matrix_once(tmp_path, monkeypatch, verify):
     out = tmp_path / "report.json"
     assert main(["defo", "--config", cfg, "--out", str(out)]) == 0
     results = json.loads(out.read_text())["results"]
-    assert ("anchor_rank" in results) == verify and results["pairing_rank"] == len(phis[0])
-    assert sum(rows == phis[0] for rows in eliminated) == 1
+    n = len(phis[0])
+    assert ("anchor_rank" in results) == verify and results["pairing_rank"] == n > 0
+
+    def left_block(rows):
+        return [{c: x for c, x in exactlinalg.sparse(r).items() if c < n} for r in rows]
+    phi_rows = [exactlinalg.sparse(r) for r in phis[0]]
+    assert sum(left_block(rows) == phi_rows for rows in eliminated) == 1
+
+
+E, H, MINUS_E = [["0", "1"], ["0", "0"]], [["1", "0"], ["0", "-1"]], [["0", "-1"], ["0", "0"]]
+# Borel framing at x_1, torus at x_2: the framed h0, h1 and h2 all vanish, so
+# the forgetful map and Y are empty while the anchor P is 1 x 1
+DEFO_BOREL_TORUS = {"group": "sl(2)", "points": ["1", "2"], "framing": [[E, H], [H]],
+                    "residues": {"type": "explicit", "matrices": [E, MINUS_E]}}
+
+
+@pytest.mark.parametrize("anchor", [None, [[1]]])
+def test_the_poisson_check_compares_the_anchor_when_framed_h1_is_zero(tmp_path, monkeypatch,
+                                                                      anchor):
+    from framedhiggs.deformation import DeformationTheory
+    if anchor is not None:
+        monkeypatch.setattr(DeformationTheory, "poisson_matrix", lambda theory: anchor)
+    cfg = write_config(tmp_path, "defo.json", DEFO_BOREL_TORUS)
+    out = tmp_path / "report.json"
+    assert main(["defo", "--config", cfg, "--out", str(out)]) == (0 if anchor is None else 1)
+    report = json.loads(out.read_text())
+    framed = report["results"]["dims"]["framed"]
+    assert (framed["h0"], framed["h1"], framed["h2"]) == (0, 0, 0)
+    assert report["results"]["dims"]["twisted"]["h1"] == 1
+    check = [c for c in report["checks"]
+             if c["name"] == "forgetful map intertwines pairing inverse and anchor"][0]
+    assert check["passed"] == (anchor is None)
+    assert check["value"] == ("zero residual" if anchor is None else "nonzero residual")
 
 
 @pytest.mark.parametrize("flow, field", [

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from framedhiggs import exactlinalg
 from framedhiggs.exactlinalg import (ONE, Echelon, LinSolver, Quotient, dense, inverse,
                                      mat_mul, nullspace_sparse, rank, sparse, zeros)
 
@@ -108,6 +109,15 @@ def fraction_inverse(a):
     n = len(a)
     red, pivots = rref([list(row) + [F(int(i == j)) for j in range(n)]
                         for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red[:n]]
+
+
+def fraction_solve(a, b):
+    """Oracle: Gauss-Jordan in Fractions, the `rref` of [a | b] for square a."""
+    n = len(a)
+    red, pivots = rref([list(row) + list(brow) for row, brow in zip(a, b)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red[:n]]
@@ -417,6 +427,38 @@ def test_inverse_matches_the_fraction_oracle(matrix):
         return
     got = inverse(a)
     assert got == expected and all(type(x) is F for row in got for x in row)
+
+
+@st.composite
+def _systems(draw):
+    """(a, b): a square, singular when `_matrices` adds a dependent row, and b
+    with as many rows and 0-3 columns."""
+    a, n = draw(_matrices(square=True))
+    k = draw(st.integers(0, 3))
+    b = [[F(x) for x in draw(st.lists(st.one_of(st.just(0), _ENTRY), min_size=k, max_size=k))]
+         for _ in range(n)]
+    return a, b
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_systems())
+@example(([[F(0), F(2)], [F(3), F(1)]], [[F(1), F(0)], [F(-1, 2), F(7)]]))   # nonsingular
+@example(([[F(1), F(2)], [F(1, 2), F(1)]], [[F(1)], [F(1, 2)]]))   # singular, yet consistent
+@example(([[F(2), F(1)], [F(1), F(3)]], [[], []]))                 # b with no columns
+def test_solve_matches_the_rref_oracle(system):
+    a, b = system
+    try:
+        expected = fraction_solve(a, b)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            exactlinalg.solve(a, b)
+        return
+    got = exactlinalg.solve(a, b)
+    assert got == expected and len(got) == len(a)
+    assert all(len(row) == len(brow) and all(type(x) is F for x in row)
+               for row, brow in zip(got, b))
+    if got and got[0]:
+        assert mat_mul(a, got) == b
 
 
 @st.composite
