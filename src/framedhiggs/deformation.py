@@ -15,28 +15,33 @@ two-chart Cech presentation; everything is exact rational linear algebra.
 
 [theta, .] acts on layout coordinates (position-major, fiber-minor) as
 Theta = sum_i S_i ⊗ ad(A_i), with S_i the closed-form scalar layout matrix of
-multiplication by 1/(z - x_i).  The model builds Theta once per window and
-each chart basis once per (spec, window, chart), so the three cones of a
-`DeformationTheory` share them; with trivial framing two chart bases serve
-two complexes each.  Cochains, Theta images, d0 columns and kernels are
-sparse layout vectors.
+multiplication by 1/(z - x_i).  The model builds Theta once per window, each
+chart basis (and its `Quotient`) once per (spec, window, chart), and ker d1
+once per (F1 spec, window), so the three cones of a `DeformationTheory`
+share them: with trivial framing the framed F1 is the twisted F1, so d1 is
+eliminated twice, not three times, and two chart bases serve two complexes
+each.  Cochains, Theta images, d0 columns and kernels are sparse layout
+vectors.  Every cache lives on the model, so none outlives it.
 
 The cone's linear algebra runs in Python integers over one denominator.
 Theta is built as integer columns over one denominator and applied by integer
 multiply-adds.  Chart bases are staircase (`curve`), so writing a vector in
 them is reading off free columns with an exact integer membership check
-(`Quotient.int_coords`).  The d0 columns are integer vectors, each a positive
-multiple of the true column, which changes neither im d0 nor rank d0; the d1
-rows are d1 times one common denominator.  ker d1 is read off the integer
-echelon form of d1 (`nullspace_sparse`), with no modulus and no certificate.
-h0 = dim ker d0 needs no second elimination: the quotient ker d1 / im d0 has
-checked every d0 column against ker d1, on which restriction to the free
-columns is injective, so rank d0 is the rank of its own integer elimination
-and h0 = #d0 columns - rank.  Fractions are made where results leave the
-cone: each basis class is summed over the chart sections once (`classes`)
-and kept as integers over one denominator, and the forgetful and anchor
-columns write those integer classes in the twisted quotient
-(`Quotient.int_coords`, then `project`) before dividing by its denominator.
+(`Quotient.int_coords`), and their integer form (`Staircase.scaled`) is
+made once.  The d0 columns are integer vectors, each a positive multiple of
+the true column, which changes neither im d0 nor rank d0; the d1 rows are d1
+times one common denominator.  ker d1 is read off the integer echelon form
+of d1 as a `Staircase` (free columns, one denominator, integer tails) and
+passed to `Quotient` as it is, with no Fraction, no modulus and no
+certificate.  h0 = dim ker d0 needs no second elimination: the quotient
+ker d1 / im d0 has checked every d0 column against ker d1, on which
+restriction to the free columns is injective, so rank d0 is the rank of its
+own integer elimination and h0 = #d0 columns - rank.  Each basis class is
+summed over the integer chart bases once (`classes`) and kept as integers
+over one denominator, and the forgetful and anchor columns write those
+integer classes in the twisted quotient (`Quotient.int_coords`, then
+`int_project`); Fractions are made where results leave the cone, one
+division per matrix entry.
 
 The cup-product pairing on first hypercohomology contracts the mixed
 components with the invariant form and sums residues over the marked points:
@@ -57,7 +62,9 @@ conditions; the report checks the first and the test suite both.
 
 The Poisson identity forgetful ∘ φ^{-1} ∘ adjoint = anchor is checked as
 F Y = P, where Y solves φ Y = A in one elimination of [φ | A]
-(`exactlinalg.solve`), so the pairing matrix φ is never inverted.
+(`exactlinalg.integer_solve`), so the pairing matrix φ is never inverted.
+F, Y and P are integer matrices over one denominator each, so the product
+and the residual are integer arithmetic.
 """
 
 from __future__ import annotations
@@ -71,9 +78,9 @@ from typing import Sequence
 from .curve import (Layout, MarkedCurve, SheafSpec, Window, default_window,
                     laurent_row, make_spec, sections_off_divisor,
                     sections_on_affine_chart)
-from .exactlinalg import (Mat, Quotient, Vec, ONE, ZERO, add_scaled, dense, frac,
-                          integer_vectors, mat_is_zero, nullspace_sparse,
-                          over_common_denominator, solve, transpose)
+from .exactlinalg import (Mat, Quotient, Staircase, Vec, ONE, add_scaled, dense, frac,
+                          integer_matrix, integer_solve, integer_vectors, nullspace_sparse,
+                          over_common_denominator, transpose)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
                      bracket, framing_specs, trace_form)
 from .rationalfn import RatContext, VSection
@@ -207,6 +214,39 @@ class FramedHiggsModel:
         return self._cached((spec, window, chart),
                             lambda: sections(self.context, spec, window))
 
+    def chart_quotient(self, spec: SheafSpec, window: Window, chart: int) -> Quotient:
+        """The staircase chart basis of `chart_sections` as a `Quotient` by
+        nothing: its `int_coords` write an integer layout vector in the
+        basis, and its `kernel.scaled` is the basis as integer vectors over
+        `kernel.den`.  Built once per model and (spec, window, chart)."""
+        return self._cached(("chart", spec, window, chart), lambda: Quotient(
+            Layout(self.context, window).dim, [], self.chart_sections(spec, window, chart)))
+
+    def d1_kernel(self, spec: SheafSpec, window: Window) -> Staircase:
+        """ker d1 of the cone with F1 = spec and c in the layout of `window`,
+        built once per model and (spec, window): complexes with the same F1
+        share it (with trivial framing, the framed and twisted ones)."""
+        return self._cached(("ker d1", spec, window), lambda: self._d1_kernel(spec, window))
+
+    def _d1_kernel(self, spec: SheafSpec, window: Window) -> Staircase:
+        """d1(c, u0, u1) = (u1 - u0) - [theta, c] in T^2 coordinates, with u0
+        and u1 in the F1 chart bases of the pole-bumped window, as integer
+        rows over the one denominator of the three blocks; its kernel is read
+        off their integer echelon form."""
+        bumped = Window(window.pole + 1, window.degree)
+        u0, u1 = (self.chart_quotient(spec, bumped, chart).kernel for chart in (0, 1))
+        tden, theta = self.theta_columns(window)
+        den = lcm(u0.den, u1.den, tden)
+        rows: list[dict[int, int]] = [{} for _ in range(Layout(self.context, bumped).dim)]
+        j = 0
+        for f, cols in ((-den // u0.den, u0.scaled), (den // u1.den, u1.scaled),
+                        (-den // tden, theta)):
+            for col in cols:
+                for r, x in col.items():
+                    rows[r][j] = f * x
+                j += 1
+        return Staircase.kernel(rows, j)
+
     def pairing_form(self, window: Window) -> tuple[int, dict[int, dict[int, int]]]:
         """B from the layout of the pole-bumped window to that of `window`, as
         (d, {c index: {u index: d B[u][c]}}) with integer entries."""
@@ -291,10 +331,11 @@ class Hypercohomology:
         self.window1 = Window(base.pole + 1, base.degree)
         self.ctx = ctx = model.context
 
-        self.f0_u0 = model.chart_sections(f0, self.window0, 0)
-        self.f0_u1 = model.chart_sections(f0, self.window0, 1)
         self.f1_u0 = model.chart_sections(f1, self.window1, 0)
         self.f1_u1 = model.chart_sections(f1, self.window1, 1)
+        # staircase bases (module docstring): a solve reads off free columns
+        self._u0 = model.chart_quotient(f1, self.window1, 0)
+        self._u1 = model.chart_quotient(f1, self.window1, 1)
         self.c_layout = Layout(ctx, self.window0)
         self.t2_layout = Layout(ctx, self.window1)
         self._theta_den, self._theta_cols = model.theta_columns(self.window0)
@@ -318,16 +359,15 @@ class Hypercohomology:
 
     def _d0_columns(self) -> list[dict[int, int]]:
         """d0(s0, s1) = (s1 - s0, [theta, s0], [theta, s1]) in T^1 parameters,
-        one column per F0 chart section s, times d_s d for d_s the least
-        common denominator of s and d that of Theta; [theta, .] must map F0
-        chart sections into F1 ones."""
+        one column per F0 chart section s, times d_s d for d_s the common
+        denominator of its chart basis and d that of Theta; [theta, .] must
+        map F0 chart sections into F1 ones."""
         base, den = self._base, self._theta_den
         d0_cols = []
-        for sections, chart, offset, sign, where in (
-                (self.f0_u0, self._u0, 0, -1, ""),
-                (self.f0_u1, self._u1, self._n_u0, 1, " off the divisor")):
-            for s in sections:
-                _, [v] = integer_vectors([s])
+        for f0_chart, chart, offset, sign, where in (
+                (0, self._u0, 0, -1, ""),
+                (1, self._u1, self._n_u0, 1, " off the divisor")):
+            for v in self.model.chart_quotient(self.f0, self.window0, f0_chart).kernel.scaled:
                 coords = chart.int_coords(self._theta_int(v))
                 if coords is None:
                     raise AssertionError(f"[theta, .] does not preserve the {self.kind} "
@@ -338,27 +378,12 @@ class Hypercohomology:
 
     def _assemble(self):
         t2 = self.t2_layout
-        # staircase bases (module docstring): a solve reads off free columns
-        self._u0 = Quotient(t2.dim, [], self.f1_u0)
-        self._u1 = Quotient(t2.dim, [], self.f1_u1)
         # T^1 parameters: u0 chart coordinates, then u1's from _n_u0, then c's from _base
         self._n_u0 = len(self.f1_u0)
         self._base = self._n_u0 + len(self.f1_u1)
         self.t1_params = self._base + self.c_layout.dim
 
-        # d1(c, u0, u1) = (u1 - u0) - [theta, c] in T^2 coordinates, as rows
-        # over the one denominator of the three blocks
-        (d_u0, u0), (d_u1, u1) = integer_vectors(self.f1_u0), integer_vectors(self.f1_u1)
-        den = lcm(d_u0, d_u1, self._theta_den)
-        rows: list[dict[int, int]] = [{} for _ in range(t2.dim)]
-        j = 0
-        for f, cols in ((-den // d_u0, u0), (den // d_u1, u1),
-                        (-den // self._theta_den, self._theta_cols)):
-            for col in cols:
-                for r, x in col.items():
-                    rows[r][j] = f * x
-                j += 1
-        kernel = nullspace_sparse(rows, ncols=self.t1_params)
+        kernel = self.model.d1_kernel(self.f1, self.window0)
         self._d0_cols = self._d0_columns()
         self.quotient = Quotient(self.t1_params, self._d0_cols, kernel)
         self.h1 = self.quotient.dim
@@ -377,30 +402,42 @@ class Hypercohomology:
 
     def classes(self) -> tuple[int, list[tuple[dict, dict, dict]]]:
         """(d, cocycles): the quotient basis classes as layout cocycles
-        (c, u0, u1), summed in Fractions once and kept as integers over d."""
+        (c, u0, u1) of integer vectors over their least common denominator d,
+        computed once.  A kept kernel vector times the kernel's denominator L
+        has integer parameters, and the chart parts are summed over the
+        integer chart bases (over d0 and d1), so the cocycles are integer
+        vectors over D = L d0 d1, reduced by the gcd of D and their entries."""
         if self._classes is None:
             n_u0, base = self._n_u0, self._base
+            kernel = self.quotient.kernel
+            (d0, s0), (d1, s1) = ((chart.kernel.den, chart.kernel.scaled)
+                                  for chart in (self._u0, self._u1))
             cocycles = []
-            for params in self.quotient.basis:
+            for j in self.quotient.kept:
                 c, u0, u1 = {}, {}, {}
-                for j, x in params.items():
-                    if j >= base:
-                        c[j - base] = x
-                    elif j >= n_u0:
-                        add_scaled(u1, x, self.f1_u1[j - n_u0])
+                for i, x in {kernel.free[j]: kernel.den, **kernel.tails[j]}.items():
+                    if i >= base:
+                        c[i - base] = x * d0 * d1
+                    elif i >= n_u0:
+                        add_scaled(u1, x * d0, s1[i - n_u0])
                     else:
-                        add_scaled(u0, x, self.f1_u0[j])
+                        add_scaled(u0, x * d1, s0[i])
                 cocycles.append((c, u0, u1))
-            self._classes = _integral(cocycles)
+            g = gcd(kernel.den * d0 * d1,
+                    *(x for cocycle in cocycles for v in cocycle for x in v.values()))
+            self._classes = (kernel.den * d0 * d1 // g,
+                             [tuple({k: x // g for k, x in v.items()} for v in cocycle)
+                              for cocycle in cocycles])
         return self._classes
 
-    def class_of(self, c: dict, u0: dict, u1: dict) -> Vec:
-        """Class coordinates of a cocycle given as sparse integer layout vectors."""
+    def class_of(self, c: dict, u0: dict, u1: dict) -> list[int]:
+        """Class coordinates, times `quotient.class_den`, of a cocycle given as
+        sparse integer layout vectors."""
         x0, x1 = self._u0.int_coords(u0), self._u1.int_coords(u1)
         if x0 is None or x1 is None:
             raise ValueError("cochain components do not satisfy the sheaf conditions")
-        return self.quotient.project({**x0, **{self._n_u0 + j: x for j, x in x1.items()},
-                                      **{self._base + k: x for k, x in c.items()}})
+        return self.quotient.int_project({**x0, **{self._n_u0 + j: x for j, x in x1.items()},
+                                          **{self._base + k: x for k, x in c.items()}})
 
     def result(self) -> "HypercohResult":
         return HypercohResult(self.kind, self.h0, self.h1, self.h2,
@@ -500,8 +537,9 @@ class DeformationTheory:
         `kind` complex, whose cochains include into the twisted ones."""
         tw = self.cone(TWISTED)
         den, cocycles = self.cone(kind).classes()
+        den *= tw.quotient.class_den
         cols = [tw.class_of(*cocycle) for cocycle in cocycles]
-        return [[col[i] / den for col in cols] for i in range(tw.h1)]
+        return [[Fraction(col[i], den) for col in cols] for i in range(tw.h1)]
 
     def symplectic_matrix(self) -> Mat:
         """Gram matrix of the pairing on the framed first hypercohomology;
@@ -562,15 +600,24 @@ def verify_poisson_map(theory: DeformationTheory, corrupt_sign: bool = False) ->
     if framed.h0 == 0 and framed.h2 == 0:
         adj = theory.forgetful_adjoint_matrix()
         try:
-            y = solve(phi, [[-x for x in row] for row in adj] if corrupt_sign else adj)
+            yden, y = integer_solve(phi, [[-x for x in row] for row in adj]
+                                    if corrupt_sign else adj)
         except ValueError:      # φ is singular
             pass
         else:
-            residual = [[sum((f * row[j] for f, row in zip(frow, y) if f and row[j]), ZERO) - x
-                         for j, x in enumerate(prow)]
-                        for frow, prow in zip(theory.forgetful_matrix(), theory.poisson_matrix())]
-            return PoissonMapCheck(mat_is_zero(residual), residual, len(phi),
-                                   framed, twisted, dual, [])
+            # (fden F)(yden Y) pden - (pden P) fden yden, over fden yden pden
+            (fden, f), (pden, p) = (integer_matrix(theory.forgetful_matrix()),
+                                    integer_matrix(theory.poisson_matrix()))
+            den = fden * yden
+            num = []
+            for frow, prow in zip(f, p):
+                terms = [(a, row) for a, row in zip(frow, y) if a]
+                num.append([pden * sum(a * row[j] for a, row in terms) - den * x
+                            for j, x in enumerate(prow)])
+            den *= pden
+            residual = [[Fraction(x, den) for x in row] for row in num]
+            return PoissonMapCheck(not any(x for row in num for x in row), residual,
+                                   len(phi), framed, twisted, dual, [])
     degenerate = [dense(v, len(phi)) for v in nullspace_sparse(phi, ncols=len(phi))]
     return PoissonMapCheck(False, [], len(phi) - len(degenerate),
                            framed, twisted, dual, degenerate)

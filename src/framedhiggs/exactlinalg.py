@@ -13,20 +13,25 @@ A sparse vector is a dict {column: value} of the nonzero entries (`sparse`
 and `dense` convert); kernels are sparse.  There is one elimination,
 `_eliminate`: fraction-free Gauss-Jordan in Python integers, with each row's
 content divided out where Bareiss (Math. Comp. 22, 1968) divides by the
-previous pivot.  `nullspace_sparse`, `rank`, `Quotient` and `solve` (which
-`inverse` calls as `solve(a, I)`) run it on a matrix, `Echelon` row by row,
-and `LinSolver` solves against its rows.
+previous pivot.  `Staircase.kernel` (and `nullspace_sparse`, its Fraction
+vectors), `rank`, `Quotient` and `integer_solve` (which `solve` and so
+`inverse`, as `solve(a, I)`, call) run it on a matrix, `Echelon` row by
+row, and `LinSolver` solves against its rows.
 Nothing is rounded or taken modulo a prime, so no certificate is needed, and
 the reduced echelon form is unique, so any exact method gives the same kernels.
 
 Rows and vectors may hold ints where Fractions would be: an integer sparse
-vector times a denominator is how the hot paths (`Quotient`, the
-deformation cone) keep their arithmetic out of `Fraction`.
+vector times a denominator is how the hot paths (`Staircase`, `Quotient`,
+the deformation cone) keep their arithmetic out of `Fraction`.  A kernel
+stays a `Staircase`, integer tails over one denominator, from the
+elimination to `Quotient`, which makes Fractions only for the basis vectors
+that are read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -111,6 +116,12 @@ def over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
+def integer_matrix(a: Mat) -> tuple[int, list[list[int]]]:
+    """(d, d a) with integer entries, d the least common denominator."""
+    den = lcm(*{x.denominator for row in a for x in row})
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in a]
+
+
 def integer_vectors(vectors: Iterable) -> tuple[int, list[dict[int, int]]]:
     """(d, [d v for v in vectors]) for dense or sparse vectors v, as sparse
     integer vectors, with d the least common denominator of all entries."""
@@ -137,15 +148,24 @@ def rank(rows: Iterable) -> int:
     return len(_eliminate(rows))
 
 
-def solve(a: Mat, b: Mat) -> Mat:
-    """X with a X = b for square a: the right block of the reduced row echelon
-    form of [a | b], from one `_eliminate`.  ValueError if a is singular."""
+def integer_solve(a: Mat, b: Mat) -> tuple[int, list[list[int]]]:
+    """(d, d X) with integer entries, for X with a X = b and square a: the
+    right block of the reduced row echelon form of [a | b], from one
+    `_eliminate`, over the lcm d of its pivots.  ValueError if a is singular."""
     n, k = len(a), len(b[0]) if b else 0
     red = _eliminate({**sparse(row), **{n + j: x for j, x in enumerate(brow) if x}}
                      for row, brow in zip(a, b))
     if any(q not in red for q in range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(red[q].get(n + j, 0), red[q][q]) for j in range(k)] for q in range(n)]
+    den = lcm(*(red[q][q] for q in range(n)))
+    return den, [[red[q].get(n + j, 0) * (den // red[q][q]) for j in range(k)]
+                 for q in range(n)]
+
+
+def solve(a: Mat, b: Mat) -> Mat:
+    """X with a X = b for square a, `integer_solve` as Fractions."""
+    den, x = integer_solve(a, b)
+    return [[Fraction(y, den) for y in row] for row in x]
 
 
 def inverse(a: Mat) -> Mat:
@@ -183,25 +203,121 @@ class Echelon:
 
 
 def nullspace_sparse(rows: Iterable, ncols: int) -> list[dict[int, Fraction]]:
-    """Staircase basis of the right kernel {v : A v = 0}, as sparse vectors:
-    one per free column c, e_c - sum_q (R_q[c] / R_q[q]) e_q over the pivot
-    rows R_q of `_eliminate`, in column order.  Rows are dense sequences or
-    sparse {column: value} dicts, with Fraction or int entries.
+    """Staircase basis of the right kernel {v : A v = 0}, as sparse Fraction
+    vectors: the vectors of `Staircase.kernel`, in column order.  Rows are
+    dense sequences or sparse {column: value} dicts, with Fraction or int
+    entries.
     """
-    red = _eliminate(rows)
-    basis = {c: {c: ONE} for c in range(ncols) if c not in red}
-    for q, row in red.items():
-        p = row[q]
-        for c, y in row.items():
-            if c != q:
-                basis[c][q] = Fraction(-y, p)
-    return list(basis.values())
+    kernel = Staircase.kernel(rows, ncols)
+    return [kernel.vector(j) for j in range(len(kernel))]
+
+
+class Staircase:
+    """A basis K_0, ..., K_{k-1} of a subspace of Q^n in staircase form, held
+    in integers: K_j has entry 1 at its free column free[j], which is its
+    last nonzero entry, and entry 0 at the free columns of the others.  The
+    entries of the K_j off their free columns, the tails, are kept over one
+    common denominator `den` as integer tails T_j: K_j = e_free[j] + T_j / den.
+
+    A vector v of the span is fixed by its free-column entries, v = sum_j
+    v[free_j] K_j, so an integer vector v lies in the span exactly when
+    den (v off the free columns) = sum_j v[free_j] T_j holds over Z, with no
+    modulus and no tolerance (`int_coords`).
+
+    `kernel` reads a right kernel off `_eliminate`'s integer rows with no
+    Fraction; `of_vectors` takes dense or sparse rational vectors, checks
+    their staircase form and keeps them, so `vector(j)` returns them as given.
+    """
+
+    def __init__(self, free: list[int], den: int, tails: list[dict[int, int]],
+                 given: Sequence | None = None):
+        self.free, self.den, self.tails = free, den, tails
+        self._index = {c: j for j, c in enumerate(free)}
+        self._given = given
+
+    @classmethod
+    def kernel(cls, rows: Iterable, ncols: int) -> "Staircase":
+        """The right kernel of the matrix with the given dense or sparse rows:
+        one vector per free column c of the reduced echelon form,
+        K_c = e_c - sum_q (R_q[c] / R_q[q]) e_q over its pivot rows R_q, in
+        column order.  Each R_q is primitive, so den, the lcm of the pivots,
+        is the least common denominator of the tails."""
+        red = _eliminate(rows)
+        den = lcm(*(row[q] for q, row in red.items()))
+        tails = {c: {} for c in range(ncols) if c not in red}
+        for q, row in red.items():
+            f = den // row[q]
+            for c, y in row.items():
+                if c != q:
+                    tails[c][q] = -f * y
+        return cls(list(tails), den, list(tails.values()))
+
+    @classmethod
+    def of_vectors(cls, vectors: Sequence) -> "Staircase":
+        """The staircase basis of the given dense or sparse rational vectors;
+        ValueError unless they are in staircase form.  `nullspace_sparse`
+        returns such vectors, and so does any list of distinct unit vectors."""
+        kernel = [sparse(v) for v in vectors]
+        free = [max(v) if v else None for v in kernel]
+        index = {c: j for j, c in enumerate(free)}
+        for j, (v, c) in enumerate(zip(kernel, free)):
+            if (c is None or v[c] != 1 or index[c] != j
+                    or any(index.get(col, j) != j for col in v)):
+                raise ValueError(f"kernel vector {j} is not in staircase form")
+        den = lcm(*{x.denominator for v in kernel for x in v.values()})
+        return cls(free, den, [{col: x.numerator * (den // x.denominator)
+                                for col, x in v.items() if col != c}
+                               for v, c in zip(kernel, free)], vectors)
+
+    def __len__(self) -> int:
+        return len(self.free)
+
+    def vector(self, j: int):
+        """K_j: the vector as given to `of_vectors`, else as a sparse Fraction
+        vector."""
+        if self._given is not None:
+            return self._given[j]
+        den = self.den
+        return {self.free[j]: ONE, **{c: Fraction(t, den) for c, t in self.tails[j].items()}}
+
+    @cached_property
+    def scaled(self) -> list[dict[int, int]]:
+        """The integer vectors den K_j."""
+        return [{c: self.den, **tail} for c, tail in zip(self.free, self.tails)]
+
+    def int_coords(self, v: dict[int, int]) -> dict[int, int] | None:
+        """Coefficients x with sum_j x_j K_j = v for an integer sparse vector
+        v, as the sparse integer vector {j: x_j} of v's free-column entries,
+        or None if v is not in the span."""
+        den, index, tails = self.den, self._index, self.tails
+        rest, x = {}, {}
+        for c, y in v.items():
+            if y:
+                j = index.get(c)
+                if j is None:
+                    rest[c] = den * y
+                else:
+                    x[j] = y
+        for j, y in x.items():
+            for c, t in tails[j].items():
+                rest[c] = rest.get(c, 0) - y * t
+        return None if any(rest.values()) else x
+
+
+def _integer_vector(v) -> tuple[int, dict[int, int]]:
+    """(d, d v) as a sparse integer vector, for a dense or sparse vector v
+    and d the least common denominator of its entries; a vector of ints is
+    taken as it is, with d = 1."""
+    w = sparse(v)
+    if all(type(x) is int for x in w.values()):
+        return 1, w
+    den = lcm(*{x.denominator for x in w.values()})
+    return den, {c: x.numerator * (den // x.denominator) for c, x in w.items()}
 
 
 def _integer_row(v) -> dict[int, int]:
-    """`integer_vectors` of the one vector v, taking a row of ints as it is."""
-    w = sparse(v)
-    return w if all(type(x) is int for x in w.values()) else integer_vectors([w])[1][0]
+    """v scaled to a sparse integer vector by `_integer_vector`."""
+    return _integer_vector(v)[1]
 
 
 def _eliminate(rows: Iterable) -> dict[int, dict[int, int]]:
@@ -288,7 +404,7 @@ class LinSolver:
 
     def coords(self, v: Sequence[Fraction]) -> Vec | None:
         """Coefficients x with sum_j x_j C_j = v, or None if v not in span."""
-        d, [w] = integer_vectors([v])
+        d, w = _integer_vector(v)
         n, den = self.n, self._den
         acc = {c: den * y for c, y in w.items()}
         for q, row in self._rows:
@@ -304,20 +420,13 @@ class LinSolver:
 class Quotient:
     """Quotient ker / sub of subspaces sub ⊆ ker of Q^n, with projection.
 
-    `kernel_vectors` (dense or sparse) is a basis of ker in staircase form:
-    each vector has entry 1 at its own free column, which is its last
-    nonzero entry, and entry 0 at the free columns of the others.
-    `nullspace_sparse` returns such a basis, and so does any list of
-    distinct unit vectors; any other input raises ValueError.  A vector v of
-    ker is then fixed by its entries at the free columns, v = sum_j v[free_j]
-    K_j.  `basis` holds kernel vectors as given.
-
-    Everything past the input is held in integers.  The entries of the K_j
-    off their free columns, the tails, are kept over one common denominator
-    L, as integer tails T_j.  A vector v, scaled to integers, lies in ker
-    exactly when L (v off the free columns) = sum_j v[free_j] T_j holds over
-    Z, with no modulus and no tolerance; its coordinates are then its
-    free-column entries (`int_coords`, `coords`).
+    `kernel_vectors` is a basis of ker in staircase form: a `Staircase`,
+    taken as it is, or dense or sparse rational vectors, which
+    `Staircase.of_vectors` converts and checks once (ValueError unless they
+    are in staircase form).  Its length is the number of kernel vectors.
+    Membership and coordinates are the staircase's integer check
+    (`int_coords`, `coords`).  `basis` holds the kept kernel vectors, as
+    given or, for a `Staircase`, as sparse Fraction vectors made when read.
 
     The `sub_vectors` (which must lie in ker) restricted to the free columns
     are the integer rows of one `_eliminate` on k columns.  Restriction is
@@ -328,79 +437,69 @@ class Quotient:
     the row space, which are exactly the columns the greedy choice below
     drops: K_j is kept when it is independent of sub and of K_0..K_{j-1}.
     Each kept key f has the staircase kernel vector R_f of those rows, read
-    off the pivot rows and held as an integer vector over its own
-    denominator, and the class coordinate of v at f is the dot product of
-    v's restricted entries with R_f.
+    off the pivot rows and held as an integer vector over `class_den`, the
+    lcm of their pivots, and the class coordinate of v at f is the dot
+    product of v's restricted entries with R_f.  `int_project` walks the
+    support of those entries, through the R_f entries of each kernel index.
     """
 
     def __init__(self, n: int, sub_vectors: Sequence[Sequence[Fraction]],
-                 kernel_vectors: Sequence[Sequence[Fraction]]):
+                 kernel_vectors: Staircase | Sequence[Sequence[Fraction]]):
         self.n = n
-        k = len(kernel_vectors)
-        kernel = [sparse(v) for v in kernel_vectors]
-        free = [max(v) if v else None for v in kernel]
-        self._index = {c: j for j, c in enumerate(free)}
-        for j, (v, c) in enumerate(zip(kernel, free)):
-            if (c is None or v[c] != 1 or self._index[c] != j
-                    or any(self._index.get(col, j) != j for col in v)):
-                raise ValueError(f"kernel vector {j} is not in staircase form")
-        # L and the integer tails T_j
-        den = self._den = lcm(*{x.denominator for v in kernel for x in v.values()})
-        self._tails = [{col: x.numerator * (den // x.denominator)
-                        for col, x in v.items() if col != c} for v, c in zip(kernel, free)]
+        kernel = self.kernel = (kernel_vectors if isinstance(kernel_vectors, Staircase)
+                                else Staircase.of_vectors(kernel_vectors))
+        k = len(kernel)
         rows = []
         for v in sub_vectors:       # each scaled to integers: only their span counts
-            x = self.int_coords(_integer_row(v))
+            x = kernel.int_coords(_integer_row(v))
             if x is None:
                 raise ValueError("sub vector does not lie in the span of the kernel vectors")
             rows.append({k - 1 - j: y for j, y in x.items()})
         red = _eliminate(rows)
         self.rank = len(red)
-        # (d, d R_f) for the kept keys f, largest key first, indexed like the
-        # kernel: d R_f = d e_f - sum_q (d / P_q[q]) P_q[f] e_q over the pivot
-        # rows P_q, with d the lcm of their pivots P_q[q]
-        tails = {f: [] for f in reversed(range(k)) if f not in red}
+        # class_den R_f = class_den e_f - sum_q (class_den / P_q[q]) P_q[f] e_q
+        # for the kept keys f, largest key first, over the pivot rows P_q
+        kept = [f for f in reversed(range(k)) if f not in red]
+        den = self.class_den = lcm(*(row[q] for q, row in red.items()))
+        self._columns: dict[int, list[tuple[int, int]]] = {}   # j -> [(i, class_den R_i[j])]
+        position = {f: i for i, f in enumerate(kept)}
+        for f, i in position.items():
+            self._columns[k - 1 - f] = [(i, den)]
         for q, row in red.items():
-            for f, y in row.items():
-                if f != q:
-                    tails[f].append((q, y, row[q]))
-        self._reducers = []
-        for f, tail in tails.items():
-            d = lcm(*(p for _, _, p in tail))
-            self._reducers.append(
-                (d, {k - 1 - f: d, **{k - 1 - q: -y * (d // p) for q, y, p in tail}}))
-        self.basis = [kernel_vectors[k - 1 - f] for f in tails]
-        self.dim = len(self.basis)
+            g = den // row[q]
+            self._columns[k - 1 - q] = [(position[f], -g * y) for f, y in row.items() if f != q]
+        self.kept = [k - 1 - f for f in kept]
+        self.dim = len(kept)
+
+    @cached_property
+    def basis(self) -> list:
+        return [self.kernel.vector(j) for j in self.kept]
 
     def int_coords(self, v: dict[int, int]) -> dict[int, int] | None:
-        """Coefficients x with sum_j x_j kernel_vectors[j] = v for an integer
-        sparse vector v, as the sparse integer vector {j: x_j} of v's
-        free-column entries, or None if v is not in the span."""
-        den, index, tails = self._den, self._index, self._tails
-        rest, x = {}, {}
-        for c, y in v.items():
-            if y:
-                j = index.get(c)
-                if j is None:
-                    rest[c] = den * y
-                else:
-                    x[j] = y
-        for j, y in x.items():
-            for c, t in tails[j].items():
-                rest[c] = rest.get(c, 0) - y * t
-        return None if any(rest.values()) else x
+        """`Staircase.int_coords` of the kernel: v's coordinates, or None."""
+        return self.kernel.int_coords(v)
 
     def coords(self, v) -> dict[int, Fraction] | None:
         """`int_coords` of a dense or sparse rational vector v, as Fractions."""
-        d, [w] = integer_vectors([v])
-        x = self.int_coords(w)
+        d, w = _integer_vector(v)
+        x = self.kernel.int_coords(w)
         return None if x is None else {j: Fraction(y, d) for j, y in x.items()}
+
+    def int_project(self, v: dict[int, int]) -> list[int]:
+        """Class coordinates of an integer sparse vector v, times `class_den`;
+        ValueError if v is not in ker."""
+        x = self.kernel.int_coords(v)
+        if x is None:
+            raise ValueError("vector does not lie in the span of the quotient presentation")
+        out = [0] * self.dim
+        columns = self._columns
+        for j, y in x.items():
+            for i, r in columns[j]:
+                out[i] += r * y
+        return out
 
     def project(self, v: Sequence[Fraction]) -> Vec:
         """Class coordinates of v in the quotient basis."""
-        d, [w] = integer_vectors([v])
-        x = self.int_coords(w)
-        if x is None:
-            raise ValueError("vector does not lie in the span of the quotient presentation")
-        return [Fraction(sum(y * x.get(j, 0) for j, y in red.items()), d * rden)
-                for rden, red in self._reducers]
+        d, w = _integer_vector(v)
+        den = d * self.class_den
+        return [Fraction(y, den) for y in self.int_project(w)]

@@ -19,12 +19,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Sequence
 
 from .exactlinalg import (Echelon, LinSolver, Mat, Vec, ZERO, ONE, dense, frac,
-                          mat_comb, mat_mul, nullspace_sparse, over_common_denominator)
+                          mat_comb, mat_mul, nullspace_sparse, over_common_denominator, rank)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -274,6 +275,11 @@ class AlgebraModel:
             raise ValueError(f"matrix is not an element of {self.group.group_id}")
         return c
 
+    @cached_property
+    def torus_coords(self) -> list[Vec]:
+        """Coordinates of the fixed torus basis, solved once per model."""
+        return [self.coords(AlgebraElement(t, self.group.group_id)) for t in self.torus]
+
     def from_coords(self, coords: Sequence[Fraction]) -> AlgebraElement:
         """sum_j coords[j] basis[j], over the nonzero entries of the basis."""
         flat = [ZERO] * (self.n * self.n)
@@ -519,7 +525,6 @@ class FramingSpec:
     perp: list[AlgebraElement] = field(init=False)
     coords: list[Vec] = field(init=False)       # coordinates of subalgebra and perp,
     perp_coords: list[Vec] = field(init=False)  # each element solved once
-    dim_torus_cap: int = field(init=False)  # dim(h_x ∩ fixed torus)
     center_stab_dim: int | None = None      # dim Z_{H_x}(G), user supplied
 
     def __post_init__(self):
@@ -537,9 +542,12 @@ class FramingSpec:
         self.perp = perp_subspace(self.form, self.subalgebra, self.model)
         self.perp_coords = [self.model.coords(p) for p in self.perp]
         # [h, h^perp] ⊆ h^perp by invariance: sigma([a, p], b) = -sigma(p, [a, b]) = 0
-        # dim(h ∩ t) = dim t - dim((h + t) / h): the torus vectors that grow h
-        self.dim_torus_cap = len(self.model.torus) - sum(
-            ech.insert(self.model.coords(AlgebraElement(t, g.group_id))) for t in self.model.torus)
+
+    @cached_property
+    def dim_torus_cap(self) -> int:
+        """dim(h_x ∩ fixed torus) = dim h + dim t - dim(h + t)."""
+        torus = self.model.torus_coords
+        return len(self.coords) + len(torus) - rank(self.coords + torus)
 
     @property
     def dim(self) -> int:

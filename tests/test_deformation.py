@@ -678,8 +678,9 @@ def _recording_quotients(monkeypatch):
     made = []
 
     class Recorded(Quotient):
+        # the cone passes ker d1 as an integer `Staircase`, recorded as it is
         def __init__(self, n, sub_vectors, kernel_vectors):
-            made.append((n, list(sub_vectors), list(kernel_vectors)))
+            made.append((n, list(sub_vectors), kernel_vectors))
             super().__init__(n, sub_vectors, kernel_vectors)
     monkeypatch.setattr(deformation, "Quotient", Recorded)
     return made
@@ -696,7 +697,8 @@ def test_a_perturbed_d0_column_fails_the_integer_membership_check(monkeypatch, g
     cone = DeformationTheory(seeded_model(gid, pts, framing, seed, 10)).cone(FRAMED)
     n, d0_cols, kernel = made[-1]
     assert n == cone.t1_params and d0_cols == cone._d0_cols
-    free = {max(v) for v in kernel}
+    assert kernel is cone.quotient.kernel
+    free = set(kernel.free)
     for col in d0_cols[:3] + d0_cols[-3:]:
         assert cone.quotient.coords(col) is not None
         den = lcm(*(F(x).denominator for x in col.values()))
@@ -710,6 +712,46 @@ def test_a_perturbed_d0_column_fails_the_integer_membership_check(monkeypatch, g
             Quotient(n, d0_cols + [bad], kernel)
         with pytest.raises(ValueError, match="does not lie in the span"):
             cone.quotient.project(bad)
+
+
+@pytest.mark.parametrize("gid, pts, framing, seed, eliminations", [
+    ("sl(2)", [1, 2, 3], "trivial", 11, 2), ("gl(2)", [1, 2, 3], "trivial", 664365, 2),
+    ("gl(2)", [1, 2, 3], "torus", 720705, 3), ("sl(2)", [1, 2, 3, 4], "torus", 535564, 3),
+])
+def test_d1_is_eliminated_once_per_f1_sheaf_and_each_chart_quotient_built_once(
+        monkeypatch, gid, pts, framing, seed, eliminations):
+    from framedhiggs import deformation
+    from framedhiggs.exactlinalg import Staircase
+    made = _recording_quotients(monkeypatch)
+    eliminated = []
+
+    class Counted(Staircase):
+        @classmethod
+        def kernel(cls, rows, ncols):
+            eliminated.append(ncols)
+            return super().kernel(rows, ncols)
+    monkeypatch.setattr(deformation, "Staircase", Counted)
+    theory = DeformationTheory(seeded_model(gid, pts, framing, seed, 10))
+    cones = [theory.cone(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL)]
+    verify_poisson_map(theory)
+    theory.poisson_matrix()
+    # a trivial framing makes the framed F1 the twisted F1: two eliminations, not three
+    assert len(eliminated) == len({cone.f1 for cone in cones}) == eliminations
+    assert sorted(eliminated) == sorted({cone.f1: cone.t1_params for cone in cones}.values())
+    for a in cones:
+        for b in cones:
+            assert (a.quotient.kernel is b.quotient.kernel) == (a.f1 == b.f1)
+    # one chart Quotient per (spec, window, chart), besides one quotient per cone
+    charts = {(spec, window, chart) for cone in cones
+              for spec, window in ((cone.f0, cone.window0), (cone.f1, cone.window1))
+              for chart in (0, 1)}
+    assert len(made) == len(charts) + len(cones)
+    assert {key[1:] for key in theory.model._cache if key[0] == "chart"} == charts
+    # a second theory of the same model eliminates and builds nothing more
+    again = DeformationTheory(theory.model)
+    assert [again.dims(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL)] == \
+        [theory.dims(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL)]
+    assert len(eliminated) == eliminations and len(made) == len(charts) + 2 * len(cones)
 
 
 def test_a_flipped_theta_entry_breaks_the_subsheaf_check(monkeypatch):

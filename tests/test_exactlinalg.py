@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from framedhiggs import exactlinalg
-from framedhiggs.exactlinalg import (ONE, Echelon, LinSolver, Quotient, dense, inverse,
-                                     mat_mul, nullspace_sparse, rank, sparse, zeros)
+from framedhiggs.exactlinalg import (ONE, Echelon, LinSolver, Quotient, Staircase, dense,
+                                     inverse, mat_mul, nullspace_sparse, rank, sparse, zeros)
 
 # Inputs below that vanish modulo this prime, or whose kernel entries do not
 # lift from it, show that `nullspace_sparse` and `rank` work over Z, not mod P
@@ -427,6 +427,61 @@ def test_inverse_matches_the_fraction_oracle(matrix):
         return
     got = inverse(a)
     assert got == expected and all(type(x) is F for row in got for x in row)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(rows, ncols, sub weights, probe weights): a matrix of `_matrices`
+    and weight lists on the oracle basis of its kernel, each making a sub
+    vector or a probe."""
+    rows, ncols = draw(_matrices())
+    k = len(nullspace(rows, ncols))
+    weights = st.lists(st.lists(st.one_of(st.just(0), _ENTRY).map(F), min_size=k, max_size=k),
+                       max_size=4)
+    return rows, ncols, draw(weights), draw(weights)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_kernel_cases())
+@example(([[F(1), F(1), F(0), F(2)]], 4, [[F(1), F(0), F(0)]], [[F(0), F(1, 3), F(-2)]]))
+@example(([[F(2), F(4)], [F(1), F(2)]], 2, [], [[F(5, 7)]]))
+def test_the_integer_kernel_is_the_fraction_kernel_and_gives_the_same_quotient(case):
+    rows, ncols, sub_weights, probe_weights = case
+    kernel = Staircase.kernel(rows, ncols)
+    fractions = nullspace_sparse(rows, ncols)
+    oracle = nullspace(rows, ncols)
+    # entry for entry: the Fraction kernel and the rref oracle
+    assert [kernel.vector(j) for j in range(len(kernel))] == fractions
+    assert [dense(kernel.vector(j), ncols) for j in range(len(kernel))] == oracle
+    # integer tails over the least common denominator, read back unchanged
+    assert kernel.den == lcm(*(x.denominator for v in fractions for x in v.values()))
+    again = Staircase.of_vectors(fractions)
+    assert (again.free, again.den, again.tails) == (kernel.free, kernel.den, kernel.tails)
+    assert kernel.scaled == [{c: kernel.den * x for c, x in v.items()} for v in fractions]
+
+    def combine(w):
+        return [sum((x * v[i] for x, v in zip(w, oracle)), F(0)) for i in range(ncols)]
+    sub = [combine(w) for w in sub_weights]
+    probes = [combine(w) for w in probe_weights] + [[F(int(i == j)) for j in range(ncols)]
+                                                    for i in range(ncols)]
+    q_int, q_frac = Quotient(ncols, sub, kernel), Quotient(ncols, sub, fractions)
+    assert (q_int.dim, q_int.rank, q_int.basis) == (q_frac.dim, q_frac.rank, q_frac.basis)
+    for v in probes:
+        assert q_int.coords(v) == q_frac.coords(v)
+        if q_int.coords(v) is None:
+            for q in (q_int, q_frac):
+                with pytest.raises(ValueError, match="does not lie in the span"):
+                    q.project(v)
+        else:
+            assert q_int.project(v) == q_frac.project(v)
+    # a kernel vector scaled off its unit free entry is not in staircase form
+    if fractions:
+        bad = [dict(v) for v in fractions]
+        bad[-1] = {c: 2 * x for c, x in bad[-1].items()}
+        with pytest.raises(ValueError, match="staircase"):
+            Quotient(ncols, [], bad)
+        with pytest.raises(ValueError, match="staircase"):
+            Staircase.of_vectors(bad)
 
 
 @st.composite
