@@ -16,32 +16,32 @@ two-chart Cech presentation; everything is exact rational linear algebra.
 [theta, .] acts on layout coordinates (position-major, fiber-minor) as
 Theta = sum_i S_i ⊗ ad(A_i), with S_i the closed-form scalar layout matrix of
 multiplication by 1/(z - x_i).  The model builds Theta once per window, each
-chart basis (and its `Quotient`) once per (spec, window, chart), and ker d1
-once per (F1 spec, window), so the three cones of a `DeformationTheory`
-share them: with trivial framing the framed F1 is the twisted F1, so d1 is
-eliminated twice, not three times, and two chart bases serve two complexes
-each.  Cochains, Theta images, d0 columns and kernels are sparse layout
-vectors.  Every cache lives on the model, so none outlives it.
+chart basis once per (spec, window, chart), and ker d1 once per (F1 spec,
+window), so the three cones of a `DeformationTheory` share them: with
+trivial framing the framed F1 is the twisted F1, so d1 is eliminated twice,
+not three times, and two chart bases serve two complexes each.  Cochains,
+Theta images, d0 columns and kernels are sparse layout vectors.  Every
+cache lives on the model, so none outlives it.
 
 The cone's linear algebra runs in Python integers over one denominator.
 Theta is built as integer columns over one denominator and applied by integer
-multiply-adds.  Chart bases are staircase (`curve`), so writing a vector in
-them is reading off free columns with an exact integer membership check
-(`Quotient.int_coords`), and their integer form (`Staircase.scaled`) is
-made once.  The d0 columns are integer vectors, each a positive multiple of
-the true column, which changes neither im d0 nor rank d0; the d1 rows are d1
-times one common denominator.  ker d1 is read off the integer echelon form
-of d1 as a `Staircase` (free columns, one denominator, integer tails) and
-passed to `Quotient` as it is, with no Fraction, no modulus and no
-certificate.  h0 = dim ker d0 needs no second elimination: the quotient
-ker d1 / im d0 has checked every d0 column against ker d1, on which
-restriction to the free columns is injective, so rank d0 is the rank of its
-own integer elimination and h0 = #d0 columns - rank.  Each basis class is
-summed over the integer chart bases once (`classes`) and kept as integers
-over one denominator, and the forgetful and anchor columns write those
-integer classes in the twisted quotient (`Quotient.int_coords`, then
-`int_project`); Fractions are made where results leave the cone, one
-division per matrix entry.
+multiply-adds.  Chart bases are staircase (`curve`) and held as a
+`Staircase`, so writing a vector in them is reading off free columns with an
+exact integer membership check (`Staircase.int_coords`), and their integer
+form (`Staircase.scaled`) is made once.  The d0 columns are integer vectors,
+each a positive multiple of the true column, which changes neither im d0 nor
+rank d0; the d1 rows are d1 times one common denominator.  ker d1 is read
+off the integer echelon form of d1 as a `Staircase` (free columns, one
+denominator, integer tails) and passed to `Quotient` as it is, with no
+Fraction, no modulus and no certificate.  h0 = dim ker d0 needs no second
+elimination: the quotient ker d1 / im d0 has checked every d0 column against
+ker d1, on which restriction to the free columns is injective, so rank d0 is
+the rank of its own integer elimination and h0 = #d0 columns - rank.  Each
+basis class is summed over the integer chart bases once (`classes`) and kept
+as integers over one denominator, and the forgetful and anchor columns write
+those integer classes in the twisted quotient (`Staircase.int_coords` on the
+chart parts, then `Quotient.int_project`); Fractions are made where results
+leave the cone, one division per matrix entry.
 
 The cup-product pairing on first hypercohomology contracts the mixed
 components with the invariant form and sums residues over the marked points:
@@ -214,13 +214,13 @@ class FramedHiggsModel:
         return self._cached((spec, window, chart),
                             lambda: sections(self.context, spec, window))
 
-    def chart_quotient(self, spec: SheafSpec, window: Window, chart: int) -> Quotient:
-        """The staircase chart basis of `chart_sections` as a `Quotient` by
-        nothing: its `int_coords` write an integer layout vector in the
-        basis, and its `kernel.scaled` is the basis as integer vectors over
-        `kernel.den`.  Built once per model and (spec, window, chart)."""
-        return self._cached(("chart", spec, window, chart), lambda: Quotient(
-            Layout(self.context, window).dim, [], self.chart_sections(spec, window, chart)))
+    def chart_basis(self, spec: SheafSpec, window: Window, chart: int) -> Staircase:
+        """`chart_sections` as a `Staircase`: its `int_coords` write an
+        integer layout vector in the basis, and `scaled` is the basis as
+        integer vectors over `den`.  Built once per model and (spec, window,
+        chart)."""
+        return self._cached(("chart", spec, window, chart), lambda: Staircase.of_vectors(
+            self.chart_sections(spec, window, chart)))
 
     def d1_kernel(self, spec: SheafSpec, window: Window) -> Staircase:
         """ker d1 of the cone with F1 = spec and c in the layout of `window`,
@@ -234,7 +234,7 @@ class FramedHiggsModel:
         rows over the one denominator of the three blocks; its kernel is read
         off their integer echelon form."""
         bumped = Window(window.pole + 1, window.degree)
-        u0, u1 = (self.chart_quotient(spec, bumped, chart).kernel for chart in (0, 1))
+        u0, u1 = (self.chart_basis(spec, bumped, chart) for chart in (0, 1))
         tden, theta = self.theta_columns(window)
         den = lcm(u0.den, u1.den, tden)
         rows: list[dict[int, int]] = [{} for _ in range(Layout(self.context, bumped).dim)]
@@ -334,8 +334,8 @@ class Hypercohomology:
         self.f1_u0 = model.chart_sections(f1, self.window1, 0)
         self.f1_u1 = model.chart_sections(f1, self.window1, 1)
         # staircase bases (module docstring): a solve reads off free columns
-        self._u0 = model.chart_quotient(f1, self.window1, 0)
-        self._u1 = model.chart_quotient(f1, self.window1, 1)
+        self._u0 = model.chart_basis(f1, self.window1, 0)
+        self._u1 = model.chart_basis(f1, self.window1, 1)
         self.c_layout = Layout(ctx, self.window0)
         self.t2_layout = Layout(ctx, self.window1)
         self._theta_den, self._theta_cols = model.theta_columns(self.window0)
@@ -367,7 +367,7 @@ class Hypercohomology:
         for f0_chart, chart, offset, sign, where in (
                 (0, self._u0, 0, -1, ""),
                 (1, self._u1, self._n_u0, 1, " off the divisor")):
-            for v in self.model.chart_quotient(self.f0, self.window0, f0_chart).kernel.scaled:
+            for v in self.model.chart_basis(self.f0, self.window0, f0_chart).scaled:
                 coords = chart.int_coords(self._theta_int(v))
                 if coords is None:
                     raise AssertionError(f"[theta, .] does not preserve the {self.kind} "
@@ -410,8 +410,7 @@ class Hypercohomology:
         if self._classes is None:
             n_u0, base = self._n_u0, self._base
             kernel = self.quotient.kernel
-            (d0, s0), (d1, s1) = ((chart.kernel.den, chart.kernel.scaled)
-                                  for chart in (self._u0, self._u1))
+            (d0, s0), (d1, s1) = ((chart.den, chart.scaled) for chart in (self._u0, self._u1))
             cocycles = []
             for j in self.quotient.kept:
                 c, u0, u1 = {}, {}, {}

@@ -303,6 +303,12 @@ class Staircase:
                 rest[c] = rest.get(c, 0) - y * t
         return None if any(rest.values()) else x
 
+    def coords(self, v) -> dict[int, Fraction] | None:
+        """`int_coords` of a dense or sparse rational vector v, as Fractions."""
+        d, w = _integer_vector(v)
+        x = self.int_coords(w)
+        return None if x is None else {j: Fraction(y, d) for j, y in x.items()}
+
 
 def _integer_vector(v) -> tuple[int, dict[int, int]]:
     """(d, d v) as a sparse integer vector, for a dense or sparse vector v
@@ -424,9 +430,9 @@ class Quotient:
     taken as it is, or dense or sparse rational vectors, which
     `Staircase.of_vectors` converts and checks once (ValueError unless they
     are in staircase form).  Its length is the number of kernel vectors.
-    Membership and coordinates are the staircase's integer check
-    (`int_coords`, `coords`).  `basis` holds the kept kernel vectors, as
-    given or, for a `Staircase`, as sparse Fraction vectors made when read.
+    Membership and coordinates are the staircase's integer check (`coords`).
+    `basis` holds the kept kernel vectors, as given or, for a `Staircase`,
+    as sparse Fraction vectors made when read.
 
     The `sub_vectors` (which must lie in ker) restricted to the free columns
     are the integer rows of one `_eliminate` on k columns.  Restriction is
@@ -460,11 +466,10 @@ class Quotient:
         # class_den R_f = class_den e_f - sum_q (class_den / P_q[q]) P_q[f] e_q
         # for the kept keys f, largest key first, over the pivot rows P_q
         kept = [f for f in reversed(range(k)) if f not in red]
-        den = self.class_den = lcm(*(row[q] for q, row in red.items()))
-        self._columns: dict[int, list[tuple[int, int]]] = {}   # j -> [(i, class_den R_i[j])]
         position = {f: i for i, f in enumerate(kept)}
-        for f, i in position.items():
-            self._columns[k - 1 - f] = [(i, den)]
+        den = self.class_den = lcm(*(row[q] for q, row in red.items()))
+        # kernel index j -> [(i, class_den R_f at j's key)] for the kept f = kept[i]
+        self._columns = {k - 1 - f: [(i, den)] for f, i in position.items()}
         for q, row in red.items():
             g = den // row[q]
             self._columns[k - 1 - q] = [(position[f], -g * y) for f, y in row.items() if f != q]
@@ -473,17 +478,12 @@ class Quotient:
 
     @cached_property
     def basis(self) -> list:
+        """The kept kernel vectors, in kernel order."""
         return [self.kernel.vector(j) for j in self.kept]
 
-    def int_coords(self, v: dict[int, int]) -> dict[int, int] | None:
-        """`Staircase.int_coords` of the kernel: v's coordinates, or None."""
-        return self.kernel.int_coords(v)
-
     def coords(self, v) -> dict[int, Fraction] | None:
-        """`int_coords` of a dense or sparse rational vector v, as Fractions."""
-        d, w = _integer_vector(v)
-        x = self.kernel.int_coords(w)
-        return None if x is None else {j: Fraction(y, d) for j, y in x.items()}
+        """Coordinates of v in the kernel vectors (`Staircase.coords`), or None."""
+        return self.kernel.coords(v)
 
     def int_project(self, v: dict[int, int]) -> list[int]:
         """Class coordinates of an integer sparse vector v, times `class_den`;
