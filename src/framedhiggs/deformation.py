@@ -79,7 +79,7 @@ from .curve import (Layout, MarkedCurve, SheafSpec, Window, default_window,
                     laurent_row, make_spec, sections_off_divisor,
                     sections_on_affine_chart)
 from .exactlinalg import (Mat, Quotient, Staircase, Vec, ONE, add_scaled, dense, frac,
-                          integer_matrix, integer_solve, integer_vectors, nullspace_sparse,
+                          integer_solve, integer_vectors, nullspace_sparse,
                           over_common_denominator, transpose)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
                      bracket, framing_specs, trace_form)
@@ -604,15 +604,14 @@ def verify_poisson_map(theory: DeformationTheory, corrupt_sign: bool = False) ->
         except ValueError:      # φ is singular
             pass
         else:
-            # (fden F)(yden Y) pden - (pden P) fden yden, over fden yden pden
-            (fden, f), (pden, p) = (integer_matrix(theory.forgetful_matrix()),
-                                    integer_matrix(theory.poisson_matrix()))
-            den = fden * yden
-            num = []
-            for frow, prow in zip(f, p):
-                terms = [(a, row) for a, row in zip(frow, y) if a]
-                num.append([pden * sum(a * row[j] for a, row in terms) - den * x
-                            for j, x in enumerate(prow)])
+            # (fden F)(yden Y) pden - (pden P) fden yden over fden yden pden, in
+            # P's shape; F and P as sparse integer rows
+            anchor = theory.poisson_matrix()
+            (fden, f), (pden, p) = (integer_vectors(theory.forgetful_matrix()),
+                                    integer_vectors(anchor))
+            den, width = fden * yden, len(anchor[0]) if anchor else 0
+            num = [[pden * sum(a * y[k][j] for k, a in frow.items()) - den * prow.get(j, 0)
+                    for j in range(width)] for frow, prow in zip(f, p)]
             den *= pden
             residual = [[Fraction(x, den) for x in row] for row in num]
             return PoissonMapCheck(not any(x for row in num for x in row), residual,

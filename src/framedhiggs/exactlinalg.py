@@ -116,12 +116,6 @@ def over_common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def integer_matrix(a: Mat) -> tuple[int, list[list[int]]]:
-    """(d, d a) with integer entries, d the least common denominator."""
-    den = lcm(*{x.denominator for row in a for x in row})
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in a]
-
-
 def integer_vectors(vectors: Iterable) -> tuple[int, list[dict[int, int]]]:
     """(d, [d v for v in vectors]) for dense or sparse vectors v, as sparse
     integer vectors, with d the least common denominator of all entries."""
