@@ -13,8 +13,8 @@ A sparse vector is a dict {column: value} of the nonzero entries (`sparse`
 and `dense` convert); kernels are sparse.  There is one elimination,
 `_eliminate`: fraction-free Gauss-Jordan in Python integers, with each row's
 content divided out where Bareiss (Math. Comp. 22, 1968) divides by the
-previous pivot.  `Staircase.kernel` (and `nullspace_sparse`, its Fraction
-vectors), `rank`, `Quotient` and `integer_solve` (which `solve` and so
+previous pivot.  `Staircase.kernel` (in integers) and `nullspace_sparse` (in
+Fractions), `rank`, `Quotient` and `integer_solve` (which `solve` and so
 `inverse`, as `solve(a, I)`, call) run it on a matrix, `Echelon` row by
 row, and `LinSolver` solves against its rows.
 Nothing is rounded or taken modulo a prime, so no certificate is needed, and
@@ -198,12 +198,19 @@ class Echelon:
 
 def nullspace_sparse(rows: Iterable, ncols: int) -> list[dict[int, Fraction]]:
     """Staircase basis of the right kernel {v : A v = 0}, as sparse Fraction
-    vectors: the vectors of `Staircase.kernel`, in column order.  Rows are
-    dense sequences or sparse {column: value} dicts, with Fraction or int
-    entries.
+    vectors: one per free column c, e_c - sum_q (R_q[c] / R_q[q]) e_q over
+    the pivot rows R_q of `_eliminate`, in column order; `Staircase.kernel`
+    holds the same vectors in integers.  Rows are dense sequences or sparse
+    {column: value} dicts, with Fraction or int entries.
     """
-    kernel = Staircase.kernel(rows, ncols)
-    return [kernel.vector(j) for j in range(len(kernel))]
+    red = _eliminate(rows)
+    basis = {c: {c: ONE} for c in range(ncols) if c not in red}
+    for q, row in red.items():
+        p = row[q]
+        for c, y in row.items():
+            if c != q:
+                basis[c][q] = Fraction(-y, p)
+    return list(basis.values())
 
 
 class Staircase:
