@@ -18,8 +18,9 @@ Laurent expansion at x_i of each scalar basis function is the closed-form
 row lambda_{i,k} (`laurent_row`); `infinity_row` gives the expansion in
 u = 1/z.  Chart sections are the kernel of the condition rows lambda ⊗ phi,
 for the fiber functionals phi a sheaf imposes, on the candidate coordinates
-the chart allows; each kernel vector is scattered back to layout indices, so
-a chart basis is a list of sparse layout vectors and no section is built.
+the chart allows, eliminated in integers; the kernel's columns are renamed to
+layout indices, so a chart basis is a `Staircase` of sparse layout vectors
+(integer tails over one denominator) and no section is built.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .exactlinalg import (Quotient, Vec, ZERO, ONE, dense, frac, nullspace_sparse,
-                          sparse)
+from .exactlinalg import (Quotient, Staircase, Vec, ZERO, ONE, dense, frac,
+                          nullspace_sparse, sparse)
 from .rationalfn import RatContext, VSection, pairing_residue_at_point
 
 INFINITY = "infinity"
@@ -133,21 +134,50 @@ class Window:
         return Window(self.pole + extra, self.degree + extra)
 
 
-def default_window(specs: Sequence[SheafSpec], margin: int = 2) -> Window:
-    """Laurent window large enough for every H^1 class and its reductions.
+def default_window(specs: Sequence[SheafSpec]) -> Window:
+    """The smallest Laurent window in which the truncated two-chart complex
+    of every sheaf in `specs` has the true H^0 and H^1.
 
-    The polynomial side must reach past the total imposed vanishing (classes
-    of very negative sheaves sit at polynomial levels), the pole side past the
-    deepest allowed pole.  Stability of dimensions under bumping the window is
-    a tested invariant, not an assumption.
+    For one sheaf F with pole bounds k_i, a constraint c_i on the order -k_i
+    coefficient and order e at infinity, let
+
+        N = sum_i max(-k_i, 0) + #{i : c_i is set and k_i <= 0},
+
+    the number of scalar point conditions a polynomial section meets.  The
+    truncated complex F(U0)_W + F(U1)_W -> layout_W is exact for W = (P, D)
+    whenever P >= max_i k_i, P >= -e - 1 and D >= max(e, N - 1, 0):
+
+    * H^0: a global section has poles of order <= k_i and degree <= e, so it
+      lies in the window.
+    * H^1 is injective: if w = s0 + s1 lies in the window, the polynomial
+      part of s0 above D cancels against s1, whose degree is <= e <= D, and
+      the poles of s1 above P against s0, whose poles are <= k_i <= P; so s0
+      and s1 already lie in the window.
+    * H^1 is surjective: a pole term of order J > P vanishes to order
+      J >= -e at infinity, so it lies in F(U1); a monomial z^L with L > D
+      splits as (z^L - q) + q, with q the Hermite interpolant of z^L at the
+      N point conditions, of degree <= N - 1 <= D, and z^L - q in F(U0).
+
+    A window has no negative bound, so both are at least 0.  The bound is
+    tight: on some sheaves one pole or one degree less changes H^1, and
+    tests/test_curve.py checks exactness and tightness on random sheaves.
     """
-    pole = max(max(max(s.pole_orders), 1) for s in specs)
-    deg = 0
+    pole = deg = 0
     for s in specs:
-        vanish = sum(max(-k, 0) for k in s.pole_orders)
-        constrained = sum(1 for c in s.constraints if c is not None)
-        deg = max(deg, max(s.inf_order, 0) + vanish + constrained)
-    return Window(pole + margin, deg + margin)
+        n_conditions = sum(max(-k, 0) + (c is not None and k <= 0)
+                           for k, c in zip(s.pole_orders, s.constraints))
+        pole = max(pole, *s.pole_orders, -s.inf_order - 1)
+        deg = max(deg, s.inf_order, n_conditions - 1)
+    return Window(pole, deg)
+
+
+def check_window(window: Window, bound: Window, what: str) -> Window:
+    """`window`, unless it is below `bound` in its pole or its degree; then
+    ValueError naming the bound, since the truncated cohomology of `what`
+    would be wrong there."""
+    if window.pole < bound.pole or window.degree < bound.degree:
+        raise ValueError(f"{window} is below the exact Laurent window {bound} of {what}")
+    return window
 
 
 class Layout:
@@ -219,11 +249,14 @@ def infinity_row(points: Sequence[Fraction], window: Window, order: int) -> dict
 
 
 def _sections(ctx: RatContext, spec: SheafSpec, poles: Sequence[int], degree: int,
-              window: Window, at_points: bool) -> list[dict[int, Fraction]]:
+              window: Window, at_points: bool) -> Staircase:
     """Basis, in sparse layout coordinates of `window`, of the sections with
     poles[i] poles at x_i and a polynomial tail of degree <= degree, subject
     to the D-point conditions of spec when at_points, and to vanishing to
-    order -degree at infinity when degree < 0."""
+    order -degree at infinity when degree < 0.  The condition rows are
+    eliminated in integers and the kernel is a `Staircase` on the candidate
+    coordinates, whose columns are renamed to layout indices; the renaming
+    keeps their order, so the basis stays in staircase form."""
     if ctx.m != spec.m or ctx.n != spec.n:
         raise ValueError(f"context ({ctx.n} points, fiber {ctx.m}) does not match the "
                          f"sheaf ({spec.n} points, fiber {spec.m})")
@@ -234,31 +267,34 @@ def _sections(ctx: RatContext, spec: SheafSpec, poles: Sequence[int], degree: in
     ks = [i * pole + j - 1 for i, p in enumerate(poles) for j in range(1, p + 1)]
     ks += [ctx.n * pole + l for l in range(degree + 1)]
     pos = {k: c for c, k in enumerate(ks)}
-    units = [{a: ONE} for a in range(m)]
+    units = [{a: 1} for a in range(m)]
     conditions = []          # (lambda row, fiber functionals)
     for i, k in enumerate(spec.pole_orders if at_points else ()):
         conditions += [(laurent_row(ctx.points, window, i, order), units)
                        for order in range(0, -k)]
         if spec.constraints[i] is not None:
+            # the annihilator of the constraint, as integer functionals
             conditions.append((laurent_row(ctx.points, window, i, -k),
-                               nullspace_sparse(spec.constraints[i], ncols=m)))
+                               Staircase.kernel(spec.constraints[i], m).scaled))
     conditions += [(infinity_row(ctx.points, window, order), units)
                    for order in range(1, -degree)]
     rows = [{pos[k] * m + a: lam * y for k, lam in row.items() if k in pos
              for a, y in phi.items()}
             for row, functionals in conditions for phi in functionals]
-    return [{ks[c // m] * m + c % m: x for c, x in v.items()}
-            for v in nullspace_sparse(rows, ncols=len(ks) * m)]
+    kernel = Staircase.kernel(rows, len(ks) * m)
+
+    def layout_index(c: int) -> int:
+        return ks[c // m] * m + c % m
+    return Staircase([layout_index(c) for c in kernel.free], kernel.den,
+                     [{layout_index(c): t for c, t in tail.items()} for tail in kernel.tails])
 
 
-def sections_on_affine_chart(ctx: RatContext, spec: SheafSpec,
-                             window: Window) -> list[dict[int, Fraction]]:
+def sections_on_affine_chart(ctx: RatContext, spec: SheafSpec, window: Window) -> Staircase:
     """Basis of F(U0): regular away from D, window-truncated polynomial tail."""
     return _sections(ctx, spec, spec.pole_orders, window.degree, window, True)
 
 
-def sections_off_divisor(ctx: RatContext, spec: SheafSpec,
-                         window: Window) -> list[dict[int, Fraction]]:
+def sections_off_divisor(ctx: RatContext, spec: SheafSpec, window: Window) -> Staircase:
     """Basis of F(U1): arbitrary window poles along D, twist condition at infinity."""
     return _sections(ctx, spec, [window.pole] * spec.n, spec.inf_order, window, False)
 
@@ -271,15 +307,18 @@ def global_sections(ctx: RatContext, spec: SheafSpec) -> list[VSection]:
 
 
 class H1Presentation:
-    """H^1 as window Laurent data modulo chart-section tails."""
+    """H^1 as window Laurent data modulo chart-section tails, in a window at
+    least `default_window([spec])` (ValueError below it)."""
 
     def __init__(self, ctx: RatContext, spec: SheafSpec, window: Window | None = None):
         self.ctx = ctx
         self.spec = spec
-        self.window = window or default_window([spec])
+        bound = default_window([spec])
+        self.window = check_window(window or bound, bound, "the sheaf")
         self.layout = Layout(ctx, self.window)
-        reducers = (sections_on_affine_chart(ctx, spec, self.window)
-                    + sections_off_divisor(ctx, spec, self.window))
+        # the chart bases as integer vectors: only their span counts
+        reducers = [v for chart in (sections_on_affine_chart, sections_off_divisor)
+                    for v in chart(ctx, spec, self.window).scaled]
         self.quotient = Quotient(self.layout.dim, reducers,
                                  [{idx: ONE} for idx in range(self.layout.dim)])
 

@@ -13,6 +13,16 @@ marked point and ad_fr^perp of one-forms with residues in the annihilator
 h_x^perp.  Hypercohomology is the cohomology of the mapping cone over the
 two-chart Cech presentation; everything is exact rational linear algebra.
 
+The cone is truncated to a Laurent window W: the 0-cochains and c live in
+the layout of W, and the F1 cochains u0 and u1 in that of W with one more
+pole, so F1's pole bound is shifted down by one (`cone_window`).  W is the
+smallest window in which the truncated Cech complexes of F0 and F1 have
+their true H^0 and H^1 (`curve.default_window` states the bound and proves
+it), and then the cone has its true h0, h1 and h2 by the five lemma.  A
+cone refuses a window below its own bound.  The three complexes of a model
+share one window, the largest of their bounds (`FramedHiggsModel.window`),
+so that their classes pair and include in one layout.
+
 [theta, .] acts on layout coordinates (position-major, fiber-minor) as
 Theta = sum_i S_i ⊗ ad(A_i), with S_i the closed-form scalar layout matrix of
 multiplication by 1/(z - x_i).  The model builds Theta once per window, each
@@ -73,10 +83,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .curve import (Layout, MarkedCurve, SheafSpec, Window, default_window,
-                    laurent_row, make_spec, sections_off_divisor,
+from .curve import (Layout, MarkedCurve, SheafSpec, Window, check_window,
+                    default_window, laurent_row, make_spec, sections_off_divisor,
                     sections_on_affine_chart)
 from .exactlinalg import (Mat, Quotient, Staircase, Vec, ONE, add_scaled, dense, frac,
                           integer_solve, integer_vectors, nullspace_sparse,
@@ -206,21 +216,15 @@ class FramedHiggsModel:
                 cols.append({r: x for r, x in col.items() if x})
         return den, cols
 
-    def chart_sections(self, spec: SheafSpec, window: Window,
-                       chart: int) -> list[dict[int, Fraction]]:
-        """Basis of F(U0) (chart 0) or F(U1) (chart 1) for F = spec, in the
-        layout of `window`; computed once per model and shared by the cones."""
-        sections = sections_on_affine_chart if chart == 0 else sections_off_divisor
-        return self._cached((spec, window, chart),
-                            lambda: sections(self.context, spec, window))
-
     def chart_basis(self, spec: SheafSpec, window: Window, chart: int) -> Staircase:
-        """`chart_sections` as a `Staircase`: its `int_coords` write an
-        integer layout vector in the basis, and `scaled` is the basis as
-        integer vectors over `den`.  Built once per model and (spec, window,
-        chart)."""
-        return self._cached(("chart", spec, window, chart), lambda: Staircase.of_vectors(
-            self.chart_sections(spec, window, chart)))
+        """Basis of F(U0) (chart 0) or F(U1) (chart 1) for F = spec, in the
+        layout of `window`, as the `Staircase` that `curve` eliminates: its
+        `int_coords` write an integer layout vector in the basis, and `scaled`
+        is the basis as integer vectors over `den`.  Built once per model and
+        (spec, window, chart), and shared by the cones."""
+        sections = sections_on_affine_chart if chart == 0 else sections_off_divisor
+        return self._cached(("chart", spec, window, chart),
+                            lambda: sections(self.context, spec, window))
 
     def d1_kernel(self, spec: SheafSpec, window: Window) -> Staircase:
         """ker d1 of the cone with F1 = spec and c in the layout of `window`,
@@ -297,8 +301,25 @@ class FramedHiggsModel:
                     make_spec(m, [0] * n, None, -2, is_form=True))
         raise ValueError(f"unknown complex kind {kind!r}")
 
-    def all_specs(self) -> list[SheafSpec]:
-        return [s for kind in (TWISTED, FRAMED, TWISTED_DUAL) for s in self.complex_specs(kind)]
+    @cached_property
+    def window(self) -> Window:
+        """The cone window of the model's three complexes, which share it, so
+        that their classes pair and include in one layout."""
+        return cone_window(self.complex_specs(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL))
+
+
+def cone_window(pairs: Iterable[tuple[SheafSpec, SheafSpec]]) -> Window:
+    """The smallest window W in which each cone F0 --[theta, .]--> F1 of
+    `pairs` has its true h0, h1 and h2.  F0 lives in W and F1 in W with one
+    more pole, so F1's pole need (`curve.default_window`) is shifted down by
+    one.  In W, the truncated F0 and F1 Cech complexes are exact, and the
+    sequence 0 -> F1-Cech[-1] -> cone -> F0-Cech -> 0 is exact for the
+    truncated complexes as for the whole ones, so by the five lemma the cone
+    is exact too."""
+    pairs = list(pairs)
+    w0 = default_window([f0 for f0, _ in pairs])
+    w1 = default_window([f1 for _, f1 in pairs])
+    return Window(max(w0.pole, w1.pole - 1), max(w0.degree, w1.degree))
 
 
 def framed_higgs_model(group: str | AlgebraModel, points: Sequence, residues: Sequence,
@@ -320,22 +341,24 @@ def framed_higgs_model(group: str | AlgebraModel, points: Sequence, residues: Se
 
 
 class Hypercohomology:
-    """Mapping-cone computation shared by the complexes of one model."""
+    """Mapping-cone computation shared by the complexes of one model, in the
+    model's window or a given one at least the cone window of this complex
+    (`cone_window`; ValueError below it)."""
 
     def __init__(self, model: FramedHiggsModel, kind: str,
                  window: Window | None = None):
         self.model = model
         self.kind = kind
         self.f0, self.f1 = f0, f1 = model.complex_specs(kind)
-        self.window0 = base = window or default_window(model.all_specs())
+        self.window0 = base = check_window(window or model.window, cone_window([(f0, f1)]),
+                                           f"the {kind} complex")
         self.window1 = Window(base.pole + 1, base.degree)
         self.ctx = ctx = model.context
 
-        self.f1_u0 = model.chart_sections(f1, self.window1, 0)
-        self.f1_u1 = model.chart_sections(f1, self.window1, 1)
-        # staircase bases (module docstring): a solve reads off free columns
-        self._u0 = model.chart_basis(f1, self.window1, 0)
-        self._u1 = model.chart_basis(f1, self.window1, 1)
+        # the F1 chart bases, staircase (module docstring): a solve reads off
+        # free columns
+        self.f1_u0 = model.chart_basis(f1, self.window1, 0)
+        self.f1_u1 = model.chart_basis(f1, self.window1, 1)
         self.c_layout = Layout(ctx, self.window0)
         self.t2_layout = Layout(ctx, self.window1)
         self._theta_den, self._theta_cols = model.theta_columns(self.window0)
@@ -365,8 +388,8 @@ class Hypercohomology:
         base, den = self._base, self._theta_den
         d0_cols = []
         for f0_chart, chart, offset, sign, where in (
-                (0, self._u0, 0, -1, ""),
-                (1, self._u1, self._n_u0, 1, " off the divisor")):
+                (0, self.f1_u0, 0, -1, ""),
+                (1, self.f1_u1, self._n_u0, 1, " off the divisor")):
             for v in self.model.chart_basis(self.f0, self.window0, f0_chart).scaled:
                 coords = chart.int_coords(self._theta_int(v))
                 if coords is None:
@@ -410,7 +433,7 @@ class Hypercohomology:
         if self._classes is None:
             n_u0, base = self._n_u0, self._base
             kernel = self.quotient.kernel
-            (d0, s0), (d1, s1) = ((chart.den, chart.scaled) for chart in (self._u0, self._u1))
+            (d0, s0), (d1, s1) = ((chart.den, chart.scaled) for chart in (self.f1_u0, self.f1_u1))
             cocycles = []
             for j in self.quotient.kept:
                 c, u0, u1 = {}, {}, {}
@@ -432,7 +455,7 @@ class Hypercohomology:
     def class_of(self, c: dict, u0: dict, u1: dict) -> list[int]:
         """Class coordinates, times `quotient.class_den`, of a cocycle given as
         sparse integer layout vectors."""
-        x0, x1 = self._u0.int_coords(u0), self._u1.int_coords(u1)
+        x0, x1 = self.f1_u0.int_coords(u0), self.f1_u1.int_coords(u1)
         if x0 is None or x1 is None:
             raise ValueError("cochain components do not satisfy the sheaf conditions")
         return self.quotient.int_project({**x0, **{self._n_u0 + j: x for j, x in x1.items()},
@@ -512,7 +535,7 @@ class DeformationTheory:
 
     def __init__(self, model: FramedHiggsModel):
         self.model = model
-        self.window = default_window(model.all_specs())
+        self.window = model.window
         self._cones: dict[str, Hypercohomology] = {}
         self._phi: Mat | None = None
         self._anchor: Mat | None = None

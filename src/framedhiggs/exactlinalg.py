@@ -281,6 +281,10 @@ class Staircase:
         den = self.den
         return {self.free[j]: ONE, **{c: Fraction(t, den) for c, t in self.tails[j].items()}}
 
+    def __iter__(self):
+        """The vectors K_j in order, each made by `vector` when read."""
+        return map(self.vector, range(len(self)))
+
     @cached_property
     def scaled(self) -> list[dict[int, int]]:
         """The integer vectors den K_j."""

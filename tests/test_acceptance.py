@@ -4,10 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  All checks are exact except the flow-conservation bound.
 """
 
+import json
 import random
 import time
 from fractions import Fraction as F
 
+from framedhiggs.cli import main
 from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL,
                                      DeformationTheory, hyper_pair,
                                      verify_poisson_map)
@@ -206,3 +208,19 @@ def test_criterion_8_flow_conservation():
            worst < 1e-8 and elapsed < 60,
            f"4 seeded trajectories, worst relative drift {worst:.2e} "
            f"(< 1e-8) in {elapsed:.1f}s (< 1 min)")
+
+
+def test_criterion_9_large_model_deformation_job(tmp_path, capsys):
+    config = tmp_path / "sl5.json"
+    config.write_text(json.dumps({
+        "group": "sl(5)", "points": ["1", "2", "3", "4"], "framing": "trivial",
+        "residues": {"type": "random", "seed": 7, "height": 10}}))
+    t0 = time.time()
+    code = main(["defo", "--config", str(config)])
+    elapsed = time.time() - t0
+    result = json.loads(capsys.readouterr().out)
+    with capsys.disabled():
+        report("criterion 9 (large-model deformation job)",
+               code == 0 and result["all_passed"] and elapsed < 3.5,
+               f"hfb defo on sl(5) at 4 points (seed 7) exits {code}, framed h1 = "
+               f"{result['results']['dims']['framed']['h1']}, in {elapsed:.2f}s (< 3.5s)")

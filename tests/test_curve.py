@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from framedhiggs import curve
-from framedhiggs.curve import (H1Presentation, INFINITY, Layout, MarkedCurve,
+from framedhiggs.curve import (H1Presentation, INFINITY, Layout, MarkedCurve, Window,
                                dot_gram, global_sections,
                                h1_presentation, make_spec, residue,
                                sections_off_divisor, sections_on_affine_chart,
@@ -130,7 +130,7 @@ def test_layout_chart_sections_equal_the_vsection_oracle():
                 (sections_off_divisor, [window.pole] * spec.n, spec.inf_order, False)):
             expected = [layout.to_coords(s)
                         for s in vsection_sections(ctx, spec, poles, degree, at_points)]
-            assert chart(ctx, spec, window) == expected
+            assert list(chart(ctx, spec, window)) == expected
         glob = global_sections(ctx, spec)
         expected = vsection_sections(ctx, spec, spec.pole_orders, spec.inf_order, True)
         assert [layout.to_coords(s) for s in glob] == [layout.to_coords(s) for s in expected]
@@ -158,7 +158,75 @@ def test_a_perturbed_laurent_row_breaks_the_chart_sections(monkeypatch):
     layout = Layout(ctx, window)
     expected = [layout.to_coords(s)
                 for s in vsection_sections(ctx, spec, spec.pole_orders, window.degree, True)]
-    assert sections_on_affine_chart(ctx, spec, window) != expected
+    assert list(sections_on_affine_chart(ctx, spec, window)) != expected
+
+
+# ---------------------------------------------------------------------------
+# the exact window bound
+# ---------------------------------------------------------------------------
+
+def truncated_h0_h1(ctx, spec, window):
+    """(h0, h1) of the truncated complex F(U0)_W + F(U1)_W -> layout_W, with
+    no check of the window against the bound; ValueError if the window cannot
+    hold the chart sections."""
+    u0, u1 = (chart(ctx, spec, window) for chart in (sections_on_affine_chart,
+                                                     sections_off_divisor))
+    span = rank([*u0.scaled, *u1.scaled])
+    return len(u0) + len(u1) - span, Layout(ctx, window).dim - span
+
+
+def _independent_spec(rng):
+    """A `_random_spec` whose constraint bases are linearly independent."""
+    while True:
+        ctx, spec = _random_spec(rng)
+        if all(c is None or rank(c) == len(c) for c in spec.constraints):
+            return ctx, spec
+
+
+def test_the_default_window_is_exact_and_tight_on_random_sheaves():
+    rng = random.Random(2020)
+    tight = {"pole": 0, "degree": 0}
+    for _ in range(200):
+        ctx, spec = _independent_spec(rng)
+        window = curve.default_window([spec])
+        h0, h1 = truncated_h0_h1(ctx, spec, window)
+        assert (h0, h1) == truncated_h0_h1(ctx, spec, window.bumped(2))
+        assert h0 == len(global_sections(ctx, spec))
+        assert h1 == H1Presentation(ctx, spec).dim
+        assert h0 - h1 == spec.euler_char()
+        for side, smaller in (("pole", Window(window.pole - 1, window.degree)),
+                              ("degree", Window(window.pole, window.degree - 1))):
+            if min(smaller.pole, smaller.degree) >= 0:
+                try:
+                    tight[side] += truncated_h0_h1(ctx, spec, smaller)[1] != h1
+                except ValueError:      # the window cannot hold the chart sections
+                    tight[side] += 1
+    assert min(tight.values()) > 0, tight
+
+
+@pytest.mark.parametrize("points, orders, inf_order, bound, smaller", [
+    # O(-3) by its twist at infinity: the pole side
+    ((F(1),), [0], -3, Window(2, 0), Window(1, 0)),
+    # O(-3) by vanishing at three points: the degree side
+    (PTS3, [-1, -1, -1], 0, Window(0, 2), Window(0, 1)),
+])
+def test_one_pole_or_one_degree_below_the_bound_changes_h1(points, orders, inf_order,
+                                                            bound, smaller):
+    ctx, spec = RatContext(points, 1), make_spec(1, orders, None, inf_order)
+    assert curve.default_window([spec]) == bound
+    assert truncated_h0_h1(ctx, spec, bound) == truncated_h0_h1(ctx, spec, bound.bumped(2)) \
+        == (0, 2)
+    assert truncated_h0_h1(ctx, spec, smaller) == (0, 1)
+
+
+def test_h1_presentation_refuses_a_window_below_the_bound():
+    ctx = RatContext(PTS3, 1)
+    spec = make_spec(1, [-1, -1, -1], None, 0)  # O(-3): h1 = 2
+    with pytest.raises(ValueError, match=r"below the exact Laurent window "
+                                         r"Window\(pole=0, degree=2\)"):
+        H1Presentation(ctx, spec, Window(0, 1))
+    for window in (None, Window(0, 2), Window(1, 2), Window(0, 4), Window(3, 3)):
+        assert H1Presentation(ctx, spec, window).dim == 2
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +341,8 @@ def test_serre_pairing_full_rank_and_coboundary():
     assert len(dual_secs) == pres.dim == 2
     mat = [[serre_pairing(r, d) for d in dual_secs] for r in pres.representatives()]
     assert rank(mat) == 2
-    for cob in (sections_on_affine_chart(ctx, spec, pres.window)
-                + sections_off_divisor(ctx, spec, pres.window)):
+    for cob in (list(sections_on_affine_chart(ctx, spec, pres.window))
+                + list(sections_off_divisor(ctx, spec, pres.window))):
         cob = pres.layout.from_coords(cob)
         for d in dual_secs:
             assert serre_pairing(cob, d) == 0

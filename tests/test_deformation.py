@@ -51,8 +51,8 @@ def basis_reps(cone):
 
 def project_cocycle(cone, c, u0, u1):
     """Class coordinates of a VSection cocycle, through the chart coordinates."""
-    x0 = cone._u0.coords(cone.t2_layout.to_coords(u0))
-    x1 = cone._u1.coords(cone.t2_layout.to_coords(u1))
+    x0 = cone.f1_u0.coords(cone.t2_layout.to_coords(u0))
+    x1 = cone.f1_u1.coords(cone.t2_layout.to_coords(u1))
     if x0 is None or x1 is None:
         raise ValueError("cochain components do not satisfy the sheaf conditions")
     params = (dense(x0, len(cone.f1_u0)) + dense(x1, len(cone.f1_u1))
@@ -153,9 +153,12 @@ def test_zero_higgs_field_splits():
     m = AlgebraModel("sl(2)")
     z = m.zero()
     model = framed_higgs_model("sl(2)", [1, 2], [z, z], "trivial")
-    # [theta, theta] = 0, on the zero model and on a nonzero one
+    # [theta, theta] = 0, on the zero model and on a nonzero one; theta has
+    # simple poles, so its c_layout needs a window with a pole
+    from framedhiggs.curve import Window
+    from framedhiggs.deformation import Hypercohomology
     for mdl in (model, seeded_model("sl(2)", [1, 2, 3], "trivial", 11, 4)):
-        cone = DeformationTheory(mdl).cone(TWISTED)
+        cone = Hypercohomology(mdl, TWISTED, Window(1, mdl.window.degree))
         theta = higgs_field_coords(cone)
         assert (not theta) == (mdl is model)
         assert not cone.theta(theta)
@@ -411,14 +414,77 @@ def test_poisson_map_identity_torus_framing():
 
 
 def test_cone_dimensions_stable_under_window_bump():
-    from framedhiggs.curve import default_window
     from framedhiggs.deformation import Hypercohomology
     model = seeded_model("sl(2)", [1, 2], "torus", 62, 3)
-    base = default_window(model.all_specs())
+    base = model.window
     for kind in (TWISTED, FRAMED, TWISTED_DUAL):
         a = Hypercohomology(model, kind, base)
         b = Hypercohomology(model, kind, base.bumped(1))
         assert (a.h0, a.h1, a.h2) == (b.h0, b.h1, b.h2)
+
+
+def test_a_cone_refuses_a_window_below_its_own_bound():
+    import re
+    from framedhiggs.curve import Window
+    from framedhiggs.deformation import Hypercohomology, cone_window
+    model = seeded_model("sl(2)", [1, 2, 3], "trivial", 3)
+    theory = DeformationTheory(model)
+    assert model.window == Window(0, 2)
+    assert (theory.dims(FRAMED).h1, theory.dims(TWISTED_DUAL).h1,
+            theory.dims(TWISTED_DUAL).h2) == (12, 3, 0)
+    # (0, 1) reads framed h1 = 9 and twisted_dual (h1, h2) = (1, 1) if let through
+    small = Window(0, 1)
+    for kind in (FRAMED, TWISTED_DUAL):
+        bound = cone_window([model.complex_specs(kind)])
+        assert bound == Window(0, 2)
+        with pytest.raises(ValueError, match=re.escape(f"exact Laurent window {bound} of "
+                                                       f"the {kind} complex")):
+            Hypercohomology(model, kind, small)
+    # the twisted complex's own bound is (0, 0): it takes the small window,
+    # and any larger one
+    assert cone_window([model.complex_specs(TWISTED)]) == Window(0, 0)
+    for window in (small, Window(0, 0), Window(2, 0), model.window.bumped(1)):
+        assert Hypercohomology(model, TWISTED, window).result() == theory.dims(TWISTED)
+
+
+def _borel_and_torus(gid):
+    """Bases of the upper-triangular Borel and the diagonal torus of gl(r) or sl(r)."""
+    r = int(gid[3])
+
+    def unit(i, j):
+        return [[int((a, b) == (i, j)) for b in range(r)] for a in range(r)]
+    if gid.startswith("gl"):
+        torus = [unit(i, i) for i in range(r)]
+    else:
+        torus = [[[int(a == b == i) - int(a == b == i + 1) for b in range(r)] for a in range(r)]
+                 for i in range(r - 1)]
+    return torus + [unit(i, j) for i in range(r) for j in range(i + 1, r)], torus
+
+
+WINDOW_MODELS = [(gid, pts, framing, seed)
+                 for gid, pts, seed in (("sl(2)", [1, 2, 3, 4], 71), ("gl(2)", [1, 2, 3], 72),
+                                        ("sl(3)", [1, 2, 3], 73))
+                 for framing in ("trivial", "torus", "mixed")]
+
+
+@pytest.mark.parametrize("gid, pts, framing, seed", WINDOW_MODELS)
+def test_cone_read_offs_are_the_same_in_a_larger_window(gid, pts, framing, seed):
+    # a mixed framing is the Borel at the first point and the torus at the
+    # others, so the balancing residue is off-diagonal, in the torus h^perp
+    if framing == "mixed":
+        borel, torus = _borel_and_torus(gid)
+        framing = [borel] + [torus] * (len(pts) - 1)
+
+    def read_offs(model):
+        theory = DeformationTheory(model)
+        check = verify_poisson_map(theory)
+        return ([theory.dims(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL)],
+                rank(theory.symplectic_matrix()), rank(theory.poisson_matrix()), check.ok)
+
+    model, larger = (seeded_model(gid, pts, framing, seed, 4) for _ in range(2))
+    larger.window = model.window.bumped(2)
+    assert DeformationTheory(larger).cone(FRAMED).window0 == larger.window
+    assert read_offs(model) == read_offs(larger)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +789,7 @@ def test_d1_is_eliminated_once_per_f1_sheaf_and_each_chart_basis_built_once(
     from framedhiggs import deformation
     from framedhiggs.exactlinalg import Staircase
     made = _recording_quotients(monkeypatch)
-    eliminated, charts_built = [], []
+    eliminated, charts_built, round_trips = [], [], []
 
     class Counted(Staircase):
         @classmethod
@@ -733,9 +799,15 @@ def test_d1_is_eliminated_once_per_f1_sheaf_and_each_chart_basis_built_once(
 
         @classmethod
         def of_vectors(cls, vectors):
-            charts_built.append(vectors)
+            round_trips.append(vectors)
             return super().of_vectors(vectors)
     monkeypatch.setattr(deformation, "Staircase", Counted)
+    # a chart basis is the staircase `curve` eliminates, used as it is
+    for name in ("sections_on_affine_chart", "sections_off_divisor"):
+        def counted(ctx, spec, window, _original=getattr(deformation, name)):
+            charts_built.append((spec, window))
+            return _original(ctx, spec, window)
+        monkeypatch.setattr(deformation, name, counted)
     theory = DeformationTheory(seeded_model(gid, pts, framing, seed, 10))
     cones = [theory.cone(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL)]
     verify_poisson_map(theory)
@@ -751,6 +823,7 @@ def test_d1_is_eliminated_once_per_f1_sheaf_and_each_chart_basis_built_once(
               for spec, window in ((cone.f0, cone.window0), (cone.f1, cone.window1))
               for chart in (0, 1)}
     assert len(charts_built) == len(charts) and len(made) == len(cones)
+    assert round_trips == []
     assert {key[1:] for key in theory.model._cache if key[0] == "chart"} == charts
     # a second theory of the same model eliminates and builds no chart basis
     again = DeformationTheory(theory.model)
