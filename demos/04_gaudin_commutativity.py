@@ -52,5 +52,6 @@ ham = system.coefficient_functions()[0][(0, 1)]
 traj, drift = system.integrate_flow(model.residues, ham, 1.0, 10 ** 4)
 worst_drift = max(r["relative_drift"] for r in drift)
 print(f"  worst relative drift of any conserved coefficient: {worst_drift:.3e}")
-moved = abs(traj[0] - traj[-1]).max()
+start, end = ([x for site in sites for row in site for x in row] for sites in traj)
+moved = max(abs(a - b) for a, b in zip(start, end))
 print(f"  largest residue-entry displacement along the flow: {moved:.3f}")

@@ -123,74 +123,87 @@ class PolyObservable:
         return acc
 
 
-def _term_table(members: Sequence[Sequence[PolyObservable]], nvars: int):
-    """Float evaluation of a batch of polynomial lists, from one term table.
+# Terms per statement of a generated sum: CPython's compiler recurses once per
+# chained +, and raises RecursionError at about 3,000 of them.
+_TERMS_PER_LINE = 256
 
-    Member b of the batch evaluates its polynomials at its own point of
-    R^nvars.  The points sit one after the other in a flat buffer `ext`,
-    followed by 1.0 and by the powers x ** e, e > 1, that the terms use:
-    ext = [points | 1.0 | powers], of length `width`.  Term t of polynomial
-    p (member-major over the batch) sits in row t + 1 of a numpy table: its
-    coefficient, and per factor the slot in ext of the value it multiplies.
-    Short terms are padded with the slot of 1.0, short polynomials with
-    coefficient 0, and row 0 is the 0.0 the sum starts from.  A padded
-    factor multiplies by 1.0, which changes no float, and a padded term adds
-    0.0 to a sum that started from +0.0 and so is never -0.0, which changes
-    no float either; so one member's padding leaves every bit of its values
-    as in a table of its own.  Factors are multiplied and terms added in the
-    order of the terms dict, so each value is the same float as the loop
-    sum(c * x_v1 ** e1 * ...) from 0.0.  The powers are numpy scalar
-    powers: the array power may round differently.
 
-    Returns (evaluate, shape, width).  evaluate(ext, out) reads the points
-    from ext[:len(members) * nvars], writes the powers into ext and the
-    running sums of the terms into out, an array of the given shape (term
-    rows, polynomials): out[-1] holds the values.
+def _pow(x: float, e: int) -> float:
+    """x ** e, with an overflow as the signed infinity it rounds to."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.copysign(math.inf, x) if e % 2 else math.inf
+
+
+def _poly_lines(polys: Sequence[PolyObservable], name: str) -> list[str]:
+    """Statements that set the locals name0, name1, ... to the float values of
+    polys at the locals x0, x1, ...
+
+    Each value is its terms summed from 0.0 in the order of the terms dict,
+    each term c * x_v1 ** e1 * ... taken left to right with c the float of
+    the coefficient.  The powers x ** e, e > 1, are computed once, first.  A
+    long sum is continued in further statements name = name + ..., which
+    adds in the same order.
     """
-    import numpy as np
-    size = len(members) * nvars
-    powers: dict[tuple[int, int], int] = {}
-    rows = [[(float(c), [b * nvars + v if e == 1
-                         else size + 1 + powers.setdefault((b * nvars + v, e), len(powers))
-                         for v, e in m])
-             for m, c in p.terms.items()] for b, polys in enumerate(members) for p in polys]
-    nterms = 1 + max(map(len, rows), default=0)
-    nfactors = max((len(f) for terms in rows for _, f in terms), default=0)
-    coef = np.zeros((nterms, len(rows)))
-    slots = np.full((max(nfactors, 1), nterms, len(rows)), size)
-    for p, terms in enumerate(rows):
-        for t, (c, factors) in enumerate(terms, start=1):
-            coef[t, p] = c
-            slots[:len(factors), t, p] = factors
-    power_slots = np.array([v for v, _ in powers], dtype=np.intp)
-    power_exps = [e for _, e in powers]
-    first, *more = slots
-    gathered = np.empty_like(coef)
-
-    # The output buffers are passed by position, which numpy parses faster
-    # than the out= keyword.
-    def evaluate(ext: np.ndarray, out: np.ndarray) -> None:
-        if power_exps:
-            ext[size + 1:] = [x ** e for x, e in zip(ext[power_slots], power_exps)]
-        ext.take(first, None, gathered, "clip")
-        np.multiply(coef, gathered, out)
-        for factor in more:
-            ext.take(factor, None, gathered, "clip")
-            np.multiply(out, gathered, out)
-        np.add.accumulate(out, 0, None, out)
-    return evaluate, coef.shape, size + 1 + len(powers)
+    powers: dict[tuple[int, int], str] = {}
+    sums = []
+    for q, p in enumerate(polys):
+        terms = [" * ".join([repr(float(c))] + [
+                     f"x{v}" if e == 1 else powers.setdefault((v, e), f"p{len(powers)}")
+                     for v, e in m])
+                 for m, c in p.terms.items()]
+        head = "0.0"
+        for i in range(0, max(len(terms), 1), _TERMS_PER_LINE):
+            sums.append(f"{name}{q} = " + " + ".join([head] + terms[i:i + _TERMS_PER_LINE]))
+            head = f"{name}{q}"
+    return [f"{p} = _pow(x{v}, {e})" for (v, e), p in powers.items()] + sums
 
 
-def _term_values(table, points):
-    """The values of a term table's polynomials at its members' points
-    (an array of one point per member), one row per member."""
-    import numpy as np
-    evaluate, shape, width = table
-    ext = np.ones(width)
-    ext[:points.size] = points.reshape(-1)
-    out = np.empty(shape)
-    evaluate(ext, out)
-    return out[-1].reshape(len(points), -1)
+def _flow_program(s: int, gradient: Sequence[PolyObservable],
+                  coefficients: Sequence[PolyObservable]) -> dict:
+    """The RK4 flow of `GaudinSystem.integrate_flow`, compiled from generated
+    Python source.
+
+    The state is one float per entry of the site matrices, row-major site
+    after site, and gradient lists the gradient's entries in the same
+    layout.  Returns a namespace with the functions
+    - rhs(x0, x1, ...): the entries of [A_i, G_i] = A_i G_i - G_i A_i, each
+      product entry summed from 0.0 over the inner index;
+    - values(x0, x1, ...): the values of the coefficient polynomials;
+    - run(steps, h, x0, x1, ...): the state after `steps` RK4 steps of h.
+    """
+    nvars, block = len(gradient), s * s
+    xs = "".join(f"x{v}, " for v in range(nvars))
+
+    def entry(v: int) -> str:
+        site, a, b = v - v % block, v % block // s, v % s
+        xg = " + ".join(["0.0"] + [f"x{site + a * s + c} * g{site + c * s + b}"
+                                   for c in range(s)])
+        gx = " + ".join(["0.0"] + [f"g{site + a * s + c} * x{site + c * s + b}"
+                                   for c in range(s)])
+        return f"({xg}) - ({gx})"
+
+    def stage(out: str, step: str, k: str) -> str:
+        return ("".join(f"{out}{v}, " for v in range(nvars)) + "= rhs("
+                + "".join(f"x{v} + {step} * {k}{v}, " for v in range(nvars)) + ")")
+
+    lines = [f"def rhs({xs}):", *_poly_lines(gradient, "g"),
+             "return (" + "".join(f"{entry(v)}, " for v in range(nvars)) + ")",
+             f"def values({xs}):", *_poly_lines(coefficients, "v"),
+             "return (" + "".join(f"v{q}, " for q in range(len(coefficients))) + ")",
+             f"def run(steps, h, {xs}):",
+             "half = 0.5 * h", "sixth = h / 6.0", "for _ in range(steps):",
+             " " + "".join(f"a{v}, " for v in range(nvars)) + f"= rhs({xs})",
+             " " + stage("b", "half", "a"), " " + stage("c", "half", "b"),
+             " " + stage("d", "h", "c"),
+             *(f" x{v} = x{v} + sixth * (((a{v} + 2.0 * b{v}) + 2.0 * c{v}) + d{v})"
+               for v in range(nvars)),
+             f"return ({xs})"]
+    source = "\n".join(line if line.startswith("def ") else " " + line for line in lines)
+    program: dict = {"_pow": _pow}
+    exec(compile(source, "<gaudin flow>", "exec"), program)
+    return program
 
 
 def _common_scale(blocks: Sequence[tuple[int, list[int]]]) -> tuple[int, list[list[int]]]:
@@ -512,100 +525,36 @@ class GaudinSystem:
                        t_end: float, steps: int):
         """Fixed-step RK4 integration of dA_i/dt = [A_i, nabla_i H].
 
-        Returns (trajectory endpoints, drift report).  The drift report lists
-        the relative drift of every Hitchin coefficient along the trajectory.
-        This is `integrate_flows` on a batch of one.
-        """
-        return self.integrate_flows([(residues, hamiltonian)], t_end, steps)[0]
-
-    def integrate_flows(self, flows: Sequence[tuple[Sequence[AlgebraElement], PolyObservable]],
-                        t_end: float, steps: int):
-        """`integrate_flow` for a batch of (residues, hamiltonian) pairs at once.
-
-        Returns one (trajectory endpoints, drift report) per pair; each is
-        bit for bit the one the pair gets on its own, and the same floats as
-        the term-by-term RK4 loop
+        Returns ((start, end), drift report): the site matrices A_i at 0 and
+        at t_end as nested float lists, and the relative drift of every
+        Hitchin coefficient along the trajectory.  The floats are those of
+        the plain loop
 
             k1 = rhs(A), k2 = rhs(A + 0.5 * h * k1), k3 = rhs(A + 0.5 * h * k2),
             k4 = rhs(A + h * k3), A += (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4),
             rhs(X) = X @ G(X) - G(X) @ X with G the gradient of H,
 
-        in which every product and sum is taken left to right.  Every float
-        operation below is that loop's operation, in its order, on a leading
-        batch axis, over buffers allocated once:
-
-        - One buffer holds the gradient's running term sums and, after them,
-          [x | 1.0 | powers], the flat `_term_table` input with the stage
-          state x.  Its last two slots are G and x, so the stack [x, G] (a
-          reversed view) times [G, x] is one matmul call whose slices are the
-          products x @ G and G @ x of the loop, and k = x @ G - G @ x.
-        - A stage input is (0.5 * h) * k, then state + that, as the loop
-          groups 0.5 * h * k.
-        - 2 * k2 and 2 * k3 are exact; accumulating the four stages in order
-          gives ((k1 + 2 k2) + 2 k3) + k4, which is then multiplied by h / 6
-          and added to the state.
-        - Members are padded to one term table, which changes no bit
-          (`_term_table`).
+        in which every product and sum is taken left to right, and each
+        polynomial and each entry of a matrix product is summed from 0.0
+        (`_poly_lines`).  The loop is generated as straight-line Python over
+        one local float per matrix entry (`_flow_program`), so no library
+        kernel picks the order of an operation, and the floats are the same
+        on every host.  A power x ** e that overflows is the signed infinity
+        it rounds to, and every other float operation overflows silently, so
+        a flow that overflows is reported through its non-finite drift.
         """
-        # Imported here: numpy is most of the package's import time, and only
-        # the flow needs it.
-        import numpy as np
-        batch, n, s = len(flows), self.n, self.s
-        nvars = n * s * s
-        size = batch * nvars
-        gradient, (rows, _), width = _term_table(
-            [[x for i in range(n) for row in self._symbolic_gradient(hamiltonian, i)
-              for x in row] for _, hamiltonian in flows], nvars)
+        s, block = self.s, self.s * self.s
+        gradient = [x for i in range(self.n)
+                    for row in self._symbolic_gradient(hamiltonian, i) for x in row]
         fns = self.coefficient_function_list()
-        coefficients = _term_table([[fn for (_, _, _, fn) in fns]] * batch, nvars)
-
-        state = np.array([[[[float(x) for x in row] for row in el.matrix] for el in residues]
-                          for residues, _ in flows])  # (batch, n, s, s)
-        buffer = np.empty(rows * size + width)
-        buffer[(rows + 1) * size] = 1.0
-        stack = buffer[:(rows + 1) * size].reshape(rows + 1, batch, n, s, s)
-        sums, ext, x = stack[:rows].reshape(rows, size), buffer[rows * size:], stack[rows]
-        pair = stack[rows - 1:]
-        swapped = pair[::-1]   # not stack[rows:rows - 2:-1], empty when rows == 1
-        products = np.empty_like(pair)
-        xg, gx = products
-        ks = np.empty((4,) + state.shape)   # the stages k1..k4
-        k1, k2, k3, k4 = ks
-        k2k3 = ks[1:3]
-
-        # Output buffers are passed by position, as in `_term_table`.
-        def rhs(out: np.ndarray) -> None:
-            gradient(ext, sums)
-            np.matmul(swapped, pair, products)
-            np.subtract(xg, gx, out)
-
-        # A flow that overflows is reported through its non-finite drift.
-        with np.errstate(all="ignore"):
-            h = t_end / steps
-            stage_steps = ((k1, k2, 0.5 * h), (k2, k3, 0.5 * h), (k3, k4, h))
-            sixth = h / 6.0
-            start_vals = _term_values(coefficients, state)
-            traj = [[el.copy()] for el in state]
-            for _ in range(steps):
-                x[...] = state
-                rhs(k1)
-                for k, k_next, c in stage_steps:
-                    np.multiply(c, k, x)
-                    np.add(state, x, x)
-                    rhs(k_next)
-                k2k3 *= 2
-                np.add.accumulate(ks, 0, None, ks)
-                np.multiply(sixth, k4, k4)
-                state += k4
-            end_vals = _term_values(coefficients, state)
-            out = []
-            for member, el, v0s, v1s in zip(traj, state, start_vals, end_vals):
-                member.append(el.copy())
-                scale = max(1.0, max(abs(v) for v in v0s)) if fns else 1.0
-                report = []
-                for (k, i, j, _), v0, v1 in zip(fns, v0s, v1s):
-                    rel = abs(v1 - v0) / max(abs(v0), 1e-3 * scale)
-                    report.append({"degree_index": k, "site": i, "order": j,
-                                   "start": v0, "end": v1, "relative_drift": rel})
-                out.append((member, report))
-        return out
+        program = _flow_program(s, gradient, [fn for *_, fn in fns])
+        start = [float(x) for x in self.flatten_point(residues)]
+        end = program["run"](steps, t_end / steps, *start)
+        v0s, v1s = program["values"](*start), program["values"](*end)
+        scale = max(1.0, max(abs(v) for v in v0s)) if fns else 1.0
+        report = [{"degree_index": k, "site": i, "order": j, "start": v0, "end": v1,
+                   "relative_drift": abs(v1 - v0) / max(abs(v0), 1e-3 * scale)}
+                  for (k, i, j, _), v0, v1 in zip(fns, v0s, v1s)]
+        sites = [[[list(x[r:r + s]) for r in range(i, i + block, s)]
+                  for i in range(0, len(x), block)] for x in (start, end)]
+        return sites, report

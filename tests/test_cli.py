@@ -325,7 +325,7 @@ def _refuse_constant(name):
 
 def test_non_finite_flow_drift_fails_the_check_with_a_parseable_report(tmp_path):
     # A step of 1e300 overflows: the drift is NaN, written as a string, and
-    # numpy's overflow warnings stay off stderr.
+    # stderr has no warning.
     cfg = write_config(tmp_path, "flow.json",
                        {**GAUDIN_SL2, "flow": {"steps": 1, "t_end": 1e300}})
     out = tmp_path / "report.json"
@@ -473,3 +473,25 @@ def test_importing_the_cli_loads_no_numeric_library():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_readme_flow_loads_no_numpy(tmp_path):
+    # The flow integrator is plain Python floats, so `hfb gaudin` with a
+    # flow never imports numpy.
+    cfg = write_config(tmp_path, "flow.json", {
+        "group": "sl(2)", "points": ["1", "2", "3"],
+        "residues": {"type": "random", "seed": 7, "height": 10}, "random_points": 5,
+        "flow": {"degree_index": 0, "site": 0, "order": 1, "t_end": 1.0, "steps": 10000,
+                 "drift_tolerance": 1e-8}})
+    out = tmp_path / "report.json"
+    code = ("import sys; from framedhiggs.cli import main; "
+            f"print(main(['gaudin', '--config', {cfg!r}, '--out', {str(out)!r}]), "
+            "'numpy' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    assert "flow_worst_drift" in json.loads(out.read_text())["results"]

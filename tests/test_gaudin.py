@@ -1,16 +1,16 @@
+import math
 import random
+import struct
 from fractions import Fraction as F
 from functools import cache
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from framedhiggs.exactlinalg import (identity, mat_comb, mat_mul, mat_vec,
                                      over_common_denominator)
 from framedhiggs import gaudin
-from framedhiggs.gaudin import (GaudinSystem, PolyObservable, _term_table, _term_values,
-                               worst_drift)
+from framedhiggs.gaudin import GaudinSystem, PolyObservable, worst_drift
 from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, char_poly_elementary, flatten,
                                 mat_commutator, mat_trace, matrix_invariants,
                                 newton_elementary, theta_at, theta_char_polys)
@@ -425,6 +425,21 @@ def test_invariants_agree_on_symbolic_and_numeric_matrices(gid):
 # Hamiltonian flow
 # ---------------------------------------------------------------------------
 
+def _flat(sites):
+    return [x for site in sites for row in site for x in row]
+
+
+def _bits(xs):
+    """The bytes of a list of floats: equal exactly when every float has the
+    same bits, NaN and the sign of zero included."""
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+def _report_bits(report):
+    return [(r["degree_index"], r["site"], r["order"],
+             _bits([r["start"], r["end"], r["relative_drift"]])) for r in report]
+
+
 def test_flow_conserves_invariant_coefficients():
     model = AlgebraModel("sl(2)")
     system = GaudinSystem(model, PTS3)
@@ -433,11 +448,21 @@ def test_flow_conserves_invariant_coefficients():
     ham = system.coefficient_function_list()[0][3]
     traj, report = system.integrate_flow(els, ham, 1.0, 2000)
     assert max(r["relative_drift"] for r in report) < 1e-8
-    assert not np.allclose(traj[0], traj[-1])  # genuine motion
+    # genuine motion: not numpy.allclose(traj[0], traj[-1])
+    assert any(abs(a - b) > 1e-8 + 1e-5 * abs(b)
+               for a, b in zip(_flat(traj[0]), _flat(traj[-1])))
 
 
-# Reference flow: one closure per polynomial, summing c * x_v ** e * ... term
-# by term, and the commutator taken one site at a time.
+# Reference flow: the documented loop in plain Python floats.  One closure per
+# polynomial sums c * x_v ** e * ... term by term from 0.0, and the
+# commutator is taken one entry at a time, each product entry summed from 0.0.
+
+def _power(x, e):
+    try:
+        return x ** e
+    except OverflowError:   # the IEEE result: an infinity with the sign of x ** e
+        return math.copysign(math.inf, x ** (e % 2))
+
 
 def _compiled(poly):
     data = [(float(c), list(m)) for m, c in poly.terms.items()]
@@ -447,7 +472,7 @@ def _compiled(poly):
         for c, mono in data:
             t = c
             for v, e in mono:
-                t *= values[v] ** e
+                t *= _power(values[v], e)
             acc += t
         return acc
     return run
@@ -455,33 +480,49 @@ def _compiled(poly):
 
 def _reference_flow(system, residues, hamiltonian, t_end, steps):
     s = system.s
-    grad = [[[_compiled(x) for x in row] for row in system._symbolic_gradient(hamiltonian, i)]
-            for i in range(system.n)]
+    grad = [_compiled(x) for i in range(system.n)
+            for row in system._symbolic_gradient(hamiltonian, i) for x in row]
     fns = [(k, i, j, _compiled(fn)) for k, i, j, fn in system.coefficient_function_list()]
-    state = np.array([[[float(x) for x in row] for row in el.matrix] for el in residues])
+    state = [float(x) for el in residues for row in el.matrix for x in row]
 
-    def rhs(st):
-        flat = st.reshape(-1)
-        out = np.empty_like(st)
-        for i in range(system.n):
-            g = np.array([[grad[i][a][b](flat) for b in range(s)] for a in range(s)])
-            out[i] = st[i] @ g - g @ st[i]
+    def rhs(x):
+        g = [f(x) for f in grad]
+        out = []
+        for site in range(0, len(x), s * s):
+            for a in range(s):
+                for b in range(s):
+                    xg = gx = 0.0
+                    for c in range(s):
+                        xg += x[site + a * s + c] * g[site + c * s + b]
+                        gx += g[site + a * s + c] * x[site + c * s + b]
+                    out.append(xg - gx)
         return out
 
     h = t_end / steps
-    start = [fn(state.reshape(-1)) for *_, fn in fns]
+    start = [fn(state) for *_, fn in fns]
     scale = max(1.0, max(abs(v) for v in start))
     for _ in range(steps):
         k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    end = [fn(state.reshape(-1)) for *_, fn in fns]
+        k2 = rhs([x + 0.5 * h * k for x, k in zip(state, k1)])
+        k3 = rhs([x + 0.5 * h * k for x, k in zip(state, k2)])
+        k4 = rhs([x + h * k for x, k in zip(state, k3)])
+        state = [x + (h / 6.0) * (a + 2 * b + 2 * c + d)
+                 for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    end = [fn(state) for *_, fn in fns]
     report = [{"degree_index": k, "site": i, "order": j, "start": v0, "end": v1,
                "relative_drift": abs(v1 - v0) / max(abs(v0), 1e-3 * scale)}
               for (k, i, j, _), v0, v1 in zip(fns, start, end)]
     return state, report
+
+
+def _assert_flow_is_the_reference(system, residues, hamiltonian, t_end, steps, finite=True):
+    traj, report = system.integrate_flow(residues, hamiltonian, t_end, steps)
+    state, expected = _reference_flow(system, residues, hamiltonian, t_end, steps)
+    assert _bits(_flat(traj[0])) == _bits([float(x) for x in system.flatten_point(residues)])
+    assert _bits(_flat(traj[-1])) == _bits(state)
+    assert _report_bits(report) == _report_bits(expected)
+    assert all(map(math.isfinite, state)) == finite
+    return traj, report
 
 
 # The coefficient functions are multilinear in the entries; the squared
@@ -500,27 +541,35 @@ def test_flow_matches_term_by_term_reference(gid, n, k, col, power, t_end, steps
     if power == 2:
         ham = ham * ham
         assert any(e > 1 for m in ham.diff(0).terms for _, e in m)
-    traj, report = system.integrate_flow(els, ham, t_end, steps)
-    state, expected = _reference_flow(system, els, ham, t_end, steps)
-    assert np.isfinite(state).all()
-    assert np.array_equal(traj[-1], state)
-    assert report == expected
+    _assert_flow_is_the_reference(system, els, ham, t_end, steps)
 
 
-def test_term_table_matches_term_by_term_loop():
-    # Squares and cubes included: the numpy array power rounds some of them
-    # differently from the scalar power the loop uses.
+def test_generated_evaluator_matches_term_by_term_loop():
+    # Squares and cubes included, and points large enough that some powers
+    # overflow to +-inf.
     rng = random.Random(67)
     polys = [PolyObservable({tuple(sorted({rng.randrange(6): rng.randint(1, 3)
                                            for _ in range(rng.randint(0, 3))}.items())):
                              F(rng.randint(-9, 9), rng.randint(1, 4))
                              for _ in range(rng.randint(0, 6))})
              for _ in range(12)]
+    assert any(e == 3 for p in polys for m in p.terms for _, e in m)
+    values = gaudin._flow_program(1, [PolyObservable()] * 6, polys)["values"]
     loops = [_compiled(p) for p in polys]
-    points = np.random.default_rng(67).standard_normal((2000, 6)) * 7.0
-    # one batch member per point
-    for point, values in zip(points, _term_values(_term_table([polys] * len(points), 6), points)):
-        assert all(v == loop(point) for v, loop in zip(values, loops))
+    overflowed = 0
+    for sigma in [7.0] * 2000 + [1e110] * 50:
+        point = [rng.gauss(0.0, sigma) for _ in range(6)]
+        got = values(*point)
+        assert _bits(got) == _bits([loop(point) for loop in loops])
+        overflowed += any(map(math.isinf, got))
+    assert overflowed > 0
+    # A sum of 5,000 terms is generated as several statements.
+    long = PolyObservable({((v, 1), (v + 1, 2)): F(1, v + 1) for v in range(30)}
+                          | {((v, 1),): F(v, 7) for v in range(30, 5000)})
+    values = gaudin._flow_program(1, [PolyObservable()] * 5000, [long])["values"]
+    for sigma in (1.0, 1e110):
+        point = [rng.gauss(0.0, sigma) for _ in range(5000)]
+        assert _bits(values(*point)) == _bits([_compiled(long)(point)])
 
 
 @cache
@@ -543,7 +592,7 @@ def _hamiltonians(draw, nvars):
 
 
 @st.composite
-def _flow_batches(draw):
+def _flows(draw):
     gid, n = draw(st.sampled_from([("sl(2)", 3), ("sl(3)", 2)]))
     system = _flow_system(gid, n)
     flows = [(balanced_tuple(system.model, random.Random(draw(st.integers(0, 99))), n, 3),
@@ -553,30 +602,24 @@ def _flow_batches(draw):
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(_flow_batches())
-def test_a_batch_of_flows_is_bit_for_bit_each_flow_alone(batch):
-    system, flows, t_end, steps = batch
-    for (residues, ham), (traj, report) in zip(flows, system.integrate_flows(flows, t_end,
-                                                                             steps)):
-        state, expected = _reference_flow(system, residues, ham, t_end, steps)
-        solo_traj, solo_report = system.integrate_flow(residues, ham, t_end, steps)
-        assert np.isfinite(state).all()
-        assert np.array_equal(traj[-1], state) and report == expected
-        assert traj[-1].tobytes() == solo_traj[-1].tobytes() and report == solo_report
+@given(_flows())
+def test_random_flows_match_the_reference_loop(case):
+    system, flows, t_end, steps = case
+    for residues, ham in flows:
+        _assert_flow_is_the_reference(system, residues, ham, t_end, steps)
 
 
-def test_an_overflowing_member_leaves_the_other_members_bits():
+def test_an_overflowing_flow_matches_the_reference_loop():
+    # A step of 1e300 overflows products, and squared entries overflow x ** 2.
     model = AlgebraModel("sl(2)")
     system = GaudinSystem(model, PTS3)
     els = balanced_tuple(model, random.Random(3), 3, 3)
     ham = system.coefficient_function_list()[0][3]
-    flows = [(els, PolyObservable()), (els, ham), ([model.zero()] * 3, ham * ham)]
-    batch = system.integrate_flows(flows, 1e300, 1)
-    assert np.isnan(worst_drift(batch[1][1]))
-    for (residues, h), (traj, report) in zip(flows[::2], batch[::2]):
-        solo_traj, solo_report = system.integrate_flow(residues, h, 1e300, 1)
-        assert np.isfinite(traj[-1]).all() and report == solo_report
-        assert traj[-1].tobytes() == solo_traj[-1].tobytes()
+    for residues, h, finite in [(els, PolyObservable(), True), (els, ham, False),
+                                ([model.zero()] * 3, ham * ham, True),
+                                (els, ham * ham, False)]:
+        _, report = _assert_flow_is_the_reference(system, residues, h, 1e300, 1, finite)
+        assert math.isnan(worst_drift(report)) != finite
 
 
 def test_flow_zero_time_is_identity():
@@ -585,8 +628,8 @@ def test_flow_zero_time_is_identity():
     rng = random.Random(3)
     els = balanced_tuple(model, rng, 3, 3)
     ham = system.coefficient_function_list()[0][3]
-    traj, _ = system.integrate_flow(els, ham, 0.0, 5)
-    assert np.array_equal(traj[0], traj[-1])
+    traj, _ = _assert_flow_is_the_reference(system, els, ham, 0.0, 5)
+    assert traj[0] == traj[-1]
 
 
 def test_casimir_flow_is_stationary():
@@ -597,15 +640,14 @@ def test_casimir_flow_is_stationary():
     el = random_algebra_element(model, rng, 3)
     cas = system.coefficient_function_list()[0][3]
     traj, _ = system.integrate_flow([el], cas, 1.0, 50)
-    assert np.allclose(traj[0], traj[-1])
-    # its gradient has no term, so its term table is the zero row alone,
-    # alone or padded next to a member with terms
+    # numpy.allclose(traj[0], traj[-1])
+    assert all(abs(a - b) <= 1e-8 + 1e-5 * abs(b)
+               for a, b in zip(_flat(traj[0]), _flat(traj[-1])))
+    # its gradient has no term, so each of its entries is the sum 0.0
     other = system.coefficient_function_list()[1][3]
     assert not cas and other
-    batch = system.integrate_flows([([el], cas), ([el], other)], 0.01, 20)
-    for (traj, report), ham in zip(batch, (cas, other)):
-        state, expected = _reference_flow(system, [el], ham, 0.01, 20)
-        assert np.array_equal(traj[-1], state) and report == expected
+    for ham in (cas, other):
+        _assert_flow_is_the_reference(system, [el], ham, 0.01, 20)
 
 
 def test_non_finite_drift_exceeds_every_tolerance():
@@ -614,8 +656,8 @@ def test_non_finite_drift_exceeds_every_tolerance():
     els = balanced_tuple(model, random.Random(3), 3, 3)
     ham = system.coefficient_function_list()[0][3]
     _, report = system.integrate_flow(els, ham, 1e300, 1)
-    assert np.isnan(worst_drift(report))
-    assert np.isnan(worst_drift([{"relative_drift": 0.5}, {"relative_drift": float("nan")}]))
+    assert math.isnan(worst_drift(report))
+    assert math.isnan(worst_drift([{"relative_drift": 0.5}, {"relative_drift": float("nan")}]))
 
 
 def test_commutativity_sp4_spot():
