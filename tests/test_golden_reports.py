@@ -41,8 +41,13 @@ def test_defo_report_matches_golden_digest(tmp_path, entry):
     assert _digest(tmp_path, "defo", entry["config"]) == entry["sha256"]
 
 
-@pytest.mark.parametrize("entry", GOLDEN_GAUDIN_SPECTRAL["reports"],
-                         ids=lambda e: f"{e['subcommand']}-{e['config']['group']}"
-                                       f"-seed{e['config']['residues']['seed']}")
+def _gaudin_spectral_id(entry):
+    """subcommand-group-seed, with the entry's label if it has one."""
+    cfg = entry["config"]
+    label = f"-{entry['label']}" if "label" in entry else ""
+    return f"{entry['subcommand']}-{cfg['group']}-seed{cfg['residues']['seed']}{label}"
+
+
+@pytest.mark.parametrize("entry", GOLDEN_GAUDIN_SPECTRAL["reports"], ids=_gaudin_spectral_id)
 def test_gaudin_spectral_report_matches_golden_digest(tmp_path, entry):
     assert _digest(tmp_path, entry["subcommand"], entry["config"]) == entry["sha256"]
