@@ -448,7 +448,7 @@ def test_flow_conserves_invariant_coefficients():
     ham = system.coefficient_function_list()[0][3]
     traj, report = system.integrate_flow(els, ham, 1.0, 2000)
     assert max(r["relative_drift"] for r in report) < 1e-8
-    # genuine motion: not numpy.allclose(traj[0], traj[-1])
+    # genuine motion: some entry moves by more than numpy.allclose's tolerance
     assert any(abs(a - b) > 1e-8 + 1e-5 * abs(b)
                for a, b in zip(_flat(traj[0]), _flat(traj[-1])))
 
@@ -640,7 +640,7 @@ def test_casimir_flow_is_stationary():
     el = random_algebra_element(model, rng, 3)
     cas = system.coefficient_function_list()[0][3]
     traj, _ = system.integrate_flow([el], cas, 1.0, 50)
-    # numpy.allclose(traj[0], traj[-1])
+    # stationary within numpy.allclose's default tolerance
     assert all(abs(a - b) <= 1e-8 + 1e-5 * abs(b)
                for a, b in zip(_flat(traj[0]), _flat(traj[-1])))
     # its gradient has no term, so each of its entries is the sum 0.0
