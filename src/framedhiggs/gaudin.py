@@ -2,16 +2,13 @@
 
 Residue tuples (A_1, ..., A_n) with sum zero describe the Higgs field
 theta(z) = sum_i A_i dz/(z - x_i) on the trivialized rational curve.  The
-invariant-polynomial coefficients of theta are exact polynomial functions of
-the matrix entries; the chart Poisson structure is the product Lie-Poisson
-bracket transported by the trace form, with gradients projected into the
-algebra.  At each interpolation sample point t, the invariants of
-theta(t) = M / D and their gradients come from one integer
-Faddeev-LeVerrier run on M (`theta_char_polys`), so the Hitchin point and
-the bracket table are computed in integers over one denominator per point;
-the symbolic coefficient functions and the Pfaffian of so(2r) stay in exact
-Fractions.  Brackets are exact; floating point appears only in the flow
-integrator.
+partial-fraction coefficients of the invariants p_k(theta(z)) are exact
+combinations sum_t V[a][t] p_k(theta(t)) of values at sample points t; the
+Poisson structure is the product Lie-Poisson bracket transported by the
+trace form.  At each t, theta(t) = M / D, and the invariants and their
+gradients come from one integer Faddeev-LeVerrier run on M, and in that
+basis of sample points the bracket table is formed (`commutativity_check`).
+Brackets are exact; floating point appears only in the flow integrator.
 """
 
 from __future__ import annotations
@@ -20,14 +17,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from functools import cached_property
+from itertools import accumulate, combinations_with_replacement
+from typing import NamedTuple, Sequence
 
 from .curve import Window, infinity_row
 from .exactlinalg import (ZERO, ONE, frac, mat_comb, mat_mul, mat_vec,
                           over_common_denominator, sample_inverse, solve, transpose)
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, antidiagonal, flatten,
                      generator_indices, mat_commutator, mat_trace, matrix_invariants,
-                     pfaffian, theta_at, theta_char_polys)
+                     pfaffian, theta_at, theta_char_polys, theta_numerators)
 
 Monomial = tuple[tuple[int, int], ...]   # sorted ((var, exp), ...)
 
@@ -206,12 +205,6 @@ def _flow_program(s: int, gradient: Sequence[PolyObservable],
     return program
 
 
-def _common_scale(blocks: Sequence[tuple[int, list[int]]]) -> tuple[int, list[list[int]]]:
-    """Integer blocks (d, m), each standing for m / d, over their least common d."""
-    den = math.lcm(*(d for d, _ in blocks))
-    return den, [m if d == den else [x * (den // d) for x in m] for d, m in blocks]
-
-
 def _flat_commutator(a: list[int], b: list[int], s: int) -> list[int]:
     """[a, b] of two row-major flattened s x s matrices, flattened."""
     rows_a = [a[i * s:(i + 1) * s] for i in range(s)]
@@ -220,6 +213,11 @@ def _flat_commutator(a: list[int], b: list[int], s: int) -> list[int]:
     cols_b = [b[j::s] for j in range(s)]
     return [sum(map(mul, ra, cb)) - sum(map(mul, rb, ca))
             for ra, rb in zip(rows_a, rows_b) for cb, ca in zip(cols_b, cols_a)]
+
+
+def _trace(a: Sequence, b: Sequence, s: int):
+    """tr(a b) of two row-major flattened s x s matrices."""
+    return sum(a[i * s + j] * b[j * s + i] for i in range(s) for j in range(s))
 
 
 def _drift_key(d: float) -> tuple[bool, float]:
@@ -249,6 +247,17 @@ class HitchinPoint:
         return all(v == 0 for c in self.coeffs for v in c.values())
 
 
+class SampleGradients(NamedTuple):
+    """Sigma-gradients of the partial-fraction coefficients of a function f
+    of theta(z) in the sample-point basis: coefficient keys[a] is sum_t
+    vinv[a][t] f(theta(ts[t])), and grads[t] = (d, y) is the projected
+    gradient pi(grad f)(theta(ts[t])) as y / d, y its row-major numerators."""
+    keys: list
+    ts: Sequence[Fraction]
+    vinv: list[list[Fraction]]
+    grads: list[tuple[int, list[int]]]
+
+
 class GaudinSystem:
     """Residue-tuple phase space for a classical group and marked points."""
 
@@ -275,7 +284,6 @@ class GaudinSystem:
         self._indices = generator_indices(self.group)
         self._coeff_functions: dict[int, dict[tuple[int, int], PolyObservable]] = {}
         self._interp_cache: dict[int, tuple] = {}
-        self._weight_cache: dict[int, list[tuple[int, list[list[int]]]]] = {}
         self._symbolic_invariants: dict[Fraction, list[PolyObservable]] = {}
 
     # -- variable layout ------------------------------------------------------
@@ -287,10 +295,7 @@ class GaudinSystem:
         return PolyObservable.variable(self.var(site, a, b))
 
     def flatten_point(self, residues: Sequence[AlgebraElement]) -> list[Fraction]:
-        vals: list[Fraction] = []
-        for el in residues:
-            vals.extend(flatten(el.matrix))
-        return vals
+        return [x for el in residues for x in flatten(el.matrix)]
 
     # -- the Hitchin coefficient functions --------------------------------------
 
@@ -342,28 +347,23 @@ class GaudinSystem:
 
     def coefficient_function_list(self) -> list[tuple[int, int, int, PolyObservable]]:
         fns = self.coefficient_functions()
-        out = []
-        for k in sorted(fns):
-            for (i, j) in sorted(fns[k]):
-                out.append((k, i, j, fns[k][(i, j)]))
-        return out
+        return [(k, i, j, fns[k][i, j]) for k in sorted(fns) for i, j in sorted(fns[k])]
 
-    def _char_polys_at(self, residues: Sequence[AlgebraElement]) -> dict[Fraction, tuple]:
-        """`theta_char_polys` of a residue tuple by sample point.  The sample
-        points of a degree index are the first ones of the longest list
-        (`sample_inverse`), so that list covers every degree index."""
+    def _char_polys_at(self, residues: Sequence[AlgebraElement]) -> list[tuple]:
+        """`theta_char_polys` of a residue tuple at the sample points of the
+        longest list.  The sample points of a degree index are the first ones
+        of that list (`sample_inverse`), so they are zipped with its head."""
         ts = max((self._interp_data(k)[1] for k in range(len(self._indices))), key=len)
-        return dict(zip(ts, theta_char_polys(self.points, [el.matrix for el in residues], ts)))
+        return theta_char_polys(self.points, [el.matrix for el in residues], ts)
 
     def hitchin_point(self, residues: Sequence[AlgebraElement]) -> HitchinPoint:
         """Evaluate the map at a residue tuple; requires sum A_i = 0.
 
         At each sample point t, e_m(theta(t)) = e_m(M) / D^m is read off the
         integer characteristic polynomial of theta(t) = M / D
-        (`theta_char_polys`); the Pfaffian of so(2r) is taken of theta(t)
-        in Fractions.  Verifies holomorphy at infinity: p_k(theta) must
-        vanish to order 2 d_k, which is checked exactly on the
-        partial-fraction expansion.
+        (`theta_char_polys`), and the Pfaffian of so(2r) is Pf(Q M) / D^r.
+        Verifies holomorphy at infinity: p_k(theta) must vanish to order 2 d_k,
+        which is checked exactly on the partial-fraction expansion.
         """
         total = residues[0]
         for el in residues[1:]:
@@ -371,15 +371,17 @@ class GaudinSystem:
         if not total.is_zero():
             raise ValueError("sum of residues must vanish (holomorphy at infinity)")
         chars = self._char_polys_at(residues)
+        s = self.s
         coeffs = []
         for k, (d, index) in enumerate(zip(self.group.degrees, self._indices)):
             cols, ts, vinv = self._interp_data(k)
-            if index == PFAFFIAN:
-                q = antidiagonal(self.s)
-                mats = [el.matrix for el in residues]
-                values = [pfaffian(mat_mul(q, theta_at(self.points, mats, t))) for t in ts]
-            else:
-                values = [Fraction(chars[t][1][index - 1], chars[t][0] ** index) for t in ts]
+            values = []
+            for den, m, es, _ in chars[:len(ts)]:
+                if index == PFAFFIAN:   # Pf(Q M) / D^(s/2); Q M is M upside down
+                    upside_down = [m[a:a + s] for a in range(s * s - s, -1, -s)]
+                    values.append(Fraction(pfaffian(upside_down), den ** (s // 2)))
+                else:
+                    values.append(Fraction(es[index - 1], den ** index))
             solved = mat_vec(vinv, values)
             coeffs.append({key: v for key, v in zip(cols, solved) if v != 0})
             # the coefficient of u^order at infinity (u = 1/z) is a dot product
@@ -397,12 +399,9 @@ class GaudinSystem:
     def sigma_gradient_at(self, fn: PolyObservable, site: int,
                           values: Sequence[Fraction]) -> AlgebraElement:
         """The algebra element nabla_site fn with tr(nabla xi) = D_xi fn."""
-        flat_t = []
-        for b in range(self.s):
-            for a in range(self.s):
-                flat_t.append(fn.diff(self.var(site, a, b))(values))
-        coords = mat_vec(self._grad_rows, flat_t)
-        return self.model.from_coords(coords)
+        flat_t = [fn.diff(self.var(site, a, b))(values)
+                  for b in range(self.s) for a in range(self.s)]
+        return self.model.from_coords(mat_vec(self._grad_rows, flat_t))
 
     def bracket_at(self, f: PolyObservable, g: PolyObservable,
                    residues: Sequence[AlgebraElement]) -> Fraction:
@@ -416,108 +415,109 @@ class GaudinSystem:
         return acc
 
     def _symbolic_gradient(self, fn: PolyObservable, site: int) -> list[list[PolyObservable]]:
-        partials = []
-        for b in range(self.s):
-            for a in range(self.s):
-                partials.append(fn.diff(self.var(site, a, b)))
+        partials = [fn.diff(self.var(site, a, b)) for b in range(self.s) for a in range(self.s)]
         coords = mat_vec(self._grad_rows, partials)
         return [[PolyObservable.lift(x) for x in row]
                 for row in mat_comb(coords, self.model.basis)]
 
-    def _site_weights(self, k: int) -> list[tuple[int, list[list[int]]]]:
-        """Per site x, the matrix vinv[row][t] / (t - x) of degree index k
-        as (d, integer rows of its d multiple)."""
-        if k not in self._weight_cache:
-            cols, ts, vinv = self._interp_data(k)
-            size = len(ts)
-            out = []
-            for x in self.points:
-                den, flat = over_common_denominator(
-                    w / (t - x) for row in vinv for w, t in zip(row, ts))
-                out.append((den, [flat[r * size:(r + 1) * size] for r in range(len(vinv))]))
-            self._weight_cache[k] = out
-        return self._weight_cache[k]
+    @cached_property
+    def _pfaffian_gradient(self) -> list[PolyObservable]:
+        """Flattened G(X) with tr(G(X) V) = D_V Pf(Q X), X the variables of site
+        0; G is homogeneous, so G(theta(t)) = G(M) / D^(r-1) for so(2r)."""
+        pf = pfaffian(mat_mul(antidiagonal(self.s), self.site_matrix(0)))
+        return [pf.diff(self.var(0, a, b)) for b in range(self.s) for a in range(self.s)]
 
-    def coefficient_gradients_at(self, residues: Sequence[AlgebraElement]):
-        """Site sigma-gradients of every invariant coefficient at a point.
+    def coefficient_gradients_at(self, residues: Sequence[AlgebraElement]
+                                 ) -> list[SampleGradients]:
+        """The gradients of every invariant coefficient at a point in the
+        sample-point basis, one SampleGradients per degree index k with
+        Y_t = pi(grad p_k(theta(t))).
 
-        Returns a list of ((degree_index, site, order), grads), where
-        grads[l] = (d, m) gives the gradient at site l as m / d, m the
-        row-major list of its integer numerators.  Everything is computed in
-        integers: the derivative of e_m at theta(t) = M / D is
-        P_(m-1)(theta(t)) = Q_(m-1) / D^(m-1), with Q_(m-1) an integer
-        Faddeev-LeVerrier matrix of M (`theta_char_polys`), and the
-        projection onto the algebra, an integer matrix over pden, is applied
-        to it once per sample point t.  The gradients of degree index k at
-        site x are then one integer product of the weights vinv[row][t] /
-        (t - x) with the stacked projected matrices.  The Pfaffian component
-        of so(2r) falls back to symbolic differentiation of its coefficient
-        functions alone.
+        Coefficient (k, i, j) is sum_t vinv[row][t] p_k(theta(t)), so its
+        gradient at site l would be sum_t vinv[row][t] Y_t / (t - x_l); no
+        site gradient is formed.  At theta(t) = M / D the gradient of e_m is
+        P_(m-1)(theta(t)) = Q_(m-1) / D^(m-1), Q_(m-1) an integer
+        Faddeev-LeVerrier matrix of M (`theta_char_polys`), and that of the
+        Pfaffian is G(M) / D^(r-1) (`_pfaffian_gradient`); the projection, an
+        integer matrix over pden, costs s^4 integer products per k and t.
         """
         out = []
         chars = self._char_polys_at(residues)
         pden, prows = self._projection
         for k, index in enumerate(self._indices):
             cols, ts, vinv = self._interp_data(k)
-            if index == PFAFFIAN:
-                values = self.flatten_point(residues)
-                for col, fn in sorted(self._coefficient_functions_of(k).items()):
-                    grads = [over_common_denominator(
-                                 entry(values) for row in self._symbolic_gradient(fn, l)
-                                 for entry in row)
-                             for l in range(self.n)]
-                    out.append(((k, col[0], col[1]), grads))
-                continue
-            projected = []
-            for t in ts:
-                den, _, qs = chars[t]
-                projected.append((den ** (index - 1) * pden,
-                                  [sum(map(mul, r, qs[index - 1])) for r in prows]))
-            qden, stacked = _common_scale(projected)
-            columns = list(zip(*stacked))
-            blocks = [(wden * qden, [[sum(map(mul, w, c)) for c in columns] for w in weights])
-                      for wden, weights in self._site_weights(k)]
-            for r, col in enumerate(cols):
-                out.append(((k, col[0], col[1]), [(den, rows[r]) for den, rows in blocks]))
+            grads = []
+            for den, m, _, qs in chars[:len(ts)]:
+                if index == PFAFFIAN:
+                    power, g = self.s // 2 - 1, [int(p(m)) for p in self._pfaffian_gradient]
+                else:
+                    power, g = index - 1, qs[index - 1]
+                grads.append((den ** power * pden, [sum(map(mul, r, g)) for r in prows]))
+            out.append(SampleGradients([(k, i, j) for i, j in cols], ts, vinv, grads))
         return out
 
     def commutativity_check(self, residue_tuples: Sequence[Sequence[AlgebraElement]]):
         """Max |{H_a, H_b}| over all pairs of coefficient functions and points.
 
-        {H_a, H_b} = sum_i tr(A_i [X_a, X_b]) = sum_i tr([A_i, X_a] X_b) for
-        the site gradients X_a, X_b.  Per tuple, every flattened [A_i, X_a]
-        and every flattened transpose of X_b is put over one common
-        denominator, so each pair costs one integer dot product, and a
-        Fraction is built only for a nonzero one.  Pairs are scanned in
-        order, so the first of equally large brackets is the one reported.
+        The site gradients X^l_a = sum_t V[a][t] Y_t / (t - x_l) make {H_a, H_b}
+        = sum_l tr(A_l [X^l_a, X^l_b]) the entry (a, b) of V C V'^T.  By the
+        partial-fraction identity sum_l A_l / ((t - x_l)(t' - x_l)) = (theta(t)
+        - theta(t')) / (t' - t) and tr(X [Y, Z]) = tr([X, Y] Z), C(t, t') =
+        (tr(U_t Y'_t') + tr(Y_t U'_t')) / (t' - t) with U_t = [theta(t), Y_t]
+        for t != t', and C(t, t) = tr(S(t) [Y_t, Y'_t]) with S(t) = sum_l A_l /
+        (t - x_l)^2.  An invariant's gradient commutes with theta(t), so on a
+        clean tuple these commutators all vanish: per tuple, one integer s x s
+        commutator per degree index and sample point and one per pair of
+        degree indices at a shared point, not n T^2 s^2 products for per-site
+        gradients.  Brackets are summed in Fractions over the nonzero entries
+        of C and scanned in the coefficient order, so the first of equally
+        large brackets is the one reported.
         """
-        worst = ZERO
-        worst_pair = None
-        s, n = self.s, self.n
+        worst, worst_pair = ZERO, None
         for residues in residue_tuples:
-            data = self.coefficient_gradients_at(residues)
-            aden, a_flat = over_common_denominator(
-                x for el in residues for x in flatten(el.matrix))
-            sites = [a_flat[i * s * s:(i + 1) * s * s] for i in range(n)]
-            gden, grads = _common_scale([g for _, site_grads in data for g in site_grads])
-            left, right = [], []
-            for a in range(len(data)):
-                commuted, transposed = [], []
-                for site, g in zip(sites, grads[a * n:(a + 1) * n]):
-                    commuted.extend(_flat_commutator(site, g, s))
-                    transposed.extend(x for c in range(s) for x in g[c::s])
-                left.append(commuted)
-                right.append(transposed)
-            den = aden * gden * gden
-            for ia in range(len(data)):
-                for ib in range(ia + 1, len(data)):
-                    num = sum(map(mul, left[ia], right[ib]))
-                    if num:
-                        val = Fraction(num, den)
-                        if abs(val) > abs(worst):
-                            worst = val
-                            worst_pair = (data[ia][0], data[ib][0])
+            blocks = self.coefficient_gradients_at(residues)
+            keys = [key for block in blocks for key in block.keys]
+            for (ia, ib), val in sorted(self._bracket_table(residues, blocks).items()):
+                if abs(val) > abs(worst):
+                    worst, worst_pair = val, (keys[ia], keys[ib])
         return worst, worst_pair
+
+    def _bracket_table(self, residues: Sequence[AlgebraElement],
+                       blocks: Sequence[SampleGradients]) -> dict[tuple[int, int], Fraction]:
+        """The nonzero brackets of `commutativity_check` by the positions a < b
+        of the coefficients in the blocks; their sample points share one head."""
+        s, mats = self.s, [el.matrix for el in residues]
+        ts = max((block.ts for block in blocks), key=len)
+        if any(block.ts != ts[:len(block.ts)] for block in blocks):
+            raise ValueError("sample points of the blocks are not the heads of one list")
+        theta = theta_numerators(self.points, mats, ts)
+        # U_t = [M, y] / (D d) for theta(t) = M / D and Y_t = y / d; None if zero
+        comm = [[(den * d, u) if any(u := _flat_commutator(m, y, s)) else None
+                 for (den, m), (d, y) in zip(theta, block.grads)] for block in blocks]
+        offsets = list(accumulate((len(block.keys) for block in blocks), initial=0))
+        table: dict[tuple[int, int], Fraction] = {}
+        for e, f in combinations_with_replacement(range(len(blocks)), 2):
+            be, bf = blocks[e], blocks[f]
+            c = {}   # the nonzero entries C(t_i, t_j) of the pair of blocks
+            for i, ((d, y), (d2, y2)) in enumerate(zip(be.grads, bf.grads)):
+                if e != f and any(z := _flat_commutator(y, y2, s)):
+                    sq = flatten(mat_comb([ONE / (ts[i] - x) ** 2 for x in self.points], mats))
+                    c[i, i] = _trace(sq, z, s) / (d * d2)
+            if any(comm[e]) or any(comm[f]):
+                for i, ((d, y), ue) in enumerate(zip(be.grads, comm[e])):
+                    for j, ((d2, y2), uf) in enumerate(zip(bf.grads, comm[f])):
+                        num = Fraction(_trace(ue[1], y2, s), ue[0] * d2) if ue else ZERO
+                        if uf:
+                            num += Fraction(_trace(y, uf[1], s), d * uf[0])
+                        if num and i != j:
+                            c[i, j] = num / (ts[j] - ts[i])
+            for (i, j), cij in c.items():
+                for a, row in enumerate(be.vinv):
+                    for b, row2 in enumerate(bf.vinv):
+                        if row[i] and row2[j] and (e != f or a < b):
+                            key = (offsets[e] + a, offsets[f] + b)
+                            table[key] = table.get(key, ZERO) + row[i] * cij * row2[j]
+        return {key: val for key, val in table.items() if val}
 
     # -- Hamiltonian flow (floating point) ----------------------------------------
 

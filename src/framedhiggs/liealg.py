@@ -462,31 +462,21 @@ def theta_at(points: Sequence[Fraction], matrices: Sequence[Matrix], t: Fraction
     return mat_comb([ONE / (t - x) for x in points], matrices)
 
 
-def theta_char_polys(points: Sequence[Fraction], matrices: Sequence[Matrix],
-                     ts: Sequence[Fraction]) -> list[tuple[int, list[int], list[list[int]]]]:
-    """The characteristic polynomial of theta(t) = sum_i M_i / (t - x_i) in
-    integers, at each sample point t of ts, for Fraction residue matrices M_i.
-
-    theta(t) = M / D with M an integer matrix and D the least common
-    denominator of the entries.  Faddeev-LeVerrier on M (Faddeev 1963):
-    Q_0 = I, e_m = tr(M Q_(m-1)) / m and Q_m = e_m I - M Q_(m-1), where each
-    division by m is exact, e_m = e_m(M) and Q_m = sum_(j<=m) (-1)^j
-    e_(m-j)(M) M^j.  Per t the result is (D, [e_1, ..., e_s], [Q_0, ...,
-    Q_(s-1)] flattened row-major), so that e_m(theta(t)) = e_m / D^m and
-    P_m(theta(t)) = Q_m / D^m, the matrix whose trace against V is the
-    derivative of e_(m+1) at theta(t) along V.
-    """
-    s = len(matrices[0])
+def theta_numerators(points: Sequence[Fraction], matrices: Sequence[Matrix],
+                     ts: Sequence[Fraction]) -> list[tuple[int, list[int]]]:
+    """theta(t) = sum_i M_i / (t - x_i) in integers, at each sample point t
+    of ts, for Fraction residue matrices M_i: per t the pair (D, M), where
+    theta(t) = M / D, M is flattened row-major and D is the least common
+    denominator of the entries of theta(t)."""
     sites = [(x.numerator, x.denominator) + over_common_denominator(flatten(m))
              for x, m in zip(points, matrices)]
-    ident = [int(a == b) for a in range(s) for b in range(s)]
     out = []
     for t in ts:
         # 1 / (t - x_i) over the denominator d_i of M_i is u_i / v_i below
         tn, td = t.numerator, t.denominator
         weights = [(td * xd, d * (tn * xd - xn * td)) for xn, xd, d, _ in sites]
         den = lcm(*(v for _, v in weights))
-        m = [0] * (s * s)
+        m = [0] * len(sites[0][3])
         for (u, v), (_, _, _, a) in zip(weights, sites):
             c = u * (den // v)
             m = [x + c * y for x, y in zip(m, a)]
@@ -494,6 +484,28 @@ def theta_char_polys(points: Sequence[Fraction], matrices: Sequence[Matrix],
         if g > 1:
             den //= g
             m = [x // g for x in m]
+        out.append((den, m))
+    return out
+
+
+def theta_char_polys(points: Sequence[Fraction], matrices: Sequence[Matrix],
+                     ts: Sequence[Fraction]
+                     ) -> list[tuple[int, list[int], list[int], list[list[int]]]]:
+    """The characteristic polynomial of theta(t) = sum_i M_i / (t - x_i) in
+    integers, at each sample point t of ts, for Fraction residue matrices M_i.
+
+    theta(t) = M / D as in `theta_numerators`.  Faddeev-LeVerrier on M
+    (Faddeev 1963): Q_0 = I, e_m = tr(M Q_(m-1)) / m and Q_m = e_m I -
+    M Q_(m-1), where each division by m is exact, e_m = e_m(M) and Q_m =
+    sum_(j<=m) (-1)^j e_(m-j)(M) M^j.  Per t the result is (D, M, [e_1,
+    ..., e_s], [Q_0, ..., Q_(s-1)]), matrices flattened row-major, so that
+    e_m(theta(t)) = e_m / D^m and P_m(theta(t)) = Q_m / D^m, the matrix
+    whose trace against V is the derivative of e_(m+1) at theta(t) along V.
+    """
+    s = len(matrices[0])
+    ident = [int(a == b) for a in range(s) for b in range(s)]
+    out = []
+    for den, m in theta_numerators(points, matrices, ts):
         rows = [m[a * s:(a + 1) * s] for a in range(s)]
         q, qs, es = ident, [ident], []
         for k in range(1, s + 1):
@@ -508,7 +520,7 @@ def theta_char_polys(points: Sequence[Fraction], matrices: Sequence[Matrix],
                 q[a] += e
             es.append(e)
             qs.append(q)
-        out.append((den, es, qs))
+        out.append((den, m, es, qs))
     return out
 
 

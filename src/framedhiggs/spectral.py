@@ -53,7 +53,7 @@ def elementary_numerators(model: AlgebraModel, points: Sequence[Fraction],
     for x in pts:
         q = q * Poly.x_minus(x)
     ts = [max(pts) + l for l in range(1, model.n * n + 2)]
-    samples = [(e, q(t) / den) for t, (den, e, _) in
+    samples = [(e, q(t) / den) for t, (den, _, e, _) in
                zip(ts, theta_char_polys(pts, [el.matrix for el in residues], ts))]
     return [Poly.interpolate(ts[:k * n + 1],
                              [e[k - 1] * qd ** k for e, qd in samples[:k * n + 1]])

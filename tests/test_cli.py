@@ -41,6 +41,29 @@ def test_gaudin_job_bracket_table_zero(tmp_path, capsys):
     assert bracket_check["value"] == "0"
 
 
+def test_gaudin_job_reports_a_nonzero_bracket(tmp_path, monkeypatch):
+    # With sample-point gradients Y_t = [[0, 1], [t_index, 0]], which do not
+    # commute with theta(t), the bracket gate must fail end to end.
+    from framedhiggs.gaudin import SampleGradients
+    original = cli.GaudinSystem.coefficient_gradients_at
+
+    def non_commuting(self, residues):
+        return [SampleGradients(block.keys, block.ts, block.vinv,
+                                [(1, [0, 1, i, 0]) for i in range(len(block.ts))])
+                for block in original(self, residues)]
+
+    monkeypatch.setattr(cli.GaudinSystem, "coefficient_gradients_at", non_commuting)
+    cfg = write_config(tmp_path, "g.json", GAUDIN_SL2)
+    out = tmp_path / "report.json"
+    assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert not report["all_passed"]
+    check = [c for c in report["checks"]
+             if c["name"] == "pairwise brackets of invariant coefficients vanish"][0]
+    assert not check["passed"] and check["value"] != "0"
+    assert report["results"]["bracket_worst_pair"] is not None
+
+
 def test_defo_job_rejects_unbalanced_residues(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {
         "group": "sl(2)", "points": ["1", "2"],

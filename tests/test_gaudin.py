@@ -214,14 +214,14 @@ def test_commutativity_so5_spot():
 
 def test_commutativity_so4_spot():
     # so(4) is the one family whose last generator is a Pfaffian; its gradients
-    # come from the symbolic Pfaffian coefficient functions alone.
+    # come from one symbolic gradient of Pf(Q X), and no coefficient function.
     rng = random.Random(41)
     model = AlgebraModel("so(4)")
     system = GaudinSystem(model, PTS3)
     tuples = [random_residue_tuple(model, rng, 3, 3, zero_sum=False)]
     worst, _ = system.commutativity_check(tuples)
     assert worst == 0
-    assert list(system._coeff_functions) == [1]
+    assert system._coeff_functions == {}
 
 
 # Reference bracket table: every coefficient's site gradient combined and
@@ -284,11 +284,18 @@ def _reference_check(residue_tuples, gradients_at):
     return worst, worst_pair
 
 
-def _as_matrices(system, data):
+def _site_gradients(system, blocks):
+    """The site gradients sum_t vinv[a][t] Y_t / (t - x_l) of the sample-point
+    gradients Y_t, in Fractions, in the layout of `_reference_gradients`."""
     s = system.s
-    return [(key, [[[F(x, d) for x in m[r * s:(r + 1) * s]] for r in range(s)]
-                   for d, m in grads])
-            for key, grads in data]
+    out = []
+    for block in blocks:
+        ys = [[[F(v, d) for v in y[r * s:(r + 1) * s]] for r in range(s)]
+              for d, y in block.grads]
+        for key, row in zip(block.keys, block.vinv):
+            out.append((key, [[list(r) for r in mat_comb(
+                [w / (t - x) for w, t in zip(row, block.ts)], ys)] for x in system.points]))
+    return out
 
 
 def _random_matrix(rng, s, kind):
@@ -318,8 +325,9 @@ def test_char_poly_kernel_matches_the_fraction_oracle(s, kind):
     rng = random.Random(61 + 7 * s + KERNEL_KINDS.index(kind))
     for _ in range(4):
         x = _random_matrix(rng, s, kind)
-        [(den, e, qs)] = theta_char_polys([F(0)], [x], [F(1)])
-        assert all(isinstance(v, int) for v in [den, *e] + [y for q in qs for y in q])
+        [(den, m, e, qs)] = theta_char_polys([F(0)], [x], [F(1)])
+        assert all(isinstance(v, int) for v in [den, *m, *e] + [y for q in qs for y in q])
+        assert [F(v, den) for v in m] == flatten(x)
         assert [F(v, den ** m) for m, v in enumerate(e, start=1)] == char_poly_elementary(x)
         assert ([[F(v, den ** m) for v in q] for m, q in enumerate(qs)]
                 == [flatten(p) for p in _char_gradient_matrices(x)])
@@ -335,9 +343,10 @@ def test_char_poly_kernel_on_residue_tuples_with_mixed_denominators(s):
     for kinds in (["general", "singular", "nilpotent"], ["zero", "general", "zero"],
                   ["nilpotent"] * 3):
         mats = [_random_matrix(rng, s, kind) for kind in kinds]
-        for t, (den, e, qs) in zip(ts, theta_char_polys(points, mats, ts)):
+        for t, (den, m, e, qs) in zip(ts, theta_char_polys(points, mats, ts)):
             theta = theta_at(points, mats, t)
             assert den == over_common_denominator(flatten(theta))[0]
+            assert [F(v, den) for v in m] == flatten(theta)
             assert [F(v, den ** m) for m, v in enumerate(e, start=1)] \
                 == char_poly_elementary(theta)
             assert ([[F(v, den ** m) for v in q] for m, q in enumerate(qs)]
@@ -357,7 +366,7 @@ def test_bracket_table_matches_reference(gid, points, count):
     tuples = [random_residue_tuple(model, rng, len(points), 4, zero_sum=False)
               for _ in range(count)]
     for residues in tuples:
-        assert (_as_matrices(system, system.coefficient_gradients_at(residues))
+        assert (_site_gradients(system, system.coefficient_gradients_at(residues))
                 == _reference_gradients(system, residues))
     expected = _reference_check(tuples, lambda r: _reference_gradients(system, r))
     assert system.commutativity_check(tuples) == expected == (0, None)
@@ -370,8 +379,8 @@ def test_bracket_table_reference_catches_an_off_by_one_gradient(monkeypatch, gid
     # Reading Q_(m-1) where Q_m belongs gives every gradient of e_m, m >= 2,
     # the wrong matrix; the reference comparison must see it.
     def shifted(points, matrices, ts):
-        return [(den, e, [qs[0]] + qs[:-1])
-                for den, e, qs in theta_char_polys(points, matrices, ts)]
+        return [(den, m, e, [qs[0]] + qs[:-1])
+                for den, m, e, qs in theta_char_polys(points, matrices, ts)]
     monkeypatch.setattr(gaudin, "theta_char_polys", shifted)
     with pytest.raises(AssertionError):
         test_bracket_table_matches_reference(gid, points, count)
@@ -380,33 +389,94 @@ def test_bracket_table_reference_catches_an_off_by_one_gradient(monkeypatch, gid
 @pytest.mark.parametrize("gid, points, count", BRACKET_CASES,
                          ids=[case[0] for case in BRACKET_CASES])
 def test_bracket_table_negative_control(monkeypatch, gid, points, count):
-    # A_0[0][1] A_0[1][0] is not invariant: with its gradient appended, the
-    # exact-zero gate must fail, and both tables must name the same bracket.
+    # f(theta) = theta_01 theta_10 is not invariant: with the sample-point
+    # gradients of the partial-fraction coefficients of f(theta(z)) appended,
+    # the exact-zero gate must fail, and the reference table, built from the
+    # symbolic site gradients of those coefficients, must name the same bracket.
     model = AlgebraModel(gid)
     system = GaudinSystem(model, points)
-    noninv = system.coordinate(0, 0, 1) * system.coordinate(0, 1, 0)
-    key = ("non-invariant",)
+    cols, ts, vinv = system._interp_data(model.group.degrees.index(2))
+    keys = [("non-invariant", i, j) for i, j in cols]
+    thetas = [theta_at(points, [system.site_matrix(l) for l in range(len(points))], t)
+              for t in ts]
+    noninv = [PolyObservable.lift(c)
+              for c in mat_vec(vinv, [theta[0][1] * theta[1][0] for theta in thetas])]
 
-    def noninv_gradients(residues):
+    def noninv_site_gradients(residues):
         values = system.flatten_point(residues)
-        return [[list(r) for r in system.sigma_gradient_at(noninv, l, values).matrix]
-                for l in range(system.n)]
+        return [(key, [[list(r) for r in system.sigma_gradient_at(fn, l, values).matrix]
+                       for l in range(system.n)]) for key, fn in zip(keys, noninv)]
+
+    def noninv_sample_gradients(residues):
+        grads = []
+        for t in ts:
+            theta = theta_at(points, [el.matrix for el in residues], t)
+            grad = [[theta[a][b] if {a, b} == {0, 1} else F(0) for b in range(system.s)]
+                    for a in range(system.s)]
+            coords = mat_vec(system._grad_rows, flatten(grad))
+            grads.append(over_common_denominator(flatten(system.model.from_coords(coords).matrix)))
+        return gaudin.SampleGradients(keys, ts, vinv, grads)
 
     original = GaudinSystem.coefficient_gradients_at
-
-    def with_noninv(self, residues):
-        extra = [over_common_denominator(flatten(m)) for m in noninv_gradients(residues)]
-        return original(self, residues) + [(key, extra)]
-
-    monkeypatch.setattr(GaudinSystem, "coefficient_gradients_at", with_noninv)
+    monkeypatch.setattr(GaudinSystem, "coefficient_gradients_at",
+                        lambda self, r: original(self, r) + [noninv_sample_gradients(r)])
     rng = random.Random(59)
     tuples = [random_residue_tuple(model, rng, len(points), 4, zero_sum=False)
               for _ in range(count)]
     worst, pair = system.commutativity_check(tuples)
     expected = _reference_check(
-        tuples, lambda r: _reference_gradients(system, r) + [(key, noninv_gradients(r))])
+        tuples, lambda r: _reference_gradients(system, r) + noninv_site_gradients(r))
     assert (worst, pair) == expected
-    assert worst != 0 and pair[1] == key
+    assert worst != 0 and pair[1][0] == "non-invariant"
+
+
+GRID_POINTS = (F(1, 2), F(-3), F(7, 3))
+GRID_CASES = [("sl(2)", 3), ("sl(3)", 3), ("gl(2)", 3), ("gl(3)", 2), ("sp(4)", 2),
+              ("so(4)", 3), ("so(5)", 2)]
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+@pytest.mark.parametrize("gid, n", GRID_CASES, ids=[case[0] for case in GRID_CASES])
+def test_bracket_table_grid_matches_reference(monkeypatch, gid, n, faulted):
+    # The sample-point table against the per-site Fraction table, on tuples
+    # that do not sum to zero.  The fault adds a fixed integer matrix to the
+    # Faddeev-LeVerrier matrix that degree index 0 reads, so that its
+    # gradients stop commuting with theta(t); the reference then uses the site
+    # gradients of the faulted sample-point gradients.
+    model = AlgebraModel(gid)
+    points = GRID_POINTS[:n]
+    system = GaudinSystem(model, points)
+    fault_at = system._indices[0] - 1
+    kernel = gaudin.theta_char_polys
+
+    def with_fault(points, matrices, ts):
+        s = len(matrices[0])
+        fault = [(3 * a - 2 * b) % 7 - 3 for a in range(s) for b in range(s)]
+        return [(den, m, e, [[x + f for x, f in zip(q, fault)] if i == fault_at else q
+                             for i, q in enumerate(qs)])
+                for den, m, e, qs in kernel(points, matrices, ts)]
+
+    if faulted:
+        monkeypatch.setattr(gaudin, "theta_char_polys", with_fault)
+    rng = random.Random(71 + 3 * GRID_CASES.index((gid, n)))
+    tuples = [random_residue_tuple(model, rng, n, 4, zero_sum=False) for _ in range(2)]
+
+    def reference(residues):
+        if faulted:
+            return _site_gradients(system, system.coefficient_gradients_at(residues))
+        return _reference_gradients(system, residues)
+
+    worst, pair = system.commutativity_check(tuples)
+    assert (worst, pair) == _reference_check(tuples, reference)
+    assert (worst != 0) == faulted
+    if faulted and gid in ("sl(3)", "gl(2)"):
+        # the fault reaches the t = t' term: at a sample point that degree
+        # indices 0 and 1 share, their gradients no longer commute
+        first, second = system.coefficient_gradients_at(tuples[0])[:2]
+        shared = [(y, y2) for t, (_, y) in zip(first.ts, first.grads)
+                  for t2, (_, y2) in zip(second.ts, second.grads) if t == t2]
+        assert shared and any(any(gaudin._flat_commutator(y, y2, system.s))
+                              for y, y2 in shared)
 
 
 @pytest.mark.parametrize("gid", ["gl(3)", "sl(3)", "sp(4)", "so(5)", "so(4)"])
