@@ -325,9 +325,9 @@ def test_char_poly_kernel_matches_the_fraction_oracle(s, kind):
     rng = random.Random(61 + 7 * s + KERNEL_KINDS.index(kind))
     for _ in range(4):
         x = _random_matrix(rng, s, kind)
-        [(den, m, e, qs)] = theta_char_polys([F(0)], [x], [F(1)])
-        assert all(isinstance(v, int) for v in [den, *m, *e] + [y for q in qs for y in q])
-        assert [F(v, den) for v in m] == flatten(x)
+        [(den, num, e, qs)] = theta_char_polys([F(0)], [x], [F(1)])
+        assert all(isinstance(v, int) for v in [den, *num, *e] + [y for q in qs for y in q])
+        assert [F(v, den) for v in num] == flatten(x)
         assert [F(v, den ** m) for m, v in enumerate(e, start=1)] == char_poly_elementary(x)
         assert ([[F(v, den ** m) for v in q] for m, q in enumerate(qs)]
                 == [flatten(p) for p in _char_gradient_matrices(x)])
@@ -343,10 +343,10 @@ def test_char_poly_kernel_on_residue_tuples_with_mixed_denominators(s):
     for kinds in (["general", "singular", "nilpotent"], ["zero", "general", "zero"],
                   ["nilpotent"] * 3):
         mats = [_random_matrix(rng, s, kind) for kind in kinds]
-        for t, (den, m, e, qs) in zip(ts, theta_char_polys(points, mats, ts)):
+        for t, (den, num, e, qs) in zip(ts, theta_char_polys(points, mats, ts)):
             theta = theta_at(points, mats, t)
             assert den == over_common_denominator(flatten(theta))[0]
-            assert [F(v, den) for v in m] == flatten(theta)
+            assert [F(v, den) for v in num] == flatten(theta)
             assert [F(v, den ** m) for m, v in enumerate(e, start=1)] \
                 == char_poly_elementary(theta)
             assert ([[F(v, den ** m) for v in q] for m, q in enumerate(qs)]
@@ -413,8 +413,8 @@ def test_bracket_table_negative_control(monkeypatch, gid, points, count):
             theta = theta_at(points, [el.matrix for el in residues], t)
             grad = [[theta[a][b] if {a, b} == {0, 1} else F(0) for b in range(system.s)]
                     for a in range(system.s)]
-            coords = mat_vec(system._grad_rows, flatten(grad))
-            grads.append(over_common_denominator(flatten(system.model.from_coords(coords).matrix)))
+            projected = system.model.from_coords(mat_vec(system._grad_rows, flatten(grad)))
+            grads.append(over_common_denominator(flatten(projected.matrix)))
         return gaudin.SampleGradients(keys, ts, vinv, grads)
 
     original = GaudinSystem.coefficient_gradients_at
