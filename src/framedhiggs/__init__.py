@@ -9,6 +9,7 @@ Subpackages:
                and the Poisson-anchor matrix identity
   gaudin       the Hitchin map on residue tuples, Lie-Poisson brackets, flows
   spectral     spectral curves, discriminants, branch data, genus identities
+  intpoly      integer polynomials: factoring over Z, real-root isolation
   cli          the `hfb` batch runner
 """
 

@@ -25,7 +25,7 @@ from .dimensions import audit_grid, consistency_audit, hitchin_fiber_dim
 from .curve import MarkedCurve
 from .deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
                           FramedHiggsModel, verify_poisson_map)
-from .exactlinalg import rank
+from .exactlinalg import over_common_denominator, rank
 from .gaudin import GaudinSystem, worst_drift
 from .liealg import (AlgebraModel, FramingSpec, UnsupportedGroupError, framing_specs,
                      group_data, trace_form)
@@ -299,7 +299,10 @@ def run_defo(cfg: dict, seed) -> dict:
             d.h0 - d.h1 + d.h2, d.chi0 - d.chi1,
             "h0 - h1 + h2 == chi(F0) - chi(F1) for a two-term complex"))
     phi = theory.symplectic_matrix()
-    skew = all(phi[i][j] == -phi[j][i] for i in range(len(phi)) for j in range(len(phi)))
+    # phi holds integer numerators over one denominator; compare those
+    size, (_, nums) = len(phi), over_common_denominator(x for row in phi for x in row)
+    skew = all(nums[i * size + j] == -nums[j * size + i]
+               for i in range(size) for j in range(i, size))
     checks.append(_check("pairing skew-symmetry", skew, "skew" if skew else "not skew",
                          "skew", "invariance identity applied to the cup product"))
     fr = theory.dims(FRAMED)

@@ -26,7 +26,7 @@ from .exactlinalg import (ZERO, ONE, frac, mat_comb, mat_mul, mat_vec,
                           over_common_denominator, sample_inverse, solve, transpose)
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, antidiagonal, flatten,
                      generator_indices, mat_commutator, mat_trace, matrix_invariants,
-                     pfaffian, theta_at, theta_char_polys, theta_numerators)
+                     pfaffian, theta_at, theta_char_polys)
 
 Monomial = tuple[tuple[int, int], ...]   # sorted ((var, exp), ...)
 
@@ -319,16 +319,10 @@ class GaudinSystem:
         return self._interp_cache[k]
 
     def _symbolic_invariant(self, k: int, t: Fraction) -> PolyObservable:
-        """p_k(theta(t)) as a polynomial in the residue entries.
-
-        The Pfaffian of so(2r) is built on its own unless every generator at
-        t is already known: it costs a small fraction of the characteristic
-        polynomial that the other generators share.
-        """
+        """p_k(theta(t)) as a polynomial in the residue entries; every
+        generator at t is built at once and cached."""
         if t not in self._symbolic_invariants:
             theta = theta_at(self.points, [self.site_matrix(i) for i in range(self.n)], t)
-            if self._indices[k] == PFAFFIAN:
-                return pfaffian(mat_mul(antidiagonal(self.s), theta))
             self._symbolic_invariants[t] = matrix_invariants(self.group, theta)
         return self._symbolic_invariants[t][k]
 
@@ -427,8 +421,8 @@ class GaudinSystem:
         pf = pfaffian(mat_mul(antidiagonal(self.s), self.site_matrix(0)))
         return [pf.diff(self.var(0, a, b)) for b in range(self.s) for a in range(self.s)]
 
-    def coefficient_gradients_at(self, residues: Sequence[AlgebraElement]
-                                 ) -> list[SampleGradients]:
+    def coefficient_gradients_at(self, residues: Sequence[AlgebraElement],
+                                 chars: list[tuple] | None = None) -> list[SampleGradients]:
         """The gradients of every invariant coefficient at a point in the
         sample-point basis, one SampleGradients per degree index k with
         Y_t = pi(grad p_k(theta(t))).
@@ -440,9 +434,11 @@ class GaudinSystem:
         Faddeev-LeVerrier matrix of M (`theta_char_polys`), and that of the
         Pfaffian is G(M) / D^(r-1) (`_pfaffian_gradient`); the projection, an
         integer matrix over pden, costs s^4 integer products per k and t.
+        chars is `_char_polys_at(residues)` when the caller has it already.
         """
         out = []
-        chars = self._char_polys_at(residues)
+        if chars is None:
+            chars = self._char_polys_at(residues)
         pden, prows = self._projection
         for k, index in enumerate(self._indices):
             cols, ts, vinv = self._interp_data(k)
@@ -475,22 +471,26 @@ class GaudinSystem:
         """
         worst, worst_pair = ZERO, None
         for residues in residue_tuples:
-            blocks = self.coefficient_gradients_at(residues)
+            chars = self._char_polys_at(residues)
+            blocks = self.coefficient_gradients_at(residues, chars)
             keys = [key for block in blocks for key in block.keys]
-            for (ia, ib), val in sorted(self._bracket_table(residues, blocks).items()):
+            theta = [(den, m) for den, m, _, _ in chars]
+            for (ia, ib), val in sorted(self._bracket_table(residues, blocks, theta).items()):
                 if abs(val) > abs(worst):
                     worst, worst_pair = val, (keys[ia], keys[ib])
         return worst, worst_pair
 
     def _bracket_table(self, residues: Sequence[AlgebraElement],
-                       blocks: Sequence[SampleGradients]) -> dict[tuple[int, int], Fraction]:
+                       blocks: Sequence[SampleGradients],
+                       theta: list[tuple[int, list[int]]]) -> dict[tuple[int, int], Fraction]:
         """The nonzero brackets of `commutativity_check` by the positions a < b
-        of the coefficients in the blocks; their sample points share one head."""
+        of the coefficients in the blocks; their sample points share one head,
+        and theta holds theta(t) = M / D as (D, M) at the points of that head
+        (`theta_numerators`, as `_char_polys_at` returns it)."""
         s, mats = self.s, [el.matrix for el in residues]
         ts = max((block.ts for block in blocks), key=len)
         if any(block.ts != ts[:len(block.ts)] for block in blocks):
             raise ValueError("sample points of the blocks are not the heads of one list")
-        theta = theta_numerators(self.points, mats, ts)
         # U_t = [M, y] / (D d) for theta(t) = M / D and Y_t = y / d; None if zero
         comm = [[(den * d, u) if any(u := _flat_commutator(m, y, s)) else None
                  for (den, m), (d, y) in zip(theta, block.grads)] for block in blocks]

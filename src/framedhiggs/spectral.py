@@ -7,19 +7,22 @@ degenerate, unramified over the marked points, smooth) are decided exactly;
 branch-point locations are exact where rational and isolated to a
 configurable width otherwise.
 
-One sympy factorization of the discriminant numerator over Z
-(`Poly.integer_factors`) serves the whole analysis: its linear factors are
-the rational branch points, its multiplicities decide square-freeness, and
-its other factors are the irreducible factors sympy's root isolation would
-find again by factoring, so they go to it directly.
+One factorization of the discriminant numerator over Z
+(`Poly.integer_factors`, computed by `intpoly`) serves the whole analysis:
+its linear factors are the rational branch points, its multiplicities decide
+square-freeness, and its other factors are the irreducible factors sympy's
+root isolation would find again by factoring, so they go to it directly.
 
-The isolating boxes are the ones sympy's ``all_roots`` and ``eval_rational``
-give.  sympy isolates and refines the real roots of those factors; the
-non-real rectangles are sympy's Collins-Krandick quadtree and refinement
-replayed on certified Henrici disks, each root count an exact comparison with
-the disks (`_replay_rectangles`).  A step the disks cannot decide sends the
-polynomial back to sympy end to end: its own complex isolation and
-refinement.
+The isolating boxes are the ones sympy 1.14's ``all_roots`` and
+``eval_rational`` give, computed without sympy.  The real roots are
+isolated and refined by a line-for-line port of sympy's continued-fraction
+method (`intpoly.isolate_real_roots_sqf`); the non-real rectangles are
+sympy's Collins-Krandick quadtree and refinement replayed on certified
+Henrici disks, each root count an exact comparison with the disks
+(`_replay_rectangles`).  sympy is imported only where the port cannot decide
+exactly (`_isolate_irrational_roots` names the three cases); one of them, a
+step the disks cannot decide, sends the polynomial back to sympy end to
+end: its own complex isolation and refinement.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .exactlinalg import ZERO, ONE, frac
 from .liealg import (AlgebraElement, AlgebraModel, GroupData, char_poly_elementary,
                      theta_char_polys)
 from .dimensions import hitchin_base_dim, hitchin_fiber_dim, torsor_dims
+from .intpoly import isolate_real_roots_sqf, mul, reals_sorted
 from .rationalfn import Poly, linear_roots
 
 
@@ -162,45 +167,45 @@ def _isolate_irrational_roots(sign: int, factors: list[list[int]],
     numerator, each taken once, from the one factorization that also gave
     the rational roots and the squarefree flag (`Poly.integer_factors`):
     their product is the square-free part of the numerator with the rational
-    roots divided out, and its roots are the irrational branch points.  The
-    real isolation and the replay both work on these factors.  Returns ("real", lo, hi) intervals and ("complex", (re_lo,
-    im_lo), (re_hi, im_hi)) rectangles with exact rational endpoints: the
-    boxes ``Poly.all_roots`` followed by ``eval_rational`` gives, in its
-    order.  sympy's factors are derived from the known ones, not factored
-    again (`_sympy_factors`); sympy isolates and refines their real roots
-    (``ComplexRootOf._get_reals``, ``RealInterval.refine_size``), and the
-    non-real rectangles are replayed on certified disks
-    (`_replay_complexes`).  When the replay cannot decide a step, sympy's own
-    complex isolation (``all_roots``) and refinement (``eval_rational``) run
-    for the whole polynomial.
+    roots divided out, and its roots are the irrational branch points.
+    Returns ("real", lo, hi) intervals and ("complex", (re_lo, im_lo),
+    (re_hi, im_hi)) rectangles with exact rational endpoints: the boxes
+    sympy's ``Poly.all_roots`` followed by ``eval_rational`` gives, in its
+    order.  The real roots are isolated and refined by the port of sympy's
+    continued-fraction method (`intpoly.isolate_real_roots_sqf`,
+    `intpoly.reals_sorted`, ``RealInterval.refine_size``) on sympy's scaled
+    factors (`_scaled_factors`), and the non-real rectangles are replayed on
+    certified disks (`_replay_complexes`).
+
+    sympy is imported only where the port cannot decide exactly:
+    - two or more factors have non-real roots: their order is
+      ``sympy.ordered``'s (`_sympy_ordered`);
+    - the coefficient gcd of `_integer_basis` has a prime factor beyond
+      trial division: ``sympy.divisors`` lists its divisors;
+    - the replay cannot decide a step: sympy's own complex isolation
+      (``all_roots``) and refinement (``eval_rational``) run for the whole
+      polynomial (`_sympy_complexes`).
     """
     if not factors:
         return []
-    # Imported here: sympy is most of the package's import time, and only
-    # root finding needs it.
-    import sympy
-    from sympy.polys.domains import QQ
-    from sympy.polys.rootoftools import ComplexRootOf
-
-    scale, sp, pure = _sympy_factors(sign, factors)
-    reals = ComplexRootOf._get_reals(pure)
-    # sympy returns each root as scale * CRootOf(f, k), f one of the pure
+    scale, pure = _scaled_factors(factors)
+    reals = reals_sorted([(interval, i) for i, f in enumerate(pure)
+                          for interval in isolate_real_roots_sqf(f)])
+    # sympy returns each root as scale * CRootOf(f, k), f one of the scaled
     # factors; isolating the CRootOf to eps / scale keeps each box of width eps.
     tol = eps / scale
-    ordered = [f for f, _ in sympy.ordered(pure)]
-    centres = _replay_complexes(
-        [[int(a) for a in f.rep.to_list()] for f in ordered],
-        [sum(g == f for _, g, _ in reals) for f in ordered], tol)
+    nreal = [0] * len(pure)
+    for _, i in reals:
+        nreal[i] += 1
+    order = range(len(pure))
+    if sum(len(f) - 1 > k for f, k in zip(pure, nreal)) > 1:
+        order = _sympy_ordered(pure)
+    centres = _replay_complexes([pure[i] for i in order], [nreal[i] for i in order], tol)
     if centres is None:
-        stol = sympy.Rational(tol.numerator, tol.denominator)
-        centres = []
-        for rt in sp.all_roots(radicals=False)[len(reals):]:
-            approx = rt.as_coeff_Mul()[1].eval_rational(dx=stol, dy=stol)
-            centres.append((_fraction(sympy.re(approx)), _fraction(sympy.im(approx))))
+        centres = _sympy_complexes(sign, factors, tol, len(reals))
     out: list[tuple] = []
-    qtol = QQ(tol.numerator, tol.denominator)
-    for interval, _, _ in reals:
-        re = scale * _fraction(interval.refine_size(qtol).center)
+    for interval, _ in reals:
+        re = scale * interval.refine_size(tol).center
         out.append(("real", re - eps, re + eps))
     for re, im in centres:
         re, im = scale * re, scale * im
@@ -208,35 +213,128 @@ def _isolate_irrational_roots(sign: int, factors: list[list[int]],
     return out
 
 
-def _sympy_factors(sign: int, factors: list[list[int]]) -> tuple:
-    """(b, P, pure) for P = sign * prod(factors) as a sympy Poly.
+def _scaled_factors(factors: list[list[int]]) -> tuple[Fraction, list[list[int]]]:
+    """(b, pure) with pure the factors of Q, P(z) = c Q(z / b) for P the
+    product of the factors, as sympy's root isolation finds them.
 
-    sympy's ``preprocess_roots`` writes P(z) as a multiple of Q(z / b) with
-    Q an integer polynomial; its root isolation then factors Q
-    (``_pure_factors``).  Here b comes from ``preprocess_roots``, which does
-    no factoring, and the factors of Q from the known ones: the primitive
-    part of f(b w) for each f, as PurePolys in ``_sort_factors`` order.
+    sympy's ``preprocess_roots`` takes b from ``_integer_basis(P)``; its
+    root isolation then factors Q (``_pure_factors``).  Here the factors of
+    Q are derived from the known ones: the primitive part of f(b w) for each
+    f, sorted as ``_sort_factors`` sorts them.
     """
-    import sympy
-    from sympy.polys.polyroots import preprocess_roots
-    from sympy.polys.polyutils import _sort_factors
-
-    x = sympy.Symbol("x")
-    sp = sympy.Poly(sign, x)
-    for f in factors:
-        sp *= sympy.Poly(f, x)
-    b = int(preprocess_roots(sp)[0])
+    product = reduce(mul, factors)
+    b = _integer_basis(product) or 1
     scaled = []
     for f in factors:
         g = [a * b ** k for k, a in enumerate(reversed(f))][::-1]
         content = math.gcd(*g)
-        scaled.append(([a // content for a in g], 1))
-    return (Fraction(b), sp,
-            [(sympy.PurePoly(g, x), m) for g, m in _sort_factors(scaled)])
+        scaled.append([a // content for a in g])
+    return Fraction(b), sorted(scaled, key=lambda g: (len(g), g))
+
+
+def _integer_basis(poly: list[int]) -> int | None:
+    """sympy 1.14's ``polyroots._integer_basis``: the integer b such that
+    substituting z = b w gives p(z) = m q(w) with smaller coefficients, or
+    None."""
+    monoms = [len(poly) - 1 - i for i, a in enumerate(poly) if a]
+    coeffs = [abs(a) for a in poly if a]
+    if coeffs[0] < coeffs[-1]:
+        coeffs = list(reversed(coeffs))
+        n = monoms[0]
+        monoms = [n - i for i in reversed(monoms)]
+    else:
+        return None
+    monoms = monoms[:-1]
+    coeffs = coeffs[:-1]
+    # Special case for two-term polynomials
+    if len(monoms) == 1:
+        r = _integer_root(coeffs[0], monoms[0])
+        return r if r ** monoms[0] == coeffs[0] else None
+    divs = reversed(_divisors(math.gcd(*coeffs))[1:])
+    try:
+        div = next(divs)
+    except StopIteration:
+        return None
+    while True:
+        for monom, coeff in zip(monoms, coeffs):
+            if coeff % div ** monom != 0:
+                try:
+                    div = next(divs)
+                except StopIteration:
+                    return None
+                else:
+                    break
+        else:
+            return div
+
+
+def _integer_root(c: int, k: int) -> int:
+    """The largest r with r^k <= c."""
+    lo, hi = 0, 1 << (c.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** k <= c:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+# Trial division up to this bound factors the coefficient gcd of
+# `_integer_basis` whenever what is left is 1 or below its square.
+_TRIAL_BOUND = 1 << 12
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n in increasing order (``sympy.divisors``),
+    from trial division up to `_TRIAL_BOUND`; past it, sympy's own."""
+    primes, m, p = {}, n, 2
+    while p * p <= m:
+        if p > _TRIAL_BOUND:
+            from sympy import divisors
+            return [int(d) for d in divisors(n)]
+        while m % p == 0:
+            primes[p] = primes.get(p, 0) + 1
+            m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        primes[m] = primes.get(m, 0) + 1
+    divs = [1]
+    for p, e in primes.items():
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
+def _sympy_ordered(pure: list[list[int]]) -> list[int]:
+    """The positions of the factors in ``sympy.ordered`` order, the order
+    in which sympy's complex isolation takes them
+    (``ComplexRootOf._get_complexes``)."""
+    import sympy
+    x = sympy.Symbol("x")
+    return [pure.index([int(a) for a in f.rep.to_list()]) for f, _ in
+            sympy.ordered([(sympy.PurePoly(g, x), 1) for g in pure])]
+
+
+def _sympy_complexes(sign: int, factors: list[list[int]], tol: Fraction,
+                     nreal: int) -> list[tuple[Fraction, Fraction]]:
+    """The centres of the non-real roots of sign * prod(factors) by sympy's
+    own complex isolation (``all_roots``) and refinement (``eval_rational``),
+    each over the scale of the root: where the replay declines."""
+    import sympy
+    x = sympy.Symbol("x")
+    sp = sympy.Poly(sign, x)
+    for f in factors:
+        sp *= sympy.Poly(f, x)
+    stol = sympy.Rational(tol.numerator, tol.denominator)
+    centres = []
+    for rt in sp.all_roots(radicals=False)[nreal:]:
+        approx = rt.as_coeff_Mul()[1].eval_rational(dx=stol, dy=stol)
+        centres.append((_fraction(sympy.re(approx)), _fraction(sympy.im(approx))))
+    return centres
 
 
 def _fraction(q) -> Fraction:
-    """A sympy Rational or a polys-domain rational as a Fraction."""
+    """A sympy Rational as a Fraction."""
     return Fraction(int(q.numerator), int(q.denominator))
 
 

@@ -47,10 +47,10 @@ def test_gaudin_job_reports_a_nonzero_bracket(tmp_path, monkeypatch):
     from framedhiggs.gaudin import SampleGradients
     original = cli.GaudinSystem.coefficient_gradients_at
 
-    def non_commuting(self, residues):
+    def non_commuting(self, residues, *chars):
         return [SampleGradients(block.keys, block.ts, block.vinv,
                                 [(1, [0, 1, i, 0]) for i in range(len(block.ts))])
-                for block in original(self, residues)]
+                for block in original(self, residues, *chars)]
 
     monkeypatch.setattr(cli.GaudinSystem, "coefficient_gradients_at", non_commuting)
     cfg = write_config(tmp_path, "g.json", GAUDIN_SL2)
@@ -406,6 +406,26 @@ def test_a_non_skew_pairing_fails_the_check_with_a_report(tmp_path, capsys, monk
     check = [c for c in report["checks"] if c["name"] == "pairing skew-symmetry"][0]
     assert not check["passed"] and check["value"] == "not skew"
     assert "pairing skew-symmetry" in err
+
+
+def test_one_flipped_pairing_entry_fails_the_skew_check(tmp_path, capsys, monkeypatch):
+    # phi with the sign of one nonzero entry above the diagonal flipped:
+    # phi[i][j] == phi[j][i] != 0 there, and the check must see it.
+    from framedhiggs.deformation import DeformationTheory
+    original = DeformationTheory.symplectic_matrix
+
+    def flipped(self):
+        phi = original(self)
+        i, j = next((i, j) for i, row in enumerate(phi) for j, x in enumerate(row)
+                    if j > i and x)
+        phi[i][j] = -phi[i][j]
+        return phi
+    monkeypatch.setattr(DeformationTheory, "symplectic_matrix", flipped)
+    report, err = _failing_defo_report(tmp_path, capsys)
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert "pairing skew-symmetry" in failed
+    check = [c for c in report["checks"] if c["name"] == "pairing skew-symmetry"][0]
+    assert check["value"] == "not skew"
 
 
 @pytest.mark.parametrize("verify", [True, False])

@@ -11,9 +11,9 @@ from framedhiggs.exactlinalg import (identity, mat_comb, mat_mul, mat_vec,
                                      over_common_denominator)
 from framedhiggs import gaudin
 from framedhiggs.gaudin import GaudinSystem, PolyObservable, worst_drift
-from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, char_poly_elementary, flatten,
-                                mat_commutator, mat_trace, matrix_invariants,
-                                newton_elementary, theta_at, theta_char_polys)
+from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, antidiagonal, char_poly_elementary,
+                                flatten, mat_commutator, mat_trace, matrix_invariants,
+                                newton_elementary, pfaffian, theta_at, theta_char_polys)
 from framedhiggs.sampling import random_algebra_element, random_residue_tuple
 
 PTS3 = (F(1), F(2), F(3))
@@ -248,10 +248,15 @@ def _reference_gradients(system, residues):
     for k, index in enumerate(system._indices):
         cols, ts, vinv = system._interp_data(k)
         if index == PFAFFIAN:
+            # the coefficients of Pf(Q theta(z)) as symbolic functions of the
+            # residue entries, differentiated symbolically
             values = system.flatten_point(residues)
-            for col, fn in sorted(system._coefficient_functions_of(k).items()):
+            sites = [system.site_matrix(i) for i in range(system.n)]
+            pfs = [pfaffian(mat_mul(antidiagonal(system.s), theta_at(system.points, sites, t)))
+                   for t in ts]
+            for col, c in sorted(zip(cols, mat_vec(vinv, pfs))):
                 grads = [[[entry(values) for entry in row]
-                          for row in system._symbolic_gradient(fn, l)]
+                          for row in system._symbolic_gradient(PolyObservable.lift(c), l)]
                          for l in range(system.n)]
                 out.append(((k, col[0], col[1]), grads))
             continue
@@ -419,7 +424,8 @@ def test_bracket_table_negative_control(monkeypatch, gid, points, count):
 
     original = GaudinSystem.coefficient_gradients_at
     monkeypatch.setattr(GaudinSystem, "coefficient_gradients_at",
-                        lambda self, r: original(self, r) + [noninv_sample_gradients(r)])
+                        lambda self, r, *chars: original(self, r, *chars)
+                        + [noninv_sample_gradients(r)])
     rng = random.Random(59)
     tuples = [random_residue_tuple(model, rng, len(points), 4, zero_sum=False)
               for _ in range(count)]

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -10,10 +11,9 @@ import pytest
 import sympy
 from sympy import CRootOf
 from sympy.polys.polyroots import preprocess_roots
-from sympy.polys.rootisolation import RealInterval
 from sympy.polys.rootoftools import _pure_factors
 
-from framedhiggs import spectral
+from framedhiggs import intpoly, spectral
 from framedhiggs.cli import main
 from framedhiggs.dimensions import hitchin_base_dim, hitchin_fiber_dim
 from framedhiggs.liealg import AlgebraModel
@@ -228,6 +228,7 @@ def test_torsor_report_outside_locus_emits_flags_only():
 # ---------------------------------------------------------------------------
 
 def _spectral_job(tmp_path, group, points, seed):
+    tmp_path.mkdir(parents=True, exist_ok=True)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"group": group, "points": points,
                                "residues": {"type": "random", "seed": seed,
@@ -255,6 +256,50 @@ def test_large_constant_term_rational_roots_finish(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_passed"]
+
+
+def _sympy_loaded_after(argvs):
+    """Exit codes of `hfb` on each argv in one fresh interpreter, and whether
+    sympy was imported by the end."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; from framedhiggs.cli import main; "
+            f"print([main(a) for a in {argvs!r}], 'sympy' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = proc.stdout.rsplit(" ", 1)
+    return json.loads(codes), loaded.strip() == "True"
+
+
+def test_spectral_jobs_load_no_sympy(tmp_path):
+    # Factoring and real isolation are the package's own and the replay
+    # certifies the non-real boxes, so these jobs never import sympy.
+    sl2 = _spectral_job(tmp_path / "sl2", "sl(2)", ["1", "2", "3", "4"], 1001)
+    sl3 = _spectral_job(tmp_path / "sl3", "sl(3)", ["1", "2", "3"], 7)
+    assert _sympy_loaded_after([[*sl2, "--out", str(tmp_path / "sl2.json")],
+                                [*sl3, "--out", str(tmp_path / "sl3.json")]]) == ([0, 0], False)
+
+
+def test_no_bench_spectral_job_loads_sympy(tmp_path, monkeypatch):
+    # Every job of bench seeds 0-2, in one interpreter as the bench worker
+    # runs them; generating the jobs needs sympy, so it happens here.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run)
+    spec.loader.exec_module(run)
+    seconds = json.loads((bench.parent / "BENCHMARK.json").read_text())["run_seconds"]
+    argvs = []
+    for seed in range(3):
+        for job in run.JobStream("spectral", seed).take(run.job_count("spectral", seconds)):
+            cfg = tmp_path / f"{seed}-{job.index}.json"
+            cfg.write_text(json.dumps(job.config))
+            argvs.append([job.sub, "--config", str(cfg), "--out", str(cfg) + ".out"])
+    codes, loaded = _sympy_loaded_after(argvs)
+    assert len(codes) == len(argvs) and not loaded
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +410,13 @@ def _eval_rational_calls(monkeypatch, p):
 @pytest.mark.parametrize("group, n, seed", [("sl(2)", 4, 9), ("gl(2)", 3, 1001)])
 def test_refine_size_refines_only_real_roots(monkeypatch, group, n, seed):
     refined = []
-    refine_size = RealInterval.refine_size
+    refine_size = intpoly.RealInterval.refine_size
 
     def counting(self, dx):
         refined.append(self)
         return refine_size(self, dx)
 
-    monkeypatch.setattr(RealInterval, "refine_size", counting)
+    monkeypatch.setattr(intpoly.RealInterval, "refine_size", counting)
     calls, boxes = _eval_rational_calls(monkeypatch, _discriminant(group, n, seed))
     assert any(b[0] == "complex" for b in boxes)
     assert len(refined) == sum(b[0] == "real" for b in boxes)
@@ -472,17 +517,17 @@ def test_replayed_rectangles_match_sympy_on_explicit_polynomials(monkeypatch, p,
 
 
 def _derived_factors(p):
-    """`spectral._sympy_factors` on the non-linear factors of p."""
-    sign, factors = p.integer_factors()
-    return spectral._sympy_factors(sign, [f for f, _ in factors if len(f) > 2])
+    """`spectral._scaled_factors` on the non-linear factors of p."""
+    return spectral._scaled_factors([f for f, _ in p.integer_factors()[1] if len(f) > 2])
 
 
 def _check_derived_factors(p):
     """The scale and factors derived from p's one factorization are those
     sympy's root isolation finds by factoring the reduced polynomial."""
-    scale, _, pure = _derived_factors(p)
+    scale, pure = _derived_factors(p)
     b, primitive = preprocess_roots(_reduced(p))
-    assert (scale, pure) == (b, _pure_factors(primitive))
+    assert (scale, pure) == (b, [[int(a) for a in f.rep.to_list()]
+                                 for f, _ in _pure_factors(primitive)])
     return scale
 
 
@@ -509,7 +554,9 @@ def test_derived_factors_match_sympy_factoring_on_explicit_polynomials(p, scale)
 
 
 def test_one_factorization_per_spectral_job(monkeypatch):
-    calls = {"factor_list": 0, "real_roots": 0, "eval_rational": 0}
+    # The one factorization is the package's own (`Poly.integer_factors`);
+    # sympy factors, isolates and refines nothing.
+    calls = {"integer_factors": 0, "factor_list": 0, "real_roots": 0, "eval_rational": 0}
 
     def counting(cls, name):
         method = getattr(cls, name)
@@ -519,6 +566,7 @@ def test_one_factorization_per_spectral_job(monkeypatch):
             return method(*args, **kwargs)
         monkeypatch.setattr(cls, name, wrapper)
 
+    counting(Poly, "integer_factors")
     counting(sympy.Poly, "factor_list")
     counting(sympy.Poly, "real_roots")
     counting(CRootOf, "eval_rational")
@@ -528,7 +576,8 @@ def test_one_factorization_per_spectral_job(monkeypatch):
     CRootOf.clear_cache()
     report = spectral_data(model.algebra, pts, model.residues)
     assert {b[0] for b in report.isolated_branch_boxes} == {"real", "complex"}
-    assert calls == {"factor_list": 1, "real_roots": 0, "eval_rational": 0}
+    assert calls == {"integer_factors": 1, "factor_list": 0, "real_roots": 0,
+                     "eval_rational": 0}
 
 
 def _sympy_calls(monkeypatch):
@@ -655,3 +704,53 @@ def test_a_box_on_a_quadtree_cut_is_not_counted():
     bound = 2 * F(5215189, 500)
     assert spectral._quadtree(CLUSTER, [beside]) == [((0, 0, bound, bound), beside)]
     assert spectral._quadtree(CLUSTER, [across]) is None
+
+
+# ---------------------------------------------------------------------------
+# where sympy still runs
+# ---------------------------------------------------------------------------
+
+Q = 4099 * 4111    # both prime, past the trial division of `spectral._divisors`
+
+
+def _fallback_calls(monkeypatch):
+    """Counts of the three places `_isolate_irrational_roots` asks sympy."""
+    calls = {"ordered": 0, "divisors": 0, "complexes": 0}
+
+    def spy(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(spectral, "_sympy_ordered", "ordered")
+    spy(sympy, "divisors", "divisors")
+    spy(spectral, "_sympy_complexes", "complexes")
+    return calls
+
+
+FALLBACKS = {
+    "none": (lambda: _discriminant(*NEGATIVE_CONTROL), {}),
+    # z^2 + z + 3 and z^3 - 2z + 5 both have non-real roots
+    "two-nonreal-factors": (lambda: _poly(1, 1, 3) * _poly(1, 0, -2, 5), {"ordered": 1}),
+    # _integer_basis takes b = Q from the divisors of the coefficient gcd Q
+    "large-basis-gcd": (lambda: _poly(1, -3 * Q, Q * Q), {"divisors": 1}),
+    "declined-replay": (lambda: _discriminant("gl(2)", 3, 1003), {"complexes": 1}),
+    "declined-two-factors": (lambda: _poly(1, -2, 2) * _poly(1, 4, 13),
+                             {"ordered": 1, "complexes": 1}),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACKS)
+def test_sympy_runs_only_where_the_port_cannot_decide(monkeypatch, case):
+    make, expected = FALLBACKS[case]
+    p = make()
+    calls = _fallback_calls(monkeypatch)
+    CRootOf.clear_cache()
+    boxes = _isolate(p)
+    assert calls == {"ordered": 0, "divisors": 0, "complexes": 0, **expected}
+    monkeypatch.undo()
+    CRootOf.clear_cache()
+    assert boxes == _reference_boxes(p, EPS)
