@@ -61,14 +61,15 @@ def mul(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
-def _add(f: list[int], g: list[int]) -> list[int]:
+def add(f: list[int], g: list[int]) -> list[int]:
+    """The sum over Z."""
     n = max(len(f), len(g))
     f, g = [0] * (n - len(f)) + f, [0] * (n - len(g)) + g
     return _strip([a + b for a, b in zip(f, g)])
 
 
 def _sub(f: list[int], g: list[int]) -> list[int]:
-    return _add(f, [-b for b in g])
+    return add(f, [-b for b in g])
 
 
 def _divmod_p(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -252,12 +253,12 @@ def _hensel_step(m, f, g, h, s, t):
     M = m * m
     e = _trunc(_sub(f, mul(g, h)), M)
     q, r = _divmod_monic(mul(s, e), h)
-    G = _trunc(_add(g, _add(mul(t, e), mul(q, g))), M)
-    H = _trunc(_add(h, r), M)
-    b = _trunc(_sub(_add(mul(s, G), mul(t, H)), [1]), M)
+    G = _trunc(add(g, add(mul(t, e), mul(q, g))), M)
+    H = _trunc(add(h, r), M)
+    b = _trunc(_sub(add(mul(s, G), mul(t, H)), [1]), M)
     c, d = _divmod_monic(mul(s, b), H)
     S = _trunc(_sub(s, d), M)
-    T = _trunc(_sub(t, _add(mul(t, b), mul(c, G))), M)
+    T = _trunc(_sub(t, add(mul(t, b), mul(c, G))), M)
     return G, H, S, T
 
 
@@ -392,7 +393,7 @@ def _transform(f: list[int], p: list[int], q: list[int]) -> list[int]:
     for _ in range(len(f) - 1):
         Q.append(mul(Q[-1], q))
     for c, qi in zip(f[1:], Q[1:]):
-        h = _add(mul(h, p), [c * x for x in qi])
+        h = add(mul(h, p), [c * x for x in qi])
     return h
 
 
@@ -605,10 +606,14 @@ class RealInterval:
         return expr, other
 
     def refine_size(self, dx: Fraction) -> "RealInterval":
-        expr = self
-        while not (expr.dx < dx):
-            expr = expr._inner_refine()
-        return expr
+        """``_inner_refine`` until the width |a d - b c| / (c d) of the
+        Mobius interval (a, b, c, d) is below dx, compared in integers."""
+        f, mobius = self.f, self.mobius
+        a, b, c, d = mobius
+        while not abs(a * d - b * c) * dx.denominator < dx.numerator * c * d:
+            f, mobius = _step(*_refine_to_finite(f, mobius))
+            a, b, c, d = mobius
+        return RealInterval(mobius, self.neg, f)
 
 
 def isolate_real_roots_sqf(f: list[int]) -> list[RealInterval]:

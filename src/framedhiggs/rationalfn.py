@@ -264,20 +264,6 @@ class Poly:
     def x_minus(cls, a) -> "Poly":
         return cls([-frac(a), ONE])
 
-    @classmethod
-    def interpolate(cls, ts: Sequence[Fraction], ys: Sequence[Fraction]) -> "Poly":
-        """The polynomial of degree < len(ts) through the points (t, y), from
-        Newton's divided differences; the ts must be distinct."""
-        d = list(ys)
-        for j in range(1, len(ts)):
-            for i in range(len(ts) - 1, j - 1, -1):
-                d[i] = (d[i] - d[i - 1]) / (ts[i] - ts[i - j])
-        c: list[Fraction] = []
-        for t, a in zip(reversed(ts), reversed(d)):  # c <- c (z - t) + a
-            c = [a - t * c[0]] + [lo - t * hi for lo, hi in zip(c, c[1:])] + c[-1:] \
-                if c else [a]
-        return cls(c)
-
     @property
     def degree(self) -> int:
         return len(self.c) - 1

@@ -1,11 +1,13 @@
 """Spectral curves of matrix-group Higgs fields on the rational curve.
 
 The characteristic coefficients of theta(z) are exact rational functions with
-denominator powers of prod(z - x_i); the discriminant numerator is an exact
-polynomial whose roots are the finite branch points.  Flags (globally
-degenerate, unramified over the marked points, smooth) are decided exactly;
-branch-point locations are exact where rational and isolated to a
-configurable width otherwise.
+denominator powers of prod(z - x_i); their numerators come from
+Faddeev-LeVerrier on an integer polynomial matrix, a multiple of
+theta(z) prod(z - x_i) (`elementary_numerators`).  The discriminant
+numerator is an exact polynomial whose roots are the finite branch points.
+Flags (globally degenerate, unramified over the marked points, smooth) are
+decided exactly; branch-point locations are exact where rational and
+isolated to a configurable width otherwise.
 
 One factorization of the discriminant numerator over Z
 (`Poly.integer_factors`, computed by `intpoly`) serves the whole analysis:
@@ -17,12 +19,13 @@ The isolating boxes are the ones sympy 1.14's ``all_roots`` and
 ``eval_rational`` give, computed without sympy.  The real roots are
 isolated and refined by a line-for-line port of sympy's continued-fraction
 method (`intpoly.isolate_real_roots_sqf`); the non-real rectangles are
-sympy's Collins-Krandick quadtree and refinement replayed on certified
-Henrici disks, each root count an exact comparison with the disks
-(`_replay_rectangles`).  sympy is imported only where the port cannot decide
-exactly (`_isolate_irrational_roots` names the three cases); one of them, a
-step the disks cannot decide, sends the polynomial back to sympy end to
-end: its own complex isolation and refinement.
+sympy's Collins-Krandick quadtree and refinement replayed on an integer
+grid, each root count an exact comparison with a certified Henrici disk or
+a quadratic's exact roots (`_replay_rectangles`).  sympy is imported only
+where the port cannot decide exactly (`_isolate_irrational_roots` names the
+three cases); one of them, a step the replay cannot decide, sends the
+polynomial back to sympy end to end: its own complex isolation and
+refinement.
 """
 
 from __future__ import annotations
@@ -34,11 +37,10 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from .exactlinalg import ZERO, ONE, frac
-from .liealg import (AlgebraElement, AlgebraModel, GroupData, char_poly_elementary,
-                     theta_char_polys)
+from .exactlinalg import ZERO, ONE, frac, over_common_denominator
+from .liealg import AlgebraElement, AlgebraModel, GroupData, char_poly_elementary, flatten
 from .dimensions import hitchin_base_dim, hitchin_fiber_dim, torsor_dims
-from .intpoly import isolate_real_roots_sqf, mul, reals_sorted
+from .intpoly import add, isolate_real_roots_sqf, mul, reals_sorted
 from .rationalfn import Poly, linear_roots
 
 
@@ -46,23 +48,38 @@ def elementary_numerators(model: AlgebraModel, points: Sequence[Fraction],
                           residues: Sequence[AlgebraElement]) -> list[Poly]:
     """Numerators E_k(z) with e_k(theta(z)) = E_k(z) / prod(z - x_i)^k.
 
-    E_k has degree at most k n.  It is recovered by exact interpolation
-    (`Poly.interpolate`) from the values of e_k on the matrix theta(t) at the
-    rational sample points t = max(x_i) + 1, ..., max(x_i) + k n + 1, where
-    theta(t) = M / D and e_k(theta(t)) q(t)^k = e_k(M) (q(t) / D)^k, with
-    e_k(M) from the integer characteristic polynomial (`theta_char_polys`).
+    With x_j = p_j / q_j, each residue A_i = a_i / d_i over the least common
+    denominator d_i of its entries, L = lcm d_i and D = L prod q_j, the
+    matrix N(z) = D theta(z) prod(z - x_j) = sum_i (L / d_i) q_i a_i
+    prod_(j != i)(q_j z - p_j) has integer polynomial entries, and E_k =
+    e_k(N) / D^k.  The e_k(N) come from Faddeev-LeVerrier (Faddeev 1963) on
+    N over Z[z]: Q_0 = I, e_k = tr(N Q_(k-1)) / k, Q_k = e_k I - N Q_(k-1),
+    where each division by k is exact coefficient by coefficient.
     """
-    pts = [frac(p) for p in points]
-    n = len(pts)
-    q = Poly([ONE])
-    for x in pts:
-        q = q * Poly.x_minus(x)
-    ts = [max(pts) + l for l in range(1, model.n * n + 2)]
-    samples = [(e, q(t) / den) for t, (den, _, e, _) in
-               zip(ts, theta_char_polys(pts, [el.matrix for el in residues], ts))]
-    return [Poly.interpolate(ts[:k * n + 1],
-                             [e[k - 1] * qd ** k for e, qd in samples[:k * n + 1]])
-            for k in range(1, model.n + 1)]
+    s, pts = model.n, [frac(p) for p in points]
+    sites = [over_common_denominator(flatten(el.matrix)) for el in residues]
+    common = math.lcm(*(d for d, _ in sites))
+    den = common * math.prod(x.denominator for x in pts)
+    # N's entries as integer polynomials, highest coefficient first
+    n_mat = [[0] * len(pts) for _ in range(s * s)]
+    for i, ((d, a), x) in enumerate(zip(sites, pts)):
+        w = [common // d * x.denominator]
+        for j, y in enumerate(pts):
+            if j != i:
+                w = mul(w, [y.denominator, -y.numerator])
+        n_mat = [[u + c * v for u, v in zip(entry, w)] for entry, c in zip(n_mat, a)]
+    rows = [n_mat[a * s:(a + 1) * s] for a in range(s)]
+    q = [[[1] if a == b else [] for b in range(s)] for a in range(s)]
+    out = []
+    for k in range(1, s + 1):
+        nq = [[reduce(add, map(mul, row, [qr[b] for qr in q])) for b in range(s)]
+              for row in rows]
+        e = [c // k for c in reduce(add, (nq[a][a] for a in range(s)))]
+        scale = den ** k
+        out.append(Poly([Fraction(c, scale) for c in reversed(e)]))
+        q = [[add([-c for c in nq[a][b]], e if a == b else []) for b in range(s)]
+             for a in range(s)]
+    return out
 
 
 def _disc_numerator(e_nums: list[Poly], r: int) -> Poly:
@@ -132,7 +149,8 @@ def spectral_data(model: AlgebraModel, points: Sequence[Fraction],
     # The ramification test over a marked point is intrinsic: the residue
     # matrix has repeated eigenvalues iff its own characteristic discriminant
     # vanishes.  N(x_i) differs from it by the nonzero factor
-    # prod_{j != i}(x_i - x_j)^(r(r-1)), which is the interpolation cross-check.
+    # prod_{j != i}(x_i - x_j)^(r(r-1)), which cross-checks the
+    # Faddeev-LeVerrier numerators against each residue on its own.
     disc_at = []
     for i, (x, el) in enumerate(zip(pts, residues)):
         e = char_poly_elementary(el.matrix)
@@ -142,7 +160,7 @@ def spectral_data(model: AlgebraModel, points: Sequence[Fraction],
             if j != i:
                 factor *= (x - y) ** (r * (r - 1))
         if disc(x) != direct * factor:
-            raise AssertionError("discriminant interpolation disagrees with the "
+            raise AssertionError("Faddeev-LeVerrier discriminant disagrees with the "
                                  "pointwise residue discriminant")
         disc_at.append(direct)
     unramified = all(v != 0 for v in disc_at)
@@ -175,16 +193,18 @@ def _isolate_irrational_roots(sign: int, factors: list[list[int]],
     continued-fraction method (`intpoly.isolate_real_roots_sqf`,
     `intpoly.reals_sorted`, ``RealInterval.refine_size``) on sympy's scaled
     factors (`_scaled_factors`), and the non-real rectangles are replayed on
-    certified disks (`_replay_complexes`).
+    an integer grid against certified disks or a quadratic's exact roots
+    (`_replay_complexes`).
 
     sympy is imported only where the port cannot decide exactly:
     - two or more factors have non-real roots: their order is
       ``sympy.ordered``'s (`_sympy_ordered`);
     - the coefficient gcd of `_integer_basis` has a prime factor beyond
       trial division: ``sympy.divisors`` lists its divisors;
-    - the replay cannot decide a step: sympy's own complex isolation
-      (``all_roots``) and refinement (``eval_rational``) run for the whole
-      polynomial (`_sympy_complexes`).
+    - the replay cannot decide a step (a disk meets a cut or the disks are
+      not certified; a quadratic has purely imaginary roots): sympy's own
+      complex isolation (``all_roots``) and refinement (``eval_rational``)
+      run for the whole polynomial (`_sympy_complexes`).
     """
     if not factors:
         return []
@@ -386,8 +406,17 @@ def _float_roots(coeffs: list[int]) -> list[complex]:
     return roots if all(map(cmath.isfinite, roots)) else []
 
 
-# A rectangle (u, v, s, t) is [u, s] x [v, t], as sympy's (a, b) corners.
-# A box is the rectangle of a square about a certified disk.
+# A box (x0, y0, x1, y1, d, ex, ey) is [x0, x1] x [y0, y1] over the
+# denominator d > 0, about one root.  ex = 1 when x0 = x1 is the root's
+# exact real part and ey = 1 when y0 = y1 is its exact imaginary part; both
+# are 0 for the square about a certified disk.
+#
+# The quadtree of a factor lives on an integer grid: a rectangle (U, V, S, T,
+# k) is [U, S] x [V, T] times B / 2^k, B the factor's bound (`_bound`), as
+# sympy's (a, b) corners, and its boxes are taken in units of B
+# (`_in_units`).  A root on a cut counts where sympy's rectangles count it,
+# in [u, s) x (v, t]: ``_traverse_quadrants(exclude=True)`` leaves out the
+# east and south edges.
 
 def _henrici_box(coeffs: list[int], z0: complex, r: Fraction) -> tuple | None:
     """The square of half-side r about z0 polished by exact Newton steps, or
@@ -422,48 +451,51 @@ def _henrici_box(coeffs: list[int], z0: complex, r: Fraction) -> tuple | None:
         X = ((nr * dr + ni * di) << (k + 1)) // norm2 + 1 >> 1
         Y = ((ni * dr - nr * di) << (k + 1)) // norm2 + 1 >> 1
         k *= 2
-    x, y = Fraction(X, 1 << k), Fraction(Y, 1 << k)
-    return x - r, y - r, x + r, y + r
+    h, d = r.numerator << k, r.denominator
+    return X * d - h, Y * d - h, X * d + h, Y * d + h, d << k, 0, 0
 
 
-def _holds(rect, box) -> bool:
-    """The box lies strictly inside the rectangle."""
-    return rect[0] < box[0] and box[2] < rect[2] and rect[1] < box[1] and box[3] < rect[3]
+def _quadratic_boxes(coeffs: list[int], nreal: int, r: Fraction) -> list[tuple] | None:
+    """The boxes of the non-real roots of a z^2 + b z + c (a > 0) from its
+    closed form, or None when nreal is not its real root count or a root
+    is purely imaginary (sympy isolates those another way).
+
+    The roots -b / 2a +- i sqrt(m) / 2a, m = 4ac - b^2 > 0, have an exact
+    real part; the imaginary part is exact too when m is a square, and lies
+    strictly between consecutive multiples of 1 / (2a 2^K), 2^K > 1 / r,
+    otherwise.
+    """
+    a, b, c = coeffs
+    m = 4 * a * c - b * b
+    if 2 * (m < 0) != nreal or m > 0 and not b:
+        return None
+    if m < 0:
+        return []
+    K = (r.denominator // r.numerator).bit_length()
+    s = math.isqrt(m << 2 * K)
+    ey = int(s * s == m << 2 * K)
+    x, d = -b << K, a << (K + 1)
+    return [(x, s, x, s + 1 - ey, d, 1, ey), (x, ey - s - 1, x, -s, d, 1, ey)]
 
 
-def _apart(a, b) -> bool:
-    """The closed rectangles are disjoint (``ComplexInterval.is_disjoint``)."""
-    return a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1]
-
-
-def _halves(rect) -> tuple:
-    """sympy's bisection of a rectangle at the midpoint of its wider side,
-    of its height on a tie."""
-    u, v, s, t = rect
-    if s - u > t - v:
-        m = (u + s) / 2
-        return (u, v, m, t), (m, v, s, t)
-    m = (v + t) / 2
-    return (u, v, s, m), (u, m, s, t)
-
-
-def _refine(rect, box):
-    """``ComplexInterval._inner_refine`` of a rectangle that isolates the root
-    in box: the half that holds the box, or None if the box meets the cut."""
-    for half in _halves(rect):
-        if _holds(half, box):
-            return half
-    return None
+def _disjoint(a, b) -> bool:
+    """The closed boxes are disjoint."""
+    return (a[2] * b[4] < b[0] * a[4] or b[2] * a[4] < a[0] * b[4]
+            or a[3] * b[4] < b[1] * a[4] or b[3] * a[4] < a[1] * b[4])
 
 
 def _certified_boxes(coeffs: list[int], nreal: int, r: Fraction) -> list[tuple] | None:
     """One box about each root of the square-free integer polynomial, or None.
 
-    Each box holds a root (`_henrici_box`).  When there are as many boxes as
-    the degree and they are pairwise disjoint, each holds exactly one root.
-    Each real root's box then meets the real axis; when exactly nreal boxes
-    do (sympy's count of real roots), no box of a non-real root does.
+    A quadratic's boxes come from its closed form (`_quadratic_boxes`).
+    Otherwise each box holds a root (`_henrici_box`).  When there are as
+    many boxes as the degree and they are pairwise disjoint, each holds
+    exactly one root.  Each real root's box then meets the real axis; when
+    exactly nreal boxes do (sympy's count of real roots), no box of a
+    non-real root does.
     """
+    if len(coeffs) == 3:
+        return _quadratic_boxes(coeffs, nreal, r)
     boxes = []
     for z0 in _float_roots(coeffs):
         box = _henrici_box(coeffs, z0, r)
@@ -472,17 +504,82 @@ def _certified_boxes(coeffs: list[int], nreal: int, r: Fraction) -> list[tuple] 
         boxes.append(box)
     if len(boxes) != len(coeffs) - 1:
         return None
-    if not all(_apart(a, b) for i, a in enumerate(boxes) for b in boxes[:i]):
+    if not all(_disjoint(a, b) for i, a in enumerate(boxes) for b in boxes[:i]):
         return None
     if sum(box[1] <= 0 <= box[3] for box in boxes) != nreal:
         return None
     return boxes
 
 
-def _quadtree(coeffs: list[int], boxes: list[tuple]) -> list[tuple] | None:
-    """``dup_isolate_complex_roots_sqf(coeffs, blackbox=True)`` replayed on the
-    boxes of the upper-half-plane roots: the (rectangle, box) pairs in its
-    order, or None when a count cannot be decided.
+def _bound(coeffs: list[int]) -> Fraction:
+    """sympy's B = 2 max |a / lc|: [-B, B] x [0, B] holds the upper roots."""
+    return Fraction(2 * max(map(abs, coeffs)), abs(coeffs[0]))
+
+
+def _in_units(box, bound: Fraction) -> tuple:
+    """The box in units of the bound: each corner c as c / B."""
+    x0, y0, x1, y1, d, ex, ey = box
+    m = bound.denominator
+    return x0 * m, y0 * m, x1 * m, y1 * m, d * bound.numerator, ex, ey
+
+
+def _corners(rect, bound: Fraction) -> tuple[Fraction, ...]:
+    """The grid rectangle as sympy's corners (u, v, s, t)."""
+    scale = bound / (1 << rect[4])
+    return tuple(scale * c for c in rect[:4])
+
+
+def _holds(rect, box) -> bool:
+    """The rectangle counts the root of the box (in units of its bound)."""
+    U, V, S, T, k = rect
+    x0, y0, x1, y1, d, ex, ey = box
+    return (U * d < (x0 << k) + ex and x1 << k < S * d
+            and V * d < y0 << k and y1 << k < T * d + ey)
+
+
+def _misses(rect, box) -> bool:
+    """The rectangle does not count the root of the box."""
+    U, V, S, T, k = rect
+    x0, y0, x1, y1, d, ex, ey = box
+    return (x1 << k < U * d or S * d < (x0 << k) + ex
+            or y1 << k < V * d + ey or T * d < y0 << k)
+
+
+def _halves(rect) -> tuple:
+    """sympy's bisection of a rectangle at the midpoint of its wider side,
+    of its height on a tie: the halves one level down the grid."""
+    U, V, S, T, k = rect
+    if S - U > T - V:
+        return (2 * U, 2 * V, U + S, 2 * T, k + 1), (U + S, 2 * V, 2 * S, 2 * T, k + 1)
+    return (2 * U, 2 * V, 2 * S, V + T, k + 1), (2 * U, V + T, 2 * S, 2 * T, k + 1)
+
+
+def _refine(rect, box):
+    """``ComplexInterval._inner_refine`` of a rectangle that isolates the root
+    of box: the half that counts it, or None if the box meets the cut."""
+    for half in _halves(rect):
+        if _holds(half, box):
+            return half
+    return None
+
+
+def _held(rect, boxes) -> list[tuple] | None:
+    """The boxes whose roots the rectangle counts, or None if one is
+    undecided."""
+    held = []
+    for box in boxes:
+        if _holds(rect, box):
+            held.append(box)
+        elif not _misses(rect, box):
+            return None
+    return held
+
+
+def _quadtree(boxes: list[tuple]) -> list[tuple] | None:
+    """``dup_isolate_complex_roots_sqf(f, blackbox=True)`` replayed on the
+    boxes of the upper-half-plane roots of f, in units of its bound: the
+    (grid rectangle, box) pairs in its order, or None when a count cannot
+    be decided.
 
     sympy starts from [-B, B] x [0, B], B = 2 max |a / lc|, bisects it and
     keeps each half by its root count N: dropped at 0, accepted at 1,
@@ -496,13 +593,11 @@ def _quadtree(coeffs: list[int], boxes: list[tuple]) -> list[tuple] | None:
     """
     if not boxes:
         return []
-    lc = abs(coeffs[0])
-    bound = 2 * max(Fraction(abs(a), lc) for a in coeffs)
-    todo = [(-bound, ZERO, bound, bound)]
-    held = _held(todo[0], boxes)
+    top = (-1, 0, 1, 1, 0)
+    held = _held(top, boxes)
     if held is None or len(held) != len(boxes):
         return None
-    found = []
+    todo, found = [top], []
     while todo:
         for half in _halves(todo.pop()):
             held = _held(half, boxes)
@@ -512,26 +607,25 @@ def _quadtree(coeffs: list[int], boxes: list[tuple]) -> list[tuple] | None:
                 found.append((half, held[0]))
             elif held:
                 todo.append(half)
-    found.sort(key=lambda f: (f[0][0], f[0][1]))
+    found.sort(key=lambda f: (Fraction(f[0][0], 1 << f[0][4]), Fraction(f[0][1], 1 << f[0][4])))
     return found
 
 
-def _held(rect, boxes) -> list[tuple] | None:
-    """The boxes strictly inside the rectangle, or None if one meets its
-    boundary."""
-    held = []
-    for box in boxes:
-        if _holds(rect, box):
-            held.append(box)
-        elif not _apart(rect, box):
-            return None
-    return held
+def _apart(a, b) -> bool:
+    """The closed rectangles of two states are disjoint
+    (``ComplexInterval.is_disjoint``); on the grid when the bounds agree."""
+    if a[3] != b[3]:
+        (u, v, s, t), (p, q, w, z) = _corners(a[0], a[3]), _corners(b[0], b[3])
+        return s < p or w < u or t < q or z < v
+    (U, V, S, T, k), (P, Q, W, Z, j) = a[0], b[0]
+    return S << j < P << k or W << k < U << j or T << j < Q << k or Z << k < V << j
 
 
 def _replay_rectangles(factors: list[list[int]], nreal: list[int],
                        r: Fraction) -> list[list] | None:
     """sympy's complex isolating rectangles after ``_complexes_sorted``, as
-    [rectangle, conj, box] in its order, or None when a step is undecided.
+    [grid rectangle, conj, box, bound] in its order, or None when a step is
+    undecided.
 
     factors are sympy's irreducible factors in its order, nreal their real
     root counts, and r the half-side of the certified boxes.  Each factor
@@ -546,11 +640,12 @@ def _replay_rectangles(factors: list[list[int]], nreal: list[int],
         boxes = _certified_boxes(coeffs, count, r)
         if boxes is None:
             return None
-        found = _quadtree(coeffs, [box for box in boxes if box[1] > 0])
+        bound = _bound(coeffs)
+        found = _quadtree([_in_units(box, bound) for box in boxes if box[1] > 0])
         if found is None:
             return None
         for rect, box in found:
-            states += [[rect, True, box], [rect, False, box]]
+            states += [[rect, True, box, bound], [rect, False, box, bound]]
 
     def step(state) -> bool:
         state[0] = _refine(state[0], state[2])
@@ -558,7 +653,7 @@ def _replay_rectangles(factors: list[list[int]], nreal: list[int],
 
     for i, a in enumerate(states):
         for b in states[i + 1:]:
-            while a[1] == b[1] and not _apart(a[0], b[0]):
+            while a[1] == b[1] and not _apart(a, b):
                 if not (step(a) and step(b)):
                     return None
     for state in states:
@@ -581,8 +676,8 @@ def _replay_complexes(factors: list[list[int]], nreal: list[int],
     if states is None:
         return None
     out = []
-    for rect, conj, box in states:
-        centre = _centre(rect, box, tol)
+    for rect, conj, box, bound in states:
+        centre = _centre(rect, box, bound, tol)
         if centre is None:
             return None
         re, im = centre
@@ -590,24 +685,31 @@ def _replay_complexes(factors: list[list[int]], nreal: list[int],
     return out
 
 
-def _centre(rect, box, tol: Fraction) -> tuple[Fraction, Fraction] | None:
-    """The centre of ``ComplexInterval.refine_size(tol, tol)`` of a rectangle
-    that isolates the root in box, or None if the box meets a cut.
+def _centre(rect, box, bound: Fraction, tol: Fraction) -> tuple[Fraction, Fraction] | None:
+    """The centre of ``ComplexInterval.refine_size(tol, tol)`` of a grid
+    rectangle that isolates the root of box, or None if the box meets a cut.
 
     sympy cuts the longer side at its midpoint while not (both sides < tol).
     The side it cuts is always at least tol long, so each side is halved
     exactly while it is at least tol, whatever the order: on each axis the
-    final side is the cell of a dyadic grid that holds the box, and every
+    final side is the cell of a dyadic grid that holds the root, and every
     cut on the way is a line of that grid.
     """
+    U, V, S, T, k = rect
+    x0, y0, x1, y1, d, ex, ey = box
+    n, m = bound.numerator * tol.denominator, bound.denominator * tol.numerator
     centre = []
-    for lo, hi, b0, b1 in ((rect[0], rect[2], box[0], box[2]),
-                           (rect[1], rect[3], box[1], box[3])):
-        cell = (hi - lo) / (1 << int((hi - lo) / tol).bit_length())
-        j = (b0 - lo) // cell
-        if not (lo + j * cell < b0 and b1 < lo + (j + 1) * cell):
+    for lo, hi, b0, b1, e0, e1 in ((U, S, x0, x1, ex, 0), (V, T, y0, y1, 0, ey)):
+        w = hi - lo
+        halvings = (w * n // (m << k)).bit_length()
+        level = k + halvings
+        # the cell [edge, edge + w] / 2^level that counts the root
+        j = ((b0 << level) - (lo * d << halvings) - e1) // (d * w)
+        edge = (lo << halvings) + j * w
+        if not (edge * d < (b0 << level) + e0 and b1 << level < (edge + w) * d + e1):
             return None
-        centre.append(lo + (j + Fraction(1, 2)) * cell)
+        centre.append(Fraction(bound.numerator * (2 * edge + w),
+                               bound.denominator << (level + 1)))
     return centre[0], centre[1]
 
 

@@ -131,6 +131,31 @@ def test_real_intervals_match_sympy_on_explicit_factors(factors):
     _check_reals(factors, F(1, 10 ** 9))
 
 
+def _fraction_refine_size(interval, dx):
+    """Oracle for ``RealInterval.refine_size``: sympy's loop on the
+    Fraction width ``dx``."""
+    while not (interval.dx < dx):
+        interval = interval._inner_refine()
+    return interval
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integer_refine_size_equals_the_fraction_width_loop(seed):
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 12:
+        f = _random_poly(rng, rng.randint(2, 7), rng.choice([5, 100, 10 ** 6]))
+        if not f[-1] or not Poly([F(a) for a in reversed(f)]).is_squarefree():
+            continue
+        for interval in intpoly.isolate_real_roots_sqf(f):
+            for tol in (F(1, 10), F(3, 7 * 10 ** 5), F(1, 10 ** 9), F(5, 10 ** 18),
+                        F(1, 10 ** 30)):
+                fast, slow = interval.refine_size(tol), _fraction_refine_size(interval, tol)
+                assert (fast.mobius, fast.neg, fast.f) == (slow.mobius, slow.neg, slow.f)
+                assert fast.dx < tol
+            checked += 1
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_integer_basis_matches_sympy(seed):
     rng = random.Random(seed)

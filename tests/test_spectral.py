@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import random
 import subprocess
@@ -16,7 +17,8 @@ from sympy.polys.rootoftools import _pure_factors
 from framedhiggs import intpoly, spectral
 from framedhiggs.cli import main
 from framedhiggs.dimensions import hitchin_base_dim, hitchin_fiber_dim
-from framedhiggs.liealg import AlgebraModel
+from framedhiggs.exactlinalg import ONE
+from framedhiggs.liealg import AlgebraModel, theta_char_polys
 from framedhiggs.rationalfn import Poly
 from framedhiggs.sampling import random_algebra_element, seeded_model
 from framedhiggs.spectral import (_disc_numerator, _isolate_irrational_roots,
@@ -129,6 +131,61 @@ def test_disc_numerator_matches_the_sympy_discriminant(group, seed):
     disc = _disc_numerator(elementary_numerators(model.algebra, PTS3, model.residues), size)
     assert not disc.is_zero()
     assert disc.c == [F(int(c.p), int(c.q)) for c in reversed(oracle.all_coeffs())]
+
+
+def _interpolate(ts, ys):
+    """The polynomial of degree < len(ts) through the points (t, y), from
+    Newton's divided differences; the ts must be distinct."""
+    d = list(ys)
+    for j in range(1, len(ts)):
+        for i in range(len(ts) - 1, j - 1, -1):
+            d[i] = (d[i] - d[i - 1]) / (ts[i] - ts[i - j])
+    c = []
+    for t, a in zip(reversed(ts), reversed(d)):  # c <- c (z - t) + a
+        c = [a - t * c[0]] + [lo - t * hi for lo, hi in zip(c, c[1:])] + c[-1:] if c else [a]
+    return Poly(c)
+
+
+def _sampled_numerators(model, points, residues):
+    """Oracle for `elementary_numerators`: e_k(theta(t)) q(t)^k at k n + 1
+    sample points t, q = prod(z - x_i), interpolated exactly."""
+    n = len(points)
+    q = Poly([ONE])
+    for x in points:
+        q = q * Poly.x_minus(x)
+    ts = [max(points) + l for l in range(1, model.n * n + 2)]
+    samples = [(e, q(t) / den) for t, (den, _, e, _) in
+               zip(ts, theta_char_polys(points, [el.matrix for el in residues], ts))]
+    return [_interpolate(ts[:k * n + 1], [e[k - 1] * qd ** k for e, qd in samples[:k * n + 1]])
+            for k in range(1, model.n + 1)]
+
+
+def _explicit_residues(model, rng, n):
+    """n residues of the model with entries over a denominator of their own
+    (1 to 12 per point), summing to 0."""
+    size = model.n
+    els = []
+    for _ in range(n - 1):
+        den = rng.randint(1, 12)
+        m = [[F(rng.randint(-30, 30), den) for _ in range(size)] for _ in range(size)]
+        if model.group.family == "sl":
+            m[-1][-1] -= sum(m[i][i] for i in range(size))
+        els.append(model.element(m))
+    total = els[0]
+    for e in els[1:]:
+        total = total + e
+    return els + [total.scale(-1)]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_faddeev_leverrier_numerators_equal_the_interpolated_ones(seed):
+    rng = random.Random(seed)
+    model = AlgebraModel(["sl(2)", "gl(2)", "sl(3)", "gl(3)"][seed % 4])
+    n = rng.randint(3, 6)
+    points = rng.sample(sorted({F(p, q) for p in range(-9, 10) if p for q in (1, 2, 3, 7)}), n)
+    residues = _explicit_residues(model, rng, n)
+    direct = elementary_numerators(model, points, residues)
+    assert [e.c for e in direct] == [e.c for e in _sampled_numerators(model, points, residues)]
 
 
 def test_branch_count_matches_disc_degree_squarefree():
@@ -282,6 +339,17 @@ def test_spectral_jobs_load_no_sympy(tmp_path):
                                 [*sl3, "--out", str(tmp_path / "sl3.json")]]) == ([0, 0], False)
 
 
+def test_rank_2_jobs_on_three_points_load_no_sympy(tmp_path):
+    # 11 of these 40 reduced discriminants are quadratics with roots on a cut
+    # of sympy's quadtree; their exact real parts decide the side.
+    argvs = []
+    for group in ("sl(2)", "gl(2)"):
+        for seed in range(1000, 1020):
+            job = _spectral_job(tmp_path / f"{group}-{seed}", group, ["1", "2", "3"], seed)
+            argvs.append([*job, "--out", str(tmp_path / f"{group}-{seed}.json")])
+    assert _sympy_loaded_after(argvs) == ([0] * 40, False)
+
+
 def test_no_bench_spectral_job_loads_sympy(tmp_path, monkeypatch):
     # Every job of bench seeds 0-2, in one interpreter as the bench worker
     # runs them; generating the jobs needs sympy, so it happens here.
@@ -424,16 +492,25 @@ def test_refine_size_refines_only_real_roots(monkeypatch, group, n, seed):
 
 
 def test_root_on_the_edge_of_its_rectangle_falls_back_to_sympy(monkeypatch):
-    # The quadratic's real part is rational and lies on a cut of sympy's
-    # quadtree: the replay declines and sympy refines every non-real root.
-    calls, boxes = _eval_rational_calls(monkeypatch, _discriminant("gl(2)", 3, 1003))
+    # +-i sqrt(2) lie on Re = 0, the first cut of sympy's quadtree, where sympy
+    # isolates purely imaginary roots its own way: the replay declines and
+    # sympy refines every non-real root.
+    calls, boxes = _eval_rational_calls(monkeypatch, _poly(1, 0, 2))
     assert [b[0] for b in boxes] == ["complex", "complex"]
     assert calls == [False, False]
 
 
+def test_a_quadratic_root_on_a_cut_is_replayed(monkeypatch):
+    # The reduced discriminant's real part -b/2a is +-B/4, a cut of sympy's
+    # quadtree: the exact real part decides the side, so sympy refines nothing.
+    calls, boxes = _eval_rational_calls(monkeypatch, _discriminant("gl(2)", 3, 1003))
+    assert [b[0] for b in boxes] == ["complex", "complex"]
+    assert calls == []
+
+
 def test_a_declined_replay_refines_each_non_real_root_once(monkeypatch):
-    # two-factors-on-cuts: 1 +- i and -2 +- 3i lie on sympy's cuts.
-    p = _poly(1, -2, 2) * _poly(1, 4, 13)
+    # +-i sqrt(2) lie on the cut Re = 0 and -2 +- 3i on two other cuts.
+    p = _poly(1, 0, 2) * _poly(1, 4, 13)
     calls, boxes = _eval_rational_calls(monkeypatch, p)
     assert [b[0] for b in boxes] == ["complex"] * 4
     assert calls == [False] * 4
@@ -442,12 +519,6 @@ def test_a_declined_replay_refines_each_non_real_root_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # the complex isolation replayed on certified disks
 # ---------------------------------------------------------------------------
-
-# gl(2) on 3 points, where the reduced discriminant is a z^2 + b z + c with
-# |b| its largest coefficient: the real part -b/2a of its roots is +-B/4 for
-# sympy's bound B = 2|b|/a, a cut of the quadtree, so the replay declines.
-DECLINED = [("gl(2)", 3, s) for s in (1003, 1004, 1005, 1006, 1014, 1015)]
-
 
 def _sympy_rectangles(p):
     """sympy's isolating rectangle and conj flag of every non-real root of
@@ -465,7 +536,8 @@ def _sympy_rectangles(p):
 
 def _replayed(monkeypatch, p):
     """The replayed (rectangle, conj) list of `_isolate_irrational_roots` on p
-    (None when it declines) and the boxes it returns."""
+    (None when it declines), each grid rectangle as its Fraction corners, and
+    the boxes it returns."""
     seen = []
     replay = spectral._replay_rectangles
 
@@ -477,7 +549,8 @@ def _replayed(monkeypatch, p):
     CRootOf.clear_cache()
     boxes = _isolate(p)
     states = seen[0] if seen else []
-    return (None if states is None else [(rect, conj) for rect, conj, _ in states]), boxes
+    return (None if states is None else [(spectral._corners(rect, bound), conj)
+                                         for rect, conj, _, bound in states]), boxes
 
 
 def _poly(*coeffs):
@@ -488,12 +561,13 @@ def _poly(*coeffs):
 @pytest.mark.parametrize("group, n, seed", MODELS,
                          ids=[f"{g}-{n}pts-seed{s}" for g, n, s in MODELS])
 def test_replayed_rectangles_match_sympy(monkeypatch, group, n, seed):
+    # On gl(2) with 3 points seeds 1003-1006, 1014 and 1015 the reduced
+    # discriminant is a z^2 + b z + c with |b| its largest coefficient: the
+    # real part -b/2a of its roots is +-B/4 for sympy's bound B = 2|b|/a, a
+    # cut of the quadtree, which the exact real part decides.
     disc = _discriminant(group, n, seed)
     replayed, _ = _replayed(monkeypatch, disc)
-    if (group, n, seed) in DECLINED:
-        assert replayed is None
-    else:
-        assert replayed == _sympy_rectangles(disc)
+    assert replayed == _sympy_rectangles(disc)
 
 
 @pytest.mark.parametrize("p, declines", [
@@ -503,10 +577,12 @@ def test_replayed_rectangles_match_sympy(monkeypatch, group, n, seed):
     # south-west corner is further west but not further south
     (_poly(1, 0, 21, 116, 532, 1400, 1701), False),
     (_poly(1, 1, 3) * _poly(1, 0, -2, 5), False),          # two factors, one real root
-    # two factors whose roots 1 +- i and -2 +- 3i lie on sympy's cuts
-    (_poly(1, -2, 2) * _poly(1, 4, 13), True),
+    # two factors whose roots 1 +- i and -2 +- 3i lie on sympy's cuts, 1 + i
+    # on the corner of a rectangle
+    (_poly(1, -2, 2) * _poly(1, 4, 13), False),
+    (_poly(1, 0, 2) * _poly(1, 4, 13), True),              # and one on Re = 0
 ], ids=["imaginary", "quartic", "three-upper-roots", "two-factors",
-        "two-factors-on-cuts"])
+        "two-factors-on-cuts", "imaginary-and-on-cuts"])
 def test_replayed_rectangles_match_sympy_on_explicit_polynomials(monkeypatch, p, declines):
     replayed, boxes = _replayed(monkeypatch, p)
     assert (replayed is None) == declines
@@ -605,6 +681,8 @@ def _sympy_calls(monkeypatch):
 def test_sympy_complex_isolation_runs_only_when_the_replay_declines(
         monkeypatch, group, n, seed, replayed):
     calls = _sympy_calls(monkeypatch)
+    if not replayed:
+        monkeypatch.setattr(spectral, "_replay_rectangles", lambda *args: None)
     disc = _discriminant(group, n, seed)
     CRootOf.clear_cache()
     boxes = _isolate(disc)
@@ -696,14 +774,47 @@ def test_a_wrong_real_root_count_makes_the_replay_decline(monkeypatch):
     assert _declines(monkeypatch, *NEGATIVE_CONTROL) == (True, True)
 
 
+def _box(x0, y0, x1, y1, ex=0, ey=0):
+    """The box with the Fraction corners (x0, y0), (x1, y1)."""
+    d = math.lcm(*(c.denominator for c in (x0, y0, x1, y1)))
+    return (*(int(c * d) for c in (x0, y0, x1, y1)), d, ex, ey)
+
+
+def _quadtree(boxes, bound):
+    """`spectral._quadtree` on Fraction boxes, each grid rectangle as its
+    Fraction corners."""
+    found = spectral._quadtree([spectral._in_units(box, bound) for box in boxes])
+    return None if found is None else [(spectral._corners(rect, bound), box)
+                                       for rect, box in found]
+
+
 def test_a_box_on_a_quadtree_cut_is_not_counted():
     # The first cut of [-B, B] x [0, B] is Re = 0; a box across it is neither
     # inside nor outside either half.
-    across = (F(-1, 10 ** 6), F(3), F(1, 10 ** 6), F(3) + F(1, 10 ** 6))
-    beside = (F(1), F(3), F(1) + F(1, 10 ** 6), F(3) + F(1, 10 ** 6))
+    across = _box(F(-1, 10 ** 6), F(3), F(1, 10 ** 6), F(3) + F(1, 10 ** 6))
+    beside = _box(F(1), F(3), F(1) + F(1, 10 ** 6), F(3) + F(1, 10 ** 6))
     bound = 2 * F(5215189, 500)
-    assert spectral._quadtree(CLUSTER, [beside]) == [((0, 0, bound, bound), beside)]
-    assert spectral._quadtree(CLUSTER, [across]) is None
+    assert spectral._bound(CLUSTER) == bound
+    assert _quadtree([beside], bound) == [((0, 0, bound, bound),
+                                           spectral._in_units(beside, bound))]
+    assert _quadtree([across], bound) is None
+
+
+def test_a_box_on_a_deep_quadtree_cut_is_not_counted():
+    # Two roots 6 * 2^-49 apart about c = 1/4 + 2^-45 (in units of the
+    # bound): the first cut between them is x = c, a line of the grid from
+    # level 45 on.  A box about the west root that reaches across c is
+    # undecided only there.
+    c, y, r = F(1, 4) + F(1, 2 ** 45), F(1, 3), F(1, 2 ** 60)
+    west, east = c - F(3, 2 ** 48), c + F(3, 2 ** 48)
+    east_box = _box(east - r, y - r, east + r, y + r)
+    found = _quadtree([_box(west - r, y - r, west + r, y + r), east_box], ONE)
+    assert found[0][0][2] == c == found[1][0][0]
+    assert all(rect[2] - rect[0] <= F(1, 2 ** 40) for rect, _ in found)
+    assert _quadtree([_box(c - r, y - r, c + r / 2, y + r), east_box], ONE) is None
+    # An exact real part on the cut counts with the east half, as in sympy.
+    [(west_rect, _), _] = _quadtree([_box(c, y - r, c, y + r, ex=1), east_box], ONE)
+    assert west_rect[0] == c
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +848,9 @@ FALLBACKS = {
     "two-nonreal-factors": (lambda: _poly(1, 1, 3) * _poly(1, 0, -2, 5), {"ordered": 1}),
     # _integer_basis takes b = Q from the divisors of the coefficient gcd Q
     "large-basis-gcd": (lambda: _poly(1, -3 * Q, Q * Q), {"divisors": 1}),
-    "declined-replay": (lambda: _discriminant("gl(2)", 3, 1003), {"complexes": 1}),
-    "declined-two-factors": (lambda: _poly(1, -2, 2) * _poly(1, 4, 13),
+    # +-i sqrt(2) lie on the cut Re = 0
+    "declined-replay": (lambda: _poly(1, 0, 2), {"complexes": 1}),
+    "declined-two-factors": (lambda: _poly(1, 0, 2) * _poly(1, 4, 13),
                              {"ordered": 1, "complexes": 1}),
 }
 
