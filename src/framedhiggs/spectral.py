@@ -607,7 +607,8 @@ def _quadtree(boxes: list[tuple]) -> list[tuple] | None:
                 found.append((half, held[0]))
             elif held:
                 todo.append(half)
-    found.sort(key=lambda f: (Fraction(f[0][0], 1 << f[0][4]), Fraction(f[0][1], 1 << f[0][4])))
+    found.sort(key=lambda f: (Fraction(f[0][0], 1 << f[0][4]),
+                              Fraction(f[0][1], 1 << f[0][4])))
     return found
 
 
