@@ -19,7 +19,7 @@ algebra = AlgebraModel("sl(2)")
 
 rep = spectral_data(algebra, points, model.residues)
 print("Generic sl(2) model on three points:")
-print(f"  discriminant numerator degree : {rep.disc_numerator.degree}")
+print(f"  discriminant numerator degree : {len(rep.disc_numerator) - 1}")
 print(f"  branch divisor degree         : {rep.branch_degree}")
 print(f"  residue discriminants at D    : {[str(v) for v in rep.disc_at_marked]}")
 print(f"  unramified over marked points : {rep.unramified_over_marked}")

@@ -97,49 +97,15 @@ class TorsorDims:
     n: int
     framed_over_unframed: int        # dim G^n/Z(G)
     relative_over_unframed: int      # dim T^n/Z(G)
-    # Offsets of the general-framing maximal abelianizable torsor relative to
-    # N; the source expression leaves the summation of the stabilizer term
-    # ambiguous, so both readings are computed.
-    general_offset_summed: int | None = None
-    general_offset_unsummed: int | None = None
-    general_ambiguous: bool = False
-    note: str = ""
 
 
-def torsor_dims(group, n: int,
-                framing_caps: Sequence[tuple[int, int | None]] | None = None) -> TorsorDims:
-    """Torsor dimensions over a Hitchin fiber.
-
-    framing_caps, when given, lists per point (dim(T ∩ H_x), dim Z_{H_x}(G)).
-    The general-framing torsor dimension is reported as an offset to N under
-    both readings of the stabilizer correction (summed over points and taken
-    once with a constant value).
-    """
+def torsor_dims(group, n: int) -> TorsorDims:
+    """Torsor dimensions over a Hitchin fiber."""
     gd = _as_group(group)
     if n < 1:
         raise ValueError("the divisor D must be nonempty (n >= 1)")
-    framed = n * gd.dim - gd.dim_center_grp
-    relative = n * gd.dim_torus - gd.dim_center_grp
-    if framing_caps is None:
-        return TorsorDims(gd.group_id, n, framed, relative)
-    t_caps = [t for t, _ in framing_caps]
-    z_caps = [z for _, z in framing_caps]
-    summed = None
-    unsummed = None
-    ambiguous = False
-    note = ""
-    if all(z is not None for z in z_caps):
-        summed = -sum(t_caps) + sum(z_caps)
-        if len(set(z_caps)) == 1:
-            unsummed = -sum(t_caps) + z_caps[0]
-            ambiguous = summed != unsummed
-            if ambiguous:
-                note = ("stabilizer term read once vs summed over points disagree; "
-                        "both offsets reported")
-        else:
-            note = "per-point stabilizer dims differ; only the summed reading is defined"
-            ambiguous = True
-    return TorsorDims(gd.group_id, n, framed, relative, summed, unsummed, ambiguous, note)
+    return TorsorDims(gd.group_id, n, n * gd.dim - gd.dim_center_grp,
+                      n * gd.dim_torus - gd.dim_center_grp)
 
 
 @dataclass
@@ -182,8 +148,7 @@ class DimReport:
 
 def consistency_audit(group, g: int, n: int,
                       framing_dims: Sequence[int] | None = None,
-                      dim_z_h: int | None = None,
-                      framing_caps: Sequence[tuple[int, int | None]] | None = None) -> DimReport:
+                      dim_z_h: int | None = None) -> DimReport:
     """Cross-check every closed-form dimension against the others.
 
     Asserted identities: (i) dim M_H = N + fiber_dim and (ii) fiber_dim +
@@ -200,7 +165,7 @@ def consistency_audit(group, g: int, n: int,
     mfh = dim_moduli_framed(gd, g, n, fdims, zc)
     base = hitchin_base_dim(gd, g, n)
     fiber = hitchin_fiber_dim(gd, g, n)
-    tors = torsor_dims(gd, n, framing_caps)
+    tors = torsor_dims(gd, n)
     relative = fiber + tors.relative_over_unframed
     checks = [
         DimCheck("moduli = base + fiber", mh, base + fiber,

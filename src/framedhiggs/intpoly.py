@@ -13,6 +13,8 @@ the factors modulo the prime with fewest of them are split by
 Cantor-Zassenhaus, Hensel-lifted past a Mignotte bound and recombined
 (Zassenhaus, J. Number Theory 1, 1969); every factor found is confirmed by
 exact division, so the result is exact whichever prime is chosen.
+`factor_list` factors any nonzero polynomial through it, and `linear_roots`
+reads the rational roots off that factorization.
 
 `isolate_real_roots_sqf` and `RealInterval` port sympy 1.14's continued
 fraction real-root isolation (Akritas and Strzebonski, Nonlinear Analysis:
@@ -357,6 +359,33 @@ def factor_squarefree(f: list[int]) -> list[list[int]]:
         else:
             size += 1
     return factors + [f]
+
+
+def factor_list(f: list[int]) -> tuple[int, list[tuple[list[int], int]]]:
+    """The factorization over Z of a nonzero f: sympy's ``factor_list``.
+
+    Returns the sign of the leading coefficient and the irreducible
+    factors with their multiplicities, each factor primitive with a
+    positive leading coefficient, in sympy's order (``_sort_factors``: by
+    length, then multiplicity, then coefficients).  A power of z is split
+    off first; the primitive rest is split into square-free parts
+    (`squarefree_parts`), and each part is factored by `factor_squarefree`.
+    """
+    if not f:
+        raise ValueError("zero polynomial")
+    low = next(i for i, a in enumerate(reversed(f)) if a)
+    f = f[:len(f) - low]
+    factors = [(g, m) for part, m in squarefree_parts(_primitive(f))
+               for g in factor_squarefree(part)]
+    if low:
+        factors.append(([1, 0], low))
+    return (1 if f[0] > 0 else -1), sorted(factors, key=lambda fm: (len(fm[0]), fm[1], fm[0]))
+
+
+def linear_roots(factors: list[tuple[list[int], int]]) -> list[tuple[Fraction, int]]:
+    """The roots of the linear factors among (coefficients, multiplicity)
+    pairs (`factor_list`), with multiplicities, in increasing order."""
+    return sorted((Fraction(-f[1], f[0]), m) for f, m in factors if len(f) == 2)
 
 
 # ---------------------------------------------------------------------------

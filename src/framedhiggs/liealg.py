@@ -19,13 +19,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Sequence
 
 from .exactlinalg import (Echelon, LinSolver, Mat, Vec, ZERO, ONE, dense, frac,
-                          mat_comb, mat_mul, nullspace_sparse, over_common_denominator, rank)
+                          mat_comb, mat_mul, nullspace_sparse, over_common_denominator)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -274,11 +273,6 @@ class AlgebraModel:
         if c is None:
             raise ValueError(f"matrix is not an element of {self.group.group_id}")
         return c
-
-    @cached_property
-    def torus_coords(self) -> list[Vec]:
-        """Coordinates of the fixed torus basis, solved once per model."""
-        return [self.coords(AlgebraElement(t, self.group.group_id)) for t in self.torus]
 
     def from_coords(self, coords: Sequence[Fraction]) -> AlgebraElement:
         """sum_j coords[j] basis[j], over the nonzero entries of the basis."""
@@ -537,7 +531,6 @@ class FramingSpec:
     perp: list[AlgebraElement] = field(init=False)
     coords: list[Vec] = field(init=False)       # coordinates of subalgebra and perp,
     perp_coords: list[Vec] = field(init=False)  # each element solved once
-    center_stab_dim: int | None = None      # dim Z_{H_x}(G), user supplied
 
     def __post_init__(self):
         g = self.model.group
@@ -555,19 +548,13 @@ class FramingSpec:
         self.perp_coords = [self.model.coords(p) for p in self.perp]
         # [h, h^perp] ⊆ h^perp by invariance: sigma([a, p], b) = -sigma(p, [a, b]) = 0
 
-    @cached_property
-    def dim_torus_cap(self) -> int:
-        """dim(h_x ∩ fixed torus) = dim h + dim t - dim(h + t)."""
-        torus = self.model.torus_coords
-        return len(self.coords) + len(torus) - rank(self.coords + torus)
-
     @property
     def dim(self) -> int:
         return len(self.subalgebra)
 
 
 def trivial_framing(model: AlgebraModel, form: InvariantForm) -> FramingSpec:
-    return FramingSpec(model, form, [], center_stab_dim=model.group.dim_center_grp)
+    return FramingSpec(model, form, [])
 
 
 def torus_framing(model: AlgebraModel, form: InvariantForm) -> FramingSpec:

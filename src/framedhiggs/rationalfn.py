@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import Sequence
 
 from .exactlinalg import (Vec, ZERO, ONE, frac, over_common_denominator, vec_add,
                           vec_is_zero, vec_scale, zeros)
-from .intpoly import factor_squarefree, squarefree_parts
+from .intpoly import factor_list, linear_roots
 
 
 @dataclass(frozen=True)
@@ -342,29 +342,9 @@ class Poly:
         return self.degree < 1 or self.gcd(self.derivative()).degree == 0
 
     def integer_factors(self) -> tuple[int, list[tuple[list[int], int]]]:
-        """The factorization over Z of the integer polynomial d p, d the
-        least common denominator of the coefficients: sympy's ``factor_list``.
-
-        Returns the sign of the leading coefficient and the irreducible
-        factors with their multiplicities, each factor as its integer
-        coefficients (highest first), primitive with a positive leading
-        coefficient, in sympy's order (``_sort_factors``: by length, then
-        multiplicity, then coefficients).  A power of z is split off first.
-        A primitive part square-free modulo a small prime is square-free;
-        otherwise Yun's algorithm over Q splits it into square-free parts.
-        Each part is factored by `intpoly.factor_squarefree`.
-        """
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        low = next(i for i, a in enumerate(self.c) if a)
-        ic = over_common_denominator(reversed(self.c[low:]))[1]
-        sign = 1 if ic[0] > 0 else -1
-        content = sign * gcd(*ic)
-        factors = [(g, m) for part, m in squarefree_parts([a // content for a in ic])
-                   for g in factor_squarefree(part)]
-        if low:
-            factors.append(([1, 0], low))
-        return sign, sorted(factors, key=lambda fm: (len(fm[0]), fm[1], fm[0]))
+        """`intpoly.factor_list` of the integer polynomial d p, d the least
+        common denominator of the coefficients."""
+        return factor_list(over_common_denominator(reversed(self.c))[1])
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
         """All rational roots with multiplicities, in increasing order.
@@ -375,8 +355,3 @@ class Poly:
         """
         return linear_roots(self.integer_factors()[1])
 
-
-def linear_roots(factors: list[tuple[list[int], int]]) -> list[tuple[Fraction, int]]:
-    """The roots of the linear factors among (coefficients, multiplicity)
-    pairs (`Poly.integer_factors`), with multiplicities, in increasing order."""
-    return sorted((Fraction(-f[1], f[0]), m) for f, m in factors if len(f) == 2)

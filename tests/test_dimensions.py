@@ -61,18 +61,6 @@ def test_torsor_dims_examples():
         torsor_dims("gl(2)", 0)
 
 
-def test_torsor_general_framing_readings():
-    # equal stabilizer dims: the once-read and summed corrections differ
-    t = torsor_dims("gl(2)", 2, [(1, 1), (1, 1)])
-    assert t.general_offset_summed == 0
-    assert t.general_offset_unsummed == -1
-    assert t.general_ambiguous
-    # distinct stabilizer dims: only the summed reading exists
-    t2 = torsor_dims("gl(2)", 2, [(1, 0), (2, 1)])
-    assert t2.general_offset_summed == -2
-    assert t2.general_offset_unsummed is None
-
-
 def test_audit_single_cases():
     r = consistency_audit("sl(2)", 2, 1)
     assert r.passed

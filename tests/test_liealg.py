@@ -365,19 +365,3 @@ def test_framing_rejects_full_algebra():
     full = [AlgebraElement(b, "sl(2)") for b in m.basis]
     with pytest.raises(ValueError, match="proper"):
         FramingSpec(m, form, full)
-
-
-def test_torus_cap_dimension():
-    m = AlgebraModel("sl(2)")
-    form = trace_form("sl(2)")
-    assert trivial_framing(m, form).dim_torus_cap == 0
-    assert torus_framing(m, form).dim_torus_cap == 1
-    e = m.element([[0, 1], [0, 0]])
-    borel = FramingSpec(m, form, [m.element([[1, 0], [0, -1]]), e])
-    assert borel.dim_torus_cap == 1
-    # sl(3): h = span(diag(1, -1, 0), E_13) meets the 2-dimensional torus in a line
-    m3 = AlgebraModel("sl(3)")
-    h = [m3.element([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
-         m3.element([[0, 0, 1], [0, 0, 0], [0, 0, 0]])]
-    assert FramingSpec(m3, trace_form("sl(3)"), h).dim_torus_cap == 1
-    assert torus_framing(m3, trace_form("sl(3)")).dim_torus_cap == 2

@@ -128,9 +128,11 @@ def test_disc_numerator_matches_the_sympy_discriminant(group, seed):
         m += sympy.Matrix([[sympy.Rational(str(v)) for v in row] for row in el.matrix]) * weight
     oracle = sympy.Poly(sympy.discriminant(sympy.expand((lam * sympy.eye(size) - m).det()),
                                            lam), z)
-    disc = _disc_numerator(elementary_numerators(model.algebra, PTS3, model.residues), size)
-    assert not disc.is_zero()
-    assert disc.c == [F(int(c.p), int(c.q)) for c in reversed(oracle.all_coeffs())]
+    den, e_nums = elementary_numerators(model.algebra, PTS3, model.residues)
+    disc = _disc_numerator(e_nums, size)
+    assert disc
+    scale = den ** (size * (size - 1))
+    assert [F(c, scale) for c in disc] == [F(int(c.p), int(c.q)) for c in oracle.all_coeffs()]
 
 
 def _interpolate(ts, ys):
@@ -184,8 +186,9 @@ def test_faddeev_leverrier_numerators_equal_the_interpolated_ones(seed):
     n = rng.randint(3, 6)
     points = rng.sample(sorted({F(p, q) for p in range(-9, 10) if p for q in (1, 2, 3, 7)}), n)
     residues = _explicit_residues(model, rng, n)
-    direct = elementary_numerators(model, points, residues)
-    assert [e.c for e in direct] == [e.c for e in _sampled_numerators(model, points, residues)]
+    den, direct = elementary_numerators(model, points, residues)
+    assert [[F(c, den ** k) for c in reversed(e)] for k, e in enumerate(direct, 1)] == \
+        [e.c for e in _sampled_numerators(model, points, residues)]
 
 
 def test_branch_count_matches_disc_degree_squarefree():
@@ -196,7 +199,7 @@ def test_branch_count_matches_disc_degree_squarefree():
     if rep.squarefree:
         finite_count = sum(mult for _, mult in rep.rational_branch_points) + \
             len(rep.isolated_branch_boxes)
-        assert finite_count == rep.disc_numerator.degree
+        assert finite_count == len(rep.disc_numerator) - 1
         assert rep.branch_degree == 6
 
 
@@ -205,11 +208,17 @@ def test_isolating_boxes_contain_roots():
     m = AlgebraModel("sl(2)")
     els = balanced(m, rng, 3)
     rep = spectral_data(m, PTS3, els)
+
+    def disc(t):
+        acc = F(0)
+        for c in rep.disc_numerator:
+            acc = acc * t + c
+        return acc
     for box in rep.isolated_branch_boxes:
         if box[0] == "real":
             _, lo, hi = box
             assert hi - lo <= F(2, 10 ** 9)
-            assert rep.disc_numerator(lo) * rep.disc_numerator(hi) <= 0
+            assert disc(lo) * disc(hi) <= 0
 
 
 def test_a_square_discriminant_is_not_squarefree(tmp_path, capsys):
@@ -416,8 +425,9 @@ def _discriminant(group, n, seed):
     pts = [F(i) for i in range(1, n + 1)]
     model = seeded_model(group, pts, "trivial", seed)
     algebra = AlgebraModel(group)
-    return _disc_numerator(elementary_numerators(algebra, pts, model.residues),
+    disc = _disc_numerator(elementary_numerators(algebra, pts, model.residues)[1],
                            algebra.group.matrix_size)
+    return Poly([F(c) for c in reversed(disc)])
 
 
 def _isolate(p, eps=EPS):
@@ -630,19 +640,20 @@ def test_derived_factors_match_sympy_factoring_on_explicit_polynomials(p, scale)
 
 
 def test_one_factorization_per_spectral_job(monkeypatch):
-    # The one factorization is the package's own (`Poly.integer_factors`);
+    # The one factorization is the package's own (`intpoly.factor_list`);
     # sympy factors, isolates and refines nothing.
-    calls = {"integer_factors": 0, "factor_list": 0, "real_roots": 0, "eval_rational": 0}
+    calls = {"intpoly.factor_list": 0, "factor_list": 0, "real_roots": 0,
+             "eval_rational": 0}
 
-    def counting(cls, name):
-        method = getattr(cls, name)
+    def counting(owner, name, key=None):
+        method = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key or name] += 1
             return method(*args, **kwargs)
-        monkeypatch.setattr(cls, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counting(Poly, "integer_factors")
+    counting(spectral, "factor_list", "intpoly.factor_list")
     counting(sympy.Poly, "factor_list")
     counting(sympy.Poly, "real_roots")
     counting(CRootOf, "eval_rational")
@@ -652,8 +663,39 @@ def test_one_factorization_per_spectral_job(monkeypatch):
     CRootOf.clear_cache()
     report = spectral_data(model.algebra, pts, model.residues)
     assert {b[0] for b in report.isolated_branch_boxes} == {"real", "complex"}
-    assert calls == {"integer_factors": 1, "factor_list": 0, "real_roots": 0,
+    assert calls == {"intpoly.factor_list": 1, "factor_list": 0, "real_roots": 0,
                      "eval_rational": 0}
+
+
+@pytest.mark.parametrize("group", ["sl(2)", "gl(2)", "sl(3)", "gl(3)"])
+def test_a_wrong_numerator_fails_the_marked_point_cross_check(monkeypatch, group):
+    # Negative control: one coefficient of e_2(N) off by 1 must disagree with
+    # the discriminants of the residues themselves.
+    model = seeded_model(group, PTS3, "trivial", 3, 5)
+    numerators = spectral.elementary_numerators
+
+    def tampered(*args):
+        den, e_nums = numerators(*args)
+        return den, [e_nums[0], e_nums[1][:-1] + [e_nums[1][-1] + 1], *e_nums[2:]]
+    monkeypatch.setattr(spectral, "elementary_numerators", tampered)
+    with pytest.raises(AssertionError, match="Faddeev-LeVerrier discriminant disagrees"):
+        spectral_data(model.algebra, PTS3, model.residues)
+
+
+def test_a_spectral_job_builds_no_rational_polynomial(monkeypatch, tmp_path, capsys):
+    # From Faddeev-LeVerrier to the factorization every polynomial is an
+    # integer list; the job must not fall back to `rationalfn.Poly`.
+    def refuse(self, coeffs=None):
+        raise AssertionError("a spectral job built a rationalfn.Poly")
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    for group, n in (("sl(2)", 4), ("gl(2)", 5), ("sl(3)", 3)):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "group": group, "points": [str(i) for i in range(1, n + 1)],
+            "residues": {"type": "random", "seed": 3, "height": 5}}))
+        assert main(["spectral", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)["results"]["spectral"]
+        assert not report["degenerate"] and report["isolated_branch_boxes"]
 
 
 def _sympy_calls(monkeypatch):
