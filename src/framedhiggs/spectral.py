@@ -23,11 +23,11 @@ isolated and refined by a line-for-line port of sympy's continued-fraction
 method (`intpoly.isolate_real_roots_sqf`); the non-real rectangles are
 sympy's Collins-Krandick quadtree and refinement replayed on an integer
 grid, each root count an exact comparison with a certified Henrici disk or
-a quadratic's exact roots (`_replay_rectangles`).  sympy is imported only
-where the port cannot decide exactly (`_isolate_irrational_roots` names the
-three cases); one of them, a step the replay cannot decide, sends the
-polynomial back to sympy end to end: its own complex isolation and
-refinement.
+a quadratic's exact roots (`_replay_rectangles`).  Newton starts for the
+disks are Durand-Kerner floats, then ``mpmath.polyroots`` at each
+precision of `_MP_DPS` (`_certified_boxes`).  sympy is imported only where
+the port cannot decide exactly (`_isolate_irrational_roots` names the
+three cases).
 """
 
 from __future__ import annotations
@@ -207,8 +207,9 @@ def _isolate_irrational_roots(sign: int, factors: list[list[int]],
       ``sympy.ordered``'s (`_sympy_ordered`);
     - the coefficient gcd of `_integer_basis` has a prime factor beyond
       trial division: ``sympy.divisors`` lists its divisors;
-    - the replay cannot decide a step (a disk meets a cut or the disks are
-      not certified; a quadratic has purely imaginary roots): sympy's own
+    - the replay cannot decide a step (a disk meets a cut; a quadratic has
+      purely imaginary roots; the disks are not certified from the float
+      starts nor from mpmath's at any precision of `_MP_DPS`): sympy's own
       complex isolation (``all_roots``) and refinement (``eval_rational``)
       run for the whole polynomial (`_sympy_complexes`).
     """
@@ -355,40 +356,24 @@ def _sympy_complexes(sign: int, factors: list[list[int]], tol: Fraction,
     centres = []
     for rt in sp.all_roots(radicals=False)[nreal:]:
         approx = rt.as_coeff_Mul()[1].eval_rational(dx=stol, dy=stol)
-        centres.append((_fraction(sympy.re(approx)), _fraction(sympy.im(approx))))
+        centres.append((Fraction(str(sympy.re(approx))), Fraction(str(sympy.im(approx)))))
     return centres
-
-
-def _fraction(q) -> Fraction:
-    """A sympy Rational as a Fraction."""
-    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def _float_roots(coeffs: list[int]) -> list[complex]:
     """Float approximations of the roots of the polynomial with the given
-    integer coefficients (highest first), or [] if floats cannot hold them.
+    integer coefficients (highest first), or [] if they do not settle.
 
     Durand-Kerner iteration on complex floats from a circle of radius
     2 max |a_i / a_0|^(1/i), which holds every root.  It stops once every
     correction is below 2^-40 of its root, and at most after 100 sweeps;
     clustered roots can leave float noise above that, so the roots count as
-    settled once every correction is below 2^-20.  When they do not settle,
-    the approximations are the eigenvalues of the companion matrix
-    (``numpy.roots``).  Either way they only choose where `_henrici_box`
-    starts.
-
-    The fallback runs on rank-3 discriminants, though no bench job reaches
-    it: on residue seeds 0-14 the iteration did not settle on 4 of 15 sl(3)
-    and 6 of 15 gl(3) models on points 1-4 and on all 15 sl(3) models on
-    points 1-5, and numpy's starts then certified 3, 3 and 7 factors that
-    would otherwise go to sympy's own isolation.
+    settled once every correction is below 2^-20.  They only choose where
+    `_henrici_box` starts.
     """
     n = len(coeffs) - 1
     try:
         a = [c / coeffs[0] for c in coeffs]
-    except OverflowError:
-        return []
-    try:
         radius = 2 * max(abs(a[i]) ** (1 / i) for i in range(1, n + 1))
         roots = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
         for _ in range(100):
@@ -408,13 +393,28 @@ def _float_roots(coeffs: list[int]) -> list[complex]:
             return roots
     except (OverflowError, ZeroDivisionError):
         pass
-    # Imported here: only a stalled iteration needs numpy, and importing the
-    # CLI loads no numeric library.
-    import numpy
-    try:
-        roots = [complex(w) for w in numpy.roots(a)]
-    except numpy.linalg.LinAlgError:
-        return []
+    return []
+
+
+# Decimal digits of the `mpmath.polyroots` starts, tried in turn when the
+# float starts do not certify (`_certified_boxes`).  A failing ladder to 480
+# digits took 5 s on a degree-18 factor, so it stops at 120.
+_MP_DPS = (30, 60, 120)
+
+
+def _mp_roots(coeffs: list[int], dps: int) -> list[complex]:
+    """The roots of the integer polynomial by ``mpmath.polyroots`` at dps
+    digits as complex floats, or [] if they do not converge or overflow.
+    mpmath's global precision, which sympy shares, is left as it was."""
+    # Imported here: importing the CLI loads no numeric library.
+    import mpmath
+    bits = max(map(abs, coeffs)).bit_length()
+    with mpmath.workdps(dps):
+        try:
+            roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=4 * bits + 200)
+        except mpmath.libmp.NoConvergence:
+            return []
+    roots = [complex(w) for w in roots]
     return roots if all(map(cmath.isfinite, roots)) else []
 
 
@@ -504,23 +504,23 @@ def _certified_boxes(coeffs: list[int], nreal: int, r: Fraction) -> list[tuple] 
     many boxes as the degree and they are pairwise disjoint, each holds
     exactly one root.  Each real root's box then meets the real axis; when
     exactly nreal boxes do (sympy's count of real roots), no box of a
-    non-real root does.
+    non-real root does.  Newton starts from the float roots, then from
+    mpmath's at each precision of `_MP_DPS`, until a set of boxes passes.
     """
     if len(coeffs) == 3:
         return _quadratic_boxes(coeffs, nreal, r)
-    boxes = []
-    for z0 in _float_roots(coeffs):
-        box = _henrici_box(coeffs, z0, r)
-        if box is None:
-            return None
-        boxes.append(box)
-    if len(boxes) != len(coeffs) - 1:
-        return None
-    if not all(_disjoint(a, b) for i, a in enumerate(boxes) for b in boxes[:i]):
-        return None
-    if sum(box[1] <= 0 <= box[3] for box in boxes) != nreal:
-        return None
-    return boxes
+    for dps in (None, *_MP_DPS):
+        boxes = []
+        for z0 in _float_roots(coeffs) if dps is None else _mp_roots(coeffs, dps):
+            box = _henrici_box(coeffs, z0, r)
+            if box is None:
+                break
+            boxes.append(box)
+        if (len(boxes) == len(coeffs) - 1
+                and all(_disjoint(a, b) for i, a in enumerate(boxes) for b in boxes[:i])
+                and sum(box[1] <= 0 <= box[3] for box in boxes) == nreal):
+            return boxes
+    return None
 
 
 def _bound(coeffs: list[int]) -> Fraction:

@@ -224,3 +224,24 @@ def test_criterion_9_large_model_deformation_job(tmp_path, capsys):
                code == 0 and result["all_passed"] and elapsed < 3.5,
                f"hfb defo on sl(5) at 4 points (seed 7) exits {code}, framed h1 = "
                f"{result['results']['dims']['framed']['h1']}, in {elapsed:.2f}s (< 3.5s)")
+
+
+def test_rank3_spectral_jobs_that_used_to_stall(tmp_path, capsys):
+    # Each job once ran sympy's own complex isolation for 40 s to over 200 s;
+    # mpmath's Newton starts now certify their disks.
+    jobs = [("gl(3)", 5, 3, 10), ("gl(3)", 4, 1, 10), ("sl(3)", 4, 178727, 26)]
+    config = tmp_path / "rank3.json"
+    for group, n, seed, height in jobs:
+        config.write_text(json.dumps({
+            "group": group, "points": [str(i) for i in range(1, n + 1)],
+            "framing": "trivial",
+            "residues": {"type": "random", "seed": seed, "height": height}}))
+        t0 = time.time()
+        code = main(["spectral", "--config", str(config)])
+        elapsed = time.time() - t0
+        result = json.loads(capsys.readouterr().out)
+        with capsys.disabled():
+            report("rank-3 spectral job (never a hang)",
+                   code == 0 and result["all_passed"] and elapsed < 3.0,
+                   f"hfb spectral on {group} at points 1-{n} (seed {seed}, height "
+                   f"{height}) exits {code} in {elapsed:.2f}s (< 3s)")

@@ -538,3 +538,23 @@ def test_the_readme_flow_loads_no_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
     assert "flow_worst_drift" in json.loads(out.read_text())["results"]
+
+
+def test_an_escalating_spectral_job_loads_no_numpy(tmp_path):
+    # sl(3) on points 1-4, seed 6: the Durand-Kerner starts stall and the
+    # disks are certified from mpmath's starts, so mpmath is loaded, not numpy.
+    cfg = write_config(tmp_path, "spectral.json", {
+        "group": "sl(3)", "points": ["1", "2", "3", "4"],
+        "residues": {"type": "random", "seed": 6, "height": 10}})
+    out = tmp_path / "report.json"
+    code = ("import sys; from framedhiggs.cli import main; "
+            f"print(main(['spectral', '--config', {cfg!r}, '--out', {str(out)!r}]), "
+            "'numpy' in sys.modules, 'mpmath' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "True"]
+    assert json.loads(out.read_text())["results"]["spectral"]["isolated_branch_boxes"]

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -758,9 +759,26 @@ def test_negative_control_model_is_replayed(monkeypatch):
     assert _declines(monkeypatch, *NEGATIVE_CONTROL) == (False, True)
 
 
-def test_a_stalled_durand_kerner_iteration_restarts_from_numpy(monkeypatch):
+# 500 ((z - 3/10)^2 + 100)((z + 2/5)^2 + 2601/25) + 500, irreducible: its upper
+# roots -0.403 + 10.199i and 0.303 + 10.001i are 0.73 apart.
+CLUSTER = [500, 100, 101905, 8776, 5215189]
+
+
+def _counting_mp_roots(monkeypatch):
+    """The dps of each `_mp_roots` call, in order."""
+    mp_roots, calls = spectral._mp_roots, []
+
+    def counting(coeffs, dps):
+        calls.append(dps)
+        return mp_roots(coeffs, dps)
+
+    monkeypatch.setattr(spectral, "_mp_roots", counting)
+    return calls
+
+
+def test_a_stalled_durand_kerner_iteration_restarts_from_mpmath(monkeypatch):
     # gl(3) on points 1-4 with seed 9: Durand-Kerner does not settle on the
-    # degree-12 discriminant; from numpy's starts every root gets its disk.
+    # degree-12 discriminant; from mpmath's starts every root gets its disk.
     replay = spectral._replay_complexes
     declined = []
 
@@ -770,17 +788,46 @@ def test_a_stalled_durand_kerner_iteration_restarts_from_numpy(monkeypatch):
         return centres
 
     monkeypatch.setattr(spectral, "_replay_complexes", spy)
+    mp_calls = _counting_mp_roots(monkeypatch)
     pts = [F(i) for i in range(1, 5)]
     model = seeded_model("gl(3)", pts, "trivial", 9)
     CRootOf.clear_cache()
     report = spectral_data(model.algebra, pts, model.residues)
     assert declined == [False]
+    assert mp_calls == [30]
     assert any(b[0] == "complex" for b in report.isolated_branch_boxes)
 
 
-# 500 ((z - 3/10)^2 + 100)((z + 2/5)^2 + 2601/25) + 500, irreducible: its upper
-# roots -0.403 + 10.199i and 0.303 + 10.001i are 0.73 apart.
-CLUSTER = [500, 100, 101905, 8776, 5215189]
+# sha256 of repr(isolated_branch_boxes) of sl(3) on points 1-4, seed 6,
+# trivial framing, height 10, from sympy's own complex isolation: the
+# float starts do not settle there, so the replay used to decline.
+SL3_SEED6_BOXES = "e4527ccc296db66ae81e0135d090803d3a56ece7647cb6bbddde5ba55044bb18"
+
+
+def test_mpmath_starts_reproduce_sympys_own_boxes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the replay declined")
+    monkeypatch.setattr(spectral, "_sympy_complexes", refuse)
+    mp_calls = _counting_mp_roots(monkeypatch)
+    pts = [F(i) for i in range(1, 5)]
+    model = seeded_model("sl(3)", pts, "trivial", 6)
+    boxes = spectral_data(model.algebra, pts, model.residues).isolated_branch_boxes
+    assert mp_calls == [30]
+    assert hashlib.sha256(repr(boxes).encode()).hexdigest() == SL3_SEED6_BOXES
+
+
+def test_an_escalation_leaves_mpmath_precision_as_it_was(monkeypatch):
+    import mpmath
+    monkeypatch.setattr(mpmath.mp, "dps", 20)
+    monkeypatch.setattr(spectral, "_float_roots", lambda coeffs: [])
+    assert spectral._certified_boxes(CLUSTER, 0, F(1, 8)) is not None
+    assert (mpmath.mp.dps, mpmath.mp.prec) == (20, 70)
+
+    def no_convergence(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence
+    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    assert spectral._mp_roots(CLUSTER, 120) == []
+    assert (mpmath.mp.dps, mpmath.mp.prec) == (20, 70)
 
 
 def test_overlapping_disks_make_the_replay_decline():
@@ -791,22 +838,39 @@ def test_overlapping_disks_make_the_replay_decline():
     assert spectral._certified_boxes(CLUSTER, 0, F(1, 2)) is None
 
 
+def _sabotage_starts(monkeypatch, change):
+    """Every source of Newton starts returns change(its roots)."""
+    for name in ("_float_roots", "_mp_roots"):
+        roots = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lambda *args, roots=roots: change(roots(*args)))
+
+
 def test_a_dropped_newton_start_makes_the_replay_decline(monkeypatch):
-    roots = spectral._float_roots
     # The start of the highest root goes: the replay would never count it.
-    monkeypatch.setattr(spectral, "_float_roots",
-                        lambda coeffs: sorted(roots(coeffs), key=lambda w: w.imag)[:-1])
+    _sabotage_starts(monkeypatch, lambda ws: sorted(ws, key=lambda w: w.imag)[:-1])
     assert _declines(monkeypatch, *NEGATIVE_CONTROL) == (True, True)
 
 
 def test_two_disks_about_one_root_make_the_replay_decline(monkeypatch):
-    roots = spectral._float_roots
     # Newton starts from conj(w) for every upper root w: each lower root gets
     # two disks and the upper roots none, with the degree and the real-root
     # count both right.
-    monkeypatch.setattr(spectral, "_float_roots", lambda coeffs: [
-        w.conjugate() if w.imag > 0 else w for w in roots(coeffs)])
+    _sabotage_starts(monkeypatch, lambda ws: [w.conjugate() if w.imag > 0 else w for w in ws])
     assert _declines(monkeypatch, *NEGATIVE_CONTROL) == (True, True)
+
+
+def test_moved_mpmath_starts_are_polished_back_onto_the_roots(monkeypatch):
+    # The float starts stall and every mpmath start is off by 3 box
+    # half-sides: no box may sit about a moved start.  The exact Newton steps
+    # of `_henrici_box` put each disk back about its root, so the first rung
+    # certifies the boxes sympy gives.
+    monkeypatch.setattr(spectral, "_float_roots", lambda coeffs: [])
+    calls = _counting_mp_roots(monkeypatch)
+    mp_roots, shift = spectral._mp_roots, 3 * float(EPS) * (1 + 1j)
+    monkeypatch.setattr(spectral, "_mp_roots",
+                        lambda coeffs, dps: [w + shift for w in mp_roots(coeffs, dps)])
+    assert _declines(monkeypatch, *NEGATIVE_CONTROL) == (False, True)
+    assert calls == [30]
 
 
 def test_a_wrong_real_root_count_makes_the_replay_decline(monkeypatch):
