@@ -24,10 +24,9 @@ method (`intpoly.isolate_real_roots_sqf`); the non-real rectangles are
 sympy's Collins-Krandick quadtree and refinement replayed on an integer
 grid, each root count an exact comparison with a certified Henrici disk or
 a quadratic's exact roots (`_replay_rectangles`).  Newton starts for the
-disks are Durand-Kerner floats, then ``mpmath.polyroots`` at each
-precision of `_MP_DPS` (`_certified_boxes`).  sympy is imported only where
-the port cannot decide exactly (`_isolate_irrational_roots` names the
-three cases).
+disks are Durand-Kerner floats, then ``mpmath.polyroots`` at 30 digits
+(`_certified_boxes`).  sympy is imported only where the port cannot decide
+exactly (`_isolate_irrational_roots` names the three cases).
 """
 
 from __future__ import annotations
@@ -209,9 +208,9 @@ def _isolate_irrational_roots(sign: int, factors: list[list[int]],
       trial division: ``sympy.divisors`` lists its divisors;
     - the replay cannot decide a step (a disk meets a cut; a quadratic has
       purely imaginary roots; the disks are not certified from the float
-      starts nor from mpmath's at any precision of `_MP_DPS`): sympy's own
-      complex isolation (``all_roots``) and refinement (``eval_rational``)
-      run for the whole polynomial (`_sympy_complexes`).
+      starts nor from mpmath's): sympy's own complex isolation
+      (``all_roots``) and refinement (``eval_rational``) run for the whole
+      polynomial (`_sympy_complexes`).
     """
     if not factors:
         return []
@@ -356,8 +355,13 @@ def _sympy_complexes(sign: int, factors: list[list[int]], tol: Fraction,
     centres = []
     for rt in sp.all_roots(radicals=False)[nreal:]:
         approx = rt.as_coeff_Mul()[1].eval_rational(dx=stol, dy=stol)
-        centres.append((Fraction(str(sympy.re(approx))), Fraction(str(sympy.im(approx)))))
+        centres.append((_fraction(sympy.re(approx)), _fraction(sympy.im(approx))))
     return centres
+
+
+def _fraction(q) -> Fraction:
+    """A sympy Rational as a Fraction."""
+    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def _float_roots(coeffs: list[int]) -> list[complex]:
@@ -396,20 +400,15 @@ def _float_roots(coeffs: list[int]) -> list[complex]:
     return []
 
 
-# Decimal digits of the `mpmath.polyroots` starts, tried in turn when the
-# float starts do not certify (`_certified_boxes`).  A failing ladder to 480
-# digits took 5 s on a degree-18 factor, so it stops at 120.
-_MP_DPS = (30, 60, 120)
-
-
-def _mp_roots(coeffs: list[int], dps: int) -> list[complex]:
-    """The roots of the integer polynomial by ``mpmath.polyroots`` at dps
+def _mp_roots(coeffs: list[int]) -> list[complex]:
+    """The roots of the integer polynomial by ``mpmath.polyroots`` at 30
     digits as complex floats, or [] if they do not converge or overflow.
-    mpmath's global precision, which sympy shares, is left as it was."""
+    More digits round to the same floats, up to order.  mpmath's global
+    precision, which sympy shares, is left as it was."""
     # Imported here: importing the CLI loads no numeric library.
     import mpmath
     bits = max(map(abs, coeffs)).bit_length()
-    with mpmath.workdps(dps):
+    with mpmath.workdps(30):
         try:
             roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=4 * bits + 200)
         except mpmath.libmp.NoConvergence:
@@ -505,13 +504,13 @@ def _certified_boxes(coeffs: list[int], nreal: int, r: Fraction) -> list[tuple] 
     exactly one root.  Each real root's box then meets the real axis; when
     exactly nreal boxes do (sympy's count of real roots), no box of a
     non-real root does.  Newton starts from the float roots, then from
-    mpmath's at each precision of `_MP_DPS`, until a set of boxes passes.
+    mpmath's (`_mp_roots`), until a set of boxes passes.
     """
     if len(coeffs) == 3:
         return _quadratic_boxes(coeffs, nreal, r)
-    for dps in (None, *_MP_DPS):
+    for starts in (_float_roots, _mp_roots):
         boxes = []
-        for z0 in _float_roots(coeffs) if dps is None else _mp_roots(coeffs, dps):
+        for z0 in starts(coeffs):
             box = _henrici_box(coeffs, z0, r)
             if box is None:
                 break

@@ -765,12 +765,12 @@ CLUSTER = [500, 100, 101905, 8776, 5215189]
 
 
 def _counting_mp_roots(monkeypatch):
-    """The dps of each `_mp_roots` call, in order."""
+    """The coefficients of each `_mp_roots` call, in order."""
     mp_roots, calls = spectral._mp_roots, []
 
-    def counting(coeffs, dps):
-        calls.append(dps)
-        return mp_roots(coeffs, dps)
+    def counting(coeffs):
+        calls.append(coeffs)
+        return mp_roots(coeffs)
 
     monkeypatch.setattr(spectral, "_mp_roots", counting)
     return calls
@@ -794,7 +794,7 @@ def test_a_stalled_durand_kerner_iteration_restarts_from_mpmath(monkeypatch):
     CRootOf.clear_cache()
     report = spectral_data(model.algebra, pts, model.residues)
     assert declined == [False]
-    assert mp_calls == [30]
+    assert len(mp_calls) == 1
     assert any(b[0] == "complex" for b in report.isolated_branch_boxes)
 
 
@@ -812,7 +812,7 @@ def test_mpmath_starts_reproduce_sympys_own_boxes(monkeypatch):
     pts = [F(i) for i in range(1, 5)]
     model = seeded_model("sl(3)", pts, "trivial", 6)
     boxes = spectral_data(model.algebra, pts, model.residues).isolated_branch_boxes
-    assert mp_calls == [30]
+    assert len(mp_calls) == 1
     assert hashlib.sha256(repr(boxes).encode()).hexdigest() == SL3_SEED6_BOXES
 
 
@@ -826,7 +826,7 @@ def test_an_escalation_leaves_mpmath_precision_as_it_was(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise mpmath.libmp.NoConvergence
     monkeypatch.setattr(mpmath, "polyroots", no_convergence)
-    assert spectral._mp_roots(CLUSTER, 120) == []
+    assert spectral._mp_roots(CLUSTER) == []
     assert (mpmath.mp.dps, mpmath.mp.prec) == (20, 70)
 
 
@@ -859,18 +859,14 @@ def test_two_disks_about_one_root_make_the_replay_decline(monkeypatch):
     assert _declines(monkeypatch, *NEGATIVE_CONTROL) == (True, True)
 
 
-def test_moved_mpmath_starts_are_polished_back_onto_the_roots(monkeypatch):
-    # The float starts stall and every mpmath start is off by 3 box
-    # half-sides: no box may sit about a moved start.  The exact Newton steps
-    # of `_henrici_box` put each disk back about its root, so the first rung
-    # certifies the boxes sympy gives.
-    monkeypatch.setattr(spectral, "_float_roots", lambda coeffs: [])
+def test_every_start_at_one_root_makes_the_replay_decline(monkeypatch):
+    # Every start of both sources is the highest root: all disks are about
+    # it, so no two boxes are disjoint and none meets the real axis, and
+    # nothing may certify.
     calls = _counting_mp_roots(monkeypatch)
-    mp_roots, shift = spectral._mp_roots, 3 * float(EPS) * (1 + 1j)
-    monkeypatch.setattr(spectral, "_mp_roots",
-                        lambda coeffs, dps: [w + shift for w in mp_roots(coeffs, dps)])
-    assert _declines(monkeypatch, *NEGATIVE_CONTROL) == (False, True)
-    assert calls == [30]
+    _sabotage_starts(monkeypatch, lambda ws: [max(ws, key=lambda w: w.imag) for w in ws])
+    assert _declines(monkeypatch, *NEGATIVE_CONTROL) == (True, True)
+    assert calls
 
 
 def test_a_wrong_real_root_count_makes_the_replay_decline(monkeypatch):
