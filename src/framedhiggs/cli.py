@@ -346,13 +346,14 @@ def run_gaudin(cfg: dict, seed) -> dict:
         t_end = _real(flow_cfg.get("t_end", 1.0), "config.flow.t_end")
     system = GaudinSystem(algebra, pts)
     checks = []
-    hp = system.hitchin_point(model.residues)
+    chars = system.char_polys_at(model.residues)
+    hp = system.hitchin_point(model.residues, chars)
     rng = random.Random(used_seed if used_seed is not None else 0)
     tuples = [list(model.residues)]
     for _ in range(n_random):
         tuples.append(random_residue_tuple(algebra, rng, len(pts), height,
                                            zero_sum=False))
-    worst, pair = system.commutativity_check(tuples)
+    worst, pair = system.commutativity_check(tuples, [chars])
     checks.append(_check(
         "pairwise brackets of invariant coefficients vanish", worst == 0,
         str(worst), "0",

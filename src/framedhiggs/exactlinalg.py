@@ -167,13 +167,6 @@ def inverse(a: Mat) -> Mat:
     return solve(a, identity(len(a)))
 
 
-def sample_inverse(points: Sequence[Fraction], size: int, row) -> tuple[Vec, Mat]:
-    """Sample points t_l = max(points) + l, l = 1..size, which avoid every
-    point, and the inverse of the matrix whose rows are row(t_l)."""
-    ts = [max(points) + l for l in range(1, size + 1)]
-    return ts, inverse([row(t) for t in ts])
-
-
 def sparse(v) -> dict[int, Fraction]:
     """The nonzero entries {column: value} of a dense or sparse vector."""
     if isinstance(v, dict):

@@ -2,28 +2,28 @@
 
 Residue tuples (A_1, ..., A_n) with sum zero describe the Higgs field
 theta(z) = sum_i A_i dz/(z - x_i) on the trivialized rational curve.  The
-partial-fraction coefficients of the invariants p_k(theta(z)) are exact
-combinations sum_t V[a][t] p_k(theta(t)) of values at sample points t; the
-Poisson structure is the product Lie-Poisson bracket transported by the
-trace form.  At each t, theta(t) = M / D, and the invariants and their
-gradients come from one integer Faddeev-LeVerrier run on M, and in that
-basis of sample points the bracket table is formed (`commutativity_check`).
-Brackets are exact; floating point appears only in the flow integrator.
+partial-fraction coefficients of the invariants p_k(theta(z)) come from the
+integer forward differences of their values at sample points t one apart
+(`GaudinSystem._partial_fractions`); the Poisson structure is the product
+Lie-Poisson bracket transported by the trace form.  At each t, with theta(t)
+= M / D, the invariants and their gradients come from one integer
+Faddeev-LeVerrier run on M, and the bracket table is formed in that basis of
+sample points (`commutativity_check`).  Only the flow integrator uses floats.
 """
 
 from __future__ import annotations
 
 import math
+from collections import UserList
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .curve import Window, infinity_row
-from .exactlinalg import (ZERO, ONE, frac, mat_comb, mat_mul, mat_vec,
-                          over_common_denominator, sample_inverse, solve, transpose)
+from .exactlinalg import (ZERO, ONE, frac, identity, integer_solve, mat_comb, mat_mul,
+                          mat_vec, over_common_denominator, transpose)
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, antidiagonal, flatten,
                      generator_indices, mat_commutator, mat_trace, matrix_invariants,
                      pfaffian, theta_at, theta_char_polys)
@@ -254,8 +254,15 @@ class SampleGradients(NamedTuple):
     gradient pi(grad f)(theta(ts[t])) as y / d, y its row-major numerators."""
     keys: list
     ts: Sequence[Fraction]
-    vinv: list[list[Fraction]]
+    vinv: Sequence[list[Fraction]]
     grads: list[tuple[int, list[int]]]
+
+
+@dataclass(eq=False)
+class _Rows(UserList):
+    """A matrix whose rows build() makes when they are first read."""
+    build: Callable[[], list]
+    data = cached_property(lambda self: self.build())
 
 
 class GaudinSystem:
@@ -269,22 +276,24 @@ class GaudinSystem:
         self.n = len(self.points)
         self.s = model.n
         self.group = model.group
-        # trace-orthogonal projection onto the algebra, as a map of basis
-        # coordinates: coords(pi(Y)) = R @ flatten(Y^T)' with rows tr(B_j Y).
-        basis = model.basis
-        gram = [[mat_trace(mat_mul(a, b)) for b in basis] for a in basis]
-        tmat = [flatten(transpose(b)) for b in basis]
-        self._grad_rows = solve(gram, tmat)   # dim x s^2
-        # The projection on flattened matrices, flatten(pi(Y)) = P flatten(Y),
-        # as (d, integer rows of d P).
-        proj = mat_mul(transpose([flatten(b) for b in basis]), self._grad_rows)
-        pden, pflat = over_common_denominator(flatten(proj))
-        self._projection = (pden, [pflat[r * len(proj):(r + 1) * len(proj)]
-                                   for r in range(len(proj))])
+        # projection: coords(pi(Y)) = R flatten(Y^T), G R = T for G[a][b] = tr(B_a B_b),
+        # T_a = flatten(B_a^T); R = c X for b_a = c B_a integers, and P = sum_a b_a X_a.
+        s = self.s
+        c, flat = over_common_denominator(x for b in model.basis for x in flatten(b))
+        basis = [flat[q:q + s * s] for q in range(0, len(flat), s * s)]
+        den, x = integer_solve([[_trace(a, b, s) for b in basis] for a in basis],
+                               [[v for i in range(s) for v in a[i::s]] for a in basis])
+        self._grad_scale, self._grad_ints = Fraction(c, den), x
+        self._projection = (den, [[sum(map(mul, bcol, xcol)) for xcol in zip(*x)]
+                                  for bcol in zip(*basis)])
         self._indices = generator_indices(self.group)
         self._coeff_functions: dict[int, dict[tuple[int, int], PolyObservable]] = {}
         self._interp_cache: dict[int, tuple] = {}
         self._symbolic_invariants: dict[Fraction, list[PolyObservable]] = {}
+
+    @cached_property
+    def _grad_rows(self) -> list[list[Fraction]]:   # R, for the flow and sigma gradients
+        return [[self._grad_scale * y for y in row] for row in self._grad_ints]
 
     # -- variable layout ------------------------------------------------------
 
@@ -303,20 +312,58 @@ class GaudinSystem:
         return [[self.coordinate(site, a, b) for b in range(self.s)] for a in range(self.s)]
 
     def _interp_data(self, k: int):
-        """Sample points and the inverse interpolation matrix for degree index k.
-
-        p_k(theta(z)) decays at infinity, so it is an exact combination of
-        (z - x_i)^(-j), j <= d_k; coefficients are recovered from values at
-        fresh sample points by solving the exact interpolation system.
-        """
+        """(cols, ts, vinv) for degree index k, N = n d_k: the coefficients (i,
+        j) of (z - x_i)^(-j), j <= d_k, the sample points t_l = max(x) + l, l =
+        1..N, and vinv = V^-1 for V[l][(i, j)] = (t_l - x_i)^(-j), built from
+        `_partial_fractions` of unit vectors when first read; the cache also
+        keeps what `_partial_fractions` reads."""
         if k not in self._interp_cache:
             d = self.group.degrees[k]
             cols = [(i, j) for i in range(self.n) for j in range(1, d + 1)]
-            ts, vinv = sample_inverse(
-                self.points, len(cols),
-                lambda t: [ONE / (t - self.points[i]) ** j for (i, j) in cols])
-            self._interp_cache[k] = (cols, ts, vinv)
-        return self._interp_cache[k]
+            big = len(cols) - 1
+            # integer points as ints, so that the Horner pass runs in integers
+            xs = [x.numerator if x.denominator == 1 else x for x in self.points]
+            ts = [max(xs) + l for l in range(1, big + 2)]
+            sites = []
+            for x in xs:
+                g, gden = [1] + [0] * (d - 1), math.factorial(big)
+                for c in (x - y for y in xs if y != x):   # g <- g c^(2d-1) / (c + w)^d
+                    gden *= c ** (2 * d - 1)
+                    term = [(-1) ** m * math.comb(d + m - 1, m) * c ** (d - 1 - m)
+                            for m in range(d)]
+                    g = [sum(g[r] * term[m - r] for r in range(m + 1)) for m in range(d)]
+                sites.append(([x - t for t in reversed(ts[:-1])], g, gden))
+            vinv = _Rows(lambda: transpose([self._partial_fractions(k, unit)[1]
+                                            for unit in identity(big + 1)]))
+            weights = [math.prod((t - x) ** d for x in xs) for t in ts]
+            self._interp_cache[k] = (cols, ts, vinv, d, sites, weights)
+        return self._interp_cache[k][:3]
+
+    def _partial_fractions(self, k: int, values: Sequence[Fraction]) -> tuple[list, list]:
+        """(diffs, c) for the values at the sample points t_l of degree index k
+        of f = sum c_(i,j) (z - x_i)^(-j): c = vinv values, and the differences
+        D^m y_1 (m < N) of y_l = f(t_l) prod_i (t_l - x_i)^d times den (N-1)! / m!,
+        den making them integers.  P = sum_m D^m y_1 binom(z - t_1, m) = f prod_i
+        (z - x_i)^d, so f ~ z^(-o) at infinity when D^(N-o) y_1 is the top nonzero
+        one.  A Horner pass in w = z - x_i gives Q = (N-1)! den P(x_i + w) below
+        w^d, and c_(i,j) = (Q g)[d-j] / (den gden) with g / gden the series of
+        1 / prod_(l != i) (x_i - x_l + w)^d."""
+        self._interp_data(k)
+        d, sites, weights = self._interp_cache[k][3:]
+        den, ys = over_common_denominator(v * w for v, w in zip(values, weights))
+        big, diffs = len(ys) - 1, []
+        for m in range(big + 1):
+            diffs.append(math.perm(big, big - m) * ys[0])   # (N-1)! / m! D^m y_1
+            ys = [b - a for a, b in zip(ys, ys[1:])]
+        coeffs = []
+        for shifts, g, gden in sites:
+            q = [diffs[-1]] + [0] * (d - 1)
+            for c, a in zip(shifts, reversed(diffs[:-1])):   # q <- q (w + c) + a
+                q = [c * u + v for u, v in zip(q, [0] + q[:-1])]
+                q[0] += a
+            coeffs += [Fraction(sum(map(mul, q, reversed(g[:d + 1 - j]))), den * gden)
+                       for j in range(1, d + 1)]
+        return diffs, coeffs
 
     def _symbolic_invariant(self, k: int, t: Fraction) -> PolyObservable:
         """p_k(theta(t)) as a polynomial in the residue entries; every
@@ -343,49 +390,42 @@ class GaudinSystem:
         fns = self.coefficient_functions()
         return [(k, i, j, fns[k][i, j]) for k in sorted(fns) for i, j in sorted(fns[k])]
 
-    def _char_polys_at(self, residues: Sequence[AlgebraElement]) -> list[tuple]:
-        """`theta_char_polys` of a residue tuple at the sample points of the
-        longest list.  The sample points of a degree index are the first ones
-        of that list (`sample_inverse`), so they are zipped with its head."""
+    def char_polys_at(self, residues: Sequence[AlgebraElement]) -> list[tuple]:
+        """`theta_char_polys` of a residue tuple at the longest list of sample
+        points, whose heads are those of the other degree indices."""
         ts = max((self._interp_data(k)[1] for k in range(len(self._indices))), key=len)
         return theta_char_polys(self.points, [el.matrix for el in residues], ts)
 
-    def hitchin_point(self, residues: Sequence[AlgebraElement]) -> HitchinPoint:
+    def hitchin_point(self, residues: Sequence[AlgebraElement], chars=None) -> HitchinPoint:
         """Evaluate the map at a residue tuple; requires sum A_i = 0.
 
         At each sample point t, e_m(theta(t)) = e_m(M) / D^m is read off the
         integer characteristic polynomial of theta(t) = M / D
-        (`theta_char_polys`), and the Pfaffian of so(2r) is Pf(Q M) / D^r.
-        Verifies holomorphy at infinity: p_k(theta) must vanish to order 2 d_k,
-        which is checked exactly on the partial-fraction expansion.
+        (`theta_char_polys`, or chars), the Pfaffian of so(2r) is Pf(Q M) / D^r,
+        and `_partial_fractions` expands them.  Verifies holomorphy at infinity:
+        p_k(theta) vanishes to order 2 d_k iff the top 2 d_k - 1 differences do.
         """
         total = residues[0]
         for el in residues[1:]:
             total = total + el
         if not total.is_zero():
             raise ValueError("sum of residues must vanish (holomorphy at infinity)")
-        chars = self._char_polys_at(residues)
+        if chars is None:
+            chars = self.char_polys_at(residues)
         s = self.s
         coeffs = []
         for k, (d, index) in enumerate(zip(self.group.degrees, self._indices)):
-            cols, ts, vinv = self._interp_data(k)
-            values = []
-            for den, m, es, _ in chars[:len(ts)]:
-                if index == PFAFFIAN:   # Pf(Q M) / D^(s/2); Q M is M upside down
-                    upside_down = [m[a:a + s] for a in range(s * s - s, -1, -s)]
-                    values.append(Fraction(pfaffian(upside_down), den ** (s // 2)))
-                else:
-                    values.append(Fraction(es[index - 1], den ** index))
-            solved = mat_vec(vinv, values)
-            coeffs.append({key: v for key, v in zip(cols, solved) if v != 0})
-            # the coefficient of u^order at infinity (u = 1/z) is a dot product
-            # with the layout of Window(d, 0), where (z - x_i)^-j sits at i d + j - 1
-            layout = {i * d + j - 1: v for (i, j), v in coeffs[-1].items()}
-            for order in range(1, 2 * d):
-                row = infinity_row(self.points, Window(d, 0), order)
-                if sum(x * layout.get(q, ZERO) for q, x in row.items()):
+            cols, ts, _ = self._interp_data(k)
+            # the Pfaffian is Pf(Q M) / D^(s/2), and Q M is M upside down
+            values = [Fraction(es[index - 1], den ** index) if index != PFAFFIAN else
+                      Fraction(pfaffian([m[a:a + s] for a in range(s * s - s, -1, -s)]),
+                               den ** (s // 2)) for den, m, es, _ in chars[:len(ts)]]
+            diffs, solved = self._partial_fractions(k, values)
+            for order, a in enumerate(reversed(diffs[1 - 2 * d:]), start=1):
+                if a:
                     raise AssertionError(
                         f"holomorphy at infinity fails at order {order} for degree {d}")
+            coeffs.append({key: v for key, v in zip(cols, solved) if v != 0})
         return HitchinPoint(self.group.group_id, self.group.degrees, tuple(coeffs))
 
     # -- Lie-Poisson structure ---------------------------------------------------
@@ -434,11 +474,11 @@ class GaudinSystem:
         Faddeev-LeVerrier matrix of M (`theta_char_polys`), and that of the
         Pfaffian is G(M) / D^(r-1) (`_pfaffian_gradient`); the projection, an
         integer matrix over pden, costs s^4 integer products per k and t.
-        chars is `_char_polys_at(residues)` when the caller has it already.
+        chars is `char_polys_at(residues)` when the caller has it already.
         """
         out = []
         if chars is None:
-            chars = self._char_polys_at(residues)
+            chars = self.char_polys_at(residues)
         pden, prows = self._projection
         for k, index in enumerate(self._indices):
             cols, ts, vinv = self._interp_data(k)
@@ -452,7 +492,7 @@ class GaudinSystem:
             out.append(SampleGradients([(k, i, j) for i, j in cols], ts, vinv, grads))
         return out
 
-    def commutativity_check(self, residue_tuples: Sequence[Sequence[AlgebraElement]]):
+    def commutativity_check(self, residue_tuples: Sequence[Sequence[AlgebraElement]], chars=()):
         """Max |{H_a, H_b}| over all pairs of coefficient functions and points.
 
         The site gradients X^l_a = sum_t V[a][t] Y_t / (t - x_l) make {H_a, H_b}
@@ -464,17 +504,17 @@ class GaudinSystem:
         (t - x_l)^2.  An invariant's gradient commutes with theta(t), so on a
         clean tuple these commutators all vanish: per tuple, one integer s x s
         commutator per degree index and sample point and one per pair of
-        degree indices at a shared point, not n T^2 s^2 products for per-site
-        gradients.  Brackets are summed in Fractions over the nonzero entries
-        of C and scanned in the coefficient order, so the first of equally
-        large brackets is the one reported.
+        degree indices at a shared point.  Brackets are summed in Fractions
+        over the nonzero entries of C and scanned in the coefficient order, so
+        the first of equally large brackets is the one reported.  chars[q], if
+        given, is `char_polys_at(residue_tuples[q])`.
         """
         worst, worst_pair = ZERO, None
-        for residues in residue_tuples:
-            chars = self._char_polys_at(residues)
-            blocks = self.coefficient_gradients_at(residues, chars)
+        for q, residues in enumerate(residue_tuples):
+            known = chars[q] if q < len(chars) else self.char_polys_at(residues)
+            blocks = self.coefficient_gradients_at(residues, known)
             keys = [key for block in blocks for key in block.keys]
-            theta = [(den, m) for den, m, _, _ in chars]
+            theta = [(den, m) for den, m, _, _ in known]
             for (ia, ib), val in sorted(self._bracket_table(residues, blocks, theta).items()):
                 if abs(val) > abs(worst):
                     worst, worst_pair = val, (keys[ia], keys[ib])
@@ -486,7 +526,7 @@ class GaudinSystem:
         """The nonzero brackets of `commutativity_check` by the positions a < b
         of the coefficients in the blocks; their sample points share one head,
         and theta holds theta(t) = M / D as (D, M) at the points of that head
-        (`theta_numerators`, as `_char_polys_at` returns it)."""
+        (`theta_numerators`, as `char_polys_at` returns it)."""
         s, mats = self.s, [el.matrix for el in residues]
         ts = max((block.ts for block in blocks), key=len)
         if any(block.ts != ts[:len(block.ts)] for block in blocks):

@@ -335,17 +335,23 @@ def check_invariance(form: InvariantForm, a: AlgebraElement, b: AlgebraElement,
     return form(bracket(a, c), b) + form(c, bracket(a, b))
 
 
-def perp_subspace(form: InvariantForm, subspace: Sequence[AlgebraElement],
-                  model: AlgebraModel) -> list[AlgebraElement]:
-    """Basis of the annihilator {v : sigma(v, h) = 0 for all h in the span}.
-    sigma is nondegenerate, so the basis is independent exactly when the
-    kernel of its rows sigma(h, .) has dimension dim g - len(subspace)."""
+def perp_coordinates(form: InvariantForm, subspace: Sequence[AlgebraElement],
+                     model: AlgebraModel) -> list[Vec]:
+    """Coordinates of a basis of the annihilator {v : sigma(v, h) = 0 for all
+    h in the span}, the kernel of the rows sigma(h, .); sigma is nondegenerate,
+    so the basis is independent exactly when that kernel has dim g - len(subspace)."""
     basis = [AlgebraElement(b, model.group.group_id) for b in model.basis]
     kernel = nullspace_sparse([[form(h, b) for b in basis] for h in subspace],
                               ncols=model.group.dim)
     if len(subspace) + len(kernel) != model.group.dim:
         raise ValueError("subspace basis is linearly dependent")
-    return [model.from_coords(dense(v, model.group.dim)) for v in kernel]
+    return [dense(v, model.group.dim) for v in kernel]
+
+
+def perp_subspace(form: InvariantForm, subspace: Sequence[AlgebraElement],
+                  model: AlgebraModel) -> list[AlgebraElement]:
+    """Basis of the annihilator, the elements of `perp_coordinates`."""
+    return [model.from_coords(c) for c in perp_coordinates(form, subspace, model)]
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +535,8 @@ class FramingSpec:
     form: InvariantForm
     subalgebra: list[AlgebraElement]        # basis of h_x; empty for a trivial framing
     perp: list[AlgebraElement] = field(init=False)
-    coords: list[Vec] = field(init=False)       # coordinates of subalgebra and perp,
-    perp_coords: list[Vec] = field(init=False)  # each element solved once
+    coords: list[Vec] = field(init=False)       # coordinates of subalgebra, each solved
+    perp_coords: list[Vec] = field(init=False)  # once, and of perp, as the kernel gives them
 
     def __post_init__(self):
         g = self.model.group
@@ -544,8 +550,8 @@ class FramingSpec:
             for b in self.subalgebra:
                 if not ech.contains(self.model.coords(bracket(a, b))):
                     raise ValueError("framing subspace is not closed under the bracket")
-        self.perp = perp_subspace(self.form, self.subalgebra, self.model)
-        self.perp_coords = [self.model.coords(p) for p in self.perp]
+        self.perp_coords = perp_coordinates(self.form, self.subalgebra, self.model)
+        self.perp = [self.model.from_coords(c) for c in self.perp_coords]
         # [h, h^perp] ⊆ h^perp by invariance: sigma([a, p], b) = -sigma(p, [a, b]) = 0
 
     @property

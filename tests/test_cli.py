@@ -64,6 +64,36 @@ def test_gaudin_job_reports_a_nonzero_bracket(tmp_path, monkeypatch):
     assert report["results"]["bracket_worst_pair"] is not None
 
 
+def test_a_gaudin_job_runs_the_char_polys_once_per_residue_tuple(tmp_path, monkeypatch):
+    # the model's residues feed both the Hitchin point and the first bracket
+    # table, from one `theta_char_polys` run
+    from framedhiggs import gaudin
+    calls = []
+    kernel = gaudin.theta_char_polys
+    monkeypatch.setattr(gaudin, "theta_char_polys",
+                        lambda *args: calls.append(args) or kernel(*args))
+    for random_points in (0, 3):
+        calls.clear()
+        cfg = write_config(tmp_path, "g.json", {**GAUDIN_SL2, "random_points": random_points})
+        assert main(["gaudin", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 1 + random_points
+
+
+def test_a_clean_gaudin_job_inverts_no_matrix(tmp_path, monkeypatch):
+    from framedhiggs import exactlinalg
+    calls = []
+    inverse = exactlinalg.inverse
+    monkeypatch.setattr(exactlinalg, "inverse", lambda a: calls.append(a) or inverse(a))
+    for group, points in (("sl(3)", ["1", "2", "3"]), ("so(4)", ["1", "2"])):
+        cfg = write_config(tmp_path, "g.json", {"group": group, "points": points,
+                                                "residues": {"type": "random", "seed": 3},
+                                                "random_points": 3})
+        out = tmp_path / "r.json"
+        assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["all_passed"]
+    assert calls == []
+
+
 def test_defo_job_rejects_unbalanced_residues(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {
         "group": "sl(2)", "points": ["1", "2"],

@@ -875,10 +875,16 @@ def test_framing_coordinates_are_solved_once_per_framing_spec(monkeypatch, frami
     for n in (2, 4, 6):
         calls.clear()
         specs = framing_specs(algebra, form, [BOREL_SL2] * n if framing == "borel" else framing, n)
-        # each h_x and h_x^perp basis element is solved once, by its FramingSpec
-        for spec in {id(spec): spec for spec in specs}.values():
-            for el in spec.subalgebra + spec.perp:
+        # each h_x basis element is solved once, by its FramingSpec, and the
+        # h_x^perp coordinates are the kernel vectors, solved 0 times; the only
+        # other solves are the dim(h_x)^2 bracket-closure checks
+        distinct = {id(spec): spec for spec in specs}.values()
+        assert len(calls) == sum(spec.dim * (1 + spec.dim) for spec in distinct)
+        for spec in distinct:
+            for el in spec.subalgebra:
                 assert sum(c is el for c in calls) == 1
+            for el in spec.perp:
+                assert not any(c is el for c in calls)
             assert spec.coords == [honest(algebra, h) for h in spec.subalgebra]
             assert spec.perp_coords == [honest(algebra, p) for p in spec.perp]
         residues = [random_algebra_element(algebra, rng, 3, specs[0].perp_coords)

@@ -7,7 +7,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from framedhiggs.exactlinalg import (identity, mat_comb, mat_mul, mat_vec,
+from framedhiggs.exactlinalg import (identity, inverse, mat_comb, mat_mul, mat_vec,
                                      over_common_denominator)
 from framedhiggs import gaudin
 from framedhiggs.gaudin import GaudinSystem, PolyObservable, worst_drift
@@ -761,14 +761,117 @@ def test_seeded_model_point_brackets_and_flow():
     assert max(r["relative_drift"] for r in drift) < 1e-8
 
 
+def _moved_char_polys(index, sample=0):
+    """`theta_char_polys` with e_index at one sample point t moved by D^index,
+    so that the sample value e_index(theta(t)) = e_index / D^index moves by one."""
+    def moved(points, matrices, ts):
+        out = theta_char_polys(points, matrices, ts)
+        den, m, es, qs = out[sample]
+        out[sample] = (den, m, [e + (q == index) * den ** index for q, e in enumerate(es, 1)],
+                       qs)
+        return out
+    return moved
+
+
 def test_hitchin_point_refuses_a_pole_at_infinity(monkeypatch):
-    """A coefficient of 1/(z - x_0) moved by one leaves a 1/z term at infinity."""
-    import framedhiggs.gaudin as gaudin
+    """The sample value p_2(theta(t_1)) moved by one leaves a 1/z term at infinity."""
     model = AlgebraModel("sl(2)")
     residues = balanced_tuple(model, random.Random(3), 3)
-    solve = gaudin.mat_vec
-    monkeypatch.setattr(gaudin, "mat_vec", lambda m, v: [x + (k == 0) for k, x in
-                                                         enumerate(solve(m, v))])
+    monkeypatch.setattr(gaudin, "theta_char_polys", _moved_char_polys(2))
     with pytest.raises(AssertionError,
                        match="holomorphy at infinity fails at order 1 for degree 2"):
         GaudinSystem(model, PTS3).hitchin_point(residues)
+
+
+# ---------------------------------------------------------------------------
+# partial fractions from forward differences, against the inverse oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_GROUPS = ["gl(2)", "sl(3)", "gl(3)", "sp(4)", "so(4)", "so(5)"]
+ORACLE_POINTS = {"integer": PTS3, "rational": (F(-1, 2), F(2, 3), F(3))}
+
+
+def _sampled_inverse(system, k):
+    """The test oracle: `exactlinalg.inverse` of V[l][(i, j)] = (t_l - x_i)^(-j)."""
+    cols, ts, _ = system._interp_data(k)
+    return inverse([[F(1) / (t - system.points[i]) ** j for i, j in cols] for t in ts])
+
+
+@pytest.mark.parametrize("points", list(ORACLE_POINTS.values()), ids=list(ORACLE_POINTS))
+@pytest.mark.parametrize("gid", ORACLE_GROUPS)
+def test_partial_fractions_match_the_inverse_oracle(gid, points):
+    model = AlgebraModel(gid)
+    system = GaudinSystem(model, points)
+    rng = random.Random(83 + ORACLE_GROUPS.index(gid))
+    residues = balanced_tuple(model, rng, len(points), 3)
+    hp = system.hitchin_point(residues)
+    for k in range(model.group.rank):
+        oracle = _sampled_inverse(system, k)
+        cols, ts, vinv = system._interp_data(k)
+        # arbitrary values, which need not vanish at infinity
+        values = [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in ts]
+        assert system._partial_fractions(k, values)[1] == mat_vec(oracle, values)
+        # the Hitchin coefficients: values p_k(theta(t)) from Fraction matrices
+        exact = [matrix_invariants(model.group, theta_at(points, [el.matrix for el in residues],
+                                                         t))[k] for t in ts]
+        assert hp.coeffs[k] == {col: c for col, c in zip(cols, mat_vec(oracle, exact)) if c}
+        # the inverse built from unit vectors, only when first read
+        assert [list(row) for row in vinv] == oracle
+        assert all(type(x) is F for row in vinv for x in row)
+
+
+def test_vinv_is_built_only_when_read(monkeypatch):
+    model = AlgebraModel("sl(3)")
+    system = GaudinSystem(model, PTS3)
+    calls = []
+    original = GaudinSystem._partial_fractions
+    monkeypatch.setattr(GaudinSystem, "_partial_fractions",
+                        lambda self, k, values: calls.append(k) or original(self, k, values))
+    system.hitchin_point(balanced_tuple(model, random.Random(89), 3, 3))
+    assert calls == [0, 1]
+    _, ts, vinv = system._interp_data(1)
+    assert vinv[0] == _sampled_inverse(system, 1)[0]
+    assert calls == [0, 1] + [1] * len(ts)
+    list(vinv)
+    assert calls == [0, 1] + [1] * len(ts)
+
+
+@pytest.mark.parametrize("gid", ["sl(2)", "gl(2)", "sl(3)", "gl(3)", "sp(4)", "so(4)", "so(5)"])
+def test_a_sample_value_moved_by_one_fails_at_order_1(monkeypatch, gid):
+    # y_l = p_k(theta(t_l)) prod_i (t_l - x_i)^d moves at one l, and so does
+    # its top forward difference D^(N-1) y_1: a 1/z term at infinity
+    model = AlgebraModel(gid)
+    residues = balanced_tuple(model, random.Random(97), 3, 3)
+    indices = gaudin.generator_indices(model.group)
+    for k, index in enumerate(indices):
+        if index == PFAFFIAN:
+            continue
+        for sample in (0, 2):
+            monkeypatch.setattr(gaudin, "theta_char_polys", _moved_char_polys(index, sample))
+            d = model.group.degrees[k]
+            with pytest.raises(AssertionError,
+                               match=f"holomorphy at infinity fails at order 1 for degree {d}$"):
+                GaudinSystem(model, PTS3).hitchin_point(residues)
+
+
+@pytest.mark.parametrize("gid", ["sl(2)", "sl(3)", "sp(4)", "so(4)"])
+def test_only_the_second_highest_difference_fails_at_order_2(monkeypatch, gid):
+    # adding prod_(r <= N-2) (t_l - t_r) / prod_i (t_l - x_i)^d to the sample
+    # values adds a Newton term of degree N - 2 to P: only D^(N-2) y_1 moves,
+    # so p_k(theta) ~ z^(-2) at infinity
+    model = AlgebraModel(gid)
+    system = GaudinSystem(model, PTS3)
+    residues = balanced_tuple(model, random.Random(101), 3, 3)
+    k = len(model.group.degrees) - 1
+    d = model.group.degrees[k]
+    cols, ts, _ = system._interp_data(k)
+    bump = [math.prod(t - u for u in ts[:-2]) / math.prod((t - x) ** d for x in PTS3)
+            for t in ts]
+    diffs, _ = system._partial_fractions(k, bump)
+    assert [bool(a) for a in diffs] == [False] * (len(ts) - 2) + [True, False]
+    original = GaudinSystem._partial_fractions
+    monkeypatch.setattr(GaudinSystem, "_partial_fractions", lambda self, q, values: original(
+        self, q, [v + b for v, b in zip(values, bump)] if q == k else values))
+    with pytest.raises(AssertionError,
+                       match=f"holomorphy at infinity fails at order 2 for degree {d}$"):
+        system.hitchin_point(residues)
