@@ -320,13 +320,12 @@ class GaudinSystem:
         if k not in self._interp_cache:
             d = self.group.degrees[k]
             cols = [(i, j) for i in range(self.n) for j in range(1, d + 1)]
-            big = len(cols) - 1
             # integer points as ints, so that the Horner pass runs in integers
             xs = [x.numerator if x.denominator == 1 else x for x in self.points]
-            ts = [max(xs) + l for l in range(1, big + 2)]
+            ts = [max(xs) + l for l in range(1, len(cols) + 1)]
             sites = []
             for x in xs:
-                g, gden = [1] + [0] * (d - 1), math.factorial(big)
+                g, gden = [1] + [0] * (d - 1), math.factorial(len(ts) - 1)
                 for c in (x - y for y in xs if y != x):   # g <- g c^(2d-1) / (c + w)^d
                     gden *= c ** (2 * d - 1)
                     term = [(-1) ** m * math.comb(d + m - 1, m) * c ** (d - 1 - m)
@@ -334,7 +333,7 @@ class GaudinSystem:
                     g = [sum(g[r] * term[m - r] for r in range(m + 1)) for m in range(d)]
                 sites.append(([x - t for t in reversed(ts[:-1])], g, gden))
             vinv = _Rows(lambda: transpose([self._partial_fractions(k, unit)[1]
-                                            for unit in identity(big + 1)]))
+                                            for unit in identity(len(ts))]))
             weights = [math.prod((t - x) ** d for x in xs) for t in ts]
             self._interp_cache[k] = (cols, ts, vinv, d, sites, weights)
         return self._interp_cache[k][:3]
@@ -396,7 +395,8 @@ class GaudinSystem:
         ts = max((self._interp_data(k)[1] for k in range(len(self._indices))), key=len)
         return theta_char_polys(self.points, [el.matrix for el in residues], ts)
 
-    def hitchin_point(self, residues: Sequence[AlgebraElement], chars=None) -> HitchinPoint:
+    def hitchin_point(self, residues: Sequence[AlgebraElement],
+                      chars: list[tuple] | None = None) -> HitchinPoint:
         """Evaluate the map at a residue tuple; requires sum A_i = 0.
 
         At each sample point t, e_m(theta(t)) = e_m(M) / D^m is read off the
