@@ -22,13 +22,14 @@ for kind in (TWISTED, FRAMED, TWISTED_DUAL):
     print(f"  {kind:13s}: ({d.h0}, {d.h1}, {d.h2})   "
           f"chi(F0) - chi(F1) = {d.chi0 - d.chi1}   euler ok: {d.euler_identity}")
 
-phi = theory.symplectic_matrix()
+# each matrix comes as (d, integer rows): the matrix times one denominator d
+den, phi = theory.symplectic_matrix()
 print()
-print(f"pairing matrix on the framed classes: {len(phi)} x {len(phi)}, "
+print(f"pairing matrix on the framed classes: {len(phi)} x {len(phi)} over {den}, "
       f"rank {rank(phi)}")
 print(f"  exactly skew: {all(phi[i][j] == -phi[j][i] for i in range(len(phi)) for j in range(len(phi)))}")
 
-p = theory.poisson_matrix()
+_, p = theory.poisson_matrix()
 print()
 print(f"anchor matrix on the twisted classes: {len(p)} x {len(p)}, rank {rank(p)}")
 
@@ -46,5 +47,5 @@ print("Torus framing variant: value constraints at the marked points,")
 model_t = seeded_model("sl(2)", [1, 2], "torus", 102, 4)
 theory_t = DeformationTheory(model_t)
 d = theory_t.dims(FRAMED)
-phi_t = theory_t.symplectic_matrix()
+_, phi_t = theory_t.symplectic_matrix()
 print(f"  framed dims ({d.h0}, {d.h1}, {d.h2}); pairing rank {rank(phi_t)}")

@@ -25,7 +25,7 @@ from .dimensions import audit_grid, consistency_audit, hitchin_fiber_dim
 from .curve import MarkedCurve
 from .deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
                           FramedHiggsModel, verify_poisson_map)
-from .exactlinalg import over_common_denominator, rank
+from .exactlinalg import rank
 from .gaudin import GaudinSystem, worst_drift
 from .liealg import (AlgebraModel, FramingSpec, UnsupportedGroupError, framing_specs,
                      group_data, trace_form)
@@ -298,11 +298,8 @@ def run_defo(cfg: dict, seed) -> dict:
             f"euler characteristic identity ({kind})", d.euler_identity,
             d.h0 - d.h1 + d.h2, d.chi0 - d.chi1,
             "h0 - h1 + h2 == chi(F0) - chi(F1) for a two-term complex"))
-    phi = theory.symplectic_matrix()
-    # phi holds integer numerators over one denominator; compare those
-    size, (_, nums) = len(phi), over_common_denominator(x for row in phi for x in row)
-    skew = all(nums[i * size + j] == -nums[j * size + i]
-               for i in range(size) for j in range(i, size))
+    _, phi = theory.symplectic_matrix()     # integer rows over one denominator
+    skew = all(phi[i][j] == -phi[j][i] for i in range(len(phi)) for j in range(i, len(phi)))
     checks.append(_check("pairing skew-symmetry", skew, "skew" if skew else "not skew",
                          "skew", "invariance identity applied to the cup product"))
     fr = theory.dims(FRAMED)
@@ -320,7 +317,7 @@ def run_defo(cfg: dict, seed) -> dict:
             "forgetful map intertwines pairing inverse and anchor", check.ok,
             "zero residual" if check.ok else "nonzero residual", "zero residual",
             "exact matrix identity: forgetful o pairing^{-1} o adjoint == anchor"))
-        results["anchor_rank"] = rank(theory.poisson_matrix())
+        results["anchor_rank"] = rank(theory.poisson_matrix()[1])
     return {"checks": checks, "results": results}
 
 
@@ -448,13 +445,14 @@ RUNNERS = {"dims": run_dims, "audit": run_audit, "defo": run_defo,
            "gaudin": run_gaudin, "spectral": run_spectral}
 
 
+def _csv_job(subcommand: str, cfg: dict) -> bool:
+    """Whether the job's report has grid rows to serve as CSV."""
+    return subcommand == "audit" or subcommand == "spectral" and "genus_identity_grid" in cfg
+
+
 def _to_csv(report: dict) -> str:
-    rows = report.get("results", {}).get("grid")
-    if rows is None:
-        rows = report.get("results", {}).get("genus_grid")
-    if rows is None:
-        raise ConfigError("csv format is only available for grid jobs (audit, "
-                          "spectral genus grids)")
+    results = report["results"]
+    rows = results["grid"] if "grid" in results else results["genus_grid"]
     out = io.StringIO()
     cols = list(rows[0].keys())
     out.write(",".join(cols) + "\n")
@@ -489,6 +487,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"{args.config}: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: top-level config must be an object")
+        if args.format == "csv" and not _csv_job(args.subcommand, cfg):
+            raise ConfigError("csv format is only available for grid jobs (audit, "
+                              "spectral genus grids)")
         if args.out:    # an unusable output path fails before the job, not after it
             existed = os.path.exists(args.out)
             try:

@@ -50,8 +50,9 @@ the rank of its own integer elimination and h0 = #d0 columns - rank.  Each
 basis class is summed over the integer chart bases once (`classes`) and kept
 as integers over one denominator, and the forgetful and anchor columns write
 those integer classes in the twisted quotient (`Staircase.int_coords` on the
-chart parts, then `Quotient.int_project`); Fractions are made where results
-leave the cone, one division per matrix entry.
+chart parts, then `Quotient.int_project`).  Every matrix leaves the cone as
+(d, integer rows) over one denominator d, the format of
+`exactlinalg.integer_solve`, and the checks read it as it is.
 
 The cup-product pairing on first hypercohomology contracts the mixed
 components with the invariant form and sums residues over the marked points:
@@ -66,15 +67,16 @@ for cocycles a = (c_a, u0_a, u1_a).  In layout coordinates this is
 from the pole-bumped layout of u0 and u1 to the layout of c, with lambda the
 Laurent rows of `curve.laurent_row`.  B and each cone's basis classes are
 kept as integers over one denominator, so a pairing matrix is integer dot
-products and one division per entry.  Skew-symmetry and representative
-independence follow from the invariance identity and the annihilator
-conditions; the report checks the first and the test suite both.
+products over the product of the three denominators.  Skew-symmetry and
+representative independence follow from the invariance identity and the
+annihilator conditions; the report checks the first and the test suite both.
 
 The Poisson identity forgetful ∘ φ^{-1} ∘ adjoint = anchor is checked as
 F Y = P, where Y solves φ Y = A in one elimination of [φ | A]
 (`exactlinalg.integer_solve`), so the pairing matrix φ is never inverted.
-F, Y and P are integer matrices over one denominator each, so the product
-and the residual are integer arithmetic.
+φ, A, F, Y and P are integer matrices over one denominator each, so the
+solve, the product and the residual are integer arithmetic, and the skew
+check and the ranks of φ and P read the integer rows.
 """
 
 from __future__ import annotations
@@ -497,18 +499,18 @@ def _dot(u: dict[int, int], w: dict[int, int]) -> int:
     return sum(x * w[k] for k, x in u.items() if k in w)
 
 
-def _cup_matrix(model: FramedHiggsModel, window: Window, left, right) -> Mat:
-    """[<a, b>] for the layout cocycles a of `left` and b of `right`, each a
-    (d, integer cocycles) pair as `Hypercohomology.classes` returns:
+def _cup_matrix(model: FramedHiggsModel, window: Window, left, right) -> tuple[int, tuple]:
+    """(d, rows): the matrix [<a, b>] times d, with integer rows, for the
+    layout cocycles a of `left` and b of `right`, each a (d, integer
+    cocycles) pair as `Hypercohomology.classes` returns:
     <a, b> = B(u0_a, c_b) - B(u1_b, c_a) for the model's pairing form B."""
     fden, table = model.pairing_form(window)
     (lden, lefts), (rden, rights) = left, right
     b_left = [_apply(table, c) for c, _, _ in lefts]
     b_right = [_apply(table, c) for c, _, _ in rights]
-    den = fden * lden * rden
-    return [[Fraction(_dot(u0_a, bc_b) - _dot(u1_b, bc_a), den)
-             for (_, _, u1_b), bc_b in zip(rights, b_right)]
-            for (_, u0_a, _), bc_a in zip(lefts, b_left)]
+    return fden * lden * rden, tuple(
+        tuple(_dot(u0_a, bc_b) - _dot(u1_b, bc_a) for (_, _, u1_b), bc_b in zip(rights, b_right))
+        for (_, u0_a, _), bc_a in zip(lefts, b_left))
 
 
 def hyper_pair(model: FramedHiggsModel,
@@ -527,18 +529,20 @@ def hyper_pair(model: FramedHiggsModel,
     lay1 = Layout(model.context, Window(window.pole + 1, window.degree))
     den, (a, b) = _integral([(lay0.to_coords(c), lay1.to_coords(u0), lay1.to_coords(u1))
                              for c, u0, u1 in (rep_a, rep_b)])
-    return _cup_matrix(model, window, (den, [a]), (den, [b]))[0][0]
+    den, ((x,),) = _cup_matrix(model, window, (den, [a]), (den, [b]))
+    return Fraction(x, den)
 
 
 class DeformationTheory:
-    """All hypercohomology data of one model, with the derived matrices."""
+    """All hypercohomology data of one model, with the derived matrices, each
+    as (d, integer rows), the matrix times d, and built once per theory:
+    `hfb defo` reads the pairing and the anchor in its check and its report."""
 
     def __init__(self, model: FramedHiggsModel):
         self.model = model
         self.window = model.window
         self._cones: dict[str, Hypercohomology] = {}
-        self._phi: Mat | None = None
-        self._anchor: Mat | None = None
+        self._matrices: dict[str | tuple[str, str], tuple[int, tuple]] = {}
 
     def cone(self, kind: str) -> Hypercohomology:
         if kind not in self._cones:
@@ -550,44 +554,38 @@ class DeformationTheory:
 
     # -- matrices -------------------------------------------------------------
 
-    def _pairing(self, left: str, right: str) -> Mat:
-        return _cup_matrix(self.model, self.window, self.cone(left).classes(),
-                          self.cone(right).classes())
+    def _pairing(self, left: str, right: str) -> tuple[int, tuple]:
+        if (left, right) not in self._matrices:
+            self._matrices[left, right] = _cup_matrix(
+                self.model, self.window, self.cone(left).classes(), self.cone(right).classes())
+        return self._matrices[left, right]
 
-    def _inclusion(self, kind: str) -> Mat:
+    def _inclusion(self, kind: str) -> tuple[int, tuple]:
         """Classes in the twisted hypercohomology of the basis classes of the
         `kind` complex, whose cochains include into the twisted ones."""
-        tw = self.cone(TWISTED)
-        den, cocycles = self.cone(kind).classes()
-        den *= tw.quotient.class_den
-        cols = [tw.class_of(*cocycle) for cocycle in cocycles]
-        return [[Fraction(col[i], den) for col in cols] for i in range(tw.h1)]
+        if kind not in self._matrices:
+            tw = self.cone(TWISTED)
+            den, cocycles = self.cone(kind).classes()
+            cols = [tw.class_of(*cocycle) for cocycle in cocycles]
+            self._matrices[kind] = (den * tw.quotient.class_den,
+                                    tuple(tuple(col[i] for col in cols) for i in range(tw.h1)))
+        return self._matrices[kind]
 
-    def symplectic_matrix(self) -> Mat:
+    def symplectic_matrix(self) -> tuple[int, tuple]:
         """Gram matrix of the pairing on the framed first hypercohomology;
-        whether it is skew is the caller's check.
+        whether it is skew is the caller's check."""
+        return self._pairing(FRAMED, FRAMED)
 
-        Computed once per theory; each call returns a fresh copy.
-        """
-        if self._phi is None:
-            self._phi = self._pairing(FRAMED, FRAMED)
-        return [list(row) for row in self._phi]
-
-    def forgetful_matrix(self) -> Mat:
+    def forgetful_matrix(self) -> tuple[int, tuple]:
         """Classes of framed cocycles inside the twisted hypercohomology."""
         return self._inclusion(FRAMED)
 
-    def poisson_matrix(self) -> Mat:
+    def poisson_matrix(self) -> tuple[int, tuple]:
         """Map induced by inclusion from the dual twisted complex to the
-        twisted one; realizes the Poisson anchor in these bases.
+        twisted one; realizes the Poisson anchor in these bases."""
+        return self._inclusion(TWISTED_DUAL)
 
-        Computed once per theory; each call returns a fresh copy.
-        """
-        if self._anchor is None:
-            self._anchor = self._inclusion(TWISTED_DUAL)
-        return [list(row) for row in self._anchor]
-
-    def forgetful_adjoint_matrix(self) -> Mat:
+    def forgetful_adjoint_matrix(self) -> tuple[int, tuple]:
         """Covector matrix of the adjoint of the forgetful map.
 
         Entry (i, j) pairs the i-th framed basis class against the j-th dual
@@ -601,9 +599,6 @@ class PoissonMapCheck:
     ok: bool
     residual: Mat
     phi_rank: int
-    framed_dims: HypercohResult
-    twisted_dims: HypercohResult
-    dual_dims: HypercohResult
     degenerate_directions: list[Vec]
 
 
@@ -617,28 +612,29 @@ def verify_poisson_map(theory: DeformationTheory, corrupt_sign: bool = False) ->
     framed complex); otherwise the degenerate directions, the kernel of φ, are
     reported.  corrupt_sign flips the adjoint for negative-control testing.
     """
-    framed, twisted, dual = (theory.dims(kind) for kind in (FRAMED, TWISTED, TWISTED_DUAL))
-    phi = theory.symplectic_matrix()
+    framed = theory.dims(FRAMED)
+    phiden, phi = theory.symplectic_matrix()
     if framed.h0 == 0 and framed.h2 == 0:
-        adj = theory.forgetful_adjoint_matrix()
+        aden, adj = theory.forgetful_adjoint_matrix()
         try:
             yden, y = integer_solve(phi, [[-x for x in row] for row in adj]
                                     if corrupt_sign else adj)
         except ValueError:      # φ is singular
             pass
         else:
-            # (fden F)(yden Y) pden - (pden P) fden yden over fden yden pden, in
-            # P's shape; F and P as sparse integer rows
-            anchor = theory.poisson_matrix()
-            (fden, f), (pden, p) = (integer_vectors(theory.forgetful_matrix()),
-                                    integer_vectors(anchor))
-            den, width = fden * yden, len(anchor[0]) if anchor else 0
-            num = [[pden * sum(a * y[k][j] for k, a in frow.items()) - den * prow.get(j, 0)
-                    for j in range(width)] for frow, prow in zip(f, p)]
-            den *= pden
+            # φ = Φ / φden and A = Â / aden give Y = φden Ŷ / (aden yden) for
+            # Φ Ŷ = yden Â, so F Y - P = (pden φden F̂ Ŷ - fden aden yden P̂) / den,
+            # den = fden aden yden pden, in P's shape
+            (fden, f), (pden, p) = theory.forgetful_matrix(), theory.poisson_matrix()
+            left, right = pden * phiden, fden * aden * yden
+            num = []
+            for frow, prow in zip(f, p):
+                terms = [(a, y[k]) for k, a in enumerate(frow) if a]
+                num.append([left * sum(a * yk[j] for a, yk in terms) - right * z
+                            for j, z in enumerate(prow)])
+            den = right * pden
             residual = [[Fraction(x, den) for x in row] for row in num]
             return PoissonMapCheck(not any(x for row in num for x in row), residual,
-                                   len(phi), framed, twisted, dual, [])
+                                   len(phi), [])
     degenerate = [dense(v, len(phi)) for v in nullspace_sparse(phi, ncols=len(phi))]
-    return PoissonMapCheck(False, [], len(phi) - len(degenerate),
-                           framed, twisted, dual, degenerate)
+    return PoissonMapCheck(False, [], len(phi) - len(degenerate), degenerate)

@@ -15,8 +15,8 @@ and `dense` convert); kernels are sparse.  There is one elimination,
 content divided out where Bareiss (Math. Comp. 22, 1968) divides by the
 previous pivot.  `Staircase.kernel` (in integers; `nullspace_sparse` reads
 its vectors as Fractions), `rank`, `Quotient` and `integer_solve` (which
-`solve` and so `inverse`, as `solve(a, I)`, call) run it on a matrix,
-`Echelon` row by row, and `LinSolver` solves against its rows.
+`inverse` calls on [a | I]) run it on a matrix, `Echelon` row by row, and
+`LinSolver` solves against its rows.
 Nothing is rounded or taken modulo a prime, so no certificate is needed, and
 the reduced echelon form is unique, so any exact method gives the same kernels.
 
@@ -25,7 +25,10 @@ vector times a denominator is how the hot paths (`Staircase`, `Quotient`,
 the deformation cone) keep their arithmetic out of `Fraction`.  A kernel
 stays a `Staircase`, integer tails over one denominator, from the
 elimination to `Quotient`, which makes Fractions only for the basis vectors
-that are read.
+that are read.  A matrix over one denominator d is the pair (d, integer
+rows), as `integer_solve` returns its solution; the deformation matrices
+keep that form from the cup product to the checks, and `rank` and
+`integer_solve` take its rows as they are.
 """
 
 from __future__ import annotations
@@ -156,15 +159,11 @@ def integer_solve(a: Mat, b: Mat) -> tuple[int, list[list[int]]]:
                  for q in range(n)]
 
 
-def solve(a: Mat, b: Mat) -> Mat:
-    """X with a X = b for square a, `integer_solve` as Fractions."""
-    den, x = integer_solve(a, b)
-    return [[Fraction(y, den) for y in row] for row in x]
-
-
 def inverse(a: Mat) -> Mat:
-    """The inverse of a square matrix, `solve(a, I)`; ValueError if singular."""
-    return solve(a, identity(len(a)))
+    """The inverse of a square matrix, `integer_solve(a, I)` as Fractions;
+    ValueError if singular."""
+    den, x = integer_solve(a, identity(len(a)))
+    return [[Fraction(y, den) for y in row] for row in x]
 
 
 def sparse(v) -> dict[int, Fraction]:

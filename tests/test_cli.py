@@ -303,6 +303,38 @@ def test_out_is_checked_before_the_job(tmp_path, capsys, monkeypatch):
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("subcommand, config", [
+    ("defo", DEFO_SL2), ("dims", {"group": "sl(2)", "genus": 2, "n": 1}),
+    ("gaudin", GAUDIN_SL2), ("spectral", {**DEFO_SL2, "framing": "trivial"})])
+def test_csv_is_refused_before_the_job(tmp_path, capsys, monkeypatch, subcommand, config):
+    def refuse(cfg, seed):
+        raise AssertionError("the job ran before --format csv was checked")
+    monkeypatch.setattr(cli, "RUNNERS", {name: refuse for name in cli.RUNNERS})
+    cfg = write_config(tmp_path, "job.json", config)
+    out = tmp_path / "out.csv"
+    assert main([subcommand, "--config", cfg, "--format", "csv", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: csv format is only available for grid jobs "
+                                       "(audit, spectral genus grids)\n")
+    assert not out.exists()
+
+
+def test_csv_jobs_reach_the_runner(tmp_path, capsys, monkeypatch):
+    # audit, and spectral with a genus grid, pass the csv check; the grid rows
+    # are the csv
+    ran = []
+
+    def grid(cfg, seed):
+        ran.append(cfg)
+        key = "genus_grid" if "genus_identity_grid" in cfg else "grid"
+        return {"checks": [], "results": {key: [{"a": 1, "b": 2}]}}
+    monkeypatch.setattr(cli, "RUNNERS", {name: grid for name in cli.RUNNERS})
+    for subcommand, config in (("audit", {}), ("spectral", {"genus_identity_grid": {}})):
+        cfg = write_config(tmp_path, "job.json", config)
+        assert main([subcommand, "--config", cfg, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "a,b\n1,2\n"
+    assert len(ran) == 2
+
+
 def test_a_job_that_exits_2_writes_no_report(tmp_path, capsys):
     bad = write_config(tmp_path, "bad.json", {**DEFO_SL2, "verify_poisson_map": "no"})
     dims = write_config(tmp_path, "dims.json", {"group": "sl(2)", "genus": 2, "n": 1})
@@ -445,11 +477,11 @@ def test_one_flipped_pairing_entry_fails_the_skew_check(tmp_path, capsys, monkey
     original = DeformationTheory.symplectic_matrix
 
     def flipped(self):
-        phi = original(self)
+        den, phi = original(self)
         i, j = next((i, j) for i, row in enumerate(phi) for j, x in enumerate(row)
                     if j > i and x)
-        phi[i][j] = -phi[i][j]
-        return phi
+        return den, [[-x if (r, c) == (i, j) else x for c, x in enumerate(row)]
+                     for r, row in enumerate(phi)]
     monkeypatch.setattr(DeformationTheory, "symplectic_matrix", flipped)
     report, err = _failing_defo_report(tmp_path, capsys)
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
@@ -460,9 +492,9 @@ def test_one_flipped_pairing_entry_fails_the_skew_check(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("verify", [True, False])
 def test_defo_eliminates_the_pairing_matrix_once(tmp_path, monkeypatch, verify):
-    # with verify, phi is eliminated once as the left block of [phi | adjoint]
-    # (`solve`), and neither `inverse` nor `nullspace_sparse` eliminates it
-    # again; without, once by `rank`
+    # with verify, phi's integer rows are eliminated once as the left block of
+    # [phi | adjoint] (`integer_solve`), and neither `inverse` nor
+    # `nullspace_sparse` eliminates them again; without, once by `rank`
     from framedhiggs import exactlinalg
     from framedhiggs.deformation import DeformationTheory
     phis, eliminated = [], []
@@ -478,12 +510,13 @@ def test_defo_eliminates_the_pairing_matrix_once(tmp_path, monkeypatch, verify):
     out = tmp_path / "report.json"
     assert main(["defo", "--config", cfg, "--out", str(out)]) == 0
     results = json.loads(out.read_text())["results"]
-    n = len(phis[0])
+    _, phi = phis[0]
+    n = len(phi)
     assert ("anchor_rank" in results) == verify and results["pairing_rank"] == n > 0
 
     def left_block(rows):
         return [{c: x for c, x in exactlinalg.sparse(r).items() if c < n} for r in rows]
-    phi_rows = [exactlinalg.sparse(r) for r in phis[0]]
+    phi_rows = [exactlinalg.sparse(r) for r in phi]
     assert sum(left_block(rows) == phi_rows for rows in eliminated) == 1
 
 
@@ -494,7 +527,7 @@ DEFO_BOREL_TORUS = {"group": "sl(2)", "points": ["1", "2"], "framing": [[E, H], 
                     "residues": {"type": "explicit", "matrices": [E, MINUS_E]}}
 
 
-@pytest.mark.parametrize("anchor", [None, [[1]]])
+@pytest.mark.parametrize("anchor", [None, (1, [[1]])])
 def test_the_poisson_check_compares_the_anchor_when_framed_h1_is_zero(tmp_path, monkeypatch,
                                                                       anchor):
     from framedhiggs.deformation import DeformationTheory

@@ -70,6 +70,12 @@ def random_coboundary(cone, rng):
     return rep_of_params(cone, params)
 
 
+def fractions(matrix):
+    """A (d, integer rows) matrix of `DeformationTheory` as Fraction rows."""
+    den, rows = matrix
+    return [[F(x, den) for x in row] for row in rows]
+
+
 def residue_pair(model, rep_a, rep_b):
     """Oracle: sum over marked points of Res [ sigma(u0_a, c_b) - sigma(c_a, u1_b) ],
     one Laurent coefficient pair at a time."""
@@ -247,7 +253,7 @@ def test_generic_twisted_dims():
 def test_pairing_skew_and_full_rank():
     model = seeded_model("sl(2)", [1, 2, 3], "trivial", 11, 4)
     th = DeformationTheory(model)
-    phi = th.symplectic_matrix()
+    _, phi = th.symplectic_matrix()
     assert len(phi) == 12 and rank(phi) == 12
     assert all(phi[i][j] == -phi[j][i] for i in range(12) for j in range(12))
 
@@ -271,7 +277,7 @@ def test_split_pairing_block_structure():
     z = m.zero()
     model = framed_higgs_model("sl(2)", [1, 2], [z, z], "trivial")
     th = DeformationTheory(model)
-    phi = th.symplectic_matrix()
+    _, phi = th.symplectic_matrix()
     reps = basis_reps(th.cone(FRAMED))
     flags = [c.is_zero() for (c, _, _) in reps]
     assert flags == [True] * 3 + [False] * 3  # global-section block first
@@ -331,7 +337,7 @@ def test_torus_framed_pairing():
     model = framed_higgs_model("sl(2)", [1, 2], [A, A.scale(-1)], "torus")
     th = DeformationTheory(model)
     d = th.dims(FRAMED)
-    phi = th.symplectic_matrix()
+    _, phi = th.symplectic_matrix()
     if d.h0 == 0 and d.h2 == 0:
         assert rank(phi) == d.h1
 
@@ -353,7 +359,7 @@ def test_poisson_map_identity_generic_models():
 def test_poisson_map_nonzero_anchor_and_negative_control():
     model = seeded_model("sl(2)", [1, 2, 3, -1], "trivial", 31, 3)
     th = DeformationTheory(model)
-    p = th.poisson_matrix()
+    _, p = th.poisson_matrix()
     assert rank(p) == 2  # twice the genus-zero fiber dimension
     assert verify_poisson_map(th).ok
     assert not verify_poisson_map(th, corrupt_sign=True).ok
@@ -479,7 +485,7 @@ def test_cone_read_offs_are_the_same_in_a_larger_window(gid, pts, framing, seed)
         theory = DeformationTheory(model)
         check = verify_poisson_map(theory)
         return ([theory.dims(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL)],
-                rank(theory.symplectic_matrix()), rank(theory.poisson_matrix()), check.ok)
+                rank(theory.symplectic_matrix()[1]), rank(theory.poisson_matrix()[1]), check.ok)
 
     model, larger = (seeded_model(gid, pts, framing, seed, 4) for _ in range(2))
     larger.window = model.window.bumped(2)
@@ -563,8 +569,9 @@ def oracle_matrices(theory):
 
 
 def layout_matrices(theory):
-    return (theory.symplectic_matrix(), theory.forgetful_adjoint_matrix(),
-            theory.forgetful_matrix(), theory.poisson_matrix())
+    return tuple(fractions(m) for m in (theory.symplectic_matrix(),
+                                        theory.forgetful_adjoint_matrix(),
+                                        theory.forgetful_matrix(), theory.poisson_matrix()))
 
 
 @pytest.mark.parametrize("gid, pts, framing, seed", ORACLE_MODELS)
@@ -587,11 +594,10 @@ def test_poisson_residual_is_the_inverse_product_minus_the_anchor(gid, pts, fram
         assert not check.ok and check.residual == []
         assert check.phi_rank + len(check.degenerate_directions) == framed.h1
         return
-    adj = theory.forgetful_adjoint_matrix()
+    phi, adj, forgetful, anchor = layout_matrices(theory)
     if corrupt:
         adj = [[-x for x in row] for row in adj]
-    lhs = mat_mul(mat_mul(theory.forgetful_matrix(), inverse(theory.symplectic_matrix())), adj)
-    anchor = theory.poisson_matrix()
+    lhs = mat_mul(mat_mul(forgetful, inverse(phi)), adj)
     old = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, anchor)]
     assert check.residual == old and all(len(row) == theory.dims(TWISTED_DUAL).h1 for row in old)
     # the flipped adjoint leaves -2P: it fails wherever the anchor is nonzero
@@ -635,8 +641,8 @@ def test_a_perturbed_laurent_row_breaks_the_pairing(monkeypatch):
     theory = DeformationTheory(seeded_model("sl(2)", [1, 2, 3], "trivial", 71, 4))
     phi, adjoint, _, _ = oracle_matrices(theory)
     monkeypatch.setattr(deformation, "laurent_row", perturbed)
-    assert theory.symplectic_matrix() != phi
-    assert theory.forgetful_adjoint_matrix() != adjoint
+    assert fractions(theory.symplectic_matrix()) != phi
+    assert fractions(theory.forgetful_adjoint_matrix()) != adjoint
 
 
 @pytest.mark.parametrize("framing, computed", [("trivial", 4), ("torus", 6)])
