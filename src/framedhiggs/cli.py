@@ -204,8 +204,8 @@ def _residues(cfg: dict, algebra: AlgebraModel, framing, pts, seed_override):
 
 
 def _check(name: str, passed: bool, value, expected, provenance: str) -> dict:
-    return {"name": name, "passed": bool(passed), "value": _jsonable(value),
-            "expected": _jsonable(expected), "provenance": provenance}
+    return {"name": name, "passed": bool(passed), "value": value,
+            "expected": expected, "provenance": provenance}
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,6 @@ def run_defo(cfg: dict, seed) -> dict:
 def run_gaudin(cfg: dict, seed) -> dict:
     algebra = _algebra(cfg)
     pts = _points(cfg)
-    model, used_seed = _residues(cfg, algebra, "trivial", pts, seed)
     n_random = _int(cfg.get("random_points", 5), "config.random_points", 0)
     height = _int(cfg.get("height", 10), "config.height", 1)
     flow_cfg = cfg.get("flow")
@@ -341,16 +340,16 @@ def run_gaudin(cfg: dict, seed) -> dict:
             raise ConfigError(f"config.flow: no coefficient ({k},{i},{j})")
         tol = _real(flow_cfg.get("drift_tolerance", 1e-8), "config.flow.drift_tolerance")
         t_end = _real(flow_cfg.get("t_end", 1.0), "config.flow.t_end")
+    model, used_seed = _residues(cfg, algebra, "trivial", pts, seed)
     system = GaudinSystem(algebra, pts)
     checks = []
-    chars = system.char_polys_at(model.residues)
-    hp = system.hitchin_point(model.residues, chars)
+    hp = system.hitchin_point(model.residues)
     rng = random.Random(used_seed if used_seed is not None else 0)
     tuples = [list(model.residues)]
     for _ in range(n_random):
         tuples.append(random_residue_tuple(algebra, rng, len(pts), height,
                                            zero_sum=False))
-    worst, pair = system.commutativity_check(tuples, [chars])
+    worst, pair = system.commutativity_check(tuples)
     checks.append(_check(
         "pairwise brackets of invariant coefficients vanish", worst == 0,
         str(worst), "0",
@@ -373,12 +372,11 @@ def run_gaudin(cfg: dict, seed) -> dict:
             worst, f"< {tol}",
             "fixed-step fourth-order integration of the coefficient flow"))
         results["flow_worst_drift"] = worst
-    return {"checks": checks, "results": _jsonable(results)}
+    return {"checks": checks, "results": results}
 
 
 def run_spectral(cfg: dict, seed) -> dict:
-    checks = []
-    results: dict = {}
+    ranges = model = None
     if "genus_identity_grid" in cfg:
         grid = cfg["genus_identity_grid"]
         if not isinstance(grid, dict):
@@ -387,6 +385,19 @@ def run_spectral(cfg: dict, seed) -> dict:
                                   f"config.genus_identity_grid.{key}", lo)
                   for key, default, lo in (("r", [2, 5], 2), ("g", [0, 4], 0),
                                            ("n", [1, 5], 1))}
+    if "group" in cfg:
+        algebra = _algebra(cfg)
+        if not spectral_supported(algebra.group):
+            raise ConfigError(f"config.group: spectral data requires gl(r) or sl(r) "
+                              f"with r in {{2, 3}}, got {algebra.group.group_id}")
+        pts = _points(cfg)
+        genus = _int(cfg.get("genus", 0), "config.genus", 0)
+        model, used_seed = _residues(cfg, algebra, cfg.get("framing", "trivial"), pts, seed)
+    if ranges is None and model is None:
+        raise ConfigError("config: spectral job needs 'group' or 'genus_identity_grid'")
+    checks = []
+    results: dict = {}
+    if ranges is not None:
         rows = []
         matched = 0
         for r in ranges["r"]:
@@ -399,13 +410,7 @@ def run_spectral(cfg: dict, seed) -> dict:
                              f"{matched} cases", f"{len(rows)} cases",
                              "Riemann-Hurwitz count vs fiber dimension formula"))
         results["genus_grid"] = rows
-    if "group" in cfg:
-        algebra = _algebra(cfg)
-        if not spectral_supported(algebra.group):
-            raise ConfigError(f"config.group: spectral data requires gl(r) or sl(r) "
-                              f"with r in {{2, 3}}, got {algebra.group.group_id}")
-        pts = _points(cfg)
-        model, used_seed = _residues(cfg, algebra, cfg.get("framing", "trivial"), pts, seed)
+    if model is not None:
         rep = spectral_data(algebra, pts, model.residues)
         results["seed"] = used_seed
         results["spectral"] = {
@@ -417,27 +422,24 @@ def run_spectral(cfg: dict, seed) -> dict:
             "branch_degree": rep.branch_degree,
             "infinity_multiplicity": rep.infinity_multiplicity,
             "rational_branch_points": [[str(x), m] for x, m in rep.rational_branch_points],
-            "isolated_branch_boxes": _jsonable(rep.isolated_branch_boxes),
+            "isolated_branch_boxes": rep.isolated_branch_boxes,
             "genus": rep.genus,
             "provenance": "exact discriminant numerator; square-free and rational "
                           "root tests; isolating boxes for irrational roots",
         }
-        genus = _int(cfg.get("genus", 0), "config.genus", 0)
         torsor = torsor_fiber_report(rep, genus=genus)
-        results["torsor_fibers"] = _jsonable({
+        results["torsor_fibers"] = {
             "in_nonramified_smooth_locus": torsor.in_nonramified_smooth_locus,
             "base_dim": torsor.base_dim, "fiber_dim": torsor.fiber_dim,
             "framed_fiber_dim": torsor.framed_fiber_dim,
             "relative_fiber_dim": torsor.relative_fiber_dim,
             "notes": list(torsor.notes),
-        })
+        }
         if torsor.in_nonramified_smooth_locus:
             checks.append(_check("relatively framed fiber dimension equals base",
                                  torsor.relative_fiber_dim == torsor.base_dim,
                                  torsor.relative_fiber_dim, torsor.base_dim,
                                  "fiber_dim + n dim T - dim Z(G) == N"))
-    if not checks and not results:
-        raise ConfigError("config: spectral job needs 'group' or 'genus_identity_grid'")
     return {"checks": checks, "results": results}
 
 

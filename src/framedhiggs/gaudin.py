@@ -249,11 +249,11 @@ class HitchinPoint:
 
 class SampleGradients(NamedTuple):
     """Sigma-gradients of the partial-fraction coefficients of a function f
-    of theta(z) in the sample-point basis: coefficient keys[a] is sum_t
-    vinv[a][t] f(theta(ts[t])), and grads[t] = (d, y) is the projected
-    gradient pi(grad f)(theta(ts[t])) as y / d, y its row-major numerators."""
+    of theta(z) in the sample-point basis, over the first len(grads) sample
+    points t_l of the system: coefficient keys[a] is sum_l vinv[a][l]
+    f(theta(t_l)), and grads[l] = (d, y) is the projected gradient pi(grad
+    f)(theta(t_l)) as y / d, y its row-major numerators."""
     keys: list
-    ts: Sequence[Fraction]
     vinv: Sequence[list[Fraction]]
     grads: list[tuple[int, list[int]]]
 
@@ -287,6 +287,11 @@ class GaudinSystem:
         self._projection = (den, [[sum(map(mul, bcol, xcol)) for xcol in zip(*x)]
                                   for bcol in zip(*basis)])
         self._indices = generator_indices(self.group)
+        # integer points as ints, so that the Horner pass runs in integers
+        self._xs = [x.numerator if x.denominator == 1 else x for x in self.points]
+        # the sample points t_l = max(x) + l; degree index k uses the first n d_k
+        self._ts = [max(self._xs) + l for l in range(1, self.n * max(self.group.degrees) + 1)]
+        self._chars: tuple = (None, None)   # (flattened tuple, its char polys), the last read
         self._coeff_functions: dict[int, dict[tuple[int, int], PolyObservable]] = {}
         self._interp_cache: dict[int, tuple] = {}
         self._symbolic_invariants: dict[Fraction, list[PolyObservable]] = {}
@@ -313,16 +318,14 @@ class GaudinSystem:
 
     def _interp_data(self, k: int):
         """(cols, ts, vinv) for degree index k, N = n d_k: the coefficients (i,
-        j) of (z - x_i)^(-j), j <= d_k, the sample points t_l = max(x) + l, l =
-        1..N, and vinv = V^-1 for V[l][(i, j)] = (t_l - x_i)^(-j), built from
+        j) of (z - x_i)^(-j), j <= d_k, the first N sample points t_l, and
+        vinv = V^-1 for V[l][(i, j)] = (t_l - x_i)^(-j), built from
         `_partial_fractions` of unit vectors when first read; the cache also
         keeps what `_partial_fractions` reads."""
         if k not in self._interp_cache:
             d = self.group.degrees[k]
             cols = [(i, j) for i in range(self.n) for j in range(1, d + 1)]
-            # integer points as ints, so that the Horner pass runs in integers
-            xs = [x.numerator if x.denominator == 1 else x for x in self.points]
-            ts = [max(xs) + l for l in range(1, len(cols) + 1)]
+            xs, ts = self._xs, self._ts[:len(cols)]
             sites = []
             for x in xs:
                 g, gden = [1] + [0] * (d - 1), math.factorial(len(ts) - 1)
@@ -389,19 +392,22 @@ class GaudinSystem:
         fns = self.coefficient_functions()
         return [(k, i, j, fns[k][i, j]) for k in sorted(fns) for i, j in sorted(fns[k])]
 
-    def char_polys_at(self, residues: Sequence[AlgebraElement]) -> list[tuple]:
-        """`theta_char_polys` of a residue tuple at the longest list of sample
-        points, whose heads are those of the other degree indices."""
-        ts = max((self._interp_data(k)[1] for k in range(len(self._indices))), key=len)
-        return theta_char_polys(self.points, [el.matrix for el in residues], ts)
+    def _char_polys_at(self, residues: Sequence[AlgebraElement]) -> list[tuple]:
+        """`theta_char_polys` of a residue tuple at the sample points, kept for
+        the last tuple read, so that its Hitchin point, gradients and bracket
+        table share one run."""
+        point = self.flatten_point(residues)
+        if self._chars[0] != point:
+            self._chars = point, theta_char_polys(self.points, [el.matrix for el in residues],
+                                                  self._ts)
+        return self._chars[1]
 
-    def hitchin_point(self, residues: Sequence[AlgebraElement],
-                      chars: list[tuple] | None = None) -> HitchinPoint:
+    def hitchin_point(self, residues: Sequence[AlgebraElement]) -> HitchinPoint:
         """Evaluate the map at a residue tuple; requires sum A_i = 0.
 
         At each sample point t, e_m(theta(t)) = e_m(M) / D^m is read off the
         integer characteristic polynomial of theta(t) = M / D
-        (`theta_char_polys`, or chars), the Pfaffian of so(2r) is Pf(Q M) / D^r,
+        (`_char_polys_at`), the Pfaffian of so(2r) is Pf(Q M) / D^r,
         and `_partial_fractions` expands them.  Verifies holomorphy at infinity:
         p_k(theta) vanishes to order 2 d_k iff the top 2 d_k - 1 differences do.
         """
@@ -410,9 +416,7 @@ class GaudinSystem:
             total = total + el
         if not total.is_zero():
             raise ValueError("sum of residues must vanish (holomorphy at infinity)")
-        if chars is None:
-            chars = self.char_polys_at(residues)
-        s = self.s
+        chars, s = self._char_polys_at(residues), self.s
         coeffs = []
         for k, (d, index) in enumerate(zip(self.group.degrees, self._indices)):
             cols, ts, _ = self._interp_data(k)
@@ -461,8 +465,8 @@ class GaudinSystem:
         pf = pfaffian(mat_mul(antidiagonal(self.s), self.site_matrix(0)))
         return [pf.diff(self.var(0, a, b)) for b in range(self.s) for a in range(self.s)]
 
-    def coefficient_gradients_at(self, residues: Sequence[AlgebraElement],
-                                 chars: list[tuple] | None = None) -> list[SampleGradients]:
+    def coefficient_gradients_at(self, residues: Sequence[AlgebraElement]
+                                 ) -> list[SampleGradients]:
         """The gradients of every invariant coefficient at a point in the
         sample-point basis, one SampleGradients per degree index k with
         Y_t = pi(grad p_k(theta(t))).
@@ -474,11 +478,8 @@ class GaudinSystem:
         Faddeev-LeVerrier matrix of M (`theta_char_polys`), and that of the
         Pfaffian is G(M) / D^(r-1) (`_pfaffian_gradient`); the projection, an
         integer matrix over pden, costs s^4 integer products per k and t.
-        chars is `char_polys_at(residues)` when the caller has it already.
         """
-        out = []
-        if chars is None:
-            chars = self.char_polys_at(residues)
+        out, chars = [], self._char_polys_at(residues)
         pden, prows = self._projection
         for k, index in enumerate(self._indices):
             cols, ts, vinv = self._interp_data(k)
@@ -489,10 +490,10 @@ class GaudinSystem:
                 else:
                     power, g = index - 1, qs[index - 1]
                 grads.append((den ** power * pden, [sum(map(mul, r, g)) for r in prows]))
-            out.append(SampleGradients([(k, i, j) for i, j in cols], ts, vinv, grads))
+            out.append(SampleGradients([(k, i, j) for i, j in cols], vinv, grads))
         return out
 
-    def commutativity_check(self, residue_tuples: Sequence[Sequence[AlgebraElement]], chars=()):
+    def commutativity_check(self, residue_tuples: Sequence[Sequence[AlgebraElement]]):
         """Max |{H_a, H_b}| over all pairs of coefficient functions and points.
 
         The site gradients X^l_a = sum_t V[a][t] Y_t / (t - x_l) make {H_a, H_b}
@@ -506,31 +507,24 @@ class GaudinSystem:
         commutator per degree index and sample point and one per pair of
         degree indices at a shared point.  Brackets are summed in Fractions
         over the nonzero entries of C and scanned in the coefficient order, so
-        the first of equally large brackets is the one reported.  chars[q], if
-        given, is `char_polys_at(residue_tuples[q])`.
+        the first of equally large brackets is the one reported.
         """
         worst, worst_pair = ZERO, None
-        for q, residues in enumerate(residue_tuples):
-            known = chars[q] if q < len(chars) else self.char_polys_at(residues)
-            blocks = self.coefficient_gradients_at(residues, known)
+        for residues in residue_tuples:
+            blocks = self.coefficient_gradients_at(residues)
             keys = [key for block in blocks for key in block.keys]
-            theta = [(den, m) for den, m, _, _ in known]
-            for (ia, ib), val in sorted(self._bracket_table(residues, blocks, theta).items()):
+            for (ia, ib), val in sorted(self._bracket_table(residues, blocks).items()):
                 if abs(val) > abs(worst):
                     worst, worst_pair = val, (keys[ia], keys[ib])
         return worst, worst_pair
 
     def _bracket_table(self, residues: Sequence[AlgebraElement],
-                       blocks: Sequence[SampleGradients],
-                       theta: list[tuple[int, list[int]]]) -> dict[tuple[int, int], Fraction]:
+                       blocks: Sequence[SampleGradients]) -> dict[tuple[int, int], Fraction]:
         """The nonzero brackets of `commutativity_check` by the positions a < b
-        of the coefficients in the blocks; their sample points share one head,
-        and theta holds theta(t) = M / D as (D, M) at the points of that head
-        (`theta_numerators`, as `char_polys_at` returns it)."""
-        s, mats = self.s, [el.matrix for el in residues]
-        ts = max((block.ts for block in blocks), key=len)
-        if any(block.ts != ts[:len(block.ts)] for block in blocks):
-            raise ValueError("sample points of the blocks are not the heads of one list")
+        of the coefficients in the blocks, with theta(t) = M / D read as (D, M)
+        off `_char_polys_at`."""
+        s, mats, ts = self.s, [el.matrix for el in residues], self._ts
+        theta = [(den, m) for den, m, _, _ in self._char_polys_at(residues)]
         # U_t = [M, y] / (D d) for theta(t) = M / D and Y_t = y / d; None if zero
         comm = [[(den * d, u) if any(u := _flat_commutator(m, y, s)) else None
                  for (den, m), (d, y) in zip(theta, block.grads)] for block in blocks]

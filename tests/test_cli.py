@@ -44,13 +44,11 @@ def test_gaudin_job_bracket_table_zero(tmp_path, capsys):
 def test_gaudin_job_reports_a_nonzero_bracket(tmp_path, monkeypatch):
     # With sample-point gradients Y_t = [[0, 1], [t_index, 0]], which do not
     # commute with theta(t), the bracket gate must fail end to end.
-    from framedhiggs.gaudin import SampleGradients
     original = cli.GaudinSystem.coefficient_gradients_at
 
-    def non_commuting(self, residues, *chars):
-        return [SampleGradients(block.keys, block.ts, block.vinv,
-                                [(1, [0, 1, i, 0]) for i in range(len(block.ts))])
-                for block in original(self, residues, *chars)]
+    def non_commuting(self, residues):
+        return [block._replace(grads=[(1, [0, 1, i, 0]) for i in range(len(block.grads))])
+                for block in original(self, residues)]
 
     monkeypatch.setattr(cli.GaudinSystem, "coefficient_gradients_at", non_commuting)
     cfg = write_config(tmp_path, "g.json", GAUDIN_SL2)
@@ -565,6 +563,55 @@ def test_flow_fields_are_checked_before_the_bracket_table(tmp_path, capsys, monk
     assert err.startswith(f"error: {field}: ")
     if field == "config.flow":
         assert "no coefficient" in err
+
+
+def _refuse_model(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the residue model was built before every field was checked")
+    monkeypatch.setattr(cli, "_residues", refuse)
+    monkeypatch.setattr(cli, "spectral_data", refuse)
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"random_points": -1}, "config.random_points"),
+    ({"height": 0}, "config.height"),
+    ({"flow": []}, "config.flow"),
+    ({"flow": {"steps": 0}}, "config.flow.steps"),
+])
+def test_gaudin_fields_are_checked_before_the_residue_model(tmp_path, capsys, monkeypatch,
+                                                            config, field):
+    _refuse_model(monkeypatch)
+    cfg = write_config(tmp_path, "g.json", {**GAUDIN_SL2, **config})
+    assert main(["gaudin", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_spectral_genus_is_checked_before_the_analysis(tmp_path, capsys, monkeypatch):
+    _refuse_model(monkeypatch)
+    cfg = write_config(tmp_path, "s.json", {**SPECTRAL_SL2, "genus": -1})
+    assert main(["spectral", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: config.genus: ")
+
+
+def test_a_torsor_count_off_by_one_fails_the_torsor_check(tmp_path, capsys, monkeypatch):
+    # negative control: with dim T^n / Z(G) shifted by one, the relatively
+    # framed fiber dimension misses the base dimension, and the report says so
+    import dataclasses
+    from framedhiggs import spectral
+    counts = spectral.torsor_dims
+    monkeypatch.setattr(spectral, "torsor_dims", lambda *args: dataclasses.replace(
+        counts(*args), relative_over_unframed=counts(*args).relative_over_unframed + 1))
+    cfg = write_config(tmp_path, "s.json", {
+        "group": "sl(2)", "points": ["1", "2", "3", "4"],
+        "residues": {"type": "random", "seed": 5}})
+    out = tmp_path / "report.json"
+    assert main(["spectral", "--config", cfg, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    check = [c for c in report["checks"]
+             if c["name"] == "relatively framed fiber dimension equals base"][0]
+    assert not check["passed"] and check["value"] == check["expected"] + 1
+    assert not report["all_passed"]
 
 
 def test_importing_the_cli_loads_no_numeric_library():

@@ -291,7 +291,8 @@ def _reference_check(residue_tuples, gradients_at):
 
 def _site_gradients(system, blocks):
     """The site gradients sum_t vinv[a][t] Y_t / (t - x_l) of the sample-point
-    gradients Y_t, in Fractions, in the layout of `_reference_gradients`."""
+    gradients Y_t, in Fractions, in the layout of `_reference_gradients`;
+    block k's points t are the first ones of the system's sample points."""
     s = system.s
     out = []
     for block in blocks:
@@ -299,7 +300,7 @@ def _site_gradients(system, blocks):
               for d, y in block.grads]
         for key, row in zip(block.keys, block.vinv):
             out.append((key, [[list(r) for r in mat_comb(
-                [w / (t - x) for w, t in zip(row, block.ts)], ys)] for x in system.points]))
+                [w / (t - x) for w, t in zip(row, system._ts)], ys)] for x in system.points]))
     return out
 
 
@@ -420,12 +421,11 @@ def test_bracket_table_negative_control(monkeypatch, gid, points, count):
                     for a in range(system.s)]
             projected = system.model.from_coords(mat_vec(system._grad_rows, flatten(grad)))
             grads.append(over_common_denominator(flatten(projected.matrix)))
-        return gaudin.SampleGradients(keys, ts, vinv, grads)
+        return gaudin.SampleGradients(keys, vinv, grads)
 
     original = GaudinSystem.coefficient_gradients_at
     monkeypatch.setattr(GaudinSystem, "coefficient_gradients_at",
-                        lambda self, r, *chars: original(self, r, *chars)
-                        + [noninv_sample_gradients(r)])
+                        lambda self, r: original(self, r) + [noninv_sample_gradients(r)])
     rng = random.Random(59)
     tuples = [random_residue_tuple(model, rng, len(points), 4, zero_sum=False)
               for _ in range(count)]
@@ -477,10 +477,10 @@ def test_bracket_table_grid_matches_reference(monkeypatch, gid, n, faulted):
     assert (worst != 0) == faulted
     if faulted and gid in ("sl(3)", "gl(2)"):
         # the fault reaches the t = t' term: at a sample point that degree
-        # indices 0 and 1 share, their gradients no longer commute
+        # indices 0 and 1 share, their gradients no longer commute; both
+        # blocks start at the first sample point
         first, second = system.coefficient_gradients_at(tuples[0])[:2]
-        shared = [(y, y2) for t, (_, y) in zip(first.ts, first.grads)
-                  for t2, (_, y2) in zip(second.ts, second.grads) if t == t2]
+        shared = [(y, y2) for (_, y), (_, y2) in zip(first.grads, second.grads)]
         assert shared and any(any(gaudin._flat_commutator(y, y2, system.s))
                               for y, y2 in shared)
 
@@ -759,6 +759,29 @@ def test_seeded_model_point_brackets_and_flow():
     ham = system.coefficient_functions()[0][(0, 1)]
     _, drift = system.integrate_flow(model.residues, ham, 0.5, 500)
     assert max(r["relative_drift"] for r in drift) < 1e-8
+
+
+@pytest.mark.parametrize("gid", ["sl(2)", "sl(3)", "so(4)"])
+def test_the_system_reuses_the_char_polys_of_the_last_tuple_only(monkeypatch, gid):
+    model = AlgebraModel(gid)
+    rng = random.Random(103)
+    r1, r2 = balanced_tuple(model, rng, 3, 3), balanced_tuple(model, rng, 3, 3)
+    calls = []
+    kernel = gaudin.theta_char_polys
+    monkeypatch.setattr(gaudin, "theta_char_polys",
+                        lambda *args: calls.append(args) or kernel(*args))
+    system = GaudinSystem(model, PTS3)
+    hp1 = system.hitchin_point(r1)
+    assert len(calls) == 1
+    assert system.commutativity_check([r1, r2]) == (0, None)
+    assert len(calls) == 2
+    hp2 = system.hitchin_point(r2)
+    assert len(calls) == 2
+    assert system.hitchin_point(r1) == hp1 and len(calls) == 3
+    # never the data of an earlier tuple: each point is a fresh system's
+    assert hp1 != hp2
+    assert hp2 == GaudinSystem(model, PTS3).hitchin_point(r2)
+    assert hp1 == GaudinSystem(model, PTS3).hitchin_point(r1)
 
 
 def _moved_char_polys(index, sample=0):
