@@ -42,13 +42,12 @@ print(f"  max |{{H_a, H_b}}| = {worst}")
 print()
 print("A non-invariant observable does not commute (negative control):")
 noninv = system.coordinate(0, 0, 1) * system.coordinate(0, 1, 0)
-fns = system.coefficient_function_list()
-val = system.bracket_at(fns[0][3], noninv, tuples[1])
+ham = system.coefficient_functions(0)[0, 1]
+val = system.bracket_at(ham, noninv, tuples[1])
 print(f"  bracket value: {val}")
 
 print()
 print("Hamiltonian flow of one Gaudin Hamiltonian (fourth-order, 10^4 steps):")
-ham = system.coefficient_functions()[0][(0, 1)]
 traj, drift = system.integrate_flow(model.residues, ham, 1.0, 10 ** 4)
 worst_drift = max(r["relative_drift"] for r in drift)
 print(f"  worst relative drift of any conserved coefficient: {worst_drift:.3e}")

@@ -364,8 +364,8 @@ def run_gaudin(cfg: dict, seed) -> dict:
                        "invariant polynomials of theta(z)"},
     }
     if flow_cfg:
-        fns = system.coefficient_functions()
-        _, drift = system.integrate_flow(model.residues, fns[k][(i, j)], t_end, steps)
+        ham = system.coefficient_functions(k)[i, j]
+        _, drift = system.integrate_flow(model.residues, ham, t_end, steps)
         worst = worst_drift(drift)
         checks.append(_check(
             "conserved quantities along the flow", worst < tol,

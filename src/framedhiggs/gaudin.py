@@ -8,7 +8,9 @@ integer forward differences of their values at sample points t one apart
 Lie-Poisson bracket transported by the trace form.  At each t, with theta(t)
 = M / D, the invariants and their gradients come from one integer
 Faddeev-LeVerrier run on M, and the bracket table is formed in that basis of
-sample points (`commutativity_check`).  Only the flow integrator uses floats.
+sample points (`commutativity_check`).  Only the flow integrator uses floats;
+it builds its Hamiltonian's coefficients only, and its drift values are exact
+values rounded once.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Callable, NamedTuple, Sequence
 
 from .exactlinalg import (ZERO, ONE, frac, identity, integer_solve, mat_comb, mat_mul,
                           mat_vec, over_common_denominator, transpose)
-from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, antidiagonal, flatten,
-                     generator_indices, mat_commutator, mat_trace, matrix_invariants,
-                     pfaffian, theta_at, theta_char_polys)
+from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, flatten, generator_indices,
+                     mat_commutator, mat_trace, matrix_invariant, pfaffian, theta_at,
+                     theta_char_polys)
 
 Monomial = tuple[tuple[int, int], ...]   # sorted ((var, exp), ...)
 
@@ -135,6 +137,14 @@ def _pow(x: float, e: int) -> float:
         return math.copysign(math.inf, x) if e % 2 else math.inf
 
 
+def _float(x: Fraction) -> float:
+    """x rounded to a float, a value beyond the float range to the signed infinity."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _poly_lines(polys: Sequence[PolyObservable], name: str) -> list[str]:
     """Statements that set the locals name0, name1, ... to the float values of
     polys at the locals x0, x1, ...
@@ -159,8 +169,7 @@ def _poly_lines(polys: Sequence[PolyObservable], name: str) -> list[str]:
     return [f"{p} = _pow(x{v}, {e})" for (v, e), p in powers.items()] + sums
 
 
-def _flow_program(s: int, gradient: Sequence[PolyObservable],
-                  coefficients: Sequence[PolyObservable]) -> dict:
+def _flow_program(s: int, gradient: Sequence[PolyObservable]) -> dict:
     """The RK4 flow of `GaudinSystem.integrate_flow`, compiled from generated
     Python source.
 
@@ -169,7 +178,6 @@ def _flow_program(s: int, gradient: Sequence[PolyObservable],
     layout.  Returns a namespace with the functions
     - rhs(x0, x1, ...): the entries of [A_i, G_i] = A_i G_i - G_i A_i, each
       product entry summed from 0.0 over the inner index;
-    - values(x0, x1, ...): the values of the coefficient polynomials;
     - run(steps, h, x0, x1, ...): the state after `steps` RK4 steps of h.
     """
     nvars, block = len(gradient), s * s
@@ -189,8 +197,6 @@ def _flow_program(s: int, gradient: Sequence[PolyObservable],
 
     lines = [f"def rhs({xs}):", *_poly_lines(gradient, "g"),
              "return (" + "".join(f"{entry(v)}, " for v in range(nvars)) + ")",
-             f"def values({xs}):", *_poly_lines(coefficients, "v"),
-             "return (" + "".join(f"v{q}, " for q in range(len(coefficients))) + ")",
              f"def run(steps, h, {xs}):",
              "half = 0.5 * h", "sixth = h / 6.0", "for _ in range(steps):",
              " " + "".join(f"a{v}, " for v in range(nvars)) + f"= rhs({xs})",
@@ -292,9 +298,7 @@ class GaudinSystem:
         # the sample points t_l = max(x) + l; degree index k uses the first n d_k
         self._ts = [max(self._xs) + l for l in range(1, self.n * max(self.group.degrees) + 1)]
         self._chars: tuple = (None, None)   # (flattened tuple, its char polys), the last read
-        self._coeff_functions: dict[int, dict[tuple[int, int], PolyObservable]] = {}
         self._interp_cache: dict[int, tuple] = {}
-        self._symbolic_invariants: dict[Fraction, list[PolyObservable]] = {}
 
     @cached_property
     def _grad_rows(self) -> list[list[Fraction]]:   # R, for the flow and sigma gradients
@@ -367,30 +371,15 @@ class GaudinSystem:
                        for j in range(1, d + 1)]
         return diffs, coeffs
 
-    def _symbolic_invariant(self, k: int, t: Fraction) -> PolyObservable:
-        """p_k(theta(t)) as a polynomial in the residue entries; every
-        generator at t is built at once and cached."""
-        if t not in self._symbolic_invariants:
-            theta = theta_at(self.points, [self.site_matrix(i) for i in range(self.n)], t)
-            self._symbolic_invariants[t] = matrix_invariants(self.group, theta)
-        return self._symbolic_invariants[t][k]
-
-    def _coefficient_functions_of(self, k: int) -> dict[tuple[int, int], PolyObservable]:
-        if k not in self._coeff_functions:
-            cols, ts, vinv = self._interp_data(k)
-            values = [self._symbolic_invariant(k, t) for t in ts]
-            self._coeff_functions[k] = {col: PolyObservable.lift(c)
-                                        for col, c in zip(cols, mat_vec(vinv, values))}
-        return self._coeff_functions[k]
-
-    def coefficient_functions(self) -> dict[int, dict[tuple[int, int], PolyObservable]]:
-        """Symbolic partial-fraction coefficient functions of p_k(theta(z)),
-        built and cached one degree index k at a time."""
-        return {k: self._coefficient_functions_of(k) for k in range(len(self._indices))}
-
-    def coefficient_function_list(self) -> list[tuple[int, int, int, PolyObservable]]:
-        fns = self.coefficient_functions()
-        return [(k, i, j, fns[k][i, j]) for k in sorted(fns) for i, j in sorted(fns[k])]
+    def coefficient_functions(self, k: int) -> dict[tuple[int, int], PolyObservable]:
+        """The partial-fraction coefficients (i, j) of p_k(theta(z)) as
+        polynomials in the residue entries, for degree index k only: vinv
+        combines the symbolic p_k(theta(t)) at k's sample points t
+        (`matrix_invariant`).  Nothing is cached."""
+        cols, ts, vinv = self._interp_data(k)
+        sites = [self.site_matrix(i) for i in range(self.n)]
+        values = [matrix_invariant(theta_at(self.points, sites, t), self._indices[k]) for t in ts]
+        return {col: PolyObservable.lift(c) for col, c in zip(cols, mat_vec(vinv, values))}
 
     def _char_polys_at(self, residues: Sequence[AlgebraElement]) -> list[tuple]:
         """`theta_char_polys` of a residue tuple at the sample points, kept for
@@ -402,34 +391,37 @@ class GaudinSystem:
                                                   self._ts)
         return self._chars[1]
 
-    def hitchin_point(self, residues: Sequence[AlgebraElement]) -> HitchinPoint:
-        """Evaluate the map at a residue tuple; requires sum A_i = 0.
-
-        At each sample point t, e_m(theta(t)) = e_m(M) / D^m is read off the
-        integer characteristic polynomial of theta(t) = M / D
-        (`_char_polys_at`), the Pfaffian of so(2r) is Pf(Q M) / D^r,
-        and `_partial_fractions` expands them.  Verifies holomorphy at infinity:
-        p_k(theta) vanishes to order 2 d_k iff the top 2 d_k - 1 differences do.
-        """
-        total = residues[0]
-        for el in residues[1:]:
-            total = total + el
-        if not total.is_zero():
-            raise ValueError("sum of residues must vanish (holomorphy at infinity)")
-        chars, s = self._char_polys_at(residues), self.s
-        coeffs = []
-        for k, (d, index) in enumerate(zip(self.group.degrees, self._indices)):
-            cols, ts, _ = self._interp_data(k)
+    def _expansions(self, chars: Sequence[tuple]) -> list[tuple[list, list]]:
+        """`_partial_fractions` of p_k(theta(t)), per degree index k, from the
+        `theta_char_polys` output chars: e_m(theta(t)) = e_m(M) / D^m."""
+        s, out = self.s, []
+        for k, index in enumerate(self._indices):
+            ts = self._interp_data(k)[1]
             # the Pfaffian is Pf(Q M) / D^(s/2), and Q M is M upside down
             values = [Fraction(es[index - 1], den ** index) if index != PFAFFIAN else
                       Fraction(pfaffian([m[a:a + s] for a in range(s * s - s, -1, -s)]),
                                den ** (s // 2)) for den, m, es, _ in chars[:len(ts)]]
-            diffs, solved = self._partial_fractions(k, values)
+            out.append(self._partial_fractions(k, values))
+        return out
+
+    def hitchin_point(self, residues: Sequence[AlgebraElement]) -> HitchinPoint:
+        """Evaluate the map at a residue tuple; requires sum A_i = 0.
+
+        The invariants at the sample points are read off the integer
+        characteristic polynomials of theta(t) (`_char_polys_at`), and
+        `_expansions` expands them.  Verifies holomorphy at infinity:
+        p_k(theta) vanishes to order 2 d_k iff the top 2 d_k - 1 differences do.
+        """
+        if not sum(residues[1:], residues[0]).is_zero():
+            raise ValueError("sum of residues must vanish (holomorphy at infinity)")
+        coeffs = []
+        for k, (diffs, solved) in enumerate(self._expansions(self._char_polys_at(residues))):
+            d = self.group.degrees[k]
             for order, a in enumerate(reversed(diffs[1 - 2 * d:]), start=1):
                 if a:
                     raise AssertionError(
                         f"holomorphy at infinity fails at order {order} for degree {d}")
-            coeffs.append({key: v for key, v in zip(cols, solved) if v != 0})
+            coeffs.append({key: v for key, v in zip(self._interp_data(k)[0], solved) if v != 0})
         return HitchinPoint(self.group.group_id, self.group.degrees, tuple(coeffs))
 
     # -- Lie-Poisson structure ---------------------------------------------------
@@ -462,7 +454,7 @@ class GaudinSystem:
     def _pfaffian_gradient(self) -> list[PolyObservable]:
         """Flattened G(X) with tr(G(X) V) = D_V Pf(Q X), X the variables of site
         0; G is homogeneous, so G(theta(t)) = G(M) / D^(r-1) for so(2r)."""
-        pf = pfaffian(mat_mul(antidiagonal(self.s), self.site_matrix(0)))
+        pf = matrix_invariant(self.site_matrix(0), PFAFFIAN)
         return [pf.diff(self.var(0, a, b)) for b in range(self.s) for a in range(self.s)]
 
     def coefficient_gradients_at(self, residues: Sequence[AlgebraElement]
@@ -576,19 +568,30 @@ class GaudinSystem:
         on every host.  A power x ** e that overflows is the signed infinity
         it rounds to, and every other float operation overflows silently, so
         a flow that overflows is reported through its non-finite drift.
+
+        The drift values are every coefficient at the exact rationals of the
+        float start and end states (`_expansions`), each rounded once by
+        `_float`, as is each residue entry; a non-finite state has NaN values.
         """
         s, block = self.s, self.s * self.s
         gradient = [x for i in range(self.n)
                     for row in self._symbolic_gradient(hamiltonian, i) for x in row]
-        fns = self.coefficient_function_list()
-        program = _flow_program(s, gradient, [fn for *_, fn in fns])
-        start = [float(x) for x in self.flatten_point(residues)]
-        end = program["run"](steps, t_end / steps, *start)
-        v0s, v1s = program["values"](*start), program["values"](*end)
-        scale = max(1.0, max(abs(v) for v in v0s)) if fns else 1.0
-        report = [{"degree_index": k, "site": i, "order": j, "start": v0, "end": v1,
-                   "relative_drift": abs(v1 - v0) / max(abs(v0), 1e-3 * scale)}
-                  for (k, i, j, _), v0, v1 in zip(fns, v0s, v1s)]
+        start = [_float(x) for x in self.flatten_point(residues)]
+        end = _flow_program(s, gradient)["run"](steps, t_end / steps, *start)
         sites = [[[list(x[r:r + s]) for r in range(i, i + block, s)]
                   for i in range(0, len(x), block)] for x in (start, end)]
+        keys = [(k, i, j) for k in range(len(self._indices)) for i, j in self._interp_data(k)[0]]
+
+        def values(flat: list[float], state: list) -> list[float]:
+            if not all(map(math.isfinite, flat)):
+                return [math.nan] * len(keys)
+            mats = [[[Fraction(x) for x in row] for row in site] for site in state]
+            chars = theta_char_polys(self.points, mats, self._ts)
+            return [_float(c) for _, coeffs in self._expansions(chars) for c in coeffs]
+
+        v0s, v1s = values(start, sites[0]), values(end, sites[1])
+        scale = max(1.0, *map(abs, v0s))
+        report = [{"degree_index": k, "site": i, "order": j, "start": v0, "end": v1,
+                   "relative_drift": abs(v1 - v0) / max(abs(v0), 1e-3 * scale)}
+                  for (k, i, j), v0, v1 in zip(keys, v0s, v1s)]
         return sites, report

@@ -394,16 +394,14 @@ def newton_elementary(power_sums: Sequence) -> list:
     return e[1:]
 
 
-def char_poly_elementary(m: Matrix) -> list:
-    """Elementary symmetric functions e_1..e_n of the eigenvalues of m.
-
-    det(tI - m) = sum_k (-1)^k e_k t^(n-k); computed by Newton's identities
-    from exact power traces.  The entries may be Fractions or polynomial
-    observables.
-    """
+def char_poly_elementary(m: Matrix, count: int | None = None) -> list:
+    """Elementary symmetric functions e_1..e_count of the eigenvalues of m, by
+    default all n: det(tI - m) = sum_k (-1)^k e_k t^(n-k), by Newton's
+    identities from the exact power traces up to tr(m^count).  The entries
+    may be Fractions or polynomial observables."""
     power = m
     psums = [mat_trace(m)]
-    for _ in range(len(m) - 1):
+    for _ in range((len(m) if count is None else count) - 1):
         power = mat_mul(power, m)
         psums.append(mat_trace(power))
     return newton_elementary(psums)
@@ -428,18 +426,14 @@ def pfaffian(m: Matrix):
     return total
 
 
-def matrix_invariants(group: GroupData, m: Matrix) -> list:
-    """p_1(m), ..., p_r(m) as listed by `generator_indices`, for a matrix of
-    Fractions or of polynomial observables.
-
-    The Pfaffian of so(2k) is that of Q m (Q = `antidiagonal`), which is skew
-    for m in so(2k); for a symbolic m with independent entries it is the
-    polynomial in the strict upper triangle of Q m.
-    """
-    indices = generator_indices(group)
-    e = char_poly_elementary(m)
-    return [e[i - 1] if i != PFAFFIAN else pfaffian(mat_mul(antidiagonal(len(m)), m))
-            for i in indices]
+def matrix_invariant(m: Matrix, index: int):
+    """The generator of `generator_indices` entry index at a matrix of
+    Fractions or of polynomial observables: e_index(m), or the Pfaffian of Q m
+    (Q = `antidiagonal`; Q m is skew for m in so(2k), and for a symbolic m it
+    is the polynomial in the strict upper triangle of Q m)."""
+    if index == PFAFFIAN:
+        return pfaffian(mat_mul(antidiagonal(len(m)), m))
+    return char_poly_elementary(m, index)[-1]
 
 
 def invariant_polynomials(group_id: str, el: AlgebraElement) -> tuple[Fraction, ...]:
@@ -453,7 +447,7 @@ def invariant_polynomials(group_id: str, el: AlgebraElement) -> tuple[Fraction, 
         qm = mat_mul(antidiagonal(g.matrix_size), el.matrix)
         if any(qm[i][j] + qm[j][i] for i in range(len(qm)) for j in range(i, len(qm))):
             raise ValueError("pfaffian of a non-skew matrix")
-    return tuple(matrix_invariants(g, el.matrix))
+    return tuple(matrix_invariant(el.matrix, i) for i in generator_indices(g))
 
 
 def theta_at(points: Sequence[Fraction], matrices: Sequence[Matrix], t: Fraction) -> Mat:

@@ -248,7 +248,7 @@ def test_criterion_8_flow_conservation():
     model = AlgebraModel("sl(2)")
     system = GaudinSystem(model, (F(1), F(2), F(3)))
     flows = [(random_residue_tuple(model, random.Random(seed), 3, 4),
-              system.coefficient_functions()[0][(seed % 3, 1)])
+              system.coefficient_functions(0)[seed % 3, 1])
              for seed in (201, 202, 203, 204)]
     worst = max(r["relative_drift"] for residues, ham in flows
                 for r in system.integrate_flow(residues, ham, 1.0, 10 ** 4)[1])

@@ -8,6 +8,8 @@ import pytest
 
 from framedhiggs import cli
 from framedhiggs.cli import main
+from framedhiggs.gaudin import PolyObservable
+from framedhiggs.liealg import matrix_invariant, theta_at
 
 
 def write_config(tmp_path, name, obj):
@@ -426,6 +428,84 @@ def test_non_finite_flow_drift_fails_the_check_with_a_parseable_report(tmp_path)
     assert check["value"] == report["results"]["flow_worst_drift"] == "nan"
 
 
+def test_a_residue_beyond_the_float_range_fails_the_flow_check_with_a_report(tmp_path, capsys):
+    # The flow starts at +-inf, so its state and drift are NaN; the exact start
+    # coefficients are beyond the float range too, and round to +-inf.
+    cfg = write_config(tmp_path, "big.json", {
+        "group": "sl(2)", "points": ["1", "2"],
+        "residues": {"type": "explicit", "matrices": [[["1e400", "0"], ["0", "-1e400"]],
+                                                      [["-1e400", "0"], ["0", "1e400"]]]},
+        "flow": {"steps": 10}})
+    out = tmp_path / "report.json"
+    assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    check = [c for c in report["checks"] if c["name"] == "conserved quantities along the flow"][0]
+    assert not check["passed"] and not report["all_passed"]
+    assert check["value"] == report["results"]["flow_worst_drift"] == "nan"
+
+
+SO5_FLOW = {"group": "so(5)", "points": ["2", "-1", "1/3"],
+            "residues": {"type": "random", "seed": 280294, "height": 10}, "random_points": 3,
+            "flow": {"degree_index": 0, "site": 0, "order": 1, "steps": 200}}
+
+
+def test_an_so5_flow_builds_its_hamiltonian_alone_in_time(tmp_path):
+    # Built as every coefficient polynomial of every invariant, this job ran
+    # for over 11 minutes; the bound turns such a hang into a failure.
+    cfg = write_config(tmp_path, "so5.json", SO5_FLOW)
+    out = tmp_path / "report.json"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "framedhiggs.cli", "gaudin",
+                           "--config", cfg, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["all_passed"]
+
+
+README_FLOW = {"group": "sl(2)", "points": ["1", "2", "3"],
+               "residues": {"type": "random", "seed": 7, "height": 10}, "random_points": 5,
+               "flow": {"degree_index": 0, "site": 0, "order": 1, "t_end": 1.0,
+                        "steps": 10000, "drift_tolerance": 1e-8}}
+ORIGINAL_COEFFICIENT_FUNCTIONS = cli.GaudinSystem.coefficient_functions
+
+
+def _without_a_sample_weight(self, k):
+    # H - w_1 p_k(theta(t_1)) for the vinv row w of each coefficient.  The
+    # dropped value is itself a combination of the coefficients, so this H
+    # still commutes with them; it fails through the RK4 error of a flow about
+    # a thousand times faster (w_1 = 1066.2 for H), and 4x the steps shrink
+    # its drift about a thousandfold.
+    cols, ts, vinv = self._interp_data(k)
+    theta = theta_at(self.points, [self.site_matrix(i) for i in range(self.n)], ts[0])
+    sample = matrix_invariant(theta, self._indices[k])
+    return {col: fn - sample.scale(row[0])
+            for (col, fn), row in zip(ORIGINAL_COEFFICIENT_FUNCTIONS(self, k).items(), vinv)}
+
+
+def _without_a_term(self, k):
+    # one monomial of each coefficient dropped: H is no longer invariant, and
+    # the drift stays at 0.19 whatever the step
+    return {col: PolyObservable(dict(list(fn.terms.items())[1:]))
+            for col, fn in ORIGINAL_COEFFICIENT_FUNCTIONS(self, k).items()}
+
+
+@pytest.mark.parametrize("build", [_without_a_sample_weight, _without_a_term],
+                         ids=["sample-weight", "term"])
+def test_a_hamiltonian_built_wrong_fails_the_flow_check(tmp_path, monkeypatch, build):
+    monkeypatch.setattr(cli.GaudinSystem, "coefficient_functions", build)
+    cfg = write_config(tmp_path, "flow.json", README_FLOW)
+    out = tmp_path / "report.json"
+    assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    passed = {c["name"]: c["passed"] for c in report["checks"]}
+    assert passed == {"pairwise brackets of invariant coefficients vanish": True,
+                      "conserved quantities along the flow": False}
+    assert report["results"]["flow_worst_drift"] > 1e-8
+
+
 DEFO_SL2_3PT = {"group": "sl(2)", "points": ["1", "2", "3"], "framing": "trivial",
                 "residues": {"type": "random", "seed": 11, "height": 5}}
 
@@ -631,11 +711,7 @@ def test_importing_the_cli_loads_no_numeric_library():
 def test_the_readme_flow_loads_no_numpy(tmp_path):
     # The flow integrator is plain Python floats, so `hfb gaudin` with a
     # flow never imports numpy.
-    cfg = write_config(tmp_path, "flow.json", {
-        "group": "sl(2)", "points": ["1", "2", "3"],
-        "residues": {"type": "random", "seed": 7, "height": 10}, "random_points": 5,
-        "flow": {"degree_index": 0, "site": 0, "order": 1, "t_end": 1.0, "steps": 10000,
-                 "drift_tolerance": 1e-8}})
+    cfg = write_config(tmp_path, "flow.json", README_FLOW)
     out = tmp_path / "report.json"
     code = ("import sys; from framedhiggs.cli import main; "
             f"print(main(['gaudin', '--config', {cfg!r}, '--out', {str(out)!r}]), "

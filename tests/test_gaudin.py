@@ -12,8 +12,9 @@ from framedhiggs.exactlinalg import (identity, inverse, mat_comb, mat_mul, mat_v
 from framedhiggs import gaudin
 from framedhiggs.gaudin import GaudinSystem, PolyObservable, worst_drift
 from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, antidiagonal, char_poly_elementary,
-                                flatten, mat_commutator, mat_trace, matrix_invariants,
-                                newton_elementary, pfaffian, theta_at, theta_char_polys)
+                                flatten, generator_indices, mat_commutator, mat_trace,
+                                matrix_invariant, newton_elementary, pfaffian, theta_at,
+                                theta_char_polys)
 from framedhiggs.sampling import random_algebra_element, random_residue_tuple
 
 PTS3 = (F(1), F(2), F(3))
@@ -102,8 +103,7 @@ def test_agreement_of_symbolic_and_numeric_expansion():
     els = balanced_tuple(model, rng, 3)
     vals = system.flatten_point(els)
     hp = system.hitchin_point(els)
-    fns = system.coefficient_functions()
-    for (i, j), fn in fns[0].items():
+    for (i, j), fn in system.coefficient_functions(0).items():
         assert fn(vals) == hp.coeffs[0].get((i, j), F(0))
 
 
@@ -197,10 +197,9 @@ def test_commutativity_small_and_negative_control():
         assert worst == 0
     model = AlgebraModel("sl(2)")
     system = GaudinSystem(model, PTS3)
-    fns = system.coefficient_function_list()
     noninv = system.coordinate(0, 0, 1) * system.coordinate(0, 1, 0)
     point = random_residue_tuple(model, rng, 3, 4, zero_sum=False)
-    assert system.bracket_at(fns[0][3], noninv, point) != 0
+    assert system.bracket_at(system.coefficient_functions(0)[0, 1], noninv, point) != 0
 
 
 def test_commutativity_so5_spot():
@@ -212,16 +211,18 @@ def test_commutativity_so5_spot():
     assert worst == 0
 
 
-def test_commutativity_so4_spot():
+def test_commutativity_so4_spot(monkeypatch):
     # so(4) is the one family whose last generator is a Pfaffian; its gradients
     # come from one symbolic gradient of Pf(Q X), and no coefficient function.
+    def refuse(self, k):
+        raise AssertionError("the bracket table built a coefficient function")
+    monkeypatch.setattr(GaudinSystem, "coefficient_functions", refuse)
     rng = random.Random(41)
     model = AlgebraModel("so(4)")
     system = GaudinSystem(model, PTS3)
     tuples = [random_residue_tuple(model, rng, 3, 3, zero_sum=False)]
     worst, _ = system.commutativity_check(tuples)
     assert worst == 0
-    assert system._coeff_functions == {}
 
 
 # Reference bracket table: every coefficient's site gradient combined and
@@ -491,10 +492,10 @@ def test_invariants_agree_on_symbolic_and_numeric_matrices(gid):
     system = GaudinSystem(model, (F(1),))
     el = random_algebra_element(model, random.Random(43), 4)
     values = system.flatten_point([el])
-    symbolic = matrix_invariants(model.group, system.site_matrix(0))
-    numeric = matrix_invariants(model.group, el.matrix)
+    symbolic = [matrix_invariant(system.site_matrix(0), i) for i in system._indices]
+    numeric = [matrix_invariant(el.matrix, i) for i in system._indices]
     assert len(symbolic) == len(numeric) == model.group.rank
-    assert [p(values) for p in symbolic] == numeric
+    assert [p(values) for p in symbolic] == numeric == _all_invariants(model.group, el.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +522,7 @@ def test_flow_conserves_invariant_coefficients():
     system = GaudinSystem(model, PTS3)
     rng = random.Random(3)
     els = balanced_tuple(model, rng, 3, 3)
-    ham = system.coefficient_function_list()[0][3]
+    ham = system.coefficient_functions(0)[0, 1]
     traj, report = system.integrate_flow(els, ham, 1.0, 2000)
     assert max(r["relative_drift"] for r in report) < 1e-8
     # genuine motion: some entry moves by more than numpy.allclose's tolerance
@@ -532,6 +533,8 @@ def test_flow_conserves_invariant_coefficients():
 # Reference flow: the documented loop in plain Python floats.  One closure per
 # polynomial sums c * x_v ** e * ... term by term from 0.0, and the
 # commutator is taken one entry at a time, each product entry summed from 0.0.
+# The drift values are every coefficient polynomial evaluated exactly at the
+# Fraction of each float state, then rounded.
 
 def _power(x, e):
     try:
@@ -554,11 +557,47 @@ def _compiled(poly):
     return run
 
 
+def _all_invariants(group, m):
+    """p_1(m), ..., p_r(m) from every e_m(m) at once, and the Pfaffian."""
+    e = char_poly_elementary(m)
+    return [e[i - 1] if i != PFAFFIAN else pfaffian(mat_mul(antidiagonal(len(m)), m))
+            for i in generator_indices(group)]
+
+
+@cache
+def _all_coefficient_polys(system):
+    """((k, i, j), polynomial) for every partial-fraction coefficient of every
+    p_k(theta(z)): all the invariants of the symbolic theta(t) at every
+    sample point (`_all_invariants`), combined by vinv."""
+    sites = [system.site_matrix(i) for i in range(system.n)]
+    invariants = {t: _all_invariants(system.group, theta_at(system.points, sites, t))
+                  for t in system._ts}
+    out = []
+    for k in range(system.group.rank):
+        cols, ts, vinv = system._interp_data(k)
+        out += [((k, i, j), PolyObservable.lift(c))
+                for (i, j), c in zip(cols, mat_vec(vinv, [invariants[t][k] for t in ts]))]
+    return out
+
+
+def _rounded(x):
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _exact_values(system, state):
+    if not all(map(math.isfinite, state)):
+        return [math.nan] * len(_all_coefficient_polys(system))
+    point = [F(x) for x in state]
+    return [_rounded(fn(point)) for _, fn in _all_coefficient_polys(system)]
+
+
 def _reference_flow(system, residues, hamiltonian, t_end, steps):
     s = system.s
     grad = [_compiled(x) for i in range(system.n)
             for row in system._symbolic_gradient(hamiltonian, i) for x in row]
-    fns = [(k, i, j, _compiled(fn)) for k, i, j, fn in system.coefficient_function_list()]
     state = [float(x) for el in residues for row in el.matrix for x in row]
 
     def rhs(x):
@@ -575,7 +614,7 @@ def _reference_flow(system, residues, hamiltonian, t_end, steps):
         return out
 
     h = t_end / steps
-    start = [fn(state) for *_, fn in fns]
+    start = _exact_values(system, state)
     scale = max(1.0, max(abs(v) for v in start))
     for _ in range(steps):
         k1 = rhs(state)
@@ -584,10 +623,10 @@ def _reference_flow(system, residues, hamiltonian, t_end, steps):
         k4 = rhs([x + h * k for x, k in zip(state, k3)])
         state = [x + (h / 6.0) * (a + 2 * b + 2 * c + d)
                  for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
-    end = [fn(state) for *_, fn in fns]
+    end = _exact_values(system, state)
     report = [{"degree_index": k, "site": i, "order": j, "start": v0, "end": v1,
                "relative_drift": abs(v1 - v0) / max(abs(v0), 1e-3 * scale)}
-              for (k, i, j, _), v0, v1 in zip(fns, start, end)]
+              for ((k, i, j), _), v0, v1 in zip(_all_coefficient_polys(system), start, end)]
     return state, report
 
 
@@ -613,11 +652,22 @@ def test_flow_matches_term_by_term_reference(gid, n, k, col, power, t_end, steps
     model = AlgebraModel(gid)
     system = GaudinSystem(model, PTS3[:n])
     els = balanced_tuple(model, random.Random(61), n, 3)
-    ham = system.coefficient_functions()[k][col]
+    ham = system.coefficient_functions(k)[col]
     if power == 2:
         ham = ham * ham
         assert any(e > 1 for m in ham.diff(0).terms for _, e in m)
     _assert_flow_is_the_reference(system, els, ham, t_end, steps)
+
+
+def _evaluator(polys, nvars):
+    """The statements of `_poly_lines` as a function of x0, x1, ... that
+    returns the values of polys."""
+    xs = ", ".join(f"x{v}" for v in range(nvars))
+    body = gaudin._poly_lines(polys, "v") + [
+        "return (" + "".join(f"v{q}, " for q in range(len(polys))) + ")"]
+    namespace = {"_pow": gaudin._pow}
+    exec(f"def values({xs}):\n" + "\n".join(" " + line for line in body), namespace)
+    return namespace["values"]
 
 
 def test_generated_evaluator_matches_term_by_term_loop():
@@ -630,7 +680,7 @@ def test_generated_evaluator_matches_term_by_term_loop():
                              for _ in range(rng.randint(0, 6))})
              for _ in range(12)]
     assert any(e == 3 for p in polys for m in p.terms for _, e in m)
-    values = gaudin._flow_program(1, [PolyObservable()] * 6, polys)["values"]
+    values = _evaluator(polys, 6)
     loops = [_compiled(p) for p in polys]
     overflowed = 0
     for sigma in [7.0] * 2000 + [1e110] * 50:
@@ -642,7 +692,7 @@ def test_generated_evaluator_matches_term_by_term_loop():
     # A sum of 5,000 terms is generated as several statements.
     long = PolyObservable({((v, 1), (v + 1, 2)): F(1, v + 1) for v in range(30)}
                           | {((v, 1),): F(v, 7) for v in range(30, 5000)})
-    values = gaudin._flow_program(1, [PolyObservable()] * 5000, [long])["values"]
+    values = _evaluator([long], 5000)
     for sigma in (1.0, 1e110):
         point = [rng.gauss(0.0, sigma) for _ in range(5000)]
         assert _bits(values(*point)) == _bits([_compiled(long)(point)])
@@ -690,7 +740,7 @@ def test_an_overflowing_flow_matches_the_reference_loop():
     model = AlgebraModel("sl(2)")
     system = GaudinSystem(model, PTS3)
     els = balanced_tuple(model, random.Random(3), 3, 3)
-    ham = system.coefficient_function_list()[0][3]
+    ham = system.coefficient_functions(0)[0, 1]
     for residues, h, finite in [(els, PolyObservable(), True), (els, ham, False),
                                 ([model.zero()] * 3, ham * ham, True),
                                 (els, ham * ham, False)]:
@@ -703,7 +753,7 @@ def test_flow_zero_time_is_identity():
     system = GaudinSystem(model, PTS3)
     rng = random.Random(3)
     els = balanced_tuple(model, rng, 3, 3)
-    ham = system.coefficient_function_list()[0][3]
+    ham = system.coefficient_functions(0)[0, 1]
     traj, _ = _assert_flow_is_the_reference(system, els, ham, 0.0, 5)
     assert traj[0] == traj[-1]
 
@@ -714,23 +764,59 @@ def test_casimir_flow_is_stationary():
     system = GaudinSystem(model, (F(1),))
     rng = random.Random(31)
     el = random_algebra_element(model, rng, 3)
-    cas = system.coefficient_function_list()[0][3]
+    cas = system.coefficient_functions(0)[0, 1]
     traj, _ = system.integrate_flow([el], cas, 1.0, 50)
     # stationary within numpy.allclose's default tolerance
     assert all(abs(a - b) <= 1e-8 + 1e-5 * abs(b)
                for a, b in zip(_flat(traj[0]), _flat(traj[-1])))
     # its gradient has no term, so each of its entries is the sum 0.0
-    other = system.coefficient_function_list()[1][3]
+    other = system.coefficient_functions(0)[0, 2]
     assert not cas and other
     for ham in (cas, other):
         _assert_flow_is_the_reference(system, [el], ham, 0.01, 20)
+
+
+BUILD_CASES = [("sl(3)", 3), ("gl(3)", 2), ("sp(4)", 1), ("so(4)", 2), ("so(5)", 1)]
+
+
+@pytest.mark.parametrize("gid, n", BUILD_CASES, ids=[case[0] for case in BUILD_CASES])
+def test_one_degree_index_builds_the_all_index_polynomials(gid, n):
+    # Truncated power traces and Newton's identities, or the Pfaffian alone,
+    # give the same terms in the same order, so the generated flow sums them
+    # as before.
+    system = GaudinSystem(AlgebraModel(gid), PTS3[:n])
+    every = _all_coefficient_polys(system)
+    built = [((k, i, j), fn) for k in range(system.group.rank)
+             for (i, j), fn in system.coefficient_functions(k).items()]
+    assert [(key, list(fn.terms.items())) for key, fn in built] == \
+        [(key, list(fn.terms.items())) for key, fn in every]
+
+
+def test_the_flow_starts_at_the_hitchin_point():
+    # integer entries are exact floats, so the start values are the rounded
+    # coefficients of the Hitchin point, zeros included
+    model = AlgebraModel("sl(3)")
+    system = GaudinSystem(model, PTS3)
+    rng = random.Random(107)
+    els = []
+    for _ in range(2):
+        m = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+        m[2][2] = -m[0][0] - m[1][1]
+        els.append(model.element(m))
+    residues = els + [(els[0] + els[1]).scale(-1)]
+    hp = system.hitchin_point(residues)
+    _, report = system.integrate_flow(residues, system.coefficient_functions(1)[2, 3], 0.01, 5)
+    assert len(report) == sum(3 * d for d in model.group.degrees)
+    for r in report:
+        assert r["start"] == float(hp.coeffs[r["degree_index"]].get((r["site"], r["order"]), 0))
+    assert worst_drift(report) < 1e-8
 
 
 def test_non_finite_drift_exceeds_every_tolerance():
     model = AlgebraModel("sl(2)")
     system = GaudinSystem(model, PTS3)
     els = balanced_tuple(model, random.Random(3), 3, 3)
-    ham = system.coefficient_function_list()[0][3]
+    ham = system.coefficient_functions(0)[0, 1]
     _, report = system.integrate_flow(els, ham, 1e300, 1)
     assert math.isnan(worst_drift(report))
     assert math.isnan(worst_drift([{"relative_drift": 0.5}, {"relative_drift": float("nan")}]))
@@ -756,7 +842,7 @@ def test_seeded_model_point_brackets_and_flow():
         random_residue_tuple(model.algebra, rng, 3, 10, zero_sum=False) for _ in range(2)]
     worst, _ = system.commutativity_check(tuples)
     assert worst == 0
-    ham = system.coefficient_functions()[0][(0, 1)]
+    ham = system.coefficient_functions(0)[0, 1]
     _, drift = system.integrate_flow(model.residues, ham, 0.5, 500)
     assert max(r["relative_drift"] for r in drift) < 1e-8
 
@@ -835,8 +921,8 @@ def test_partial_fractions_match_the_inverse_oracle(gid, points):
         values = [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in ts]
         assert system._partial_fractions(k, values)[1] == mat_vec(oracle, values)
         # the Hitchin coefficients: values p_k(theta(t)) from Fraction matrices
-        exact = [matrix_invariants(model.group, theta_at(points, [el.matrix for el in residues],
-                                                         t))[k] for t in ts]
+        exact = [matrix_invariant(theta_at(points, [el.matrix for el in residues], t),
+                                  system._indices[k]) for t in ts]
         assert hp.coeffs[k] == {col: c for col, c in zip(cols, mat_vec(oracle, exact)) if c}
         # the inverse built from unit vectors, only when first read
         assert [list(row) for row in vinv] == oracle
