@@ -8,8 +8,7 @@ algebra; Serre duality is realized as a residue pairing.
 from fractions import Fraction as F
 
 from framedhiggs import (RatContext, global_sections, h1_presentation,
-                         make_spec, residue, serre_dual_spec, serre_pairing)
-from framedhiggs.curve import INFINITY
+                         make_spec, serre_dual_spec, serre_pairing)
 from framedhiggs.exactlinalg import rank
 
 points = (F(1), F(2), F(3))
@@ -21,9 +20,11 @@ spec_kd = make_spec(1, [1, 1, 1], None, -2, is_form=True)
 basis = global_sections(ctx, spec_kd)
 print(f"  h0 = {len(basis)}")
 for s in basis:
-    res = [residue(s, i) for i in range(3)]
+    # the residue of s dz at x_i is the Laurent coefficient of (z - x_i)^-1;
+    # at infinity it is minus the coefficient of u = 1/z
+    res = [s.laurent_coeff(i, -1)[0] for i in range(3)]
     print(f"  residues at the marked points: {res}, at infinity: "
-          f"{residue(s, INFINITY)} (sum = {sum(res)})")
+          f"{-s.infinity_coeff(1)[0]} (sum = {sum(res)})")
 
 print()
 print("A negative line bundle: sections forced to vanish at all three points.")

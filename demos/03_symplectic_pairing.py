@@ -38,7 +38,15 @@ print()
 print("matrix identity  forgetful o pairing^(-1) o adjoint == anchor:")
 print(f"  residual exactly zero: {check.ok}")
 
-bad = verify_poisson_map(theory, corrupt_sign=True)
+class NegatedAdjoint(DeformationTheory):
+    """The same model with the forgetful adjoint's sign flipped."""
+
+    def forgetful_adjoint_matrix(self):
+        den, adj = super().forgetful_adjoint_matrix()
+        return den, tuple(tuple(-x for x in row) for row in adj)
+
+
+bad = verify_poisson_map(NegatedAdjoint(model))
 print(f"  negative control (adjoint sign flipped) fails as it should: "
       f"{not bad.ok}")
 

@@ -15,20 +15,19 @@ Subpackages:
 
 __version__ = "0.1.0"
 
-from .curve import (H1Presentation, INFINITY, MarkedCurve, SheafSpec, Window,
-                    check_serre_dual, global_sections, h1_presentation,
-                    make_spec, residue, serre_dual_spec, serre_pairing)
+from .curve import (H1Presentation, MarkedCurve, SheafSpec, Window, check_serre_dual,
+                    global_sections, h1_presentation, make_spec, serre_dual_spec,
+                    serre_pairing)
 from .deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
-                          FramedHiggsModel, HypercohResult, Hypercohomology,
-                          framed_higgs_model, hyper_pair, verify_poisson_map)
+                          FramedHiggsModel, Hypercohomology, framed_higgs_model,
+                          hyper_pair, verify_poisson_map)
 from .dimensions import (DimReport, consistency_audit, audit_grid,
                          dim_moduli_framed, dim_moduli_higgs, hitchin_base_dim,
                          hitchin_fiber_dim, torsor_dims)
 from .gaudin import GaudinSystem, HitchinPoint, PolyObservable
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, GroupData,
-                     InvariantForm, UnsupportedGroupError, bracket,
-                     check_invariance, framing_specs, group_data,
-                     invariant_polynomials, perp_subspace, torus_framing, trace_form,
+                     InvariantForm, UnsupportedGroupError, bracket, framing_specs,
+                     group_data, invariant_polynomials, torus_framing, trace_form,
                      trivial_framing)
 from .rationalfn import Poly, RatContext, VSection
 from .sampling import random_algebra_element, random_residue_tuple, seeded_model

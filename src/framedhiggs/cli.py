@@ -208,6 +208,23 @@ def _check(name: str, passed: bool, value, expected, provenance: str) -> dict:
             "expected": expected, "provenance": provenance}
 
 
+# The fields of a `DimReport` that `dims` and `audit` both print, of a
+# `SpectralCurveReport` and of a `TorsorFiberReport`, each as it is:
+# `_jsonable` converts the values.
+_DIM_FIELDS = ("dim_moduli_higgs", "dim_moduli_framed", "base_dim", "fiber_dim",
+               "relative_fiber_dim", "framed_torsor_discrepancy",
+               "stacky_correction_conjecture")
+_SPECTRAL_FIELDS = ("degenerate", "disc_at_marked", "unramified_over_marked", "squarefree",
+                    "smooth", "branch_degree", "infinity_multiplicity",
+                    "rational_branch_points", "isolated_branch_boxes", "genus")
+_TORSOR_FIELDS = ("in_nonramified_smooth_locus", "base_dim", "fiber_dim",
+                  "framed_fiber_dim", "relative_fiber_dim", "notes")
+
+
+def _fields(report, names: tuple[str, ...]) -> dict:
+    return {name: getattr(report, name) for name in names}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -232,15 +249,9 @@ def run_dims(cfg: dict, seed) -> dict:
         raise ConfigError(f"config.dim_z_h: {exc}") from exc
     checks = [_check(c.name, c.passed, c.lhs, c.rhs, c.provenance) for c in report.checks]
     results = {
-        "dim_moduli_higgs": report.dim_moduli_higgs,
-        "dim_moduli_framed": report.dim_moduli_framed,
-        "base_dim": report.base_dim,
-        "fiber_dim": report.fiber_dim,
-        "relative_fiber_dim": report.relative_fiber_dim,
+        **_fields(report, _DIM_FIELDS),
         "torsor": {"framed_over_unframed": report.torsor.framed_over_unframed,
                    "relative_over_unframed": report.torsor.relative_over_unframed},
-        "framed_torsor_discrepancy": report.framed_torsor_discrepancy,
-        "stacky_correction_conjecture": report.stacky_correction_conjecture,
         "notes": list(report.notes),
         "provenance": {
             "dim_moduli_higgs": "dim G (2g-2+n) + dim Z(g)",
@@ -267,15 +278,8 @@ def run_audit(cfg: dict, seed) -> dict:
         for c in r.checks:
             checks.append(_check(f"{r.group_id} g={r.genus} n={r.n}: {c.name}",
                                  c.passed, c.lhs, c.rhs, c.provenance))
-        rows.append({
-            "group": r.group_id, "genus": r.genus, "n": r.n,
-            "dim_moduli_higgs": r.dim_moduli_higgs,
-            "dim_moduli_framed": r.dim_moduli_framed,
-            "base_dim": r.base_dim, "fiber_dim": r.fiber_dim,
-            "relative_fiber_dim": r.relative_fiber_dim,
-            "framed_torsor_discrepancy": r.framed_torsor_discrepancy,
-            "stacky_correction_conjecture": r.stacky_correction_conjecture,
-        })
+        rows.append({"group": r.group_id, "genus": r.genus, "n": r.n,
+                     **_fields(r, _DIM_FIELDS)})
     return {"checks": checks, "results": {"grid": rows,
             "provenance": {"grid": "closed-form dimension formulas, exact substitution"}}}
 
@@ -329,7 +333,7 @@ def run_gaudin(cfg: dict, seed) -> dict:
     flow_cfg = cfg.get("flow")
     if flow_cfg is not None and not isinstance(flow_cfg, dict):
         raise ConfigError("config.flow: expected an object")
-    if flow_cfg:
+    if flow_cfg is not None:    # every flow field has a default: {} is the default flow
         k = _int(flow_cfg.get("degree_index", 0), "config.flow.degree_index", 0)
         i = _int(flow_cfg.get("site", 0), "config.flow.site", 0)
         j = _int(flow_cfg.get("order", 1), "config.flow.order", 1)
@@ -363,7 +367,7 @@ def run_gaudin(cfg: dict, seed) -> dict:
         "provenance": {"hitchin_point": "exact partial-fraction expansion of the "
                        "invariant polynomials of theta(z)"},
     }
-    if flow_cfg:
+    if flow_cfg is not None:
         ham = system.coefficient_functions(k)[i, j]
         _, drift = system.integrate_flow(model.residues, ham, t_end, steps)
         worst = worst_drift(drift)
@@ -414,27 +418,12 @@ def run_spectral(cfg: dict, seed) -> dict:
         rep = spectral_data(algebra, pts, model.residues)
         results["seed"] = used_seed
         results["spectral"] = {
-            "degenerate": rep.degenerate,
-            "disc_at_marked": [str(v) for v in rep.disc_at_marked],
-            "unramified_over_marked": rep.unramified_over_marked,
-            "squarefree": rep.squarefree,
-            "smooth": rep.smooth,
-            "branch_degree": rep.branch_degree,
-            "infinity_multiplicity": rep.infinity_multiplicity,
-            "rational_branch_points": [[str(x), m] for x, m in rep.rational_branch_points],
-            "isolated_branch_boxes": rep.isolated_branch_boxes,
-            "genus": rep.genus,
+            **_fields(rep, _SPECTRAL_FIELDS),
             "provenance": "exact discriminant numerator; square-free and rational "
                           "root tests; isolating boxes for irrational roots",
         }
         torsor = torsor_fiber_report(rep, genus=genus)
-        results["torsor_fibers"] = {
-            "in_nonramified_smooth_locus": torsor.in_nonramified_smooth_locus,
-            "base_dim": torsor.base_dim, "fiber_dim": torsor.fiber_dim,
-            "framed_fiber_dim": torsor.framed_fiber_dim,
-            "relative_fiber_dim": torsor.relative_fiber_dim,
-            "notes": list(torsor.notes),
-        }
+        results["torsor_fibers"] = _fields(torsor, _TORSOR_FIELDS)
         if torsor.in_nonramified_smooth_locus:
             checks.append(_check("relatively framed fiber dimension equals base",
                                  torsor.relative_fiber_dim == torsor.base_dim,

@@ -34,8 +34,6 @@ from .exactlinalg import (Quotient, Staircase, Vec, ZERO, ONE, dense, frac,
                           nullspace_sparse, sparse)
 from .rationalfn import RatContext, VSection, pairing_residue_at_point
 
-INFINITY = "infinity"
-
 
 @dataclass(frozen=True)
 class MarkedCurve:
@@ -319,8 +317,9 @@ class H1Presentation:
         # the chart bases as integer vectors: only their span counts
         reducers = [v for chart in (sections_on_affine_chart, sections_off_divisor)
                     for v in chart(ctx, spec, self.window).scaled]
-        self.quotient = Quotient(self.layout.dim, reducers,
-                                 [{idx: ONE} for idx in range(self.layout.dim)])
+        dim = self.layout.dim       # over the whole layout: the unit staircase
+        self.quotient = Quotient(dim, reducers,
+                                 Staircase(list(range(dim)), 1, [{} for _ in range(dim)]))
 
     @property
     def dim(self) -> int:
@@ -333,21 +332,6 @@ class H1Presentation:
 def h1_presentation(ctx: RatContext, spec: SheafSpec,
                     window: Window | None = None) -> H1Presentation:
     return H1Presentation(ctx, spec, window)
-
-
-def residue(section: VSection, point, is_form: bool = True):
-    """Residue of the one-form (section dz) at a marked point index or INFINITY.
-
-    Returns a scalar for rank-one sections, otherwise the coefficient vector;
-    a point that is not a stored pole yields zero.
-    """
-    if not is_form:
-        raise ValueError("residues are defined for one-forms")
-    if point == INFINITY:
-        v = [-x for x in section.infinity_coeff(1)]
-    else:
-        v = section.laurent_coeff(point, -1)
-    return v[0] if section.ctx.m == 1 else v
 
 
 def marked_residue_pairing(f: VSection, g: VSection, gram_apply) -> Fraction:

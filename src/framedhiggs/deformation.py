@@ -76,7 +76,13 @@ F Y = P, where Y solves φ Y = A in one elimination of [φ | A]
 (`exactlinalg.integer_solve`), so the pairing matrix φ is never inverted.
 φ, A, F, Y and P are integer matrices over one denominator each, so the
 solve, the product and the residual are integer arithmetic, and the skew
-check and the ranks of φ and P read the integer rows.
+check and the ranks of φ and P read the integer rows.  The check reads the
+matrices off the `DeformationTheory` only, so a negative control overrides
+one of them (say, negates the adjoint) in a subclass.
+
+A cone carries its own dimensions: `DeformationTheory.dims` returns the
+`Hypercohomology` itself, whose h0, h1, h2, chi0 and chi1 the Euler check
+(`Hypercohomology.euler_identity`) and the report read.
 """
 
 from __future__ import annotations
@@ -418,7 +424,7 @@ class Hypercohomology:
         self.h0 = len(self._d0_cols) - self.quotient.rank
 
         # H^2 = T^2 / im d1; rank d1 = t1 - dim ker d1.  Whether the Euler
-        # identity holds is the caller's check (`HypercohResult`).
+        # identity holds is the caller's check (`euler_identity`).
         self.h2 = t2.dim - (self.t1_params - len(kernel))
         self.chi0 = self.f0.euler_char()
         self.chi1 = self.f1.euler_char()
@@ -463,29 +469,15 @@ class Hypercohomology:
         return self.quotient.int_project({**x0, **{self._n_u0 + j: x for j, x in x1.items()},
                                           **{self._base + k: x for k, x in c.items()}})
 
-    def result(self) -> "HypercohResult":
-        return HypercohResult(self.kind, self.h0, self.h1, self.h2,
-                              self.chi0, self.chi1)
+    @property
+    def euler_identity(self) -> bool:
+        return self.h0 - self.h1 + self.h2 == self.chi0 - self.chi1
 
 
 def _integral(cocycles: list[tuple]) -> tuple[int, list[tuple]]:
     """(d, the cocycles times d), with d the least common denominator."""
     den, vectors = integer_vectors(v for cocycle in cocycles for v in cocycle)
     return den, [tuple(vectors[3 * i:3 * i + 3]) for i in range(len(cocycles))]
-
-
-@dataclass(frozen=True)
-class HypercohResult:
-    kind: str
-    h0: int
-    h1: int
-    h2: int
-    chi0: int
-    chi1: int
-
-    @property
-    def euler_identity(self) -> bool:
-        return self.h0 - self.h1 + self.h2 == self.chi0 - self.chi1
 
 
 def _apply(table: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int]:
@@ -549,8 +541,10 @@ class DeformationTheory:
             self._cones[kind] = Hypercohomology(self.model, kind, self.window)
         return self._cones[kind]
 
-    def dims(self, kind: str) -> HypercohResult:
-        return self.cone(kind).result()
+    def dims(self, kind: str) -> Hypercohomology:
+        """The cone of the `kind` complex: its h0, h1, h2, chi0 and chi1, and
+        whether they meet the Euler identity (`euler_identity`)."""
+        return self.cone(kind)
 
     # -- matrices -------------------------------------------------------------
 
@@ -602,7 +596,7 @@ class PoissonMapCheck:
     degenerate_directions: list[Vec]
 
 
-def verify_poisson_map(theory: DeformationTheory, corrupt_sign: bool = False) -> PoissonMapCheck:
+def verify_poisson_map(theory: DeformationTheory) -> PoissonMapCheck:
     """Exact matrix identity F φ^{-1} A = P for the framed pairing φ, the
     forgetful adjoint A, the forgetful map F and the anchor P, checked as
     F Y = P with φ Y = A solved by one elimination of [φ | A].  The residual
@@ -610,15 +604,14 @@ def verify_poisson_map(theory: DeformationTheory, corrupt_sign: bool = False) ->
 
     Requires the framed pairing to be invertible (vanishing h^0 and h^2 of the
     framed complex); otherwise the degenerate directions, the kernel of φ, are
-    reported.  corrupt_sign flips the adjoint for negative-control testing.
+    reported.
     """
     framed = theory.dims(FRAMED)
     phiden, phi = theory.symplectic_matrix()
     if framed.h0 == 0 and framed.h2 == 0:
         aden, adj = theory.forgetful_adjoint_matrix()
         try:
-            yden, y = integer_solve(phi, [[-x for x in row] for row in adj]
-                                    if corrupt_sign else adj)
+            yden, y = integer_solve(phi, adj)
         except ValueError:      # φ is singular
             pass
         else:

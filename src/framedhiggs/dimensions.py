@@ -7,7 +7,7 @@ spectral-side formulas accept any genus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .liealg import GroupData, group_data
@@ -114,12 +114,10 @@ class DimCheck:
     lhs: int
     rhs: int
     provenance: str
-    passed: bool = field(init=False)
-    discrepancy: int = field(init=False)
 
-    def __post_init__(self):
-        self.discrepancy = self.lhs - self.rhs
-        self.passed = self.discrepancy == 0
+    @property
+    def passed(self) -> bool:
+        return self.lhs == self.rhs
 
 
 @dataclass

@@ -24,11 +24,12 @@ Rows and vectors may hold ints where Fractions would be: an integer sparse
 vector times a denominator is how the hot paths (`Staircase`, `Quotient`,
 the deformation cone) keep their arithmetic out of `Fraction`.  A kernel
 stays a `Staircase`, integer tails over one denominator, from the
-elimination to `Quotient`, which makes Fractions only for the basis vectors
-that are read.  A matrix over one denominator d is the pair (d, integer
-rows), as `integer_solve` returns its solution; the deformation matrices
-keep that form from the cup product to the checks, and `rank` and
-`integer_solve` take its rows as they are.
+elimination to `Quotient`, which takes its kernel in that form only and
+makes Fractions only for the basis vectors that are read.  A matrix over
+one denominator d is the pair (d, integer rows), as `integer_solve`
+returns its solution; the deformation matrices keep that form from the
+cup product to the checks, and `rank` and `integer_solve` take its rows as
+they are.
 """
 
 from __future__ import annotations
@@ -136,10 +137,6 @@ def identity(n: int) -> Mat:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_is_zero(a: Mat) -> bool:
-    return all(vec_is_zero(r) for r in a)
-
-
 def rank(rows: Iterable) -> int:
     """Rank of a matrix given by dense or sparse rows: its number of pivots."""
     return len(_eliminate(rows))
@@ -210,15 +207,13 @@ class Staircase:
     modulus and no tolerance (`int_coords`).
 
     `kernel` reads a right kernel off `_eliminate`'s integer rows with no
-    Fraction; `of_vectors` takes dense or sparse rational vectors, checks
-    their staircase form and keeps them, so `vector(j)` returns them as given.
+    Fraction; the unit vectors e_c, c in cs, are
+    `Staircase(cs, 1, [{} for _ in cs])`.
     """
 
-    def __init__(self, free: list[int], den: int, tails: list[dict[int, int]],
-                 given: Sequence | None = None):
+    def __init__(self, free: list[int], den: int, tails: list[dict[int, int]]):
         self.free, self.den, self.tails = free, den, tails
         self._index = {c: j for j, c in enumerate(free)}
-        self._given = given
 
     @classmethod
     def kernel(cls, rows: Iterable, ncols: int) -> "Staircase":
@@ -237,31 +232,11 @@ class Staircase:
                     tails[c][q] = -f * y
         return cls(list(tails), den, list(tails.values()))
 
-    @classmethod
-    def of_vectors(cls, vectors: Sequence) -> "Staircase":
-        """The staircase basis of the given dense or sparse rational vectors;
-        ValueError unless they are in staircase form.  `nullspace_sparse`
-        returns such vectors, and so does any list of distinct unit vectors."""
-        kernel = [sparse(v) for v in vectors]
-        free = [max(v) if v else None for v in kernel]
-        index = {c: j for j, c in enumerate(free)}
-        for j, (v, c) in enumerate(zip(kernel, free)):
-            if (c is None or v[c] != 1 or index[c] != j
-                    or any(index.get(col, j) != j for col in v)):
-                raise ValueError(f"kernel vector {j} is not in staircase form")
-        den = lcm(*{x.denominator for v in kernel for x in v.values()})
-        return cls(free, den, [{col: x.numerator * (den // x.denominator)
-                                for col, x in v.items() if col != c}
-                               for v, c in zip(kernel, free)], vectors)
-
     def __len__(self) -> int:
         return len(self.free)
 
-    def vector(self, j: int):
-        """K_j: the vector as given to `of_vectors`, else as a sparse Fraction
-        vector."""
-        if self._given is not None:
-            return self._given[j]
+    def vector(self, j: int) -> dict[int, Fraction]:
+        """K_j as a sparse Fraction vector."""
         den = self.den
         return {self.free[j]: ONE, **{c: Fraction(t, den) for c, t in self.tails[j].items()}}
 
@@ -415,13 +390,10 @@ class LinSolver:
 class Quotient:
     """Quotient ker / sub of subspaces sub ⊆ ker of Q^n, with projection.
 
-    `kernel_vectors` is a basis of ker in staircase form: a `Staircase`,
-    taken as it is, or dense or sparse rational vectors, which
-    `Staircase.of_vectors` converts and checks once (ValueError unless they
-    are in staircase form).  Its length is the number of kernel vectors.
-    Membership and coordinates are the staircase's integer check (`coords`).
-    `basis` holds the kept kernel vectors, as given or, for a `Staircase`,
-    as sparse Fraction vectors made when read.
+    `kernel_vectors` is a basis of ker in staircase form, a `Staircase`,
+    taken as it is; its length is the number of kernel vectors.  Membership
+    and coordinates are the staircase's integer check (`coords`).  `basis`
+    holds the kept kernel vectors, as sparse Fraction vectors made when read.
 
     The `sub_vectors` (which must lie in ker) restricted to the free columns
     are the integer rows of one `_eliminate` on k columns.  Restriction is
@@ -439,10 +411,9 @@ class Quotient:
     """
 
     def __init__(self, n: int, sub_vectors: Sequence[Sequence[Fraction]],
-                 kernel_vectors: Staircase | Sequence[Sequence[Fraction]]):
+                 kernel_vectors: Staircase):
         self.n = n
-        kernel = self.kernel = (kernel_vectors if isinstance(kernel_vectors, Staircase)
-                                else Staircase.of_vectors(kernel_vectors))
+        kernel = self.kernel = kernel_vectors
         k = len(kernel)
         rows = []
         for v in sub_vectors:       # each scaled to integers: only their span counts

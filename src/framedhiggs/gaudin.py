@@ -8,9 +8,10 @@ integer forward differences of their values at sample points t one apart
 Lie-Poisson bracket transported by the trace form.  At each t, with theta(t)
 = M / D, the invariants and their gradients come from one integer
 Faddeev-LeVerrier run on M, and the bracket table is formed in that basis of
-sample points (`commutativity_check`).  Only the flow integrator uses floats;
-it builds its Hamiltonian's coefficients only, and its drift values are exact
-values rounded once.
+sample points (`commutativity_check`), with no per-site gradient; no bracket
+of two arbitrary observables is formed at a point.  Only the flow integrator
+uses floats; it builds its Hamiltonian's coefficients only, and its drift
+values are exact values rounded once.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from functools import cached_property
 from itertools import accumulate, combinations_with_replacement
 from typing import Callable, NamedTuple, Sequence
 
-from .exactlinalg import (ZERO, ONE, frac, identity, integer_solve, mat_comb, mat_mul,
-                          mat_vec, over_common_denominator, transpose)
+from .exactlinalg import (ZERO, ONE, frac, identity, integer_solve, mat_comb, mat_vec,
+                          over_common_denominator, transpose)
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, flatten, generator_indices,
-                     mat_commutator, mat_trace, matrix_invariant, pfaffian, theta_at,
-                     theta_char_polys)
+                     matrix_invariant, pfaffian, theta_at, theta_char_polys)
 
 Monomial = tuple[tuple[int, int], ...]   # sorted ((var, exp), ...)
 
@@ -60,9 +60,6 @@ class PolyObservable:
     def lift(cls, x) -> "PolyObservable":
         """x itself, or the constant polynomial of a scalar x."""
         return x if isinstance(x, PolyObservable) else cls.constant(x)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -301,7 +298,7 @@ class GaudinSystem:
         self._interp_cache: dict[int, tuple] = {}
 
     @cached_property
-    def _grad_rows(self) -> list[list[Fraction]]:   # R, for the flow and sigma gradients
+    def _grad_rows(self) -> list[list[Fraction]]:   # R, for the flow's symbolic gradient
         return [[self._grad_scale * y for y in row] for row in self._grad_ints]
 
     # -- variable layout ------------------------------------------------------
@@ -425,24 +422,6 @@ class GaudinSystem:
         return HitchinPoint(self.group.group_id, self.group.degrees, tuple(coeffs))
 
     # -- Lie-Poisson structure ---------------------------------------------------
-
-    def sigma_gradient_at(self, fn: PolyObservable, site: int,
-                          values: Sequence[Fraction]) -> AlgebraElement:
-        """The algebra element nabla_site fn with tr(nabla xi) = D_xi fn."""
-        flat_t = [fn.diff(self.var(site, a, b))(values)
-                  for b in range(self.s) for a in range(self.s)]
-        return self.model.from_coords(mat_vec(self._grad_rows, flat_t))
-
-    def bracket_at(self, f: PolyObservable, g: PolyObservable,
-                   residues: Sequence[AlgebraElement]) -> Fraction:
-        """{f, g} = sum_i tr(A_i [nabla_i f, nabla_i g]) at the given point."""
-        values = self.flatten_point(residues)
-        acc = ZERO
-        for i, el in enumerate(residues):
-            df = self.sigma_gradient_at(f, i, values)
-            dg = self.sigma_gradient_at(g, i, values)
-            acc += mat_trace(mat_mul(el.matrix, mat_commutator(df.matrix, dg.matrix)))
-        return acc
 
     def _symbolic_gradient(self, fn: PolyObservable, site: int) -> list[list[PolyObservable]]:
         partials = [fn.diff(self.var(site, a, b)) for b in range(self.s) for a in range(self.s)]

@@ -132,9 +132,6 @@ def _mzero(n: int) -> Matrix:
 def mat_trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), ZERO)
 
-def mat_commutator(a, b) -> Mat:
-    return mat_comb([ONE, -ONE], [mat_mul(a, b), mat_mul(b, a)])
-
 def flatten(a: Matrix) -> Vec:
     return [x for row in a for x in row]
 
@@ -253,12 +250,12 @@ class AlgebraModel:
         # the nonzero entries of each basis matrix, by flat index
         self._support = [[(q, x) for q, x in enumerate(flatten(m)) if x] for m in self.basis]
 
-    def element(self, entries, validate: bool = True) -> AlgebraElement:
+    def element(self, entries) -> AlgebraElement:
         m = to_matrix(entries)
         if len(m) != self.n or any(len(r) != self.n for r in m):
             raise ValueError(f"expected a {self.n}x{self.n} matrix for {self.group.group_id}")
         el = AlgebraElement(m, self.group.group_id)
-        if validate and not self.contains(el):
+        if not self.contains(el):
             raise ValueError(f"matrix is not an element of {self.group.group_id}")
         return el
 
@@ -329,12 +326,6 @@ def trace_form(group_id: str, center_scale: Fraction = ONE) -> InvariantForm:
     return InvariantForm(group_data(group_id).group_id, center_scale)
 
 
-def check_invariance(form: InvariantForm, a: AlgebraElement, b: AlgebraElement,
-                     c: AlgebraElement) -> Fraction:
-    """Invariance residual sigma([a,c], b) + sigma(c, [a,b]); zero for valid forms."""
-    return form(bracket(a, c), b) + form(c, bracket(a, b))
-
-
 def perp_coordinates(form: InvariantForm, subspace: Sequence[AlgebraElement],
                      model: AlgebraModel) -> list[Vec]:
     """Coordinates of a basis of the annihilator {v : sigma(v, h) = 0 for all
@@ -346,12 +337,6 @@ def perp_coordinates(form: InvariantForm, subspace: Sequence[AlgebraElement],
     if len(subspace) + len(kernel) != model.group.dim:
         raise ValueError("subspace basis is linearly dependent")
     return [dense(v, model.group.dim) for v in kernel]
-
-
-def perp_subspace(form: InvariantForm, subspace: Sequence[AlgebraElement],
-                  model: AlgebraModel) -> list[AlgebraElement]:
-    """Basis of the annihilator, the elements of `perp_coordinates`."""
-    return [model.from_coords(c) for c in perp_coordinates(form, subspace, model)]
 
 
 # ---------------------------------------------------------------------------

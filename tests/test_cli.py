@@ -506,6 +506,24 @@ def test_a_hamiltonian_built_wrong_fails_the_flow_check(tmp_path, monkeypatch, b
     assert report["results"]["flow_worst_drift"] > 1e-8
 
 
+def test_an_empty_flow_object_runs_the_default_flow(tmp_path):
+    # every flow field has a default, so {} is the flow (0, 0, 1) of 10^4
+    # steps to t_end 1.0 with tolerance 1e-8: the README flow, spelled out
+    reports = []
+    for flow in ({}, README_FLOW["flow"]):
+        cfg = write_config(tmp_path, "flow.json", {**README_FLOW, "flow": flow})
+        out = tmp_path / "report.json"
+        assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    empty, spelled_out = reports
+    assert [c["name"] for c in empty["checks"]] == [
+        "pairwise brackets of invariant coefficients vanish",
+        "conserved quantities along the flow"]
+    assert "flow_worst_drift" in empty["results"]
+    assert (empty["checks"], empty["results"]) == (spelled_out["checks"],
+                                                   spelled_out["results"])
+
+
 DEFO_SL2_3PT = {"group": "sl(2)", "points": ["1", "2", "3"], "framing": "trivial",
                 "residues": {"type": "random", "seed": 11, "height": 5}}
 

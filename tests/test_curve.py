@@ -5,9 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from framedhiggs import curve
-from framedhiggs.curve import (H1Presentation, INFINITY, Layout, MarkedCurve, Window,
+from framedhiggs.curve import (H1Presentation, Layout, MarkedCurve, Window,
                                dot_gram, global_sections,
-                               h1_presentation, make_spec, residue,
+                               h1_presentation, make_spec,
                                sections_off_divisor, sections_on_affine_chart,
                                serre_dual_spec, serre_pairing)
 from framedhiggs.exactlinalg import ZERO, Echelon, dense, identity, nullspace_sparse, rank
@@ -161,6 +161,49 @@ def test_a_perturbed_laurent_row_breaks_the_chart_sections(monkeypatch):
     assert list(sections_on_affine_chart(ctx, spec, window)) != expected
 
 
+def _row_mismatches(points, window):
+    """Where the closed-form rows and the VSection expansions of the scalar
+    layout unit sections of a rank-one context disagree, as (kind, point,
+    order, layout index): `laurent_row` against `laurent_coeff` and
+    `infinity_row` against `infinity_coeff`, at every order the window
+    reaches and one beyond it on either side."""
+    layout = Layout(RatContext(points, 1), window)
+    units = [layout.from_coords({idx: F(1)}) for idx in range(layout.dim)]
+    out = []
+    for i in range(len(points)):
+        for order in range(-window.pole - 1, window.degree + 2):
+            row = curve.laurent_row(points, window, i, order)
+            out += [("laurent", i, order, idx) for idx, s in enumerate(units)
+                    if s.laurent_coeff(i, order) != [row.get(idx, 0)]]
+    for order in range(-window.degree - 1, window.pole + 2):
+        row = curve.infinity_row(points, window, order)
+        out += [("infinity", None, order, idx) for idx, s in enumerate(units)
+                if s.infinity_coeff(order) != [row.get(idx, 0)]]
+    return out
+
+
+def _random_points_and_windows(rng, count):
+    for _ in range(count):
+        values = {F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+                  for _ in range(rng.randint(1, 3))}
+        yield tuple(sorted(values)), Window(rng.randint(0, 3), rng.randint(0, 3))
+
+
+def test_the_laurent_rows_are_the_vsection_expansions_of_the_layout_units():
+    # the two closed forms of the Laurent coefficients, row by row
+    for points, window in _random_points_and_windows(random.Random(31), 40):
+        assert _row_mismatches(points, window) == [], (points, window)
+
+
+def test_an_off_by_one_binomial_in_the_laurent_row_is_caught_row_by_row(monkeypatch):
+    from math import comb
+    monkeypatch.setattr(curve, "comb", lambda a, b: comb(a + 1, b))
+    cases = list(_random_points_and_windows(random.Random(31), 40))
+    caught = [case for case in cases
+              if any(kind == "laurent" for kind, *_ in _row_mismatches(*case))]
+    assert len(caught) >= 30
+
+
 # ---------------------------------------------------------------------------
 # the exact window bound
 # ---------------------------------------------------------------------------
@@ -279,12 +322,22 @@ def test_chi_identity_with_constraints():
 # residues
 # ---------------------------------------------------------------------------
 
+def residue(s, i):
+    """Res_{x_i} of the rank-one form s dz: its Laurent coefficient of order -1."""
+    return s.laurent_coeff(i, -1)[0]
+
+
+def residue_at_infinity(s):
+    """Res_infinity of the rank-one form s dz, minus its u^1 coefficient (u = 1/z)."""
+    return -s.infinity_coeff(1)[0]
+
+
 def test_defining_residues():
     ctx = RatContext(PTS3, 1)
     s = VSection.principal(ctx, 0, 1, [F(1)])
     assert residue(s, 0) == 1
     assert residue(s, 1) == 0
-    assert residue(s, INFINITY) == -1
+    assert residue_at_infinity(s) == -1
 
 
 def test_partial_fraction_residues():
@@ -292,8 +345,8 @@ def test_partial_fraction_residues():
     ctx = RatContext(PTS2, 1)
     s = VSection(ctx, pp={0: {1: [F(-1)]}, 1: {1: [F(2)]}})
     assert s.evaluate(F(5))[0] == F(5) / 12
-    assert (residue(s, 0), residue(s, 1), residue(s, INFINITY)) == (F(-1), F(2), F(-1))
-    assert residue(s, 0) + residue(s, 1) + residue(s, INFINITY) == 0
+    assert (residue(s, 0), residue(s, 1), residue_at_infinity(s)) == (F(-1), F(2), F(-1))
+    assert residue(s, 0) + residue(s, 1) + residue_at_infinity(s) == 0
 
 
 def test_residue_theorem_on_stored_forms():
@@ -302,7 +355,7 @@ def test_residue_theorem_on_stored_forms():
     for _ in range(10):
         pp = {i: {j: [F(rng.randint(-4, 4))] for j in range(1, 3)} for i in range(3)}
         s = VSection(ctx, pp=pp)
-        total = sum(residue(s, i) for i in range(3)) + residue(s, INFINITY)
+        total = sum(residue(s, i) for i in range(3)) + residue_at_infinity(s)
         assert total == 0
 
 

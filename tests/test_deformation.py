@@ -8,12 +8,19 @@ from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL,
                                      DeformationTheory, ModelError,
                                      framed_higgs_model, hyper_pair,
                                      verify_poisson_map)
-from framedhiggs.exactlinalg import (ZERO, add_scaled, dense, inverse, mat_is_zero, mat_mul,
+from framedhiggs.exactlinalg import (ZERO, add_scaled, dense, inverse, mat_mul,
                                      mat_vec, nullspace_sparse, rank,
                                      sparse, vec_add, vec_scale)
 from framedhiggs.liealg import AlgebraElement, AlgebraModel, bracket, trace_form
 from framedhiggs.rationalfn import VSection, pairing_residue_at_point
 from framedhiggs.sampling import random_algebra_element, seeded_model
+from oracles import NegatedAdjointTheory, mat_is_zero
+
+
+def dims_of(cone):
+    """The kind, h0, h1, h2, chi0 and chi1 of a cone, to compare cones of
+    different theories or windows."""
+    return cone.kind, cone.h0, cone.h1, cone.h2, cone.chi0, cone.chi1
 
 
 def balanced(model, rng, n, h=4):
@@ -362,7 +369,7 @@ def test_poisson_map_nonzero_anchor_and_negative_control():
     _, p = th.poisson_matrix()
     assert rank(p) == 2  # twice the genus-zero fiber dimension
     assert verify_poisson_map(th).ok
-    assert not verify_poisson_map(th, corrupt_sign=True).ok
+    assert not verify_poisson_map(NegatedAdjointTheory(model)).ok
 
 
 def test_poisson_skew_with_respect_to_serre_pairing():
@@ -450,7 +457,7 @@ def test_a_cone_refuses_a_window_below_its_own_bound():
     # and any larger one
     assert cone_window([model.complex_specs(TWISTED)]) == Window(0, 0)
     for window in (small, Window(0, 0), Window(2, 0), model.window.bumped(1)):
-        assert Hypercohomology(model, TWISTED, window).result() == theory.dims(TWISTED)
+        assert dims_of(Hypercohomology(model, TWISTED, window)) == dims_of(theory.dims(TWISTED))
 
 
 def _borel_and_torus(gid):
@@ -484,7 +491,7 @@ def test_cone_read_offs_are_the_same_in_a_larger_window(gid, pts, framing, seed)
     def read_offs(model):
         theory = DeformationTheory(model)
         check = verify_poisson_map(theory)
-        return ([theory.dims(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL)],
+        return ([dims_of(theory.dims(kind)) for kind in (TWISTED, FRAMED, TWISTED_DUAL)],
                 rank(theory.symplectic_matrix()[1]), rank(theory.poisson_matrix()[1]), check.ok)
 
     model, larger = (seeded_model(gid, pts, framing, seed, 4) for _ in range(2))
@@ -587,8 +594,9 @@ def test_layout_form_matrices_equal_the_residue_oracle(gid, pts, framing, seed):
 def test_poisson_residual_is_the_inverse_product_minus_the_anchor(gid, pts, framing, seed,
                                                                   corrupt):
     # F Y - P with phi Y = A, against F phi^{-1} A - P formed with `inverse`
-    theory = DeformationTheory(seeded_model(gid, pts, framing, seed, 4))
-    check = verify_poisson_map(theory, corrupt_sign=corrupt)
+    model = seeded_model(gid, pts, framing, seed, 4)
+    theory = DeformationTheory(model)
+    check = verify_poisson_map(NegatedAdjointTheory(model) if corrupt else theory)
     framed = theory.dims(FRAMED)
     if framed.h0 or framed.h2:          # not run: the kernel of phi is reported instead
         assert not check.ok and check.residual == []
@@ -736,7 +744,7 @@ def test_h0_from_the_quotient_rank_equals_a_second_elimination(gid, framing):
         cone = theory.cone(kind)
         assert cone.h0 == fraction_h0(cone)
         assert cone.h1 == cone.quotient.dim
-        assert cone.result().euler_identity
+        assert cone.euler_identity
         h0[kind] = cone.h0
     # the twisted h0 is the center, and gl(2) with torus framing keeps it framed
     assert h0[TWISTED] == algebra.group.dim_center_alg
@@ -795,18 +803,13 @@ def test_d1_is_eliminated_once_per_f1_sheaf_and_each_chart_basis_built_once(
     from framedhiggs import deformation
     from framedhiggs.exactlinalg import Staircase
     made = _recording_quotients(monkeypatch)
-    eliminated, charts_built, round_trips = [], [], []
+    eliminated, charts_built = [], []
 
     class Counted(Staircase):
         @classmethod
         def kernel(cls, rows, ncols):
             eliminated.append(ncols)
             return super().kernel(rows, ncols)
-
-        @classmethod
-        def of_vectors(cls, vectors):
-            round_trips.append(vectors)
-            return super().of_vectors(vectors)
     monkeypatch.setattr(deformation, "Staircase", Counted)
     # a chart basis is the staircase `curve` eliminates, used as it is
     for name in ("sections_on_affine_chart", "sections_off_divisor"):
@@ -829,12 +832,11 @@ def test_d1_is_eliminated_once_per_f1_sheaf_and_each_chart_basis_built_once(
               for spec, window in ((cone.f0, cone.window0), (cone.f1, cone.window1))
               for chart in (0, 1)}
     assert len(charts_built) == len(charts) and len(made) == len(cones)
-    assert round_trips == []
     assert {key[1:] for key in theory.model._cache if key[0] == "chart"} == charts
     # a second theory of the same model eliminates and builds no chart basis
     again = DeformationTheory(theory.model)
-    assert [again.dims(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL)] == \
-        [theory.dims(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL)]
+    assert [dims_of(again.dims(kind)) for kind in (TWISTED, FRAMED, TWISTED_DUAL)] == \
+        [dims_of(theory.dims(kind)) for kind in (TWISTED, FRAMED, TWISTED_DUAL)]
     assert (len(eliminated), len(charts_built)) == (eliminations, len(charts))
 
 

@@ -171,10 +171,14 @@ def test_linsolver_roundtrip():
     assert s.coords([F(1), F(0), F(0)]) is None
 
 
+def unit_staircase(n):
+    """The unit vectors e_0, ..., e_(n-1) as a `Staircase`."""
+    return Staircase(list(range(n)), 1, [{} for _ in range(n)])
+
+
 def test_quotient_projection():
     sub = [[F(1), F(0), F(0)]]
-    kernel = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    q = Quotient(3, sub, kernel)
+    q = Quotient(3, sub, unit_staircase(3))
     assert q.dim == 2
     assert q.project([F(7), F(2), F(3)]) == [F(2), F(3)]
 
@@ -232,10 +236,11 @@ def _random_nullspace_case(rng):
     n = rng.randint(1, 9)
     rows = [[F(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.6 else F(0)
              for _ in range(n)] for _ in range(rng.randint(0, n))]
-    kernel = [dense(v, n) for v in nullspace_sparse(rows, ncols=n)]
+    staircase = Staircase.kernel(rows, n)
+    kernel = [dense(v, n) for v in staircase]
     sub = [_combination(rng, kernel, n, rng.randint(1, 3))
            for _ in range(rng.randint(0, len(kernel) + 1))] if kernel else []
-    return n, sub, kernel
+    return n, sub, kernel, staircase
 
 
 def _random_unit_case(rng):
@@ -243,16 +248,16 @@ def _random_unit_case(rng):
     kernel = [[F(int(i == j)) for j in range(n)] for i in range(n)]
     sub = [[F(rng.randint(-2, 2)) if rng.random() < 0.4 else F(0) for _ in range(n)]
            for _ in range(rng.randint(0, n + 1))]
-    return n, sub, kernel
+    return n, sub, kernel, unit_staircase(n)
 
 
 def test_quotient_matches_the_rref_reference():
     rng = random.Random(2024)
     for case in range(400):
         make = _random_nullspace_case if case % 2 else _random_unit_case
-        n, sub, kernel = make(rng)
-        q, ref = Quotient(n, sub, kernel), ReferenceQuotient(n, sub, kernel)
-        assert q.dim == ref.dim and q.basis == ref.basis
+        n, sub, kernel, staircase = make(rng)
+        q, ref = Quotient(n, sub, staircase), ReferenceQuotient(n, sub, kernel)
+        assert q.dim == ref.dim and [dense(v, n) for v in q.basis] == ref.basis
         for _ in range(4):
             v = _combination(rng, kernel, n, rng.randint(1, 4)) if kernel else [F(0)] * n
             assert q.project(v) == ref.project(v)
@@ -261,24 +266,13 @@ def test_quotient_matches_the_rref_reference():
 
 
 def test_quotient_rejects_vectors_outside_the_kernel():
-    kernel = nullspace_sparse([[F(1), F(1), F(0)]], ncols=3)  # (-1, 1, 0), (0, 0, 1)
+    kernel = Staircase.kernel([[F(1), F(1), F(0)]], 3)  # (-1, 1, 0), (0, 0, 1)
     q = Quotient(3, [], kernel)
     assert q.project([F(-2), F(2), F(5)]) == [F(2), F(5)]
     with pytest.raises(ValueError, match="does not lie in the span"):
         q.project([F(1), F(1), F(0)])
     with pytest.raises(ValueError, match="sub vector"):
         Quotient(3, [[F(1), F(0), F(0)]], kernel)
-
-
-@pytest.mark.parametrize("kernel", [
-    [[F(1), F(2)]],                               # last nonzero entry is not 1
-    [[F(1), F(0)], [F(1), F(1)]],                 # nonzero at another free column
-    [[F(0), F(1)], [F(1), F(1)]],                 # two vectors share a free column
-    [[F(0), F(0)]],                               # zero vector
-])
-def test_quotient_rejects_non_staircase_kernels(kernel):
-    with pytest.raises(ValueError, match="staircase"):
-        Quotient(2, [], kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +449,6 @@ def test_the_integer_kernel_is_the_fraction_kernel_and_gives_the_same_quotient(c
     assert [dense(kernel.vector(j), ncols) for j in range(len(kernel))] == oracle
     # integer tails over the least common denominator, read back unchanged
     assert kernel.den == lcm(*(x.denominator for v in fractions for x in v.values()))
-    again = Staircase.of_vectors(fractions)
-    assert (again.free, again.den, again.tails) == (kernel.free, kernel.den, kernel.tails)
     assert kernel.scaled == [{c: kernel.den * x for c, x in v.items()} for v in fractions]
 
     def combine(w):
@@ -464,24 +456,19 @@ def test_the_integer_kernel_is_the_fraction_kernel_and_gives_the_same_quotient(c
     sub = [combine(w) for w in sub_weights]
     probes = [combine(w) for w in probe_weights] + [[F(int(i == j)) for j in range(ncols)]
                                                     for i in range(ncols)]
-    q_int, q_frac = Quotient(ncols, sub, kernel), Quotient(ncols, sub, fractions)
-    assert (q_int.dim, q_int.rank, q_int.basis) == (q_frac.dim, q_frac.rank, q_frac.basis)
+    # the quotient of the integer kernel against the Fraction rref reference
+    q_int, ref = Quotient(ncols, sub, kernel), ReferenceQuotient(ncols, sub, oracle)
+    assert (q_int.dim, q_int.rank, [dense(v, ncols) for v in q_int.basis]) == \
+        (ref.dim, ref._n_sub, ref.basis)
     for v in probes:
-        assert q_int.coords(v) == q_frac.coords(v)
-        if q_int.coords(v) is None:
-            for q in (q_int, q_frac):
+        x = solve(oracle, v)            # unique: the kernel vectors are independent
+        assert q_int.coords(v) == (None if x is None else {j: y for j, y in enumerate(x) if y})
+        if x is None:
+            for q in (q_int, ref):
                 with pytest.raises(ValueError, match="does not lie in the span"):
                     q.project(v)
         else:
-            assert q_int.project(v) == q_frac.project(v)
-    # a kernel vector scaled off its unit free entry is not in staircase form
-    if fractions:
-        bad = [dict(v) for v in fractions]
-        bad[-1] = {c: 2 * x for c, x in bad[-1].items()}
-        with pytest.raises(ValueError, match="staircase"):
-            Quotient(ncols, [], bad)
-        with pytest.raises(ValueError, match="staircase"):
-            Staircase.of_vectors(bad)
+            assert q_int.project(v) == ref.project(v)
 
 
 @st.composite
@@ -562,8 +549,7 @@ def test_echelon_and_linsolver_match_the_rref_oracle(span, sparse_rows):
 
 
 def test_quotient_coords_read_off_a_staircase_basis():
-    kernel = nullspace_sparse([[F(1), F(1), F(0), F(2)]], ncols=4)
-    q = Quotient(4, [], kernel)
+    q = Quotient(4, [], Staircase.kernel([[F(1), F(1), F(0), F(2)]], 4))
     v = [F(-2) - F(6), F(2), F(5), F(3)]
     assert q.coords(v) == {0: F(2), 1: F(5), 2: F(3)}
     assert q.coords([F(1), F(0), F(0), F(0)]) is None

@@ -12,10 +12,10 @@ from framedhiggs.exactlinalg import (identity, inverse, mat_comb, mat_mul, mat_v
 from framedhiggs import gaudin
 from framedhiggs.gaudin import GaudinSystem, PolyObservable, worst_drift
 from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, antidiagonal, char_poly_elementary,
-                                flatten, generator_indices, mat_commutator, mat_trace,
-                                matrix_invariant, newton_elementary, pfaffian, theta_at,
-                                theta_char_polys)
+                                flatten, generator_indices, mat_trace, matrix_invariant,
+                                newton_elementary, pfaffian, theta_at, theta_char_polys)
 from framedhiggs.sampling import random_algebra_element, random_residue_tuple
+from oracles import bracket_at, mat_commutator, sigma_gradient_at
 
 PTS3 = (F(1), F(2), F(3))
 
@@ -136,7 +136,7 @@ def test_bracket_antisymmetry():
     model = AlgebraModel("sl(2)")
     system = GaudinSystem(model, PTS3)
     f = system.coordinate(0, 0, 1) * system.coordinate(1, 1, 0)
-    assert bracket_symbolic(system, f, f).is_zero()
+    assert not bracket_symbolic(system, f, f)
 
 
 def test_single_site_structure_constants():
@@ -149,7 +149,7 @@ def test_single_site_structure_constants():
     obs_e = pairing_observable(system, 0, e)
     obs_f = pairing_observable(system, 0, f)
     obs_h = pairing_observable(system, 0, h)
-    assert (bracket_symbolic(system, obs_e, obs_f) - obs_h).is_zero()
+    assert not bracket_symbolic(system, obs_e, obs_f) - obs_h
 
 
 def test_bracket_leibniz_rule():
@@ -160,7 +160,7 @@ def test_bracket_leibniz_rule():
     w = system.coordinate(0, 0, 0)
     lhs = bracket_symbolic(system, x, y * w)
     rhs = bracket_symbolic(system, x, y) * w + y * bracket_symbolic(system, x, w)
-    assert (lhs - rhs).is_zero()
+    assert not lhs - rhs
 
 
 def test_bracket_jacobi_identity():
@@ -183,7 +183,7 @@ def test_bracket_jacobi_identity():
         jac = (bracket_symbolic(system, bracket_symbolic(system, x, y), w)
                + bracket_symbolic(system, bracket_symbolic(system, y, w), x)
                + bracket_symbolic(system, bracket_symbolic(system, w, x), y))
-        assert jac.is_zero()
+        assert not jac
 
 
 def test_commutativity_small_and_negative_control():
@@ -199,7 +199,7 @@ def test_commutativity_small_and_negative_control():
     system = GaudinSystem(model, PTS3)
     noninv = system.coordinate(0, 0, 1) * system.coordinate(0, 1, 0)
     point = random_residue_tuple(model, rng, 3, 4, zero_sum=False)
-    assert system.bracket_at(system.coefficient_functions(0)[0, 1], noninv, point) != 0
+    assert bracket_at(system, system.coefficient_functions(0)[0, 1], noninv, point) != 0
 
 
 def test_commutativity_so5_spot():
@@ -411,7 +411,7 @@ def test_bracket_table_negative_control(monkeypatch, gid, points, count):
 
     def noninv_site_gradients(residues):
         values = system.flatten_point(residues)
-        return [(key, [[list(r) for r in system.sigma_gradient_at(fn, l, values).matrix]
+        return [(key, [[list(r) for r in sigma_gradient_at(system, fn, l, values).matrix]
                        for l in range(system.n)]) for key, fn in zip(keys, noninv)]
 
     def noninv_sample_gradients(residues):
