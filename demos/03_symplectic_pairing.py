@@ -18,7 +18,7 @@ theory = DeformationTheory(model)
 print()
 print("Hypercohomology dimensions (h0, h1, h2) and Euler identities:")
 for kind in (TWISTED, FRAMED, TWISTED_DUAL):
-    d = theory.dims(kind)
+    d = theory.cone(kind)
     print(f"  {kind:13s}: ({d.h0}, {d.h1}, {d.h2})   "
           f"chi(F0) - chi(F1) = {d.chi0 - d.chi1}   euler ok: {d.euler_identity}")
 
@@ -54,6 +54,6 @@ print()
 print("Torus framing variant: value constraints at the marked points,")
 model_t = seeded_model("sl(2)", [1, 2], "torus", 102, 4)
 theory_t = DeformationTheory(model_t)
-d = theory_t.dims(FRAMED)
+d = theory_t.cone(FRAMED)
 _, phi_t = theory_t.symplectic_matrix()
 print(f"  framed dims ({d.h0}, {d.h1}, {d.h2}); pairing rank {rank(phi_t)}")

@@ -10,6 +10,9 @@ Subpackages:
   gaudin       the Hitchin map on residue tuples, Lie-Poisson brackets, flows
   spectral     spectral curves, discriminants, branch data, genus identities
   intpoly      integer polynomials: factoring over Z, real-root isolation
+  exactlinalg  exact elimination: ranks, kernels, quotients, solves
+  rationalfn   rational sections on P^1, residue pairings, Fraction `Poly`
+  sampling     seed-deterministic residues and models
   cli          the `hfb` batch runner
 """
 

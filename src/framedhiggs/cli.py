@@ -295,7 +295,7 @@ def run_defo(cfg: dict, seed) -> dict:
     checks = []
     dims = {}
     for kind in (TWISTED, FRAMED, TWISTED_DUAL):
-        d = theory.dims(kind)
+        d = theory.cone(kind)
         dims[kind] = {"h0": d.h0, "h1": d.h1, "h2": d.h2,
                       "chi0": d.chi0, "chi1": d.chi1}
         checks.append(_check(
@@ -306,7 +306,7 @@ def run_defo(cfg: dict, seed) -> dict:
     skew = all(phi[i][j] == -phi[j][i] for i in range(len(phi)) for j in range(i, len(phi)))
     checks.append(_check("pairing skew-symmetry", skew, "skew" if skew else "not skew",
                          "skew", "invariance identity applied to the cup product"))
-    fr = theory.dims(FRAMED)
+    fr = theory.cone(FRAMED)
     check = verify_poisson_map(theory) if verify and fr.h0 == 0 and fr.h2 == 0 else None
     phi_rank = rank(phi) if check is None else check.phi_rank
     if fr.h0 == 0 and fr.h2 == 0:

@@ -80,9 +80,9 @@ check and the ranks of φ and P read the integer rows.  The check reads the
 matrices off the `DeformationTheory` only, so a negative control overrides
 one of them (say, negates the adjoint) in a subclass.
 
-A cone carries its own dimensions: `DeformationTheory.dims` returns the
-`Hypercohomology` itself, whose h0, h1, h2, chi0 and chi1 the Euler check
-(`Hypercohomology.euler_identity`) and the report read.
+A cone carries its own dimensions: `DeformationTheory.cone(kind)` returns
+the `Hypercohomology` of the `kind` complex, whose h0, h1, h2, chi0 and chi1
+the Euler check (`Hypercohomology.euler_identity`) and the report read.
 """
 
 from __future__ import annotations
@@ -474,12 +474,6 @@ class Hypercohomology:
         return self.h0 - self.h1 + self.h2 == self.chi0 - self.chi1
 
 
-def _integral(cocycles: list[tuple]) -> tuple[int, list[tuple]]:
-    """(d, the cocycles times d), with d the least common denominator."""
-    den, vectors = integer_vectors(v for cocycle in cocycles for v in cocycle)
-    return den, [tuple(vectors[3 * i:3 * i + 3]) for i in range(len(cocycles))]
-
-
 def _apply(table: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
     for c, x in v.items():
@@ -519,9 +513,10 @@ def hyper_pair(model: FramedHiggsModel,
                     max([0] + [s.poly_degree() for s in sections]))
     lay0 = Layout(model.context, window)
     lay1 = Layout(model.context, Window(window.pole + 1, window.degree))
-    den, (a, b) = _integral([(lay0.to_coords(c), lay1.to_coords(u0), lay1.to_coords(u1))
-                             for c, u0, u1 in (rep_a, rep_b)])
-    den, ((x,),) = _cup_matrix(model, window, (den, [a]), (den, [b]))
+    cocycles = [(lay0.to_coords(c), lay1.to_coords(u0), lay1.to_coords(u1))
+                for c, u0, u1 in (rep_a, rep_b)]
+    den, v = integer_vectors(cocycles[0] + cocycles[1])
+    den, ((x,),) = _cup_matrix(model, window, (den, [tuple(v[:3])]), (den, [tuple(v[3:])]))
     return Fraction(x, den)
 
 
@@ -537,14 +532,10 @@ class DeformationTheory:
         self._matrices: dict[str | tuple[str, str], tuple[int, tuple]] = {}
 
     def cone(self, kind: str) -> Hypercohomology:
+        """The cone of the `kind` complex, built once per theory."""
         if kind not in self._cones:
             self._cones[kind] = Hypercohomology(self.model, kind, self.window)
         return self._cones[kind]
-
-    def dims(self, kind: str) -> Hypercohomology:
-        """The cone of the `kind` complex: its h0, h1, h2, chi0 and chi1, and
-        whether they meet the Euler identity (`euler_identity`)."""
-        return self.cone(kind)
 
     # -- matrices -------------------------------------------------------------
 
@@ -606,7 +597,7 @@ def verify_poisson_map(theory: DeformationTheory) -> PoissonMapCheck:
     framed complex); otherwise the degenerate directions, the kernel of φ, are
     reported.
     """
-    framed = theory.dims(FRAMED)
+    framed = theory.cone(FRAMED)
     phiden, phi = theory.symplectic_matrix()
     if framed.h0 == 0 and framed.h2 == 0:
         aden, adj = theory.forgetful_adjoint_matrix()

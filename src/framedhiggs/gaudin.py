@@ -246,9 +246,6 @@ class HitchinPoint:
     degrees: tuple[int, ...]
     coeffs: tuple[dict[tuple[int, int], Fraction], ...]
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for c in self.coeffs for v in c.values())
-
 
 class SampleGradients(NamedTuple):
     """Sigma-gradients of the partial-fraction coefficients of a function f

@@ -9,6 +9,9 @@ nonzero and pairwise distinct; the point at infinity is handled through the
 chart u = 1/z.  One-forms are stored through their coefficient function
 (s = f means the form f dz); form semantics only enter residue bookkeeping
 at infinity (dz = -du/u^2).
+
+`Poly` is a Fraction front-end over `intpoly`, the one polynomial kernel,
+with no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -246,11 +249,12 @@ def pairing_residue_at_infinity(f: VSection, g: VSection, gram_apply) -> Fractio
 
 
 # ---------------------------------------------------------------------------
-# exact univariate polynomials (dense, over Fraction)
+# univariate polynomials over Fraction, read through intpoly
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Dense univariate polynomial over the rationals."""
+    """Dense polynomial over Fraction, lowest coefficient first, factored by
+    `intpoly`; kept for the methods `bench/tracer.py` times and test inputs."""
 
     __slots__ = ("c",)
 
@@ -260,43 +264,6 @@ class Poly:
             c.pop()
         self.c = c
 
-    @classmethod
-    def x_minus(cls, a) -> "Poly":
-        return cls([-frac(a), ONE])
-
-    @property
-    def degree(self) -> int:
-        return len(self.c) - 1
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.c == other.c
-
-    def __add__(self, o: "Poly") -> "Poly":
-        n = max(len(self.c), len(o.c))
-        return Poly([(self.c[i] if i < len(self.c) else ZERO) +
-                     (o.c[i] if i < len(o.c) else ZERO) for i in range(n)])
-
-    def __sub__(self, o: "Poly") -> "Poly":
-        return self + o.scale(-ONE)
-
-    def __mul__(self, o: "Poly") -> "Poly":
-        if self.is_zero() or o.is_zero():
-            return Poly()
-        out = [ZERO] * (len(self.c) + len(o.c) - 1)
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(o.c):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(out)
-
-    def scale(self, a) -> "Poly":
-        a = frac(a)
-        return Poly([a * x for x in self.c])
-
     def __call__(self, t) -> Fraction:
         t = frac(t)
         acc = ZERO
@@ -304,42 +271,8 @@ class Poly:
             acc = acc * t + coeff
         return acc
 
-    def derivative(self) -> "Poly":
-        return Poly([i * x for i, x in enumerate(self.c)][1:])
-
-    def divmod(self, o: "Poly") -> tuple["Poly", "Poly"]:
-        if o.is_zero():
-            raise ZeroDivisionError
-        r = list(self.c)
-        q = [ZERO] * max(0, len(r) - len(o.c) + 1)
-        while len(r) >= len(o.c) and any(x != 0 for x in r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(o.c):
-                break
-            f = r[-1] / o.c[-1]
-            shift = len(r) - len(o.c)
-            q[shift] += f
-            for i, b in enumerate(o.c):
-                r[shift + i] -= f * b
-        return Poly(q), Poly(r)
-
-    def gcd(self, o: "Poly") -> "Poly":
-        a, b = self, o
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a.scale(ONE / a.c[-1])
-
-    def squarefree_part(self) -> "Poly":
-        if self.degree < 1:
-            return self
-        g = self.gcd(self.derivative())
-        return self.divmod(g)[0]
-
     def is_squarefree(self) -> bool:
-        return self.degree < 1 or self.gcd(self.derivative()).degree == 0
+        return len(self.c) < 2 or all(m == 1 for _, m in self.integer_factors()[1])
 
     def integer_factors(self) -> tuple[int, list[tuple[list[int], int]]]:
         """`intpoly.factor_list` of the integer polynomial d p, d the least

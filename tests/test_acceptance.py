@@ -122,9 +122,9 @@ def test_criterion_5_symplectic_pairing():
         model = seeded_model(gid, pts, framing, seed, 4)
         theory = DeformationTheory(model)
         for kind in (TWISTED, FRAMED, TWISTED_DUAL):
-            assert theory.dims(kind).euler_identity, (gid, pts, framing, kind)
+            assert theory.cone(kind).euler_identity, (gid, pts, framing, kind)
         _, phi = theory.symplectic_matrix()
-        d = theory.dims(FRAMED)
+        d = theory.cone(FRAMED)
         assert all(phi[i][j] == -phi[j][i]
                    for i in range(len(phi)) for j in range(len(phi)))
         cone = theory.cone(FRAMED)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from framedhiggs import cli
+from framedhiggs import cli, rationalfn
 from framedhiggs.cli import main
 from framedhiggs.gaudin import PolyObservable
 from framedhiggs.liealg import matrix_invariant, theta_at
@@ -762,3 +762,23 @@ def test_an_escalating_spectral_job_loads_no_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False", "True"]
     assert json.loads(out.read_text())["results"]["spectral"]["isolated_branch_boxes"]
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("dims", {"group": "sl(2)", "genus": 2, "n": 1}),
+    ("audit", {}),
+    ("defo", {"group": "gl(2)", "points": ["1", "2", "3"], "framing": "torus",
+              "residues": {"type": "random", "seed": 14, "height": 10}}),
+    ("gaudin", README_FLOW),
+    ("spectral", {"group": "sl(2)", "points": ["1", "2", "3", "4"],
+                  "residues": {"type": "random", "seed": 5}}),
+], ids=["dims", "audit", "defo-golden-gl2-torus", "gaudin-readme-flow", "spectral-sl2-4pt"])
+def test_no_subcommand_builds_an_oracle_kernel(tmp_path, monkeypatch, subcommand, config):
+    # `rationalfn.Poly` and `VSection` are the tests' references for the
+    # integer polynomial and layout paths, so no job may build either.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"hfb {subcommand} built a {type(self).__name__}")
+    monkeypatch.setattr(rationalfn.Poly, "__init__", refuse)
+    monkeypatch.setattr(rationalfn.VSection, "__init__", refuse)
+    cfg = write_config(tmp_path, "config.json", config)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0

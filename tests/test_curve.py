@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from framedhiggs import curve
+from framedhiggs import curve, intpoly
 from framedhiggs.curve import (H1Presentation, Layout, MarkedCurve, Window,
                                dot_gram, global_sections,
                                h1_presentation, make_spec,
@@ -447,18 +447,12 @@ def test_mul_pole_partial_fractions():
 
 def test_poly_helpers():
     p = Poly([F(-2), F(0), F(1)])  # z^2 - 2
-    assert p.is_squarefree()
-    sq = p * p
-    assert not sq.is_squarefree()
-    sf = sq.squarefree_part()
-    assert sf.degree == 2
-    assert p.divmod(sf)[1].is_zero() and sf.divmod(p)[1].is_zero()
+    assert p.is_squarefree() and p(F(3, 2)) == F(1, 4)
+    sq = intpoly.mul([1, 0, -2], [1, 0, -2])  # highest coefficient first
+    assert not Poly(sq[::-1]).is_squarefree()
     assert Poly([F(-6), F(1), F(1)]).rational_roots() == [(F(-3), 1), (F(2), 1)]
-    third = Poly.x_minus(F(-1, 3))
-    mixed = third * third * Poly.x_minus(F(0)) * Poly([F(2), F(0), F(1)])
-    assert mixed.rational_roots() == [(F(-1, 3), 2), (F(0), 1)]
-    q, r = sq.divmod(p)
-    assert q == p and r.is_zero()
+    mixed = intpoly.mul(intpoly.mul([3, 1], [3, 1]), intpoly.mul([1, 0], [1, 0, 2]))
+    assert Poly(mixed[::-1]).rational_roots() == [(F(-1, 3), 2), (F(0), 1)]
 
 
 def test_serre_pairing_rejects_incompatible_specs():

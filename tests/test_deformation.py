@@ -176,7 +176,7 @@ def test_zero_higgs_field_splits():
         assert (not theta) == (mdl is model)
         assert not cone.theta(theta)
     th = DeformationTheory(model)
-    d = th.dims(FRAMED)
+    d = th.cone(FRAMED)
     assert (d.h0, d.h1, d.h2) == (0, 6, 0)
 
 
@@ -220,7 +220,7 @@ def test_framed_dims_match_long_exact_sequence_oracle():
     assert len(global_sections(ctx, f0)) == 0
     assert h1_presentation(ctx, f1).dim == 0
     expected_h1 = len(global_sections(ctx, f1)) + h1_presentation(ctx, f0).dim
-    d = th.dims(FRAMED)
+    d = th.cone(FRAMED)
     assert d.h1 == expected_h1 == 12
     assert d.h0 == 0 and d.h2 == 0
 
@@ -228,7 +228,7 @@ def test_framed_dims_match_long_exact_sequence_oracle():
 def test_framed_dims_single_point_vanish():
     model = seeded_model("sl(2)", [5], "trivial", 3, 4)
     th = DeformationTheory(model)
-    d = th.dims(FRAMED)
+    d = th.cone(FRAMED)
     assert (d.h0, d.h1, d.h2) == (0, 0, 0)
 
 
@@ -240,16 +240,16 @@ def test_euler_identity_for_every_complex():
         model = seeded_model(gid, pts, framing, seed, 3)
         th = DeformationTheory(model)
         for kind in (TWISTED, FRAMED, TWISTED_DUAL):
-            assert th.dims(kind).euler_identity
+            assert th.cone(kind).euler_identity
 
 
 def test_generic_twisted_dims():
     model = seeded_model("sl(2)", [1, 2, 3], "trivial", 7, 4)
     th = DeformationTheory(model)
-    d = th.dims(TWISTED)
+    d = th.cone(TWISTED)
     # dim Z(g) + dim g (n - 2) on the rational curve for generic residues
     assert d.h1 == 3
-    dd = th.dims(TWISTED_DUAL)
+    dd = th.cone(TWISTED_DUAL)
     assert dd.h1 == 3
 
 
@@ -331,7 +331,7 @@ def test_serre_self_duality_pairing_is_perfect():
         model = seeded_model(gid, pts, "trivial", seed, 3)
         th = DeformationTheory(model)
         s = serre_pairing_matrix(th)
-        assert len(s) == th.dims(TWISTED).h1 == th.dims(TWISTED_DUAL).h1
+        assert len(s) == th.cone(TWISTED).h1 == th.cone(TWISTED_DUAL).h1
         if s:
             assert rank(s) == len(s)
 
@@ -343,7 +343,7 @@ def test_torus_framed_pairing():
     A = e.scale(3) + f
     model = framed_higgs_model("sl(2)", [1, 2], [A, A.scale(-1)], "torus")
     th = DeformationTheory(model)
-    d = th.dims(FRAMED)
+    d = th.cone(FRAMED)
     _, phi = th.symplectic_matrix()
     if d.h0 == 0 and d.h2 == 0:
         assert rank(phi) == d.h1
@@ -385,7 +385,7 @@ def test_degenerate_pairing_reports_directions():
     e = m.element([[0, 1], [0, 0]])
     model = framed_higgs_model("sl(2)", [1, 2], [e, e.scale(-1)], "torus")
     th = DeformationTheory(model)
-    d = th.dims(FRAMED)
+    d = th.cone(FRAMED)
     if d.h0 or d.h2:
         check = verify_poisson_map(th)
         assert not check.ok
@@ -410,7 +410,7 @@ def test_center_form_choice_does_not_change_dimensions():
         model = FramedHiggsModel(algebra, form, MarkedCurve(0, (F(1), F(2))),
                                  (fr, fr), (a, a.scale(-1)))
         th = DeformationTheory(model)
-        dims_by_scale.append(tuple((th.dims(k).h0, th.dims(k).h1, th.dims(k).h2)
+        dims_by_scale.append(tuple((th.cone(k).h0, th.cone(k).h1, th.cone(k).h2)
                                    for k in (TWISTED, FRAMED, TWISTED_DUAL)))
     assert dims_by_scale[0] == dims_by_scale[1]
 
@@ -420,7 +420,7 @@ def test_poisson_map_identity_torus_framing():
     # framed pairing is invertible
     model = seeded_model("sl(2)", [1, 2, 3], "torus", 61, 3)
     th = DeformationTheory(model)
-    d = th.dims(FRAMED)
+    d = th.cone(FRAMED)
     if d.h0 == 0 and d.h2 == 0:
         check = verify_poisson_map(th)
         assert check.ok
@@ -443,8 +443,8 @@ def test_a_cone_refuses_a_window_below_its_own_bound():
     model = seeded_model("sl(2)", [1, 2, 3], "trivial", 3)
     theory = DeformationTheory(model)
     assert model.window == Window(0, 2)
-    assert (theory.dims(FRAMED).h1, theory.dims(TWISTED_DUAL).h1,
-            theory.dims(TWISTED_DUAL).h2) == (12, 3, 0)
+    assert (theory.cone(FRAMED).h1, theory.cone(TWISTED_DUAL).h1,
+            theory.cone(TWISTED_DUAL).h2) == (12, 3, 0)
     # (0, 1) reads framed h1 = 9 and twisted_dual (h1, h2) = (1, 1) if let through
     small = Window(0, 1)
     for kind in (FRAMED, TWISTED_DUAL):
@@ -457,7 +457,7 @@ def test_a_cone_refuses_a_window_below_its_own_bound():
     # and any larger one
     assert cone_window([model.complex_specs(TWISTED)]) == Window(0, 0)
     for window in (small, Window(0, 0), Window(2, 0), model.window.bumped(1)):
-        assert dims_of(Hypercohomology(model, TWISTED, window)) == dims_of(theory.dims(TWISTED))
+        assert dims_of(Hypercohomology(model, TWISTED, window)) == dims_of(theory.cone(TWISTED))
 
 
 def _borel_and_torus(gid):
@@ -491,7 +491,7 @@ def test_cone_read_offs_are_the_same_in_a_larger_window(gid, pts, framing, seed)
     def read_offs(model):
         theory = DeformationTheory(model)
         check = verify_poisson_map(theory)
-        return ([dims_of(theory.dims(kind)) for kind in (TWISTED, FRAMED, TWISTED_DUAL)],
+        return ([dims_of(theory.cone(kind)) for kind in (TWISTED, FRAMED, TWISTED_DUAL)],
                 rank(theory.symplectic_matrix()[1]), rank(theory.poisson_matrix()[1]), check.ok)
 
     model, larger = (seeded_model(gid, pts, framing, seed, 4) for _ in range(2))
@@ -539,7 +539,7 @@ def test_cone_call_counts(monkeypatch, gid, pts, framing, seed, height):
     counted(exactlinalg.LinSolver, "__init__")
     counted(FramedHiggsModel, "_theta_columns")
     theory = DeformationTheory(model)
-    dims = [theory.dims(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL)]
+    dims = [theory.cone(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL)]
     if dims[1].h0 == 0 and dims[1].h2 == 0:
         assert verify_poisson_map(theory).ok
     # no LinSolver, one Theta for the three cones
@@ -597,7 +597,7 @@ def test_poisson_residual_is_the_inverse_product_minus_the_anchor(gid, pts, fram
     model = seeded_model(gid, pts, framing, seed, 4)
     theory = DeformationTheory(model)
     check = verify_poisson_map(NegatedAdjointTheory(model) if corrupt else theory)
-    framed = theory.dims(FRAMED)
+    framed = theory.cone(FRAMED)
     if framed.h0 or framed.h2:          # not run: the kernel of phi is reported instead
         assert not check.ok and check.residual == []
         assert check.phi_rank + len(check.degenerate_directions) == framed.h1
@@ -607,7 +607,7 @@ def test_poisson_residual_is_the_inverse_product_minus_the_anchor(gid, pts, fram
         adj = [[-x for x in row] for row in adj]
     lhs = mat_mul(mat_mul(forgetful, inverse(phi)), adj)
     old = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, anchor)]
-    assert check.residual == old and all(len(row) == theory.dims(TWISTED_DUAL).h1 for row in old)
+    assert check.residual == old and all(len(row) == theory.cone(TWISTED_DUAL).h1 for row in old)
     # the flipped adjoint leaves -2P: it fails wherever the anchor is nonzero
     assert check.ok == mat_is_zero(old) == (not corrupt or mat_is_zero(anchor))
 
@@ -666,7 +666,7 @@ def test_chart_bases_are_computed_once_per_spec_and_window(monkeypatch, framing,
         monkeypatch.setattr(deformation, name, counted)
     theory = DeformationTheory(seeded_model("sl(2)", [1, 2, 3], framing, 5, 4))
     for kind in (TWISTED, FRAMED, TWISTED_DUAL):
-        theory.dims(kind)
+        theory.cone(kind)
     assert len(calls) == len(set(calls)) == 2 * computed
     assert len({(spec, window) for _, spec, window in calls}) == computed
 
@@ -835,8 +835,8 @@ def test_d1_is_eliminated_once_per_f1_sheaf_and_each_chart_basis_built_once(
     assert {key[1:] for key in theory.model._cache if key[0] == "chart"} == charts
     # a second theory of the same model eliminates and builds no chart basis
     again = DeformationTheory(theory.model)
-    assert [dims_of(again.dims(kind)) for kind in (TWISTED, FRAMED, TWISTED_DUAL)] == \
-        [dims_of(theory.dims(kind)) for kind in (TWISTED, FRAMED, TWISTED_DUAL)]
+    assert [dims_of(again.cone(kind)) for kind in (TWISTED, FRAMED, TWISTED_DUAL)] == \
+        [dims_of(theory.cone(kind)) for kind in (TWISTED, FRAMED, TWISTED_DUAL)]
     assert (len(eliminated), len(charts_built)) == (eliminations, len(charts))
 
 

@@ -37,7 +37,7 @@ def test_zero_residues_map_to_zero():
     model = AlgebraModel("sl(2)")
     system = GaudinSystem(model, PTS3)
     z = model.zero()
-    assert system.hitchin_point([z, z, z]).is_zero()
+    assert not any(v for c in system.hitchin_point([z, z, z]).coeffs for v in c.values())
 
 
 def test_quadratic_residues_are_gaudin_hamiltonians():
@@ -836,7 +836,7 @@ def test_seeded_model_point_brackets_and_flow():
     from framedhiggs.sampling import seeded_model
     model = seeded_model("sl(2)", (F(1), F(2), F(3)), "trivial", 7, 5)
     system = GaudinSystem(model.algebra, model.curve.points)
-    assert not system.hitchin_point(model.residues).is_zero()
+    assert any(v for c in system.hitchin_point(model.residues).coeffs for v in c.values())
     rng = random.Random(1)
     tuples = [list(model.residues)] + [
         random_residue_tuple(model.algebra, rng, 3, 10, zero_sum=False) for _ in range(2)]

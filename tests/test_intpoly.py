@@ -145,7 +145,7 @@ def test_integer_refine_size_equals_the_fraction_width_loop(seed):
     checked = 0
     while checked < 12:
         f = _random_poly(rng, rng.randint(2, 7), rng.choice([5, 100, 10 ** 6]))
-        if not f[-1] or not Poly([F(a) for a in reversed(f)]).is_squarefree():
+        if not f[-1] or not sympy.Poly(f, Z).is_sqf:
             continue
         for interval in intpoly.isolate_real_roots_sqf(f):
             for tol in (F(1, 10), F(3, 7 * 10 ** 5), F(1, 10 ** 9), F(5, 10 ** 18),

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.util
 import json
@@ -137,8 +138,9 @@ def test_disc_numerator_matches_the_sympy_discriminant(group, seed):
 
 
 def _interpolate(ts, ys):
-    """The polynomial of degree < len(ts) through the points (t, y), from
-    Newton's divided differences; the ts must be distinct."""
+    """The coefficients, lowest first and with no zero highest one, of the
+    polynomial of degree < len(ts) through the points (t, y), from Newton's
+    divided differences; the ts must be distinct."""
     d = list(ys)
     for j in range(1, len(ts)):
         for i in range(len(ts) - 1, j - 1, -1):
@@ -146,18 +148,17 @@ def _interpolate(ts, ys):
     c = []
     for t, a in zip(reversed(ts), reversed(d)):  # c <- c (z - t) + a
         c = [a - t * c[0]] + [lo - t * hi for lo, hi in zip(c, c[1:])] + c[-1:] if c else [a]
-    return Poly(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
 
 
 def _sampled_numerators(model, points, residues):
     """Oracle for `elementary_numerators`: e_k(theta(t)) q(t)^k at k n + 1
     sample points t, q = prod(z - x_i), interpolated exactly."""
     n = len(points)
-    q = Poly([ONE])
-    for x in points:
-        q = q * Poly.x_minus(x)
     ts = [max(points) + l for l in range(1, model.n * n + 2)]
-    samples = [(e, q(t) / den) for t, (den, _, e, _) in
+    samples = [(e, math.prod(t - x for x in points) / den) for t, (den, _, e, _) in
                zip(ts, theta_char_polys(points, [el.matrix for el in residues], ts))]
     return [_interpolate(ts[:k * n + 1], [e[k - 1] * qd ** k for e, qd in samples[:k * n + 1]])
             for k in range(1, model.n + 1)]
@@ -189,7 +190,7 @@ def test_faddeev_leverrier_numerators_equal_the_interpolated_ones(seed):
     residues = _explicit_residues(model, rng, n)
     den, direct = elementary_numerators(model, points, residues)
     assert [[F(c, den ** k) for c in reversed(e)] for k, e in enumerate(direct, 1)] == \
-        [e.c for e in _sampled_numerators(model, points, residues)]
+        _sampled_numerators(model, points, residues)
 
 
 def test_branch_count_matches_disc_degree_squarefree():
@@ -388,18 +389,13 @@ EPS = F(1, 10 ** 9)
 
 
 def _reduced(p):
-    """p with its rational roots divided out and made square-free by Fraction
-    division and gcd, as a sympy Poly over QQ; None if that is constant."""
-    reduced = p
-    for root, mult in p.rational_roots():
-        for _ in range(mult):
-            reduced = reduced.divmod(Poly.x_minus(root))[0]
-    reduced = reduced.squarefree_part()
-    if reduced.degree < 1:
-        return None
+    """p with its rational roots divided out and made square-free, as a sympy
+    Poly: the leading coefficient of p times each non-linear monic factor of
+    sympy's factorization once; None if there is none."""
     z = sympy.Symbol("z")
-    return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * z ** i
-                          for i, c in enumerate(reduced.c)), z)
+    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.c)], z)
+    factors = [f.monic().as_expr() for f, _ in sp.factor_list()[1] if f.degree() > 1]
+    return sympy.Poly(sympy.Mul(sp.LC(), *factors), z) if factors else None
 
 
 def _reference_boxes(p, eps):
@@ -506,7 +502,7 @@ def test_root_on_the_edge_of_its_rectangle_falls_back_to_sympy(monkeypatch):
     # +-i sqrt(2) lie on Re = 0, the first cut of sympy's quadtree, where sympy
     # isolates purely imaginary roots its own way: the replay declines and
     # sympy refines every non-real root.
-    calls, boxes = _eval_rational_calls(monkeypatch, _poly(1, 0, 2))
+    calls, boxes = _eval_rational_calls(monkeypatch, _poly([1, 0, 2]))
     assert [b[0] for b in boxes] == ["complex", "complex"]
     assert calls == [False, False]
 
@@ -521,7 +517,7 @@ def test_a_quadratic_root_on_a_cut_is_replayed(monkeypatch):
 
 def test_a_declined_replay_refines_each_non_real_root_once(monkeypatch):
     # +-i sqrt(2) lie on the cut Re = 0 and -2 +- 3i on two other cuts.
-    p = _poly(1, 0, 2) * _poly(1, 4, 13)
+    p = _poly([1, 0, 2], [1, 4, 13])
     calls, boxes = _eval_rational_calls(monkeypatch, p)
     assert [b[0] for b in boxes] == ["complex"] * 4
     assert calls == [False] * 4
@@ -564,9 +560,11 @@ def _replayed(monkeypatch, p):
                                          for rect, conj, _, bound in states]), boxes
 
 
-def _poly(*coeffs):
-    """The polynomial with the given coefficients, highest first."""
-    return Poly([F(c) for c in reversed(coeffs)])
+def _poly(*factors):
+    """The product (`intpoly.mul`) of integer polynomials given highest
+    coefficient first."""
+    product = functools.reduce(intpoly.mul, factors)
+    return Poly([F(c) for c in reversed(product)])
 
 
 @pytest.mark.parametrize("group, n, seed", MODELS,
@@ -582,16 +580,16 @@ def test_replayed_rectangles_match_sympy(monkeypatch, group, n, seed):
 
 
 @pytest.mark.parametrize("p, declines", [
-    (_poly(1, 0, 2), True),                                # +-i sqrt(2) on the cut Re = 0
-    (_poly(3, -2, 0, 5, 7), False),                        # two conjugate pairs
+    (_poly([1, 0, 2]), True),                              # +-i sqrt(2) on the cut Re = 0
+    (_poly([3, -2, 0, 5, 7]), False),                      # two conjugate pairs
     # three upper roots; the rectangle [0, B] x [0, B] comes after two whose
     # south-west corner is further west but not further south
-    (_poly(1, 0, 21, 116, 532, 1400, 1701), False),
-    (_poly(1, 1, 3) * _poly(1, 0, -2, 5), False),          # two factors, one real root
+    (_poly([1, 0, 21, 116, 532, 1400, 1701]), False),
+    (_poly([1, 1, 3], [1, 0, -2, 5]), False),              # two factors, one real root
     # two factors whose roots 1 +- i and -2 +- 3i lie on sympy's cuts, 1 + i
     # on the corner of a rectangle
-    (_poly(1, -2, 2) * _poly(1, 4, 13), False),
-    (_poly(1, 0, 2) * _poly(1, 4, 13), True),              # and one on Re = 0
+    (_poly([1, -2, 2], [1, 4, 13]), False),
+    (_poly([1, 0, 2], [1, 4, 13]), True),                  # and one on Re = 0
 ], ids=["imaginary", "quartic", "three-upper-roots", "two-factors",
         "two-factors-on-cuts", "imaginary-and-on-cuts"])
 def test_replayed_rectangles_match_sympy_on_explicit_polynomials(monkeypatch, p, declines):
@@ -627,13 +625,13 @@ def test_derived_factors_match_sympy_factoring(group, n, seed):
 
 
 @pytest.mark.parametrize("p, scale", [
-    (_poly(1, 0, 2), 1),
-    (_poly(3, -2, 0, 5, 7), 1),
-    (_poly(1, 0, 21, 116, 532, 1400, 1701), 1),
-    (_poly(1, 1, 3) * _poly(1, 0, -2, 5), 1),
-    (_poly(1, -2, 2) * _poly(1, 4, 13), 1),
-    (_poly(1, 0, 0, 0, 512, 1024), 4),                      # z = 4 w
-    (_poly(1, 0, 2) * _poly(1, 0, 2) * _poly(2, -1), 1),    # a square factor
+    (_poly([1, 0, 2]), 1),
+    (_poly([3, -2, 0, 5, 7]), 1),
+    (_poly([1, 0, 21, 116, 532, 1400, 1701]), 1),
+    (_poly([1, 1, 3], [1, 0, -2, 5]), 1),
+    (_poly([1, -2, 2], [1, 4, 13]), 1),
+    (_poly([1, 0, 0, 0, 512, 1024]), 4),                   # z = 4 w
+    (_poly([1, 0, 2], [1, 0, 2], [2, -1]), 1),             # a square factor
 ], ids=["imaginary", "quartic", "three-upper-roots", "two-factors",
         "two-factors-on-cuts", "scaled", "square-factor"])
 def test_derived_factors_match_sympy_factoring_on_explicit_polynomials(p, scale):
@@ -947,12 +945,12 @@ def _fallback_calls(monkeypatch):
 FALLBACKS = {
     "none": (lambda: _discriminant(*NEGATIVE_CONTROL), {}),
     # z^2 + z + 3 and z^3 - 2z + 5 both have non-real roots
-    "two-nonreal-factors": (lambda: _poly(1, 1, 3) * _poly(1, 0, -2, 5), {"ordered": 1}),
+    "two-nonreal-factors": (lambda: _poly([1, 1, 3], [1, 0, -2, 5]), {"ordered": 1}),
     # _integer_basis takes b = Q from the divisors of the coefficient gcd Q
-    "large-basis-gcd": (lambda: _poly(1, -3 * Q, Q * Q), {"divisors": 1}),
+    "large-basis-gcd": (lambda: _poly([1, -3 * Q, Q * Q]), {"divisors": 1}),
     # +-i sqrt(2) lie on the cut Re = 0
-    "declined-replay": (lambda: _poly(1, 0, 2), {"complexes": 1}),
-    "declined-two-factors": (lambda: _poly(1, 0, 2) * _poly(1, 4, 13),
+    "declined-replay": (lambda: _poly([1, 0, 2]), {"complexes": 1}),
+    "declined-two-factors": (lambda: _poly([1, 0, 2], [1, 4, 13]),
                              {"ordered": 1, "complexes": 1}),
 }
 
