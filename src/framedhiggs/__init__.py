@@ -27,7 +27,7 @@ from .deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
 from .dimensions import (DimReport, consistency_audit, audit_grid,
                          dim_moduli_framed, dim_moduli_higgs, hitchin_base_dim,
                          hitchin_fiber_dim, torsor_dims)
-from .gaudin import GaudinSystem, HitchinPoint, PolyObservable
+from .gaudin import GaudinSystem, HitchinPoint
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, GroupData,
                      InvariantForm, UnsupportedGroupError, bracket, framing_specs,
                      group_data, invariant_polynomials, torus_framing, trace_form,

@@ -5,8 +5,8 @@ here is deterministic: pivots are always chosen as the first nonzero entry in
 column order, so bases produced from the same input are reproducible.
 
 `mat_mul`, `mat_vec` and `mat_comb` only add, multiply and test entries for
-zero, so they serve any entries with those operations: the symbolic
-`gaudin.PolyObservable` matrices as well as Fractions.  A sum all of whose
+zero, so they serve any entries with those operations, symbolic polynomials
+as well as Fractions.  A sum all of whose
 terms vanish is the Fraction ZERO.
 
 A sparse vector is a dict {column: value} of the nonzero entries (`sparse`

@@ -10,8 +10,10 @@ Lie-Poisson bracket transported by the trace form.  At each t, with theta(t)
 Faddeev-LeVerrier run on M, and the bracket table is formed in that basis of
 sample points (`commutativity_check`), with no per-site gradient; no bracket
 of two arbitrary observables is formed at a point.  Only the flow integrator
-uses floats; it builds its Hamiltonian's coefficients only, and its drift
-values are exact values rounded once.
+uses floats: its right-hand side is straight-line code generated from the
+Laurent expansion of theta at the marked point of its Hamiltonian
+(`GaudinSystem.coefficient_functions`), and its drift values are exact values
+rounded once.
 """
 
 from __future__ import annotations
@@ -25,114 +27,10 @@ from functools import cached_property
 from itertools import accumulate, combinations_with_replacement
 from typing import Callable, NamedTuple, Sequence
 
-from .exactlinalg import (ZERO, ONE, frac, identity, integer_solve, mat_comb, mat_vec,
+from .exactlinalg import (ZERO, ONE, frac, identity, integer_solve, mat_comb,
                           over_common_denominator, transpose)
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, flatten, generator_indices,
-                     matrix_invariant, pfaffian, theta_at, theta_char_polys)
-
-Monomial = tuple[tuple[int, int], ...]   # sorted ((var, exp), ...)
-
-
-class PolyObservable:
-    """Sparse multivariate polynomial with exact rational coefficients.
-
-    Variables index the entries of the residue matrices; the site layout is
-    owned by the ambient GaudinSystem.  A rational scalar acts as a constant
-    polynomial in +, - and *, so that the matrix routines of `exactlinalg`
-    and `liealg` serve observables as well as Fractions.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def constant(cls, c) -> "PolyObservable":
-        c = frac(c)
-        return cls({(): c} if c else {})
-
-    @classmethod
-    def variable(cls, idx: int) -> "PolyObservable":
-        return cls({((idx, 1),): ONE})
-
-    @classmethod
-    def lift(cls, x) -> "PolyObservable":
-        """x itself, or the constant polynomial of a scalar x."""
-        return x if isinstance(x, PolyObservable) else cls.constant(x)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, o) -> "PolyObservable":
-        out = dict(self.terms)
-        for m, c in PolyObservable.lift(o).terms.items():
-            out[m] = out.get(m, ZERO) + c
-        return PolyObservable(out)
-
-    def __radd__(self, o) -> "PolyObservable":
-        return PolyObservable.lift(o) + self
-
-    def __neg__(self) -> "PolyObservable":
-        return self.scale(-ONE)
-
-    def __sub__(self, o) -> "PolyObservable":
-        return self + -o
-
-    def __rsub__(self, o) -> "PolyObservable":
-        return o + -self
-
-    def scale(self, c) -> "PolyObservable":
-        c = frac(c)
-        return PolyObservable({m: c * x for m, x in self.terms.items()})
-
-    def __mul__(self, o) -> "PolyObservable":
-        if not isinstance(o, PolyObservable):
-            return self.scale(o)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                vars_: dict[int, int] = dict(m1)
-                for v, e in m2:
-                    vars_[v] = vars_.get(v, 0) + e
-                key = tuple(sorted(vars_.items()))
-                out[key] = out.get(key, ZERO) + c1 * c2
-        return PolyObservable(out)
-
-    __rmul__ = __mul__
-
-    def diff(self, var: int) -> "PolyObservable":
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            for i, (v, e) in enumerate(m):
-                if v == var:
-                    rest = m[:i] + ((v, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
-                    out[rest] = out.get(rest, ZERO) + c * e
-                    break
-        return PolyObservable(out)
-
-    def __call__(self, values: Sequence[Fraction]) -> Fraction:
-        acc = ZERO
-        for m, c in self.terms.items():
-            term = c
-            for v, e in m:
-                term *= values[v] ** e
-            acc += term
-        return acc
-
-
-# Terms per statement of a generated sum: CPython's compiler recurses once per
-# chained +, and raises RecursionError at about 3,000 of them.
-_TERMS_PER_LINE = 256
-
-
-def _pow(x: float, e: int) -> float:
-    """x ** e, with an overflow as the signed infinity it rounds to."""
-    try:
-        return x ** e
-    except OverflowError:
-        return math.copysign(math.inf, x) if e % 2 else math.inf
-
+                     pfaffian, theta_char_polys)
 
 def _float(x: Fraction) -> float:
     """x rounded to a float, a value beyond the float range to the signed infinity."""
@@ -142,42 +40,126 @@ def _float(x: Fraction) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def _poly_lines(polys: Sequence[PolyObservable], name: str) -> list[str]:
-    """Statements that set the locals name0, name1, ... to the float values of
-    polys at the locals x0, x1, ...
-
-    Each value is its terms summed from 0.0 in the order of the terms dict,
-    each term c * x_v1 ** e1 * ... taken left to right with c the float of
-    the coefficient.  The powers x ** e, e > 1, are computed once, first.  A
-    long sum is continued in further statements name = name + ..., which
-    adds in the same order.
-    """
-    powers: dict[tuple[int, int], str] = {}
-    sums = []
-    for q, p in enumerate(polys):
-        terms = [" * ".join([repr(float(c))] + [
-                     f"x{v}" if e == 1 else powers.setdefault((v, e), f"p{len(powers)}")
-                     for v, e in m])
-                 for m, c in p.terms.items()]
-        head = "0.0"
-        for i in range(0, max(len(terms), 1), _TERMS_PER_LINE):
-            sums.append(f"{name}{q} = " + " + ".join([head] + terms[i:i + _TERMS_PER_LINE]))
-            head = f"{name}{q}"
-    return [f"{p} = _pow(x{v}, {e})" for (v, e), p in powers.items()] + sums
+class GradientProgram(NamedTuple):
+    """Straight-line statements that set g0, g1, ... to the projected site
+    gradients of a Hitchin coefficient at the state x0, x1, ..., both laid
+    out as `flatten_point`.  They hold no number literal but read each
+    rational constant by its name in constants: with float constants and a
+    float state they give the flow's floats, with these Fractions and a
+    Fraction state the exact gradient."""
+    lines: list[str]
+    constants: dict[str, Fraction]
 
 
-def _flow_program(s: int, gradient: Sequence[PolyObservable]) -> dict:
+class _Statements:
+    """The statements of a `GradientProgram` under construction.  A value is
+    None for zero or (sign, name), sign +-1 and name a state entry x<v>, a
+    constant r<q> or a local t<q>; a term (c, names) is the rational c times
+    the named values."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.constants: dict[Fraction, str] = {}
+
+    def constant(self, c: Fraction) -> str:
+        return self.constants.setdefault(c, f"r{len(self.constants)}")
+
+    def sum(self, terms, target: str | None = None):
+        """The value of the sum of the terms that are not None: with no
+        target, None for no term, +-name for one term +-1 name, and -t for
+        negative terms only, t set to their negated sum; else the local that
+        a new statement sets to the sum (0 if empty), target if given.
+        Positive terms come first and a negative first term multiplies its
+        constant, so no statement has a unary minus, and none flips the sign
+        of a NaN: every path of the interpreter makes the same NaNs."""
+        terms = sorted(filter(None, terms), key=lambda t: t[0] < 0)
+        if target is None:
+            if not terms:
+                return None
+            if len(terms) == 1 and len(terms[0][1]) == 1 and abs(terms[0][0]) == 1:
+                return terms[0][0], terms[0][1][0]
+            if terms[0][0] < 0:
+                return -1, self.sum([(-c, names) for c, names in terms])[1]
+            target = f"t{len(self.lines)}"
+        text = ""
+        for c, names in terms:
+            if c != 1 and not (text and c == -1):
+                names = (self.constant(abs(c) if text else c),) + names
+            text += ((" - " if c < 0 else " + ") if text else "") + " * ".join(names)
+        self.lines.append(f"{target} = {text or self.constant(ZERO)}")
+        return 1, target
+
+
+def _term(c: Fraction, *values):
+    """The term c times the product of the values; None if one is zero."""
+    if None in values:
+        return None
+    return c * math.prod(sign for sign, _ in values), tuple(name for _, name in values)
+
+
+def _products(u: list, v: list, o: int, c: int = 1) -> list:
+    """The terms of c u v at w^o, for series u and v: lists of values, the
+    coefficients of w^0, w^1, ..."""
+    return [_term(c, u[p], v[o - p]) for p in range(o + 1)]
+
+
+def _char_gradient(prog: _Statements, x: list, m: int) -> list:
+    """P_(m-1)(X), the gradient of e_m at the matrix X of series x, both
+    flattened, by Faddeev-LeVerrier as in `theta_char_polys`: W = X P_(q-1),
+    e_q = tr(W) / q and P_q = e_q I - W, from P_0 = I."""
+    s, orders, p = math.isqrt(len(x)), range(len(x[0])), None   # None for P_0 = I
+    for q in range(1, m):
+        w = x if p is None else [
+            [prog.sum(t for c in range(s) for t in _products(x[a * s + c], p[c * s + b], o))
+             for o in orders] for a in range(s) for b in range(s)]
+        e = [prog.sum(_term(Fraction(1, q), w[a * (s + 1)][o]) for a in range(s)) for o in orders]
+        p = [[prog.sum([_term(1, e[o]) if v % (s + 1) == 0 else None, _term(-1, w[v][o])])
+              for o in orders] for v in range(s * s)]
+    return p or [[(1, prog.constant(ONE)) if o == 0 and v % (s + 1) == 0 else None
+                  for o in orders] for v in range(s * s)]
+
+
+def _pfaffian_minor_gradient(s: int, minor: Callable, zero) -> list:
+    """flatten(G) with tr(G V) = D_V Pf(Q X), Pf read off the strict upper
+    triangle of Y = Q X (`liealg.pfaffian`): G = U^T Q, U_ab = dPf/dY_ab =
+    (-1)^(a+b+1) Pf(Y without rows and columns a and b) for a < b, and zero
+    for a >= b; minor(keep, sign) is sign Pf(Y's rows and columns keep)."""
+    def u(a: int, b: int):
+        keep = tuple(z for z in range(s) if z not in (a, b))
+        return minor(keep, (-1) ** (a + b + 1)) if a < b else zero
+    return [u(s - 1 - c, b) for b in range(s) for c in range(s)]
+
+
+def _pfaffian_series_gradient(prog: _Statements, x: list) -> list:
+    """`_pfaffian_minor_gradient` at the matrix X of series x (flattened):
+    Y = Q X is X upside down, and each minor's Pfaffian is expanded along its
+    first row, each sub-Pfaffian once."""
+    s, orders, pfs = math.isqrt(len(x)), range(len(x[0])), {}
+
+    def pf(keep: tuple[int, ...]) -> list:
+        row = x[(s - 1 - keep[0]) * s:(s - keep[0]) * s]
+        if len(keep) == 2:
+            return row[keep[1]]
+        if keep not in pfs:
+            pfs[keep] = [prog.sum(t for h in range(1, len(keep)) for t in _products(
+                row[keep[h]], pf(keep[1:h] + keep[h + 1:]), o, (-1) ** (h + 1))) for o in orders]
+        return pfs[keep]
+    return _pfaffian_minor_gradient(
+        s, lambda keep, sign: [v and (sign * v[0], v[1]) for v in pf(keep)], [None] * len(orders))
+
+
+def _flow_program(s: int, nvars: int, gradient: GradientProgram) -> dict:
     """The RK4 flow of `GaudinSystem.integrate_flow`, compiled from generated
     Python source.
 
     The state is one float per entry of the site matrices, row-major site
-    after site, and gradient lists the gradient's entries in the same
-    layout.  Returns a namespace with the functions
+    after site, nvars of them, and gradient's statements set its entries in
+    the same layout.  Returns a namespace with the functions
     - rhs(x0, x1, ...): the entries of [A_i, G_i] = A_i G_i - G_i A_i, each
       product entry summed from 0.0 over the inner index;
     - run(steps, h, x0, x1, ...): the state after `steps` RK4 steps of h.
     """
-    nvars, block = len(gradient), s * s
+    block = s * s
     xs = "".join(f"x{v}, " for v in range(nvars))
 
     def entry(v: int) -> str:
@@ -192,7 +174,7 @@ def _flow_program(s: int, gradient: Sequence[PolyObservable]) -> dict:
         return ("".join(f"{out}{v}, " for v in range(nvars)) + "= rhs("
                 + "".join(f"x{v} + {step} * {k}{v}, " for v in range(nvars)) + ")")
 
-    lines = [f"def rhs({xs}):", *_poly_lines(gradient, "g"),
+    lines = [f"def rhs({xs}):", *gradient.lines,
              "return (" + "".join(f"{entry(v)}, " for v in range(nvars)) + ")",
              f"def run(steps, h, {xs}):",
              "half = 0.5 * h", "sixth = h / 6.0", "for _ in range(steps):",
@@ -203,7 +185,7 @@ def _flow_program(s: int, gradient: Sequence[PolyObservable]) -> dict:
                for v in range(nvars)),
              f"return ({xs})"]
     source = "\n".join(line if line.startswith("def ") else " " + line for line in lines)
-    program: dict = {"_pow": _pow}
+    program = {name: _float(c) for name, c in gradient.constants.items()}
     exec(compile(source, "<gaudin flow>", "exec"), program)
     return program
 
@@ -276,14 +258,14 @@ class GaudinSystem:
         self.n = len(self.points)
         self.s = model.n
         self.group = model.group
-        # projection: coords(pi(Y)) = R flatten(Y^T), G R = T for G[a][b] = tr(B_a B_b),
-        # T_a = flatten(B_a^T); R = c X for b_a = c B_a integers, and P = sum_a b_a X_a.
+        # projection: pi(Y) in g with tr(pi(Y) B) = tr(Y B) for B in g is
+        # flatten(pi(Y)) = P flatten(Y) / den, P = sum_a b_a X_a, for the integer
+        # basis b_a = c B_a and G X = den T, G[a][b] = tr(b_a b_b), T_a = flatten(b_a^T).
         s = self.s
-        c, flat = over_common_denominator(x for b in model.basis for x in flatten(b))
+        _, flat = over_common_denominator(x for b in model.basis for x in flatten(b))
         basis = [flat[q:q + s * s] for q in range(0, len(flat), s * s)]
         den, x = integer_solve([[_trace(a, b, s) for b in basis] for a in basis],
                                [[v for i in range(s) for v in a[i::s]] for a in basis])
-        self._grad_scale, self._grad_ints = Fraction(c, den), x
         self._projection = (den, [[sum(map(mul, bcol, xcol)) for xcol in zip(*x)]
                                   for bcol in zip(*basis)])
         self._indices = generator_indices(self.group)
@@ -294,25 +276,10 @@ class GaudinSystem:
         self._chars: tuple = (None, None)   # (flattened tuple, its char polys), the last read
         self._interp_cache: dict[int, tuple] = {}
 
-    @cached_property
-    def _grad_rows(self) -> list[list[Fraction]]:   # R, for the flow's symbolic gradient
-        return [[self._grad_scale * y for y in row] for row in self._grad_ints]
-
-    # -- variable layout ------------------------------------------------------
-
-    def var(self, site: int, a: int, b: int) -> int:
-        return site * self.s * self.s + a * self.s + b
-
-    def coordinate(self, site: int, a: int, b: int) -> PolyObservable:
-        return PolyObservable.variable(self.var(site, a, b))
-
     def flatten_point(self, residues: Sequence[AlgebraElement]) -> list[Fraction]:
         return [x for el in residues for x in flatten(el.matrix)]
 
     # -- the Hitchin coefficient functions --------------------------------------
-
-    def site_matrix(self, site: int) -> list[list[PolyObservable]]:
-        return [[self.coordinate(site, a, b) for b in range(self.s)] for a in range(self.s)]
 
     def _interp_data(self, k: int):
         """(cols, ts, vinv) for degree index k, N = n d_k: the coefficients (i,
@@ -365,15 +332,53 @@ class GaudinSystem:
                        for j in range(1, d + 1)]
         return diffs, coeffs
 
-    def coefficient_functions(self, k: int) -> dict[tuple[int, int], PolyObservable]:
-        """The partial-fraction coefficients (i, j) of p_k(theta(z)) as
-        polynomials in the residue entries, for degree index k only: vinv
-        combines the symbolic p_k(theta(t)) at k's sample points t
-        (`matrix_invariant`).  Nothing is cached."""
-        cols, ts, vinv = self._interp_data(k)
-        sites = [self.site_matrix(i) for i in range(self.n)]
-        values = [matrix_invariant(theta_at(self.points, sites, t), self._indices[k]) for t in ts]
-        return {col: PolyObservable.lift(c) for col, c in zip(cols, mat_vec(vinv, values))}
+    def coefficient_functions(self, k: int) -> dict[tuple[int, int], GradientProgram]:
+        """The gradient program of every coefficient (k, i, j) of degree index
+        k, by (i, j) (`_gradient_program`)."""
+        return {(i, j): self._gradient_program(k, i, j) for i, j in self._interp_data(k)[0]}
+
+    def _gradient_program(self, k: int, i: int, j: int) -> GradientProgram:
+        """The projected site gradients of coefficient (k, i, j), from the
+        Laurent expansion at x_i.
+
+        With w = z - x_i, Theta(w) = w theta(x_i + w) = A_i + sum_(r>=1) B_r w^r,
+        B_r = sum_(l != i) (-1)^(r-1) A_l / (x_i - x_l)^r.  For d = d_k,
+        p_k(theta) = w^-d p_k(Theta), so the coefficient is that of w^(d-j)
+        in p_k(Theta); the gradient of p_k is homogeneous of degree d - 1, so
+        grad p_k(theta) = w^(1-d) Q(w) with Q = grad p_k(Theta), and the site
+        gradients read the projected coefficients of Q (`_site_weights`).  Q
+        comes from Faddeev-LeVerrier (`_char_gradient`) or the Pfaffian's
+        minors (`_pfaffian_series_gradient`) over series truncated at
+        w^(d-j).
+        """
+        s, block, top = self.s, self.s * self.s, self.group.degrees[k] - j
+        prog, xi = _Statements(), self.points[i]
+        theta = [[(1, f"x{i * block + e}")] + [
+            prog.sum(_term((-1) ** (r - 1) / (xi - x) ** r, (1, f"x{l * block + e}"))
+                     for l, x in enumerate(self.points) if l != i) for r in range(1, top + 1)]
+            for e in range(block)]
+        index = self._indices[k]
+        q = (_pfaffian_series_gradient(prog, theta) if index == PFAFFIAN
+             else _char_gradient(prog, theta, index))
+        pden, prows = self._projection
+        pq = [[prog.sum(_term(Fraction(a, pden), v[o]) for a, v in zip(row, q) if a)
+               for row in prows] for o in range(top + 1)]
+        for l in range(self.n):
+            weights = self._site_weights(i, l, top)
+            for e in range(block):
+                prog.sum((_term(c, pq[o][e]) for o, c in weights), target=f"g{l * block + e}")
+        return GradientProgram(prog.lines, {name: c for c, name in prog.constants.items()})
+
+    def _site_weights(self, i: int, l: int, top: int) -> list[tuple[int, Fraction]]:
+        """[(o, c)] such that the gradient at site l of a coefficient (k, i, j)
+        is sum c pi(Q_o), Q_o the coefficient of w^o in Q and top = d_k - j:
+        the coefficient of w^-j in w^(1-d) Q(w) / (z - x_l).  At l = i, z - x_l
+        = w and o = top; at l != i, 1 / (z - x_l) = sum_(r>=0) (-1)^r w^r /
+        (x_i - x_l)^(r+1) gives o = top - 1 - r, r < top."""
+        if l == i:
+            return [(top, ONE)]
+        c = self.points[i] - self.points[l]
+        return [(top - 1 - r, (-1) ** r / c ** (r + 1)) for r in range(top)]
 
     def _char_polys_at(self, residues: Sequence[AlgebraElement]) -> list[tuple]:
         """`theta_char_polys` of a residue tuple at the sample points, kept for
@@ -420,19 +425,6 @@ class GaudinSystem:
 
     # -- Lie-Poisson structure ---------------------------------------------------
 
-    def _symbolic_gradient(self, fn: PolyObservable, site: int) -> list[list[PolyObservable]]:
-        partials = [fn.diff(self.var(site, a, b)) for b in range(self.s) for a in range(self.s)]
-        coords = mat_vec(self._grad_rows, partials)
-        return [[PolyObservable.lift(x) for x in row]
-                for row in mat_comb(coords, self.model.basis)]
-
-    @cached_property
-    def _pfaffian_gradient(self) -> list[PolyObservable]:
-        """Flattened G(X) with tr(G(X) V) = D_V Pf(Q X), X the variables of site
-        0; G is homogeneous, so G(theta(t)) = G(M) / D^(r-1) for so(2r)."""
-        pf = matrix_invariant(self.site_matrix(0), PFAFFIAN)
-        return [pf.diff(self.var(0, a, b)) for b in range(self.s) for a in range(self.s)]
-
     def coefficient_gradients_at(self, residues: Sequence[AlgebraElement]
                                  ) -> list[SampleGradients]:
         """The gradients of every invariant coefficient at a point in the
@@ -444,17 +436,20 @@ class GaudinSystem:
         site gradient is formed.  At theta(t) = M / D the gradient of e_m is
         P_(m-1)(theta(t)) = Q_(m-1) / D^(m-1), Q_(m-1) an integer
         Faddeev-LeVerrier matrix of M (`theta_char_polys`), and that of the
-        Pfaffian is G(M) / D^(r-1) (`_pfaffian_gradient`); the projection, an
-        integer matrix over pden, costs s^4 integer products per k and t.
+        Pfaffian is G(M) / D^(r-1) (`_pfaffian_minor_gradient`); the
+        projection, an integer matrix over pden, costs s^4 integer products
+        per k and t.
         """
-        out, chars = [], self._char_polys_at(residues)
+        out, chars, s = [], self._char_polys_at(residues), self.s
         pden, prows = self._projection
         for k, index in enumerate(self._indices):
             cols, ts, vinv = self._interp_data(k)
             grads = []
             for den, m, _, qs in chars[:len(ts)]:
-                if index == PFAFFIAN:
-                    power, g = self.s // 2 - 1, [int(p(m)) for p in self._pfaffian_gradient]
+                if index == PFAFFIAN:   # Q M is M upside down
+                    y = [m[a:a + s] for a in range(s * s - s, -1, -s)]
+                    power, g = s // 2 - 1, _pfaffian_minor_gradient(s, lambda keep, sign: (
+                        sign * int(pfaffian([[y[p][q] for q in keep] for p in keep]))), 0)
                 else:
                     power, g = index - 1, qs[index - 1]
                 grads.append((den ** power * pden, [sum(map(mul, r, g)) for r in prows]))
@@ -523,9 +518,10 @@ class GaudinSystem:
 
     # -- Hamiltonian flow (floating point) ----------------------------------------
 
-    def integrate_flow(self, residues: Sequence[AlgebraElement], hamiltonian: PolyObservable,
+    def integrate_flow(self, residues: Sequence[AlgebraElement], gradient: GradientProgram,
                        t_end: float, steps: int):
-        """Fixed-step RK4 integration of dA_i/dt = [A_i, nabla_i H].
+        """Fixed-step RK4 integration of dA_i/dt = [A_i, nabla_i H], for the
+        gradient program of a coefficient H (`coefficient_functions`).
 
         Returns ((start, end), drift report): the site matrices A_i at 0 and
         at t_end as nested float lists, and the relative drift of every
@@ -536,24 +532,22 @@ class GaudinSystem:
             k4 = rhs(A + h * k3), A += (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4),
             rhs(X) = X @ G(X) - G(X) @ X with G the gradient of H,
 
-        in which every product and sum is taken left to right, and each
-        polynomial and each entry of a matrix product is summed from 0.0
-        (`_poly_lines`).  The loop is generated as straight-line Python over
-        one local float per matrix entry (`_flow_program`), so no library
-        kernel picks the order of an operation, and the floats are the same
-        on every host.  A power x ** e that overflows is the signed infinity
-        it rounds to, and every other float operation overflows silently, so
-        a flow that overflows is reported through its non-finite drift.
+        in which every product and sum is taken left to right, G is the
+        gradient's statements run with each constant rounded once, and each
+        entry of a matrix product is summed from 0.0.  The loop is generated
+        as straight-line Python over one local float per matrix entry
+        (`_flow_program`), so no library kernel picks the order of an
+        operation, and the floats are the same on every host.  A float
+        operation overflows silently to an infinity, so a flow that overflows
+        is reported through its non-finite drift.
 
         The drift values are every coefficient at the exact rationals of the
         float start and end states (`_expansions`), each rounded once by
         `_float`, as is each residue entry; a non-finite state has NaN values.
         """
         s, block = self.s, self.s * self.s
-        gradient = [x for i in range(self.n)
-                    for row in self._symbolic_gradient(hamiltonian, i) for x in row]
         start = [_float(x) for x in self.flatten_point(residues)]
-        end = _flow_program(s, gradient)["run"](steps, t_end / steps, *start)
+        end = _flow_program(s, len(start), gradient)["run"](steps, t_end / steps, *start)
         sites = [[[list(x[r:r + s]) for r in range(i, i + block, s)]
                   for i in range(0, len(x), block)] for x in (start, end)]
         keys = [(k, i, j) for k in range(len(self._indices)) for i, j in self._interp_data(k)[0]]

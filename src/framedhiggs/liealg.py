@@ -383,7 +383,8 @@ def char_poly_elementary(m: Matrix, count: int | None = None) -> list:
     """Elementary symmetric functions e_1..e_count of the eigenvalues of m, by
     default all n: det(tI - m) = sum_k (-1)^k e_k t^(n-k), by Newton's
     identities from the exact power traces up to tr(m^count).  The entries
-    may be Fractions or polynomial observables."""
+    may be Fractions or any values with +, - and *, such as symbolic
+    polynomials."""
     power = m
     psums = [mat_trace(m)]
     for _ in range((len(m) if count is None else count) - 1):
@@ -413,7 +414,7 @@ def pfaffian(m: Matrix):
 
 def matrix_invariant(m: Matrix, index: int):
     """The generator of `generator_indices` entry index at a matrix of
-    Fractions or of polynomial observables: e_index(m), or the Pfaffian of Q m
+    Fractions or of symbolic polynomials: e_index(m), or the Pfaffian of Q m
     (Q = `antidiagonal`; Q m is skew for m in so(2k), and for a symbolic m it
     is the polynomial in the strict upper triangle of Q m)."""
     if index == PFAFFIAN:
@@ -433,12 +434,6 @@ def invariant_polynomials(group_id: str, el: AlgebraElement) -> tuple[Fraction, 
         if any(qm[i][j] + qm[j][i] for i in range(len(qm)) for j in range(i, len(qm))):
             raise ValueError("pfaffian of a non-skew matrix")
     return tuple(matrix_invariant(el.matrix, i) for i in generator_indices(g))
-
-
-def theta_at(points: Sequence[Fraction], matrices: Sequence[Matrix], t: Fraction) -> Mat:
-    """theta(t) = sum_i M_i / (t - x_i) for residue matrices M_i at points x_i,
-    of Fractions or of polynomial observables."""
-    return mat_comb([ONE / (t - x) for x in points], matrices)
 
 
 def theta_numerators(points: Sequence[Fraction], matrices: Sequence[Matrix],

@@ -4,15 +4,27 @@ the tests check the code that the jobs do run.
 - `mat_is_zero` and `mat_commutator` on matrices, and `check_invariance`
   and `perp_subspace`: Lie-algebra identities in the defining
   representation;
+- `PolyObservable`, the symbolic polynomials in the residue entries
+  (`coordinate`, `site_matrix`) or in the algebra coordinates
+  (`algebra_site_matrix`), and `coefficient_polys`, the Hitchin coefficients
+  as such polynomials, combined from the invariants of the symbolic
+  theta(t) (`theta_at`) at the sample points;
 - `sigma_gradient_at` and `bracket_at`: the product Lie-Poisson bracket of
   two polynomial observables at a point, from their exact sigma-gradients at
-  each site, against which the sample-point bracket table is checked;
+  each site, against which the sample-point bracket table and the flow's
+  gradient programs are checked;
+- `gradient_function`: the statements of a `gaudin.GradientProgram` as a
+  function, run exactly or in floats;
 - `NegatedAdjointTheory`: the negative control of `verify_poisson_map`.
 """
 
+from fractions import Fraction
+from functools import cache
+from typing import Sequence
+
 from framedhiggs.deformation import DeformationTheory
-from framedhiggs.exactlinalg import ONE, ZERO, mat_comb, mat_mul, mat_vec
-from framedhiggs.liealg import bracket, mat_trace, perp_coordinates
+from framedhiggs.exactlinalg import ONE, ZERO, frac, inverse, mat_comb, mat_mul, mat_vec
+from framedhiggs.liealg import bracket, mat_trace, matrix_invariant, perp_coordinates
 
 
 def mat_is_zero(a):
@@ -34,13 +46,180 @@ def perp_subspace(form, subspace, model):
     return [model.from_coords(c) for c in perp_coordinates(form, subspace, model)]
 
 
+Monomial = tuple[tuple[int, int], ...]   # sorted ((var, exp), ...)
+
+
+class PolyObservable:
+    """Sparse multivariate polynomial with exact rational coefficients.
+
+    Variables index the entries of the residue matrices in the layout of
+    `coordinate`, or the algebra coordinates of `algebra_site_matrix`.  A
+    rational scalar acts as a constant polynomial in +, - and *, so that the
+    matrix routines of `exactlinalg` and `liealg` serve observables as well
+    as Fractions.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
+        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def constant(cls, c) -> "PolyObservable":
+        c = frac(c)
+        return cls({(): c} if c else {})
+
+    @classmethod
+    def variable(cls, idx: int) -> "PolyObservable":
+        return cls({((idx, 1),): ONE})
+
+    @classmethod
+    def lift(cls, x) -> "PolyObservable":
+        """x itself, or the constant polynomial of a scalar x."""
+        return x if isinstance(x, PolyObservable) else cls.constant(x)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, o) -> "PolyObservable":
+        out = dict(self.terms)
+        for m, c in PolyObservable.lift(o).terms.items():
+            out[m] = out.get(m, ZERO) + c
+        return PolyObservable(out)
+
+    def __radd__(self, o) -> "PolyObservable":
+        return PolyObservable.lift(o) + self
+
+    def __neg__(self) -> "PolyObservable":
+        return self.scale(-ONE)
+
+    def __sub__(self, o) -> "PolyObservable":
+        return self + -o
+
+    def __rsub__(self, o) -> "PolyObservable":
+        return o + -self
+
+    def scale(self, c) -> "PolyObservable":
+        c = frac(c)
+        return PolyObservable({m: c * x for m, x in self.terms.items()})
+
+    def __mul__(self, o) -> "PolyObservable":
+        if not isinstance(o, PolyObservable):
+            return self.scale(o)
+        out: dict[Monomial, Fraction] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in o.terms.items():
+                vars_: dict[int, int] = dict(m1)
+                for v, e in m2:
+                    vars_[v] = vars_.get(v, 0) + e
+                key = tuple(sorted(vars_.items()))
+                out[key] = out.get(key, ZERO) + c1 * c2
+        return PolyObservable(out)
+
+    __rmul__ = __mul__
+
+    def diff(self, var: int) -> "PolyObservable":
+        out: dict[Monomial, Fraction] = {}
+        for m, c in self.terms.items():
+            for i, (v, e) in enumerate(m):
+                if v == var:
+                    rest = m[:i] + ((v, e - 1),) + m[i + 1:] if e > 1 else m[:i] + m[i + 1:]
+                    out[rest] = out.get(rest, ZERO) + c * e
+                    break
+        return PolyObservable(out)
+
+    def __call__(self, values: Sequence[Fraction]) -> Fraction:
+        acc = ZERO
+        for m, c in self.terms.items():
+            term = c
+            for v, e in m:
+                term *= values[v] ** e
+            acc += term
+        return acc
+
+
+
+def coordinate(system, site, a, b):
+    """The entry (a, b) of residue site as a variable: site s^2 + a s + b."""
+    return PolyObservable.variable(site * system.s * system.s + a * system.s + b)
+
+
+def site_matrix(system, site):
+    return [[coordinate(system, site, a, b) for b in range(system.s)] for a in range(system.s)]
+
+
+def algebra_site_matrix(system, site):
+    """sum_a xi_a B_a over the basis B_a of the algebra, xi_a the variable
+    site dim + a."""
+    basis, dim = system.model.basis, len(system.model.basis)
+    return mat_comb([PolyObservable.variable(site * dim + a) for a in range(dim)], basis)
+
+
+def theta_at(points, matrices, t):
+    """theta(t) = sum_i M_i / (t - x_i), of Fractions or of polynomial observables."""
+    return mat_comb([ONE / (t - x) for x in points], matrices)
+
+
+def coefficient_polys(system, k, sites=site_matrix):
+    """{(i, j): coefficient (k, i, j) as a polynomial}: vinv combines
+    p_k(theta(t)) of the symbolic site matrices at k's sample points."""
+    cols, ts, vinv = system._interp_data(k)
+    mats = [sites(system, i) for i in range(system.n)]
+    values = [matrix_invariant(theta_at(system.points, mats, t), system._indices[k]) for t in ts]
+    return {col: PolyObservable.lift(c) for col, c in zip(cols, mat_vec(vinv, values))}
+
+
+@cache
+def _gram_inverse(system):
+    basis = system.model.basis
+    return inverse([[mat_trace(mat_mul(a, b)) for b in basis] for a in basis])
+
+
+@cache
+def grad_rows(system):
+    """R with coords(pi(G)) = R flatten(G) for the trace-dual gradient G
+    (tr(G V) = D_V f): R = Gram^-1 T, Gram[a][b] = tr(B_a B_b), T_a =
+    flatten(B_a^T)."""
+    basis = system.model.basis
+    t = [[row[b] for b in range(system.s) for row in m] for m in basis]
+    return mat_mul(_gram_inverse(system), t)
+
+
+def symbolic_gradient(system, fn, site):
+    """The sigma-gradient of fn at site as a matrix of polynomial observables."""
+    s = system.s
+    partials = [fn.diff(site * s * s + a * s + b) for b in range(s) for a in range(s)]
+    coords = mat_vec(grad_rows(system), partials)
+    return [[PolyObservable.lift(x) for x in row] for row in mat_comb(coords, system.model.basis)]
+
+
 def sigma_gradient_at(system, fn, site, values):
     """The algebra element nabla_site fn with tr(nabla xi) = D_xi fn, for a
-    polynomial observable fn of the `GaudinSystem` at the flattened point
-    values."""
+    polynomial observable fn of the entries (`coordinate`) at the flattened
+    point values."""
     s = system.s
-    flat_t = [fn.diff(system.var(site, a, b))(values) for b in range(s) for a in range(s)]
-    return system.model.from_coords(mat_vec(system._grad_rows, flat_t))
+    flat_t = [fn.diff(site * s * s + a * s + b)(values) for b in range(s) for a in range(s)]
+    return system.model.from_coords(mat_vec(grad_rows(system), flat_t))
+
+
+def algebra_sigma_gradients_at(system, fn, residues):
+    """The sigma-gradients at every site of a polynomial fn of the algebra
+    coordinates (`algebra_site_matrix`), at a residue tuple:
+    sum_b (Gram^-1 d fn / d xi)_b B_b."""
+    dim = len(system.model.basis)
+    values = [x for el in residues for x in system.model.coords(el)]
+    return [system.model.from_coords(mat_vec(_gram_inverse(system), [
+        fn.diff(site * dim + a)(values) for a in range(dim)])) for site in range(system.n)]
+
+
+def gradient_function(program, nvars, number=Fraction):
+    """The statements of a `GradientProgram` as the function x0, x1, ... ->
+    [g0, g1, ...], its constants converted by number."""
+    namespace = {name: number(c) for name, c in program.constants.items()}
+    xs = ", ".join(f"x{v}" for v in range(nvars))
+    body = [*program.lines, "return [" + ", ".join(f"g{v}" for v in range(nvars)) + "]"]
+    exec(f"def gradient({xs}):\n" + "\n".join(" " + line for line in body), namespace)
+    return namespace["gradient"]
 
 
 def bracket_at(system, f, g, residues):

@@ -2,14 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from framedhiggs import cli, rationalfn
 from framedhiggs.cli import main
-from framedhiggs.gaudin import PolyObservable
-from framedhiggs.liealg import matrix_invariant, theta_at
 
 
 def write_config(tmp_path, name, obj):
@@ -465,37 +464,61 @@ def test_an_so5_flow_builds_its_hamiltonian_alone_in_time(tmp_path):
     assert json.loads(out.read_text())["all_passed"]
 
 
+SO5_QUARTIC_FLOW = {**SO5_FLOW, "flow": {"degree_index": 1, "site": 0, "order": 1,
+                                          "t_end": 0.05, "steps": 200}}
+
+
+def test_an_so5_quartic_flow_builds_and_runs_in_time(tmp_path):
+    # The quartic flow to t = 0.05 in 200 steps stays finite (drift about
+    # 4e-11; to t = 1 it overflows).  Its symbolic Hamiltonian took 84 s to
+    # build; the Laurent route runs the whole job in 0.7 s on a 2-core host,
+    # and the bound leaves more than tenfold margin.
+    cfg = write_config(tmp_path, "so5.json", SO5_QUARTIC_FLOW)
+    out = tmp_path / "report.json"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "framedhiggs.cli", "gaudin",
+                           "--config", cfg, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["all_passed"] and report["results"]["flow_worst_drift"] < 1e-8
+    assert elapsed < 10, f"the so(5) quartic flow job took {elapsed:.1f} s"
+
+
 README_FLOW = {"group": "sl(2)", "points": ["1", "2", "3"],
                "residues": {"type": "random", "seed": 7, "height": 10}, "random_points": 5,
                "flow": {"degree_index": 0, "site": 0, "order": 1, "t_end": 1.0,
                         "steps": 10000, "drift_tolerance": 1e-8}}
 ORIGINAL_COEFFICIENT_FUNCTIONS = cli.GaudinSystem.coefficient_functions
-
-
-def _without_a_sample_weight(self, k):
-    # H - w_1 p_k(theta(t_1)) for the vinv row w of each coefficient.  The
-    # dropped value is itself a combination of the coefficients, so this H
-    # still commutes with them; it fails through the RK4 error of a flow about
-    # a thousand times faster (w_1 = 1066.2 for H), and 4x the steps shrink
-    # its drift about a thousandfold.
-    cols, ts, vinv = self._interp_data(k)
-    theta = theta_at(self.points, [self.site_matrix(i) for i in range(self.n)], ts[0])
-    sample = matrix_invariant(theta, self._indices[k])
-    return {col: fn - sample.scale(row[0])
-            for (col, fn), row in zip(ORIGINAL_COEFFICIENT_FUNCTIONS(self, k).items(), vinv)}
+ORIGINAL_SITE_WEIGHTS = cli.GaudinSystem._site_weights
 
 
 def _without_a_term(self, k):
-    # one monomial of each coefficient dropped: H is no longer invariant, and
-    # the drift stays at 0.19 whatever the step
-    return {col: PolyObservable(dict(list(fn.terms.items())[1:]))
-            for col, fn in ORIGINAL_COEFFICIENT_FUNCTIONS(self, k).items()}
+    # the last product of the first statement that sums several dropped from
+    # each gradient program: H's gradient is no longer that of an invariant
+    out = {}
+    for col, program in ORIGINAL_COEFFICIENT_FUNCTIONS(self, k).items():
+        lines = list(program.lines)
+        q = next(q for q, line in enumerate(lines) if " + " in line or " - " in line)
+        lines[q] = lines[q][:max(lines[q].rfind(" + "), lines[q].rfind(" - "))]
+        out[col] = program._replace(lines=lines)
+    return out
 
 
-@pytest.mark.parametrize("build", [_without_a_sample_weight, _without_a_term],
-                         ids=["sample-weight", "term"])
-def test_a_hamiltonian_built_wrong_fails_the_flow_check(tmp_path, monkeypatch, build):
-    monkeypatch.setattr(cli.GaudinSystem, "coefficient_functions", build)
+def _one_laurent_coefficient_one_order_off(self, i, l, top):
+    # the flow's own site reads Q_(d-j-1) where Q_(d-j) belongs
+    return [(o - (l == i), c) for o, c in ORIGINAL_SITE_WEIGHTS(self, i, l, top)]
+
+
+@pytest.mark.parametrize("name, build", [
+    ("coefficient_functions", _without_a_term),
+    ("_site_weights", _one_laurent_coefficient_one_order_off)], ids=["term", "laurent-order"])
+def test_a_hamiltonian_built_wrong_fails_the_flow_check(tmp_path, monkeypatch, name, build):
+    monkeypatch.setattr(cli.GaudinSystem, name, build)
     cfg = write_config(tmp_path, "flow.json", README_FLOW)
     out = tmp_path / "report.json"
     assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 1

@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from framedhiggs.exactlinalg import (identity, inverse, mat_comb, mat_mul, mat_vec,
                                      over_common_denominator)
 from framedhiggs import gaudin
-from framedhiggs.gaudin import GaudinSystem, PolyObservable, worst_drift
+from framedhiggs.gaudin import GaudinSystem, worst_drift
 from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, antidiagonal, char_poly_elementary,
                                 flatten, generator_indices, mat_trace, matrix_invariant,
-                                newton_elementary, pfaffian, theta_at, theta_char_polys)
-from framedhiggs.sampling import random_algebra_element, random_residue_tuple
-from oracles import bracket_at, mat_commutator, sigma_gradient_at
+                                newton_elementary, pfaffian, theta_char_polys)
+from framedhiggs.sampling import random_algebra_element, random_fraction, random_residue_tuple
+from oracles import (PolyObservable, algebra_sigma_gradients_at, algebra_site_matrix,
+                     bracket_at, coefficient_polys, coordinate, grad_rows, gradient_function,
+                     mat_commutator, sigma_gradient_at, site_matrix, symbolic_gradient, theta_at)
 
 PTS3 = (F(1), F(2), F(3))
 
@@ -103,7 +105,7 @@ def test_agreement_of_symbolic_and_numeric_expansion():
     els = balanced_tuple(model, rng, 3)
     vals = system.flatten_point(els)
     hp = system.hitchin_point(els)
-    for (i, j), fn in system.coefficient_functions(0).items():
+    for (i, j), fn in coefficient_polys(system, 0).items():
         assert fn(vals) == hp.coeffs[0].get((i, j), F(0))
 
 
@@ -117,7 +119,7 @@ def pairing_observable(system, site, el):
     for a in range(system.s):
         for b in range(system.s):
             if el.matrix[b][a]:
-                obs = obs + system.coordinate(site, a, b).scale(el.matrix[b][a])
+                obs = obs + coordinate(system, site, a, b).scale(el.matrix[b][a])
     return obs
 
 
@@ -125,17 +127,17 @@ def bracket_symbolic(system, f, g):
     """Oracle: {f, g} as an exact polynomial observable."""
     acc = PolyObservable()
     for i in range(system.n):
-        comm = mat_commutator(system._symbolic_gradient(f, i), system._symbolic_gradient(g, i))
+        comm = mat_commutator(symbolic_gradient(system, f, i), symbolic_gradient(system, g, i))
         for a in range(system.s):
             for b in range(system.s):
-                acc = acc + (system.coordinate(i, a, b) * comm[b][a])
+                acc = acc + (coordinate(system, i, a, b) * comm[b][a])
     return acc
 
 
 def test_bracket_antisymmetry():
     model = AlgebraModel("sl(2)")
     system = GaudinSystem(model, PTS3)
-    f = system.coordinate(0, 0, 1) * system.coordinate(1, 1, 0)
+    f = coordinate(system, 0, 0, 1) * coordinate(system, 1, 1, 0)
     assert not bracket_symbolic(system, f, f)
 
 
@@ -155,9 +157,9 @@ def test_single_site_structure_constants():
 def test_bracket_leibniz_rule():
     model = AlgebraModel("sl(2)")
     system = GaudinSystem(model, (F(1), F(2)))
-    x = system.coordinate(0, 0, 1)
-    y = system.coordinate(1, 1, 0)
-    w = system.coordinate(0, 0, 0)
+    x = coordinate(system, 0, 0, 1)
+    y = coordinate(system, 1, 1, 0)
+    w = coordinate(system, 0, 0, 0)
     lhs = bracket_symbolic(system, x, y * w)
     rhs = bracket_symbolic(system, x, y) * w + y * bracket_symbolic(system, x, w)
     assert not lhs - rhs
@@ -173,8 +175,8 @@ def test_bracket_jacobi_identity():
         for _ in range(3):
             term = PolyObservable.constant(F(rng.randint(-3, 3), rng.randint(1, 2)))
             for _ in range(rng.randint(1, 2)):
-                term = term * system.coordinate(rng.randint(0, 1),
-                                                rng.randint(0, 1), rng.randint(0, 1))
+                term = term * coordinate(system, rng.randint(0, 1),
+                                         rng.randint(0, 1), rng.randint(0, 1))
             obs = obs + term
         return obs
 
@@ -197,9 +199,9 @@ def test_commutativity_small_and_negative_control():
         assert worst == 0
     model = AlgebraModel("sl(2)")
     system = GaudinSystem(model, PTS3)
-    noninv = system.coordinate(0, 0, 1) * system.coordinate(0, 1, 0)
+    noninv = coordinate(system, 0, 0, 1) * coordinate(system, 0, 1, 0)
     point = random_residue_tuple(model, rng, 3, 4, zero_sum=False)
-    assert bracket_at(system, system.coefficient_functions(0)[0, 1], noninv, point) != 0
+    assert bracket_at(system, coefficient_polys(system, 0)[0, 1], noninv, point) != 0
 
 
 def test_commutativity_so5_spot():
@@ -213,7 +215,8 @@ def test_commutativity_so5_spot():
 
 def test_commutativity_so4_spot(monkeypatch):
     # so(4) is the one family whose last generator is a Pfaffian; its gradients
-    # come from one symbolic gradient of Pf(Q X), and no coefficient function.
+    # come from the integer minors of Q M at each sample point, and no
+    # gradient program.
     def refuse(self, k):
         raise AssertionError("the bracket table built a coefficient function")
     monkeypatch.setattr(GaudinSystem, "coefficient_functions", refuse)
@@ -252,12 +255,12 @@ def _reference_gradients(system, residues):
             # the coefficients of Pf(Q theta(z)) as symbolic functions of the
             # residue entries, differentiated symbolically
             values = system.flatten_point(residues)
-            sites = [system.site_matrix(i) for i in range(system.n)]
+            sites = [site_matrix(system, i) for i in range(system.n)]
             pfs = [pfaffian(mat_mul(antidiagonal(system.s), theta_at(system.points, sites, t)))
                    for t in ts]
             for col, c in sorted(zip(cols, mat_vec(vinv, pfs))):
                 grads = [[[entry(values) for entry in row]
-                          for row in system._symbolic_gradient(PolyObservable.lift(c), l)]
+                          for row in symbolic_gradient(system, PolyObservable.lift(c), l)]
                          for l in range(system.n)]
                 out.append(((k, col[0], col[1]), grads))
             continue
@@ -269,7 +272,7 @@ def _reference_gradients(system, residues):
             for x in system.points:
                 combo = mat_comb([w / (t - x) for w, t in zip(row, ts)],
                                  [grad_cache[t][index - 1] for t in ts])
-                coords = mat_vec(system._grad_rows, flatten(combo))
+                coords = mat_vec(grad_rows(system), flatten(combo))
                 grads.append([list(r) for r in system.model.from_coords(coords).matrix])
             out.append(((k, col[0], col[1]), grads))
     return out
@@ -404,7 +407,7 @@ def test_bracket_table_negative_control(monkeypatch, gid, points, count):
     system = GaudinSystem(model, points)
     cols, ts, vinv = system._interp_data(model.group.degrees.index(2))
     keys = [("non-invariant", i, j) for i, j in cols]
-    thetas = [theta_at(points, [system.site_matrix(l) for l in range(len(points))], t)
+    thetas = [theta_at(points, [site_matrix(system, l) for l in range(len(points))], t)
               for t in ts]
     noninv = [PolyObservable.lift(c)
               for c in mat_vec(vinv, [theta[0][1] * theta[1][0] for theta in thetas])]
@@ -420,7 +423,7 @@ def test_bracket_table_negative_control(monkeypatch, gid, points, count):
             theta = theta_at(points, [el.matrix for el in residues], t)
             grad = [[theta[a][b] if {a, b} == {0, 1} else F(0) for b in range(system.s)]
                     for a in range(system.s)]
-            projected = system.model.from_coords(mat_vec(system._grad_rows, flatten(grad)))
+            projected = system.model.from_coords(mat_vec(grad_rows(system), flatten(grad)))
             grads.append(over_common_denominator(flatten(projected.matrix)))
         return gaudin.SampleGradients(keys, vinv, grads)
 
@@ -492,7 +495,7 @@ def test_invariants_agree_on_symbolic_and_numeric_matrices(gid):
     system = GaudinSystem(model, (F(1),))
     el = random_algebra_element(model, random.Random(43), 4)
     values = system.flatten_point([el])
-    symbolic = [matrix_invariant(system.site_matrix(0), i) for i in system._indices]
+    symbolic = [matrix_invariant(site_matrix(system, 0), i) for i in system._indices]
     numeric = [matrix_invariant(el.matrix, i) for i in system._indices]
     assert len(symbolic) == len(numeric) == model.group.rank
     assert [p(values) for p in symbolic] == numeric == _all_invariants(model.group, el.matrix)
@@ -530,32 +533,11 @@ def test_flow_conserves_invariant_coefficients():
                for a, b in zip(_flat(traj[0]), _flat(traj[-1])))
 
 
-# Reference flow: the documented loop in plain Python floats.  One closure per
-# polynomial sums c * x_v ** e * ... term by term from 0.0, and the
-# commutator is taken one entry at a time, each product entry summed from 0.0.
-# The drift values are every coefficient polynomial evaluated exactly at the
-# Fraction of each float state, then rounded.
-
-def _power(x, e):
-    try:
-        return x ** e
-    except OverflowError:   # the IEEE result: an infinity with the sign of x ** e
-        return math.copysign(math.inf, x ** (e % 2))
-
-
-def _compiled(poly):
-    data = [(float(c), list(m)) for m, c in poly.terms.items()]
-
-    def run(values):
-        acc = 0.0
-        for c, mono in data:
-            t = c
-            for v, e in mono:
-                t *= _power(values[v], e)
-            acc += t
-        return acc
-    return run
-
+# Reference flow: the documented loop in plain Python floats.  The gradient
+# is the program's statements run as one function with float constants, and
+# the commutator is taken one entry at a time, each product entry summed from
+# 0.0.  The drift values are every coefficient polynomial evaluated exactly at
+# the Fraction of each float state, then rounded.
 
 def _all_invariants(group, m):
     """p_1(m), ..., p_r(m) from every e_m(m) at once, and the Pfaffian."""
@@ -569,7 +551,7 @@ def _all_coefficient_polys(system):
     """((k, i, j), polynomial) for every partial-fraction coefficient of every
     p_k(theta(z)): all the invariants of the symbolic theta(t) at every
     sample point (`_all_invariants`), combined by vinv."""
-    sites = [system.site_matrix(i) for i in range(system.n)]
+    sites = [site_matrix(system, i) for i in range(system.n)]
     invariants = {t: _all_invariants(system.group, theta_at(system.points, sites, t))
                   for t in system._ts}
     out = []
@@ -578,6 +560,11 @@ def _all_coefficient_polys(system):
         out += [((k, i, j), PolyObservable.lift(c))
                 for (i, j), c in zip(cols, mat_vec(vinv, [invariants[t][k] for t in ts]))]
     return out
+
+
+@cache
+def _programs(system, k):
+    return system.coefficient_functions(k)
 
 
 def _rounded(x):
@@ -594,14 +581,13 @@ def _exact_values(system, state):
     return [_rounded(fn(point)) for _, fn in _all_coefficient_polys(system)]
 
 
-def _reference_flow(system, residues, hamiltonian, t_end, steps):
+def _reference_flow(system, residues, program, t_end, steps):
     s = system.s
-    grad = [_compiled(x) for i in range(system.n)
-            for row in system._symbolic_gradient(hamiltonian, i) for x in row]
     state = [float(x) for el in residues for row in el.matrix for x in row]
+    gradient = gradient_function(program, len(state), float)
 
     def rhs(x):
-        g = [f(x) for f in grad]
+        g = gradient(*x)
         out = []
         for site in range(0, len(x), s * s):
             for a in range(s):
@@ -630,9 +616,9 @@ def _reference_flow(system, residues, hamiltonian, t_end, steps):
     return state, report
 
 
-def _assert_flow_is_the_reference(system, residues, hamiltonian, t_end, steps, finite=True):
-    traj, report = system.integrate_flow(residues, hamiltonian, t_end, steps)
-    state, expected = _reference_flow(system, residues, hamiltonian, t_end, steps)
+def _assert_flow_is_the_reference(system, residues, program, t_end, steps, finite=True):
+    traj, report = system.integrate_flow(residues, program, t_end, steps)
+    state, expected = _reference_flow(system, residues, program, t_end, steps)
     assert _bits(_flat(traj[0])) == _bits([float(x) for x in system.flatten_point(residues)])
     assert _bits(_flat(traj[-1])) == _bits(state)
     assert _report_bits(report) == _report_bits(expected)
@@ -640,62 +626,17 @@ def _assert_flow_is_the_reference(system, residues, hamiltonian, t_end, steps, f
     return traj, report
 
 
-# The coefficient functions are multilinear in the entries; the squared
-# Hamiltonian's gradient has squared entries, which take the power path.
-FLOW_CASES = [("sl(2)", 3, 0, (0, 1), 1, 1.0, 300), ("sl(2)", 3, 0, (1, 1), 2, 0.05, 100),
-              ("sl(3)", 3, 1, (1, 2), 1, 0.02, 40), ("so(4)", 2, 1, (1, 2), 1, 0.02, 20)]
+FLOW_CASES = [("sl(2)", 3, 0, (0, 1), 1.0, 300), ("sl(3)", 3, 1, (1, 2), 0.02, 40),
+              ("so(4)", 2, 1, (1, 2), 0.02, 20)]
 
 
-@pytest.mark.parametrize("gid, n, k, col, power, t_end, steps", FLOW_CASES,
-                         ids=["sl(2)", "sl(2)-squared", "sl(3)", "so(4)"])
-def test_flow_matches_term_by_term_reference(gid, n, k, col, power, t_end, steps):
+@pytest.mark.parametrize("gid, n, k, col, t_end, steps", FLOW_CASES,
+                         ids=["sl(2)", "sl(3)", "so(4)"])
+def test_flow_matches_term_by_term_reference(gid, n, k, col, t_end, steps):
     model = AlgebraModel(gid)
     system = GaudinSystem(model, PTS3[:n])
     els = balanced_tuple(model, random.Random(61), n, 3)
-    ham = system.coefficient_functions(k)[col]
-    if power == 2:
-        ham = ham * ham
-        assert any(e > 1 for m in ham.diff(0).terms for _, e in m)
-    _assert_flow_is_the_reference(system, els, ham, t_end, steps)
-
-
-def _evaluator(polys, nvars):
-    """The statements of `_poly_lines` as a function of x0, x1, ... that
-    returns the values of polys."""
-    xs = ", ".join(f"x{v}" for v in range(nvars))
-    body = gaudin._poly_lines(polys, "v") + [
-        "return (" + "".join(f"v{q}, " for q in range(len(polys))) + ")"]
-    namespace = {"_pow": gaudin._pow}
-    exec(f"def values({xs}):\n" + "\n".join(" " + line for line in body), namespace)
-    return namespace["values"]
-
-
-def test_generated_evaluator_matches_term_by_term_loop():
-    # Squares and cubes included, and points large enough that some powers
-    # overflow to +-inf.
-    rng = random.Random(67)
-    polys = [PolyObservable({tuple(sorted({rng.randrange(6): rng.randint(1, 3)
-                                           for _ in range(rng.randint(0, 3))}.items())):
-                             F(rng.randint(-9, 9), rng.randint(1, 4))
-                             for _ in range(rng.randint(0, 6))})
-             for _ in range(12)]
-    assert any(e == 3 for p in polys for m in p.terms for _, e in m)
-    values = _evaluator(polys, 6)
-    loops = [_compiled(p) for p in polys]
-    overflowed = 0
-    for sigma in [7.0] * 2000 + [1e110] * 50:
-        point = [rng.gauss(0.0, sigma) for _ in range(6)]
-        got = values(*point)
-        assert _bits(got) == _bits([loop(point) for loop in loops])
-        overflowed += any(map(math.isinf, got))
-    assert overflowed > 0
-    # A sum of 5,000 terms is generated as several statements.
-    long = PolyObservable({((v, 1), (v + 1, 2)): F(1, v + 1) for v in range(30)}
-                          | {((v, 1),): F(v, 7) for v in range(30, 5000)})
-    values = _evaluator([long], 5000)
-    for sigma in (1.0, 1e110):
-        point = [rng.gauss(0.0, sigma) for _ in range(5000)]
-        assert _bits(values(*point)) == _bits([_compiled(long)(point)])
+    _assert_flow_is_the_reference(system, els, system.coefficient_functions(k)[col], t_end, steps)
 
 
 @cache
@@ -704,26 +645,16 @@ def _flow_system(gid, n):
 
 
 @st.composite
-def _hamiltonians(draw, nvars):
-    """A sparse polynomial of degree <= 2, or the product of two: products
-    put several factors and powers x ** e into the gradient's terms."""
-    def poly():
-        return PolyObservable({
-            tuple(sorted(draw(st.dictionaries(st.integers(0, nvars - 1), st.integers(1, 2),
-                                              max_size=2)).items())):
-            F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
-            for _ in range(draw(st.integers(1, 3)))})
-    ham = poly()
-    return ham * poly() if draw(st.booleans()) else ham
-
-
-@st.composite
 def _flows(draw):
+    """One to three flows of random coefficients from random tuples."""
     gid, n = draw(st.sampled_from([("sl(2)", 3), ("sl(3)", 2)]))
     system = _flow_system(gid, n)
+
+    def program():
+        k = draw(st.integers(0, system.group.rank - 1))
+        return _programs(system, k)[draw(st.sampled_from(sorted(_programs(system, k))))]
     flows = [(balanced_tuple(system.model, random.Random(draw(st.integers(0, 99))), n, 3),
-              draw(_hamiltonians(n * system.s * system.s)))
-             for _ in range(draw(st.integers(1, 3)))]
+              program()) for _ in range(draw(st.integers(1, 3)))]
     return system, flows, draw(st.sampled_from([0.001, 0.005])), draw(st.integers(1, 3))
 
 
@@ -731,21 +662,22 @@ def _flows(draw):
 @given(_flows())
 def test_random_flows_match_the_reference_loop(case):
     system, flows, t_end, steps = case
-    for residues, ham in flows:
-        _assert_flow_is_the_reference(system, residues, ham, t_end, steps)
+    for residues, program in flows:
+        _assert_flow_is_the_reference(system, residues, program, t_end, steps)
 
 
 def test_an_overflowing_flow_matches_the_reference_loop():
-    # A step of 1e300 overflows products, and squared entries overflow x ** 2.
-    model = AlgebraModel("sl(2)")
-    system = GaudinSystem(model, PTS3)
-    els = balanced_tuple(model, random.Random(3), 3, 3)
-    ham = system.coefficient_functions(0)[0, 1]
-    for residues, h, finite in [(els, PolyObservable(), True), (els, ham, False),
-                                ([model.zero()] * 3, ham * ham, True),
-                                (els, ham * ham, False)]:
-        _, report = _assert_flow_is_the_reference(system, residues, h, 1e300, 1, finite)
-        assert math.isnan(worst_drift(report)) != finite
+    # A step of 1e300 overflows products to infinities, and their differences
+    # to NaN; the zero tuple stays at zero.
+    for gid, k in [("sl(2)", 0), ("sl(3)", 1)]:
+        model = AlgebraModel(gid)
+        system = GaudinSystem(model, PTS3)
+        els = balanced_tuple(model, random.Random(3), 3, 3)
+        program = system.coefficient_functions(k)[0, 1]
+        for residues, finite in [(els, False), ([model.zero()] * 3, True)]:
+            _, report = _assert_flow_is_the_reference(system, residues, program, 1e300, 1,
+                                                      finite)
+            assert math.isnan(worst_drift(report)) != finite
 
 
 def test_flow_zero_time_is_identity():
@@ -753,8 +685,8 @@ def test_flow_zero_time_is_identity():
     system = GaudinSystem(model, PTS3)
     rng = random.Random(3)
     els = balanced_tuple(model, rng, 3, 3)
-    ham = system.coefficient_functions(0)[0, 1]
-    traj, _ = _assert_flow_is_the_reference(system, els, ham, 0.0, 5)
+    program = system.coefficient_functions(0)[0, 1]
+    traj, _ = _assert_flow_is_the_reference(system, els, program, 0.0, 5)
     assert traj[0] == traj[-1]
 
 
@@ -769,11 +701,13 @@ def test_casimir_flow_is_stationary():
     # stationary within numpy.allclose's default tolerance
     assert all(abs(a - b) <= 1e-8 + 1e-5 * abs(b)
                for a, b in zip(_flat(traj[0]), _flat(traj[-1])))
-    # its gradient has no term, so each of its entries is the sum 0.0
+    # its gradient is the constant 0, and that of the other coefficient is not
     other = system.coefficient_functions(0)[0, 2]
-    assert not cas and other
-    for ham in (cas, other):
-        _assert_flow_is_the_reference(system, [el], ham, 0.01, 20)
+    point = system.flatten_point([el])
+    assert not any(gradient_function(cas, 4)(*point))
+    assert any(gradient_function(other, 4)(*point))
+    for program in (cas, other):
+        _assert_flow_is_the_reference(system, [el], program, 0.01, 20)
 
 
 BUILD_CASES = [("sl(3)", 3), ("gl(3)", 2), ("sp(4)", 1), ("so(4)", 2), ("so(5)", 1)]
@@ -781,15 +715,44 @@ BUILD_CASES = [("sl(3)", 3), ("gl(3)", 2), ("sp(4)", 1), ("so(4)", 2), ("so(5)",
 
 @pytest.mark.parametrize("gid, n", BUILD_CASES, ids=[case[0] for case in BUILD_CASES])
 def test_one_degree_index_builds_the_all_index_polynomials(gid, n):
-    # Truncated power traces and Newton's identities, or the Pfaffian alone,
-    # give the same terms in the same order, so the generated flow sums them
-    # as before.
+    # The gradient programs of one degree index, run in Fractions, are the
+    # sigma-gradients of the coefficient polynomials built from every
+    # invariant at once, at points off the zero-sum locus.
     system = GaudinSystem(AlgebraModel(gid), PTS3[:n])
-    every = _all_coefficient_polys(system)
-    built = [((k, i, j), fn) for k in range(system.group.rank)
-             for (i, j), fn in system.coefficient_functions(k).items()]
-    assert [(key, list(fn.terms.items())) for key, fn in built] == \
-        [(key, list(fn.terms.items())) for key, fn in every]
+    rng = random.Random(113 + BUILD_CASES.index((gid, n)))
+    points = [system.flatten_point(random_residue_tuple(system.model, rng, n, 5, zero_sum=False))
+              for _ in range(2)]
+    for (k, i, j), fn in _all_coefficient_polys(system):
+        gradient = gradient_function(_programs(system, k)[i, j], len(points[0]))
+        for values in points:
+            assert gradient(*values) == [x for l in range(n) for row in sigma_gradient_at(
+                system, fn, l, values).matrix for x in row]
+
+
+# The exact oracle of the Laurent route: each coefficient as a polynomial in
+# the algebra coordinates of every site (`algebra_site_matrix`), built from
+# the symbolic invariant at the sample points, and its sigma-gradient by the
+# inverse Gram matrix of the trace form.
+EXACT_CASES = [("sl(2)", 3, 0), ("sl(3)", 3, 1), ("gl(3)", 2, 0), ("gl(3)", 2, 1),
+               ("gl(3)", 2, 2), ("sp(4)", 2, 1), ("so(5)", 2, 1), ("so(4)", 3, 0),
+               ("so(4)", 3, 1)]
+
+
+@pytest.mark.parametrize("gid, n, k", EXACT_CASES, ids=[f"{g}-k{k}" for g, _, k in EXACT_CASES])
+def test_gradient_programs_are_the_exact_sigma_gradients(gid, n, k):
+    model = AlgebraModel(gid)
+    system = GaudinSystem(model, (F(2), F(-1), F(1, 3))[:n])
+    polys = coefficient_polys(system, k, algebra_site_matrix)
+    programs = system.coefficient_functions(k)
+    rng = random.Random(127 + EXACT_CASES.index((gid, n, k)))
+    for _ in range(3):
+        residues = [model.from_coords([random_fraction(rng, 9) for _ in model.basis])
+                    for _ in range(n)]
+        values = system.flatten_point(residues)
+        for col, program in programs.items():
+            assert gradient_function(program, len(values))(*values) == [
+                x for g in algebra_sigma_gradients_at(system, polys[col], residues)
+                for row in g.matrix for x in row]
 
 
 def test_the_flow_starts_at_the_hitchin_point():
