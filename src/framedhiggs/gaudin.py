@@ -32,6 +32,7 @@ from .exactlinalg import (ZERO, ONE, frac, identity, integer_solve, mat_comb,
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, flatten, generator_indices,
                      pfaffian, theta_char_polys)
 
+
 def _float(x: Fraction) -> float:
     """x rounded to a float, a value beyond the float range to the signed infinity."""
     try:
