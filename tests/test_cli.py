@@ -470,8 +470,7 @@ SO5_QUARTIC_FLOW = {**SO5_FLOW, "flow": {"degree_index": 1, "site": 0, "order": 
 
 def test_an_so5_quartic_flow_builds_and_runs_in_time(tmp_path):
     # The quartic flow to t = 0.05 in 200 steps stays finite (drift about
-    # 4e-11; to t = 1 it overflows).  Its symbolic Hamiltonian took 84 s to
-    # build; the Laurent route runs the whole job in 0.7 s on a 2-core host,
+    # 4e-11; to t = 1 it overflows).  The job takes 0.7 s on a 2-core host,
     # and the bound leaves more than tenfold margin.
     cfg = write_config(tmp_path, "so5.json", SO5_QUARTIC_FLOW)
     out = tmp_path / "report.json"
