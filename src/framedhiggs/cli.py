@@ -368,7 +368,7 @@ def run_gaudin(cfg: dict, seed) -> dict:
                        "invariant polynomials of theta(z)"},
     }
     if flow_cfg is not None:
-        ham = system.coefficient_functions(k)[i, j]
+        ham = system.coefficient_functions(k, [(i, j)])[i, j]
         _, drift = system.integrate_flow(model.residues, ham, t_end, steps)
         worst = worst_drift(drift)
         checks.append(_check(

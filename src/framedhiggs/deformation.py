@@ -481,22 +481,37 @@ def _apply(table: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int
     return out
 
 
-def _dot(u: dict[int, int], w: dict[int, int]) -> int:
-    return sum(x * w[k] for k, x in u.items() if k in w)
+def _by_position(vectors: Sequence[dict[int, int]]) -> dict[int, list[tuple[int, int]]]:
+    """{k: [(b, v_b[k]) for each vector v_b with an entry at k]}."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for b, v in enumerate(vectors):
+        for k, x in v.items():
+            out.setdefault(k, []).append((b, x))
+    return out
 
 
 def _cup_matrix(model: FramedHiggsModel, window: Window, left, right) -> tuple[int, tuple]:
     """(d, rows): the matrix [<a, b>] times d, with integer rows, for the
     layout cocycles a of `left` and b of `right`, each a (d, integer
     cocycles) pair as `Hypercohomology.classes` returns:
-    <a, b> = B(u0_a, c_b) - B(u1_b, c_a) for the model's pairing form B."""
+    <a, b> = B(u0_a, c_b) - B(u1_b, c_a) for the model's pairing form B.
+    The entries of B c_b and B c_a are indexed by layout position once, and
+    each row gains its first terms in one pass over u0_a, each column its
+    second terms in one pass over u1_b."""
     fden, table = model.pairing_form(window)
     (lden, lefts), (rden, rights) = left, right
-    b_left = [_apply(table, c) for c, _, _ in lefts]
-    b_right = [_apply(table, c) for c, _, _ in rights]
-    return fden * lden * rden, tuple(
-        tuple(_dot(u0_a, bc_b) - _dot(u1_b, bc_a) for (_, _, u1_b), bc_b in zip(rights, b_right))
-        for (_, u0_a, _), bc_a in zip(lefts, b_left))
+    b_left = _by_position([_apply(table, c) for c, _, _ in lefts])
+    b_right = _by_position([_apply(table, c) for c, _, _ in rights])
+    rows = [[0] * len(rights) for _ in lefts]
+    for row, (_, u0, _) in zip(rows, lefts):
+        for k, x in u0.items():
+            for b, y in b_right.get(k, ()):
+                row[b] += x * y
+    for b, (_, _, u1) in enumerate(rights):
+        for k, x in u1.items():
+            for a, y in b_left.get(k, ()):
+                rows[a][b] -= x * y
+    return fden * lden * rden, tuple(map(tuple, rows))
 
 
 def hyper_pair(model: FramedHiggsModel,

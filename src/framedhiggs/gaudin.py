@@ -7,9 +7,13 @@ integer forward differences of their values at sample points t one apart
 (`GaudinSystem._partial_fractions`); the Poisson structure is the product
 Lie-Poisson bracket transported by the trace form.  At each t, with theta(t)
 = M / D, the invariants and their gradients come from one integer
-Faddeev-LeVerrier run on M, and the bracket table is formed in that basis of
-sample points (`commutativity_check`), with no per-site gradient; no bracket
-of two arbitrary observables is formed at a point.  Only the flow integrator
+Faddeev-LeVerrier run on M.  The bracket check (`commutativity_check`) runs
+that kernel first at one integer point T = 2^B, B from coefficient bounds of
+the integer matrix polynomial theta(t) L prod_j (q_j t - p_j): if every
+commutator the bracket table tests vanishes at T, it vanishes at every
+sample point, and only a tuple that fails this certificate forms its table
+in the basis of sample points, with no per-site gradient; no bracket of two
+arbitrary observables is formed at a point.  Only the flow integrator
 uses floats: its right-hand side is straight-line code generated from the
 Laurent expansion of theta at the marked point of its Hamiltonian
 (`GaudinSystem.coefficient_functions`), and its drift values are exact values
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from functools import cached_property
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from typing import Callable, NamedTuple, Sequence
 
 from .exactlinalg import (ZERO, ONE, frac, identity, integer_solve, mat_comb,
@@ -248,6 +252,14 @@ class _Rows(UserList):
     data = cached_property(lambda self: self.build())
 
 
+@dataclass(eq=False)
+class _Gradients(_Rows):
+    """`SampleGradients.grads` as `GaudinSystem.coefficient_gradients_at`
+    makes them: built when first read, with at = (M, y), theta(T) = M / D
+    and the gradient y / d at the certificate point T."""
+    at: tuple[list[int], list[int]]
+
+
 class GaudinSystem:
     """Residue-tuple phase space for a classical group and marked points."""
 
@@ -333,10 +345,13 @@ class GaudinSystem:
                        for j in range(1, d + 1)]
         return diffs, coeffs
 
-    def coefficient_functions(self, k: int) -> dict[tuple[int, int], GradientProgram]:
-        """The gradient program of every coefficient (k, i, j) of degree index
-        k, by (i, j) (`_gradient_program`)."""
-        return {(i, j): self._gradient_program(k, i, j) for i, j in self._interp_data(k)[0]}
+    def coefficient_functions(self, k: int, cols: Sequence[tuple[int, int]] | None = None
+                              ) -> dict[tuple[int, int], GradientProgram]:
+        """The gradient program of each coefficient (k, i, j) with (i, j) in
+        cols, by default every one of degree index k, by (i, j)
+        (`_gradient_program`)."""
+        return {(i, j): self._gradient_program(k, i, j)
+                for i, j in (self._interp_data(k)[0] if cols is None else cols)}
 
     def _gradient_program(self, k: int, i: int, j: int) -> GradientProgram:
         """The projected site gradients of coefficient (k, i, j), from the
@@ -426,34 +441,87 @@ class GaudinSystem:
 
     # -- Lie-Poisson structure ---------------------------------------------------
 
+    def _majorants(self, residues: Sequence[AlgebraElement]
+                   ) -> tuple[int, list[int], int, list[int]]:
+        """(mu, q, rho, g): bounds on coefficient 1-norms nu, the sum of the
+        absolute values of a polynomial's coefficients, so that nu(f + f') <=
+        nu(f) + nu(f') and nu(f f') <= nu(f) nu(f').
+
+        With x_j = p_j / q_j, A_i = a_i / d_i (a_i integer, d_i least) and L
+        = lcm d_i, N(t) = theta(t) L prod_j (q_j t - p_j) = sum_i (L / d_i)
+        a_i q_i prod_(j != i) (q_j t - p_j) is an integer matrix polynomial,
+        and mu bounds nu of each of its entries.  q[m] bounds each entry of
+        the Faddeev-LeVerrier matrix Q_m(N): e_m = tr(N Q_(m-1)) / m has nu
+        at most s^2 mu q[m-1] / m, and Q_m = e_m I - N Q_(m-1).  rho is the
+        largest row 1-norm of the integer projection, and g[k] bounds each
+        entry of the gradient that degree index k reads: Q_(index-1), or for
+        the Pfaffian of so(2r) a Pfaffian of a (2r-2)-minor, (2r-3)!! products
+        of r-1 entries."""
+        s, points = self.s, [(x.numerator, x.denominator) for x in self.points]
+        sites = [over_common_denominator(flatten(el.matrix)) for el in residues]
+        big = math.lcm(*(d for d, _ in sites))
+        mu = sum(big // d * max(map(abs, a)) * qi
+                 * math.prod(q + abs(p) for j, (p, q) in enumerate(points) if j != i)
+                 for i, ((d, a), (_, qi)) in enumerate(zip(sites, points)))
+        q = [1]
+        for m in range(1, s):
+            q.append(-(-s * s * mu * q[-1] // m) + s * mu * q[-1])
+        rho = max(sum(map(abs, row)) for row in self._projection[1])
+        r = s // 2
+        g = [math.prod(range(1, 2 * r - 2, 2)) * mu ** (r - 1) if index == PFAFFIAN
+             else q[index - 1] for index in self._indices]
+        return mu, q, rho, g
+
+    def _certificate_point(self, residues: Sequence[AlgebraElement]) -> int:
+        """T = 2^B with T > 2 C for the bound C on every coefficient of the
+        integer polynomial matrices U_k(t) = [N, pi Q_k(N)] and Z_ef(t) =
+        [pi Q_e(N), pi Q_f(N)] (`_majorants`; pi Q stands for the projected
+        integer gradient of each degree index, rho times its matrix), and
+        T > |p_j| >= |x_j|, so that T is no marked point."""
+        mu, _, rho, g = self._majorants(residues)
+        c = max([2 * self.s * mu * rho * a for a in g]
+                + [2 * self.s * rho * rho * a * b for a, b in combinations(g, 2)])
+        return 2 ** max(2 * c, *(abs(x.numerator) for x in self.points)).bit_length()
+
+    def _gradient(self, index: int, chars: tuple) -> tuple[int, list[int]]:
+        """(d, y) with pi(grad p)(theta(t)) = y / d, for the generator p of
+        `generator_indices` entry index, from the `theta_char_polys` output
+        chars at t.  At theta(t) = M / D the gradient of e_m is P_(m-1)(theta(t))
+        = Q_(m-1) / D^(m-1), and that of the Pfaffian is G(M) / D^(r-1)
+        (`_pfaffian_minor_gradient`); the projection, an integer matrix over
+        pden, costs s^4 integer products."""
+        (den, m, _, qs), s = chars, self.s
+        pden, prows = self._projection
+        if index == PFAFFIAN:   # Q M is M upside down
+            y = [m[a:a + s] for a in range(s * s - s, -1, -s)]
+            power, g = s // 2 - 1, _pfaffian_minor_gradient(s, lambda keep, sign: (
+                sign * int(pfaffian([[y[p][q] for q in keep] for p in keep]))), 0)
+        else:
+            power, g = index - 1, qs[index - 1]
+        return den ** power * pden, [sum(map(mul, r, g)) for r in prows]
+
     def coefficient_gradients_at(self, residues: Sequence[AlgebraElement]
                                  ) -> list[SampleGradients]:
         """The gradients of every invariant coefficient at a point in the
         sample-point basis, one SampleGradients per degree index k with
-        Y_t = pi(grad p_k(theta(t))).
+        Y_t = pi(grad p_k(theta(t))) (`_gradient`).
 
         Coefficient (k, i, j) is sum_t vinv[row][t] p_k(theta(t)), so its
         gradient at site l would be sum_t vinv[row][t] Y_t / (t - x_l); no
-        site gradient is formed.  At theta(t) = M / D the gradient of e_m is
-        P_(m-1)(theta(t)) = Q_(m-1) / D^(m-1), Q_(m-1) an integer
-        Faddeev-LeVerrier matrix of M (`theta_char_polys`), and that of the
-        Pfaffian is G(M) / D^(r-1) (`_pfaffian_minor_gradient`); the
-        projection, an integer matrix over pden, costs s^4 integer products
-        per k and t.
+        site gradient is formed.  Each block's grads are a `_Gradients`,
+        built at the sample points from `_char_polys_at` when first read,
+        and holding theta and the gradient at the certificate point T
+        (`_certificate_point`), from one `theta_char_polys` run at T.
         """
-        out, chars, s = [], self._char_polys_at(residues), self.s
-        pden, prows = self._projection
+        t = self._certificate_point(residues)
+        [at] = theta_char_polys(self.points, [el.matrix for el in residues], [t])
+        out = []
         for k, index in enumerate(self._indices):
             cols, ts, vinv = self._interp_data(k)
-            grads = []
-            for den, m, _, qs in chars[:len(ts)]:
-                if index == PFAFFIAN:   # Q M is M upside down
-                    y = [m[a:a + s] for a in range(s * s - s, -1, -s)]
-                    power, g = s // 2 - 1, _pfaffian_minor_gradient(s, lambda keep, sign: (
-                        sign * int(pfaffian([[y[p][q] for q in keep] for p in keep]))), 0)
-                else:
-                    power, g = index - 1, qs[index - 1]
-                grads.append((den ** power * pden, [sum(map(mul, r, g)) for r in prows]))
+            grads = _Gradients(
+                lambda index=index, count=len(ts): [
+                    self._gradient(index, c) for c in self._char_polys_at(residues)[:count]],
+                (at[1], self._gradient(index, at)[1]))
             out.append(SampleGradients([(k, i, j) for i, j in cols], vinv, grads))
         return out
 
@@ -467,20 +535,45 @@ class GaudinSystem:
         (tr(U_t Y'_t') + tr(Y_t U'_t')) / (t' - t) with U_t = [theta(t), Y_t]
         for t != t', and C(t, t) = tr(S(t) [Y_t, Y'_t]) with S(t) = sum_l A_l /
         (t - x_l)^2.  An invariant's gradient commutes with theta(t), so on a
-        clean tuple these commutators all vanish: per tuple, one integer s x s
-        commutator per degree index and sample point and one per pair of
-        degree indices at a shared point.  Brackets are summed in Fractions
-        over the nonzero entries of C and scanned in the coefficient order, so
-        the first of equally large brackets is the one reported.
+        clean tuple these commutators all vanish.
+
+        A tuple is first tested at the one integer point T of
+        `_certificate_point`.  At any t, theta(t)'s numerator M is a nonzero
+        multiple c N(t) of the integer matrix polynomial N (`_majorants`),
+        and the gradients are homogeneous in M, so each commutator of the
+        table is a nonzero multiple of U_k(t) = [N, pi Q_k(N)] or Z_ef(t) =
+        [pi Q_e(N), pi Q_f(N)].  Their coefficients lie below T / 2, and a
+        nonzero integer polynomial with such coefficients does not vanish at
+        T: if every commutator vanishes at T, every one vanishes at every
+        sample point, and the tuple adds no bracket (`_certified`).  Only a
+        tuple that fails this builds its table (`_bracket_table`): one
+        integer s x s commutator per degree index and sample point and one
+        per pair of degree indices at a shared point.  Brackets are summed in
+        Fractions over the nonzero entries of C and scanned in the
+        coefficient order, so the first of equally large brackets is the one
+        reported.
         """
         worst, worst_pair = ZERO, None
         for residues in residue_tuples:
             blocks = self.coefficient_gradients_at(residues)
+            if self._certified(blocks):
+                continue
             keys = [key for block in blocks for key in block.keys]
             for (ia, ib), val in sorted(self._bracket_table(residues, blocks).items()):
                 if abs(val) > abs(worst):
                     worst, worst_pair = val, (keys[ia], keys[ib])
         return worst, worst_pair
+
+    def _certified(self, blocks: Sequence[SampleGradients]) -> bool:
+        """Whether [M, y_k] and [y_e, y_f] vanish at the certificate point for
+        every block and pair of blocks, theta(T) = M / D and Y_T = y_k / d.
+        Gradients made outside `coefficient_gradients_at` carry no value at
+        T, and a tuple with such a block is not certified."""
+        if not all(isinstance(block.grads, _Gradients) for block in blocks):
+            return False
+        s, m, ys = self.s, blocks[0].grads.at[0], [block.grads.at[1] for block in blocks]
+        return not any(any(_flat_commutator(m, y, s)) for y in ys) and not any(
+            any(_flat_commutator(y, y2, s)) for y, y2 in combinations(ys, 2))
 
     def _bracket_table(self, residues: Sequence[AlgebraElement],
                        blocks: Sequence[SampleGradients]) -> dict[tuple[int, int], Fraction]:

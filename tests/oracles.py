@@ -15,6 +15,8 @@ the tests check the code that the jobs do run.
   gradient programs are checked;
 - `gradient_function`: the statements of a `gaudin.GradientProgram` as a
   function, run exactly or in floats;
+- `cup_matrix_by_entries`: the cup-product pairing matrix of
+  `deformation._cup_matrix`, each entry its own sum over one sparse vector;
 - `NegatedAdjointTheory`: the negative control of `verify_poisson_map`.
 """
 
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
-from framedhiggs.deformation import DeformationTheory
+from framedhiggs.deformation import DeformationTheory, _apply
 from framedhiggs.exactlinalg import ONE, ZERO, frac, inverse, mat_comb, mat_mul, mat_vec
 from framedhiggs.liealg import bracket, mat_trace, matrix_invariant, perp_coordinates
 
@@ -231,6 +233,21 @@ def bracket_at(system, f, g, residues):
         dg = sigma_gradient_at(system, g, i, values)
         acc += mat_trace(mat_mul(el.matrix, mat_commutator(df.matrix, dg.matrix)))
     return acc
+
+
+def cup_matrix_by_entries(model, window, left, right):
+    """`deformation._cup_matrix` entry by entry: <a, b> = B(u0_a, c_b) -
+    B(u1_b, c_a), each pairing a sum over the entries of one sparse vector."""
+    def dot(u, w):
+        return sum(x * w[k] for k, x in u.items() if k in w)
+
+    fden, table = model.pairing_form(window)
+    (lden, lefts), (rden, rights) = left, right
+    b_left = [_apply(table, c) for c, _, _ in lefts]
+    b_right = [_apply(table, c) for c, _, _ in rights]
+    return fden * lden * rden, tuple(
+        tuple(dot(u0_a, bc_b) - dot(u1_b, bc_a) for (_, _, u1_b), bc_b in zip(rights, b_right))
+        for (_, u0_a, _), bc_a in zip(lefts, b_left))
 
 
 class NegatedAdjointTheory(DeformationTheory):

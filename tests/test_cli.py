@@ -64,8 +64,9 @@ def test_gaudin_job_reports_a_nonzero_bracket(tmp_path, monkeypatch):
 
 
 def test_a_gaudin_job_runs_the_char_polys_once_per_residue_tuple(tmp_path, monkeypatch):
-    # the model's residues feed both the Hitchin point and the first bracket
-    # table, from one `theta_char_polys` run
+    # the model's residues feed the Hitchin point from one `theta_char_polys`
+    # run at the sample points; each clean residue tuple, the model's first,
+    # is certified by one run at its certificate point alone
     from framedhiggs import gaudin
     calls = []
     kernel = gaudin.theta_char_polys
@@ -75,7 +76,22 @@ def test_a_gaudin_job_runs_the_char_polys_once_per_residue_tuple(tmp_path, monke
         calls.clear()
         cfg = write_config(tmp_path, "g.json", {**GAUDIN_SL2, "random_points": random_points})
         assert main(["gaudin", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
-        assert len(calls) == 1 + random_points
+        # sl(2) on 3 points has n d = 6 sample points
+        assert [len(ts) for _, _, ts in calls] == [6] + [1] * (1 + random_points)
+
+
+@pytest.mark.parametrize("group", ["sl(2)", "sl(3)", "gl(2)", "sp(4)", "so(4)", "so(5)"])
+def test_a_clean_gaudin_job_builds_no_bracket_table(tmp_path, monkeypatch, group):
+    # every clean residue tuple is certified at its one certificate point
+    def refuse(self, residues, blocks):
+        raise AssertionError("a clean job built a per-point bracket table")
+    monkeypatch.setattr(cli.GaudinSystem, "_bracket_table", refuse)
+    cfg = write_config(tmp_path, "g.json", {"group": group, "points": ["1/2", "-3", "7/3"],
+                                            "residues": {"type": "random", "seed": 9},
+                                            "random_points": 5})
+    out = tmp_path / "r.json"
+    assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["all_passed"]
 
 
 def test_a_clean_gaudin_job_inverts_no_matrix(tmp_path, monkeypatch):
@@ -464,6 +480,18 @@ def test_an_so5_flow_builds_its_hamiltonian_alone_in_time(tmp_path):
     assert json.loads(out.read_text())["all_passed"]
 
 
+def test_a_flow_job_generates_only_its_own_gradient_program(tmp_path, monkeypatch):
+    # the flow reads the program of one coefficient (k, i, j); degree index 0
+    # of so(5) on 3 points has 6
+    calls = []
+    build = cli.GaudinSystem._gradient_program
+    monkeypatch.setattr(cli.GaudinSystem, "_gradient_program",
+                        lambda self, *key: calls.append(key) or build(self, *key))
+    cfg = write_config(tmp_path, "so5.json", SO5_FLOW)
+    assert main(["gaudin", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == [(0, 0, 1)]
+
+
 SO5_QUARTIC_FLOW = {**SO5_FLOW, "flow": {"degree_index": 1, "site": 0, "order": 1,
                                           "t_end": 0.05, "steps": 200}}
 
@@ -496,11 +524,11 @@ ORIGINAL_COEFFICIENT_FUNCTIONS = cli.GaudinSystem.coefficient_functions
 ORIGINAL_SITE_WEIGHTS = cli.GaudinSystem._site_weights
 
 
-def _without_a_term(self, k):
+def _without_a_term(self, k, cols=None):
     # the last product of the first statement that sums several dropped from
     # each gradient program: H's gradient is no longer that of an invariant
     out = {}
-    for col, program in ORIGINAL_COEFFICIENT_FUNCTIONS(self, k).items():
+    for col, program in ORIGINAL_COEFFICIENT_FUNCTIONS(self, k, cols).items():
         lines = list(program.lines)
         q = next(q for q, line in enumerate(lines) if " + " in line or " - " in line)
         lines[q] = lines[q][:max(lines[q].rfind(" + "), lines[q].rfind(" - "))]

@@ -5,7 +5,7 @@ import pytest
 
 from framedhiggs.curve import global_sections, h1_presentation, make_spec
 from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL,
-                                     DeformationTheory, ModelError,
+                                     DeformationTheory, ModelError, _cup_matrix,
                                      framed_higgs_model, hyper_pair,
                                      verify_poisson_map)
 from framedhiggs.exactlinalg import (ZERO, add_scaled, dense, inverse, mat_mul,
@@ -14,7 +14,7 @@ from framedhiggs.exactlinalg import (ZERO, add_scaled, dense, inverse, mat_mul,
 from framedhiggs.liealg import AlgebraElement, AlgebraModel, bracket, trace_form
 from framedhiggs.rationalfn import VSection, pairing_residue_at_point
 from framedhiggs.sampling import random_algebra_element, seeded_model
-from oracles import NegatedAdjointTheory, mat_is_zero
+from oracles import NegatedAdjointTheory, cup_matrix_by_entries, mat_is_zero
 
 
 def dims_of(cone):
@@ -263,6 +263,21 @@ def test_pairing_skew_and_full_rank():
     _, phi = th.symplectic_matrix()
     assert len(phi) == 12 and rank(phi) == 12
     assert all(phi[i][j] == -phi[j][i] for i in range(12) for j in range(12))
+
+
+CUP_CASES = [("sl(2)", [1, 2, 3], "trivial", 11), ("sl(2)", [1, 2, 3, 4], "torus", 5),
+             ("gl(2)", [1, 2, 3], "torus", 7), ("sl(3)", [1, 2, 3], "trivial", 3)]
+
+
+@pytest.mark.parametrize("gid, pts, framing, seed", CUP_CASES,
+                         ids=[f"{g}-{len(p)}pt-{f}" for g, p, f, _ in CUP_CASES])
+def test_cup_matrix_rows_match_the_entry_oracle(gid, pts, framing, seed):
+    th = DeformationTheory(seeded_model(gid, pts, framing, seed, 4))
+    for left, right in ((FRAMED, FRAMED), (FRAMED, TWISTED_DUAL)):
+        classes = th.cone(left).classes(), th.cone(right).classes()
+        expected = cup_matrix_by_entries(th.model, th.window, *classes)
+        assert _cup_matrix(th.model, th.window, *classes) == expected
+        assert any(any(row) for row in expected[1])
 
 
 def test_pairing_representative_independence():

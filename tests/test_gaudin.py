@@ -3,8 +3,10 @@ import random
 import struct
 from fractions import Fraction as F
 from functools import cache
+from itertools import combinations
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from framedhiggs.exactlinalg import (identity, inverse, mat_comb, mat_mul, mat_vec,
@@ -489,6 +491,90 @@ def test_bracket_table_grid_matches_reference(monkeypatch, gid, n, faulted):
                               for y, y2 in shared)
 
 
+def _nu(entries):
+    """The largest coefficient 1-norm of the polynomials in t among entries."""
+    return max(sum(map(abs, sympy.Poly(e, T_SYM).coeffs())) for e in entries)
+
+
+def _sym_pfaffian(m):
+    if not m:
+        return sympy.Integer(1)
+    return sympy.expand(sum((-1) ** (j + 1) * m[0][j] * _sym_pfaffian(
+        [[m[a][b] for b in range(1, len(m)) if b != j] for a in range(1, len(m)) if a != j])
+        for j in range(1, len(m))))
+
+
+T_SYM = sympy.Symbol("t")
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+@pytest.mark.parametrize("gid, n", GRID_CASES, ids=[case[0] for case in GRID_CASES])
+def test_certificate_majorants_dominate_the_true_norms(gid, n, faulted):
+    # N(t) = theta(t) L prod_j (q_j t - p_j), its Faddeev-LeVerrier matrices
+    # Q_m, each degree index's projected gradient pi G_k, U_k = [N, pi G_k]
+    # and Z_ef = [pi G_e, pi G_f] as polynomials in t, in sympy; each
+    # coefficient 1-norm must lie within its majorant, and the certificate
+    # point above twice that of U and Z.  The fault reads the first gradient
+    # other than Q_0 = I at N^T, whose entries have the same majorants, so
+    # that its U and its Z with the other such gradients stop vanishing.
+    model = AlgebraModel(gid)
+    points = GRID_POINTS[:n]
+    system = GaudinSystem(model, points)
+    s, (_, prows) = system.s, system._projection
+    rng = random.Random(131 + 3 * GRID_CASES.index((gid, n)))
+    residues = random_residue_tuple(model, rng, n, 4, zero_sum=False)
+    mu, q, rho, g = system._majorants(residues)
+    big = math.lcm(*(over_common_denominator(flatten(el.matrix))[0] for el in residues))
+    scale = big * math.prod(x.denominator * T_SYM - x.numerator for x in points)
+    theta = sympy.Matrix(s, s, lambda a, b: sum(sympy.Rational(el.matrix[a][b]) / (T_SYM - x)
+                                               for el, x in zip(residues, points)))
+    big_n = theta.applyfunc(lambda e: sympy.cancel(e * scale))
+    assert all(sympy.Poly(e, T_SYM).domain == sympy.ZZ for e in big_n)
+    assert _nu(big_n) <= mu
+
+    def gradients(x):
+        """Q_0 .. Q_(s-1) of x, and the projected gradient of each index."""
+        qs = [sympy.eye(s)]
+        for m in range(1, s):
+            prod = (x * qs[-1]).applyfunc(sympy.expand)
+            qs.append((sympy.expand(prod.trace() / m) * sympy.eye(s) - prod).applyfunc(
+                sympy.expand))
+        out = []
+        for index in system._indices:
+            if index == PFAFFIAN:
+                y = [[x[s - 1 - a, b] for b in range(s)] for a in range(s)]
+                flat = gaudin._pfaffian_minor_gradient(s, lambda keep, sign: sign * _sym_pfaffian(
+                    [[y[a][b] for b in keep] for a in keep]), 0)
+            else:
+                flat = list(qs[index - 1])
+            out.append([sympy.expand(sum(c * f for c, f in zip(row, flat))) for row in prows])
+        return qs, out
+
+    qs, grads = gradients(big_n)
+    moving = [k for k, index in enumerate(system._indices) if index != 1]
+    if faulted:
+        grads[moving[0]] = gradients(big_n.T)[1][moving[0]]
+    for m, qm in enumerate(qs):
+        assert _nu(qm) <= q[m]
+    for grad, bound in zip(grads, g):
+        assert _nu(grad) <= rho * bound
+    us = [(big_n * sympy.Matrix(s, s, y) - sympy.Matrix(s, s, y) * big_n).applyfunc(
+        sympy.expand) for y in grads]
+    zs = [(sympy.Matrix(s, s, y) * sympy.Matrix(s, s, y2) - sympy.Matrix(s, s, y2)
+           * sympy.Matrix(s, s, y)).applyfunc(sympy.expand) for y, y2 in combinations(grads, 2)]
+    for u, bound in zip(us, g):
+        assert _nu(u) <= 2 * s * mu * rho * bound
+    for z, (bound, bound2) in zip(zs, combinations(g, 2)):
+        assert _nu(z) <= 2 * s * rho * rho * bound * bound2
+    assert system._certificate_point(residues) > 2 * max(map(_nu, us + zs))
+    assert any(e != 0 for m in us + zs for e in m) == faulted
+    if faulted:
+        pairs = list(combinations(range(len(g)), 2))
+        assert any(e != 0 for e in us[moving[0]])
+        assert all(any(e != 0 for e in z) for z, (e, f) in zip(zs, pairs)
+                   if moving[0] in (e, f) and e in moving and f in moving)
+
+
 @pytest.mark.parametrize("gid", ["gl(3)", "sl(3)", "sp(4)", "so(5)", "so(4)"])
 def test_invariants_agree_on_symbolic_and_numeric_matrices(gid):
     model = AlgebraModel(gid)
@@ -822,11 +908,15 @@ def test_the_system_reuses_the_char_polys_of_the_last_tuple_only(monkeypatch, gi
     system = GaudinSystem(model, PTS3)
     hp1 = system.hitchin_point(r1)
     assert len(calls) == 1
+    # each clean tuple is certified by one run at its certificate point alone
     assert system.commutativity_check([r1, r2]) == (0, None)
-    assert len(calls) == 2
+    assert [ts for _, _, ts in calls[1:]] == [[system._certificate_point(r)] for r in (r1, r2)]
     hp2 = system.hitchin_point(r2)
-    assert len(calls) == 2
-    assert system.hitchin_point(r1) == hp1 and len(calls) == 3
+    assert len(calls) == 4
+    # the bracket table of the last tuple read reuses its sample-point run
+    assert system._bracket_table(r2, system.coefficient_gradients_at(r2)) == {}
+    assert system.hitchin_point(r2) == hp2 and len(calls) == 5
+    assert system.hitchin_point(r1) == hp1 and len(calls) == 6
     # never the data of an earlier tuple: each point is a fresh system's
     assert hp1 != hp2
     assert hp2 == GaudinSystem(model, PTS3).hitchin_point(r2)
