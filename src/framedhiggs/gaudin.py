@@ -441,6 +441,15 @@ class GaudinSystem:
 
     # -- Lie-Poisson structure ---------------------------------------------------
 
+    @cached_property
+    def _majorant_constants(self) -> tuple[list[int], int]:
+        """The parts of `_majorants` that depend on the system alone: q_i
+        prod_(j != i) (q_j + |p_j|) per site i, and rho."""
+        points = [(x.numerator, x.denominator) for x in self.points]
+        weights = [qi * math.prod(q + abs(p) for j, (p, q) in enumerate(points) if j != i)
+                   for i, (_, qi) in enumerate(points)]
+        return weights, max(sum(map(abs, row)) for row in self._projection[1])
+
     def _majorants(self, residues: Sequence[AlgebraElement]
                    ) -> tuple[int, list[int], int, list[int]]:
         """(mu, q, rho, g): bounds on coefficient 1-norms nu, the sum of the
@@ -457,16 +466,15 @@ class GaudinSystem:
         entry of the gradient that degree index k reads: Q_(index-1), or for
         the Pfaffian of so(2r) a Pfaffian of a (2r-2)-minor, (2r-3)!! products
         of r-1 entries."""
-        s, points = self.s, [(x.numerator, x.denominator) for x in self.points]
-        sites = [over_common_denominator(flatten(el.matrix)) for el in residues]
-        big = math.lcm(*(d for d, _ in sites))
-        mu = sum(big // d * max(map(abs, a)) * qi
-                 * math.prod(q + abs(p) for j, (p, q) in enumerate(points) if j != i)
-                 for i, ((d, a), (_, qi)) in enumerate(zip(sites, points)))
+        s, (weights, rho) = self.s, self._majorant_constants
+        # (L / d_i) max |a_i| is L max |A_i|, each entry's numerator times L / its denominator
+        sites = [[x for row in el.matrix for x in row] for el in residues]
+        big = math.lcm(*{x.denominator for site in sites for x in site})
+        mu = sum(w * max(abs(x.numerator) * (big // x.denominator) for x in site)
+                 for w, site in zip(weights, sites))
         q = [1]
         for m in range(1, s):
             q.append(-(-s * s * mu * q[-1] // m) + s * mu * q[-1])
-        rho = max(sum(map(abs, row)) for row in self._projection[1])
         r = s // 2
         g = [math.prod(range(1, 2 * r - 2, 2)) * mu ** (r - 1) if index == PFAFFIAN
              else q[index - 1] for index in self._indices]
