@@ -452,15 +452,18 @@ def _to_csv(report: dict) -> str:
     return out.getvalue()
 
 
+# built once, at import: parsing leaves the parser unchanged
+_PARSER = argparse.ArgumentParser(
+    prog="hfb", description="framed Higgs bundle toolkit batch runner")
+_PARSER.add_argument("subcommand", choices=sorted(RUNNERS))
+_PARSER.add_argument("--config", required=True, help="JSON config file")
+_PARSER.add_argument("--out", help="output file (default: stdout)")
+_PARSER.add_argument("--format", choices=["json", "csv"], default="json")
+_PARSER.add_argument("--seed", type=int, help="override the config seed")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="hfb", description="framed Higgs bundle toolkit batch runner")
-    parser.add_argument("subcommand", choices=sorted(RUNNERS))
-    parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     new_out = False
     try:

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 from .exactlinalg import (ZERO, ONE, frac, identity, integer_solve, mat_comb,
                           over_common_denominator, transpose)
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, flatten, generator_indices,
-                     pfaffian, theta_char_polys)
+                     integer_combination, pfaffian, theta_char_polys)
 
 
 def _float(x: Fraction) -> float:
@@ -286,7 +286,7 @@ class GaudinSystem:
         self._xs = [x.numerator if x.denominator == 1 else x for x in self.points]
         # the sample points t_l = max(x) + l; degree index k uses the first n d_k
         self._ts = [max(self._xs) + l for l in range(1, self.n * max(self.group.degrees) + 1)]
-        self._chars: tuple = (None, None)   # (flattened tuple, its char polys), the last read
+        self._chars: tuple = (None, None)   # (sites of a tuple, its char polys), the last read
         self._interp_cache: dict[int, tuple] = {}
 
     def flatten_point(self, residues: Sequence[AlgebraElement]) -> list[Fraction]:
@@ -398,12 +398,11 @@ class GaudinSystem:
 
     def _char_polys_at(self, residues: Sequence[AlgebraElement]) -> list[tuple]:
         """`theta_char_polys` of a residue tuple at the sample points, kept for
-        the last tuple read, so that its Hitchin point, gradients and bracket
-        table share one run."""
-        point = self.flatten_point(residues)
-        if self._chars[0] != point:
-            self._chars = point, theta_char_polys(self.points, [el.matrix for el in residues],
-                                                  self._ts)
+        the last tuple read, by its sites, so that its Hitchin point,
+        gradients and bracket table share one run."""
+        sites = [el.integer_form for el in residues]
+        if self._chars[0] != sites:
+            self._chars = sites, theta_char_polys(self.points, sites, self._ts)
         return self._chars[1]
 
     def _expansions(self, chars: Sequence[tuple]) -> list[tuple[list, list]]:
@@ -427,7 +426,7 @@ class GaudinSystem:
         `_expansions` expands them.  Verifies holomorphy at infinity:
         p_k(theta) vanishes to order 2 d_k iff the top 2 d_k - 1 differences do.
         """
-        if not sum(residues[1:], residues[0]).is_zero():
+        if any(integer_combination((1, el.integer_form) for el in residues)[1]):
             raise ValueError("sum of residues must vanish (holomorphy at infinity)")
         coeffs = []
         for k, (diffs, solved) in enumerate(self._expansions(self._char_polys_at(residues))):
@@ -467,11 +466,9 @@ class GaudinSystem:
         the Pfaffian of so(2r) a Pfaffian of a (2r-2)-minor, (2r-3)!! products
         of r-1 entries."""
         s, (weights, rho) = self.s, self._majorant_constants
-        # (L / d_i) max |a_i| is L max |A_i|, each entry's numerator times L / its denominator
-        sites = [[x for row in el.matrix for x in row] for el in residues]
-        big = math.lcm(*{x.denominator for site in sites for x in site})
-        mu = sum(w * max(abs(x.numerator) * (big // x.denominator) for x in site)
-                 for w, site in zip(weights, sites))
+        sites = [el.integer_form for el in residues]
+        big = math.lcm(*(d for d, _ in sites))
+        mu = sum(w * (big // d) * max(map(abs, a)) for w, (d, a) in zip(weights, sites))
         q = [1]
         for m in range(1, s):
             q.append(-(-s * s * mu * q[-1] // m) + s * mu * q[-1])
@@ -522,7 +519,7 @@ class GaudinSystem:
         (`_certificate_point`), from one `theta_char_polys` run at T.
         """
         t = self._certificate_point(residues)
-        [at] = theta_char_polys(self.points, [el.matrix for el in residues], [t])
+        [at] = theta_char_polys(self.points, [el.integer_form for el in residues], [t])
         out = []
         for k, index in enumerate(self._indices):
             cols, ts, vinv = self._interp_data(k)
@@ -654,14 +651,14 @@ class GaudinSystem:
                   for i in range(0, len(x), block)] for x in (start, end)]
         keys = [(k, i, j) for k in range(len(self._indices)) for i, j in self._interp_data(k)[0]]
 
-        def values(flat: list[float], state: list) -> list[float]:
+        def values(flat: list[float]) -> list[float]:
             if not all(map(math.isfinite, flat)):
                 return [math.nan] * len(keys)
-            mats = [[[Fraction(x) for x in row] for row in site] for site in state]
-            chars = theta_char_polys(self.points, mats, self._ts)
+            chars = theta_char_polys(self.points, [over_common_denominator(
+                map(Fraction, flat[i:i + block])) for i in range(0, len(flat), block)], self._ts)
             return [_float(c) for _, coeffs in self._expansions(chars) for c in coeffs]
 
-        v0s, v1s = values(start, sites[0]), values(end, sites[1])
+        v0s, v1s = values(start), values(end)
         scale = max(1.0, *map(abs, v0s))
         report = [{"degree_index": k, "site": i, "order": j, "start": v0, "end": v1,
                    "relative_drift": abs(v1 - v0) / max(abs(v0), 1e-3 * scale)}

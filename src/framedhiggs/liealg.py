@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add, mul, sub
+from math import gcd, isqrt, lcm
+from operator import mul, sub
 from typing import Sequence
 
 from .exactlinalg import (Echelon, LinSolver, Mat, Vec, ZERO, ONE, dense, frac,
@@ -126,9 +126,6 @@ def _cartan(n: int, i: int, j: int) -> Matrix:
     """E_ii - E_jj."""
     return to_matrix(mat_comb([ONE, -ONE], [_unit(n, i, i), _unit(n, j, j)]))
 
-def _mzero(n: int) -> Matrix:
-    return tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
-
 def mat_trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), ZERO)
 
@@ -197,30 +194,98 @@ def torus_basis(group: GroupData) -> list[Matrix]:
     raise UnsupportedGroupError(group.group_id)
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
-    """A matrix in the defining representation with its algebra tag."""
-    matrix: Matrix
-    group_id: str
+    """A matrix in the defining representation with its algebra tag.
+
+    The element is held as its integer form (den, nums): den is the least
+    common denominator of its entries and nums their row-major numerators
+    over it, so that the matrix is nums / den.  An element made from
+    integers (`from_integers`), as the samplers, `AlgebraModel.from_coords`
+    and the arithmetic below make it, builds its Fraction `matrix` only when
+    that is first read; one made from a matrix computes its integer form
+    once, when that is first read.  Equality and hashing read the integer
+    form.
+    """
+
+    __slots__ = ("group_id", "_form", "_matrix")
+
+    def __init__(self, matrix: Matrix, group_id: str):
+        self.group_id, self._form, self._matrix = group_id, None, matrix
+
+    @classmethod
+    def from_integers(cls, den: int, nums: Sequence[int], group_id: str) -> "AlgebraElement":
+        """The element with row-major entries nums / den, for den > 0."""
+        el = cls.__new__(cls)
+        g = gcd(den, *nums)
+        el.group_id, el._matrix = group_id, None
+        el._form = (den, tuple(nums)) if g == 1 else (den // g, tuple(x // g for x in nums))
+        return el
+
+    @property
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        if self._form is None:
+            den, nums = over_common_denominator(flatten(self._matrix))
+            self._form = den, tuple(nums)
+        return self._form
+
+    @property
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            self._matrix = _fraction_matrix(*self._form)
+        return self._matrix
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return self.group_id == other.group_id and self.integer_form == other.integer_form
+
+    def __hash__(self) -> int:
+        return hash((self.group_id, self.integer_form))
+
+    def __repr__(self) -> str:
+        return f"AlgebraElement(matrix={self.matrix!r}, group_id={self.group_id!r})"
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same(self, other)
-        return AlgebraElement(_entrywise(add, self.matrix, other.matrix), self.group_id)
+        return AlgebraElement.from_integers(
+            *integer_combination([(1, self.integer_form), (1, other.integer_form)]), self.group_id)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         _check_same(self, other)
-        return AlgebraElement(_entrywise(sub, self.matrix, other.matrix), self.group_id)
+        return AlgebraElement.from_integers(
+            *integer_combination([(1, self.integer_form), (-1, other.integer_form)]),
+            self.group_id)
 
     def __neg__(self) -> "AlgebraElement":
-        return self.scale(-ONE)
+        den, nums = self.integer_form
+        return AlgebraElement.from_integers(den, [-x for x in nums], self.group_id)
 
     def scale(self, c) -> "AlgebraElement":
-        c = frac(c)
-        return AlgebraElement(tuple(tuple(c * x for x in row) for row in self.matrix),
-                              self.group_id)
+        c, (den, nums) = frac(c), self.integer_form
+        return AlgebraElement.from_integers(den * c.denominator,
+                                            [c.numerator * x for x in nums], self.group_id)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.matrix for x in row)
+        return not any(self.integer_form[1])
+
+
+def _fraction_matrix(den: int, nums: Sequence[int]) -> Matrix:
+    """The square Fraction matrix with row-major entries nums / den."""
+    n = isqrt(len(nums))
+    return tuple(tuple(Fraction(x, den) for x in nums[r:r + n]) for r in range(0, len(nums), n))
+
+
+def integer_combination(terms) -> tuple[int, list[int]]:
+    """sum c nums / den over the terms (c, (den, nums)), c an integer and
+    (den, nums) an integer form, as (L, its numerators over L) for L the lcm
+    of the dens, not reduced; at least one term."""
+    terms = list(terms)
+    big = lcm(*(den for _, (den, _) in terms))
+    acc = [0] * len(terms[0][1][1])
+    for c, (den, nums) in terms:
+        f = c * (big // den)
+        acc = [a + f * x for a, x in zip(acc, nums)]
+    return big, acc
 
 
 def _entrywise(op, a, b) -> Matrix:
@@ -228,10 +293,15 @@ def _entrywise(op, a, b) -> Matrix:
     return tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a, b))
 
 
+def _entries(el: AlgebraElement) -> int:
+    """The number of entries of el, read off whichever form it holds."""
+    return len(el._form[1]) if el._form is not None else len(el._matrix) ** 2
+
+
 def _check_same(a: AlgebraElement, b: AlgebraElement):
     if a.group_id != b.group_id:
         raise ValueError(f"algebra mismatch: {a.group_id} vs {b.group_id}")
-    if len(a.matrix) != len(b.matrix):
+    if _entries(a) != _entries(b):
         raise ValueError("matrix size mismatch")
 
 
@@ -247,8 +317,13 @@ class AlgebraModel:
         self.basis = algebra_basis(self.group)
         self.torus = torus_basis(self.group)
         self._coord_solver = LinSolver([flatten(m) for m in self.basis], self.n * self.n)
-        # the nonzero entries of each basis matrix, by flat index
-        self._support = [[(q, x) for q, x in enumerate(flatten(m)) if x] for m in self.basis]
+        # the nonzero entries of each basis matrix, by flat index, as integers
+        # over one denominator
+        self._support_den, flat = over_common_denominator(
+            x for m in self.basis for x in flatten(m))
+        size = self.n * self.n
+        self._support = [[(q, x) for q, x in enumerate(flat[k:k + size]) if x]
+                         for k in range(0, len(flat), size)]
 
     def element(self, entries) -> AlgebraElement:
         m = to_matrix(entries)
@@ -260,10 +335,11 @@ class AlgebraModel:
         return el
 
     def zero(self) -> AlgebraElement:
-        return AlgebraElement(_mzero(self.n), self.group.group_id)
+        return AlgebraElement.from_integers(1, [0] * (self.n * self.n), self.group.group_id)
 
     def contains(self, el: AlgebraElement) -> bool:
-        return self._coord_solver.coords(flatten(el.matrix)) is not None
+        # membership reads the integer numerators alone
+        return self._coord_solver.coords(el.integer_form[1]) is not None
 
     def coords(self, el: AlgebraElement) -> Vec:
         c = self._coord_solver.coords(flatten(el.matrix))
@@ -271,17 +347,41 @@ class AlgebraModel:
             raise ValueError(f"matrix is not an element of {self.group.group_id}")
         return c
 
+    def integer_support(self, vectors: Sequence[Sequence[Fraction]]
+                        ) -> tuple[int, list[list[tuple[int, int]]]]:
+        """(den, images): per coordinate vector v of vectors, the nonzero
+        entries of sum_j v_j basis[j] by flat index, as integers over one
+        denominator den."""
+        vectors = [list(v) for v in vectors]
+        vden = lcm(*{x.denominator for v in vectors for x in v})
+        images = []
+        for v in vectors:
+            acc: dict[int, int] = {}
+            for x, support in zip(v, self._support):
+                if x:
+                    w = x.numerator * (vden // x.denominator)
+                    for q, y in support:
+                        acc[q] = acc.get(q, 0) + w * y
+            images.append([(q, y) for q, y in sorted(acc.items()) if y])
+        return vden * self._support_den, images
+
+    def from_integer_coords(self, den: int, coeffs: Sequence[int],
+                            support: tuple[int, list] | None = None) -> AlgebraElement:
+        """sum_k (coeffs[k] / den) S_k for the images S_k of an
+        `integer_support` (sden, [S_k]), by default that of the basis, where
+        the coefficients are coordinates."""
+        sden, images = (self._support_den, self._support) if support is None else support
+        flat = [0] * (self.n * self.n)
+        for c, image in zip(coeffs, images):
+            if c:
+                for q, x in image:
+                    flat[q] += c * x
+        return AlgebraElement.from_integers(den * sden, flat, self.group.group_id)
+
     def from_coords(self, coords: Sequence[Fraction]) -> AlgebraElement:
-        """sum_j coords[j] basis[j], over the nonzero entries of the basis."""
-        flat = [ZERO] * (self.n * self.n)
-        for w, support in zip(coords, self._support):
-            if w:
-                for q, x in support:
-                    y = w if x == 1 else w * x
-                    flat[q] = flat[q] + y if flat[q] else y
-        return AlgebraElement(to_matrix(flat[r:r + self.n]
-                                        for r in range(0, len(flat), self.n)),
-                              self.group.group_id)
+        """sum_j coords[j] basis[j], in integers over the coordinates' common
+        denominator."""
+        return self.from_integer_coords(*over_common_denominator(coords))
 
 
 def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -436,17 +536,17 @@ def invariant_polynomials(group_id: str, el: AlgebraElement) -> tuple[Fraction, 
     return tuple(matrix_invariant(el.matrix, i) for i in generator_indices(g))
 
 
-def theta_numerators(points: Sequence[Fraction], matrices: Sequence[Matrix],
+def theta_numerators(points: Sequence[Fraction], sites: Sequence[tuple[int, Sequence[int]]],
                      ts: Sequence[Fraction]) -> list[tuple[int, list[int]]]:
-    """theta(t) = sum_i M_i / (t - x_i) in integers, at each sample point t
-    of ts, for Fraction residue matrices M_i: per t the pair (D, M), where
-    theta(t) = M / D, M is flattened row-major and D is the least common
-    denominator of the entries of theta(t)."""
-    sites = [(x.numerator, x.denominator) + over_common_denominator(flatten(m))
-             for x, m in zip(points, matrices)]
+    """theta(t) = sum_i A_i / (t - x_i) in integers, at each sample point t
+    of ts, for the residues A_i = a_i / d_i given as sites (d_i, a_i), a_i
+    row-major integers (`AlgebraElement.integer_form`): per t the pair (D,
+    M), where theta(t) = M / D, M is flattened row-major and D is the least
+    common denominator of the entries of theta(t)."""
+    sites = [(x.numerator, x.denominator, d, a) for x, (d, a) in zip(points, sites)]
     out = []
     for t in ts:
-        # 1 / (t - x_i) over the denominator d_i of M_i is u_i / v_i below
+        # 1 / (t - x_i) over the denominator d_i of A_i is u_i / v_i below
         tn, td = t.numerator, t.denominator
         weights = [(td * xd, d * (tn * xd - xn * td)) for xn, xd, d, _ in sites]
         den = lcm(*(v for _, v in weights))
@@ -462,11 +562,12 @@ def theta_numerators(points: Sequence[Fraction], matrices: Sequence[Matrix],
     return out
 
 
-def theta_char_polys(points: Sequence[Fraction], matrices: Sequence[Matrix],
+def theta_char_polys(points: Sequence[Fraction], sites: Sequence[tuple[int, Sequence[int]]],
                      ts: Sequence[Fraction]
                      ) -> list[tuple[int, list[int], list[int], list[list[int]]]]:
-    """The characteristic polynomial of theta(t) = sum_i M_i / (t - x_i) in
-    integers, at each sample point t of ts, for Fraction residue matrices M_i.
+    """The characteristic polynomial of theta(t) = sum_i A_i / (t - x_i) in
+    integers, at each sample point t of ts, for the residue sites (d_i, a_i)
+    of `theta_numerators`.
 
     theta(t) = M / D as in `theta_numerators`.  Faddeev-LeVerrier on M
     (Faddeev 1963): Q_0 = I, e_m = tr(M Q_(m-1)) / m and Q_m = e_m I -
@@ -476,10 +577,10 @@ def theta_char_polys(points: Sequence[Fraction], matrices: Sequence[Matrix],
     e_m(theta(t)) = e_m / D^m and P_m(theta(t)) = Q_m / D^m, the matrix
     whose trace against V is the derivative of e_(m+1) at theta(t) along V.
     """
-    s = len(matrices[0])
+    s = isqrt(len(sites[0][1]))
     ident = [int(a == b) for a in range(s) for b in range(s)]
     out = []
-    for den, m in theta_numerators(points, matrices, ts):
+    for den, m in theta_numerators(points, sites, ts):
         rows = [m[a * s:(a + 1) * s] for a in range(s)]
         q, qs, es = ident, [ident], []
         for k in range(1, s + 1):

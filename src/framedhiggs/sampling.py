@@ -1,36 +1,52 @@
 """Seed-deterministic random rational data for models and tests.
 
 Numerators and denominators are bounded by a configured height so exact
-arithmetic stays fast and runs are reproducible byte for byte.
+arithmetic stays fast and runs are reproducible byte for byte.  Residues are
+drawn as integers: each random coefficient p / q is kept as its integer pair,
+the coefficients of one element over the lcm of their q, and the element is
+summed from the integer support of the basis or of the subspace it is drawn
+from (`AlgebraModel.integer_support`) into its integer form
+(`AlgebraElement.integer_form`), with no Fraction.  The Fraction matrix of a
+residue is built only when it is first read.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .curve import MarkedCurve
 from .deformation import FramedHiggsModel
 from .exactlinalg import frac
-from .liealg import AlgebraElement, AlgebraModel, framing_specs, trace_form
+from .liealg import (AlgebraElement, AlgebraModel, framing_specs, integer_combination,
+                     trace_form)
 
 
-def random_fraction(rng: random.Random, height: int = 10) -> Fraction:
-    return Fraction(rng.randint(-height, height), rng.randint(1, height))
+def _draw(rng: random.Random, count: int, height: int) -> tuple[int, list[int]]:
+    """count random fractions p / q, |p| <= height and 1 <= q <= height, from
+    rng.randint(-height, height) and then rng.randint(1, height) each, as
+    their integer numerators over the lcm of the q."""
+    pairs = [(rng.randint(-height, height), rng.randint(1, height)) for _ in range(count)]
+    den = lcm(*(q for _, q in pairs))
+    return den, [p * (den // q) for p, q in pairs]
+
+
+def _draw_element(model: AlgebraModel, rng: random.Random, height: int,
+                  support: tuple[int, list] | None) -> AlgebraElement:
+    """One random coefficient per image of the integer support, by default
+    one per basis element, and their combination."""
+    den, coeffs = _draw(rng, model.group.dim if support is None else len(support[1]), height)
+    return model.from_integer_coords(den, coeffs, support)
 
 
 def random_algebra_element(model: AlgebraModel, rng: random.Random, height: int = 10,
                            subspace: Sequence[Sequence[Fraction]] | None = None) -> AlgebraElement:
-    """Random element, optionally inside the span of given coordinate vectors."""
-    if subspace is None:
-        coords = [random_fraction(rng, height) for _ in range(model.group.dim)]
-        return model.from_coords(coords)
-    acc = [Fraction(0)] * model.group.dim
-    for vec in subspace:
-        c = random_fraction(rng, height)
-        acc = [a + c * v for a, v in zip(acc, vec)]
-    return model.from_coords(acc)
+    """Random element, optionally inside the span of given coordinate vectors:
+    a random rational coordinate per basis element, or coefficient per vector."""
+    return _draw_element(model, rng, height,
+                         None if subspace is None else model.integer_support(subspace))
 
 
 def random_residue_tuple(model: AlgebraModel, rng: random.Random, n: int,
@@ -39,14 +55,17 @@ def random_residue_tuple(model: AlgebraModel, rng: random.Random, n: int,
                          zero_sum: bool = True) -> list[AlgebraElement]:
     """n random residues, the last balancing the sum to zero when requested."""
     count = n - 1 if zero_sum else n
-    out = [random_algebra_element(model, rng, height,
-                                  None if subspaces is None else subspaces[i])
-           for i in range(count)]
+    supports: dict[int, tuple] = {}     # the integer support of each subspace object
+    out = []
+    for i in range(count):
+        sub = None if subspaces is None else subspaces[i]
+        if sub is not None and id(sub) not in supports:
+            supports[id(sub)] = model.integer_support(sub)
+        out.append(_draw_element(model, rng, height, None if sub is None else supports[id(sub)]))
     if zero_sum:
-        total = out[0] if out else model.zero()
-        for el in out[1:]:
-            total = total + el
-        out.append(total.scale(-1))
+        out.append(AlgebraElement.from_integers(
+            *integer_combination((-1, el.integer_form) for el in out), model.group.group_id)
+            if out else model.zero())
     return out
 
 

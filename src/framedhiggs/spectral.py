@@ -38,8 +38,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from .exactlinalg import ZERO, frac, over_common_denominator
-from .liealg import AlgebraElement, AlgebraModel, GroupData, char_poly_elementary, flatten
+from .exactlinalg import ZERO, frac
+from .liealg import AlgebraElement, AlgebraModel, GroupData, char_poly_elementary
 from .dimensions import hitchin_base_dim, hitchin_fiber_dim, torsor_dims
 from .intpoly import add, factor_list, isolate_real_roots_sqf, linear_roots, mul, reals_sorted
 
@@ -62,7 +62,7 @@ def elementary_numerators(model: AlgebraModel, points: Sequence[Fraction],
     k is exact coefficient by coefficient.
     """
     s, pts = model.n, [frac(p) for p in points]
-    sites = [over_common_denominator(flatten(el.matrix)) for el in residues]
+    sites = [el.integer_form for el in residues]
     common = math.lcm(*(d for d, _ in sites))
     den = common * math.prod(x.denominator for x in pts)
     # N's entries as integer polynomials, highest coefficient first
@@ -157,7 +157,7 @@ def spectral_data(model: AlgebraModel, points: Sequence[Fraction],
     # e_k(d_i A_i) = d_i^k e_k(A_i).
     disc_at = []
     for i, (x, el) in enumerate(zip(pts, residues)):
-        d = over_common_denominator(flatten(el.matrix))[0]
+        d = el.integer_form[0]
         e = char_poly_elementary(el.matrix)
         scaled = [int(c * d ** k) for k, c in enumerate(e, 1)]
         # the discriminant of constants is [] or [value]

@@ -17,16 +17,20 @@ the tests check the code that the jobs do run.
   function, run exactly or in floats;
 - `cup_matrix_by_entries`: the cup-product pairing matrix of
   `deformation._cup_matrix`, each entry its own sum over one sparse vector;
-- `NegatedAdjointTheory`: the negative control of `verify_poisson_map`.
+- `NegatedAdjointTheory`: the negative control of `verify_poisson_map`;
+- `fraction_residue_tuple`: the residue sampler of `sampling` in Fraction
+  matrices, making the same rng calls (`random_fraction`).
 """
 
+import random
 from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
 from framedhiggs.deformation import DeformationTheory, _apply
 from framedhiggs.exactlinalg import ONE, ZERO, frac, inverse, mat_comb, mat_mul, mat_vec
-from framedhiggs.liealg import bracket, mat_trace, matrix_invariant, perp_coordinates
+from framedhiggs.liealg import (AlgebraElement, bracket, mat_trace, matrix_invariant,
+                                perp_coordinates, to_matrix)
 
 
 def mat_is_zero(a):
@@ -257,3 +261,42 @@ class NegatedAdjointTheory(DeformationTheory):
     def forgetful_adjoint_matrix(self):
         den, adj = super().forgetful_adjoint_matrix()
         return den, tuple(tuple(-x for x in row) for row in adj)
+
+
+def random_fraction(rng: random.Random, height: int = 10) -> Fraction:
+    return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+
+def _fraction_element(model, coords) -> AlgebraElement:
+    """sum_j coords[j] basis[j] as a Fraction matrix."""
+    return AlgebraElement(to_matrix(mat_comb(coords, model.basis)), model.group.group_id)
+
+
+def fraction_algebra_element(model, rng: random.Random, height: int = 10,
+                             subspace=None) -> AlgebraElement:
+    """A random element from Fraction coordinates, or from one Fraction
+    coefficient per vector of subspace summed in Fraction coordinates."""
+    if subspace is None:
+        return _fraction_element(model, [random_fraction(rng, height) for _ in model.basis])
+    acc = [ZERO] * len(model.basis)
+    for vec in subspace:
+        c = random_fraction(rng, height)
+        acc = [a + c * v for a, v in zip(acc, vec)]
+    return _fraction_element(model, acc)
+
+
+def fraction_residue_tuple(model, rng: random.Random, n: int, height: int = 10,
+                           subspaces=None, zero_sum: bool = True) -> list[AlgebraElement]:
+    """`sampling.random_residue_tuple` in Fraction matrices: n random
+    residues, the last the negated Fraction sum of the others when zero_sum."""
+    count = n - 1 if zero_sum else n
+    out = [fraction_algebra_element(model, rng, height,
+                                    None if subspaces is None else subspaces[i])
+           for i in range(count)]
+    if zero_sum:
+        size = model.n
+        total = mat_comb([ONE] * len(out), [el.matrix for el in out]) if out else \
+            [[ZERO] * size for _ in range(size)]
+        out.append(AlgebraElement(to_matrix([[-x for x in row] for row in total]),
+                                  model.group.group_id))
+    return out

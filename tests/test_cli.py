@@ -30,6 +30,31 @@ def test_dims_job(tmp_path, capsys):
         assert check["provenance"]
 
 
+USAGE = """usage: hfb [-h] --config CONFIG [--out OUT] [--format {json,csv}]
+           [--seed SEED]
+           {audit,defo,dims,gaudin,spectral}
+"""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nonsense", "--config", "c.json"], "argument subcommand: invalid choice: 'nonsense' "
+     "(choose from 'audit', 'defo', 'dims', 'gaudin', 'spectral')"),
+    (["dims"], "the following arguments are required: --config"),
+    (["dims", "--config", "c.json", "--seed", "a"], "argument --seed: invalid int value: 'a'")])
+def test_usage_errors_exit_2_from_the_parser_built_at_import(capsys, monkeypatch, argv, message):
+    import argparse
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built an argument parser")
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"{USAGE}hfb: error: {message}\n"
+
+
 def test_gaudin_job_bracket_table_zero(tmp_path, capsys):
     cfg = write_config(tmp_path, "g.json", {
         "group": "sl(2)", "points": ["1", "2", "3"],
@@ -92,6 +117,32 @@ def test_a_clean_gaudin_job_builds_no_bracket_table(tmp_path, monkeypatch, group
     out = tmp_path / "r.json"
     assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["all_passed"]
+
+
+@pytest.mark.parametrize("group", ["sl(2)", "sl(3)", "gl(2)", "sp(4)", "so(4)", "so(5)"])
+def test_a_clean_gaudin_job_builds_no_fraction_matrix(tmp_path, monkeypatch, group):
+    # residues are drawn, validated, mapped and certified in integers, so a
+    # clean job builds no residue's Fraction matrix.  The control: gradients
+    # stripped of their values at the certificate point are never certified,
+    # and then the bracket table of each of the 6 tuples reads the matrices
+    # of its 3 residues.
+    from framedhiggs import liealg
+    built = []
+    build = liealg._fraction_matrix
+    monkeypatch.setattr(liealg, "_fraction_matrix",
+                        lambda den, nums: built.append(nums) or build(den, nums))
+    cfg = write_config(tmp_path, "g.json", {"group": group, "points": ["1/2", "-3", "7/3"],
+                                            "residues": {"type": "random", "seed": 9},
+                                            "random_points": 5})
+    out = tmp_path / "r.json"
+    assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["all_passed"]
+    assert built == []
+    original = cli.GaudinSystem.coefficient_gradients_at
+    monkeypatch.setattr(cli.GaudinSystem, "coefficient_gradients_at", lambda self, residues: [
+        block._replace(grads=list(block.grads)) for block in original(self, residues)])
+    assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 0
+    assert len(built) == 3 * 6
 
 
 def test_a_clean_gaudin_job_inverts_no_matrix(tmp_path, monkeypatch):

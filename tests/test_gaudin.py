@@ -16,10 +16,11 @@ from framedhiggs.gaudin import GaudinSystem, worst_drift
 from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, antidiagonal, char_poly_elementary,
                                 flatten, generator_indices, mat_trace, matrix_invariant,
                                 newton_elementary, pfaffian, theta_char_polys)
-from framedhiggs.sampling import random_algebra_element, random_fraction, random_residue_tuple
+from framedhiggs.sampling import random_algebra_element, random_residue_tuple
 from oracles import (PolyObservable, algebra_sigma_gradients_at, algebra_site_matrix,
                      bracket_at, coefficient_polys, coordinate, grad_rows, gradient_function,
-                     mat_commutator, sigma_gradient_at, site_matrix, symbolic_gradient, theta_at)
+                     fraction_residue_tuple, mat_commutator, random_fraction, sigma_gradient_at,
+                     site_matrix, symbolic_gradient, theta_at)
 
 PTS3 = (F(1), F(2), F(3))
 
@@ -329,6 +330,11 @@ def _random_matrix(rng, s, kind):
 KERNEL_KINDS = ["zero", "nilpotent", "singular", "general"]
 
 
+def _site(x):
+    """The site (d, a) of a Fraction matrix x = a / d, a row-major."""
+    return over_common_denominator(flatten(x))
+
+
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_char_poly_kernel_matches_the_fraction_oracle(s, kind):
@@ -337,7 +343,7 @@ def test_char_poly_kernel_matches_the_fraction_oracle(s, kind):
     rng = random.Random(61 + 7 * s + KERNEL_KINDS.index(kind))
     for _ in range(4):
         x = _random_matrix(rng, s, kind)
-        [(den, num, e, qs)] = theta_char_polys([F(0)], [x], [F(1)])
+        [(den, num, e, qs)] = theta_char_polys([F(0)], [_site(x)], [F(1)])
         assert all(isinstance(v, int) for v in [den, *num, *e] + [y for q in qs for y in q])
         assert [F(v, den) for v in num] == flatten(x)
         assert [F(v, den ** m) for m, v in enumerate(e, start=1)] == char_poly_elementary(x)
@@ -355,7 +361,8 @@ def test_char_poly_kernel_on_residue_tuples_with_mixed_denominators(s):
     for kinds in (["general", "singular", "nilpotent"], ["zero", "general", "zero"],
                   ["nilpotent"] * 3):
         mats = [_random_matrix(rng, s, kind) for kind in kinds]
-        for t, (den, num, e, qs) in zip(ts, theta_char_polys(points, mats, ts)):
+        sites = [_site(m) for m in mats]
+        for t, (den, num, e, qs) in zip(ts, theta_char_polys(points, sites, ts)):
             theta = theta_at(points, mats, t)
             assert den == over_common_denominator(flatten(theta))[0]
             assert [F(v, den) for v in num] == flatten(theta)
@@ -390,9 +397,9 @@ def test_bracket_table_reference_catches_an_off_by_one_gradient(monkeypatch, gid
                                                                 count):
     # Reading Q_(m-1) where Q_m belongs gives every gradient of e_m, m >= 2,
     # the wrong matrix; the reference comparison must see it.
-    def shifted(points, matrices, ts):
+    def shifted(points, sites, ts):
         return [(den, m, e, [qs[0]] + qs[:-1])
-                for den, m, e, qs in theta_char_polys(points, matrices, ts)]
+                for den, m, e, qs in theta_char_polys(points, sites, ts)]
     monkeypatch.setattr(gaudin, "theta_char_polys", shifted)
     with pytest.raises(AssertionError):
         test_bracket_table_matches_reference(gid, points, count)
@@ -461,12 +468,12 @@ def test_bracket_table_grid_matches_reference(monkeypatch, gid, n, faulted):
     fault_at = system._indices[0] - 1
     kernel = gaudin.theta_char_polys
 
-    def with_fault(points, matrices, ts):
-        s = len(matrices[0])
+    def with_fault(points, sites, ts):
+        s = math.isqrt(len(sites[0][1]))
         fault = [(3 * a - 2 * b) % 7 - 3 for a in range(s) for b in range(s)]
         return [(den, m, e, [[x + f for x, f in zip(q, fault)] if i == fault_at else q
                              for i, q in enumerate(qs)])
-                for den, m, e, qs in kernel(points, matrices, ts)]
+                for den, m, e, qs in kernel(points, sites, ts)]
 
     if faulted:
         monkeypatch.setattr(gaudin, "theta_char_polys", with_fault)
@@ -521,9 +528,12 @@ def test_certificate_majorants_dominate_the_true_norms(gid, n, faulted):
     points = GRID_POINTS[:n]
     system = GaudinSystem(model, points)
     s, (_, prows) = system.s, system._projection
-    rng = random.Random(131 + 3 * GRID_CASES.index((gid, n)))
-    residues = random_residue_tuple(model, rng, n, 4, zero_sum=False)
+    seed = 131 + 3 * GRID_CASES.index((gid, n))
+    residues = random_residue_tuple(model, random.Random(seed), n, 4, zero_sum=False)
     mu, q, rho, g = system._majorants(residues)
+    # the same tuple drawn as Fraction matrices, its integer forms read off them
+    rebuilt = fraction_residue_tuple(model, random.Random(seed), n, 4, zero_sum=False)
+    assert rebuilt == residues and system._majorants(rebuilt) == (mu, q, rho, g)
     big = math.lcm(*(over_common_denominator(flatten(el.matrix))[0] for el in residues))
     scale = big * math.prod(x.denominator * T_SYM - x.numerator for x in points)
     theta = sympy.Matrix(s, s, lambda a, b: sum(sympy.Rational(el.matrix[a][b]) / (T_SYM - x)
@@ -926,8 +936,8 @@ def test_the_system_reuses_the_char_polys_of_the_last_tuple_only(monkeypatch, gi
 def _moved_char_polys(index, sample=0):
     """`theta_char_polys` with e_index at one sample point t moved by D^index,
     so that the sample value e_index(theta(t)) = e_index / D^index moves by one."""
-    def moved(points, matrices, ts):
-        out = theta_char_polys(points, matrices, ts)
+    def moved(points, sites, ts):
+        out = theta_char_polys(points, sites, ts)
         den, m, es, qs = out[sample]
         out[sample] = (den, m, [e + (q == index) * den ** index for q, e in enumerate(es, 1)],
                        qs)

@@ -159,7 +159,7 @@ def _sampled_numerators(model, points, residues):
     n = len(points)
     ts = [max(points) + l for l in range(1, model.n * n + 2)]
     samples = [(e, math.prod(t - x for x in points) / den) for t, (den, _, e, _) in
-               zip(ts, theta_char_polys(points, [el.matrix for el in residues], ts))]
+               zip(ts, theta_char_polys(points, [el.integer_form for el in residues], ts))]
     return [_interpolate(ts[:k * n + 1], [e[k - 1] * qd ** k for e, qd in samples[:k * n + 1]])
             for k in range(1, model.n + 1)]
 
