@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 from .exactlinalg import (ZERO, ONE, frac, identity, integer_solve, mat_comb,
                           over_common_denominator, transpose)
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, flatten, generator_indices,
-                     integer_combination, pfaffian, theta_char_polys)
+                     pfaffian, theta_char_polys)
 
 
 def _float(x: Fraction) -> float:
@@ -426,7 +426,7 @@ class GaudinSystem:
         `_expansions` expands them.  Verifies holomorphy at infinity:
         p_k(theta) vanishes to order 2 d_k iff the top 2 d_k - 1 differences do.
         """
-        if any(integer_combination((1, el.integer_form) for el in residues)[1]):
+        if not sum(residues[1:], residues[0]).is_zero():
             raise ValueError("sum of residues must vanish (holomorphy at infinity)")
         coeffs = []
         for k, (diffs, solved) in enumerate(self._expansions(self._char_polys_at(residues))):

@@ -245,16 +245,20 @@ class AlgebraElement:
     def __repr__(self) -> str:
         return f"AlgebraElement(matrix={self.matrix!r}, group_id={self.group_id!r})"
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def _plus(self, other: "AlgebraElement", sign: int) -> "AlgebraElement":
+        """self + sign other, over the lcm of the two denominators."""
         _check_same(self, other)
-        return AlgebraElement.from_integers(
-            *integer_combination([(1, self.integer_form), (1, other.integer_form)]), self.group_id)
+        (d, a), (d2, a2) = self.integer_form, other.integer_form
+        big = lcm(d, d2)
+        f, f2 = big // d, sign * (big // d2)
+        return AlgebraElement.from_integers(big, [f * x + f2 * y for x, y in zip(a, a2)],
+                                            self.group_id)
+
+    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_same(self, other)
-        return AlgebraElement.from_integers(
-            *integer_combination([(1, self.integer_form), (-1, other.integer_form)]),
-            self.group_id)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "AlgebraElement":
         den, nums = self.integer_form
@@ -273,19 +277,6 @@ def _fraction_matrix(den: int, nums: Sequence[int]) -> Matrix:
     """The square Fraction matrix with row-major entries nums / den."""
     n = isqrt(len(nums))
     return tuple(tuple(Fraction(x, den) for x in nums[r:r + n]) for r in range(0, len(nums), n))
-
-
-def integer_combination(terms) -> tuple[int, list[int]]:
-    """sum c nums / den over the terms (c, (den, nums)), c an integer and
-    (den, nums) an integer form, as (L, its numerators over L) for L the lcm
-    of the dens, not reduced; at least one term."""
-    terms = list(terms)
-    big = lcm(*(den for _, (den, _) in terms))
-    acc = [0] * len(terms[0][1][1])
-    for c, (den, nums) in terms:
-        f = c * (big // den)
-        acc = [a + f * x for a, x in zip(acc, nums)]
-    return big, acc
 
 
 def _entrywise(op, a, b) -> Matrix:
@@ -362,7 +353,7 @@ class AlgebraModel:
                     w = x.numerator * (vden // x.denominator)
                     for q, y in support:
                         acc[q] = acc.get(q, 0) + w * y
-            images.append([(q, y) for q, y in sorted(acc.items()) if y])
+            images.append([(q, y) for q, y in acc.items() if y])
         return vden * self._support_den, images
 
     def from_integer_coords(self, den: int, coeffs: Sequence[int],

@@ -6,7 +6,8 @@ drawn as integers: each random coefficient p / q is kept as its integer pair,
 the coefficients of one element over the lcm of their q, and the element is
 summed from the integer support of the basis or of the subspace it is drawn
 from (`AlgebraModel.integer_support`) into its integer form
-(`AlgebraElement.integer_form`), with no Fraction.  The Fraction matrix of a
+(`AlgebraElement.integer_form`), with no Fraction; a balancing residue is the
+negated sum of the others, added in integers.  The Fraction matrix of a
 residue is built only when it is first read.
 """
 
@@ -20,8 +21,7 @@ from typing import Sequence
 from .curve import MarkedCurve
 from .deformation import FramedHiggsModel
 from .exactlinalg import frac
-from .liealg import (AlgebraElement, AlgebraModel, framing_specs, integer_combination,
-                     trace_form)
+from .liealg import AlgebraElement, AlgebraModel, framing_specs, trace_form
 
 
 def _draw(rng: random.Random, count: int, height: int) -> tuple[int, list[int]]:
@@ -63,9 +63,7 @@ def random_residue_tuple(model: AlgebraModel, rng: random.Random, n: int,
             supports[id(sub)] = model.integer_support(sub)
         out.append(_draw_element(model, rng, height, None if sub is None else supports[id(sub)]))
     if zero_sum:
-        out.append(AlgebraElement.from_integers(
-            *integer_combination((-1, el.integer_form) for el in out), model.group.group_id)
-            if out else model.zero())
+        out.append(-sum(out[1:], out[0]) if out else model.zero())
     return out
 
 
