@@ -29,9 +29,9 @@ from .dimensions import (DimReport, consistency_audit, audit_grid,
                          hitchin_fiber_dim, torsor_dims)
 from .gaudin import GaudinSystem, HitchinPoint
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, GroupData,
-                     InvariantForm, UnsupportedGroupError, bracket, framing_specs,
-                     group_data, invariant_polynomials, torus_framing, trace_form,
-                     trivial_framing)
+                     InvariantForm, UnsupportedGroupError, algebra_model, bracket,
+                     framing_specs, group_data, invariant_polynomials, torus_framing,
+                     trace_form, trivial_framing)
 from .rationalfn import Poly, RatContext, VSection
 from .sampling import random_algebra_element, random_residue_tuple, seeded_model
 from .spectral import (SpectralCurveReport, spectral_data, spectral_genus,

@@ -27,8 +27,8 @@ from .deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
                           FramedHiggsModel, verify_poisson_map)
 from .exactlinalg import rank
 from .gaudin import GaudinSystem, worst_drift
-from .liealg import (AlgebraModel, FramingSpec, UnsupportedGroupError, framing_specs,
-                     group_data, trace_form)
+from .liealg import (AlgebraModel, FramingSpec, UnsupportedGroupError, algebra_model,
+                     framing_specs, group_data, trace_form)
 from .sampling import random_residue_tuple, seeded_model
 from .spectral import (riemann_hurwitz_genus, spectral_data, spectral_supported,
                        torsor_fiber_report)
@@ -116,7 +116,7 @@ def _group(cfg: dict):
 def _algebra(cfg: dict) -> AlgebraModel:
     """The matrix model of config.group; groups with dimension data only are refused."""
     try:
-        return AlgebraModel(_group(cfg).group_id)
+        return algebra_model(_group(cfg).group_id)
     except UnsupportedGroupError as exc:
         raise ConfigError(f"config.group: {exc}") from exc
 
@@ -343,6 +343,9 @@ def run_gaudin(cfg: dict, seed) -> dict:
         if k >= len(degrees) or i >= len(pts) or j > degrees[k]:
             raise ConfigError(f"config.flow: no coefficient ({k},{i},{j})")
         tol = _real(flow_cfg.get("drift_tolerance", 1e-8), "config.flow.drift_tolerance")
+        if tol <= 0:    # a drift is never below 0: the check could not pass
+            raise ConfigError(f"config.flow.drift_tolerance: must be positive, "
+                              f"got {flow_cfg['drift_tolerance']!r}")
         t_end = _real(flow_cfg.get("t_end", 1.0), "config.flow.t_end")
     model, used_seed = _residues(cfg, algebra, "trivial", pts, seed)
     system = GaudinSystem(algebra, pts)

@@ -21,16 +21,22 @@ for the fiber functionals phi a sheaf imposes, on the candidate coordinates
 the chart allows, eliminated in integers; the kernel's columns are renamed to
 layout indices, so a chart basis is a `Staircase` of sparse layout vectors
 (integer tails over one denominator) and no section is built.
+
+A chart basis reads only the points, the fiber, the sheaf and the window, so
+`sections_on_affine_chart` and `sections_off_divisor` keep the bases of this
+process in a memo keyed by (context, spec, window), a `functools.lru_cache`
+of at most `exactlinalg.MEMO_SIZE` entries; a basis is shared and never mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from .exactlinalg import (Quotient, Staircase, Vec, ZERO, ONE, dense, frac,
+from .exactlinalg import (MEMO_SIZE, Quotient, Staircase, Vec, ZERO, ONE, dense, frac,
                           nullspace_sparse, sparse)
 from .rationalfn import RatContext, VSection, pairing_residue_at_point
 
@@ -287,11 +293,13 @@ def _sections(ctx: RatContext, spec: SheafSpec, poles: Sequence[int], degree: in
                      [{layout_index(c): t for c, t in tail.items()} for tail in kernel.tails])
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def sections_on_affine_chart(ctx: RatContext, spec: SheafSpec, window: Window) -> Staircase:
     """Basis of F(U0): regular away from D, window-truncated polynomial tail."""
     return _sections(ctx, spec, spec.pole_orders, window.degree, window, True)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def sections_off_divisor(ctx: RatContext, spec: SheafSpec, window: Window) -> Staircase:
     """Basis of F(U1): arbitrary window poles along D, twist condition at infinity."""
     return _sections(ctx, spec, [window.pole] * spec.n, spec.inf_order, window, False)

@@ -25,13 +25,24 @@ so that their classes pair and include in one layout.
 
 [theta, .] acts on layout coordinates (position-major, fiber-minor) as
 Theta = sum_i S_i ⊗ ad(A_i), with S_i the closed-form scalar layout matrix of
-multiplication by 1/(z - x_i).  The model builds Theta once per window, each
-chart basis once per (spec, window, chart), and ker d1 once per (F1 spec,
-window), so the three cones of a `DeformationTheory` share them: with
-trivial framing the framed F1 is the twisted F1, so d1 is eliminated twice,
-not three times, and two chart bases serve two complexes each.  Cochains,
-Theta images, d0 columns and kernels are sparse layout vectors.  Every
-cache lives on the model, so none outlives it.
+multiplication by 1/(z - x_i).  The model builds Theta once per window, and
+ker d1 once per (F1 spec, window), so the three cones of a
+`DeformationTheory` share them: with trivial framing the framed F1 is the
+twisted F1, so d1 is eliminated twice, not three times, and two chart bases
+serve two complexes each.  Cochains, Theta images, d0 columns and kernels
+are sparse layout vectors.
+
+What reads the residues lives on the model and goes with it: Theta, ad(A_i),
+ker d1, each cone's quotient and the matrices of a `DeformationTheory`.
+What does not is kept per process, in `functools.lru_cache` memos of at most
+`exactlinalg.MEMO_SIZE` entries, filled on first use, each keyed by the
+values it reads: the chart bases (`curve.sections_on_affine_chart` and
+`curve.sections_off_divisor`, by points, fiber, spec and window), the
+pairing form B (`_pairing_form`, by points, window and the Gram matrix's
+entries, so a model whose Gram matrix differs gets its own B), the framings
+(`liealg.framing_spec`) and the group's `AlgebraModel`
+(`liealg.algebra_model`).  The model also keeps what it read from a memo,
+per (spec, window, chart) and per window, so a cone looks each up once.
 
 The cone's linear algebra runs in Python integers over one denominator.
 Theta is built as integer columns over one denominator and applied by integer
@@ -60,7 +71,8 @@ components with the invariant form and sums residues over the marked points:
     <a, b> = sum_i Res_{x_i} [ sigma(u0_a, c_b) - sigma(c_a, u1_b) ]
 
 for cocycles a = (c_a, u0_a, u1_a).  In layout coordinates this is
-<a, b> = B(u0_a, c_b) - B(u1_b, c_a) for one form per model and window,
+<a, b> = B(u0_a, c_b) - B(u1_b, c_a) for one form per points, window and
+Gram matrix,
 
     B = sum_i sum_{a+b=-1} lambda_{i,a} ⊗ lambda_{i,b} ⊗ Gram,
 
@@ -89,18 +101,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .curve import (Layout, MarkedCurve, SheafSpec, Window, check_window,
                     default_window, laurent_row, make_spec, sections_off_divisor,
                     sections_on_affine_chart)
-from .exactlinalg import (Mat, Quotient, Staircase, Vec, ONE, add_scaled, dense, frac,
-                          integer_solve, integer_vectors, nullspace_sparse,
-                          over_common_denominator, transpose)
+from .exactlinalg import (MEMO_SIZE, Mat, Quotient, Staircase, Vec, ONE, add_scaled, dense,
+                          frac, integer_solve, integer_vectors, nullspace_sparse,
+                          over_common_denominator)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
-                     bracket, framing_specs, trace_form)
+                     algebra_model, framing_specs, trace_form)
 from .rationalfn import RatContext, VSection
 
 TWISTED = "twisted"            # deformations of the underlying twisted pair
@@ -158,8 +170,7 @@ class FramedHiggsModel:
         return [self._ad_matrix(el) for el in self.residues]
 
     def _ad_matrix(self, el: AlgebraElement) -> Mat:
-        return transpose([self.algebra.coords(bracket(el, AlgebraElement(b, el.group_id)))
-                          for b in self.algebra.basis])
+        return self.algebra.ad_matrix(el)
 
     @property
     def dim(self) -> int:
@@ -228,8 +239,9 @@ class FramedHiggsModel:
         """Basis of F(U0) (chart 0) or F(U1) (chart 1) for F = spec, in the
         layout of `window`, as the `Staircase` that `curve` eliminates: its
         `int_coords` write an integer layout vector in the basis, and `scaled`
-        is the basis as integer vectors over `den`.  Built once per model and
-        (spec, window, chart), and shared by the cones."""
+        is the basis as integer vectors over `den`.  Read from the process's
+        memo once per model and (spec, window, chart), and shared by the
+        cones."""
         sections = sections_on_affine_chart if chart == 0 else sections_off_divisor
         return self._cached(("chart", spec, window, chart),
                             lambda: sections(self.context, spec, window))
@@ -261,39 +273,10 @@ class FramedHiggsModel:
 
     def pairing_form(self, window: Window) -> tuple[int, dict[int, dict[int, int]]]:
         """B from the layout of the pole-bumped window to that of `window`, as
-        (d, {c index: {u index: d B[u][c]}}) with integer entries."""
-        return self._cached(("form", window), lambda: self._pairing_form(window))
-
-    def _pairing_form(self, window: Window) -> tuple[int, dict[int, dict[int, int]]]:
-        """The Laurent rows and the Gram matrix are integers over their own
-        least common denominators, so B is summed in integers over one
-        denominator and reduced to the least one at the end."""
-        m, pts = self.dim, self.curve.points
-        bumped = Window(window.pole + 1, window.degree)
-        pairs = []                      # (d, d0 lambda_{i,-1-a}, d1 lambda_{i,a}), d = d0 d1
-        for i in range(len(pts)):
-            for a in range(-window.pole - 1, window.pole):
-                (d0, [r0]), (d1, [r1]) = (integer_vectors([laurent_row(pts, window, i, -1 - a)]),
-                                          integer_vectors([laurent_row(pts, bumped, i, a)]))
-                pairs.append((d0 * d1, r0, r1))
-        gden, [gram] = integer_vectors([{(a, b): g for a, row in enumerate(self._gram)
-                                         for b, g in enumerate(row)}])
-        sden = lcm(*{d for d, _, _ in pairs})
-        scalar: dict[tuple[int, int], int] = {}     # (k0, k1) -> sden scalar B
-        for d, r0, r1 in pairs:
-            f = sden // d
-            for k1, x in r1.items():
-                fx = f * x
-                for k0, y in r0.items():
-                    scalar[k0, k1] = scalar.get((k0, k1), 0) + fx * y
-        table: dict[int, dict[int, int]] = {}
-        for (k0, k1), x in scalar.items():
-            if x:
-                for (a, b), g in gram.items():
-                    table.setdefault(k0 * m + b, {})[k1 * m + a] = x * g
-        den = sden * gden
-        g = gcd(den, *(x for row in table.values() for x in row.values()))
-        return den // g, {c: {u: x // g for u, x in row.items()} for c, row in table.items()}
+        (d, {c index: {u index: d B[u][c]}}) with integer entries; B reads the
+        points, the window and the Gram matrix alone (`_pairing_form`)."""
+        return self._cached(("form", window), lambda: _pairing_form(
+            self.curve.points, window, tuple(map(tuple, self._gram))))
 
     def complex_specs(self, kind: str) -> tuple[SheafSpec, SheafSpec]:
         m, n = self.dim, self.curve.n
@@ -330,6 +313,44 @@ def cone_window(pairs: Iterable[tuple[SheafSpec, SheafSpec]]) -> Window:
     return Window(max(w0.pole, w1.pole - 1), max(w0.degree, w1.degree))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _pairing_form(points: tuple[Fraction, ...], window: Window,
+                 gram: tuple[tuple[Fraction, ...], ...]
+                 ) -> tuple[int, dict[int, dict[int, int]]]:
+    """B from the layout of the pole-bumped window to that of `window` for
+    the marked points and the Gram matrix of the invariant form on the basis,
+    as (d, {c index: {u index: d B[u][c]}}) with integer entries, kept per
+    process by those values.  The Laurent rows and the Gram matrix are
+    integers over their own least common denominators, so B is summed in
+    integers over one denominator and reduced to the least one at the end."""
+    m = len(gram)
+    bumped = Window(window.pole + 1, window.degree)
+    pairs = []                      # (d, d0 lambda_{i,-1-a}, d1 lambda_{i,a}), d = d0 d1
+    for i in range(len(points)):
+        for a in range(-window.pole - 1, window.pole):
+            (d0, [r0]), (d1, [r1]) = (integer_vectors([laurent_row(points, window, i, -1 - a)]),
+                                      integer_vectors([laurent_row(points, bumped, i, a)]))
+            pairs.append((d0 * d1, r0, r1))
+    gden, [flat] = integer_vectors([{(a, b): g for a, row in enumerate(gram)
+                                     for b, g in enumerate(row)}])
+    sden = lcm(*{d for d, _, _ in pairs})
+    scalar: dict[tuple[int, int], int] = {}     # (k0, k1) -> sden scalar B
+    for d, r0, r1 in pairs:
+        f = sden // d
+        for k1, x in r1.items():
+            fx = f * x
+            for k0, y in r0.items():
+                scalar[k0, k1] = scalar.get((k0, k1), 0) + fx * y
+    table: dict[int, dict[int, int]] = {}
+    for (k0, k1), x in scalar.items():
+        if x:
+            for (a, b), g in flat.items():
+                table.setdefault(k0 * m + b, {})[k1 * m + a] = x * g
+    den = sden * gden
+    g = gcd(den, *(x for row in table.values() for x in row.values()))
+    return den // g, {c: {u: x // g for u, x in row.items()} for c, row in table.items()}
+
+
 def framed_higgs_model(group: str | AlgebraModel, points: Sequence, residues: Sequence,
                        framing: str | Sequence = "trivial") -> FramedHiggsModel:
     """Convenience constructor from matrix entries and a framing selector.
@@ -339,7 +360,7 @@ def framed_higgs_model(group: str | AlgebraModel, points: Sequence, residues: Se
     of subalgebra bases (each a list of matrices; an empty list is a trivial
     framing).
     """
-    algebra = group if isinstance(group, AlgebraModel) else AlgebraModel(group)
+    algebra = group if isinstance(group, AlgebraModel) else algebra_model(group)
     form = trace_form(algebra.group.group_id)
     pts = tuple(map(frac, points))
     frs = framing_specs(algebra, form, framing, len(pts))

@@ -45,6 +45,11 @@ Mat = list[list[Fraction]]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# The entries each per-process memo of the package keeps (`liealg`, `curve`,
+# `deformation`): more than the group, framing and point shapes one batch of
+# jobs meets, so that a batch hits, and few enough that the memos stay small.
+MEMO_SIZE = 32
+
 
 def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)

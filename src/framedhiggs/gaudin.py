@@ -31,10 +31,10 @@ from functools import cached_property
 from itertools import accumulate, combinations, combinations_with_replacement
 from typing import Callable, NamedTuple, Sequence
 
-from .exactlinalg import (ZERO, ONE, frac, identity, integer_solve, mat_comb,
+from .exactlinalg import (ZERO, ONE, frac, identity, mat_comb,
                           over_common_denominator, transpose)
-from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, flatten, generator_indices,
-                     pfaffian, theta_char_polys)
+from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, flat_trace, flatten,
+                     generator_indices, pfaffian, theta_char_polys)
 
 
 def _float(x: Fraction) -> float:
@@ -205,11 +205,6 @@ def _flat_commutator(a: list[int], b: list[int], s: int) -> list[int]:
             for ra, rb in zip(rows_a, rows_b) for cb, ca in zip(cols_b, cols_a)]
 
 
-def _trace(a: Sequence, b: Sequence, s: int):
-    """tr(a b) of two row-major flattened s x s matrices."""
-    return sum(a[i * s + j] * b[j * s + i] for i in range(s) for j in range(s))
-
-
 def _drift_key(d: float) -> tuple[bool, float]:
     """Orders drifts with NaN above every number."""
     return math.isnan(d), d
@@ -271,16 +266,8 @@ class GaudinSystem:
         self.n = len(self.points)
         self.s = model.n
         self.group = model.group
-        # projection: pi(Y) in g with tr(pi(Y) B) = tr(Y B) for B in g is
-        # flatten(pi(Y)) = P flatten(Y) / den, P = sum_a b_a X_a, for the integer
-        # basis b_a = c B_a and G X = den T, G[a][b] = tr(b_a b_b), T_a = flatten(b_a^T).
-        s = self.s
-        _, flat = over_common_denominator(x for b in model.basis for x in flatten(b))
-        basis = [flat[q:q + s * s] for q in range(0, len(flat), s * s)]
-        den, x = integer_solve([[_trace(a, b, s) for b in basis] for a in basis],
-                               [[v for i in range(s) for v in a[i::s]] for a in basis])
-        self._projection = (den, [[sum(map(mul, bcol, xcol)) for xcol in zip(*x)]
-                                  for bcol in zip(*basis)])
+        # pi(Y) in g with tr(pi(Y) B) = tr(Y B) for B in g, built once per model
+        self._projection = model.trace_projection
         self._indices = generator_indices(self.group)
         # integer points as ints, so that the Horner pass runs in integers
         self._xs = [x.numerator if x.denominator == 1 else x for x in self.points]
@@ -598,13 +585,13 @@ class GaudinSystem:
             for i, ((d, y), (d2, y2)) in enumerate(zip(be.grads, bf.grads)):
                 if e != f and any(z := _flat_commutator(y, y2, s)):
                     sq = flatten(mat_comb([ONE / (ts[i] - x) ** 2 for x in self.points], mats))
-                    c[i, i] = _trace(sq, z, s) / (d * d2)
+                    c[i, i] = flat_trace(sq, z, s) / (d * d2)
             if any(comm[e]) or any(comm[f]):
                 for i, ((d, y), ue) in enumerate(zip(be.grads, comm[e])):
                     for j, ((d2, y2), uf) in enumerate(zip(bf.grads, comm[f])):
-                        num = Fraction(_trace(ue[1], y2, s), ue[0] * d2) if ue else ZERO
+                        num = Fraction(flat_trace(ue[1], y2, s), ue[0] * d2) if ue else ZERO
                         if uf:
-                            num += Fraction(_trace(y, uf[1], s), d * uf[0])
+                            num += Fraction(flat_trace(y, uf[1], s), d * uf[0])
                         if num and i != j:
                             c[i, j] = num / (ts[j] - ts[i])
             for (i, j), cij in c.items():

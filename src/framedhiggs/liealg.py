@@ -12,6 +12,13 @@ Conventions:
   * The invariant form is the trace form of the defining representation; on
     the one-dimensional center of gl(r) this restricts to sigma'(z, z') =
     tr(z z'), which is nondegenerate.
+
+What depends on the group alone is built once per process: `algebra_model`
+returns one `AlgebraModel` per group id, whose structure constants and
+trace-form projection are computed when first read, and `framing_spec`
+returns one `FramingSpec` per (model, form, subalgebra basis).  Both memos
+are `functools.lru_cache`s of at most `exactlinalg.MEMO_SIZE` entries,
+filled on first use.
 """
 
 from __future__ import annotations
@@ -19,12 +26,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul, sub
 from typing import Sequence
 
-from .exactlinalg import (Echelon, LinSolver, Mat, Vec, ZERO, ONE, dense, frac,
-                          mat_comb, mat_mul, nullspace_sparse, over_common_denominator)
+from .exactlinalg import (MEMO_SIZE, Echelon, LinSolver, Mat, Vec, ZERO, ONE, dense, frac,
+                          integer_solve, mat_comb, mat_mul, nullspace_sparse,
+                          over_common_denominator)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -131,6 +140,10 @@ def mat_trace(a: Matrix) -> Fraction:
 
 def flatten(a: Matrix) -> Vec:
     return [x for row in a for x in row]
+
+def flat_trace(a: Sequence, b: Sequence, s: int):
+    """tr(a b) of two row-major flattened s x s matrices."""
+    return sum(a[i * s + j] * b[j * s + i] for i in range(s) for j in range(s))
 
 def to_matrix(entries) -> Matrix:
     return tuple(tuple(frac(x) for x in row) for row in entries)
@@ -373,6 +386,58 @@ class AlgebraModel:
         """sum_j coords[j] basis[j], in integers over the coordinates' common
         denominator."""
         return self.from_integer_coords(*over_common_denominator(coords))
+
+    @cached_property
+    def structure_constants(self) -> list[list[tuple[int, int, Fraction]]]:
+        """ad(B_k) on basis coordinates for each basis element B_k, as its
+        nonzero entries (r, c, x): [B_k, B_c] = sum_r x B_r."""
+        gid = self.group.group_id
+        basis = [AlgebraElement(b, gid) for b in self.basis]
+        return [[(r, c, x) for c, b in enumerate(basis)
+                 for r, x in enumerate(self._coord_solver.coords(flatten(bracket(a, b).matrix)))
+                 if x] for a in basis]
+
+    def ad_matrix(self, el: AlgebraElement) -> Mat:
+        """ad(el) on basis coordinates, sum_k coords_k(el) ad(B_k), from one
+        solve for the coordinates of el."""
+        den, nums = el.integer_form
+        coords = self._coord_solver.coords(nums)
+        if coords is None:
+            raise ValueError(f"matrix is not an element of {self.group.group_id}")
+        m = self.group.dim
+        ad = [[ZERO] * m for _ in range(m)]
+        for x, entries in zip(coords, self.structure_constants):
+            if x:
+                x /= den
+                for r, c, y in entries:
+                    ad[r][c] += x * y
+        return ad
+
+    @cached_property
+    def trace_projection(self) -> tuple[int, list[list[int]]]:
+        """The orthogonal projection pi onto g under the trace form, pi(Y) in
+        g with tr(pi(Y) B) = tr(Y B) for B in g, as (den, P) with flatten(pi(Y))
+        = P flatten(Y) / den: P = sum_a b_a X_a for the integer basis b_a =
+        c B_a and G X = den T, G[a][b] = tr(b_a b_b), T_a = flatten(b_a^T)."""
+        s = self.n
+        _, flat = over_common_denominator(x for b in self.basis for x in flatten(b))
+        basis = [flat[q:q + s * s] for q in range(0, len(flat), s * s)]
+        den, x = integer_solve([[flat_trace(a, b, s) for b in basis] for a in basis],
+                               [[v for i in range(s) for v in a[i::s]] for a in basis])
+        return den, [[sum(map(mul, bcol, xcol)) for xcol in zip(*x)] for bcol in zip(*basis)]
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _algebra_model(group_id: str) -> AlgebraModel:
+    return AlgebraModel(group_id)
+
+
+def algebra_model(group_id: str) -> AlgebraModel:
+    """The one `AlgebraModel` of a group id in this process, so that the
+    basis, its elimination and the data derived from it are built once;
+    UnsupportedGroupError for an unknown id or a group with dimension data
+    only."""
+    return _algebra_model(group_data(group_id).group_id)
 
 
 def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -625,13 +690,23 @@ class FramingSpec:
         return len(self.subalgebra)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def framing_spec(model: AlgebraModel, form: InvariantForm,
+                 subalgebra: tuple[AlgebraElement, ...]) -> FramingSpec:
+    """The one `FramingSpec` of (model, form, subalgebra basis) in this
+    process, keyed by the model object, the form's value and the basis
+    elements in order, so that its coordinates and annihilator are solved
+    once; ValueError, each time, for a basis that frames nothing."""
+    return FramingSpec(model, form, list(subalgebra))
+
+
 def trivial_framing(model: AlgebraModel, form: InvariantForm) -> FramingSpec:
-    return FramingSpec(model, form, [])
+    return framing_spec(model, form, ())
 
 
 def torus_framing(model: AlgebraModel, form: InvariantForm) -> FramingSpec:
     gid = model.group.group_id
-    return FramingSpec(model, form, [AlgebraElement(t, gid) for t in model.torus])
+    return framing_spec(model, form, tuple(AlgebraElement(t, gid) for t in model.torus))
 
 
 def framing_specs(model: AlgebraModel, form: InvariantForm, framing,
@@ -641,7 +716,8 @@ def framing_specs(model: AlgebraModel, form: InvariantForm, framing,
 
     framing: 'trivial' or 'torus' (one FramingSpec shared by every point), or
     a per-point list of subalgebra bases, each a list of matrices (one
-    FramingSpec per point; an empty basis is a trivial framing).
+    FramingSpec per point; an empty basis is a trivial framing).  Each
+    FramingSpec comes from `framing_spec`.
     """
     if framing == "trivial":
         return (trivial_framing(model, form),) * n
@@ -649,5 +725,5 @@ def framing_specs(model: AlgebraModel, form: InvariantForm, framing,
         return (torus_framing(model, form),) * n
     if isinstance(framing, str):
         raise ValueError(f"unknown framing selector {framing!r}")
-    return tuple(FramingSpec(model, form, [model.element(b) for b in basis])
+    return tuple(framing_spec(model, form, tuple(map(model.element, basis)))
                  for basis in framing)

@@ -21,7 +21,7 @@ from typing import Sequence
 from .curve import MarkedCurve
 from .deformation import FramedHiggsModel
 from .exactlinalg import frac
-from .liealg import AlgebraElement, AlgebraModel, framing_specs, trace_form
+from .liealg import AlgebraElement, AlgebraModel, algebra_model, framing_specs, trace_form
 
 
 def _draw(rng: random.Random, count: int, height: int) -> tuple[int, list[int]]:
@@ -77,7 +77,7 @@ def seeded_model(group: str | AlgebraModel, points: Sequence, framing, seed: int
     framing-compatible, which holds whenever the framing type is uniform.
     """
     rng = random.Random(seed)
-    algebra = group if isinstance(group, AlgebraModel) else AlgebraModel(group)
+    algebra = group if isinstance(group, AlgebraModel) else algebra_model(group)
     form = trace_form(algebra.group.group_id)
     pts = tuple(map(frac, points))
     framings = framing_specs(algebra, form, framing, len(pts))

@@ -1,0 +1,29 @@
+"""Every test starts with the package's per-process memos empty.
+
+The memos (`functools.lru_cache`s in `liealg`, `curve` and `deformation`)
+keep what depends on the group, the points, the framing and the window
+alone.  A test that patches a function they call (`laurent_row`,
+`FramedHiggsModel._gram` through `__post_init__`, `FramingSpec.__post_init__`)
+must see it called, and a result computed under a patch must not reach a
+later test.
+"""
+
+import sys
+
+import pytest
+
+import framedhiggs  # noqa: F401  (loads every module whose memos are cleared)
+
+
+def clear_memos() -> None:
+    """Empty every `lru_cache` of every loaded `framedhiggs` module."""
+    for name, module in list(sys.modules.items()):
+        if name == "framedhiggs" or name.startswith("framedhiggs."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _cold_memos():
+    clear_memos()

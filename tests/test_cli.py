@@ -270,6 +270,10 @@ EXPLICIT_SL2 = {"group": "sl(2)", "points": ["1", "2"],
     ("gaudin", {**GAUDIN_SL2, "flow": {"t_end": "0.5", "steps": 10}}, "config.flow.t_end"),
     ("gaudin", {**GAUDIN_SL2, "flow": {"drift_tolerance": True, "steps": 10}},
      "config.flow.drift_tolerance"),
+    ("gaudin", {**GAUDIN_SL2, "flow": {"drift_tolerance": -1, "steps": 10}},
+     "config.flow.drift_tolerance"),
+    ("gaudin", {**GAUDIN_SL2, "flow": {"drift_tolerance": 0, "steps": 10}},
+     "config.flow.drift_tolerance"),
     ("gaudin", {**GAUDIN_SL2, "flow": {"t_end": 10 ** 400, "steps": 10}}, "config.flow.t_end"),
     ("audit", {"groups": ["sl(2)", "xx(2)"]}, "config.groups[1]"),
     ("audit", {"groups": "sl(2)"}, "config.groups"),
@@ -318,7 +322,8 @@ EXPLICIT_SL2 = {"group": "sl(2)", "points": ["1", "2"],
     ("defo", {**DEFO_SL2, "verify_poisson_map": "no"}, "config.verify_poisson_map"),
 ], ids=["genus-0", "genus-x", "n-0", "framing-length", "height-0", "steps-0",
         "random-points-negative", "grid-r-1", "audit-genus-0", "flow-t-end-x",
-        "flow-t-end-string", "flow-drift-tolerance-bool", "flow-t-end-beyond-floats",
+        "flow-t-end-string", "flow-drift-tolerance-bool", "flow-drift-tolerance-negative",
+        "flow-drift-tolerance-zero", "flow-t-end-beyond-floats",
         "audit-unknown-group", "audit-groups-string", "audit-groups-empty",
         "group-not-a-string", "audit-empty-n-range", "genus-fraction", "random-points-bool",
         "random-points-fraction", "height-fraction", "height-string", "steps-fraction",
@@ -416,6 +421,15 @@ SPECTRAL_SL2 = {"group": "sl(2)", "points": ["1", "2", "3"],
                 "residues": {"type": "random", "seed": 9, "height": 5}}
 
 
+def _on(config, group=None):
+    """config with another residue seed, if it has one, and on another group
+    if given: the same shape as a new job."""
+    out = {**config, "group": group or config["group"]}
+    if out["residues"]["type"] == "random":
+        out["residues"] = {**out["residues"], "seed": out["residues"]["seed"] + 1}
+    return out
+
+
 @pytest.mark.parametrize("subcommand, config, built", [
     ("defo", {"group": "gl(2)", "points": ["1", "2", "3", "4"], "framing": "torus",
               "residues": {"type": "random", "seed": 3, "height": 5}}, (1, 1)),
@@ -425,6 +439,10 @@ SPECTRAL_SL2 = {"group": "sl(2)", "points": ["1", "2", "3"],
 ], ids=["defo-random-torus", "gaudin-random", "spectral-random", "defo-explicit-bases"])
 def test_a_job_builds_one_algebra_model_and_each_framing_once(tmp_path, monkeypatch,
                                                               subcommand, config, built):
+    # the model of a group and each framing of it are built once per process:
+    # a cold job builds one model and one framing of each kind, a second job
+    # with the same group and framing builds none, a job on another group
+    # builds its own
     from framedhiggs.liealg import AlgebraModel, FramingSpec
     counts = {AlgebraModel: 0, FramingSpec: 0}
     for cls, name in ((AlgebraModel, "__init__"), (FramingSpec, "__post_init__")):
@@ -432,9 +450,16 @@ def test_a_job_builds_one_algebra_model_and_each_framing_once(tmp_path, monkeypa
             counts[_cls] += 1
             return _original(self, *args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
-    cfg = write_config(tmp_path, "job.json", config)
-    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out.json")]) == 0
-    assert (counts[AlgebraModel], counts[FramingSpec]) == built
+
+    def built_by(job_config):
+        counts.update(dict.fromkeys(counts, 0))
+        cfg = write_config(tmp_path, "job.json", job_config)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out.json")]) == 0
+        return counts[AlgebraModel], counts[FramingSpec]
+    other = "sl(2)" if config["group"] == "gl(2)" else "gl(2)"
+    assert built_by(config) == built
+    assert built_by(_on(config)) == (0, 0)
+    assert built_by(_on(config, other)) == (1, built[1])
 
 
 @pytest.mark.parametrize("subcommand, config, built", [

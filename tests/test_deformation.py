@@ -14,6 +14,7 @@ from framedhiggs.exactlinalg import (ZERO, add_scaled, dense, inverse, mat_mul,
 from framedhiggs.liealg import AlgebraElement, AlgebraModel, bracket, trace_form
 from framedhiggs.rationalfn import VSection, pairing_residue_at_point
 from framedhiggs.sampling import random_algebra_element, seeded_model
+from conftest import clear_memos
 from oracles import NegatedAdjointTheory, cup_matrix_by_entries, mat_is_zero
 
 
@@ -896,8 +897,10 @@ def test_framing_coordinates_are_solved_once_per_framing_spec(monkeypatch, frami
 
     monkeypatch.setattr(AlgebraModel, "coords", counted)
     for n in (2, 4, 6):
+        selector = [BOREL_SL2] * n if framing == "borel" else framing
+        clear_memos()       # each FramingSpec is built once per process: build it here
         calls.clear()
-        specs = framing_specs(algebra, form, [BOREL_SL2] * n if framing == "borel" else framing, n)
+        specs = framing_specs(algebra, form, selector, n)
         # each h_x basis element is solved once, by its FramingSpec, and the
         # h_x^perp coordinates are the kernel vectors, solved 0 times; the only
         # other solves are the dim(h_x)^2 bracket-closure checks
@@ -910,6 +913,11 @@ def test_framing_coordinates_are_solved_once_per_framing_spec(monkeypatch, frami
                 assert not any(c is el for c in calls)
             assert spec.coords == [honest(algebra, h) for h in spec.subalgebra]
             assert spec.perp_coords == [honest(algebra, p) for p in spec.perp]
+        # equal bases share one FramingSpec, and asking again solves nothing
+        assert len(distinct) == 1
+        calls.clear()
+        assert all(a is b for a, b in zip(framing_specs(algebra, form, selector, n), specs))
+        assert calls == []
         residues = [random_algebra_element(algebra, rng, 3, specs[0].perp_coords)
                     for _ in range(n - 1)]
         residues.append(sum(residues[1:], residues[0]).scale(-1))

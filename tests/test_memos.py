@@ -1,0 +1,152 @@
+"""The per-process memos: warm jobs give the bytes of cold ones, and each
+memo keys on every value its computation reads.
+
+`liealg.algebra_model`, `liealg.framing_spec`, the two `curve.sections_*`
+chart bases and `deformation._pairing_form` keep what
+depends on the group, the framing, the points and the window alone; the
+conftest fixture empties them before each test.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction as F
+from pathlib import Path
+
+from conftest import clear_memos
+from framedhiggs import curve, deformation, liealg
+from framedhiggs.cli import main
+from framedhiggs.deformation import FRAMED, TWISTED, DeformationTheory, FramedHiggsModel
+from framedhiggs.liealg import InvariantForm, algebra_model, framing_specs
+from framedhiggs.sampling import seeded_model
+
+HERE = Path(__file__).parent
+GOLDEN_DEFO = json.loads((HERE / "golden_defo_reports.json").read_text())["reports"]
+GOLDEN_GAUDIN = [entry for entry in json.loads(
+    (HERE / "golden_gaudin_spectral_reports.json").read_text())["reports"]
+    if entry["subcommand"] == "gaudin"]
+JOBS = [("defo", entry["config"]) for entry in GOLDEN_DEFO] + \
+    [("gaudin", entry["config"]) for entry in GOLDEN_GAUDIN]
+
+# jobs on the same groups, points and framings with other residues, and a
+# spectral job, run before the golden ones so that the memos are warm
+WARM_UP = [
+    ("defo", {"group": "sl(2)", "points": ["1", "2", "3"], "framing": "torus",
+              "residues": {"type": "random", "seed": 21, "height": 7}}),
+    ("defo", {"group": "gl(2)", "points": ["1", "2", "3"], "framing": "trivial",
+              "residues": {"type": "random", "seed": 22, "height": 7}}),
+    ("defo", {"group": "sl(2)", "points": ["1", "2", "3", "4"], "framing": "torus",
+              "residues": {"type": "random", "seed": 23, "height": 3}}),
+    ("gaudin", {"group": "sl(3)", "points": ["1", "2", "3"],
+                "residues": {"type": "random", "seed": 24, "height": 5}, "random_points": 2}),
+    ("gaudin", {"group": "so(4)", "points": ["1", "2", "3"],
+                "residues": {"type": "random", "seed": 25, "height": 5}, "random_points": 1}),
+    ("spectral", {"group": "sl(2)", "points": ["1", "2", "3"],
+                  "residues": {"type": "random", "seed": 26, "height": 5}}),
+]
+
+
+def _report(tmp_path, subcommand, config) -> tuple[int, bytes]:
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    code = main([subcommand, "--config", str(cfg), "--out", str(out)])
+    return code, out.read_bytes()
+
+
+def test_warm_jobs_give_the_bytes_of_cold_jobs(tmp_path):
+    cold = []
+    for subcommand, config in JOBS:
+        clear_memos()
+        cold.append(_report(tmp_path, subcommand, config))
+    assert all(code == 0 for code, _ in cold)
+    digests = [entry["sha256"] for entry in GOLDEN_DEFO + GOLDEN_GAUDIN]
+    assert [hashlib.sha256(text).hexdigest() for _, text in cold] == digests
+    clear_memos()
+    for subcommand, config in WARM_UP:
+        assert _report(tmp_path, subcommand, config)[0] == 0
+    assert curve.sections_on_affine_chart.cache_info().currsize > 0
+    for rounds in range(2):
+        order = list(range(len(JOBS)))
+        random.Random(rounds).shuffle(order)
+        for k in order:
+            assert _report(tmp_path, *JOBS[k]) == cold[k], JOBS[k]
+    assert curve.sections_on_affine_chart.cache_info().hits > 0
+    assert deformation._pairing_form.cache_info().hits > 0
+    assert liealg._algebra_model.cache_info().hits > 0
+
+
+def _chart_misses() -> int:
+    return sum(chart.cache_info().misses
+               for chart in (curve.sections_on_affine_chart, curve.sections_off_divisor))
+
+
+def _build(model) -> DeformationTheory:
+    theory = DeformationTheory(model)
+    for kind in (TWISTED, FRAMED):
+        theory.cone(kind)
+    return theory
+
+
+def test_models_that_differ_in_one_input_get_their_own_memo_entries():
+    base = seeded_model("gl(2)", [1, 2, 3], "torus", 5, 4)
+    theory = _build(base)
+    window = theory.window
+    form = base.pairing_form(window)
+    misses = _chart_misses()
+
+    # the same shape with other residues reads every memo and builds nothing
+    again = seeded_model("gl(2)", [1, 2, 3], "torus", 6, 4)
+    assert again.framings[0] is base.framings[0] and again.algebra is base.algebra
+    _build(again)
+    assert _chart_misses() == misses and again.pairing_form(window) is form
+
+    # other points
+    moved = seeded_model("gl(2)", [1, 2, 4], "torus", 5, 4)
+    _build(moved)
+    assert _chart_misses() > misses
+    assert moved.pairing_form(window) != form
+    misses = _chart_misses()
+
+    # another window
+    wider = window.bumped()
+    spec = base.complex_specs(FRAMED)[0]
+    assert base.chart_basis(spec, wider, 0) is not base.chart_basis(spec, window, 0)
+    assert _chart_misses() == misses + 1
+    assert base.pairing_form(wider)[1] != form[1]
+    misses = _chart_misses()
+
+    # another framing constraint: the trivial framing's framed sheaves
+    trivial = seeded_model("gl(2)", [1, 2, 3], "trivial", 5, 4)
+    assert trivial.framings[0] is not base.framings[0]
+    assert trivial.complex_specs(FRAMED) != base.complex_specs(FRAMED)
+    _build(trivial)
+    assert _chart_misses() > misses
+
+    # another center_scale: its own framings and, through its Gram matrix,
+    # its own pairing form
+    algebra = algebra_model("gl(2)")
+    scaled, plain = InvariantForm("gl(2)", F(3)), InvariantForm("gl(2)")
+    scaled_torus, plain_torus = (framing_specs(algebra, f, "torus", 3) for f in (scaled, plain))
+    assert scaled_torus[0] is not plain_torus[0]
+    rescaled = FramedHiggsModel(algebra, scaled, base.curve, scaled_torus, base.residues)
+    assert rescaled._gram != base._gram
+    assert rescaled.pairing_form(window) != form
+
+
+def test_a_faulted_gram_entry_changes_the_pairing_form():
+    model = seeded_model("sl(2)", [1, 2, 3], "trivial", 11, 5)
+    faulted = seeded_model("sl(2)", [1, 2, 3], "trivial", 11, 5)
+    faulted._gram[0][1] += 1
+    window = model.window
+    assert model._gram != faulted._gram
+    assert faulted.pairing_form(window) != model.pairing_form(window)
+    # the fault stays on its model: the process's Gram matrix is untouched
+    assert seeded_model("sl(2)", [1, 2, 3], "trivial", 11, 5)._gram == model._gram
+    gram = tuple(map(tuple, model._gram))
+    for a in range(len(gram)):
+        for b in range(len(gram)):
+            bad = tuple(tuple(x + ((r, c) == (a, b)) for c, x in enumerate(row))
+                        for r, row in enumerate(gram))
+            assert deformation._pairing_form(model.curve.points, window, bad) != \
+                deformation._pairing_form(model.curve.points, window, gram)
