@@ -37,7 +37,7 @@ rng = random.Random(7)
 tuples = [list(model.residues)] + [
     random_residue_tuple(algebra, rng, 3, 10, zero_sum=False) for _ in range(5)]
 worst, pair = system.commutativity_check(tuples)
-print(f"  max |{{H_a, H_b}}| = {worst}")
+print(f"  max |{{H_a, H_b}}| = {abs(worst)}")
 
 print()
 print("Hamiltonian flow of one Gaudin Hamiltonian (fourth-order, 10^4 steps):")

@@ -134,10 +134,6 @@ def integer_vectors(vectors: Iterable) -> tuple[int, list[dict[int, int]]]:
                  for v in vectors]
 
 
-def transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def identity(n: int) -> Mat:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 

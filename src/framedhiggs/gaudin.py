@@ -4,35 +4,35 @@ Residue tuples (A_1, ..., A_n) with sum zero describe the Higgs field
 theta(z) = sum_i A_i dz/(z - x_i) on the trivialized rational curve.  The
 partial-fraction coefficients of the invariants p_k(theta(z)) come from the
 integer forward differences of their values at sample points t one apart
-(`GaudinSystem._partial_fractions`); the Poisson structure is the product
-Lie-Poisson bracket transported by the trace form.  At each t, with theta(t)
-= M / D, the invariants and their gradients come from one integer
-Faddeev-LeVerrier run on M.  The bracket check (`commutativity_check`) runs
-that kernel first at one integer point T = 2^B, B from coefficient bounds of
-the integer matrix polynomial theta(t) L prod_j (q_j t - p_j): if every
-commutator the bracket table tests vanishes at T, it vanishes at every
-sample point, and only a tuple that fails this certificate forms its table
-in the basis of sample points, with no per-site gradient; no bracket of two
-arbitrary observables is formed at a point.  Only the flow integrator
-uses floats: its right-hand side is straight-line code generated from the
-Laurent expansion of theta at the marked point of its Hamiltonian
-(`GaudinSystem.coefficient_functions`), and its drift values are exact values
-rounded once.
+(`GaudinSystem._partial_fractions`), read off one integer Faddeev-LeVerrier
+run on theta(t) = M / D at each t; the Poisson structure is the product
+Lie-Poisson bracket transported by the trace form.
+
+Every gradient of a Hitchin coefficient comes from one engine: the
+Laurent expansion of theta at the coefficient's marked point, emitted as a
+straight-line `GradientProgram` (`GaudinSystem.coefficient_functions`).
+The flow integrator runs it in floats, its drift values exact values
+rounded once; the bracket check (`commutativity_check`) runs it exactly,
+but only for a tuple that fails a certificate: the same integer kernel at
+one integer point T = 2^B, B from coefficient bounds of the integer matrix
+polynomial theta(t) L prod_j (q_j t - p_j), shows that every invariant's
+gradient commutes with theta(t) and with every other's at every t, and
+then every bracket vanishes.  A tuple that fails the certificate gets each
+bracket {H_a, H_b} = sum_l tr(A_l [X^l_a, X^l_b]) of the exact site
+gradients, which decide its verdict.
 """
 
 from __future__ import annotations
 
 import math
-from collections import UserList
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from functools import cached_property
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
-from .exactlinalg import (ZERO, ONE, frac, identity, mat_comb,
-                          over_common_denominator, transpose)
+from .exactlinalg import ZERO, ONE, frac, over_common_denominator
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, flat_trace, flatten,
                      generator_indices, pfaffian, theta_char_polys)
 
@@ -51,7 +51,8 @@ class GradientProgram(NamedTuple):
     out as `flatten_point`.  They hold no number literal but read each
     rational constant by its name in constants: with float constants and a
     float state they give the flow's floats, with these Fractions and a
-    Fraction state the exact gradient."""
+    Fraction state the exact gradient of the bracket check's fallback
+    (`GaudinSystem._site_gradients`)."""
     lines: list[str]
     constants: dict[str, Fraction]
 
@@ -229,32 +230,6 @@ class HitchinPoint:
     coeffs: tuple[dict[tuple[int, int], Fraction], ...]
 
 
-class SampleGradients(NamedTuple):
-    """Sigma-gradients of the partial-fraction coefficients of a function f
-    of theta(z) in the sample-point basis, over the first len(grads) sample
-    points t_l of the system: coefficient keys[a] is sum_l vinv[a][l]
-    f(theta(t_l)), and grads[l] = (d, y) is the projected gradient pi(grad
-    f)(theta(t_l)) as y / d, y its row-major numerators."""
-    keys: list
-    vinv: Sequence[list[Fraction]]
-    grads: list[tuple[int, list[int]]]
-
-
-@dataclass(eq=False)
-class _Rows(UserList):
-    """A matrix whose rows build() makes when they are first read."""
-    build: Callable[[], list]
-    data = cached_property(lambda self: self.build())
-
-
-@dataclass(eq=False)
-class _Gradients(_Rows):
-    """`SampleGradients.grads` as `GaudinSystem.coefficient_gradients_at`
-    makes them: built when first read, with at = (M, y), theta(T) = M / D
-    and the gradient y / d at the certificate point T."""
-    at: tuple[list[int], list[int]]
-
-
 class GaudinSystem:
     """Residue-tuple phase space for a classical group and marked points."""
 
@@ -273,7 +248,6 @@ class GaudinSystem:
         self._xs = [x.numerator if x.denominator == 1 else x for x in self.points]
         # the sample points t_l = max(x) + l; degree index k uses the first n d_k
         self._ts = [max(self._xs) + l for l in range(1, self.n * max(self.group.degrees) + 1)]
-        self._chars: tuple = (None, None)   # (sites of a tuple, its char polys), the last read
         self._interp_cache: dict[int, tuple] = {}
 
     def flatten_point(self, residues: Sequence[AlgebraElement]) -> list[Fraction]:
@@ -282,11 +256,9 @@ class GaudinSystem:
     # -- the Hitchin coefficient functions --------------------------------------
 
     def _interp_data(self, k: int):
-        """(cols, ts, vinv) for degree index k, N = n d_k: the coefficients (i,
-        j) of (z - x_i)^(-j), j <= d_k, the first N sample points t_l, and
-        vinv = V^-1 for V[l][(i, j)] = (t_l - x_i)^(-j), built from
-        `_partial_fractions` of unit vectors when first read; the cache also
-        keeps what `_partial_fractions` reads."""
+        """(cols, ts) for degree index k, N = n d_k: the coefficients (i, j)
+        of (z - x_i)^(-j), j <= d_k, and the first N sample points t_l; the
+        cache also keeps what `_partial_fractions` reads."""
         if k not in self._interp_cache:
             d = self.group.degrees[k]
             cols = [(i, j) for i in range(self.n) for j in range(1, d + 1)]
@@ -300,15 +272,14 @@ class GaudinSystem:
                             for m in range(d)]
                     g = [sum(g[r] * term[m - r] for r in range(m + 1)) for m in range(d)]
                 sites.append(([x - t for t in reversed(ts[:-1])], g, gden))
-            vinv = _Rows(lambda: transpose([self._partial_fractions(k, unit)[1]
-                                            for unit in identity(len(ts))]))
             weights = [math.prod((t - x) ** d for x in xs) for t in ts]
-            self._interp_cache[k] = (cols, ts, vinv, d, sites, weights)
-        return self._interp_cache[k][:3]
+            self._interp_cache[k] = (cols, ts, d, sites, weights)
+        return self._interp_cache[k][:2]
 
     def _partial_fractions(self, k: int, values: Sequence[Fraction]) -> tuple[list, list]:
         """(diffs, c) for the values at the sample points t_l of degree index k
-        of f = sum c_(i,j) (z - x_i)^(-j): c = vinv values, and the differences
+        of f = sum c_(i,j) (z - x_i)^(-j): c = V^-1 values for V[l][(i, j)] =
+        (t_l - x_i)^(-j), with no V inverted, and the differences
         D^m y_1 (m < N) of y_l = f(t_l) prod_i (t_l - x_i)^d times den (N-1)! / m!,
         den making them integers.  P = sum_m D^m y_1 binom(z - t_1, m) = f prod_i
         (z - x_i)^d, so f ~ z^(-o) at infinity when D^(N-o) y_1 is the top nonzero
@@ -316,7 +287,7 @@ class GaudinSystem:
         w^d, and c_(i,j) = (Q g)[d-j] / (den gden) with g / gden the series of
         1 / prod_(l != i) (x_i - x_l + w)^d."""
         self._interp_data(k)
-        d, sites, weights = self._interp_cache[k][3:]
+        d, sites, weights = self._interp_cache[k][2:]
         den, ys = over_common_denominator(v * w for v, w in zip(values, weights))
         big, diffs = len(ys) - 1, []
         for m in range(big + 1):
@@ -383,15 +354,6 @@ class GaudinSystem:
         c = self.points[i] - self.points[l]
         return [(top - 1 - r, (-1) ** r / c ** (r + 1)) for r in range(top)]
 
-    def _char_polys_at(self, residues: Sequence[AlgebraElement]) -> list[tuple]:
-        """`theta_char_polys` of a residue tuple at the sample points, kept for
-        the last tuple read, by its sites, so that its Hitchin point,
-        gradients and bracket table share one run."""
-        sites = [el.integer_form for el in residues]
-        if self._chars[0] != sites:
-            self._chars = sites, theta_char_polys(self.points, sites, self._ts)
-        return self._chars[1]
-
     def _expansions(self, chars: Sequence[tuple]) -> list[tuple[list, list]]:
         """`_partial_fractions` of p_k(theta(t)), per degree index k, from the
         `theta_char_polys` output chars: e_m(theta(t)) = e_m(M) / D^m."""
@@ -409,14 +371,15 @@ class GaudinSystem:
         """Evaluate the map at a residue tuple; requires sum A_i = 0.
 
         The invariants at the sample points are read off the integer
-        characteristic polynomials of theta(t) (`_char_polys_at`), and
+        characteristic polynomials of theta(t) (`theta_char_polys`), and
         `_expansions` expands them.  Verifies holomorphy at infinity:
         p_k(theta) vanishes to order 2 d_k iff the top 2 d_k - 1 differences do.
         """
         if not sum(residues[1:], residues[0]).is_zero():
             raise ValueError("sum of residues must vanish (holomorphy at infinity)")
         coeffs = []
-        for k, (diffs, solved) in enumerate(self._expansions(self._char_polys_at(residues))):
+        chars = theta_char_polys(self.points, [el.integer_form for el in residues], self._ts)
+        for k, (diffs, solved) in enumerate(self._expansions(chars)):
             d = self.group.degrees[k]
             for order, a in enumerate(reversed(diffs[1 - 2 * d:]), start=1):
                 if a:
@@ -493,114 +456,78 @@ class GaudinSystem:
         return den ** power * pden, [sum(map(mul, r, g)) for r in prows]
 
     def coefficient_gradients_at(self, residues: Sequence[AlgebraElement]
-                                 ) -> list[SampleGradients]:
-        """The gradients of every invariant coefficient at a point in the
-        sample-point basis, one SampleGradients per degree index k with
-        Y_t = pi(grad p_k(theta(t))) (`_gradient`).
-
-        Coefficient (k, i, j) is sum_t vinv[row][t] p_k(theta(t)), so its
-        gradient at site l would be sum_t vinv[row][t] Y_t / (t - x_l); no
-        site gradient is formed.  Each block's grads are a `_Gradients`,
-        built at the sample points from `_char_polys_at` when first read,
-        and holding theta and the gradient at the certificate point T
-        (`_certificate_point`), from one `theta_char_polys` run at T.
-        """
+                                 ) -> tuple[list[int], list[list[int]]]:
+        """(M, ys) at the certificate point T (`_certificate_point`): theta(T)
+        = M / D and, per degree index k, the numerators y of the projected
+        gradient pi(grad p_k)(theta(T)) = y / d (`_gradient`), from one
+        `theta_char_polys` run at T."""
         t = self._certificate_point(residues)
         [at] = theta_char_polys(self.points, [el.integer_form for el in residues], [t])
-        out = []
-        for k, index in enumerate(self._indices):
-            cols, ts, vinv = self._interp_data(k)
-            grads = _Gradients(
-                lambda index=index, count=len(ts): [
-                    self._gradient(index, c) for c in self._char_polys_at(residues)[:count]],
-                (at[1], self._gradient(index, at)[1]))
-            out.append(SampleGradients([(k, i, j) for i, j in cols], vinv, grads))
-        return out
+        return at[1], [self._gradient(index, at)[1] for index in self._indices]
 
     def commutativity_check(self, residue_tuples: Sequence[Sequence[AlgebraElement]]):
-        """Max |{H_a, H_b}| over all pairs of coefficient functions and points.
-
-        The site gradients X^l_a = sum_t V[a][t] Y_t / (t - x_l) make {H_a, H_b}
-        = sum_l tr(A_l [X^l_a, X^l_b]) the entry (a, b) of V C V'^T.  By the
-        partial-fraction identity sum_l A_l / ((t - x_l)(t' - x_l)) = (theta(t)
-        - theta(t')) / (t' - t) and tr(X [Y, Z]) = tr([X, Y] Z), C(t, t') =
-        (tr(U_t Y'_t') + tr(Y_t U'_t')) / (t' - t) with U_t = [theta(t), Y_t]
-        for t != t', and C(t, t) = tr(S(t) [Y_t, Y'_t]) with S(t) = sum_l A_l /
-        (t - x_l)^2.  An invariant's gradient commutes with theta(t), so on a
-        clean tuple these commutators all vanish.
+        """(worst, pair): the signed bracket {H_a, H_b} of largest absolute
+        value over the tuples and the pairs a < b of coefficient functions,
+        the first such in tuple and coefficient order, and its pair of keys
+        (k, i, j); (0, None) when every bracket vanishes.
 
         A tuple is first tested at the one integer point T of
-        `_certificate_point`.  At any t, theta(t)'s numerator M is a nonzero
-        multiple c N(t) of the integer matrix polynomial N (`_majorants`),
-        and the gradients are homogeneous in M, so each commutator of the
-        table is a nonzero multiple of U_k(t) = [N, pi Q_k(N)] or Z_ef(t) =
-        [pi Q_e(N), pi Q_f(N)].  Their coefficients lie below T / 2, and a
-        nonzero integer polynomial with such coefficients does not vanish at
-        T: if every commutator vanishes at T, every one vanishes at every
-        sample point, and the tuple adds no bracket (`_certified`).  Only a
-        tuple that fails this builds its table (`_bracket_table`): one
-        integer s x s commutator per degree index and sample point and one
-        per pair of degree indices at a shared point.  Brackets are summed in
-        Fractions over the nonzero entries of C and scanned in the
-        coefficient order, so the first of equally large brackets is the one
-        reported.
+        `_certificate_point` (`_certified`).  Coefficient (k, i, j) is a
+        combination sum_t c_t p_k(theta(t)) over sample points t, so its
+        gradient at site l is sum_t c_t Y_t / (t - x_l) with Y_t = pi(grad
+        p_k)(theta(t)).  By the partial-fraction identity sum_l A_l / ((t -
+        x_l)(t' - x_l)) = (theta(t) - theta(t')) / (t' - t) and tr(X [Y, Z])
+        = tr([X, Y] Z), every bracket is a combination of traces against the
+        commutators [theta(t), Y_t] and, at a t two degree indices share,
+        [Y_t, Y'_t].  At any t, theta(t)'s numerator M is a nonzero multiple
+        c N(t) of the integer matrix polynomial N (`_majorants`), and the
+        gradients are homogeneous in M, so each commutator is a nonzero
+        multiple of U_k(t) = [N, pi Q_k(N)] or Z_ef(t) = [pi Q_e(N), pi
+        Q_f(N)].  Their coefficients lie below T / 2, and a nonzero integer
+        polynomial with such coefficients does not vanish at T: if every
+        commutator vanishes at T, every one vanishes at every t, and so does
+        every bracket of the tuple.  Only a tuple that fails this has its
+        brackets computed (`_brackets`), and those decide.
         """
         worst, worst_pair = ZERO, None
         for residues in residue_tuples:
-            blocks = self.coefficient_gradients_at(residues)
-            if self._certified(blocks):
+            if self._certified(*self.coefficient_gradients_at(residues)):
                 continue
-            keys = [key for block in blocks for key in block.keys]
-            for (ia, ib), val in sorted(self._bracket_table(residues, blocks).items()):
+            for pair, val in self._brackets(residues):
                 if abs(val) > abs(worst):
-                    worst, worst_pair = val, (keys[ia], keys[ib])
+                    worst, worst_pair = val, pair
         return worst, worst_pair
 
-    def _certified(self, blocks: Sequence[SampleGradients]) -> bool:
-        """Whether [M, y_k] and [y_e, y_f] vanish at the certificate point for
-        every block and pair of blocks, theta(T) = M / D and Y_T = y_k / d.
-        Gradients made outside `coefficient_gradients_at` carry no value at
-        T, and a tuple with such a block is not certified."""
-        if not all(isinstance(block.grads, _Gradients) for block in blocks):
-            return False
-        s, m, ys = self.s, blocks[0].grads.at[0], [block.grads.at[1] for block in blocks]
+    def _certified(self, m: list[int], ys: Sequence[list[int]]) -> bool:
+        """Whether [M, y] and [y, y'] vanish for the gradients y, y' of every
+        degree index and pair of degree indices (`coefficient_gradients_at`)."""
+        s = self.s
         return not any(any(_flat_commutator(m, y, s)) for y in ys) and not any(
             any(_flat_commutator(y, y2, s)) for y, y2 in combinations(ys, 2))
 
-    def _bracket_table(self, residues: Sequence[AlgebraElement],
-                       blocks: Sequence[SampleGradients]) -> dict[tuple[int, int], Fraction]:
-        """The nonzero brackets of `commutativity_check` by the positions a < b
-        of the coefficients in the blocks, with theta(t) = M / D read as (D, M)
-        off `_char_polys_at`."""
-        s, mats, ts = self.s, [el.matrix for el in residues], self._ts
-        theta = [(den, m) for den, m, _, _ in self._char_polys_at(residues)]
-        # U_t = [M, y] / (D d) for theta(t) = M / D and Y_t = y / d; None if zero
-        comm = [[(den * d, u) if any(u := _flat_commutator(m, y, s)) else None
-                 for (den, m), (d, y) in zip(theta, block.grads)] for block in blocks]
-        offsets = list(accumulate((len(block.keys) for block in blocks), initial=0))
-        table: dict[tuple[int, int], Fraction] = {}
-        for e, f in combinations_with_replacement(range(len(blocks)), 2):
-            be, bf = blocks[e], blocks[f]
-            c = {}   # the nonzero entries C(t_i, t_j) of the pair of blocks
-            for i, ((d, y), (d2, y2)) in enumerate(zip(be.grads, bf.grads)):
-                if e != f and any(z := _flat_commutator(y, y2, s)):
-                    sq = flatten(mat_comb([ONE / (ts[i] - x) ** 2 for x in self.points], mats))
-                    c[i, i] = flat_trace(sq, z, s) / (d * d2)
-            if any(comm[e]) or any(comm[f]):
-                for i, ((d, y), ue) in enumerate(zip(be.grads, comm[e])):
-                    for j, ((d2, y2), uf) in enumerate(zip(bf.grads, comm[f])):
-                        num = Fraction(flat_trace(ue[1], y2, s), ue[0] * d2) if ue else ZERO
-                        if uf:
-                            num += Fraction(flat_trace(y, uf[1], s), d * uf[0])
-                        if num and i != j:
-                            c[i, j] = num / (ts[j] - ts[i])
-            for (i, j), cij in c.items():
-                for a, row in enumerate(be.vinv):
-                    for b, row2 in enumerate(bf.vinv):
-                        if row[i] and row2[j] and (e != f or a < b):
-                            key = (offsets[e] + a, offsets[f] + b)
-                            table[key] = table.get(key, ZERO) + row[i] * cij * row2[j]
-        return {key: val for key, val in table.items() if val}
+    def _site_gradients(self, state: list[Fraction]) -> list[tuple[tuple, list[Fraction]]]:
+        """[((k, i, j), X)] for every coefficient in coefficient order, X the
+        site gradients of coefficient (k, i, j) at the Fraction state, both
+        laid out as `flatten_point`: its gradient program run exactly."""
+        names = {f"x{v}": x for v, x in enumerate(state)}
+        out = []
+        for k in range(len(self._indices)):
+            for (i, j), program in self.coefficient_functions(k).items():
+                values = {**program.constants, **names}
+                exec("\n".join(program.lines), values)
+                out.append(((k, i, j), [values[f"g{v}"] for v in range(len(state))]))
+        return out
+
+    def _brackets(self, residues: Sequence[AlgebraElement]) -> list[tuple[tuple, Fraction]]:
+        """[((key_a, key_b), {H_a, H_b})] for every pair a < b of coefficients
+        in coefficient order: sum_l tr([A_l, X^l_a] X^l_b) over the sites l,
+        with the site gradients X of `_site_gradients`."""
+        s, block, state = self.s, self.s * self.s, self.flatten_point(residues)
+        sites = range(0, len(state), block)
+        rows = [(key, x, [_flat_commutator(state[v:v + block], x[v:v + block], s) for v in sites])
+                for key, x in self._site_gradients(state)]
+        return [((ka, kb), sum(flat_trace(u, x[v:v + block], s) for u, v in zip(us, sites)))
+                for (ka, _, us), (kb, x, _) in combinations(rows, 2)]
 
     # -- Hamiltonian flow (floating point) ----------------------------------------
 

@@ -8,11 +8,11 @@ the tests check the code that the jobs do run.
   (`coordinate`, `site_matrix`) or in the algebra coordinates
   (`algebra_site_matrix`), and `coefficient_polys`, the Hitchin coefficients
   as such polynomials, combined from the invariants of the symbolic
-  theta(t) (`theta_at`) at the sample points;
+  theta(t) (`theta_at`) at the sample points by `sampled_inverse`;
 - `sigma_gradient_at` and `bracket_at`: the product Lie-Poisson bracket of
   two polynomial observables at a point, from their exact sigma-gradients at
-  each site, against which the sample-point bracket table and the flow's
-  gradient programs are checked;
+  each site, against which the gradient programs, and the brackets the
+  bracket check computes from them, are checked;
 - `gradient_function`: the statements of a `gaudin.GradientProgram` as a
   function, run exactly or in floats;
 - `cup_matrix_by_entries`: the cup-product pairing matrix of
@@ -166,13 +166,23 @@ def theta_at(points, matrices, t):
     return mat_comb([ONE / (t - x) for x in points], matrices)
 
 
+def sampled_inverse(system, k):
+    """`exactlinalg.inverse` of V[l][(i, j)] = (t_l - x_i)^(-j) over the
+    sample points t_l and coefficients (i, j) of degree index k: row (i, j)
+    of its product with the values f(t_l) is the coefficient of (z -
+    x_i)^(-j) in f."""
+    cols, ts = system._interp_data(k)
+    return inverse([[ONE / (t - system.points[i]) ** j for i, j in cols] for t in ts])
+
+
 def coefficient_polys(system, k, sites=site_matrix):
-    """{(i, j): coefficient (k, i, j) as a polynomial}: vinv combines
-    p_k(theta(t)) of the symbolic site matrices at k's sample points."""
-    cols, ts, vinv = system._interp_data(k)
+    """{(i, j): coefficient (k, i, j) as a polynomial}: `sampled_inverse`
+    combines p_k(theta(t)) of the symbolic site matrices at k's sample points."""
+    cols, ts = system._interp_data(k)
     mats = [sites(system, i) for i in range(system.n)]
     values = [matrix_invariant(theta_at(system.points, mats, t), system._indices[k]) for t in ts]
-    return {col: PolyObservable.lift(c) for col, c in zip(cols, mat_vec(vinv, values))}
+    return {col: PolyObservable.lift(c)
+            for col, c in zip(cols, mat_vec(sampled_inverse(system, k), values))}
 
 
 @cache

@@ -68,15 +68,16 @@ def test_gaudin_job_bracket_table_zero(tmp_path, capsys):
 
 
 def test_gaudin_job_reports_a_nonzero_bracket(tmp_path, monkeypatch):
-    # With sample-point gradients Y_t = [[0, 1], [t_index, 0]], which do not
-    # commute with theta(t), the bracket gate must fail end to end.
-    original = cli.GaudinSystem.coefficient_gradients_at
+    # With the certificate forced to fail and the gradient program of
+    # coefficient (0, 0, 1) reading its own site one Laurent order off, that
+    # coefficient is no invariant's, and the bracket gate must fail end to
+    # end, naming it.
+    def one_site_one_order_off(self, i, l, top):
+        weights = ORIGINAL_SITE_WEIGHTS(self, i, l, top)
+        return [(o - 1, c) for o, c in weights] if (i, l, top) == (0, 0, 1) else weights
 
-    def non_commuting(self, residues):
-        return [block._replace(grads=[(1, [0, 1, i, 0]) for i in range(len(block.grads))])
-                for block in original(self, residues)]
-
-    monkeypatch.setattr(cli.GaudinSystem, "coefficient_gradients_at", non_commuting)
+    monkeypatch.setattr(cli.GaudinSystem, "_certified", lambda self, m, ys: False)
+    monkeypatch.setattr(cli.GaudinSystem, "_site_weights", one_site_one_order_off)
     cfg = write_config(tmp_path, "g.json", GAUDIN_SL2)
     out = tmp_path / "report.json"
     assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 1
@@ -85,7 +86,7 @@ def test_gaudin_job_reports_a_nonzero_bracket(tmp_path, monkeypatch):
     check = [c for c in report["checks"]
              if c["name"] == "pairwise brackets of invariant coefficients vanish"][0]
     assert not check["passed"] and check["value"] != "0"
-    assert report["results"]["bracket_worst_pair"] is not None
+    assert "(0, 0, 1)" in report["results"]["bracket_worst_pair"]
 
 
 def test_a_gaudin_job_runs_the_char_polys_once_per_residue_tuple(tmp_path, monkeypatch):
@@ -107,10 +108,11 @@ def test_a_gaudin_job_runs_the_char_polys_once_per_residue_tuple(tmp_path, monke
 
 @pytest.mark.parametrize("group", ["sl(2)", "sl(3)", "gl(2)", "sp(4)", "so(4)", "so(5)"])
 def test_a_clean_gaudin_job_builds_no_bracket_table(tmp_path, monkeypatch, group):
-    # every clean residue tuple is certified at its one certificate point
-    def refuse(self, residues, blocks):
-        raise AssertionError("a clean job built a per-point bracket table")
-    monkeypatch.setattr(cli.GaudinSystem, "_bracket_table", refuse)
+    # every clean residue tuple is certified at its one certificate point, and
+    # none enters the exact brackets of the fallback
+    def refuse(self, residues):
+        raise AssertionError("a clean job computed the exact brackets of a tuple")
+    monkeypatch.setattr(cli.GaudinSystem, "_brackets", refuse)
     cfg = write_config(tmp_path, "g.json", {"group": group, "points": ["1/2", "-3", "7/3"],
                                             "residues": {"type": "random", "seed": 9},
                                             "random_points": 5})
@@ -122,10 +124,9 @@ def test_a_clean_gaudin_job_builds_no_bracket_table(tmp_path, monkeypatch, group
 @pytest.mark.parametrize("group", ["sl(2)", "sl(3)", "gl(2)", "sp(4)", "so(4)", "so(5)"])
 def test_a_clean_gaudin_job_builds_no_fraction_matrix(tmp_path, monkeypatch, group):
     # residues are drawn, validated, mapped and certified in integers, so a
-    # clean job builds no residue's Fraction matrix.  The control: gradients
-    # stripped of their values at the certificate point are never certified,
-    # and then the bracket table of each of the 6 tuples reads the matrices
-    # of its 3 residues.
+    # clean job builds no residue's Fraction matrix.  The control: with the
+    # certificate forced to fail, the exact brackets of each of the 6 tuples
+    # read the matrices of its 3 residues.
     from framedhiggs import liealg
     built = []
     build = liealg._fraction_matrix
@@ -138,9 +139,7 @@ def test_a_clean_gaudin_job_builds_no_fraction_matrix(tmp_path, monkeypatch, gro
     assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["all_passed"]
     assert built == []
-    original = cli.GaudinSystem.coefficient_gradients_at
-    monkeypatch.setattr(cli.GaudinSystem, "coefficient_gradients_at", lambda self, residues: [
-        block._replace(grads=list(block.grads)) for block in original(self, residues)])
+    monkeypatch.setattr(cli.GaudinSystem, "_certified", lambda self, m, ys: False)
     assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 0
     assert len(built) == 3 * 6
 

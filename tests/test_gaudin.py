@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from framedhiggs.exactlinalg import (identity, inverse, mat_comb, mat_mul, mat_vec,
+from framedhiggs.exactlinalg import (identity, mat_comb, mat_mul, mat_vec,
                                      over_common_denominator)
 from framedhiggs import gaudin
 from framedhiggs.gaudin import GaudinSystem, worst_drift
@@ -19,8 +19,8 @@ from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, antidiagonal, char_poly_
 from framedhiggs.sampling import random_algebra_element, random_residue_tuple
 from oracles import (PolyObservable, algebra_sigma_gradients_at, algebra_site_matrix,
                      bracket_at, coefficient_polys, coordinate, grad_rows, gradient_function,
-                     fraction_residue_tuple, mat_commutator, random_fraction, sigma_gradient_at,
-                     site_matrix, symbolic_gradient, theta_at)
+                     fraction_residue_tuple, mat_commutator, random_fraction, sampled_inverse,
+                     sigma_gradient_at, site_matrix, symbolic_gradient, theta_at)
 
 PTS3 = (F(1), F(2), F(3))
 
@@ -217,11 +217,11 @@ def test_commutativity_so5_spot():
 
 
 def test_commutativity_so4_spot(monkeypatch):
-    # so(4) is the one family whose last generator is a Pfaffian; its gradients
-    # come from the integer minors of Q M at each sample point, and no
-    # gradient program.
+    # so(4) is the one family whose last generator is a Pfaffian; its gradient
+    # at the certificate point comes from the integer minors of Q M, and no
+    # gradient program is built for a clean tuple.
     def refuse(self, k):
-        raise AssertionError("the bracket table built a coefficient function")
+        raise AssertionError("a clean tuple built a coefficient function")
     monkeypatch.setattr(GaudinSystem, "coefficient_functions", refuse)
     rng = random.Random(41)
     model = AlgebraModel("so(4)")
@@ -231,9 +231,10 @@ def test_commutativity_so4_spot(monkeypatch):
     assert worst == 0
 
 
-# Reference bracket table: every coefficient's site gradient combined and
-# projected on its own in Fractions, and every pair's bracket as two full
-# matrix products per site, O(K^2 n s^3) for K coefficient functions.
+# Reference brackets: every coefficient's site gradient combined from the
+# sample-point gradients and projected on its own in Fractions, and every
+# pair's bracket as two full matrix products per site, O(K^2 n s^3) for K
+# coefficient functions.
 
 def _char_gradient_matrices(x):
     """P_m(X) = sum_{j<=m} (-1)^j e_{m-j}(X) X^j in Fractions, from the
@@ -253,7 +254,8 @@ def _reference_gradients(system, residues):
     mats = [el.matrix for el in residues]
     grad_cache = {}
     for k, index in enumerate(system._indices):
-        cols, ts, vinv = system._interp_data(k)
+        cols, ts = system._interp_data(k)
+        vinv = sampled_inverse(system, k)
         if index == PFAFFIAN:
             # the coefficients of Pf(Q theta(z)) as symbolic functions of the
             # residue entries, differentiated symbolically
@@ -281,35 +283,41 @@ def _reference_gradients(system, residues):
     return out
 
 
+def _reference_brackets(residues, data):
+    """[((key_a, key_b), {H_a, H_b})] for the pairs a < b of the site
+    gradients data, as `_reference_gradients` lays them out."""
+    out = []
+    for ia in range(len(data)):
+        for ib in range(ia + 1, len(data)):
+            val = F(0)
+            for i, el in enumerate(residues):
+                comm = mat_commutator(data[ia][1][i], data[ib][1][i])
+                val += mat_trace(mat_mul(el.matrix, comm))
+            out.append(((data[ia][0], data[ib][0]), val))
+    return out
+
+
 def _reference_check(residue_tuples, gradients_at):
     worst, worst_pair = F(0), None
     for residues in residue_tuples:
-        data = gradients_at(residues)
-        for ia in range(len(data)):
-            for ib in range(ia + 1, len(data)):
-                val = F(0)
-                for i, el in enumerate(residues):
-                    comm = mat_commutator(data[ia][1][i], data[ib][1][i])
-                    val += mat_trace(mat_mul(el.matrix, comm))
-                if abs(val) > abs(worst):
-                    worst, worst_pair = val, (data[ia][0], data[ib][0])
+        for pair, val in _reference_brackets(residues, gradients_at(residues)):
+            if abs(val) > abs(worst):
+                worst, worst_pair = val, pair
     return worst, worst_pair
 
 
-def _site_gradients(system, blocks):
-    """The site gradients sum_t vinv[a][t] Y_t / (t - x_l) of the sample-point
-    gradients Y_t, in Fractions, in the layout of `_reference_gradients`;
-    block k's points t are the first ones of the system's sample points."""
+def _per_site(system, x):
+    """Flattened site gradients, laid out as `flatten_point`, as one s x s
+    matrix per site."""
     s = system.s
-    out = []
-    for block in blocks:
-        ys = [[[F(v, d) for v in y[r * s:(r + 1) * s]] for r in range(s)]
-              for d, y in block.grads]
-        for key, row in zip(block.keys, block.vinv):
-            out.append((key, [[list(r) for r in mat_comb(
-                [w / (t - x) for w, t in zip(row, system._ts)], ys)] for x in system.points]))
-    return out
+    return [[x[v:v + s] for v in range(l, l + s * s, s)] for l in range(0, len(x), s * s)]
 
+
+def _site_gradients(system, residues):
+    """`GaudinSystem._site_gradients` at a tuple, in the layout of
+    `_reference_gradients`."""
+    return [(key, _per_site(system, x))
+            for key, x in system._site_gradients(system.flatten_point(residues))]
 
 def _random_matrix(rng, s, kind):
     """A seeded s x s rational matrix: zero, nilpotent (strictly upper
@@ -379,14 +387,18 @@ BRACKET_CASES = [("sl(3)", PTS3, 2), ("gl(2)", PTS3, 3), ("sp(4)", (F(1), F(2)),
 @pytest.mark.parametrize("gid, points, count", BRACKET_CASES,
                          ids=[case[0] for case in BRACKET_CASES])
 def test_bracket_table_matches_reference(gid, points, count):
+    # The exact site gradients of the bracket check's fallback, and its
+    # brackets pair by pair in coefficient order, against the reference's;
+    # the certified check against the reference check.
     model = AlgebraModel(gid)
     system = GaudinSystem(model, points)
     rng = random.Random(53)
     tuples = [random_residue_tuple(model, rng, len(points), 4, zero_sum=False)
               for _ in range(count)]
     for residues in tuples:
-        assert (_site_gradients(system, system.coefficient_gradients_at(residues))
-                == _reference_gradients(system, residues))
+        reference = _reference_gradients(system, residues)
+        assert _site_gradients(system, residues) == reference
+        assert system._brackets(residues) == _reference_brackets(residues, reference)
     expected = _reference_check(tuples, lambda r: _reference_gradients(system, r))
     assert system.commutativity_check(tuples) == expected == (0, None)
 
@@ -395,12 +407,12 @@ def test_bracket_table_matches_reference(gid, points, count):
                          ids=[case[0] for case in BRACKET_CASES])
 def test_bracket_table_reference_catches_an_off_by_one_gradient(monkeypatch, gid, points,
                                                                 count):
-    # Reading Q_(m-1) where Q_m belongs gives every gradient of e_m, m >= 2,
-    # the wrong matrix; the reference comparison must see it.
-    def shifted(points, sites, ts):
-        return [(den, m, e, [qs[0]] + qs[:-1])
-                for den, m, e, qs in theta_char_polys(points, sites, ts)]
-    monkeypatch.setattr(gaudin, "theta_char_polys", shifted)
+    # Expanding P_(m-2) where P_(m-1) belongs gives every gradient program of
+    # e_m, m >= 2, the gradient of e_(m-1): an invariant's, which still
+    # commutes, but the wrong one; the reference comparison must see it.
+    build = gaudin._char_gradient
+    monkeypatch.setattr(gaudin, "_char_gradient",
+                        lambda prog, x, m: build(prog, x, max(m - 1, 1)))
     with pytest.raises(AssertionError):
         test_bracket_table_matches_reference(gid, points, count)
 
@@ -408,43 +420,35 @@ def test_bracket_table_reference_catches_an_off_by_one_gradient(monkeypatch, gid
 @pytest.mark.parametrize("gid, points, count", BRACKET_CASES,
                          ids=[case[0] for case in BRACKET_CASES])
 def test_bracket_table_negative_control(monkeypatch, gid, points, count):
-    # f(theta) = theta_01 theta_10 is not invariant: with the sample-point
-    # gradients of the partial-fraction coefficients of f(theta(z)) appended,
-    # the exact-zero gate must fail, and the reference table, built from the
-    # symbolic site gradients of those coefficients, must name the same bracket.
+    # f(theta) = theta_01 theta_10 is not invariant: with the certificate
+    # forced to fail and the exact site gradients of the partial-fraction
+    # coefficients of f(theta(z)) appended to the fallback's, the check must
+    # report a nonzero bracket, the one the reference check names.
     model = AlgebraModel(gid)
     system = GaudinSystem(model, points)
-    cols, ts, vinv = system._interp_data(model.group.degrees.index(2))
+    k = model.group.degrees.index(2)
+    cols, ts = system._interp_data(k)
     keys = [("non-invariant", i, j) for i, j in cols]
     thetas = [theta_at(points, [site_matrix(system, l) for l in range(len(points))], t)
               for t in ts]
-    noninv = [PolyObservable.lift(c)
-              for c in mat_vec(vinv, [theta[0][1] * theta[1][0] for theta in thetas])]
+    noninv = [PolyObservable.lift(c) for c in mat_vec(
+        sampled_inverse(system, k), [theta[0][1] * theta[1][0] for theta in thetas])]
 
-    def noninv_site_gradients(residues):
-        values = system.flatten_point(residues)
-        return [(key, [[list(r) for r in sigma_gradient_at(system, fn, l, values).matrix]
-                       for l in range(system.n)]) for key, fn in zip(keys, noninv)]
+    def noninv_site_gradients(state):
+        return [(key, [x for l in range(system.n)
+                       for row in sigma_gradient_at(system, fn, l, state).matrix for x in row])
+                for key, fn in zip(keys, noninv)]
 
-    def noninv_sample_gradients(residues):
-        grads = []
-        for t in ts:
-            theta = theta_at(points, [el.matrix for el in residues], t)
-            grad = [[theta[a][b] if {a, b} == {0, 1} else F(0) for b in range(system.s)]
-                    for a in range(system.s)]
-            projected = system.model.from_coords(mat_vec(grad_rows(system), flatten(grad)))
-            grads.append(over_common_denominator(flatten(projected.matrix)))
-        return gaudin.SampleGradients(keys, vinv, grads)
-
-    original = GaudinSystem.coefficient_gradients_at
-    monkeypatch.setattr(GaudinSystem, "coefficient_gradients_at",
-                        lambda self, r: original(self, r) + [noninv_sample_gradients(r)])
+    original = GaudinSystem._site_gradients
+    monkeypatch.setattr(GaudinSystem, "_site_gradients",
+                        lambda self, state: original(self, state) + noninv_site_gradients(state))
+    monkeypatch.setattr(GaudinSystem, "_certified", lambda self, m, ys: False)
     rng = random.Random(59)
     tuples = [random_residue_tuple(model, rng, len(points), 4, zero_sum=False)
               for _ in range(count)]
     worst, pair = system.commutativity_check(tuples)
-    expected = _reference_check(
-        tuples, lambda r: _reference_gradients(system, r) + noninv_site_gradients(r))
+    expected = _reference_check(tuples, lambda r: _reference_gradients(system, r) + [
+        (key, _per_site(system, x)) for key, x in noninv_site_gradients(system.flatten_point(r))])
     assert (worst, pair) == expected
     assert worst != 0 and pair[1][0] == "non-invariant"
 
@@ -457,11 +461,12 @@ GRID_CASES = [("sl(2)", 3), ("sl(3)", 3), ("gl(2)", 3), ("gl(3)", 2), ("sp(4)", 
 @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
 @pytest.mark.parametrize("gid, n", GRID_CASES, ids=[case[0] for case in GRID_CASES])
 def test_bracket_table_grid_matches_reference(monkeypatch, gid, n, faulted):
-    # The sample-point table against the per-site Fraction table, on tuples
-    # that do not sum to zero.  The fault adds a fixed integer matrix to the
-    # Faddeev-LeVerrier matrix that degree index 0 reads, so that its
-    # gradients stop commuting with theta(t); the reference then uses the site
-    # gradients of the faulted sample-point gradients.
+    # The check against the per-site Fraction reference, on tuples that do
+    # not sum to zero.  The fault adds a fixed integer matrix to the
+    # Faddeev-LeVerrier matrix that degree index 0 reads in the certificate's
+    # kernel, so that its gradient stops commuting with theta(T): every tuple
+    # then fails the certificate, and its exact brackets, which the kernel
+    # does not reach, still vanish.
     model = AlgebraModel(gid)
     points = GRID_POINTS[:n]
     system = GaudinSystem(model, points)
@@ -477,25 +482,62 @@ def test_bracket_table_grid_matches_reference(monkeypatch, gid, n, faulted):
 
     if faulted:
         monkeypatch.setattr(gaudin, "theta_char_polys", with_fault)
+    fallbacks = []
+    brackets = GaudinSystem._brackets
+    monkeypatch.setattr(GaudinSystem, "_brackets",
+                        lambda self, r: fallbacks.append(r) or brackets(self, r))
     rng = random.Random(71 + 3 * GRID_CASES.index((gid, n)))
     tuples = [random_residue_tuple(model, rng, n, 4, zero_sum=False) for _ in range(2)]
+    expected = _reference_check(tuples, lambda r: _reference_gradients(system, r))
+    assert system.commutativity_check(tuples) == expected == (0, None)
+    assert fallbacks == (tuples if faulted else [])
 
-    def reference(residues):
-        if faulted:
-            return _site_gradients(system, system.coefficient_gradients_at(residues))
-        return _reference_gradients(system, residues)
 
-    worst, pair = system.commutativity_check(tuples)
-    assert (worst, pair) == _reference_check(tuples, reference)
-    assert (worst != 0) == faulted
-    if faulted and gid in ("sl(3)", "gl(2)"):
-        # the fault reaches the t = t' term: at a sample point that degree
-        # indices 0 and 1 share, their gradients no longer commute; both
-        # blocks start at the first sample point
-        first, second = system.coefficient_gradients_at(tuples[0])[:2]
-        shared = [(y, y2) for (_, y), (_, y2) in zip(first.grads, second.grads)]
-        assert shared and any(any(gaudin._flat_commutator(y, y2, system.s))
-                              for y, y2 in shared)
+@pytest.mark.parametrize("gid, points, count", BRACKET_CASES,
+                         ids=[case[0] for case in BRACKET_CASES])
+def test_the_certificate_kernel_is_the_projected_gradient_at_a_point(gid, points, count):
+    # `_gradient` on the integer kernel's output at theta(t), at the
+    # certificate point T and at two rational t, against pi(P_(m-1)(theta(t)))
+    # in Fractions, and for the Pfaffian of so(4) against the sigma-gradient
+    # of the symbolic Pf(Q X).
+    model = AlgebraModel(gid)
+    system = GaudinSystem(model, points)
+    pf = matrix_invariant(site_matrix(system, 0), PFAFFIAN)
+    rng = random.Random(53)
+    for _ in range(count):
+        residues = random_residue_tuple(model, rng, len(points), 4, zero_sum=False)
+        ts = [system._certificate_point(residues), F(7, 2), F(-5, 3)]
+        sites = [el.integer_form for el in residues]
+        for t, chars in zip(ts, theta_char_polys(points, sites, ts)):
+            theta = theta_at(points, [el.matrix for el in residues], t)
+            for index in system._indices:
+                if index == PFAFFIAN:
+                    expected = sigma_gradient_at(system, pf, 0, flatten(theta))
+                else:
+                    expected = model.from_coords(mat_vec(grad_rows(system), flatten(
+                        _char_gradient_matrices(theta)[index - 1])))
+                d, y = system._gradient(index, chars)
+                assert [F(v, d) for v in y] == flatten(expected.matrix)
+
+
+FALLBACK_CASES = BRACKET_CASES + [("sl(4)", PTS3, 1)]
+
+
+@pytest.mark.parametrize("gid, points, count", FALLBACK_CASES,
+                         ids=[case[0] for case in FALLBACK_CASES])
+def test_the_exact_brackets_of_clean_tuples_vanish(gid, points, count):
+    # The fallback alone, with no certificate, on tuples that do not sum to
+    # zero: one bracket per pair of coefficients, in coefficient order, and
+    # every one exactly 0.
+    model = AlgebraModel(gid)
+    system = GaudinSystem(model, points)
+    keys = [(k, i, j) for k in range(model.group.rank) for i, j in system._interp_data(k)[0]]
+    rng = random.Random(137)
+    for _ in range(count):
+        brackets = system._brackets(
+            random_residue_tuple(model, rng, len(points), 4, zero_sum=False))
+        assert [pair for pair, _ in brackets] == list(combinations(keys, 2))
+        assert all(val == 0 for _, val in brackets)
 
 
 def _nu(entries):
@@ -646,15 +688,15 @@ def _all_invariants(group, m):
 def _all_coefficient_polys(system):
     """((k, i, j), polynomial) for every partial-fraction coefficient of every
     p_k(theta(z)): all the invariants of the symbolic theta(t) at every
-    sample point (`_all_invariants`), combined by vinv."""
+    sample point (`_all_invariants`), combined by `sampled_inverse`."""
     sites = [site_matrix(system, i) for i in range(system.n)]
     invariants = {t: _all_invariants(system.group, theta_at(system.points, sites, t))
                   for t in system._ts}
     out = []
     for k in range(system.group.rank):
-        cols, ts, vinv = system._interp_data(k)
-        out += [((k, i, j), PolyObservable.lift(c))
-                for (i, j), c in zip(cols, mat_vec(vinv, [invariants[t][k] for t in ts]))]
+        cols, ts = system._interp_data(k)
+        out += [((k, i, j), PolyObservable.lift(c)) for (i, j), c in zip(
+            cols, mat_vec(sampled_inverse(system, k), [invariants[t][k] for t in ts]))]
     return out
 
 
@@ -906,33 +948,6 @@ def test_seeded_model_point_brackets_and_flow():
     assert max(r["relative_drift"] for r in drift) < 1e-8
 
 
-@pytest.mark.parametrize("gid", ["sl(2)", "sl(3)", "so(4)"])
-def test_the_system_reuses_the_char_polys_of_the_last_tuple_only(monkeypatch, gid):
-    model = AlgebraModel(gid)
-    rng = random.Random(103)
-    r1, r2 = balanced_tuple(model, rng, 3, 3), balanced_tuple(model, rng, 3, 3)
-    calls = []
-    kernel = gaudin.theta_char_polys
-    monkeypatch.setattr(gaudin, "theta_char_polys",
-                        lambda *args: calls.append(args) or kernel(*args))
-    system = GaudinSystem(model, PTS3)
-    hp1 = system.hitchin_point(r1)
-    assert len(calls) == 1
-    # each clean tuple is certified by one run at its certificate point alone
-    assert system.commutativity_check([r1, r2]) == (0, None)
-    assert [ts for _, _, ts in calls[1:]] == [[system._certificate_point(r)] for r in (r1, r2)]
-    hp2 = system.hitchin_point(r2)
-    assert len(calls) == 4
-    # the bracket table of the last tuple read reuses its sample-point run
-    assert system._bracket_table(r2, system.coefficient_gradients_at(r2)) == {}
-    assert system.hitchin_point(r2) == hp2 and len(calls) == 5
-    assert system.hitchin_point(r1) == hp1 and len(calls) == 6
-    # never the data of an earlier tuple: each point is a fresh system's
-    assert hp1 != hp2
-    assert hp2 == GaudinSystem(model, PTS3).hitchin_point(r2)
-    assert hp1 == GaudinSystem(model, PTS3).hitchin_point(r1)
-
-
 def _moved_char_polys(index, sample=0):
     """`theta_char_polys` with e_index at one sample point t moved by D^index,
     so that the sample value e_index(theta(t)) = e_index / D^index moves by one."""
@@ -963,12 +978,6 @@ ORACLE_GROUPS = ["gl(2)", "sl(3)", "gl(3)", "sp(4)", "so(4)", "so(5)"]
 ORACLE_POINTS = {"integer": PTS3, "rational": (F(-1, 2), F(2, 3), F(3))}
 
 
-def _sampled_inverse(system, k):
-    """The test oracle: `exactlinalg.inverse` of V[l][(i, j)] = (t_l - x_i)^(-j)."""
-    cols, ts, _ = system._interp_data(k)
-    return inverse([[F(1) / (t - system.points[i]) ** j for i, j in cols] for t in ts])
-
-
 @pytest.mark.parametrize("points", list(ORACLE_POINTS.values()), ids=list(ORACLE_POINTS))
 @pytest.mark.parametrize("gid", ORACLE_GROUPS)
 def test_partial_fractions_match_the_inverse_oracle(gid, points):
@@ -978,8 +987,8 @@ def test_partial_fractions_match_the_inverse_oracle(gid, points):
     residues = balanced_tuple(model, rng, len(points), 3)
     hp = system.hitchin_point(residues)
     for k in range(model.group.rank):
-        oracle = _sampled_inverse(system, k)
-        cols, ts, vinv = system._interp_data(k)
+        oracle = sampled_inverse(system, k)
+        cols, ts = system._interp_data(k)
         # arbitrary values, which need not vanish at infinity
         values = [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in ts]
         assert system._partial_fractions(k, values)[1] == mat_vec(oracle, values)
@@ -987,25 +996,6 @@ def test_partial_fractions_match_the_inverse_oracle(gid, points):
         exact = [matrix_invariant(theta_at(points, [el.matrix for el in residues], t),
                                   system._indices[k]) for t in ts]
         assert hp.coeffs[k] == {col: c for col, c in zip(cols, mat_vec(oracle, exact)) if c}
-        # the inverse built from unit vectors, only when first read
-        assert [list(row) for row in vinv] == oracle
-        assert all(type(x) is F for row in vinv for x in row)
-
-
-def test_vinv_is_built_only_when_read(monkeypatch):
-    model = AlgebraModel("sl(3)")
-    system = GaudinSystem(model, PTS3)
-    calls = []
-    original = GaudinSystem._partial_fractions
-    monkeypatch.setattr(GaudinSystem, "_partial_fractions",
-                        lambda self, k, values: calls.append(k) or original(self, k, values))
-    system.hitchin_point(balanced_tuple(model, random.Random(89), 3, 3))
-    assert calls == [0, 1]
-    _, ts, vinv = system._interp_data(1)
-    assert vinv[0] == _sampled_inverse(system, 1)[0]
-    assert calls == [0, 1] + [1] * len(ts)
-    list(vinv)
-    assert calls == [0, 1] + [1] * len(ts)
 
 
 @pytest.mark.parametrize("gid", ["sl(2)", "gl(2)", "sl(3)", "gl(3)", "sp(4)", "so(4)", "so(5)"])
@@ -1036,7 +1026,7 @@ def test_only_the_second_highest_difference_fails_at_order_2(monkeypatch, gid):
     residues = balanced_tuple(model, random.Random(101), 3, 3)
     k = len(model.group.degrees) - 1
     d = model.group.degrees[k]
-    cols, ts, _ = system._interp_data(k)
+    cols, ts = system._interp_data(k)
     bump = [math.prod(t - u for u in ts[:-2]) / math.prod((t - x) ** d for x in PTS3)
             for t in ts]
     diffs, _ = system._partial_fractions(k, bump)
