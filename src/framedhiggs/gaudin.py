@@ -1,11 +1,13 @@
 """The Hitchin map on residue data and the product Lie-Poisson bracket.
 
 Residue tuples (A_1, ..., A_n) with sum zero describe the Higgs field
-theta(z) = sum_i A_i dz/(z - x_i) on the trivialized rational curve.  The
-partial-fraction coefficients of the invariants p_k(theta(z)) come from the
-integer forward differences of their values at sample points t one apart
-(`GaudinSystem._partial_fractions`), read off one integer Faddeev-LeVerrier
-run on theta(t) = M / D at each t; the Poisson structure is the product
+theta(z) = sum_i A_i dz/(z - x_i) on the trivialized rational curve.  Every
+invariant of theta is read off one integer Faddeev-LeVerrier run on theta(T)
+= N(T) / D at one integer point T = 2^B (`liealg.theta_char_polys`), T above
+twice the coefficients of N's invariants: the numerator of p_k(theta) at T
+carries them as its balanced base-T digits (`liealg.balanced_digits`), and
+one Horner pass per marked point expands them in partial fractions
+(`GaudinSystem._partial_fractions`).  The Poisson structure is the product
 Lie-Poisson bracket transported by the trace form.
 
 Every gradient of a Hitchin coefficient comes from one engine: the
@@ -13,13 +15,11 @@ Laurent expansion of theta at the coefficient's marked point, emitted as a
 straight-line `GradientProgram` (`GaudinSystem.coefficient_functions`).
 The flow integrator runs it in floats, its drift values exact values
 rounded once; the bracket check (`commutativity_check`) runs it exactly,
-but only for a tuple that fails a certificate: the same integer kernel at
-one integer point T = 2^B, B from coefficient bounds of the integer matrix
-polynomial theta(t) L prod_j (q_j t - p_j), shows that every invariant's
-gradient commutes with theta(t) and with every other's at every t, and
-then every bracket vanishes.  A tuple that fails the certificate gets each
-bracket {H_a, H_b} = sum_l tr(A_l [X^l_a, X^l_b]) of the exact site
-gradients, which decide its verdict.
+but only for a tuple that fails a certificate: the same run at T shows that
+every invariant's gradient commutes with theta(t) and with every other's at
+every t, and then every bracket vanishes.  A tuple that fails the
+certificate gets each bracket {H_a, H_b} = sum_l tr(A_l [X^l_a, X^l_b]) of
+the exact site gradients, which decide its verdict.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from fractions import Fraction
 from operator import mul
 from functools import cached_property
 from itertools import combinations
+from types import CodeType
 from typing import Callable, NamedTuple, Sequence
 
 from .exactlinalg import ZERO, ONE, frac, over_common_denominator
-from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, flat_trace, flatten,
-                     generator_indices, pfaffian, theta_char_polys)
+from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, balanced_digits, flat_trace,
+                     flatten, generator_indices, pfaffian, theta_char_polys, theta_majorants)
 
 
 def _float(x: Fraction) -> float:
@@ -246,8 +247,6 @@ class GaudinSystem:
         self._indices = generator_indices(self.group)
         # integer points as ints, so that the Horner pass runs in integers
         self._xs = [x.numerator if x.denominator == 1 else x for x in self.points]
-        # the sample points t_l = max(x) + l; degree index k uses the first n d_k
-        self._ts = [max(self._xs) + l for l in range(1, self.n * max(self.group.degrees) + 1)]
         self._interp_cache: dict[int, tuple] = {}
 
     def flatten_point(self, residues: Sequence[AlgebraElement]) -> list[Fraction]:
@@ -256,52 +255,40 @@ class GaudinSystem:
     # -- the Hitchin coefficient functions --------------------------------------
 
     def _interp_data(self, k: int):
-        """(cols, ts) for degree index k, N = n d_k: the coefficients (i, j)
-        of (z - x_i)^(-j), j <= d_k, and the first N sample points t_l; the
-        cache also keeps what `_partial_fractions` reads."""
+        """(cols, d, series) for degree index k, d = d_k: the coefficients (i, j)
+        of (z - x_i)^(-j), j <= d, and per marked point (x_i, g, gden), g / gden
+        the series of 1 / prod_(l != i) (x_i - x_l + w)^d below w^d."""
         if k not in self._interp_cache:
             d = self.group.degrees[k]
             cols = [(i, j) for i in range(self.n) for j in range(1, d + 1)]
-            xs, ts = self._xs, self._ts[:len(cols)]
-            sites = []
-            for x in xs:
-                g, gden = [1] + [0] * (d - 1), math.factorial(len(ts) - 1)
-                for c in (x - y for y in xs if y != x):   # g <- g c^(2d-1) / (c + w)^d
+            series = []
+            for x in self._xs:
+                g, gden = [1] + [0] * (d - 1), 1
+                for c in (x - y for y in self._xs if y != x):   # g <- g c^(2d-1) / (c + w)^d
                     gden *= c ** (2 * d - 1)
                     term = [(-1) ** m * math.comb(d + m - 1, m) * c ** (d - 1 - m)
                             for m in range(d)]
                     g = [sum(g[r] * term[m - r] for r in range(m + 1)) for m in range(d)]
-                sites.append(([x - t for t in reversed(ts[:-1])], g, gden))
-            weights = [math.prod((t - x) ** d for x in xs) for t in ts]
-            self._interp_cache[k] = (cols, ts, d, sites, weights)
-        return self._interp_cache[k][:2]
+                series.append((x, g, gden))
+            self._interp_cache[k] = (cols, d, series)
+        return self._interp_cache[k]
 
-    def _partial_fractions(self, k: int, values: Sequence[Fraction]) -> tuple[list, list]:
-        """(diffs, c) for the values at the sample points t_l of degree index k
-        of f = sum c_(i,j) (z - x_i)^(-j): c = V^-1 values for V[l][(i, j)] =
-        (t_l - x_i)^(-j), with no V inverted, and the differences
-        D^m y_1 (m < N) of y_l = f(t_l) prod_i (t_l - x_i)^d times den (N-1)! / m!,
-        den making them integers.  P = sum_m D^m y_1 binom(z - t_1, m) = f prod_i
-        (z - x_i)^d, so f ~ z^(-o) at infinity when D^(N-o) y_1 is the top nonzero
-        one.  A Horner pass in w = z - x_i gives Q = (N-1)! den P(x_i + w) below
-        w^d, and c_(i,j) = (Q g)[d-j] / (den gden) with g / gden the series of
-        1 / prod_(l != i) (x_i - x_l + w)^d."""
-        self._interp_data(k)
-        d, sites, weights = self._interp_cache[k][2:]
-        den, ys = over_common_denominator(v * w for v, w in zip(values, weights))
-        big, diffs = len(ys) - 1, []
-        for m in range(big + 1):
-            diffs.append(math.perm(big, big - m) * ys[0])   # (N-1)! / m! D^m y_1
-            ys = [b - a for a, b in zip(ys, ys[1:])]
+    def _partial_fractions(self, k: int, poly: Sequence[int], den: int) -> list[Fraction]:
+        """The coefficients c_(i,j), in `_interp_data`'s order, of f = P(z) /
+        (den prod_i (z - x_i)^d) = sum c_(i,j) (z - x_i)^(-j), d = d_k, for P =
+        sum_o poly[o] z^o of degree below n d: a Horner pass in w = z - x_i
+        gives P(x_i + w) below w^d, and c_(i,j) is its product with g / gden
+        at w^(d-j), over den."""
+        _, d, series = self._interp_data(k)
         coeffs = []
-        for shifts, g, gden in sites:
-            q = [diffs[-1]] + [0] * (d - 1)
-            for c, a in zip(shifts, reversed(diffs[:-1])):   # q <- q (w + c) + a
-                q = [c * u + v for u, v in zip(q, [0] + q[:-1])]
+        for x, g, gden in series:
+            q = [poly[-1]] + [0] * (d - 1)
+            for a in reversed(poly[:-1]):   # q <- q (w + x) + a
+                q = [x * u + v for u, v in zip(q, [0] + q[:-1])]
                 q[0] += a
             coeffs += [Fraction(sum(map(mul, q, reversed(g[:d + 1 - j]))), den * gden)
                        for j in range(1, d + 1)]
-        return diffs, coeffs
+        return coeffs
 
     def coefficient_functions(self, k: int, cols: Sequence[tuple[int, int]] | None = None
                               ) -> dict[tuple[int, int], GradientProgram]:
@@ -354,34 +341,39 @@ class GaudinSystem:
         c = self.points[i] - self.points[l]
         return [(top - 1 - r, (-1) ** r / c ** (r + 1)) for r in range(top)]
 
-    def _expansions(self, chars: Sequence[tuple]) -> list[tuple[list, list]]:
-        """`_partial_fractions` of p_k(theta(t)), per degree index k, from the
-        `theta_char_polys` output chars: e_m(theta(t)) = e_m(M) / D^m."""
+    def _expansions(self, sites: Sequence[tuple[int, Sequence[int]]]
+                    ) -> list[tuple[list[int], list[Fraction]]]:
+        """Per degree index k, (P, c) at the residue sites (d_i, a_i):
+        p_k(theta(z)) = P(z) / ((L prod_j q_j)^d prod_i (z - x_i)^d), d = d_k,
+        for P = e_index(N(z)), or Pf(Q N(z)) on so(2r) (`theta_char_polys`),
+        read as the n d balanced base-T digits of its value at the certificate
+        point T, lowest first, and c its `_partial_fractions`."""
+        t = self._certificate_point(sites)
+        _, m, es, _ = theta_char_polys(self.points, sites, t)
+        lead = math.lcm(*(d for d, _ in sites)) * math.prod(x.denominator for x in self.points)
         s, out = self.s, []
-        for k, index in enumerate(self._indices):
-            ts = self._interp_data(k)[1]
-            # the Pfaffian is Pf(Q M) / D^(s/2), and Q M is M upside down
-            values = [Fraction(es[index - 1], den ** index) if index != PFAFFIAN else
-                      Fraction(pfaffian([m[a:a + s] for a in range(s * s - s, -1, -s)]),
-                               den ** (s // 2)) for den, m, es, _ in chars[:len(ts)]]
-            out.append(self._partial_fractions(k, values))
+        for k, (index, d) in enumerate(zip(self._indices, self.group.degrees)):
+            # Q N is N upside down
+            value = es[index - 1] if index != PFAFFIAN else int(
+                pfaffian([m[a:a + s] for a in range(s * s - s, -1, -s)]))
+            digits = balanced_digits(value, t, self.n * d)
+            out.append((digits, self._partial_fractions(k, digits, lead ** d)))
         return out
 
     def hitchin_point(self, residues: Sequence[AlgebraElement]) -> HitchinPoint:
         """Evaluate the map at a residue tuple; requires sum A_i = 0.
 
-        The invariants at the sample points are read off the integer
-        characteristic polynomials of theta(t) (`theta_char_polys`), and
-        `_expansions` expands them.  Verifies holomorphy at infinity:
-        p_k(theta) vanishes to order 2 d_k iff the top 2 d_k - 1 differences do.
+        The numerator P of each invariant is read off one integer
+        characteristic polynomial of theta(T) (`_expansions`).  Verifies
+        holomorphy at infinity: p_k(theta) ~ z^(deg P - n d_k) vanishes to
+        order 2 d_k iff the top 2 d_k - 1 of P's n d_k digits do.
         """
         if not sum(residues[1:], residues[0]).is_zero():
             raise ValueError("sum of residues must vanish (holomorphy at infinity)")
-        coeffs = []
-        chars = theta_char_polys(self.points, [el.integer_form for el in residues], self._ts)
-        for k, (diffs, solved) in enumerate(self._expansions(chars)):
+        coeffs, sites = [], [el.integer_form for el in residues]
+        for k, (digits, solved) in enumerate(self._expansions(sites)):
             d = self.group.degrees[k]
-            for order, a in enumerate(reversed(diffs[1 - 2 * d:]), start=1):
+            for order, a in enumerate(reversed(digits[1 - 2 * d:]), start=1):
                 if a:
                     raise AssertionError(
                         f"holomorphy at infinity fails at order {order} for degree {d}")
@@ -390,52 +382,26 @@ class GaudinSystem:
 
     # -- Lie-Poisson structure ---------------------------------------------------
 
-    @cached_property
-    def _majorant_constants(self) -> tuple[list[int], int]:
-        """The parts of `_majorants` that depend on the system alone: q_i
-        prod_(j != i) (q_j + |p_j|) per site i, and rho."""
-        points = [(x.numerator, x.denominator) for x in self.points]
-        weights = [qi * math.prod(q + abs(p) for j, (p, q) in enumerate(points) if j != i)
-                   for i, (_, qi) in enumerate(points)]
-        return weights, max(sum(map(abs, row)) for row in self._projection[1])
-
-    def _majorants(self, residues: Sequence[AlgebraElement]
-                   ) -> tuple[int, list[int], int, list[int]]:
-        """(mu, q, rho, g): bounds on coefficient 1-norms nu, the sum of the
-        absolute values of a polynomial's coefficients, so that nu(f + f') <=
-        nu(f) + nu(f') and nu(f f') <= nu(f) nu(f').
-
-        With x_j = p_j / q_j, A_i = a_i / d_i (a_i integer, d_i least) and L
-        = lcm d_i, N(t) = theta(t) L prod_j (q_j t - p_j) = sum_i (L / d_i)
-        a_i q_i prod_(j != i) (q_j t - p_j) is an integer matrix polynomial,
-        and mu bounds nu of each of its entries.  q[m] bounds each entry of
-        the Faddeev-LeVerrier matrix Q_m(N): e_m = tr(N Q_(m-1)) / m has nu
-        at most s^2 mu q[m-1] / m, and Q_m = e_m I - N Q_(m-1).  rho is the
-        largest row 1-norm of the integer projection, and g[k] bounds each
-        entry of the gradient that degree index k reads: Q_(index-1), or for
-        the Pfaffian of so(2r) a Pfaffian of a (2r-2)-minor, (2r-3)!! products
-        of r-1 entries."""
-        s, (weights, rho) = self.s, self._majorant_constants
-        sites = [el.integer_form for el in residues]
-        big = math.lcm(*(d for d, _ in sites))
-        mu = sum(w * (big // d) * max(map(abs, a)) for w, (d, a) in zip(weights, sites))
-        q = [1]
-        for m in range(1, s):
-            q.append(-(-s * s * mu * q[-1] // m) + s * mu * q[-1])
-        r = s // 2
+    def _certificate_point(self, sites: Sequence[tuple[int, Sequence[int]]]) -> int:
+        """T = 2^B > |p_j| >= |x_j| for the residue sites, so no marked point,
+        with T > 2 C for the bound C on every coefficient of U_k(t) = [N, pi
+        Q_k(N)] and Z_ef(t) = [pi Q_e(N), pi Q_f(N)], pi Q the projected
+        integer gradient of each degree index, and of the e_m(N) and Pf(Q N)
+        that `_expansions` reads.  With (mu, q) of `liealg.theta_majorants`,
+        rho the largest row 1-norm of the integer projection and g[k] the
+        entry bound of the gradient degree index k reads, Q_(index-1) or a
+        Pfaffian of a (2r-2)-minor: U_k <= 2 s mu rho g[k], Z_ef <= 2 s rho^2
+        g[e] g[f], e_m(N) <= s^2 mu q[m-1] and Pf(Q N) <= (2r-1)!! mu^r.  With
+        rho 1 on gl, 2(r-1) on sl(r) and 2 on sp and so, the U or Z terms
+        already cover the value bounds, which stand in the max all the same."""
+        s, (mu, q) = self.s, theta_majorants(self.points, sites)
+        rho, r = max(sum(map(abs, row)) for row in self._projection[1]), s // 2
         g = [math.prod(range(1, 2 * r - 2, 2)) * mu ** (r - 1) if index == PFAFFIAN
              else q[index - 1] for index in self._indices]
-        return mu, q, rho, g
-
-    def _certificate_point(self, residues: Sequence[AlgebraElement]) -> int:
-        """T = 2^B with T > 2 C for the bound C on every coefficient of the
-        integer polynomial matrices U_k(t) = [N, pi Q_k(N)] and Z_ef(t) =
-        [pi Q_e(N), pi Q_f(N)] (`_majorants`; pi Q stands for the projected
-        integer gradient of each degree index, rho times its matrix), and
-        T > |p_j| >= |x_j|, so that T is no marked point."""
-        mu, _, rho, g = self._majorants(residues)
-        c = max([2 * self.s * mu * rho * a for a in g]
-                + [2 * self.s * rho * rho * a * b for a, b in combinations(g, 2)])
+        values = [math.prod(range(1, 2 * r, 2)) * mu ** r if index == PFAFFIAN
+                  else s * s * mu * q[index - 1] for index in self._indices]
+        c = max([2 * s * mu * rho * a for a in g] + values
+                + [2 * s * rho * rho * a * b for a, b in combinations(g, 2)])
         return 2 ** max(2 * c, *(abs(x.numerator) for x in self.points)).bit_length()
 
     def _gradient(self, index: int, chars: tuple) -> tuple[int, list[int]]:
@@ -461,8 +427,8 @@ class GaudinSystem:
         = M / D and, per degree index k, the numerators y of the projected
         gradient pi(grad p_k)(theta(T)) = y / d (`_gradient`), from one
         `theta_char_polys` run at T."""
-        t = self._certificate_point(residues)
-        [at] = theta_char_polys(self.points, [el.integer_form for el in residues], [t])
+        sites = [el.integer_form for el in residues]
+        at = theta_char_polys(self.points, sites, self._certificate_point(sites))
         return at[1], [self._gradient(index, at)[1] for index in self._indices]
 
     def commutativity_check(self, residue_tuples: Sequence[Sequence[AlgebraElement]]):
@@ -473,21 +439,21 @@ class GaudinSystem:
 
         A tuple is first tested at the one integer point T of
         `_certificate_point` (`_certified`).  Coefficient (k, i, j) is a
-        combination sum_t c_t p_k(theta(t)) over sample points t, so its
-        gradient at site l is sum_t c_t Y_t / (t - x_l) with Y_t = pi(grad
-        p_k)(theta(t)).  By the partial-fraction identity sum_l A_l / ((t -
-        x_l)(t' - x_l)) = (theta(t) - theta(t')) / (t' - t) and tr(X [Y, Z])
-        = tr([X, Y] Z), every bracket is a combination of traces against the
-        commutators [theta(t), Y_t] and, at a t two degree indices share,
-        [Y_t, Y'_t].  At any t, theta(t)'s numerator M is a nonzero multiple
-        c N(t) of the integer matrix polynomial N (`_majorants`), and the
-        gradients are homogeneous in M, so each commutator is a nonzero
-        multiple of U_k(t) = [N, pi Q_k(N)] or Z_ef(t) = [pi Q_e(N), pi
-        Q_f(N)].  Their coefficients lie below T / 2, and a nonzero integer
-        polynomial with such coefficients does not vanish at T: if every
-        commutator vanishes at T, every one vanishes at every t, and so does
-        every bracket of the tuple.  Only a tuple that fails this has its
-        brackets computed (`_brackets`), and those decide.
+        combination sum_t c_t p_k(theta(t)) over any n d_k points t off the
+        marked points, so its gradient at site l is sum_t c_t Y_t / (t - x_l)
+        with Y_t = pi(grad p_k)(theta(t)).  By the partial-fraction identity
+        sum_l A_l / ((t - x_l)(t' - x_l)) = (theta(t) - theta(t')) / (t' - t)
+        and tr(X [Y, Z]) = tr([X, Y] Z), every bracket is a combination of
+        traces against the commutators [theta(t), Y_t] and, at a t two degree
+        indices share, [Y_t, Y'_t].  At any t, theta(t) = N(t) / D(t) for the
+        integer matrix polynomial N of `theta_char_polys`, and the gradients
+        are homogeneous in theta, so each commutator is a nonzero multiple of
+        U_k(t) = [N, pi Q_k(N)] or Z_ef(t) = [pi Q_e(N), pi Q_f(N)].  Their
+        coefficients lie below T / 2, and a nonzero integer polynomial with
+        such coefficients does not vanish at T: if every commutator vanishes
+        at T, every one vanishes at every t, and so does every bracket of the
+        tuple.  Only a tuple that fails this has its brackets computed
+        (`_brackets`), and those decide.
         """
         worst, worst_pair = ZERO, None
         for residues in residue_tuples:
@@ -505,17 +471,24 @@ class GaudinSystem:
         return not any(any(_flat_commutator(m, y, s)) for y in ys) and not any(
             any(_flat_commutator(y, y2, s)) for y, y2 in combinations(ys, 2))
 
+    @cached_property
+    def _fallback_programs(self) -> list[tuple[tuple, CodeType, dict[str, Fraction]]]:
+        """[((k, i, j), code, constants)]: every coefficient's gradient program
+        in coefficient order, compiled once per system."""
+        return [((k, i, j), compile("\n".join(program.lines), "<gaudin gradient>", "exec"),
+                 program.constants) for k in range(len(self._indices))
+                for (i, j), program in self.coefficient_functions(k).items()]
+
     def _site_gradients(self, state: list[Fraction]) -> list[tuple[tuple, list[Fraction]]]:
         """[((k, i, j), X)] for every coefficient in coefficient order, X the
         site gradients of coefficient (k, i, j) at the Fraction state, both
         laid out as `flatten_point`: its gradient program run exactly."""
         names = {f"x{v}": x for v, x in enumerate(state)}
         out = []
-        for k in range(len(self._indices)):
-            for (i, j), program in self.coefficient_functions(k).items():
-                values = {**program.constants, **names}
-                exec("\n".join(program.lines), values)
-                out.append(((k, i, j), [values[f"g{v}"] for v in range(len(state))]))
+        for key, code, constants in self._fallback_programs:
+            values = {**constants, **names}
+            exec(code, values)
+            out.append((key, [values[f"g{v}"] for v in range(len(state))]))
         return out
 
     def _brackets(self, residues: Sequence[AlgebraElement]) -> list[tuple[tuple, Fraction]]:
@@ -568,9 +541,9 @@ class GaudinSystem:
         def values(flat: list[float]) -> list[float]:
             if not all(map(math.isfinite, flat)):
                 return [math.nan] * len(keys)
-            chars = theta_char_polys(self.points, [over_common_denominator(
-                map(Fraction, flat[i:i + block])) for i in range(0, len(flat), block)], self._ts)
-            return [_float(c) for _, coeffs in self._expansions(chars) for c in coeffs]
+            sites = [over_common_denominator(map(Fraction, flat[i:i + block]))
+                     for i in range(0, len(flat), block)]
+            return [_float(c) for _, coeffs in self._expansions(sites) for c in coeffs]
 
         v0s, v1s = values(start), values(end)
         scale = max(1.0, *map(abs, v0s))

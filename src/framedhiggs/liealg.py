@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul, sub
 from typing import Sequence
 
@@ -592,67 +592,79 @@ def invariant_polynomials(group_id: str, el: AlgebraElement) -> tuple[Fraction, 
     return tuple(matrix_invariant(el.matrix, i) for i in generator_indices(g))
 
 
-def theta_numerators(points: Sequence[Fraction], sites: Sequence[tuple[int, Sequence[int]]],
-                     ts: Sequence[Fraction]) -> list[tuple[int, list[int]]]:
-    """theta(t) = sum_i A_i / (t - x_i) in integers, at each sample point t
-    of ts, for the residues A_i = a_i / d_i given as sites (d_i, a_i), a_i
-    row-major integers (`AlgebraElement.integer_form`): per t the pair (D,
-    M), where theta(t) = M / D, M is flattened row-major and D is the least
-    common denominator of the entries of theta(t)."""
-    sites = [(x.numerator, x.denominator, d, a) for x, (d, a) in zip(points, sites)]
-    out = []
-    for t in ts:
-        # 1 / (t - x_i) over the denominator d_i of A_i is u_i / v_i below
-        tn, td = t.numerator, t.denominator
-        weights = [(td * xd, d * (tn * xd - xn * td)) for xn, xd, d, _ in sites]
-        den = lcm(*(v for _, v in weights))
-        m = [0] * len(sites[0][3])
-        for (u, v), (_, _, _, a) in zip(weights, sites):
-            c = u * (den // v)
-            m = [x + c * y for x, y in zip(m, a)]
-        g = gcd(den, *m)
-        if g > 1:
-            den //= g
-            m = [x // g for x in m]
-        out.append((den, m))
-    return out
-
-
 def theta_char_polys(points: Sequence[Fraction], sites: Sequence[tuple[int, Sequence[int]]],
-                     ts: Sequence[Fraction]
-                     ) -> list[tuple[int, list[int], list[int], list[list[int]]]]:
+                     t: int) -> tuple[int, list[int], list[int], list[list[int]]]:
     """The characteristic polynomial of theta(t) = sum_i A_i / (t - x_i) in
-    integers, at each sample point t of ts, for the residue sites (d_i, a_i)
-    of `theta_numerators`.
+    integers at one integer t that is no marked point, for the residues A_i
+    = a_i / d_i given as sites (d_i, a_i), a_i row-major integers
+    (`AlgebraElement.integer_form`).
 
-    theta(t) = M / D as in `theta_numerators`.  Faddeev-LeVerrier on M
-    (Faddeev 1963): Q_0 = I, e_m = tr(M Q_(m-1)) / m and Q_m = e_m I -
-    M Q_(m-1), where each division by m is exact, e_m = e_m(M) and Q_m =
-    sum_(j<=m) (-1)^j e_(m-j)(M) M^j.  Per t the result is (D, M, [e_1,
-    ..., e_s], [Q_0, ..., Q_(s-1)]), matrices flattened row-major, so that
-    e_m(theta(t)) = e_m / D^m and P_m(theta(t)) = Q_m / D^m, the matrix
-    whose trace against V is the derivative of e_(m+1) at theta(t) along V.
+    With x_j = p_j / q_j and L = lcm d_i, theta(t) = N(t) / D for D = L
+    prod_j (q_j t - p_j) and the integer matrix polynomial N(z) = sum_i (L /
+    d_i) q_i a_i prod_(j != i) (q_j z - p_j).  Faddeev-LeVerrier on N(t)
+    (Faddeev 1963): Q_0 = I, e_m = tr(N Q_(m-1)) / m, each division exact,
+    and Q_m = e_m I - N Q_(m-1).  Returns (D, N(t), [e_1, ..., e_s], [Q_0,
+    ..., Q_(s-1)]), matrices flattened row-major: e_m(theta(t)) = e_m / D^m
+    and P_m(theta(t)) = Q_m / D^m, whose trace against V is the derivative
+    of e_(m+1) at theta(t) along V.
     """
-    s = isqrt(len(sites[0][1]))
-    ident = [int(a == b) for a in range(s) for b in range(s)]
-    out = []
-    for den, m in theta_numerators(points, sites, ts):
-        rows = [m[a * s:(a + 1) * s] for a in range(s)]
-        q, qs, es = ident, [ident], []
-        for k in range(1, s + 1):
-            cols = [q[b::s] for b in range(s)]
-            if k == s:      # only the trace of M Q_(s-1) is needed
-                es.append(sum(map(mul, m, [x for col in cols for x in col])) // k)
-                break
-            mq = m if k == 1 else [sum(map(mul, r, col)) for r in rows for col in cols]
-            e = sum(mq[::s + 1]) // k
-            q = [-x for x in mq]
-            for a in range(0, s * s, s + 1):
-                q[a] += e
-            es.append(e)
-            qs.append(q)
-        out.append((den, m, es, qs))
-    return out
+    s, big = isqrt(len(sites[0][1])), lcm(*(d for d, _ in sites))
+    factors = [x.denominator * t - x.numerator for x in points]
+    m = [0] * (s * s)
+    for i, ((d, a), x) in enumerate(zip(sites, points)):
+        c = big // d * x.denominator * prod(factors[:i] + factors[i + 1:])
+        m = [u + c * v for u, v in zip(m, a)]
+    rows = [m[a * s:(a + 1) * s] for a in range(s)]
+    q = [int(a == b) for a in range(s) for b in range(s)]
+    qs, es = [q], []
+    for k in range(1, s + 1):
+        cols = [q[b::s] for b in range(s)]
+        if k == s:      # only the trace of N Q_(s-1) is needed
+            es.append(sum(map(mul, m, [x for col in cols for x in col])) // k)
+            break
+        mq = m if k == 1 else [sum(map(mul, r, col)) for r in rows for col in cols]
+        e = sum(mq[::s + 1]) // k
+        q = [-x for x in mq]
+        for a in range(0, s * s, s + 1):
+            q[a] += e
+        es.append(e)
+        qs.append(q)
+    return big * prod(factors), m, es, qs
+
+
+def theta_majorants(points: Sequence[Fraction], sites: Sequence[tuple[int, Sequence[int]]]
+                    ) -> tuple[int, list[int]]:
+    """(mu, q): bounds on the 1-norm nu, the sum of the absolute values of a
+    polynomial's coefficients (nu(f + f') <= nu(f) + nu(f'), nu(f f') <=
+    nu(f) nu(f')), of each entry of the N(z) of `theta_char_polys` and of
+    each entry of its Faddeev-LeVerrier matrices Q_m: nu(e_m(N)) <= s^2 mu
+    q[m-1] / m.  Pf(Q N) on so(2r), (2r-1)!! products of r entries, has nu
+    at most (2r-1)!! mu^r."""
+    s, big = isqrt(len(sites[0][1])), lcm(*(d for d, _ in sites))
+    mu = sum(x.denominator * prod(y.denominator + abs(y.numerator)
+                                  for j, y in enumerate(points) if j != i)
+             * (big // d) * max(map(abs, a)) for i, ((d, a), x) in enumerate(zip(sites, points)))
+    q = [1]
+    for m in range(1, s):
+        q.append(-(-s * s * mu * q[-1] // m) + s * mu * q[-1])
+    return mu, q
+
+
+def balanced_digits(value: int, base: int, count: int) -> list[int]:
+    """The digits c_o in (-base / 2, base / 2] of value = sum_(o < count) c_o
+    base^o, lowest first: the coefficients of the integer polynomial f with
+    f(base) = value if they lie below base / 2 (Kronecker substitution).
+    AssertionError if value needs more than count digits."""
+    digits = []
+    for _ in range(count):
+        c = value % base
+        if 2 * c > base:
+            c -= base
+        digits.append(c)
+        value = (value - c) // base
+    if value:
+        raise AssertionError(f"value has more than {count} balanced base-{base} digits")
+    return digits
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The characteristic coefficients of theta(z) are exact rational functions with
 denominator powers of prod(z - x_i); their numerators, up to a power of one
-integer D, come from Faddeev-LeVerrier on an integer polynomial matrix, a
-multiple of theta(z) prod(z - x_i) (`elementary_numerators`).  The
-discriminant numerator, up to the same kind of factor, is an integer
+integer D, are the balanced base-T digits of the invariants of an integer
+multiple of theta(T) prod(T - x_i) at one integer T (`elementary_numerators`).
+The discriminant numerator, up to the same kind of factor, is an integer
 polynomial whose roots are the finite branch points (`_disc_numerator`).
 Every polynomial on this path is an integer list in `intpoly`'s format,
 highest coefficient first.  Flags (globally degenerate, unramified over the
@@ -39,7 +39,8 @@ from functools import reduce
 from typing import Sequence
 
 from .exactlinalg import ZERO, frac
-from .liealg import AlgebraElement, AlgebraModel, GroupData, char_poly_elementary
+from .liealg import (AlgebraElement, AlgebraModel, GroupData, balanced_digits,
+                     char_poly_elementary, theta_char_polys, theta_majorants)
 from .dimensions import hitchin_base_dim, hitchin_fiber_dim, torsor_dims
 from .intpoly import add, factor_list, isolate_real_roots_sqf, linear_roots, mul, reals_sorted
 
@@ -53,37 +54,25 @@ def elementary_numerators(model: AlgebraModel, points: Sequence[Fraction],
     e_k(N(z)) / D^k, each e_k(N) an integer polynomial, highest coefficient
     first.
 
-    With x_j = p_j / q_j, each residue A_i = a_i / d_i over the least common
-    denominator d_i of its entries, L = lcm d_i and D = L prod q_j, the
-    matrix N(z) = D theta(z) prod(z - x_j) = sum_i (L / d_i) q_i a_i
-    prod_(j != i)(q_j z - p_j) has integer polynomial entries.  The e_k(N)
-    come from Faddeev-LeVerrier (Faddeev 1963) on N over Z[z]: Q_0 = I,
-    e_k = tr(N Q_(k-1)) / k, Q_k = e_k I - N Q_(k-1), where each division by
-    k is exact coefficient by coefficient.
+    With x_j = p_j / q_j, A_i = a_i / d_i, L = lcm d_i and D = L prod q_j,
+    N(z) = D theta(z) prod(z - x_j) is the integer matrix polynomial of
+    `liealg.theta_char_polys`.  e_k(N) has degree at most (n - 1) k and
+    coefficients within s^2 mu q[k-1] (`liealg.theta_majorants`), so at T =
+    2^B above twice those bounds and above every |p_j|, e_k(N(T)) carries
+    them as its (n - 1) k + 1 balanced base-T digits.
     """
-    s, pts = model.n, [frac(p) for p in points]
+    pts = [frac(p) for p in points]
     sites = [el.integer_form for el in residues]
-    common = math.lcm(*(d for d, _ in sites))
-    den = common * math.prod(x.denominator for x in pts)
-    # N's entries as integer polynomials, highest coefficient first
-    n_mat = [[0] * len(pts) for _ in range(s * s)]
-    for i, ((d, a), x) in enumerate(zip(sites, pts)):
-        w = [common // d * x.denominator]
-        for j, y in enumerate(pts):
-            if j != i:
-                w = mul(w, [y.denominator, -y.numerator])
-        n_mat = [[u + c * v for u, v in zip(entry, w)] for entry, c in zip(n_mat, a)]
-    rows = [n_mat[a * s:(a + 1) * s] for a in range(s)]
-    q = [[[1] if a == b else [] for b in range(s)] for a in range(s)]
+    s, (mu, q) = model.n, theta_majorants(pts, sites)
+    t = 2 ** max(2 * s * s * mu * max(q), *(abs(x.numerator) for x in pts)).bit_length()
+    _, _, es, _ = theta_char_polys(pts, sites, t)
     out = []
-    for k in range(1, s + 1):
-        nq = [[reduce(add, map(mul, row, [qr[b] for qr in q])) for b in range(s)]
-              for row in rows]
-        e = [c // k for c in reduce(add, (nq[a][a] for a in range(s)))]
-        out.append(e)
-        q = [[add([-c for c in nq[a][b]], e if a == b else []) for b in range(s)]
-             for a in range(s)]
-    return den, out
+    for k, e in enumerate(es, 1):
+        digits = balanced_digits(e, t, (len(pts) - 1) * k + 1)
+        while digits and not digits[-1]:
+            digits.pop()
+        out.append(digits[::-1])
+    return math.lcm(*(d for d, _ in sites)) * math.prod(x.denominator for x in pts), out
 
 
 def _disc_numerator(e_nums: list[list[int]], r: int) -> list[int]:
@@ -152,9 +141,9 @@ def spectral_data(model: AlgebraModel, points: Sequence[Fraction],
     # matrix has repeated eigenvalues iff its own characteristic discriminant
     # vanishes.  N(x_i) differs from it by the nonzero factor
     # prod_{j != i}(x_i - x_j)^(r(r-1)), which cross-checks the
-    # Faddeev-LeVerrier numerators against each residue on its own: Newton's
-    # identities on d_i A_i, d_i the denominator of A_i, give the integers
-    # e_k(d_i A_i) = d_i^k e_k(A_i).
+    # Faddeev-LeVerrier numerators and their digit read against each residue
+    # on its own: Newton's identities on d_i A_i, d_i the denominator of A_i,
+    # give the integers e_k(d_i A_i) = d_i^k e_k(A_i).
     disc_at = []
     for i, (x, el) in enumerate(zip(pts, residues)):
         d = el.integer_form[0]

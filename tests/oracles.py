@@ -8,7 +8,8 @@ the tests check the code that the jobs do run.
   (`coordinate`, `site_matrix`) or in the algebra coordinates
   (`algebra_site_matrix`), and `coefficient_polys`, the Hitchin coefficients
   as such polynomials, combined from the invariants of the symbolic
-  theta(t) (`theta_at`) at the sample points by `sampled_inverse`;
+  theta(t) (`theta_at`) at the oracle's own sample points (`sample_points`)
+  by `sampled_inverse`;
 - `sigma_gradient_at` and `bracket_at`: the product Lie-Poisson bracket of
   two polynomial observables at a point, from their exact sigma-gradients at
   each site, against which the gradient programs, and the brackets the
@@ -166,19 +167,34 @@ def theta_at(points, matrices, t):
     return mat_comb([ONE / (t - x) for x in points], matrices)
 
 
+def sample_points(system, k=None):
+    """The n d_k sample points t_l = max(x) + l, l = 1, 2, ..., of degree
+    index k, by default those of the largest degree, which every degree
+    index's start: enough values to fix a function sum_(i, j <= d_k) c_(i,j)
+    (z - x_i)^(-j)."""
+    d = max(system.group.degrees) if k is None else system.group.degrees[k]
+    return [max(system.points) + l for l in range(1, system.n * d + 1)]
+
+
+def coefficient_columns(system, k):
+    """The coefficients (i, j), j <= d_k, of degree index k in the order of
+    `GaudinSystem.coefficient_functions`."""
+    return [(i, j) for i in range(system.n) for j in range(1, system.group.degrees[k] + 1)]
+
+
 def sampled_inverse(system, k):
     """`exactlinalg.inverse` of V[l][(i, j)] = (t_l - x_i)^(-j) over the
     sample points t_l and coefficients (i, j) of degree index k: row (i, j)
     of its product with the values f(t_l) is the coefficient of (z -
     x_i)^(-j) in f."""
-    cols, ts = system._interp_data(k)
-    return inverse([[ONE / (t - system.points[i]) ** j for i, j in cols] for t in ts])
+    return inverse([[ONE / (t - system.points[i]) ** j for i, j in coefficient_columns(system, k)]
+                    for t in sample_points(system, k)])
 
 
 def coefficient_polys(system, k, sites=site_matrix):
     """{(i, j): coefficient (k, i, j) as a polynomial}: `sampled_inverse`
     combines p_k(theta(t)) of the symbolic site matrices at k's sample points."""
-    cols, ts = system._interp_data(k)
+    cols, ts = coefficient_columns(system, k), sample_points(system, k)
     mats = [sites(system, i) for i in range(system.n)]
     values = [matrix_invariant(theta_at(system.points, mats, t), system._indices[k]) for t in ts]
     return {col: PolyObservable.lift(c)

@@ -91,8 +91,9 @@ def test_gaudin_job_reports_a_nonzero_bracket(tmp_path, monkeypatch):
 
 def test_a_gaudin_job_runs_the_char_polys_once_per_residue_tuple(tmp_path, monkeypatch):
     # the model's residues feed the Hitchin point from one `theta_char_polys`
-    # run at the sample points; each clean residue tuple, the model's first,
-    # is certified by one run at its certificate point alone
+    # run at one integer point, their certificate point; each clean residue
+    # tuple, the model's first, is certified by one run at its certificate
+    # point alone
     from framedhiggs import gaudin
     calls = []
     kernel = gaudin.theta_char_polys
@@ -102,8 +103,29 @@ def test_a_gaudin_job_runs_the_char_polys_once_per_residue_tuple(tmp_path, monke
         calls.clear()
         cfg = write_config(tmp_path, "g.json", {**GAUDIN_SL2, "random_points": random_points})
         assert main(["gaudin", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
-        # sl(2) on 3 points has n d = 6 sample points
-        assert [len(ts) for _, _, ts in calls] == [6] + [1] * (1 + random_points)
+        assert len(calls) == 2 + random_points
+        assert all(type(t) is int for _, _, t in calls)
+        # the Hitchin point and the first tuple read the model's residues
+        assert calls[0] == calls[1]
+
+
+def test_a_failing_gaudin_job_builds_each_gradient_program_once(tmp_path, monkeypatch):
+    # With the certificate forced to fail, each of the 3 tuples runs every
+    # coefficient's gradient program exactly, and each program is generated
+    # and compiled once per system.
+    built = []
+    program = cli.GaudinSystem._gradient_program
+    monkeypatch.setattr(cli.GaudinSystem, "_gradient_program",
+                        lambda self, k, i, j: built.append((k, i, j)) or program(self, k, i, j))
+    monkeypatch.setattr(cli.GaudinSystem, "_certified", lambda self, m, ys: False)
+    brackets = cli.GaudinSystem._brackets
+    tuples = []
+    monkeypatch.setattr(cli.GaudinSystem, "_brackets",
+                        lambda self, r: tuples.append(r) or brackets(self, r))
+    cfg = write_config(tmp_path, "g.json", {**GAUDIN_SL2, "random_points": 2})
+    assert main(["gaudin", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(tuples) == 3
+    assert built == [(0, i, j) for i in range(3) for j in (1, 2)]
 
 
 @pytest.mark.parametrize("group", ["sl(2)", "sl(3)", "gl(2)", "sp(4)", "so(4)", "so(5)"])

@@ -13,14 +13,17 @@ from framedhiggs.exactlinalg import (identity, mat_comb, mat_mul, mat_vec,
                                      over_common_denominator)
 from framedhiggs import gaudin
 from framedhiggs.gaudin import GaudinSystem, worst_drift
-from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, antidiagonal, char_poly_elementary,
-                                flatten, generator_indices, mat_trace, matrix_invariant,
-                                newton_elementary, pfaffian, theta_char_polys)
+from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, antidiagonal, balanced_digits,
+                                char_poly_elementary, flatten, generator_indices, mat_trace,
+                                matrix_invariant, newton_elementary, pfaffian, theta_char_polys,
+                                theta_majorants)
 from framedhiggs.sampling import random_algebra_element, random_residue_tuple
+from framedhiggs.spectral import elementary_numerators
 from oracles import (PolyObservable, algebra_sigma_gradients_at, algebra_site_matrix,
-                     bracket_at, coefficient_polys, coordinate, grad_rows, gradient_function,
-                     fraction_residue_tuple, mat_commutator, random_fraction, sampled_inverse,
-                     sigma_gradient_at, site_matrix, symbolic_gradient, theta_at)
+                     bracket_at, coefficient_columns, coefficient_polys, coordinate, grad_rows,
+                     gradient_function, fraction_residue_tuple, mat_commutator, random_fraction,
+                     sample_points, sampled_inverse, sigma_gradient_at, site_matrix,
+                     symbolic_gradient, theta_at)
 
 PTS3 = (F(1), F(2), F(3))
 
@@ -254,7 +257,7 @@ def _reference_gradients(system, residues):
     mats = [el.matrix for el in residues]
     grad_cache = {}
     for k, index in enumerate(system._indices):
-        cols, ts = system._interp_data(k)
+        cols, ts = coefficient_columns(system, k), sample_points(system, k)
         vinv = sampled_inverse(system, k)
         if index == PFAFFIAN:
             # the coefficients of Pf(Q theta(z)) as symbolic functions of the
@@ -351,7 +354,7 @@ def test_char_poly_kernel_matches_the_fraction_oracle(s, kind):
     rng = random.Random(61 + 7 * s + KERNEL_KINDS.index(kind))
     for _ in range(4):
         x = _random_matrix(rng, s, kind)
-        [(den, num, e, qs)] = theta_char_polys([F(0)], [_site(x)], [F(1)])
+        den, num, e, qs = theta_char_polys([F(0)], [_site(x)], 1)
         assert all(isinstance(v, int) for v in [den, *num, *e] + [y for q in qs for y in q])
         assert [F(v, den) for v in num] == flatten(x)
         assert [F(v, den ** m) for m, v in enumerate(e, start=1)] == char_poly_elementary(x)
@@ -363,16 +366,20 @@ def test_char_poly_kernel_matches_the_fraction_oracle(s, kind):
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_char_poly_kernel_on_residue_tuples_with_mixed_denominators(s):
+    # D = L prod_j (q_j t - p_j) over the lcm L of the residue denominators,
+    # and N(t) = D theta(t), unreduced; t is an integer off the marked points,
+    # on either side of them.
     rng = random.Random(67 + s)
     points = [F(1, 2), F(-3), F(7, 3)]
-    ts = [F(4), F(9, 2), F(-5, 7)]
     for kinds in (["general", "singular", "nilpotent"], ["zero", "general", "zero"],
                   ["nilpotent"] * 3):
         mats = [_random_matrix(rng, s, kind) for kind in kinds]
         sites = [_site(m) for m in mats]
-        for t, (den, num, e, qs) in zip(ts, theta_char_polys(points, sites, ts)):
+        big = math.lcm(*(d for d, _ in sites))
+        for t in (4, 1, -5):
+            den, num, e, qs = theta_char_polys(points, sites, t)
             theta = theta_at(points, mats, t)
-            assert den == over_common_denominator(flatten(theta))[0]
+            assert den == big * math.prod(x.denominator * t - x.numerator for x in points)
             assert [F(v, den) for v in num] == flatten(theta)
             assert [F(v, den ** m) for m, v in enumerate(e, start=1)] \
                 == char_poly_elementary(theta)
@@ -427,7 +434,7 @@ def test_bracket_table_negative_control(monkeypatch, gid, points, count):
     model = AlgebraModel(gid)
     system = GaudinSystem(model, points)
     k = model.group.degrees.index(2)
-    cols, ts = system._interp_data(k)
+    cols, ts = coefficient_columns(system, k), sample_points(system, k)
     keys = [("non-invariant", i, j) for i, j in cols]
     thetas = [theta_at(points, [site_matrix(system, l) for l in range(len(points))], t)
               for t in ts]
@@ -473,12 +480,12 @@ def test_bracket_table_grid_matches_reference(monkeypatch, gid, n, faulted):
     fault_at = system._indices[0] - 1
     kernel = gaudin.theta_char_polys
 
-    def with_fault(points, sites, ts):
+    def with_fault(points, sites, t):
         s = math.isqrt(len(sites[0][1]))
         fault = [(3 * a - 2 * b) % 7 - 3 for a in range(s) for b in range(s)]
-        return [(den, m, e, [[x + f for x, f in zip(q, fault)] if i == fault_at else q
-                             for i, q in enumerate(qs)])
-                for den, m, e, qs in kernel(points, sites, ts)]
+        den, m, e, qs = kernel(points, sites, t)
+        return den, m, e, [[x + f for x, f in zip(q, fault)] if i == fault_at else q
+                           for i, q in enumerate(qs)]
 
     if faulted:
         monkeypatch.setattr(gaudin, "theta_char_polys", with_fault)
@@ -497,18 +504,18 @@ def test_bracket_table_grid_matches_reference(monkeypatch, gid, n, faulted):
                          ids=[case[0] for case in BRACKET_CASES])
 def test_the_certificate_kernel_is_the_projected_gradient_at_a_point(gid, points, count):
     # `_gradient` on the integer kernel's output at theta(t), at the
-    # certificate point T and at two rational t, against pi(P_(m-1)(theta(t)))
-    # in Fractions, and for the Pfaffian of so(4) against the sigma-gradient
-    # of the symbolic Pf(Q X).
+    # certificate point T and at two integer t off the marked points, against
+    # pi(P_(m-1)(theta(t))) in Fractions, and for the Pfaffian of so(4)
+    # against the sigma-gradient of the symbolic Pf(Q X).
     model = AlgebraModel(gid)
     system = GaudinSystem(model, points)
     pf = matrix_invariant(site_matrix(system, 0), PFAFFIAN)
     rng = random.Random(53)
     for _ in range(count):
         residues = random_residue_tuple(model, rng, len(points), 4, zero_sum=False)
-        ts = [system._certificate_point(residues), F(7, 2), F(-5, 3)]
         sites = [el.integer_form for el in residues]
-        for t, chars in zip(ts, theta_char_polys(points, sites, ts)):
+        for t in (system._certificate_point(sites), 7, -5):
+            chars = theta_char_polys(points, sites, t)
             theta = theta_at(points, [el.matrix for el in residues], t)
             for index in system._indices:
                 if index == PFAFFIAN:
@@ -563,19 +570,30 @@ def test_certificate_majorants_dominate_the_true_norms(gid, n, faulted):
     # Q_m, each degree index's projected gradient pi G_k, U_k = [N, pi G_k]
     # and Z_ef = [pi G_e, pi G_f] as polynomials in t, in sympy; each
     # coefficient 1-norm must lie within its majorant, and the certificate
-    # point above twice that of U and Z.  The fault reads the first gradient
-    # other than Q_0 = I at N^T, whose entries have the same majorants, so
-    # that its U and its Z with the other such gradients stop vanishing.
+    # point above twice that of U and Z, and above twice every coefficient of
+    # each invariant's numerator, e_m(N) from sympy's characteristic
+    # polynomial or Pf(Q N).  The fault reads the first gradient other than
+    # Q_0 = I at N^T, whose entries have the same majorants, so that its U
+    # and its Z with the other such gradients stop vanishing.
     model = AlgebraModel(gid)
     points = GRID_POINTS[:n]
     system = GaudinSystem(model, points)
     s, (_, prows) = system.s, system._projection
     seed = 131 + 3 * GRID_CASES.index((gid, n))
     residues = random_residue_tuple(model, random.Random(seed), n, 4, zero_sum=False)
-    mu, q, rho, g = system._majorants(residues)
+    sites = [el.integer_form for el in residues]
+    mu, q = theta_majorants(points, sites)
     # the same tuple drawn as Fraction matrices, its integer forms read off them
     rebuilt = fraction_residue_tuple(model, random.Random(seed), n, 4, zero_sum=False)
-    assert rebuilt == residues and system._majorants(rebuilt) == (mu, q, rho, g)
+    assert rebuilt == residues
+    assert theta_majorants(points, [el.integer_form for el in rebuilt]) == (mu, q)
+    # rho, the largest row 1-norm of the integer projection, and the bound g
+    # on each entry of every degree index's gradient, as `_certificate_point`
+    # takes them
+    rho, r = max(sum(map(abs, row)) for row in prows), s // 2
+    g = [math.prod(range(1, 2 * r - 2, 2)) * mu ** (r - 1) if index == PFAFFIAN
+         else q[index - 1] for index in system._indices]
+    t = system._certificate_point(sites)
     big = math.lcm(*(over_common_denominator(flatten(el.matrix))[0] for el in residues))
     scale = big * math.prod(x.denominator * T_SYM - x.numerator for x in points)
     theta = sympy.Matrix(s, s, lambda a, b: sum(sympy.Rational(el.matrix[a][b]) / (T_SYM - x)
@@ -618,7 +636,16 @@ def test_certificate_majorants_dominate_the_true_norms(gid, n, faulted):
         assert _nu(u) <= 2 * s * mu * rho * bound
     for z, (bound, bound2) in zip(zs, combinations(g, 2)):
         assert _nu(z) <= 2 * s * rho * rho * bound * bound2
-    assert system._certificate_point(residues) > 2 * max(map(_nu, us + zs))
+    assert t > 2 * max(map(_nu, us + zs))
+    char = big_n.charpoly(sympy.Symbol("lam")).all_coeffs()
+    for index in system._indices:
+        if index == PFAFFIAN:
+            value, bound = _sym_pfaffian([[big_n[s - 1 - a, b] for b in range(s)]
+                                          for a in range(s)]), math.prod(range(1, s, 2)) * mu ** r
+        else:
+            value, bound = (-1) ** index * char[index], s * s * mu * q[index - 1]
+        coeffs = sympy.Poly(sympy.expand(value), T_SYM).coeffs()
+        assert sum(map(abs, coeffs)) <= bound and all(2 * abs(c) < t for c in coeffs)
     assert any(e != 0 for m in us + zs for e in m) == faulted
     if faulted:
         pairs = list(combinations(range(len(g)), 2))
@@ -691,10 +718,10 @@ def _all_coefficient_polys(system):
     sample point (`_all_invariants`), combined by `sampled_inverse`."""
     sites = [site_matrix(system, i) for i in range(system.n)]
     invariants = {t: _all_invariants(system.group, theta_at(system.points, sites, t))
-                  for t in system._ts}
+                  for t in sample_points(system)}
     out = []
     for k in range(system.group.rank):
-        cols, ts = system._interp_data(k)
+        cols, ts = coefficient_columns(system, k), sample_points(system, k)
         out += [((k, i, j), PolyObservable.lift(c)) for (i, j), c in zip(
             cols, mat_vec(sampled_inverse(system, k), [invariants[t][k] for t in ts]))]
     return out
@@ -948,30 +975,28 @@ def test_seeded_model_point_brackets_and_flow():
     assert max(r["relative_drift"] for r in drift) < 1e-8
 
 
-def _moved_char_polys(index, sample=0):
-    """`theta_char_polys` with e_index at one sample point t moved by D^index,
-    so that the sample value e_index(theta(t)) = e_index / D^index moves by one."""
-    def moved(points, sites, ts):
-        out = theta_char_polys(points, sites, ts)
-        den, m, es, qs = out[sample]
-        out[sample] = (den, m, [e + (q == index) * den ** index for q, e in enumerate(es, 1)],
-                       qs)
-        return out
+def _moved_digits(n, degree, order):
+    """`liealg.balanced_digits` with T^(n d - order) added to the value of
+    the invariant of degree d, e_index(N(T)) or Pf(Q N(T)): the only one
+    read as n d digits, since the degrees of a group are distinct."""
+    def moved(value, base, count):
+        return balanced_digits(value + base ** (count - order) if count == n * degree else value,
+                    base, count)
     return moved
 
 
 def test_hitchin_point_refuses_a_pole_at_infinity(monkeypatch):
-    """The sample value p_2(theta(t_1)) moved by one leaves a 1/z term at infinity."""
+    """p_2's value at T moved by T^(n d - 1) leaves a 1/z term at infinity."""
     model = AlgebraModel("sl(2)")
     residues = balanced_tuple(model, random.Random(3), 3)
-    monkeypatch.setattr(gaudin, "theta_char_polys", _moved_char_polys(2))
+    monkeypatch.setattr(gaudin, "balanced_digits", _moved_digits(3, 2, 1))
     with pytest.raises(AssertionError,
                        match="holomorphy at infinity fails at order 1 for degree 2"):
         GaudinSystem(model, PTS3).hitchin_point(residues)
 
 
 # ---------------------------------------------------------------------------
-# partial fractions from forward differences, against the inverse oracle
+# partial fractions from the digits at T, against the inverse oracle
 # ---------------------------------------------------------------------------
 
 ORACLE_GROUPS = ["gl(2)", "sl(3)", "gl(3)", "sp(4)", "so(4)", "so(5)"]
@@ -988,52 +1013,121 @@ def test_partial_fractions_match_the_inverse_oracle(gid, points):
     hp = system.hitchin_point(residues)
     for k in range(model.group.rank):
         oracle = sampled_inverse(system, k)
-        cols, ts = system._interp_data(k)
-        # arbitrary values, which need not vanish at infinity
-        values = [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in ts]
-        assert system._partial_fractions(k, values)[1] == mat_vec(oracle, values)
+        cols, ts = coefficient_columns(system, k), sample_points(system, k)
+        d = model.group.degrees[k]
+        # an arbitrary integer polynomial P of degree below n d and a
+        # denominator: f = P / (den prod_i (z - x_i)^d) need not vanish to
+        # order 2 d at infinity
+        poly, den = [rng.randint(-50, 50) for _ in ts], rng.randint(1, 9)
+        values = [sum(c * t ** o for o, c in enumerate(poly))
+                  / (den * math.prod((t - x) ** d for x in points)) for t in ts]
+        assert system._partial_fractions(k, poly, den) == mat_vec(oracle, values)
         # the Hitchin coefficients: values p_k(theta(t)) from Fraction matrices
         exact = [matrix_invariant(theta_at(points, [el.matrix for el in residues], t),
                                   system._indices[k]) for t in ts]
         assert hp.coeffs[k] == {col: c for col, c in zip(cols, mat_vec(oracle, exact)) if c}
 
 
-@pytest.mark.parametrize("gid", ["sl(2)", "gl(2)", "sl(3)", "gl(3)", "sp(4)", "so(4)", "so(5)"])
+MOVED_GROUPS = ["sl(2)", "gl(2)", "sl(3)", "gl(3)", "sp(4)", "so(4)", "so(5)"]
+
+
+@pytest.mark.parametrize("gid", MOVED_GROUPS)
 def test_a_sample_value_moved_by_one_fails_at_order_1(monkeypatch, gid):
-    # y_l = p_k(theta(t_l)) prod_i (t_l - x_i)^d moves at one l, and so does
-    # its top forward difference D^(N-1) y_1: a 1/z term at infinity
+    # The one sample value, P = e_index(N) or Pf(Q N) at T, moved by one unit
+    # of its top digit: P gains z^(n d - 1), so p_k(theta) ~ 1/z at infinity,
+    # for every degree index, the Pfaffian's included
     model = AlgebraModel(gid)
     residues = balanced_tuple(model, random.Random(97), 3, 3)
-    indices = gaudin.generator_indices(model.group)
-    for k, index in enumerate(indices):
-        if index == PFAFFIAN:
-            continue
-        for sample in (0, 2):
-            monkeypatch.setattr(gaudin, "theta_char_polys", _moved_char_polys(index, sample))
-            d = model.group.degrees[k]
-            with pytest.raises(AssertionError,
-                               match=f"holomorphy at infinity fails at order 1 for degree {d}$"):
-                GaudinSystem(model, PTS3).hitchin_point(residues)
+    for d in model.group.degrees:
+        monkeypatch.setattr(gaudin, "balanced_digits", _moved_digits(3, d, 1))
+        with pytest.raises(AssertionError,
+                           match=f"holomorphy at infinity fails at order 1 for degree {d}$"):
+            GaudinSystem(model, PTS3).hitchin_point(residues)
 
 
-@pytest.mark.parametrize("gid", ["sl(2)", "sl(3)", "sp(4)", "so(4)"])
+@pytest.mark.parametrize("gid", MOVED_GROUPS)
 def test_only_the_second_highest_difference_fails_at_order_2(monkeypatch, gid):
-    # adding prod_(r <= N-2) (t_l - t_r) / prod_i (t_l - x_i)^d to the sample
-    # values adds a Newton term of degree N - 2 to P: only D^(N-2) y_1 moves,
-    # so p_k(theta) ~ z^(-2) at infinity
+    # Only the second highest digit of P moves: P gains z^(n d - 2), so
+    # p_k(theta) ~ z^(-2) at infinity, a failure at order 2 for degree d >=
+    # 2; degree 1 checks only its top digit, and its moved point is a
+    # holomorphic one with a changed coefficient
     model = AlgebraModel(gid)
     system = GaudinSystem(model, PTS3)
     residues = balanced_tuple(model, random.Random(101), 3, 3)
-    k = len(model.group.degrees) - 1
-    d = model.group.degrees[k]
-    cols, ts = system._interp_data(k)
-    bump = [math.prod(t - u for u in ts[:-2]) / math.prod((t - x) ** d for x in PTS3)
-            for t in ts]
-    diffs, _ = system._partial_fractions(k, bump)
-    assert [bool(a) for a in diffs] == [False] * (len(ts) - 2) + [True, False]
-    original = GaudinSystem._partial_fractions
-    monkeypatch.setattr(GaudinSystem, "_partial_fractions", lambda self, q, values: original(
-        self, q, [v + b for v, b in zip(values, bump)] if q == k else values))
-    with pytest.raises(AssertionError,
-                       match=f"holomorphy at infinity fails at order 2 for degree {d}$"):
-        system.hitchin_point(residues)
+    hp = system.hitchin_point(residues)
+    for k, d in enumerate(model.group.degrees):
+        monkeypatch.setattr(gaudin, "balanced_digits", _moved_digits(3, d, 2))
+        if d == 1:
+            assert GaudinSystem(model, PTS3).hitchin_point(residues).coeffs[k] != hp.coeffs[k]
+            continue
+        with pytest.raises(AssertionError,
+                           match=f"holomorphy at infinity fails at order 2 for degree {d}$"):
+            GaudinSystem(model, PTS3).hitchin_point(residues)
+
+
+def test_a_certificate_point_below_twice_a_coefficient_misreads_the_digits(monkeypatch):
+    # The digit read rests on T > 2 |c| for every coefficient c of every
+    # numerator P_k: with T = 2^b for the bit length b of the largest one,
+    # T / 2 falls below it, and the read either overflows its n d digits or
+    # gives a Hitchin point other than the inverse oracle's.
+    model = AlgebraModel("sl(3)")
+    system = GaudinSystem(model, PTS3)
+    residues = balanced_tuple(model, random.Random(103), 3, 5)
+    largest = max(abs(c) for digits, _ in system._expansions(
+        [el.integer_form for el in residues]) for c in digits)
+    oracle = []
+    for k in range(model.group.rank):
+        exact = [matrix_invariant(theta_at(PTS3, [el.matrix for el in residues], t),
+                                  system._indices[k]) for t in sample_points(system, k)]
+        oracle.append({col: c for col, c in zip(coefficient_columns(system, k),
+                                                mat_vec(sampled_inverse(system, k), exact)) if c})
+    assert list(system.hitchin_point(residues).coeffs) == oracle
+    monkeypatch.setattr(GaudinSystem, "_certificate_point",
+                        lambda self, sites: 2 ** largest.bit_length())
+    try:
+        misread = list(system.hitchin_point(residues).coeffs)
+    except AssertionError:
+        return
+    assert misread != oracle
+
+
+def _poly_mul(f, g):
+    """The product of two polynomials, coefficient lists highest first."""
+    out = [F(0)] * (len(f) + len(g) - 1)
+    for a, u in enumerate(f):
+        for b, v in enumerate(g):
+            out[a + b] += u * v
+    return out
+
+
+@pytest.mark.parametrize("gid", ["gl(2)", "sl(2)", "gl(3)", "sl(3)"])
+def test_the_hitchin_point_recombines_to_the_spectral_numerators(gid):
+    # One model, two engines: sum c_(i,j) (z - x_i)^(-j) prod_l (z - x_l)^d
+    # over the Hitchin point's coefficients of degree d is e_d(N(z)) / D^d,
+    # N and D as `spectral.elementary_numerators` gives them.
+    model = AlgebraModel(gid)
+    rng = random.Random(109)
+    for points in (PTS3, (F(1, 2), F(-3), F(7, 3), F(5))):
+        residues = balanced_tuple(model, rng, len(points), 5)
+        hp = GaudinSystem(model, points).hitchin_point(residues)
+        den, e_nums = elementary_numerators(model, points, residues)
+        for k, d in enumerate(model.group.degrees):
+            total = [F(0)] * (len(points) * d)
+            for (i, j), c in hp.coeffs[k].items():
+                term = [c]
+                for l, x in enumerate(points):
+                    for _ in range(d - j if l == i else d):
+                        term = _poly_mul(term, [F(1), -x])
+                total = [u + v for u, v in zip(total, [F(0)] * (len(total) - len(term)) + term)]
+            while total and total[0] == 0:
+                total.pop(0)
+            assert total == [F(c, den ** d) for c in e_nums[d - 1]]
+
+
+def test_the_certificate_reads_the_brackets_of_pairs_of_gradients():
+    # With M = 0 every [M, y] vanishes, so only the second half of the
+    # certificate, the commutators [y_e, y_f], sees that E_01 and E_10 do not
+    # commute; gradients that do commute pass.
+    system = GaudinSystem(AlgebraModel("sl(2)"), PTS3)
+    assert not system._certified([0] * 4, [[0, 1, 0, 0], [0, 0, 1, 0]])
+    assert system._certified([0] * 4, [[0, 1, 0, 0], [0, 2, 0, 0]])

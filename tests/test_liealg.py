@@ -7,7 +7,7 @@ import sympy
 
 from framedhiggs.exactlinalg import rank
 from framedhiggs.liealg import (AlgebraElement, AlgebraModel, FramingSpec,
-                                UnsupportedGroupError, bracket, group_data,
+                                UnsupportedGroupError, balanced_digits, bracket, group_data,
                                 invariant_polynomials, to_matrix, torus_framing,
                                 trace_form, trivial_framing)
 from oracles import check_invariance, perp_subspace
@@ -352,3 +352,28 @@ def test_framing_rejects_full_algebra():
     full = [AlgebraElement(b, "sl(2)") for b in m.basis]
     with pytest.raises(ValueError, match="proper"):
         FramingSpec(m, form, full)
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 2 ** 40])
+def test_balanced_digits_round_trip(base):
+    # the digits of sum_o c_o base^o with every |c_o| < base / 2, and with a
+    # digit of exactly base / 2 when base is even, which reads as itself
+    rng = random.Random(base)
+    half = base // 2
+    for _ in range(20):
+        count = rng.randint(1, 6)
+        digits = [rng.randint(-((base - 1) // 2), half) for _ in range(count)]
+        if base % 2 == 0:
+            digits[rng.randrange(count)] = half
+        value = sum(c * base ** o for o, c in enumerate(digits))
+        assert balanced_digits(value, base, count) == digits
+        assert balanced_digits(value, base, count + 2) == digits + [0, 0]
+    assert balanced_digits(0, base, 3) == [0, 0, 0]
+
+
+def test_balanced_digits_refuse_a_value_with_one_digit_too_many():
+    base = 2 ** 20
+    assert balanced_digits(base ** 3 - 1, base, 4) == [-1, 0, 0, 1]
+    for value in (base ** 3 - 1, -(base ** 3) // 2 - 1, 3 * base ** 3):
+        with pytest.raises(AssertionError, match="more than 3 balanced base-1048576 digits"):
+            balanced_digits(value, base, 3)

@@ -20,12 +20,13 @@ from framedhiggs import intpoly, spectral
 from framedhiggs.cli import main
 from framedhiggs.dimensions import hitchin_base_dim, hitchin_fiber_dim
 from framedhiggs.exactlinalg import ONE
-from framedhiggs.liealg import AlgebraModel, theta_char_polys
+from framedhiggs.liealg import AlgebraModel, char_poly_elementary
 from framedhiggs.rationalfn import Poly
 from framedhiggs.sampling import random_algebra_element, seeded_model
 from framedhiggs.spectral import (_disc_numerator, _isolate_irrational_roots,
                                   elementary_numerators, spectral_data,
                                   spectral_genus, torsor_fiber_report)
+from oracles import theta_at
 
 PTS3 = (F(1), F(2), F(3))
 
@@ -155,12 +156,13 @@ def _interpolate(ts, ys):
 
 def _sampled_numerators(model, points, residues):
     """Oracle for `elementary_numerators`: e_k(theta(t)) q(t)^k at k n + 1
-    sample points t, q = prod(z - x_i), interpolated exactly."""
+    sample points t, q = prod(z - x_i), theta(t) a Fraction matrix and its
+    e_k from Newton's identities, interpolated exactly."""
     n = len(points)
     ts = [max(points) + l for l in range(1, model.n * n + 2)]
-    samples = [(e, math.prod(t - x for x in points) / den) for t, (den, _, e, _) in
-               zip(ts, theta_char_polys(points, [el.integer_form for el in residues], ts))]
-    return [_interpolate(ts[:k * n + 1], [e[k - 1] * qd ** k for e, qd in samples[:k * n + 1]])
+    samples = [(char_poly_elementary(theta_at(points, [el.matrix for el in residues], t)),
+                math.prod(t - x for x in points)) for t in ts]
+    return [_interpolate(ts[:k * n + 1], [e[k - 1] * q ** k for e, q in samples[:k * n + 1]])
             for k in range(1, model.n + 1)]
 
 
@@ -679,6 +681,21 @@ def test_a_wrong_numerator_fails_the_marked_point_cross_check(monkeypatch, group
     monkeypatch.setattr(spectral, "elementary_numerators", tampered)
     with pytest.raises(AssertionError, match="Faddeev-LeVerrier discriminant disagrees"):
         spectral_data(model.algebra, PTS3, model.residues)
+
+
+@pytest.mark.parametrize("group", ["sl(2)", "gl(2)", "sl(3)", "gl(3)"])
+def test_a_value_at_t_moved_by_one_fails_the_marked_point_cross_check(monkeypatch, group):
+    # Negative control of the digit read: e_k(N(T)) moved by 1 moves the
+    # constant coefficient of e_k(N), for each k.
+    model = seeded_model(group, PTS3, "trivial", 3, 5)
+    kernel = spectral.theta_char_polys
+    for k in range(1, model.algebra.n + 1):
+        def moved(points, sites, t, k=k):
+            den, m, es, qs = kernel(points, sites, t)
+            return den, m, [e + (q == k) for q, e in enumerate(es, 1)], qs
+        monkeypatch.setattr(spectral, "theta_char_polys", moved)
+        with pytest.raises(AssertionError, match="Faddeev-LeVerrier discriminant disagrees"):
+            spectral_data(model.algebra, PTS3, model.residues)
 
 
 def test_a_spectral_job_builds_no_rational_polynomial(monkeypatch, tmp_path, capsys):
