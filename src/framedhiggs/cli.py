@@ -468,7 +468,7 @@ _PARSER.add_argument("--seed", type=int, help="override the config seed")
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
 
-    new_out = False
+    out_fd, new_out = None, False
     try:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -490,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:    # an unusable output path fails before the job, not after it
             existed = os.path.exists(args.out)
             try:
-                os.close(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666))
+                out_fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
             except OSError as exc:
                 raise ConfigError(f"{args.out}: {exc.strerror}")
             new_out = not existed
@@ -507,6 +507,8 @@ def main(argv: list[str] | None = None) -> int:
         text = _to_csv(report) if args.format == "csv" else json.dumps(
             _jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     except BaseException as exc:
+        if out_fd is not None:
+            os.close(out_fd)
         if new_out:     # a job that writes no report leaves no file behind
             os.remove(args.out)
         if not isinstance(exc, ConfigError):
@@ -514,10 +516,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.out:
+    if out_fd is not None:
+        # the report goes through the descriptor opened above, then the file
+        # is cut to its length: no second open and no truncation to zero
         try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            with os.fdopen(out_fd, "wb") as fh:
+                fh.write(text.encode())
+                fh.truncate()
         except OSError as exc:
             print(f"error: {args.out}: {exc.strerror}", file=sys.stderr)
             return 2

@@ -26,13 +26,15 @@ A chart basis reads only the points, the fiber, the sheaf and the window, so
 `sections_on_affine_chart` and `sections_off_divisor` keep the bases of this
 process in a memo keyed by (context, spec, window), a `functools.lru_cache`
 of at most `exactlinalg.MEMO_SIZE` entries; a basis is shared and never mutated.
+A `SheafSpec`, like a `rationalfn.RatContext`, hashes its Fraction fields
+once per object, so repeated lookups of one spec cost no Fraction hash.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Sequence
 
@@ -76,6 +78,13 @@ class SheafSpec:
     constraints: tuple[tuple[tuple[Fraction, ...], ...] | None, ...]
     inf_order: int
     is_form: bool = False
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.m, self.pole_orders, self.constraints, self.inf_order, self.is_form))
+
+    def __hash__(self) -> int:      # the Fraction constraints are hashed once per spec
+        return self._hash
 
     @property
     def n(self) -> int:

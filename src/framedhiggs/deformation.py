@@ -32,17 +32,27 @@ twisted F1, so d1 is eliminated twice, not three times, and two chart bases
 serve two complexes each.  Cochains, Theta images, d0 columns and kernels
 are sparse layout vectors.
 
-What reads the residues lives on the model and goes with it: Theta, ad(A_i),
-ker d1, each cone's quotient and the matrices of a `DeformationTheory`.
-What does not is kept per process, in `functools.lru_cache` memos of at most
-`exactlinalg.MEMO_SIZE` entries, filled on first use, each keyed by the
-values it reads: the chart bases (`curve.sections_on_affine_chart` and
-`curve.sections_off_divisor`, by points, fiber, spec and window), the
-pairing form B (`_pairing_form`, by points, window and the Gram matrix's
-entries, so a model whose Gram matrix differs gets its own B), the framings
+What reads the residues lives on the model and goes with it: ad(A_i),
+Theta, ker d1, each cone's quotient and the matrices of a
+`DeformationTheory`.  A residue is read through its integer form only:
+the model tests membership with the integer coordinate solver and
+h_x-compatibility with the framing's integer functionals
+(`FramingSpec.annihilates`), and ad(A_i) is one integer pass through the
+group's ad tensor (`AlgebraModel.ad_columns`), so no Fraction matrix of a
+residue is built.  What does not read the residues is kept per process, in
+`functools.lru_cache` memos of at most `exactlinalg.MEMO_SIZE` entries,
+filled on first use, each keyed by the values it reads: the chart bases
+(`curve.sections_on_affine_chart` and `curve.sections_off_divisor`, by
+points, fiber, spec and window), the S_i columns of Theta
+(`_scalar_columns`, by points and window), the Gram matrix
+(`liealg.gram_matrix`, by group model and form), the pairing form B
+(`_pairing_form`, by points, window and the Gram matrix's entries, so a
+model whose Gram matrix differs gets its own B), the framings
 (`liealg.framing_spec`) and the group's `AlgebraModel`
 (`liealg.algebra_model`).  The model also keeps what it read from a memo,
-per (spec, window, chart) and per window, so a cone looks each up once.
+per (spec, window, chart) and per window, its own copy of the Gram matrix
+and the two specs of each complex kind, so a cone looks each up once and
+every lookup hashes the same spec objects.
 
 The cone's linear algebra runs in Python integers over one denominator.
 Theta is built as integer columns over one denominator and applied by integer
@@ -112,7 +122,7 @@ from .exactlinalg import (MEMO_SIZE, Mat, Quotient, Staircase, Vec, ONE, add_sca
                           frac, integer_solve, integer_vectors, nullspace_sparse,
                           over_common_denominator)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
-                     algebra_model, framing_specs, trace_form)
+                     algebra_model, framing_specs, gram_matrix, trace_form)
 from .rationalfn import RatContext, VSection
 
 TWISTED = "twisted"            # deformations of the underlying twisted pair
@@ -140,11 +150,11 @@ class FramedHiggsModel:
         if len(self.framings) != n or len(self.residues) != n:
             raise ModelError("one framing and one residue matrix per marked point")
         for i, (el, fr) in enumerate(zip(self.residues, self.framings)):
+            # both tests read the integer numerators alone
             if not self.algebra.contains(el):
                 raise ModelError(f"residue matrix at point {i} is not an element of "
                                  f"{self.algebra.group.group_id}")
-            # h_x^perp is {v : sigma(h, v) = 0 for every h in h_x}
-            if any(fr.form(h, el) for h in fr.subalgebra):
+            if not fr.annihilates(el):
                 raise ModelError(
                     f"residue matrix at point {i} is not compatible with the framing "
                     "(it must lie in the annihilator of the framing subalgebra)")
@@ -155,22 +165,20 @@ class FramedHiggsModel:
 
     @cached_property
     def _gram(self) -> Mat:
-        """The invariant form on the basis; only the pairing form reads it."""
-        return self.form.gram([AlgebraElement(b, self.algebra.group.group_id)
-                               for b in self.algebra.basis])
+        """The invariant form on the basis, this model's own copy of the
+        process's Gram matrix (`liealg.gram_matrix`); only the pairing form
+        reads it."""
+        return [list(row) for row in gram_matrix(self.algebra, self.form)]
 
     @cached_property
     def context(self) -> RatContext:
         return RatContext(self.curve.points, self.dim)
 
     @cached_property
-    def ad(self) -> list[Mat]:
-        """ad(A_i) on basis coordinates, one per residue; built on first use,
-        since only the Theta columns read them."""
-        return [self._ad_matrix(el) for el in self.residues]
-
-    def _ad_matrix(self, el: AlgebraElement) -> Mat:
-        return self.algebra.ad_matrix(el)
+    def _ad_columns(self) -> list[tuple[int, list[list[tuple[int, int]]]]]:
+        """ad(A_i) in integers (`AlgebraModel.ad_columns`), one per residue;
+        built on first use, since only the Theta columns read them."""
+        return [self.algebra.ad_columns(el) for el in self.residues]
 
     @property
     def dim(self) -> int:
@@ -188,38 +196,13 @@ class FramedHiggsModel:
         return self._cached(("theta", window), lambda: self._theta_columns(window))
 
     def _theta_columns(self, window: Window) -> tuple[int, list[dict[int, int]]]:
-        """S_i in closed form on the scalar basis functions, d = x_i - x_k:
-        (z-x_i)^-j -> (z-x_i)^-(j+1);
-        (z-x_k)^-j -> d^-j (z-x_i)^-1 - sum_{t<j} d^-(t+1) (z-x_k)^(t-j);
-        z^l -> x_i^l (z-x_i)^-1 + sum_{t<l} x_i^(l-1-t) z^t.
-        Each column of S_i and each ad(A_i) is an integer vector or matrix
-        over its own least common denominator, so the tensor products are
-        integer products, summed over the lcm d of all their denominators."""
-        m, pts = self.dim, self.curve.points
-        n, pole = len(pts), window.pole
-        ads = []                        # (e_i, column a -> [(b, e_i ad(A_i)[b][a])])
-        for ad in self.ad:
-            e, flat = over_common_denominator([x for row in ad for x in row])
-            ads.append((e, [[(b, flat[b * m + a]) for b in range(m) if flat[b * m + a]]
-                            for a in range(m)]))
-        s_cols = []                     # column k of S_1, ..., S_n, each (sigma, sigma S_i e_k)
-        for k in range(n * pole + window.degree + 1):
-            kp, j = divmod(k, pole) if k < n * pole else (n, 0)   # (z - x_kp)^-(j+1)
-            cols_k = []
-            for i, x in enumerate(pts):
-                if kp >= n:
-                    l = k - n * pole
-                    s_col = {n * (pole + 1) + t: x ** (l - 1 - t) for t in range(l)}
-                    s_col[i * (pole + 1)] = x ** l
-                elif kp == i:
-                    s_col = {k + i + 1: ONE}
-                else:
-                    d = x - pts[kp]
-                    s_col = {kp * (pole + 1) + j - t: -1 / d ** (t + 1) for t in range(j + 1)}
-                    s_col[i * (pole + 1)] = 1 / d ** (j + 1)
-                sigma, nums = over_common_denominator(s_col.values())
-                cols_k.append((sigma, dict(zip(s_col, nums))))
-            s_cols.append(cols_k)
+        """Theta = sum_i S_i ⊗ ad(A_i), each S_i column and each ad(A_i) an
+        integer vector or matrix over its own least common denominator
+        (`_scalar_columns`, `AlgebraModel.ad_columns`), so the tensor
+        products are integer products, summed over the lcm d of all their
+        denominators."""
+        m, ads = self.dim, self._ad_columns
+        s_cols = _scalar_columns(self.curve.points, window)
         den = lcm(*{sigma * e for cols_k in s_cols
                     for (sigma, _), (e, _) in zip(cols_k, ads)})
         cols = []
@@ -230,7 +213,7 @@ class FramedHiggsModel:
                     f = den // (sigma * e)
                     for b, y in ad_cols[a]:
                         fy = f * y
-                        for q, x in s_col.items():
+                        for q, x in s_col:
                             col[q * m + b] = col.get(q * m + b, 0) + x * fy
                 cols.append({r: x for r, x in col.items() if x})
         return den, cols
@@ -279,6 +262,11 @@ class FramedHiggsModel:
             self.curve.points, window, tuple(map(tuple, self._gram))))
 
     def complex_specs(self, kind: str) -> tuple[SheafSpec, SheafSpec]:
+        """(F0, F1) of the `kind` complex, built once per model, so that the
+        chart lookups of its cones hash and compare one spec object."""
+        return self._cached(("specs", kind), lambda: self._complex_specs(kind))
+
+    def _complex_specs(self, kind: str) -> tuple[SheafSpec, SheafSpec]:
         m, n = self.dim, self.curve.n
         if kind == TWISTED:
             return (make_spec(m, [0] * n, None, 0),
@@ -311,6 +299,39 @@ def cone_window(pairs: Iterable[tuple[SheafSpec, SheafSpec]]) -> Window:
     w0 = default_window([f0 for f0, _ in pairs])
     w1 = default_window([f1 for _, f1 in pairs])
     return Window(max(w0.pole, w1.pole - 1), max(w0.degree, w1.degree))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _scalar_columns(points: tuple[Fraction, ...], window: Window
+                    ) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+    """Per scalar basis function k of the layout of `window`, the columns k
+    of S_1, ..., S_n, S_i the multiplication by 1/(z - x_i) into the layout
+    of the pole-bumped window, each as (sigma, [(q, sigma S_i[q][k])]) over
+    its least common denominator sigma; kept per process by the points and
+    the window.  In closed form, with d = x_i - x_k:
+    (z-x_i)^-j -> (z-x_i)^-(j+1);
+    (z-x_k)^-j -> d^-j (z-x_i)^-1 - sum_{t<j} d^-(t+1) (z-x_k)^(t-j);
+    z^l -> x_i^l (z-x_i)^-1 + sum_{t<l} x_i^(l-1-t) z^t."""
+    n, pole = len(points), window.pole
+    s_cols = []
+    for k in range(n * pole + window.degree + 1):
+        kp, j = divmod(k, pole) if k < n * pole else (n, 0)   # (z - x_kp)^-(j+1)
+        cols_k = []
+        for i, x in enumerate(points):
+            if kp >= n:
+                l = k - n * pole
+                s_col = {n * (pole + 1) + t: x ** (l - 1 - t) for t in range(l)}
+                s_col[i * (pole + 1)] = x ** l
+            elif kp == i:
+                s_col = {k + i + 1: ONE}
+            else:
+                d = x - points[kp]
+                s_col = {kp * (pole + 1) + j - t: -1 / d ** (t + 1) for t in range(j + 1)}
+                s_col[i * (pole + 1)] = 1 / d ** (j + 1)
+            sigma, nums = over_common_denominator(s_col.values())
+            cols_k.append((sigma, list(zip(s_col, nums))))
+        s_cols.append(cols_k)
+    return s_cols
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -373,8 +373,9 @@ class LinSolver:
         self._rows = [(q, {c: den // row[q] * y for c, y in row.items()})
                       for q, row in red.items() if q < n]
 
-    def coords(self, v: Sequence[Fraction]) -> Vec | None:
-        """Coefficients x with sum_j x_j C_j = v, or None if v not in span."""
+    def int_coords(self, v: Sequence) -> tuple[int, list[int]] | None:
+        """(e, e x) with integer entries, for the coefficients x with
+        sum_j x_j C_j = v, or None if v is not in the span."""
         d, w = _integer_vector(v)
         n, den = self.n, self._den
         acc = {c: den * y for c, y in w.items()}
@@ -385,7 +386,21 @@ class LinSolver:
                     acc[c] = acc.get(c, 0) - f * y
         if any(y for c, y in acc.items() if c < n):
             return None
-        return [Fraction(-acc.get(n + j, 0), den * d) for j in range(self.k)]
+        return den * d, [-acc.get(n + j, 0) for j in range(self.k)]
+
+    def coords(self, v: Sequence[Fraction]) -> Vec | None:
+        """Coefficients x with sum_j x_j C_j = v, or None if v not in span."""
+        solved = self.int_coords(v)
+        return None if solved is None else [Fraction(x, solved[0]) for x in solved[1]]
+
+    @cached_property
+    def functionals(self) -> tuple[int, dict[int, list[tuple[int, int]]]]:
+        """(L, {q: [(j, F_j[q])]}) with x_j = sum_q v_q F_j[q] / L the
+        coefficients of every v in the span, read off the pivot rows: the
+        integer functionals that `int_coords` applies."""
+        n = self.n
+        return self._den, {q: [(c - n, y) for c, y in row.items() if c >= n]
+                           for q, row in self._rows}
 
 
 class Quotient:

@@ -15,10 +15,11 @@ Laurent expansion of theta at the coefficient's marked point, emitted as a
 straight-line `GradientProgram` (`GaudinSystem.coefficient_functions`).
 The flow integrator runs it in floats, its drift values exact values
 rounded once; the bracket check (`commutativity_check`) runs it exactly,
-but only for a tuple that fails a certificate: the same run at T shows that
-every invariant's gradient commutes with theta(t) and with every other's at
-every t, and then every bracket vanishes.  A tuple that fails the
-certificate gets each bracket {H_a, H_b} = sum_l tr(A_l [X^l_a, X^l_b]) of
+but only for a tuple that fails a certificate: one such run at a higher
+point T, above the commutators' coefficients too, shows that every
+invariant's gradient commutes with theta(t) and with every other's at every
+t, and then every bracket vanishes.  A tuple that fails the certificate gets
+each bracket {H_a, H_b} = sum_l tr(A_l [X^l_a, X^l_b]) of
 the exact site gradients, which decide its verdict.
 """
 
@@ -346,9 +347,10 @@ class GaudinSystem:
         """Per degree index k, (P, c) at the residue sites (d_i, a_i):
         p_k(theta(z)) = P(z) / ((L prod_j q_j)^d prod_i (z - x_i)^d), d = d_k,
         for P = e_index(N(z)), or Pf(Q N(z)) on so(2r) (`theta_char_polys`),
-        read as the n d balanced base-T digits of its value at the certificate
-        point T, lowest first, and c its `_partial_fractions`."""
-        t = self._certificate_point(sites)
+        read as the n d balanced base-T digits of its value at the value
+        point T (`_value_point`), lowest first, and c its
+        `_partial_fractions`."""
+        t = self._value_point(sites)
         _, m, es, _ = theta_char_polys(self.points, sites, t)
         lead = math.lcm(*(d for d, _ in sites)) * math.prod(x.denominator for x in self.points)
         s, out = self.s, []
@@ -382,6 +384,27 @@ class GaudinSystem:
 
     # -- Lie-Poisson structure ---------------------------------------------------
 
+    def _value_bounds(self, mu: int, q: list[int]) -> list[int]:
+        """Per degree index, the bound on the coefficients of the polynomial
+        `_expansions` reads, for (mu, q) of `liealg.theta_majorants`:
+        e_m(N) <= s^2 mu q[m-1] and Pf(Q N) <= (2r-1)!! mu^r on so(2r)."""
+        s, r = self.s, self.s // 2
+        return [math.prod(range(1, 2 * r, 2)) * mu ** r if index == PFAFFIAN
+                else s * s * mu * q[index - 1] for index in self._indices]
+
+    def _point_above(self, bound: int) -> int:
+        """T = 2^B > 2 bound and > |p_j| >= |x_j|, so no marked point: a
+        nonzero integer polynomial whose coefficients lie below T / 2 in
+        absolute value does not vanish at T, and its balanced base-T digits
+        are its coefficients."""
+        return 2 ** max(2 * bound, *(abs(x.numerator) for x in self.points)).bit_length()
+
+    def _value_point(self, sites: Sequence[tuple[int, Sequence[int]]]) -> int:
+        """The point T of `_point_above` for the value bounds alone
+        (`_value_bounds`), at which `_expansions` reads every invariant: below
+        the certificate point, whose bound also covers the commutators."""
+        return self._point_above(max(self._value_bounds(*theta_majorants(self.points, sites))))
+
     def _certificate_point(self, sites: Sequence[tuple[int, Sequence[int]]]) -> int:
         """T = 2^B > |p_j| >= |x_j| for the residue sites, so no marked point,
         with T > 2 C for the bound C on every coefficient of U_k(t) = [N, pi
@@ -398,11 +421,9 @@ class GaudinSystem:
         rho, r = max(sum(map(abs, row)) for row in self._projection[1]), s // 2
         g = [math.prod(range(1, 2 * r - 2, 2)) * mu ** (r - 1) if index == PFAFFIAN
              else q[index - 1] for index in self._indices]
-        values = [math.prod(range(1, 2 * r, 2)) * mu ** r if index == PFAFFIAN
-                  else s * s * mu * q[index - 1] for index in self._indices]
-        c = max([2 * s * mu * rho * a for a in g] + values
-                + [2 * s * rho * rho * a * b for a, b in combinations(g, 2)])
-        return 2 ** max(2 * c, *(abs(x.numerator) for x in self.points)).bit_length()
+        return self._point_above(max(
+            [2 * s * mu * rho * a for a in g] + self._value_bounds(mu, q)
+            + [2 * s * rho * rho * a * b for a, b in combinations(g, 2)]))
 
     def _gradient(self, index: int, chars: tuple) -> tuple[int, list[int]]:
         """(d, y) with pi(grad p)(theta(t)) = y / d, for the generator p of

@@ -14,11 +14,18 @@ Conventions:
     tr(z z'), which is nondegenerate.
 
 What depends on the group alone is built once per process: `algebra_model`
-returns one `AlgebraModel` per group id, whose structure constants and
-trace-form projection are computed when first read, and `framing_spec`
-returns one `FramingSpec` per (model, form, subalgebra basis).  Both memos
-are `functools.lru_cache`s of at most `exactlinalg.MEMO_SIZE` entries,
-filled on first use.
+returns one `AlgebraModel` per group id, whose integer ad tensor and
+trace-form projection are computed when first read, `framing_spec` returns
+one `FramingSpec` per (model, form, subalgebra basis), with the integer
+support of its annihilator and the integer functionals that test it, and
+`gram_matrix` the Gram matrix of a form per (model, form).  The memos are
+`functools.lru_cache`s of at most `exactlinalg.MEMO_SIZE` entries, filled
+on first use.
+
+ad(X) on basis coordinates is read in integers: `AlgebraModel.ad_tensor`
+combines the coordinate solver's integer functionals with the structure
+constants, themselves those functionals on integer brackets of the integer
+basis, and `ad_columns` applies the tensor to an element's integer form.
 """
 
 from __future__ import annotations
@@ -342,8 +349,8 @@ class AlgebraModel:
         return AlgebraElement.from_integers(1, [0] * (self.n * self.n), self.group.group_id)
 
     def contains(self, el: AlgebraElement) -> bool:
-        # membership reads the integer numerators alone
-        return self._coord_solver.coords(el.integer_form[1]) is not None
+        # membership reads the integer numerators alone, in integers
+        return self._coord_solver.int_coords(el.integer_form[1]) is not None
 
     def coords(self, el: AlgebraElement) -> Vec:
         c = self._coord_solver.coords(flatten(el.matrix))
@@ -388,30 +395,67 @@ class AlgebraModel:
         return self.from_integer_coords(*over_common_denominator(coords))
 
     @cached_property
-    def structure_constants(self) -> list[list[tuple[int, int, Fraction]]]:
-        """ad(B_k) on basis coordinates for each basis element B_k, as its
-        nonzero entries (r, c, x): [B_k, B_c] = sum_r x B_r."""
-        gid = self.group.group_id
-        basis = [AlgebraElement(b, gid) for b in self.basis]
-        return [[(r, c, x) for c, b in enumerate(basis)
-                 for r, x in enumerate(self._coord_solver.coords(flatten(bracket(a, b).matrix)))
-                 if x] for a in basis]
+    def ad_tensor(self) -> tuple[int, dict[int, list[tuple[int, int, int]]]]:
+        """(D, T) with ad(X)[b][a] = sum_q X_q T_q[b, a] / D for every X in g
+        with row-major entries X_q, as T = {q: [(b, a, T_q[b, a]) nonzero]}:
+        ad(X) = sum_k x_k ad(B_k) for the coordinates x_k = sum_q X_q F_k[q] / L
+        of the coordinate solver's functionals (`LinSolver.functionals`), and
+        the structure constants [B_k, B_a] = sum_b c_kab B_b are those
+        functionals on the integer brackets of the integer basis, so no
+        Fraction is made.  Only the solver's pivot entries q have a row."""
+        s, sden, supports = self.n, self._support_den, self._support
+        fden, by_entry = self._coord_solver.functionals
 
-    def ad_matrix(self, el: AlgebraElement) -> Mat:
-        """ad(el) on basis coordinates, sum_k coords_k(el) ad(B_k), from one
-        solve for the coordinates of el."""
+        def scaled_coords(flat: dict[int, int]) -> dict[int, int]:
+            x: dict[int, int] = {}
+            for q, v in flat.items():
+                for j, f in by_entry.get(q, ()):
+                    x[j] = x.get(j, 0) + v * f
+            return x
+
+        consts = []         # per k: [(b, a, L sden^2 c_kab)]
+        for sk in supports:
+            entries = []
+            for a, sa in enumerate(supports):
+                br: dict[int, int] = {}     # sden^2 [B_k, B_a], row-major
+                for p, x in sk:
+                    i, j = divmod(p, s)
+                    for q, y in sa:
+                        j2, l = divmod(q, s)
+                        if j == j2:
+                            br[i * s + l] = br.get(i * s + l, 0) + x * y
+                        if l == i:
+                            br[j2 * s + j] = br.get(j2 * s + j, 0) - x * y
+                entries += [(b, a, c) for b, c in scaled_coords(br).items() if c]
+            consts.append(entries)
+        tensor = {}
+        for q, fs in by_entry.items():
+            acc: dict[tuple[int, int], int] = {}
+            for k, f in fs:
+                for b, a, c in consts[k]:
+                    acc[b, a] = acc.get((b, a), 0) + f * c
+            tensor[q] = [(b, a, t) for (b, a), t in acc.items() if t]
+        den = fden * fden * sden * sden
+        g = gcd(den, *(t for row in tensor.values() for _, _, t in row))
+        return den // g, {q: [(b, a, t // g) for b, a, t in row]
+                          for q, row in tensor.items() if row}
+
+    def ad_columns(self, el: AlgebraElement) -> tuple[int, list[list[tuple[int, int]]]]:
+        """ad(el) on basis coordinates as (e, columns) over the least common
+        denominator e of its entries: column a is [(b, e ad(el)[b][a])] over
+        the nonzero entries, b increasing.  Read off el's integer form
+        through `ad_tensor` in integers, so el must lie in g (unchecked)."""
         den, nums = el.integer_form
-        coords = self._coord_solver.coords(nums)
-        if coords is None:
-            raise ValueError(f"matrix is not an element of {self.group.group_id}")
+        tden, tensor = self.ad_tensor
         m = self.group.dim
-        ad = [[ZERO] * m for _ in range(m)]
-        for x, entries in zip(coords, self.structure_constants):
+        acc = [0] * (m * m)         # acc[a m + b] = den tden ad(el)[b][a]
+        for q, x in enumerate(nums):
             if x:
-                x /= den
-                for r, c, y in entries:
-                    ad[r][c] += x * y
-        return ad
+                for b, a, t in tensor.get(q, ()):
+                    acc[a * m + b] += x * t
+        g = gcd(den * tden, *acc)
+        return den * tden // g, [[(b, y // g) for b, y in enumerate(acc[a * m:a * m + m]) if y]
+                                 for a in range(m)]
 
     @cached_property
     def trace_projection(self) -> tuple[int, list[list[int]]]:
@@ -476,6 +520,27 @@ class InvariantForm:
 
     def gram(self, elements: Sequence[AlgebraElement]) -> Mat:
         return [[self(a, b) for b in elements] for a in elements]
+
+    def integer_functional(self, a: AlgebraElement) -> list[tuple[int, int]]:
+        """[(q, f_q)] with sum_q f_q b_q a positive multiple of sigma(a, b)
+        for the row-major entries b_q of every b, in integers: tr(a b) reads
+        a_ij at b_ji, and the center term (center_scale - 1) tr(a) / size
+        each diagonal entry."""
+        _, nums = a.integer_form
+        s, c = isqrt(len(nums)), self.center_scale
+        f = [s * c.denominator * nums[q % s * s + q // s] for q in range(s * s)]
+        centre = (c.numerator - c.denominator) * sum(nums[::s + 1])
+        for q in range(0, s * s, s + 1):
+            f[q] += centre
+        return [(q, x) for q, x in enumerate(f) if x]
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def gram_matrix(model: AlgebraModel, form: InvariantForm) -> tuple[tuple[Fraction, ...], ...]:
+    """The Gram matrix of the form on the model's basis, computed once per
+    process per model object and form value."""
+    gid = model.group.group_id
+    return tuple(map(tuple, form.gram([AlgebraElement(b, gid) for b in model.basis])))
 
 
 def trace_form(group_id: str, center_scale: Fraction = ONE) -> InvariantForm:
@@ -700,6 +765,24 @@ class FramingSpec:
     @property
     def dim(self) -> int:
         return len(self.subalgebra)
+
+    @cached_property
+    def perp_support(self) -> tuple[int, list[list[tuple[int, int]]]]:
+        """The integer support of h_x^perp (`AlgebraModel.integer_support` of
+        `perp_coords`), from which residues are drawn."""
+        return self.model.integer_support(self.perp_coords)
+
+    @cached_property
+    def annihilator(self) -> list[list[tuple[int, int]]]:
+        """One integer functional on row-major entries per basis element h of
+        h_x, a positive multiple of sigma(h, .) (`InvariantForm.integer_functional`):
+        v lies in h_x^perp iff each vanishes at v."""
+        return [self.form.integer_functional(h) for h in self.subalgebra]
+
+    def annihilates(self, el: AlgebraElement) -> bool:
+        """Whether el lies in h_x^perp, read off its integer numerators."""
+        nums = el.integer_form[1]
+        return not any(sum(f * nums[q] for q, f in phi) for phi in self.annihilator)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Sequence
 
@@ -37,6 +38,13 @@ class RatContext:
             raise ValueError("marked points must be pairwise distinct")
         if any(p == 0 for p in self.points):
             raise ValueError("marked points must be nonzero (0 and infinity are chart points)")
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.points, self.m))
+
+    def __hash__(self) -> int:      # the Fraction points are hashed once per context
+        return self._hash
 
     @property
     def n(self) -> int:

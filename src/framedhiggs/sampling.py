@@ -5,7 +5,8 @@ arithmetic stays fast and runs are reproducible byte for byte.  Residues are
 drawn as integers: each random coefficient p / q is kept as its integer pair,
 the coefficients of one element over the lcm of their q, and the element is
 summed from the integer support of the basis or of the subspace it is drawn
-from (`AlgebraModel.integer_support`) into its integer form
+from (`AlgebraModel.integer_support`; a framing keeps that of its h_x^perp,
+`FramingSpec.perp_support`) into its integer form
 (`AlgebraElement.integer_form`), with no Fraction; a balancing residue is the
 negated sum of the others, added in integers.  The Fraction matrix of a
 residue is built only when it is first read.
@@ -54,14 +55,25 @@ def random_residue_tuple(model: AlgebraModel, rng: random.Random, n: int,
                          subspaces: Sequence[Sequence[Sequence[Fraction]]] | None = None,
                          zero_sum: bool = True) -> list[AlgebraElement]:
     """n random residues, the last balancing the sum to zero when requested."""
-    count = n - 1 if zero_sum else n
     supports: dict[int, tuple] = {}     # the integer support of each subspace object
-    out = []
-    for i in range(count):
-        sub = None if subspaces is None else subspaces[i]
-        if sub is not None and id(sub) not in supports:
-            supports[id(sub)] = model.integer_support(sub)
-        out.append(_draw_element(model, rng, height, None if sub is None else supports[id(sub)]))
+    if subspaces is not None:
+        for sub in subspaces:
+            if sub is not None and id(sub) not in supports:
+                supports[id(sub)] = model.integer_support(sub)
+    return _residue_tuple(model, rng, n, height,
+                          None if subspaces is None else
+                          [None if sub is None else supports[id(sub)] for sub in subspaces],
+                          zero_sum)
+
+
+def _residue_tuple(model: AlgebraModel, rng: random.Random, n: int, height: int,
+                   supports: Sequence[tuple[int, list] | None] | None,
+                   zero_sum: bool = True) -> list[AlgebraElement]:
+    """`random_residue_tuple` with the subspaces given by their integer
+    supports, None for the whole algebra."""
+    count = n - 1 if zero_sum else n
+    out = [_draw_element(model, rng, height, None if supports is None else supports[i])
+           for i in range(count)]
     if zero_sum:
         out.append(-sum(out[1:], out[0]) if out else model.zero())
     return out
@@ -70,7 +82,8 @@ def random_residue_tuple(model: AlgebraModel, rng: random.Random, n: int,
 def seeded_model(group: str | AlgebraModel, points: Sequence, framing, seed: int,
                  height: int = 10) -> FramedHiggsModel:
     """Reproducible random framed model: residues drawn from each point's
-    h_x^perp, the last one balancing the sum to zero.
+    h_x^perp (the framing's `perp_support`, kept with the framing), the last
+    one balancing the sum to zero.
 
     group: a group id, or the AlgebraModel of one.  framing: a selector, read
     by `liealg.framing_specs`; the balancing residue must itself be
@@ -81,6 +94,6 @@ def seeded_model(group: str | AlgebraModel, points: Sequence, framing, seed: int
     form = trace_form(algebra.group.group_id)
     pts = tuple(map(frac, points))
     framings = framing_specs(algebra, form, framing, len(pts))
-    residues = random_residue_tuple(algebra, rng, len(pts), height,
-                                    [fr.perp_coords for fr in framings])
+    residues = _residue_tuple(algebra, rng, len(pts), height,
+                              [fr.perp_support for fr in framings])
     return FramedHiggsModel(algebra, form, MarkedCurve(0, pts), framings, tuple(residues))

@@ -1,11 +1,14 @@
 """Every test starts with the package's per-process memos empty.
 
-The memos (`functools.lru_cache`s in `liealg`, `curve` and `deformation`)
-keep what depends on the group, the points, the framing and the window
-alone.  A test that patches a function they call (`laurent_row`,
-`FramedHiggsModel._gram` through `__post_init__`, `FramingSpec.__post_init__`)
-must see it called, and a result computed under a patch must not reach a
-later test.
+The memos (`functools.lru_cache`s in `liealg`, `curve` and `deformation`:
+the algebra models, framings, Gram matrices, chart bases, scalar columns
+of Theta and pairing forms) keep what depends on the group, the points, the
+framing and the window alone.  A test that patches a function they call
+(`laurent_row`, `FramingSpec.__post_init__`) must see it called, and a
+result computed under a patch must not reach a later test.  A model's copy
+of the Gram matrix (`FramedHiggsModel._gram`) is its own, not a memo: a test
+that faults it, through `FramedHiggsModel.__post_init__`, faults that model
+alone.
 """
 
 import sys

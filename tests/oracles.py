@@ -4,6 +4,9 @@ the tests check the code that the jobs do run.
 - `mat_is_zero` and `mat_commutator` on matrices, and `check_invariance`
   and `perp_subspace`: Lie-algebra identities in the defining
   representation;
+- `ad_matrix` and `ad_matrices`: ad(X) on basis coordinates in Fractions,
+  column a the coordinates of the bracket [X, B_a], against which the
+  integer ad tensor of `liealg.AlgebraModel` is checked;
 - `PolyObservable`, the symbolic polynomials in the residue entries
   (`coordinate`, `site_matrix`) or in the algebra coordinates
   (`algebra_site_matrix`), and `coefficient_polys`, the Hitchin coefficients
@@ -51,6 +54,19 @@ def check_invariance(form, a, b, c):
 def perp_subspace(form, subspace, model):
     """Basis of the annihilator, the elements of `liealg.perp_coordinates`."""
     return [model.from_coords(c) for c in perp_coordinates(form, subspace, model)]
+
+
+def ad_matrix(algebra, el):
+    """ad(el) on basis coordinates as a Fraction matrix: column a holds the
+    coordinates of [el, B_a], one Fraction bracket and one solve each."""
+    cols = [algebra.coords(bracket(el, AlgebraElement(b, algebra.group.group_id)))
+            for b in algebra.basis]
+    return [list(row) for row in zip(*cols)]
+
+
+def ad_matrices(model):
+    """ad(A_i) of each residue of a `FramedHiggsModel`, by `ad_matrix`."""
+    return [ad_matrix(model.algebra, el) for el in model.residues]
 
 
 Monomial = tuple[tuple[int, int], ...]   # sorted ((var, exp), ...)

@@ -91,9 +91,9 @@ def test_gaudin_job_reports_a_nonzero_bracket(tmp_path, monkeypatch):
 
 def test_a_gaudin_job_runs_the_char_polys_once_per_residue_tuple(tmp_path, monkeypatch):
     # the model's residues feed the Hitchin point from one `theta_char_polys`
-    # run at one integer point, their certificate point; each clean residue
-    # tuple, the model's first, is certified by one run at its certificate
-    # point alone
+    # run at one integer point, their value point; each clean residue tuple,
+    # the model's first, is certified by one run at its certificate point
+    # alone, which lies above the value point
     from framedhiggs import gaudin
     calls = []
     kernel = gaudin.theta_char_polys
@@ -105,8 +105,9 @@ def test_a_gaudin_job_runs_the_char_polys_once_per_residue_tuple(tmp_path, monke
         assert main(["gaudin", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
         assert len(calls) == 2 + random_points
         assert all(type(t) is int for _, _, t in calls)
-        # the Hitchin point and the first tuple read the model's residues
-        assert calls[0] == calls[1]
+        # the Hitchin point and the first tuple read the model's residues,
+        # at two points
+        assert calls[0][:2] == calls[1][:2] and calls[0][2] < calls[1][2]
 
 
 def test_a_failing_gaudin_job_builds_each_gradient_program_once(tmp_path, monkeypatch):
@@ -438,6 +439,59 @@ def test_a_job_that_exits_2_writes_no_report(tmp_path, capsys):
     assert not new.exists() and old.read_text() == "kept"
 
 
+def test_a_job_that_raises_leaves_no_new_report_and_an_old_one_as_it_was(tmp_path,
+                                                                         monkeypatch):
+    def crash(cfg, seed):
+        raise RuntimeError("the job failed")
+    monkeypatch.setattr(cli, "RUNNERS", {name: crash for name in cli.RUNNERS})
+    cfg = write_config(tmp_path, "defo.json", DEFO_SL2)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept")
+    for out in (new, old):
+        with pytest.raises(RuntimeError, match="the job failed"):
+            main(["defo", "--config", cfg, "--out", str(out)])
+    assert not new.exists() and old.read_text() == "kept"
+
+
+@pytest.mark.parametrize("subcommand, config, fmt", [
+    ("defo", DEFO_SL2, "json"), ("gaudin", GAUDIN_SL2, "json"),
+    ("audit", {"groups": ["sl(2)"], "genus_range": [1, 2], "n_range": [1, 2]}, "csv")])
+def test_a_report_file_holds_exactly_the_stdout_bytes(tmp_path, capsys, subcommand,
+                                                       config, fmt):
+    # the report is written through the descriptor opened before the job and
+    # cut to its length: a longer file left there ends with the new bytes
+    # alone, a shorter one grows to them, and either matches stdout's output
+    cfg = write_config(tmp_path, "job.json", config)
+    argv = [subcommand, "--config", cfg, "--format", fmt]
+    assert main(argv) == 0
+    text = capsys.readouterr().out.encode()
+    out = tmp_path / "out.txt"
+    for old in (b"x" * (2 * len(text) + 7), b"{}", None):
+        if old is None:
+            out.unlink()
+        else:
+            out.write_bytes(old)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == text
+    assert capsys.readouterr().out == ""
+
+
+def test_a_random_residue_defo_job_builds_no_residue_matrix(tmp_path, monkeypatch):
+    # sampling, validation, ad(A_i) and the cones read each residue's integer
+    # form alone, so no Fraction matrix of a residue is made
+    made = []
+    seeded = cli.seeded_model
+    monkeypatch.setattr(cli, "seeded_model",
+                        lambda *args: made.append(seeded(*args)) or made[-1])
+    for framing in ("trivial", "torus"):
+        for group in ("sl(2)", "gl(2)", "sl(3)"):
+            cfg = write_config(tmp_path, "job.json",
+                               {**DEFO_SL2_3PT, "group": group, "framing": framing})
+            assert main(["defo", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(made) == 6
+    assert all(el._matrix is None for model in made for el in model.residues)
+
+
 SPECTRAL_SL2 = {"group": "sl(2)", "points": ["1", "2", "3"],
                 "residues": {"type": "random", "seed": 9, "height": 5}}
 
@@ -488,14 +542,15 @@ def test_a_job_builds_one_algebra_model_and_each_framing_once(tmp_path, monkeypa
     ("defo", DEFO_SL2, 2),
 ], ids=["gaudin", "defo"])
 def test_only_defo_builds_the_ad_matrices(tmp_path, monkeypatch, subcommand, config, built):
-    from framedhiggs.deformation import FramedHiggsModel
+    # ad(A_i) is built in integers, once per residue, by the one builder
+    from framedhiggs.liealg import AlgebraModel
     calls = []
-    original = FramedHiggsModel._ad_matrix
+    original = AlgebraModel.ad_columns
 
     def counted(self, el):
         calls.append(el)
         return original(self, el)
-    monkeypatch.setattr(FramedHiggsModel, "_ad_matrix", counted)
+    monkeypatch.setattr(AlgebraModel, "ad_columns", counted)
     cfg = write_config(tmp_path, "job.json", config)
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "out.json")]) == 0
     assert len(calls) == built

@@ -15,7 +15,7 @@ from framedhiggs.liealg import AlgebraElement, AlgebraModel, bracket, trace_form
 from framedhiggs.rationalfn import VSection, pairing_residue_at_point
 from framedhiggs.sampling import random_algebra_element, seeded_model
 from conftest import clear_memos
-from oracles import NegatedAdjointTheory, cup_matrix_by_entries, mat_is_zero
+from oracles import NegatedAdjointTheory, ad_matrices, cup_matrix_by_entries, mat_is_zero
 
 
 def dims_of(cone):
@@ -115,6 +115,62 @@ def test_model_rejects_a_residue_outside_the_algebra():
     identity = AlgebraElement([[F(1), F(0)], [F(0), F(1)]], "sl(2)")
     with pytest.raises(ModelError, match="point 0 is not an element of sl\\(2\\)"):
         framed_higgs_model("sl(2)", [1, 2], [identity, identity.scale(-1)], "trivial")
+
+
+SL3_BOREL = [[[int((r, c) == (a, b)) for c in range(3)] for r in range(3)]
+             for a, b in ((0, 1), (0, 2), (1, 2))] + \
+    [[[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, -1]]]
+OFF_FRAMING = ("residue matrix at point 1 is not compatible with the framing "
+               "(it must lie in the annihilator of the framing subalgebra)")
+
+
+@pytest.mark.parametrize("gid, framing, outcomes", [
+    ("gl(2)", "torus", {"accepted", OFF_FRAMING}),
+    ("sl(3)", "torus", {"accepted", "not in g"}),
+    ("sl(3)", "borel", {"accepted", "not in g", OFF_FRAMING}),
+    ("sp(4)", "torus", {"accepted", "not in g"}),
+])
+def test_a_residue_one_entry_off_is_refused_with_its_message(gid, framing, outcomes):
+    # The residue at point 1 moved by 1 in one entry, the last residue moved
+    # back: the model refuses it with the message of the first test it
+    # fails, membership in g, then h_x^perp, both of which it reads off the
+    # integer form; the Fraction oracles are a rank and sigma(h, .).
+    from framedhiggs.curve import MarkedCurve
+    from framedhiggs.deformation import FramedHiggsModel
+    from framedhiggs.liealg import flatten, framing_specs
+    from framedhiggs.sampling import random_residue_tuple
+    algebra, form = AlgebraModel(gid), trace_form(gid)
+    specs = framing_specs(algebra, form, [SL3_BOREL] * 3 if framing == "borel" else framing, 3)
+    residues = random_residue_tuple(algebra, random.Random(29), 3, 4,
+                                    [fr.perp_coords for fr in specs])
+    curve = MarkedCurve(0, (F(1), F(2), F(3)))
+    basis = [flatten(b) for b in algebra.basis]
+    seen = set()
+    for q in range(algebra.n ** 2):
+        moved = []
+        for el, step in ((residues[1], 1), (residues[2], -1)):
+            den, nums = el.integer_form
+            moved.append(AlgebraElement.from_integers(
+                den, [x + step * den * (p == q) for p, x in enumerate(nums)], gid))
+        if rank(basis + [flatten(moved[0].matrix)]) > len(basis):
+            expected = f"residue matrix at point 1 is not an element of {gid}"
+            seen.add("not in g")
+        elif any(form(h, moved[0]) for h in specs[1].subalgebra):
+            expected = OFF_FRAMING
+            seen.add(OFF_FRAMING)
+        else:
+            expected = None
+            seen.add("accepted")
+        fresh = [AlgebraElement.from_integers(*el.integer_form, gid)
+                 for el in (residues[0], *moved)]
+        if expected is None:
+            FramedHiggsModel(algebra, form, curve, specs, tuple(fresh))
+        else:
+            with pytest.raises(ModelError) as refused:
+                FramedHiggsModel(algebra, form, curve, specs, tuple(fresh))
+            assert str(refused.value) == expected
+        assert all(el._matrix is None for el in fresh)
+    assert seen == outcomes
 
 
 def test_model_rejects_nonzero_sum():
@@ -693,8 +749,9 @@ def test_chart_bases_are_computed_once_per_spec_and_window(monkeypatch, framing,
 
 def fraction_theta_columns(model, window):
     """Oracle: the columns of Theta = sum_i S_i ⊗ ad(A_i) built in Fractions,
-    S_i in the closed form of `FramedHiggsModel._theta_columns`."""
-    m, ads, pts = model.dim, model.ad, model.curve.points
+    S_i in the closed form of `deformation._scalar_columns` and ad(A_i) the
+    bracket oracle's."""
+    m, ads, pts = model.dim, ad_matrices(model), model.curve.points
     n, pole = len(pts), window.pole
     cols = []
     for k in range(n * pole + window.degree + 1):

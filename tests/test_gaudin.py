@@ -569,10 +569,11 @@ def test_certificate_majorants_dominate_the_true_norms(gid, n, faulted):
     # N(t) = theta(t) L prod_j (q_j t - p_j), its Faddeev-LeVerrier matrices
     # Q_m, each degree index's projected gradient pi G_k, U_k = [N, pi G_k]
     # and Z_ef = [pi G_e, pi G_f] as polynomials in t, in sympy; each
-    # coefficient 1-norm must lie within its majorant, and the certificate
-    # point above twice that of U and Z, and above twice every coefficient of
-    # each invariant's numerator, e_m(N) from sympy's characteristic
-    # polynomial or Pf(Q N).  The fault reads the first gradient other than
+    # coefficient 1-norm must lie within its majorant, the certificate
+    # point above twice that of U and Z, and the value point, at most the
+    # certificate point and above every marked point's numerator, above
+    # twice every coefficient of each invariant's numerator, e_m(N) from
+    # sympy's characteristic polynomial or Pf(Q N).  The fault reads the first gradient other than
     # Q_0 = I at N^T, whose entries have the same majorants, so that its U
     # and its Z with the other such gradients stop vanishing.
     model = AlgebraModel(gid)
@@ -593,7 +594,8 @@ def test_certificate_majorants_dominate_the_true_norms(gid, n, faulted):
     rho, r = max(sum(map(abs, row)) for row in prows), s // 2
     g = [math.prod(range(1, 2 * r - 2, 2)) * mu ** (r - 1) if index == PFAFFIAN
          else q[index - 1] for index in system._indices]
-    t = system._certificate_point(sites)
+    t, tv = system._certificate_point(sites), system._value_point(sites)
+    assert tv <= t and all(tv > abs(x.numerator) for x in points)
     big = math.lcm(*(over_common_denominator(flatten(el.matrix))[0] for el in residues))
     scale = big * math.prod(x.denominator * T_SYM - x.numerator for x in points)
     theta = sympy.Matrix(s, s, lambda a, b: sum(sympy.Rational(el.matrix[a][b]) / (T_SYM - x)
@@ -645,7 +647,7 @@ def test_certificate_majorants_dominate_the_true_norms(gid, n, faulted):
         else:
             value, bound = (-1) ** index * char[index], s * s * mu * q[index - 1]
         coeffs = sympy.Poly(sympy.expand(value), T_SYM).coeffs()
-        assert sum(map(abs, coeffs)) <= bound and all(2 * abs(c) < t for c in coeffs)
+        assert sum(map(abs, coeffs)) <= bound and all(2 * abs(c) < tv for c in coeffs)
     assert any(e != 0 for m in us + zs for e in m) == faulted
     if faulted:
         pairs = list(combinations(range(len(g)), 2))
@@ -1065,11 +1067,11 @@ def test_only_the_second_highest_difference_fails_at_order_2(monkeypatch, gid):
             GaudinSystem(model, PTS3).hitchin_point(residues)
 
 
-def test_a_certificate_point_below_twice_a_coefficient_misreads_the_digits(monkeypatch):
+def test_a_value_point_below_twice_a_coefficient_misreads_the_digits(monkeypatch):
     # The digit read rests on T > 2 |c| for every coefficient c of every
-    # numerator P_k: with T = 2^b for the bit length b of the largest one,
-    # T / 2 falls below it, and the read either overflows its n d digits or
-    # gives a Hitchin point other than the inverse oracle's.
+    # numerator P_k, T the value point: with T = 2^b for the bit length b of
+    # the largest one, T / 2 falls below it, and the read either overflows
+    # its n d digits or gives a Hitchin point other than the inverse oracle's.
     model = AlgebraModel("sl(3)")
     system = GaudinSystem(model, PTS3)
     residues = balanced_tuple(model, random.Random(103), 3, 5)
@@ -1082,7 +1084,7 @@ def test_a_certificate_point_below_twice_a_coefficient_misreads_the_digits(monke
         oracle.append({col: c for col, c in zip(coefficient_columns(system, k),
                                                 mat_vec(sampled_inverse(system, k), exact)) if c})
     assert list(system.hitchin_point(residues).coeffs) == oracle
-    monkeypatch.setattr(GaudinSystem, "_certificate_point",
+    monkeypatch.setattr(GaudinSystem, "_value_point",
                         lambda self, sites: 2 ** largest.bit_length())
     try:
         misread = list(system.hitchin_point(residues).coeffs)

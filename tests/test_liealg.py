@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 import sympy
@@ -10,7 +11,7 @@ from framedhiggs.liealg import (AlgebraElement, AlgebraModel, FramingSpec,
                                 UnsupportedGroupError, balanced_digits, bracket, group_data,
                                 invariant_polynomials, to_matrix, torus_framing,
                                 trace_form, trivial_framing)
-from oracles import check_invariance, perp_subspace
+from oracles import ad_matrix, check_invariance, perp_subspace
 
 ALL_MATRIX_GROUPS = ["gl(2)", "gl(3)", "sl(2)", "sl(3)", "so(3)", "so(4)",
                      "so(5)", "sp(2)", "sp(4)"]
@@ -377,3 +378,36 @@ def test_balanced_digits_refuse_a_value_with_one_digit_too_many():
     for value in (base ** 3 - 1, -(base ** 3) // 2 - 1, 3 * base ** 3):
         with pytest.raises(AssertionError, match="more than 3 balanced base-1048576 digits"):
             balanced_digits(value, base, 3)
+
+
+# ---------------------------------------------------------------------------
+# ad in integers
+# ---------------------------------------------------------------------------
+
+AD_GROUPS = ["sl(2)", "sl(3)", "sl(4)", "gl(1)", "gl(2)", "gl(3)",
+             "so(3)", "so(4)", "so(5)", "so(6)", "sp(4)", "sp(6)"]
+
+
+@pytest.mark.parametrize("gid", AD_GROUPS)
+def test_the_integer_ad_tensor_gives_the_bracket_oracles_ad(gid):
+    # ad_columns, read off an element's integer form through the integer
+    # tensor, against ad(X) from Fraction brackets and solves, on elements
+    # with rational entries; e is the least common denominator
+    model = AlgebraModel(gid)
+    m = model.group.dim
+    tden, tensor = model.ad_tensor
+    assert all(type(t) is int for row in tensor.values() for _, _, t in row)
+    rng = random.Random(61)
+    for _ in range(3):
+        el = rand_el(model, rng, 7)
+        assert any(x.denominator > 1 for row in el.matrix for x in row) or m == 1
+        e, cols = model.ad_columns(el)
+        got = [[F(0)] * m for _ in range(m)]
+        for a, col in enumerate(cols):
+            assert [b for b, _ in col] == sorted(b for b, _ in col)
+            for b, y in col:
+                assert y != 0
+                got[b][a] = F(y, e)
+        expected = ad_matrix(model, el)
+        assert got == expected
+        assert e == lcm(*(x.denominator for row in expected for x in row))

@@ -1,10 +1,11 @@
 """The per-process memos: warm jobs give the bytes of cold ones, and each
 memo keys on every value its computation reads.
 
-`liealg.algebra_model`, `liealg.framing_spec`, the two `curve.sections_*`
-chart bases and `deformation._pairing_form` keep what
-depends on the group, the framing, the points and the window alone; the
-conftest fixture empties them before each test.
+`liealg.algebra_model`, `liealg.framing_spec`, `liealg.gram_matrix`, the
+two `curve.sections_*` chart bases, `deformation._scalar_columns` and
+`deformation._pairing_form` keep what depends on the group, the framing,
+the points and the window alone; the conftest fixture empties them before
+each test.
 """
 
 import hashlib
@@ -150,3 +151,38 @@ def test_a_faulted_gram_entry_changes_the_pairing_form():
                         for r, row in enumerate(gram))
             assert deformation._pairing_form(model.curve.points, window, bad) != \
                 deformation._pairing_form(model.curve.points, window, gram)
+
+
+def test_point_sets_that_share_a_window_get_their_own_scalar_columns():
+    # S_i, kept per process by (points, window): two gl(2) torus models with
+    # one window and other points read different columns, and Theta built
+    # after the other model's is the Theta of a cold process
+    points = [F(1, 2), 3, -2]
+    cold = seeded_model("gl(2)", points, "torus", 5, 4)
+    window = cold.window
+    theta = cold.theta_columns(window)
+    clear_memos()
+    other = seeded_model("gl(2)", [1, 2, 3], "torus", 5, 4)
+    assert other.window == window
+    other.theta_columns(window)
+    warm = seeded_model("gl(2)", points, "torus", 5, 4)
+    assert warm.theta_columns(window) == theta
+    assert deformation._scalar_columns.cache_info().currsize == 2
+    assert deformation._scalar_columns(other.curve.points, window) != \
+        deformation._scalar_columns(warm.curve.points, window)
+    # a model of the first points reads the memo's columns, built nothing new
+    again = seeded_model("gl(2)", points, "torus", 6, 4)
+    again.theta_columns(window)
+    assert deformation._scalar_columns.cache_info().misses == 2
+
+
+def test_the_gram_matrix_is_built_once_and_each_model_keeps_its_own_copy():
+    model = seeded_model("sp(4)", [1, 2, 3], "torus", 3, 4)
+    gram = model._gram
+    assert liealg.gram_matrix.cache_info().misses == 1
+    other = seeded_model("sp(4)", [1, 2, 4], "trivial", 4, 4)
+    assert other._gram == gram and other._gram is not gram
+    assert liealg.gram_matrix.cache_info().misses == 1
+    gid = model.algebra.group.group_id
+    basis = [liealg.AlgebraElement(b, gid) for b in model.algebra.basis]
+    assert gram == model.form.gram(basis)
