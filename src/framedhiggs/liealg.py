@@ -23,9 +23,9 @@ support of its annihilator and the integer functionals that test it, and
 on first use.
 
 ad(X) on basis coordinates is read in integers: `AlgebraModel.ad_tensor`
-combines the coordinate solver's integer functionals with the structure
-constants, themselves those functionals on integer brackets of the integer
-basis, and `ad_columns` applies the tensor to an element's integer form.
+holds the coordinates of the integer brackets [E_q, B_a] of matrix units
+with the integer basis, read by the coordinate solver's integer
+functionals, and `ad_columns` applies it to an element's integer form.
 """
 
 from __future__ import annotations
@@ -397,45 +397,33 @@ class AlgebraModel:
     @cached_property
     def ad_tensor(self) -> tuple[int, dict[int, list[tuple[int, int, int]]]]:
         """(D, T) with ad(X)[b][a] = sum_q X_q T_q[b, a] / D for every X in g
-        with row-major entries X_q, as T = {q: [(b, a, T_q[b, a]) nonzero]}:
-        ad(X) = sum_k x_k ad(B_k) for the coordinates x_k = sum_q X_q F_k[q] / L
-        of the coordinate solver's functionals (`LinSolver.functionals`), and
-        the structure constants [B_k, B_a] = sum_b c_kab B_b are those
-        functionals on the integer brackets of the integer basis, so no
-        Fraction is made.  Only the solver's pivot entries q have a row."""
-        s, sden, supports = self.n, self._support_den, self._support
+        with row-major entries X_q, as T = {q: [(b, a, T_q[b, a]) nonzero]}.
+        ad(X)[b][a], coordinate b of [X, B_a], is linear in X: T_q[b, a] / D
+        is coordinate b of [E_q, B_a] for the matrix unit E_q, read by the
+        coordinate solver's integer functionals (`LinSolver.functionals`,
+        linear on every matrix) off the integer basis, so no Fraction is
+        made."""
+        s = self.n
         fden, by_entry = self._coord_solver.functionals
-
-        def scaled_coords(flat: dict[int, int]) -> dict[int, int]:
-            x: dict[int, int] = {}
-            for q, v in flat.items():
-                for j, f in by_entry.get(q, ()):
-                    x[j] = x.get(j, 0) + v * f
-            return x
-
-        consts = []         # per k: [(b, a, L sden^2 c_kab)]
-        for sk in supports:
-            entries = []
-            for a, sa in enumerate(supports):
-                br: dict[int, int] = {}     # sden^2 [B_k, B_a], row-major
-                for p, x in sk:
-                    i, j = divmod(p, s)
-                    for q, y in sa:
-                        j2, l = divmod(q, s)
-                        if j == j2:
-                            br[i * s + l] = br.get(i * s + l, 0) + x * y
-                        if l == i:
-                            br[j2 * s + j] = br.get(j2 * s + j, 0) - x * y
-                entries += [(b, a, c) for b, c in scaled_coords(br).items() if c]
-            consts.append(entries)
         tensor = {}
-        for q, fs in by_entry.items():
+        for q in range(s * s):
+            i, j = divmod(q, s)
             acc: dict[tuple[int, int], int] = {}
-            for k, f in fs:
-                for b, a, c in consts[k]:
-                    acc[b, a] = acc.get((b, a), 0) + f * c
+            for a, support in enumerate(self._support):
+                # [E_q, B_a] over the basis denominator: row j of B_a moved
+                # to row i, less column i of B_a moved to column j
+                br: dict[int, int] = {}
+                for p, y in support:
+                    r, c = divmod(p, s)
+                    if r == j:
+                        br[i * s + c] = br.get(i * s + c, 0) + y
+                    if c == i:
+                        br[r * s + j] = br.get(r * s + j, 0) - y
+                for e, y in br.items():
+                    for b, f in by_entry.get(e, ()):
+                        acc[b, a] = acc.get((b, a), 0) + f * y
             tensor[q] = [(b, a, t) for (b, a), t in acc.items() if t]
-        den = fden * fden * sden * sden
+        den = fden * self._support_den
         g = gcd(den, *(t for row in tensor.values() for _, _, t in row))
         return den // g, {q: [(b, a, t // g) for b, a, t in row]
                           for q, row in tensor.items() if row}
