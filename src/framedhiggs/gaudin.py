@@ -19,8 +19,8 @@ but only for a tuple that fails a certificate: one such run at a higher
 point T, above the commutators' coefficients too, shows that every
 invariant's gradient commutes with theta(t) and with every other's at every
 t, and then every bracket vanishes.  A tuple that fails the certificate gets
-each bracket {H_a, H_b} = sum_l tr(A_l [X^l_a, X^l_b]) of
-the exact site gradients, which decide its verdict.
+each bracket {H_a, H_b} = sum_l tr(A_l [X^l_a, X^l_b]) of the exact site
+gradients, which decide its verdict.
 """
 
 from __future__ import annotations
@@ -410,7 +410,7 @@ class GaudinSystem:
         with T > 2 C for the bound C on every coefficient of U_k(t) = [N, pi
         Q_k(N)] and Z_ef(t) = [pi Q_e(N), pi Q_f(N)], pi Q the projected
         integer gradient of each degree index, and of the e_m(N) and Pf(Q N)
-        that `_expansions` reads.  With (mu, q) of `liealg.theta_majorants`,
+        (`_value_bounds`).  With (mu, q) of `liealg.theta_majorants`,
         rho the largest row 1-norm of the integer projection and g[k] the
         entry bound of the gradient degree index k reads, Q_(index-1) or a
         Pfaffian of a (2r-2)-minor: U_k <= 2 s mu rho g[k], Z_ef <= 2 s rho^2
