@@ -17,6 +17,7 @@ import json
 import math
 import os
 import random
+import stat
 import sys
 from fractions import Fraction
 
@@ -517,12 +518,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if out_fd is not None:
-        # the report goes through the descriptor opened above, then the file
-        # is cut to its length: no second open and no truncation to zero
+        # the report goes through the descriptor opened above, then a regular
+        # file is cut to its length: no second open and no truncation to zero
+        # (a device or a pipe cannot be cut)
         try:
             with os.fdopen(out_fd, "wb") as fh:
                 fh.write(text.encode())
-                fh.truncate()
+                if stat.S_ISREG(os.fstat(out_fd).st_mode):
+                    fh.truncate()
         except OSError as exc:
             print(f"error: {args.out}: {exc.strerror}", file=sys.stderr)
             return 2

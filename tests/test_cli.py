@@ -476,6 +476,26 @@ def test_a_report_file_holds_exactly_the_stdout_bytes(tmp_path, capsys, subcomma
     assert capsys.readouterr().out == ""
 
 
+def test_a_report_to_a_device_or_a_pipe_is_written_whole(tmp_path):
+    # only a regular file is cut to the report's length; a device or the
+    # write end of a pipe takes the bytes as they are
+    cfg = write_config(tmp_path, "dims.json", {"group": "sl(2)", "genus": 2, "n": 1})
+    assert main(["dims", "--config", cfg, "--out", os.devnull]) == 0
+    assert main(["dims", "--config", cfg, "--out", str(tmp_path / "file.json")]) == 0
+    read, write = os.pipe()
+    try:
+        assert main(["dims", "--config", cfg, "--out", f"/dev/fd/{write}"]) == 0
+        os.close(write)
+        write = None
+        with os.fdopen(read, "rb") as fh:
+            read = None
+            assert fh.read() == (tmp_path / "file.json").read_bytes()
+    finally:
+        for fd in (read, write):
+            if fd is not None:
+                os.close(fd)
+
+
 def test_a_random_residue_defo_job_builds_no_residue_matrix(tmp_path, monkeypatch):
     # sampling, validation, ad(A_i) and the cones read each residue's integer
     # form alone, so no Fraction matrix of a residue is made
