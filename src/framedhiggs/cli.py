@@ -81,18 +81,61 @@ def _int_range(bounds, where: str, lo: int) -> range:
     return range(low, _int(bounds[1], where, low) + 1)
 
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, float):
-        # JSON has no NaN or infinity: a non-finite value is written as the
-        # string "nan", "inf" or "-inf".
-        return float(f"{x:.17g}") if math.isfinite(x) else str(float(x))
-    return x
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _json_text(report: dict) -> str:
+    """The report as JSON, indented by 2 with sorted keys, written in one
+    pass over its values: a Fraction is the string "p/q" ("p" when q = 1), a
+    tuple a list, and a float is written to 17 significant digits.  JSON has
+    no NaN or infinity: a non-finite value is written as the string "nan",
+    "inf" or "-inf".  The bytes are those of ``json.dumps(..., indent=2,
+    sort_keys=True)`` on the report so converted."""
+    out: list[str] = []
+    write = out.append
+
+    def value(x, pad: str):
+        if isinstance(x, str):
+            write(_ESCAPE(x))
+        elif x is None:
+            write("null")
+        elif x is True or x is False:
+            write("true" if x else "false")
+        elif isinstance(x, int):
+            write(int.__repr__(x))
+        elif isinstance(x, Fraction):
+            write(f'"{x.numerator}/{x.denominator}"' if x.denominator != 1
+                  else f'"{x.numerator}"')
+        elif isinstance(x, float):
+            write(repr(float(f"{x:.17g}")) if math.isfinite(x) else f'"{float(x)}"')
+        elif isinstance(x, dict):
+            if not x:
+                write("{}")
+                return
+            if not all(type(k) is str for k in x):
+                x = {str(k): v for k, v in x.items()}
+            inner, sep = pad + "  ", "{"
+            for k in sorted(x):
+                write(sep + inner + _ESCAPE(k) + ": ")
+                value(x[k], inner)
+                sep = ","
+            write(pad + "}")
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                write("[]")
+                return
+            inner, sep = pad + "  ", "["
+            for v in x:
+                write(sep + inner)
+                value(v, inner)
+                sep = ","
+            write(pad + "]")
+        else:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+    value(report, "\n")
+    write("\n")
+    return "".join(out)
 
 
 def _need(cfg: dict, key: str, where: str = "config"):
@@ -211,7 +254,7 @@ def _check(name: str, passed: bool, value, expected, provenance: str) -> dict:
 
 # The fields of a `DimReport` that `dims` and `audit` both print, of a
 # `SpectralCurveReport` and of a `TorsorFiberReport`, each as it is:
-# `_jsonable` converts the values.
+# `_json_text` converts the values.
 _DIM_FIELDS = ("dim_moduli_higgs", "dim_moduli_framed", "base_dim", "fiber_dim",
                "relative_fiber_dim", "framed_torsor_discrepancy",
                "stacky_correction_conjecture")
@@ -505,8 +548,7 @@ def main(argv: list[str] | None = None) -> int:
             "all_passed": all(c["passed"] for c in body["checks"]),
             "results": body["results"],
         }
-        text = _to_csv(report) if args.format == "csv" else json.dumps(
-            _jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = _to_csv(report) if args.format == "csv" else _json_text(report)
     except BaseException as exc:
         if out_fd is not None:
             os.close(out_fd)

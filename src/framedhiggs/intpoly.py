@@ -16,13 +16,15 @@ exact division, so the result is exact whichever prime is chosen.
 `factor_list` factors any nonzero polynomial through it, and `linear_roots`
 reads the rational roots off that factorization.
 
-`isolate_real_roots_sqf` and `RealInterval` port sympy 1.14's continued
-fraction real-root isolation (Akritas and Strzebonski, Nonlinear Analysis:
-Modelling and Control 10, 2005) and refinement line for line:
-``dup_isolate_real_roots_sqf``, ``dup_step_refine_real_root``, the LMQ
-bound ``dup_root_upper_bound`` with its float ``int(math.log(v, 2))``, and
-``RealInterval.refine_disjoint``/``refine_size``/``center``, so the
-intervals are sympy's to the bit.
+`isolate_real_roots_sqf` and `RealInterval` give the intervals of sympy
+1.14's continued-fraction real-root isolation (Akritas and Strzebonski,
+Nonlinear Analysis: Modelling and Control 10, 2005) and refinement to the
+bit: ``dup_isolate_real_roots_sqf``, ``RealInterval.refine_disjoint``,
+``refine_size`` and ``center`` take sympy's steps.  One refinement step
+(`_step`, ``dup_step_refine_real_root``) reads the LMQ lower bound straight
+off the polynomial rather than off its reversal (`_lower_bound_int`), with
+sympy's float ``int(math.log(v, 2))``, and shifts by 1 without
+multiplying (`_shift1`); `tests/oracles.py` keeps sympy's own bound and step.
 """
 
 from __future__ import annotations
@@ -436,67 +438,71 @@ def _sign_variations(f: list[int]) -> int:
     return k
 
 
-def _upper_bound(f: list[int]) -> int | None:
-    """e with 2^e the LMQ bound on the positive roots (``dup_root_upper_bound``),
-    or None when there is none."""
-    n, P = len(f), []
-    t = n * [1]
-    if f[0] < 0:
-        f = [-a for a in f]
-    f = f[::-1]
-    # ZZ.log is int(math.log(a, 2)), a float logarithm: not floor(log2 a)
-    # near powers of 2, which is why it is kept.
-    logs = [int(math.log(a, 2)) if a > 0 else None for a in f]
-    for i in range(0, n):
-        if f[i] >= 0:
-            continue
-        a, QL = int(math.log(-f[i], 2)), []
-        for j in range(i + 1, n):
-            if f[j] <= 0:
-                continue
-            q = t[j] + a - logs[j]
-            QL.append([q // (j - i), j])
-        if not QL:
-            continue
-        q = min(QL)
-        t[q[1]] = t[q[1]] + 1
-        P.append(q[0])
-    if not P:
-        return None
-    return max(P) + 1
+def _shift1(f: list[int]) -> list[int]:
+    """f(x + 1): `_shift` by 1, with no multiplication."""
+    f, n = list(f), len(f) - 1
+    for i in range(n, 0, -1):
+        for j in range(0, i):
+            f[j + 1] += f[j]
+    return f
 
 
 def _lower_bound_int(f: list[int]) -> int:
     """``K(int(dup_root_lower_bound(f)))``: int(1 / 2^e) for the LMQ bound
-    2^e of x^n f(1/x), 0 when there is none."""
-    e = _upper_bound(_reverse(f))
-    return 0 if e is None or e > 0 else 1 << -e
+    2^e on the positive roots of x^n f(1/x) (``dup_root_upper_bound``), 0
+    when there is none or e > 0.
+
+    The bound is read straight off f, whose coefficients are those of x^n
+    f(1/x) in reverse: each negative coefficient (in the sign of the lowest
+    nonzero one) pairs with the positive coefficient of lower degree that
+    gives the least q = (t_j + log|a_i| - log a_j) // (j - i), the first on
+    a tie, and raises that one's t_j; e is the largest q plus 1, so the first
+    q >= 0 decides 0.  ZZ.log is int(math.log(a, 2)), a float logarithm: not
+    floor(log2 a) near powers of 2, which is why it is kept.
+    """
+    n = len(f)
+    while not f[n - 1]:
+        n -= 1
+    g = f[:n] if f[n - 1] > 0 else [-a for a in f[:n]]
+    t, logs, top = [1] * n, [None] * n, None
+    for i in range(n - 1):
+        if g[i] >= 0:
+            continue
+        a, best = int(math.log(-g[i], 2)), None
+        for j in range(i + 1, n):
+            if g[j] <= 0:
+                continue
+            if logs[j] is None:
+                logs[j] = int(math.log(g[j], 2))
+            q = (t[j] + a - logs[j]) // (j - i)
+            if best is None or q < best:
+                best, k = q, j
+        if best >= 0:
+            return 0
+        t[k] += 1
+        if top is None or best > top:
+            top = best
+    return 0 if top is None else 1 << -(top + 1)
 
 
 def _step(f: list[int], M: tuple) -> tuple[list[int], tuple]:
     """One step of positive real root refinement (``dup_step_refine_real_root``)."""
     a, b, c, d = M
     if a == b and c == d:
-        return f, (a, b, c, d)
+        return f, M
     A = _lower_bound_int(f)
     if A >= 1:
         f = _shift(f, A)
         b, d = A * a + b, A * c + d
         if not f[-1]:
             return f, (b, b, d, d)
-    f, g = _shift(f, 1), f
-    a1, b1, c1, d1 = a, a + b, c, c + d
-    if not f[-1]:
-        return f, (b1, b1, d1, d1)
-    k = _sign_variations(f)
-    if k == 1:
-        a, b, c, d = a1, b1, c1, d1
-    else:
-        f = _shift(_reverse(g), 1)
-        if not f[-1]:
-            f = f[:-1]
-        a, b, c, d = b, a + b, d, c + d
-    return f, (a, b, c, d)
+    g = _shift1(f)
+    if not g[-1]:
+        return g, (a + b, a + b, c + d, c + d)
+    if _sign_variations(g) == 1:
+        return g, (a, a + b, c, c + d)
+    g = _shift1(_reverse(f))
+    return (g if g[-1] else g[:-1]), (b, a + b, d, c + d)
 
 
 def _refine_to_finite(f: list[int], M: tuple) -> tuple[list[int], tuple]:
@@ -530,7 +536,7 @@ def _inner_isolate(f: list[int]) -> list[tuple]:
             if k == 1:
                 roots.append(_refine_to_finite(f, (a, b, c, d)))
                 continue
-        f1 = _shift(f, 1)
+        f1 = _shift1(f)
         a1, b1, c1, d1, r = a, a + b, c, c + d, 0
         if not f1[-1]:
             roots.append((f1, (b1, b1, d1, d1)))
@@ -539,7 +545,7 @@ def _inner_isolate(f: list[int]) -> list[tuple]:
         k2 = k - k1 - r
         a2, b2, c2, d2 = b, a + b, d, c + d
         if k2 > 1:
-            f2 = _shift(_reverse(f), 1)
+            f2 = _shift1(_reverse(f))
             if not f2[-1]:
                 f2 = f2[:-1]
             k2 = _sign_variations(f2)
@@ -552,7 +558,7 @@ def _inner_isolate(f: list[int]) -> list[tuple]:
         if not k1:
             continue
         if f1 is None:
-            f1 = _shift(_reverse(f), 1)
+            f1 = _shift1(_reverse(f))
             if not f1[-1]:
                 f1 = f1[:-1]
         if k1 == 1:
@@ -562,7 +568,7 @@ def _inner_isolate(f: list[int]) -> list[tuple]:
         if not k2:
             continue
         if f2 is None:
-            f2 = _shift(_reverse(f), 1)
+            f2 = _shift1(_reverse(f))
             if not f2[-1]:
                 f2 = f2[:-1]
         if k2 == 1:

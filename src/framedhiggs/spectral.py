@@ -6,6 +6,10 @@ integer D, are the balanced base-T digits of the invariants of an integer
 multiple of theta(T) prod(T - x_i) at one integer T (`elementary_numerators`).
 The discriminant numerator, up to the same kind of factor, is an integer
 polynomial whose roots are the finite branch points (`_disc_numerator`).
+Its value at each marked point is checked against the residue's own
+discriminant, from the power traces of the residue's integer numerators
+(`_integer_elementary`), in integers: no Fraction matrix of a residue is
+built.
 Every polynomial on this path is an integer list in `intpoly`'s format,
 highest coefficient first.  Flags (globally degenerate, unramified over the
 marked points, smooth) are decided exactly; branch-point locations are exact
@@ -19,8 +23,8 @@ find again by factoring, so they go to it directly.
 
 The isolating boxes are the ones sympy 1.14's ``all_roots`` and
 ``eval_rational`` give, computed without sympy.  The real roots are
-isolated and refined by a line-for-line port of sympy's continued-fraction
-method (`intpoly.isolate_real_roots_sqf`); the non-real rectangles are
+isolated and refined by sympy's continued-fraction method, step for step
+(`intpoly.isolate_real_roots_sqf`); the non-real rectangles are
 sympy's Collins-Krandick quadtree and refinement replayed on an integer
 grid, each root count an exact comparison with a certified Henrici disk or
 a quadratic's exact roots (`_replay_rectangles`).  Newton starts for the
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -40,7 +45,7 @@ from typing import Sequence
 
 from .exactlinalg import ZERO, frac
 from .liealg import (AlgebraElement, AlgebraModel, GroupData, balanced_digits,
-                     char_poly_elementary, theta_char_polys, theta_majorants)
+                     theta_char_polys, theta_majorants)
 from .dimensions import hitchin_base_dim, hitchin_fiber_dim, torsor_dims
 from .intpoly import add, factor_list, isolate_real_roots_sqf, linear_roots, mul, reals_sorted
 
@@ -95,6 +100,24 @@ def _disc_numerator(e_nums: list[list[int]], r: int) -> list[int]:
     raise ValueError("spectral discriminants are implemented for ranks 2 and 3")
 
 
+def _integer_elementary(nums: Sequence[int], s: int) -> list[int]:
+    """[e_1(a), ..., e_s(a)] of the s x s integer matrix a with row-major
+    entries nums, by Newton's identities on its power traces: k e_k =
+    sum_(i=1..k) (-1)^(i-1) e_(k-i) tr(a^i), each division exact."""
+    cols = [nums[c::s] for c in range(s)]
+    at = [x for col in cols for x in col]       # the transpose, row-major
+    traces, power = [sum(nums[::s + 1])], nums
+    for k in range(2, s + 1):
+        traces.append(sum(map(operator.mul, power, at)))   # tr(a^(k-1) a)
+        if k < s:
+            power = [sum(map(operator.mul, power[r:r + s], col))
+                     for r in range(0, s * s, s) for col in cols]
+    e = [1]
+    for k in range(1, s + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1)) // k)
+    return e[1:]
+
+
 @dataclass
 class SpectralCurveReport:
     group_id: str
@@ -137,26 +160,35 @@ def spectral_data(model: AlgebraModel, points: Sequence[Fraction],
     if not disc:
         return SpectralCurveReport(g.group_id, r, n, disc, True, [ZERO] * n, False,
                                    False, branch_degree, None, False, [], [], None)
-    # The ramification test over a marked point is intrinsic: the residue
-    # matrix has repeated eigenvalues iff its own characteristic discriminant
-    # vanishes.  N(x_i) differs from it by the nonzero factor
-    # prod_{j != i}(x_i - x_j)^(r(r-1)), which cross-checks the
-    # Faddeev-LeVerrier numerators and their digit read against each residue
-    # on its own: Newton's identities on d_i A_i, d_i the denominator of A_i,
-    # give the integers e_k(d_i A_i) = d_i^k e_k(A_i).
+    # The ramification test over a marked point is intrinsic: A_i = a_i / d_i
+    # has repeated eigenvalues iff disc(char A_i) = disc(e(a_i)) /
+    # d_i^(r(r-1)) vanishes, e(a_i) the integer e_k of a_i.  The
+    # discriminant numerator at x_i over D^(r(r-1)) is disc(char A_i) times
+    # the nonzero factor prod_(j != i) (x_i - x_j)^(r(r-1)): this
+    # cross-checks the Faddeev-LeVerrier numerators and their digit read
+    # against each residue on its own, with e(a_i) from the power traces of
+    # a_i (`_integer_elementary`), not from that kernel.  With x_j = p_j /
+    # q_j both sides are compared cross-multiplied, in integers.
     disc_at = []
     for i, (x, el) in enumerate(zip(pts, residues)):
-        d = el.integer_form[0]
-        e = char_poly_elementary(el.matrix)
-        scaled = [int(c * d ** k) for k, c in enumerate(e, 1)]
+        d, nums = el.integer_form
         # the discriminant of constants is [] or [value]
-        direct = Fraction(sum(_disc_numerator([[c] if c else [] for c in scaled], r)),
-                          d ** weight)
-        factor = math.prod((x - y) ** weight for j, y in enumerate(pts) if j != i)
-        if reduce(lambda acc, c: acc * x + c, disc, ZERO) / den ** weight != direct * factor:
+        direct = sum(_disc_numerator([[c] if c else []
+                                      for c in _integer_elementary(nums, r)], r))
+        p, q = x.numerator, x.denominator
+        value = 0               # q^m disc(x_i), m the degree of disc
+        for k, c in enumerate(disc):
+            value = value * p + c * q ** k
+        apart = over = 1        # prod_(j != i) (x_i - x_j) = apart / over
+        for j, y in enumerate(pts):
+            if j != i:
+                apart *= p * y.denominator - y.numerator * q
+                over *= q * y.denominator
+        if value * (d * over) ** weight != \
+                direct * (apart * den) ** weight * q ** (len(disc) - 1):
             raise AssertionError("Faddeev-LeVerrier discriminant disagrees with the "
                                  "pointwise residue discriminant")
-        disc_at.append(direct)
+        disc_at.append(Fraction(direct, d ** weight))
     unramified = all(v != 0 for v in disc_at)
     sign, factors = factor_list(disc)
     squarefree = all(m == 1 for _, m in factors)
@@ -183,7 +215,7 @@ def _isolate_irrational_roots(sign: int, factors: list[list[int]],
     Returns ("real", lo, hi) intervals and ("complex", (re_lo, im_lo),
     (re_hi, im_hi)) rectangles with exact rational endpoints: the boxes
     sympy's ``Poly.all_roots`` followed by ``eval_rational`` gives, in its
-    order.  The real roots are isolated and refined by the port of sympy's
+    order.  The real roots are isolated and refined by sympy's
     continued-fraction method (`intpoly.isolate_real_roots_sqf`,
     `intpoly.reals_sorted`, ``RealInterval.refine_size``) on sympy's scaled
     factors (`_scaled_factors`), and the non-real rectangles are replayed on

@@ -23,9 +23,18 @@ the tests check the code that the jobs do run.
   `deformation._cup_matrix`, each entry its own sum over one sparse vector;
 - `NegatedAdjointTheory`: the negative control of `verify_poisson_map`;
 - `fraction_residue_tuple`: the residue sampler of `sampling` in Fraction
-  matrices, making the same rng calls (`random_fraction`).
+  matrices, making the same rng calls (`random_fraction`);
+- `lmq_upper_bound`, `lmq_lower_bound_int` and `step_refine_real_root`:
+  sympy 1.14's ``dup_root_upper_bound``, ``dup_root_lower_bound`` and
+  ``dup_step_refine_real_root`` as sympy writes them (the lower bound through
+  the reversed polynomial, a general Taylor shift by 1), against which the
+  one-pass bound and step of `intpoly` are checked;
+- `jsonable` and `json_report_text`: the report as JSON through
+  ``json.dumps(indent=2)``, against which `cli`'s one-pass writer is checked.
 """
 
+import json
+import math
 import random
 from fractions import Fraction
 from functools import cache
@@ -33,6 +42,7 @@ from typing import Sequence
 
 from framedhiggs.deformation import DeformationTheory, _apply
 from framedhiggs.exactlinalg import ONE, ZERO, frac, inverse, mat_comb, mat_mul, mat_vec
+from framedhiggs.intpoly import _reverse, _shift, _sign_variations
 from framedhiggs.liealg import (AlgebraElement, bracket, mat_trace, matrix_invariant,
                                 perp_coordinates, to_matrix)
 
@@ -342,3 +352,84 @@ def fraction_residue_tuple(model, rng: random.Random, n: int, height: int = 10,
         out.append(AlgebraElement(to_matrix([[-x for x in row] for row in total]),
                                   model.group.group_id))
     return out
+
+
+def lmq_upper_bound(f: list[int]) -> int | None:
+    """e with 2^e the LMQ bound on the positive roots (``dup_root_upper_bound``),
+    or None when there is none."""
+    n, P = len(f), []
+    t = n * [1]
+    if f[0] < 0:
+        f = [-a for a in f]
+    f = f[::-1]
+    logs = [int(math.log(a, 2)) if a > 0 else None for a in f]
+    for i in range(0, n):
+        if f[i] >= 0:
+            continue
+        a, QL = int(math.log(-f[i], 2)), []
+        for j in range(i + 1, n):
+            if f[j] <= 0:
+                continue
+            q = t[j] + a - logs[j]
+            QL.append([q // (j - i), j])
+        if not QL:
+            continue
+        q = min(QL)
+        t[q[1]] = t[q[1]] + 1
+        P.append(q[0])
+    if not P:
+        return None
+    return max(P) + 1
+
+
+def lmq_lower_bound_int(f: list[int]) -> int:
+    """``K(int(dup_root_lower_bound(f)))``: int(1 / 2^e) for the LMQ bound
+    2^e of x^n f(1/x), 0 when there is none."""
+    e = lmq_upper_bound(_reverse(f))
+    return 0 if e is None or e > 0 else 1 << -e
+
+
+def step_refine_real_root(f: list[int], M: tuple) -> tuple[list[int], tuple]:
+    """One step of positive real root refinement (``dup_step_refine_real_root``)."""
+    a, b, c, d = M
+    if a == b and c == d:
+        return f, (a, b, c, d)
+    A = lmq_lower_bound_int(f)
+    if A >= 1:
+        f = _shift(f, A)
+        b, d = A * a + b, A * c + d
+        if not f[-1]:
+            return f, (b, b, d, d)
+    f, g = _shift(f, 1), f
+    a1, b1, c1, d1 = a, a + b, c, c + d
+    if not f[-1]:
+        return f, (b1, b1, d1, d1)
+    k = _sign_variations(f)
+    if k == 1:
+        a, b, c, d = a1, b1, c1, d1
+    else:
+        f = _shift(_reverse(g), 1)
+        if not f[-1]:
+            f = f[:-1]
+        a, b, c, d = b, a + b, d, c + d
+    return f, (a, b, c, d)
+
+
+def jsonable(x):
+    """The report value as plain JSON values: a Fraction as "p/q" ("p" when
+    q = 1), a tuple as a list, a finite float to 17 significant digits and a
+    non-finite one as the string "nan", "inf" or "-inf"."""
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, float):
+        return float(f"{x:.17g}") if math.isfinite(x) else str(float(x))
+    return x
+
+
+def json_report_text(report: dict) -> str:
+    """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes it."""
+    return json.dumps(jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from framedhiggs import cli, rationalfn
+from framedhiggs import cli, liealg, rationalfn, spectral
 from framedhiggs.cli import main
+from oracles import json_report_text
 
 
 def write_config(tmp_path, name, obj):
@@ -512,6 +514,27 @@ def test_a_random_residue_defo_job_builds_no_residue_matrix(tmp_path, monkeypatc
     assert all(el._matrix is None for model in made for el in model.residues)
 
 
+def test_a_random_residue_spectral_job_builds_no_residue_matrix(tmp_path, monkeypatch):
+    # the Faddeev-LeVerrier digits and the marked-point cross-check read each
+    # residue's integer form alone: no Fraction matrix of a residue is made
+    # and no Fraction characteristic polynomial is run
+    def refuse(*args):
+        raise AssertionError("a spectral job ran char_poly_elementary")
+    monkeypatch.setattr(liealg, "char_poly_elementary", refuse)
+    monkeypatch.setattr(spectral, "char_poly_elementary", refuse, raising=False)
+    made = []
+    seeded = cli.seeded_model
+    monkeypatch.setattr(cli, "seeded_model",
+                        lambda *args: made.append(seeded(*args)) or made[-1])
+    for group in ("sl(2)", "gl(2)", "sl(3)", "gl(3)"):
+        cfg = write_config(tmp_path, "job.json",
+                           {"group": group, "points": ["1", "2", "3", "4"],
+                            "residues": {"type": "random", "seed": 5}})
+        assert main(["spectral", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(made) == 4
+    assert all(el._matrix is None for model in made for el in model.residues)
+
+
 SPECTRAL_SL2 = {"group": "sl(2)", "points": ["1", "2", "3"],
                 "residues": {"type": "random", "seed": 9, "height": 5}}
 
@@ -1004,3 +1027,56 @@ def test_no_subcommand_builds_an_oracle_kernel(tmp_path, monkeypatch, subcommand
     monkeypatch.setattr(rationalfn.VSection, "__init__", refuse)
     cfg = write_config(tmp_path, "config.json", config)
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+
+
+def _golden_configs():
+    here = Path(__file__).parent
+    defo = json.loads((here / "golden_defo_reports.json").read_text())["reports"]
+    rest = json.loads((here / "golden_gaudin_spectral_reports.json").read_text())["reports"]
+    return ([("defo", e["config"]) for e in defo]
+            + [(e["subcommand"], e["config"]) for e in rest])
+
+
+def _writing(monkeypatch):
+    """[(report, text)] for every report `cli.main` writes from now on."""
+    written = []
+    writer = cli._json_text
+
+    def recording(report):
+        written.append((report, writer(report)))
+        return written[-1][1]
+    monkeypatch.setattr(cli, "_json_text", recording)
+    return written
+
+
+def test_the_one_pass_writer_writes_the_bytes_of_json_dumps(tmp_path, monkeypatch):
+    # every golden report, written in one pass, is the text json.dumps(indent=2)
+    # makes of its converted values
+    written = _writing(monkeypatch)
+    configs = _golden_configs()
+    for subcommand, config in configs:
+        cfg = write_config(tmp_path, "job.json", config)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(written) == len(configs)
+    for report, text in written:
+        assert text == json_report_text(report)
+
+
+def test_the_one_pass_writer_writes_non_finite_floats_as_strings(tmp_path, monkeypatch,
+                                                                 capsys):
+    nan, inf = float("nan"), float("inf")
+    report = {"b": [nan, inf, -inf, -0.0, 0.1, 1e300, 2.5e-8, 1 / 3], 3: True,
+              "a": {"\u00e9\n\"\\/": (F(1, 3), F(-4), F(0)), "": []},
+              "none": None, "empty": [{}, [], ()], "big": -10 ** 40, "t": (1, (2,)),
+              "z": False}
+    assert cli._json_text(report) == json_report_text(report)
+    # a config echo holding NaN and infinities, which json.load accepts
+    written = _writing(monkeypatch)
+    path = tmp_path / "dims.json"
+    path.write_text('{"group": "sl(2)", "genus": 2, "n": 1, '
+                    '"note": [NaN, Infinity, -Infinity, 1e-8, "\\u00e9"]}')
+    assert main(["dims", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["config"]["note"] == ["nan", "inf", "-inf", 1e-8, "\u00e9"]
+    [(report, text)] = written
+    assert out == text == json_report_text(report)

@@ -1133,3 +1133,15 @@ def test_the_certificate_reads_the_brackets_of_pairs_of_gradients():
     system = GaudinSystem(AlgebraModel("sl(2)"), PTS3)
     assert not system._certified([0] * 4, [[0, 1, 0, 0], [0, 0, 1, 0]])
     assert system._certified([0] * 4, [[0, 1, 0, 0], [0, 2, 0, 0]])
+
+
+def test_a_scalar_theta_with_non_commuting_gradients_fails_the_certificate():
+    # theta(T) = M / D scalar commutes with every gradient, so [M, y] vanishes
+    # for all three degree indices of gl(3); only the commutators [y_e, y_f]
+    # see that E_12 and E_21 do not commute.  With them commuting it passes.
+    system = GaudinSystem(AlgebraModel("gl(3)"), PTS3)
+    scalar = [5, 0, 0, 0, 5, 0, 0, 0, 5]
+    e12, e21 = [0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert not system._certified(scalar, [scalar, e12, e21])
+    assert not system._certified(scalar, [e12, e21, e12])
+    assert system._certified(scalar, [scalar, e12, [2 * x for x in e12]])

@@ -19,6 +19,7 @@ from sympy.polys.rootoftools import ComplexRootOf
 
 from framedhiggs import intpoly, spectral
 from framedhiggs.rationalfn import Poly
+from oracles import lmq_lower_bound_int, step_refine_real_root
 
 Z = sympy.Symbol("z")
 SEEDS = range(6)
@@ -173,3 +174,51 @@ def test_integer_basis_matches_sympy(seed):
     assert spectral._integer_basis([1, 0, 0, 0, 512, 1024]) == 4
     assert spectral._integer_basis([1, 0, 1024]) == 32
     assert spectral._integer_basis([1, 0, 1023]) is None
+
+
+def _refinement_states(rng):
+    """(f, Mobius) pairs a refinement passes through: the isolating states
+    of a random square-free polynomial's real roots, then 40 steps of each;
+    some with a coefficient +-(2^k - 1), k > 52, where ZZ.log rounds up."""
+    while True:
+        f = _random_poly(rng, rng.randint(2, 7), rng.choice([5, 100, 10 ** 6]))
+        if rng.random() < 0.3:
+            f[rng.randrange(len(f))] = rng.choice([-1, 1]) * (2 ** rng.randint(53, 70) - 1)
+        if f[-1] and sympy.Poly(f, Z).is_sqf:
+            break
+    states = []
+    for interval in intpoly.isolate_real_roots_sqf(f):
+        g, mobius = interval.f, interval.mobius
+        for _ in range(40):
+            states.append((g, mobius))
+            g, mobius = step_refine_real_root(g, mobius)
+    return states
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_one_pass_lmq_bound_and_step_equal_sympys(seed):
+    # The LMQ bound read off f equals sympy's through the reversed
+    # polynomial, and so the step equals sympy's step, on refinement states,
+    # on random polynomials of every sign pattern (trailing zeros included)
+    # and on the first isolation states.
+    rng = random.Random(seed)
+    polys = []
+    for _ in range(40):
+        f = _random_poly(rng, rng.randint(1, 8), rng.choice([3, 10 ** 3, 2 ** 64]))
+        polys.append(f + [0] * rng.choice([0, 0, 0, 1, 2]))
+    for f in polys:
+        assert intpoly._lower_bound_int(f) == lmq_lower_bound_int(f), f
+    states = [s for _ in range(4) for s in _refinement_states(rng)]
+    states += [(f, (1, 0, 0, 1)) for f in polys if f[-1]]
+    assert any(lmq_lower_bound_int(f) >= 1 for f, _ in states)
+    for f, mobius in states:
+        assert intpoly._lower_bound_int(f) == lmq_lower_bound_int(f), f
+        assert intpoly._step(f, mobius) == step_refine_real_root(f, mobius), (f, mobius)
+
+
+def test_the_lmq_bound_keeps_the_float_logarithm():
+    # 2^61 - 1 has int(math.log(a, 2)) = 61 but floor(log2 a) = 60: the bound
+    # follows the float logarithm, as sympy's does.
+    for f in ([9, -4611686018427387903, -4], [-4, -4611686018427387903, 9],
+              [1, -(2 ** 61 - 1), 2 ** 61 - 1, 5], [2 ** 61 - 1, -1, -(2 ** 61 - 1), 3]):
+        assert intpoly._lower_bound_int(f) == lmq_lower_bound_int(f), f

@@ -698,6 +698,37 @@ def test_a_value_at_t_moved_by_one_fails_the_marked_point_cross_check(monkeypatc
             spectral_data(model.algebra, PTS3, model.residues)
 
 
+@pytest.mark.parametrize("group", ["sl(2)", "gl(2)", "sl(3)", "gl(3)"])
+def test_a_residue_elementary_moved_by_one_fails_the_marked_point_cross_check(monkeypatch,
+                                                                             group):
+    # Negative control of the residue side: the integer e_k of the first
+    # residue, read from its power traces, moved by 1, for each k.
+    model = seeded_model(group, PTS3, "trivial", 3, 5)
+    direct = spectral._integer_elementary
+    first = model.residues[0].integer_form[1]
+    for k in range(model.algebra.n):
+        def moved(nums, s, k=k):
+            e = direct(nums, s)
+            return [c + (q == k and nums == first) for q, c in enumerate(e)]
+        monkeypatch.setattr(spectral, "_integer_elementary", moved)
+        with pytest.raises(AssertionError, match="Faddeev-LeVerrier discriminant disagrees"):
+            spectral_data(model.algebra, PTS3, model.residues)
+
+
+@pytest.mark.parametrize("group", ["sl(2)", "gl(2)", "sl(3)", "gl(3)", "gl(1)"])
+def test_integer_elementary_equals_the_fraction_char_poly(group):
+    # e_k(a) of an integer matrix from its power traces equals the
+    # Fraction Newton run of `char_poly_elementary`
+    rng = random.Random(group)
+    model = AlgebraModel(group)
+    for _ in range(20):
+        el = random_algebra_element(model, rng, rng.choice([3, 10 ** 6]))
+        den, nums = el.integer_form
+        e = char_poly_elementary(el.matrix)
+        assert spectral._integer_elementary(nums, model.n) == [c * den ** k
+                                                               for k, c in enumerate(e, 1)]
+
+
 def test_a_spectral_job_builds_no_rational_polynomial(monkeypatch, tmp_path, capsys):
     # From Faddeev-LeVerrier to the factorization every polynomial is an
     # integer list; the job must not fall back to `rationalfn.Poly`.
