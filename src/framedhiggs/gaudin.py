@@ -18,7 +18,8 @@ rounded once; the bracket check (`commutativity_check`) runs it exactly,
 but only for a tuple that fails a certificate: one such run at a higher
 point T, above the commutators' coefficients too, shows that every
 invariant's gradient commutes with theta(t) and with every other's at every
-t, and then every bracket vanishes.  A tuple that fails the certificate gets
+t, and then every bracket vanishes (each commutator test at T is one
+compiled expression per matrix size, `_commutes`).  A tuple that fails the certificate gets
 each bracket {H_a, H_b} = sum_l tr(A_l [X^l_a, X^l_b]) of the exact site
 gradients, which decide its verdict.
 """
@@ -29,12 +30,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from types import CodeType
 from typing import Callable, NamedTuple, Sequence
 
-from .exactlinalg import ZERO, ONE, frac, over_common_denominator
+from .exactlinalg import MEMO_SIZE, ZERO, ONE, frac, over_common_denominator
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, balanced_digits, flat_trace,
                      flatten, generator_indices, pfaffian, theta_char_polys, theta_majorants)
 
@@ -208,6 +209,40 @@ def _flat_commutator(a: list[int], b: list[int], s: int) -> list[int]:
             for ra, rb in zip(rows_a, rows_b) for cb, ca in zip(cols_b, cols_a)]
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _commutes(s: int) -> Callable[[Sequence[int], Sequence[int]], bool]:
+    """commutes(x, y): whether two row-major flattened s x s matrices
+    commute, compiled from generated Python source as one expression
+    sum_c x_ac y_cb == sum_c y_ac x_cb and ... over the s^2 entries (a, b),
+    each sum taken left to right and the first unequal entry deciding."""
+    block = range(s * s)
+
+    def product(x: str, y: str, a: int, b: int) -> str:
+        return " + ".join(f"{x}{a * s + c} * {y}{c * s + b}" for c in range(s))
+
+    test = " and ".join(f"{product('x', 'y', a, b)} == {product('y', 'x', a, b)}"
+                        for a in range(s) for b in range(s))
+    namespace: dict = {}
+    exec(compile(f"def commutes(x, y):\n"
+                 f" {''.join(f'x{v}, ' for v in block)}= x\n"
+                 f" {''.join(f'y{v}, ' for v in block)}= y\n"
+                 f" return {test}\n", "<gaudin commutator>", "exec"), namespace)
+    return namespace["commutes"]
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _projector(model: AlgebraModel) -> Callable[[Sequence[int]], list[int]]:
+    """project(y) = P y for the integer matrix P of the model's trace-form
+    projection (den, P) (`AlgebraModel.trace_projection`), compiled from
+    generated Python source over the nonzero entries of each row of P."""
+    def term(c: int, a: int) -> str:
+        return f"y[{c}]" if a == 1 else f"{a} * y[{c}]"
+
+    rows = ", ".join(" + ".join(term(c, a) for c, a in enumerate(row) if a) or "0"
+                     for row in model.trace_projection[1])
+    return eval(compile(f"lambda y: [{rows}]", "<gaudin projection>", "eval"))
+
+
 def _drift_key(d: float) -> tuple[bool, float]:
     """Orders drifts with NaN above every number."""
     return math.isnan(d), d
@@ -248,6 +283,8 @@ class GaudinSystem:
         self._indices = generator_indices(self.group)
         # integer points as ints, so that the Horner pass runs in integers
         self._xs = [x.numerator if x.denominator == 1 else x for x in self.points]
+        # every T = `_point_above` is above this, so no marked point
+        self._top_numerator = max((abs(x.numerator) for x in self.points), default=0)
         self._interp_cache: dict[int, tuple] = {}
 
     def flatten_point(self, residues: Sequence[AlgebraElement]) -> list[Fraction]:
@@ -397,7 +434,7 @@ class GaudinSystem:
         nonzero integer polynomial whose coefficients lie below T / 2 in
         absolute value does not vanish at T, and its balanced base-T digits
         are its coefficients."""
-        return 2 ** max(2 * bound, *(abs(x.numerator) for x in self.points)).bit_length()
+        return 2 ** max(2 * bound, self._top_numerator).bit_length()
 
     def _value_point(self, sites: Sequence[tuple[int, Sequence[int]]]) -> int:
         """The point T of `_point_above` for the value bounds alone
@@ -417,13 +454,19 @@ class GaudinSystem:
         g[e] g[f], e_m(N) <= s^2 mu q[m-1] and Pf(Q N) <= (2r-1)!! mu^r.  With
         rho 1 on gl, 2(r-1) on sl(r) and 2 on sp and so, the U or Z terms
         already cover the value bounds, which stand in the max all the same."""
-        s, (mu, q) = self.s, theta_majorants(self.points, sites)
-        rho, r = max(sum(map(abs, row)) for row in self._projection[1]), s // 2
+        s, rho, (mu, q) = self.s, self._rho, theta_majorants(self.points, sites)
+        r = s // 2
         g = [math.prod(range(1, 2 * r - 2, 2)) * mu ** (r - 1) if index == PFAFFIAN
              else q[index - 1] for index in self._indices]
         return self._point_above(max(
             [2 * s * mu * rho * a for a in g] + self._value_bounds(mu, q)
             + [2 * s * rho * rho * a * b for a, b in combinations(g, 2)]))
+
+    @cached_property
+    def _rho(self) -> int:
+        """The largest row 1-norm of the integer projection, read once per
+        system (`_certificate_point`)."""
+        return max(sum(map(abs, row)) for row in self._projection[1])
 
     def _gradient(self, index: int, chars: tuple) -> tuple[int, list[int]]:
         """(d, y) with pi(grad p)(theta(t)) = y / d, for the generator p of
@@ -431,16 +474,16 @@ class GaudinSystem:
         chars at t.  At theta(t) = M / D the gradient of e_m is P_(m-1)(theta(t))
         = Q_(m-1) / D^(m-1), and that of the Pfaffian is G(M) / D^(r-1)
         (`_pfaffian_minor_gradient`); the projection, an integer matrix over
-        pden, costs s^4 integer products."""
+        pden, is applied by the model's compiled `_projector`, one product
+        per nonzero entry."""
         (den, m, _, qs), s = chars, self.s
-        pden, prows = self._projection
         if index == PFAFFIAN:   # Q M is M upside down
             y = [m[a:a + s] for a in range(s * s - s, -1, -s)]
             power, g = s // 2 - 1, _pfaffian_minor_gradient(s, lambda keep, sign: (
                 sign * int(pfaffian([[y[p][q] for q in keep] for p in keep]))), 0)
         else:
             power, g = index - 1, qs[index - 1]
-        return den ** power * pden, [sum(map(mul, r, g)) for r in prows]
+        return den ** power * self._projection[0], _projector(self.model)(g)
 
     def coefficient_gradients_at(self, residues: Sequence[AlgebraElement]
                                  ) -> tuple[list[int], list[list[int]]]:
@@ -486,11 +529,13 @@ class GaudinSystem:
         return worst, worst_pair
 
     def _certified(self, m: list[int], ys: Sequence[list[int]]) -> bool:
-        """Whether [M, y] and [y, y'] vanish for the gradients y, y' of every
-        degree index and pair of degree indices (`coefficient_gradients_at`)."""
-        s = self.s
-        return not any(any(_flat_commutator(m, y, s)) for y in ys) and not any(
-            any(_flat_commutator(y, y2, s)) for y, y2 in combinations(ys, 2))
+        """Whether M commutes with the gradient y of every degree index and
+        y with y' for every pair of degree indices (`coefficient_gradients_at`),
+        each test one call of the compiled `_commutes` of the matrix size,
+        which stops at the first entry of the commutator that is not zero."""
+        commutes = _commutes(self.s)
+        return all(commutes(m, y) for y in ys) and all(
+            commutes(y, y2) for y, y2 in combinations(ys, 2))
 
     @cached_property
     def _fallback_programs(self) -> list[tuple[tuple, CodeType, dict[str, Fraction]]]:

@@ -18,9 +18,10 @@ returns one `AlgebraModel` per group id, whose integer ad tensor and
 trace-form projection are computed when first read, `framing_spec` returns
 one `FramingSpec` per (model, form, subalgebra basis), with the integer
 support of its annihilator and the integer functionals that test it, and
-`gram_matrix` the Gram matrix of a form per (model, form).  The memos are
-`functools.lru_cache`s of at most `exactlinalg.MEMO_SIZE` entries, filled
-on first use.
+`gram_matrix` the Gram matrix of a form per (model, form).  What depends on
+the marked points alone, each point's factor in `theta_majorants`, is kept
+per set of points (`_point_weights`).  The memos are `functools.lru_cache`s
+of at most `exactlinalg.MEMO_SIZE` entries, filled on first use.
 
 ad(X) on basis coordinates is read in integers: `AlgebraModel.ad_tensor`
 holds the coordinates of the integer brackets [E_q, B_a] of matrix units
@@ -685,6 +686,16 @@ def theta_char_polys(points: Sequence[Fraction], sites: Sequence[tuple[int, Sequ
     return big * prod(factors), m, es, qs
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _point_weights(points: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """q_i prod_(j != i) (q_j + |p_j|) per marked point x_i = p_i / q_i,
+    given as the pair (p_i, q_i) (integers, which hash faster than Fractions):
+    the 1-norm of q_i prod_(j != i) (q_j z - p_j), the factor of a_i in N(z)
+    (`theta_char_polys`), read once per set of points."""
+    return tuple(q * prod(v + abs(u) for j, (u, v) in enumerate(points) if j != i)
+                 for i, (_, q) in enumerate(points))
+
+
 def theta_majorants(points: Sequence[Fraction], sites: Sequence[tuple[int, Sequence[int]]]
                     ) -> tuple[int, list[int]]:
     """(mu, q): bounds on the 1-norm nu, the sum of the absolute values of a
@@ -692,11 +703,11 @@ def theta_majorants(points: Sequence[Fraction], sites: Sequence[tuple[int, Seque
     nu(f) nu(f')), of each entry of the N(z) of `theta_char_polys` and of
     each entry of its Faddeev-LeVerrier matrices Q_m: nu(e_m(N)) <= s^2 mu
     q[m-1] / m.  Pf(Q N) on so(2r), (2r-1)!! products of r entries, has nu
-    at most (2r-1)!! mu^r."""
+    at most (2r-1)!! mu^r.  The points' factors come from `_point_weights`."""
     s, big = isqrt(len(sites[0][1])), lcm(*(d for d, _ in sites))
-    mu = sum(x.denominator * prod(y.denominator + abs(y.numerator)
-                                  for j, y in enumerate(points) if j != i)
-             * (big // d) * max(map(abs, a)) for i, ((d, a), x) in enumerate(zip(sites, points)))
+    mu = sum(w * (big // d) * max(map(abs, a))
+             for w, (d, a) in zip(_point_weights(tuple([(x.numerator, x.denominator)
+                                                        for x in points])), sites))
     q = [1]
     for m in range(1, s):
         q.append(-(-s * s * mu * q[-1] // m) + s * mu * q[-1])

@@ -1,11 +1,13 @@
 """Seed-deterministic random rational data for models and tests.
 
 Numerators and denominators are bounded by a configured height so exact
-arithmetic stays fast and runs are reproducible byte for byte.  Residues are
-drawn as integers: each random coefficient p / q is kept as its integer pair,
-the coefficients of one element over the lcm of their q, and the element is
-summed from the integer support of the basis or of the subspace it is drawn
-from (`AlgebraModel.integer_support`; a framing keeps that of its h_x^perp,
+arithmetic stays fast and runs are reproducible byte for byte.  The draws
+are those of ``rng.randint``, read straight through ``rng.getrandbits``
+with `randint`'s own rejection (`_draw`).  Residues are drawn as integers:
+each random coefficient p / q is kept as its integer pair, the coefficients
+of one element over the lcm of their q, and the element is summed from the
+integer support of the basis or of the subspace it is drawn from
+(`AlgebraModel.integer_support`; a framing keeps that of its h_x^perp,
 `FramingSpec.perp_support`) into its integer form
 (`AlgebraElement.integer_form`), with no Fraction; a balancing residue is the
 negated sum of the others, added in integers.  The Fraction matrix of a
@@ -26,12 +28,30 @@ from .liealg import AlgebraElement, AlgebraModel, algebra_model, framing_specs, 
 
 
 def _draw(rng: random.Random, count: int, height: int) -> tuple[int, list[int]]:
-    """count random fractions p / q, |p| <= height and 1 <= q <= height, from
-    rng.randint(-height, height) and then rng.randint(1, height) each, as
-    their integer numerators over the lcm of the q."""
-    pairs = [(rng.randint(-height, height), rng.randint(1, height)) for _ in range(count)]
-    den = lcm(*(q for _, q in pairs))
-    return den, [p * (den // q) for p, q in pairs]
+    """count random fractions p / q, |p| <= height and 1 <= q <= height, as
+    their integer numerators over the lcm of the q.
+
+    The values, and the bits of rng they consume, are those of
+    rng.randint(-height, height) and then rng.randint(1, height) each:
+    `randint`'s own draws for a `random.Random`, read here through
+    `getrandbits` as its `_randbelow_with_getrandbits` reads them, a value
+    below w from k = w.bit_length() bits, redrawn while it is w or more."""
+    if count and height < 1:    # randint(1, height) would raise
+        raise ValueError(f"height must be at least 1, got {height}")
+    bits, width = rng.getrandbits, 2 * height + 1
+    kp, kq = width.bit_length(), height.bit_length()
+    ps, qs = [], []
+    for _ in range(count):
+        p = bits(kp)
+        while p >= width:
+            p = bits(kp)
+        q = bits(kq)
+        while q >= height:
+            q = bits(kq)
+        ps.append(p - height)
+        qs.append(q + 1)
+    den = lcm(*qs)
+    return den, [p * (den // q) for p, q in zip(ps, qs)]
 
 
 def _draw_element(model: AlgebraModel, rng: random.Random, height: int,

@@ -1,9 +1,10 @@
 """Every test starts with the package's per-process memos empty.
 
-The memos (`functools.lru_cache`s in `liealg`, `curve` and `deformation`:
-the algebra models, framings, Gram matrices, chart bases, scalar columns
-of Theta and pairing forms) keep what depends on the group, the points, the
-framing and the window alone.  A test that patches a function they call
+The memos (`functools.lru_cache`s in `liealg`, `curve`, `deformation` and
+`gaudin`: the algebra models, framings, Gram matrices, point weights of the
+theta majorants, chart bases, scalar columns of Theta, pairing forms,
+compiled projections and compiled commutator tests) keep what depends on
+the group, the points, the framing, the window and the matrix size alone.  A test that patches a function they call
 (`laurent_row`, `FramingSpec.__post_init__`) must see it called, and a
 result computed under a patch must not reach a later test.  A model's copy
 of the Gram matrix (`FramedHiggsModel._gram`) is its own, not a memo: a test

@@ -24,6 +24,8 @@ the tests check the code that the jobs do run.
 - `NegatedAdjointTheory`: the negative control of `verify_poisson_map`;
 - `fraction_residue_tuple`: the residue sampler of `sampling` in Fraction
   matrices, making the same rng calls (`random_fraction`);
+- `randint_draw`: `sampling._draw` through ``rng.randint``, against which
+  its direct reads of ``rng.getrandbits`` are checked;
 - `lmq_upper_bound`, `lmq_lower_bound_int` and `step_refine_real_root`:
   sympy 1.14's ``dup_root_upper_bound``, ``dup_root_lower_bound`` and
   ``dup_step_refine_real_root`` as sympy writes them (the lower bound through
@@ -317,6 +319,15 @@ class NegatedAdjointTheory(DeformationTheory):
 
 def random_fraction(rng: random.Random, height: int = 10) -> Fraction:
     return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+
+def randint_draw(rng: random.Random, count: int, height: int) -> tuple[int, list[int]]:
+    """count fractions p / q from rng.randint(-height, height) and then
+    rng.randint(1, height) each, as their integer numerators over the lcm of
+    the q."""
+    pairs = [(rng.randint(-height, height), rng.randint(1, height)) for _ in range(count)]
+    den = math.lcm(*(q for _, q in pairs))
+    return den, [p * (den // q) for p, q in pairs]
 
 
 def _fraction_element(model, coords) -> AlgebraElement:

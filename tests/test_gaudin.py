@@ -1145,3 +1145,49 @@ def test_a_scalar_theta_with_non_commuting_gradients_fails_the_certificate():
     assert not system._certified(scalar, [scalar, e12, e21])
     assert not system._certified(scalar, [e12, e21, e12])
     assert system._certified(scalar, [scalar, e12, [2 * x for x in e12]])
+
+
+def _flat_product(a, b, s):
+    return [sum(a[i * s + c] * b[c * s + j] for c in range(s)) for i in range(s) for j in range(s)]
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_the_compiled_commutator_test_reads_every_entry(s):
+    # y = x^2 + 3x commutes with x, entries of x up to 10^20; moving any one
+    # entry of y by 1 gives a pair that does not, and on every pair the
+    # compiled test agrees with the flat commutator's entries
+    commutes = gaudin._commutes(s)
+    rng = random.Random(s)
+    for _ in range(5):
+        x = [rng.randint(-10 ** 20, 10 ** 20) for _ in range(s * s)]
+        y = [u + 3 * v for u, v in zip(_flat_product(x, x, s), x)]
+        assert commutes(x, y) and commutes(y, x) and not any(gaudin._flat_commutator(x, y, s))
+        for v in range(s * s):
+            for step in (1, -1):
+                moved = list(y)
+                moved[v] += step
+                assert commutes(x, moved) is (not any(gaudin._flat_commutator(x, moved, s)))
+                assert not commutes(x, moved) and not commutes(moved, x)
+
+
+@pytest.mark.parametrize("gid", ["gl(2)", "sl(2)", "gl(3)", "sl(3)", "so(4)", "sp(4)", "so(5)"])
+def test_the_compiled_projection_is_the_integer_projection_matrix(gid):
+    model = AlgebraModel(gid)
+    _, prows = model.trace_projection
+    project, rng = gaudin._projector(model), random.Random(7)
+    for _ in range(10):
+        y = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(model.n ** 2)]
+        assert project(y) == [sum(a * b for a, b in zip(row, y)) for row in prows]
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_the_compiled_commutator_test_sees_a_commutator_with_one_entry(s):
+    # x diagonal with distinct entries: [x, E_ab] = (x_a - x_b) E_ab is zero
+    # off the entry (a, b), so each off-diagonal entry of the test is read
+    commutes = gaudin._commutes(s)
+    x = [10 ** 20 + 7 * a if a == b else 0 for a in range(s) for b in range(s)]
+    for a in range(s):
+        for b in range(s):
+            unit = [int(v == a * s + b) for v in range(s * s)]
+            assert commutes(x, unit) is commutes(unit, x) is (a == b)
+            assert commutes(x, unit) is not any(gaudin._flat_commutator(x, unit, s))

@@ -4,22 +4,26 @@ memo keys on every value its computation reads.
 `liealg.algebra_model`, `liealg.framing_spec`, `liealg.gram_matrix`, the
 two `curve.sections_*` chart bases, `deformation._scalar_columns` and
 `deformation._pairing_form` keep what depends on the group, the framing,
-the points and the window alone; the conftest fixture empties them before
-each test.
+the points and the window alone, and `liealg._point_weights`,
+`gaudin._projector` and `gaudin._commutes` what depends on the points, the
+algebra model and the matrix size alone; the conftest fixture empties them
+before each test.
 """
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 from conftest import clear_memos
-from framedhiggs import curve, deformation, liealg
+from framedhiggs import curve, deformation, gaudin, liealg
 from framedhiggs.cli import main
 from framedhiggs.deformation import FRAMED, TWISTED, DeformationTheory, FramedHiggsModel
-from framedhiggs.liealg import InvariantForm, algebra_model, framing_specs
-from framedhiggs.sampling import seeded_model
+from framedhiggs.gaudin import GaudinSystem
+from framedhiggs.liealg import InvariantForm, algebra_model, framing_specs, theta_majorants
+from framedhiggs.sampling import random_residue_tuple, seeded_model
 
 HERE = Path(__file__).parent
 GOLDEN_DEFO = json.loads((HERE / "golden_defo_reports.json").read_text())["reports"]
@@ -186,3 +190,58 @@ def test_the_gram_matrix_is_built_once_and_each_model_keeps_its_own_copy():
     gid = model.algebra.group.group_id
     basis = [liealg.AlgebraElement(b, gid) for b in model.algebra.basis]
     assert gram == model.form.gram(basis)
+
+
+def _weights(points) -> tuple[int, ...]:
+    """q_i prod_(j != i) (q_j + |p_j|) per point x_i = p_i / q_i, from the points."""
+    return tuple(x.denominator * math.prod(y.denominator + abs(y.numerator)
+                                           for j, y in enumerate(points) if j != i)
+                 for i, x in enumerate(points))
+
+
+def _gaudin_memos():
+    return liealg._point_weights, gaudin._projector, gaudin._commutes
+
+
+def test_clear_memos_empties_the_gaudin_memos():
+    model = algebra_model("sl(3)")
+    system = GaudinSystem(model, [1, 2, 3])
+    system.commutativity_check([random_residue_tuple(model, random.Random(3), 3, 5)])
+    assert all(memo.cache_info().currsize == 1 for memo in _gaudin_memos())
+    clear_memos()
+    assert all(memo.cache_info().currsize == 0 for memo in _gaudin_memos())
+
+
+def test_systems_on_other_points_groups_and_sizes_get_their_own_constants():
+    # Each system's bounds read its own point weights and rho, and its
+    # gradients its own model's projection and its own size's commutator
+    # test, whatever system ran before it in the process: point sets with
+    # as many points, groups with one matrix size, sizes one after another.
+    # A memo keyed by the number of points, the matrix size or nothing at
+    # all would hand a later system the first one's values; the reports
+    # need not show it, since a wrong bound can still certify.
+    cases = [("sl(3)", [1, 2, 3]), ("sl(3)", [F(1, 2), -3, F(7, 3)]), ("gl(3)", [1, 2, 3]),
+             ("sl(4)", [1, 2, 3]), ("sp(4)", [2, -1, F(1, 3)]), ("so(4)", [1, 2, 3]),
+             ("sl(2)", [1, 2, 3]), ("gl(2)", [5, F(-2, 7), 4])]
+    for seed, (gid, points) in enumerate(cases):
+        model = algebra_model(gid)
+        system = GaudinSystem(model, points)
+        sites = [el.integer_form for el in random_residue_tuple(model, random.Random(seed),
+                                                                len(points), 6)]
+        big, weights = math.lcm(*(d for d, _ in sites)), _weights(system.points)
+        mu = sum(w * (big // d) * max(map(abs, a)) for w, (d, a) in zip(weights, sites))
+        assert theta_majorants(system.points, sites)[0] == mu
+        assert liealg._point_weights(tuple((x.numerator, x.denominator)
+                                           for x in system.points)) == weights
+        _, prows = model.trace_projection
+        assert system._rho == max(sum(map(abs, row)) for row in prows)
+        y = [random.Random(seed).randint(-99, 99) for _ in range(model.n ** 2)]
+        assert gaudin._projector(model)(y) == [sum(a * b for a, b in zip(row, y))
+                                               for row in prows]
+        x = [random.Random(-seed).randint(-99, 99) for _ in range(model.n ** 2)]
+        assert gaudin._commutes(model.n)(x, y) is not any(
+            gaudin._flat_commutator(x, y, model.n))
+        assert gaudin._commutes(model.n)(x, x)
+    assert liealg._point_weights.cache_info().misses == 4
+    assert gaudin._projector.cache_info().misses == 7
+    assert gaudin._commutes.cache_info().misses == 3
