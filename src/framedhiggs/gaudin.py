@@ -19,8 +19,8 @@ but only for a tuple that fails a certificate: one such run at a higher
 point T, above the commutators' coefficients too, shows that every
 invariant's gradient commutes with theta(t) and with every other's at every
 t, and then every bracket vanishes (each commutator test at T is one
-compiled expression per matrix size, `_commutes`).  A tuple that fails the certificate gets
-each bracket {H_a, H_b} = sum_l tr(A_l [X^l_a, X^l_b]) of the exact site
+compiled expression per matrix size, `_commutes`).  A tuple that fails the
+certificate gets each bracket {H_a, H_b} = sum_l tr(A_l [X^l_a, X^l_b]) of the exact site
 gradients, which decide its verdict.
 """
 

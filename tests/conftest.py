@@ -4,8 +4,9 @@ The memos (`functools.lru_cache`s in `liealg`, `curve`, `deformation` and
 `gaudin`: the algebra models, framings, Gram matrices, point weights of the
 theta majorants, chart bases, scalar columns of Theta, pairing forms,
 compiled projections and compiled commutator tests) keep what depends on
-the group, the points, the framing, the window and the matrix size alone.  A test that patches a function they call
-(`laurent_row`, `FramingSpec.__post_init__`) must see it called, and a
+the group, the points, the framing, the window and the matrix size alone.
+A test that patches a function they call (`laurent_row`,
+`FramingSpec.__post_init__`) must see it called, and a
 result computed under a patch must not reach a later test.  A model's copy
 of the Gram matrix (`FramedHiggsModel._gram`) is its own, not a memo: a test
 that faults it, through `FramedHiggsModel.__post_init__`, faults that model
