@@ -11,14 +11,16 @@ Subpackages:
   spectral     spectral curves, discriminants, branch data, genus identities
   intpoly      integer polynomials: factoring over Z, real-root isolation
   exactlinalg  exact elimination: ranks, kernels, quotients, solves
-  rationalfn   rational sections on P^1, residue pairings, Fraction `Poly`
+  rationalfn   Laurent windows and the closed forms of their layouts,
+               sections as views of layout vectors, residue pairings,
+               Fraction `Poly`
   sampling     seed-deterministic residues and models
   cli          the `hfb` batch runner
 """
 
 __version__ = "0.1.0"
 
-from .curve import (H1Presentation, MarkedCurve, SheafSpec, Window, check_serre_dual,
+from .curve import (H1Presentation, MarkedCurve, SheafSpec, check_serre_dual,
                     global_sections, h1_presentation, make_spec, serre_dual_spec,
                     serre_pairing)
 from .deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
@@ -32,7 +34,7 @@ from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, GroupData,
                      InvariantForm, UnsupportedGroupError, algebra_model, bracket,
                      framing_specs, group_data, invariant_polynomials, torus_framing,
                      trace_form, trivial_framing)
-from .rationalfn import Poly, RatContext, VSection
+from .rationalfn import Poly, RatContext, VSection, Window
 from .sampling import random_algebra_element, random_residue_tuple, seeded_model
 from .spectral import (SpectralCurveReport, spectral_data, spectral_genus,
                        torsor_fiber_report)

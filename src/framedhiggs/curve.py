@@ -11,16 +11,19 @@ all spaces truncated to a finite Laurent window.  The quotient presentation
 is normalized by Gaussian elimination in a fixed point-then-pole-order
 coordinate ordering, so bases are reproducible.
 
-A window's layout has one coordinate per scalar basis function, (z - x_i)^-j
+Windows and the closed forms of their layouts live in `rationalfn`: a
+window's layout has one coordinate per scalar basis function, (z - x_i)^-j
 for j <= pole at each point, then z^l for l <= degree, tensored with the
-fiber (position-major, fiber-minor).  The coefficient of (z - x_i)^k in the
-Laurent expansion at x_i of each scalar basis function is the closed-form
-row lambda_{i,k} (`laurent_row`); `infinity_row` gives the expansion in
-u = 1/z.  Chart sections are the kernel of the condition rows lambda ⊗ phi,
-for the fiber functionals phi a sheaf imposes, on the candidate coordinates
-the chart allows, eliminated in integers; the kernel's columns are renamed to
-layout indices, so a chart basis is a `Staircase` of sparse layout vectors
-(integer tails over one denominator) and no section is built.
+fiber (position-major, fiber-minor), and the coefficient of (z - x_i)^k in
+the Laurent expansion at x_i of each scalar basis function is the row
+lambda_{i,k} (`rationalfn.laurent_row`); `rationalfn.infinity_row` gives the
+expansion in u = 1/z.  Chart sections are the kernel of the condition rows
+lambda ⊗ phi, for the fiber functionals phi a sheaf imposes, on the
+candidate coordinates the chart allows, eliminated in integers; the kernel's
+columns are renamed to layout indices, so a chart basis is a `Staircase` of
+sparse layout vectors (integer tails over one denominator) and no section is
+built.  H^0 bases and H^1 representatives are `rationalfn.VSection` views of
+layout vectors.
 
 A chart basis reads only the points, the fiber, the sheaf and the window, so
 `sections_on_affine_chart` and `sections_off_divisor` keep the bases of this
@@ -35,12 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
 from typing import Sequence
 
-from .exactlinalg import (MEMO_SIZE, Quotient, Staircase, Vec, ZERO, ONE, dense, frac,
-                          nullspace_sparse, sparse)
-from .rationalfn import RatContext, VSection, pairing_residue_at_point
+from .exactlinalg import (MEMO_SIZE, Quotient, Staircase, Vec, ZERO, dense, frac,
+                          nullspace_sparse)
+from .rationalfn import (RatContext, VSection, Window, infinity_row, laurent_row,
+                         pairing_residue_at_point)
 
 
 @dataclass(frozen=True)
@@ -135,17 +138,8 @@ def serre_dual_spec(spec: SheafSpec) -> SheafSpec:
 
 
 # ---------------------------------------------------------------------------
-# Laurent windows and coordinate layouts
+# Laurent window bounds and coordinate layouts
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Window:
-    pole: int      # pole-order bound at every marked point
-    degree: int    # polynomial degree bound
-
-    def bumped(self, extra: int = 1) -> "Window":
-        return Window(self.pole + extra, self.degree + extra)
-
 
 def default_window(specs: Sequence[SheafSpec]) -> Window:
     """The smallest Laurent window in which the truncated two-chart complex
@@ -194,71 +188,10 @@ def check_window(window: Window, bound: Window, what: str) -> Window:
 
 
 class Layout:
-    """Coordinates for sections with poles <= window.pole and the poly tail."""
+    """The layout of a window over a context, of `dim` coordinates."""
 
     def __init__(self, ctx: RatContext, window: Window):
-        self.ctx = ctx
-        self.window = window
-        self.n_points = ctx.n
         self.dim = ctx.m * (ctx.n * window.pole + window.degree + 1)
-
-    def to_coords(self, s: VSection) -> dict[int, Fraction]:
-        """The sparse layout coordinates of s."""
-        w, m = self.window, self.ctx.m
-        if s.poly_degree() > w.degree:
-            raise ValueError("section exceeds the polynomial window")
-        out = {}
-        for i, parts in s.pp.items():
-            for j, v in parts.items():
-                if j > w.pole:
-                    raise ValueError("section exceeds the pole window")
-                out.update(((i * w.pole + j - 1) * m + a, x) for a, x in enumerate(v) if x)
-        poly_base = self.n_points * w.pole
-        for l, v in enumerate(s.poly):
-            out.update(((poly_base + l) * m + a, x) for a, x in enumerate(v) if x)
-        return out
-
-    def from_coords(self, coords) -> VSection:
-        """The section with these dense or sparse layout coordinates."""
-        w, m = self.window, self.ctx.m
-        coords = sparse(coords)
-
-        def get(k):
-            return [coords.get(k * m + a, ZERO) for a in range(m)]
-        pp = {i: {j: get(i * w.pole + j - 1) for j in range(1, w.pole + 1)}
-              for i in range(self.n_points)}
-        poly = [get(self.n_points * w.pole + l) for l in range(w.degree + 1)]
-        return VSection(self.ctx, poly=poly, pp=pp)
-
-
-def laurent_row(points: Sequence[Fraction], window: Window, i: int,
-                order: int) -> dict[int, Fraction]:
-    """lambda_{i,order}: the coefficient of (z - x_i)^order in the Laurent
-    expansion at x_i of each scalar basis function of the window's layout,
-    as {scalar index: value}; the closed forms of `VSection.laurent_coeff`."""
-    n, pole, x = len(points), window.pole, points[i]
-    if order < 0:
-        return {i * pole - order - 1: ONE} if -order <= pole else {}
-    row = {}
-    for k, xk in enumerate(points):
-        if k != i:
-            d = x - xk
-            for j in range(1, pole + 1):
-                row[k * pole + j - 1] = \
-                    (-1) ** order * comb(j - 1 + order, order) / d ** (j + order)
-    for l in range(order, window.degree + 1):
-        row[n * pole + l] = comb(l, order) * x ** (l - order)
-    return row
-
-
-def infinity_row(points: Sequence[Fraction], window: Window, order: int) -> dict[int, Fraction]:
-    """The coefficient of u^order (u = 1/z) in each scalar basis function of
-    the window's layout; the closed forms of `VSection.infinity_coeff`."""
-    n, pole = len(points), window.pole
-    if order <= 0:
-        return {n * pole - order: ONE} if -order <= window.degree else {}
-    return {i * pole + j - 1: comb(order - 1, j - 1) * x ** (order - j)
-            for i, x in enumerate(points) for j in range(1, min(pole, order) + 1)}
 
 
 def _sections(ctx: RatContext, spec: SheafSpec, poles: Sequence[int], degree: int,
@@ -317,7 +250,7 @@ def sections_off_divisor(ctx: RatContext, spec: SheafSpec, window: Window) -> St
 def global_sections(ctx: RatContext, spec: SheafSpec) -> list[VSection]:
     """Exact basis of H^0."""
     window = Window(max(0, *spec.pole_orders), max(spec.inf_order, 0))
-    return [Layout(ctx, window).from_coords(v)
+    return [VSection(ctx, window, v)
             for v in _sections(ctx, spec, spec.pole_orders, spec.inf_order, window, True)]
 
 
@@ -343,7 +276,7 @@ class H1Presentation:
         return self.quotient.dim
 
     def representatives(self) -> list[VSection]:
-        return [self.layout.from_coords(v) for v in self.quotient.basis]
+        return [VSection(self.ctx, self.window, v) for v in self.quotient.basis]
 
 
 def h1_presentation(ctx: RatContext, spec: SheafSpec,

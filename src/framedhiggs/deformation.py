@@ -25,12 +25,12 @@ so that their classes pair and include in one layout.
 
 [theta, .] acts on layout coordinates (position-major, fiber-minor) as
 Theta = sum_i S_i ⊗ ad(A_i), with S_i the closed-form scalar layout matrix of
-multiplication by 1/(z - x_i).  The model builds Theta once per window, and
-ker d1 once per (F1 spec, window), so the three cones of a
-`DeformationTheory` share them: with trivial framing the framed F1 is the
-twisted F1, so d1 is eliminated twice, not three times, and two chart bases
-serve two complexes each.  Cochains, Theta images, d0 columns and kernels
-are sparse layout vectors.
+multiplication by 1/(z - x_i) (`rationalfn.scalar_columns`).  The model
+builds Theta once per window, and ker d1 once per (F1 spec, window), so the
+three cones of a `DeformationTheory` share them: with trivial framing the
+framed F1 is the twisted F1, so d1 is eliminated twice, not three times, and
+two chart bases serve two complexes each.  Cochains, Theta images, d0
+columns and kernels are sparse layout vectors.
 
 What reads the residues lives on the model and goes with it: ad(A_i),
 Theta, ker d1, each cone's quotient and the matrices of a
@@ -44,7 +44,7 @@ residue is built.  What does not read the residues is kept per process, in
 filled on first use, each keyed by the values it reads: the chart bases
 (`curve.sections_on_affine_chart` and `curve.sections_off_divisor`, by
 points, fiber, spec and window), the S_i columns of Theta
-(`_scalar_columns`, by points and window), the Gram matrix
+(`rationalfn.scalar_columns`, by points and window), the Gram matrix
 (`liealg.gram_matrix`, by group model and form), the pairing form B
 (`_pairing_form`, by points, window and the Gram matrix's entries, so a
 model whose Gram matrix differs gets its own B), the framings
@@ -87,7 +87,7 @@ Gram matrix,
     B = sum_i sum_{a+b=-1} lambda_{i,a} ⊗ lambda_{i,b} ⊗ Gram,
 
 from the pole-bumped layout of u0 and u1 to the layout of c, with lambda the
-Laurent rows of `curve.laurent_row`.  B and each cone's basis classes are
+Laurent rows of `rationalfn.laurent_row`.  B and each cone's basis classes are
 kept as integers over one denominator, so a pairing matrix is integer dot
 products over the product of the three denominators.  Skew-symmetry and
 representative independence follow from the invariance identity and the
@@ -115,15 +115,13 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .curve import (Layout, MarkedCurve, SheafSpec, Window, check_window,
-                    default_window, laurent_row, make_spec, sections_off_divisor,
-                    sections_on_affine_chart)
-from .exactlinalg import (MEMO_SIZE, Mat, Quotient, Staircase, Vec, ONE, add_scaled, dense,
-                          frac, integer_solve, integer_vectors, nullspace_sparse,
-                          over_common_denominator)
+from .curve import (Layout, MarkedCurve, SheafSpec, check_window, default_window,
+                    make_spec, sections_off_divisor, sections_on_affine_chart)
+from .exactlinalg import (MEMO_SIZE, Mat, Quotient, Staircase, Vec, add_scaled, dense, frac,
+                          integer_solve, integer_vectors, nullspace_sparse)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
                      algebra_model, framing_specs, gram_matrix, trace_form)
-from .rationalfn import RatContext, VSection
+from .rationalfn import RatContext, Window, laurent_row, scalar_columns
 
 TWISTED = "twisted"            # deformations of the underlying twisted pair
 FRAMED = "framed"              # deformations of the framed triple
@@ -198,11 +196,11 @@ class FramedHiggsModel:
     def _theta_columns(self, window: Window) -> tuple[int, list[dict[int, int]]]:
         """Theta = sum_i S_i ⊗ ad(A_i), each S_i column and each ad(A_i) an
         integer vector or matrix over its own least common denominator
-        (`_scalar_columns`, `AlgebraModel.ad_columns`), so the tensor
+        (`rationalfn.scalar_columns`, `AlgebraModel.ad_columns`), so the tensor
         products are integer products, summed over the lcm d of all their
         denominators."""
         m, ads = self.dim, self._ad_columns
-        s_cols = _scalar_columns(self.curve.points, window)
+        s_cols = scalar_columns(self.curve.points, window)
         den = lcm(*{sigma * e for cols_k in s_cols
                     for (sigma, _), (e, _) in zip(cols_k, ads)})
         cols = []
@@ -299,39 +297,6 @@ def cone_window(pairs: Iterable[tuple[SheafSpec, SheafSpec]]) -> Window:
     w0 = default_window([f0 for f0, _ in pairs])
     w1 = default_window([f1 for _, f1 in pairs])
     return Window(max(w0.pole, w1.pole - 1), max(w0.degree, w1.degree))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _scalar_columns(points: tuple[Fraction, ...], window: Window
-                    ) -> list[list[tuple[int, list[tuple[int, int]]]]]:
-    """Per scalar basis function k of the layout of `window`, the columns k
-    of S_1, ..., S_n, S_i the multiplication by 1/(z - x_i) into the layout
-    of the pole-bumped window, each as (sigma, [(q, sigma S_i[q][k])]) over
-    its least common denominator sigma; kept per process by the points and
-    the window.  In closed form, with d = x_i - x_k:
-    (z-x_i)^-j -> (z-x_i)^-(j+1);
-    (z-x_k)^-j -> d^-j (z-x_i)^-1 - sum_{t<j} d^-(t+1) (z-x_k)^(t-j);
-    z^l -> x_i^l (z-x_i)^-1 + sum_{t<l} x_i^(l-1-t) z^t."""
-    n, pole = len(points), window.pole
-    s_cols = []
-    for k in range(n * pole + window.degree + 1):
-        kp, j = divmod(k, pole) if k < n * pole else (n, 0)   # (z - x_kp)^-(j+1)
-        cols_k = []
-        for i, x in enumerate(points):
-            if kp >= n:
-                l = k - n * pole
-                s_col = {n * (pole + 1) + t: x ** (l - 1 - t) for t in range(l)}
-                s_col[i * (pole + 1)] = x ** l
-            elif kp == i:
-                s_col = {k + i + 1: ONE}
-            else:
-                d = x - points[kp]
-                s_col = {kp * (pole + 1) + j - t: -1 / d ** (t + 1) for t in range(j + 1)}
-                s_col[i * (pole + 1)] = 1 / d ** (j + 1)
-            sigma, nums = over_common_denominator(s_col.values())
-            cols_k.append((sigma, list(zip(s_col, nums))))
-        s_cols.append(cols_k)
-    return s_cols
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -556,24 +521,15 @@ def _cup_matrix(model: FramedHiggsModel, window: Window, left, right) -> tuple[i
     return fden * lden * rden, tuple(map(tuple, rows))
 
 
-def hyper_pair(model: FramedHiggsModel,
-               rep_a: tuple[VSection, VSection, VSection],
-               rep_b: tuple[VSection, VSection, VSection]) -> Fraction:
-    """Cup-product pairing of two first-hypercohomology cocycles (c, u0, u1).
-
-    sum over marked points of Res [ sigma(u0_a, c_b) - sigma(c_a, u1_b) ],
-    by the pairing form of a window that holds all six sections; the value
-    depends only on the classes.
+def hyper_pair(model: FramedHiggsModel, rep_a: tuple[dict, dict, dict],
+               rep_b: tuple[dict, dict, dict]) -> Fraction:
+    """Cup-product pairing of two first-hypercohomology cocycles (c, u0, u1),
+    each a triple of sparse layout vectors: c in the layout of the model's
+    window, u0 and u1 in that of its pole-bumped window.  It is `_cup_matrix`
+    on the one pair; the value depends only on the classes.
     """
-    sections = rep_a + rep_b
-    window = Window(max([1] + [s.pole_order(i) for s in sections for i in range(model.curve.n)]),
-                    max([0] + [s.poly_degree() for s in sections]))
-    lay0 = Layout(model.context, window)
-    lay1 = Layout(model.context, Window(window.pole + 1, window.degree))
-    cocycles = [(lay0.to_coords(c), lay1.to_coords(u0), lay1.to_coords(u1))
-                for c, u0, u1 in (rep_a, rep_b)]
-    den, v = integer_vectors(cocycles[0] + cocycles[1])
-    den, ((x,),) = _cup_matrix(model, window, (den, [tuple(v[:3])]), (den, [tuple(v[3:])]))
+    den, v = integer_vectors([*rep_a, *rep_b])
+    den, ((x,),) = _cup_matrix(model, model.window, (den, [tuple(v[:3])]), (den, [tuple(v[3:])]))
     return Fraction(x, den)
 
 

@@ -78,12 +78,6 @@ def add_scaled(acc: dict[int, Fraction], f, v: dict) -> None:
             acc.pop(c, None)
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return [x + y for x, y in zip(a, b)]
-
-def vec_scale(a: Sequence[Fraction], c: Fraction) -> Vec:
-    return [c * x for x in a]
-
 def vec_is_zero(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 

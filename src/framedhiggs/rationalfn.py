@@ -1,14 +1,22 @@
-"""Vector-valued rational functions on P^1 with poles at marked points.
+"""Vector-valued rational sections on P^1 with poles at marked points.
 
-A section is stored in canonical partial-fraction form
+A Laurent window W = (P, D) bounds the pole order at every marked point by
+P and the polynomial degree by D.  Its layout has one coordinate per scalar
+basis function, (z - x_i)^-j for 1 <= j <= P at each point, then z^l for
+0 <= l <= D, tensored with the fiber (position-major, fiber-minor).  A
+section (`VSection`) is a view over its sparse coordinates in that layout.
+The marked points are finite, nonzero and pairwise distinct; the point at
+infinity is handled through the chart u = 1/z.  One-forms are stored through
+their coefficient function (s = f means the form f dz); form semantics only
+enter residue bookkeeping at infinity (dz = -du/u^2).
 
-    s(z) = sum_l poly[l] z^l  +  sum_i sum_j pp[i][j] (z - x_i)^(-j)
-
-with exact rational coefficient vectors.  The marked points are finite,
-nonzero and pairwise distinct; the point at infinity is handled through the
-chart u = 1/z.  One-forms are stored through their coefficient function
-(s = f means the form f dz); form semantics only enter residue bookkeeping
-at infinity (dz = -du/u^2).
+Sections are read through three closed forms, the package's one copy of
+each: `laurent_row`, the coefficient of (z - x_i)^k in the Laurent expansion
+at x_i of each scalar basis function; `infinity_row`, its coefficient of u^k
+at infinity; and `scalar_columns`, the columns of S_i, multiplication by
+1/(z - x_i), kept per process by the points and the window.  The chart bases
+of `curve`, the pairing form and Theta of `deformation` and the `VSection`
+view all read them.
 
 `Poly` is a Fraction front-end over `intpoly`, the one polynomial kernel,
 with no arithmetic of its own.
@@ -18,22 +26,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Sequence
 
-from .exactlinalg import (Vec, ZERO, ONE, frac, over_common_denominator, vec_add,
-                          vec_is_zero, vec_scale, zeros)
+from .exactlinalg import (MEMO_SIZE, Vec, ZERO, ONE, add_scaled, frac,
+                          over_common_denominator, sparse, vec_is_zero, zeros)
 from .intpoly import factor_list, linear_roots
 
 
 @dataclass(frozen=True)
 class RatContext:
-    """Marked points shared by a family of sections; m is the fiber dimension."""
+    """Marked points shared by a family of sections, read as Fractions so
+    that the closed forms stay exact; m is the fiber dimension."""
     points: tuple[Fraction, ...]
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "points", tuple(map(frac, self.points)))
         if len(set(self.points)) != len(self.points):
             raise ValueError("marked points must be pairwise distinct")
         if any(p == 0 for p in self.points):
@@ -51,172 +61,132 @@ class RatContext:
         return len(self.points)
 
 
-class VSection:
-    """Canonical partial-fraction representation of a vector-valued section.
+@dataclass(frozen=True)
+class Window:
+    pole: int      # pole-order bound at every marked point
+    degree: int    # polynomial degree bound
 
-    Treated as immutable after construction; coefficient extraction is cached.
+    def bumped(self, extra: int = 1) -> "Window":
+        return Window(self.pole + extra, self.degree + extra)
+
+
+def laurent_row(points: Sequence[Fraction], window: Window, i: int,
+                order: int) -> dict[int, Fraction]:
+    """lambda_{i,order}: the coefficient of (z - x_i)^order in the Laurent
+    expansion at x_i of each scalar basis function of the window's layout,
+    as {scalar index: value}."""
+    n, pole, x = len(points), window.pole, points[i]
+    if order < 0:
+        return {i * pole - order - 1: ONE} if -order <= pole else {}
+    row = {}
+    for k, xk in enumerate(points):
+        if k != i:
+            d = x - xk
+            for j in range(1, pole + 1):
+                row[k * pole + j - 1] = \
+                    (-1) ** order * comb(j - 1 + order, order) / d ** (j + order)
+    for l in range(order, window.degree + 1):
+        row[n * pole + l] = comb(l, order) * x ** (l - order)
+    return row
+
+
+def infinity_row(points: Sequence[Fraction], window: Window, order: int) -> dict[int, Fraction]:
+    """The coefficient of u^order (u = 1/z) in each scalar basis function of
+    the window's layout."""
+    n, pole = len(points), window.pole
+    if order <= 0:
+        return {n * pole - order: ONE} if -order <= window.degree else {}
+    return {i * pole + j - 1: comb(order - 1, j - 1) * x ** (order - j)
+            for i, x in enumerate(points) for j in range(1, min(pole, order) + 1)}
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def scalar_columns(points: tuple[Fraction, ...], window: Window
+                   ) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+    """Per scalar basis function k of the layout of `window`, the columns k
+    of S_1, ..., S_n, S_i the multiplication by 1/(z - x_i) into the layout
+    of the pole-bumped window, each as (sigma, [(q, sigma S_i[q][k])]) over
+    its least common denominator sigma; kept per process by the points and
+    the window.  In closed form, with d = x_i - x_k:
+    (z-x_i)^-j -> (z-x_i)^-(j+1);
+    (z-x_k)^-j -> d^-j (z-x_i)^-1 - sum_{t<j} d^-(t+1) (z-x_k)^(t-j);
+    z^l -> x_i^l (z-x_i)^-1 + sum_{t<l} x_i^(l-1-t) z^t."""
+    n, pole = len(points), window.pole
+    s_cols = []
+    for k in range(n * pole + window.degree + 1):
+        kp, j = divmod(k, pole) if k < n * pole else (n, 0)   # (z - x_kp)^-(j+1)
+        cols_k = []
+        for i, x in enumerate(points):
+            if kp >= n:
+                l = k - n * pole
+                s_col = {n * (pole + 1) + t: x ** (l - 1 - t) for t in range(l)}
+                s_col[i * (pole + 1)] = x ** l
+            elif kp == i:
+                s_col = {k + i + 1: ONE}
+            else:
+                d = x - points[kp]
+                s_col = {kp * (pole + 1) + j - t: -1 / d ** (t + 1) for t in range(j + 1)}
+                s_col[i * (pole + 1)] = 1 / d ** (j + 1)
+            sigma, nums = over_common_denominator(s_col.values())
+            cols_k.append((sigma, list(zip(s_col, nums))))
+        s_cols.append(cols_k)
+    return s_cols
+
+
+class VSection:
+    """A vector-valued section: its sparse coordinates {layout index: value}
+    in the layout of `window`, read through the closed forms above.
+
+    Treated as immutable after construction.
     """
 
-    __slots__ = ("ctx", "poly", "pp", "_cache")
+    __slots__ = ("ctx", "window", "coords")
 
-    def __init__(self, ctx: RatContext, poly: list[Vec] | None = None,
-                 pp: dict[int, dict[int, Vec]] | None = None):
-        self.ctx = ctx
-        self.poly = [list(v) for v in (poly or [])]
-        self.pp = {i: {j: list(v) for j, v in parts.items() if not vec_is_zero(v)}
-                   for i, parts in (pp or {}).items()}
-        self._cache: dict = {}
-        self._normalize()
+    def __init__(self, ctx: RatContext, window: Window, coords: dict[int, Fraction]):
+        self.ctx, self.window, self.coords = ctx, window, sparse(coords)
 
-    def _normalize(self):
-        while self.poly and vec_is_zero(self.poly[-1]):
-            self.poly.pop()
-        self.pp = {i: parts for i, parts in self.pp.items() if parts}
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx: RatContext) -> "VSection":
-        return cls(ctx)
-
-    @classmethod
-    def monomial(cls, ctx: RatContext, degree: int, v: Sequence[Fraction]) -> "VSection":
-        poly = [zeros(ctx.m) for _ in range(degree)] + [list(v)]
-        return cls(ctx, poly=poly)
-
-    @classmethod
-    def principal(cls, ctx: RatContext, i: int, order: int, v: Sequence[Fraction]) -> "VSection":
-        if order < 1:
-            raise ValueError("principal parts have order >= 1")
-        return cls(ctx, pp={i: {order: list(v)}})
-
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other: "VSection") -> "VSection":
-        poly = [list(v) for v in self.poly]
-        for l, v in enumerate(other.poly):
-            while len(poly) <= l:
-                poly.append(zeros(self.ctx.m))
-            poly[l] = vec_add(poly[l], v)
-        pp: dict[int, dict[int, Vec]] = {i: {j: list(v) for j, v in parts.items()}
-                                         for i, parts in self.pp.items()}
-        for i, parts in other.pp.items():
-            tgt = pp.setdefault(i, {})
-            for j, v in parts.items():
-                tgt[j] = vec_add(tgt[j], v) if j in tgt else list(v)
-        return VSection(self.ctx, poly, pp)
-
-    def __sub__(self, other: "VSection") -> "VSection":
-        return self + other.scale(-ONE)
-
-    def scale(self, c) -> "VSection":
-        c = frac(c)
-        return VSection(self.ctx,
-                        [vec_scale(v, c) for v in self.poly],
-                        {i: {j: vec_scale(v, c) for j, v in parts.items()}
-                         for i, parts in self.pp.items()})
-
-    def is_zero(self) -> bool:
-        return not self.poly and not self.pp
-
-    # -- structure queries ---------------------------------------------------
+    def _terms(self) -> set[int]:
+        """The scalar basis functions with a nonzero coefficient vector."""
+        return {idx // self.ctx.m for idx in self.coords}
 
     def pole_order(self, i: int) -> int:
-        return max(self.pp.get(i, {0: None}).keys(), default=0) if i in self.pp else 0
+        pole = self.window.pole
+        return max((k - i * pole + 1 for k in self._terms() if 0 <= k - i * pole < pole),
+                   default=0)
 
     def poly_degree(self) -> int:
         """Degree of the polynomial part, -1 if absent."""
-        return len(self.poly) - 1
+        base = self.ctx.n * self.window.pole
+        return max((k - base for k in self._terms() if k >= base), default=-1)
 
-    # -- coefficient extraction ----------------------------------------------
+    def _read(self, row: dict[int, Fraction]) -> Vec:
+        """sum_k row[k] s_k over the coefficient vectors s_k of the section."""
+        m = self.ctx.m
+        acc = zeros(m)
+        for idx, x in self.coords.items():
+            k, a = divmod(idx, m)
+            if k in row:
+                acc[a] += row[k] * x
+        return acc
 
     def laurent_coeff(self, i: int, order: int) -> Vec:
         """Coefficient of (z - x_i)^order in the Laurent expansion at x_i."""
-        if order < 0:
-            return list(self.pp.get(i, {}).get(-order, zeros(self.ctx.m)))
-        key = (i, order)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return list(cached)
-        x = self.ctx.points[i]
-        acc = zeros(self.ctx.m)
-        # polynomial part: Taylor shift
-        for l, v in enumerate(self.poly):
-            if l >= order:
-                acc = vec_add(acc, vec_scale(v, frac(comb(l, order)) * x ** (l - order)))
-        # principal parts at other points: (z-x_k)^(-j) expanded around x_i
-        for k, parts in self.pp.items():
-            if k == i:
-                continue
-            d = x - self.ctx.points[k]
-            for j, v in parts.items():
-                c = frac((-1) ** order * comb(j - 1 + order, order)) / d ** (j + order)
-                acc = vec_add(acc, vec_scale(v, c))
-        self._cache[key] = acc
-        return list(acc)
+        return self._read(laurent_row(self.ctx.points, self.window, i, order))
 
     def infinity_coeff(self, order: int) -> Vec:
         """Coefficient of u^order in the expansion at infinity (u = 1/z)."""
-        acc = zeros(self.ctx.m)
-        if order <= 0:
-            if -order < len(self.poly):
-                acc = vec_add(acc, self.poly[-order])
-            return acc
-        key = ("inf", order)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return list(cached)
-        for i, parts in self.pp.items():
-            x = self.ctx.points[i]
-            for j, v in parts.items():
-                if order >= j:
-                    acc = vec_add(acc, vec_scale(v, frac(comb(order - 1, j - 1)) * x ** (order - j)))
-        self._cache[key] = acc
-        return list(acc)
-
-    def evaluate(self, t: Fraction) -> Vec:
-        """Exact value at a rational point away from the poles."""
-        acc = zeros(self.ctx.m)
-        power = ONE
-        for v in self.poly:
-            acc = vec_add(acc, vec_scale(v, power))
-            power *= t
-        for i, parts in self.pp.items():
-            d = t - self.ctx.points[i]
-            if d == 0:
-                raise ZeroDivisionError("evaluation at a pole")
-            for j, v in parts.items():
-                acc = vec_add(acc, vec_scale(v, ONE / d ** j))
-        return acc
-
-    # -- multiplication by 1/(z - x_i) ----------------------------------------
+        return self._read(infinity_row(self.ctx.points, self.window, order))
 
     def mul_pole(self, i: int) -> "VSection":
-        """Multiply by (z - x_i)^(-1), keeping the canonical form; with
-        d = x_i - x_k for k != i,
-            z^l        -> x_i^l (z-x_i)^-1 + sum_{t<l} x_i^(l-1-t) z^t,
-            (z-x_i)^-j -> (z-x_i)^-(j+1),
-            (z-x_k)^-j -> d^-j (z-x_i)^-1 - sum_{s<j} d^-(s+1) (z-x_k)^(s-j)."""
-        ctx, x = self.ctx, self.ctx.points[i]
-        poly = [zeros(ctx.m) for _ in self.poly[1:]]
-        pp: dict[int, dict[int, Vec]] = {k: {} for k in range(ctx.n)}
-
-        def add(part, key, v, c):
-            part[key] = vec_add(part.get(key, zeros(ctx.m)), vec_scale(v, c))
-        for l, v in enumerate(self.poly):
-            add(pp[i], 1, v, x ** l)
-            for t in range(l):
-                poly[t] = vec_add(poly[t], vec_scale(v, x ** (l - 1 - t)))
-        for k, parts in self.pp.items():
-            d = x - ctx.points[k]
-            for j, v in parts.items():
-                if k == i:
-                    add(pp[i], j + 1, v, ONE)
-                    continue
-                add(pp[i], 1, v, ONE / d ** j)
-                for s in range(j):
-                    add(pp[k], j - s, v, -ONE / d ** (s + 1))
-        return VSection(ctx, poly, pp)
+        """The section times (z - x_i)^(-1), in the layout of the pole-bumped
+        window."""
+        m, out = self.ctx.m, {}
+        cols = scalar_columns(self.ctx.points, self.window)
+        for idx, x in self.coords.items():
+            k, a = divmod(idx, m)
+            sigma, col = cols[k][i]
+            add_scaled(out, x / sigma, {q * m + a: y for q, y in col})
+        return VSection(self.ctx, Window(self.window.pole + 1, self.window.degree), out)
 
 
 def pairing_residue_at_point(f: VSection, g: VSection, gram_apply, i: int) -> Fraction:

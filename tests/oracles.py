@@ -32,7 +32,13 @@ the tests check the code that the jobs do run.
   the reversed polynomial, a general Taylor shift by 1), against which the
   one-pass bound and step of `intpoly` are checked;
 - `jsonable` and `json_report_text`: the report as JSON through
-  ``json.dumps(indent=2)``, against which `cli`'s one-pass writer is checked.
+  ``json.dumps(indent=2)``, against which `cli`'s one-pass writer is checked;
+- `VSection`: a vector-valued section in partial-fraction form, with its own
+  closed forms of the Laurent expansion at x_i, the expansion at infinity
+  and multiplication by 1/(z - x_i), and `from_layout` and `to_layout`
+  between it and the coordinates of a window's layout, against which
+  `rationalfn.laurent_row`, `infinity_row`, `scalar_columns` and the
+  `rationalfn.VSection` view are checked.
 """
 
 import json
@@ -40,13 +46,16 @@ import math
 import random
 from fractions import Fraction
 from functools import cache
+from math import comb
 from typing import Sequence
 
 from framedhiggs.deformation import DeformationTheory, _apply
-from framedhiggs.exactlinalg import ONE, ZERO, frac, inverse, mat_comb, mat_mul, mat_vec
+from framedhiggs.exactlinalg import (ONE, ZERO, Vec, frac, inverse, mat_comb, mat_mul, mat_vec,
+                                     sparse, vec_is_zero, zeros)
 from framedhiggs.intpoly import _reverse, _shift, _sign_variations
 from framedhiggs.liealg import (AlgebraElement, bracket, mat_trace, matrix_invariant,
                                 perp_coordinates, to_matrix)
+from framedhiggs.rationalfn import RatContext, Window
 
 
 def mat_is_zero(a):
@@ -444,3 +453,211 @@ def jsonable(x):
 def json_report_text(report: dict) -> str:
     """The report as ``json.dumps(..., indent=2, sort_keys=True)`` writes it."""
     return json.dumps(jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def vec_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def vec_scale(a, c):
+    return [c * x for x in a]
+
+
+class VSection:
+    """Canonical partial-fraction representation of a vector-valued section.
+
+    Treated as immutable after construction; coefficient extraction is cached.
+    """
+
+    __slots__ = ("ctx", "poly", "pp", "_cache")
+
+    def __init__(self, ctx: RatContext, poly: list[Vec] | None = None,
+                 pp: dict[int, dict[int, Vec]] | None = None):
+        self.ctx = ctx
+        self.poly = [list(v) for v in (poly or [])]
+        self.pp = {i: {j: list(v) for j, v in parts.items() if not vec_is_zero(v)}
+                   for i, parts in (pp or {}).items()}
+        self._cache: dict = {}
+        self._normalize()
+
+    def _normalize(self):
+        while self.poly and vec_is_zero(self.poly[-1]):
+            self.poly.pop()
+        self.pp = {i: parts for i, parts in self.pp.items() if parts}
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def zero(cls, ctx: RatContext) -> "VSection":
+        return cls(ctx)
+
+    @classmethod
+    def monomial(cls, ctx: RatContext, degree: int, v: Sequence[Fraction]) -> "VSection":
+        poly = [zeros(ctx.m) for _ in range(degree)] + [list(v)]
+        return cls(ctx, poly=poly)
+
+    @classmethod
+    def principal(cls, ctx: RatContext, i: int, order: int, v: Sequence[Fraction]) -> "VSection":
+        if order < 1:
+            raise ValueError("principal parts have order >= 1")
+        return cls(ctx, pp={i: {order: list(v)}})
+
+    # -- linear structure ----------------------------------------------------
+
+    def __add__(self, other: "VSection") -> "VSection":
+        poly = [list(v) for v in self.poly]
+        for l, v in enumerate(other.poly):
+            while len(poly) <= l:
+                poly.append(zeros(self.ctx.m))
+            poly[l] = vec_add(poly[l], v)
+        pp: dict[int, dict[int, Vec]] = {i: {j: list(v) for j, v in parts.items()}
+                                         for i, parts in self.pp.items()}
+        for i, parts in other.pp.items():
+            tgt = pp.setdefault(i, {})
+            for j, v in parts.items():
+                tgt[j] = vec_add(tgt[j], v) if j in tgt else list(v)
+        return VSection(self.ctx, poly, pp)
+
+    def __sub__(self, other: "VSection") -> "VSection":
+        return self + other.scale(-ONE)
+
+    def scale(self, c) -> "VSection":
+        c = frac(c)
+        return VSection(self.ctx,
+                        [vec_scale(v, c) for v in self.poly],
+                        {i: {j: vec_scale(v, c) for j, v in parts.items()}
+                         for i, parts in self.pp.items()})
+
+    def is_zero(self) -> bool:
+        return not self.poly and not self.pp
+
+    # -- structure queries ---------------------------------------------------
+
+    def pole_order(self, i: int) -> int:
+        return max(self.pp.get(i, {0: None}).keys(), default=0) if i in self.pp else 0
+
+    def poly_degree(self) -> int:
+        """Degree of the polynomial part, -1 if absent."""
+        return len(self.poly) - 1
+
+    # -- coefficient extraction ----------------------------------------------
+
+    def laurent_coeff(self, i: int, order: int) -> Vec:
+        """Coefficient of (z - x_i)^order in the Laurent expansion at x_i."""
+        if order < 0:
+            return list(self.pp.get(i, {}).get(-order, zeros(self.ctx.m)))
+        key = (i, order)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return list(cached)
+        x = self.ctx.points[i]
+        acc = zeros(self.ctx.m)
+        # polynomial part: Taylor shift
+        for l, v in enumerate(self.poly):
+            if l >= order:
+                acc = vec_add(acc, vec_scale(v, frac(comb(l, order)) * x ** (l - order)))
+        # principal parts at other points: (z-x_k)^(-j) expanded around x_i
+        for k, parts in self.pp.items():
+            if k == i:
+                continue
+            d = x - self.ctx.points[k]
+            for j, v in parts.items():
+                c = frac((-1) ** order * comb(j - 1 + order, order)) / d ** (j + order)
+                acc = vec_add(acc, vec_scale(v, c))
+        self._cache[key] = acc
+        return list(acc)
+
+    def infinity_coeff(self, order: int) -> Vec:
+        """Coefficient of u^order in the expansion at infinity (u = 1/z)."""
+        acc = zeros(self.ctx.m)
+        if order <= 0:
+            if -order < len(self.poly):
+                acc = vec_add(acc, self.poly[-order])
+            return acc
+        key = ("inf", order)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return list(cached)
+        for i, parts in self.pp.items():
+            x = self.ctx.points[i]
+            for j, v in parts.items():
+                if order >= j:
+                    acc = vec_add(acc, vec_scale(v, frac(comb(order - 1, j - 1)) * x ** (order - j)))
+        self._cache[key] = acc
+        return list(acc)
+
+    def evaluate(self, t: Fraction) -> Vec:
+        """Exact value at a rational point away from the poles."""
+        acc = zeros(self.ctx.m)
+        power = ONE
+        for v in self.poly:
+            acc = vec_add(acc, vec_scale(v, power))
+            power *= t
+        for i, parts in self.pp.items():
+            d = t - self.ctx.points[i]
+            if d == 0:
+                raise ZeroDivisionError("evaluation at a pole")
+            for j, v in parts.items():
+                acc = vec_add(acc, vec_scale(v, ONE / d ** j))
+        return acc
+
+    # -- multiplication by 1/(z - x_i) ----------------------------------------
+
+    def mul_pole(self, i: int) -> "VSection":
+        """Multiply by (z - x_i)^(-1), keeping the canonical form; with
+        d = x_i - x_k for k != i,
+            z^l        -> x_i^l (z-x_i)^-1 + sum_{t<l} x_i^(l-1-t) z^t,
+            (z-x_i)^-j -> (z-x_i)^-(j+1),
+            (z-x_k)^-j -> d^-j (z-x_i)^-1 - sum_{s<j} d^-(s+1) (z-x_k)^(s-j)."""
+        ctx, x = self.ctx, self.ctx.points[i]
+        poly = [zeros(ctx.m) for _ in self.poly[1:]]
+        pp: dict[int, dict[int, Vec]] = {k: {} for k in range(ctx.n)}
+
+        def add(part, key, v, c):
+            part[key] = vec_add(part.get(key, zeros(ctx.m)), vec_scale(v, c))
+        for l, v in enumerate(self.poly):
+            add(pp[i], 1, v, x ** l)
+            for t in range(l):
+                poly[t] = vec_add(poly[t], vec_scale(v, x ** (l - 1 - t)))
+        for k, parts in self.pp.items():
+            d = x - ctx.points[k]
+            for j, v in parts.items():
+                if k == i:
+                    add(pp[i], j + 1, v, ONE)
+                    continue
+                add(pp[i], 1, v, ONE / d ** j)
+                for s in range(j):
+                    add(pp[k], j - s, v, -ONE / d ** (s + 1))
+        return VSection(ctx, poly, pp)
+
+
+def from_layout(ctx: RatContext, window: Window, coords) -> VSection:
+    """The partial-fraction section with these dense or sparse coordinates in
+    the layout of `window`: coordinate (P i + j - 1) m + a is entry a of the
+    (z - x_i)^-j part and (P n + l) m + a entry a of the z^l part, P the
+    window's pole bound."""
+    m, pole = ctx.m, window.pole
+    coords = sparse(coords)
+
+    def get(k):
+        return [coords.get(k * m + a, ZERO) for a in range(m)]
+    pp = {i: {j: get(i * pole + j - 1) for j in range(1, pole + 1)} for i in range(ctx.n)}
+    poly = [get(ctx.n * pole + l) for l in range(window.degree + 1)]
+    return VSection(ctx, poly=poly, pp=pp)
+
+
+def to_layout(s: VSection, window: Window) -> dict:
+    """The sparse coordinates of a partial-fraction section in the layout of
+    `window`; ValueError if it does not fit the window."""
+    m, pole = s.ctx.m, window.pole
+    if s.poly_degree() > window.degree:
+        raise ValueError("section exceeds the polynomial window")
+    out = {}
+    for i, parts in s.pp.items():
+        for j, v in parts.items():
+            if j > pole:
+                raise ValueError("section exceeds the pole window")
+            out.update(((i * pole + j - 1) * m + a, x) for a, x in enumerate(v) if x)
+    for l, v in enumerate(s.poly):
+        out.update(((s.ctx.n * pole + l) * m + a, x) for a, x in enumerate(v) if x)
+    return out

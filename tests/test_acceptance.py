@@ -21,7 +21,7 @@ from framedhiggs.liealg import (AlgebraElement, AlgebraModel, bracket, torus_fra
 from framedhiggs.sampling import random_residue_tuple, seeded_model
 from framedhiggs.spectral import spectral_genus
 from oracles import NegatedAdjointTheory, ad_matrices, check_invariance, mat_is_zero
-from test_deformation import basis_reps, random_coboundary
+from test_deformation import add_cocycles, basis_cocycles, random_coboundary
 
 GRID_GROUPS = ["sl(2)", "sl(3)", "gl(2)", "gl(3)", "sp(4)", "so(5)"]
 
@@ -128,10 +128,9 @@ def test_criterion_5_symplectic_pairing():
         assert all(phi[i][j] == -phi[j][i]
                    for i in range(len(phi)) for j in range(len(phi)))
         cone = theory.cone(FRAMED)
-        reps = basis_reps(cone)
+        reps = basis_cocycles(cone)
         if reps:
-            cob = random_coboundary(cone, rng)
-            shifted = tuple(x + y for x, y in zip(reps[0], cob))
+            shifted = add_cocycles(reps[0], random_coboundary(cone, rng))
             for other in reps[:3]:
                 assert hyper_pair(model, shifted, other) == \
                     hyper_pair(model, reps[0], other)

@@ -1019,8 +1019,9 @@ def test_an_escalating_spectral_job_loads_no_numpy(tmp_path):
                   "residues": {"type": "random", "seed": 5}}),
 ], ids=["dims", "audit", "defo-golden-gl2-torus", "gaudin-readme-flow", "spectral-sl2-4pt"])
 def test_no_subcommand_builds_an_oracle_kernel(tmp_path, monkeypatch, subcommand, config):
-    # `rationalfn.Poly` and `VSection` are the tests' references for the
-    # integer polynomial and layout paths, so no job may build either.
+    # `rationalfn.Poly` is the tests' reference for the integer polynomial
+    # path, and `rationalfn.VSection` views sections for the H^0/H^1 API and
+    # the demos alone, so no job may build either.
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"hfb {subcommand} built a {type(self).__name__}")
     monkeypatch.setattr(rationalfn.Poly, "__init__", refuse)

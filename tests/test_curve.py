@@ -4,15 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from framedhiggs import curve, intpoly
+from framedhiggs import curve, intpoly, rationalfn
 from framedhiggs.curve import (H1Presentation, Layout, MarkedCurve, Window,
                                dot_gram, global_sections,
                                h1_presentation, make_spec,
                                sections_off_divisor, sections_on_affine_chart,
                                serre_dual_spec, serre_pairing)
 from framedhiggs.exactlinalg import ZERO, Echelon, dense, identity, nullspace_sparse, rank
-from framedhiggs.rationalfn import (Poly, RatContext, VSection, pairing_residue_at_infinity,
+from framedhiggs.rationalfn import (Poly, RatContext, pairing_residue_at_infinity,
                                     pairing_residue_at_point)
+from oracles import VSection, from_layout, to_layout
 
 PTS3 = (F(1), F(2), F(3))
 PTS2 = (F(1), F(2))
@@ -50,13 +51,25 @@ def test_simple_pole_forms_on_three_points():
     for s in basis:
         residues = [s.laurent_coeff(i, -1)[0] for i in range(3)]
         assert sum(residues) == 0
-        assert not s.poly
+        assert s.poly_degree() == -1
     # the stated spanning elements lie in the computed span
     ech = Echelon(3)
     for s in basis:
         ech.insert([s.laurent_coeff(i, -1)[0] for i in range(3)])
     assert ech.contains([F(1), F(0), F(-1)])
     assert ech.contains([F(0), F(1), F(-1)])
+
+
+def test_integer_points_give_the_sections_of_their_fractions():
+    # the closed forms divide by differences of points, so an int point
+    # would make them floats
+    spec = make_spec(1, [-1, 1, 1], None, 0)
+    ints = RatContext((1, 4, 7), 1)
+    assert all(type(x) is F for x in ints.points)
+    secs = global_sections(ints, spec)
+    assert [s.coords for s in secs] == \
+        [s.coords for s in global_sections(RatContext((F(1), F(4), F(7)), 1), spec)]
+    assert all(type(x) is F for s in secs for i in range(3) for x in s.laurent_coeff(i, 0))
 
 
 def test_value_constraint_kills_constants():
@@ -66,12 +79,13 @@ def test_value_constraint_kills_constants():
 
 
 # ---------------------------------------------------------------------------
-# chart sections against the VSection-built oracle
+# chart sections against the partial-fraction oracle
 # ---------------------------------------------------------------------------
 
 def vsection_sections(ctx, spec, poles, degree, at_points):
-    """Oracle: the chart basis as combinations of candidate VSections, with
-    condition rows read off `laurent_coeff` and `infinity_coeff`."""
+    """Oracle: the chart basis as combinations of candidate partial-fraction
+    sections, with condition rows read off their own `laurent_coeff` and
+    `infinity_coeff`."""
     m = spec.m
     units = identity(m)
     candidates = [VSection.principal(ctx, i, j, v)
@@ -124,16 +138,17 @@ def test_layout_chart_sections_equal_the_vsection_oracle():
     for _ in range(220):
         ctx, spec = _random_spec(rng)
         window = curve.default_window([spec]).bumped(rng.randint(0, 1))
-        layout = Layout(ctx, window)
         for chart, poles, degree, at_points in (
                 (sections_on_affine_chart, spec.pole_orders, window.degree, True),
                 (sections_off_divisor, [window.pole] * spec.n, spec.inf_order, False)):
-            expected = [layout.to_coords(s)
+            expected = [to_layout(s, window)
                         for s in vsection_sections(ctx, spec, poles, degree, at_points)]
             assert list(chart(ctx, spec, window)) == expected
         glob = global_sections(ctx, spec)
         expected = vsection_sections(ctx, spec, spec.pole_orders, spec.inf_order, True)
-        assert [layout.to_coords(s) for s in glob] == [layout.to_coords(s) for s in expected]
+        glob_window = Window(max(0, *spec.pole_orders), max(spec.inf_order, 0))
+        assert all(s.window == glob_window for s in glob)
+        assert [s.coords for s in glob] == [to_layout(s, glob_window) for s in expected]
         kinds.update(k for k, on in (("constraint", any(c is not None for c in spec.constraints)),
                                      ("negative pole order", min(spec.pole_orders) < 0),
                                      ("vanishing at infinity", spec.inf_order < -1),
@@ -155,28 +170,28 @@ def test_a_perturbed_laurent_row_breaks_the_chart_sections(monkeypatch):
     ctx = RatContext(PTS3, 2)
     spec = make_spec(2, [-1, 0, 1], [None, [(F(1), F(2))], None], -1)
     window = curve.default_window([spec])
-    layout = Layout(ctx, window)
-    expected = [layout.to_coords(s)
+    expected = [to_layout(s, window)
                 for s in vsection_sections(ctx, spec, spec.pole_orders, window.degree, True)]
     assert list(sections_on_affine_chart(ctx, spec, window)) != expected
 
 
 def _row_mismatches(points, window):
-    """Where the closed-form rows and the VSection expansions of the scalar
+    """Where the closed-form rows and the oracle's expansions of the scalar
     layout unit sections of a rank-one context disagree, as (kind, point,
     order, layout index): `laurent_row` against `laurent_coeff` and
     `infinity_row` against `infinity_coeff`, at every order the window
     reaches and one beyond it on either side."""
-    layout = Layout(RatContext(points, 1), window)
-    units = [layout.from_coords({idx: F(1)}) for idx in range(layout.dim)]
+    ctx = RatContext(points, 1)
+    units = [from_layout(ctx, window, {idx: F(1)})
+             for idx in range(Layout(ctx, window).dim)]
     out = []
     for i in range(len(points)):
         for order in range(-window.pole - 1, window.degree + 2):
-            row = curve.laurent_row(points, window, i, order)
+            row = rationalfn.laurent_row(points, window, i, order)
             out += [("laurent", i, order, idx) for idx, s in enumerate(units)
                     if s.laurent_coeff(i, order) != [row.get(idx, 0)]]
     for order in range(-window.degree - 1, window.pole + 2):
-        row = curve.infinity_row(points, window, order)
+        row = rationalfn.infinity_row(points, window, order)
         out += [("infinity", None, order, idx) for idx, s in enumerate(units)
                 if s.infinity_coeff(order) != [row.get(idx, 0)]]
     return out
@@ -197,7 +212,7 @@ def test_the_laurent_rows_are_the_vsection_expansions_of_the_layout_units():
 
 def test_an_off_by_one_binomial_in_the_laurent_row_is_caught_row_by_row(monkeypatch):
     from math import comb
-    monkeypatch.setattr(curve, "comb", lambda a, b: comb(a + 1, b))
+    monkeypatch.setattr(rationalfn, "comb", lambda a, b: comb(a + 1, b))
     cases = list(_random_points_and_windows(random.Random(31), 40))
     caught = [case for case in cases
               if any(kind == "laurent" for kind, *_ in _row_mismatches(*case))]
@@ -381,7 +396,7 @@ def test_serre_pairing_zero_class():
     spec = make_spec(1, [-1, -1, -1], None, 0)
     dual = serre_dual_spec(spec)
     dual_secs = global_sections(ctx, dual)
-    zero = VSection.zero(ctx)
+    zero = rationalfn.VSection(ctx, Window(0, 0), {})
     assert all(serre_pairing(zero, d) == 0 for d in dual_secs)
 
 
@@ -396,7 +411,7 @@ def test_serre_pairing_full_rank_and_coboundary():
     assert rank(mat) == 2
     for cob in (list(sections_on_affine_chart(ctx, spec, pres.window))
                 + list(sections_off_divisor(ctx, spec, pres.window))):
-        cob = pres.layout.from_coords(cob)
+        cob = rationalfn.VSection(ctx, pres.window, cob)
         for d in dual_secs:
             assert serre_pairing(cob, d) == 0
     # the total-residue functional annihilates everything global

@@ -9,13 +9,13 @@ from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL,
                                      framed_higgs_model, hyper_pair,
                                      verify_poisson_map)
 from framedhiggs.exactlinalg import (ZERO, add_scaled, dense, inverse, mat_mul,
-                                     mat_vec, nullspace_sparse, rank,
-                                     sparse, vec_add, vec_scale)
+                                     mat_vec, nullspace_sparse, rank, sparse)
 from framedhiggs.liealg import AlgebraElement, AlgebraModel, bracket, trace_form
-from framedhiggs.rationalfn import VSection, pairing_residue_at_point
+from framedhiggs.rationalfn import pairing_residue_at_point
 from framedhiggs.sampling import random_algebra_element, seeded_model
 from conftest import clear_memos
-from oracles import NegatedAdjointTheory, ad_matrices, cup_matrix_by_entries, mat_is_zero
+from oracles import (NegatedAdjointTheory, VSection, ad_matrices, cup_matrix_by_entries,
+                     from_layout, mat_is_zero, to_layout, vec_add, vec_scale)
 
 
 def dims_of(cone):
@@ -34,37 +34,52 @@ def balanced(model, rng, n, h=4):
 
 
 # ---------------------------------------------------------------------------
-# cocycles as VSections: the oracles of the layout-native pairing
+# cocycles as layout vectors, and as the partial-fraction sections of the
+# oracles of the layout-native pairing
 # ---------------------------------------------------------------------------
 
-def rep_of_params(cone, params):
-    """The cochain with T^1 parameters `params` as VSections (c, u0, u1),
-    summed over the chart sections."""
-    params = dense(sparse(params), cone.t1_params)
-    n_u0, n_u1 = len(cone.f1_u0), len(cone.f1_u1)
-    parts = []
-    for coeffs, sections in ((params[:n_u0], cone.f1_u0),
-                             (params[n_u0:n_u0 + n_u1], cone.f1_u1)):
-        s = VSection.zero(cone.ctx)
-        for x, sec in zip(coeffs, sections):
-            if x:
-                s = s + cone.t2_layout.from_coords(sec).scale(x)
-        parts.append(s)
-    return (cone.c_layout.from_coords(params[n_u0 + n_u1:]), *parts)
+def cocycle_of_params(cone, params):
+    """The cochain with T^1 parameters `params` as sparse layout vectors
+    (c, u0, u1), summed over the chart sections."""
+    n_u0, base = len(cone.f1_u0), len(cone.f1_u0) + len(cone.f1_u1)
+    c, u0, u1 = {}, {}, {}
+    for p, x in sparse(params).items():
+        if p >= base:
+            c[p - base] = x
+        elif p >= n_u0:
+            add_scaled(u1, x, cone.f1_u1.vector(p - n_u0))
+        else:
+            add_scaled(u0, x, cone.f1_u0.vector(p))
+    return c, u0, u1
 
 
-def basis_reps(cone):
-    return [rep_of_params(cone, p) for p in cone.quotient.basis]
+def basis_cocycles(cone):
+    return [cocycle_of_params(cone, p) for p in cone.quotient.basis]
+
+
+def add_cocycles(a, b):
+    """The sum of two layout cocycles, component by component."""
+    out = tuple(dict(v) for v in a)
+    for v, w in zip(out, b):
+        add_scaled(v, 1, w)
+    return out
+
+
+def sections_of(cone, cocycle):
+    """A layout cocycle (c, u0, u1) as partial-fraction sections."""
+    c, u0, u1 = cocycle
+    return (from_layout(cone.ctx, cone.window0, c), from_layout(cone.ctx, cone.window1, u0),
+            from_layout(cone.ctx, cone.window1, u1))
 
 
 def project_cocycle(cone, c, u0, u1):
-    """Class coordinates of a VSection cocycle, through the chart coordinates."""
-    x0 = cone.f1_u0.coords(cone.t2_layout.to_coords(u0))
-    x1 = cone.f1_u1.coords(cone.t2_layout.to_coords(u1))
+    """Class coordinates of a layout cocycle, through the chart coordinates."""
+    x0 = cone.f1_u0.coords(u0)
+    x1 = cone.f1_u1.coords(u1)
     if x0 is None or x1 is None:
         raise ValueError("cochain components do not satisfy the sheaf conditions")
     params = (dense(x0, len(cone.f1_u0)) + dense(x1, len(cone.f1_u1))
-              + dense(cone.c_layout.to_coords(c), cone.c_layout.dim))
+              + dense(c, cone.c_layout.dim))
     return cone.quotient.project(params)
 
 
@@ -75,7 +90,7 @@ def random_coboundary(cone, rng):
     for w, col in zip(weights, cone._d0_cols):
         if w:
             add_scaled(params, w, col)
-    return rep_of_params(cone, params)
+    return cocycle_of_params(cone, params)
 
 
 def fractions(matrix):
@@ -216,7 +231,7 @@ def higgs_field_coords(cone):
     theta = VSection.zero(cone.ctx)
     for i, el in enumerate(cone.model.residues):
         theta = theta + VSection.principal(cone.ctx, i, 1, cone.model.algebra.coords(el))
-    return cone.c_layout.to_coords(theta)
+    return to_layout(theta, cone.window0)
 
 
 def test_zero_higgs_field_splits():
@@ -252,8 +267,8 @@ def test_theta_operator_matches_pointwise_bracket(gid, pts, framing, seed):
     for _ in range(3):
         coords = [F(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.3 else ZERO
                   for _ in range(cone.c_layout.dim)]
-        s = cone.c_layout.from_coords(coords)
-        image = cone.t2_layout.from_coords(cone.theta(coords))
+        s = from_layout(cone.ctx, cone.window0, coords)
+        image = from_layout(cone.ctx, cone.window1, cone.theta(coords))
         for t in (F(1, 2), F(-7, 3), F(5)):
             expected = [ZERO] * model.dim
             for x, el in zip(model.curve.points, model.residues):
@@ -342,10 +357,9 @@ def test_pairing_representative_independence():
     model = seeded_model("sl(2)", [1, 2, 3], "trivial", 13, 4)
     th = DeformationTheory(model)
     cone = th.cone(FRAMED)
-    reps = basis_reps(cone)
+    reps = basis_cocycles(cone)
     for _ in range(3):
-        cob = random_coboundary(cone, rng)
-        shifted = tuple(x + y for x, y in zip(reps[0], cob))
+        shifted = add_cocycles(reps[0], random_coboundary(cone, rng))
         for other in reps[:5]:
             assert hyper_pair(model, shifted, other) == hyper_pair(model, reps[0], other)
             assert hyper_pair(model, other, shifted) == hyper_pair(model, other, reps[0])
@@ -357,8 +371,7 @@ def test_split_pairing_block_structure():
     model = framed_higgs_model("sl(2)", [1, 2], [z, z], "trivial")
     th = DeformationTheory(model)
     _, phi = th.symplectic_matrix()
-    reps = basis_reps(th.cone(FRAMED))
-    flags = [c.is_zero() for (c, _, _) in reps]
+    flags = [not c for c, _, _ in basis_cocycles(th.cone(FRAMED))]
     assert flags == [True] * 3 + [False] * 3  # global-section block first
     for i in range(3):
         for j in range(3):
@@ -369,17 +382,17 @@ def test_split_pairing_block_structure():
 
 def serre_pairing_matrix(theory):
     """Oracle: the pairing between the twisted hypercohomology and its Serre dual."""
-    tw_reps = basis_reps(theory.cone(TWISTED))
-    dual_reps = basis_reps(theory.cone(TWISTED_DUAL))
+    tw_reps = basis_cocycles(theory.cone(TWISTED))
+    dual_reps = basis_cocycles(theory.cone(TWISTED_DUAL))
     return [[hyper_pair(theory.model, t, w) for w in dual_reps] for t in tw_reps]
 
 
 def poisson_skew_residual(theory):
     """Oracle: max |<P a, b> + <P b, a>| over dual-basis classes a, b."""
     tw = theory.cone(TWISTED)
-    dual_reps = basis_reps(theory.cone(TWISTED_DUAL))
+    dual_reps = basis_cocycles(theory.cone(TWISTED_DUAL))
     p_cols = [project_cocycle(tw, *rep) for rep in dual_reps]
-    tw_reps = basis_reps(tw)
+    tw_reps = basis_cocycles(tw)
 
     def pair_class_with_dual(coords, dual_rep):
         acc = ZERO
@@ -619,7 +632,7 @@ def test_cone_call_counts(monkeypatch, gid, pts, framing, seed, height):
 
 
 # ---------------------------------------------------------------------------
-# the layout form against the per-residue VSection oracle
+# the layout form against the per-residue partial-fraction oracle
 # ---------------------------------------------------------------------------
 
 ORACLE_MODELS = [
@@ -632,18 +645,20 @@ ORACLE_MODELS = [
 
 def oracle_matrices(theory):
     """phi, the forgetful adjoint, the forgetful map and the anchor, pair by pair
-    on VSection cocycles."""
+    on partial-fraction cocycles."""
     model = theory.model
     tw = theory.cone(TWISTED)
-    framed = basis_reps(theory.cone(FRAMED))
-    dual = basis_reps(theory.cone(TWISTED_DUAL))
+    framed_cone, dual_cone = theory.cone(FRAMED), theory.cone(TWISTED_DUAL)
+    framed, dual = basis_cocycles(framed_cone), basis_cocycles(dual_cone)
+    framed_reps = [sections_of(framed_cone, cocycle) for cocycle in framed]
+    dual_reps = [sections_of(dual_cone, cocycle) for cocycle in dual]
 
-    def columns(reps):
-        cols = [project_cocycle(tw, *rep) for rep in reps]
+    def columns(cocycles):
+        cols = [project_cocycle(tw, *cocycle) for cocycle in cocycles]
         return [[col[i] for col in cols] for i in range(tw.h1)]
 
-    return ([[residue_pair(model, a, b) for b in framed] for a in framed],
-            [[residue_pair(model, a, w) for w in dual] for a in framed],
+    return ([[residue_pair(model, a, b) for b in framed_reps] for a in framed_reps],
+            [[residue_pair(model, a, w) for w in dual_reps] for a in framed_reps],
             columns(framed), columns(dual))
 
 
@@ -703,8 +718,8 @@ def test_pairing_form_is_the_residue_pairing_on_whole_layouts(gid, pts, framing,
         value = sum((x * y * u.get(k, 0) for ci, x in c.items()
                      for k, y in table.get(ci, {}).items()), ZERO) / den
         zero = VSection.zero(cone.ctx)
-        rep_u = (zero, cone.t2_layout.from_coords(u), zero)
-        rep_c = (cone.c_layout.from_coords(c), zero, zero)
+        rep_u = (zero, from_layout(cone.ctx, cone.window1, u), zero)
+        rep_c = (from_layout(cone.ctx, cone.window0, c), zero, zero)
         assert value == residue_pair(model, rep_u, rep_c)
 
 
@@ -749,7 +764,7 @@ def test_chart_bases_are_computed_once_per_spec_and_window(monkeypatch, framing,
 
 def fraction_theta_columns(model, window):
     """Oracle: the columns of Theta = sum_i S_i ⊗ ad(A_i) built in Fractions,
-    S_i in the closed form of `deformation._scalar_columns` and ad(A_i) the
+    S_i in the closed form of `rationalfn.scalar_columns` and ad(A_i) the
     bracket oracle's."""
     m, ads, pts = model.dim, ad_matrices(model), model.curve.points
     n, pole = len(pts), window.pole
@@ -801,6 +816,21 @@ def test_integer_theta_equals_the_fraction_oracle(gid, pts, framing, seed):
         assert all(type(x) is int for col in cols for x in col.values())
         assert [{r: F(x, den) for r, x in col.items()} for col in cols] == \
             fraction_theta_columns(model, w)
+
+
+def test_an_off_by_one_power_in_one_scalar_column_breaks_theta(monkeypatch):
+    # Theta reads S_i through the name `_theta_columns` calls,
+    # `deformation.scalar_columns`
+    from framedhiggs import deformation
+    from test_rationalfn import off_by_one_power
+    model = seeded_model("gl(2)", [F(1, 2), -3, F(7, 5)], "torus", 9, 10)
+    window = DeformationTheory(model).window
+    honest = deformation.scalar_columns
+    monkeypatch.setattr(deformation, "scalar_columns",
+                        lambda p, w: off_by_one_power(honest(p, w), p, w))
+    den, cols = model.theta_columns(window)
+    assert [{r: F(x, den) for r, x in col.items()} for col in cols] != \
+        fraction_theta_columns(model, window)
 
 
 H0_MODELS = [(gid, framing) for gid in ("sl(2)", "gl(2)", "sl(3)", "sp(4)")

@@ -2,7 +2,7 @@
 memo keys on every value its computation reads.
 
 `liealg.algebra_model`, `liealg.framing_spec`, `liealg.gram_matrix`, the
-two `curve.sections_*` chart bases, `deformation._scalar_columns` and
+two `curve.sections_*` chart bases, `rationalfn.scalar_columns` and
 `deformation._pairing_form` keep what depends on the group, the framing,
 the points and the window alone, and `liealg._point_weights`,
 `gaudin._projector` and `gaudin._commutes` what depends on the points, the
@@ -18,7 +18,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from conftest import clear_memos
-from framedhiggs import curve, deformation, gaudin, liealg
+from framedhiggs import curve, deformation, gaudin, liealg, rationalfn
 from framedhiggs.cli import main
 from framedhiggs.deformation import FRAMED, TWISTED, DeformationTheory, FramedHiggsModel
 from framedhiggs.gaudin import GaudinSystem
@@ -171,13 +171,13 @@ def test_point_sets_that_share_a_window_get_their_own_scalar_columns():
     other.theta_columns(window)
     warm = seeded_model("gl(2)", points, "torus", 5, 4)
     assert warm.theta_columns(window) == theta
-    assert deformation._scalar_columns.cache_info().currsize == 2
-    assert deformation._scalar_columns(other.curve.points, window) != \
-        deformation._scalar_columns(warm.curve.points, window)
+    assert rationalfn.scalar_columns.cache_info().currsize == 2
+    assert rationalfn.scalar_columns(other.curve.points, window) != \
+        rationalfn.scalar_columns(warm.curve.points, window)
     # a model of the first points reads the memo's columns, built nothing new
     again = seeded_model("gl(2)", points, "torus", 6, 4)
     again.theta_columns(window)
-    assert deformation._scalar_columns.cache_info().misses == 2
+    assert rationalfn.scalar_columns.cache_info().misses == 2
 
 
 def test_the_gram_matrix_is_built_once_and_each_model_keeps_its_own_copy():
