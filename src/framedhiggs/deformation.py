@@ -26,11 +26,11 @@ so that their classes pair and include in one layout.
 [theta, .] acts on layout coordinates (position-major, fiber-minor) as
 Theta = sum_i S_i ⊗ ad(A_i), with S_i the closed-form scalar layout matrix of
 multiplication by 1/(z - x_i) (`rationalfn.scalar_columns`).  The model
-builds Theta once per window, and ker d1 once per (F1 spec, window), so the
-three cones of a `DeformationTheory` share them: with trivial framing the
-framed F1 is the twisted F1, so d1 is eliminated twice, not three times, and
-two chart bases serve two complexes each.  Cochains, Theta images, d0
-columns and kernels are sparse layout vectors.
+builds Theta once per window, and reads ker d1 once per (F1 spec, window),
+so the three cones of a `DeformationTheory` share them: with trivial
+framing the framed F1 is the twisted F1, so ker d1 is read twice, not three
+times, and two chart bases serve two complexes each.  Cochains, Theta
+images, d0 columns and kernels are sparse layout vectors.
 
 What reads the residues lives on the model and goes with it: ad(A_i),
 Theta, ker d1, each cone's quotient and the matrices of a
@@ -48,11 +48,15 @@ points, fiber, spec and window), the S_i columns of Theta
 (`liealg.gram_matrix`, by group model and form), the pairing form B
 (`_pairing_form`, by points, window and the Gram matrix's entries, so a
 model whose Gram matrix differs gets its own B), the framings
-(`liealg.framing_spec`) and the group's `AlgebraModel`
-(`liealg.algebra_model`).  The model also keeps what it read from a memo,
-per (spec, window, chart) and per window, its own copy of the Gram matrix
-and the two specs of each complex kind, so a cone looks each up once and
-every lookup hashes the same spec objects.
+(`liealg.framing_spec`), the group's `AlgebraModel`
+(`liealg.algebra_model`) and the model's `ModelShape` (`model_shape`, by
+group, points, framing coordinates and the Gram matrix's entries).  A
+model looks its shape up at its first cone, not when it is built, since
+gaudin and spectral jobs build models too, and the shape holds what every
+model of it reads: the specs of each complex kind, the point context and
+the cone window, and, per (spec, window), the chart bases and B it read
+from the memos, the echelon of d1's chart block and the quotients'
+residue-free rows (below).  Every lookup hashes the shape's spec objects.
 
 The cone's linear algebra runs in Python integers over one denominator.
 Theta is built as integer columns over one denominator and applied by integer
@@ -61,13 +65,21 @@ multiply-adds.  Chart bases are staircase (`curve`) and held as a
 exact integer membership check (`Staircase.int_coords`), and their integer
 form (`Staircase.scaled`) is made once.  The d0 columns are integer vectors,
 each a positive multiple of the true column, which changes neither im d0 nor
-rank d0; the d1 rows are d1 times one common denominator.  ker d1 is read
-off the integer echelon form of d1 as a `Staircase` (free columns, one
-denominator, integer tails) and passed to `Quotient` as it is, with no
-Fraction, no modulus and no certificate.  h0 = dim ker d0 needs no second
-elimination: the quotient ker d1 / im d0 has checked every d0 column against
-ker d1, on which restriction to the free columns is injective, so rank d0 is
-the rank of its own integer elimination and h0 = #d0 columns - rank.  Each
+rank d0.  d1 is [A | -L Theta] up to a positive factor per row, with A the
+chart block [-U0 | U1], which reads no residue.  The shape eliminates
+[A | I] once (`exactlinalg.BlockEchelon`), and ker d1 is read off that
+echelon and Theta, with one small elimination where A has a cokernel, as
+the `Staircase` (free columns, one denominator, integer tails) that an
+elimination of d1 gives, and passed to `Quotient` as it is, with no
+Fraction, no modulus and no certificate.  The d0 columns of F0 chart
+sections from which no S_i reaches a free column of A restrict to the free
+columns of ker d1 as the sections alone, so the shape eliminates those rows
+once per free-column set (`ModelShape.quotient_start`) and each quotient
+inserts only the others (`exactlinalg.SubVectors`).  h0 = dim ker d0 needs
+no second elimination: the quotient ker d1 / im d0 has checked every d0
+column against ker d1, on which restriction to the free columns is
+injective, so rank d0 is the rank of its own integer elimination and
+h0 = #d0 columns - rank.  Each
 basis class is summed over the integer chart bases once (`classes`) and kept
 as integers over one denominator, and the forgetful and anchor columns write
 those integer classes in the twisted quotient (`Staircase.int_coords` on the
@@ -117,8 +129,9 @@ from typing import Iterable, Sequence
 
 from .curve import (Layout, MarkedCurve, SheafSpec, check_window, default_window,
                     make_spec, sections_off_divisor, sections_on_affine_chart)
-from .exactlinalg import (MEMO_SIZE, Mat, Quotient, Staircase, Vec, add_scaled, dense, frac,
-                          integer_solve, integer_vectors, nullspace_sparse)
+from .exactlinalg import (MEMO_SIZE, BlockEchelon, Mat, Quotient, Staircase, SubVectors, Vec,
+                          add_scaled, dense, frac, integer_solve, integer_vectors,
+                          nullspace_sparse)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
                      algebra_model, framing_specs, gram_matrix, trace_form)
 from .rationalfn import RatContext, Window, laurent_row, scalar_columns
@@ -169,8 +182,16 @@ class FramedHiggsModel:
         return [list(row) for row in gram_matrix(self.algebra, self.form)]
 
     @cached_property
+    def shape(self) -> ModelShape:
+        """The process's `ModelShape` of this model's points, framings and
+        Gram matrix, looked up at first use: a gaudin or spectral job builds
+        a model but no cone, and so no shape."""
+        return model_shape(self.algebra.group.group_id, self.curve.points,
+                           _framing_values(self.framings), tuple(map(tuple, self._gram)))
+
+    @property
     def context(self) -> RatContext:
-        return RatContext(self.curve.points, self.dim)
+        return self.shape.context
 
     @cached_property
     def _ad_columns(self) -> list[tuple[int, list[list[tuple[int, int]]]]]:
@@ -220,69 +241,59 @@ class FramedHiggsModel:
         """Basis of F(U0) (chart 0) or F(U1) (chart 1) for F = spec, in the
         layout of `window`, as the `Staircase` that `curve` eliminates: its
         `int_coords` write an integer layout vector in the basis, and `scaled`
-        is the basis as integer vectors over `den`.  Read from the process's
-        memo once per model and (spec, window, chart), and shared by the
-        cones."""
-        sections = sections_on_affine_chart if chart == 0 else sections_off_divisor
-        return self._cached(("chart", spec, window, chart),
-                            lambda: sections(self.context, spec, window))
+        is the basis as integer vectors over `den`.  Read from the shape."""
+        return self.shape.chart_basis(spec, window, chart)
 
     def d1_kernel(self, spec: SheafSpec, window: Window) -> Staircase:
         """ker d1 of the cone with F1 = spec and c in the layout of `window`,
-        built once per model and (spec, window): complexes with the same F1
-        share it (with trivial framing, the framed and twisted ones)."""
-        return self._cached(("ker d1", spec, window), lambda: self._d1_kernel(spec, window))
-
-    def _d1_kernel(self, spec: SheafSpec, window: Window) -> Staircase:
-        """d1(c, u0, u1) = (u1 - u0) - [theta, c] in T^2 coordinates, with u0
-        and u1 in the F1 chart bases of the pole-bumped window, as integer
-        rows over the one denominator of the three blocks; its kernel is read
-        off their integer echelon form."""
-        bumped = Window(window.pole + 1, window.degree)
-        u0, u1 = (self.chart_basis(spec, bumped, chart) for chart in (0, 1))
-        tden, theta = self.theta_columns(window)
-        den = lcm(u0.den, u1.den, tden)
-        rows: list[dict[int, int]] = [{} for _ in range(Layout(self.context, bumped).dim)]
-        j = 0
-        for f, cols in ((-den // u0.den, u0.scaled), (den // u1.den, u1.scaled),
-                        (-den // tden, theta)):
-            for col in cols:
-                for r, x in col.items():
-                    rows[r][j] = f * x
-                j += 1
-        return Staircase.kernel(rows, j)
+        read off the shape's chart echelon (`BlockEchelon.kernel`) once per
+        model and (spec, window): complexes with the same F1 share it (with
+        trivial framing, the framed and twisted ones)."""
+        return self._cached(("ker d1", spec, window), lambda: self.shape.chart_echelon(
+            spec, window).kernel(*self.theta_columns(window)))
 
     def pairing_form(self, window: Window) -> tuple[int, dict[int, dict[int, int]]]:
         """B from the layout of the pole-bumped window to that of `window`, as
         (d, {c index: {u index: d B[u][c]}}) with integer entries; B reads the
         points, the window and the Gram matrix alone (`_pairing_form`)."""
-        return self._cached(("form", window), lambda: _pairing_form(
-            self.curve.points, window, tuple(map(tuple, self._gram))))
+        return self.shape.pairing_form(window)
 
     def complex_specs(self, kind: str) -> tuple[SheafSpec, SheafSpec]:
-        """(F0, F1) of the `kind` complex, built once per model, so that the
-        chart lookups of its cones hash and compare one spec object."""
-        return self._cached(("specs", kind), lambda: self._complex_specs(kind))
-
-    def _complex_specs(self, kind: str) -> tuple[SheafSpec, SheafSpec]:
-        m, n = self.dim, self.curve.n
-        if kind == TWISTED:
-            return (make_spec(m, [0] * n, None, 0),
-                    make_spec(m, [1] * n, None, -2, is_form=True))
-        if kind == FRAMED:
-            return (make_spec(m, [0] * n, [fr.coords for fr in self.framings], 0),
-                    make_spec(m, [1] * n, [fr.perp_coords for fr in self.framings], -2,
-                              is_form=True))
-        if kind == TWISTED_DUAL:
-            return (make_spec(m, [-1] * n, None, 0),
-                    make_spec(m, [0] * n, None, -2, is_form=True))
-        raise ValueError(f"unknown complex kind {kind!r}")
+        """(F0, F1) of the `kind` complex, the shape's spec objects, so that
+        the chart lookups of its cones hash and compare one spec object."""
+        return self.shape.complex_specs(kind)
 
     @cached_property
     def window(self) -> Window:
         """The cone window of the model's three complexes, which share it, so
         that their classes pair and include in one layout."""
-        return cone_window(self.complex_specs(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL))
+        return self.shape.window
+
+
+def _framing_values(framings: Sequence[FramingSpec]) -> tuple:
+    """Per marked point, the coordinates of h_x and of h_x^perp, as tuples:
+    all the complex specs read of the framings."""
+    values = {}
+    for fr in framings:
+        if id(fr) not in values:
+            values[id(fr)] = (tuple(map(tuple, fr.coords)), tuple(map(tuple, fr.perp_coords)))
+    return tuple(values[id(fr)] for fr in framings)
+
+
+def _complex_specs(m: int, framings: tuple, kind: str) -> tuple[SheafSpec, SheafSpec]:
+    """(F0, F1) of the `kind` complex on fiber dimension m, for the framing
+    values of `_framing_values`."""
+    n = len(framings)
+    if kind == TWISTED:
+        return (make_spec(m, [0] * n, None, 0),
+                make_spec(m, [1] * n, None, -2, is_form=True))
+    if kind == FRAMED:
+        return (make_spec(m, [0] * n, [coords for coords, _ in framings], 0),
+                make_spec(m, [1] * n, [perp for _, perp in framings], -2, is_form=True))
+    if kind == TWISTED_DUAL:
+        return (make_spec(m, [-1] * n, None, 0),
+                make_spec(m, [0] * n, None, -2, is_form=True))
+    raise ValueError(f"unknown complex kind {kind!r}")
 
 
 def cone_window(pairs: Iterable[tuple[SheafSpec, SheafSpec]]) -> Window:
@@ -297,6 +308,124 @@ def cone_window(pairs: Iterable[tuple[SheafSpec, SheafSpec]]) -> Window:
     w0 = default_window([f0 for f0, _ in pairs])
     w1 = default_window([f1 for _, f1 in pairs])
     return Window(max(w0.pole, w1.pole - 1), max(w0.degree, w1.degree))
+
+
+class ModelShape:
+    """What the cones of every model on one set of points, framings and Gram
+    matrix read without the residues, kept per process (`model_shape`): the
+    three complex specs and their cone windows, the `RatContext`, and, each
+    built at first use per (spec, window), the chart bases, the pairing form
+    B, the echelon of d1's chart block (`chart_echelon`) and the quotients'
+    echelons of the residue-free d0 columns (`quotient_start`)."""
+
+    def __init__(self, points: tuple[Fraction, ...], framings: tuple,
+                 gram: tuple[tuple[Fraction, ...], ...]):
+        self.context = RatContext(points, len(gram))
+        self.points, self._gram = self.context.points, gram
+        self._specs = {kind: _complex_specs(len(gram), framings, kind)
+                       for kind in (TWISTED, FRAMED, TWISTED_DUAL)}
+        self.bounds = {kind: cone_window([pair]) for kind, pair in self._specs.items()}
+        self.window = cone_window(self._specs.values())
+        self._memo: dict[tuple, object] = {}
+
+    def complex_specs(self, kind: str) -> tuple[SheafSpec, SheafSpec]:
+        specs = self._specs.get(kind)
+        if specs is None:
+            raise ValueError(f"unknown complex kind {kind!r}")
+        return specs
+
+    def _cached(self, key: tuple, compute):     # compute(), once per shape and key
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def chart_basis(self, spec: SheafSpec, window: Window, chart: int) -> Staircase:
+        """F(U0) (chart 0) or F(U1) (chart 1), from the `curve` memos."""
+        sections = sections_on_affine_chart if chart == 0 else sections_off_divisor
+        return self._cached(("chart", spec, window, chart),
+                            lambda: sections(self.context, spec, window))
+
+    def pairing_form(self, window: Window) -> tuple[int, dict[int, dict[int, int]]]:
+        return self._cached(("form", window),
+                            lambda: _pairing_form(self.points, window, self._gram))
+
+    def chart_echelon(self, spec: SheafSpec, window: Window) -> BlockEchelon:
+        """The echelon of d1's chart block for F1 = spec and c in the layout
+        of `window`.  d1(c, u0, u1) = (u1 - u0) - [theta, c] in T^2
+        coordinates, with u0 and u1 in the F1 chart bases U0 and U1 of the
+        pole-bumped window, is [A | -L Theta] up to a positive factor per row,
+        for the chart block A = [-U0 | U1] in integers over the common
+        denominator L of the two bases, so ker d1 is read off with C = Theta
+        and the factor -L."""
+        def build():
+            bumped = Window(window.pole + 1, window.degree)
+            u0, u1 = (self.chart_basis(spec, bumped, chart) for chart in (0, 1))
+            big = lcm(u0.den, u1.den)
+            rows: list[dict[int, int]] = [{} for _ in range(Layout(self.context, bumped).dim)]
+            j = 0
+            for f, basis in ((-(big // u0.den), u0.scaled), (big // u1.den, u1.scaled)):
+                for col in basis:
+                    for r, x in col.items():
+                        rows[r][j] = f * x
+                    j += 1
+            return BlockEchelon(rows, j, -big)
+        return self._cached(("echelon", spec, window), build)
+
+    def quotient_start(self, kind: str, window: Window,
+                       kernel: Staircase) -> tuple[dict[int, dict[int, int]], frozenset[int]]:
+        """What `SubVectors` carries for the d0 columns of the `kind` cone in
+        `window` over ker d1 = `kernel`: the pivot rows of the d0 columns that
+        read no residue, restricted to the kernel's free columns, and their
+        indices.  A d0 column of an F0 chart section s is (chart coordinates
+        of Theta s, -+ s); on the free columns of ker d1 its chart part is
+        read only at the free columns of the chart echelon, and there it is 0
+        for every residue when no S_i reaches their positions from those of
+        s.  Its restriction is then s on the free c columns, up to a scalar.
+        The free c columns depend on ker d1 where the chart block has a
+        cokernel, so the rows are kept for the last free columns seen."""
+        f1 = self.complex_specs(kind)[1]
+        known, sections = self._cached(("residue-free", kind, window),
+                                       lambda: self._residue_free(kind, window))
+        free = tuple(kernel.free)
+        last = self._memo.get(("start", kind, window))
+        if last is None or last[0] != free:
+            base = self.chart_echelon(f1, window).n_a   # c's first T^1 parameter
+            red = Quotient.restricted_echelon(
+                kernel, ({base + k: x for k, x in s.items()} for s in sections))
+            last = self._memo["start", kind, window] = (free, (red, known))
+        return last[1]
+
+    def _residue_free(self, kind: str, window: Window) -> tuple[frozenset[int], list[dict]]:
+        """The indices of the d0 columns of the `kind` cone in `window` that
+        read no residue, and their F0 chart sections, as `_d0_columns`
+        orders them (chart 0, then chart 1)."""
+        f0, f1 = self.complex_specs(kind)
+        echelon = self.chart_echelon(f1, window)
+        m = self.context.m
+        bumped = Window(window.pole + 1, window.degree)
+        reach = [{q for _, s_col in cols_k for q, _ in s_col}
+                 for cols_k in scalar_columns(self.points, window)]
+        known, sections, i = set(), [], 0
+        for chart in (0, 1):
+            f1_chart = self.chart_basis(f1, bumped, chart)
+            offset = chart and len(self.chart_basis(f1, bumped, 0))
+            # positions of the chart echelon's free columns in this chart
+            blocked = {f1_chart.free[c - offset] // m for c in echelon.free
+                       if 0 <= c - offset < len(f1_chart)}
+            for s in self.chart_basis(f0, window, chart).scaled:
+                if not any(reach[k // m] & blocked for k in s):
+                    known.add(i)
+                    sections.append(s)
+                i += 1
+        return frozenset(known), sections
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def model_shape(group_id: str, points: tuple[Fraction, ...], framings: tuple,
+                gram: tuple[tuple[Fraction, ...], ...]) -> ModelShape:
+    """The one `ModelShape` of (group, points, framing values, Gram matrix)
+    in this process."""
+    return ModelShape(points, framings, gram)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -364,8 +493,9 @@ class Hypercohomology:
                  window: Window | None = None):
         self.model = model
         self.kind = kind
-        self.f0, self.f1 = f0, f1 = model.complex_specs(kind)
-        self.window0 = base = check_window(window or model.window, cone_window([(f0, f1)]),
+        shape = model.shape
+        self.f0, self.f1 = f0, f1 = shape.complex_specs(kind)
+        self.window0 = base = check_window(window or model.window, shape.bounds[kind],
                                            f"the {kind} complex")
         self.window1 = Window(base.pole + 1, base.degree)
         self.ctx = ctx = model.context
@@ -423,7 +553,8 @@ class Hypercohomology:
 
         kernel = self.model.d1_kernel(self.f1, self.window0)
         self._d0_cols = self._d0_columns()
-        self.quotient = Quotient(self.t1_params, self._d0_cols, kernel)
+        red, known = self.model.shape.quotient_start(self.kind, self.window0, kernel)
+        self.quotient = Quotient(self.t1_params, SubVectors(self._d0_cols, red, known), kernel)
         self.h1 = self.quotient.dim
         # H^0 = ker d0.  `Quotient` has checked every d0 column against ker d1,
         # on which restriction to the free columns is injective, so rank d0 is

@@ -16,7 +16,12 @@ content divided out where Bareiss (Math. Comp. 22, 1968) divides by the
 previous pivot.  `Staircase.kernel` (in integers; `nullspace_sparse` reads
 its vectors as Fractions), `rank`, `Quotient` and `integer_solve` (which
 `inverse` calls on [a | I]) run it on a matrix, `Echelon` row by row, and
-`LinSolver` solves against its rows.
+`LinSolver` solves against its rows.  `BlockEchelon` runs it once on
+[A | I] for a fixed block A, and then reads ker [A | B] for each B off
+those rows with one elimination of the rows of B that A's cokernel sees;
+`Quotient` may start from the pivot rows of some of its sub vectors,
+eliminated once (`SubVectors`, `Quotient.restricted_echelon`), and insert
+only the others.  An integer row enters `_eliminate` as a copy.
 Nothing is rounded or taken modulo a prime, so no certificate is needed, and
 the reduced echelon form is unique, so any exact method gives the same kernels.
 
@@ -281,7 +286,17 @@ def _integer_vector(v) -> tuple[int, dict[int, int]]:
 
 
 def _integer_row(v) -> dict[int, int]:
-    """v scaled to a sparse integer vector by `_integer_vector`."""
+    """v scaled to a sparse integer vector: a dict of ints is copied with its
+    zeros dropped in one pass, any other vector goes through
+    `_integer_vector`."""
+    if isinstance(v, dict):
+        w = {}
+        for c, x in v.items():
+            if type(x) is not int:
+                return _integer_vector(v)[1]
+            if x:
+                w[c] = x
+        return w
     return _integer_vector(v)[1]
 
 
@@ -350,6 +365,99 @@ def _divide_content(w: dict[int, int], q: int) -> None:
             w[c] //= g
 
 
+class BlockEchelon:
+    """ker [A | f C / d] for one integer matrix A, given by its sparse rows
+    over its first n_a columns, one integer f and any integer columns C over
+    their denominator d, read off one elimination of A.
+
+    [A | f C / d] has the row space of [d A | f C].  One `_eliminate` of
+    [A | I] gives an invertible integer M with M A = [R; 0]: pivot rows
+    [R_q | E_q] with pivots q in A's columns, and cokernel rows [0 | psi_p].
+    So [d A | f C] has the row space of [d R | f E C] and [0 | f psi C], and
+    its reduced echelon form (`kernel`) needs one elimination of the small
+    psi C alone (none where A has no cokernel), whose pivot rows are cleared
+    from the rows [d R_q | f E_q C].  Each stays R_q times a scale beside its
+    C part, since the cleared rows are zero on A's columns, so its tails at
+    the free columns of A are -den R_q[c] / R_q[q] whatever the scale.  The
+    reduced echelon form is unique, so the `Staircase` is the one
+    `Staircase.kernel` gives for [A | f C / d]."""
+
+    def __init__(self, rows: Sequence[dict[int, int]], n_a: int, f: int):
+        self.n_a = n_a
+        t = len(rows)
+        red = _eliminate({**row, n_a + r: 1} for r, row in enumerate(rows))
+        pivots = self.pivots = sorted(q for q in red if q < n_a)
+        self.leads = [red[q][q] for q in pivots]
+        self.contents = [gcd(*(y for c, y in red[q].items() if c < n_a)) for q in pivots]
+        self.free = [c for c in range(n_a) if c not in red]
+        # free column c of A -> [(q, num, e)] with num / e = R_q[c] / R_q[q] in lowest terms
+        self.free_tails: dict[int, list[tuple[int, int, int]]] = {c: [] for c in self.free}
+        for q in pivots:
+            row = red[q]
+            for c, y in row.items():
+                if c < n_a and c != q:
+                    g = gcd(y, row[q])
+                    self.free_tails[c].append((q, y // g, row[q] // g))
+        # row r of C -> [(i, f E_{pivots[i]}[r])], and [(p, psi_p[r])]
+        self.uses: list[list[tuple[int, int]]] = [[] for _ in range(t)]
+        for i, q in enumerate(pivots):
+            for c, y in red[q].items():
+                if c >= n_a:
+                    self.uses[c - n_a].append((i, f * y))
+        cokernel = [row for q, row in red.items() if q >= n_a]
+        self.n_cokernel = len(cokernel)
+        self.cokernel_uses: list[list[tuple[int, int]]] = [[] for _ in range(t)]
+        for p, row in enumerate(cokernel):
+            for c, y in row.items():
+                self.cokernel_uses[c - n_a].append((p, y))
+
+    def kernel(self, den: int, cols: Sequence[dict[int, int]]) -> Staircase:
+        """ker [A | f C / d] for d = den and the integer columns C = cols."""
+        n_a = self.n_a
+        parts = self._products(self.uses, len(self.pivots), cols)   # f E_q C
+        low = _eliminate(self._products(self.cokernel_uses, self.n_cokernel, cols))
+        leads, contents = [], []
+        for i, part in enumerate(parts):
+            scale = den
+            for p, row in low.items():
+                x = part.pop(p, 0)
+                if x:
+                    scale *= row[p] // gcd(row[p], x)
+                    _clear(part, x, row, p)
+            g = gcd(scale * self.contents[i], *part.values())
+            leads.append(scale * self.leads[i] // g)
+            contents.append(g)
+        big = lcm(*leads, *(row[p] for p, row in low.items()))
+        tails = {c: {q: -(big // e) * num for q, num, e in entries}
+                 for c, entries in self.free_tails.items()}
+        for c in range(n_a, n_a + len(cols)):
+            if c not in low:
+                tails[c] = {}
+        for q, part, lead, g in zip(self.pivots, parts, leads, contents):
+            h = big // lead
+            for c, y in part.items():
+                if y:
+                    tails[c][q] = -h * (y // g)
+        for p, row in low.items():
+            h = big // row[p]
+            for c, y in row.items():
+                if c != p:
+                    tails[c][p] = -h * y
+        return Staircase(list(tails), big, list(tails.values()))
+
+    def _products(self, uses, count: int, cols) -> list[dict[int, int]]:
+        """The rows sum_r w[r] C[r] for the row vectors w that `uses` lists
+        by r, keyed by C's columns after A's."""
+        out: list[dict[int, int]] = [{} for _ in range(count)]
+        if count:
+            for k, col in enumerate(cols, self.n_a):
+                for r, x in col.items():
+                    for i, e in uses[r]:
+                        row = out[i]
+                        row[k] = row.get(k, 0) + e * x
+        return out
+
+
 class LinSolver:
     """Repeated exact solves of C x = v for a fixed column collection C.
 
@@ -397,6 +505,17 @@ class LinSolver:
                            for q, row in self._rows}
 
 
+class SubVectors(list):
+    """Sub vectors of a `Quotient`, with `red`, the pivot rows that
+    `_eliminate` gives for the restricted sub vectors whose indices are in
+    `known`, in the quotient's restricted keys."""
+
+    def __init__(self, vectors: Iterable, red: dict[int, dict[int, int]],
+                 known: frozenset[int]):
+        super().__init__(vectors)
+        self.red, self.known = red, known
+
+
 class Quotient:
     """Quotient ker / sub of subspaces sub ⊆ ker of Q^n, with projection.
 
@@ -418,6 +537,12 @@ class Quotient:
     lcm of their pivots, and the class coordinate of v at f is the dot
     product of v's restricted entries with R_f.  `int_project` walks the
     support of those entries, through the R_f entries of each kernel index.
+
+    When the sub vectors come as `SubVectors`, the pivot rows they carry
+    are copied and only the sub vectors not among their `known` ones are
+    inserted; the reduced echelon form is unique, so the rows are those of
+    one elimination of all of them.  Every sub vector is still checked
+    against ker.
     """
 
     def __init__(self, n: int, sub_vectors: Sequence[Sequence[Fraction]],
@@ -425,13 +550,15 @@ class Quotient:
         self.n = n
         kernel = self.kernel = kernel_vectors
         k = len(kernel)
-        rows = []
-        for v in sub_vectors:       # each scaled to integers: only their span counts
+        start, known = ((sub_vectors.red, sub_vectors.known)
+                        if isinstance(sub_vectors, SubVectors) else ({}, frozenset()))
+        red = {q: dict(row) for q, row in start.items()}
+        for i, v in enumerate(sub_vectors):     # scaled to integers: only their span counts
             x = kernel.int_coords(_integer_row(v))
             if x is None:
                 raise ValueError("sub vector does not lie in the span of the kernel vectors")
-            rows.append({k - 1 - j: y for j, y in x.items()})
-        red = _eliminate(rows)
+            if i not in known:
+                _insert(red, {k - 1 - j: y for j, y in x.items()})
         self.rank = len(red)
         # class_den R_f = class_den e_f - sum_q (class_den / P_q[q]) P_q[f] e_q
         # for the kept keys f, largest key first, over the pivot rows P_q
@@ -445,6 +572,16 @@ class Quotient:
             self._columns[k - 1 - q] = [(position[f], -g * y) for f, y in row.items() if f != q]
         self.kept = [k - 1 - f for f in kept]
         self.dim = len(kept)
+
+    @staticmethod
+    def restricted_echelon(kernel: Staircase, vectors: Iterable[dict[int, int]]
+                           ) -> dict[int, dict[int, int]]:
+        """The pivot rows of integer vectors restricted to the free columns
+        of `kernel`, keyed as `__init__` keys the sub vectors: for
+        `SubVectors`, where they are the rows of the vectors in ker."""
+        index, top = kernel._index, len(kernel) - 1
+        return _eliminate({top - index[c]: y for c, y in v.items() if c in index}
+                          for v in vectors)
 
     @cached_property
     def basis(self) -> list:

@@ -21,6 +21,9 @@ the tests check the code that the jobs do run.
   function, run exactly or in floats;
 - `cup_matrix_by_entries`: the cup-product pairing matrix of
   `deformation._cup_matrix`, each entry its own sum over one sparse vector;
+- `d1_kernel_by_elimination`: ker d1 of a cone by one `Staircase.kernel` of
+  d1's integer rows, against which the read-off off the shape's chart
+  echelon (`exactlinalg.BlockEchelon.kernel`) is checked;
 - `NegatedAdjointTheory`: the negative control of `verify_poisson_map`;
 - `fraction_residue_tuple`: the residue sampler of `sampling` in Fraction
   matrices, making the same rng calls (`random_fraction`);
@@ -49,9 +52,10 @@ from functools import cache
 from math import comb
 from typing import Sequence
 
+from framedhiggs.curve import Layout
 from framedhiggs.deformation import DeformationTheory, _apply
-from framedhiggs.exactlinalg import (ONE, ZERO, Vec, frac, inverse, mat_comb, mat_mul, mat_vec,
-                                     sparse, vec_is_zero, zeros)
+from framedhiggs.exactlinalg import (ONE, ZERO, Staircase, Vec, frac, inverse, mat_comb, mat_mul,
+                                     mat_vec, sparse, vec_is_zero, zeros)
 from framedhiggs.intpoly import _reverse, _shift, _sign_variations
 from framedhiggs.liealg import (AlgebraElement, bracket, mat_trace, matrix_invariant,
                                 perp_coordinates, to_matrix)
@@ -315,6 +319,26 @@ def cup_matrix_by_entries(model, window, left, right):
     return fden * lden * rden, tuple(
         tuple(dot(u0_a, bc_b) - dot(u1_b, bc_a) for (_, _, u1_b), bc_b in zip(rights, b_right))
         for (_, u0_a, _), bc_a in zip(lefts, b_left))
+
+
+def d1_kernel_by_elimination(model, spec, window) -> Staircase:
+    """ker d1 of the cone with F1 = spec and c in the layout of `window`:
+    d1(c, u0, u1) = (u1 - u0) - [theta, c] in T^2 coordinates, with u0 and
+    u1 in the F1 chart bases of the pole-bumped window, as integer rows over
+    the one denominator of the three blocks, eliminated whole."""
+    bumped = Window(window.pole + 1, window.degree)
+    u0, u1 = (model.chart_basis(spec, bumped, chart) for chart in (0, 1))
+    tden, theta = model.theta_columns(window)
+    den = math.lcm(u0.den, u1.den, tden)
+    rows = [{} for _ in range(Layout(model.context, bumped).dim)]
+    j = 0
+    for f, cols in ((-den // u0.den, u0.scaled), (den // u1.den, u1.scaled),
+                    (-den // tden, theta)):
+        for col in cols:
+            for r, x in col.items():
+                rows[r][j] = f * x
+            j += 1
+    return Staircase.kernel(rows, j)
 
 
 class NegatedAdjointTheory(DeformationTheory):

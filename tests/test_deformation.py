@@ -10,7 +10,7 @@ from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL,
                                      verify_poisson_map)
 from framedhiggs.exactlinalg import (ZERO, add_scaled, dense, inverse, mat_mul,
                                      mat_vec, nullspace_sparse, rank, sparse)
-from framedhiggs.liealg import AlgebraElement, AlgebraModel, bracket, trace_form
+from framedhiggs.liealg import AlgebraElement, AlgebraModel, algebra_model, bracket, trace_form
 from framedhiggs.rationalfn import pairing_residue_at_point
 from framedhiggs.sampling import random_algebra_element, seeded_model
 from conftest import clear_memos
@@ -897,16 +897,16 @@ def test_a_perturbed_d0_column_fails_the_integer_membership_check(monkeypatch, g
             cone.quotient.project(bad)
 
 
-@pytest.mark.parametrize("gid, pts, framing, seed, eliminations", [
+@pytest.mark.parametrize("gid, pts, framing, seed, f1_specs", [
     ("sl(2)", [1, 2, 3], "trivial", 11, 2), ("gl(2)", [1, 2, 3], "trivial", 664365, 2),
     ("gl(2)", [1, 2, 3], "torus", 720705, 3), ("sl(2)", [1, 2, 3, 4], "torus", 535564, 3),
 ])
-def test_d1_is_eliminated_once_per_f1_sheaf_and_each_chart_basis_built_once(
-        monkeypatch, gid, pts, framing, seed, eliminations):
+def test_the_chart_echelon_is_built_once_per_shape_and_ker_d1_read_once_per_f1_sheaf(
+        monkeypatch, gid, pts, framing, seed, f1_specs):
     from framedhiggs import deformation
-    from framedhiggs.exactlinalg import Staircase
+    from framedhiggs.exactlinalg import BlockEchelon, Staircase
     made = _recording_quotients(monkeypatch)
-    eliminated, charts_built = [], []
+    eliminated, echelons, read, charts_built = [], [], [], []
 
     class Counted(Staircase):
         @classmethod
@@ -914,6 +914,16 @@ def test_d1_is_eliminated_once_per_f1_sheaf_and_each_chart_basis_built_once(
             eliminated.append(ncols)
             return super().kernel(rows, ncols)
     monkeypatch.setattr(deformation, "Staircase", Counted)
+
+    class CountedEchelon(BlockEchelon):
+        def __init__(self, rows, n_a, f):
+            echelons.append(n_a)
+            super().__init__(rows, n_a, f)
+
+        def kernel(self, den, cols):
+            read.append(self.n_a + len(cols))
+            return super().kernel(den, cols)
+    monkeypatch.setattr(deformation, "BlockEchelon", CountedEchelon)
     # a chart basis is the staircase `curve` eliminates, used as it is
     for name in ("sections_on_affine_chart", "sections_off_divisor"):
         def counted(ctx, spec, window, _original=getattr(deformation, name)):
@@ -924,9 +934,12 @@ def test_d1_is_eliminated_once_per_f1_sheaf_and_each_chart_basis_built_once(
     cones = [theory.cone(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL)]
     verify_poisson_map(theory)
     theory.poisson_matrix()
-    # a trivial framing makes the framed F1 the twisted F1: two eliminations, not three
-    assert len(eliminated) == len({cone.f1 for cone in cones}) == eliminations
-    assert sorted(eliminated) == sorted({cone.f1: cone.t1_params for cone in cones}.values())
+    # d1 is never eliminated: ker d1 is read off the chart echelon, once per
+    # F1 sheaf; a trivial framing makes the framed F1 the twisted F1, so two
+    # chart echelons and two read-offs, not three
+    assert not eliminated
+    assert len(read) == len(echelons) == len({cone.f1 for cone in cones}) == f1_specs
+    assert sorted(read) == sorted({cone.f1: cone.t1_params for cone in cones}.values())
     for a in cones:
         for b in cones:
             assert (a.quotient.kernel is b.quotient.kernel) == (a.f1 == b.f1)
@@ -935,12 +948,105 @@ def test_d1_is_eliminated_once_per_f1_sheaf_and_each_chart_basis_built_once(
               for spec, window in ((cone.f0, cone.window0), (cone.f1, cone.window1))
               for chart in (0, 1)}
     assert len(charts_built) == len(charts) and len(made) == len(cones)
-    assert {key[1:] for key in theory.model._cache if key[0] == "chart"} == charts
-    # a second theory of the same model eliminates and builds no chart basis
+    assert {key[1:] for key in theory.model.shape._memo if key[0] == "chart"} == charts
+    # a second theory of the same model reads, builds and eliminates nothing
     again = DeformationTheory(theory.model)
     assert [dims_of(again.cone(kind)) for kind in (TWISTED, FRAMED, TWISTED_DUAL)] == \
         [dims_of(theory.cone(kind)) for kind in (TWISTED, FRAMED, TWISTED_DUAL)]
-    assert (len(eliminated), len(charts_built)) == (eliminations, len(charts))
+    assert (len(read), len(echelons), len(charts_built)) == (f1_specs, f1_specs, len(charts))
+    # a model of the same shape with other residues reads ker d1 off the
+    # same chart echelons and builds no chart basis
+    other = DeformationTheory(seeded_model(gid, pts, framing, seed + 1, 10))
+    assert other.model.shape is theory.model.shape
+    for kind in (TWISTED, FRAMED, TWISTED_DUAL):
+        other.cone(kind)
+    assert (len(read), len(echelons), len(charts_built)) == \
+        (2 * f1_specs, f1_specs, len(charts))
+    assert not eliminated
+
+
+def _staircase(kernel):
+    return kernel.free, kernel.den, kernel.tails
+
+
+def _quotient(q):
+    """What a quotient reads off its echelon; `_columns` lists each kernel
+    index's entries in the order the elimination met them, so they are
+    compared as sets."""
+    return q.rank, q.kept, q.class_den, {j: set(v) for j, v in q._columns.items()}
+
+
+@pytest.mark.parametrize("gid", ["sl(2)", "gl(2)", "sl(3)", "gl(3)", "sp(4)", "so(5)"])
+@pytest.mark.parametrize("framing", ["trivial", "torus"])
+def test_ker_d1_read_off_the_chart_echelon_is_the_eliminated_kernel(gid, framing):
+    # seeds 0-7 on 3 to 6 points (3 or 4 for the groups of dimension 8 and
+    # more): the read-off is the staircase of one elimination of d1, and
+    # each cone's quotient, started from the shape's residue-free rows, is
+    # the quotient of all d0 columns over that staircase
+    from framedhiggs.exactlinalg import Quotient
+    from oracles import d1_kernel_by_elimination
+    cokernels = 0
+    for seed in range(8):
+        n = 3 + seed % (4 if algebra_model(gid).group.dim < 8 else 2)
+        model = seeded_model(gid, list(range(1, n + 1)), framing, seed, 5)
+        theory = DeformationTheory(model)
+        for kind in (TWISTED, FRAMED, TWISTED_DUAL):
+            cone = theory.cone(kind)
+            oracle = d1_kernel_by_elimination(model, cone.f1, cone.window0)
+            assert _staircase(cone.quotient.kernel) == _staircase(oracle)
+            scratch = Quotient(cone.t1_params, list(cone._d0_cols), oracle)
+            assert _quotient(cone.quotient) == _quotient(scratch)
+            cokernels += model.shape.chart_echelon(cone.f1, cone.window0).n_cokernel > 0
+    assert cokernels >= 8      # every twisted_dual chart block has a cokernel
+
+
+@pytest.mark.parametrize("gid, pts, framing", [
+    ("gl(2)", [1, 2, 3], "torus"), ("sl(2)", [1, 2, 3, 4], "torus"),
+])
+def test_a_perturbed_chart_echelon_entry_fails_the_eliminated_kernel(gid, pts, framing):
+    # one entry of the row transform E, or of a cokernel functional psi, at a
+    # row Theta reaches, moved by 1: the read-off is no longer ker d1
+    import copy
+    from oracles import d1_kernel_by_elimination
+    model = seeded_model(gid, pts, framing, 3, 5)
+    window = model.window
+    tden, theta = model.theta_columns(window)
+    reached = sorted({r for col in theta for r in col})
+    for kind in (FRAMED, TWISTED_DUAL):     # both chart blocks have a cokernel
+        f1 = model.complex_specs(kind)[1]
+        echelon = model.shape.chart_echelon(f1, window)
+        oracle = _staircase(d1_kernel_by_elimination(model, f1, window))
+        assert _staircase(echelon.kernel(tden, theta)) == oracle
+        for name in ("uses", "cokernel_uses"):
+            entries = [list(u) for u in getattr(echelon, name)]
+            r = next(r for r in reached if entries[r])
+            i, e = entries[r][0]
+            entries[r][0] = (i, e + 1)
+            bad = copy.copy(echelon)
+            setattr(bad, name, entries)
+            assert _staircase(bad.kernel(tden, theta)) != oracle, (kind, name)
+
+
+def test_a_theta_dependent_d0_column_taken_as_residue_free_fails_the_quotient(monkeypatch):
+    # the first d0 column that reads a residue, put among the residue-free
+    # rows as its F0 section alone: the twisted and framed quotients of sl(2)
+    # on three points are no longer those of the d0 columns
+    from framedhiggs.deformation import ModelShape
+    from framedhiggs.exactlinalg import Quotient
+    honest = ModelShape._residue_free
+
+    def loose(shape, kind, window):
+        known, sections = honest(shape, kind, window)
+        f0 = shape.complex_specs(kind)[0]
+        every = [*shape.chart_basis(f0, window, 0).scaled, *shape.chart_basis(f0, window, 1).scaled]
+        i = min(set(range(len(every))) - known)
+        return known | {i}, sections + [every[i]]
+    monkeypatch.setattr(ModelShape, "_residue_free", loose)
+    theory = DeformationTheory(seeded_model("sl(2)", [1, 2, 3], "trivial", 3, 5))
+    for kind in (TWISTED, FRAMED):
+        cone = theory.cone(kind)
+        scratch = Quotient(cone.t1_params, list(cone._d0_cols), cone.quotient.kernel)
+        assert _quotient(cone.quotient) != _quotient(scratch), kind
 
 
 def test_a_flipped_theta_entry_breaks_the_subsheaf_check(monkeypatch):

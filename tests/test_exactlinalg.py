@@ -553,3 +553,41 @@ def test_quotient_coords_read_off_a_staircase_basis():
     v = [F(-2) - F(6), F(2), F(5), F(3)]
     assert q.coords(v) == {0: F(2), 1: F(5), 2: F(3)}
     assert q.coords([F(1), F(0), F(0), F(0)]) is None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_a_block_echelon_reads_off_the_kernel_of_the_whole_matrix(seed):
+    # [A | f C / d] for a sparse integer A with dependent rows (so a
+    # cokernel) and dependent columns (so free columns of A), eliminated
+    # whole by `Staircase.kernel`, against the read-off of `BlockEchelon`
+    rng = random.Random(seed)
+    t, n_a, k = rng.randint(2, 7), rng.randint(1, 7), rng.randint(1, 5)
+    base = [{c: rng.randint(-4, 4) for c in range(n_a) if rng.random() < 0.5}
+            for _ in range(rng.randint(1, t))]
+    rows = [{} for _ in range(t)]
+    for row in rows:
+        for b in base:
+            w = rng.randint(-2, 2)
+            for c, x in b.items():
+                row[c] = row.get(c, 0) + w * x
+    rows = [{c: x for c, x in row.items() if x} for row in rows]
+    f, d = rng.choice([-3, -1, 2]), rng.randint(1, 6)
+    cols = [{r: rng.randint(-5, 5) for r in range(t) if rng.random() < 0.4} for _ in range(k)]
+    whole = [{**{c: F(x) for c, x in row.items()},
+              **{n_a + j: F(f * col[r], d) for j, col in enumerate(cols) if col.get(r)}}
+             for r, row in enumerate(rows)]
+    oracle = Staircase.kernel(whole, n_a + k)
+    echelon = exactlinalg.BlockEchelon(rows, n_a, f)
+    kernel = echelon.kernel(d, cols)
+    assert (kernel.free, kernel.den, kernel.tails) == (oracle.free, oracle.den, oracle.tails)
+
+
+def test_an_integer_dict_row_is_copied_without_its_zeros():
+    row = {0: 3, 2: 0, 5: -4}
+    copy = exactlinalg._integer_row(row)
+    assert copy == {0: 3, 5: -4} and copy is not row and row == {0: 3, 2: 0, 5: -4}
+    assert exactlinalg._integer_row({1: F(1, 2), 3: 2, 4: F(0)}) == {1: 1, 3: 4}
+    assert exactlinalg._integer_row([F(2, 3), 0, 1]) == {0: 2, 2: 3}
+    # `_insert` uses its row up: `Echelon.insert` copies what it is given
+    ech, v = Echelon(6), {0: 3, 5: -4}
+    assert ech.insert(v) and v == {0: 3, 5: -4}

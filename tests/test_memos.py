@@ -2,9 +2,11 @@
 memo keys on every value its computation reads.
 
 `liealg.algebra_model`, `liealg.framing_spec`, `liealg.gram_matrix`, the
-two `curve.sections_*` chart bases, `rationalfn.scalar_columns` and
-`deformation._pairing_form` keep what depends on the group, the framing,
-the points and the window alone, and `liealg._point_weights`,
+two `curve.sections_*` chart bases, `rationalfn.scalar_columns`,
+`deformation._pairing_form` and `deformation.model_shape` (the specs,
+chart echelons and residue-free quotient rows of a model shape) keep what
+depends on the group, the framing, the points, the Gram matrix and the
+window alone, and `liealg._point_weights`,
 `gaudin._projector` and `gaudin._commutes` what depends on the points, the
 algebra model and the matrix size alone; the conftest fixture empties them
 before each test.
@@ -20,7 +22,8 @@ from pathlib import Path
 from conftest import clear_memos
 from framedhiggs import curve, deformation, gaudin, liealg, rationalfn
 from framedhiggs.cli import main
-from framedhiggs.deformation import FRAMED, TWISTED, DeformationTheory, FramedHiggsModel
+from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
+                                     FramedHiggsModel)
 from framedhiggs.gaudin import GaudinSystem
 from framedhiggs.liealg import InvariantForm, algebra_model, framing_specs, theta_majorants
 from framedhiggs.sampling import random_residue_tuple, seeded_model
@@ -197,6 +200,69 @@ def _weights(points) -> tuple[int, ...]:
     return tuple(x.denominator * math.prod(y.denominator + abs(y.numerator)
                                            for j, y in enumerate(points) if j != i)
                  for i, x in enumerate(points))
+
+
+def _cones(model) -> list:
+    """What the three cones of a model read off their shape: ker d1, each
+    quotient, the basis classes and the matrices of the theory."""
+    theory = DeformationTheory(model)
+    out = []
+    for kind in (TWISTED, FRAMED, TWISTED_DUAL):
+        cone = theory.cone(kind)
+        kernel, quotient = cone.quotient.kernel, cone.quotient
+        out.append((kernel.free, kernel.den, kernel.tails, quotient.rank, quotient.kept,
+                    quotient.class_den, cone.classes()))
+    out.append((theory.symplectic_matrix(), theory.forgetful_adjoint_matrix(),
+                theory.forgetful_matrix(), theory.poisson_matrix()))
+    return out
+
+
+def test_a_second_model_of_a_cached_shape_reads_what_a_cold_one_computes():
+    # gl(2) on three points with torus framing: every chart block but the
+    # twisted one has a cokernel, so the quotient's residue-free rows are
+    # read for the free columns of this model's ker d1
+    cold = _cones(seeded_model("gl(2)", [1, 2, 3], "torus", 8, 6))
+    clear_memos()
+    first = seeded_model("gl(2)", [1, 2, 3], "torus", 7, 6)
+    _cones(first)
+    assert deformation.model_shape.cache_info().currsize == 1
+    second = seeded_model("gl(2)", [1, 2, 3], "torus", 8, 6)
+    assert second.shape is first.shape
+    assert _cones(second) == cold
+    assert deformation.model_shape.cache_info().misses == 1
+    clear_memos()
+    assert deformation.model_shape.cache_info().currsize == 0
+
+
+def test_points_gram_matrices_and_framings_get_their_own_shapes():
+    base = seeded_model("sl(2)", [1, 2, 3], "torus", 5, 4)
+    window = base.window
+    shapes = [base.shape]
+    # other points with the same window
+    moved = seeded_model("sl(2)", [F(1, 2), 3, -2], "torus", 5, 4)
+    assert moved.window == window
+    shapes.append(moved.shape)
+    # another Gram matrix: the faulted-Gram control, faulted before its shape
+    faulted = seeded_model("sl(2)", [1, 2, 3], "torus", 5, 4)
+    faulted._gram[0][1] += 1
+    shapes.append(faulted.shape)
+    assert faulted.pairing_form(window) != base.pairing_form(window)
+    # another framing
+    trivial = seeded_model("sl(2)", [1, 2, 3], "trivial", 5, 4)
+    shapes.append(trivial.shape)
+    assert trivial.complex_specs(FRAMED) != base.complex_specs(FRAMED)
+    assert len({id(shape) for shape in shapes}) == len(shapes)
+    assert deformation.model_shape.cache_info().misses == len(shapes)
+    # and the same points, framing and Gram matrix share one
+    assert seeded_model("sl(2)", [1, 2, 3], "torus", 6, 4).shape is base.shape
+
+
+def test_gaudin_and_spectral_jobs_build_no_shape(tmp_path):
+    for subcommand, config in WARM_UP[3:]:
+        assert _report(tmp_path, subcommand, config)[0] == 0
+    assert deformation.model_shape.cache_info().misses == 0
+    assert _report(tmp_path, *WARM_UP[0])[0] == 0
+    assert deformation.model_shape.cache_info().misses == 1
 
 
 def _gaudin_memos():
