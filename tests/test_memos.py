@@ -23,7 +23,7 @@ from conftest import clear_memos
 from framedhiggs import curve, deformation, gaudin, liealg, rationalfn
 from framedhiggs.cli import main
 from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
-                                     FramedHiggsModel)
+                                     FramedHiggsModel, framed_higgs_model)
 from framedhiggs.gaudin import GaudinSystem
 from framedhiggs.liealg import InvariantForm, algebra_model, framing_specs, theta_majorants
 from framedhiggs.sampling import random_residue_tuple, seeded_model
@@ -232,6 +232,26 @@ def test_a_second_model_of_a_cached_shape_reads_what_a_cold_one_computes():
     assert deformation.model_shape.cache_info().misses == 1
     clear_memos()
     assert deformation.model_shape.cache_info().currsize == 0
+
+
+def test_models_of_one_shape_whose_ker_d1_differ_get_their_own_quotient_rows():
+    # the zero Higgs field gives ker d1 other free columns than a generic one
+    # where the chart block has a cokernel: each model's quotients are those
+    # of a cold process, in either order
+    algebra = algebra_model("gl(2)")
+    zero = [algebra.zero()] * 3
+    models = [lambda: seeded_model("gl(2)", [1, 2, 3], "torus", 7, 6),
+              lambda: framed_higgs_model("gl(2)", [1, 2, 3], zero, "torus")]
+    cold = []
+    for build in models:
+        clear_memos()
+        cold.append(_cones(build()))
+    clear_memos()
+    for k in (0, 1, 0, 1):
+        assert _cones(models[k]()) == cold[k]
+    free = [DeformationTheory(build()).cone(FRAMED).quotient.kernel.free for build in models]
+    assert free[0] != free[1]
+    assert deformation.model_shape.cache_info().misses == 1
 
 
 def test_points_gram_matrices_and_framings_get_their_own_shapes():
