@@ -901,7 +901,7 @@ def test_a_perturbed_d0_column_fails_the_integer_membership_check(monkeypatch, g
     ("sl(2)", [1, 2, 3], "trivial", 11, 2), ("gl(2)", [1, 2, 3], "trivial", 664365, 2),
     ("gl(2)", [1, 2, 3], "torus", 720705, 3), ("sl(2)", [1, 2, 3, 4], "torus", 535564, 3),
 ])
-def test_the_chart_echelon_is_built_once_per_shape_and_ker_d1_read_once_per_f1_sheaf(
+def test_d1_is_eliminated_once_per_f1_sheaf_and_each_chart_basis_built_once(
         monkeypatch, gid, pts, framing, seed, f1_specs):
     from framedhiggs import deformation
     from framedhiggs.exactlinalg import BlockEchelon, Staircase
@@ -934,9 +934,10 @@ def test_the_chart_echelon_is_built_once_per_shape_and_ker_d1_read_once_per_f1_s
     cones = [theory.cone(kind) for kind in (TWISTED, FRAMED, TWISTED_DUAL)]
     verify_poisson_map(theory)
     theory.poisson_matrix()
-    # d1 is never eliminated: ker d1 is read off the chart echelon, once per
-    # F1 sheaf; a trivial framing makes the framed F1 the twisted F1, so two
-    # chart echelons and two read-offs, not three
+    # d1 is eliminated once per F1 sheaf, as the chart echelon of its
+    # residue-free block, and never as a whole staircase: ker d1 is read off
+    # that echelon; a trivial framing makes the framed F1 the twisted F1, so
+    # two chart echelons and two read-offs, not three
     assert not eliminated
     assert len(read) == len(echelons) == len({cone.f1 for cone in cones}) == f1_specs
     assert sorted(read) == sorted({cone.f1: cone.t1_params for cone in cones}.values())
