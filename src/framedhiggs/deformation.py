@@ -55,8 +55,8 @@ model looks its shape up at its first cone, not when it is built, since
 gaudin and spectral jobs build models too, and the shape holds what every
 model of it reads: the specs of each complex kind, the point context and
 the cone window, and, per (spec, window), the chart bases and B it read
-from the memos, the echelon of d1's chart block and the quotients'
-residue-free rows (below).  Every lookup hashes the shape's spec objects.
+from the memos and the echelon of d1's chart block (below).  Every lookup
+hashes the shape's spec objects.
 
 The cone's linear algebra runs in Python integers over one denominator.
 Theta is built as integer columns over one denominator and applied by integer
@@ -71,21 +71,16 @@ chart block [-U0 | U1], which reads no residue.  The shape eliminates
 echelon and Theta, with one small elimination where A has a cokernel, as
 the `Staircase` (free columns, one denominator, integer tails) that an
 elimination of d1 gives, and passed to `Quotient` as it is, with no
-Fraction, no modulus and no certificate.  The d0 columns of F0 chart
-sections from which no S_i reaches a free column of A restrict to the free
-columns of ker d1 as the sections alone, so the shape eliminates those rows
-once per free-column set (`ModelShape.quotient_start`) and each quotient
-inserts only the others (`exactlinalg.SubVectors`).  h0 = dim ker d0 needs
-no second elimination: the quotient ker d1 / im d0 has checked every d0
-column against ker d1, on which restriction to the free columns is
-injective, so rank d0 is the rank of its own integer elimination and
-h0 = #d0 columns - rank.  Each
-basis class is summed over the integer chart bases once (`classes`) and kept
-as integers over one denominator, and the forgetful and anchor columns write
-those integer classes in the twisted quotient (`Staircase.int_coords` on the
-chart parts, then `Quotient.int_project`).  Every matrix leaves the cone as
-(d, integer rows) over one denominator d, the format of
-`exactlinalg.integer_solve`, and the checks read it as it is.
+Fraction, no modulus and no certificate.  The quotient ker d1 / im d0
+checks every d0 column against ker d1 and eliminates their restrictions
+to its free columns, on which restriction is injective, so rank d0 is the
+rank of that elimination and h0 = dim ker d0 = #d0 columns - rank needs no
+second one.  Each basis class is summed over the integer chart bases once
+(`classes`) and kept as integers over one denominator, and the forgetful
+and anchor columns write those integer classes in the twisted quotient
+(`Staircase.int_coords` on the chart parts, then `Quotient.int_project`).
+Every matrix leaves the cone as (d, integer rows) over one denominator d,
+the format of `exactlinalg.integer_solve`, and the checks read it as it is.
 
 The cup-product pairing on first hypercohomology contracts the mixed
 components with the invariant form and sums residues over the marked points:
@@ -109,10 +104,11 @@ The Poisson identity forgetful ∘ φ^{-1} ∘ adjoint = anchor is checked as
 F Y = P, where Y solves φ Y = A in one elimination of [φ | A]
 (`exactlinalg.integer_solve`), so the pairing matrix φ is never inverted.
 φ, A, F, Y and P are integer matrices over one denominator each, so the
-solve, the product and the residual are integer arithmetic, and the skew
-check and the ranks of φ and P read the integer rows.  The check reads the
-matrices off the `DeformationTheory` only, so a negative control overrides
-one of them (say, negates the adjoint) in a subclass.
+solve, the product and the residual are integer arithmetic, the residual
+stays (d, integer rows), and the skew check and the ranks of φ and P read
+the integer rows.  The check reads the matrices off the `DeformationTheory`
+only, so a negative control overrides one of them (say, negates the
+adjoint) in a subclass.
 
 A cone carries its own dimensions: `DeformationTheory.cone(kind)` returns
 the `Hypercohomology` of the `kind` complex, whose h0, h1, h2, chi0 and chi1
@@ -129,7 +125,7 @@ from typing import Iterable, Sequence
 
 from .curve import (Layout, MarkedCurve, SheafSpec, check_window, default_window,
                     make_spec, sections_off_divisor, sections_on_affine_chart)
-from .exactlinalg import (MEMO_SIZE, BlockEchelon, Mat, Quotient, Staircase, SubVectors, Vec,
+from .exactlinalg import (MEMO_SIZE, BlockEchelon, Mat, Quotient, Staircase, Vec,
                           add_scaled, dense, frac, integer_solve, integer_vectors,
                           nullspace_sparse)
 from .liealg import (AlgebraElement, AlgebraModel, FramingSpec, InvariantForm,
@@ -281,8 +277,8 @@ def _framing_values(framings: Sequence[FramingSpec]) -> tuple:
 
 
 def _complex_specs(m: int, framings: tuple, kind: str) -> tuple[SheafSpec, SheafSpec]:
-    """(F0, F1) of the `kind` complex on fiber dimension m, for the framing
-    values of `_framing_values`."""
+    """(F0, F1) of the `kind` complex, one of the three kinds, on fiber
+    dimension m, for the framing values of `_framing_values`."""
     n = len(framings)
     if kind == TWISTED:
         return (make_spec(m, [0] * n, None, 0),
@@ -290,10 +286,8 @@ def _complex_specs(m: int, framings: tuple, kind: str) -> tuple[SheafSpec, Sheaf
     if kind == FRAMED:
         return (make_spec(m, [0] * n, [coords for coords, _ in framings], 0),
                 make_spec(m, [1] * n, [perp for _, perp in framings], -2, is_form=True))
-    if kind == TWISTED_DUAL:
-        return (make_spec(m, [-1] * n, None, 0),
-                make_spec(m, [0] * n, None, -2, is_form=True))
-    raise ValueError(f"unknown complex kind {kind!r}")
+    return (make_spec(m, [-1] * n, None, 0),            # TWISTED_DUAL
+            make_spec(m, [0] * n, None, -2, is_form=True))
 
 
 def cone_window(pairs: Iterable[tuple[SheafSpec, SheafSpec]]) -> Window:
@@ -315,8 +309,7 @@ class ModelShape:
     matrix read without the residues, kept per process (`model_shape`): the
     three complex specs and their cone windows, the `RatContext`, and, each
     built at first use per (spec, window), the chart bases, the pairing form
-    B, the echelon of d1's chart block (`chart_echelon`) and the quotients'
-    echelons of the residue-free d0 columns (`quotient_start`)."""
+    B and the echelon of d1's chart block (`chart_echelon`)."""
 
     def __init__(self, points: tuple[Fraction, ...], framings: tuple,
                  gram: tuple[tuple[Fraction, ...], ...]):
@@ -370,54 +363,6 @@ class ModelShape:
                     j += 1
             return BlockEchelon(rows, j, -big)
         return self._cached(("echelon", spec, window), build)
-
-    def quotient_start(self, kind: str, window: Window,
-                       kernel: Staircase) -> tuple[dict[int, dict[int, int]], frozenset[int]]:
-        """What `SubVectors` carries for the d0 columns of the `kind` cone in
-        `window` over ker d1 = `kernel`: the pivot rows of the d0 columns that
-        read no residue, restricted to the kernel's free columns, and their
-        indices.  A d0 column of an F0 chart section s is (chart coordinates
-        of Theta s, -+ s); on the free columns of ker d1 its chart part is
-        read only at the free columns of the chart echelon, and there it is 0
-        for every residue when no S_i reaches their positions from those of
-        s.  Its restriction is then s on the free c columns, up to a scalar.
-        The free c columns depend on ker d1 where the chart block has a
-        cokernel, so the rows are kept for the last free columns seen."""
-        f1 = self.complex_specs(kind)[1]
-        known, sections = self._cached(("residue-free", kind, window),
-                                       lambda: self._residue_free(kind, window))
-        free = tuple(kernel.free)
-        last = self._memo.get(("start", kind, window))
-        if last is None or last[0] != free:
-            base = self.chart_echelon(f1, window).n_a   # c's first T^1 parameter
-            red = Quotient.restricted_echelon(
-                kernel, ({base + k: x for k, x in s.items()} for s in sections))
-            last = self._memo["start", kind, window] = (free, (red, known))
-        return last[1]
-
-    def _residue_free(self, kind: str, window: Window) -> tuple[frozenset[int], list[dict]]:
-        """The indices of the d0 columns of the `kind` cone in `window` that
-        read no residue, and their F0 chart sections, as `_d0_columns`
-        orders them (chart 0, then chart 1)."""
-        f0, f1 = self.complex_specs(kind)
-        echelon = self.chart_echelon(f1, window)
-        m = self.context.m
-        bumped = Window(window.pole + 1, window.degree)
-        reach = [{q for _, s_col in cols_k for q, _ in s_col}
-                 for cols_k in scalar_columns(self.points, window)]
-        known, sections, i = set(), [], 0
-        for chart in (0, 1):
-            f1_chart = self.chart_basis(f1, bumped, chart)
-            offset = chart and len(self.chart_basis(f1, bumped, 0))
-            # positions of the chart echelon's free columns in this chart
-            blocked = {f1_chart.free[c - offset] // m for c in echelon.free
-                       if 0 <= c - offset < len(f1_chart)}
-            for s in self.chart_basis(f0, window, chart).scaled:
-                if not any(reach[k // m] & blocked for k in s):
-                    known.add(i)
-                    sections.append(s)
-                i += 1
-        return frozenset(known), sections
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -553,8 +498,7 @@ class Hypercohomology:
 
         kernel = self.model.d1_kernel(self.f1, self.window0)
         self._d0_cols = self._d0_columns()
-        red, known = self.model.shape.quotient_start(self.kind, self.window0, kernel)
-        self.quotient = Quotient(self.t1_params, SubVectors(self._d0_cols, red, known), kernel)
+        self.quotient = Quotient(self.t1_params, self._d0_cols, kernel)
         self.h1 = self.quotient.dim
         # H^0 = ker d0.  `Quotient` has checked every d0 column against ker d1,
         # on which restriction to the free columns is injective, so rank d0 is
@@ -726,7 +670,7 @@ class DeformationTheory:
 @dataclass
 class PoissonMapCheck:
     ok: bool
-    residual: Mat
+    residual: tuple[int, list[list[int]]]
     phi_rank: int
     degenerate_directions: list[Vec]
 
@@ -735,7 +679,8 @@ def verify_poisson_map(theory: DeformationTheory) -> PoissonMapCheck:
     """Exact matrix identity F φ^{-1} A = P for the framed pairing φ, the
     forgetful adjoint A, the forgetful map F and the anchor P, checked as
     F Y = P with φ Y = A solved by one elimination of [φ | A].  The residual
-    F Y - P takes P's shape, so P is compared even when F and Y are empty.
+    F Y - P is (d, integer rows) in P's shape, so P is compared even when F
+    and Y are empty; it is (1, []) when the check is not run.
 
     Requires the framed pairing to be invertible (vanishing h^0 and h^2 of the
     framed complex); otherwise the degenerate directions, the kernel of φ, are
@@ -760,9 +705,7 @@ def verify_poisson_map(theory: DeformationTheory) -> PoissonMapCheck:
                 terms = [(a, y[k]) for k, a in enumerate(frow) if a]
                 num.append([left * sum(a * yk[j] for a, yk in terms) - right * z
                             for j, z in enumerate(prow)])
-            den = right * pden
-            residual = [[Fraction(x, den) for x in row] for row in num]
-            return PoissonMapCheck(not any(x for row in num for x in row), residual,
+            return PoissonMapCheck(not any(x for row in num for x in row), (right * pden, num),
                                    len(phi), [])
     degenerate = [dense(v, len(phi)) for v in nullspace_sparse(phi, ncols=len(phi))]
-    return PoissonMapCheck(False, [], len(phi) - len(degenerate), degenerate)
+    return PoissonMapCheck(False, (1, []), len(phi) - len(degenerate), degenerate)

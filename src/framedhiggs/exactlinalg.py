@@ -18,10 +18,8 @@ its vectors as Fractions), `rank`, `Quotient` and `integer_solve` (which
 `inverse` calls on [a | I]) run it on a matrix, `Echelon` row by row, and
 `LinSolver` solves against its rows.  `BlockEchelon` runs it once on
 [A | I] for a fixed block A, and then reads ker [A | B] for each B off
-those rows with one elimination of the rows of B that A's cokernel sees;
-`Quotient` may start from the pivot rows of some of its sub vectors,
-eliminated once (`SubVectors`, `Quotient.restricted_echelon`), and insert
-only the others.  An integer row enters `_eliminate` as a copy.
+those rows with one elimination of the rows of B that A's cokernel sees.
+An integer row enters `_eliminate` as a copy (`_integer_vector`).
 Nothing is rounded or taken modulo a prime, so no certificate is needed, and
 the reduced echelon form is unique, so any exact method gives the same kernels.
 
@@ -178,11 +176,11 @@ class Echelon:
         self._red: dict[int, dict[int, int]] = {}
 
     def contains(self, v) -> bool:
-        return not _reduce(self._red, _integer_row(v))
+        return not _reduce(self._red, _integer_vector(v)[1])
 
     def insert(self, v) -> bool:
         """Add v to the span; returns True if the dimension grew."""
-        return _insert(self._red, _integer_row(v))
+        return _insert(self._red, _integer_vector(v)[1])
 
 
 def nullspace_sparse(rows: Iterable, ncols: int) -> list[dict[int, Fraction]]:
@@ -275,29 +273,23 @@ class Staircase:
 
 
 def _integer_vector(v) -> tuple[int, dict[int, int]]:
-    """(d, d v) as a sparse integer vector, for a dense or sparse vector v
-    and d the least common denominator of its entries; a vector of ints is
-    taken as it is, with d = 1."""
+    """(d, d v) as a new sparse integer vector, for a dense or sparse vector
+    v and d the least common denominator of its entries.  A dict of ints is
+    copied with its zeros dropped in one pass, with d = 1."""
+    if isinstance(v, dict):
+        w = {}
+        for c, x in v.items():
+            if type(x) is not int:
+                break
+            if x:
+                w[c] = x
+        else:
+            return 1, w
     w = sparse(v)
     if all(type(x) is int for x in w.values()):
         return 1, w
     den = lcm(*{x.denominator for x in w.values()})
     return den, {c: x.numerator * (den // x.denominator) for c, x in w.items()}
-
-
-def _integer_row(v) -> dict[int, int]:
-    """v scaled to a sparse integer vector: a dict of ints is copied with its
-    zeros dropped in one pass, any other vector goes through
-    `_integer_vector`."""
-    if isinstance(v, dict):
-        w = {}
-        for c, x in v.items():
-            if type(x) is not int:
-                return _integer_vector(v)[1]
-            if x:
-                w[c] = x
-        return w
-    return _integer_vector(v)[1]
 
 
 def _eliminate(rows: Iterable) -> dict[int, dict[int, int]]:
@@ -307,7 +299,7 @@ def _eliminate(rows: Iterable) -> dict[int, dict[int, int]]:
     and at free columns to its right."""
     red: dict[int, dict[int, int]] = {}
     for r in rows:
-        _insert(red, _integer_row(r))
+        _insert(red, _integer_vector(r)[1])
     return red
 
 
@@ -505,17 +497,6 @@ class LinSolver:
                            for q, row in self._rows}
 
 
-class SubVectors(list):
-    """Sub vectors of a `Quotient`, with `red`, the pivot rows that
-    `_eliminate` gives for the restricted sub vectors whose indices are in
-    `known`, in the quotient's restricted keys."""
-
-    def __init__(self, vectors: Iterable, red: dict[int, dict[int, int]],
-                 known: frozenset[int]):
-        super().__init__(vectors)
-        self.red, self.known = red, known
-
-
 class Quotient:
     """Quotient ker / sub of subspaces sub ⊆ ker of Q^n, with projection.
 
@@ -537,12 +518,6 @@ class Quotient:
     lcm of their pivots, and the class coordinate of v at f is the dot
     product of v's restricted entries with R_f.  `int_project` walks the
     support of those entries, through the R_f entries of each kernel index.
-
-    When the sub vectors come as `SubVectors`, the pivot rows they carry
-    are copied and only the sub vectors not among their `known` ones are
-    inserted; the reduced echelon form is unique, so the rows are those of
-    one elimination of all of them.  Every sub vector is still checked
-    against ker.
     """
 
     def __init__(self, n: int, sub_vectors: Sequence[Sequence[Fraction]],
@@ -550,15 +525,12 @@ class Quotient:
         self.n = n
         kernel = self.kernel = kernel_vectors
         k = len(kernel)
-        start, known = ((sub_vectors.red, sub_vectors.known)
-                        if isinstance(sub_vectors, SubVectors) else ({}, frozenset()))
-        red = {q: dict(row) for q, row in start.items()}
-        for i, v in enumerate(sub_vectors):     # scaled to integers: only their span counts
-            x = kernel.int_coords(_integer_row(v))
+        red: dict[int, dict[int, int]] = {}
+        for v in sub_vectors:       # each scaled to integers: only their span counts
+            x = kernel.int_coords(_integer_vector(v)[1])
             if x is None:
                 raise ValueError("sub vector does not lie in the span of the kernel vectors")
-            if i not in known:
-                _insert(red, {k - 1 - j: y for j, y in x.items()})
+            _insert(red, {k - 1 - j: y for j, y in x.items()})
         self.rank = len(red)
         # class_den R_f = class_den e_f - sum_q (class_den / P_q[q]) P_q[f] e_q
         # for the kept keys f, largest key first, over the pivot rows P_q
@@ -572,16 +544,6 @@ class Quotient:
             self._columns[k - 1 - q] = [(position[f], -g * y) for f, y in row.items() if f != q]
         self.kept = [k - 1 - f for f in kept]
         self.dim = len(kept)
-
-    @staticmethod
-    def restricted_echelon(kernel: Staircase, vectors: Iterable[dict[int, int]]
-                           ) -> dict[int, dict[int, int]]:
-        """The pivot rows of integer vectors restricted to the free columns
-        of `kernel`, keyed as `__init__` keys the sub vectors: for
-        `SubVectors`, where they are the rows of the vectors in ker."""
-        index, top = kernel._index, len(kernel) - 1
-        return _eliminate({top - index[c]: y for c, y in v.items() if c in index}
-                          for v in vectors)
 
     @cached_property
     def basis(self) -> list:

@@ -584,10 +584,10 @@ def test_a_block_echelon_reads_off_the_kernel_of_the_whole_matrix(seed):
 
 def test_an_integer_dict_row_is_copied_without_its_zeros():
     row = {0: 3, 2: 0, 5: -4}
-    copy = exactlinalg._integer_row(row)
-    assert copy == {0: 3, 5: -4} and copy is not row and row == {0: 3, 2: 0, 5: -4}
-    assert exactlinalg._integer_row({1: F(1, 2), 3: 2, 4: F(0)}) == {1: 1, 3: 4}
-    assert exactlinalg._integer_row([F(2, 3), 0, 1]) == {0: 2, 2: 3}
+    d, copy = exactlinalg._integer_vector(row)
+    assert d == 1 and copy == {0: 3, 5: -4} and copy is not row and row == {0: 3, 2: 0, 5: -4}
+    assert exactlinalg._integer_vector({1: F(1, 2), 3: 2, 4: F(0)}) == (2, {1: 1, 3: 4})
+    assert exactlinalg._integer_vector([F(2, 3), 0, 1]) == (3, {0: 2, 2: 3})
     # `_insert` uses its row up: `Echelon.insert` copies what it is given
     ech, v = Echelon(6), {0: 3, 5: -4}
     assert ech.insert(v) and v == {0: 3, 5: -4}

@@ -4,7 +4,7 @@ memo keys on every value its computation reads.
 `liealg.algebra_model`, `liealg.framing_spec`, `liealg.gram_matrix`, the
 two `curve.sections_*` chart bases, `rationalfn.scalar_columns`,
 `deformation._pairing_form` and `deformation.model_shape` (the specs,
-chart echelons and residue-free quotient rows of a model shape) keep what
+chart bases, pairing forms and chart echelons of a model shape) keep what
 depends on the group, the framing, the points, the Gram matrix and the
 window alone, and `liealg._point_weights`,
 `gaudin._projector` and `gaudin._commutes` what depends on the points, the
@@ -219,8 +219,8 @@ def _cones(model) -> list:
 
 def test_a_second_model_of_a_cached_shape_reads_what_a_cold_one_computes():
     # gl(2) on three points with torus framing: every chart block but the
-    # twisted one has a cokernel, so the quotient's residue-free rows are
-    # read for the free columns of this model's ker d1
+    # twisted one has a cokernel, so ker d1 is read off the shape's chart
+    # echelons with one more elimination of this model's Theta rows
     cold = _cones(seeded_model("gl(2)", [1, 2, 3], "torus", 8, 6))
     clear_memos()
     first = seeded_model("gl(2)", [1, 2, 3], "torus", 7, 6)
