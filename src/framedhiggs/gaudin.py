@@ -15,18 +15,21 @@ Laurent expansion of theta at the coefficient's marked point, emitted as a
 straight-line `GradientProgram` (`GaudinSystem.coefficient_functions`).
 The flow integrator runs it in floats, its drift values exact values
 rounded once; the bracket check (`commutativity_check`) runs it exactly,
-but only for a tuple that fails a certificate: one such run at a higher
-point T, above the commutators' coefficients too, shows that every
-invariant's gradient commutes with theta(t) and with every other's at every
-t, and then every bracket vanishes (each commutator test at T is one
-compiled expression per matrix size, `_commutes`).  A tuple that fails the
-certificate gets each bracket {H_a, H_b} = sum_l tr(A_l [X^l_a, X^l_b]) of the exact site
-gradients, which decide its verdict.
+but only for a tuple that fails a certificate.  The certificate takes one
+point T per job, above every tuple's commutator coefficients
+(`GaudinSystem._batch_point`), and one integer function per algebra model,
+generated at first use (`_certifier`): from N(T) alone it runs
+Faddeev-LeVerrier, projects every invariant's gradient and tests that each
+commutes with N(T) and with every other's; then every bracket of the tuple
+vanishes.  A tuple that fails the certificate gets each bracket {H_a, H_b} =
+sum_l tr(A_l [X^l_a, X^l_b]) of the exact site gradients, which decide its
+verdict.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -37,7 +40,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .exactlinalg import MEMO_SIZE, ZERO, ONE, frac, over_common_denominator
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, balanced_digits, flat_trace,
-                     flatten, generator_indices, pfaffian, theta_char_polys, theta_majorants)
+                     flatten, generator_indices, pfaffian, theta_char_polys, theta_majorants,
+                     theta_mus)
 
 
 def _float(x: Fraction) -> float:
@@ -209,38 +213,195 @@ def _flat_commutator(a: list[int], b: list[int], s: int) -> list[int]:
             for ra, rb in zip(rows_a, rows_b) for cb, ca in zip(cols_b, cols_a)]
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _commutes(s: int) -> Callable[[Sequence[int], Sequence[int]], bool]:
-    """commutes(x, y): whether two row-major flattened s x s matrices
-    commute, compiled from generated Python source as one expression
-    sum_c x_ac y_cb == sum_c y_ac x_cb and ... over the s^2 entries (a, b),
-    each sum taken left to right and the first unequal entry deciding."""
-    block = range(s * s)
+# The certificate's integer kernel is generated as straight-line Python.  A
+# value is an integer polynomial {names: c} in the kernel's locals: names a
+# sorted tuple, () for the constant term, and c a nonzero int; {} is zero.
 
-    def product(x: str, y: str, a: int, b: int) -> str:
-        return " + ".join(f"{x}{a * s + c} * {y}{c * s + b}" for c in range(s))
+def _poly_sum(terms) -> dict[tuple[str, ...], int]:
+    """sum c p over the terms (c, p), like terms merged and zero ones dropped,
+    in the order of their first appearance."""
+    out: dict[tuple[str, ...], int] = {}
+    for c, poly in terms:
+        for names, d in poly.items():
+            out[names] = out.get(names, 0) + c * d
+    return {names: c for names, c in out.items() if c}
 
-    test = " and ".join(f"{product('x', 'y', a, b)} == {product('y', 'x', a, b)}"
-                        for a in range(s) for b in range(s))
+
+def _poly_products(terms) -> dict[tuple[str, ...], int]:
+    """sum c a b over the terms (c, a, b) of polynomials a and b, like terms
+    merged and zero ones dropped."""
+    out: dict[tuple[str, ...], int] = {}
+    for c, a, b in terms:
+        for x, d in a.items():
+            for y, e in b.items():
+                names = tuple(sorted(x + y))
+                out[names] = out.get(names, 0) + c * d * e
+    return {names: c for names, c in out.items() if c}
+
+
+def _multiplications(poly: dict) -> int:
+    """The multiplications of `_int_text(poly)`."""
+    return sum(max(len(names) + (abs(c) != 1) - 1, 0) for names, c in poly.items())
+
+
+def _normal(poly: dict) -> tuple[int, tuple]:
+    """(g, key): poly = g times the polynomial key, as sorted items, whose
+    first coefficient is positive and whose coefficients have gcd 1."""
+    items = sorted(poly.items())
+    g = math.gcd(*poly.values()) * (1 if items[0][1] > 0 else -1)
+    return g, tuple((names, c // g) for names, c in items)
+
+
+def _int_text(poly: dict) -> str:
+    """Python text of a polynomial, positive terms first; 0 if it is zero."""
+    text = ""
+    for names, c in sorted(poly.items(), key=lambda t: t[1] < 0):
+        text += (" - " if c < 0 else " + ") if text else ("-" if c < 0 else "")
+        text += " * ".join(([str(abs(c))] if abs(c) != 1 or not names else []) + list(names))
+    return text or "0"
+
+
+def _entries(name: str, count: int) -> list[dict]:
+    """The values of the locals name0, name1, ..."""
+    return [{(f"{name}{v}",): 1} for v in range(count)]
+
+
+class _IntStatements:
+    """The statements of an integer kernel under construction, each setting
+    a new local k<q>."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.locals: dict[tuple, str] = {}
+        self.terms: dict[int, tuple[dict, dict]] = {}     # id(poly) -> (poly, its term)
+
+    def local(self, poly: dict) -> dict:
+        """poly as one term: poly itself if it is a term of at most one name,
+        else g times the local set to the key of `_normal`, one local per key."""
+        if len(poly) <= 1 and all(len(names) <= 1 for names in poly):
+            return poly
+        if id(poly) not in self.terms:
+            g, key = _normal(poly)
+            if key not in self.locals:
+                self.locals[key] = f"k{len(self.lines)}"
+                self.lines.append(f"{self.locals[key]} = {_int_text(dict(key))}")
+            self.terms[id(poly)] = poly, {(self.locals[key],): g}
+        return self.terms[id(poly)][1]
+
+    def quotient(self, poly: dict, div: int) -> dict:
+        """The local set to poly // div, a division that must be exact."""
+        self.lines.append(f"k{len(self.lines)} = ({_int_text(poly)}) // {div}")
+        return {(f"k{len(self.lines) - 1}",): 1}
+
+    def products(self, terms) -> dict:
+        """sum c a b over the terms (c, a, b), through the locals of a and b
+        (`local`), or expanded if every a and b is linear and the expansion,
+        whose like terms may cancel, takes no more multiplications."""
+        terms = list(terms)
+        named = _poly_products((c, self.local(a), self.local(b)) for c, a, b in terms)
+        if any(len(names) > 1 for _, a, b in terms for p in (a, b) for names in p):
+            return named
+        expanded = _poly_products(terms)
+        return expanded if _multiplications(expanded) <= _multiplications(named) else named
+
+    def live(self, result: str) -> list[str]:
+        """The statements that result reads, through each other, in order."""
+        read, kept = set(re.findall(r"\bk\d+\b", result)), []
+        for line in reversed(self.lines):
+            target, _, text = line.partition(" = ")
+            if target in read:
+                kept.append(line)
+                read.update(re.findall(r"\bk\d+\b", text))
+        return kept[::-1]
+
+
+def _certificate_source(model: AlgebraModel) -> tuple[_IntStatements, list[list[dict]]]:
+    """(prog, ys): statements over the entries n0, n1, ... of an integer
+    s x s matrix N, row-major, and per degree index the entries of y = P G,
+    for the model's integer projection (den, P)
+    (`AlgebraModel.trace_projection`): for e_m, G = Q_(m-1) of
+    Faddeev-LeVerrier on N as in `theta_char_polys` (W = N Q_(q-1), e_q =
+    tr(W) // q, each division exact, and Q_q = e_q I - W, from Q_0 = I); for
+    the Pfaffian, G = `_pfaffian_minor_gradient` of Q N, N upside down, each
+    minor's Pfaffian expanded along its first row, each sub-Pfaffian once."""
+    s, prog, indices = model.n, _IntStatements(), generator_indices(model.group)
+    n = _entries("n", s * s)
+    qs = [[{(): 1} if v % (s + 1) == 0 else {} for v in range(s * s)]]
+    for q in range(1, max(indices)):
+        w = [prog.products((1, n[a * s + c], qs[-1][c * s + b]) for c in range(s))
+             for a in range(s) for b in range(s)]
+        trace = _poly_sum((1, w[a * (s + 1)]) for a in range(s))
+        e = trace if q == 1 else prog.quotient(trace, q)
+        qs.append([_poly_sum([(1, e), (-1, w[v])] if v % (s + 1) == 0 else [(-1, w[v])])
+                   for v in range(s * s)])
+    pfs: dict[tuple[int, ...], dict] = {(): {(): 1}}
+
+    def pf(keep: tuple[int, ...]) -> dict:
+        if keep not in pfs:
+            row = n[(s - 1 - keep[0]) * s:(s - keep[0]) * s]
+            pfs[keep] = row[keep[1]] if len(keep) == 2 else prog.products(
+                ((-1) ** (h + 1), row[keep[h]], pf(keep[1:h] + keep[h + 1:]))
+                for h in range(1, len(keep)))
+        return pfs[keep]
+
+    prows, ys = model.trace_projection[1], []
+    for index in indices:
+        g = (_pfaffian_minor_gradient(s, lambda keep, sign: _poly_sum([(sign, pf(keep))]), {})
+             if index == PFAFFIAN else qs[index - 1])
+        ys.append([_poly_sum((a, v) for a, v in zip(row, g) if a) for row in prows])
+    return prog, ys
+
+
+def _certificate_test(prog: _IntStatements, n: list[dict], ys: list[list[dict]], s: int) -> str:
+    """One expression: [N, y] = 0 for the gradient y of every degree index,
+    then [y, y'] = 0 for every pair of degree indices, one test sum_c x_ac
+    y_cb == sum_c y_ac x_cb per entry (a, b), row-major, the first unequal
+    entry deciding; True if no test is left.  Each entry is a polynomial of
+    `products`, like terms cancelled, and each side is over the gcd of what
+    is left.  Left out: an entry that cancels to zero, one whose test an
+    earlier entry makes, and the last diagonal entry of each commutator,
+    which vanishes when the other diagonal entries do (a commutator has
+    trace zero)."""
+    tests, seen = [], set()
+    for x, y in [(n, y) for y in ys] + list(combinations(ys, 2)):
+        for v in range(s * s - 1):
+            a, b = divmod(v, s)
+            diff = prog.products([(1, x[a * s + c], y[c * s + b]) for c in range(s)]
+                                 + [(-1, y[a * s + c], x[c * s + b]) for c in range(s)])
+            key = diff and _normal(diff)[1]
+            if key and key not in seen:
+                seen.add(key)
+                tests.append(f"{_int_text({k: c for k, c in key if c > 0})} == "
+                             f"{_int_text({k: -c for k, c in key if c < 0})}")
+    return " and ".join(tests) or "True"
+
+
+def _kernel_function(prog: _IntStatements, sizes: dict[str, int], result: str) -> Callable:
+    """The function of one list per name in sizes, of that size, whose
+    entries are the locals <name>0, <name>1, ..., that runs the statements
+    of prog that result reads (`_IntStatements.live`) and returns result,
+    compiled from generated Python source."""
+    lines = [f"def kernel({', '.join(sizes)}):"]
+    lines += [" " + "".join(f"{a}{v}, " for v in range(k)) + f"= {a}" for a, k in sizes.items()]
+    lines += [" " + line for line in prog.live(result)] + [f" return {result}"]
     namespace: dict = {}
-    exec(compile(f"def commutes(x, y):\n"
-                 f" {''.join(f'x{v}, ' for v in block)}= x\n"
-                 f" {''.join(f'y{v}, ' for v in block)}= y\n"
-                 f" return {test}\n", "<gaudin commutator>", "exec"), namespace)
-    return namespace["commutes"]
+    exec(compile("\n".join(lines), "<gaudin certificate>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _projector(model: AlgebraModel) -> Callable[[Sequence[int]], list[int]]:
-    """project(y) = P y for the integer matrix P of the model's trace-form
-    projection (den, P) (`AlgebraModel.trace_projection`), compiled from
-    generated Python source over the nonzero entries of each row of P."""
-    def term(c: int, a: int) -> str:
-        return f"y[{c}]" if a == 1 else f"{a} * y[{c}]"
-
-    rows = ", ".join(" + ".join(term(c, a) for c, a in enumerate(row) if a) or "0"
-                     for row in model.trace_projection[1])
-    return eval(compile(f"lambda y: [{rows}]", "<gaudin projection>", "eval"))
+def _certifier(model: AlgebraModel) -> Callable[[Sequence[int]], bool] | None:
+    """certify(N): whether the integer s x s matrix N, row-major, commutes
+    with the projected gradient of every degree index, and these with each
+    other (`GaudinSystem.commutativity_check`): the statements of
+    `_certificate_source` and the test of `_certificate_test` as one
+    straight-line function of the model, generated at its first use.  None
+    if no test is left: every commutator is then zero whatever N is, as on
+    gl(2) and sl(2), whose gradients are polynomials in N."""
+    s = model.n
+    prog, ys = _certificate_source(model)
+    test = _certificate_test(prog, _entries("n", s * s), ys, s)
+    return None if test == "True" else _kernel_function(prog, {"n": s * s}, test)
 
 
 def _drift_key(d: float) -> tuple[bool, float]:
@@ -468,32 +629,41 @@ class GaudinSystem:
         system (`_certificate_point`)."""
         return max(sum(map(abs, row)) for row in self._projection[1])
 
-    def _gradient(self, index: int, chars: tuple) -> tuple[int, list[int]]:
-        """(d, y) with pi(grad p)(theta(t)) = y / d, for the generator p of
-        `generator_indices` entry index, from the `theta_char_polys` output
-        chars at t.  At theta(t) = M / D the gradient of e_m is P_(m-1)(theta(t))
-        = Q_(m-1) / D^(m-1), and that of the Pfaffian is G(M) / D^(r-1)
-        (`_pfaffian_minor_gradient`); the projection, an integer matrix over
-        pden, is applied by the model's compiled `_projector`, one product
-        per nonzero entry."""
-        (den, m, _, qs), s = chars, self.s
-        if index == PFAFFIAN:   # Q M is M upside down
-            y = [m[a:a + s] for a in range(s * s - s, -1, -s)]
-            power, g = s // 2 - 1, _pfaffian_minor_gradient(s, lambda keep, sign: (
-                sign * int(pfaffian([[y[p][q] for q in keep] for p in keep]))), 0)
-        else:
-            power, g = index - 1, qs[index - 1]
-        return den ** power * self._projection[0], _projector(self.model)(g)
+    def _batch_point(self, batch: Sequence[Sequence[tuple[int, Sequence[int]]]]) -> int:
+        """The one certificate point of a batch of residue-site tuples: the
+        `_certificate_point` of the tuple of largest majorant mu
+        (`liealg.theta_majorants`).  Every bound of `_certificate_point`
+        increases with mu, so this T is the largest of the tuples' own
+        points, and valid for each."""
+        mus = theta_mus(self.points, batch)
+        return self._certificate_point(batch[mus.index(max(mus))])
 
-    def coefficient_gradients_at(self, residues: Sequence[AlgebraElement]
-                                 ) -> tuple[list[int], list[list[int]]]:
-        """(M, ys) at the certificate point T (`_certificate_point`): theta(T)
-        = M / D and, per degree index k, the numerators y of the projected
-        gradient pi(grad p_k)(theta(T)) = y / d (`_gradient`), from one
-        `theta_char_polys` run at T."""
-        sites = [el.integer_form for el in residues]
-        at = theta_char_polys(self.points, sites, self._certificate_point(sites))
-        return at[1], [self._gradient(index, at)[1] for index in self._indices]
+    def coefficient_gradients_at(self, residue_tuples: Sequence[Sequence[AlgebraElement]]
+                                 ) -> list[bool]:
+        """Per residue tuple, whether the projected gradient of every degree
+        index commutes with theta and with every other's at the batch's
+        certificate point T (`_batch_point`): one call of the model's
+        generated kernel (`_certifier`) on the integer matrix N(T) = sum_i (L
+        / d_i) w_i a_i of `theta_char_polys`, theta(T) = N(T) / D, for the
+        tuple's residue sites (d_i, a_i) and L = lcm d_i, with the point
+        factors w_i = q_i prod_(j != i) (q_j T - p_j) formed once per batch.
+        Where the kernel has no test left, every tuple passes with no T."""
+        certify = _certifier(self.model)
+        if certify is None or not residue_tuples:
+            return [True] * len(residue_tuples)
+        batch = [[el.integer_form for el in residues] for residues in residue_tuples]
+        t = self._batch_point(batch)
+        factors = [x.denominator * t - x.numerator for x in self.points]
+        weights = [x.denominator * math.prod(factors[:i] + factors[i + 1:])
+                   for i, x in enumerate(self.points)]
+        out = []
+        for sites in batch:
+            big, m = math.lcm(*[d for d, _ in sites]), None
+            for (d, a), w in zip(sites, weights):
+                c = big // d * w
+                m = [c * v for v in a] if m is None else [u + c * v for u, v in zip(m, a)]
+            out.append(certify(m))
+        return out
 
     def commutativity_check(self, residue_tuples: Sequence[Sequence[AlgebraElement]]):
         """(worst, pair): the signed bracket {H_a, H_b} of largest absolute
@@ -501,8 +671,9 @@ class GaudinSystem:
         the first such in tuple and coefficient order, and its pair of keys
         (k, i, j); (0, None) when every bracket vanishes.
 
-        A tuple is first tested at the one integer point T of
-        `_certificate_point` (`_certified`).  Coefficient (k, i, j) is a
+        The tuples are first tested together, at the one integer point T of
+        the batch (`_batch_point`), each by one call of the model's generated
+        kernel (`coefficient_gradients_at`).  Coefficient (k, i, j) is a
         combination sum_t c_t p_k(theta(t)) over any n d_k points t off the
         marked points, so its gradient at site l is sum_t c_t Y_t / (t - x_l)
         with Y_t = pi(grad p_k)(theta(t)).  By the partial-fraction identity
@@ -516,26 +687,19 @@ class GaudinSystem:
         coefficients lie below T / 2, and a nonzero integer polynomial with
         such coefficients does not vanish at T: if every commutator vanishes
         at T, every one vanishes at every t, and so does every bracket of the
-        tuple.  Only a tuple that fails this has its brackets computed
-        (`_brackets`), and those decide.
+        tuple.  A nonzero commutator vanishes at no such T, so which tuples
+        pass does not depend on the T of the batch.  Only a tuple that fails
+        has its brackets computed (`_brackets`), and those decide.
         """
         worst, worst_pair = ZERO, None
-        for residues in residue_tuples:
-            if self._certified(*self.coefficient_gradients_at(residues)):
+        for residues, certified in zip(residue_tuples,
+                                       self.coefficient_gradients_at(residue_tuples)):
+            if certified:
                 continue
             for pair, val in self._brackets(residues):
                 if abs(val) > abs(worst):
                     worst, worst_pair = val, pair
         return worst, worst_pair
-
-    def _certified(self, m: list[int], ys: Sequence[list[int]]) -> bool:
-        """Whether M commutes with the gradient y of every degree index and
-        y with y' for every pair of degree indices (`coefficient_gradients_at`),
-        each test one call of the compiled `_commutes` of the matrix size,
-        which stops at the first entry of the commutator that is not zero."""
-        commutes = _commutes(self.s)
-        return all(commutes(m, y) for y in ys) and all(
-            commutes(y, y2) for y, y2 in combinations(ys, 2))
 
     @cached_property
     def _fallback_programs(self) -> list[tuple[tuple, CodeType, dict[str, Fraction]]]:

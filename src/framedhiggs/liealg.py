@@ -696,6 +696,15 @@ def _point_weights(points: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
                  for i, (_, q) in enumerate(points))
 
 
+def theta_mus(points: Sequence[Fraction], batch: Sequence[Sequence[tuple[int, Sequence[int]]]]
+              ) -> list[int]:
+    """The mu of `theta_majorants` of each tuple of residue sites in batch,
+    the points' factors (`_point_weights`) read once."""
+    weights = _point_weights(tuple([(x.numerator, x.denominator) for x in points]))
+    return [sum([w * (big // d) * max(max(a), -min(a)) for w, (d, a) in zip(weights, sites)])
+            for sites in batch for big in [lcm(*[d for d, _ in sites])]]
+
+
 def theta_majorants(points: Sequence[Fraction], sites: Sequence[tuple[int, Sequence[int]]]
                     ) -> tuple[int, list[int]]:
     """(mu, q): bounds on the 1-norm nu, the sum of the absolute values of a
@@ -703,11 +712,9 @@ def theta_majorants(points: Sequence[Fraction], sites: Sequence[tuple[int, Seque
     nu(f) nu(f')), of each entry of the N(z) of `theta_char_polys` and of
     each entry of its Faddeev-LeVerrier matrices Q_m: nu(e_m(N)) <= s^2 mu
     q[m-1] / m.  Pf(Q N) on so(2r), (2r-1)!! products of r entries, has nu
-    at most (2r-1)!! mu^r.  The points' factors come from `_point_weights`."""
-    s, big = isqrt(len(sites[0][1])), lcm(*(d for d, _ in sites))
-    mu = sum(w * (big // d) * max(map(abs, a))
-             for w, (d, a) in zip(_point_weights(tuple([(x.numerator, x.denominator)
-                                                        for x in points])), sites))
+    at most (2r-1)!! mu^r.  mu is sum_i w_i (L / d_i) max |a_i| for the
+    1-norms w_i of the points' factors (`theta_mus`)."""
+    s, (mu,) = isqrt(len(sites[0][1])), theta_mus(points, [sites])
     q = [1]
     for m in range(1, s):
         q.append(-(-s * s * mu * q[-1] // m) + s * mu * q[-1])

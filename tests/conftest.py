@@ -3,9 +3,9 @@
 The memos (`functools.lru_cache`s in `liealg`, `rationalfn`, `curve`,
 `deformation` and `gaudin`: the algebra models, framings, Gram matrices,
 point weights of the theta majorants, scalar columns of Theta, chart bases,
-pairing forms, model shapes with their chart echelons, compiled projections
-and compiled commutator tests) keep what depends on the group, the points,
-the framing, the Gram matrix, the window and the matrix size alone.  A test
+pairing forms, model shapes with their chart echelons and the generated
+certificate kernels) keep what depends on the group, the points,
+the framing, the Gram matrix, the window and the algebra model alone.  A test
 that patches a function they call (`laurent_row` in `rationalfn`, `curve` or
 `deformation`, `rationalfn.comb`, `FramingSpec.__post_init__`) must see it
 called, and a result computed under a patch must not reach a later test.  A

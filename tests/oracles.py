@@ -19,6 +19,11 @@ the tests check the code that the jobs do run.
   bracket check computes from them, are checked;
 - `gradient_function`: the statements of a `gaudin.GradientProgram` as a
   function, run exactly or in floats;
+- `certificate_gradients` and `certificate_verdict`: the projected integer
+  gradients of the bracket certificate at an integer matrix N, from
+  `theta_char_polys` and the integer projection matrix, and whether they
+  commute with N and with each other by `gaudin._flat_commutator`, against
+  which the generated certificate kernel (`gaudin._certifier`) is checked;
 - `cup_matrix_by_entries`: the cup-product pairing matrix of
   `deformation._cup_matrix`, each entry its own sum over one sparse vector;
 - `d1_kernel_by_elimination`: ker d1 of a cone by one `Staircase.kernel` of
@@ -57,8 +62,10 @@ from framedhiggs.deformation import DeformationTheory, _apply
 from framedhiggs.exactlinalg import (ONE, ZERO, Staircase, Vec, frac, inverse, mat_comb, mat_mul,
                                      mat_vec, sparse, vec_is_zero, zeros)
 from framedhiggs.intpoly import _reverse, _shift, _sign_variations
-from framedhiggs.liealg import (AlgebraElement, bracket, mat_trace, matrix_invariant,
-                                perp_coordinates, to_matrix)
+from framedhiggs.gaudin import _flat_commutator, _pfaffian_minor_gradient
+from framedhiggs.liealg import (PFAFFIAN, AlgebraElement, bracket, generator_indices, mat_trace,
+                                matrix_invariant, perp_coordinates, pfaffian, theta_char_polys,
+                                to_matrix)
 from framedhiggs.rationalfn import RatContext, Window
 
 
@@ -293,6 +300,34 @@ def gradient_function(program, nvars, number=Fraction):
     body = [*program.lines, "return [" + ", ".join(f"g{v}" for v in range(nvars)) + "]"]
     exec(f"def gradient({xs}):\n" + "\n".join(" " + line for line in body), namespace)
     return namespace["gradient"]
+
+
+def certificate_gradients(model, n):
+    """Per degree index, P G for the model's integer projection (den, P)
+    (`AlgebraModel.trace_projection`) and G the Faddeev-LeVerrier matrix
+    Q_(m-1) of `theta_char_polys` on the integer matrix N, row-major (one
+    residue N at 0, read at t = 1), or for the Pfaffian the gradient of
+    Pf(Q N) from the integer Pfaffians of the minors of Q N."""
+    s, (_, prows) = model.n, model.trace_projection
+    _, m, _, qs = theta_char_polys([Fraction(0)], [(1, n)], 1)
+    out = []
+    for index in generator_indices(model.group):
+        if index == PFAFFIAN:
+            y = [m[a:a + s] for a in range(s * s - s, -1, -s)]
+            g = _pfaffian_minor_gradient(s, lambda keep, sign: sign * int(
+                pfaffian([[y[p][q] for q in keep] for p in keep])), 0)
+        else:
+            g = qs[index - 1]
+        out.append([sum(a * b for a, b in zip(row, g)) for row in prows])
+    return out
+
+
+def certificate_verdict(model, n):
+    """Whether N commutes with every `certificate_gradients` entry and these
+    with each other, every entry of every commutator read."""
+    s, ys = model.n, certificate_gradients(model, n)
+    return not any(any(_flat_commutator(n, y, s)) for y in ys) and not any(
+        any(_flat_commutator(y, y2, s)) for i, y in enumerate(ys) for y2 in ys[i + 1:])
 
 
 def bracket_at(system, f, g, residues):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from framedhiggs import cli, liealg, rationalfn, spectral
+from framedhiggs import cli, gaudin, liealg, rationalfn, spectral
 from framedhiggs.cli import main
 from oracles import json_report_text
 
@@ -78,7 +78,7 @@ def test_gaudin_job_reports_a_nonzero_bracket(tmp_path, monkeypatch):
         weights = ORIGINAL_SITE_WEIGHTS(self, i, l, top)
         return [(o - 1, c) for o, c in weights] if (i, l, top) == (0, 0, 1) else weights
 
-    monkeypatch.setattr(cli.GaudinSystem, "_certified", lambda self, m, ys: False)
+    monkeypatch.setattr(gaudin, "_certifier", lambda model: lambda n: False)
     monkeypatch.setattr(cli.GaudinSystem, "_site_weights", one_site_one_order_off)
     cfg = write_config(tmp_path, "g.json", GAUDIN_SL2)
     out = tmp_path / "report.json"
@@ -91,25 +91,34 @@ def test_gaudin_job_reports_a_nonzero_bracket(tmp_path, monkeypatch):
     assert "(0, 0, 1)" in report["results"]["bracket_worst_pair"]
 
 
-def test_a_gaudin_job_runs_the_char_polys_once_per_residue_tuple(tmp_path, monkeypatch):
+def test_a_gaudin_job_runs_the_char_polys_once_and_the_kernel_once_per_residue_tuple(
+        tmp_path, monkeypatch):
     # the model's residues feed the Hitchin point from one `theta_char_polys`
-    # run at one integer point, their value point; each clean residue tuple,
-    # the model's first, is certified by one run at its certificate point
-    # alone, which lies above the value point
-    from framedhiggs import gaudin
-    calls = []
-    kernel = gaudin.theta_char_polys
+    # run at one integer point, their value point; the residue tuples, the
+    # model's first, are certified together at one point above it, each by
+    # one call of the model's generated kernel on the integer matrix N(T).
+    # On sl(2) no test is left and no point is taken.
+    calls, certified, points = [], [], []
+    kernel, certifier = gaudin.theta_char_polys, gaudin._certifier
+    batch_point = cli.GaudinSystem._batch_point
     monkeypatch.setattr(gaudin, "theta_char_polys",
                         lambda *args: calls.append(args) or kernel(*args))
-    for random_points in (0, 3):
-        calls.clear()
-        cfg = write_config(tmp_path, "g.json", {**GAUDIN_SL2, "random_points": random_points})
+    monkeypatch.setattr(gaudin, "_certifier", lambda model: certifier(model) and (
+        lambda n: certified.append(n) or certifier(model)(n)))
+    monkeypatch.setattr(cli.GaudinSystem, "_batch_point",
+                        lambda self, batch: points.append(batch_point(self, batch)) or points[-1])
+    for group, random_points in (("sl(3)", 0), ("sl(3)", 3), ("sl(2)", 3)):
+        calls.clear(), certified.clear(), points.clear()
+        cfg = write_config(tmp_path, "g.json", {**GAUDIN_SL2, "group": group,
+                                                "random_points": random_points})
         assert main(["gaudin", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
-        assert len(calls) == 2 + random_points
-        assert all(type(t) is int for _, _, t in calls)
-        # the Hitchin point and the first tuple read the model's residues,
-        # at two points
-        assert calls[0][:2] == calls[1][:2] and calls[0][2] < calls[1][2]
+        assert len(calls) == 1 and type(calls[0][2]) is int
+        if group == "sl(2)":
+            assert certified == points == []
+            continue
+        assert len(certified) == 1 + random_points
+        assert all(type(x) is int for n in certified for x in n)
+        assert len(points) == 1 and calls[0][2] < points[0]
 
 
 def test_a_failing_gaudin_job_builds_each_gradient_program_once(tmp_path, monkeypatch):
@@ -120,7 +129,7 @@ def test_a_failing_gaudin_job_builds_each_gradient_program_once(tmp_path, monkey
     program = cli.GaudinSystem._gradient_program
     monkeypatch.setattr(cli.GaudinSystem, "_gradient_program",
                         lambda self, k, i, j: built.append((k, i, j)) or program(self, k, i, j))
-    monkeypatch.setattr(cli.GaudinSystem, "_certified", lambda self, m, ys: False)
+    monkeypatch.setattr(gaudin, "_certifier", lambda model: lambda n: False)
     brackets = cli.GaudinSystem._brackets
     tuples = []
     monkeypatch.setattr(cli.GaudinSystem, "_brackets",
@@ -164,7 +173,7 @@ def test_a_clean_gaudin_job_builds_no_fraction_matrix(tmp_path, monkeypatch, gro
     assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["all_passed"]
     assert built == []
-    monkeypatch.setattr(cli.GaudinSystem, "_certified", lambda self, m, ys: False)
+    monkeypatch.setattr(gaudin, "_certifier", lambda model: lambda n: False)
     assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 0
     assert len(built) == 3 * 6
 

@@ -20,8 +20,8 @@ from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, antidiagonal, balanced_d
 from framedhiggs.sampling import random_algebra_element, random_residue_tuple
 from framedhiggs.spectral import elementary_numerators
 from oracles import (PolyObservable, algebra_sigma_gradients_at, algebra_site_matrix,
-                     bracket_at, coefficient_columns, coefficient_polys, coordinate, grad_rows,
-                     gradient_function, fraction_residue_tuple, mat_commutator, random_fraction,
+                     bracket_at, certificate_gradients, certificate_verdict, coefficient_columns,
+                     coefficient_polys, coordinate, grad_rows, gradient_function, fraction_residue_tuple, mat_commutator, random_fraction,
                      sample_points, sampled_inverse, sigma_gradient_at, site_matrix,
                      symbolic_gradient, theta_at)
 
@@ -449,7 +449,7 @@ def test_bracket_table_negative_control(monkeypatch, gid, points, count):
     original = GaudinSystem._site_gradients
     monkeypatch.setattr(GaudinSystem, "_site_gradients",
                         lambda self, state: original(self, state) + noninv_site_gradients(state))
-    monkeypatch.setattr(GaudinSystem, "_certified", lambda self, m, ys: False)
+    monkeypatch.setattr(gaudin, "_certifier", lambda model: lambda n: False)
     rng = random.Random(59)
     tuples = [random_residue_tuple(model, rng, len(points), 4, zero_sum=False)
               for _ in range(count)]
@@ -470,25 +470,24 @@ GRID_CASES = [("sl(2)", 3), ("sl(3)", 3), ("gl(2)", 3), ("gl(3)", 2), ("sp(4)", 
 def test_bracket_table_grid_matches_reference(monkeypatch, gid, n, faulted):
     # The check against the per-site Fraction reference, on tuples that do
     # not sum to zero.  The fault adds a fixed integer matrix to the
-    # Faddeev-LeVerrier matrix that degree index 0 reads in the certificate's
-    # kernel, so that its gradient stops commuting with theta(T): every tuple
-    # then fails the certificate, and its exact brackets, which the kernel
-    # does not reach, still vanish.
+    # projected gradient of degree index 0 in the certificate's generated
+    # kernel, so that it stops commuting with N(T): every tuple then fails
+    # the certificate, and its exact brackets, which the kernel does not
+    # reach, still vanish.
     model = AlgebraModel(gid)
     points = GRID_POINTS[:n]
     system = GaudinSystem(model, points)
-    fault_at = system._indices[0] - 1
-    kernel = gaudin.theta_char_polys
+    source = gaudin._certificate_source
 
-    def with_fault(points, sites, t):
-        s = math.isqrt(len(sites[0][1]))
+    def with_fault(model):
+        prog, ys = source(model)
+        s = model.n
         fault = [(3 * a - 2 * b) % 7 - 3 for a in range(s) for b in range(s)]
-        den, m, e, qs = kernel(points, sites, t)
-        return den, m, e, [[x + f for x, f in zip(q, fault)] if i == fault_at else q
-                           for i, q in enumerate(qs)]
+        return prog, [[gaudin._poly_sum([(1, y), (f, {(): 1})]) for y, f in zip(ys[0], fault)],
+                      *ys[1:]]
 
     if faulted:
-        monkeypatch.setattr(gaudin, "theta_char_polys", with_fault)
+        monkeypatch.setattr(gaudin, "_certificate_source", with_fault)
     fallbacks = []
     brackets = GaudinSystem._brackets
     monkeypatch.setattr(GaudinSystem, "_brackets",
@@ -500,31 +499,105 @@ def test_bracket_table_grid_matches_reference(monkeypatch, gid, n, faulted):
     assert fallbacks == (tuples if faulted else [])
 
 
+def _kernel_gradients(gid):
+    """gradients(N): per degree index, the numerators y of the projected
+    gradient that the model's generated certificate kernel computes from the
+    integer matrix N, row-major: its own statements, returning its gradient
+    values instead of its commutator test."""
+    model = AlgebraModel(gid)
+    prog, ys = gaudin._certificate_source(model)
+    return gaudin._kernel_function(prog, {"n": model.n ** 2}, "[" + ", ".join(
+        "[" + ", ".join(map(gaudin._int_text, y)) + "]" for y in ys) + "]")
+
+
+def _kernel_test(s, x, ys):
+    """The generated kernel's commutator test (`gaudin._certificate_test`)
+    on the integer s x s matrix x in the place of N and the gradients ys."""
+    prog, names = gaudin._IntStatements(), [f"y{k}_" for k in range(len(ys))]
+    test = gaudin._certificate_test(prog, gaudin._entries("n", s * s),
+                                    [gaudin._entries(name, s * s) for name in names], s)
+    return gaudin._kernel_function(prog, dict.fromkeys(["n", *names], s * s), test)(x, *ys)
+
+
+def _commutes(s, x, y):
+    """The generated kernel's test of [x, y] = 0 alone."""
+    return _kernel_test(s, x, [y])
+
+
 @pytest.mark.parametrize("gid, points, count", BRACKET_CASES,
                          ids=[case[0] for case in BRACKET_CASES])
 def test_the_certificate_kernel_is_the_projected_gradient_at_a_point(gid, points, count):
-    # `_gradient` on the integer kernel's output at theta(t), at the
-    # certificate point T and at two integer t off the marked points, against
-    # pi(P_(m-1)(theta(t))) in Fractions, and for the Pfaffian of so(4)
-    # against the sigma-gradient of the symbolic Pf(Q X).
+    # The generated kernel's gradients on N(t) of `theta_char_polys`, at the
+    # batch's certificate point T and at two integer t off the marked
+    # points, over d = D^(m-1) pden for e_m and D^(r-1) pden for the
+    # Pfaffian, against pi(P_(m-1)(theta(t))) in Fractions, and for the
+    # Pfaffian of so(4) against the sigma-gradient of the symbolic Pf(Q X).
     model = AlgebraModel(gid)
     system = GaudinSystem(model, points)
     pf = matrix_invariant(site_matrix(system, 0), PFAFFIAN)
-    rng = random.Random(53)
-    for _ in range(count):
-        residues = random_residue_tuple(model, rng, len(points), 4, zero_sum=False)
-        sites = [el.integer_form for el in residues]
-        for t in (system._certificate_point(sites), 7, -5):
-            chars = theta_char_polys(points, sites, t)
+    pden, rng = model.trace_projection[0], random.Random(53)
+    tuples = [random_residue_tuple(model, rng, len(points), 4, zero_sum=False)
+              for _ in range(count)]
+    batch = [[el.integer_form for el in residues] for residues in tuples]
+    gradients = _kernel_gradients(gid)
+    for residues, sites in zip(tuples, batch):
+        for t in (system._batch_point(batch), 7, -5):
+            den, m, _, _ = theta_char_polys(points, sites, t)
             theta = theta_at(points, [el.matrix for el in residues], t)
-            for index in system._indices:
+            for index, y in zip(system._indices, gradients(m)):
                 if index == PFAFFIAN:
                     expected = sigma_gradient_at(system, pf, 0, flatten(theta))
+                    d = den ** (model.n // 2 - 1) * pden
                 else:
                     expected = model.from_coords(mat_vec(grad_rows(system), flatten(
                         _char_gradient_matrices(theta)[index - 1])))
-                d, y = system._gradient(index, chars)
+                    d = den ** (index - 1) * pden
                 assert [F(v, d) for v in y] == flatten(expected.matrix)
+
+
+KERNEL_GROUPS = ["gl(2)", "sl(2)", "gl(3)", "sl(3)", "gl(4)", "sl(4)", "sp(4)", "so(4)",
+                 "so(5)"]
+
+
+@pytest.mark.parametrize("gid", KERNEL_GROUPS)
+def test_the_generated_kernel_agrees_with_the_integer_references(gid):
+    # On random integer matrices N, in the algebra and not: the kernel's
+    # gradients are `theta_char_polys`'s Faddeev-LeVerrier matrices (or the
+    # Pfaffian's minors) under the integer projection matrix, and its verdict
+    # is that every [N, y] and [y, y'] of those gradients is zero entry by
+    # entry (`_flat_commutator`).  Off the algebra sp and so fail; on gl(2)
+    # and sl(2) every test cancels, and the kernel is None.
+    model = AlgebraModel(gid)
+    s, rng = model.n, random.Random(211 + KERNEL_GROUPS.index(gid))
+    certify, gradients = gaudin._certifier(model), _kernel_gradients(gid)
+    verdicts = set()
+    for inside in (True, False) * 4:
+        n = (list(random_algebra_element(model, rng, 10 ** 6).integer_form[1]) if inside
+             else [rng.randint(-10 ** 6, 10 ** 6) for _ in range(s * s)])
+        assert gradients(n) == certificate_gradients(model, n)
+        expected = certificate_verdict(model, n)
+        assert (certify is None or certify(n)) is expected
+        verdicts.add((inside, expected))
+    assert (True, True) in verdicts
+    assert ((False, False) in verdicts) is (model.group.family in ("sp", "so"))
+    assert (certify is None) is (gid in ("gl(2)", "sl(2)"))
+
+
+def test_the_batch_point_is_at_least_every_tuple_s_own_certificate_point():
+    # Height-10 tuples with one of height 10^6 among them: the batch's one
+    # point T is the largest of the tuples' own certificate points, above
+    # the first tuple's, and every tuple is still certified there.
+    model = AlgebraModel("sl(3)")
+    system = GaudinSystem(model, GRID_POINTS)
+    rng = random.Random(223)
+    tuples = [random_residue_tuple(model, rng, 3, 10 ** 6 if i == 2 else 10, zero_sum=False)
+              for i in range(5)]
+    batch = [[el.integer_form for el in residues] for residues in tuples]
+    own = [system._certificate_point(sites) for sites in batch]
+    t = system._batch_point(batch)
+    assert t >= max(own) and t == own[2] > own[0]
+    assert system.coefficient_gradients_at(tuples) == [True] * 5
+    assert system.coefficient_gradients_at([]) == []
 
 
 FALLBACK_CASES = BRACKET_CASES + [("sl(4)", PTS3, 1)]
@@ -1128,23 +1201,21 @@ def test_the_hitchin_point_recombines_to_the_spectral_numerators(gid):
 
 def test_the_certificate_reads_the_brackets_of_pairs_of_gradients():
     # With M = 0 every [M, y] vanishes, so only the second half of the
-    # certificate, the commutators [y_e, y_f], sees that E_01 and E_10 do not
-    # commute; gradients that do commute pass.
-    system = GaudinSystem(AlgebraModel("sl(2)"), PTS3)
-    assert not system._certified([0] * 4, [[0, 1, 0, 0], [0, 0, 1, 0]])
-    assert system._certified([0] * 4, [[0, 1, 0, 0], [0, 2, 0, 0]])
+    # generated kernel's test, the commutators [y_e, y_f], sees that E_01
+    # and E_10 do not commute; gradients that do commute pass.
+    assert not _kernel_test(2, [0] * 4, [[0, 1, 0, 0], [0, 0, 1, 0]])
+    assert _kernel_test(2, [0] * 4, [[0, 1, 0, 0], [0, 2, 0, 0]])
 
 
 def test_a_scalar_theta_with_non_commuting_gradients_fails_the_certificate():
     # theta(T) = M / D scalar commutes with every gradient, so [M, y] vanishes
     # for all three degree indices of gl(3); only the commutators [y_e, y_f]
     # see that E_12 and E_21 do not commute.  With them commuting it passes.
-    system = GaudinSystem(AlgebraModel("gl(3)"), PTS3)
     scalar = [5, 0, 0, 0, 5, 0, 0, 0, 5]
     e12, e21 = [0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0]
-    assert not system._certified(scalar, [scalar, e12, e21])
-    assert not system._certified(scalar, [e12, e21, e12])
-    assert system._certified(scalar, [scalar, e12, [2 * x for x in e12]])
+    assert not _kernel_test(3, scalar, [scalar, e12, e21])
+    assert not _kernel_test(3, scalar, [e12, e21, e12])
+    assert _kernel_test(3, scalar, [scalar, e12, [2 * x for x in e12]])
 
 
 def _flat_product(a, b, s):
@@ -1155,39 +1226,39 @@ def _flat_product(a, b, s):
 def test_the_compiled_commutator_test_reads_every_entry(s):
     # y = x^2 + 3x commutes with x, entries of x up to 10^20; moving any one
     # entry of y by 1 gives a pair that does not, and on every pair the
-    # compiled test agrees with the flat commutator's entries
-    commutes = gaudin._commutes(s)
+    # generated test agrees with the flat commutator's entries
     rng = random.Random(s)
     for _ in range(5):
         x = [rng.randint(-10 ** 20, 10 ** 20) for _ in range(s * s)]
         y = [u + 3 * v for u, v in zip(_flat_product(x, x, s), x)]
-        assert commutes(x, y) and commutes(y, x) and not any(gaudin._flat_commutator(x, y, s))
+        assert _commutes(s, x, y) and _commutes(s, y, x)
+        assert not any(gaudin._flat_commutator(x, y, s))
         for v in range(s * s):
             for step in (1, -1):
                 moved = list(y)
                 moved[v] += step
-                assert commutes(x, moved) is (not any(gaudin._flat_commutator(x, moved, s)))
-                assert not commutes(x, moved) and not commutes(moved, x)
+                assert _commutes(s, x, moved) is (not any(gaudin._flat_commutator(x, moved, s)))
+                assert not _commutes(s, x, moved) and not _commutes(s, moved, x)
 
 
 @pytest.mark.parametrize("gid", ["gl(2)", "sl(2)", "gl(3)", "sl(3)", "so(4)", "sp(4)", "so(5)"])
 def test_the_compiled_projection_is_the_integer_projection_matrix(gid):
+    # the kernel's gradients are P G for the integer projection matrix P and
+    # the Faddeev-LeVerrier matrices (or the Pfaffian's minors) G of N
     model = AlgebraModel(gid)
-    _, prows = model.trace_projection
-    project, rng = gaudin._projector(model), random.Random(7)
+    gradients, rng = _kernel_gradients(gid), random.Random(7)
     for _ in range(10):
-        y = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(model.n ** 2)]
-        assert project(y) == [sum(a * b for a, b in zip(row, y)) for row in prows]
+        n = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(model.n ** 2)]
+        assert gradients(n) == certificate_gradients(model, n)
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_the_compiled_commutator_test_sees_a_commutator_with_one_entry(s):
     # x diagonal with distinct entries: [x, E_ab] = (x_a - x_b) E_ab is zero
     # off the entry (a, b), so each off-diagonal entry of the test is read
-    commutes = gaudin._commutes(s)
     x = [10 ** 20 + 7 * a if a == b else 0 for a in range(s) for b in range(s)]
     for a in range(s):
         for b in range(s):
             unit = [int(v == a * s + b) for v in range(s * s)]
-            assert commutes(x, unit) is commutes(unit, x) is (a == b)
-            assert commutes(x, unit) is not any(gaudin._flat_commutator(x, unit, s))
+            assert _commutes(s, x, unit) is _commutes(s, unit, x) is (a == b)
+            assert _commutes(s, x, unit) is not any(gaudin._flat_commutator(x, unit, s))

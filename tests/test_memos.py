@@ -6,10 +6,9 @@ two `curve.sections_*` chart bases, `rationalfn.scalar_columns`,
 `deformation._pairing_form` and `deformation.model_shape` (the specs,
 chart bases, pairing forms and chart echelons of a model shape) keep what
 depends on the group, the framing, the points, the Gram matrix and the
-window alone, and `liealg._point_weights`,
-`gaudin._projector` and `gaudin._commutes` what depends on the points, the
-algebra model and the matrix size alone; the conftest fixture empties them
-before each test.
+window alone, and `liealg._point_weights` and `gaudin._certifier` what
+depends on the points and the algebra model alone; the conftest fixture
+empties them before each test.
 """
 
 import hashlib
@@ -20,6 +19,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from conftest import clear_memos
+from oracles import certificate_verdict
 from framedhiggs import curve, deformation, gaudin, liealg, rationalfn
 from framedhiggs.cli import main
 from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL, DeformationTheory,
@@ -286,7 +286,7 @@ def test_gaudin_and_spectral_jobs_build_no_shape(tmp_path):
 
 
 def _gaudin_memos():
-    return liealg._point_weights, gaudin._projector, gaudin._commutes
+    return liealg._point_weights, gaudin._certifier
 
 
 def test_clear_memos_empties_the_gaudin_memos():
@@ -300,15 +300,17 @@ def test_clear_memos_empties_the_gaudin_memos():
 
 def test_systems_on_other_points_groups_and_sizes_get_their_own_constants():
     # Each system's bounds read its own point weights and rho, and its
-    # gradients its own model's projection and its own size's commutator
-    # test, whatever system ran before it in the process: point sets with
-    # as many points, groups with one matrix size, sizes one after another.
-    # A memo keyed by the number of points, the matrix size or nothing at
-    # all would hand a later system the first one's values; the reports
-    # need not show it, since a wrong bound can still certify.
+    # certificate its own model's generated kernel, whatever system ran
+    # before it in the process: point sets with as many points, groups with
+    # one matrix size, sizes one after another.  A memo keyed by the number
+    # of points, the matrix size or nothing at all would hand a later system
+    # the first one's values; the reports need not show it, since a wrong
+    # bound can still certify, and off the algebra sp(4) and so(4) fail
+    # where sl(4) passes.  sl(2) and gl(2) have no test left.
     cases = [("sl(3)", [1, 2, 3]), ("sl(3)", [F(1, 2), -3, F(7, 3)]), ("gl(3)", [1, 2, 3]),
              ("sl(4)", [1, 2, 3]), ("sp(4)", [2, -1, F(1, 3)]), ("so(4)", [1, 2, 3]),
              ("sl(2)", [1, 2, 3]), ("gl(2)", [5, F(-2, 7), 4])]
+    kernels = set()
     for seed, (gid, points) in enumerate(cases):
         model = algebra_model(gid)
         system = GaudinSystem(model, points)
@@ -321,13 +323,13 @@ def test_systems_on_other_points_groups_and_sizes_get_their_own_constants():
                                            for x in system.points)) == weights
         _, prows = model.trace_projection
         assert system._rho == max(sum(map(abs, row)) for row in prows)
-        y = [random.Random(seed).randint(-99, 99) for _ in range(model.n ** 2)]
-        assert gaudin._projector(model)(y) == [sum(a * b for a, b in zip(row, y))
-                                               for row in prows]
-        x = [random.Random(-seed).randint(-99, 99) for _ in range(model.n ** 2)]
-        assert gaudin._commutes(model.n)(x, y) is not any(
-            gaudin._flat_commutator(x, y, model.n))
-        assert gaudin._commutes(model.n)(x, x)
+        n = [random.Random(seed).randint(-99, 99) for _ in range(model.n ** 2)]
+        certify = gaudin._certifier(model)
+        assert (certify is None) is (gid in ("sl(2)", "gl(2)"))
+        if certify is not None:
+            assert certify(n) is certificate_verdict(model, n)
+            assert certify(list(sites[0][1]))
+            kernels.add(certify)
+    assert len(kernels) == 5
     assert liealg._point_weights.cache_info().misses == 4
-    assert gaudin._projector.cache_info().misses == 7
-    assert gaudin._commutes.cache_info().misses == 3
+    assert gaudin._certifier.cache_info().misses == 7
