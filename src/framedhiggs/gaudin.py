@@ -217,19 +217,9 @@ def _flat_commutator(a: list[int], b: list[int], s: int) -> list[int]:
 # value is an integer polynomial {names: c} in the kernel's locals: names a
 # sorted tuple, () for the constant term, and c a nonzero int; {} is zero.
 
-def _poly_sum(terms) -> dict[tuple[str, ...], int]:
-    """sum c p over the terms (c, p), like terms merged and zero ones dropped,
-    in the order of their first appearance."""
-    out: dict[tuple[str, ...], int] = {}
-    for c, poly in terms:
-        for names, d in poly.items():
-            out[names] = out.get(names, 0) + c * d
-    return {names: c for names, c in out.items() if c}
-
-
 def _poly_products(terms) -> dict[tuple[str, ...], int]:
     """sum c a b over the terms (c, a, b) of polynomials a and b, like terms
-    merged and zero ones dropped."""
+    merged and zero ones dropped, in the order of their first appearance."""
     out: dict[tuple[str, ...], int] = {}
     for c, a, b in terms:
         for x, d in a.items():
@@ -237,6 +227,11 @@ def _poly_products(terms) -> dict[tuple[str, ...], int]:
                 names = tuple(sorted(x + y))
                 out[names] = out.get(names, 0) + c * d * e
     return {names: c for names, c in out.items() if c}
+
+
+def _poly_sum(terms) -> dict[tuple[str, ...], int]:
+    """sum c p over the terms (c, p)."""
+    return _poly_products((c, p, {(): 1}) for c, p in terms)
 
 
 def _multiplications(poly: dict) -> int:
