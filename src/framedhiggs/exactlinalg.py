@@ -4,7 +4,7 @@ Vectors are lists/tuples of Fraction, matrices are lists of rows.  Everything
 here is deterministic: pivots are always chosen as the first nonzero entry in
 column order, so bases produced from the same input are reproducible.
 
-`mat_mul`, `mat_vec` and `mat_comb` only add, multiply and test entries for
+`mat_mul` and `mat_comb` only add, multiply and test entries for
 zero, so they serve any entries with those operations, symbolic polynomials
 as well as Fractions.  A sum all of whose
 terms vanish is the Fraction ZERO.
@@ -97,10 +97,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
                         acc[j] = acc[j] + rk * y
         out.append(acc)
     return out
-
-
-def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
-    return [sum((rk * vk for rk, vk in zip(row, v) if rk and vk), ZERO) for row in a]
 
 
 def mat_comb(weights: Sequence, mats: Sequence[Mat]) -> Mat:
@@ -495,6 +491,21 @@ class LinSolver:
         n = self.n
         return self._den, {q: [(c - n, y) for c, y in row.items() if c >= n]
                            for q, row in self._rows}
+
+    @cached_property
+    def equations(self) -> list[list[tuple[int, int]]]:
+        """[[(q, E[q])]], one integer equation sum_q E[q] v_q = 0 per entry c
+        < n that is no pivot, over its gcd: v is in the span exactly when
+        every one holds.  Entry c of `int_coords`'s acc is L v_c - sum_q v_q
+        S_q[c]; at a pivot it is zero whatever v is."""
+        pivots = {q for q, _ in self._rows}
+        out = []
+        for c in range(self.n):
+            if c not in pivots:
+                eq = [(c, self._den)] + [(q, -row[c]) for q, row in self._rows if row.get(c)]
+                g = gcd(*(e for _, e in eq))
+                out.append([(q, e // g) for q, e in eq])
+        return out
 
 
 class Quotient:

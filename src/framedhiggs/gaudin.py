@@ -6,9 +6,11 @@ invariant of theta is read off one integer Faddeev-LeVerrier run on theta(T)
 = N(T) / D at one integer point T = 2^B (`liealg.theta_char_polys`), T above
 twice the coefficients of N's invariants: the numerator of p_k(theta) at T
 carries them as its balanced base-T digits (`liealg.balanced_digits`), and
-one Horner pass per marked point expands them in partial fractions
-(`GaudinSystem._partial_fractions`).  The Poisson structure is the product
-Lie-Poisson bracket transported by the trace form.
+one integer matrix per degree index, built once per system, maps them to
+their partial fractions (`GaudinSystem._partial_fractions`).  A process
+keeps one system per algebra model and point set (`gaudin_system`).  The
+Poisson structure is the product Lie-Poisson bracket transported by the
+trace form.
 
 Every gradient of a Hitchin coefficient comes from one engine: the
 Laurent expansion of theta at the coefficient's marked point, emitted as a
@@ -23,7 +25,10 @@ Faddeev-LeVerrier, projects every invariant's gradient and tests that each
 commutes with N(T) and with every other's; then every bracket of the tuple
 vanishes.  A tuple that fails the certificate gets each bracket {H_a, H_b} =
 sum_l tr(A_l [X^l_a, X^l_b]) of the exact site gradients, which decide its
-verdict.
+verdict.  Where every commutator expands to the zero polynomial in N (gl(r)
+and sl(r), r <= 3), the proof is made once, when the kernel would be
+generated: zero polynomials vanish at every t for every tuple, so there is
+no kernel, and no tuple is read or drawn.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from operator import mul
 from functools import cached_property, lru_cache
 from itertools import combinations
 from types import CodeType
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactlinalg import MEMO_SIZE, ZERO, ONE, frac, over_common_denominator
 from .liealg import (PFAFFIAN, AlgebraElement, AlgebraModel, balanced_digits, flat_trace,
@@ -263,17 +268,21 @@ def _entries(name: str, count: int) -> list[dict]:
 
 class _IntStatements:
     """The statements of an integer kernel under construction, each setting
-    a new local k<q>."""
+    a new local k<q>.  Expanded (expand True), it sets none: every product
+    is expanded and every quotient divided coefficient by coefficient, so a
+    value is its polynomial in the kernel's arguments, and exact turns False
+    at the first division that leaves a remainder."""
 
-    def __init__(self):
+    def __init__(self, expand: bool = False):
         self.lines: list[str] = []
         self.locals: dict[tuple, str] = {}
         self.terms: dict[int, tuple[dict, dict]] = {}     # id(poly) -> (poly, its term)
+        self.expand, self.exact = expand, True
 
     def local(self, poly: dict) -> dict:
         """poly as one term: poly itself if it is a term of at most one name,
         else g times the local set to the key of `_normal`, one local per key."""
-        if len(poly) <= 1 and all(len(names) <= 1 for names in poly):
+        if self.expand or len(poly) <= 1 and all(len(names) <= 1 for names in poly):
             return poly
         if id(poly) not in self.terms:
             g, key = _normal(poly)
@@ -285,6 +294,9 @@ class _IntStatements:
 
     def quotient(self, poly: dict, div: int) -> dict:
         """The local set to poly // div, a division that must be exact."""
+        if self.expand:
+            self.exact = self.exact and all(c % div == 0 for c in poly.values())
+            return {names: c // div for names, c in poly.items() if c // div}
         self.lines.append(f"k{len(self.lines)} = ({_int_text(poly)}) // {div}")
         return {(f"k{len(self.lines) - 1}",): 1}
 
@@ -293,6 +305,8 @@ class _IntStatements:
         (`local`), or expanded if every a and b is linear and the expansion,
         whose like terms may cancel, takes no more multiplications."""
         terms = list(terms)
+        if self.expand:
+            return _poly_products(terms)
         named = _poly_products((c, self.local(a), self.local(b)) for c, a, b in terms)
         if any(len(names) > 1 for _, a, b in terms for p in (a, b) for names in p):
             return named
@@ -310,16 +324,18 @@ class _IntStatements:
         return kept[::-1]
 
 
-def _certificate_source(model: AlgebraModel) -> tuple[_IntStatements, list[list[dict]]]:
+def _certificate_source(model: AlgebraModel, expand: bool = False
+                        ) -> tuple[_IntStatements, list[list[dict]]]:
     """(prog, ys): statements over the entries n0, n1, ... of an integer
-    s x s matrix N, row-major, and per degree index the entries of y = P G,
-    for the model's integer projection (den, P)
-    (`AlgebraModel.trace_projection`): for e_m, G = Q_(m-1) of
-    Faddeev-LeVerrier on N as in `theta_char_polys` (W = N Q_(q-1), e_q =
-    tr(W) // q, each division exact, and Q_q = e_q I - W, from Q_0 = I); for
-    the Pfaffian, G = `_pfaffian_minor_gradient` of Q N, N upside down, each
-    minor's Pfaffian expanded along its first row, each sub-Pfaffian once."""
-    s, prog, indices = model.n, _IntStatements(), generator_indices(model.group)
+    s x s matrix N, row-major, expanded if expand (`_IntStatements`), and
+    per degree index the entries of y = P G, for the model's integer
+    projection (den, P) (`AlgebraModel.trace_projection`): for e_m, G =
+    Q_(m-1) of Faddeev-LeVerrier on N as in `theta_char_polys` (W = N
+    Q_(q-1), e_q = tr(W) // q, each division exact, and Q_q = e_q I - W, from
+    Q_0 = I); for the Pfaffian, G = `_pfaffian_minor_gradient` of Q N, N
+    upside down, each minor's Pfaffian expanded along its first row, each
+    sub-Pfaffian once."""
+    s, prog, indices = model.n, _IntStatements(expand), generator_indices(model.group)
     n = _entries("n", s * s)
     qs = [[{(): 1} if v % (s + 1) == 0 else {} for v in range(s * s)]]
     for q in range(1, max(indices)):
@@ -391,12 +407,50 @@ def _certifier(model: AlgebraModel) -> Callable[[Sequence[int]], bool] | None:
     other (`GaudinSystem.commutativity_check`): the statements of
     `_certificate_source` and the test of `_certificate_test` as one
     straight-line function of the model, generated at its first use.  None
-    if no test is left: every commutator is then zero whatever N is, as on
-    gl(2) and sl(2), whose gradients are polynomials in N."""
+    if no test is left: every commutator is then the zero polynomial in the
+    entries of N, zero whatever N is.
+
+    Where the model's largest invariant degree is at most 3 (sl(2), gl(2),
+    sl(3), gl(3), so(3), so(4)), the proof is tried first: the source and
+    the test expanded, with no local and every // q of Faddeev-LeVerrier
+    divided coefficient by coefficient.  If every division is exact and no
+    entry is left, every [N, y] and [y, y'] is the zero polynomial and the
+    answer is None; so it is on gl and sl, whose projected gradients are
+    polynomials in N.  Otherwise the named generation runs as it would have.
+    Time of the expansion alone at first use, three runs each on one 2-core
+    host, Python 3.11 (sp(6) one run):
+
+        | model | expansion | entries left |
+        |---|---|---|
+        | sl(2), gl(2) | 0.08-0.11 ms | none |
+        | sl(3), gl(3) | 0.6-0.8 ms | none |
+        | so(3) | 0.2-0.3 ms | some |
+        | so(4) | 0.9-1.0 ms | some |
+        | sl(4), gl(4) | 7-15 ms | none |
+        | sp(4) | 5.4-6.7 ms | some |
+        | so(5) | 27-32 ms | some |
+        | sl(5), gl(5) | 0.16-0.47 s | none |
+        | so(6) | 0.22-0.26 s | some |
+        | sp(6) | 17 s | some |
+
+    Beyond degree 3 it costs more than a named kernel's generation (7 ms on
+    sl(4), 22-30 ms on sl(5)) and grows faster, so it is not tried there."""
     s = model.n
+    if max(model.group.degrees) <= 3:
+        prog, ys = _certificate_source(model, expand=True)
+        if prog.exact and _certificate_test(prog, _entries("n", s * s), ys, s) == "True":
+            return None
     prog, ys = _certificate_source(model)
     test = _certificate_test(prog, _entries("n", s * s), ys, s)
     return None if test == "True" else _kernel_function(prog, {"n": s * s}, test)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def gaudin_system(model: AlgebraModel, points: tuple[Fraction, ...]) -> GaudinSystem:
+    """The one `GaudinSystem` of an algebra model on a tuple of marked
+    points in this process, so that its partial-fraction rows, rho and
+    fallback programs are built once per point set."""
+    return GaudinSystem(model, points)
 
 
 def _drift_key(d: float) -> tuple[bool, float]:
@@ -437,7 +491,7 @@ class GaudinSystem:
         # pi(Y) in g with tr(pi(Y) B) = tr(Y B) for B in g, built once per model
         self._projection = model.trace_projection
         self._indices = generator_indices(self.group)
-        # integer points as ints, so that the Horner pass runs in integers
+        # integer points as ints, so that `_interp_data` runs in integers
         self._xs = [x.numerator if x.denominator == 1 else x for x in self.points]
         # every T = `_point_above` is above this, so no marked point
         self._top_numerator = max((abs(x.numerator) for x in self.points), default=0)
@@ -449,13 +503,19 @@ class GaudinSystem:
     # -- the Hitchin coefficient functions --------------------------------------
 
     def _interp_data(self, k: int):
-        """(cols, d, series) for degree index k, d = d_k: the coefficients (i, j)
-        of (z - x_i)^(-j), j <= d, and per marked point (x_i, g, gden), g / gden
-        the series of 1 / prod_(l != i) (x_i - x_l + w)^d below w^d."""
+        """(cols, rows) for degree index k, d = d_k: the coefficients (i, j)
+        of (z - x_i)^(-j), j <= d, and per coefficient the integer row (rden,
+        M) of `_partial_fractions`, built once per system.  With g / gden the
+        series of 1 / prod_(l != i) (x_i - x_l + w)^d below w^d, c_(i,j) is
+        the coefficient of w^(d-j) in P(x_i + w) g / gden, and M[o] / rden
+        is that of (x_i + w)^o g / gden, for o below n d.  For x_i = p / q and
+        g = G / e, G integer, (x_i + w)^o g = (p + q w)^o G / (q^o e): one
+        integer multiplication by p + q w per o."""
         if k not in self._interp_cache:
             d = self.group.degrees[k]
+            size = self.n * d
             cols = [(i, j) for i in range(self.n) for j in range(1, d + 1)]
-            series = []
+            rows = []
             for x in self._xs:
                 g, gden = [1] + [0] * (d - 1), 1
                 for c in (x - y for y in self._xs if y != x):   # g <- g c^(2d-1) / (c + w)^d
@@ -463,26 +523,25 @@ class GaudinSystem:
                     term = [(-1) ** m * math.comb(d + m - 1, m) * c ** (d - 1 - m)
                             for m in range(d)]
                     g = [sum(g[r] * term[m - r] for r in range(m + 1)) for m in range(d)]
-                series.append((x, g, gden))
-            self._interp_cache[k] = (cols, d, series)
+                p, q = x.numerator, x.denominator
+                e, h = over_common_denominator(g)
+                hs = [h]    # hs[o] = (p + q w)^o G below w^d
+                for _ in range(1, size):
+                    hs.append([p * u + q * v for u, v in zip(hs[-1], [0] + hs[-1][:-1])])
+                scale = [q ** (size - 1 - o) * gden.denominator for o in range(size)]
+                rden = q ** (size - 1) * e * gden.numerator
+                rows += [(rden, [h[d - j] * f for h, f in zip(hs, scale)])
+                         for j in range(1, d + 1)]
+            self._interp_cache[k] = (cols, rows)
         return self._interp_cache[k]
 
     def _partial_fractions(self, k: int, poly: Sequence[int], den: int) -> list[Fraction]:
         """The coefficients c_(i,j), in `_interp_data`'s order, of f = P(z) /
         (den prod_i (z - x_i)^d) = sum c_(i,j) (z - x_i)^(-j), d = d_k, for P =
-        sum_o poly[o] z^o of degree below n d: a Horner pass in w = z - x_i
-        gives P(x_i + w) below w^d, and c_(i,j) is its product with g / gden
-        at w^(d-j), over den."""
-        _, d, series = self._interp_data(k)
-        coeffs = []
-        for x, g, gden in series:
-            q = [poly[-1]] + [0] * (d - 1)
-            for a in reversed(poly[:-1]):   # q <- q (w + x) + a
-                q = [x * u + v for u, v in zip(q, [0] + q[:-1])]
-                q[0] += a
-            coeffs += [Fraction(sum(map(mul, q, reversed(g[:d + 1 - j]))), den * gden)
-                       for j in range(1, d + 1)]
-        return coeffs
+        sum_o poly[o] z^o of degree below n d: c_(i,j) = sum_o M[o] poly[o] /
+        (den rden) for the row (rden, M) of (i, j) (`_interp_data`)."""
+        return [Fraction(sum(map(mul, row, poly)), den * rden)
+                for rden, row in self._interp_data(k)[1]]
 
     def coefficient_functions(self, k: int, cols: Sequence[tuple[int, int]] | None = None
                               ) -> dict[tuple[int, int], GradientProgram]:
@@ -642,7 +701,9 @@ class GaudinSystem:
         / d_i) w_i a_i of `theta_char_polys`, theta(T) = N(T) / D, for the
         tuple's residue sites (d_i, a_i) and L = lcm d_i, with the point
         factors w_i = q_i prod_(j != i) (q_j T - p_j) formed once per batch.
-        Where the kernel has no test left, every tuple passes with no T."""
+        Where no test is left (`_certifier` None), every commutator is the
+        zero polynomial in N, which vanishes at every t for every tuple, so
+        every tuple passes with no T."""
         certify = _certifier(self.model)
         if certify is None or not residue_tuples:
             return [True] * len(residue_tuples)
@@ -660,11 +721,13 @@ class GaudinSystem:
             out.append(certify(m))
         return out
 
-    def commutativity_check(self, residue_tuples: Sequence[Sequence[AlgebraElement]]):
+    def commutativity_check(self, residue_tuples: Iterable[Sequence[AlgebraElement]]):
         """(worst, pair): the signed bracket {H_a, H_b} of largest absolute
         value over the tuples and the pairs a < b of coefficient functions,
         the first such in tuple and coefficient order, and its pair of keys
-        (k, i, j); (0, None) when every bracket vanishes.
+        (k, i, j); (0, None) when every bracket vanishes.  Where the model's
+        kernel has no test left (`_certifier` None), the answer is (0, None)
+        before any tuple is read, so a generator of tuples draws none.
 
         The tuples are first tested together, at the one integer point T of
         the batch (`_batch_point`), each by one call of the model's generated
@@ -684,9 +747,14 @@ class GaudinSystem:
         at T, every one vanishes at every t, and so does every bracket of the
         tuple.  A nonzero commutator vanishes at no such T, so which tuples
         pass does not depend on the T of the batch.  Only a tuple that fails
-        has its brackets computed (`_brackets`), and those decide.
+        has its brackets computed (`_brackets`), and those decide.  With no
+        test left, every U_k and Z_ef is the zero polynomial: it vanishes at
+        every t, for every tuple, and so does every bracket.
         """
         worst, worst_pair = ZERO, None
+        if _certifier(self.model) is None:
+            return worst, worst_pair
+        residue_tuples = list(residue_tuples)
         for residues, certified in zip(residue_tuples,
                                        self.coefficient_gradients_at(residue_tuples)):
             if certified:

@@ -350,8 +350,10 @@ class AlgebraModel:
         return AlgebraElement.from_integers(1, [0] * (self.n * self.n), self.group.group_id)
 
     def contains(self, el: AlgebraElement) -> bool:
-        # membership reads the integer numerators alone, in integers
-        return self._coord_solver.int_coords(el.integer_form[1]) is not None
+        # g's integer equations (`LinSolver.equations`: the trace on sl(r),
+        # none on gl(r)) on the integer numerators, with no solve
+        nums = el.integer_form[1]
+        return all(sum(e * nums[q] for q, e in eq) == 0 for eq in self._coord_solver.equations)
 
     def coords(self, el: AlgebraElement) -> Vec:
         c = self._coord_solver.coords(flatten(el.matrix))

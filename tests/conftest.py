@@ -3,8 +3,9 @@
 The memos (`functools.lru_cache`s in `liealg`, `rationalfn`, `curve`,
 `deformation` and `gaudin`: the algebra models, framings, Gram matrices,
 point weights of the theta majorants, scalar columns of Theta, chart bases,
-pairing forms, model shapes with their chart echelons and the generated
-certificate kernels) keep what depends on the group, the points,
+pairing forms, model shapes with their chart echelons, the generated
+certificate kernels and the Gaudin systems with their partial-fraction
+matrices) keep what depends on the group, the points,
 the framing, the Gram matrix, the window and the algebra model alone.  A test
 that patches a function they call (`laurent_row` in `rationalfn`, `curve` or
 `deformation`, `rationalfn.comb`, `FramingSpec.__post_init__`) must see it

@@ -60,13 +60,18 @@ from typing import Sequence
 from framedhiggs.curve import Layout
 from framedhiggs.deformation import DeformationTheory, _apply
 from framedhiggs.exactlinalg import (ONE, ZERO, Staircase, Vec, frac, inverse, mat_comb, mat_mul,
-                                     mat_vec, sparse, vec_is_zero, zeros)
+                                     sparse, vec_is_zero, zeros)
 from framedhiggs.intpoly import _reverse, _shift, _sign_variations
 from framedhiggs.gaudin import _flat_commutator, _pfaffian_minor_gradient
 from framedhiggs.liealg import (PFAFFIAN, AlgebraElement, bracket, generator_indices, mat_trace,
                                 matrix_invariant, perp_coordinates, pfaffian, theta_char_polys,
                                 to_matrix)
 from framedhiggs.rationalfn import RatContext, Window
+
+
+def mat_vec(a, v) -> Vec:
+    """The product of the matrix a and the vector v, zero terms skipped."""
+    return [sum((rk * vk for rk, vk in zip(row, v) if rk and vk), ZERO) for row in a]
 
 
 def mat_is_zero(a):

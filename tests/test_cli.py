@@ -79,7 +79,7 @@ def test_gaudin_job_reports_a_nonzero_bracket(tmp_path, monkeypatch):
         return [(o - 1, c) for o, c in weights] if (i, l, top) == (0, 0, 1) else weights
 
     monkeypatch.setattr(gaudin, "_certifier", lambda model: lambda n: False)
-    monkeypatch.setattr(cli.GaudinSystem, "_site_weights", one_site_one_order_off)
+    monkeypatch.setattr(gaudin.GaudinSystem, "_site_weights", one_site_one_order_off)
     cfg = write_config(tmp_path, "g.json", GAUDIN_SL2)
     out = tmp_path / "report.json"
     assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 1
@@ -94,26 +94,26 @@ def test_gaudin_job_reports_a_nonzero_bracket(tmp_path, monkeypatch):
 def test_a_gaudin_job_runs_the_char_polys_once_and_the_kernel_once_per_residue_tuple(
         tmp_path, monkeypatch):
     # the model's residues feed the Hitchin point from one `theta_char_polys`
-    # run at one integer point, their value point; the residue tuples, the
-    # model's first, are certified together at one point above it, each by
-    # one call of the model's generated kernel on the integer matrix N(T).
-    # On sl(2) no test is left and no point is taken.
+    # run at one integer point, their value point; on sp(4) the residue
+    # tuples, the model's first, are certified together at one point above
+    # it, each by one call of the model's generated kernel on the integer
+    # matrix N(T).  On sl(2) and sl(3) no test is left and no point is taken.
     calls, certified, points = [], [], []
     kernel, certifier = gaudin.theta_char_polys, gaudin._certifier
-    batch_point = cli.GaudinSystem._batch_point
+    batch_point = gaudin.GaudinSystem._batch_point
     monkeypatch.setattr(gaudin, "theta_char_polys",
                         lambda *args: calls.append(args) or kernel(*args))
     monkeypatch.setattr(gaudin, "_certifier", lambda model: certifier(model) and (
         lambda n: certified.append(n) or certifier(model)(n)))
-    monkeypatch.setattr(cli.GaudinSystem, "_batch_point",
+    monkeypatch.setattr(gaudin.GaudinSystem, "_batch_point",
                         lambda self, batch: points.append(batch_point(self, batch)) or points[-1])
-    for group, random_points in (("sl(3)", 0), ("sl(3)", 3), ("sl(2)", 3)):
+    for group, random_points in (("sp(4)", 0), ("sp(4)", 3), ("sl(3)", 3), ("sl(2)", 3)):
         calls.clear(), certified.clear(), points.clear()
         cfg = write_config(tmp_path, "g.json", {**GAUDIN_SL2, "group": group,
                                                 "random_points": random_points})
         assert main(["gaudin", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
         assert len(calls) == 1 and type(calls[0][2]) is int
-        if group == "sl(2)":
+        if group != "sp(4)":
             assert certified == points == []
             continue
         assert len(certified) == 1 + random_points
@@ -121,18 +121,68 @@ def test_a_gaudin_job_runs_the_char_polys_once_and_the_kernel_once_per_residue_t
         assert len(points) == 1 and calls[0][2] < points[0]
 
 
+def test_a_gaudin_job_draws_residue_tuples_only_for_a_kernel(tmp_path, monkeypatch):
+    # sl(3) has no test left: a job asking for 10^9 random tuples draws the
+    # model's 2 residues alone and finishes.  sp(4) has a kernel: each of its
+    # 4 random tuples draws its 3 residues, and the kernel runs once per
+    # tuple, the model's first.  A draw past the hundredth fails the test
+    # rather than let it run through 10^9 tuples.
+    from framedhiggs import sampling
+    draws, certified = [], []
+    draw, certifier = sampling._draw, gaudin._certifier
+
+    def counted(*args):
+        draws.append(args)
+        assert len(draws) <= 100, "a job drew residue tuples that no test reads"
+        return draw(*args)
+
+    monkeypatch.setattr(sampling, "_draw", counted)
+    monkeypatch.setattr(gaudin, "_certifier", lambda model: certifier(model) and (
+        lambda n: certified.append(n) or certifier(model)(n)))
+    for group, random_points, expected in (("sl(3)", 10 ** 9, 2), ("sp(4)", 4, 2 + 4 * 3)):
+        draws.clear(), certified.clear()
+        cfg = write_config(tmp_path, "g.json", {**GAUDIN_SL2, "group": group,
+                                                "random_points": random_points})
+        out = tmp_path / "r.json"
+        assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["all_passed"]
+        assert len(draws) == expected
+        assert len(certified) == (0 if group == "sl(3)" else 1 + random_points)
+
+
+def test_an_off_by_one_sl3_projection_leaves_a_kernel_and_fails_the_bracket_check(
+        tmp_path, monkeypatch):
+    # The negative control of the proof made at generation: with one entry
+    # of sl(3)'s integer projection off by one, the expansion leaves tests,
+    # a kernel is generated, and the job's brackets, through the same
+    # faulted projection, fail the bracket check by name.
+    model = liealg.algebra_model("sl(3)")
+    den, rows = model.trace_projection
+    faulted = [list(row) for row in rows]
+    faulted[0][0] += 1
+    monkeypatch.setattr(model, "trace_projection", (den, faulted))
+    assert gaudin._certifier(model) is not None
+    cfg = write_config(tmp_path, "g.json", {**GAUDIN_SL2, "group": "sl(3)"})
+    out = tmp_path / "r.json"
+    assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["pairwise brackets of invariant coefficients vanish"]
+    assert report["results"]["bracket_worst_pair"] is not None
+
+
 def test_a_failing_gaudin_job_builds_each_gradient_program_once(tmp_path, monkeypatch):
     # With the certificate forced to fail, each of the 3 tuples runs every
     # coefficient's gradient program exactly, and each program is generated
     # and compiled once per system.
     built = []
-    program = cli.GaudinSystem._gradient_program
-    monkeypatch.setattr(cli.GaudinSystem, "_gradient_program",
+    program = gaudin.GaudinSystem._gradient_program
+    monkeypatch.setattr(gaudin.GaudinSystem, "_gradient_program",
                         lambda self, k, i, j: built.append((k, i, j)) or program(self, k, i, j))
     monkeypatch.setattr(gaudin, "_certifier", lambda model: lambda n: False)
-    brackets = cli.GaudinSystem._brackets
+    brackets = gaudin.GaudinSystem._brackets
     tuples = []
-    monkeypatch.setattr(cli.GaudinSystem, "_brackets",
+    monkeypatch.setattr(gaudin.GaudinSystem, "_brackets",
                         lambda self, r: tuples.append(r) or brackets(self, r))
     cfg = write_config(tmp_path, "g.json", {**GAUDIN_SL2, "random_points": 2})
     assert main(["gaudin", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
@@ -146,7 +196,7 @@ def test_a_clean_gaudin_job_builds_no_bracket_table(tmp_path, monkeypatch, group
     # none enters the exact brackets of the fallback
     def refuse(self, residues):
         raise AssertionError("a clean job computed the exact brackets of a tuple")
-    monkeypatch.setattr(cli.GaudinSystem, "_brackets", refuse)
+    monkeypatch.setattr(gaudin.GaudinSystem, "_brackets", refuse)
     cfg = write_config(tmp_path, "g.json", {"group": group, "points": ["1/2", "-3", "7/3"],
                                             "residues": {"type": "random", "seed": 9},
                                             "random_points": 5})
@@ -688,8 +738,8 @@ def test_a_flow_job_generates_only_its_own_gradient_program(tmp_path, monkeypatc
     # the flow reads the program of one coefficient (k, i, j); degree index 0
     # of so(5) on 3 points has 6
     calls = []
-    build = cli.GaudinSystem._gradient_program
-    monkeypatch.setattr(cli.GaudinSystem, "_gradient_program",
+    build = gaudin.GaudinSystem._gradient_program
+    monkeypatch.setattr(gaudin.GaudinSystem, "_gradient_program",
                         lambda self, *key: calls.append(key) or build(self, *key))
     cfg = write_config(tmp_path, "so5.json", SO5_FLOW)
     assert main(["gaudin", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
@@ -724,8 +774,8 @@ README_FLOW = {"group": "sl(2)", "points": ["1", "2", "3"],
                "residues": {"type": "random", "seed": 7, "height": 10}, "random_points": 5,
                "flow": {"degree_index": 0, "site": 0, "order": 1, "t_end": 1.0,
                         "steps": 10000, "drift_tolerance": 1e-8}}
-ORIGINAL_COEFFICIENT_FUNCTIONS = cli.GaudinSystem.coefficient_functions
-ORIGINAL_SITE_WEIGHTS = cli.GaudinSystem._site_weights
+ORIGINAL_COEFFICIENT_FUNCTIONS = gaudin.GaudinSystem.coefficient_functions
+ORIGINAL_SITE_WEIGHTS = gaudin.GaudinSystem._site_weights
 
 
 def _without_a_term(self, k, cols=None):
@@ -749,7 +799,7 @@ def _one_laurent_coefficient_one_order_off(self, i, l, top):
     ("coefficient_functions", _without_a_term),
     ("_site_weights", _one_laurent_coefficient_one_order_off)], ids=["term", "laurent-order"])
 def test_a_hamiltonian_built_wrong_fails_the_flow_check(tmp_path, monkeypatch, name, build):
-    monkeypatch.setattr(cli.GaudinSystem, name, build)
+    monkeypatch.setattr(gaudin.GaudinSystem, name, build)
     cfg = write_config(tmp_path, "flow.json", README_FLOW)
     out = tmp_path / "report.json"
     assert main(["gaudin", "--config", cfg, "--out", str(out)]) == 1
@@ -907,8 +957,8 @@ def test_flow_fields_are_checked_before_the_bracket_table(tmp_path, capsys, monk
                                                            flow, field):
     def refuse(*args, **kwargs):
         raise AssertionError("the bracket table ran before the flow fields were checked")
-    monkeypatch.setattr(cli.GaudinSystem, "commutativity_check", refuse)
-    monkeypatch.setattr(cli.GaudinSystem, "hitchin_point", refuse)
+    monkeypatch.setattr(gaudin.GaudinSystem, "commutativity_check", refuse)
+    monkeypatch.setattr(gaudin.GaudinSystem, "hitchin_point", refuse)
     cfg = write_config(tmp_path, "flow.json", {**GAUDIN_SL2, "group": "sl(3)", "flow": flow})
     assert main(["gaudin", "--config", cfg]) == 2
     err = capsys.readouterr().err

@@ -9,13 +9,13 @@ from framedhiggs.deformation import (FRAMED, TWISTED, TWISTED_DUAL,
                                      framed_higgs_model, hyper_pair,
                                      verify_poisson_map)
 from framedhiggs.exactlinalg import (ZERO, add_scaled, dense, inverse, mat_mul,
-                                     mat_vec, nullspace_sparse, rank, sparse)
+                                     nullspace_sparse, rank, sparse)
 from framedhiggs.liealg import AlgebraElement, AlgebraModel, algebra_model, bracket, trace_form
 from framedhiggs.rationalfn import pairing_residue_at_point
 from framedhiggs.sampling import random_algebra_element, seeded_model
 from conftest import clear_memos
 from oracles import (NegatedAdjointTheory, VSection, ad_matrices, cup_matrix_by_entries,
-                     from_layout, mat_is_zero, to_layout, vec_add, vec_scale)
+                     from_layout, mat_is_zero, mat_vec, to_layout, vec_add, vec_scale)
 
 
 def dims_of(cone):

@@ -9,8 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from framedhiggs.exactlinalg import (identity, mat_comb, mat_mul, mat_vec,
-                                     over_common_denominator)
+from framedhiggs.exactlinalg import identity, mat_comb, mat_mul, over_common_denominator
 from framedhiggs import gaudin
 from framedhiggs.gaudin import GaudinSystem, worst_drift
 from framedhiggs.liealg import (PFAFFIAN, AlgebraModel, antidiagonal, balanced_digits,
@@ -22,8 +21,9 @@ from framedhiggs.spectral import elementary_numerators
 from oracles import (PolyObservable, algebra_sigma_gradients_at, algebra_site_matrix,
                      bracket_at, certificate_gradients, certificate_verdict, coefficient_columns,
                      coefficient_polys, coordinate, grad_rows, gradient_function,
-                     fraction_residue_tuple, mat_commutator, random_fraction, sample_points,
-                     sampled_inverse, sigma_gradient_at, site_matrix, symbolic_gradient, theta_at)
+                     fraction_residue_tuple, mat_commutator, mat_vec, random_fraction,
+                     sample_points, sampled_inverse, sigma_gradient_at, site_matrix,
+                     symbolic_gradient, theta_at)
 
 PTS3 = (F(1), F(2), F(3))
 
@@ -470,17 +470,18 @@ GRID_CASES = [("sl(2)", 3), ("sl(3)", 3), ("gl(2)", 3), ("gl(3)", 2), ("sp(4)", 
 def test_bracket_table_grid_matches_reference(monkeypatch, gid, n, faulted):
     # The check against the per-site Fraction reference, on tuples that do
     # not sum to zero.  The fault adds a fixed integer matrix to the
-    # projected gradient of degree index 0 in the certificate's generated
-    # kernel, so that it stops commuting with N(T): every tuple then fails
-    # the certificate, and its exact brackets, which the kernel does not
-    # reach, still vanish.
+    # projected gradient of degree index 0 in the certificate's source,
+    # expanded or named, so that it stops commuting with N(T): the expansion
+    # leaves tests, a kernel is generated, every tuple then fails the
+    # certificate, and its exact brackets, which the kernel does not reach,
+    # still vanish.
     model = AlgebraModel(gid)
     points = GRID_POINTS[:n]
     system = GaudinSystem(model, points)
     source = gaudin._certificate_source
 
-    def with_fault(model):
-        prog, ys = source(model)
+    def with_fault(model, expand=False):
+        prog, ys = source(model, expand)
         s = model.n
         fault = [(3 * a - 2 * b) % 7 - 3 for a in range(s) for b in range(s)]
         return prog, [[gaudin._poly_sum([(1, y), (f, {(): 1})]) for y, f in zip(ys[0], fault)],
@@ -565,8 +566,8 @@ def test_the_generated_kernel_agrees_with_the_integer_references(gid):
     # verdict is that every [N, y] and [y, y'] of the gradients of
     # `certificate_gradients` (`theta_char_polys` under the integer
     # projection matrix) is zero entry by entry (`_flat_commutator`).  Off
-    # the algebra sp and so fail; on gl(2) and sl(2) every test cancels, and
-    # the kernel is None.
+    # the algebra sp and so fail; on gl(r) and sl(r), r <= 3, every test
+    # cancels, the kernel is None and the reference passes every N.
     model = AlgebraModel(gid)
     s, rng = model.n, random.Random(211 + KERNEL_GROUPS.index(gid))
     certify, verdicts = gaudin._certifier(model), set()
@@ -578,14 +579,40 @@ def test_the_generated_kernel_agrees_with_the_integer_references(gid):
         verdicts.add((inside, expected))
     assert (True, True) in verdicts
     assert ((False, False) in verdicts) is (model.group.family in ("sp", "so"))
-    assert (certify is None) is (gid in ("gl(2)", "sl(2)"))
+    assert (certify is None) is (gid in ("gl(2)", "sl(2)", "gl(3)", "sl(3)"))
+
+
+def test_an_inexact_division_in_the_expansion_claims_no_proof(monkeypatch):
+    # The expansion divides each coefficient of tr(W) by q and checks that
+    # none leaves a remainder.  With every division marked inexact, sl(3),
+    # whose commutators all expand to zero, gets its named kernel instead of
+    # None, and the kernel still certifies an element of the algebra.
+    prog = gaudin._IntStatements(expand=True)
+    assert prog.quotient({("n0",): 6, ("n1", "n2"): -4}, 2) == {("n0",): 3, ("n1", "n2"): -2}
+    assert prog.exact and prog.lines == []
+    assert prog.quotient({("n0",): 3, ("n1",): 1}, 2) == {("n0",): 1}
+    assert not prog.exact
+    model = AlgebraModel("sl(3)")
+    assert gaudin._certifier(model) is None
+    gaudin._certifier.cache_clear()
+    quotient = gaudin._IntStatements.quotient
+
+    def inexact(self, poly, div):
+        self.exact = False
+        return quotient(self, poly, div)
+
+    monkeypatch.setattr(gaudin._IntStatements, "quotient", inexact)
+    certify = gaudin._certifier(model)
+    assert certify is not None
+    assert certify(list(random_algebra_element(model, random.Random(227), 10).integer_form[1]))
 
 
 def test_the_batch_point_is_at_least_every_tuple_s_own_certificate_point():
     # Height-10 tuples with one of height 10^6 among them: the batch's one
     # point T is the largest of the tuples' own certificate points, above
-    # the first tuple's, and every tuple is still certified there.
-    model = AlgebraModel("sl(3)")
+    # the first tuple's, and every tuple is still certified there by sl(4)'s
+    # kernel.
+    model = AlgebraModel("sl(4)")
     system = GaudinSystem(model, GRID_POINTS)
     rng = random.Random(223)
     tuples = [random_residue_tuple(model, rng, 3, 10 ** 6 if i == 2 else 10, zero_sum=False)
@@ -594,6 +621,7 @@ def test_the_batch_point_is_at_least_every_tuple_s_own_certificate_point():
     own = [system._certificate_point(sites) for sites in batch]
     t = system._batch_point(batch)
     assert t >= max(own) and t == own[2] > own[0]
+    assert gaudin._certifier(model) is not None
     assert system.coefficient_gradients_at(tuples) == [True] * 5
     assert system.coefficient_gradients_at([]) == []
 

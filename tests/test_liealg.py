@@ -411,3 +411,25 @@ def test_the_integer_ad_tensor_gives_the_bracket_oracles_ad(gid):
         expected = ad_matrix(model, el)
         assert got == expected
         assert e == lcm(*(x.denominator for row in expected for x in row))
+
+
+@pytest.mark.parametrize("gid", AD_GROUPS)
+def test_membership_by_the_integer_equations_agrees_with_the_solve(gid):
+    # contains tests g's integer equations (`LinSolver.equations`); a solve
+    # of the coordinates (`LinSolver.int_coords`) must agree on elements with
+    # rational entries, on each moved by one in one entry and on random
+    # integer matrices.  Only gl(r) has no equation and holds every matrix.
+    model = AlgebraModel(gid)
+    s, rng, seen = model.n, random.Random(67), set()
+    for _ in range(4):
+        el = rand_el(model, rng, 7)
+        den, nums = el.integer_form
+        moved = list(nums)
+        moved[rng.randrange(s * s)] += den
+        for flat in (nums, moved, [rng.randint(-9, 9) for _ in range(s * s)]):
+            candidate = AlgebraElement.from_integers(den, flat, gid)
+            expected = model._coord_solver.int_coords(flat) is not None
+            assert model.contains(candidate) is expected
+            seen.add(expected)
+    assert seen == ({True} if gid.startswith("gl") else {True, False})
+    assert (model._coord_solver.equations == []) is gid.startswith("gl")

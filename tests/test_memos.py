@@ -6,9 +6,9 @@ two `curve.sections_*` chart bases, `rationalfn.scalar_columns`,
 `deformation._pairing_form` and `deformation.model_shape` (the specs,
 chart bases, pairing forms and chart echelons of a model shape) keep what
 depends on the group, the framing, the points, the Gram matrix and the
-window alone, and `liealg._point_weights` and `gaudin._certifier` what
-depends on the points and the algebra model alone; the conftest fixture
-empties them before each test.
+window alone, and `liealg._point_weights`, `gaudin._certifier` and
+`gaudin.gaudin_system` what depends on the points and the algebra model
+alone; the conftest fixture empties them before each test.
 """
 
 import hashlib
@@ -286,13 +286,15 @@ def test_gaudin_and_spectral_jobs_build_no_shape(tmp_path):
 
 
 def _gaudin_memos():
-    return liealg._point_weights, gaudin._certifier
+    return liealg._point_weights, gaudin._certifier, gaudin.gaudin_system
 
 
 def test_clear_memos_empties_the_gaudin_memos():
     model = algebra_model("sl(3)")
-    system = GaudinSystem(model, [1, 2, 3])
-    system.commutativity_check([random_residue_tuple(model, random.Random(3), 3, 5)])
+    system = gaudin.gaudin_system(model, (F(1), F(2), F(3)))
+    residues = random_residue_tuple(model, random.Random(3), 3, 5)
+    system.hitchin_point(residues)
+    system.commutativity_check([residues])
     assert all(memo.cache_info().currsize == 1 for memo in _gaudin_memos())
     clear_memos()
     assert all(memo.cache_info().currsize == 0 for memo in _gaudin_memos())
@@ -306,7 +308,8 @@ def test_systems_on_other_points_groups_and_sizes_get_their_own_constants():
     # of points, the matrix size or nothing at all would hand a later system
     # the first one's values; the reports need not show it, since a wrong
     # bound can still certify, and off the algebra sp(4) and so(4) fail
-    # where sl(4) passes.  sl(2) and gl(2) have no test left.
+    # where sl(4) passes.  gl(r) and sl(r), r <= 3, have no test left: every
+    # N, in the algebra or not, passes the reference.
     cases = [("sl(3)", [1, 2, 3]), ("sl(3)", [F(1, 2), -3, F(7, 3)]), ("gl(3)", [1, 2, 3]),
              ("sl(4)", [1, 2, 3]), ("sp(4)", [2, -1, F(1, 3)]), ("so(4)", [1, 2, 3]),
              ("sl(2)", [1, 2, 3]), ("gl(2)", [5, F(-2, 7), 4])]
@@ -325,11 +328,41 @@ def test_systems_on_other_points_groups_and_sizes_get_their_own_constants():
         assert system._rho == max(sum(map(abs, row)) for row in prows)
         n = [random.Random(seed).randint(-99, 99) for _ in range(model.n ** 2)]
         certify = gaudin._certifier(model)
-        assert (certify is None) is (gid in ("sl(2)", "gl(2)"))
+        assert (certify is None) is (gid in ("sl(2)", "gl(2)", "sl(3)", "gl(3)"))
+        assert (certify is None or certify(n)) is certificate_verdict(model, n)
+        assert certificate_verdict(model, list(sites[0][1]))
         if certify is not None:
-            assert certify(n) is certificate_verdict(model, n)
             assert certify(list(sites[0][1]))
             kernels.add(certify)
-    assert len(kernels) == 5
+    assert len(kernels) == 3
     assert liealg._point_weights.cache_info().misses == 4
     assert gaudin._certifier.cache_info().misses == 7
+
+
+GAUDIN_JOB = {"group": "sp(4)", "points": ["1/2", "-3", "7/3"],
+              "residues": {"type": "random", "seed": 29, "height": 5}, "random_points": 2}
+
+
+def test_a_second_gaudin_job_on_one_point_set_builds_no_system(tmp_path, monkeypatch):
+    # one system per (algebra model, points): a second job with other
+    # residues on the same group and points builds none and prints the
+    # bytes of a cold process; other points or another group build their own
+    jobs = [GAUDIN_JOB, {**GAUDIN_JOB, "residues": {"type": "random", "seed": 30}},
+            {**GAUDIN_JOB, "points": ["1", "2", "3"]}, {**GAUDIN_JOB, "group": "so(4)"}]
+    cold = []
+    for config in jobs:
+        clear_memos()
+        cold.append(_report(tmp_path, "gaudin", config))
+    assert all(code == 0 for code, _ in cold)
+    clear_memos()
+    built = []
+    init = GaudinSystem.__init__
+    monkeypatch.setattr(GaudinSystem, "__init__",
+                        lambda self, model, points: built.append(points) or init(self, model,
+                                                                                 points))
+    assert [_report(tmp_path, "gaudin", config) for config in jobs] == cold
+    assert built == [(F(1, 2), F(-3), F(7, 3)), (F(1), F(2), F(3)), (F(1, 2), F(-3), F(7, 3))]
+    assert gaudin.gaudin_system.cache_info().misses == 3
+    systems = {id(gaudin.gaudin_system(algebra_model(gid), points))
+               for gid, points in (("sp(4)", built[0]), ("sp(4)", built[1]), ("so(4)", built[0]))}
+    assert len(systems) == 3 and gaudin.gaudin_system.cache_info().misses == 3

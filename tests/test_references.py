@@ -18,10 +18,7 @@ SRC = ROOT / "src" / "framedhiggs"
 TRACER = ROOT / "bench" / "tracer.py"
 
 # qualified name -> why it stays although nothing above references it
-ALLOWED = {
-    "exactlinalg.mat_vec": "the tests and their oracles multiply Fraction matrices by "
-                           "vectors with it, beside mat_mul and mat_comb",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def definitions(module: str, source: str) -> dict[str, str]:
